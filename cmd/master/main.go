@@ -63,7 +63,6 @@ func main() {
 	lookupAddr := flag.String("lookup", "127.0.0.1:7001", "lookup service address")
 	jobName := flag.String("job", "montecarlo", "application to run: montecarlo, raytrace, pagerank")
 	timeout := flag.Duration("result-timeout", 10*time.Minute, "per-result collection timeout")
-	journal := flag.String("journal", "", "path for the legacy single-file space journal (empty = in-memory space)")
 	datadir := flag.String("datadir", "", "directory for durable shards (segmented WAL + snapshots, one subdirectory per shard); restarting with the same -datadir recovers the previous contents")
 	fsync := flag.String("fsync", "always", "WAL sync policy with -datadir: always, interval, or never")
 	sims := flag.Int("sims", 0, "override the option-pricing simulation count (montecarlo only; 0 = paper's 10000)")
@@ -86,7 +85,7 @@ func main() {
 		mergeThreshold: *mergeThreshold, interval: *reshardInterval,
 	}
 	ocfg := overloadFlags{maxInflight: *maxInflight, retryBudget: *retryBudget}
-	if err := run(*addr, *lookupAddr, *jobName, *timeout, *journal, *datadir, *fsync, *sims, *shards, *spread, *obsAddr, *replicas, *replack, *failoverTimeout, ecfg, *exactlyOnce, ocfg); err != nil {
+	if err := run(*addr, *lookupAddr, *jobName, *timeout, *datadir, *fsync, *sims, *shards, *spread, *obsAddr, *replicas, *replack, *failoverTimeout, ecfg, *exactlyOnce, ocfg); err != nil {
 		log.Fatalf("master: %v", err)
 	}
 }
@@ -141,7 +140,7 @@ type overloadFlags struct {
 	maxInflight, retryBudget int
 }
 
-func run(addr, lookupAddr, jobName string, resultTimeout time.Duration, journalPath, dataDir, fsync string, sims, numShards int, spread bool, obsAddr string, replicas int, replack string, failoverTimeout time.Duration, ecfg elasticFlags, exactlyOnce bool, ocfg overloadFlags) error {
+func run(addr, lookupAddr, jobName string, resultTimeout time.Duration, dataDir, fsync string, sims, numShards int, spread bool, obsAddr string, replicas int, replack string, failoverTimeout time.Duration, ecfg elasticFlags, exactlyOnce bool, ocfg overloadFlags) error {
 	clk := vclock.NewReal()
 	job, report, err := buildJob(jobName, sims, spread)
 	if err != nil {
@@ -153,15 +152,9 @@ func run(addr, lookupAddr, jobName string, resultTimeout time.Duration, journalP
 	if ecfg.on && replicas > 0 {
 		return fmt.Errorf("-autoshard requires -replicas 0 in the TCP master (the in-process framework supports the replicated variant)")
 	}
-	if ecfg.on && journalPath != "" {
-		return fmt.Errorf("-autoshard is incompatible with the legacy -journal persistence")
-	}
 	ackMode, err := replica.ParseAckMode(replack)
 	if err != nil {
 		return fmt.Errorf("bad -replack: %w", err)
-	}
-	if replicas > 0 && journalPath != "" {
-		return fmt.Errorf("-replicas is incompatible with the legacy -journal persistence")
 	}
 	// The ops surface is opt-in; a nil *obs.Obs makes every instrumentation
 	// call below a no-op.
@@ -178,12 +171,6 @@ func run(addr, lookupAddr, jobName string, resultTimeout time.Duration, journalP
 	if numShards < 1 {
 		numShards = 1
 	}
-	if journalPath != "" && numShards > 1 {
-		return fmt.Errorf("-journal requires a single shard")
-	}
-	if journalPath != "" && dataDir != "" {
-		return fmt.Errorf("-journal and -datadir are mutually exclusive")
-	}
 	fsyncPolicy, err := wal.ParseFsyncPolicy(fsync)
 	if err != nil {
 		return fmt.Errorf("bad -fsync: %w", err)
@@ -195,8 +182,7 @@ func run(addr, lookupAddr, jobName string, resultTimeout time.Duration, journalP
 
 	// Host the space services — shard 0 shares its server with the code
 	// server. -datadir selects the durable (Outrigger persistent) mode:
-	// each shard recovers its WAL + snapshot before serving. -journal is
-	// the legacy single-file persistence (single shard only).
+	// each shard recovers its WAL + snapshot before serving.
 	cs := nodeconfig.NewCodeServer()
 	cs.Publish(job.Bundle())
 	var (
@@ -269,12 +255,6 @@ func run(addr, lookupAddr, jobName string, resultTimeout time.Duration, journalP
 			log.Printf("master: shard %d recovered %d entries in %v (%d snapshot + %d tail records)",
 				i, infos[i].Restored, infos[i].Elapsed.Round(time.Millisecond),
 				infos[i].SnapshotRecords, infos[i].TailRecords)
-		case i == 0 && journalPath != "":
-			local, err = space.NewLocalJournaled(clk, journalPath)
-			if err != nil {
-				return err
-			}
-			log.Printf("master: persistent space journal at %s", journalPath)
 		default:
 			local = space.NewLocal(clk)
 			if psw != nil {

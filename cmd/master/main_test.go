@@ -13,7 +13,7 @@ import (
 func TestRunRejectsAutoshardWithReplicas(t *testing.T) {
 	ecfg := elasticFlags{on: true, splitThreshold: 500, mergeThreshold: 10, interval: 5 * time.Second}
 	err := run("127.0.0.1:0", "127.0.0.1:0", "montecarlo", time.Minute,
-		"", "", "always", 0, 1, false, "", 1, "sync", 2*time.Second, ecfg, false, overloadFlags{})
+		"", "always", 0, 1, false, "", 1, "sync", 2*time.Second, ecfg, false, overloadFlags{})
 	if err == nil {
 		t.Fatal("run accepted -autoshard with -replicas 1")
 	}
@@ -27,19 +27,16 @@ func TestRunRejectsAutoshardWithReplicas(t *testing.T) {
 func TestRunFlagValidationMatrix(t *testing.T) {
 	cases := []struct {
 		name     string
-		journal  string
 		replicas int
 		ecfg     elasticFlags
 		want     string
 	}{
-		{"autoshard+journal", "/tmp/j.log", 0, elasticFlags{on: true}, "-autoshard is incompatible with the legacy -journal"},
-		{"replicas out of range", "", 2, elasticFlags{}, "-replicas must be 0 or 1"},
-		{"replicas+journal", "/tmp/j.log", 1, elasticFlags{}, "-replicas is incompatible with the legacy -journal"},
+		{"replicas out of range", 2, elasticFlags{}, "-replicas must be 0 or 1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			err := run("127.0.0.1:0", "127.0.0.1:0", "montecarlo", time.Minute,
-				tc.journal, "", "always", 0, 1, false, "", tc.replicas, "sync", 2*time.Second, tc.ecfg, false, overloadFlags{})
+				"", "always", 0, 1, false, "", tc.replicas, "sync", 2*time.Second, tc.ecfg, false, overloadFlags{})
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("err = %v, want mention of %q", err, tc.want)
 			}

@@ -501,11 +501,11 @@ func New(clock vclock.Clock, cfg Config) *Framework {
 		var gate *transport.ServiceGate
 		if cfg.SpaceOpCost > 0 {
 			// Remote callers pay the gate inside the admission controller
-			// (configured below); the master pays it through the gatedSpace
+			// (configured below); the master pays it through the gated
 			// wrapper, so both compete for the same modeled server CPU. The
 			// code server bypasses the space handlers and stays ungated.
 			gate = transport.NewServiceGate(clock, cfg.SpaceOpCost)
-			handle = gatedSpace{l: l, gate: gate}
+			handle = gated(l, gate)
 			f.gates[i] = gate
 		}
 		f.configureAdmission(svc, addr, gate)
@@ -787,7 +787,7 @@ func (f *Framework) RestartShard(i int) (space.RecoveryInfo, error) {
 	f.replMu.Unlock()
 	var handle space.Space = l
 	if gate != nil {
-		handle = gatedSpace{l: l, gate: gate}
+		handle = gated(l, gate)
 	}
 	if reg := f.cfg.Obs.Reg(); reg != nil {
 		// Same serve histogram as before the crash: a shard keeps one

@@ -286,7 +286,7 @@ func (f *Framework) buildChildShard() (*childShard, error) {
 		// The child pays for server CPU like every seed shard — the whole
 		// point of splitting a saturated shard is a second gate.
 		gate = transport.NewServiceGate(f.Clock, f.cfg.SpaceOpCost)
-		handle = gatedSpace{l: l, gate: gate}
+		handle = gated(l, gate)
 	}
 	f.configureAdmission(svc, addr, gate)
 	if reg := f.cfg.Obs.Reg(); reg != nil {

@@ -1,105 +1,18 @@
 package core
 
 import (
-	"time"
-
 	"gospaces/internal/space"
 	"gospaces/internal/transport"
-	"gospaces/internal/tuplespace"
 )
 
-// gatedSpace charges a shard's service gate for the master's direct
-// in-process operations. Worker RPCs pay the gate inside the transport
-// server middleware; without this wrapper the master's own writes and
-// takes would bypass the modeled server CPU and the single-server
-// saturation knee would vanish from the measurements.
-type gatedSpace struct {
-	l    *space.Local
-	gate *transport.ServiceGate
+// gated charges a shard's service gate for the master's direct in-process
+// operations. Worker RPCs pay the gate inside the service's admission
+// controller; without this interceptor the master's own writes and takes
+// would bypass the modeled server CPU and the single-server saturation
+// knee would vanish from the measurements.
+func gated(l *space.Local, gate *transport.ServiceGate) space.Space {
+	return space.Intercept(l, func(op space.Op, next space.Doer) (space.Result, error) {
+		gate.Admit()
+		return next.Do(op)
+	})
 }
-
-func (g gatedSpace) Write(e tuplespace.Entry, t space.Txn, ttl time.Duration) (space.Lease, error) {
-	g.gate.Admit()
-	return g.l.Write(e, t, ttl)
-}
-
-func (g gatedSpace) Read(tmpl tuplespace.Entry, t space.Txn, timeout time.Duration) (tuplespace.Entry, error) {
-	g.gate.Admit()
-	return g.l.Read(tmpl, t, timeout)
-}
-
-func (g gatedSpace) Take(tmpl tuplespace.Entry, t space.Txn, timeout time.Duration) (tuplespace.Entry, error) {
-	g.gate.Admit()
-	return g.l.Take(tmpl, t, timeout)
-}
-
-func (g gatedSpace) ReadIfExists(tmpl tuplespace.Entry, t space.Txn) (tuplespace.Entry, error) {
-	g.gate.Admit()
-	return g.l.ReadIfExists(tmpl, t)
-}
-
-func (g gatedSpace) TakeIfExists(tmpl tuplespace.Entry, t space.Txn) (tuplespace.Entry, error) {
-	g.gate.Admit()
-	return g.l.TakeIfExists(tmpl, t)
-}
-
-func (g gatedSpace) ReadAll(tmpl tuplespace.Entry, t space.Txn, max int) ([]tuplespace.Entry, error) {
-	g.gate.Admit()
-	return g.l.ReadAll(tmpl, t, max)
-}
-
-func (g gatedSpace) TakeAll(tmpl tuplespace.Entry, t space.Txn, max int) ([]tuplespace.Entry, error) {
-	g.gate.Admit()
-	return g.l.TakeAll(tmpl, t, max)
-}
-
-// Token methods delegate to the local space's memo-aware variants so the
-// master's exactly-once mutations dedup like a worker's RPCs would.
-
-func (g gatedSpace) WriteTok(e tuplespace.Entry, t space.Txn, ttl time.Duration, tok tuplespace.OpToken) (space.Lease, error) {
-	g.gate.Admit()
-	return g.l.WriteTok(e, t, ttl, tok)
-}
-
-func (g gatedSpace) TakeTok(tmpl tuplespace.Entry, t space.Txn, timeout time.Duration, tok tuplespace.OpToken) (tuplespace.Entry, error) {
-	g.gate.Admit()
-	return g.l.TakeTok(tmpl, t, timeout, tok)
-}
-
-func (g gatedSpace) TakeIfExistsTok(tmpl tuplespace.Entry, t space.Txn, tok tuplespace.OpToken) (tuplespace.Entry, error) {
-	g.gate.Admit()
-	return g.l.TakeIfExistsTok(tmpl, t, tok)
-}
-
-func (g gatedSpace) TakeAllTok(tmpl tuplespace.Entry, t space.Txn, max int, tok tuplespace.OpToken) ([]tuplespace.Entry, error) {
-	g.gate.Admit()
-	return g.l.TakeAllTok(tmpl, t, max, tok)
-}
-
-var _ space.TokenMutator = gatedSpace{}
-
-func (g gatedSpace) Count(tmpl tuplespace.Entry) (int, error) {
-	g.gate.Admit()
-	return g.l.Count(tmpl)
-}
-
-func (g gatedSpace) BeginTxn(ttl time.Duration) (space.Txn, error) {
-	g.gate.Admit()
-	return g.l.BeginTxn(ttl)
-}
-
-func (g gatedSpace) Close() error { return g.l.Close() }
-
-// Notify and TypeCounts keep the wrapper compatible with the shard
-// router's optional Notifier and Counter fan-outs. Notifications are
-// server-push, not request work, so they bypass the gate.
-func (g gatedSpace) Notify(tmpl tuplespace.Entry, fn tuplespace.Listener, ttl time.Duration) (*tuplespace.Registration, error) {
-	return g.l.Notify(tmpl, fn, ttl)
-}
-
-func (g gatedSpace) TypeCounts() (map[string]int, error) {
-	g.gate.Admit()
-	return g.l.TypeCounts()
-}
-
-var _ space.Space = gatedSpace{}

@@ -266,7 +266,7 @@ func (f *Framework) promote(rs *replShard, epoch uint64) {
 	var gate *transport.ServiceGate
 	if f.cfg.SpaceOpCost > 0 {
 		gate = transport.NewServiceGate(f.Clock, f.cfg.SpaceOpCost)
-		handle = gatedSpace{l: node.local, gate: gate}
+		handle = gated(node.local, gate)
 	}
 	// The ring position's overload protection follows the serving node:
 	// the promoted service gets a freshly configured admission controller

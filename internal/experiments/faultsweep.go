@@ -9,6 +9,7 @@ import (
 	"gospaces/internal/core"
 	"gospaces/internal/faults"
 	"gospaces/internal/metrics"
+	"gospaces/internal/space"
 	"gospaces/internal/vclock"
 )
 
@@ -48,7 +49,7 @@ func FaultSweep() ([]FaultPoint, error) {
 			// window where the worker holds a task under its transaction.
 			// Down briefly so the cluster keeps its capacity; the lease
 			// (TxnTTL) still expires while the node is dark.
-			plan.CrashProbOnCall("node/*", "", "space.Take*", rate,
+			plan.CrashProbOnCall("node/*", "", space.OpTake.Method()+"*", rate,
 				faults.AfterHandler, "", 10*time.Second)
 		}
 		fw := core.New(clk, withObs(core.Config{

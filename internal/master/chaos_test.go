@@ -44,13 +44,20 @@ func TestChaosDuplicatedResultDeliveries(t *testing.T) {
 		})
 		job := &fakeJob{n: tasks}
 		var quit atomic.Bool
-		clk.Go(func() {
+		worker := vclock.NewGroup(clk)
+		worker.Go(func() {
 			// The worker talks to the space over the faulty network; the
 			// master holds its usual direct local handle.
 			echoWorker(clk, space.NewProxy(net.DialAs("node/w1", "space")), &quit)
 		})
 		rm, err := m.RunJob(job)
 		quit.Store(true)
+		// The plan redelivers a Write after its first delivery returns, and
+		// that first delivery is what wakes the master's last take: RunJob
+		// can finish while the worker is still runnable, its final
+		// duplicate undelivered. Virtual time orders sleeps, not runnable
+		// goroutines, so wait for the worker to drain before counting.
+		worker.Wait()
 		if err != nil {
 			t.Fatalf("run under duplicated deliveries: %v", err)
 		}

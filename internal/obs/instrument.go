@@ -1,145 +1,32 @@
 package obs
 
 import (
-	"errors"
-	"time"
-
 	"gospaces/internal/metrics"
 	"gospaces/internal/space"
 	"gospaces/internal/transport"
-	"gospaces/internal/tuplespace"
 	"gospaces/internal/vclock"
 )
 
-// timedSpace wraps a space handle, recording every operation's latency
-// (as the caller observes it: network, gate queueing and service time
-// included) into per-op histograms named "<prefix><op>". Histogram
-// pointers are resolved once at wrap time, so the per-op cost is two
-// clock reads and a histogram Record.
-type timedSpace struct {
-	inner space.Space
-	clk   vclock.Clock
-
-	write, read, take, readIfExists, takeIfExists,
-	readAll, takeAll, count, beginTxn *metrics.Histogram
-}
-
-// InstrumentSpace wraps s with per-operation latency recording. A nil
-// registry returns s unchanged (observability off).
+// InstrumentSpace wraps s with a timing interceptor: every operation's
+// latency, as the caller observes it (network, gate queueing and service
+// time included), lands in the histogram "<prefix><kind>". Histograms are
+// resolved once at wrap time, so the per-op cost is two clock reads and a
+// Record. A nil registry returns s unchanged (observability off).
 func InstrumentSpace(s space.Space, clk vclock.Clock, reg *metrics.Registry, prefix string) space.Space {
 	if reg == nil {
 		return s
 	}
-	return &timedSpace{
-		inner:        s,
-		clk:          clk,
-		write:        reg.Histogram(prefix + "write"),
-		read:         reg.Histogram(prefix + "read"),
-		take:         reg.Histogram(prefix + "take"),
-		readIfExists: reg.Histogram(prefix + "read_if_exists"),
-		takeIfExists: reg.Histogram(prefix + "take_if_exists"),
-		readAll:      reg.Histogram(prefix + "read_all"),
-		takeAll:      reg.Histogram(prefix + "take_all"),
-		count:        reg.Histogram(prefix + "count"),
-		beginTxn:     reg.Histogram(prefix + "begin_txn"),
+	var hists [space.NumKinds]*metrics.Histogram
+	for k := range hists {
+		hists[k] = reg.Histogram(prefix + space.Kind(k).String())
 	}
+	return space.Intercept(s, func(op space.Op, next space.Doer) (space.Result, error) {
+		start := clk.Now()
+		res, err := next.Do(op)
+		hists[op.Kind].Record(clk.Since(start))
+		return res, err
+	})
 }
-
-func (ts *timedSpace) Write(e tuplespace.Entry, t space.Txn, ttl time.Duration) (space.Lease, error) {
-	start := ts.clk.Now()
-	l, err := ts.inner.Write(e, t, ttl)
-	ts.write.Record(ts.clk.Since(start))
-	return l, err
-}
-
-func (ts *timedSpace) Read(tmpl tuplespace.Entry, t space.Txn, timeout time.Duration) (tuplespace.Entry, error) {
-	start := ts.clk.Now()
-	e, err := ts.inner.Read(tmpl, t, timeout)
-	ts.read.Record(ts.clk.Since(start))
-	return e, err
-}
-
-func (ts *timedSpace) Take(tmpl tuplespace.Entry, t space.Txn, timeout time.Duration) (tuplespace.Entry, error) {
-	start := ts.clk.Now()
-	e, err := ts.inner.Take(tmpl, t, timeout)
-	ts.take.Record(ts.clk.Since(start))
-	return e, err
-}
-
-func (ts *timedSpace) ReadIfExists(tmpl tuplespace.Entry, t space.Txn) (tuplespace.Entry, error) {
-	start := ts.clk.Now()
-	e, err := ts.inner.ReadIfExists(tmpl, t)
-	ts.readIfExists.Record(ts.clk.Since(start))
-	return e, err
-}
-
-func (ts *timedSpace) TakeIfExists(tmpl tuplespace.Entry, t space.Txn) (tuplespace.Entry, error) {
-	start := ts.clk.Now()
-	e, err := ts.inner.TakeIfExists(tmpl, t)
-	ts.takeIfExists.Record(ts.clk.Since(start))
-	return e, err
-}
-
-func (ts *timedSpace) ReadAll(tmpl tuplespace.Entry, t space.Txn, max int) ([]tuplespace.Entry, error) {
-	start := ts.clk.Now()
-	es, err := ts.inner.ReadAll(tmpl, t, max)
-	ts.readAll.Record(ts.clk.Since(start))
-	return es, err
-}
-
-func (ts *timedSpace) TakeAll(tmpl tuplespace.Entry, t space.Txn, max int) ([]tuplespace.Entry, error) {
-	start := ts.clk.Now()
-	es, err := ts.inner.TakeAll(tmpl, t, max)
-	ts.takeAll.Record(ts.clk.Since(start))
-	return es, err
-}
-
-func (ts *timedSpace) Count(tmpl tuplespace.Entry) (int, error) {
-	start := ts.clk.Now()
-	n, err := ts.inner.Count(tmpl)
-	ts.count.Record(ts.clk.Since(start))
-	return n, err
-}
-
-func (ts *timedSpace) BeginTxn(ttl time.Duration) (space.Txn, error) {
-	start := ts.clk.Now()
-	t, err := ts.inner.BeginTxn(ttl)
-	ts.beginTxn.Record(ts.clk.Since(start))
-	return t, err
-}
-
-func (ts *timedSpace) Close() error { return ts.inner.Close() }
-
-// NumShards keeps the master's shard-count probe working through the
-// wrapper (shard.Router reports its ring size; plain spaces are 1).
-func (ts *timedSpace) NumShards() int {
-	if ns, ok := ts.inner.(interface{ NumShards() int }); ok {
-		return ns.NumShards()
-	}
-	return 1
-}
-
-// Notify and TypeCounts forward the optional fan-out interfaces when the
-// wrapped handle supports them.
-func (ts *timedSpace) Notify(tmpl tuplespace.Entry, fn tuplespace.Listener, ttl time.Duration) (*tuplespace.Registration, error) {
-	if n, ok := ts.inner.(interface {
-		Notify(tuplespace.Entry, tuplespace.Listener, time.Duration) (*tuplespace.Registration, error)
-	}); ok {
-		return n.Notify(tmpl, fn, ttl)
-	}
-	return nil, errors.New("obs: wrapped space does not support Notify")
-}
-
-func (ts *timedSpace) TypeCounts() (map[string]int, error) {
-	if c, ok := ts.inner.(interface {
-		TypeCounts() (map[string]int, error)
-	}); ok {
-		return c.TypeCounts()
-	}
-	return nil, errors.New("obs: wrapped space does not support TypeCounts")
-}
-
-var _ space.Space = (*timedSpace)(nil)
 
 // ServerMiddleware times every dispatched RPC method into h — installed
 // with srv.WrapPrefix("space.", …) it yields a shard's server-side

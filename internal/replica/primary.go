@@ -389,24 +389,13 @@ func (p *Primary) confirm() error {
 	return p.Flush()
 }
 
-// mutatingMethods are the space service methods whose success implies
-// journal records (renewals are not journaled, so not listed).
-var mutatingMethods = map[string]bool{
-	"space.Write":        true,
-	"space.Take":         true,
-	"space.TakeIfExists": true,
-	"space.TakeAll":      true,
-	"space.TxnCommit":    true,
-	"space.LeaseCancel":  true,
-}
-
 // Middleware gates the shard's space service: install with
 // srv.WrapPrefix("space.", p.Middleware()) directly above the service
 // handlers, so replication confirms before the gate or obs layers see the
-// reply.
+// reply. Only kinds that mutate (space.Kind.Mutates) are wrapped.
 func (p *Primary) Middleware() func(method string, next transport.Handler) transport.Handler {
 	return func(method string, next transport.Handler) transport.Handler {
-		if !mutatingMethods[method] {
+		if k, ok := space.KindOf(method); !ok || !k.Mutates() {
 			return next
 		}
 		return func(arg interface{}) (interface{}, error) {
@@ -425,202 +414,31 @@ func (p *Primary) Middleware() func(method string, next transport.Handler) trans
 	}
 }
 
-// --- in-process space wrapper (the master's local handle) ---
-
-type primarySpace struct {
-	p     *Primary
-	inner space.Space
-}
-
-// unwrapTxn strips the controller's transaction wrapper before the handle
-// reaches the inner space (whose own unwrap type-asserts its handles).
-func unwrapTxn(t space.Txn) space.Txn {
-	if pt, ok := t.(*primaryTxn); ok {
-		return pt.Txn
-	}
-	return t
-}
-
-// Wrap returns inner gated by the controller, for the in-process handle
-// the master uses (remote clients are gated by Middleware instead).
+// Wrap returns inner behind the same gate/confirm envelope as an
+// interceptor, for the in-process handle the master uses (remote clients
+// are gated by Middleware instead). Commit and Cancel reach it as Ops like
+// every other mutation, and a token passes through untouched — which
+// matters: an op can execute locally and then fail confirm() (backup
+// unreachable) while its record stays queued, a later flush ships the
+// effect anyway, and only a retry carrying the same token collapses
+// against the shard's memo instead of duplicating it.
 func (p *Primary) Wrap(inner space.Space) space.Space {
-	return &primarySpace{p: p, inner: inner}
-}
-
-func (w *primarySpace) mutate(op func() error) error {
-	if err := w.p.gate(); err != nil {
-		return err
-	}
-	if err := op(); err != nil {
-		return err
-	}
-	return w.p.confirm()
-}
-
-func (w *primarySpace) Write(e tuplespace.Entry, t space.Txn, ttl time.Duration) (space.Lease, error) {
-	var l space.Lease
-	err := w.mutate(func() (err error) {
-		l, err = w.inner.Write(e, unwrapTxn(t), ttl)
-		return
+	return space.Intercept(inner, func(op space.Op, next space.Doer) (space.Result, error) {
+		if !op.Kind.Mutates() {
+			return next.Do(op)
+		}
+		if err := p.gate(); err != nil {
+			return space.Result{}, err
+		}
+		res, err := next.Do(op)
+		if err != nil {
+			return space.Result{}, err
+		}
+		if err := p.confirm(); err != nil {
+			return space.Result{}, err
+		}
+		return res, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &primaryLease{p: w.p, inner: l}, nil
-}
-
-func (w *primarySpace) Take(tmpl tuplespace.Entry, t space.Txn, timeout time.Duration) (tuplespace.Entry, error) {
-	var e tuplespace.Entry
-	err := w.mutate(func() (err error) {
-		e, err = w.inner.Take(tmpl, unwrapTxn(t), timeout)
-		return
-	})
-	return e, err
-}
-
-func (w *primarySpace) TakeIfExists(tmpl tuplespace.Entry, t space.Txn) (tuplespace.Entry, error) {
-	var e tuplespace.Entry
-	err := w.mutate(func() (err error) {
-		e, err = w.inner.TakeIfExists(tmpl, unwrapTxn(t))
-		return
-	})
-	return e, err
-}
-
-func (w *primarySpace) TakeAll(tmpl tuplespace.Entry, t space.Txn, max int) ([]tuplespace.Entry, error) {
-	var es []tuplespace.Entry
-	err := w.mutate(func() (err error) {
-		es, err = w.inner.TakeAll(tmpl, unwrapTxn(t), max)
-		return
-	})
-	return es, err
-}
-
-// Token methods implement space.TokenMutator by forwarding the token to
-// the inner space through the same gate/confirm envelope. This matters
-// beyond pass-through: an op can execute locally and then fail confirm()
-// (backup unreachable) while its record stays queued — a later flush
-// ships the effect anyway, and a tokenless retry would duplicate it. With
-// the token recorded in the shard's memo table the retry collapses.
-
-func (w *primarySpace) WriteTok(e tuplespace.Entry, t space.Txn, ttl time.Duration, tok tuplespace.OpToken) (space.Lease, error) {
-	var l space.Lease
-	err := w.mutate(func() (err error) {
-		l, err = space.WriteTok(w.inner, e, unwrapTxn(t), ttl, tok)
-		return
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &primaryLease{p: w.p, inner: l}, nil
-}
-
-func (w *primarySpace) TakeTok(tmpl tuplespace.Entry, t space.Txn, timeout time.Duration, tok tuplespace.OpToken) (tuplespace.Entry, error) {
-	var e tuplespace.Entry
-	err := w.mutate(func() (err error) {
-		e, err = space.TakeTok(w.inner, tmpl, unwrapTxn(t), timeout, tok)
-		return
-	})
-	return e, err
-}
-
-func (w *primarySpace) TakeIfExistsTok(tmpl tuplespace.Entry, t space.Txn, tok tuplespace.OpToken) (tuplespace.Entry, error) {
-	var e tuplespace.Entry
-	err := w.mutate(func() (err error) {
-		e, err = space.TakeIfExistsTok(w.inner, tmpl, unwrapTxn(t), tok)
-		return
-	})
-	return e, err
-}
-
-func (w *primarySpace) TakeAllTok(tmpl tuplespace.Entry, t space.Txn, max int, tok tuplespace.OpToken) ([]tuplespace.Entry, error) {
-	var es []tuplespace.Entry
-	err := w.mutate(func() (err error) {
-		es, err = space.TakeAllTok(w.inner, tmpl, unwrapTxn(t), max, tok)
-		return
-	})
-	return es, err
-}
-
-var _ space.TokenMutator = (*primarySpace)(nil)
-
-func (w *primarySpace) Read(tmpl tuplespace.Entry, t space.Txn, timeout time.Duration) (tuplespace.Entry, error) {
-	return w.inner.Read(tmpl, unwrapTxn(t), timeout)
-}
-
-func (w *primarySpace) ReadIfExists(tmpl tuplespace.Entry, t space.Txn) (tuplespace.Entry, error) {
-	return w.inner.ReadIfExists(tmpl, unwrapTxn(t))
-}
-
-func (w *primarySpace) ReadAll(tmpl tuplespace.Entry, t space.Txn, max int) ([]tuplespace.Entry, error) {
-	return w.inner.ReadAll(tmpl, unwrapTxn(t), max)
-}
-
-func (w *primarySpace) Count(tmpl tuplespace.Entry) (int, error) { return w.inner.Count(tmpl) }
-
-func (w *primarySpace) BeginTxn(ttl time.Duration) (space.Txn, error) {
-	t, err := w.inner.BeginTxn(ttl)
-	if err != nil {
-		return nil, err
-	}
-	return &primaryTxn{p: w.p, Txn: t}, nil
-}
-
-func (w *primarySpace) Close() error { return w.inner.Close() }
-
-// Notify passes through when the inner space supports registrations (the
-// router's shard handles require it).
-func (w *primarySpace) Notify(tmpl tuplespace.Entry, fn tuplespace.Listener, ttl time.Duration) (*tuplespace.Registration, error) {
-	type notifier interface {
-		Notify(tmpl tuplespace.Entry, fn tuplespace.Listener, ttl time.Duration) (*tuplespace.Registration, error)
-	}
-	if n, ok := w.inner.(notifier); ok {
-		return n.Notify(tmpl, fn, ttl)
-	}
-	return nil, fmt.Errorf("replica: inner space does not support Notify")
-}
-
-// TypeCounts passes through for the router's shard-count surface.
-func (w *primarySpace) TypeCounts() (map[string]int, error) {
-	type counter interface {
-		TypeCounts() (map[string]int, error)
-	}
-	if c, ok := w.inner.(counter); ok {
-		return c.TypeCounts()
-	}
-	return nil, fmt.Errorf("replica: inner space does not expose TypeCounts")
-}
-
-type primaryTxn struct {
-	p *Primary
-	space.Txn
-}
-
-func (t *primaryTxn) Commit() error {
-	if err := t.p.gate(); err != nil {
-		return err
-	}
-	if err := t.Txn.Commit(); err != nil {
-		return err
-	}
-	return t.p.confirm()
-}
-
-type primaryLease struct {
-	p     *Primary
-	inner space.Lease
-}
-
-func (l *primaryLease) Renew(ttl time.Duration) error { return l.inner.Renew(ttl) }
-
-func (l *primaryLease) Cancel() error {
-	if err := l.p.gate(); err != nil {
-		return err
-	}
-	if err := l.inner.Cancel(); err != nil {
-		return err
-	}
-	return l.p.confirm()
 }
 
 // --- pump ---

@@ -49,7 +49,7 @@ func TestRetryBudgetTokenBucket(t *testing.T) {
 // silently re-driven outside the budget.
 func TestRetryBudgetExhaustedSurfacesAmbiguity(t *testing.T) {
 	clk := vclock.NewReal()
-	ghost := &ghostSpace{Local: space.NewLocal(clk), ghosts: 1}
+	ghost := newGhost(space.NewLocal(clk), 1)
 	ctr := metrics.NewCounters()
 	budget := NewRetryBudget(1, 0.001)
 	if !budget.Allow() {
@@ -94,7 +94,7 @@ func TestRetryBudgetExhaustedSurfacesAmbiguity(t *testing.T) {
 // probe, a failed probe re-opens, and a successful probe closes.
 func TestBreakerTripsHalfOpensAndCloses(t *testing.T) {
 	clk := vclock.NewVirtual(time.Unix(0, 0))
-	flaky := &flakySpace{Local: space.NewLocal(clk), err: errors.New("connection refused"), left: 4}
+	flaky := newFlaky(space.NewLocal(clk), errors.New("connection refused"), 4)
 	ctr := metrics.NewCounters()
 	r, err := New(Options{
 		Clock:    clk,
@@ -164,7 +164,7 @@ func TestBreakerTripsHalfOpensAndCloses(t *testing.T) {
 // failover storm).
 func TestBreakerIgnoresAdmissionFastFails(t *testing.T) {
 	clk := vclock.NewReal()
-	flaky := &flakySpace{Local: space.NewLocal(clk), err: tuplespace.ErrOverloaded, left: 10}
+	flaky := newFlaky(space.NewLocal(clk), tuplespace.ErrOverloaded, 10)
 	r, err := New(Options{
 		Clock:   clk,
 		Seed:    "breaker-overload-test",

@@ -12,42 +12,33 @@ import (
 	"gospaces/internal/vclock"
 )
 
-// ghostSpace executes tokened mutations for real, then reports the
-// ambiguous space.ErrOpTimeout for the first `ghosts` calls — the
-// reply-lost half of the at-most-once window: the op happened, only the
-// caller doesn't know it. onGhost (optional) runs just before each lost
-// reply, letting a test change topology inside the ambiguity window.
+// ghostSpace is a Local behind an interceptor that executes Write and
+// Take for real, then reports the ambiguous space.ErrOpTimeout for the
+// first `ghosts` calls — the reply-lost half of the at-most-once window:
+// the op happened, only the caller doesn't know it. onGhost (optional)
+// runs just before each lost reply, letting a test change topology inside
+// the ambiguity window.
 type ghostSpace struct {
-	*space.Local
+	space.Space
+	local   *space.Local
 	ghosts  int
 	onGhost func()
 }
 
-func (g *ghostSpace) lose() bool {
-	if g.ghosts > 0 {
-		g.ghosts--
-		if g.onGhost != nil {
-			g.onGhost()
+func newGhost(l *space.Local, ghosts int) *ghostSpace {
+	g := &ghostSpace{local: l, ghosts: ghosts}
+	g.Space = space.Intercept(l, func(op space.Op, next space.Doer) (space.Result, error) {
+		res, err := next.Do(op)
+		if err == nil && (op.Kind == space.OpWrite || op.Kind == space.OpTake) && g.ghosts > 0 {
+			g.ghosts--
+			if g.onGhost != nil {
+				g.onGhost()
+			}
+			return space.Result{}, fmt.Errorf("%w: %s after 50ms", space.ErrOpTimeout, op.Kind.Method())
 		}
-		return true
-	}
-	return false
-}
-
-func (g *ghostSpace) WriteTok(e tuplespace.Entry, t space.Txn, ttl time.Duration, tok tuplespace.OpToken) (space.Lease, error) {
-	l, err := g.Local.WriteTok(e, t, ttl, tok)
-	if err == nil && g.lose() {
-		return nil, fmt.Errorf("%w: space.Write after 50ms", space.ErrOpTimeout)
-	}
-	return l, err
-}
-
-func (g *ghostSpace) TakeTok(tmpl tuplespace.Entry, t space.Txn, timeout time.Duration, tok tuplespace.OpToken) (tuplespace.Entry, error) {
-	e, err := g.Local.TakeTok(tmpl, t, timeout, tok)
-	if err == nil && g.lose() {
-		return nil, fmt.Errorf("%w: space.Take after 50ms", space.ErrOpTimeout)
-	}
-	return e, err
+		return res, err
+	})
+	return g
 }
 
 func eoRouter(t *testing.T, clk vclock.Clock, sp space.Space, ctr *metrics.Counters) *Router {
@@ -71,7 +62,7 @@ func eoRouter(t *testing.T, clk vclock.Clock, sp space.Space, ctr *metrics.Count
 // error.
 func TestExactlyOnceAmbiguousWriteRetriesAndDedups(t *testing.T) {
 	clk := vclock.NewReal()
-	ghost := &ghostSpace{Local: space.NewLocal(clk), ghosts: 1}
+	ghost := newGhost(space.NewLocal(clk), 1)
 	ctr := metrics.NewCounters()
 	r := eoRouter(t, clk, ghost, ctr)
 
@@ -85,7 +76,7 @@ func TestExactlyOnceAmbiguousWriteRetriesAndDedups(t *testing.T) {
 	if snap[metrics.CounterRetryAmbiguous] == 0 || snap[metrics.CounterRetryAttempts] == 0 {
 		t.Fatalf("retry counters not advanced: %v", snap)
 	}
-	if _, hits, _ := ghost.TS.MemoStats(); hits == 0 {
+	if _, hits, _ := ghost.local.TS.MemoStats(); hits == 0 {
 		t.Fatal("memo table recorded no dedup hit: the retry re-executed")
 	}
 }
@@ -95,7 +86,7 @@ func TestExactlyOnceAmbiguousWriteRetriesAndDedups(t *testing.T) {
 // is consumed, nothing is lost.
 func TestExactlyOnceAmbiguousTakeReturnsOriginal(t *testing.T) {
 	clk := vclock.NewReal()
-	ghost := &ghostSpace{Local: space.NewLocal(clk)}
+	ghost := newGhost(space.NewLocal(clk), 0)
 	r := eoRouter(t, clk, ghost, metrics.NewCounters())
 
 	for _, v := range []int{1, 2} {
@@ -122,7 +113,7 @@ func TestExactlyOnceAmbiguousTakeReturnsOriginal(t *testing.T) {
 // the documented at-most-once residual.
 func TestExactlyOnceUnkeyedPinnedShardRetired(t *testing.T) {
 	clk := vclock.NewReal()
-	ghost := &ghostSpace{Local: space.NewLocal(clk), ghosts: 1}
+	ghost := newGhost(space.NewLocal(clk), 1)
 	r := eoRouter(t, clk, ghost, metrics.NewCounters())
 	// Inside the ambiguity window — after the op executed, before the
 	// retry — the pinned shard leaves the ring.

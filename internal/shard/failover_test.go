@@ -4,41 +4,30 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 
 	"gospaces/internal/space"
 	"gospaces/internal/tuplespace"
 	"gospaces/internal/vclock"
 )
 
-// flakySpace wraps a Local, failing operations with a scripted error
-// until the armed failure count is consumed.
+// flakySpace is a Local behind an interceptor that fails Write and
+// ReadIfExists with a scripted error until the armed failure count is
+// consumed.
 type flakySpace struct {
-	*space.Local
-	err  error
+	space.Space
 	left int
 }
 
-func (f *flakySpace) fail() bool {
-	if f.left > 0 {
-		f.left--
-		return true
-	}
-	return false
-}
-
-func (f *flakySpace) Write(e tuplespace.Entry, t space.Txn, ttl time.Duration) (space.Lease, error) {
-	if f.fail() {
-		return nil, f.err
-	}
-	return f.Local.Write(e, t, ttl)
-}
-
-func (f *flakySpace) ReadIfExists(tmpl tuplespace.Entry, t space.Txn) (tuplespace.Entry, error) {
-	if f.fail() {
-		return nil, f.err
-	}
-	return f.Local.ReadIfExists(tmpl, t)
+func newFlaky(l *space.Local, err error, left int) *flakySpace {
+	f := &flakySpace{left: left}
+	f.Space = space.Intercept(l, func(op space.Op, next space.Doer) (space.Result, error) {
+		if (op.Kind == space.OpWrite || op.Kind == space.OpReadIfExists) && f.left > 0 {
+			f.left--
+			return space.Result{}, err
+		}
+		return next.Do(op)
+	})
+	return f
 }
 
 // failoverRouter builds a one-shard router whose Failover resolver
@@ -65,11 +54,7 @@ func failoverRouter(t *testing.T, clk vclock.Clock, flaky space.Space) (*Router,
 // heals, so the next operation reaches the replacement.
 func TestFailoverAmbiguousWriteNotReplayed(t *testing.T) {
 	clk := vclock.NewReal()
-	flaky := &flakySpace{
-		Local: space.NewLocal(clk),
-		err:   fmt.Errorf("%w: space.Write after 50ms", space.ErrOpTimeout),
-		left:  1,
-	}
+	flaky := newFlaky(space.NewLocal(clk), fmt.Errorf("%w: space.Write after 50ms", space.ErrOpTimeout), 1)
 	r, promoted := failoverRouter(t, clk, flaky)
 
 	_, err := r.Write(kv{Key: "a", Val: 1}, nil, 0)
@@ -101,11 +86,7 @@ func TestFailoverAmbiguousWriteNotReplayed(t *testing.T) {
 // transparently against the promoted primary.
 func TestFailoverUnambiguousWriteRetries(t *testing.T) {
 	clk := vclock.NewReal()
-	flaky := &flakySpace{
-		Local: space.NewLocal(clk),
-		err:   errors.New("dial tcp: connection refused"),
-		left:  1,
-	}
+	flaky := newFlaky(space.NewLocal(clk), errors.New("dial tcp: connection refused"), 1)
 	r, promoted := failoverRouter(t, clk, flaky)
 
 	if _, err := r.Write(kv{Key: "a", Val: 1}, nil, 0); err != nil {
@@ -120,11 +101,7 @@ func TestFailoverUnambiguousWriteRetries(t *testing.T) {
 // even on ambiguous failures — re-reading cannot lose or duplicate.
 func TestFailoverAmbiguousReadRetries(t *testing.T) {
 	clk := vclock.NewReal()
-	flaky := &flakySpace{
-		Local: space.NewLocal(clk),
-		err:   fmt.Errorf("%w: space.ReadIfExists after 50ms", space.ErrOpTimeout),
-		left:  1,
-	}
+	flaky := newFlaky(space.NewLocal(clk), fmt.Errorf("%w: space.ReadIfExists after 50ms", space.ErrOpTimeout), 1)
 	r, promoted := failoverRouter(t, clk, flaky)
 	if _, err := promoted.Write(kv{Key: "a", Val: 7}, nil, tuplespace.Forever); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -131,6 +132,17 @@ func (r *Router) tokOf(t space.Txn) tuplespace.OpToken {
 	return r.mint()
 }
 
+// tokFor picks the token for an op one shard can satisfy: none under a
+// transaction, else the caller's own (space.Op.Token), else a minted one.
+// Scattered ops always mint per shard (tokOf): a token's effect lives on
+// one shard, so it must never be replayed on another.
+func (r *Router) tokFor(op space.Op) tuplespace.OpToken {
+	if op.Txn == nil && !op.Token.Zero() {
+		return op.Token
+	}
+	return r.tokOf(op.Txn)
+}
+
 func (r *Router) countRetry(name string) {
 	if r.opts.Counters != nil {
 		r.opts.Counters.Inc(name)
@@ -174,15 +186,16 @@ func (r *Router) rerouteMut(key string, keyed bool, pinned string) (string, spac
 	return "", nil, false
 }
 
-// retryMut drives a tokened mutation to a definite outcome after its
+// retryMut drives tokened mutation op to a definite outcome after its
 // first attempt failed: resolve failover, re-route, and re-issue the same
-// token under the policy's per-op attempt budget with full-jitter
-// backoff. It returns the last result, the ring ID of the last attempt
-// (for error wrapping), and the final error.
-func retryMut[T any](r *Router, key string, keyed bool, pinned string, tok tuplespace.OpToken, first error, attempt func(sp space.Space) (T, error)) (T, string, error) {
-	var out T
+// op — same token — under the policy's per-op attempt budget with
+// full-jitter backoff. It returns the last result, the ring ID of the last
+// attempt (for error wrapping), and the final error.
+func (r *Router) retryMut(key string, keyed bool, pinned string, op space.Op, first error) (space.Result, string, error) {
+	var out space.Result
 	err := first
 	id := pinned
+	tok := op.Token
 	if ambiguous(first) {
 		r.flight(obs.FlightEvent{Kind: obs.EventRetryAmbig, Shard: id, Detail: "tok " + tok.String()})
 	}
@@ -203,12 +216,10 @@ func retryMut[T any](r *Router, key string, keyed bool, pinned string, tok tuple
 			return nil
 		}
 		r.tryFailover(id)
-		sp := r.fresh(id)
 		r.countRetry(metrics.CounterRetryAttempts)
 		start := r.opts.Clock.Now()
-		res, e := attempt(sp)
+		res, e := r.do(id, r.fresh(id), op)
 		r.retrySpan(id, tok, start, e)
-		r.observe(id, e)
 		err = e
 		if e == nil {
 			out = res
@@ -278,14 +289,14 @@ func (r *Router) healedOpTok(id string, mutating bool, err error, tok tuplespace
 	return false
 }
 
-// retryFinish re-drives one sub-transaction's tokened commit/abort after
-// a failover-worthy failure. Each attempt resolves failover and rebinds
-// the transaction to the current handle: the promoted backup's memo
-// table answers a commit that already executed; a transaction that truly
-// died with the primary still surfaces ErrTxnInactive.
-func (t *routerTxn) retryFinish(id string, sub space.Txn, tok tuplespace.OpToken, commit bool, first error) error {
-	r := t.r
+// retryFinish re-drives one sub-transaction's tokened commit/abort op
+// after a failover-worthy failure. Each attempt resolves failover and
+// rebinds the transaction to the current handle: the promoted backup's
+// memo table answers a commit that already executed; a transaction that
+// truly died with the primary still surfaces ErrTxnInactive.
+func (r *Router) retryFinish(id string, op space.Op, first error) error {
 	err := first
+	sub, tok := op.Txn, op.Token
 	stopped := false
 	b := r.policy(tok)
 	_ = b.Do(func() error {
@@ -297,8 +308,8 @@ func (t *routerTxn) retryFinish(id string, sub space.Txn, tok tuplespace.OpToken
 			return nil
 		}
 		r.tryFailover(id)
-		nt := space.RebindTxn(r.fresh(id), sub)
-		if nt == nil {
+		sp := r.fresh(id)
+		if op.Txn = space.RebindTxn(sp, sub); op.Txn == nil {
 			// The handle cannot be re-addressed (a local or wrapped
 			// transaction): surface the original failure.
 			stopped = true
@@ -306,12 +317,7 @@ func (t *routerTxn) retryFinish(id string, sub space.Txn, tok tuplespace.OpToken
 		}
 		r.countRetry(metrics.CounterRetryAttempts)
 		start := r.opts.Clock.Now()
-		var e error
-		if commit {
-			e = space.CommitTok(nt, tok)
-		} else {
-			e = space.AbortTok(nt, tok)
-		}
+		_, e := sp.Do(op)
 		r.retrySpan(id, tok, start, e)
 		r.observe(id, e)
 		err = e
@@ -327,56 +333,64 @@ func (t *routerTxn) retryFinish(id string, sub space.Txn, tok tuplespace.OpToken
 	return err
 }
 
-// tokLease wraps a lease written in exactly-once mode so its Cancel
-// carries a token and retries reply-lost outcomes against the same
-// service connection. Service lease IDs do not survive failover, so a
-// cancel retried across a promotion still surfaces ErrLeaseExpired
-// (DESIGN §7).
-type tokLease struct {
-	r *Router
-	l space.Lease
+// routerLease binds a written lease to the shard handle that produced it,
+// so Renew/Cancel re-enter the router as Ops and a Cancel can carry a
+// token and retry reply-lost outcomes against the same service connection.
+// Service lease IDs do not survive failover, so a cancel retried across a
+// promotion still surfaces ErrLeaseExpired (DESIGN §7).
+type routerLease struct {
+	r  *Router
+	sp space.Space
+	l  space.Lease
 }
 
 // Renew implements space.Lease.
-func (tl *tokLease) Renew(ttl time.Duration) error { return tl.l.Renew(ttl) }
+func (rl *routerLease) Renew(ttl time.Duration) error {
+	return rl.r.leaseOp(space.Op{Kind: space.OpRenew, Lease: rl, TTL: ttl})
+}
 
 // Cancel implements space.Lease.
-func (tl *tokLease) Cancel() error {
-	tok := tl.r.mint()
-	err := space.CancelTok(tl.l, tok)
-	if err == nil || !tl.r.retryableMut(err, tok) {
+func (rl *routerLease) Cancel() error {
+	return rl.r.leaseOp(space.Op{Kind: space.OpCancel, Lease: rl})
+}
+
+// leaseOp serves Renew/Cancel on the lease's own shard handle. In
+// exactly-once mode a Cancel is tokened and retried like any mutation.
+func (r *Router) leaseOp(op space.Op) error {
+	rl, ok := op.Lease.(*routerLease)
+	if !ok || rl.r != r {
+		return fmt.Errorf("shard: lease %T does not belong to this router", op.Lease)
+	}
+	op.Lease = rl.l
+	if op.Kind == space.OpCancel && op.Token.Zero() {
+		op.Token = r.mint()
+	}
+	tok := op.Token
+	_, err := rl.sp.Do(op)
+	if err == nil || !r.retryableMut(err, tok) {
 		return err
 	}
 	stopped := false
-	b := tl.r.policy(tok)
+	b := r.policy(tok)
 	_ = b.Do(func() error {
 		if stopped {
 			return nil
 		}
-		if !tl.r.spendRetry() {
+		if !r.spendRetry() {
 			stopped = true
 			return nil
 		}
-		tl.r.countRetry(metrics.CounterRetryAttempts)
-		e := space.CancelTok(tl.l, tok)
+		r.countRetry(metrics.CounterRetryAttempts)
+		_, e := rl.sp.Do(op)
 		err = e
-		if e == nil || !tl.r.retryableMut(e, tok) {
+		if e == nil || !r.retryableMut(e, tok) {
 			stopped = true
 			return nil
 		}
 		return e
 	})
 	if err != nil && !stopped {
-		tl.r.countRetry(metrics.CounterRetryExhausted)
+		r.countRetry(metrics.CounterRetryExhausted)
 	}
 	return err
-}
-
-// wrapLease attaches the exactly-once cancel wrapper in exactly-once
-// mode; outside it (or with no lease to wrap) the lease passes through.
-func (r *Router) wrapLease(l space.Lease) space.Lease {
-	if l == nil || !r.opts.ExactlyOnce {
-		return l
-	}
-	return &tokLease{r: r, l: l}
 }

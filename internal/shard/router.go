@@ -165,6 +165,7 @@ type view struct {
 // shard via the consistent-hash ring; zero-key operations scatter-gather.
 // A Router over a single shard is pure pass-through.
 type Router struct {
+	space.Facade
 	opts Options
 
 	mu sync.RWMutex
@@ -197,6 +198,7 @@ type Router struct {
 // New builds a router over shards (at least one, distinct IDs).
 func New(opts Options, shards []Shard) (*Router, error) {
 	r := &Router{opts: opts.withDefaults()}
+	r.Facade = space.NewFacade(r)
 	r.rot.Store(hash64(r.opts.Seed))
 	r.clientID = fmt.Sprintf("%s#%d", r.opts.Seed, routerSeq.Add(1))
 	if err := r.SetShards(shards); err != nil {
@@ -312,6 +314,50 @@ func (r *Router) nextRot(n int) int { return int((r.rot.Add(1) - 1) % uint64(n))
 
 var _ space.Space = (*Router)(nil)
 
+// Do implements space.Space: the operation is routed (keyed, or a
+// one-shard ring) or scattered, and every per-shard step is the same Op
+// re-addressed — sub-transaction, wait slice, token — and handed to that
+// shard's own Do.
+func (r *Router) Do(op space.Op) (res space.Result, err error) {
+	switch op.Kind {
+	case space.OpWrite:
+		return r.write(op)
+	case space.OpRead, space.OpTake, space.OpReadIfExists, space.OpTakeIfExists:
+		return r.lookup(op)
+	case space.OpReadAll, space.OpTakeAll:
+		res.Entries, err = r.bulk(op)
+	case space.OpCount:
+		res.N, err = r.count(op)
+	case space.OpTypeCounts:
+		res.Counts, err = r.typeCounts()
+	case space.OpBeginTxn:
+		res.Txn = &routerTxn{r: r, ttl: op.TTL, subs: make(map[string]subTxn)}
+	case space.OpCommit, space.OpAbort:
+		rt, ok := op.Txn.(*routerTxn)
+		if !ok || rt.r != r {
+			return res, space.ErrBadTxn
+		}
+		err = rt.finish(op)
+	case space.OpRenew, space.OpCancel:
+		err = r.leaseOp(op)
+	default:
+		err = fmt.Errorf("shard: unknown op kind %d", op.Kind)
+	}
+	return res, err
+}
+
+// do runs op on shard id's handle sp, feeding the outcome to the breaker
+// and retry budget, and binds a written lease to the handle that produced
+// it (see routerLease).
+func (r *Router) do(id string, sp space.Space, op space.Op) (space.Result, error) {
+	res, err := sp.Do(op)
+	r.observe(id, err)
+	if res.Lease != nil {
+		res.Lease = &routerLease{r: r, sp: sp, l: res.Lease}
+	}
+	return res, err
+}
+
 // --- transactions ---
 
 // routerTxn lazily opens one sub-transaction per shard touched. Commit and
@@ -325,13 +371,28 @@ type routerTxn struct {
 	ttl time.Duration
 
 	mu   sync.Mutex
-	subs map[string]space.Txn
+	subs map[string]subTxn
 	done bool
 }
 
-// BeginTxn implements space.Space.
-func (r *Router) BeginTxn(ttl time.Duration) (space.Txn, error) {
-	return &routerTxn{r: r, ttl: ttl, subs: make(map[string]space.Txn)}, nil
+// subTxn is one shard's sub-transaction plus the handle it was opened on:
+// its commit goes to that server, whatever the ring position resolves to
+// by then.
+type subTxn struct {
+	sp space.Space
+	tx space.Txn
+}
+
+// Commit implements space.Txn.
+func (t *routerTxn) Commit() error {
+	_, err := t.r.Do(space.Op{Kind: space.OpCommit, Txn: t})
+	return err
+}
+
+// Abort implements space.Txn.
+func (t *routerTxn) Abort() error {
+	_, err := t.r.Do(space.Op{Kind: space.OpAbort, Txn: t})
+	return err
 }
 
 // sub resolves t (nil passes through) to the sub-transaction for shard id,
@@ -349,25 +410,29 @@ func (r *Router) sub(t space.Txn, id string, sp space.Space) (space.Txn, error) 
 	if rt.done {
 		return nil, tuplespace.ErrTxnInactive
 	}
-	if tx, ok := rt.subs[id]; ok {
-		return tx, nil
+	if st, ok := rt.subs[id]; ok {
+		return st.tx, nil
 	}
 	tx, err := sp.BeginTxn(rt.ttl)
 	if err != nil && r.healed(id, err) {
 		// No sub-transaction state existed yet, so opening it against the
 		// promoted replacement is safe.
-		tx, err = r.fresh(id).BeginTxn(rt.ttl)
+		sp = r.fresh(id)
+		tx, err = sp.BeginTxn(rt.ttl)
 	}
 	if err != nil {
 		return nil, wrapShard(id, err)
 	}
-	rt.subs[id] = tx
+	rt.subs[id] = subTxn{sp: sp, tx: tx}
 	return tx, nil
 }
 
-func (t *routerTxn) finish(commit bool) error {
+// finish completes every sub-transaction. A second, tokenless finish
+// fails ErrTxnInactive; a tokened replay re-drives the sub-commits, which
+// each shard answers from its memo.
+func (t *routerTxn) finish(op space.Op) error {
 	t.mu.Lock()
-	if t.done {
+	if t.done && op.Token.Zero() {
 		t.mu.Unlock()
 		return tuplespace.ErrTxnInactive
 	}
@@ -384,15 +449,13 @@ func (t *routerTxn) finish(commit bool) error {
 		// In exactly-once mode each sub-commit/abort carries its own token:
 		// the commit RPC is the op whose reply loss must not re-execute the
 		// transaction's effects.
-		tok := t.r.mint()
-		var err error
-		if commit {
-			err = space.CommitTok(subs[id], tok)
-		} else {
-			err = space.AbortTok(subs[id], tok)
+		sop := space.Op{Kind: op.Kind, Txn: subs[id].tx, Token: op.Token}
+		if sop.Token.Zero() {
+			sop.Token = t.r.mint()
 		}
-		if err != nil && t.r.retryableMut(err, tok) {
-			err = t.retryFinish(id, subs[id], tok, commit, err)
+		_, err := subs[id].sp.Do(sop)
+		if err != nil && t.r.retryableMut(err, sop.Token) {
+			err = t.r.retryFinish(id, sop, err)
 		}
 		if err != nil && firstErr == nil {
 			firstErr = wrapShard(id, err)
@@ -401,21 +464,15 @@ func (t *routerTxn) finish(commit bool) error {
 	return firstErr
 }
 
-// Commit implements space.Txn.
-func (t *routerTxn) Commit() error { return t.finish(true) }
-
-// Abort implements space.Txn.
-func (t *routerTxn) Abort() error { return t.finish(false) }
-
 // --- single-shard routed operations ---
 
-// Write implements space.Space: keyed entries go to the ring owner,
-// unkeyed entries round-robin from the rotation counter.
-func (r *Router) Write(e tuplespace.Entry, t space.Txn, ttl time.Duration) (space.Lease, error) {
+// write routes keyed entries to the ring owner; unkeyed entries
+// round-robin from the rotation counter.
+func (r *Router) write(op space.Op) (space.Result, error) {
 	v := r.snapshot()
-	key, keyed, err := tuplespace.IndexKey(e)
+	key, keyed, err := tuplespace.IndexKey(op.Entry)
 	if err != nil {
-		return nil, err
+		return space.Result{}, err
 	}
 	var id string
 	if keyed {
@@ -434,64 +491,52 @@ func (r *Router) Write(e tuplespace.Entry, t space.Txn, ttl time.Duration) (spac
 		}
 	}
 	if aerr != nil {
-		return nil, wrapShard(id, aerr)
+		return space.Result{}, wrapShard(id, aerr)
 	}
 	sp := v.shards[id]
-	tx, err := r.sub(t, id, sp)
-	if err != nil {
-		return nil, err
+	if op.Txn, err = r.sub(op.Txn, id, sp); err != nil {
+		return space.Result{}, err
 	}
-	if tok := r.tokOf(t); !tok.Zero() {
-		l, err := space.WriteTok(sp, e, nil, ttl, tok)
-		r.observe(id, err)
-		if err != nil && r.retryableMut(err, tok) {
-			l, id, err = retryMut(r, key, keyed, id, tok, err, func(sp space.Space) (space.Lease, error) {
-				return space.WriteTok(sp, e, nil, ttl, tok)
-			})
+	op.Token = r.tokFor(op)
+	res, err := r.do(id, sp, op)
+	if !op.Token.Zero() {
+		if err != nil && r.retryableMut(err, op.Token) {
+			res, id, err = r.retryMut(key, keyed, id, op, err)
 		}
-		return r.wrapLease(l), wrapShard(id, err)
+	} else if r.healedMut(id, err) && op.Txn == nil {
+		res, err = r.do(id, r.fresh(id), op)
 	}
-	l, err := sp.Write(e, tx, ttl)
-	r.observe(id, err)
-	if r.healedMut(id, err) && t == nil {
-		l, err = r.fresh(id).Write(e, nil, ttl)
-		r.observe(id, err)
+	return res, wrapShard(id, err)
+}
+
+// ifExists returns the non-blocking variant of a lookup kind.
+func ifExists(k space.Kind) space.Kind {
+	switch k {
+	case space.OpRead:
+		return space.OpReadIfExists
+	case space.OpTake:
+		return space.OpTakeIfExists
 	}
-	return l, wrapShard(id, err)
+	return k
 }
 
-// Read implements space.Space.
-func (r *Router) Read(tmpl tuplespace.Entry, t space.Txn, timeout time.Duration) (tuplespace.Entry, error) {
-	return r.lookup(false, tmpl, t, timeout, true)
-}
-
-// Take implements space.Space.
-func (r *Router) Take(tmpl tuplespace.Entry, t space.Txn, timeout time.Duration) (tuplespace.Entry, error) {
-	return r.lookup(true, tmpl, t, timeout, true)
-}
-
-// ReadIfExists implements space.Space.
-func (r *Router) ReadIfExists(tmpl tuplespace.Entry, t space.Txn) (tuplespace.Entry, error) {
-	return r.lookup(false, tmpl, t, 0, false)
-}
-
-// TakeIfExists implements space.Space.
-func (r *Router) TakeIfExists(tmpl tuplespace.Entry, t space.Txn) (tuplespace.Entry, error) {
-	return r.lookup(true, tmpl, t, 0, false)
-}
-
-func (r *Router) lookup(take bool, tmpl tuplespace.Entry, t space.Txn, timeout time.Duration, block bool) (tuplespace.Entry, error) {
+func (r *Router) lookup(op space.Op) (space.Result, error) {
 	v := r.snapshot()
-	key, keyed, err := tuplespace.IndexKey(tmpl)
+	key, keyed, err := tuplespace.IndexKey(op.Entry)
 	if err != nil {
-		return nil, err
+		return space.Result{}, err
 	}
+	take, block, t := op.Kind.Takes(), op.Kind.Blocks(), op.Txn
 	if keyed || len(v.order) == 1 {
 		// One shard can satisfy this: hand it the full timeout directly.
-		var tok tuplespace.OpToken
+		// The token rides non-transactional takes only (reads never
+		// mutate, and a transactional op's retry unit is its commit).
+		sop := op
+		sop.Token = tuplespace.OpToken{}
 		if take {
-			tok = r.tokOf(t)
+			sop.Token = r.tokFor(op)
 		}
+		tok := sop.Token
 		if t == nil && block && r.opts.Failover != nil {
 			id := v.order[0]
 			if keyed {
@@ -500,32 +545,28 @@ func (r *Router) lookup(take bool, tmpl tuplespace.Entry, t space.Txn, timeout t
 			// Replicated ring: a dead primary here is curable, so hard
 			// failures degrade to a failover-polling loop instead of
 			// surfacing (see singleBlocking).
-			return r.singleBlocking(id, take, tmpl, timeout, tok)
+			return r.singleBlocking(id, sop)
 		}
 		clk := r.opts.Clock
 		var deadline time.Time
-		if block && timeout > 0 {
-			deadline = clk.Now().Add(timeout)
+		if block && op.Wait > 0 {
+			deadline = clk.Now().Add(op.Wait)
 		}
-		wait := timeout
 		for {
 			id := v.order[0]
 			if keyed {
 				id = v.ring.get(key)
 			}
 			if aerr := r.allow(id); aerr != nil {
-				return nil, wrapShard(id, aerr)
+				return space.Result{}, wrapShard(id, aerr)
 			}
 			sp := v.shards[id]
-			tx, err := r.sub(t, id, sp)
-			if err != nil {
-				return nil, err
+			if sop.Txn, err = r.sub(t, id, sp); err != nil {
+				return space.Result{}, err
 			}
-			e, err := call(sp, take, tmpl, tx, wait, block, tok)
-			r.observe(id, err)
+			res, err := r.do(id, sp, sop)
 			if r.healedOpTok(id, take, err, tok) && t == nil {
-				e, err = call(r.fresh(id), take, tmpl, nil, wait, block, tok)
-				r.observe(id, err)
+				res, err = r.do(id, r.fresh(id), sop)
 			}
 			if block && t == nil && errors.Is(err, tuplespace.ErrClosed) {
 				// The shard was closed under a parked call: a merge retired
@@ -538,8 +579,8 @@ func (r *Router) lookup(take bool, tmpl tuplespace.Entry, t space.Txn, timeout t
 				if next, ok := r.awaitReroute(key, keyed, id, sp, deadline); ok {
 					v = next
 					if !deadline.IsZero() {
-						if wait = deadline.Sub(clk.Now()); wait <= 0 {
-							return nil, timeoutErr(wrapShard(id, err))
+						if sop.Wait = deadline.Sub(clk.Now()); sop.Wait <= 0 {
+							return space.Result{}, timeoutErr(wrapShard(id, err))
 						}
 					}
 					continue
@@ -555,33 +596,31 @@ func (r *Router) lookup(take bool, tmpl tuplespace.Entry, t space.Txn, timeout t
 						clk.Sleep(r.opts.PollInterval)
 						v = r.snapshot()
 						if !deadline.IsZero() {
-							if wait = deadline.Sub(clk.Now()); wait <= 0 {
-								return nil, timeoutErr(wrapShard(id, err))
+							if sop.Wait = deadline.Sub(clk.Now()); sop.Wait <= 0 {
+								return space.Result{}, timeoutErr(wrapShard(id, err))
 							}
 						}
 						continue
 					}
-					return nil, timeoutErr(wrapShard(id, err))
+					return space.Result{}, timeoutErr(wrapShard(id, err))
 				}
 				// Non-blocking exactly-once take: budgeted retry loop.
-				e, id, err = retryMut(r, key, keyed, id, tok, err, func(sp space.Space) (tuplespace.Entry, error) {
-					return call(sp, take, tmpl, nil, 0, false, tok)
-				})
+				res, id, err = r.retryMut(key, keyed, id, sop, err)
 			}
-			return e, wrapShard(id, err)
+			return res, wrapShard(id, err)
 		}
 	}
 	if !block {
-		e, err, _ := r.sweep(v, take, tmpl, t)
-		return e, err
+		res, err, _ := r.sweep(v, op)
+		return res, err
 	}
 	if t != nil {
 		// Scatter under a transaction polls sequentially: the first-win
 		// path below writes losing takes back outside any transaction,
 		// which would break isolation here.
-		return r.pollScatter(v, take, tmpl, t, timeout)
+		return r.pollScatter(v, op)
 	}
-	return r.scatter(v, take, tmpl, timeout)
+	return r.scatter(v, op)
 }
 
 // awaitReroute polls the view after a single-shard blocking lookup found
@@ -621,28 +660,27 @@ func (r *Router) awaitReroute(key string, keyed bool, id string, sp space.Space,
 // so the window between a primary dying and its backup promoting looks
 // like a timeout (which retry loops such as the master's collect treat as
 // benign) instead of a fatal ShardError.
-func (r *Router) singleBlocking(id string, take bool, tmpl tuplespace.Entry, timeout time.Duration, tok tuplespace.OpToken) (tuplespace.Entry, error) {
+func (r *Router) singleBlocking(id string, op space.Op) (space.Result, error) {
 	clk := r.opts.Clock
+	timeout, take, tok := op.Wait, op.Kind.Takes(), op.Token
 	var deadline time.Time
 	if timeout > 0 {
 		deadline = clk.Now().Add(timeout)
 	}
 	var lastHard error
-	wait := timeout
 	for {
-		var e tuplespace.Entry
+		var res space.Result
 		err := r.allow(id)
 		if err == nil {
-			e, err = call(r.fresh(id), take, tmpl, nil, wait, true, tok)
-			r.observe(id, err)
+			res, err = r.do(id, r.fresh(id), op)
 		}
 		if err == nil {
-			return e, nil
+			return res, nil
 		}
 		if !hard(err) {
 			// The shard itself timed out cleanly; keep any earlier hard
 			// failure in the diagnostics.
-			return nil, timeoutErr(lastHard)
+			return space.Result{}, timeoutErr(lastHard)
 		}
 		lastHard = wrapShard(id, err)
 		if take && ambiguous(err) {
@@ -651,7 +689,7 @@ func (r *Router) singleBlocking(id string, take bool, tmpl tuplespace.Entry, tim
 				// the ring for the next op but surface the ambiguity instead
 				// of re-taking, which would silently discard the taken entry.
 				r.tryFailover(id)
-				return nil, lastHard
+				return space.Result{}, lastHard
 			}
 			// Exactly-once: the retry carries the same token, so if the take
 			// did execute, the promoted (or recovered) shard's memo returns
@@ -660,13 +698,13 @@ func (r *Router) singleBlocking(id string, take bool, tmpl tuplespace.Entry, tim
 			// ambiguity surfaces (still counted) instead of being re-driven.
 			r.countRetry(metrics.CounterRetryAmbiguous)
 			if !r.spendRetry() {
-				return nil, lastHard
+				return space.Result{}, lastHard
 			}
 			r.countRetry(metrics.CounterRetryAttempts)
 			r.tryFailover(id)
 		} else if !r.healed(id, err) {
 			// No replacement yet: poll until one promotes or time runs out.
-			wait = r.opts.PollInterval
+			wait := r.opts.PollInterval
 			if !deadline.IsZero() {
 				if rem := deadline.Sub(clk.Now()); rem < wait {
 					wait = rem
@@ -679,34 +717,12 @@ func (r *Router) singleBlocking(id string, take bool, tmpl tuplespace.Entry, tim
 		if !deadline.IsZero() {
 			rem := deadline.Sub(clk.Now())
 			if rem <= 0 {
-				return nil, timeoutErr(lastHard)
+				return space.Result{}, timeoutErr(lastHard)
 			}
-			wait = rem
+			op.Wait = rem
 		} else {
-			wait = timeout
+			op.Wait = timeout
 		}
-	}
-}
-
-// call dispatches one concrete lookup variant on a single shard. A
-// non-zero tok rides non-transactional takes (reads never mutate, and a
-// transactional op's retry unit is its commit).
-func call(sp space.Space, take bool, tmpl tuplespace.Entry, tx space.Txn, timeout time.Duration, block bool, tok tuplespace.OpToken) (tuplespace.Entry, error) {
-	switch {
-	case take && block:
-		if tx == nil {
-			return space.TakeTok(sp, tmpl, nil, timeout, tok)
-		}
-		return sp.Take(tmpl, tx, timeout)
-	case take:
-		if tx == nil {
-			return space.TakeIfExistsTok(sp, tmpl, nil, tok)
-		}
-		return sp.TakeIfExists(tmpl, tx)
-	case block:
-		return sp.Read(tmpl, tx, timeout)
-	default:
-		return sp.ReadIfExists(tmpl, tx)
 	}
 }
 
@@ -751,13 +767,16 @@ func wrapShard(id string, err error) error {
 
 // --- scatter-gather ---
 
-// sweep makes one non-blocking pass over all shards in rotation order and
-// returns the first match. Alongside the error it reports how many shards
-// hard-failed, so blocking callers can tell "one shard is partitioned, keep
-// serving from the rest" apart from "every shard is gone, fail fast".
-func (r *Router) sweep(v *view, take bool, tmpl tuplespace.Entry, t space.Txn) (tuplespace.Entry, error, int) {
+// sweep makes one non-blocking pass of lookup op over all shards in
+// rotation order and returns the first match. Alongside the error it
+// reports how many shards hard-failed, so blocking callers can tell "one
+// shard is partitioned, keep serving from the rest" apart from "every
+// shard is gone, fail fast".
+func (r *Router) sweep(v *view, op space.Op) (space.Result, error, int) {
 	n := len(v.order)
 	start := r.nextRot(n)
+	t, take := op.Txn, op.Kind.Takes()
+	op.Kind, op.Wait = ifExists(op.Kind), 0
 	var firstErr error
 	hards := 0
 	for i := 0; i < n; i++ {
@@ -772,13 +791,13 @@ func (r *Router) sweep(v *view, take bool, tmpl tuplespace.Entry, t space.Txn) (
 			}
 			continue
 		}
-		tx, err := r.sub(t, id, sp)
-		if err != nil {
+		var err error
+		if op.Txn, err = r.sub(t, id, sp); err != nil {
 			var se *ShardError
 			if !errors.As(err, &se) {
 				// Not a shard-side failure (bad or inactive caller txn):
 				// poisons the whole op.
-				return nil, err, n
+				return space.Result{}, err, n
 			}
 			// One shard refusing its sub-transaction (dead, partitioned) is
 			// a per-shard hard failure; the rest can still serve the sweep.
@@ -790,22 +809,20 @@ func (r *Router) sweep(v *view, take bool, tmpl tuplespace.Entry, t space.Txn) (
 		}
 		// Each shard probe is its own tokened attempt: a token must never
 		// retry across ring IDs (the effect it dedups lives on one shard).
-		var tok tuplespace.OpToken
+		op.Token = tuplespace.OpToken{}
 		if take {
-			tok = r.tokOf(t)
+			op.Token = r.tokOf(t)
 		}
-		e, err := call(sp, take, tmpl, tx, 0, false, tok)
-		r.observe(id, err)
+		res, err := r.do(id, sp, op)
 		if err == nil {
-			return e, nil, 0
+			return res, nil, 0
 		}
 		if hard(err) {
-			if r.healedOpTok(id, take, err, tok) && t == nil {
+			if r.healedOpTok(id, take, err, op.Token) && t == nil {
 				// Retry immediately against the promoted replacement.
-				e, err2 := call(r.fresh(id), take, tmpl, nil, 0, false, tok)
-				r.observe(id, err2)
+				res, err2 := r.do(id, r.fresh(id), op)
 				if err2 == nil {
-					return e, nil, 0
+					return res, nil, 0
 				} else if !hard(err2) {
 					continue // healed; this shard just has no match yet
 				}
@@ -817,9 +834,9 @@ func (r *Router) sweep(v *view, take bool, tmpl tuplespace.Entry, t space.Txn) (
 		}
 	}
 	if firstErr != nil {
-		return nil, firstErr, hards
+		return space.Result{}, firstErr, hards
 	}
-	return nil, tuplespace.ErrNoMatch, 0
+	return space.Result{}, tuplespace.ErrNoMatch, 0
 }
 
 // timeoutErr resolves a blocking lookup's deadline expiry: plain ErrTimeout
@@ -836,24 +853,24 @@ func timeoutErr(lastHard error) error {
 
 // pollScatter is the blocking zero-key lookup under a transaction:
 // repeated non-blocking sweeps with poll sleeps in between.
-func (r *Router) pollScatter(v *view, take bool, tmpl tuplespace.Entry, t space.Txn, timeout time.Duration) (tuplespace.Entry, error) {
+func (r *Router) pollScatter(v *view, op space.Op) (space.Result, error) {
 	clk := r.opts.Clock
 	var deadline time.Time
-	if timeout > 0 {
-		deadline = clk.Now().Add(timeout)
+	if op.Wait > 0 {
+		deadline = clk.Now().Add(op.Wait)
 	}
 	var lastHard error
 	for {
 		// Re-snapshot each sweep so a failover retarget (possibly performed
 		// by another operation) is picked up mid-poll.
 		v = r.snapshot()
-		e, err, hards := r.sweep(v, take, tmpl, t)
+		res, err, hards := r.sweep(v, op)
 		if err == nil {
-			return e, nil
+			return res, nil
 		}
 		if hard(err) {
 			if hards >= len(v.order) {
-				return nil, err // every shard failed: nothing to fail over to
+				return space.Result{}, err // every shard failed: nothing to fail over to
 			}
 			lastHard = err // partial: healthy shards may still match
 		}
@@ -861,7 +878,7 @@ func (r *Router) pollScatter(v *view, take bool, tmpl tuplespace.Entry, t space.
 		if !deadline.IsZero() {
 			rem := deadline.Sub(clk.Now())
 			if rem <= 0 {
-				return nil, timeoutErr(lastHard)
+				return space.Result{}, timeoutErr(lastHard)
 			}
 			if rem < wait {
 				wait = rem
@@ -878,19 +895,19 @@ func (r *Router) pollScatter(v *view, take bool, tmpl tuplespace.Entry, t space.
 // unbounded leaked wait. A losing Take that nonetheless yields an entry is
 // written back to the shard it came from (with a Forever lease; per-entry
 // lease state does not survive the round trip).
-func (r *Router) scatter(v *view, take bool, tmpl tuplespace.Entry, timeout time.Duration) (tuplespace.Entry, error) {
+func (r *Router) scatter(v *view, op space.Op) (space.Result, error) {
 	clk := r.opts.Clock
 	var deadline time.Time
-	if timeout > 0 {
-		deadline = clk.Now().Add(timeout)
+	if op.Wait > 0 {
+		deadline = clk.Now().Add(op.Wait)
 	}
 	// Fast pass before spawning anything.
 	var lastHard error
-	if e, err, hards := r.sweep(v, take, tmpl, nil); err == nil {
-		return e, nil
+	if res, err, hards := r.sweep(v, op); err == nil {
+		return res, nil
 	} else if hard(err) {
 		if hards >= len(v.order) {
-			return nil, err
+			return space.Result{}, err
 		}
 		lastHard = err
 	}
@@ -901,14 +918,14 @@ func (r *Router) scatter(v *view, take bool, tmpl tuplespace.Entry, timeout time
 	}
 	base := r.nextRot(n)
 	for round := 0; ; round++ {
-		slice := r.opts.Slice
+		op.Wait = r.opts.Slice
 		if !deadline.IsZero() {
 			rem := deadline.Sub(clk.Now())
 			if rem <= 0 {
-				return nil, timeoutErr(lastHard)
+				return space.Result{}, timeoutErr(lastHard)
 			}
-			if rem < slice {
-				slice = rem
+			if rem < op.Wait {
+				op.Wait = rem
 			}
 		}
 		// Re-snapshot each round so a failover retarget is picked up by the
@@ -921,13 +938,13 @@ func (r *Router) scatter(v *view, take bool, tmpl tuplespace.Entry, timeout time
 		if m := len(v.order); f > m {
 			f = m
 		}
-		e, err, allHard := r.scatterRound(v, take, tmpl, slice, f, base+round)
+		res, err, allHard := r.scatterRound(v, op, f, base+round)
 		if err == nil {
-			return e, nil
+			return res, nil
 		}
 		if hard(err) {
 			if allHard {
-				return nil, err // no child could reach a live shard
+				return space.Result{}, err // no child could reach a live shard
 			}
 			lastHard = err
 		}
@@ -941,7 +958,7 @@ type roundState struct {
 
 	mu        sync.Mutex
 	won       bool
-	winner    tuplespace.Entry
+	winner    space.Result
 	remaining int
 	hardErr   error
 	hards     int
@@ -955,18 +972,18 @@ func (st *roundState) finished() bool {
 
 // win records a successful lookup. The first one wakes the parent; a
 // losing take is undone by writing the entry back where it came from.
-func (st *roundState) win(sp space.Space, e tuplespace.Entry) {
+func (st *roundState) win(sp space.Space, res space.Result) {
 	st.mu.Lock()
 	if !st.won {
 		st.won = true
-		st.winner = e
+		st.winner = res
 		st.mu.Unlock()
 		st.parker.Wake()
 		return
 	}
 	st.mu.Unlock()
 	if st.take {
-		sp.Write(e, nil, tuplespace.Forever) //nolint:errcheck // best-effort restore
+		sp.Write(res.Entry, nil, tuplespace.Forever) //nolint:errcheck // best-effort restore
 	}
 }
 
@@ -997,50 +1014,51 @@ func (st *roundState) childDone(cutOff bool) {
 // won; otherwise the first shard error, with allHard set when every child
 // was cut off from all of its shards (nothing left to fail over to);
 // otherwise ErrTimeout (meaning: keep scattering).
-func (st *roundState) result(children int) (tuplespace.Entry, error, bool) {
+func (st *roundState) result(children int) (space.Result, error, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.won {
 		return st.winner, nil, false
 	}
 	if st.hardErr != nil {
-		return nil, st.hardErr, st.hards == children
+		return space.Result{}, st.hardErr, st.hards == children
 	}
-	return nil, tuplespace.ErrTimeout, false
+	return space.Result{}, tuplespace.ErrTimeout, false
 }
 
 // probe is one non-transactional scatter-child lookup against a shard,
 // retried once against a promoted replacement on a hard failure. It
 // returns the handle actually used, so a losing take is written back to
 // the shard that produced it.
-func (r *Router) probe(s Shard, take bool, tmpl tuplespace.Entry, timeout time.Duration, block bool) (space.Space, tuplespace.Entry, error) {
+func (r *Router) probe(s Shard, op space.Op) (space.Space, space.Result, error) {
 	if aerr := r.allow(s.ID); aerr != nil {
-		return s.Space, nil, aerr
+		return s.Space, space.Result{}, aerr
 	}
-	var tok tuplespace.OpToken
+	take := op.Kind.Takes()
+	op.Token = tuplespace.OpToken{}
 	if take {
-		tok = r.mint()
+		op.Token = r.mint()
 	}
-	e, err := call(s.Space, take, tmpl, nil, timeout, block, tok)
-	r.observe(s.ID, err)
-	if r.healedOpTok(s.ID, take, err, tok) {
+	res, err := r.do(s.ID, s.Space, op)
+	if r.healedOpTok(s.ID, take, err, op.Token) {
 		sp := r.fresh(s.ID)
-		e, err = call(sp, take, tmpl, nil, timeout, block, tok)
-		r.observe(s.ID, err)
-		return sp, e, err
+		res, err = r.do(s.ID, sp, op)
+		return sp, res, err
 	}
-	return s.Space, e, err
+	return s.Space, res, err
 }
 
-// scatterRound runs one round: fanout children each sweep a strided chunk
-// of the shards non-blockingly, then park one slice-bounded blocking wait
-// on their chunk's rotating member. The parent parks on a Waiter and is
-// woken by the first winner or the last child — never left parked, even
-// on the virtual clock, because every child's wait is itself bounded by a
-// clock timer.
-func (r *Router) scatterRound(v *view, take bool, tmpl tuplespace.Entry, slice time.Duration, fanout, round int) (tuplespace.Entry, error, bool) {
+// scatterRound runs one round of blocking lookup op: fanout children each
+// sweep a strided chunk of the shards non-blockingly, then park one
+// blocking wait — op.Wait is the round's slice — on their chunk's
+// rotating member. The parent parks on a Waiter and is woken by the first
+// winner or the last child — never left parked, even on the virtual
+// clock, because every child's wait is itself bounded by a clock timer.
+func (r *Router) scatterRound(v *view, op space.Op, fanout, round int) (space.Result, error, bool) {
+	quick := op
+	quick.Kind, quick.Wait = ifExists(op.Kind), 0
 	clk := r.opts.Clock
-	st := &roundState{take: take, parker: clk.NewWaiter(), remaining: fanout}
+	st := &roundState{take: op.Kind.Takes(), parker: clk.NewWaiter(), remaining: fanout}
 	g := vclock.NewGroup(clk)
 	n := len(v.order)
 	for j := 0; j < fanout; j++ {
@@ -1063,9 +1081,9 @@ func (r *Router) scatterRound(v *view, take bool, tmpl tuplespace.Entry, slice t
 				if st.finished() {
 					return
 				}
-				sp, e, err := r.probe(s, take, tmpl, 0, false)
+				sp, res, err := r.probe(s, quick)
 				if err == nil {
-					st.win(sp, e)
+					st.win(sp, res)
 					return
 				}
 				if hard(err) {
@@ -1082,9 +1100,9 @@ func (r *Router) scatterRound(v *view, take bool, tmpl tuplespace.Entry, slice t
 				return
 			}
 			s := chunk[round%len(chunk)]
-			sp, e, err := r.probe(s, take, tmpl, slice, true)
+			sp, res, err := r.probe(s, op)
 			if err == nil {
-				st.win(sp, e)
+				st.win(sp, res)
 			} else if hard(err) {
 				st.fail(wrapShard(s.ID, err))
 				sawHard = true
@@ -1099,66 +1117,52 @@ func (r *Router) scatterRound(v *view, take bool, tmpl tuplespace.Entry, slice t
 
 // --- bulk, count, balance, notify ---
 
-// ReadAll implements space.Space. A keyed template reads one shard;
+// bulk serves ReadAll/TakeAll. A keyed template addresses one shard;
 // unbounded zero-key reads gather concurrently across shards; bounded
-// (max > 0) reads walk shards sequentially so the budget is respected
-// without over-reading.
-func (r *Router) ReadAll(tmpl tuplespace.Entry, t space.Txn, max int) ([]tuplespace.Entry, error) {
-	return r.bulk(false, tmpl, t, max)
-}
-
-// TakeAll implements space.Space. Zero-key bulk takes always walk shards
-// sequentially: a destructive gather must not over-take and have to undo.
-func (r *Router) TakeAll(tmpl tuplespace.Entry, t space.Txn, max int) ([]tuplespace.Entry, error) {
-	return r.bulk(true, tmpl, t, max)
-}
-
-func (r *Router) bulk(take bool, tmpl tuplespace.Entry, t space.Txn, max int) ([]tuplespace.Entry, error) {
+// (Max > 0) reads and all zero-key takes walk shards sequentially, so the
+// budget is respected and a destructive gather never over-takes and has
+// to undo.
+func (r *Router) bulk(op space.Op) ([]tuplespace.Entry, error) {
 	v := r.snapshot()
-	key, keyed, err := tuplespace.IndexKey(tmpl)
+	key, keyed, err := tuplespace.IndexKey(op.Entry)
 	if err != nil {
 		return nil, err
 	}
-	one := func(id string) ([]tuplespace.Entry, error) {
+	t, take, max := op.Txn, op.Kind.Takes(), op.Max
+	// one runs op against shard id with budget rem. pinned marks the
+	// single-shard case, whose token may be the caller's and whose
+	// exactly-once retry may re-route by key; a walk's per-shard tokens
+	// stay on the shard that may hold their effect.
+	one := func(id string, rem int, pinned bool) ([]tuplespace.Entry, error) {
 		if aerr := r.allow(id); aerr != nil {
 			return nil, wrapShard(id, aerr)
 		}
 		sp := v.shards[id]
-		tx, err := r.sub(t, id, sp)
-		if err != nil {
+		sop := op
+		sop.Max = rem
+		var err error
+		if sop.Txn, err = r.sub(t, id, sp); err != nil {
 			return nil, err
 		}
-		var tok tuplespace.OpToken
-		if take {
-			tok = r.tokOf(t)
+		sop.Token = tuplespace.OpToken{}
+		if take && pinned {
+			sop.Token = r.tokFor(op)
+		} else if take {
+			sop.Token = r.tokOf(t)
 		}
-		var es []tuplespace.Entry
-		if take {
-			es, err = space.TakeAllTok(sp, tmpl, tx, max, tok)
-		} else {
-			es, err = sp.ReadAll(tmpl, tx, max)
+		res, err := r.do(id, sp, sop)
+		if pinned && !sop.Token.Zero() && err != nil && r.retryableMut(err, sop.Token) {
+			res, id, err = r.retryMut(key, keyed, id, sop, err)
+		} else if r.healedOpTok(id, take, err, sop.Token) && t == nil {
+			res, err = r.do(id, r.fresh(id), sop)
 		}
-		r.observe(id, err)
-		if take && !tok.Zero() && err != nil && r.retryableMut(err, tok) {
-			es, id, err = retryMut(r, key, keyed, id, tok, err, func(sp space.Space) ([]tuplespace.Entry, error) {
-				return space.TakeAllTok(sp, tmpl, nil, max, tok)
-			})
-		} else if r.healedOp(id, take, err) && t == nil {
-			sp = r.fresh(id)
-			if take {
-				es, err = sp.TakeAll(tmpl, nil, max)
-			} else {
-				es, err = sp.ReadAll(tmpl, nil, max)
-			}
-			r.observe(id, err)
-		}
-		return es, wrapShard(id, err)
+		return res.Entries, wrapShard(id, err)
 	}
 	if keyed {
-		return one(v.ring.get(key))
+		return one(v.ring.get(key), max, true)
 	}
 	if len(v.order) == 1 {
-		return one(v.order[0])
+		return one(v.order[0], max, true)
 	}
 	if take || max > 0 {
 		// Sequential budgeted walk.
@@ -1166,46 +1170,15 @@ func (r *Router) bulk(take bool, tmpl tuplespace.Entry, t space.Txn, max int) ([
 		n := len(v.order)
 		start := r.nextRot(n)
 		for i := 0; i < n; i++ {
-			id := v.order[(start+i)%n]
-			sp := v.shards[id]
-			tx, err := r.sub(t, id, sp)
-			if err != nil {
-				return out, err
-			}
 			rem := 0
 			if max > 0 {
-				rem = max - len(out)
-				if rem <= 0 {
+				if rem = max - len(out); rem <= 0 {
 					break
 				}
 			}
-			// Per-shard tokens: the walk visits each shard once, and a
-			// token's retry stays on the shard that may hold its effect.
-			var tok tuplespace.OpToken
-			if take {
-				tok = r.tokOf(t)
-			}
-			if aerr := r.allow(id); aerr != nil {
-				return out, wrapShard(id, aerr)
-			}
-			var es []tuplespace.Entry
-			if take {
-				es, err = space.TakeAllTok(sp, tmpl, tx, rem, tok)
-			} else {
-				es, err = sp.ReadAll(tmpl, tx, rem)
-			}
-			r.observe(id, err)
-			if r.healedOpTok(id, take, err, tok) && t == nil {
-				sp = r.fresh(id)
-				if take {
-					es, err = space.TakeAllTok(sp, tmpl, nil, rem, tok)
-				} else {
-					es, err = sp.ReadAll(tmpl, nil, rem)
-				}
-				r.observe(id, err)
-			}
+			es, err := one(v.order[(start+i)%n], rem, false)
 			if err != nil {
-				return out, wrapShard(id, err)
+				return out, err
 			}
 			out = append(out, es...)
 		}
@@ -1215,23 +1188,7 @@ func (r *Router) bulk(take bool, tmpl tuplespace.Entry, t space.Txn, max int) ([
 	results := make([][]tuplespace.Entry, len(v.order))
 	errs := make([]error, len(v.order))
 	r.strided(v, func(i int, id string) {
-		if aerr := r.allow(id); aerr != nil {
-			errs[i] = wrapShard(id, aerr)
-			return
-		}
-		sp := v.shards[id]
-		tx, err := r.sub(t, id, sp)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		es, err := sp.ReadAll(tmpl, tx, 0)
-		r.observe(id, err)
-		if r.healed(id, err) && t == nil {
-			es, err = r.fresh(id).ReadAll(tmpl, nil, 0)
-			r.observe(id, err)
-		}
-		results[i], errs[i] = es, wrapShard(id, err)
+		results[i], errs[i] = one(id, 0, false)
 	})
 	var out []tuplespace.Entry
 	for i := range v.order {
@@ -1243,41 +1200,31 @@ func (r *Router) bulk(take bool, tmpl tuplespace.Entry, t space.Txn, max int) ([
 	return out, nil
 }
 
-// Count implements space.Space: a keyed template counts one shard,
-// otherwise the per-shard counts are summed concurrently.
-func (r *Router) Count(tmpl tuplespace.Entry) (int, error) {
+// count counts one shard for a keyed template, otherwise sums the
+// per-shard counts concurrently.
+func (r *Router) count(op space.Op) (int, error) {
 	v := r.snapshot()
-	key, keyed, err := tuplespace.IndexKey(tmpl)
+	key, keyed, err := tuplespace.IndexKey(op.Entry)
 	if err != nil {
 		return 0, err
 	}
-	if keyed {
-		id := v.ring.get(key)
+	one := func(id string) (int, error) {
 		if aerr := r.allow(id); aerr != nil {
 			return 0, wrapShard(id, aerr)
 		}
-		c, err := v.shards[id].Count(tmpl)
-		r.observe(id, err)
+		res, err := r.do(id, v.shards[id], op)
 		if r.healed(id, err) {
-			c, err = r.fresh(id).Count(tmpl)
-			r.observe(id, err)
+			res, err = r.do(id, r.fresh(id), op)
 		}
-		return c, wrapShard(id, err)
+		return res.N, wrapShard(id, err)
+	}
+	if keyed {
+		return one(v.ring.get(key))
 	}
 	counts := make([]int, len(v.order))
 	errs := make([]error, len(v.order))
 	r.strided(v, func(i int, id string) {
-		if aerr := r.allow(id); aerr != nil {
-			errs[i] = wrapShard(id, aerr)
-			return
-		}
-		c, err := v.shards[id].Count(tmpl)
-		r.observe(id, err)
-		if r.healed(id, err) {
-			c, err = r.fresh(id).Count(tmpl)
-			r.observe(id, err)
-		}
-		counts[i], errs[i] = c, wrapShard(id, err)
+		counts[i], errs[i] = one(id)
 	})
 	total := 0
 	for i := range v.order {
@@ -1309,14 +1256,8 @@ func (r *Router) strided(v *view, fn func(i int, id string)) {
 	g.Wait()
 }
 
-// Counter is implemented by shard handles that expose per-type entry
-// counts (space.Local and space.Proxy both do).
-type Counter interface {
-	TypeCounts() (map[string]int, error)
-}
-
-// TypeCounts merges live-entry counts per type across all shards.
-func (r *Router) TypeCounts() (map[string]int, error) {
+// typeCounts merges live-entry counts per type across all shards.
+func (r *Router) typeCounts() (map[string]int, error) {
 	per, err := r.ShardCounts()
 	if err != nil {
 		return nil, err
@@ -1336,19 +1277,13 @@ func (r *Router) ShardCounts() (map[string]map[string]int, error) {
 	v := r.snapshot()
 	results := make([]map[string]int, len(v.order))
 	errs := make([]error, len(v.order))
+	op := space.Op{Kind: space.OpTypeCounts}
 	r.strided(v, func(i int, id string) {
-		c, ok := v.shards[id].(Counter)
-		if !ok {
-			errs[i] = fmt.Errorf("shard: %s does not expose TypeCounts", id)
-			return
-		}
-		tc, err := c.TypeCounts()
+		res, err := v.shards[id].Do(op)
 		if r.healed(id, err) {
-			if c, ok := r.fresh(id).(Counter); ok {
-				tc, err = c.TypeCounts()
-			}
+			res, err = r.fresh(id).Do(op)
 		}
-		results[i], errs[i] = tc, wrapShard(id, err)
+		results[i], errs[i] = res.Counts, wrapShard(id, err)
 	})
 	out := make(map[string]map[string]int, len(v.order))
 	for i, id := range v.order {

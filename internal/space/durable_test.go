@@ -103,6 +103,35 @@ func TestDurableTornTailRecovers(t *testing.T) {
 	}
 }
 
+// TestDurableRejectsCorruptLog: damage that is not a torn tail (a flipped
+// byte in an early segment) must fail the open, not serve a partial space.
+func TestDurableRejectsCorruptLog(t *testing.T) {
+	dir := t.TempDir()
+	l1, d1 := openDurable(t, dir, DurableOptions{SegmentSize: 256, SnapshotBytes: -1})
+	for i := 1; i <= 8; i++ {
+		if _, err := l1.Write(job{Name: "corrupt", ID: ip(i)}, nil, tuplespace.Forever); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l1.Close()
+	d1.Close()
+	segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+	if len(segs) < 2 {
+		t.Fatalf("expected several segments, found %v", segs)
+	}
+	b, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[10] ^= 0xff
+	if err := os.WriteFile(segs[0], b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := NewLocalDurable(vclock.NewReal(), DurableOptions{Dir: dir, SegmentSize: 256}); err == nil {
+		t.Fatal("mid-log corruption silently accepted")
+	}
+}
+
 // TestDurableSnapshotBoundsReplay: after a snapshot, recovery replays the
 // snapshot plus only post-snapshot records — the metrics-asserted
 // acceptance criterion, at the space level.

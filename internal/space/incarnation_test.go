@@ -61,7 +61,7 @@ func TestStaleTxnIDDoesNotAliasAcrossServices(t *testing.T) {
 	if nt == nil {
 		t.Fatal("RebindTxn returned nil for proxy txn")
 	}
-	err = CommitTok(nt, tuplespace.OpToken{Client: "test", Seq: 1})
+	_, err = pb.Do(Op{Kind: OpCommit, Txn: nt, Token: tuplespace.OpToken{Client: "test", Seq: 1}})
 	if !errors.Is(err, tuplespace.ErrTxnInactive) {
 		t.Fatalf("stale commit err = %v, want ErrTxnInactive", err)
 	}
@@ -109,16 +109,56 @@ func TestStaleLeaseIDDoesNotAliasAcrossServices(t *testing.T) {
 	}
 
 	// Re-address A's lease handle at B, as a failover retry would.
-	pl, ok := la.(*proxyLease)
-	if !ok {
+	if _, ok := la.(*proxyLease); !ok {
 		t.Fatalf("lease is %T, want *proxyLease", la)
 	}
-	stale := &proxyLease{p: pb, id: pl.id}
-	if err := stale.CancelTok(tuplespace.OpToken{Client: "test", Seq: 2}); !errors.Is(err, tuplespace.ErrLeaseExpired) {
+	if _, err := pb.Do(Op{Kind: OpCancel, Lease: la, Token: tuplespace.OpToken{Client: "test", Seq: 2}}); !errors.Is(err, tuplespace.ErrLeaseExpired) {
 		t.Fatalf("stale cancel err = %v, want ErrLeaseExpired", err)
 	}
 	// B's own entry must still be present with its lease intact.
 	if n, _ := pb.Count(job{Name: "b"}); n != 1 {
 		t.Fatalf("unrelated entry cancelled: count = %d, want 1", n)
+	}
+}
+
+// TestServiceLeaseTableBounded: the service's lease-id table is swept as
+// it grows, so ids whose entry was taken do not accumulate (each used to
+// pin its *EntryLease — and the stored value — for the service's
+// lifetime), while a live lease keeps its id across the sweeps.
+func TestServiceLeaseTableBounded(t *testing.T) {
+	clk := vclock.NewReal()
+	net := transport.NewNetwork(clk, transport.Loopback())
+	local := NewLocal(clk)
+	srv := transport.NewServer()
+	svc := NewService(local, srv)
+	net.Listen("leases", srv)
+	p := NewProxy(net.Dial("leases"))
+
+	live, err := p.Write(job{Name: "live", ID: ip(0)}, nil, time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 10000; i++ {
+		if _, err := p.Write(job{Name: "pair", ID: ip(i)}, nil, tuplespace.Forever); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.TakeIfExists(job{Name: "pair"}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	svc.mu.Lock()
+	n := len(svc.leases)
+	svc.mu.Unlock()
+	if n > 2*leaseSweepMin {
+		t.Fatalf("lease table holds %d ids after 10000 write+take pairs, want <= %d", n, 2*leaseSweepMin)
+	}
+	if err := live.Renew(time.Hour); err != nil {
+		t.Fatalf("live lease lost its id in a sweep: renew: %v", err)
+	}
+	if err := live.Cancel(); err != nil {
+		t.Fatalf("live lease cancel: %v", err)
+	}
+	if n, _ := p.Count(job{Name: "live"}); n != 0 {
+		t.Fatalf("cancelled entry still present: count = %d", n)
 	}
 }

@@ -24,6 +24,7 @@ var ErrOpTimeout = errors.New("space: remote operation deadline exceeded")
 // Service. It is the analogue of the JavaSpaces proxy object a Jini client
 // downloads from the lookup service.
 type Proxy struct {
+	Facade
 	c transport.Client
 
 	// Per-op deadline state (see WithOpTimeout). clock is only consulted
@@ -33,7 +34,11 @@ type Proxy struct {
 }
 
 // NewProxy wraps an RPC client as a Space.
-func NewProxy(c transport.Client) *Proxy { return &Proxy{c: c} }
+func NewProxy(c transport.Client) *Proxy {
+	p := &Proxy{c: c}
+	p.Facade = NewFacade(p)
+	return p
+}
 
 // WithOpTimeout bounds every remote call on the proxy: an RPC that has
 // not replied within d past its own semantic wait fails with
@@ -50,18 +55,24 @@ func (p *Proxy) WithOpTimeout(clock vclock.Clock, d time.Duration) *Proxy {
 	return p
 }
 
-// call runs one RPC under the per-op deadline. extra is the operation's
-// own semantic wait (a blocking lookup's timeout); unbounded skips the
-// deadline entirely (block-forever lookups). The RPC itself cannot be
-// cancelled mid-flight — like a TCP client abandoning a socket, the
-// caller stops waiting and the reply, if it ever comes, is discarded —
-// but the deadline rides the RPC frame, so the server rejects the op
-// unexecuted (and frees any parked waiter) once the client is gone.
-func (p *Proxy) call(method string, arg interface{}, extra time.Duration, unbounded bool) (interface{}, error) {
-	if p.opTimeout <= 0 || unbounded {
-		return p.c.Call(method, transport.Frame(arg, time.Time{}, priFor(method)))
+// call runs op's RPC under the per-op deadline. A blocking lookup adds its
+// own semantic wait to the bound, and a block-forever lookup (Wait 0:
+// parks server-side by design) skips the deadline entirely. The RPC
+// itself cannot be cancelled mid-flight — like a TCP client abandoning a
+// socket, the caller stops waiting and the reply, if it ever comes, is
+// discarded — but the deadline rides the RPC frame, so the server rejects
+// the op unexecuted (and frees any parked waiter) once the client is gone.
+func (p *Proxy) call(op Op, arg interface{}) (interface{}, error) {
+	k := op.Kind
+	method := k.Method()
+	if p.opTimeout <= 0 || k.Blocks() && op.Wait <= 0 {
+		return p.c.Call(method, transport.Frame(arg, time.Time{}, k.Priority()))
 	}
-	arg = transport.Frame(arg, p.clock.Now().Add(p.opTimeout+extra), priFor(method))
+	bound := p.opTimeout
+	if k.Blocks() {
+		bound += op.Wait
+	}
+	arg = transport.Frame(arg, p.clock.Now().Add(bound), k.Priority())
 	type outcome struct {
 		res interface{}
 		err error
@@ -77,27 +88,13 @@ func (p *Proxy) call(method string, arg interface{}, extra time.Duration, unboun
 		mu.Unlock()
 		w.Wake()
 	})
-	w.Wait(p.opTimeout + extra)
+	w.Wait(bound)
 	mu.Lock()
 	defer mu.Unlock()
 	if done == nil {
-		return nil, fmt.Errorf("%w: %s after %v", ErrOpTimeout, method, p.opTimeout+extra)
+		return nil, fmt.Errorf("%w: %s after %v", ErrOpTimeout, method, bound)
 	}
 	return done.res, done.err
-}
-
-// priFor classifies a space method for brownout shedding: mutations and
-// txn/lease control are PriHigh (the job stalls without them), reads are
-// PriNormal, and diagnostics — counts, censuses, bulk scans — are PriLow,
-// the first traffic a saturated server sheds.
-func priFor(method string) int {
-	switch method {
-	case "space.Read", "space.ReadIfExists":
-		return transport.PriNormal
-	case "space.ReadAll", "space.Count", "space.TypeCounts":
-		return transport.PriLow
-	}
-	return transport.PriHigh
 }
 
 // Dial connects to a space Service at a TCP address with connection
@@ -113,20 +110,15 @@ func Dial(addr string) (*Proxy, error) {
 
 var _ Space = (*Proxy)(nil)
 
+// proxyTxn and proxyLease are the client-side handles: the service's
+// wire id plus the proxy to send it through.
 type proxyTxn struct {
 	p  *Proxy
 	id uint64
 }
 
-func (t *proxyTxn) Commit() error {
-	_, err := t.p.call("space.TxnCommit", txnArgs{TxnID: t.id}, 0, false)
-	return mapRemote(err)
-}
-
-func (t *proxyTxn) Abort() error {
-	_, err := t.p.call("space.TxnAbort", txnArgs{TxnID: t.id}, 0, false)
-	return mapRemote(err)
-}
+func (t *proxyTxn) Commit() error { _, err := t.p.Do(Op{Kind: OpCommit, Txn: t}); return err }
+func (t *proxyTxn) Abort() error  { _, err := t.p.Do(Op{Kind: OpAbort, Txn: t}); return err }
 
 type proxyLease struct {
 	p  *Proxy
@@ -134,126 +126,38 @@ type proxyLease struct {
 }
 
 func (l *proxyLease) Renew(ttl time.Duration) error {
-	_, err := l.p.call("space.LeaseRenew", leaseArgs{LeaseID: l.id, TTL: ttl}, 0, false)
-	return mapRemote(err)
+	_, err := l.p.Do(Op{Kind: OpRenew, Lease: l, TTL: ttl})
+	return err
 }
 
-func (l *proxyLease) Cancel() error {
-	_, err := l.p.call("space.LeaseCancel", leaseArgs{LeaseID: l.id}, 0, false)
-	return mapRemote(err)
-}
+func (l *proxyLease) Cancel() error { _, err := l.p.Do(Op{Kind: OpCancel, Lease: l}); return err }
 
-func (p *Proxy) txnID(t Txn) (uint64, error) {
-	if t == nil {
-		return 0, nil
+// Do implements Space: one RPC per op, the handles travelling as the wire
+// ids the service minted for them.
+func (p *Proxy) Do(op Op) (Result, error) {
+	var txnID, leaseID uint64
+	if op.Txn != nil {
+		pt, ok := op.Txn.(*proxyTxn)
+		if !ok {
+			return Result{}, ErrBadTxn
+		}
+		txnID = pt.id
 	}
-	pt, ok := t.(*proxyTxn)
-	if !ok {
-		return 0, ErrBadTxn
+	if pl, ok := op.Lease.(*proxyLease); ok {
+		leaseID = pl.id
 	}
-	return pt.id, nil
-}
-
-// Write implements Space.
-func (p *Proxy) Write(e tuplespace.Entry, t Txn, ttl time.Duration) (Lease, error) {
-	id, err := p.txnID(t)
+	reply, err := p.call(op, wireArgs(op, txnID, leaseID))
 	if err != nil {
-		return nil, err
+		return Result{}, mapRemote(err)
 	}
-	res, err := p.call("space.Write", writeArgs{Entry: e, TxnID: id, TTL: ttl}, 0, false)
-	if err != nil {
-		return nil, mapRemote(err)
+	res, txnID, leaseID := wireResult(reply)
+	switch op.Kind {
+	case OpWrite:
+		res.Lease = &proxyLease{p: p, id: leaseID}
+	case OpBeginTxn:
+		res.Txn = &proxyTxn{p: p, id: txnID}
 	}
-	return &proxyLease{p: p, id: res.(writeReply).LeaseID}, nil
-}
-
-func (p *Proxy) lookup(method string, tmpl tuplespace.Entry, t Txn, timeout time.Duration) (tuplespace.Entry, error) {
-	id, err := p.txnID(t)
-	if err != nil {
-		return nil, err
-	}
-	// A blocking lookup with timeout 0 parks server-side forever by
-	// design; the deadline only applies when the wait itself is bounded.
-	blocking := method == "space.Read" || method == "space.Take"
-	res, err := p.call(method, lookupArgs{Tmpl: tmpl, TxnID: id, Timeout: timeout}, timeout, blocking && timeout <= 0)
-	if err != nil {
-		return nil, mapRemote(err)
-	}
-	return res.(lookupReply).Entry, nil
-}
-
-// Read implements Space.
-func (p *Proxy) Read(tmpl tuplespace.Entry, t Txn, timeout time.Duration) (tuplespace.Entry, error) {
-	return p.lookup("space.Read", tmpl, t, timeout)
-}
-
-// Take implements Space.
-func (p *Proxy) Take(tmpl tuplespace.Entry, t Txn, timeout time.Duration) (tuplespace.Entry, error) {
-	return p.lookup("space.Take", tmpl, t, timeout)
-}
-
-// ReadIfExists implements Space.
-func (p *Proxy) ReadIfExists(tmpl tuplespace.Entry, t Txn) (tuplespace.Entry, error) {
-	return p.lookup("space.ReadIfExists", tmpl, t, 0)
-}
-
-// TakeIfExists implements Space.
-func (p *Proxy) TakeIfExists(tmpl tuplespace.Entry, t Txn) (tuplespace.Entry, error) {
-	return p.lookup("space.TakeIfExists", tmpl, t, 0)
-}
-
-func (p *Proxy) bulkCall(method string, tmpl tuplespace.Entry, t Txn, max int) ([]tuplespace.Entry, error) {
-	id, err := p.txnID(t)
-	if err != nil {
-		return nil, err
-	}
-	res, err := p.call(method, lookupArgs{Tmpl: tmpl, TxnID: id, Max: max}, 0, false)
-	if err != nil {
-		return nil, mapRemote(err)
-	}
-	raw := res.(bulkReply).Entries
-	out := make([]tuplespace.Entry, len(raw))
-	for i, e := range raw {
-		out[i] = e
-	}
-	return out, nil
-}
-
-// ReadAll implements Space.
-func (p *Proxy) ReadAll(tmpl tuplespace.Entry, t Txn, max int) ([]tuplespace.Entry, error) {
-	return p.bulkCall("space.ReadAll", tmpl, t, max)
-}
-
-// TakeAll implements Space.
-func (p *Proxy) TakeAll(tmpl tuplespace.Entry, t Txn, max int) ([]tuplespace.Entry, error) {
-	return p.bulkCall("space.TakeAll", tmpl, t, max)
-}
-
-// Count implements Space.
-func (p *Proxy) Count(tmpl tuplespace.Entry) (int, error) {
-	res, err := p.call("space.Count", lookupArgs{Tmpl: tmpl}, 0, false)
-	if err != nil {
-		return 0, mapRemote(err)
-	}
-	return res.(countReply).N, nil
-}
-
-// TypeCounts returns the remote space's live entries per type.
-func (p *Proxy) TypeCounts() (map[string]int, error) {
-	res, err := p.call("space.TypeCounts", lookupArgs{}, 0, false)
-	if err != nil {
-		return nil, mapRemote(err)
-	}
-	return res.(countsReply).Counts, nil
-}
-
-// BeginTxn implements Space.
-func (p *Proxy) BeginTxn(ttl time.Duration) (Txn, error) {
-	res, err := p.call("space.TxnBegin", txnArgs{TTL: ttl}, 0, false)
-	if err != nil {
-		return nil, mapRemote(err)
-	}
-	return &proxyTxn{p: p, id: res.(txnReply).TxnID}, nil
+	return res, nil
 }
 
 // Close implements Space.

@@ -8,7 +8,6 @@ import (
 
 	"gospaces/internal/transport"
 	"gospaces/internal/tuplespace"
-	"gospaces/internal/txn"
 )
 
 // RPC argument and reply frames. Entries travel as any-typed payloads;
@@ -64,6 +63,97 @@ type countsReply struct {
 	Counts map[string]int
 }
 
+// wireArgs encodes op as its RPC argument frame (client side); the
+// handles travel as the ids the service minted for them.
+func wireArgs(op Op, txnID, leaseID uint64) interface{} {
+	switch op.Kind {
+	case OpWrite:
+		return writeArgs{Entry: op.Entry, TxnID: txnID, TTL: op.TTL, Tok: op.Token}
+	case OpBeginTxn, OpCommit, OpAbort:
+		return txnArgs{TxnID: txnID, TTL: op.TTL, Tok: op.Token}
+	case OpRenew, OpCancel:
+		return leaseArgs{LeaseID: leaseID, TTL: op.TTL, Tok: op.Token}
+	default:
+		return lookupArgs{Tmpl: op.Entry, TxnID: txnID, Timeout: op.Wait, Max: op.Max, Tok: op.Token}
+	}
+}
+
+// wireOp is wireArgs' inverse (server side).
+func wireOp(k Kind, arg interface{}) (op Op, txnID, leaseID uint64, err error) {
+	op.Kind = k
+	var ok bool
+	switch k {
+	case OpWrite:
+		var a writeArgs
+		if a, ok = arg.(writeArgs); ok {
+			op.Entry, op.TTL, op.Token, txnID = a.Entry, a.TTL, a.Tok, a.TxnID
+		}
+	case OpBeginTxn, OpCommit, OpAbort:
+		var a txnArgs
+		if a, ok = arg.(txnArgs); ok {
+			op.TTL, op.Token, txnID = a.TTL, a.Tok, a.TxnID
+		}
+	case OpRenew, OpCancel:
+		var a leaseArgs
+		if a, ok = arg.(leaseArgs); ok {
+			op.TTL, op.Token, leaseID = a.TTL, a.Tok, a.LeaseID
+		}
+	default:
+		var a lookupArgs
+		if a, ok = arg.(lookupArgs); ok {
+			op.Entry, op.Wait, op.Max, op.Token, txnID = a.Tmpl, a.Timeout, a.Max, a.Tok, a.TxnID
+		}
+	}
+	if !ok {
+		err = fmt.Errorf("space: bad %s args %T", k, arg)
+	}
+	return op, txnID, leaseID, err
+}
+
+// wireReply encodes res as the kind's RPC reply (server side).
+func wireReply(k Kind, res Result, txnID, leaseID uint64) interface{} {
+	switch k {
+	case OpWrite, OpRenew, OpCancel:
+		return writeReply{LeaseID: leaseID}
+	case OpBeginTxn, OpCommit, OpAbort:
+		return txnReply{TxnID: txnID}
+	case OpReadAll, OpTakeAll:
+		out := make([]interface{}, len(res.Entries))
+		for i, e := range res.Entries {
+			out[i] = e
+		}
+		return bulkReply{Entries: out}
+	case OpCount:
+		return countReply{N: res.N}
+	case OpTypeCounts:
+		return countsReply{Counts: res.Counts}
+	default:
+		return lookupReply{Entry: res.Entry}
+	}
+}
+
+// wireResult is wireReply's inverse (client side).
+func wireResult(reply interface{}) (res Result, txnID, leaseID uint64) {
+	switch r := reply.(type) {
+	case writeReply:
+		leaseID = r.LeaseID
+	case txnReply:
+		txnID = r.TxnID
+	case lookupReply:
+		res.Entry = r.Entry
+	case bulkReply:
+		res.Entries = make([]tuplespace.Entry, len(r.Entries))
+		for i, e := range r.Entries {
+			res.Entries[i] = e
+		}
+	case countReply:
+		res.N = r.N
+	case countsReply:
+		res.Counts = r.Counts
+	}
+	return res, txnID, leaseID
+}
+
 // svcIncarnation numbers Service instances within a process so the wire
 // txn and lease IDs each instance mints live in disjoint namespaces. A
 // retried commit/abort/cancel that carries an ID minted by a dead
@@ -75,7 +165,8 @@ var svcIncarnation atomic.Uint64
 
 // Service exposes a Local space over a transport.Server. The master module
 // runs one of these; workers and the network-management module reach it
-// through Proxy.
+// through Proxy. It owns nothing but the wire: each handler turns its
+// argument frame into an Op, resolves handle ids, and runs local.Do.
 type Service struct {
 	local *Local
 	// base is this incarnation's namespace tag, OR'd into the high bits
@@ -87,37 +178,34 @@ type Service struct {
 	adm Admission
 
 	mu     sync.Mutex
-	txns   map[uint64]*txn.Txn
+	txns   map[uint64]localTxn
 	leases map[uint64]*tuplespace.EntryLease
 	nextL  uint64
+	// sweepAt is the lease-table size that triggers the next sweep of ids
+	// whose entry is gone; it doubles with the surviving population, so
+	// sweeping costs O(1) amortised per write.
+	sweepAt int
 }
 
-// NewService wraps local and registers its methods on srv under the
-// "space." prefix. Every handler runs behind the service's admission
-// controller (see Admission); an unconfigured controller just unwraps the
-// RPC frame.
+// leaseSweepMin keeps small lease tables from sweeping on every write.
+const leaseSweepMin = 1024
+
+// NewService wraps local and registers one handler per Kind on srv under
+// the kind's wire method name. Every handler runs behind the service's
+// admission controller (see Admission); an unconfigured controller just
+// unwraps the RPC frame.
 func NewService(local *Local, srv *transport.Server) *Service {
 	s := &Service{
-		local:  local,
-		base:   svcIncarnation.Add(1) << 32,
-		txns:   make(map[uint64]*txn.Txn),
-		leases: make(map[uint64]*tuplespace.EntryLease),
-		nextL:  1,
+		local:   local,
+		base:    svcIncarnation.Add(1) << 32,
+		txns:    make(map[uint64]localTxn),
+		leases:  make(map[uint64]*tuplespace.EntryLease),
+		nextL:   1,
+		sweepAt: leaseSweepMin,
 	}
-	srv.Handle("space.Write", s.adm.wrap(s.write))
-	srv.Handle("space.Read", s.adm.wrap(s.lookup(false, true)))
-	srv.Handle("space.Take", s.adm.wrap(s.lookup(true, true)))
-	srv.Handle("space.ReadIfExists", s.adm.wrap(s.lookup(false, false)))
-	srv.Handle("space.TakeIfExists", s.adm.wrap(s.lookup(true, false)))
-	srv.Handle("space.ReadAll", s.adm.wrap(s.bulk(false)))
-	srv.Handle("space.TakeAll", s.adm.wrap(s.bulk(true)))
-	srv.Handle("space.Count", s.adm.wrap(s.count))
-	srv.Handle("space.TypeCounts", s.adm.wrap(s.typeCounts))
-	srv.Handle("space.TxnBegin", s.adm.wrap(s.txnBegin))
-	srv.Handle("space.TxnCommit", s.adm.wrap(s.txnCommit))
-	srv.Handle("space.TxnAbort", s.adm.wrap(s.txnAbort))
-	srv.Handle("space.LeaseRenew", s.adm.wrap(s.leaseRenew))
-	srv.Handle("space.LeaseCancel", s.adm.wrap(s.leaseCancel))
+	for k := Kind(0); k < NumKinds; k++ {
+		srv.Handle(k.Method(), s.adm.wrap(s.handler(k)))
+	}
 	return s
 }
 
@@ -125,217 +213,85 @@ func NewService(local *Local, srv *transport.Server) *Service {
 // and /healthz vitals.
 func (s *Service) Admission() *Admission { return &s.adm }
 
-func (s *Service) resolveTxn(id uint64) (*txn.Txn, error) {
-	if id == 0 {
-		return nil, nil
+func (s *Service) handler(k Kind) transport.Handler {
+	return func(arg interface{}) (interface{}, error) {
+		op, txnID, leaseID, err := wireOp(k, arg)
+		if err != nil {
+			return nil, err
+		}
+		unknown := s.resolve(&op, txnID, leaseID)
+		if unknown != nil && k != OpCommit && k != OpAbort {
+			return nil, unknown
+		}
+		// A commit/abort for an id the table no longer holds still runs:
+		// a tokened retry whose original executed is answered from the
+		// memo (Local.finish); anything else comes back inactive.
+		res, err := s.local.Do(op)
+		if err != nil {
+			if unknown != nil {
+				err = unknown
+			}
+			return nil, err
+		}
+		switch k {
+		case OpWrite:
+			leaseID = s.addLease(res.Lease.(*tuplespace.EntryLease))
+		case OpBeginTxn:
+			lt := res.Txn.(localTxn)
+			txnID = s.base | lt.t.ID()
+			s.mu.Lock()
+			s.txns[txnID] = lt
+			s.mu.Unlock()
+		}
+		return wireReply(k, res, txnID, leaseID), nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t, ok := s.txns[id]
-	if !ok {
-		return nil, fmt.Errorf("space: unknown txn %d: %w", id, tuplespace.ErrTxnInactive)
-	}
-	return t, nil
 }
 
-func (s *Service) write(arg interface{}) (interface{}, error) {
-	a, ok := arg.(writeArgs)
-	if !ok {
-		return nil, fmt.Errorf("space: bad write args %T", arg)
-	}
-	t, err := s.resolveTxn(a.TxnID)
-	if err != nil {
-		return nil, err
-	}
-	l, err := s.local.TS.WriteTok(a.Entry, t, a.TTL, a.Tok)
-	if err != nil {
-		return nil, err
-	}
+// resolve turns the wire ids back into op's handle operands. Completing a
+// transaction or cancelling a lease retires its id. An unknown lease id
+// leaves op.Lease nil, which Local answers (expired, or a tokened
+// cancel's memo).
+func (s *Service) resolve(op *Op, txnID, leaseID uint64) error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	if txnID != 0 {
+		t, ok := s.txns[txnID]
+		if !ok {
+			return fmt.Errorf("space: unknown txn %d: %w", txnID, tuplespace.ErrTxnInactive)
+		}
+		op.Txn = t
+		if op.Kind == OpCommit || op.Kind == OpAbort {
+			delete(s.txns, txnID)
+		}
+	}
+	if l := s.leases[leaseID]; l != nil {
+		op.Lease = l
+		if op.Kind == OpCancel {
+			delete(s.leases, leaseID)
+		}
+	}
+	return nil
+}
+
+// addLease mints a wire id for l. Ids whose entry has since been taken,
+// cancelled or expired are dropped when the table has doubled since the
+// last sweep, so the table (and the stored values its leases pin) stays
+// proportional to the live leases instead of growing with every write.
+func (s *Service) addLease(l *tuplespace.EntryLease) uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	id := s.base | s.nextL
 	s.nextL++
 	s.leases[id] = l
-	s.mu.Unlock()
-	return writeReply{LeaseID: id}, nil
-}
-
-func (s *Service) lookup(take, block bool) transport.Handler {
-	return func(arg interface{}) (interface{}, error) {
-		a, ok := arg.(lookupArgs)
-		if !ok {
-			return nil, fmt.Errorf("space: bad lookup args %T", arg)
+	if len(s.leases) >= s.sweepAt {
+		for old, ol := range s.leases {
+			if ol.Gone() {
+				delete(s.leases, old)
+			}
 		}
-		t, err := s.resolveTxn(a.TxnID)
-		if err != nil {
-			return nil, err
-		}
-		var e tuplespace.Entry
-		switch {
-		case take && block:
-			e, err = s.local.TS.TakeTok(a.Tmpl, t, a.Timeout, a.Tok)
-		case take:
-			e, err = s.local.TS.TakeIfExistsTok(a.Tmpl, t, a.Tok)
-		case block:
-			e, err = s.local.TS.Read(a.Tmpl, t, a.Timeout)
-		default:
-			e, err = s.local.TS.ReadIfExists(a.Tmpl, t)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return lookupReply{Entry: e}, nil
-	}
-}
-
-func (s *Service) bulk(take bool) transport.Handler {
-	return func(arg interface{}) (interface{}, error) {
-		a, ok := arg.(lookupArgs)
-		if !ok {
-			return nil, fmt.Errorf("space: bad bulk args %T", arg)
-		}
-		t, err := s.resolveTxn(a.TxnID)
-		if err != nil {
-			return nil, err
-		}
-		var es []tuplespace.Entry
-		if take {
-			es, err = s.local.TS.TakeAllTok(a.Tmpl, t, a.Max, a.Tok)
-		} else {
-			es, err = s.local.TS.ReadAll(a.Tmpl, t, a.Max)
-		}
-		if err != nil {
-			return nil, err
-		}
-		out := make([]interface{}, len(es))
-		for i, e := range es {
-			out[i] = e
-		}
-		return bulkReply{Entries: out}, nil
-	}
-}
-
-func (s *Service) count(arg interface{}) (interface{}, error) {
-	a, ok := arg.(lookupArgs)
-	if !ok {
-		return nil, fmt.Errorf("space: bad count args %T", arg)
-	}
-	n, err := s.local.TS.Count(a.Tmpl)
-	if err != nil {
-		return nil, err
-	}
-	return countReply{N: n}, nil
-}
-
-func (s *Service) typeCounts(interface{}) (interface{}, error) {
-	return countsReply{Counts: s.local.TS.TypeCounts()}, nil
-}
-
-func (s *Service) txnBegin(arg interface{}) (interface{}, error) {
-	a, ok := arg.(txnArgs)
-	if !ok {
-		return nil, fmt.Errorf("space: bad txn args %T", arg)
-	}
-	t := s.local.Mgr.Begin(a.TTL)
-	wire := s.base | t.ID()
-	s.mu.Lock()
-	s.txns[wire] = t
-	s.mu.Unlock()
-	return txnReply{TxnID: wire}, nil
-}
-
-func (s *Service) txnCommit(arg interface{}) (interface{}, error) {
-	a, ok := arg.(txnArgs)
-	if !ok {
-		return nil, fmt.Errorf("space: bad txn args %T", arg)
-	}
-	// Memo check before txn resolution: a retried commit whose original
-	// executed finds the txn gone from the table — the memo is what tells
-	// it apart from a transaction that died unresolved.
-	if !a.Tok.Zero() {
-		if res, hit := s.local.TS.MemoOutcome(a.Tok); hit && res.Op == tuplespace.MemoCommit {
-			return txnReply{TxnID: a.TxnID}, nil
+		if s.sweepAt = 2 * len(s.leases); s.sweepAt < leaseSweepMin {
+			s.sweepAt = leaseSweepMin
 		}
 	}
-	t, err := s.resolveTxn(a.TxnID)
-	if err != nil {
-		return nil, err
-	}
-	s.dropTxn(a.TxnID)
-	if err := t.Commit(); err != nil {
-		return nil, err
-	}
-	// Committed but not yet memoized is the one crash window where a
-	// retry still surfaces ErrTxnInactive (DESIGN §7).
-	s.local.TS.CompleteMemo(a.Tok, tuplespace.MemoCommit)
-	return txnReply{TxnID: a.TxnID}, nil
-}
-
-func (s *Service) txnAbort(arg interface{}) (interface{}, error) {
-	a, ok := arg.(txnArgs)
-	if !ok {
-		return nil, fmt.Errorf("space: bad txn args %T", arg)
-	}
-	if !a.Tok.Zero() {
-		if res, hit := s.local.TS.MemoOutcome(a.Tok); hit && res.Op == tuplespace.MemoAbort {
-			return txnReply{TxnID: a.TxnID}, nil
-		}
-	}
-	t, err := s.resolveTxn(a.TxnID)
-	if err != nil {
-		return nil, err
-	}
-	s.dropTxn(a.TxnID)
-	if err := t.Abort(); err != nil {
-		return nil, err
-	}
-	s.local.TS.CompleteMemo(a.Tok, tuplespace.MemoAbort)
-	return txnReply{TxnID: a.TxnID}, nil
-}
-
-func (s *Service) dropTxn(id uint64) {
-	s.mu.Lock()
-	delete(s.txns, id)
-	s.mu.Unlock()
-}
-
-func (s *Service) leaseRenew(arg interface{}) (interface{}, error) {
-	a, ok := arg.(leaseArgs)
-	if !ok {
-		return nil, fmt.Errorf("space: bad lease args %T", arg)
-	}
-	s.mu.Lock()
-	l := s.leases[a.LeaseID]
-	s.mu.Unlock()
-	if l == nil {
-		return nil, tuplespace.ErrLeaseExpired
-	}
-	if err := l.Renew(a.TTL); err != nil {
-		return nil, err
-	}
-	return writeReply{LeaseID: a.LeaseID}, nil
-}
-
-func (s *Service) leaseCancel(arg interface{}) (interface{}, error) {
-	a, ok := arg.(leaseArgs)
-	if !ok {
-		return nil, fmt.Errorf("space: bad lease args %T", arg)
-	}
-	// Memo check before the table lookup: the original cancel already
-	// deleted the lease id, so a retry would otherwise see "expired".
-	if !a.Tok.Zero() {
-		if res, hit := s.local.TS.MemoOutcome(a.Tok); hit && res.Op == tuplespace.MemoCancel {
-			return writeReply{LeaseID: a.LeaseID}, nil
-		}
-	}
-	s.mu.Lock()
-	l := s.leases[a.LeaseID]
-	delete(s.leases, a.LeaseID)
-	s.mu.Unlock()
-	if l == nil {
-		return nil, tuplespace.ErrLeaseExpired
-	}
-	if err := l.CancelTok(a.Tok); err != nil {
-		return nil, err
-	}
-	return writeReply{LeaseID: a.LeaseID}, nil
+	return id
 }

@@ -6,10 +6,8 @@
 package space
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"os"
 	"time"
 
 	"gospaces/internal/transport"
@@ -32,25 +30,18 @@ type Lease interface {
 	Cancel() error
 }
 
-// Space is the JavaSpaces API surface the framework uses.
+// Space is the JavaSpaces API surface the framework uses: the typed
+// methods (written once, by Facade) plus the Do they are sugar for.
 type Space interface {
-	// Write stores entry e under t (nil for none) with lease ttl
-	// (tuplespace.Forever for none).
+	Doer
 	Write(e tuplespace.Entry, t Txn, ttl time.Duration) (Lease, error)
-	// Read returns a copy of a matching entry, waiting up to timeout.
 	Read(tmpl tuplespace.Entry, t Txn, timeout time.Duration) (tuplespace.Entry, error)
-	// Take removes and returns a matching entry, waiting up to timeout.
 	Take(tmpl tuplespace.Entry, t Txn, timeout time.Duration) (tuplespace.Entry, error)
-	// ReadIfExists / TakeIfExists are the non-blocking variants.
 	ReadIfExists(tmpl tuplespace.Entry, t Txn) (tuplespace.Entry, error)
 	TakeIfExists(tmpl tuplespace.Entry, t Txn) (tuplespace.Entry, error)
-	// ReadAll / TakeAll are the JavaSpaces05-style bulk variants: up to
-	// max matching entries without blocking (max <= 0 for no limit).
 	ReadAll(tmpl tuplespace.Entry, t Txn, max int) ([]tuplespace.Entry, error)
 	TakeAll(tmpl tuplespace.Entry, t Txn, max int) ([]tuplespace.Entry, error)
-	// Count returns the number of public entries matching tmpl.
 	Count(tmpl tuplespace.Entry) (int, error)
-	// BeginTxn starts a transaction with the given lease.
 	BeginTxn(ttl time.Duration) (Txn, error)
 	// Close releases the client's connection (never the remote space).
 	Close() error
@@ -60,153 +51,122 @@ type Space interface {
 // implementation is supplied.
 var ErrBadTxn = errors.New("space: transaction does not belong to this space")
 
-// --- local adapter ---
+// --- local transport ---
 
 // Local adapts an in-process tuplespace.Space (plus a transaction manager)
 // to the Space interface. It is what the master module embeds: the master
 // hosts the space and talks to it locally while everyone else goes through
 // a proxy.
 type Local struct {
+	Facade
 	TS  *tuplespace.Space
 	Mgr *txn.Manager
 }
 
 // NewLocal creates a fresh space and transaction manager on clock.
 func NewLocal(clock vclock.Clock) *Local {
-	return &Local{TS: tuplespace.New(clock), Mgr: txn.NewManager(clock)}
+	l := &Local{TS: tuplespace.New(clock), Mgr: txn.NewManager(clock)}
+	l.Facade = NewFacade(l)
+	return l
 }
 
-// NewLocalJournaled creates a Local whose space persists to the journal
-// file at path — JavaSpaces' persistent mode. If the file already exists
-// its surviving entries are restored, and a fresh compacted journal
-// (containing the restored entries) atomically replaces it; subsequent
-// mutations append to it.
-func NewLocalJournaled(clock vclock.Clock, path string) (*Local, error) {
-	l := NewLocal(clock)
-	old, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, fmt.Errorf("space: read journal: %w", err)
-	}
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return nil, fmt.Errorf("space: create journal: %w", err)
-	}
-	if err := l.TS.AttachJournal(tuplespace.NewJournal(f)); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if len(old) > 0 {
-		// Replaying with the fresh journal attached re-records the
-		// surviving entries, compacting the log.
-		if _, err := tuplespace.Replay(bytes.NewReader(old), l.TS); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("space: replay %s: %w", path, err)
-		}
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("space: install journal: %w", err)
-	}
-	return l, nil
-}
-
+// localTxn is Local's transaction handle. Entry leases need no wrapper:
+// a *tuplespace.EntryLease is Local's lease handle.
 type localTxn struct{ t *txn.Txn }
 
 func (lt localTxn) Commit() error { return lt.t.Commit() }
 func (lt localTxn) Abort() error  { return lt.t.Abort() }
 
-func (l *Local) unwrap(t Txn) (*txn.Txn, error) {
-	if t == nil {
-		return nil, nil
+// Do implements Space.
+func (l *Local) Do(op Op) (res Result, err error) {
+	var tx *txn.Txn
+	if op.Txn != nil {
+		lt, ok := op.Txn.(localTxn)
+		if !ok {
+			return res, ErrBadTxn
+		}
+		tx = lt.t
 	}
-	lt, ok := t.(localTxn)
-	if !ok {
-		return nil, ErrBadTxn
+	switch op.Kind {
+	case OpWrite:
+		var el *tuplespace.EntryLease
+		if el, err = l.TS.WriteTok(op.Entry, tx, op.TTL, op.Token); err == nil {
+			res.Lease = el
+		}
+	case OpRead, OpTake, OpReadIfExists, OpTakeIfExists:
+		res.Entry, err = l.TS.Lookup(op.Kind.Takes(), op.Kind.Blocks(), op.Entry, tx, op.Wait, op.Token)
+	case OpReadAll:
+		res.Entries, err = l.TS.ReadAll(op.Entry, tx, op.Max)
+	case OpTakeAll:
+		res.Entries, err = l.TS.TakeAllTok(op.Entry, tx, op.Max, op.Token)
+	case OpCount:
+		res.N, err = l.TS.Count(op.Entry)
+	case OpTypeCounts:
+		res.Counts = l.TS.TypeCounts()
+	case OpBeginTxn:
+		res.Txn = localTxn{t: l.Mgr.Begin(op.TTL)}
+	case OpCommit:
+		err = l.finish(tx, tuplespace.MemoCommit, op.Token)
+	case OpAbort:
+		err = l.finish(tx, tuplespace.MemoAbort, op.Token)
+	case OpRenew, OpCancel:
+		el, _ := op.Lease.(*tuplespace.EntryLease)
+		switch {
+		case el == nil:
+			// The Service no longer resolves the lease's id: expired,
+			// unless this is the replay of a tokened cancel that executed.
+			if op.Kind == OpRenew || !l.memoized(op.Token, tuplespace.MemoCancel) {
+				err = tuplespace.ErrLeaseExpired
+			}
+		case op.Kind == OpRenew:
+			err = el.Renew(op.TTL)
+		default:
+			err = el.CancelTok(op.Token)
+		}
+	default:
+		err = fmt.Errorf("space: unknown op kind %d", op.Kind)
 	}
-	return lt.t, nil
+	return res, err
 }
 
-// Write implements Space.
-func (l *Local) Write(e tuplespace.Entry, t Txn, ttl time.Duration) (Lease, error) {
-	tx, err := l.unwrap(t)
-	if err != nil {
-		return nil, err
+// finish commits or aborts tx. A tokened retry whose original executed
+// finds the transaction gone (nil here: the Service no longer resolves
+// its id) — the memo is what tells it apart from a transaction that died
+// unresolved. Committed but not yet memoized is the one crash window
+// where a retry still surfaces ErrTxnInactive (DESIGN §7).
+func (l *Local) finish(tx *txn.Txn, memoOp string, tok tuplespace.OpToken) error {
+	if l.memoized(tok, memoOp) {
+		return nil
 	}
-	return l.TS.Write(e, tx, ttl)
+	if tx == nil {
+		return tuplespace.ErrTxnInactive
+	}
+	var err error
+	if memoOp == tuplespace.MemoCommit {
+		err = tx.Commit()
+	} else {
+		err = tx.Abort()
+	}
+	if err == nil {
+		l.TS.CompleteMemo(tok, memoOp)
+	}
+	return err
 }
 
-// Read implements Space.
-func (l *Local) Read(tmpl tuplespace.Entry, t Txn, timeout time.Duration) (tuplespace.Entry, error) {
-	tx, err := l.unwrap(t)
-	if err != nil {
-		return nil, err
+// memoized reports whether tok's operation already executed as memoOp.
+func (l *Local) memoized(tok tuplespace.OpToken, memoOp string) bool {
+	if tok.Zero() {
+		return false
 	}
-	return l.TS.Read(tmpl, tx, timeout)
+	res, hit := l.TS.MemoOutcome(tok)
+	return hit && res.Op == memoOp
 }
-
-// Take implements Space.
-func (l *Local) Take(tmpl tuplespace.Entry, t Txn, timeout time.Duration) (tuplespace.Entry, error) {
-	tx, err := l.unwrap(t)
-	if err != nil {
-		return nil, err
-	}
-	return l.TS.Take(tmpl, tx, timeout)
-}
-
-// ReadIfExists implements Space.
-func (l *Local) ReadIfExists(tmpl tuplespace.Entry, t Txn) (tuplespace.Entry, error) {
-	tx, err := l.unwrap(t)
-	if err != nil {
-		return nil, err
-	}
-	return l.TS.ReadIfExists(tmpl, tx)
-}
-
-// TakeIfExists implements Space.
-func (l *Local) TakeIfExists(tmpl tuplespace.Entry, t Txn) (tuplespace.Entry, error) {
-	tx, err := l.unwrap(t)
-	if err != nil {
-		return nil, err
-	}
-	return l.TS.TakeIfExists(tmpl, tx)
-}
-
-// ReadAll implements Space.
-func (l *Local) ReadAll(tmpl tuplespace.Entry, t Txn, max int) ([]tuplespace.Entry, error) {
-	tx, err := l.unwrap(t)
-	if err != nil {
-		return nil, err
-	}
-	return l.TS.ReadAll(tmpl, tx, max)
-}
-
-// TakeAll implements Space.
-func (l *Local) TakeAll(tmpl tuplespace.Entry, t Txn, max int) ([]tuplespace.Entry, error) {
-	tx, err := l.unwrap(t)
-	if err != nil {
-		return nil, err
-	}
-	return l.TS.TakeAll(tmpl, tx, max)
-}
-
-// Count implements Space.
-func (l *Local) Count(tmpl tuplespace.Entry) (int, error) { return l.TS.Count(tmpl) }
 
 // Notify registers fn for entries matching tmpl arriving at the underlying
 // space. The shard router relies on this to fan a registration out across
 // shard-local spaces.
 func (l *Local) Notify(tmpl tuplespace.Entry, fn tuplespace.Listener, ttl time.Duration) (*tuplespace.Registration, error) {
 	return l.TS.Notify(tmpl, fn, ttl)
-}
-
-// TypeCounts reports live entries per type — the per-shard balance figure
-// surfaced by the router and by operators.
-func (l *Local) TypeCounts() (map[string]int, error) { return l.TS.TypeCounts(), nil }
-
-// BeginTxn implements Space.
-func (l *Local) BeginTxn(ttl time.Duration) (Txn, error) {
-	return localTxn{t: l.Mgr.Begin(ttl)}, nil
 }
 
 // Close implements Space; closing the local adapter closes the space.

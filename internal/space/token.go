@@ -1,97 +1,5 @@
 package space
 
-import (
-	"time"
-
-	"gospaces/internal/tuplespace"
-)
-
-// Exactly-once support. Space implementations that can carry a
-// client-minted idempotency token (tuplespace.OpToken) on their mutations
-// implement the optional Token* interfaces below; the shard router
-// attaches one token per logical mutation and retries with the same
-// token, and the server side deduplicates against its memo table. The
-// package-level helper functions dispatch through the optional interface
-// and fall back to the plain methods, so token-oblivious implementations
-// (and zero tokens) behave exactly as before.
-
-// TokenMutator is implemented by Spaces that attach idempotency tokens to
-// their effectful operations.
-type TokenMutator interface {
-	WriteTok(e tuplespace.Entry, t Txn, ttl time.Duration, tok tuplespace.OpToken) (Lease, error)
-	TakeTok(tmpl tuplespace.Entry, t Txn, timeout time.Duration, tok tuplespace.OpToken) (tuplespace.Entry, error)
-	TakeIfExistsTok(tmpl tuplespace.Entry, t Txn, tok tuplespace.OpToken) (tuplespace.Entry, error)
-	TakeAllTok(tmpl tuplespace.Entry, t Txn, max int, tok tuplespace.OpToken) ([]tuplespace.Entry, error)
-}
-
-// TokenTxn is implemented by transaction handles whose commit/abort can
-// carry a token, protecting the commit RPC itself against reply loss.
-type TokenTxn interface {
-	CommitTok(tok tuplespace.OpToken) error
-	AbortTok(tok tuplespace.OpToken) error
-}
-
-// TokenLease is implemented by leases whose cancel can carry a token.
-type TokenLease interface {
-	CancelTok(tok tuplespace.OpToken) error
-}
-
-// WriteTok writes through sp, attaching tok when sp supports tokens.
-func WriteTok(sp Space, e tuplespace.Entry, t Txn, ttl time.Duration, tok tuplespace.OpToken) (Lease, error) {
-	if tm, ok := sp.(TokenMutator); ok && !tok.Zero() {
-		return tm.WriteTok(e, t, ttl, tok)
-	}
-	return sp.Write(e, t, ttl)
-}
-
-// TakeTok takes through sp, attaching tok when sp supports tokens.
-func TakeTok(sp Space, tmpl tuplespace.Entry, t Txn, timeout time.Duration, tok tuplespace.OpToken) (tuplespace.Entry, error) {
-	if tm, ok := sp.(TokenMutator); ok && !tok.Zero() {
-		return tm.TakeTok(tmpl, t, timeout, tok)
-	}
-	return sp.Take(tmpl, t, timeout)
-}
-
-// TakeIfExistsTok is the non-blocking TakeTok.
-func TakeIfExistsTok(sp Space, tmpl tuplespace.Entry, t Txn, tok tuplespace.OpToken) (tuplespace.Entry, error) {
-	if tm, ok := sp.(TokenMutator); ok && !tok.Zero() {
-		return tm.TakeIfExistsTok(tmpl, t, tok)
-	}
-	return sp.TakeIfExists(tmpl, t)
-}
-
-// TakeAllTok is the bulk TakeTok.
-func TakeAllTok(sp Space, tmpl tuplespace.Entry, t Txn, max int, tok tuplespace.OpToken) ([]tuplespace.Entry, error) {
-	if tm, ok := sp.(TokenMutator); ok && !tok.Zero() {
-		return tm.TakeAllTok(tmpl, t, max, tok)
-	}
-	return sp.TakeAll(tmpl, t, max)
-}
-
-// CommitTok commits t, attaching tok when the handle supports tokens.
-func CommitTok(t Txn, tok tuplespace.OpToken) error {
-	if tt, ok := t.(TokenTxn); ok && !tok.Zero() {
-		return tt.CommitTok(tok)
-	}
-	return t.Commit()
-}
-
-// AbortTok aborts t, attaching tok when the handle supports tokens.
-func AbortTok(t Txn, tok tuplespace.OpToken) error {
-	if tt, ok := t.(TokenTxn); ok && !tok.Zero() {
-		return tt.AbortTok(tok)
-	}
-	return t.Abort()
-}
-
-// CancelTok cancels l, attaching tok when the lease supports tokens.
-func CancelTok(l Lease, tok tuplespace.OpToken) error {
-	if tl, ok := l.(TokenLease); ok && !tok.Zero() {
-		return tl.CancelTok(tok)
-	}
-	return l.Cancel()
-}
-
 // RebindTxn re-addresses transaction t through sp — the failover path for
 // a tokened commit/abort retry: the original primary is gone, but the
 // promoted backup's memo table knows whether the commit executed, and its
@@ -111,126 +19,3 @@ func RebindTxn(sp Space, t Txn) Txn {
 	}
 	return &proxyTxn{p: np, id: pt.id}
 }
-
-// --- Local token support ---
-
-// WriteTok implements TokenMutator.
-func (l *Local) WriteTok(e tuplespace.Entry, t Txn, ttl time.Duration, tok tuplespace.OpToken) (Lease, error) {
-	tx, err := l.unwrap(t)
-	if err != nil {
-		return nil, err
-	}
-	return l.TS.WriteTok(e, tx, ttl, tok)
-}
-
-// TakeTok implements TokenMutator.
-func (l *Local) TakeTok(tmpl tuplespace.Entry, t Txn, timeout time.Duration, tok tuplespace.OpToken) (tuplespace.Entry, error) {
-	tx, err := l.unwrap(t)
-	if err != nil {
-		return nil, err
-	}
-	return l.TS.TakeTok(tmpl, tx, timeout, tok)
-}
-
-// TakeIfExistsTok implements TokenMutator.
-func (l *Local) TakeIfExistsTok(tmpl tuplespace.Entry, t Txn, tok tuplespace.OpToken) (tuplespace.Entry, error) {
-	tx, err := l.unwrap(t)
-	if err != nil {
-		return nil, err
-	}
-	return l.TS.TakeIfExistsTok(tmpl, tx, tok)
-}
-
-// TakeAllTok implements TokenMutator.
-func (l *Local) TakeAllTok(tmpl tuplespace.Entry, t Txn, max int, tok tuplespace.OpToken) ([]tuplespace.Entry, error) {
-	tx, err := l.unwrap(t)
-	if err != nil {
-		return nil, err
-	}
-	return l.TS.TakeAllTok(tmpl, tx, max, tok)
-}
-
-var _ TokenMutator = (*Local)(nil)
-
-// --- Proxy token support ---
-
-// WriteTok implements TokenMutator: the token rides the RPC frame.
-func (p *Proxy) WriteTok(e tuplespace.Entry, t Txn, ttl time.Duration, tok tuplespace.OpToken) (Lease, error) {
-	id, err := p.txnID(t)
-	if err != nil {
-		return nil, err
-	}
-	res, err := p.call("space.Write", writeArgs{Entry: e, TxnID: id, TTL: ttl, Tok: tok}, 0, false)
-	if err != nil {
-		return nil, mapRemote(err)
-	}
-	return &proxyLease{p: p, id: res.(writeReply).LeaseID}, nil
-}
-
-// TakeTok implements TokenMutator.
-func (p *Proxy) TakeTok(tmpl tuplespace.Entry, t Txn, timeout time.Duration, tok tuplespace.OpToken) (tuplespace.Entry, error) {
-	return p.lookupTok("space.Take", tmpl, t, timeout, tok)
-}
-
-// TakeIfExistsTok implements TokenMutator.
-func (p *Proxy) TakeIfExistsTok(tmpl tuplespace.Entry, t Txn, tok tuplespace.OpToken) (tuplespace.Entry, error) {
-	return p.lookupTok("space.TakeIfExists", tmpl, t, 0, tok)
-}
-
-// TakeAllTok implements TokenMutator.
-func (p *Proxy) TakeAllTok(tmpl tuplespace.Entry, t Txn, max int, tok tuplespace.OpToken) ([]tuplespace.Entry, error) {
-	id, err := p.txnID(t)
-	if err != nil {
-		return nil, err
-	}
-	res, err := p.call("space.TakeAll", lookupArgs{Tmpl: tmpl, TxnID: id, Max: max, Tok: tok}, 0, false)
-	if err != nil {
-		return nil, mapRemote(err)
-	}
-	raw := res.(bulkReply).Entries
-	out := make([]tuplespace.Entry, len(raw))
-	for i, e := range raw {
-		out[i] = e
-	}
-	return out, nil
-}
-
-func (p *Proxy) lookupTok(method string, tmpl tuplespace.Entry, t Txn, timeout time.Duration, tok tuplespace.OpToken) (tuplespace.Entry, error) {
-	id, err := p.txnID(t)
-	if err != nil {
-		return nil, err
-	}
-	blocking := method == "space.Take"
-	res, err := p.call(method, lookupArgs{Tmpl: tmpl, TxnID: id, Timeout: timeout, Tok: tok}, timeout, blocking && timeout <= 0)
-	if err != nil {
-		return nil, mapRemote(err)
-	}
-	return res.(lookupReply).Entry, nil
-}
-
-var _ TokenMutator = (*Proxy)(nil)
-
-// CommitTok implements TokenTxn.
-func (t *proxyTxn) CommitTok(tok tuplespace.OpToken) error {
-	_, err := t.p.call("space.TxnCommit", txnArgs{TxnID: t.id, Tok: tok}, 0, false)
-	return mapRemote(err)
-}
-
-// AbortTok implements TokenTxn.
-func (t *proxyTxn) AbortTok(tok tuplespace.OpToken) error {
-	_, err := t.p.call("space.TxnAbort", txnArgs{TxnID: t.id, Tok: tok}, 0, false)
-	return mapRemote(err)
-}
-
-var _ TokenTxn = (*proxyTxn)(nil)
-
-// CancelTok implements TokenLease. The dedup covers reply-lost cancel
-// retries against the same service: service lease ids do not survive
-// failover, so a cancel retried across a promotion still surfaces
-// ErrLeaseExpired (documented in DESIGN §7).
-func (l *proxyLease) CancelTok(tok tuplespace.OpToken) error {
-	_, err := l.p.call("space.LeaseCancel", leaseArgs{LeaseID: l.id, Tok: tok}, 0, false)
-	return mapRemote(err)
-}
-
-var _ TokenLease = (*proxyLease)(nil)

@@ -1,13 +1,10 @@
 package tuplespace
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"time"
@@ -20,15 +17,13 @@ import (
 // persistent objects": Outrigger could run in persistent mode, surviving
 // restarts. Journal gives the space the same property: every publicly
 // visible mutation (a committed write, a committed take, a cancellation
-// or expiry) is appended as a self-contained gob record, and Replay /
+// or expiry) is appended as a self-contained gob record, and
 // ReplayRecords reconstructs the live entries into a fresh space.
 // Transactions interact correctly: only committed effects reach the
 // journal.
 //
-// Records flow into a RecordSink. NewJournal frames them into a plain
-// io.Writer (the original single-file journal); the durable space service
-// plugs in internal/wal for segmented, checksummed, snapshot-compacted
-// storage.
+// Records flow into a RecordSink; the durable space service plugs in
+// internal/wal for segmented, checksummed, snapshot-compacted storage.
 
 // CounterJournalErrors is the metrics key under which failed journal
 // appends are counted (strict and non-strict mode alike). The string is
@@ -36,10 +31,6 @@ import (
 // used to be the ad-hoc "journal_errors", the one key that broke the
 // "<subsystem>:<metric>" convention.
 const CounterJournalErrors = metrics.CounterJournalErrors
-
-// maxJournalRecord bounds one framed record on stream replay; a length
-// prefix beyond it means the stream is garbage, not a record.
-const maxJournalRecord = 64 << 20
 
 // RegisterType registers a concrete entry type for journal and WAL
 // records. It is the same registry the transport layer uses, so one
@@ -98,30 +89,11 @@ func decodeOp(payload []byte) (journalOp, error) {
 }
 
 // RecordSink is the destination for journal records. internal/wal's Log
-// satisfies it; NewJournal adapts a bare io.Writer.
+// satisfies it.
 type RecordSink interface {
 	// Append stores one record durably (per the sink's own policy) and
 	// returns any storage error.
 	Append(payload []byte) error
-}
-
-// streamSink frames records into an io.Writer as uvarint-length-prefixed
-// gob blobs — the single-file journal format.
-type streamSink struct {
-	mu sync.Mutex
-	w  io.Writer
-}
-
-func (s *streamSink) Append(payload []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var hdr [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(payload)))
-	if _, err := s.w.Write(hdr[:n]); err != nil {
-		return err
-	}
-	_, err := s.w.Write(payload)
-	return err
 }
 
 // Journal persists a space's public mutations to a RecordSink. Attach it
@@ -143,14 +115,9 @@ type Journal struct {
 	err      error
 }
 
-// NewJournal returns a journal writing framed records to w. Entry types
+// NewJournalSink returns a journal appending records to sink. Entry types
 // that pass through the journal must be registered via RegisterType (the
 // transport layer's registrations count too).
-func NewJournal(w io.Writer) *Journal {
-	return NewJournalSink(&streamSink{w: w})
-}
-
-// NewJournalSink returns a journal appending records to sink.
 func NewJournalSink(sink RecordSink) *Journal {
 	return &Journal{sink: sink}
 }
@@ -410,40 +377,6 @@ func (st *replayState) materialize(s *Space) (int, error) {
 		s.InstallMemo(op.Tok, op.MemoOp, op.MemoKey, op.MemoKeyed, op.MemoEntries, l)
 	}
 	return restored, nil
-}
-
-// Replay reads a framed journal stream (the NewJournal format) and writes
-// the surviving entries into s (which must be empty). It returns the
-// number of live entries restored. Any framing or decode error is fatal:
-// single-file journals have no tail-truncation semantics — use
-// internal/wal for crash-torn logs.
-func Replay(r io.Reader, s *Space) (int, error) {
-	st := newReplayState()
-	br := bufio.NewReader(r)
-	for {
-		n, err := binary.ReadUvarint(br)
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			return 0, fmt.Errorf("tuplespace: replay: %w", err)
-		}
-		if n > maxJournalRecord {
-			return 0, fmt.Errorf("tuplespace: replay: record length %d exceeds limit", n)
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return 0, fmt.Errorf("tuplespace: replay: %w", err)
-		}
-		op, err := decodeOp(payload)
-		if err != nil {
-			return 0, fmt.Errorf("tuplespace: replay: %w", err)
-		}
-		if err := st.apply(op); err != nil {
-			return 0, fmt.Errorf("tuplespace: replay: %w", err)
-		}
-	}
-	return st.materialize(s)
 }
 
 // ReplayRecords replays already-framed records — a WAL snapshot followed

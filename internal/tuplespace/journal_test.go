@@ -1,7 +1,6 @@
 package tuplespace
 
 import (
-	"bytes"
 	"encoding/gob"
 	"testing"
 	"time"
@@ -15,21 +14,21 @@ func init() {
 	gob.Register(task{})
 }
 
-func newJournaledSpace(t *testing.T) (*Space, *Journal, *bytes.Buffer) {
+func newJournaledSpace(t *testing.T) (*Space, *Journal, *captureSink) {
 	t.Helper()
-	var buf bytes.Buffer
+	buf := &captureSink{}
 	s := newRealSpace()
-	j := NewJournal(&buf)
+	j := NewJournalSink(buf)
 	if err := s.AttachJournal(j); err != nil {
 		t.Fatal(err)
 	}
-	return s, j, &buf
+	return s, j, buf
 }
 
-func replayInto(t *testing.T, buf *bytes.Buffer) (*Space, int) {
+func replayInto(t *testing.T, buf *captureSink) (*Space, int) {
 	t.Helper()
 	s2 := newRealSpace()
-	n, err := Replay(bytes.NewReader(buf.Bytes()), s2)
+	n, err := ReplayRecords(buf.recs, s2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,10 +65,10 @@ func TestJournalReplayRestoresLiveEntries(t *testing.T) {
 }
 
 func TestJournalOnlyCommittedEffects(t *testing.T) {
-	var buf bytes.Buffer
+	var buf captureSink
 	clk := vclock.NewReal()
 	s := New(clk)
-	if err := s.AttachJournal(NewJournal(&buf)); err != nil {
+	if err := s.AttachJournal(NewJournalSink(&buf)); err != nil {
 		t.Fatal(err)
 	}
 	m := txn.NewManager(clk)
@@ -132,10 +131,10 @@ func TestJournalLeaseCancelDurable(t *testing.T) {
 }
 
 func TestJournalReplayRespectsLeaseExpiry(t *testing.T) {
-	var buf bytes.Buffer
+	var buf captureSink
 	clk := vclock.NewVirtual(time.Unix(0, 0))
 	s := New(clk)
-	if err := s.AttachJournal(NewJournal(&buf)); err != nil {
+	if err := s.AttachJournal(NewJournalSink(&buf)); err != nil {
 		t.Fatal(err)
 	}
 	clk.Run(func() {
@@ -148,7 +147,7 @@ func TestJournalReplayRespectsLeaseExpiry(t *testing.T) {
 		// "Restart" after the short lease expired.
 		clk.Sleep(time.Second)
 		s2 := New(clk)
-		n, err := Replay(bytes.NewReader(buf.Bytes()), s2)
+		n, err := ReplayRecords(buf.recs, s2)
 		if err != nil {
 			t.Error(err)
 		}
@@ -163,7 +162,8 @@ func TestJournalReplayRespectsLeaseExpiry(t *testing.T) {
 
 // TestJournalCompactionRoundTrip: replaying an old journal into a space
 // that already has a fresh journal attached produces a compacted journal
-// holding exactly the live entries — the restart pattern cmd/master uses.
+// holding exactly the live entries — the restart pattern the durable
+// space's recovery snapshot uses.
 func TestJournalCompactionRoundTrip(t *testing.T) {
 	s1, _, old := newJournaledSpace(t)
 	for i := 0; i < 6; i++ {
@@ -175,12 +175,12 @@ func TestJournalCompactionRoundTrip(t *testing.T) {
 		}
 	}
 	// Restart: fresh space with a fresh journal, replay the old log.
-	var fresh bytes.Buffer
+	var fresh captureSink
 	s2 := newRealSpace()
-	if err := s2.AttachJournal(NewJournal(&fresh)); err != nil {
+	if err := s2.AttachJournal(NewJournalSink(&fresh)); err != nil {
 		t.Fatal(err)
 	}
-	n, err := Replay(bytes.NewReader(old.Bytes()), s2)
+	n, err := ReplayRecords(old.recs, s2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,14 +200,14 @@ func TestJournalCompactionRoundTrip(t *testing.T) {
 func TestAttachJournalToNonEmptySpaceFails(t *testing.T) {
 	s := newRealSpace()
 	mustWrite(t, s, task{Job: "x"})
-	if err := s.AttachJournal(NewJournal(&bytes.Buffer{})); err == nil {
+	if err := s.AttachJournal(NewJournalSink(&captureSink{})); err == nil {
 		t.Fatal("attached to non-empty space")
 	}
 }
 
 func TestReplayRejectsGarbage(t *testing.T) {
 	s := newRealSpace()
-	if _, err := Replay(bytes.NewReader([]byte("not a journal")), s); err == nil {
+	if _, err := ReplayRecords([][]byte{[]byte("not a journal")}, s); err == nil {
 		t.Fatal("garbage journal accepted")
 	}
 }

@@ -404,9 +404,16 @@ func (s *Space) TakeTok(tmpl Entry, t *txn.Txn, timeout time.Duration, tok OpTok
 	return s.lookupTok(opTake, tmpl, t, timeout, true, tok)
 }
 
-// TakeIfExistsTok is TakeIfExists with an idempotency token.
-func (s *Space) TakeIfExistsTok(tmpl Entry, t *txn.Txn, tok OpToken) (Entry, error) {
-	return s.lookupTok(opTake, tmpl, t, 0, false, tok)
+// Lookup is the single-entry lookup behind Read, Take and their IfExists
+// variants, for callers that dispatch on the operation rather than call a
+// typed method: take selects removal, block selects waiting up to timeout,
+// and tok (takes only) makes a retry return the originally taken entry.
+func (s *Space) Lookup(take, block bool, tmpl Entry, t *txn.Txn, timeout time.Duration, tok OpToken) (Entry, error) {
+	kind := opRead
+	if take {
+		kind = opTake
+	}
+	return s.lookupTok(kind, tmpl, t, timeout, block, tok)
 }
 
 // TakeAllTok is TakeAll with an idempotency token: a retry returns the

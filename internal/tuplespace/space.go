@@ -725,6 +725,16 @@ func (l *EntryLease) Renew(ttl time.Duration) error {
 	return nil
 }
 
+// Gone reports whether the lease can no longer be renewed: its entry was
+// taken, cancelled or has expired. Holders of long-lived lease tables use
+// it to drop dead handles (and the stored value they pin).
+func (l *EntryLease) Gone() bool {
+	l.space.mu.Lock()
+	defer l.space.mu.Unlock()
+	se := l.entry
+	return se.removed || (!se.expiry.IsZero() && l.space.clock.Now().After(se.expiry))
+}
+
 // Cancel removes the entry immediately.
 func (l *EntryLease) Cancel() error {
 	l.space.mu.Lock()

@@ -23,6 +23,14 @@
 // itself and re-registers under the shard's ring position at a higher
 // epoch. See internal/replica for the protocol.
 //
+// With -autoshard a load-driven rebalancer splits hot shards into fresh
+// listeners and merges cold split-born ones back at runtime; workers follow
+// the published ring topology without restarting. See internal/rebalance.
+//
+// The shards themselves — listeners, WALs, standbys, lookup leases,
+// failover, resharding, /healthz — are internal/shardhost's; this binary is
+// flags, the job, the code server and the master module over it.
+//
 // Usage:
 //
 //	master -addr 127.0.0.1:7002 -lookup 127.0.0.1:7001 -job montecarlo -shards 4 -spread
@@ -34,9 +42,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
-	"path/filepath"
-	"strconv"
 	"time"
 
 	"gospaces/internal/apps/montecarlo"
@@ -47,45 +52,60 @@ import (
 	"gospaces/internal/metrics"
 	"gospaces/internal/nodeconfig"
 	"gospaces/internal/obs"
-	"gospaces/internal/rebalance"
 	"gospaces/internal/replica"
-	"gospaces/internal/shard"
+	"gospaces/internal/shardhost"
 	"gospaces/internal/snmp"
-	"gospaces/internal/space"
 	"gospaces/internal/transport"
-	"gospaces/internal/tuplespace"
 	"gospaces/internal/vclock"
 	"gospaces/internal/wal"
 )
 
+// config is the parsed command line.
+type config struct {
+	addr, lookup, job string
+	resultTimeout     time.Duration
+	sims              int
+	spread            bool
+	obsAddr           string
+
+	dataDir, fsync  string
+	shards          int
+	replicas        int
+	replack         string
+	failoverTimeout time.Duration
+	exactlyOnce     bool
+	maxInflight     int
+	retryBudget     int
+
+	autoshard                      bool
+	splitThreshold, mergeThreshold float64
+	reshardInterval                time.Duration
+}
+
 func main() {
-	addr := flag.String("addr", "127.0.0.1:7002", "listen address for the space/code services")
-	lookupAddr := flag.String("lookup", "127.0.0.1:7001", "lookup service address")
-	jobName := flag.String("job", "montecarlo", "application to run: montecarlo, raytrace, pagerank")
-	timeout := flag.Duration("result-timeout", 10*time.Minute, "per-result collection timeout")
-	datadir := flag.String("datadir", "", "directory for durable shards (segmented WAL + snapshots, one subdirectory per shard); restarting with the same -datadir recovers the previous contents")
-	fsync := flag.String("fsync", "always", "WAL sync policy with -datadir: always, interval, or never")
-	sims := flag.Int("sims", 0, "override the option-pricing simulation count (montecarlo only; 0 = paper's 10000)")
-	shards := flag.Int("shards", 1, "number of space shard servers to host")
-	spread := flag.Bool("spread", false, "key each montecarlo task individually so the bag spreads across shards")
-	obsAddr := flag.String("obs", "", "serve the live ops surface (Prometheus /metrics, /debug/pprof, /tracez) on this address, e.g. :6060")
-	replicas := flag.Int("replicas", 0, "hot standbys per hosted shard (0 or 1); 1 enables primary/backup replication with automatic failover")
-	replack := flag.String("replack", "sync", "replication acknowledgement mode: sync (ack after the standby confirms) or async")
-	failoverTimeout := flag.Duration("failover-timeout", 2*time.Second, "heartbeat/lease silence after which a standby promotes itself")
-	autoshard := flag.Bool("autoshard", false, "let a load-driven rebalancer split hot shards and merge cold split-born ones at runtime (requires -replicas 0)")
-	splitThreshold := flag.Float64("split-threshold", 500, "with -autoshard: smoothed ops/sec above which a shard splits")
-	mergeThreshold := flag.Float64("merge-threshold", 10, "with -autoshard: smoothed ops/sec below which a split-born shard merges back")
-	reshardInterval := flag.Duration("reshard-interval", 5*time.Second, "with -autoshard: rebalancer sampling interval")
-	exactlyOnce := flag.Bool("exactly-once", false, "deduplicate retried mutations server-side: clients mint idempotency tokens, shards memoize tokened outcomes, and ambiguous op timeouts are retried instead of surfaced")
-	maxInflight := flag.Int("max-inflight", 0, "per-shard admission bound: ops admitted but unfinished beyond this fast-fail with 'overloaded' instead of queueing; also arms the brownout controller that sheds low-priority ops under sustained saturation (0 = unlimited)")
-	retryBudget := flag.Int("retry-budget", 0, "token-bucket cap on the master router's total retry volume, refilled by successes; an empty bucket surfaces the last error instead of retrying (0 = unlimited)")
+	var c config
+	flag.StringVar(&c.addr, "addr", "127.0.0.1:7002", "listen address for the space/code services")
+	flag.StringVar(&c.lookup, "lookup", "127.0.0.1:7001", "lookup service address")
+	flag.StringVar(&c.job, "job", "montecarlo", "application to run: montecarlo, raytrace, pagerank")
+	flag.DurationVar(&c.resultTimeout, "result-timeout", 10*time.Minute, "per-result collection timeout")
+	flag.StringVar(&c.dataDir, "datadir", "", "directory for durable shards (segmented WAL + snapshots, one subdirectory per shard); restarting with the same -datadir recovers the previous contents")
+	flag.StringVar(&c.fsync, "fsync", "always", "WAL sync policy with -datadir: always, interval, or never")
+	flag.IntVar(&c.sims, "sims", 0, "override the option-pricing simulation count (montecarlo only; 0 = paper's 10000)")
+	flag.IntVar(&c.shards, "shards", 1, "number of space shard servers to host")
+	flag.BoolVar(&c.spread, "spread", false, "key each montecarlo task individually so the bag spreads across shards")
+	flag.StringVar(&c.obsAddr, "obs", "", "serve the live ops surface (Prometheus /metrics, /debug/pprof, /tracez) on this address, e.g. :6060")
+	flag.IntVar(&c.replicas, "replicas", 0, "hot standbys per hosted shard (0 or 1); 1 enables primary/backup replication with automatic failover")
+	flag.StringVar(&c.replack, "replack", "sync", "replication acknowledgement mode: sync (ack after the standby confirms) or async")
+	flag.DurationVar(&c.failoverTimeout, "failover-timeout", 2*time.Second, "heartbeat/lease silence after which a standby promotes itself")
+	flag.BoolVar(&c.autoshard, "autoshard", false, "let a load-driven rebalancer split hot shards and merge cold split-born ones at runtime")
+	flag.Float64Var(&c.splitThreshold, "split-threshold", 500, "with -autoshard: smoothed ops/sec above which a shard splits")
+	flag.Float64Var(&c.mergeThreshold, "merge-threshold", 10, "with -autoshard: smoothed ops/sec below which a split-born shard merges back")
+	flag.DurationVar(&c.reshardInterval, "reshard-interval", 5*time.Second, "with -autoshard: rebalancer sampling interval")
+	flag.BoolVar(&c.exactlyOnce, "exactly-once", false, "deduplicate retried mutations server-side: clients mint idempotency tokens, shards memoize tokened outcomes, and ambiguous op timeouts are retried instead of surfaced")
+	flag.IntVar(&c.maxInflight, "max-inflight", 0, "per-shard admission bound: ops admitted but unfinished beyond this fast-fail with 'overloaded' instead of queueing; also arms the brownout controller that sheds low-priority ops under sustained saturation (0 = unlimited)")
+	flag.IntVar(&c.retryBudget, "retry-budget", 0, "token-bucket cap on the master router's total retry volume, refilled by successes; an empty bucket surfaces the last error instead of retrying (0 = unlimited)")
 	flag.Parse()
-	ecfg := elasticFlags{
-		on: *autoshard, splitThreshold: *splitThreshold,
-		mergeThreshold: *mergeThreshold, interval: *reshardInterval,
-	}
-	ocfg := overloadFlags{maxInflight: *maxInflight, retryBudget: *retryBudget}
-	if err := run(*addr, *lookupAddr, *jobName, *timeout, *datadir, *fsync, *sims, *shards, *spread, *obsAddr, *replicas, *replack, *failoverTimeout, ecfg, *exactlyOnce, ocfg); err != nil {
+	if err := run(c); err != nil {
 		log.Fatalf("master: %v", err)
 	}
 }
@@ -128,328 +148,120 @@ func buildJob(name string, sims int, spread bool) (master.Job, func(), error) {
 	}
 }
 
-// elasticFlags carries the -autoshard flag group into run.
-type elasticFlags struct {
-	on                             bool
-	splitThreshold, mergeThreshold float64
-	interval                       time.Duration
+// spec turns the shard flags into the host's validated description.
+func (c config) spec() (shardhost.Spec, error) {
+	fsync, err := wal.ParseFsyncPolicy(c.fsync)
+	if err != nil {
+		return shardhost.Spec{}, fmt.Errorf("bad -fsync: %w", err)
+	}
+	ack, err := replica.ParseAckMode(c.replack)
+	if err != nil {
+		return shardhost.Spec{}, fmt.Errorf("bad -replack: %w", err)
+	}
+	// Workers read the job and the task keying off the registrations.
+	attrs := map[string]string{"job": c.job}
+	if c.spread {
+		attrs["spread"] = "1"
+	}
+	spec := shardhost.Spec{
+		Shards:          c.shards,
+		DataDir:         c.dataDir,
+		FsyncPolicy:     fsync,
+		Replicas:        c.replicas,
+		ReplAck:         ack,
+		FailoverTimeout: c.failoverTimeout,
+		MaxInflight:     c.maxInflight,
+		RetryBudget:     c.retryBudget,
+		ExactlyOnce:     c.exactlyOnce,
+		AutoShard:       c.autoshard,
+		SplitThreshold:  c.splitThreshold,
+		MergeThreshold:  c.mergeThreshold,
+		ReshardInterval: c.reshardInterval,
+		Attrs:           attrs,
+		// A dead master's registrations age out of the lookup service.
+		LeaseTTL: time.Minute,
+	}
+	return spec, spec.Validate()
 }
 
-// overloadFlags carries the overload-protection flag group into run.
-type overloadFlags struct {
-	maxInflight, retryBudget int
-}
-
-func run(addr, lookupAddr, jobName string, resultTimeout time.Duration, dataDir, fsync string, sims, numShards int, spread bool, obsAddr string, replicas int, replack string, failoverTimeout time.Duration, ecfg elasticFlags, exactlyOnce bool, ocfg overloadFlags) error {
+func run(c config) error {
 	clk := vclock.NewReal()
-	job, report, err := buildJob(jobName, sims, spread)
+	job, report, err := buildJob(c.job, c.sims, c.spread)
 	if err != nil {
 		return err
 	}
-	if replicas < 0 || replicas > 1 {
-		return fmt.Errorf("-replicas must be 0 or 1, got %d", replicas)
-	}
-	if ecfg.on && replicas > 0 {
-		return fmt.Errorf("-autoshard requires -replicas 0 in the TCP master (the in-process framework supports the replicated variant)")
-	}
-	ackMode, err := replica.ParseAckMode(replack)
+	spec, err := c.spec()
 	if err != nil {
-		return fmt.Errorf("bad -replack: %w", err)
+		return err
 	}
 	// The ops surface is opt-in; a nil *obs.Obs makes every instrumentation
 	// call below a no-op.
-	var o *obs.Obs
-	if obsAddr != "" {
-		o = obs.New(time.Now().UnixNano())
-		closer, url, err := obs.Serve(obsAddr, o)
+	if c.obsAddr != "" {
+		spec.Obs = obs.New(time.Now().UnixNano())
+		closer, url, err := obs.Serve(c.obsAddr, spec.Obs)
 		if err != nil {
 			return fmt.Errorf("ops endpoint: %w", err)
 		}
 		defer closer.Close()
 		log.Printf("master: ops surface at %s (/metrics, /debug/pprof, /tracez)", url)
 	}
-	if numShards < 1 {
-		numShards = 1
-	}
-	fsyncPolicy, err := wal.ParseFsyncPolicy(fsync)
-	if err != nil {
-		return fmt.Errorf("bad -fsync: %w", err)
-	}
-	host, _, err := net.SplitHostPort(addr)
-	if err != nil {
-		return fmt.Errorf("bad -addr %q: %w", addr, err)
-	}
+	o := spec.Obs
 
-	// Host the space services — shard 0 shares its server with the code
-	// server. -datadir selects the durable (Outrigger persistent) mode:
-	// each shard recovers its WAL + snapshot before serving.
-	cs := nodeconfig.NewCodeServer()
-	cs.Publish(job.Bundle())
-	var (
-		hosted    []shard.Shard
-		sweeper   shard.MultiSweeper
-		infos     = make([]space.RecoveryInfo, numShards)
-		durables  = make([]*space.Durable, numShards)
-		pairs     []*replicaPair
-		shard0Srv *transport.Server
-		locals    []*space.Local
-		taps      []*rebalance.Tap
-		services  []*space.Service
-	)
-	if replicas > 0 {
-		pairs = make([]*replicaPair, numShards)
-	}
-	rcfg := replicaConfig{
-		host: host, dataDir: dataDir, fsync: fsyncPolicy,
-		ft: failoverTimeout, ack: ackMode, jobName: jobName, shards: numShards,
-		eo: exactlyOnce,
-	}
-	for i := 0; i < numShards; i++ {
-		// With replication on, the shard's journal records tee into a
-		// switchable sink that the primary controller drains to its standby.
-		var psw *replica.SwitchSink
-		if replicas > 0 {
-			psw = replica.NewSwitchSink()
-		}
-		// With -autoshard every shard's journal records tee into a
-		// rebalance.Tap so a later split can snapshot-fork it live.
-		var tap *rebalance.Tap
-		if ecfg.on {
-			tap = rebalance.NewTap(nil)
-		}
-		var local *space.Local
-		switch {
-		case dataDir != "":
-			dopts := space.DurableOptions{
-				Dir:        filepath.Join(dataDir, fmt.Sprintf("shard%d", i)),
-				Fsync:      fsyncPolicy,
-				Counters:   o.Ctr(),
-				AppendHist: o.Reg().Histogram(metrics.HistWALAppend),
-				SyncHist:   o.Reg().Histogram(metrics.HistWALFsync),
-			}
-			if o != nil {
-				// The listener (and so the ring ID) doesn't exist yet, so
-				// WAL events carry the stable per-process shard label.
-				node := fmt.Sprintf("shard%d", i)
-				dopts.OnWALEvent = func(kind, detail string) {
-					k := obs.EventWALRotate
-					if kind == "snapshot" {
-						k = obs.EventWALSnapshot
-					}
-					o.Fl().Record(clk, obs.FlightEvent{Node: node, Kind: k, Shard: node, Detail: detail})
-				}
-			}
-			if psw != nil {
-				dopts.Tee = psw
-			} else if tap != nil {
-				dopts.Tee = tap
-			}
-			var d *space.Durable
-			local, d, err = space.NewLocalDurable(clk, dopts)
-			if err != nil {
-				return fmt.Errorf("durable shard %d: %w", i, err)
-			}
-			defer d.Close()
-			durables[i] = d
-			infos[i] = d.Info()
-			log.Printf("master: shard %d recovered %d entries in %v (%d snapshot + %d tail records)",
-				i, infos[i].Restored, infos[i].Elapsed.Round(time.Millisecond),
-				infos[i].SnapshotRecords, infos[i].TailRecords)
-		default:
-			local = space.NewLocal(clk)
-			if psw != nil {
-				if err := local.TS.AttachJournal(tuplespace.NewJournalSink(psw)); err != nil {
-					return fmt.Errorf("journal for shard %d: %w", i, err)
-				}
-			} else if tap != nil {
-				if err := local.TS.AttachJournal(tuplespace.NewJournalSink(tap)); err != nil {
-					return fmt.Errorf("journal for shard %d: %w", i, err)
-				}
-			}
-		}
-		if exactlyOnce {
-			local.TS.SetMemoCounters(o.Ctr())
-		}
-		srv := transport.NewServer()
-		svc := space.NewService(local, srv)
-		// Arm admission: the propagated-deadline check always (a worker's
-		// -optimeout rides each RPC frame, so queued work the client gave up
-		// on is dropped, not executed), the inflight bound when configured.
-		acfg := space.AdmissionConfig{Clock: clk, MaxInflight: ocfg.maxInflight, Counters: o.Ctr()}
-		if o != nil {
-			shardLabel := fmt.Sprintf("shard%d", i)
-			acfg.FlightSink = func(detail string) {
-				o.Fl().Record(clk, obs.FlightEvent{Node: shardLabel, Kind: obs.EventBrownout, Shard: shardLabel, Detail: detail})
-			}
-		}
-		svc.Admission().Configure(acfg)
-		services = append(services, svc)
-		handle := space.Space(local)
-		if replicas > 0 {
-			// Built directly after NewService so the replication middleware
-			// sits innermost — sync-mode mutations confirm the standby's
-			// apply before the obs layer sees the reply.
-			rp, err := newReplicaPair(i, clk, o, local, srv, psw, rcfg)
-			if err != nil {
-				return err
-			}
-			pairs[i] = rp
-			defer rp.stop()
-			handle = rp.primaryHandle(local)
-			sweeper = append(sweeper, rp.blocal.Mgr)
-		}
-		if reg := o.Reg(); reg != nil {
-			srv.WrapPrefix("space.", obs.ServerMiddleware(clk, reg.Histogram(metrics.HistShardServe(i))))
-		}
-		la := addr
-		if i == 0 {
-			cs.Bind(srv)
-			shard0Srv = srv
-		} else {
-			la = net.JoinHostPort(host, "0")
-		}
-		l, err := transport.ListenTCP(la, srv)
-		if err != nil {
-			return err
-		}
-		defer l.Close()
-		sh := shard.Shard{ID: l.Addr(), Space: handle}
-		if replicas > 0 {
-			pairs[i].ringID = l.Addr()
-			sh.Epoch = 1
-		}
-		if o != nil {
-			ringID := l.Addr()
-			local.TS.SetFlightSink(func(kind, detail string) {
-				o.Fl().Record(clk, obs.FlightEvent{Node: ringID, Shard: ringID, Kind: obs.EventDedupHit, Detail: detail})
-			})
-		}
-		hosted = append(hosted, sh)
-		locals = append(locals, local)
-		taps = append(taps, tap)
-		sweeper = append(sweeper, local.Mgr)
-		log.Printf("master: space shard %d/%d on %s", i, numShards, l.Addr())
-		if replicas > 0 {
-			log.Printf("master: shard %d standby on %s (%s replication, failover after %v)",
-				i, pairs[i].baddr, ackMode, failoverTimeout)
-		}
-	}
-
-	// Join the lookup federation: one registration per shard, each
-	// carrying its shard index so clients rebuild the same ring.
-	lc, err := transport.DialTCP(lookupAddr)
+	// Host the space services and join the lookup federation: one
+	// registration per shard, each carrying its shard index so clients
+	// rebuild the same ring. -datadir selects the durable (Outrigger
+	// persistent) mode: each shard recovers its WAL + snapshot before serving.
+	lc, err := transport.DialTCP(c.lookup)
 	if err != nil {
 		return fmt.Errorf("dial lookup: %w", err)
 	}
 	defer lc.Close()
-	client := discovery.NewClient(lc)
-	for i, s := range hosted {
-		if pairs != nil {
-			// Replicated shards register on a short lease renewed by the
-			// primary pump (no KeepAlive: a dead primary must let it lapse),
-			// plus a standby registration under a distinct type.
-			if err := pairs[i].register(client, spread, dataDir != ""); err != nil {
-				return err
-			}
-			continue
-		}
-		attrs := map[string]string{
-			"type":           "javaspace",
-			"job":            jobName,
-			shard.AttrShard:  strconv.Itoa(i),
-			shard.AttrShards: strconv.Itoa(numShards),
-		}
-		if spread {
-			attrs["spread"] = "1"
-		}
-		if dataDir != "" {
-			// Durable shards advertise their recovery so operators (and
-			// tests) can see a service came back from its log.
-			attrs["durable"] = "1"
-			attrs["recovered-entries"] = strconv.Itoa(infos[i].Restored)
-			if infos[i].Segments > 0 || infos[i].SnapshotRecords > 0 {
-				attrs["recovered"] = "1"
-			}
-		}
-		regID, err := client.Register(discovery.ServiceItem{
-			Name:       "javaspace",
-			Address:    s.ID,
-			Attributes: attrs,
-		}, time.Minute)
-		if err != nil {
-			return fmt.Errorf("register shard %d with lookup: %w", i, err)
-		}
-		ka := discovery.NewKeepAlive(client, clk, regID, time.Minute)
-		go ka.Run()
-		defer ka.Stop()
+	background := vclock.NewGroup(clk)
+	env, err := shardhost.TCPEnv(c.addr, discovery.NewClient(lc), background.Go)
+	if err != nil {
+		return err
 	}
-	log.Printf("master: registered %d javaspace shard(s) with lookup at %s", numShards, lookupAddr)
-	for _, rp := range pairs {
-		rp.start()
+	host, err := shardhost.New(clk, env, spec)
+	if err != nil {
+		return err
+	}
+	defer background.Wait()
+	defer host.Close()
+	durables := host.Durables()
+	n := len(durables) // one entry per hosted shard, nil when not durable
+	for i, d := range durables {
+		ring, _ := host.RingID(i)
+		log.Printf("master: space shard %d/%d on %s", i, n, ring)
+		if d != nil {
+			info := d.Info()
+			log.Printf("master: shard %d recovered %d entries in %v (%d snapshot + %d tail records)",
+				i, info.Restored, info.Elapsed.Round(time.Millisecond), info.SnapshotRecords, info.TailRecords)
+		}
+		if c.replicas > 0 {
+			log.Printf("master: shard %d has a hot standby (%s replication, failover after %v)", i, spec.ReplAck, c.failoverTimeout)
+		}
+	}
+	log.Printf("master: registered %d javaspace shard(s) with lookup at %s", n, c.lookup)
+	if c.autoshard {
+		log.Printf("master: autoshard on (split above %.0f ops/s, merge below %.0f ops/s, sampled every %v)",
+			c.splitThreshold, c.mergeThreshold, c.reshardInterval)
 	}
 
-	var sp space.Space = hosted[0].Space
-	var router *shard.Router
-	if numShards > 1 || ecfg.on || exactlyOnce {
-		// Elastic mode needs a router even for one shard: splits retarget
-		// its membership at runtime. Exactly-once needs one too: the token
-		// minting and retry machinery live in the router.
-		ropts := shard.Options{Clock: clk, Seed: "master", ExactlyOnce: exactlyOnce, Obs: o}
-		if pairs != nil {
-			// On a hard shard failure the router re-resolves the ring
-			// position through the lookup service, picking the registration
-			// with the highest epoch — the promoted standby.
-			ropts.Failover = shard.Resolver(client,
-				map[string]string{"type": "javaspace", "job": jobName},
-				func(a string) (space.Space, error) { return space.Dial(a) })
-			ropts.Counters = o.Ctr()
-		}
-		if ropts.Counters == nil && exactlyOnce {
-			ropts.Counters = o.Ctr()
-		}
-		if ocfg.retryBudget > 0 {
-			ropts.Budget = shard.NewRetryBudget(ocfg.retryBudget, 0)
-			if ropts.Counters == nil {
-				ropts.Counters = o.Ctr()
-			}
-		}
-		router, err = shard.New(ropts, hosted)
-		if err != nil {
-			return err
-		}
-		sp = router
-	}
-	if o != nil {
-		setHealth(o, numShards, pairs, durables, locals, services, ocfg.maxInflight)
-		setFederation(o, numShards, pairs, durables, locals, hosted)
-		o.Fl().Record(clk, obs.FlightEvent{
-			Node: "master", Kind: obs.EventNodeStart,
-			Detail: fmt.Sprintf("%d shards, %d replicas", numShards, replicas),
-		})
-	}
-	var sweepFor interface{ Sweep() int } = sweeper
-	var eh *elasticHost
-	if ecfg.on {
-		ds := &dynSweeper{}
-		for _, s := range sweeper {
-			ds.add(s)
-		}
-		sweepFor = ds
-		eh, err = startElastic(clk, o, client, router, ds, host, jobName, dataDir, fsyncPolicy,
-			spread, hosted, locals, taps, ecfg.splitThreshold, ecfg.mergeThreshold, ecfg.interval)
-		if err != nil {
-			return err
-		}
-		defer eh.stop()
-		log.Printf("master: autoshard on (split above %.0f ops/s, merge below %.0f ops/s, sampled every %v)",
-			ecfg.splitThreshold, ecfg.mergeThreshold, ecfg.interval)
-	}
-	sp = obs.InstrumentSpace(sp, clk, o.Reg(), metrics.HistSpacePrefix)
+	// The code server shares shard 0's listener (the master's address).
+	cs := nodeconfig.NewCodeServer()
+	cs.Publish(job.Bundle())
+	cs.Bind(host.Server(0))
+	host.Flight("master", obs.FlightEvent{
+		Kind:   obs.EventNodeStart,
+		Detail: fmt.Sprintf("%d shards, %d replicas", n, c.replicas),
+	})
+	host.Start()
+
 	m := master.New(master.Config{
 		Clock:         clk,
-		Space:         sp,
-		ResultTimeout: resultTimeout,
-		Sweeper:       sweepFor,
+		Space:         host.Space(),
+		ResultTimeout: c.resultTimeout,
+		Sweeper:       host.Sweeper(),
 		SweepInterval: 30 * time.Second,
 		Obs:           o,
 	})
@@ -458,23 +270,22 @@ func run(addr, lookupAddr, jobName string, resultTimeout time.Duration, dataDir,
 		reg.RegisterGauge(metrics.GaugeTasksInFlight, m.InFlight)
 		reg.RegisterGauge(metrics.GaugeTasksPlanned, m.TasksPlanned)
 		reg.RegisterGauge(metrics.GaugeResultsCollected, m.ResultsCollected)
-		for i := 0; i < numShards; i++ {
-			h := reg.Histogram(metrics.HistShardServe(i))
-			reg.RegisterGauge(metrics.GaugeShardOps(i), func() int64 { return int64(h.Count()) })
-		}
 		// The framework MIB answers SNMP GETs on shard 0's server — the
 		// same numbers /metrics reports, over the management substrate.
 		mib := snmp.NewMIB()
-		obs.ExportMIB(mib, o, numShards)
-		snmp.NewAgent("public", mib).Bind(shard0Srv)
+		obs.ExportMIB(mib, o, n)
+		snmp.NewAgent("public", mib).Bind(host.Server(0))
 	}
-	log.Printf("master: running job %q", jobName)
+	log.Printf("master: running job %q", c.job)
 	rm, err := m.RunJob(job)
 	if err != nil {
 		return err
 	}
 	log.Printf("master: done — tasks=%d shards=%d planning=%v aggregation=%v parallel=%v",
 		rm.Tasks, rm.Shards, rm.TaskPlanningTime, rm.TaskAggregationTime, rm.ParallelTime)
+	if err := host.Err(); err != nil {
+		log.Printf("master: last background shard-host error: %v", err)
+	}
 	report()
 	if o != nil {
 		fmt.Print(metrics.SummaryTable("Observability — per-stage latency", o.Registry.Summary()))

@@ -41,36 +41,51 @@ import (
 	"gospaces/internal/apps/raytrace"
 )
 
+// config is the parsed command line.
+type config struct {
+	name, lookup, job  string
+	sigAddr, snmpAddr  string
+	speed              float64
+	autostart          bool
+	loadsim1, loadsim2 bool
+	obsAddr            string
+	opTimeout          time.Duration
+	exactlyOnce        bool
+	retryBudget        int
+}
+
 func main() {
-	name := flag.String("name", "node01", "worker node name")
-	lookupAddr := flag.String("lookup", "127.0.0.1:7001", "lookup service address")
-	jobName := flag.String("job", "montecarlo", "program bundle to execute")
-	sigAddr := flag.String("signal", "127.0.0.1:0", "TCP listen address for the signal endpoint")
-	snmpAddr := flag.String("snmp", "127.0.0.1:0", "UDP listen address for the SNMP agent")
-	speed := flag.Float64("speed", 1.0, "relative node speed (1.0 = 800 MHz reference)")
-	autostart := flag.Bool("autostart", false, "start without waiting for a rule-base Start signal")
-	sim1 := flag.Bool("loadsim1", false, "run load simulator 1 (30-50% CPU)")
-	sim2 := flag.Bool("loadsim2", false, "run load simulator 2 (100% CPU)")
-	obsAddr := flag.String("obs", "", "serve the live ops surface (Prometheus /metrics, /debug/pprof, /tracez) on this address, e.g. :6061")
-	opTimeout := flag.Duration("optimeout", 0, "per-operation deadline on space RPCs (0 = unbounded); timed-out calls fail with space.ErrOpTimeout and, against a dead shard, trigger failover resolution")
-	exactlyOnce := flag.Bool("exactly-once", false, "mint an idempotency token per mutation and retry ambiguous op timeouts with it; the master must run with -exactly-once too so shards memoize tokened outcomes")
-	retryBudget := flag.Int("retry-budget", 0, "token-bucket cap on this worker's total retry volume, refilled by successes; an empty bucket surfaces the last error instead of retrying (0 = unlimited)")
+	var c config
+	flag.StringVar(&c.name, "name", "node01", "worker node name")
+	flag.StringVar(&c.lookup, "lookup", "127.0.0.1:7001", "lookup service address")
+	flag.StringVar(&c.job, "job", "montecarlo", "program bundle to execute")
+	flag.StringVar(&c.sigAddr, "signal", "127.0.0.1:0", "TCP listen address for the signal endpoint")
+	flag.StringVar(&c.snmpAddr, "snmp", "127.0.0.1:0", "UDP listen address for the SNMP agent")
+	flag.Float64Var(&c.speed, "speed", 1.0, "relative node speed (1.0 = 800 MHz reference)")
+	flag.BoolVar(&c.autostart, "autostart", false, "start without waiting for a rule-base Start signal")
+	flag.BoolVar(&c.loadsim1, "loadsim1", false, "run load simulator 1 (30-50% CPU)")
+	flag.BoolVar(&c.loadsim2, "loadsim2", false, "run load simulator 2 (100% CPU)")
+	flag.StringVar(&c.obsAddr, "obs", "", "serve the live ops surface (Prometheus /metrics, /debug/pprof, /tracez) on this address, e.g. :6061")
+	flag.DurationVar(&c.opTimeout, "optimeout", 0, "per-operation deadline on space RPCs (0 = unbounded); timed-out calls fail with space.ErrOpTimeout and, against a dead shard, trigger failover resolution")
+	flag.BoolVar(&c.exactlyOnce, "exactly-once", false, "mint an idempotency token per mutation and retry ambiguous op timeouts with it; the master must run with -exactly-once too so shards memoize tokened outcomes")
+	flag.IntVar(&c.retryBudget, "retry-budget", 0, "token-bucket cap on this worker's total retry volume, refilled by successes; an empty bucket surfaces the last error instead of retrying (0 = unlimited)")
 	flag.Parse()
-	if err := run(*name, *lookupAddr, *jobName, *sigAddr, *snmpAddr, *speed, *autostart, *sim1, *sim2, *obsAddr, *opTimeout, *exactlyOnce, *retryBudget); err != nil {
+	if err := run(c); err != nil {
 		log.Fatalf("worker: %v", err)
 	}
 }
 
-func run(name, lookupAddr, jobName, sigAddr, snmpAddr string, speed float64, autostart, sim1, sim2 bool, obsAddr string, opTimeout time.Duration, exactlyOnce bool, retryBudget int) error {
+func run(c config) error {
+	name, jobName, opTimeout := c.name, c.job, c.opTimeout
 	tmpl, err := taskTemplate(jobName, false)
 	if err != nil {
 		return err
 	}
 	clk := vclock.NewReal()
 	var o *obs.Obs
-	if obsAddr != "" {
+	if c.obsAddr != "" {
 		o = obs.New(time.Now().UnixNano())
-		closer, url, err := obs.Serve(obsAddr, o)
+		closer, url, err := obs.Serve(c.obsAddr, o)
 		if err != nil {
 			return fmt.Errorf("ops endpoint: %w", err)
 		}
@@ -78,11 +93,11 @@ func run(name, lookupAddr, jobName, sigAddr, snmpAddr string, speed float64, aut
 		log.Printf("worker %s: ops surface at %s (/metrics, /debug/pprof, /tracez)", name, url)
 		o.Fl().Record(clk, obs.FlightEvent{Node: name, Kind: obs.EventNodeStart, Detail: "worker"})
 	}
-	machine := sysmon.NewMachine(clk, name, speed)
-	if sim1 {
+	machine := sysmon.NewMachine(clk, name, c.speed)
+	if c.loadsim1 {
 		sysmon.NewLoadSimulator1(machine).Start()
 	}
-	if sim2 {
+	if c.loadsim2 {
 		sysmon.NewLoadSimulator2(machine).Start()
 	}
 
@@ -90,7 +105,7 @@ func run(name, lookupAddr, jobName, sigAddr, snmpAddr string, speed float64, aut
 	// registration is the classic deployment; a sharded master registers
 	// every shard with its index, and the worker waits for the full set
 	// and routes through the same consistent-hash ring.
-	lc, err := transport.DialTCP(lookupAddr)
+	lc, err := transport.DialTCP(c.lookup)
 	if err != nil {
 		return err
 	}
@@ -140,27 +155,20 @@ func run(name, lookupAddr, jobName, sigAddr, snmpAddr string, speed float64, aut
 	// promoted standby through the lookup service and retry.
 	replicated := item.Attributes[shard.AttrEpoch] != ""
 	var sp space.Space
-	if len(shards) == 1 && !replicated && !exactlyOnce {
+	if len(shards) == 1 && !replicated && !c.exactlyOnce {
 		sp = shards[0].Space
 		log.Printf("worker %s: found javaspace at %s", name, shards[0].ID)
 	} else {
 		// Exactly-once also forces the router: the token minting and retry
 		// machinery live there.
-		ropts := shard.Options{Clock: clk, Seed: name, ExactlyOnce: exactlyOnce, Obs: o}
+		a := shard.Assembly{
+			Clock: clk, Seed: name, ExactlyOnce: c.exactlyOnce, Obs: o,
+			Counters: o.Ctr(), RetryBudget: c.retryBudget,
+		}
 		if replicated {
-			ropts.Failover = shard.Resolver(client, spaceTmpl, dial)
-			ropts.Counters = o.Ctr()
+			a.Failover = shard.Resolver(client, spaceTmpl, dial)
 		}
-		if ropts.Counters == nil && exactlyOnce {
-			ropts.Counters = o.Ctr()
-		}
-		if retryBudget > 0 {
-			ropts.Budget = shard.NewRetryBudget(retryBudget, 0)
-			if ropts.Counters == nil {
-				ropts.Counters = o.Ctr()
-			}
-		}
-		router, err := shard.New(ropts, shards)
+		router, err := shard.Assemble(a, shards)
 		if err != nil {
 			return err
 		}
@@ -198,7 +206,7 @@ func run(name, lookupAddr, jobName, sigAddr, snmpAddr string, speed float64, aut
 	// Signal endpoint (the SNMP-client side of the rule-base protocol).
 	sigSrv := transport.NewServer()
 	w.Bind(sigSrv)
-	sigL, err := transport.ListenTCP(sigAddr, sigSrv)
+	sigL, err := transport.ListenTCP(c.sigAddr, sigSrv)
 	if err != nil {
 		return err
 	}
@@ -213,7 +221,7 @@ func run(name, lookupAddr, jobName, sigAddr, snmpAddr string, speed float64, aut
 	mib.Register(snmp.OIDBackgroundLoad, func() snmp.Value {
 		return snmp.Integer(int64(machine.BackgroundLoad() + 0.5))
 	})
-	agent, err := snmp.ListenUDP(snmpAddr, snmp.NewAgent("public", mib))
+	agent, err := snmp.ListenUDP(c.snmpAddr, snmp.NewAgent("public", mib))
 	if err != nil {
 		return err
 	}
@@ -238,7 +246,7 @@ func run(name, lookupAddr, jobName, sigAddr, snmpAddr string, speed float64, aut
 	go ka.Run()
 	defer ka.Stop()
 
-	if autostart {
+	if c.autostart {
 		w.AutoStart()
 	}
 	go w.Run()

@@ -56,7 +56,7 @@ func conformanceStacks(t *testing.T, clk vclock.Clock) map[string]space.Space {
 		"proxy":         proxy(),
 		"router/local":  router(shard.Options{}, space.NewLocal(clk), space.NewLocal(clk)),
 		"router-eo/rpc": router(shard.Options{ExactlyOnce: true}, proxy(), proxy()),
-		"gate":          gated(space.NewLocal(clk), transport.NewServiceGate(clk, time.Microsecond)),
+		"gate":          space.Gated(space.NewLocal(clk), transport.NewServiceGate(clk, time.Microsecond)),
 		"timed":         obs.InstrumentSpace(space.NewLocal(clk), clk, metrics.NewRegistry(), metrics.HistSpacePrefix),
 		"primary":       replica.NewPrimary(primary, replica.PrimaryOptions{Clock: clk}).Wrap(primary),
 	}

@@ -18,11 +18,8 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"io"
-	"path/filepath"
-	"strconv"
 	"sync"
 	"time"
 
@@ -34,15 +31,14 @@ import (
 	"gospaces/internal/netmgmt"
 	"gospaces/internal/nodeconfig"
 	"gospaces/internal/obs"
-	"gospaces/internal/rebalance"
 	"gospaces/internal/replica"
 	"gospaces/internal/rulebase"
 	"gospaces/internal/shard"
+	"gospaces/internal/shardhost"
 	"gospaces/internal/snmp"
 	"gospaces/internal/space"
 	"gospaces/internal/sysmon"
 	"gospaces/internal/transport"
-	"gospaces/internal/tuplespace"
 	"gospaces/internal/vclock"
 	"gospaces/internal/wal"
 	"gospaces/internal/worker"
@@ -217,87 +213,36 @@ type Config struct {
 	Obs *obs.Obs
 }
 
-// Framework is an assembled deployment: cluster, lookup service, space
-// service, code server and master module.
+// Framework is an assembled deployment: cluster, lookup service, the
+// hosted shard set (internal/shardhost), code server and master module.
 type Framework struct {
 	Clock      vclock.Clock
 	Cluster    *cluster.Cluster
 	Lookup     *discovery.Registry
-	Local      *space.Local // shard 0 (the only shard when Shards == 1)
 	CodeServer *nodeconfig.CodeServer
 	Master     *master.Master
 
-	// Shards holds every hosted space shard; len(Shards) == cfg.Shards.
-	Shards []*space.Local
-	// Space is the master's operating handle: shard 0 directly for a
-	// single-shard deployment, a shard.Router otherwise (gated either way
-	// when SpaceOpCost is set).
+	// Space is the master's operating handle: shard 0 directly for the
+	// classic single in-memory shard, a shard.Router otherwise (gated
+	// either way when SpaceOpCost is set).
 	Space space.Space
-	// Durables pairs each shard with its persistence controller when
-	// Config.DataDir is set (nil entries otherwise).
-	Durables []*space.Durable
-	// Durability carries the wal:* and journal:errors counters when
-	// Config.DataDir is set.
-	Durability *metrics.Counters
-	// Repl carries the repl:* counters (records shipped, promotions,
-	// fenced requests, router failovers) when Config.Replicas is set.
-	Repl *metrics.Counters
-	// Reshard carries the reshard:* counters (splits, merges, entries
-	// migrated/evicted, aborted migrations) when Config.Elastic is set.
-	Reshard *metrics.Counters
-	// Retries carries the retry:* / dedup:* counters when
-	// Config.ExactlyOnce is set (shared with Repl when replication is also
-	// on, so one snapshot shows failovers next to the retries they caused).
-	Retries *metrics.Counters
-	// Overload carries the admit:* / shed:* counters (and, when no repl or
-	// retry counter set exists, the breaker:* and retry budget counters of
-	// the master's router) when any overload-protection knob — MaxInflight,
-	// MaxWaiters, RetryBudget, Breakers — is set.
-	Overload *metrics.Counters
+	// Counters are the hosted shards' counter families — Durability, Repl,
+	// Reshard, Retries, Overload: each is nil while the feature it counts is
+	// off, Retries is Repl when both are on, and with Config.Obs set all of
+	// them are the Obs counter set.
+	shardhost.Counters
 	// MIB is the master's management information base when Config.Obs is
 	// set: the framework gauges exported as SNMP objects, served by an
 	// agent bound on the master's server (the same substrate the network
 	// management module polls workers through).
 	MIB *snmp.MIB
 
-	cfg        Config
-	router     *shard.Router
-	shardSrvs  []*transport.Server
-	shardAddrs []string
-	gates      []*transport.ServiceGate
-	// services holds each hosted shard's serving space.Service — the
-	// admission controller owner. Promotions and restarts swap entries so
-	// healthReport always reads the serving node's vitals.
-	services []*space.Service
-	sweeps   []*swapSweeper
-	taps     []*rebalance.Tap // per seed shard, elastic only
-	repls    []*replShard
-	replMu   sync.Mutex
+	cfg  Config
+	host *shardhost.Host
+	// runGroup is the active Run's process group; background processes the
+	// host spawns (replication pumps, the rebalancer) join it.
+	runMu    sync.Mutex
 	runGroup *vclock.Group
-	sweeper  *growSweeper
-	reshard  *reshardState // elastic only (see elastic.go)
-}
-
-// swapSweeper lets the master's sweeper (captured once at master.New)
-// follow a shard restart: RestartShard swaps in the recovered shard's
-// transaction manager.
-type swapSweeper struct {
-	mu sync.Mutex
-	s  interface{ Sweep() int }
-}
-
-// Sweep implements the master's sweeper contract.
-func (w *swapSweeper) Sweep() int {
-	w.mu.Lock()
-	s := w.s
-	w.mu.Unlock()
-	return s.Sweep()
-}
-
-func (w *swapSweeper) swap(s interface{ Sweep() int }) {
-	w.mu.Lock()
-	w.s = s
-	w.mu.Unlock()
 }
 
 // Result gathers everything a run produced.
@@ -360,9 +305,6 @@ func New(clock vclock.Clock, cfg Config) *Framework {
 	if cfg.Replicas > 1 {
 		cfg.Replicas = 1
 	}
-	if cfg.FailoverTimeout <= 0 {
-		cfg.FailoverTimeout = 2 * time.Second
-	}
 	if cfg.AutoShard {
 		cfg.Elastic = true
 	}
@@ -371,9 +313,6 @@ func New(clock vclock.Clock, cfg Config) *Framework {
 	}
 	if cfg.ReshardDrain <= 0 {
 		cfg.ReshardDrain = 2 * cfg.WatchInterval
-	}
-	if cfg.ReshardInterval <= 0 {
-		cfg.ReshardInterval = time.Second
 	}
 
 	clus := cluster.New(clock, model, cfg.Workers)
@@ -395,180 +334,31 @@ func New(clock vclock.Clock, cfg Config) *Framework {
 	discovery.NewService(f.Lookup, lookupSrv)
 	clus.Net.Listen(discovery.WellKnownAddress, lookupSrv)
 
-	// The master hosts the JavaSpaces service — one server per shard —
-	// plus the code server, and joins the lookup federation. Shard 0
-	// shares the master's main server with the code server, preserving
-	// the classic single-server deployment when Shards == 1; shards
-	// i > 0 get their own listeners at "<master>.shard<i>". Each shard
-	// registers with its index so clients can rebuild the same ring.
-	if cfg.DataDir != "" {
-		f.Durability = metrics.NewCounters()
-	}
-	if cfg.Replicas > 0 {
-		f.Repl = metrics.NewCounters()
-		f.repls = make([]*replShard, cfg.Shards)
-	}
-	if cfg.Elastic {
-		f.Reshard = metrics.NewCounters()
-		f.taps = make([]*rebalance.Tap, cfg.Shards)
-	}
-	if cfg.ExactlyOnce {
-		if f.Repl != nil {
-			f.Retries = f.Repl
-		} else {
-			f.Retries = metrics.NewCounters()
+	// The master hosts the JavaSpaces service — one server per shard — and
+	// joins the lookup federation. Shard 0 listens at the master's address,
+	// shards i > 0 at "<master>.shard<i>", standbys at "<shard>.backup".
+	env := shardhost.InProcEnv(clus.Net, clus.MasterAddr, f.Lookup)
+	env.Spawn = f.spawn
+	if plan := cfg.Faults; plan != nil {
+		// WAL writes route through the fault plan under the node's disk
+		// endpoint, so chaos scripts can fail specific disk writes.
+		env.WrapWriter = func(addr string) func(io.Writer) io.Writer {
+			ep := faults.DiskEndpoint(addr)
+			return func(w io.Writer) io.Writer { return plan.WrapWriter(ep, w) }
 		}
 	}
-	if cfg.MaxInflight > 0 || cfg.MaxWaiters > 0 || cfg.RetryBudget > 0 || cfg.Breakers {
-		f.Overload = metrics.NewCounters()
+	host, err := shardhost.New(clock, env, cfg.hostSpec())
+	if err != nil {
+		// New has no error return (it predates durability); an unopenable
+		// data directory is a deployment misconfiguration.
+		panic(fmt.Sprintf("core: %v", err))
 	}
-	shards := make([]shard.Shard, cfg.Shards)
-	f.sweeper = &growSweeper{}
-	f.sweeps = make([]*swapSweeper, cfg.Shards)
-	f.shardSrvs = make([]*transport.Server, cfg.Shards)
-	f.shardAddrs = make([]string, cfg.Shards)
-	f.gates = make([]*transport.ServiceGate, cfg.Shards)
-	f.services = make([]*space.Service, cfg.Shards)
-	f.Durables = make([]*space.Durable, cfg.Shards)
-	for i := 0; i < cfg.Shards; i++ {
-		srv, addr := clus.MasterServer, clus.MasterAddr
-		if i > 0 {
-			srv = transport.NewServer()
-			addr = fmt.Sprintf("%s.shard%d", clus.MasterAddr, i)
-			clus.Net.Listen(addr, srv)
-		}
-		f.shardSrvs[i], f.shardAddrs[i] = srv, addr
-		var rs *replShard
-		var psw *replica.SwitchSink
-		if cfg.Replicas > 0 {
-			rs = &replShard{idx: i, ringID: addr}
-			f.repls[i] = rs
-			psw = replica.NewSwitchSink()
-		}
-		// The journal chain, innermost first: space journal → WAL (when
-		// durable) → migration tap (when elastic) → replication switch
-		// sink. The tap stays a pass-through until a reshard turns it on.
-		var sink tuplespace.RecordSink
-		if psw != nil {
-			sink = psw
-		}
-		var tap *rebalance.Tap
-		if cfg.Elastic {
-			tap = rebalance.NewTap(sink)
-			f.taps[i] = tap
-			sink = tap
-		}
-		var l *space.Local
-		if cfg.DataDir != "" {
-			dopts := f.durableOptions(i)
-			dopts.Tee = sink
-			var d *space.Durable
-			var err error
-			l, d, err = space.NewLocalDurable(clock, dopts)
-			if err != nil {
-				// New has no error return (it predates durability); an
-				// unopenable data directory is a deployment misconfiguration
-				// on par with the unreachable router error below.
-				panic(fmt.Sprintf("core: durable shard %d: %v", i, err))
-			}
-			f.Durables[i] = d
-		} else {
-			l = space.NewLocal(clock)
-			if sink != nil {
-				if err := l.TS.AttachJournal(tuplespace.NewJournalSink(sink)); err != nil {
-					panic(fmt.Sprintf("core: shard %d journal: %v", i, err))
-				}
-			}
-		}
-		l.TS.SetMemoCounters(f.Retries)
-		l.TS.SetFlightSink(f.memoFlightSink(addr, addr))
-		if cfg.MaxWaiters > 0 {
-			l.TS.SetMaxWaiters(cfg.MaxWaiters)
-		}
-		f.Shards = append(f.Shards, l)
-		f.sweeps[i] = &swapSweeper{s: l.Mgr}
-		f.sweeper.add(f.sweeps[i])
-		svc := space.NewService(l, srv)
-		f.services[i] = svc
-		var p *replica.Primary
-		if rs != nil {
-			// Directly after the service handlers so the replication
-			// middleware sits innermost: a mutation confirms on the backup
-			// before the gate or obs layers see the reply.
-			p = f.setupReplica(rs, l, srv, psw, tap, f.Durables[i])
-		}
-		var handle space.Space = l
-		var gate *transport.ServiceGate
-		if cfg.SpaceOpCost > 0 {
-			// Remote callers pay the gate inside the admission controller
-			// (configured below); the master pays it through the gated
-			// wrapper, so both compete for the same modeled server CPU. The
-			// code server bypasses the space handlers and stays ungated.
-			gate = transport.NewServiceGate(clock, cfg.SpaceOpCost)
-			handle = gated(l, gate)
-			f.gates[i] = gate
-		}
-		f.configureAdmission(svc, addr, gate)
-		if reg := cfg.Obs.Reg(); reg != nil {
-			// Outermost wrap (after the gate), so the shard's serve
-			// histogram sees gate queueing plus service time — what remote
-			// callers actually experience at this server.
-			srv.WrapPrefix("space.", obs.ServerMiddleware(clock, reg.Histogram(metrics.HistShardServe(i))))
-		}
-		if rs != nil {
-			handle = p.Wrap(handle)
-			rs.origHandle = handle
-			shards[i] = shard.Shard{ID: addr, Space: handle, Epoch: 1}
-		} else {
-			shards[i] = shard.Shard{ID: addr, Space: handle}
-		}
-		f.registerShard(i, f.Durables[i], false)
-	}
-	f.Local = f.Shards[0]
+	f.host = host
+	f.Space, f.Counters = host.Space(), host.Counters
+	// The code server shares shard 0's server, preserving the classic
+	// single-server deployment when Shards == 1.
+	clus.MasterServer = host.Server(0)
 	f.CodeServer.Bind(clus.MasterServer)
-
-	if cfg.Shards == 1 && cfg.DataDir == "" && cfg.Replicas == 0 && !cfg.Elastic && !cfg.ExactlyOnce {
-		f.Space = shards[0].Space
-	} else {
-		// A router even for a single durable or replicated shard:
-		// RestartShard re-admits a recovered space through Router.Replace,
-		// and a promotion retargets the ring position through
-		// Router.Retarget — both of which the master's captured handle then
-		// observes.
-		ropts := shard.Options{Clock: clock, Seed: "master", ExactlyOnce: cfg.ExactlyOnce, Obs: cfg.Obs}
-		if cfg.Replicas > 0 {
-			ropts.Counters = f.Repl
-			ropts.Failover = f.localResolver()
-		}
-		if ropts.Counters == nil {
-			ropts.Counters = f.Retries
-		}
-		if ropts.Counters == nil {
-			ropts.Counters = f.Overload
-		}
-		if cfg.RetryBudget > 0 {
-			ropts.Budget = shard.NewRetryBudget(cfg.RetryBudget, 0)
-		}
-		if cfg.Breakers {
-			ropts.Breaker = &shard.BreakerConfig{}
-		}
-		router, err := shard.New(ropts, shards)
-		if err != nil {
-			panic(err) // unreachable: shard IDs above are distinct and non-nil
-		}
-		f.router = router
-		f.Space = router
-	}
-	if cfg.Elastic {
-		// Publish the initial topology (epoch 1, default labels) so every
-		// watcher treats topology records as authoritative from the start —
-		// the legacy add-only growth path never races a reshard.
-		f.initElastic(shards)
-	}
-	// The master's operating handle records per-op latencies. The wrapper
-	// delegates to the router underneath, so RestartShard's in-place
-	// Replace stays visible through it.
-	f.Space = obs.InstrumentSpace(f.Space, clock, cfg.Obs.Reg(), metrics.HistSpacePrefix)
 
 	f.Master = master.New(master.Config{
 		Clock:         clock,
@@ -576,9 +366,8 @@ func New(clock vclock.Clock, cfg Config) *Framework {
 		Machine:       clus.MasterMachine,
 		ResultTimeout: cfg.ResultTimeout,
 		// Sweeping expired worker transactions lets tasks held by
-		// crashed workers reappear instead of stalling collection. The
-		// growable sweeper lets split-born shards join the sweep loop.
-		Sweeper:       f.sweeper,
+		// crashed workers reappear instead of stalling collection.
+		Sweeper:       host.Sweeper(),
 		SweepInterval: cfg.TxnTTL / 4,
 		DedupResults:  cfg.DedupResults,
 		Obs:           cfg.Obs,
@@ -591,20 +380,6 @@ func New(clock vclock.Clock, cfg Config) *Framework {
 		reg.RegisterGauge(metrics.GaugeTasksInFlight, f.Master.InFlight)
 		reg.RegisterGauge(metrics.GaugeTasksPlanned, f.Master.TasksPlanned)
 		reg.RegisterGauge(metrics.GaugeResultsCollected, f.Master.ResultsCollected)
-		for i := 0; i < cfg.Shards; i++ {
-			h := reg.Histogram(metrics.HistShardServe(i))
-			reg.RegisterGauge(metrics.GaugeShardOps(i), func() int64 { return int64(h.Count()) })
-		}
-		if cfg.Replicas > 0 {
-			f.replGauges(reg)
-		}
-		if f.router != nil {
-			router := f.router
-			reg.RegisterGauge(metrics.GaugeTopologyEpoch, func() int64 {
-				return int64(router.TopoEpoch())
-			})
-		}
-		cfg.Obs.SetHealth(f.healthReport)
 		// The master answers SNMP GETs for the framework subtree on its
 		// own server — the same management substrate the network
 		// management module uses towards workers, now pointing back at
@@ -613,229 +388,73 @@ func New(clock vclock.Clock, cfg Config) *Framework {
 		obs.ExportMIB(f.MIB, cfg.Obs, cfg.Shards)
 		snmp.NewAgent(clus.Community, f.MIB).Bind(clus.MasterServer)
 	}
-	if cfg.Obs != nil {
-		f.registerFederation()
-		f.flight("master", obs.FlightEvent{
-			Kind:   obs.EventNodeStart,
-			Detail: fmt.Sprintf("%d shards, %d workers", cfg.Shards, len(cfg.Workers)),
-		})
-	}
+	host.Flight("master", obs.FlightEvent{
+		Kind:   obs.EventNodeStart,
+		Detail: fmt.Sprintf("%d shards, %d workers", cfg.Shards, len(cfg.Workers)),
+	})
 	return f
 }
 
-// durableOptions builds shard i's persistence configuration. When a fault
-// plan is installed the WAL's writes route through it under the shard's
-// disk endpoint, so chaos scripts can fail specific disk writes.
-func (f *Framework) durableOptions(i int) space.DurableOptions {
-	return f.durableOptionsAt(i, f.shardAddrs[i])
+// hostSpec is the shard-host half of cfg (defaults already applied).
+func (cfg Config) hostSpec() shardhost.Spec {
+	return shardhost.Spec{
+		Shards:            cfg.Shards,
+		SpaceOpCost:       cfg.SpaceOpCost,
+		DataDir:           cfg.DataDir,
+		FsyncPolicy:       cfg.FsyncPolicy,
+		StrictDurability:  cfg.StrictDurability,
+		Replicas:          cfg.Replicas,
+		ReplAck:           cfg.ReplAck,
+		FailoverTimeout:   cfg.FailoverTimeout,
+		MaxInflight:       cfg.MaxInflight,
+		MaxWaiters:        cfg.MaxWaiters,
+		RetryBudget:       cfg.RetryBudget,
+		Breakers:          cfg.Breakers,
+		ExactlyOnce:       cfg.ExactlyOnce,
+		Elastic:           cfg.Elastic,
+		AutoShard:         cfg.AutoShard,
+		SplitThreshold:    cfg.SplitThreshold,
+		MergeThreshold:    cfg.MergeThreshold,
+		ReshardInterval:   cfg.ReshardInterval,
+		ReshardHysteresis: cfg.ReshardHysteresis,
+		ReshardCooldown:   cfg.ReshardCooldown,
+		MaxShards:         cfg.MaxShards,
+		ReshardDrain:      cfg.ReshardDrain,
+		TxnTTL:            cfg.TxnTTL,
+		Obs:               cfg.Obs,
+	}
 }
 
-// durableOptionsAt is durableOptions with the disk endpoint's address made
-// explicit — split-born shards configure durability before they appear in
-// the framework's shard tables.
-func (f *Framework) durableOptionsAt(i int, addr string) space.DurableOptions {
-	opts := space.DurableOptions{
-		Dir:      filepath.Join(f.cfg.DataDir, fmt.Sprintf("shard%d", i)),
-		Fsync:    f.cfg.FsyncPolicy,
-		Strict:   f.cfg.StrictDurability,
-		Counters: f.Durability,
-		// All shards share the append/fsync histograms: the interesting
-		// question ("how slow is my disk?") is per deployment, not per
-		// shard, and the per-shard serve histograms already split load.
-		AppendHist: f.cfg.Obs.Reg().Histogram(metrics.HistWALAppend),
-		SyncHist:   f.cfg.Obs.Reg().Histogram(metrics.HistWALFsync),
-		OnWALEvent: f.walFlightSink(addr, addr),
+// spawn runs a host background process on the active Run's clock group.
+// With no Run active the process simply does not start — sync-mode
+// replication still works (each mutation flushes inline); only background
+// heartbeats and lease renewals need the pumps, and those only matter
+// while a job runs.
+func (f *Framework) spawn(fn func()) {
+	f.runMu.Lock()
+	g := f.runGroup
+	f.runMu.Unlock()
+	if g != nil {
+		g.Go(fn)
 	}
-	if f.cfg.Faults != nil {
-		ep := faults.DiskEndpoint(addr)
-		plan := f.cfg.Faults
-		opts.WrapWriter = func(w io.Writer) io.Writer { return plan.WrapWriter(ep, w) }
-	}
-	return opts
 }
 
-// configureAdmission arms the admission controller of a shard's service:
-// the propagated-deadline check always, the inflight bound and brownout
-// controller when Config.MaxInflight is set, and the deadline-aware
-// service gate in place of the old gate middleware — AdmitBy charges the
-// same modeled CPU as Admit did, and additionally drops a queued op whose
-// service slot would end past the client's deadline. Every serving node
-// (seed shards, split children, promoted standbys, restarted shards) goes
-// through here so overload protection survives topology changes.
-func (f *Framework) configureAdmission(svc *space.Service, addr string, gate *transport.ServiceGate) {
-	svc.Admission().Configure(space.AdmissionConfig{
-		Clock:       f.Clock,
-		MaxInflight: f.cfg.MaxInflight,
-		Gate:        gate,
-		Counters:    f.Overload,
-		FlightSink: func(detail string) {
-			f.flight(addr, obs.FlightEvent{Kind: obs.EventBrownout, Shard: addr, Detail: detail})
-		},
-	})
-}
+// Shards returns every hosted shard's serving space, split-born children
+// included, by shard index.
+func (f *Framework) Shards() []*space.Local { return f.host.Shards() }
 
-// registerShard (re-)announces shard i in the lookup service, returning
-// the registration ID. Durable shards carry recovery metadata: clients and
-// operators can see that a service came back from its log and how much it
-// restored.
-func (f *Framework) registerShard(i int, d *space.Durable, recovered bool) uint64 {
-	attrs := map[string]string{
-		"type":           "javaspace",
-		shard.AttrShard:  strconv.Itoa(i),
-		shard.AttrShards: strconv.Itoa(f.cfg.Shards),
-	}
-	if d != nil {
-		attrs["durable"] = "1"
-		attrs["recovered-entries"] = strconv.Itoa(d.Info().Restored)
-		if recovered {
-			attrs["recovered"] = "1"
-		}
-	}
-	var ttl time.Duration
-	rs := f.repl(i)
-	if rs != nil {
-		// A replicated primary's registration is a lease: its pump renews
-		// it each heartbeat, and the lapse is the backup's second failure
-		// signal (beside heartbeat silence).
-		attrs[shard.AttrRing] = rs.ringID
-		attrs[shard.AttrRole] = shard.RolePrimary
-		attrs[shard.AttrEpoch] = "1"
-		ttl = f.replLeaseTTL()
-	}
-	id := f.Lookup.Register(discovery.ServiceItem{
-		Name:       "javaspace",
-		Address:    f.shardAddrs[i],
-		Attributes: attrs,
-	}, ttl)
-	if rs != nil {
-		rs.setRegID(id)
-	}
-	return id
-}
+// Durables pairs each shard with its serving node's persistence controller
+// (nil entries when the node is memory-only).
+func (f *Framework) Durables() []*space.Durable { return f.host.Durables() }
 
-// RestartShard crash-restarts hosted shard i: the live space is closed
-// (in-memory state discarded, blocked callers woken with ErrClosed) and a
-// replacement is recovered from the shard's WAL + snapshot, rebound under
-// the same network address and re-admitted to the routing ring. It is the
-// in-process equivalent of kill -9 on a persistent Outrigger followed by
-// a restart from -datadir, and requires Config.DataDir.
-func (f *Framework) RestartShard(i int) (space.RecoveryInfo, error) {
-	if f.cfg.DataDir == "" {
-		return space.RecoveryInfo{}, errors.New("core: RestartShard requires Config.DataDir")
-	}
-	// The shard tables grow under replMu when a split builds a child, so a
-	// restart's reads and writes of them synchronize on the same lock.
-	f.replMu.Lock()
-	if i < 0 || i >= len(f.Shards) {
-		f.replMu.Unlock()
-		return space.RecoveryInfo{}, fmt.Errorf("core: no shard %d", i)
-	}
-	old, oldDur, addr := f.Shards[i], f.Durables[i], f.shardAddrs[i]
-	f.replMu.Unlock()
-
-	// Crash: drop the in-memory space. Entries live only in the WAL now.
-	old.TS.Close()
-	if err := oldDur.Close(); err != nil {
-		return space.RecoveryInfo{}, fmt.Errorf("core: shard %d shutdown: %w", i, err)
-	}
-
-	// Restart: recover from disk. An elastic shard's chain gets a fresh
-	// migration tap (the old one observed the dead space's journal); the
-	// crash dropped any in-flight migration with it, which is exactly the
-	// abort-and-retry path resharding already handles.
-	dopts := f.durableOptionsAt(i, addr)
-	var tap *rebalance.Tap
-	if f.cfg.Elastic {
-		tap = rebalance.NewTap(nil)
-		dopts.Tee = tap
-	}
-	l, d, err := space.NewLocalDurable(f.Clock, dopts)
-	if err != nil {
-		return space.RecoveryInfo{}, fmt.Errorf("core: shard %d recovery: %w", i, err)
-	}
-	// WAL replay rebuilt the memo table; rewire its counters and flight
-	// sink so dedup hits against recovered memos are still visible.
-	l.TS.SetMemoCounters(f.Retries)
-	l.TS.SetFlightSink(f.memoFlightSink(addr, addr))
-	if f.cfg.MaxWaiters > 0 {
-		l.TS.SetMaxWaiters(f.cfg.MaxWaiters)
-	}
-	f.replMu.Lock()
-	if tap != nil {
-		f.taps[i] = tap
-	}
-	f.Shards[i] = l
-	f.Durables[i] = d
-	srv, sweep, gate := f.shardSrvs[i], f.sweeps[i], f.gates[i]
-	f.replMu.Unlock()
-	if i == 0 {
-		f.Local = l
-	}
-	sweep.swap(l.Mgr)
-
-	// Rebind the service on the shard's existing server so clients'
-	// proxies (dialed to the same address) reach the recovered space.
-	// The recovered service gets a fresh admission controller, configured
-	// like the seed's (the crash dropped the old inflight accounting with
-	// the old service — exactly right, those ops died with the process).
-	svc := space.NewService(l, srv)
-	f.configureAdmission(svc, addr, gate)
-	f.replMu.Lock()
-	if i < len(f.services) {
-		f.services[i] = svc
-	}
-	f.replMu.Unlock()
-	var handle space.Space = l
-	if gate != nil {
-		handle = gated(l, gate)
-	}
-	if reg := f.cfg.Obs.Reg(); reg != nil {
-		// Same serve histogram as before the crash: a shard keeps one
-		// latency record across its restarts.
-		srv.WrapPrefix("space.", obs.ServerMiddleware(f.Clock, reg.Histogram(metrics.HistShardServe(i))))
-	}
-	if err := f.router.Replace(addr, handle); err != nil {
-		return space.RecoveryInfo{}, fmt.Errorf("core: shard %d re-admission: %w", i, err)
-	}
-	f.registerShard(i, d, true)
-	f.flight(addr, obs.FlightEvent{
-		Kind: obs.EventShardRestart, Shard: addr,
-		Detail: fmt.Sprintf("%d entries restored", d.Info().Restored),
-	})
-	return d.Info(), nil
-}
+// RestartShard crash-restarts hosted shard i from its WAL (see
+// shardhost.Host.Restart). Requires Config.DataDir.
+func (f *Framework) RestartShard(i int) (space.RecoveryInfo, error) { return f.host.Restart(i) }
 
 // Close shuts down the hosted shards and their durable logs. Runs are
 // unaffected if it is never called (tests rely on process teardown), but
 // durable deployments should close so final appends reach disk.
-func (f *Framework) Close() {
-	f.replMu.Lock()
-	locals := append([]*space.Local(nil), f.Shards...)
-	durables := append([]*space.Durable(nil), f.Durables...)
-	f.replMu.Unlock()
-	for _, l := range locals {
-		l.TS.Close()
-	}
-	for _, d := range durables {
-		if d != nil {
-			d.Close()
-		}
-	}
-	for _, rs := range f.replsSnapshot() {
-		rs.mu.Lock()
-		nodes := []*replNode{rs.primaryNode, rs.backupNode}
-		rs.mu.Unlock()
-		for _, n := range nodes {
-			if n == nil {
-				continue
-			}
-			n.local.TS.Close()
-			if n.durable != nil {
-				n.durable.Close()
-			}
-		}
-	}
-}
+func (f *Framework) Close() { f.host.Close() }
 
 // Run executes job on the framework's cluster. If script is non-nil it
 // runs concurrently (experiment scripts toggle load simulators with it).
@@ -891,10 +510,11 @@ func (f *Framework) Run(job Job, script func(*Framework)) (Result, error) {
 	}
 
 	group := vclock.NewGroup(f.Clock)
-	f.replMu.Lock()
+	f.runMu.Lock()
 	f.runGroup = group
-	f.replMu.Unlock()
-	f.startReplPumps()
+	f.runMu.Unlock()
+	// Replication pumps and, with AutoShard, the load-driven rebalancer.
+	f.host.Start()
 	for _, w := range workers {
 		w := w
 		group.Go(w.Run)
@@ -907,15 +527,10 @@ func (f *Framework) Run(job Job, script func(*Framework)) (Result, error) {
 		group.Go(watch.Run)
 	}
 	// Elastic mode: each worker's ring watcher follows published topology
-	// records, and AutoShard adds the load-driven rebalancer itself.
+	// records.
 	for _, rw := range ringWatchers {
 		rw := rw
 		group.Go(rw.Run)
-	}
-	var reshardLoop *rebalancer
-	if f.cfg.AutoShard {
-		reshardLoop = f.newRebalancer()
-		group.Go(reshardLoop.Run)
 	}
 	if script != nil {
 		group.Go(func() { script(f) })
@@ -933,13 +548,10 @@ func (f *Framework) Run(job Job, script func(*Framework)) (Result, error) {
 	for _, rw := range ringWatchers {
 		rw.Stop()
 	}
-	if reshardLoop != nil {
-		reshardLoop.Stop()
-	}
-	f.replMu.Lock()
+	f.runMu.Lock()
 	f.runGroup = nil
-	f.replMu.Unlock()
-	f.stopReplPumps()
+	f.runMu.Unlock()
+	f.host.Stop()
 	group.Wait()
 
 	res := Result{
@@ -1031,28 +643,14 @@ func (f *Framework) buildWorker(node *cluster.Node, job Job) (*worker.Worker, *s
 		// and resharding needs a ring whose membership can change — both
 		// resolved through the lookup service (highest epoch claiming the
 		// ring position wins).
-		ropts := shard.Options{Clock: f.Clock, Seed: node.Name, ExactlyOnce: f.cfg.ExactlyOnce, Obs: f.cfg.Obs}
-		if f.cfg.Replicas > 0 {
-			ropts.Counters = f.Repl
-		}
-		if ropts.Counters == nil {
-			ropts.Counters = f.Retries
-		}
-		if ropts.Counters == nil {
-			ropts.Counters = f.Overload
-		}
-		if f.cfg.RetryBudget > 0 {
-			// Each worker gets its own bucket: the budget bounds what one
-			// client process can amplify, and workers fail independently.
-			ropts.Budget = shard.NewRetryBudget(f.cfg.RetryBudget, 0)
-		}
-		if f.cfg.Breakers {
-			ropts.Breaker = &shard.BreakerConfig{}
+		a := shard.Assembly{
+			Clock: f.Clock, Seed: node.Name, ExactlyOnce: f.cfg.ExactlyOnce, Obs: f.cfg.Obs,
+			Counters: f.host.RingCounters(), RetryBudget: f.cfg.RetryBudget, Breakers: f.cfg.Breakers,
 		}
 		if f.cfg.Replicas > 0 || f.cfg.Elastic {
-			ropts.Failover = shard.Resolver(lc, tmpl, dial)
+			a.Failover = shard.Resolver(lc, tmpl, dial)
 		}
-		router, rerr := shard.New(ropts, shards)
+		router, rerr := shard.Assemble(a, shards)
 		if rerr != nil {
 			return nil, nil, fmt.Errorf("core: %s: shard router: %w", node.Name, rerr)
 		}
@@ -1098,7 +696,7 @@ func (f *Framework) buildWorker(node *cluster.Node, job Job) (*worker.Worker, *s
 	node.MIB.Register(snmp.OIDWorkerState, func() snmp.Value {
 		return snmp.Integer(int64(w.State()))
 	})
-	f.flight(node.Name, obs.FlightEvent{Kind: obs.EventNodeStart, Detail: "worker"})
+	f.host.Flight(node.Name, obs.FlightEvent{Kind: obs.EventNodeStart, Detail: "worker"})
 	return w, ringWatcher, nil
 }
 

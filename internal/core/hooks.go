@@ -35,7 +35,7 @@ type ShardInfo struct {
 
 // ShardInfos snapshots every hosted shard, split-born children included.
 func (f *Framework) ShardInfos() []ShardInfo {
-	h := f.healthReport()
+	h := f.host.Health()
 	out := make([]ShardInfo, 0, len(h.Shards))
 	for _, sh := range h.Shards {
 		out = append(out, ShardInfo{
@@ -56,19 +56,12 @@ func (f *Framework) ShardInfos() []ShardInfo {
 // Nil when the deployment has no router (Shards == 0). The shares of the
 // live positions sum to 1 — the topology-convergence invariant.
 func (f *Framework) Ownership() map[string]float64 {
-	if f.router == nil {
-		return nil
+	if r := f.host.Router(); r != nil {
+		return r.Ownership()
 	}
-	return f.router.Ownership()
+	return nil
 }
 
 // RingID resolves shard index i to its ring position. ok is false when no
 // such shard is hosted.
-func (f *Framework) RingID(i int) (string, bool) {
-	f.replMu.Lock()
-	defer f.replMu.Unlock()
-	if i < 0 || i >= len(f.shardAddrs) {
-		return "", false
-	}
-	return f.shardAddrs[i], true
-}
+func (f *Framework) RingID(i int) (string, bool) { return f.host.RingID(i) }

@@ -18,8 +18,8 @@ func TestShardedPlacementSpreadsKeys(t *testing.T) {
 	clk := vclock.NewReal()
 	model := transport.Loopback()
 	fw := New(clk, Config{Shards: 4, Model: &model})
-	if len(fw.Shards) != 4 {
-		t.Fatalf("Shards = %d", len(fw.Shards))
+	if len(fw.Shards()) != 4 {
+		t.Fatalf("Shards = %d", len(fw.Shards()))
 	}
 	for i := 0; i < 32; i++ {
 		task := montecarlo.Task{Job: fmt.Sprintf("mc#%d", i), ID: i + 1}
@@ -28,7 +28,7 @@ func TestShardedPlacementSpreadsKeys(t *testing.T) {
 		}
 	}
 	total, populated := 0, 0
-	for _, l := range fw.Shards {
+	for _, l := range fw.Shards() {
 		n := l.TS.Stats().EntriesLive
 		total += n
 		if n > 0 {
@@ -80,7 +80,7 @@ func TestShardedEndToEnd(t *testing.T) {
 	}
 	// Nothing left behind on any shard: no leaked tasks, results, or
 	// scatter write-backs.
-	for i, l := range fw.Shards {
+	for i, l := range fw.Shards() {
 		if n := l.TS.Stats().EntriesLive; n != 0 {
 			t.Fatalf("shard %d holds %d leftover entries", i, n)
 		}

@@ -137,7 +137,7 @@ func (c *Client) LookupOne(tmpl map[string]string) (ServiceItem, error) {
 // Stop terminates it. A failed renewal (e.g. the registration was
 // cancelled) also ends the loop.
 type KeepAlive struct {
-	client *Client
+	client Renewer
 	clock  vclock.Clock
 	id     uint64
 	ttl    time.Duration
@@ -148,8 +148,14 @@ type KeepAlive struct {
 	err    error
 }
 
+// Renewer is the part of a lookup service a KeepAlive needs: *Client, or
+// any registrar with the same Renew.
+type Renewer interface {
+	Renew(id uint64, ttl time.Duration) error
+}
+
 // NewKeepAlive returns a renewal loop for registration id.
-func NewKeepAlive(client *Client, clock vclock.Clock, id uint64, ttl time.Duration) *KeepAlive {
+func NewKeepAlive(client Renewer, clock vclock.Clock, id uint64, ttl time.Duration) *KeepAlive {
 	return &KeepAlive{client: client, clock: clock, id: id, ttl: ttl}
 }
 

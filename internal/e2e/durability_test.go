@@ -107,7 +107,7 @@ func TestDurableFrameworkRestartAcrossRuns(t *testing.T) {
 	fw1 := core.New(clk1, cfg)
 	clk1.Run(func() {
 		for i := 0; i < 6; i++ {
-			shard := fw1.Shards[i%2]
+			shard := fw1.Shards()[i%2]
 			if _, err := shard.Write(duraEntry{K: "persist", N: i}, nil, tuplespace.Forever); err != nil {
 				t.Errorf("write %d: %v", i, err)
 			}
@@ -121,11 +121,11 @@ func TestDurableFrameworkRestartAcrossRuns(t *testing.T) {
 	total := 0
 	clk2.Run(func() {
 		for s := 0; s < 2; s++ {
-			info := fw2.Durables[s].Info()
+			info := fw2.Durables()[s].Info()
 			if info.Restored != 3 {
 				t.Errorf("shard %d restored %d entries, want 3", s, info.Restored)
 			}
-			n, err := fw2.Shards[s].Count(duraEntry{K: "persist"})
+			n, err := fw2.Shards()[s].Count(duraEntry{K: "persist"})
 			if err != nil {
 				t.Errorf("shard %d count: %v", s, err)
 			}

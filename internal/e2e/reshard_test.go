@@ -235,7 +235,7 @@ func TestChaosReshardSplitBornCrashRestart(t *testing.T) {
 // task, so the delta over a window is task throughput.
 func shardTakes(f *core.Framework) uint64 {
 	var n uint64
-	for _, l := range f.Shards {
+	for _, l := range f.Shards() {
 		n += l.TS.Stats().Takes
 	}
 	return n

@@ -26,7 +26,7 @@ type kv struct {
 func init() { gob.Register(kv{}) }
 
 // pair assembles one primary/backup replication pair on an in-process
-// network — the same wiring as core.setupReplica, without the framework.
+// network — the same wiring as shardhost.Host, without the host.
 type pair struct {
 	clk     *vclock.Virtual
 	net     *transport.Network

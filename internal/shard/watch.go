@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"gospaces/internal/discovery"
+	"gospaces/internal/metrics"
 	"gospaces/internal/obs"
 	"gospaces/internal/space"
 	"gospaces/internal/vclock"
@@ -174,6 +175,41 @@ func Resolver(c *discovery.Client, tmpl map[string]string, dial Dialer) func(rin
 		tc, clk := itemCtrl(best)
 		return Shard{ID: ringID, Space: sp, Epoch: ItemEpoch(best), Trace: tc, Clk: clk}, nil
 	}
+}
+
+// Assembly is the deployment-level shape of one participant's ring: what
+// the master, every worker and the TCP binaries each turn into Options the
+// same way. Seed names the participant; Failover is Resolver(...) for a
+// remote client and the host's in-process resolver on the master.
+type Assembly struct {
+	Clock       vclock.Clock
+	Seed        string
+	ExactlyOnce bool
+	Obs         *obs.Obs
+	// Counters receives the router's failover, retry, budget and breaker
+	// counts (nil = uncounted).
+	Counters *metrics.Counters
+	// RetryBudget > 0 caps this participant's retry volume with its own
+	// token bucket: the budget bounds what one process can amplify.
+	RetryBudget int
+	// Breakers arms the per-ring-position circuit breakers.
+	Breakers bool
+	Failover func(ringID string) (Shard, error)
+}
+
+// Assemble builds the router for a over shards.
+func Assemble(a Assembly, shards []Shard) (*Router, error) {
+	opts := Options{
+		Clock: a.Clock, Seed: a.Seed, ExactlyOnce: a.ExactlyOnce, Obs: a.Obs,
+		Counters: a.Counters, Failover: a.Failover,
+	}
+	if a.RetryBudget > 0 {
+		opts.Budget = NewRetryBudget(a.RetryBudget, 0)
+	}
+	if a.Breakers {
+		opts.Breaker = &BreakerConfig{}
+	}
+	return New(opts, shards)
 }
 
 // Watcher polls the lookup service and grows a Router's membership when

@@ -1,0 +1,114 @@
+package shardhost
+
+import (
+	"fmt"
+	"io"
+	"net"
+	"time"
+
+	"gospaces/internal/discovery"
+	"gospaces/internal/transport"
+)
+
+// Node names the node a listener is for: ring position Shard's seed node,
+// or — when StandbyOf is set — the hot standby of that ring position.
+type Node struct {
+	Shard     int
+	StandbyOf string
+}
+
+// Registrar is the lookup service as the host uses it. *discovery.Client
+// satisfies it as is; an in-process *discovery.Registry goes behind
+// RegistryRegistrar.
+type Registrar interface {
+	Register(item discovery.ServiceItem, ttl time.Duration) (uint64, error)
+	Renew(id uint64, ttl time.Duration) error
+	Cancel(id uint64) error
+	Lookup(tmpl map[string]string) ([]discovery.ServiceItem, error)
+}
+
+// Env is what differs between the simulator and a TCP deployment — this,
+// and nothing else. It carries no policy: every field is a capability the
+// host calls, none selects behaviour.
+type Env struct {
+	// Listen binds srv for node n and returns the bound address (a seed
+	// node's address becomes its ring ID) and a function releasing it.
+	Listen func(n Node, srv *transport.Server) (addr string, release func(), err error)
+	// Dial connects the node at from to the node at to.
+	Dial func(from, to string) (transport.Client, error)
+	// Registrar is the lookup service the shards join.
+	Registrar Registrar
+	// Spawn runs fn as a background process: the replication pumps, the
+	// lease renewals and the auto-shard loop.
+	Spawn func(fn func())
+	// WrapWriter, when set, wraps the WAL segment writer of the node at
+	// addr — the fault plan's disk-error hook.
+	WrapWriter func(addr string) func(io.Writer) io.Writer
+}
+
+type registryRegistrar struct{ *discovery.Registry }
+
+func (r registryRegistrar) Register(item discovery.ServiceItem, ttl time.Duration) (uint64, error) {
+	return r.Registry.Register(item, ttl), nil
+}
+
+func (r registryRegistrar) Lookup(tmpl map[string]string) ([]discovery.ServiceItem, error) {
+	return r.Registry.Lookup(tmpl), nil
+}
+
+// RegistryRegistrar adapts an in-process registry (whose Register and
+// Lookup cannot fail) to the error-returning Registrar.
+func RegistryRegistrar(r *discovery.Registry) Registrar { return registryRegistrar{r} }
+
+// InProcEnv hosts shards on an in-process network: shard 0 listens at
+// root, shard i at "<root>.shard<i>", a standby at "<ring>.backup". Dials
+// are tagged with the caller's address so a fault plan can cut exactly one
+// link. Spawn starts a plain goroutine; a caller with a process group
+// (core's Run) replaces it.
+func InProcEnv(nw *transport.Network, root string, reg *discovery.Registry) Env {
+	return Env{
+		Listen: func(n Node, srv *transport.Server) (string, func(), error) {
+			addr := root
+			switch {
+			case n.StandbyOf != "":
+				addr = n.StandbyOf + ".backup"
+			case n.Shard > 0:
+				addr = fmt.Sprintf("%s.shard%d", root, n.Shard)
+			}
+			nw.Listen(addr, srv)
+			// Addresses are never rebound, so a retired node's stays: calls
+			// to it keep failing against its closed space.
+			return addr, func() {}, nil
+		},
+		Dial: func(from, to string) (transport.Client, error) {
+			return nw.DialAs(from, to), nil
+		},
+		Registrar: RegistryRegistrar(reg),
+		Spawn:     func(fn func()) { go fn() },
+	}
+}
+
+// TCPEnv hosts shards on TCP listeners: shard 0 at addr, every other node
+// on an ephemeral port of the same host.
+func TCPEnv(addr string, reg Registrar, spawn func(func())) (Env, error) {
+	host, _, err := net.SplitHostPort(addr)
+	if err != nil {
+		return Env{}, fmt.Errorf("shardhost: bad listen address %q: %w", addr, err)
+	}
+	return Env{
+		Listen: func(n Node, srv *transport.Server) (string, func(), error) {
+			la := net.JoinHostPort(host, "0")
+			if n.Shard == 0 && n.StandbyOf == "" {
+				la = addr
+			}
+			l, err := transport.ListenTCP(la, srv)
+			if err != nil {
+				return "", nil, err
+			}
+			return l.Addr(), func() { l.Close() }, nil
+		},
+		Dial:      func(_, to string) (transport.Client, error) { return transport.DialTCP(to) },
+		Registrar: reg,
+		Spawn:     spawn,
+	}, nil
+}

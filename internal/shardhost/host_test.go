@@ -1,0 +1,437 @@
+package shardhost
+
+import (
+	"encoding/json"
+	"errors"
+	"fmt"
+	"strings"
+	"testing"
+	"time"
+
+	"gospaces/internal/discovery"
+	"gospaces/internal/obs"
+	"gospaces/internal/shard"
+	"gospaces/internal/space"
+	"gospaces/internal/transport"
+	"gospaces/internal/tuplespace"
+	"gospaces/internal/vclock"
+	"gospaces/internal/wal"
+)
+
+// kv is the tests' entry: keyed, so the ring places it.
+type kv struct {
+	K string `space:"index"`
+	V int
+}
+
+func init() { transport.RegisterType(kv{}) }
+
+// failover is the tests' FailoverTimeout. It must exceed the primary
+// pump's 500 ms heartbeat or an idle pair would fail over spuriously.
+const failover = 1500 * time.Millisecond
+
+// deployment is one environment under test: an Env, the lookup service
+// behind it, and how a remote client reaches a node it discovered there.
+type deployment struct {
+	name   string
+	clock  vclock.Clock
+	env    Env
+	dial   func(t *testing.T, addr string) transport.Client
+	lookup func(tmpl map[string]string) []discovery.ServiceItem
+}
+
+// inproc deploys on an in-process network with a direct registry.
+func inproc(t *testing.T) deployment {
+	clk := vclock.NewReal()
+	nw := transport.NewNetwork(clk, transport.Loopback())
+	reg := discovery.NewRegistry(clk)
+	return deployment{
+		name: "inproc", clock: clk,
+		env:    InProcEnv(nw, "master", reg),
+		dial:   func(_ *testing.T, addr string) transport.Client { return nw.Dial(addr) },
+		lookup: reg.Lookup,
+	}
+}
+
+// tcp deploys on loopback TCP against an in-test lookup listener — the
+// assembly cmd/master runs.
+func tcp(t *testing.T) deployment {
+	clk := vclock.NewReal()
+	reg := discovery.NewRegistry(clk)
+	lsrv := transport.NewServer()
+	discovery.NewService(reg, lsrv)
+	ll, err := transport.ListenTCP("127.0.0.1:0", lsrv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lc, err := transport.DialTCP(ll.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	group := vclock.NewGroup(clk)
+	t.Cleanup(func() { group.Wait(); lc.Close(); ll.Close() })
+	env, err := TCPEnv("127.0.0.1:0", discovery.NewClient(lc), group.Go)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return deployment{
+		name: "tcp", clock: clk, env: env, lookup: reg.Lookup,
+		dial: func(t *testing.T, addr string) transport.Client {
+			c, err := transport.DialTCP(addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { c.Close() })
+			return c
+		},
+	}
+}
+
+// host builds and starts a host on d; cleanup closes it before d's own.
+func (d deployment) host(t *testing.T, spec Spec) *Host {
+	h, err := New(d.clock, d.env, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(h.Close)
+	h.Start()
+	return h
+}
+
+// eventually polls cond on d's clock until it holds or limit elapses.
+func (d deployment) eventually(t *testing.T, limit time.Duration, what string, cond func() bool) {
+	t.Helper()
+	for deadline := d.clock.Now().Add(limit); !cond(); {
+		if d.clock.Now().After(deadline) {
+			t.Fatalf("%s: %s did not happen within %v", d.name, what, limit)
+		}
+		w := d.clock.NewWaiter()
+		w.Wait(20 * time.Millisecond)
+	}
+}
+
+// promoted waits for the registration that claims ring at epoch and
+// returns the promoted node's address.
+func (d deployment) promoted(t *testing.T, ring string, epoch uint64) string {
+	t.Helper()
+	var addr string
+	d.eventually(t, 4*failover, fmt.Sprintf("epoch-%d registration of %s", epoch, ring), func() bool {
+		for _, it := range d.lookup(map[string]string{"type": "javaspace", shard.AttrRing: ring}) {
+			if shard.ItemEpoch(it) == epoch {
+				addr = it.Address
+				return true
+			}
+		}
+		return false
+	})
+	return addr
+}
+
+func typeCounts(t *testing.T, sp space.Space) map[string]int {
+	t.Helper()
+	res, err := sp.Do(space.Op{Kind: space.OpTypeCounts})
+	if err != nil {
+		t.Fatalf("type counts: %v", err)
+	}
+	return res.Counts
+}
+
+// view is a Health report with everything environment-specific removed.
+// Ring IDs are addresses, and the ring hashes them, so which shard holds
+// which entry (and how much of the hash space) differs by environment:
+// those are reported as totals. Byte positions become "has a log"; a
+// retired shard is just that.
+func view(h obs.Health) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "status=%s topo=%d overload=%+v\n", h.Status, h.TopologyEpoch, h.Overload)
+	entries, owned := 0, 0.0
+	for _, sh := range h.Shards {
+		entries += sh.Entries
+		owned += sh.OwnedFraction
+		if sh.Retired {
+			fmt.Fprintf(&b, "shard=%d born=%v retired\n", sh.Shard, sh.SplitBorn)
+			continue
+		}
+		fmt.Fprintf(&b, "shard=%d role=%s epoch=%d lag=%d wal=%v born=%v inflight=%d\n",
+			sh.Shard, sh.Role, sh.Epoch, sh.ReplicationLag, sh.WALPosition > 0, sh.SplitBorn, sh.Inflight)
+	}
+	fmt.Fprintf(&b, "entries=%d owned=%.3f\n", entries, owned)
+	return b.String()
+}
+
+// TestOneScriptTwoEnvironments drives one lifecycle script — failover,
+// rejoin, split, merge, crash-restart of a replicated durable pair — over
+// the in-process network and over loopback TCP, and requires the two
+// environments to be indistinguishable: the same health report (modulo
+// addresses), the same contents and a converged standby after every step.
+// It is the only test in the tree that drives the TCP assembly through its
+// whole life.
+func TestOneScriptTwoEnvironments(t *testing.T) {
+	const entries = 48
+	run := func(t *testing.T, d deployment) []string {
+		h := d.host(t, Spec{
+			Shards: 2, Replicas: 1, Elastic: true, FailoverTimeout: failover,
+			DataDir: t.TempDir(), FsyncPolicy: wal.FsyncNever,
+			ReshardDrain: 50 * time.Millisecond,
+		})
+		var script []string
+		check := func(step string) {
+			t.Helper()
+			// A reshard's evictions reach the standby with the pump's next
+			// beat; every other step has already flushed.
+			d.eventually(t, 3*time.Second, step+": standbys converge", func() bool {
+				for _, sh := range h.Health().Shards {
+					p, b := h.ReplicaState(sh.Shard)
+					if sh.Retired || b.Promoted() { // merged away, or awaiting its rejoin
+						continue
+					}
+					if b.Applied() != p.Seq() || p.Lag() != 0 { // applied, and the ack is home
+						return false
+					}
+				}
+				return true
+			})
+			counts := typeCounts(t, h.Space())
+			if got := counts["shardhost.kv"]; got != entries {
+				t.Fatalf("%s/%s: %d entries, want %d (%v)", d.name, step, got, entries, counts)
+			}
+			script = append(script, fmt.Sprintf("== %s\n%s", step, view(h.Health())))
+		}
+
+		for i := 0; i < entries; i++ {
+			if _, err := h.Space().Write(kv{K: fmt.Sprintf("k%02d", i), V: i}, nil, tuplespace.Forever); err != nil {
+				t.Fatalf("%s: write %d: %v", d.name, i, err)
+			}
+		}
+		check("written")
+
+		ring0, _ := h.RingID(0)
+		ring1, _ := h.RingID(1)
+		if err := h.KillPrimary(0); err != nil {
+			t.Fatal(err)
+		}
+		d.promoted(t, ring0, 2)
+		check("failed over")
+
+		if err := h.Rejoin(0); err != nil {
+			t.Fatalf("%s: rejoin: %v", d.name, err)
+		}
+		check("rejoined")
+
+		rep, err := h.Split(ring1)
+		if err != nil {
+			t.Fatalf("%s: split: %v", d.name, err)
+		}
+		check("split")
+
+		if err := h.Merge(rep.Child); err != nil {
+			t.Fatalf("%s: merge: %v", d.name, err)
+		}
+		check("merged")
+
+		info, err := h.Restart(1)
+		if err != nil {
+			t.Fatalf("%s: restart: %v", d.name, err)
+		}
+		if info.Restored == 0 {
+			t.Fatalf("%s: restart recovered nothing from the WAL", d.name)
+		}
+		check("restarted")
+		if err := h.Err(); err != nil {
+			t.Fatalf("%s: background error: %v", d.name, err)
+		}
+		return script
+	}
+
+	scripts := map[string][]string{}
+	for _, d := range []deployment{inproc(t), tcp(t)} {
+		d := d
+		t.Run(d.name, func(t *testing.T) { scripts[d.name] = run(t, d) })
+	}
+	a, b := strings.Join(scripts["inproc"], ""), strings.Join(scripts["tcp"], "")
+	if a != b {
+		t.Fatalf("the two environments diverged:\n--- inproc\n%s--- tcp\n%s", a, b)
+	}
+	for _, want := range []string{
+		"== failed over\nstatus=ok topo=1 ",
+		"shard=0 role=backup epoch=2 lag=0 wal=true born=false inflight=0\nshard=1 role=primary epoch=1 ",
+		"== split\nstatus=ok topo=2 ",
+		"shard=2 role=primary epoch=1 lag=0 wal=true born=true inflight=0\nentries=48 owned=1.000\n",
+		"== merged\nstatus=ok topo=3 ",
+		"shard=2 born=true retired\nentries=48 owned=1.000\n",
+	} {
+		if !strings.Contains(a, want) {
+			t.Fatalf("script lacks %q:\n%s", want, a)
+		}
+	}
+}
+
+// lateClock is a client whose deadlines have always just passed: frames it
+// stamps are an hour stale when the server reads them.
+type lateClock struct{ *vclock.Real }
+
+func (lateClock) Now() time.Time { return time.Now().Add(-time.Hour) }
+
+// TestTCPAdmissionFollowsServingNode: over the TCP Env, a promoted standby
+// and a split-born shard enforce admission like a seed, and /healthz reads
+// the serving node's controller. At the parent commit cmd/master served
+// both kinds of node through an unconfigured space.Service — admission was
+// a pass-through, so -max-inflight and the expired-deadline drop silently
+// stopped applying after the first failover or split; its /healthz kept
+// reading the dead primary's controller (a stale services[i]); and
+// -autoshard replaced the health provider with one that had no overload
+// block at all.
+func TestTCPAdmissionFollowsServingNode(t *testing.T) {
+	d := tcp(t)
+	o := obs.New(1)
+	h := d.host(t, Spec{
+		Shards: 1, Replicas: 1, FailoverTimeout: failover, MaxInflight: 1, Obs: o,
+		// -autoshard with thresholds no test load reaches: the rebalancer
+		// runs, the health provider is the elastic one, nothing reshards.
+		AutoShard: true, SplitThreshold: 1e9, ReshardInterval: 50 * time.Millisecond,
+		ReshardDrain: 50 * time.Millisecond,
+	})
+	ring0, _ := h.RingID(0)
+	if err := h.KillPrimary(0); err != nil {
+		t.Fatal(err)
+	}
+	standby := d.promoted(t, ring0, 2)
+	rep, err := h.Split(ring0)
+	if err != nil {
+		t.Fatalf("split: %v", err)
+	}
+	child, _ := h.ShardIndex(rep.Child)
+
+	for _, node := range []struct {
+		kind, addr string
+		shard      int
+	}{{"promoted standby", standby, 0}, {"split-born shard", rep.Child, child}} {
+		before := o.HealthReport().Overload
+
+		late := space.NewProxy(d.dial(t, node.addr)).WithOpTimeout(lateClock{vclock.NewReal()}, time.Second)
+		if _, err := late.Count(kv{}); !errors.Is(err, tuplespace.ErrDeadlineExpired) {
+			t.Fatalf("%s: op past its frame deadline: err = %v, want ErrDeadlineExpired", node.kind, err)
+		}
+
+		// One parked take fills MaxInflight; the next op must fast-fail.
+		parked := make(chan error, 1)
+		go func() {
+			_, err := space.NewProxy(d.dial(t, node.addr)).Take(kv{K: "parked"}, nil, 30*time.Second)
+			parked <- err
+		}()
+		d.eventually(t, 3*time.Second, node.kind+" admits the parked take", func() bool {
+			return o.HealthReport().Shards[node.shard].Inflight == 1
+		})
+		if _, err := space.NewProxy(d.dial(t, node.addr)).Count(kv{}); !errors.Is(err, tuplespace.ErrOverloaded) {
+			t.Fatalf("%s: op beyond MaxInflight: err = %v, want ErrOverloaded", node.kind, err)
+		}
+
+		hl := o.HealthReport()
+		if got := hl.Overload; got.MaxInflight != 1 || got.Inflight != 1 ||
+			got.DeadlineExpired != before.DeadlineExpired+1 || got.Rejected != before.Rejected+1 {
+			t.Fatalf("%s: /healthz overload = %+v (before: %+v), want the serving node's vitals", node.kind, got, before)
+		}
+		js, _ := json.Marshal(hl)
+		for _, want := range []string{`"max_inflight":1`, `"inflight":1`, `"brownout_level":0`, `"topology_epoch":2`} {
+			if !strings.Contains(string(js), want) {
+				t.Fatalf("%s: /healthz lacks %s: %s", node.kind, want, js)
+			}
+		}
+
+		// The master's in-process handle is not admission-controlled: its
+		// write wakes the parked take and frees the slot.
+		if _, err := h.Shards()[node.shard].Write(kv{K: "parked"}, nil, tuplespace.Forever); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-parked; err != nil {
+			t.Fatalf("%s: parked take: %v", node.kind, err)
+		}
+	}
+}
+
+// TestTCPSplitThenFailover is -autoshard -replicas 1 over TCP, which the
+// parent's cmd/master rejected: a replicated one-shard host splits, the
+// split-born child's primary is killed, its standby promotes at epoch 2,
+// and every entry written before is still readable through the
+// master-side handle.
+func TestTCPSplitThenFailover(t *testing.T) {
+	const entries = 40
+	d := tcp(t)
+	h := d.host(t, Spec{
+		Shards: 1, Replicas: 1, AutoShard: true, SplitThreshold: 1e9,
+		FailoverTimeout: failover, ReshardDrain: 50 * time.Millisecond,
+	})
+	for i := 0; i < entries; i++ {
+		if _, err := h.Space().Write(kv{K: fmt.Sprintf("k%02d", i), V: i}, nil, tuplespace.Forever); err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+	}
+	ring0, _ := h.RingID(0)
+	rep, err := h.Split(ring0)
+	if err != nil {
+		t.Fatalf("split: %v", err)
+	}
+	if rep.Migrated == 0 || rep.Migrated == entries {
+		t.Fatalf("split moved %d of %d entries, want a proper share", rep.Migrated, entries)
+	}
+	child, ok := h.ShardIndex(rep.Child)
+	if !ok {
+		t.Fatalf("no shard index for %s", rep.Child)
+	}
+	if err := h.KillPrimary(child); err != nil {
+		t.Fatal(err)
+	}
+	d.promoted(t, rep.Child, 2)
+	if got := h.Epoch(child); got != 2 {
+		t.Fatalf("child epoch = %d, want 2", got)
+	}
+	for i := 0; i < entries; i++ {
+		e, err := h.Space().ReadIfExists(kv{K: fmt.Sprintf("k%02d", i)}, nil)
+		if err != nil {
+			t.Fatalf("read k%02d after the child failed over: %v", i, err)
+		}
+		if got := e.(kv).V; got != i {
+			t.Fatalf("k%02d = %d, want %d", i, got, i)
+		}
+	}
+	if err := h.Err(); err != nil {
+		t.Fatalf("background error: %v", err)
+	}
+}
+
+// TestSpecValidate is the table of specs New refuses; cmd/master's flag
+// conflicts are rows here.
+func TestSpecValidate(t *testing.T) {
+	cases := []struct {
+		name string
+		spec Spec
+		want string // "" = valid
+	}{
+		{"zero value", Spec{}, ""},
+		{"replicated autoshard", Spec{Replicas: 1, AutoShard: true}, ""},
+		{"replicas out of range", Spec{Replicas: 2}, "replicas must be 0 or 1"},
+		{"negative replicas", Spec{Replicas: -1}, "replicas must be 0 or 1"},
+		{"negative max-inflight", Spec{MaxInflight: -1}, "max-inflight must be >= 0"},
+		{"negative retry-budget", Spec{RetryBudget: -5}, "retry-budget must be >= 0"},
+		{"negative failover-timeout", Spec{FailoverTimeout: -time.Second}, "failover-timeout must be >= 0"},
+		{"negative reshard-interval", Spec{ReshardInterval: -time.Second}, "reshard-interval must be >= 0"},
+		{"negative split threshold", Spec{SplitThreshold: -1}, "thresholds must be >= 0"},
+		{"max-shards below seeds", Spec{Shards: 4, MaxShards: 2}, "below the 4 seed shards"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.spec.Validate()
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("valid spec rejected: %v", err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Fatalf("err = %v, want mention of %q", err, tc.want)
+			}
+			if tc.want != "" {
+				if _, nerr := New(vclock.NewReal(), Env{}, tc.spec); nerr == nil {
+					t.Fatal("New accepted a spec Validate rejects")
+				}
+			}
+		})
+	}
+}

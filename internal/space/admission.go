@@ -265,3 +265,15 @@ func (a *Admission) clampDeadline(inner interface{}, deadline time.Time) interfa
 	}
 	return inner
 }
+
+// Gated charges gate for every operation of an in-process handle on l.
+// Remote callers pay a node's gate inside its admission controller; the
+// master operates on its hosted shards directly, and without this its own
+// writes and takes would bypass the modeled server CPU — the single-server
+// saturation knee would vanish from the measurements.
+func Gated(l *Local, gate *transport.ServiceGate) Space {
+	return Intercept(l, func(op Op, next Doer) (Result, error) {
+		gate.Admit()
+		return next.Do(op)
+	})
+}

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # obs_smoke.sh — end-to-end smoke test of the live ops surface.
 #
-# Boots a real lookup service and a master with -obs, then scrapes the
+# Boots a real lookup service and a replicated two-shard master
+# (-shards 2 -replicas 1 -max-inflight 64) with -obs, then scrapes the
 # ops endpoint while the master is mid-run (planning keeps it busy for
 # tens of seconds, so histograms are live):
 #
@@ -9,9 +10,11 @@
 #                     and at least one latency histogram
 #   /metrics/cluster  must serve the federated per-shard view with
 #                     {shard="..."} labels
-#   /healthz          must serve the JSON health report with per-shard
-#                     role, replication lag, WAL position, and the
-#                     flight-recorder vitals (depth/dropped/clk)
+#   /healthz          must serve the JSON health report with one entry
+#                     per shard (role, epoch, replication lag, WAL
+#                     position), the overload block carrying the
+#                     configured max_inflight, and the flight-recorder
+#                     vitals (depth/dropped/clk)
 #   /debug/flight     must serve the flight-recorder dump with at least
 #                     the master's node:start event
 #   /debug/pprof/heap must serve a heap profile
@@ -61,7 +64,8 @@ for i in $(seq 1 50); do
 done
 
 "$workdir/master" -addr "$MASTER_ADDR" -lookup "$LOOKUP_ADDR" \
-    -job montecarlo -obs "$OBS_ADDR" >"$workdir/master.log" 2>&1 &
+    -job montecarlo -shards 2 -replicas 1 -max-inflight 64 \
+    -obs "$OBS_ADDR" >"$workdir/master.log" 2>&1 &
 pids+=($!)
 
 # Wait for the ops surface to come up and for planning to record its
@@ -100,7 +104,7 @@ echo "obs_smoke: /metrics OK ($(grep -c ' histogram' <<<"$metrics") histograms)"
 
 healthz=$(curl -fsS "$OBS_URL/healthz")
 for want in '"status":"ok"' '"role":"primary"' '"replication_lag"' '"wal_position"' \
-    '"brownout_level"' '"max_inflight"' \
+    '"shard":0' '"shard":1' '"epoch":1' '"brownout_level"' '"max_inflight":64' \
     '"flight_depth"' '"flight_dropped"' '"flight_clk"'; do
     if ! grep -q "$want" <<<"$healthz"; then
         echo "obs_smoke: FAIL — /healthz lacks $want: $healthz" >&2
@@ -113,6 +117,11 @@ depth=$(grep -oE '"flight_depth":[0-9]+' <<<"$healthz" | cut -d: -f2)
 clk=$(grep -oE '"flight_clk":[0-9]+' <<<"$healthz" | cut -d: -f2)
 if [ "${depth:-0}" -lt 1 ] || [ "${clk:-0}" -lt 1 ]; then
     echo "obs_smoke: FAIL — /healthz flight vitals empty (depth=$depth clk=$clk): $healthz" >&2
+    exit 1
+fi
+shards=$(grep -oE '"shard":[0-9]+' <<<"$healthz" | wc -l)
+if [ "$shards" -ne 2 ]; then
+    echo "obs_smoke: FAIL — /healthz lists $shards shards, want 2: $healthz" >&2
     exit 1
 fi
 echo "obs_smoke: /healthz OK ($healthz)"

@@ -57,24 +57,41 @@ const (
 	bkHalfOpen
 )
 
-// breaker is one ring position's failure accountant. Guarded by the
-// router's bkMu.
-type breaker struct {
-	state int
+// position is the router's mutable state for one ring ID, whatever handle
+// currently serves it: the circuit breaker, the failover-resolution
+// throttle and the span of the last retarget. Guarded by the router's
+// posMu. Positions exist for exactly the members of the current view —
+// syncPositions is the one place they are created and dropped — so an ID
+// that left the ring reads as a closed breaker and cannot be retargeted.
+type position struct {
+	state int // bkClosed, bkOpen or bkHalfOpen
 	// fails counts consecutive hard failures while closed.
 	fails int
 	// openedAt is when the breaker last opened, or — in the half-open
 	// state — when the current probe was admitted.
 	openedAt time.Time
+
+	// lastResolve is the last failover resolution attempt, zero before the
+	// first (see tryFailover).
+	lastResolve time.Time
+	// ctrl is the span context of the last traced retarget. Retry spans
+	// parent to it, so a failover plus the retries it heals form one
+	// connected span tree.
+	ctrl obs.TraceContext
 }
 
-// breakerWorthy reports whether err should count against a shard's
-// breaker: hard failures that indicate the shard is dead, hung or
-// unreachable. Admission fast-fails (overload, expired deadline) are
-// proof the shard is alive and answering, and caller-side transaction
-// misuse says nothing about the shard at all.
-func breakerWorthy(err error) bool {
-	return failoverWorthy(err)
+// syncPositions makes the position table match v's membership. Called
+// with r.mu held by whoever installs a view with a new member list.
+func (r *Router) syncPositions(v *view) {
+	r.posMu.Lock()
+	defer r.posMu.Unlock()
+	next := make(map[string]*position, len(v.order))
+	for _, id := range v.order {
+		if next[id] = r.pos[id]; next[id] == nil {
+			next[id] = &position{}
+		}
+	}
+	r.pos = next
 }
 
 // allow reports whether a call routed at ring ID id may proceed. It
@@ -87,34 +104,17 @@ func (r *Router) allow(id string) error {
 		return nil
 	}
 	now := r.opts.Clock.Now()
-	r.bkMu.Lock()
-	b := r.bks[id]
-	if b == nil {
-		b = &breaker{}
-		if r.bks == nil {
-			r.bks = make(map[string]*breaker)
+	r.posMu.Lock()
+	denied := false
+	if p := r.pos[id]; p != nil && p.state != bkClosed {
+		// Open: fast-fail until the cooldown admits a probe. Half-open: a
+		// probe is in flight, keep fast-failing — unless it never reported
+		// for a whole cooldown, then admit a replacement.
+		if denied = now.Sub(p.openedAt) < cfg.Cooldown; !denied {
+			p.state, p.openedAt = bkHalfOpen, now
 		}
-		r.bks[id] = b
 	}
-	var denied bool
-	switch b.state {
-	case bkClosed:
-		// fall through: allowed
-	case bkOpen:
-		if now.Sub(b.openedAt) < cfg.Cooldown {
-			denied = true
-			break
-		}
-		b.state = bkHalfOpen
-		b.openedAt = now
-	default: // bkHalfOpen
-		if now.Sub(b.openedAt) < cfg.Cooldown {
-			denied = true // a probe is in flight; keep fast-failing
-			break
-		}
-		b.openedAt = now // the probe never reported: admit a replacement
-	}
-	r.bkMu.Unlock()
+	r.posMu.Unlock()
 	if denied {
 		r.countRetry(metrics.CounterBreakerFastFail)
 		return ErrBreakerOpen
@@ -124,60 +124,43 @@ func (r *Router) allow(id string) error {
 
 // observe feeds one call outcome for ring ID id into its breaker and,
 // on success (soft no-match conditions included — the shard answered),
-// deposits into the shared retry budget. ErrBreakerOpen outcomes are
-// the breaker's own fast-fails and are ignored.
+// deposits into the shared retry budget.
 func (r *Router) observe(id string, err error) {
-	if errors.Is(err, ErrBreakerOpen) {
-		return
-	}
 	ok := err == nil || !hard(err)
 	if ok {
-		r.noteSuccess()
+		r.opts.Budget.Success()
 	}
 	cfg := r.opts.Breaker
-	if cfg == nil {
+	// Hard failures that are not failover-worthy are alive-but-refusing
+	// (overload, an expired deadline) or caller-side transaction misuse:
+	// proof the shard answers, or no signal about it at all.
+	if cfg == nil || !ok && !failoverWorthy(err) {
 		return
 	}
-	if !ok && !breakerWorthy(err) {
-		return // alive-but-refusing (overload, txn misuse): not a breaker signal
-	}
 	now := r.opts.Clock.Now()
-	r.bkMu.Lock()
-	b := r.bks[id]
-	if b == nil {
-		b = &breaker{}
-		if r.bks == nil {
-			r.bks = make(map[string]*breaker)
-		}
-		r.bks[id] = b
+	r.posMu.Lock()
+	p := r.pos[id]
+	if p == nil {
+		r.posMu.Unlock()
+		return
 	}
 	tripped, closed := false, false
-	if ok {
-		if b.state != bkClosed {
-			closed = true
+	switch {
+	case ok:
+		closed = p.state != bkClosed
+		p.state, p.fails = bkClosed, 0
+	case p.state == bkClosed:
+		if p.fails++; p.fails >= cfg.Threshold {
+			p.state, p.openedAt = bkOpen, now
+			tripped = true
 		}
-		b.state = bkClosed
-		b.fails = 0
-	} else {
-		switch b.state {
-		case bkClosed:
-			b.fails++
-			if b.fails >= cfg.Threshold {
-				b.state = bkOpen
-				b.openedAt = now
-				tripped = true
-			}
-		case bkHalfOpen:
-			// The probe failed: re-open for another cooldown.
-			b.state = bkOpen
-			b.openedAt = now
-		case bkOpen:
-			// A straggler admitted before the trip failed late; restart
-			// the cooldown so the probe waits out a full quiet period.
-			b.openedAt = now
-		}
+	default:
+		// A failed half-open probe re-opens for another cooldown; a
+		// straggler admitted before the trip that fails late restarts it,
+		// so the next probe waits out a full quiet period.
+		p.state, p.openedAt = bkOpen, now
 	}
-	r.bkMu.Unlock()
+	r.posMu.Unlock()
 	if tripped {
 		r.countRetry(metrics.CounterBreakerOpen)
 		r.flight(obs.FlightEvent{Kind: obs.EventBreakerOpen, Shard: id, Detail: err.Error()})
@@ -193,19 +176,17 @@ func (r *Router) observe(id string, err error) {
 
 // BreakerState reports ring ID id's breaker state as a string for
 // diagnostics ("closed", "open", "half-open"; "closed" with no breaker
-// configured or no recorded outcome).
+// configured, no recorded outcome, or an ID that is not in the ring).
 func (r *Router) BreakerState(id string) string {
-	r.bkMu.Lock()
-	defer r.bkMu.Unlock()
-	b := r.bks[id]
-	if b == nil {
-		return "closed"
-	}
-	switch b.state {
-	case bkOpen:
-		return "open"
-	case bkHalfOpen:
-		return "half-open"
+	r.posMu.Lock()
+	defer r.posMu.Unlock()
+	if p := r.pos[id]; p != nil {
+		switch p.state {
+		case bkOpen:
+			return "open"
+		case bkHalfOpen:
+			return "half-open"
+		}
 	}
 	return "closed"
 }

@@ -2,10 +2,13 @@ package shard
 
 import (
 	"errors"
+	"fmt"
+	"sort"
 	"testing"
 	"time"
 
 	"gospaces/internal/metrics"
+	"gospaces/internal/obs"
 	"gospaces/internal/space"
 	"gospaces/internal/tuplespace"
 	"gospaces/internal/vclock"
@@ -180,5 +183,78 @@ func TestBreakerIgnoresAdmissionFastFails(t *testing.T) {
 	}
 	if got := r.BreakerState("shard-0"); got != "closed" {
 		t.Fatalf("state after 10 overload rejections = %q, want closed", got)
+	}
+}
+
+// TestPositionStateBounded: the router keeps breaker, failover-throttle
+// and retarget-span state per ring ID, and an elastic ring mints a new ID
+// at every split. 200 cycles of "a split-born ID joins → one failing op
+// trips its breaker, resolves failover and retargets it (traced) → a merge
+// drops it" must leave state for exactly the live members. (Before the
+// per-position table, bks, foLast and ctrlCtx each kept all 200 departed
+// IDs for the life of the router.)
+func TestPositionStateBounded(t *testing.T) {
+	clk := vclock.NewReal()
+	dead := space.Intercept(space.NewLocal(clk), func(space.Op, space.Doer) (space.Result, error) {
+		return space.Result{}, errors.New("dial tcp: connection refused")
+	})
+	ctr := metrics.NewCounters()
+	r, err := New(Options{
+		Clock:           clk,
+		Seed:            "positions-test",
+		Counters:        ctr,
+		Obs:             obs.New(1),
+		FailoverBackoff: time.Nanosecond,
+		Breaker:         &BreakerConfig{Threshold: 1, Cooldown: time.Hour},
+		Failover: func(id string) (Shard, error) {
+			return Shard{ID: id, Space: space.NewLocal(clk), Epoch: 2, Trace: obs.TraceContext{TraceID: 1, SpanID: 1}}, nil
+		},
+	}, []Shard{{ID: "shard-0", Space: space.NewLocal(clk)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := r.Topology().Members[0]
+	const cycles = 200
+	for i := 1; i <= cycles; i++ {
+		id := fmt.Sprintf("child-%d", i)
+		split := Topology{Epoch: uint64(2*i - 1), Members: []TopoMember{
+			base, {ID: id, Labels: DefaultLabels(id, 4), Epoch: 1},
+		}}
+		if ok, err := r.ApplyTopology(split, func(ringID string) (Shard, error) {
+			return Shard{ID: ringID, Space: dead, Epoch: 1}, nil
+		}); err != nil || !ok {
+			t.Fatalf("cycle %d split: applied=%t err=%v", i, ok, err)
+		}
+		// The gather reaches the dead child: its breaker trips, which
+		// resolves failover and retargets the position onto a live handle.
+		if _, err := r.Count(blob{}); err == nil {
+			t.Fatalf("cycle %d: count over a dead shard succeeded", i)
+		}
+		if got := r.Epochs()[id]; got != 2 {
+			t.Fatalf("cycle %d: child epoch = %d, want 2 (retargeted)", i, got)
+		}
+		if got := r.BreakerState(id); got != "open" {
+			t.Fatalf("cycle %d: child breaker = %q, want open", i, got)
+		}
+		merge := Topology{Epoch: uint64(2 * i), Members: []TopoMember{base}}
+		if ok, err := r.ApplyTopology(merge, nil); err != nil || !ok {
+			t.Fatalf("cycle %d merge: applied=%t err=%v", i, ok, err)
+		}
+		if got := r.BreakerState(id); got != "closed" {
+			t.Fatalf("cycle %d: departed child's breaker = %q, want closed", i, got)
+		}
+	}
+	if got := ctr.Snapshot()[metrics.CounterBreakerOpen]; got != cycles {
+		t.Fatalf("breaker trips = %d, want %d", got, cycles)
+	}
+	r.posMu.Lock()
+	var ids []string
+	for id := range r.pos {
+		ids = append(ids, id)
+	}
+	r.posMu.Unlock()
+	sort.Strings(ids)
+	if len(ids) != 1 || ids[0] != "shard-0" {
+		t.Fatalf("position state holds %d IDs after %d split/merge cycles, want just shard-0: %v", len(ids), cycles, ids)
 	}
 }

@@ -1,0 +1,292 @@
+package shard
+
+import (
+	"errors"
+	"time"
+
+	"gospaces/internal/metrics"
+	"gospaces/internal/obs"
+	"gospaces/internal/space"
+	"gospaces/internal/tuplespace"
+)
+
+// One call per ring position. Every routed operation reaches a shard
+// through Router.call, which drives one op at one ring position — the ID,
+// whatever handle currently serves it — to a definite outcome. The routes
+// in router.go decide only which position(s), in what order, and how
+// results merge; which token the op carries and what happens when the
+// shard fails is decided here, once, by replayable and the schedule call
+// reads off the op (DESIGN §13):
+//
+//	op                      error                   replay?         schedule
+//	any                     not failoverWorthy      no              —
+//	under a caller txn      any                     no              the commit is the retry unit
+//	read / count / begin    failover-worthy         yes             once, only after tryFailover retargeted
+//	mutation, no token      unambiguous             yes             once, only after a retarget
+//	mutation, no token      ambiguous               no              resolve failover for the next op, surface
+//	mutation, token         failover-worthy,        yes, same token Options.Retry attempts, seeded full-jitter
+//	                        ambiguous or not                        backoff (a scan probe: once, if retargeted
+//	                                                                or ambiguous — the route's next round retries)
+//	blocking, one position, hard, a cure possible   poll            re-resolve and re-issue every PollInterval;
+//	no txn                                                          ErrTimeout joined with the ShardError at the deadline
+//
+// Every replay is charged to the shared RetryBudget first, so a
+// cluster-wide failure cannot amplify offered load into a retry storm.
+
+// where addresses one ring position and says how it is re-resolved between
+// attempts: by key through the current ring (reshard migration ships a
+// bucket's memo slice with its entries, so a token may follow its key), or
+// pinned to one ID — the shard that may already hold the op's effect — in
+// which case the call stops if that ID left the ring.
+type where struct {
+	key   string
+	keyed bool
+	id    string
+	// scan marks one of several positions a route is walking (sweep, scatter
+	// probe, bulk walk). The route is its own retry loop, so the call comes
+	// back after at most one replay and never parks.
+	scan bool
+}
+
+func (w where) resolve(v *view) (Shard, bool) {
+	id := w.id
+	if w.keyed {
+		id = v.ring.get(w.key)
+	}
+	sp, ok := v.shards[id]
+	return Shard{ID: id, Space: sp}, ok
+}
+
+// replayable is the router's one answer to "may op be issued again after
+// err?" — the replay? column above.
+func replayable(op space.Op, err error) bool {
+	switch {
+	case !failoverWorthy(err):
+		return false
+	case op.Txn != nil && op.Kind != space.OpCommit && op.Kind != space.OpAbort:
+		return false
+	case op.Token.Zero() && op.Kind.Mutates() && ambiguous(err):
+		// The op may have executed with only the reply lost: replaying a
+		// Write could duplicate the entry, replaying a Take would silently
+		// discard the one already taken. A token makes the replay safe —
+		// the shard's memo table answers a duplicate with the original
+		// outcome — which is the whole of exactly-once mode.
+		return false
+	}
+	return true
+}
+
+// call performs op at position w, resolved through v for the first attempt
+// (the route's snapshot, so one op never straddles two rings) and through
+// the live view for every later one. It returns the shard the last attempt
+// ran on; hard errors come back tagged with it as a ShardError.
+func (r *Router) call(v *view, w where, op space.Op) (space.Result, Shard, error) {
+	op.Token = r.token(op, w.scan)
+	if op.Kind.Blocks() && op.Txn == nil && !w.scan {
+		return r.park(v, w, op)
+	}
+	s, _ := w.resolve(v)
+	var err error
+	if op.Txn != nil {
+		if op.Txn, s, err = r.sub(op.Txn, v, s); err != nil {
+			return space.Result{}, s, err
+		}
+	}
+	if err = r.allow(s.ID); err != nil {
+		return space.Result{}, s, wrapShard(s.ID, err)
+	}
+	res, err := r.issue(s, op)
+	switch tok := op.Token; {
+	case !replayable(op, err):
+		if failoverWorthy(err) {
+			r.tryFailover(s.ID) // the next op reaches the promoted primary
+		}
+	case tok.Zero() || w.scan:
+		r.noteAmbiguous(s.ID, tok, err)
+		if (r.tryFailover(s.ID) || !tok.Zero() && ambiguous(err)) && r.spendRetry() {
+			if ns, ok := w.resolve(r.snapshot()); ok {
+				s = ns
+				res, err = r.reissue(s, op)
+			}
+		}
+	default:
+		err = r.replay(op, s.ID, err, func() (e error, tried bool) {
+			ns, ok := w.resolve(r.snapshot())
+			if ok && r.tryFailover(ns.ID) {
+				ns, ok = w.resolve(r.snapshot())
+			}
+			if !ok {
+				return nil, false
+			}
+			s = ns
+			res, e = r.reissue(s, op)
+			return e, true
+		})
+	}
+	return res, s, wrapShard(s.ID, err)
+}
+
+// issue sends op to s once, feeds the outcome to the position's breaker
+// and the retry budget, and binds a written lease to the handle that
+// produced it (see routerLease).
+func (r *Router) issue(s Shard, op space.Op) (space.Result, error) {
+	res, err := s.Space.Do(op)
+	r.observe(s.ID, err)
+	if res.Lease != nil {
+		res.Lease = &routerLease{r: r, sp: s.Space, l: res.Lease}
+	}
+	return res, err
+}
+
+// reissue is issue for a replay. A tokened one is counted, recorded as a
+// flight event, and traced as a span parented to the ring position's last
+// retarget span (when a traced failover supplied one) — which is what
+// stitches the exactly-once retry chain into the failover's span tree.
+func (r *Router) reissue(s Shard, op space.Op) (space.Result, error) {
+	if op.Token.Zero() {
+		return r.issue(s, op)
+	}
+	r.countRetry(metrics.CounterRetryAttempts)
+	start := r.opts.Clock.Now()
+	res, err := r.issue(s, op)
+	if r.opts.Obs != nil {
+		detail := "tok " + op.Token.String()
+		if err != nil {
+			detail += ": " + err.Error()
+		}
+		parent := r.ctrl(s.ID)
+		r.opts.Obs.T().RecordSince(r.opts.Clock, parent, "retry:attempt", r.opts.Seed, start)
+		r.flight(obs.FlightEvent{
+			Kind: obs.EventRetryAttempt, Shard: s.ID, Detail: detail,
+			Trace: parent.TraceID, Span: parent.SpanID,
+		})
+	}
+	return res, err
+}
+
+// noteAmbiguous counts and records a tokened op entering the replay path
+// with its fate unknown.
+func (r *Router) noteAmbiguous(id string, tok tuplespace.OpToken, err error) {
+	if !tok.Zero() && ambiguous(err) {
+		r.countRetry(metrics.CounterRetryAmbiguous)
+		r.flight(obs.FlightEvent{Kind: obs.EventRetryAmbig, Shard: id, Detail: "tok " + tok.String()})
+	}
+}
+
+// replay is the router's one retry loop: it re-drives tokened op, whose
+// first attempt at ring ID id (empty for a lease's bare handle) failed
+// with first, to a definite outcome
+// under the per-op policy — Options.Retry attempts, seeded full-jitter
+// backoff between them, each one charged to the shared budget. again
+// re-issues the op once — the same op, the same token — and reports false
+// when it could not even be re-addressed (its position left the ring, its
+// transaction cannot be rebound), in which case the last error stands.
+func (r *Router) replay(op space.Op, id string, first error, again func() (error, bool)) error {
+	r.noteAmbiguous(id, op.Token, first)
+	err, exhausted := first, false
+	b := r.policy(op.Token)
+	_ = b.Do(func() error {
+		exhausted = false
+		if !r.spendRetry() {
+			return nil
+		}
+		e, tried := again()
+		if !tried {
+			return nil
+		}
+		if err = e; !replayable(op, e) {
+			return nil
+		}
+		r.noteAmbiguous(id, op.Token, e)
+		exhausted = true
+		return e
+	})
+	if exhausted {
+		r.countRetry(metrics.CounterRetryExhausted)
+	}
+	return err
+}
+
+// park is call for a blocking lookup that one position can satisfy (keyed
+// template, or a one-shard ring) outside any transaction: the op's Wait is
+// its attempt budget. The healthy path hands the shard the full wait in
+// one call. After a hard failure it re-resolves the position and re-issues
+// with the remaining wait every PollInterval for as long as a cure is
+// possible, so the window between a primary dying and its backup promoting
+// looks like a timeout (which retry loops such as the master's collect
+// treat as benign) instead of a fatal ShardError.
+func (r *Router) park(v *view, w where, op space.Op) (space.Result, Shard, error) {
+	clk, tok, wait := r.opts.Clock, op.Token, op.Wait
+	deadline := r.deadlineOf(wait)
+	var (
+		res           space.Result
+		err, lastHard error
+		closed        space.Space // the handle a cureless ErrClosed came from
+		grace         time.Time   // how long to wait for something to replace it
+	)
+	for {
+		s, ok := w.resolve(v)
+		if !ok {
+			return res, s, lastHard // the pinned position left the ring
+		}
+		if s.Space != closed {
+			if err = r.allow(s.ID); err == nil {
+				res, err = r.issue(s, op)
+			}
+		}
+		if err == nil || !hard(err) {
+			// Done, or the shard itself timed out cleanly: keep any earlier
+			// hard failure in the diagnostics.
+			if err != nil && lastHard != nil {
+				err = timeoutErr(lastHard)
+			}
+			return res, s, err
+		}
+		lastHard = wrapShard(s.ID, err)
+		pause := r.opts.PollInterval
+		switch {
+		case r.opts.Failover == nil && (tok.Zero() || !failoverWorthy(err)):
+			// No replica to promote and no token to replay under: nothing
+			// can cure a hard failure — except a closed handle being
+			// replaced. The shard was closed under the parked call because
+			// a merge retired it or a restart is swapping a recovered space
+			// in behind the same ID; ErrClosed guarantees the op did not
+			// execute, so re-parking is safe even for a take. A merge
+			// installs its topology before closing the child and a restart
+			// closes before swapping, so the first look at the live view
+			// usually finds the new owner and ten poll rounds cover the
+			// rest; if nothing replaced the handle by then the close is a
+			// shutdown.
+			if s.Space != closed {
+				closed, grace, pause = s.Space, clk.Now().Add(10*pause), 0
+			}
+			if !errors.Is(err, tuplespace.ErrClosed) || !clk.Now().Before(grace) {
+				return res, s, lastHard
+			}
+		case failoverWorthy(err) && !replayable(op, err):
+			r.tryFailover(s.ID) // heal the ring for the next op
+			return res, s, lastHard
+		case !tok.Zero() && ambiguous(err):
+			// Go straight around with the same token — unless the budget is
+			// dry: then the ambiguity surfaces (still counted) instead of
+			// being re-driven.
+			r.noteAmbiguous(s.ID, tok, err)
+			if !r.spendRetry() {
+				return res, s, lastHard
+			}
+			r.countRetry(metrics.CounterRetryAttempts)
+			r.tryFailover(s.ID)
+			pause = 0
+		case failoverWorthy(err) && r.tryFailover(s.ID) && r.spendRetry():
+			pause = 0
+		}
+		// No replacement yet: poll until one promotes or time runs out.
+		if pause, _ = r.left(deadline, pause); pause > 0 {
+			clk.Sleep(pause)
+		}
+		if op.Wait, ok = r.left(deadline, wait); !ok {
+			return res, s, timeoutErr(lastHard)
+		}
+		v = r.snapshot()
+	}
+}

@@ -3,7 +3,6 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"gospaces/internal/metrics"
 	"gospaces/internal/obs"
@@ -17,7 +16,10 @@ import (
 // epoch. The router keeps the ring untouched and swaps only the handle
 // behind the ring position, so key placement is preserved exactly as with
 // Replace; in-flight scatters re-snapshot the view each round and retry
-// against the promoted primary instead of surfacing a ShardError.
+// against the promoted primary instead of surfacing a ShardError. This
+// file is the mechanism — Retarget, the throttled tryFailover, the two
+// error classes (failoverWorthy, ambiguous); when an op is replayed after
+// a failover is Router.call's decision (call.go).
 
 // Retarget swaps the handle behind ring ID id onto a newer epoch. It is
 // the failover analogue of Replace: same ring position, new server. A
@@ -64,16 +66,14 @@ func (r *Router) tryFailover(id string) bool {
 		return false
 	}
 	now := r.opts.Clock.Now()
-	r.foMu.Lock()
-	if r.foLast == nil {
-		r.foLast = make(map[string]time.Time)
-	}
-	if last, ok := r.foLast[id]; ok && now.Sub(last) < r.opts.FailoverBackoff {
-		r.foMu.Unlock()
+	r.posMu.Lock()
+	p := r.pos[id]
+	if p == nil || !p.lastResolve.IsZero() && now.Sub(p.lastResolve) < r.opts.FailoverBackoff {
+		r.posMu.Unlock()
 		return false
 	}
-	r.foLast[id] = now
-	r.foMu.Unlock()
+	p.lastResolve = now
+	r.posMu.Unlock()
 
 	s, err := r.opts.Failover(id)
 	if err != nil || s.Space == nil {
@@ -83,9 +83,7 @@ func (r *Router) tryFailover(id string) bool {
 		return false
 	}
 	r.failovers.Add(1)
-	if r.opts.Counters != nil {
-		r.opts.Counters.Inc(metrics.CounterReplFailovers)
-	}
+	r.countRetry(metrics.CounterReplFailovers)
 	r.noteRetarget(id, s)
 	return true
 }
@@ -101,7 +99,11 @@ func (r *Router) noteRetarget(id string, s Shard) {
 	sp := r.opts.Obs.T().StartChild(r.opts.Clock, s.Trace, "failover:retarget", r.opts.Seed)
 	ctx := sp.Context()
 	sp.End()
-	r.setCtrl(id, ctx)
+	r.posMu.Lock()
+	if p := r.pos[id]; p != nil && ctx.Valid() {
+		p.ctrl = ctx
+	}
+	r.posMu.Unlock()
 	r.flight(obs.FlightEvent{
 		Kind: obs.EventRetarget, Shard: id, Epoch: s.Epoch,
 		Trace: ctx.TraceID, Span: ctx.SpanID,
@@ -121,26 +123,15 @@ func (r *Router) RetargetTraced(s Shard) error {
 	return nil
 }
 
-// setCtrl remembers the retarget span for ring ID id (valid contexts
-// only), so retry spans can parent to it.
-func (r *Router) setCtrl(id string, tc obs.TraceContext) {
-	if !tc.Valid() {
-		return
-	}
-	r.ctrlMu.Lock()
-	if r.ctrlCtx == nil {
-		r.ctrlCtx = make(map[string]obs.TraceContext)
-	}
-	r.ctrlCtx[id] = tc
-	r.ctrlMu.Unlock()
-}
-
 // ctrl returns the last retarget span context for ring ID id (zero when
 // no traced failover has retargeted it).
 func (r *Router) ctrl(id string) obs.TraceContext {
-	r.ctrlMu.Lock()
-	defer r.ctrlMu.Unlock()
-	return r.ctrlCtx[id]
+	r.posMu.Lock()
+	defer r.posMu.Unlock()
+	if p := r.pos[id]; p != nil {
+		return p.ctrl
+	}
+	return obs.TraceContext{}
 }
 
 // flight records one control-plane event attributed to this router's
@@ -173,44 +164,6 @@ func failoverWorthy(err error) bool {
 // ErrUnavailable, a closed space) guarantees the mutation did not take
 // effect.
 func ambiguous(err error) bool { return errors.Is(err, space.ErrOpTimeout) }
-
-// healed attempts failover for ring ID id after err and reports whether
-// the ring position was actually retargeted — the caller may then retry
-// once against the fresh handle, a retry charged to the shared budget.
-// Errors that failover cannot cure (soft conditions, caller-side
-// transaction misuse, admission fast-fails) never trigger resolution.
-// Use for idempotent operations (reads, counts); mutations go through
-// healedMut.
-func (r *Router) healed(id string, err error) bool {
-	return failoverWorthy(err) && r.tryFailover(id) && r.spendRetry()
-}
-
-// healedMut is healed for mutating operations (Write, the Take variants,
-// commit). An ambiguous failure still triggers failover resolution — the
-// *next* operation reaches the promoted primary — but reports false, so
-// the caller surfaces the error instead of replaying an op that may
-// already have executed: auto-retrying a Write whose reply was lost
-// duplicates the entry, and retrying a Take masks that the taken entry's
-// data is gone (DESIGN §7, retry semantics).
-func (r *Router) healedMut(id string, err error) bool {
-	if !failoverWorthy(err) {
-		return false
-	}
-	if ambiguous(err) {
-		r.tryFailover(id)
-		return false
-	}
-	return r.tryFailover(id) && r.spendRetry()
-}
-
-// healedOp dispatches between healed and healedMut on whether the
-// operation mutates shard state.
-func (r *Router) healedOp(id string, mutating bool, err error) bool {
-	if mutating {
-		return r.healedMut(id, err)
-	}
-	return r.healed(id, err)
-}
 
 // fresh returns the current handle behind ring ID id.
 func (r *Router) fresh(id string) space.Space { return r.snapshot().shards[id] }

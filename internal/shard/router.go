@@ -178,21 +178,13 @@ type Router struct {
 	clientID string
 	tokSeq   atomic.Uint64
 
-	// failover throttle state and retarget count (see failover.go).
-	foMu      sync.Mutex
-	foLast    map[string]time.Time
+	// failovers counts retargets onto a promoted backup (see failover.go).
 	failovers atomic.Uint64
 
-	// Control-plane trace linkage: per ring ID, the span context of the
-	// last successful retarget. Retry spans parent to it, so a failover
-	// plus the retries it heals form one connected span tree.
-	ctrlMu  sync.Mutex
-	ctrlCtx map[string]obs.TraceContext
-
-	// Per-ring-ID circuit breakers (see breaker.go; nil Options.Breaker
-	// leaves the map unused).
-	bkMu sync.Mutex
-	bks  map[string]*breaker
+	// Per-position state — breaker, failover throttle, last retarget span —
+	// for exactly the ring IDs of the current view (see position).
+	posMu sync.Mutex
+	pos   map[string]*position
 }
 
 // New builds a router over shards (at least one, distinct IDs).
@@ -251,6 +243,7 @@ func (r *Router) SetShards(shards []Shard) error {
 	}
 	v.ring = newRingLabels(v.order, v.labels)
 	r.v = v
+	r.syncPositions(v)
 	return nil
 }
 
@@ -346,18 +339,6 @@ func (r *Router) Do(op space.Op) (res space.Result, err error) {
 	return res, err
 }
 
-// do runs op on shard id's handle sp, feeding the outcome to the breaker
-// and retry budget, and binds a written lease to the handle that produced
-// it (see routerLease).
-func (r *Router) do(id string, sp space.Space, op space.Op) (space.Result, error) {
-	res, err := sp.Do(op)
-	r.observe(id, err)
-	if res.Lease != nil {
-		res.Lease = &routerLease{r: r, sp: sp, l: res.Lease}
-	}
-	return res, err
-}
-
 // --- transactions ---
 
 // routerTxn lazily opens one sub-transaction per shard touched. Commit and
@@ -395,36 +376,29 @@ func (t *routerTxn) Abort() error {
 	return err
 }
 
-// sub resolves t (nil passes through) to the sub-transaction for shard id,
-// opening it on first touch.
-func (r *Router) sub(t space.Txn, id string, sp space.Space) (space.Txn, error) {
-	if t == nil {
-		return nil, nil
-	}
+// sub resolves caller transaction t to its sub-transaction on s, opening
+// it on first touch — a call like any other: no sub-transaction state
+// exists yet, so opening it against a promoted replacement is safe. It
+// returns the shard the op must follow the sub-transaction to.
+func (r *Router) sub(t space.Txn, v *view, s Shard) (space.Txn, Shard, error) {
 	rt, ok := t.(*routerTxn)
 	if !ok || rt.r != r {
-		return nil, space.ErrBadTxn
+		return nil, s, space.ErrBadTxn
 	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
 	if rt.done {
-		return nil, tuplespace.ErrTxnInactive
+		return nil, s, tuplespace.ErrTxnInactive
 	}
-	if st, ok := rt.subs[id]; ok {
-		return st.tx, nil
+	if st, ok := rt.subs[s.ID]; ok {
+		return st.tx, s, nil
 	}
-	tx, err := sp.BeginTxn(rt.ttl)
-	if err != nil && r.healed(id, err) {
-		// No sub-transaction state existed yet, so opening it against the
-		// promoted replacement is safe.
-		sp = r.fresh(id)
-		tx, err = sp.BeginTxn(rt.ttl)
-	}
+	res, s, err := r.call(v, where{id: s.ID}, space.Op{Kind: space.OpBeginTxn, TTL: rt.ttl})
 	if err != nil {
-		return nil, wrapShard(id, err)
+		return nil, s, err
 	}
-	rt.subs[id] = subTxn{sp: sp, tx: tx}
-	return tx, nil
+	rt.subs[s.ID] = subTxn{sp: s.Space, tx: res.Txn}
+	return res.Txn, s, nil
 }
 
 // finish completes every sub-transaction. A second, tokenless finish
@@ -453,15 +427,38 @@ func (t *routerTxn) finish(op space.Op) error {
 		if sop.Token.Zero() {
 			sop.Token = t.r.mint()
 		}
-		_, err := subs[id].sp.Do(sop)
-		if err != nil && t.r.retryableMut(err, sop.Token) {
-			err = t.r.retryFinish(id, sop, err)
-		}
-		if err != nil && firstErr == nil {
+		if err := t.r.finishSub(id, subs[id], sop); err != nil && firstErr == nil {
 			firstErr = wrapShard(id, err)
 		}
 	}
 	return firstErr
+}
+
+// finishSub sends one sub-transaction's commit/abort to the handle it was
+// opened on — a handle, not a ring position: no breaker gates it (a
+// breaker must never fast-fail a commit) or hears of its outcome, and a
+// tokenless one is never replayed. A tokened one replays under the same
+// predicate and loop as any call; each replay resolves failover and
+// rebinds the transaction to the position's current handle, where the
+// promoted backup's memo table answers a commit that already executed and
+// a transaction that truly died with the primary still surfaces
+// ErrTxnInactive.
+func (r *Router) finishSub(id string, st subTxn, sop space.Op) error {
+	_, err := st.sp.Do(sop)
+	if sop.Token.Zero() || !replayable(sop, err) {
+		return err
+	}
+	return r.replay(sop, id, err, func() (error, bool) {
+		r.tryFailover(id)
+		sp := r.fresh(id)
+		if sop.Txn = space.RebindTxn(sp, st.tx); sop.Txn == nil {
+			// The handle cannot be re-addressed (a local or wrapped
+			// transaction): surface the original failure.
+			return nil, false
+		}
+		_, e := r.reissue(Shard{ID: id, Space: sp}, sop)
+		return e, true
+	})
 }
 
 // --- single-shard routed operations ---
@@ -474,39 +471,20 @@ func (r *Router) write(op space.Op) (space.Result, error) {
 	if err != nil {
 		return space.Result{}, err
 	}
-	var id string
-	if keyed {
-		id = v.ring.get(key)
-	} else {
-		id = v.order[r.nextRot(len(v.order))]
-	}
-	aerr := r.allow(id)
-	if aerr != nil && !keyed {
+	w := where{key: key, keyed: keyed}
+	n := len(v.order)
+	for i := 1; ; i++ {
+		if !keyed {
+			w.id = v.order[r.nextRot(n)]
+		}
+		res, _, err := r.call(v, w, op)
 		// An unkeyed write may land anywhere: route around open breakers
-		// instead of fast-failing, falling through only when every shard
-		// is open.
-		for i := 1; i < len(v.order) && aerr != nil; i++ {
-			id = v.order[r.nextRot(len(v.order))]
-			aerr = r.allow(id)
+		// (a fast-failed call provably was not sent) instead of failing,
+		// falling through only when every shard is open.
+		if keyed || i >= n || !errors.Is(err, ErrBreakerOpen) {
+			return res, err
 		}
 	}
-	if aerr != nil {
-		return space.Result{}, wrapShard(id, aerr)
-	}
-	sp := v.shards[id]
-	if op.Txn, err = r.sub(op.Txn, id, sp); err != nil {
-		return space.Result{}, err
-	}
-	op.Token = r.tokFor(op)
-	res, err := r.do(id, sp, op)
-	if !op.Token.Zero() {
-		if err != nil && r.retryableMut(err, op.Token) {
-			res, id, err = r.retryMut(key, keyed, id, op, err)
-		}
-	} else if r.healedMut(id, err) && op.Txn == nil {
-		res, err = r.do(id, r.fresh(id), op)
-	}
-	return res, wrapShard(id, err)
 }
 
 // ifExists returns the non-blocking variant of a lookup kind.
@@ -526,204 +504,22 @@ func (r *Router) lookup(op space.Op) (space.Result, error) {
 	if err != nil {
 		return space.Result{}, err
 	}
-	take, block, t := op.Kind.Takes(), op.Kind.Blocks(), op.Txn
 	if keyed || len(v.order) == 1 {
 		// One shard can satisfy this: hand it the full timeout directly.
-		// The token rides non-transactional takes only (reads never
-		// mutate, and a transactional op's retry unit is its commit).
-		sop := op
-		sop.Token = tuplespace.OpToken{}
-		if take {
-			sop.Token = r.tokFor(op)
-		}
-		tok := sop.Token
-		if t == nil && block && r.opts.Failover != nil {
-			id := v.order[0]
-			if keyed {
-				id = v.ring.get(key)
-			}
-			// Replicated ring: a dead primary here is curable, so hard
-			// failures degrade to a failover-polling loop instead of
-			// surfacing (see singleBlocking).
-			return r.singleBlocking(id, sop)
-		}
-		clk := r.opts.Clock
-		var deadline time.Time
-		if block && op.Wait > 0 {
-			deadline = clk.Now().Add(op.Wait)
-		}
-		for {
-			id := v.order[0]
-			if keyed {
-				id = v.ring.get(key)
-			}
-			if aerr := r.allow(id); aerr != nil {
-				return space.Result{}, wrapShard(id, aerr)
-			}
-			sp := v.shards[id]
-			if sop.Txn, err = r.sub(t, id, sp); err != nil {
-				return space.Result{}, err
-			}
-			res, err := r.do(id, sp, sop)
-			if r.healedOpTok(id, take, err, tok) && t == nil {
-				res, err = r.do(id, r.fresh(id), sop)
-			}
-			if block && t == nil && errors.Is(err, tuplespace.ErrClosed) {
-				// The shard was closed under a parked call: a merge retired
-				// it, or a restart swapped a recovered space in behind the
-				// same ring ID. ErrClosed guarantees the op did not execute
-				// (see ambiguous), so re-parking on the current owner is
-				// safe even for takes. awaitReroute fails when nothing
-				// replaces the shard — then the close means shutdown and
-				// the error surfaces as before.
-				if next, ok := r.awaitReroute(key, keyed, id, sp, deadline); ok {
-					v = next
-					if !deadline.IsZero() {
-						if sop.Wait = deadline.Sub(clk.Now()); sop.Wait <= 0 {
-							return space.Result{}, timeoutErr(wrapShard(id, err))
-						}
-					}
-					continue
-				}
-			}
-			if err != nil && t == nil && !tok.Zero() && failoverWorthy(err) {
-				if block {
-					// Exactly-once blocking take: the token makes a replay
-					// safe, so instead of surfacing, poll and re-issue the
-					// same token until the deadline (the deadline is the
-					// per-op budget for blocking ops).
-					if deadline.IsZero() || clk.Now().Before(deadline) {
-						clk.Sleep(r.opts.PollInterval)
-						v = r.snapshot()
-						if !deadline.IsZero() {
-							if sop.Wait = deadline.Sub(clk.Now()); sop.Wait <= 0 {
-								return space.Result{}, timeoutErr(wrapShard(id, err))
-							}
-						}
-						continue
-					}
-					return space.Result{}, timeoutErr(wrapShard(id, err))
-				}
-				// Non-blocking exactly-once take: budgeted retry loop.
-				res, id, err = r.retryMut(key, keyed, id, sop, err)
-			}
-			return res, wrapShard(id, err)
-		}
+		res, _, err := r.call(v, where{key: key, keyed: keyed, id: v.order[0]}, op)
+		return res, err
 	}
-	if !block {
+	if !op.Kind.Blocks() {
 		res, err, _ := r.sweep(v, op)
 		return res, err
 	}
-	if t != nil {
+	if op.Txn != nil {
 		// Scatter under a transaction polls sequentially: the first-win
 		// path below writes losing takes back outside any transaction,
 		// which would break isolation here.
 		return r.pollScatter(v, op)
 	}
 	return r.scatter(v, op)
-}
-
-// awaitReroute polls the view after a single-shard blocking lookup found
-// its shard closed, until the lookup resolves somewhere new: a different
-// ring ID (an elastic merge routed the key back to the parent) or a fresh
-// handle behind the same ID (a restart recovered the shard from its WAL).
-// A merge installs its topology before closing the retired child, so the
-// first snapshot usually already differs; a restart closes the old space
-// before swapping the recovered one in, so a short grace of poll rounds
-// covers the replay window. If nothing replaces the shard within the
-// grace — a plain shutdown — it reports false and the caller surfaces
-// ErrClosed exactly as before.
-func (r *Router) awaitReroute(key string, keyed bool, id string, sp space.Space, deadline time.Time) (*view, bool) {
-	clk := r.opts.Clock
-	grace := clk.Now().Add(10 * r.opts.PollInterval)
-	for {
-		next := r.snapshot()
-		nid := next.order[0]
-		if keyed {
-			nid = next.ring.get(key)
-		}
-		if nid != id || next.shards[nid] != sp {
-			return next, true
-		}
-		now := clk.Now()
-		if !now.Before(grace) || (!deadline.IsZero() && !now.Before(deadline)) {
-			return nil, false
-		}
-		clk.Sleep(r.opts.PollInterval)
-	}
-}
-
-// singleBlocking is the blocking lookup that only one shard can satisfy
-// (keyed template, or a one-shard ring) outside any transaction. The
-// healthy path hands the shard the full timeout in one call; after a hard
-// failure it degrades to a poll loop that attempts failover each round,
-// so the window between a primary dying and its backup promoting looks
-// like a timeout (which retry loops such as the master's collect treat as
-// benign) instead of a fatal ShardError.
-func (r *Router) singleBlocking(id string, op space.Op) (space.Result, error) {
-	clk := r.opts.Clock
-	timeout, take, tok := op.Wait, op.Kind.Takes(), op.Token
-	var deadline time.Time
-	if timeout > 0 {
-		deadline = clk.Now().Add(timeout)
-	}
-	var lastHard error
-	for {
-		var res space.Result
-		err := r.allow(id)
-		if err == nil {
-			res, err = r.do(id, r.fresh(id), op)
-		}
-		if err == nil {
-			return res, nil
-		}
-		if !hard(err) {
-			// The shard itself timed out cleanly; keep any earlier hard
-			// failure in the diagnostics.
-			return space.Result{}, timeoutErr(lastHard)
-		}
-		lastHard = wrapShard(id, err)
-		if take && ambiguous(err) {
-			if tok.Zero() {
-				// The take may have executed with only the reply lost; heal
-				// the ring for the next op but surface the ambiguity instead
-				// of re-taking, which would silently discard the taken entry.
-				r.tryFailover(id)
-				return space.Result{}, lastHard
-			}
-			// Exactly-once: the retry carries the same token, so if the take
-			// did execute, the promoted (or recovered) shard's memo returns
-			// the original entry instead of re-taking. Resolve failover and
-			// go around — unless the retry budget is dry, in which case the
-			// ambiguity surfaces (still counted) instead of being re-driven.
-			r.countRetry(metrics.CounterRetryAmbiguous)
-			if !r.spendRetry() {
-				return space.Result{}, lastHard
-			}
-			r.countRetry(metrics.CounterRetryAttempts)
-			r.tryFailover(id)
-		} else if !r.healed(id, err) {
-			// No replacement yet: poll until one promotes or time runs out.
-			wait := r.opts.PollInterval
-			if !deadline.IsZero() {
-				if rem := deadline.Sub(clk.Now()); rem < wait {
-					wait = rem
-				}
-			}
-			if wait > 0 {
-				clk.Sleep(wait)
-			}
-		}
-		if !deadline.IsZero() {
-			rem := deadline.Sub(clk.Now())
-			if rem <= 0 {
-				return space.Result{}, timeoutErr(lastHard)
-			}
-			op.Wait = rem
-		} else {
-			op.Wait = timeout
-		}
-	}
 }
 
 // hard reports whether err ends a scatter (as opposed to the no-entry-yet
@@ -775,68 +571,54 @@ func wrapShard(id string, err error) error {
 func (r *Router) sweep(v *view, op space.Op) (space.Result, error, int) {
 	n := len(v.order)
 	start := r.nextRot(n)
-	t, take := op.Txn, op.Kind.Takes()
 	op.Kind, op.Wait = ifExists(op.Kind), 0
 	var firstErr error
 	hards := 0
 	for i := 0; i < n; i++ {
-		id := v.order[(start+i)%n]
-		sp := v.shards[id]
-		if aerr := r.allow(id); aerr != nil {
-			// The breaker fast-fails this shard's probe; the sweep keeps
-			// serving from the rest, exactly as with a slow hard failure.
-			hards++
-			if firstErr == nil {
-				firstErr = wrapShard(id, aerr)
-			}
-			continue
-		}
-		var err error
-		if op.Txn, err = r.sub(t, id, sp); err != nil {
-			var se *ShardError
-			if !errors.As(err, &se) {
-				// Not a shard-side failure (bad or inactive caller txn):
-				// poisons the whole op.
-				return space.Result{}, err, n
-			}
-			// One shard refusing its sub-transaction (dead, partitioned) is
-			// a per-shard hard failure; the rest can still serve the sweep.
-			hards++
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		// Each shard probe is its own tokened attempt: a token must never
-		// retry across ring IDs (the effect it dedups lives on one shard).
-		op.Token = tuplespace.OpToken{}
-		if take {
-			op.Token = r.tokOf(t)
-		}
-		res, err := r.do(id, sp, op)
+		res, _, err := r.call(v, where{id: v.order[(start+i)%n], scan: true}, op)
 		if err == nil {
 			return res, nil, 0
 		}
-		if hard(err) {
-			if r.healedOpTok(id, take, err, op.Token) && t == nil {
-				// Retry immediately against the promoted replacement.
-				res, err2 := r.do(id, r.fresh(id), op)
-				if err2 == nil {
-					return res, nil, 0
-				} else if !hard(err2) {
-					continue // healed; this shard just has no match yet
-				}
-			}
-			hards++
-			if firstErr == nil {
-				firstErr = wrapShard(id, err)
-			}
+		if !hard(err) {
+			continue
+		}
+		var se *ShardError
+		if !errors.As(err, &se) {
+			// Not a shard-side failure (bad or inactive caller txn):
+			// poisons the whole op.
+			return space.Result{}, err, n
+		}
+		// One shard failing — dead, partitioned, breaker open, refusing its
+		// sub-transaction — is a per-shard hard failure; the rest can still
+		// serve the sweep.
+		hards++
+		if firstErr == nil {
+			firstErr = err
 		}
 	}
 	if firstErr != nil {
 		return space.Result{}, firstErr, hards
 	}
 	return space.Result{}, tuplespace.ErrNoMatch, 0
+}
+
+// deadlineOf returns when a blocking lookup that may wait d gives up: the
+// zero time — never — for d <= 0.
+func (r *Router) deadlineOf(d time.Duration) (t time.Time) {
+	if d > 0 {
+		t = r.opts.Clock.Now().Add(d)
+	}
+	return t
+}
+
+// left returns the time left until deadline, capped at max (max itself
+// when there is no deadline), and false once the deadline has passed.
+func (r *Router) left(deadline time.Time, max time.Duration) (time.Duration, bool) {
+	if deadline.IsZero() {
+		return max, true
+	}
+	rem := deadline.Sub(r.opts.Clock.Now())
+	return min(rem, max), rem > 0
 }
 
 // timeoutErr resolves a blocking lookup's deadline expiry: plain ErrTimeout
@@ -854,11 +636,7 @@ func timeoutErr(lastHard error) error {
 // pollScatter is the blocking zero-key lookup under a transaction:
 // repeated non-blocking sweeps with poll sleeps in between.
 func (r *Router) pollScatter(v *view, op space.Op) (space.Result, error) {
-	clk := r.opts.Clock
-	var deadline time.Time
-	if op.Wait > 0 {
-		deadline = clk.Now().Add(op.Wait)
-	}
+	deadline := r.deadlineOf(op.Wait)
 	var lastHard error
 	for {
 		// Re-snapshot each sweep so a failover retarget (possibly performed
@@ -874,17 +652,11 @@ func (r *Router) pollScatter(v *view, op space.Op) (space.Result, error) {
 			}
 			lastHard = err // partial: healthy shards may still match
 		}
-		wait := r.opts.PollInterval
-		if !deadline.IsZero() {
-			rem := deadline.Sub(clk.Now())
-			if rem <= 0 {
-				return space.Result{}, timeoutErr(lastHard)
-			}
-			if rem < wait {
-				wait = rem
-			}
+		wait, ok := r.left(deadline, r.opts.PollInterval)
+		if !ok {
+			return space.Result{}, timeoutErr(lastHard)
 		}
-		clk.Sleep(wait)
+		r.opts.Clock.Sleep(wait)
 	}
 }
 
@@ -896,11 +668,7 @@ func (r *Router) pollScatter(v *view, op space.Op) (space.Result, error) {
 // written back to the shard it came from (with a Forever lease; per-entry
 // lease state does not survive the round trip).
 func (r *Router) scatter(v *view, op space.Op) (space.Result, error) {
-	clk := r.opts.Clock
-	var deadline time.Time
-	if op.Wait > 0 {
-		deadline = clk.Now().Add(op.Wait)
-	}
+	deadline := r.deadlineOf(op.Wait)
 	// Fast pass before spawning anything.
 	var lastHard error
 	if res, err, hards := r.sweep(v, op); err == nil {
@@ -912,21 +680,12 @@ func (r *Router) scatter(v *view, op space.Op) (space.Result, error) {
 		lastHard = err
 	}
 	n := len(v.order)
-	fanout := r.opts.Fanout
-	if fanout > n {
-		fanout = n
-	}
+	fanout := min(r.opts.Fanout, n)
 	base := r.nextRot(n)
 	for round := 0; ; round++ {
-		op.Wait = r.opts.Slice
-		if !deadline.IsZero() {
-			rem := deadline.Sub(clk.Now())
-			if rem <= 0 {
-				return space.Result{}, timeoutErr(lastHard)
-			}
-			if rem < op.Wait {
-				op.Wait = rem
-			}
+		var ok bool
+		if op.Wait, ok = r.left(deadline, r.opts.Slice); !ok {
+			return space.Result{}, timeoutErr(lastHard)
 		}
 		// Re-snapshot each round so a failover retarget is picked up by the
 		// next wave of children instead of them probing the dead handle. The
@@ -934,11 +693,7 @@ func (r *Router) scatter(v *view, op space.Op) (space.Result, error) {
 		// shard), so re-clamp the fanout to this round's view — a child with
 		// no chunk members would have nothing to probe.
 		v = r.snapshot()
-		f := fanout
-		if m := len(v.order); f > m {
-			f = m
-		}
-		res, err, allHard := r.scatterRound(v, op, f, base+round)
+		res, err, allHard := r.scatterRound(v, op, min(fanout, len(v.order)), base+round)
 		if err == nil {
 			return res, nil
 		}
@@ -1026,28 +781,6 @@ func (st *roundState) result(children int) (space.Result, error, bool) {
 	return space.Result{}, tuplespace.ErrTimeout, false
 }
 
-// probe is one non-transactional scatter-child lookup against a shard,
-// retried once against a promoted replacement on a hard failure. It
-// returns the handle actually used, so a losing take is written back to
-// the shard that produced it.
-func (r *Router) probe(s Shard, op space.Op) (space.Space, space.Result, error) {
-	if aerr := r.allow(s.ID); aerr != nil {
-		return s.Space, space.Result{}, aerr
-	}
-	take := op.Kind.Takes()
-	op.Token = tuplespace.OpToken{}
-	if take {
-		op.Token = r.mint()
-	}
-	res, err := r.do(s.ID, s.Space, op)
-	if r.healedOpTok(s.ID, take, err, op.Token) {
-		sp := r.fresh(s.ID)
-		res, err = r.do(s.ID, sp, op)
-		return sp, res, err
-	}
-	return s.Space, res, err
-}
-
 // scatterRound runs one round of blocking lookup op: fanout children each
 // sweep a strided chunk of the shards non-blockingly, then park one
 // blocking wait — op.Wait is the round's slice — on their chunk's
@@ -1066,10 +799,9 @@ func (r *Router) scatterRound(v *view, op space.Op, fanout, round int) (space.Re
 		g.Go(func() {
 			sawLive, sawHard := false, false
 			defer func() { st.childDone(sawHard && !sawLive) }()
-			var chunk []Shard
+			var chunk []string
 			for i := j; i < n; i += fanout {
-				id := v.order[(round+i)%n]
-				chunk = append(chunk, Shard{ID: id, Space: v.shards[id]})
+				chunk = append(chunk, v.order[(round+i)%n])
 			}
 			if len(chunk) == 0 {
 				// fanout exceeds the view (the ring shrank under us):
@@ -1077,20 +809,20 @@ func (r *Router) scatterRound(v *view, op space.Op, fanout, round int) (space.Re
 				// round's accounting intact.
 				return
 			}
-			for _, s := range chunk {
+			for _, id := range chunk {
 				if st.finished() {
 					return
 				}
-				sp, res, err := r.probe(s, quick)
+				res, s, err := r.call(v, where{id: id, scan: true}, quick)
 				if err == nil {
-					st.win(sp, res)
+					st.win(s.Space, res)
 					return
 				}
 				if hard(err) {
 					// A dead chunk member doesn't end the child: keep
 					// probing the rest so one partitioned shard never
 					// blinds a whole stride of healthy ones.
-					st.fail(wrapShard(s.ID, err))
+					st.fail(err)
 					sawHard = true
 				} else {
 					sawLive = true
@@ -1099,12 +831,11 @@ func (r *Router) scatterRound(v *view, op space.Op, fanout, round int) (space.Re
 			if st.finished() {
 				return
 			}
-			s := chunk[round%len(chunk)]
-			sp, res, err := r.probe(s, op)
+			res, s, err := r.call(v, where{id: chunk[round%len(chunk)], scan: true}, op)
 			if err == nil {
-				st.win(sp, res)
+				st.win(s.Space, res)
 			} else if hard(err) {
-				st.fail(wrapShard(s.ID, err))
+				st.fail(err)
 				sawHard = true
 			} else {
 				sawLive = true
@@ -1128,41 +859,16 @@ func (r *Router) bulk(op space.Op) ([]tuplespace.Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	t, take, max := op.Txn, op.Kind.Takes(), op.Max
-	// one runs op against shard id with budget rem. pinned marks the
-	// single-shard case, whose token may be the caller's and whose
-	// exactly-once retry may re-route by key; a walk's per-shard tokens
-	// stay on the shard that may hold their effect.
-	one := func(id string, rem int, pinned bool) ([]tuplespace.Entry, error) {
-		if aerr := r.allow(id); aerr != nil {
-			return nil, wrapShard(id, aerr)
-		}
-		sp := v.shards[id]
+	take, max := op.Kind.Takes(), op.Max
+	// one runs op at w with budget rem.
+	one := func(w where, rem int) ([]tuplespace.Entry, error) {
 		sop := op
 		sop.Max = rem
-		var err error
-		if sop.Txn, err = r.sub(t, id, sp); err != nil {
-			return nil, err
-		}
-		sop.Token = tuplespace.OpToken{}
-		if take && pinned {
-			sop.Token = r.tokFor(op)
-		} else if take {
-			sop.Token = r.tokOf(t)
-		}
-		res, err := r.do(id, sp, sop)
-		if pinned && !sop.Token.Zero() && err != nil && r.retryableMut(err, sop.Token) {
-			res, id, err = r.retryMut(key, keyed, id, sop, err)
-		} else if r.healedOpTok(id, take, err, sop.Token) && t == nil {
-			res, err = r.do(id, r.fresh(id), sop)
-		}
-		return res.Entries, wrapShard(id, err)
+		res, _, err := r.call(v, w, sop)
+		return res.Entries, err
 	}
-	if keyed {
-		return one(v.ring.get(key), max, true)
-	}
-	if len(v.order) == 1 {
-		return one(v.order[0], max, true)
+	if keyed || len(v.order) == 1 {
+		return one(where{key: key, keyed: keyed, id: v.order[0]}, max)
 	}
 	if take || max > 0 {
 		// Sequential budgeted walk.
@@ -1176,7 +882,7 @@ func (r *Router) bulk(op space.Op) ([]tuplespace.Entry, error) {
 					break
 				}
 			}
-			es, err := one(v.order[(start+i)%n], rem, false)
+			es, err := one(where{id: v.order[(start+i)%n], scan: true}, rem)
 			if err != nil {
 				return out, err
 			}
@@ -1184,20 +890,15 @@ func (r *Router) bulk(op space.Op) ([]tuplespace.Entry, error) {
 		}
 		return out, nil
 	}
-	// Unbounded read: concurrent strided gather, merged in shard order.
-	results := make([][]tuplespace.Entry, len(v.order))
-	errs := make([]error, len(v.order))
-	r.strided(v, func(i int, id string) {
-		results[i], errs[i] = one(id, 0, false)
+	// Unbounded read: concurrent gather, merged in shard order.
+	per, err := gather(r, v, func(id string) ([]tuplespace.Entry, error) {
+		return one(where{id: id, scan: true}, 0)
 	})
 	var out []tuplespace.Entry
-	for i := range v.order {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		out = append(out, results[i]...)
+	for _, es := range per {
+		out = append(out, es...)
 	}
-	return out, nil
+	return out, err
 }
 
 // count counts one shard for a keyed template, otherwise sums the
@@ -1208,52 +909,43 @@ func (r *Router) count(op space.Op) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	one := func(id string) (int, error) {
-		if aerr := r.allow(id); aerr != nil {
-			return 0, wrapShard(id, aerr)
-		}
-		res, err := r.do(id, v.shards[id], op)
-		if r.healed(id, err) {
-			res, err = r.do(id, r.fresh(id), op)
-		}
-		return res.N, wrapShard(id, err)
-	}
 	if keyed {
-		return one(v.ring.get(key))
+		res, _, err := r.call(v, where{key: key, keyed: true}, op)
+		return res.N, err
 	}
-	counts := make([]int, len(v.order))
-	errs := make([]error, len(v.order))
-	r.strided(v, func(i int, id string) {
-		counts[i], errs[i] = one(id)
+	per, err := gather(r, v, func(id string) (int, error) {
+		res, _, err := r.call(v, where{id: id}, op)
+		return res.N, err
 	})
 	total := 0
-	for i := range v.order {
-		if errs[i] != nil {
-			return 0, errs[i]
-		}
-		total += counts[i]
+	for _, n := range per {
+		total += n
 	}
-	return total, nil
+	return total, err
 }
 
-// strided runs fn(i, id) for every shard with at most Fanout concurrent
-// calls, blocking until all complete.
-func (r *Router) strided(v *view, fn func(i int, id string)) {
+// gather runs one(id) for every shard of v with at most Fanout concurrent
+// calls and returns the results in shard order; the first error in shard
+// order wins and discards them.
+func gather[T any](r *Router, v *view, one func(id string) (T, error)) ([]T, error) {
 	n := len(v.order)
-	fanout := r.opts.Fanout
-	if fanout > n {
-		fanout = n
-	}
+	out, errs := make([]T, n), make([]error, n)
+	fanout := min(r.opts.Fanout, n)
 	g := vclock.NewGroup(r.opts.Clock)
 	for j := 0; j < fanout; j++ {
-		j := j
 		g.Go(func() {
 			for i := j; i < n; i += fanout {
-				fn(i, v.order[i])
+				out[i], errs[i] = one(v.order[i])
 			}
 		})
 	}
 	g.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // typeCounts merges live-entry counts per type across all shards.
@@ -1275,22 +967,16 @@ func (r *Router) typeCounts() (map[string]int, error) {
 // balance view operators use to see how the ring is spreading entries.
 func (r *Router) ShardCounts() (map[string]map[string]int, error) {
 	v := r.snapshot()
-	results := make([]map[string]int, len(v.order))
-	errs := make([]error, len(v.order))
-	op := space.Op{Kind: space.OpTypeCounts}
-	r.strided(v, func(i int, id string) {
-		res, err := v.shards[id].Do(op)
-		if r.healed(id, err) {
-			res, err = r.fresh(id).Do(op)
-		}
-		results[i], errs[i] = res.Counts, wrapShard(id, err)
+	per, err := gather(r, v, func(id string) (map[string]int, error) {
+		res, _, err := r.call(v, where{id: id}, space.Op{Kind: space.OpTypeCounts})
+		return res.Counts, err
 	})
+	if err != nil {
+		return nil, err
+	}
 	out := make(map[string]map[string]int, len(v.order))
 	for i, id := range v.order {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		out[id] = results[i]
+		out[id] = per[i]
 	}
 	return out, nil
 }

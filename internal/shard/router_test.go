@@ -359,6 +359,44 @@ func TestRouterBulkOps(t *testing.T) {
 	if n, _ := r.Count(kv{}); n != 0 {
 		t.Fatalf("count after TakeAll = %d", n)
 	}
+
+	// Two middle shards fail: every concurrent gather reports the first
+	// error in shard order, whichever call happened to finish first, and
+	// discards the partial results.
+	clk := vclock.NewReal()
+	shards := make([]Shard, 4)
+	for i := range shards {
+		id := fmt.Sprintf("shard-%d", i)
+		sp := space.Space(space.NewLocal(clk))
+		if i == 1 || i == 2 {
+			sp = space.Intercept(sp, func(space.Op, space.Doer) (space.Result, error) {
+				return space.Result{}, fmt.Errorf("%s is down", id)
+			})
+		}
+		shards[i] = Shard{ID: id, Space: sp}
+	}
+	if r, err = New(Options{Clock: clk}, shards); err != nil {
+		t.Fatal(err)
+	}
+	gathers := map[string]func() (bool, error){
+		"ReadAll": func() (bool, error) { es, err := r.ReadAll(kv{}, nil, 0); return es == nil, err },
+		"Count":   func() (bool, error) { n, err := r.Count(kv{}); return n == 0, err },
+		"ShardCounts": func() (bool, error) {
+			per, err := r.ShardCounts()
+			return per == nil, err
+		},
+		"TypeCounts": func() (bool, error) { tc, err := r.TypeCounts(); return tc == nil, err },
+	}
+	for name, gather := range gathers {
+		empty, err := gather()
+		var se *ShardError
+		if !errors.As(err, &se) || se.Shard != "shard-1" {
+			t.Errorf("%s over two dead shards: err = %v, want the ShardError of shard-1", name, err)
+		}
+		if !empty {
+			t.Errorf("%s returned partial results alongside its error", name)
+		}
+	}
 }
 
 func TestRouterNotifyFanOut(t *testing.T) {

@@ -195,6 +195,7 @@ func (r *Router) ApplyTopology(t Topology, resolve func(ringID string) (Shard, e
 	sort.Strings(v.order)
 	v.ring = newRingLabels(v.order, v.labels)
 	r.v = v
+	r.syncPositions(v)
 	r.mu.Unlock()
 	// Record the adoption outside the view lock: flight recording takes
 	// the recorder's own mutex and must never nest inside r.mu.

@@ -3,8 +3,10 @@ package core
 import (
 	"errors"
 	"fmt"
+	"os"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -218,6 +220,13 @@ func TestStackConformance(t *testing.T) {
 	scripted := conformanceStacks(t, clk)
 	want := conformanceScript(t, scripted["local"])
 	delete(scripted, "local")
+	// The transcript itself is pinned, so a change to the wire (or to any
+	// layer) that moved every stack the same way still shows.
+	const golden = "testdata/conformance.golden"
+	transcript := strings.Join(want, "\n") + "\n"
+	if pinned, err := os.ReadFile(golden); err != nil || string(pinned) != transcript {
+		t.Fatalf("transcript differs from %s (err %v):\n%s", golden, err, transcript)
+	}
 	for name, sp := range scripted {
 		t.Run("script/"+name, func(t *testing.T) {
 			got := conformanceScript(t, sp)

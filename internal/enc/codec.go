@@ -1,0 +1,273 @@
+package enc
+
+import (
+	"bytes"
+	"encoding/binary"
+	"encoding/gob"
+	"errors"
+	"fmt"
+	"reflect"
+)
+
+// A message is one any-typed value:
+//
+//	mode byte   modePlan or modeGob
+//	modePlan:   uvarint count of type definitions, then each definition
+//	            (uvarint id, uvarint-prefixed registered name, 8-byte
+//	            little-endian fingerprint), then the value: uvarint type id
+//	            (0 = nil) followed by that type's plan encoding
+//	modeGob:    one gob stream holding the value
+//
+// Definitions sit ahead of the value so a receiver's table stays in step
+// with the sender's even when the value itself fails to decode.
+const (
+	modePlan = 0
+	modeGob  = 1
+)
+
+// maxTypes bounds a Decoder's table; no binary registers this many types,
+// so a peer that defines more is not speaking this protocol.
+const maxTypes = 1 << 14
+
+// Encoder is the sending half of one direction of one connection. It is
+// not safe for concurrent use: messages must reach the peer's Decoder in
+// the order they were encoded, so callers encode under the same lock that
+// orders their writes.
+type Encoder struct {
+	sent  map[reflect.Type]sentType
+	order []reflect.Type // sent's keys by id, so a failed message can be undone
+	defs  []byte         // definitions the last message introduced
+	fresh int            // how many of order the last message added
+	depth int
+	once  int // see DefinitionBytes
+}
+
+type sentType struct {
+	id   uint64
+	plan *codec
+}
+
+// NewEncoder returns an Encoder with an empty type table.
+func NewEncoder() *Encoder { return &Encoder{sent: make(map[reflect.Type]sentType)} }
+
+// DefinitionBytes returns how many bytes of the last encoded message were
+// type definitions: what the connection paid once for first uses, over and
+// above what the same value costs on every later call.
+func (e *Encoder) DefinitionBytes() int { return e.once }
+
+// errNeedsGob is the plan path giving up on a message: some type in the
+// value has no plan.
+var errNeedsGob = errors.New("enc: no compiled plan")
+
+// Encode appends v's message to dst. On error dst is returned at its
+// original length and the Encoder's table is as it was before the call.
+func (e *Encoder) Encode(dst []byte, v interface{}) ([]byte, error) {
+	start := len(dst)
+	e.defs, e.fresh, e.once, e.depth = e.defs[:0], 0, 0, 0
+	out := append(dst, modePlan, 0) // mode, then a zero definition count
+	var err error
+	if v == nil {
+		out = append(out, 0)
+	} else {
+		out, err = e.concrete(out, reflect.ValueOf(v))
+	}
+	if err != nil {
+		e.Rollback()
+		if err == errNeedsGob {
+			return encodeGob(dst, v)
+		}
+		return dst[:start], err
+	}
+	if e.fresh > 0 {
+		// First use of a type on this connection: splice the definitions in
+		// ahead of the value. Every later message skips this.
+		value := append([]byte(nil), out[start+2:]...)
+		out = binary.AppendUvarint(out[:start+1], uint64(e.fresh))
+		out = append(append(out, e.defs...), value...)
+		e.once = len(out) - start - 2 - len(value)
+	}
+	return out, nil
+}
+
+// Rollback forgets the type definitions the last encoded message
+// introduced, for a caller that will not send it: the peer never saw them,
+// so the next message that uses those types must define them again.
+func (e *Encoder) Rollback() {
+	for _, t := range e.order[len(e.order)-e.fresh:] {
+		delete(e.sent, t)
+	}
+	e.order = e.order[:len(e.order)-e.fresh]
+	e.fresh = 0
+}
+
+// concrete appends the type reference and encoding of a non-interface
+// value, defining its type on the connection at first use.
+func (e *Encoder) concrete(b []byte, v reflect.Value) ([]byte, error) {
+	st, ok := e.sent[v.Type()]
+	if !ok {
+		var err error
+		if st, err = e.define(v.Type()); err != nil {
+			return b, err
+		}
+	}
+	if err := e.descend(); err != nil {
+		return b, err
+	}
+	defer e.ascend()
+	return st.plan.enc(e, binary.AppendUvarint(b, st.id), v)
+}
+
+func (e *Encoder) define(t reflect.Type) (sentType, error) {
+	mu.RLock()
+	w := byType[t]
+	mu.RUnlock()
+	if w == nil || w.compiled() == nil {
+		return sentType{}, errNeedsGob
+	}
+	st := sentType{id: uint64(len(e.order) + 1), plan: w.plan}
+	e.sent[t] = st
+	e.order = append(e.order, t)
+	e.fresh++
+	e.defs = binary.AppendUvarint(e.defs, st.id)
+	e.defs = append(binary.AppendUvarint(e.defs, uint64(len(w.name))), w.name...)
+	e.defs = binary.LittleEndian.AppendUint64(e.defs, w.fp)
+	return st, nil
+}
+
+func (e *Encoder) descend() error {
+	if e.depth++; e.depth > maxDepth {
+		return errDepth
+	}
+	return nil
+}
+
+func (e *Encoder) ascend() { e.depth-- }
+
+// encodeGob is the fallback: the whole value as one gob stream. If gob
+// does not know a type in it either, the error names that type.
+func encodeGob(dst []byte, v interface{}) ([]byte, error) {
+	buf := bytes.NewBuffer(dst)
+	buf.WriteByte(modeGob)
+	if err := gob.NewEncoder(buf).Encode(&v); err != nil {
+		if err = WrapEncodeError(err, v); errors.As(err, new(*UnregisteredTypeError)) {
+			return dst, err
+		}
+		return dst, fmt.Errorf("enc: encode %T: %w", v, err)
+	}
+	return buf.Bytes(), nil
+}
+
+// Decoder is the receiving half of one direction of one connection. It is
+// not safe for concurrent use and must see messages in the order the
+// peer's Encoder produced them.
+type Decoder struct {
+	types []recvType // index id-1
+}
+
+// recvType is one defined id: the local type, or why values of it fail.
+type recvType struct {
+	w   *wireType
+	err error
+}
+
+// NewDecoder returns a Decoder with an empty type table.
+func NewDecoder() *Decoder { return &Decoder{} }
+
+// Decode returns the value msg holds. The result shares no memory with
+// msg. A value-level failure (an id never defined, a layout mismatch, a
+// body cut short) leaves the Decoder usable for the next message.
+func (d *Decoder) Decode(msg []byte) (interface{}, error) {
+	r := &reader{b: msg, d: d}
+	mode, err := r.byte()
+	if err != nil {
+		return nil, err
+	}
+	switch mode {
+	case modeGob:
+		var v interface{}
+		if err := gob.NewDecoder(bytes.NewReader(r.b)).Decode(&v); err != nil {
+			return nil, fmt.Errorf("%w: gob: %v", ErrCorrupt, err)
+		}
+		return v, nil
+	case modePlan:
+	default:
+		return nil, fmt.Errorf("%w: message mode %d", ErrCorrupt, mode)
+	}
+	if err := d.define(r); err != nil {
+		return nil, err
+	}
+	x, err := r.concrete()
+	if err != nil {
+		return nil, err
+	}
+	if len(r.b) != 0 {
+		return nil, fmt.Errorf("%w: %d bytes after the value", ErrCorrupt, len(r.b))
+	}
+	if !x.IsValid() {
+		return nil, nil
+	}
+	return x.Interface(), nil
+}
+
+// define reads a message's definitions into the table. A name this binary
+// does not know, or knows with another layout, is recorded as such and
+// fails only the values that use it.
+func (d *Decoder) define(r *reader) error {
+	n, err := r.count(10) // id, name length, fingerprint
+	if err != nil {
+		return err
+	}
+	for i := 0; i < n; i++ {
+		id, err := r.uvarint()
+		if err != nil {
+			return err
+		}
+		name, err := r.counted()
+		if err != nil {
+			return err
+		}
+		fp, err := r.take(8)
+		if err != nil {
+			return err
+		}
+		if id != uint64(len(d.types)+1) || id > maxTypes {
+			return fmt.Errorf("%w: type definition %d out of sequence", ErrCorrupt, id)
+		}
+		mu.RLock()
+		w := byName[string(name)]
+		mu.RUnlock()
+		rt := recvType{w: w}
+		switch remote := binary.LittleEndian.Uint64(fp); {
+		case w == nil || w.compiled() == nil:
+			rt.err = &UnregisteredTypeError{Type: string(name)}
+		case w.fp != remote:
+			rt.err = fmt.Errorf("%w: %s is %016x here, %016x at the sender", ErrFingerprint, w.name, w.fp, remote)
+		}
+		d.types = append(d.types, rt)
+	}
+	return nil
+}
+
+// concrete reads a type reference and its value; the zero Value is nil.
+func (r *reader) concrete() (reflect.Value, error) {
+	id, err := r.uvarint()
+	if err != nil || id == 0 {
+		return reflect.Value{}, err
+	}
+	if id > uint64(len(r.d.types)) {
+		return reflect.Value{}, fmt.Errorf("%w: %d of %d defined", ErrUnknownTypeID, id, len(r.d.types))
+	}
+	rt := r.d.types[id-1]
+	if rt.err != nil {
+		return reflect.Value{}, rt.err
+	}
+	if err := r.descend(); err != nil {
+		return reflect.Value{}, err
+	}
+	defer r.ascend()
+	v := reflect.New(rt.w.typ).Elem()
+	if err := rt.w.plan.dec(r, v); err != nil {
+		return reflect.Value{}, err
+	}
+	return v, nil
+}

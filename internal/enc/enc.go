@@ -1,17 +1,27 @@
-// Package enc centralises gob type registration for every subsystem that
-// moves any-typed values: the transport RPC layer (entries crossing the
-// wire) and the tuplespace journal/WAL (entries crossing a restart). Both
-// funnel through RegisterType, so an application registers each entry type
-// exactly once and it works over the network and in the durable log alike.
+// Package enc is the one codec for any-typed values that leave the
+// process over a connection, and the one type registry shared with the
+// tuplespace journal/WAL (which still writes gob records). An application
+// registers each entry type exactly once with RegisterType and it works
+// over the network and in the durable log alike.
 //
-// gob reports an unregistered concrete type with an opaque string error
-// deep inside an encode; WrapEncodeError converts that into a typed
-// *UnregisteredTypeError naming the offending type, so journal users get
-// an actionable error instead of a mystery.
+// The wire codec is compiled, not interpreted: the first time a registered
+// type is sent or received, its layout is reflected once into an
+// encode/decode plan — kind-switched writers for the scalar kinds, string,
+// []byte and time.Time, recursion for nested structs, slices, arrays, maps,
+// pointers and interface fields — and every later value of that type runs
+// the plan straight into the caller's buffer. Type identity crosses a
+// connection once: an Encoder/Decoder pair keeps a per-connection table, so
+// the first use of a type sends (id, registered name, layout fingerprint)
+// and later uses send the varint id alone. Two binaries whose layouts for a
+// name differ fail the value with ErrFingerprint instead of decoding
+// garbage. A value the plan compiler cannot handle (a type registered only
+// with gob, a GobEncoder, a channel field, …) travels as one gob-encoded
+// message behind a mode byte, so everything gob carried still crosses.
 package enc
 
 import (
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -19,7 +29,8 @@ import (
 )
 
 // UnregisteredTypeError reports an attempt to encode a concrete type that
-// was never registered with RegisterType (or gob.Register).
+// was never registered with RegisterType (or gob.Register), or to decode a
+// type name the receiving binary never registered.
 type UnregisteredTypeError struct {
 	// Type is the Go type of the offending value, e.g. "main.Task".
 	Type string
@@ -30,36 +41,125 @@ func (e *UnregisteredTypeError) Error() string {
 	return fmt.Sprintf("enc: type %s not registered; call RegisterType(%s{}) before writing it to a space, journal or RPC", e.Type, e.Type)
 }
 
+// Errors a Decoder returns for bytes it cannot accept. Each is distinct so
+// a caller can tell a short read from a peer built from different source.
 var (
-	mu         sync.Mutex
-	registered = make(map[reflect.Type]bool)
+	// ErrTruncated: the input ended, or a length inside it claims more
+	// bytes than remain, before the value was complete.
+	ErrTruncated = errors.New("enc: truncated input")
+	// ErrCorrupt: the input is complete but not something an Encoder
+	// writes (trailing bytes, an out-of-range scalar, nesting too deep).
+	ErrCorrupt = errors.New("enc: malformed input")
+	// ErrUnknownTypeID: a value references a type id its connection never
+	// defined.
+	ErrUnknownTypeID = errors.New("enc: unknown type id")
+	// ErrFingerprint: the peer's layout for a registered name differs from
+	// this binary's.
+	ErrFingerprint = errors.New("enc: type layout differs between peers")
 )
+
+// wireType is one registry entry. Its plan is compiled on first use.
+type wireType struct {
+	name string
+	typ  reflect.Type
+	user bool // went through RegisterType (the basic kinds are built in)
+
+	once sync.Once
+	plan *codec // nil: not compilable, values of this type fall back to gob
+	fp   uint64
+}
+
+func (w *wireType) compiled() *codec {
+	w.once.Do(func() {
+		if c, err := compile(w.typ); err == nil {
+			w.plan, w.fp = c, fingerprint(w.typ)
+		}
+	})
+	return w.plan
+}
+
+var (
+	mu     sync.RWMutex
+	byType = make(map[reflect.Type]*wireType)
+	byName = make(map[string]*wireType)
+)
+
+func init() {
+	// The types gob itself pre-registers and this repository sends bare
+	// inside an `any`: scalars, strings, raw datagrams, numeric vectors.
+	for _, v := range []interface{}{
+		false, "", int(0), int8(0), int16(0), int32(0), int64(0),
+		uint(0), uint8(0), uint16(0), uint32(0), uint64(0), float32(0), float64(0),
+		[]byte(nil), []string(nil), []int(nil), []int64(nil), []float64(nil),
+	} {
+		register(v, false)
+	}
+}
+
+// typeName is the name a type is known by on the wire: import path and
+// name for a named type, the printed form for an unnamed one.
+func typeName(t reflect.Type) string {
+	if t.Name() != "" && t.PkgPath() != "" {
+		return t.PkgPath() + "." + t.Name()
+	}
+	return t.String()
+}
+
+func register(v interface{}, user bool) {
+	t := reflect.TypeOf(v)
+	mu.Lock()
+	defer mu.Unlock()
+	if w := byType[t]; w != nil {
+		w.user = w.user || user
+		return
+	}
+	w := &wireType{name: typeName(t), typ: t, user: user}
+	byType[t], byName[w.name] = w, w
+}
 
 // RegisterType registers v's concrete type for transmission inside
 // any-typed RPC frames and journal/WAL records. It is safe to call from
 // init functions and concurrently.
 func RegisterType(v interface{}) {
 	gob.Register(v)
-	mu.Lock()
-	registered[reflect.TypeOf(v)] = true
-	mu.Unlock()
+	register(v, true)
 }
 
 // IsRegistered reports whether v's concrete type went through
 // RegisterType. Types registered directly with gob.Register are not
 // tracked and report false.
 func IsRegistered(v interface{}) bool {
-	mu.Lock()
-	defer mu.Unlock()
-	return registered[reflect.TypeOf(v)]
+	mu.RLock()
+	defer mu.RUnlock()
+	w := byType[reflect.TypeOf(v)]
+	return w != nil && w.user
+}
+
+// RegisteredTypes lists every type that went through RegisterType, in no
+// particular order — what a wire-compatibility test iterates over.
+func RegisteredTypes() []reflect.Type {
+	mu.RLock()
+	defer mu.RUnlock()
+	var out []reflect.Type
+	for t, w := range byType {
+		if w.user {
+			out = append(out, t)
+		}
+	}
+	return out
 }
 
 // WrapEncodeError upgrades gob's stringly "type not registered" encode
-// failure into a typed *UnregisteredTypeError naming v's concrete type.
-// Other errors (and nil) pass through unchanged.
+// failure into a typed *UnregisteredTypeError naming the concrete type gob
+// stopped at (v's own type if gob's message does not say). Other errors
+// (and nil) pass through unchanged.
 func WrapEncodeError(err error, v interface{}) error {
 	if err == nil {
 		return nil
+	}
+	const marker = "type not registered for interface: "
+	if i := strings.Index(err.Error(), marker); i >= 0 {
+		return &UnregisteredTypeError{Type: err.Error()[i+len(marker):]}
 	}
 	if strings.Contains(err.Error(), "type not registered") {
 		return &UnregisteredTypeError{Type: fmt.Sprintf("%T", v)}

@@ -1,0 +1,388 @@
+package enc_test
+
+import (
+	"bytes"
+	"encoding/gob"
+	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"sync"
+	"testing"
+	"time"
+
+	"gospaces/internal/apps/montecarlo"
+	"gospaces/internal/enc"
+	_ "gospaces/internal/experiments" // links every package that registers a wire type
+	"gospaces/internal/transport"
+	"gospaces/internal/vclock"
+)
+
+// benchTask and benchResult are the benchmark module's entry types
+// (bench/inputs.go), which this module cannot import.
+type benchTask struct {
+	Job     string `space:"index"`
+	ID      int
+	Payload []byte
+}
+
+type benchResult struct {
+	Job     string `space:"index"`
+	ID      int
+	Payload []byte
+}
+
+// withPointer pins the one deliberate difference from gob (see
+// TestWireDeliversWhatGobDelivered).
+type withPointer struct {
+	Name string
+	ID   *int
+}
+
+type neverRegistered struct{ X int }
+
+func init() {
+	transport.RegisterType(benchTask{})
+	transport.RegisterType(benchResult{})
+	transport.RegisterType(withPointer{})
+}
+
+// wireTypes are the registered names the equivalence test must cover, so a
+// registration that moves or vanishes fails the test instead of shrinking it.
+var wireTypes = []string{
+	"gospaces/internal/space.writeArgs", "gospaces/internal/space.lookupArgs",
+	"gospaces/internal/space.txnArgs", "gospaces/internal/space.leaseArgs",
+	"gospaces/internal/space.writeReply", "gospaces/internal/space.lookupReply",
+	"gospaces/internal/space.txnReply", "gospaces/internal/space.countReply",
+	"gospaces/internal/space.bulkReply", "gospaces/internal/space.countsReply",
+	"gospaces/internal/replica.appendArgs", "gospaces/internal/replica.appendReply",
+	"gospaces/internal/replica.heartbeatArgs", "gospaces/internal/replica.syncArgs",
+	"gospaces/internal/discovery.ServiceItem", "gospaces/internal/netmgmt.TrapArgs",
+	"gospaces/internal/worker.SignalArgs", "gospaces/internal/nodeconfig.Bundle",
+	"gospaces/internal/apps/montecarlo.Task", "gospaces/internal/apps/montecarlo.Result",
+	"gospaces/internal/apps/raytrace.Task", "gospaces/internal/apps/raytrace.Result",
+	"gospaces/internal/apps/pagerank.Task", "gospaces/internal/apps/pagerank.Result",
+	"gospaces/internal/transport.Framed",
+}
+
+// registered returns every RegisterType'd type in the test binary by wire
+// name, sorted, failing if one of wireTypes is missing.
+func registered(t testing.TB) []reflect.Type {
+	t.Helper()
+	byName := map[string]reflect.Type{}
+	for _, rt := range enc.RegisteredTypes() {
+		byName[rt.PkgPath()+"."+rt.Name()] = rt
+	}
+	for _, name := range wireTypes {
+		if byName[name] == nil {
+			t.Fatalf("wire type %s is not registered in this binary", name)
+		}
+	}
+	names := make([]string, 0, len(byName))
+	for name := range byName {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	types := make([]reflect.Type, len(names))
+	for i, name := range names {
+		types[i] = byName[name]
+	}
+	return types
+}
+
+// filler builds values of arbitrary registered types from a PRNG stream.
+// With empties set, every slice and map it makes is empty but non-nil.
+type filler struct {
+	rng     *rand.Rand
+	empties bool
+	depth   int
+}
+
+func (f *filler) value(t reflect.Type) interface{} {
+	v := reflect.New(t).Elem()
+	f.fill(v)
+	return v.Interface()
+}
+
+func (f *filler) fill(v reflect.Value) {
+	f.depth++
+	defer func() { f.depth-- }()
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(int64(f.rng.Intn(100) + 1))
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		v.SetUint(uint64(f.rng.Intn(100) + 1))
+	case reflect.Float32, reflect.Float64:
+		v.SetFloat(float64(f.rng.Intn(1000)) / 8)
+	case reflect.String:
+		v.SetString(fmt.Sprintf("s%d", f.rng.Intn(1000)))
+	case reflect.Struct:
+		if v.Type() == reflect.TypeOf(time.Time{}) {
+			// Local and UTC by turns: gob keeps the location and so must we.
+			tm := time.Unix(1_700_000_000+int64(f.rng.Intn(1000)), int64(f.rng.Intn(1000)))
+			if f.rng.Intn(2) == 0 {
+				tm = tm.UTC()
+			}
+			v.Set(reflect.ValueOf(tm))
+			return
+		}
+		for i := 0; i < v.NumField(); i++ {
+			if v.Type().Field(i).IsExported() {
+				f.fill(v.Field(i))
+			}
+		}
+	case reflect.Slice:
+		n := 2
+		if f.empties {
+			n = 0
+		}
+		s := reflect.MakeSlice(v.Type(), n, n)
+		for i := 0; i < n; i++ {
+			f.fill(s.Index(i))
+		}
+		v.Set(s)
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			f.fill(v.Index(i))
+		}
+	case reflect.Map:
+		m := reflect.MakeMap(v.Type())
+		for i := 0; i < 2 && !f.empties; i++ {
+			k, el := reflect.New(v.Type().Key()).Elem(), reflect.New(v.Type().Elem()).Elem()
+			f.fill(k)
+			f.fill(el)
+			m.SetMapIndex(k, el)
+		}
+		v.Set(m)
+	case reflect.Pointer:
+		if f.depth > 6 {
+			return // a recursive type: stop somewhere
+		}
+		p := reflect.New(v.Type().Elem())
+		f.fill(p.Elem())
+		v.Set(p)
+	case reflect.Interface:
+		// What entries are in this tree: an application struct, or raw bytes.
+		if v.NumMethod() != 0 {
+			return // a non-empty interface (this package's own test types): leave nil
+		}
+		if f.depth > 4 || f.rng.Intn(3) == 0 {
+			v.Set(reflect.ValueOf([]byte{1, 2, 3}))
+			return
+		}
+		v.Set(reflect.ValueOf(f.value(reflect.TypeOf(montecarlo.Task{}))))
+	}
+}
+
+// viaGob is the parent commit's wire, kept as the reference: every payload
+// went through a fresh gob stream inside an envelope, once per direction.
+func viaGob(t testing.TB, v interface{}) interface{} {
+	t.Helper()
+	type envelope struct{ V interface{} }
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&envelope{V: v}); err != nil {
+		t.Fatalf("gob encode %T: %v", v, err)
+	}
+	var out envelope
+	if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
+		t.Fatalf("gob decode %T: %v", v, err)
+	}
+	return out.V
+}
+
+// bindings returns an echo service reached over the in-process network and
+// over loopback TCP, and a function returning what the handler last saw.
+func bindings(t *testing.T) (map[string]transport.Client, func() interface{}) {
+	t.Helper()
+	var mu sync.Mutex
+	var seen interface{}
+	srv := transport.NewServer()
+	srv.Handle("echo", func(arg interface{}) (interface{}, error) {
+		mu.Lock()
+		seen = arg
+		mu.Unlock()
+		return arg, nil
+	})
+	network := transport.NewNetwork(vclock.NewReal(), transport.Loopback())
+	network.Listen("echo", srv)
+	ln, err := transport.ListenTCP("127.0.0.1:0", srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tcp, err := transport.DialTCP(ln.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tcp.Close(); ln.Close() })
+	return map[string]transport.Client{"inproc": network.Dial("echo"), "tcp": tcp}, func() interface{} {
+		mu.Lock()
+		defer mu.Unlock()
+		return seen
+	}
+}
+
+// TestWireDeliversWhatGobDelivered sends every registered wire type in the
+// tree — zero, populated, and with empty-but-non-nil slices and maps —
+// through both bindings and requires the argument the handler sees and the
+// result the caller sees to be exactly what the gob wire handed them.
+func TestWireDeliversWhatGobDelivered(t *testing.T) {
+	clients, handlerSaw := bindings(t)
+	check := func(name string, v interface{}) {
+		t.Helper()
+		want := viaGob(t, v)
+		for binding, c := range clients {
+			res, err := c.Call("echo", v)
+			if err != nil {
+				t.Errorf("%s %s: %v", binding, name, err)
+				continue
+			}
+			if got := handlerSaw(); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s %s: handler saw\n %#v\ngob delivered\n %#v", binding, name, got, want)
+			}
+			if !reflect.DeepEqual(res, want) {
+				t.Errorf("%s %s: caller got\n %#v\ngob delivered\n %#v", binding, name, res, want)
+			}
+		}
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	for _, rt := range registered(t) {
+		switch {
+		case rt == reflect.TypeOf(withPointer{}):
+			continue // below
+		case rt == reflect.TypeOf(transport.Framed{}):
+			continue // TestFramedCrossesInTheHeader
+		case rt.PkgPath() == "gospaces/internal/enc":
+			continue // the codec's own unit-test types, some built to fall back
+		}
+		// Every one of them must have a compiled plan, not ride the fallback.
+		if msg, err := enc.NewEncoder().Encode(nil, reflect.Zero(rt).Interface()); err != nil || msg[0] != 0 {
+			t.Errorf("%s: no compiled plan (mode %d, err %v)", rt, msg[0], err)
+		}
+		check(rt.String()+" zero", reflect.Zero(rt).Interface())
+		check(rt.String()+" filled", (&filler{rng: rng}).value(rt))
+		check(rt.String()+" empties", (&filler{rng: rng, empties: true}).value(rt))
+	}
+	check("nil", nil)
+	check("raw bytes", []byte{1, 2, 3})
+	check("empty raw bytes", []byte{}) // nil on arrival, as with gob
+	check("int", 7)
+	check("string", "s")
+	check("[]float64", []float64{1.5, 2.5})
+
+	// The one place this wire deliberately differs. gob flattens pointers,
+	// so a pointer to a zero value arrived nil — for an entry, a field the
+	// writer set to 0 turning into a template wildcard. The codec sends a
+	// presence byte and delivers the pointer.
+	zero, one := 0, 1
+	check("pointer to non-zero", withPointer{Name: "n", ID: &one})
+	check("nil pointer", withPointer{Name: "n"})
+	if got := viaGob(t, withPointer{ID: &zero}).(withPointer); got.ID != nil {
+		t.Fatalf("gob kept a pointer to zero: %#v", got)
+	}
+	for binding, c := range clients {
+		res, err := c.Call("echo", withPointer{ID: &zero})
+		if got, ok := res.(withPointer); err != nil || !ok || got.ID == nil || *got.ID != 0 {
+			t.Errorf("%s: pointer to zero arrived as %#v, %v", binding, res, err)
+		}
+	}
+}
+
+// TestFramedCrossesInTheHeader: the deadline and priority of a Framed
+// argument travel as header fields and come out as the Framed the handler
+// has always received. The header carries an instant, not a location: the
+// deadline arrives equal, in the local zone, whatever zone it left in
+// (gob kept the zone; nothing reads a deadline's zone).
+func TestFramedCrossesInTheHeader(t *testing.T) {
+	clients, handlerSaw := bindings(t)
+	inner := montecarlo.Task{Job: "j", ID: 3}
+	for _, deadline := range []time.Time{time.Now().Add(time.Hour), time.Unix(5, 7).UTC(), {}} {
+		sent := transport.Frame(inner, deadline, transport.PriHigh)
+		for binding, c := range clients {
+			if _, err := c.Call("echo", sent); err != nil {
+				t.Fatalf("%s: %v", binding, err)
+			}
+			arg, gotDeadline, pri := transport.Unframe(handlerSaw())
+			if !reflect.DeepEqual(arg, inner) || pri != transport.PriHigh || !gotDeadline.Equal(deadline) {
+				t.Errorf("%s: handler saw (%#v, %v, %d), sent (%#v, %v, %d)", binding, arg, gotDeadline, pri, inner, deadline, transport.PriHigh)
+			}
+			if !deadline.IsZero() && gotDeadline.Location() != time.Local {
+				t.Errorf("%s: deadline arrived in %v", binding, gotDeadline.Location())
+			}
+		}
+	}
+	// Nothing to carry: no frame, and the handler sees the bare argument.
+	for binding, c := range clients {
+		if _, err := c.Call("echo", transport.Frame(inner, time.Time{}, transport.PriNormal)); err != nil {
+			t.Fatalf("%s: %v", binding, err)
+		}
+		if !reflect.DeepEqual(handlerSaw(), inner) {
+			t.Errorf("%s: unframed argument arrived as %#v", binding, handlerSaw())
+		}
+	}
+}
+
+// TestUnregisteredTypeStillNamed: an unregistered concrete type inside an
+// interface field fails the call, on either binding, with the typed error
+// naming it — and the connection carries on.
+func TestUnregisteredTypeStillNamed(t *testing.T) {
+	clients, _ := bindings(t)
+	for binding, c := range clients {
+		_, err := c.Call("echo", transport.Framed{Pri: transport.PriHigh, Arg: benchTask{Job: "ok"}})
+		if err != nil {
+			t.Fatalf("%s: %v", binding, err)
+		}
+		_, err = c.Call("echo", transport.Framed{Pri: transport.PriHigh, Arg: transport.Framed{Arg: neverRegistered{1}}})
+		var ute *enc.UnregisteredTypeError
+		if !errors.As(err, &ute) || ute.Type != "enc_test.neverRegistered" {
+			t.Errorf("%s: error %v, want *enc.UnregisteredTypeError naming enc_test.neverRegistered", binding, err)
+		}
+		if res, err := c.Call("echo", benchTask{Job: "after"}); err != nil || !reflect.DeepEqual(res, benchTask{Job: "after"}) {
+			t.Errorf("%s: call after the failed one: %#v, %v", binding, res, err)
+		}
+	}
+}
+
+// FuzzCodecRoundTrip builds a value of a registered type from the fuzz
+// input — the space, replica, discovery and application wire structs,
+// Framed, and this package's struct of every kind among them — and requires
+// decode(encode(v)) to be v (or, for empty-but-non-nil slices, what gob
+// made of v). It then damages the message and requires the decoder to
+// return an error or a value: never panic, never hang.
+func FuzzCodecRoundTrip(f *testing.F) {
+	types := registered(f)
+	for i := range types { // every registered type, filled and with empties
+		f.Add(int64(i+1), uint16(i), []byte{3, 0xff, 0, 1})
+		f.Add(int64(5*i), uint16(i), []byte{})
+	}
+	f.Fuzz(func(t *testing.T, seed int64, pick uint16, damage []byte) {
+		rt := types[int(pick)%len(types)]
+		fl := &filler{rng: rand.New(rand.NewSource(seed)), empties: seed%5 == 0}
+		v := fl.value(rt)
+		msg, err := enc.NewEncoder().Encode(nil, v)
+		if err != nil {
+			t.Fatalf("encode %s: %v", rt, err)
+		}
+		got, err := enc.NewDecoder().Decode(msg)
+		if err != nil {
+			t.Fatalf("decode %s: %v", rt, err)
+		}
+		want := v
+		if fl.empties {
+			want = viaGob(t, v)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s round trip:\n got %#v\nwant %#v", rt, got, want)
+		}
+
+		for i := 0; i+1 < len(damage); i += 2 {
+			msg[int(damage[i])%len(msg)] ^= damage[i+1]
+		}
+		_, _ = enc.NewDecoder().Decode(msg)
+		_, _ = enc.NewDecoder().Decode(msg[:len(msg)/2])
+		_, _ = enc.NewDecoder().Decode(damage)
+	})
+}

@@ -1,6 +1,15 @@
 package transport
 
-import "time"
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
+	"math"
+	"time"
+
+	"gospaces/internal/enc"
+)
 
 // Op priority classes carried on the RPC frame. Under brownout the server
 // sheds the lowest class first, so diagnostics degrade before reads and
@@ -16,15 +25,16 @@ const (
 	PriHigh = 2
 )
 
-// Framed is the optional RPC frame an overload-aware client wraps around
-// its argument: the absolute deadline after which the client abandons the
-// call (zero = none) and the op's priority class. Servers unwrap it at
-// admission — an op whose deadline has already passed is rejected before
-// execution, and a queued op whose service slot would start past the
-// deadline is dropped instead of executed into the void. Both transport
-// bindings carry the frame transparently; servers without an admission
-// layer never see one because space.NewService always installs the
-// unwrapping middleware.
+// Framed is what an overload-aware client passes as its argument and what
+// the server's handler receives: the absolute deadline after which the
+// client abandons the call (zero = none) and the op's priority class,
+// beside the real argument. It exists in memory only — on the wire the
+// deadline and priority are fields of the frame header and Arg is the
+// frame's body, encoded once. Servers unwrap it at admission: an op whose
+// deadline has already passed is rejected before execution, and a queued
+// op whose service slot would start past the deadline is dropped instead
+// of executed into the void. Servers without an admission layer never see
+// one because space.NewService always installs the unwrapping middleware.
 type Framed struct {
 	Deadline time.Time
 	Pri      int
@@ -52,4 +62,221 @@ func Unframe(arg interface{}) (interface{}, time.Time, int) {
 		return f.Arg, f.Deadline, f.Pri
 	}
 	return arg, time.Time{}, PriNormal
+}
+
+// The wire frame, the same in both directions and on both bindings:
+//
+//	offset size
+//	0      4    length of everything after this field, big-endian, ≤ maxFrameBytes
+//	4      1    flags: flagResponse, flagFramed, flagDeadline
+//	5      1    request: priority class; response: error code (0 = success)
+//	6      8    call id, big-endian; a response echoes its request's
+//	14     8    request: deadline, Unix nanoseconds, big-endian (if flagDeadline)
+//	22     2    request: method length M, big-endian
+//	24     M    request: method name
+//	24+M   …    body: one enc message (the argument or result, encoded once),
+//	            or the error text when the error code is non-zero
+const (
+	headerBytes = 24
+
+	flagResponse = 1 << 0
+	flagFramed   = 1 << 1 // the argument was a Framed: hand the handler one
+	flagDeadline = 1 << 2
+)
+
+// maxFrameBytes is the largest frame either side will read. The largest
+// legitimate message is a replica.syncArgs snapshot of a whole shard — a
+// few hundred bytes per resident entry, ~6 MB at the benchmark's 20,000 —
+// so 256 MiB leaves room for a shard forty times that. A length prefix
+// above it is refused before anything is allocated for the frame, and the
+// connection is closed: nothing after a lying prefix can be trusted.
+const maxFrameBytes = 1 << 28
+
+// readChunk is how much a reader allocates ahead of the bytes that have
+// actually arrived, so a prefix that promises 256 MiB and delivers nothing
+// costs 64 KiB, not 256 MiB.
+const readChunk = 64 << 10
+
+// ErrFrameTooLarge reports a frame whose length prefix exceeds
+// maxFrameBytes, or an argument or result that would encode to one.
+var ErrFrameTooLarge = errors.New("transport: frame exceeds the size limit")
+
+// Error codes a response carries so the caller gets back the class of
+// failure, not just its text. Code 1 is any error the handler returned.
+var wireErrors = []error{2: ErrNoSuchMethod, 3: enc.ErrTruncated, 4: enc.ErrCorrupt, 5: enc.ErrUnknownTypeID, 6: enc.ErrFingerprint}
+
+func errorCode(err error) byte {
+	for code := 2; code < len(wireErrors); code++ {
+		if errors.Is(err, wireErrors[code]) {
+			return byte(code)
+		}
+	}
+	return 1
+}
+
+// remoteError rebuilds the error a response's code and text stand for.
+func remoteError(method string, code byte, msg string) error {
+	re := &RemoteError{Method: method, Msg: msg}
+	if int(code) < len(wireErrors) {
+		re.cause = wireErrors[code]
+	}
+	return re
+}
+
+// appendRequest appends one request frame to b: the header, then arg
+// encoded once by e. A Framed argument travels as header fields plus its
+// inner argument. On error b is returned at its original length.
+func appendRequest(b []byte, e *enc.Encoder, id uint64, method string, arg interface{}) ([]byte, error) {
+	if len(method) > math.MaxUint16 {
+		return b, fmt.Errorf("transport: method name of %d bytes", len(method))
+	}
+	start := len(b)
+	var flags, pri byte
+	var deadline int64
+	if f, ok := arg.(Framed); ok {
+		flags, pri, arg = flagFramed, byte(f.Pri), f.Arg
+		// The header holds an instant as int64 nanoseconds: 1678–2262. A
+		// deadline past that range is no deadline; one before it has passed.
+		switch y := f.Deadline.Year(); {
+		case f.Deadline.IsZero() || y > 2261:
+		case y < 1679:
+			flags, deadline = flags|flagDeadline, math.MinInt64
+		default:
+			flags, deadline = flags|flagDeadline, f.Deadline.UnixNano()
+		}
+	}
+	b = append(b, 0, 0, 0, 0, flags, pri)
+	b = binary.BigEndian.AppendUint64(b, id)
+	b = binary.BigEndian.AppendUint64(b, uint64(deadline))
+	b = binary.BigEndian.AppendUint16(b, uint16(len(method)))
+	b = append(b, method...)
+	out, err := e.Encode(b, arg)
+	if err != nil {
+		return b[:start], fmt.Errorf("transport: encode: %w", err)
+	}
+	return sealFrame(out, e, start)
+}
+
+// appendResponse appends the response frame for a call: its result, or
+// the code and text of its error. A result that cannot be encoded becomes
+// an error response, so a call always gets an answer.
+func appendResponse(b []byte, e *enc.Encoder, id uint64, res interface{}, err error) []byte {
+	start := len(b)
+	header := func(code byte) []byte {
+		h := append(b[:start], 0, 0, 0, 0, flagResponse, code)
+		h = binary.BigEndian.AppendUint64(h, id)
+		return append(h, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+	}
+	if err == nil {
+		var out []byte
+		if out, err = e.Encode(header(0), res); err == nil {
+			if out, err = sealFrame(out, e, start); err == nil {
+				return out
+			}
+		}
+		err = fmt.Errorf("transport: encode result: %w", err)
+	}
+	msg := err.Error()
+	if len(msg) > readChunk {
+		msg = msg[:readChunk]
+	}
+	out := append(header(errorCode(err)), msg...)
+	binary.BigEndian.PutUint32(out[start:], uint32(len(out)-start-4))
+	return out
+}
+
+// sealFrame fills in the length prefix of the frame that starts at start
+// and whose body e just encoded. A frame over the limit is not sent, so e
+// is told to forget what that body defined.
+func sealFrame(b []byte, e *enc.Encoder, start int) ([]byte, error) {
+	n := len(b) - start - 4
+	if n > maxFrameBytes {
+		e.Rollback()
+		return b[:start], fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
+	}
+	binary.BigEndian.PutUint32(b[start:], uint32(n))
+	return b, nil
+}
+
+// readFrame reads one frame from r into buf (grown as needed) and returns
+// its bytes after the length prefix. The prefix is checked before a byte
+// is allocated, and the buffer grows with the bytes received rather than
+// the bytes promised.
+func readFrame(r io.Reader, buf []byte) ([]byte, error) {
+	var prefix [4]byte
+	if _, err := io.ReadFull(r, prefix[:]); err != nil {
+		if errors.Is(err, io.ErrUnexpectedEOF) {
+			return buf[:0], fmt.Errorf("%w: connection ended inside a length prefix", enc.ErrTruncated)
+		}
+		return buf[:0], err
+	}
+	n := int(binary.BigEndian.Uint32(prefix[:]))
+	if n > maxFrameBytes {
+		return buf[:0], fmt.Errorf("%w: length prefix %d", ErrFrameTooLarge, n)
+	}
+	buf = buf[:0]
+	for len(buf) < n {
+		want := min(n-len(buf), max(len(buf), readChunk))
+		if cap(buf)-len(buf) < want {
+			buf = append(make([]byte, 0, len(buf)+want), buf...)
+		}
+		got, err := io.ReadFull(r, buf[len(buf):len(buf)+want])
+		buf = buf[:len(buf)+got]
+		if err != nil {
+			return buf[:0], fmt.Errorf("%w: connection ended %d bytes into a %d-byte frame", enc.ErrTruncated, len(buf), n)
+		}
+	}
+	return buf, nil
+}
+
+// header is a parsed frame header (without the length prefix).
+type header struct {
+	flags    byte
+	code     byte // priority class on a request, error code on a response
+	id       uint64
+	deadline int64
+	method   string
+}
+
+// parseFrame splits a frame, as readFrame returned it, into its header and
+// body. The body aliases frame.
+func parseFrame(frame []byte) (header, []byte, error) {
+	const fixed = headerBytes - 4
+	if len(frame) < fixed {
+		return header{}, nil, fmt.Errorf("%w: %d-byte frame is shorter than its header", enc.ErrTruncated, len(frame))
+	}
+	h := header{
+		flags:    frame[0],
+		code:     frame[1],
+		id:       binary.BigEndian.Uint64(frame[2:]),
+		deadline: int64(binary.BigEndian.Uint64(frame[10:])),
+	}
+	m := int(binary.BigEndian.Uint16(frame[18:]))
+	if m > len(frame)-fixed {
+		return header{}, nil, fmt.Errorf("%w: %d-byte method name in a %d-byte frame", enc.ErrTruncated, m, len(frame))
+	}
+	h.method = string(frame[fixed : fixed+m])
+	return h, frame[fixed+m:], nil
+}
+
+// argument decodes a request's body and restores the Framed the caller
+// passed, if it passed one.
+func (h header) argument(d *enc.Decoder, body []byte) (interface{}, error) {
+	arg, err := d.Decode(body)
+	if err != nil || h.flags&flagFramed == 0 {
+		return arg, err
+	}
+	f := Framed{Pri: int(h.code), Arg: arg}
+	if h.flags&flagDeadline != 0 {
+		f.Deadline = time.Unix(0, h.deadline)
+	}
+	return f, nil
+}
+
+// result decodes a response's body: the call's result or its error.
+func (h header) result(d *enc.Decoder, method string, body []byte) (interface{}, error) {
+	if h.code != 0 {
+		return nil, remoteError(method, h.code, string(body))
+	}
+	return d.Decode(body)
 }

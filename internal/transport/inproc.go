@@ -5,18 +5,19 @@ import (
 	"sync"
 	"time"
 
+	"gospaces/internal/enc"
 	"gospaces/internal/vclock"
 )
 
 // Model describes the cost of moving a message across the simulated
 // network: a fixed per-message latency plus a serialization/transmission
-// cost proportional to the gob-encoded size. The defaults in LAN2001
+// cost proportional to the size of the frame TCP would carry. The defaults in LAN2001
 // approximate the paper's testbed: 100 Mbit/s switched Ethernet plus
 // Jini/JavaSpaces marshalling overhead.
 type Model struct {
 	// Latency is charged once per message direction.
 	Latency time.Duration
-	// PerKB is charged per kilobyte of encoded payload (covers both
+	// PerKB is charged per kilobyte of encoded frame (covers both
 	// serialization CPU and wire time).
 	PerKB time.Duration
 }
@@ -82,15 +83,13 @@ func (n *Network) Unlisten(addr string) {
 // the address is not yet bound; calls fail with ErrNoSuchService until it
 // is (mirroring UDP-style late binding, and keeping construction order
 // flexible).
-func (n *Network) Dial(addr string) Client {
-	return &inprocClient{net: n, addr: addr}
-}
+func (n *Network) Dial(addr string) Client { return n.DialAs("", addr) }
 
 // DialAs is Dial with the caller's own endpoint name attached, so an
 // installed Interceptor can apply per-endpoint rules (one-way partitions,
 // caller crashes) to the calls made on the returned client.
 func (n *Network) DialAs(from, addr string) Client {
-	return &inprocClient{net: n, addr: addr, from: from}
+	return &inprocClient{net: n, addr: addr, from: from, requests: newWire(), responses: newWire()}
 }
 
 // Intercept installs ic on the network (nil removes it). Every subsequent
@@ -114,11 +113,65 @@ type inprocClient struct {
 	from   string
 	mu     sync.Mutex
 	closed bool
+
+	// The two directions of this client's "connection": each a codec pair
+	// whose type table persists across calls, as a TCP connection's does.
+	requests, responses *wire
 }
 
-// Call implements Client. The request and response payloads are gob
-// round-tripped, so the callee never aliases caller memory and the network
-// model is charged the true encoded size.
+// wire is one direction of an in-process connection: what a TCP peer pair
+// does with a socket between them, done back to back. A message is built
+// into a frame and parsed out of it again under one lock, so the frame's
+// length is what the network model is charged, the receiver's copy shares
+// no memory with the sender's, and both ends see messages in one order.
+// The length charged leaves out a message's one-time type definitions:
+// which of two concurrent first calls carries them is a race, and a
+// simulated run must cost the same every time it is replayed.
+type wire struct {
+	mu  sync.Mutex
+	enc *enc.Encoder
+	dec *enc.Decoder
+	buf []byte
+}
+
+func newWire() *wire { return &wire{enc: enc.NewEncoder(), dec: enc.NewDecoder()} }
+
+// request carries (method, arg) across and returns what a handler is to
+// receive, with the frame's size.
+func (w *wire) request(method string, arg interface{}) (interface{}, int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	frame, err := appendRequest(w.buf[:0], w.enc, 0, method, arg)
+	if err != nil {
+		return nil, 0, err
+	}
+	w.buf = recycle(frame)
+	h, body, err := parseFrame(frame[4:])
+	if err != nil {
+		return nil, 0, err
+	}
+	got, err := h.argument(w.dec, body)
+	return got, len(frame) - w.enc.DefinitionBytes(), err
+}
+
+// response carries a handler's (res, err) back and returns what the caller
+// is to receive, with the frame's size.
+func (w *wire) response(method string, res interface{}, err error) (interface{}, int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	frame := appendResponse(w.buf[:0], w.enc, 0, res, err)
+	w.buf = recycle(frame)
+	h, body, err := parseFrame(frame[4:])
+	if err != nil {
+		return nil, 0, err
+	}
+	got, err := h.result(w.dec, method, body)
+	return got, len(frame) - w.enc.DefinitionBytes(), err
+}
+
+// Call implements Client. The request and response cross as the frames the
+// TCP binding would send, so the callee never aliases caller memory and the
+// network model is charged the true encoded size.
 func (c *inprocClient) Call(method string, arg interface{}) (interface{}, error) {
 	c.mu.Lock()
 	if c.closed {
@@ -140,7 +193,7 @@ func (c *inprocClient) Call(method string, arg interface{}) (interface{}, error)
 }
 
 // deliver performs the real call: charge the request across the modeled
-// network, dispatch, charge the response back.
+// network, dispatch, charge the response — result or error — back.
 func (c *inprocClient) deliver(method string, arg interface{}) (interface{}, error) {
 	n := c.net
 	n.mu.Lock()
@@ -150,31 +203,18 @@ func (c *inprocClient) deliver(method string, arg interface{}) (interface{}, err
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchService, c.addr)
 	}
 
-	reqBytes, err := encodePayload(arg)
+	arg, size, err := c.requests.request(method, arg)
 	if err != nil {
 		return nil, err
 	}
-	n.account(len(reqBytes), true)
-	n.clock.Sleep(n.model.Cost(len(reqBytes)))
-	decoded, err := decodePayload(reqBytes)
-	if err != nil {
-		return nil, err
-	}
+	n.account(size, true)
+	n.clock.Sleep(n.model.Cost(size))
 
-	res, err := srv.Dispatch(method, decoded)
-	if err != nil {
-		// Errors cross the simulated wire as strings, as they would on TCP.
-		n.clock.Sleep(n.model.Cost(64))
-		return nil, &RemoteError{Method: method, Msg: err.Error()}
-	}
-
-	resBytes, err := encodePayload(res)
-	if err != nil {
-		return nil, err
-	}
-	n.account(len(resBytes), false)
-	n.clock.Sleep(n.model.Cost(len(resBytes)))
-	return decodePayload(resBytes)
+	res, err := srv.Dispatch(method, arg)
+	res, size, err = c.responses.response(method, res, err)
+	n.account(size, false)
+	n.clock.Sleep(n.model.Cost(size))
+	return res, err
 }
 
 // Close implements Client.

@@ -1,29 +1,16 @@
 package transport
 
 import (
-	"encoding/gob"
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"sync"
 	"time"
+
+	"gospaces/internal/enc"
 )
-
-// wireRequest and wireResponse are the on-wire frames of the TCP binding.
-// Multiple requests may be outstanding on one connection; responses are
-// matched by ID.
-type wireRequest struct {
-	ID     uint64
-	Method string
-	Arg    []byte // encodePayload bytes
-}
-
-type wireResponse struct {
-	ID     uint64
-	Result []byte // encodePayload bytes, nil on error
-	Err    string
-}
 
 // TCPListener serves a Server over TCP.
 type TCPListener struct {
@@ -91,53 +78,88 @@ func (l *TCPListener) acceptLoop() {
 	}
 }
 
+// serveConn reads request frames in order — the decoder's type table must
+// see them in the order the client's encoder wrote them — and answers each
+// on its own goroutine, so a handler that parks (a blocking Take) delays
+// nobody. A frame this side cannot parse ends the connection; a body it
+// cannot decode fails that one call.
 func (l *TCPListener) serveConn(conn net.Conn) {
 	defer conn.Close()
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
-	var wmu sync.Mutex // guards enc: handler goroutines share the writer
-	var wg sync.WaitGroup
+	var (
+		br  = bufio.NewReaderSize(conn, readChunk)
+		dec = enc.NewDecoder()
+		in  []byte
+
+		wmu  sync.Mutex // guards wenc, out and writes: handlers share them
+		wenc = enc.NewEncoder()
+		out  []byte
+		wg   sync.WaitGroup
+	)
 	defer wg.Wait()
 	for {
-		var req wireRequest
-		if err := dec.Decode(&req); err != nil {
+		frame, err := readFrame(br, in)
+		if err != nil {
 			return
 		}
+		h, body, err := parseFrame(frame)
+		if err != nil || h.flags&flagResponse != 0 {
+			return
+		}
+		arg, err := h.argument(dec, body)
+		in = recycle(frame)
 		wg.Add(1)
-		go func(req wireRequest) {
+		go func() {
 			defer wg.Done()
-			resp := wireResponse{ID: req.ID}
-			arg, err := decodePayload(req.Arg)
+			var res interface{}
 			if err == nil {
-				var res interface{}
-				res, err = l.srv.Dispatch(req.Method, arg)
-				if err == nil {
-					resp.Result, err = encodePayload(res)
-				}
-			}
-			if err != nil {
-				resp.Err = err.Error()
-				resp.Result = nil
+				res, err = l.srv.Dispatch(h.method, arg)
 			}
 			wmu.Lock()
-			encErr := enc.Encode(&resp)
+			out = appendResponse(out[:0], wenc, h.id, res, err)
+			_, werr := conn.Write(out)
+			out = recycle(out)
 			wmu.Unlock()
-			if encErr != nil {
+			if werr != nil {
 				conn.Close()
 			}
-		}(req)
+		}()
 	}
+}
+
+// recycle returns b emptied for reuse as a connection's frame buffer,
+// unless one large message grew it past what the next ones will need.
+func recycle(b []byte) []byte {
+	if cap(b) > 16*readChunk {
+		return nil
+	}
+	return b[:0]
+}
+
+// reply is what a call waits for: its decoded result or its error.
+type reply struct {
+	res interface{}
+	err error
 }
 
 type tcpClient struct {
 	conn net.Conn
-	enc  *gob.Encoder
 
-	mu      sync.Mutex // guards enc, nextID, pending, closed
+	wmu  sync.Mutex // guards wenc, out and writes
+	wenc *enc.Encoder
+	out  []byte
+
+	mu      sync.Mutex // guards nextID, pending, closed, readErr
 	nextID  uint64
-	pending map[uint64]chan wireResponse
+	pending map[uint64]pendingCall
 	closed  bool
 	readErr error
+}
+
+// pendingCall is a call awaiting its response; the method names it in the
+// error a failed response becomes.
+type pendingCall struct {
+	method string
+	ch     chan reply
 }
 
 // DefaultDialTimeout bounds DialTCP's connection attempt. Before this
@@ -167,48 +189,66 @@ func DialTCPTimeout(addr string, timeout time.Duration) (Client, error) {
 func newTCPClient(conn net.Conn) Client {
 	c := &tcpClient{
 		conn:    conn,
-		enc:     gob.NewEncoder(conn),
+		wenc:    enc.NewEncoder(),
 		nextID:  1,
-		pending: make(map[uint64]chan wireResponse),
+		pending: make(map[uint64]pendingCall),
 	}
 	go c.readLoop()
 	return c
 }
 
+// readLoop decodes response frames in order and hands each to its caller.
+// A body that does not decode fails its own call; a frame that does not
+// parse fails the connection and, with it, every call still pending.
 func (c *tcpClient) readLoop() {
-	dec := gob.NewDecoder(c.conn)
+	br := bufio.NewReaderSize(c.conn, readChunk)
+	dec := enc.NewDecoder()
+	var in []byte
 	for {
-		var resp wireResponse
-		if err := dec.Decode(&resp); err != nil {
-			c.mu.Lock()
-			c.readErr = err
-			if !c.closed {
-				c.closed = true
-			}
-			for id, ch := range c.pending {
-				close(ch)
-				delete(c.pending, id)
-			}
-			c.mu.Unlock()
+		frame, err := readFrame(br, in)
+		var h header
+		var body []byte
+		if err == nil {
+			h, body, err = parseFrame(frame)
+		}
+		if err == nil && h.flags&flagResponse == 0 {
+			err = fmt.Errorf("%w: request frame on the client side", enc.ErrCorrupt)
+		}
+		if err != nil {
+			c.fail(err)
 			return
 		}
 		c.mu.Lock()
-		ch := c.pending[resp.ID]
-		delete(c.pending, resp.ID)
+		p, ok := c.pending[h.id]
+		delete(c.pending, h.id)
 		c.mu.Unlock()
-		if ch != nil {
-			ch <- resp
+		// Decode even an orphan's body: it may carry type definitions the
+		// responses behind it depend on.
+		var r reply
+		r.res, r.err = h.result(dec, p.method, body)
+		in = recycle(frame)
+		if ok {
+			p.ch <- r
 		}
 	}
 }
 
+// fail closes the connection and releases every pending call with err.
+func (c *tcpClient) fail(err error) {
+	c.mu.Lock()
+	c.readErr = err
+	c.closed = true
+	for id, p := range c.pending {
+		close(p.ch)
+		delete(c.pending, id)
+	}
+	c.mu.Unlock()
+	c.conn.Close()
+}
+
 // Call implements Client.
 func (c *tcpClient) Call(method string, arg interface{}) (interface{}, error) {
-	argBytes, err := encodePayload(arg)
-	if err != nil {
-		return nil, err
-	}
-	ch := make(chan wireResponse, 1)
+	ch := make(chan reply, 1)
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -216,29 +256,37 @@ func (c *tcpClient) Call(method string, arg interface{}) (interface{}, error) {
 	}
 	id := c.nextID
 	c.nextID++
-	c.pending[id] = ch
-	err = c.enc.Encode(&wireRequest{ID: id, Method: method, Arg: argBytes})
+	c.pending[id] = pendingCall{method, ch}
 	c.mu.Unlock()
+
+	c.wmu.Lock()
+	out, err := appendRequest(c.out[:0], c.wenc, id, method, arg)
+	if err == nil {
+		if _, err = c.conn.Write(out); err != nil {
+			err = fmt.Errorf("transport: send: %w", err)
+		}
+	}
+	c.out = recycle(out)
+	c.wmu.Unlock()
 	if err != nil {
 		c.mu.Lock()
 		delete(c.pending, id)
 		c.mu.Unlock()
-		return nil, fmt.Errorf("transport: send: %w", err)
+		return nil, err
 	}
-	resp, ok := <-ch
+	r, ok := <-ch
 	if !ok {
-		return nil, fmt.Errorf("%w: %v", ErrClosed, c.errLocked())
+		return nil, fmt.Errorf("%w: %w", ErrClosed, c.cause())
 	}
-	if resp.Err != "" {
-		return nil, &RemoteError{Method: method, Msg: resp.Err}
-	}
-	return decodePayload(resp.Result)
+	return r.res, r.err
 }
 
-func (c *tcpClient) errLocked() error {
+// cause is why the connection ended: the read loop's error, or a plain
+// EOF when the peer (or Close) simply hung up.
+func (c *tcpClient) cause() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.readErr != nil && !errors.Is(c.readErr, io.EOF) {
+	if c.readErr != nil && !errors.Is(c.readErr, io.EOF) && !errors.Is(c.readErr, net.ErrClosed) {
 		return c.readErr
 	}
 	return io.EOF

@@ -1,19 +1,22 @@
 // Package transport provides the messaging substrate used by every remote
-// interaction in this repository: a tiny gob-based RPC protocol with two
+// interaction in this repository: a small binary RPC protocol with two
 // bindings. The TCP binding carries real deployments (cmd/master,
 // cmd/worker, …). The in-process binding routes calls through a configurable
 // network model (per-message latency plus per-byte cost) charged to the
 // caller's clock, which is what lets the experiment harness run a simulated
 // multi-node cluster — with 2001-era LAN costs — under the virtual clock.
 //
-// Messages are gob-encoded. Concrete types crossing the wire inside an
-// `any` must be registered with RegisterType (the analogue of Java
-// serialization's class registry).
+// A message is one length-prefixed frame (frame.go): a fixed binary header
+// — call id, method, deadline, priority, error code — and the argument or
+// result encoded exactly once by the compiled codec in internal/enc, whose
+// per-connection type table sends each type's descriptor once per
+// connection instead of once per call. Both bindings build and parse the
+// same frames, so the simulator is charged the bytes TCP would carry.
+// Concrete types crossing the wire inside an `any` must be registered with
+// RegisterType (the analogue of Java serialization's class registry).
 package transport
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"strings"
@@ -22,17 +25,23 @@ import (
 	"gospaces/internal/enc"
 )
 
-// RemoteError carries an error string returned by the remote side of a
-// call.
+// RemoteError carries an error returned by the remote side of a call: its
+// text, and — for the failures the wire protocol itself defines, such as
+// ErrNoSuchMethod or a codec error decoding the argument — the sentinel it
+// stands for, reachable with errors.Is.
 type RemoteError struct {
 	Method string
 	Msg    string
+	cause  error
 }
 
 // Error implements error.
 func (e *RemoteError) Error() string {
 	return fmt.Sprintf("transport: remote %s: %s", e.Method, e.Msg)
 }
+
+// Unwrap returns the sentinel the remote failure stands for, if any.
+func (e *RemoteError) Unwrap() error { return e.cause }
 
 // Errors returned by transport operations.
 var (
@@ -45,12 +54,6 @@ var (
 // RPC arguments and results. Registration is shared with the journal/WAL
 // layer (see internal/enc): one call covers the wire and the durable log.
 func RegisterType(v interface{}) { enc.RegisterType(v) }
-
-func init() {
-	// Raw datagram payloads (e.g. SNMP BER packets) cross the RPC layer
-	// as byte slices.
-	gob.Register([]byte(nil))
-}
 
 // Handler processes one RPC method.
 type Handler func(arg interface{}) (interface{}, error)
@@ -112,28 +115,4 @@ type Client interface {
 	Call(method string, arg interface{}) (interface{}, error)
 	// Close releases the connection.
 	Close() error
-}
-
-// envelope wraps an any-typed payload for gob.
-type envelope struct {
-	V interface{}
-}
-
-// encodePayload gob-encodes v and returns the bytes; used both for wire
-// transmission and for charging serialization size to the network model.
-func encodePayload(v interface{}) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&envelope{V: v}); err != nil {
-		return nil, fmt.Errorf("transport: encode: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// decodePayload reverses encodePayload.
-func decodePayload(b []byte) (interface{}, error) {
-	var env envelope
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&env); err != nil {
-		return nil, fmt.Errorf("transport: decode: %w", err)
-	}
-	return env.V, nil
 }

@@ -38,6 +38,7 @@ func (s *Space) bulk(kind opKind, tmpl Entry, t *txn.Txn, max int) ([]Entry, err
 	now := s.clock.Now()
 	list := s.byType[ti.name]
 	kept := list[:0]
+	s.dead[ti.name] = 0 // this pass drops them; the takes below count afresh
 	for _, se := range list {
 		if se.removed || (!se.expiry.IsZero() && now.After(se.expiry)) {
 			if !se.removed {
@@ -95,6 +96,7 @@ func (s *Space) bulkTok(tmpl Entry, max int, tok OpToken) ([]Entry, error) {
 	now := s.clock.Now()
 	list := s.byType[ti.name]
 	kept := list[:0]
+	s.dead[ti.name] = 0 // this pass drops them; the takes below count afresh
 	for _, se := range list {
 		if se.removed || (!se.expiry.IsZero() && now.After(se.expiry)) {
 			if !se.removed {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"gospaces/internal/txn"
 	"gospaces/internal/vclock"
 )
 
@@ -108,5 +109,60 @@ func TestIndexedBlockingTakeWoken(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("indexed blocking take never woke")
+	}
+}
+
+// TestKeyedTakesDoNotGrowTheTypeList: a keyed take compacts its index
+// bucket only, so every keyed write+take pair used to leave one dead
+// pointer (pinning the entry's payload) in the per-type list until an
+// unkeyed scan came by. Fifty thousand pairs must leave the list no longer
+// than the reap threshold allows, through direct takes, blocked takes
+// satisfied by the write, and takes committed under a transaction; and
+// what is left behind must still scan in write order.
+func TestKeyedTakesDoNotGrowTheTypeList(t *testing.T) {
+	s := newRealSpace()
+	ti, _, err := infoFor(idxTask{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := ti.name
+	listLen := func() int {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return len(s.byType[name])
+	}
+	for i := 0; i < 3; i++ { // residents the pairs must not disturb
+		mustWrite(t, s, idxTask{Job: "resident", ID: ip(i + 1)})
+	}
+	const pairs = 50_000
+	for i := 0; i < pairs; i++ {
+		job := fmt.Sprintf("k%d", i%257)
+		mustWrite(t, s, idxTask{Job: job, ID: ip(i + 1)})
+		if _, err := s.TakeIfExists(idxTask{Job: job}, nil); err != nil {
+			t.Fatalf("pair %d: %v", i, err)
+		}
+		if n := listLen(); n > 2*reapMin+8 {
+			t.Fatalf("after %d pairs the type list holds %d entries", i+1, n)
+		}
+	}
+	mgr := txn.NewManager(vclock.NewReal())
+	for i := 0; i < 4*reapMin; i++ {
+		mustWrite(t, s, idxTask{Job: "txn", ID: ip(i + 1)})
+		tx := mgr.Begin(time.Minute)
+		if _, err := s.Take(idxTask{Job: "txn"}, tx, time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := listLen(); n > 2*reapMin+8 {
+		t.Fatalf("after transactional pairs the type list holds %d entries", n)
+	}
+	for want := 1; want <= 3; want++ {
+		got, err := s.TakeIfExists(idxTask{}, nil) // unkeyed: list order
+		if err != nil || *got.(idxTask).ID != want {
+			t.Fatalf("resident %d: got %+v, %v", want, got, err)
+		}
 	}
 }

@@ -23,6 +23,7 @@ type Space struct {
 	mu      sync.Mutex
 	byType  map[string][]*storedEntry
 	byKey   map[string]map[string][]*storedEntry // type → index-field value → entries
+	dead    map[string]int                       // type → taken entries still in its byType list (see reapLocked)
 	waiters map[string][]*waiter
 	notifs  map[string][]*registration
 	txns    map[uint64]*txnState
@@ -98,6 +99,7 @@ func New(clock vclock.Clock) *Space {
 		clock:   clock,
 		byType:  make(map[string][]*storedEntry),
 		byKey:   make(map[string]map[string][]*storedEntry),
+		dead:    make(map[string]int),
 		waiters: make(map[string][]*waiter),
 		notifs:  make(map[string][]*registration),
 		txns:    make(map[uint64]*txnState),
@@ -296,10 +298,37 @@ func (s *Space) lookup(kind opKind, tmpl Entry, t *txn.Txn, timeout time.Duratio
 func (s *Space) findLocked(kind opKind, ti *typeInfo, tv reflect.Value, t *txn.Txn) *storedEntry {
 	if ti.keyField >= 0 {
 		if kf := tv.Field(ti.keyField); !kf.IsZero() {
+			s.reapLocked(ti.name)
 			return s.scanLocked(kind, ti, tv, t, s.byKey[ti.name], kf.String())
 		}
 	}
 	return s.scanLocked(kind, ti, tv, t, nil, "")
+}
+
+// reapMin is the fewest dead entries worth a pass over a type's list.
+const reapMin = 64
+
+// reapLocked keeps keyed traffic from growing a type's list without bound.
+// A keyed lookup scans (and compacts) only its index bucket, so every keyed
+// take used to leave its entry's pointer — and the payload it pins — in the
+// per-type list until some unkeyed scan happened by. Takes are counted per
+// type, and once the taken outnumber the rest (and are enough to be worth a
+// pass) the next keyed lookup drops them in place: order kept, one pass per
+// len/2 takes, so O(1) amortised. Unkeyed scans compact as they always did.
+func (s *Space) reapLocked(name string) {
+	list := s.byType[name]
+	if dead := s.dead[name]; dead < reapMin || dead <= len(list)-dead {
+		return
+	}
+	kept := list[:0]
+	for _, se := range list {
+		if !se.removed {
+			kept = append(kept, se)
+		}
+	}
+	clear(list[len(kept):])
+	s.byType[name] = kept
+	s.dead[name] = 0
 }
 
 // scanLocked walks either the full per-type list (buckets == nil) or one
@@ -344,6 +373,7 @@ func (s *Space) scanLocked(kind opKind, ti *typeInfo, tv reflect.Value, t *txn.T
 		}
 	} else {
 		s.byType[ti.name] = out
+		s.dead[ti.name] = 0
 	}
 	return found
 }
@@ -392,6 +422,7 @@ func (s *Space) applyLocked(kind opKind, se *storedEntry, t *txn.Txn) error {
 				return err
 			}
 			se.removed = true
+			s.dead[se.ti.name]++
 		}
 		s.stats.Takes++
 	}
@@ -519,6 +550,7 @@ func (s *Space) Commit(id uint64) {
 	for _, se := range ts.takes {
 		se.takenUnder = 0
 		se.removed = true
+		s.dead[se.ti.name]++
 		_ = s.journalRemoveLocked(se)
 	}
 	for _, se := range ts.reads {

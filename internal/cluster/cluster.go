@@ -1,16 +1,16 @@
-// Package cluster assembles simulated heterogeneous clusters: each node
-// gets a sysmon.Machine with a relative CPU speed, an SNMP agent exposing
-// its load, the two load simulators of the paper's experiments, and an RPC
-// server on the in-process network where the worker's signal endpoint is
-// later bound. The canned topologies reproduce the paper's testbeds: five
-// 800 MHz Pentium III nodes, and thirteen 300 MHz nodes (the master is an
-// 800 MHz node in both, §5).
+// Package cluster assembles simulated heterogeneous clusters: an in-process
+// network, the master's machine and server, and per node the hardware — a
+// sysmon.Machine with a relative CPU speed, the two load simulators of the
+// paper's experiments, and the address its worker node (internal/workerhost:
+// signal endpoint, SNMP agent, worker module) is served at. The canned
+// topologies reproduce the paper's testbeds: five 800 MHz Pentium III
+// nodes, and thirteen 300 MHz nodes (the master is an 800 MHz node in both,
+// §5).
 package cluster
 
 import (
 	"fmt"
 
-	"gospaces/internal/snmp"
 	"gospaces/internal/sysmon"
 	"gospaces/internal/transport"
 	"gospaces/internal/vclock"
@@ -29,15 +29,13 @@ const (
 )
 
 // FivePC returns the paper's 5-node 800 MHz cluster.
-func FivePC() []NodeSpec { return uniform(5, Speed800MHz) }
+func FivePC() []NodeSpec { return Uniform(5, Speed800MHz) }
 
 // ThirteenPC returns the paper's 13-node 300 MHz cluster.
-func ThirteenPC() []NodeSpec { return uniform(13, Speed300MHz) }
+func ThirteenPC() []NodeSpec { return Uniform(13, Speed300MHz) }
 
 // Uniform returns n identical nodes at the given speed.
-func Uniform(n int, speed float64) []NodeSpec { return uniform(n, speed) }
-
-func uniform(n int, speed float64) []NodeSpec {
+func Uniform(n int, speed float64) []NodeSpec {
 	specs := make([]NodeSpec, n)
 	for i := range specs {
 		specs[i] = NodeSpec{Name: fmt.Sprintf("node%02d", i+1), Speed: speed}
@@ -45,13 +43,10 @@ func uniform(n int, speed float64) []NodeSpec {
 	return specs
 }
 
-// Node is one assembled worker node.
+// Node is one worker node's hardware and network address.
 type Node struct {
 	Name    string
 	Machine *sysmon.Machine
-	Agent   *snmp.Agent
-	MIB     *snmp.MIB
-	Server  *transport.Server
 	Addr    string
 	Sim1    *sysmon.LoadSimulator // 30–50 % traffic-shaped load
 	Sim2    *sysmon.LoadSimulator // 100 % load
@@ -69,8 +64,8 @@ type Cluster struct {
 }
 
 // New assembles a cluster on clock with the given network model, a
-// 1.0-speed master node, and the given worker specs. Worker servers are
-// bound at "node/<name>"; the master's at "master".
+// 1.0-speed master node, and the given worker specs. Worker nodes are
+// addressed "node/<name>"; the master's server is bound at "master".
 func New(clock vclock.Clock, model transport.Model, specs []NodeSpec) *Cluster {
 	c := &Cluster{
 		Clock:         clock,
@@ -89,32 +84,10 @@ func New(clock vclock.Clock, model transport.Model, specs []NodeSpec) *Cluster {
 
 func (c *Cluster) addNode(spec NodeSpec) *Node {
 	m := sysmon.NewMachine(c.Clock, spec.Name, spec.Speed)
-	mib := snmp.NewMIB()
-	mib.Register(snmp.OIDSysName, func() snmp.Value { return snmp.OctetString(spec.Name) })
-	mib.Register(snmp.OIDSysDescr, func() snmp.Value {
-		return snmp.OctetString(fmt.Sprintf("gospaces simulated node (speed %.3f)", spec.Speed))
-	})
-	mib.Register(snmp.OIDHrProcessorLoad, func() snmp.Value {
-		// Polling records a sample, building the CPU-usage trace that
-		// the adaptation figures plot.
-		return snmp.Integer(int64(m.RecordSample().Usage + 0.5))
-	})
-	mib.Register(snmp.OIDBackgroundLoad, func() snmp.Value {
-		return snmp.Integer(int64(m.BackgroundLoad() + 0.5))
-	})
-	agent := snmp.NewAgent(c.Community, mib)
-
-	srv := transport.NewServer()
-	agent.Bind(srv)
-	addr := "node/" + spec.Name
-	c.Net.Listen(addr, srv)
 	return &Node{
 		Name:    spec.Name,
 		Machine: m,
-		Agent:   agent,
-		MIB:     mib,
-		Server:  srv,
-		Addr:    addr,
+		Addr:    "node/" + spec.Name,
 		Sim1:    sysmon.NewLoadSimulator1(m),
 		Sim2:    sysmon.NewLoadSimulator2(m),
 	}

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"gospaces/internal/snmp"
 	"gospaces/internal/transport"
 	"gospaces/internal/vclock"
 )
@@ -47,46 +46,6 @@ func TestClusterAssembly(t *testing.T) {
 			t.Fatalf("%s missing load simulators", n.Name)
 		}
 	}
-}
-
-func TestClusterSNMPWiring(t *testing.T) {
-	clk := vclock.NewVirtual(time.Unix(0, 0))
-	c := New(clk, transport.Loopback(), Uniform(1, 1))
-	node := c.Nodes[0]
-	mgr := snmp.NewManager(c.Community, &snmp.RPCExchanger{C: c.Net.Dial(node.Addr)})
-	defer mgr.Close()
-
-	clk.Run(func() {
-		node.Machine.SetConstSource("user", 42)
-		load, err := mgr.GetInt(snmp.OIDHrProcessorLoad)
-		if err != nil {
-			t.Error(err)
-		}
-		if load != 42 {
-			t.Errorf("hrProcessorLoad = %d, want 42", load)
-		}
-		// Worker's own load excluded from the background OID.
-		node.Machine.SetConstSource("worker", 50)
-		bg, err := mgr.GetInt(snmp.OIDBackgroundLoad)
-		if err != nil {
-			t.Error(err)
-		}
-		if bg != 42 {
-			t.Errorf("background load = %d, want 42", bg)
-		}
-		// Polling hrProcessorLoad records history samples.
-		if len(node.Machine.History()) == 0 {
-			t.Error("no samples recorded by SNMP poll")
-		}
-		// sysName answers too.
-		vbs, err := mgr.Get(snmp.OIDSysName)
-		if err != nil {
-			t.Error(err)
-		}
-		if vbs[0].Value.String() != "node01" {
-			t.Errorf("sysName = %v", vbs[0].Value)
-		}
-	})
 }
 
 func TestMasterServerListens(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 	"gospaces/internal/apps/raytrace"
 	"gospaces/internal/cluster"
 	"gospaces/internal/rulebase"
+	"gospaces/internal/shardhost"
 	"gospaces/internal/snmp"
 	"gospaces/internal/space"
 	"gospaces/internal/transport"
@@ -295,7 +296,9 @@ func TestCrashedWorkerTaskRecovered(t *testing.T) {
 	clk := vclock.NewVirtual(epoch)
 	fw := New(clk, Config{
 		Workers: cluster.Uniform(2, 1.0),
-		TxnTTL:  3 * time.Second, // short lease → fast recovery
+		Spec: shardhost.Spec{
+			TxnTTL: 3 * time.Second, // short lease → fast recovery
+		},
 	})
 	job := montecarlo.NewJob(smallMCConfig())
 

@@ -2,11 +2,13 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"gospaces/internal/apps/montecarlo"
 	"gospaces/internal/cluster"
+	"gospaces/internal/shardhost"
 	"gospaces/internal/transport"
 	"gospaces/internal/tuplespace"
 	"gospaces/internal/vclock"
@@ -17,7 +19,7 @@ import (
 func TestShardedPlacementSpreadsKeys(t *testing.T) {
 	clk := vclock.NewReal()
 	model := transport.Loopback()
-	fw := New(clk, Config{Shards: 4, Model: &model})
+	fw := New(clk, Config{Spec: shardhost.Spec{Shards: 4}, Model: &model})
 	if len(fw.Shards()) != 4 {
 		t.Fatalf("Shards = %d", len(fw.Shards()))
 	}
@@ -49,7 +51,7 @@ func TestShardedPlacementSpreadsKeys(t *testing.T) {
 // result aggregated — the shards=K path end to end.
 func TestShardedEndToEnd(t *testing.T) {
 	clk := vclock.NewVirtual(epoch)
-	fw := New(clk, Config{Workers: cluster.Uniform(4, 1.0), Shards: 2})
+	fw := New(clk, Config{Workers: cluster.Uniform(4, 1.0), Spec: shardhost.Spec{Shards: 2}})
 	cfg := smallMCConfig()
 	cfg.ShardSpread = true
 	job := montecarlo.NewJob(cfg)
@@ -99,7 +101,7 @@ func TestShardedSingleShardMatchesClassic(t *testing.T) {
 		return res, clk.Now()
 	}
 	classic, end1 := run(Config{Workers: cluster.Uniform(3, 1.0)})
-	sharded, end2 := run(Config{Workers: cluster.Uniform(3, 1.0), Shards: 1})
+	sharded, end2 := run(Config{Workers: cluster.Uniform(3, 1.0), Spec: shardhost.Spec{Shards: 1}})
 	if classic.Metrics != sharded.Metrics {
 		t.Fatalf("metrics differ:\n%+v\n%+v", classic.Metrics, sharded.Metrics)
 	}
@@ -113,9 +115,11 @@ func TestShardedSingleShardMatchesClassic(t *testing.T) {
 func TestGatedSpaceOpCost(t *testing.T) {
 	clk := vclock.NewVirtual(epoch)
 	fw := New(clk, Config{
-		Workers:     cluster.Uniform(2, 1.0),
-		Shards:      2,
-		SpaceOpCost: 2 * time.Millisecond,
+		Workers: cluster.Uniform(2, 1.0),
+		Spec: shardhost.Spec{
+			Shards:      2,
+			SpaceOpCost: 2 * time.Millisecond,
+		},
 	})
 	job := montecarlo.NewJob(smallMCConfig())
 	var res Result
@@ -130,4 +134,16 @@ func TestGatedSpaceOpCost(t *testing.T) {
 	if res.Metrics.Shards != 2 {
 		t.Fatalf("Metrics.Shards = %d", res.Metrics.Shards)
 	}
+}
+
+// TestNewRejectsInvalidSpec: the simulator validates the embedded shard-host
+// spec exactly as cmd/master does. At the parent core.New applied its own
+// defaults first and silently clamped Replicas: 2 to 1.
+func TestNewRejectsInvalidSpec(t *testing.T) {
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "replicas must be 0 or 1") {
+			t.Fatalf("New with Replicas: 2: recovered %v, want the host's validation error", r)
+		}
+	}()
+	New(vclock.NewReal(), Config{Spec: shardhost.Spec{Replicas: 2}})
 }

@@ -24,9 +24,6 @@ func TestRegisterAndLookup(t *testing.T) {
 	if none := r.Lookup(map[string]string{"type": "nope"}); len(none) != 0 {
 		t.Fatalf("expected empty, got %+v", none)
 	}
-	if _, err := r.LookupOne(map[string]string{"type": "nope"}); !errors.Is(err, ErrNoService) {
-		t.Fatalf("err = %v", err)
-	}
 }
 
 func TestLookupOrderIsRegistrationOrder(t *testing.T) {
@@ -99,12 +96,12 @@ func TestRemoteLookupService(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	item, err := c.LookupOne(map[string]string{"type": "javaspace"})
+	items, err := c.Lookup(map[string]string{"type": "javaspace"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if item.Address != "spaces/0" {
-		t.Fatalf("item = %+v", item)
+	if len(items) != 1 || items[0].Address != "spaces/0" {
+		t.Fatalf("items = %+v", items)
 	}
 	if err := c.Renew(id, time.Hour); err != nil {
 		t.Fatal(err)
@@ -112,8 +109,8 @@ func TestRemoteLookupService(t *testing.T) {
 	if err := c.Cancel(id); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.LookupOne(map[string]string{"type": "javaspace"}); err == nil {
-		t.Fatal("lookup after cancel succeeded")
+	if items, err := c.Lookup(map[string]string{"type": "javaspace"}); err != nil || len(items) != 0 {
+		t.Fatalf("lookup after cancel = %+v, %v", items, err)
 	}
 }
 
@@ -174,32 +171,4 @@ func TestKeepAliveEndsOnRenewFailure(t *testing.T) {
 			t.Error("renewal failure not surfaced")
 		}
 	})
-}
-
-func TestAwaitPollsUntilServiceAppears(t *testing.T) {
-	clk := vclock.NewReal()
-	reg := NewRegistry(clk)
-	srv := transport.NewServer()
-	NewService(reg, srv)
-	net := transport.NewNetwork(clk, transport.Loopback())
-	net.Listen(WellKnownAddress, srv)
-	c := NewClient(net.Dial(WellKnownAddress))
-
-	polls := 0
-	item, err := c.Await(map[string]string{"type": "x"}, 10, func() {
-		polls++
-		if polls == 3 {
-			reg.Register(ServiceItem{Name: "late", Attributes: map[string]string{"type": "x"}}, 0)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if item.Name != "late" || polls != 3 {
-		t.Fatalf("item = %+v after %d polls", item, polls)
-	}
-
-	if _, err := c.Await(map[string]string{"type": "never"}, 3, func() {}); !errors.Is(err, ErrNoService) {
-		t.Fatalf("err = %v", err)
-	}
 }

@@ -29,11 +29,8 @@ type ServiceItem struct {
 	Attributes map[string]string
 }
 
-// Errors returned by the registry.
-var (
-	ErrNotRegistered = errors.New("discovery: registration not found or expired")
-	ErrNoService     = errors.New("discovery: no service matches the template")
-)
+// ErrNotRegistered is returned for a registration that is unknown or lapsed.
+var ErrNotRegistered = errors.New("discovery: registration not found or expired")
 
 // Registry is the in-memory lookup service state.
 type Registry struct {
@@ -120,15 +117,6 @@ func (r *Registry) Lookup(tmpl map[string]string) []ServiceItem {
 		out = append(out, r.items[id].item)
 	}
 	return out
-}
-
-// LookupOne returns the first matching service or ErrNoService.
-func (r *Registry) LookupOne(tmpl map[string]string) (ServiceItem, error) {
-	all := r.Lookup(tmpl)
-	if len(all) == 0 {
-		return ServiceItem{}, ErrNoService
-	}
-	return all[0], nil
 }
 
 // Len returns the number of live registrations.

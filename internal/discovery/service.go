@@ -118,18 +118,6 @@ func (c *Client) Lookup(tmpl map[string]string) ([]ServiceItem, error) {
 	return res.(lookupReply).Items, nil
 }
 
-// LookupOne returns the first matching service, or ErrNoService.
-func (c *Client) LookupOne(tmpl map[string]string) (ServiceItem, error) {
-	items, err := c.Lookup(tmpl)
-	if err != nil {
-		return ServiceItem{}, err
-	}
-	if len(items) == 0 {
-		return ServiceItem{}, ErrNoService
-	}
-	return items[0], nil
-}
-
 // KeepAlive is the standard Jini lease discipline for long-lived
 // services: it renews registration id every ttl/3 so a crashed service
 // ages out of the lookup registry while live ones stay listed. Run is a
@@ -203,29 +191,4 @@ func (k *KeepAlive) Err() error {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	return k.err
-}
-
-// Await polls the lookup service until a service matching tmpl appears or
-// maxWait elapses, sleeping interval between polls on clock-free real time
-// supplied by the caller's sleep function. It models a Jini client's
-// repeated discovery attempts.
-func (c *Client) Await(tmpl map[string]string, attempts int, sleep func()) (ServiceItem, error) {
-	for i := 0; ; i++ {
-		item, err := c.LookupOne(tmpl)
-		if err == nil {
-			return item, nil
-		}
-		if err != ErrNoService && !isRemoteNoService(err) {
-			return ServiceItem{}, err
-		}
-		if i+1 >= attempts {
-			return ServiceItem{}, ErrNoService
-		}
-		sleep()
-	}
-}
-
-func isRemoteNoService(err error) bool {
-	re, ok := err.(*transport.RemoteError)
-	return ok && re.Msg == ErrNoService.Error()
 }

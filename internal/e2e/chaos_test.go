@@ -9,6 +9,7 @@ import (
 	"gospaces/internal/core"
 	"gospaces/internal/discovery"
 	"gospaces/internal/faults"
+	"gospaces/internal/shardhost"
 )
 
 // TestChaosEveryWorkerCrashesOnceMidTask is the paper's §3 fault-tolerance
@@ -28,8 +29,10 @@ func TestChaosEveryWorkerCrashesOnceMidTask(t *testing.T) {
 
 	const workers = 4
 	res, job := runChaos(t, plan, workers, core.Config{
-		Shards:        2,
-		TxnTTL:        8 * time.Second,
+		Spec: shardhost.Spec{
+			Shards: 2,
+			TxnTTL: 8 * time.Second,
+		},
 		ResultTimeout: 5 * time.Minute,
 	})
 
@@ -85,8 +88,10 @@ func TestChaosSameSeedSameSchedule(t *testing.T) {
 		// A probabilistic rule exercises the seeded RNG, not just counters.
 		plan.DropCalls("node/*", "master*", "space.Write", 0.25)
 		res, job := runChaos(t, plan, 3, core.Config{
-			Shards:        2,
-			TxnTTL:        8 * time.Second,
+			Spec: shardhost.Spec{
+				Shards: 2,
+				TxnTTL: 8 * time.Second,
+			},
 			ResultTimeout: 5 * time.Minute,
 		})
 		if price, err := job.Answer(); err != nil || price.Sims != chaosJobConfig().TotalSims {
@@ -113,7 +118,9 @@ func TestChaosLookupServiceCrashRestart(t *testing.T) {
 	plan.CrashEndpoint(discovery.WellKnownAddress, 0, 2*time.Second)
 
 	res, job := runChaos(t, plan, 3, core.Config{
-		Shards:        2,
+		Spec: shardhost.Spec{
+			Shards: 2,
+		},
 		ResultTimeout: 5 * time.Minute,
 	})
 	if price, err := job.Answer(); err != nil || price.Sims != chaosJobConfig().TotalSims {

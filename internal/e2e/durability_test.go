@@ -7,6 +7,7 @@ import (
 	"gospaces/internal/cluster"
 	"gospaces/internal/core"
 	"gospaces/internal/faults"
+	"gospaces/internal/shardhost"
 	"gospaces/internal/space"
 	"gospaces/internal/transport"
 	"gospaces/internal/tuplespace"
@@ -37,14 +38,16 @@ func TestChaosShardCrashRestartRecoversFromWAL(t *testing.T) {
 	}
 
 	res, job, _ := runFailover(t, plan, 4, core.Config{
-		Shards: 2,
-		TxnTTL: 8 * time.Second,
+		Spec: shardhost.Spec{
+			Shards:  2,
+			TxnTTL:  8 * time.Second,
+			DataDir: t.TempDir(),
+		},
 		// Shard-local sub-commits are not atomic across shards, so a
 		// crash can redeliver a result write; dedup keeps collection
 		// exactly-once.
 		DedupResults:  true,
 		ResultTimeout: 5 * time.Minute,
-		DataDir:       t.TempDir(),
 	}, chaosJobConfig(), script)
 	if restartErr != nil {
 		t.Fatalf("RestartShard: %v", restartErr)
@@ -99,8 +102,10 @@ func TestDurableFrameworkRestartAcrossRuns(t *testing.T) {
 	dir := t.TempDir()
 	cfg := core.Config{
 		Workers: cluster.Uniform(1, 1.0),
-		Shards:  2,
-		DataDir: dir,
+		Spec: shardhost.Spec{
+			Shards:  2,
+			DataDir: dir,
+		},
 	}
 
 	clk1 := vclock.NewVirtual(chaosEpoch)

@@ -10,6 +10,7 @@ import (
 	"gospaces/internal/faults"
 	"gospaces/internal/metrics"
 	"gospaces/internal/replica"
+	"gospaces/internal/shardhost"
 	"gospaces/internal/tuplespace"
 	"gospaces/internal/vclock"
 )
@@ -46,9 +47,11 @@ func TestChaosFailoverKillEveryPrimaryMidJob(t *testing.T) {
 		}
 	}
 	res, job, fw := runFailover(t, nil, 4, core.Config{
-		Shards:        shards,
-		Replicas:      1,
-		TxnTTL:        8 * time.Second,
+		Spec: shardhost.Spec{
+			Shards:   shards,
+			Replicas: 1,
+			TxnTTL:   8 * time.Second,
+		},
 		ResultTimeout: 5 * time.Minute,
 		DedupResults:  true,
 	}, jc, script)
@@ -84,9 +87,11 @@ func TestChaosFailoverPartitionPrimaryFromBackup(t *testing.T) {
 
 	jc := failoverJobConfig()
 	res, job, fw := runFailover(t, plan, 4, core.Config{
-		Shards:        1,
-		Replicas:      1,
-		TxnTTL:        8 * time.Second,
+		Spec: shardhost.Spec{
+			Shards:   1,
+			Replicas: 1,
+			TxnTTL:   8 * time.Second,
+		},
 		ResultTimeout: 5 * time.Minute,
 		DedupResults:  true,
 	}, jc, nil)
@@ -128,9 +133,11 @@ func BenchmarkFailoverLatency(b *testing.B) {
 	for n := 0; n < b.N; n++ {
 		clk := vclock.NewVirtual(chaosEpoch)
 		fw := core.New(clk, core.Config{
-			Shards:        1,
-			Replicas:      1,
-			TxnTTL:        8 * time.Second,
+			Spec: shardhost.Spec{
+				Shards:   1,
+				Replicas: 1,
+				TxnTTL:   8 * time.Second,
+			},
 			ResultTimeout: 5 * time.Minute,
 			DedupResults:  true,
 			Workers:       cluster.Uniform(4, 1.0),
@@ -191,9 +198,11 @@ func TestChaosFailoverRejoinAndFailBack(t *testing.T) {
 		}
 	}
 	res, job, fw := runFailover(t, nil, 4, core.Config{
-		Shards:        1,
-		Replicas:      1,
-		TxnTTL:        8 * time.Second,
+		Spec: shardhost.Spec{
+			Shards:   1,
+			Replicas: 1,
+			TxnTTL:   8 * time.Second,
+		},
 		ResultTimeout: 5 * time.Minute,
 		DedupResults:  true,
 	}, jc, script)

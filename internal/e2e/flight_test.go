@@ -8,6 +8,7 @@ import (
 	"gospaces/internal/faults"
 	"gospaces/internal/metrics"
 	"gospaces/internal/obs"
+	"gospaces/internal/shardhost"
 )
 
 // TestFlightFailoverRetrySpanTree is the control-plane tracing acceptance
@@ -37,14 +38,16 @@ func TestFlightFailoverRetrySpanTree(t *testing.T) {
 		}
 	}
 	res, job, fw := runFailover(t, plan, 4, core.Config{
-		Shards:        2,
-		Replicas:      1,
-		TxnTTL:        8 * time.Second,
+		Spec: shardhost.Spec{
+			Shards:      2,
+			Replicas:    1,
+			TxnTTL:      8 * time.Second,
+			ExactlyOnce: true,
+			Obs:         o,
+		},
 		OpTimeout:     500 * time.Millisecond,
-		ExactlyOnce:   true,
 		DedupResults:  true,
 		ResultTimeout: 10 * time.Minute,
-		Obs:           o,
 	}, jc, script)
 
 	assertExactResults(t, job, jc)

@@ -14,6 +14,7 @@ import (
 	"gospaces/internal/faults"
 	"gospaces/internal/metrics"
 	"gospaces/internal/obs"
+	"gospaces/internal/shardhost"
 	"gospaces/internal/snmp"
 	"gospaces/internal/vclock"
 )
@@ -42,7 +43,9 @@ func spansByName(spans []obs.Span) map[string][]obs.Span {
 func TestObsCleanRunSpanTree(t *testing.T) {
 	o := obs.New(1)
 	res, _ := runObserved(t, o, nil, 3, core.Config{
-		Shards:        2,
+		Spec: shardhost.Spec{
+			Shards: 2,
+		},
 		ResultTimeout: 5 * time.Minute,
 	})
 
@@ -97,8 +100,10 @@ func TestChaosWorkerCrashMidTaskKeepsTraceConnected(t *testing.T) {
 
 	const workers = 4
 	res, job := runObserved(t, o, plan, workers, core.Config{
-		Shards:        2,
-		TxnTTL:        8 * time.Second,
+		Spec: shardhost.Spec{
+			Shards: 2,
+			TxnTTL: 8 * time.Second,
+		},
 		ResultTimeout: 5 * time.Minute,
 	})
 	crashes := int(res.FaultEvents[faults.EventCrash])
@@ -154,7 +159,9 @@ func TestChaosWorkerCrashMidTaskKeepsTraceConnected(t *testing.T) {
 func TestObsMetricsEndpointAfterRun(t *testing.T) {
 	o := obs.New(1)
 	res, _ := runObserved(t, o, nil, 3, core.Config{
-		Shards:        2,
+		Spec: shardhost.Spec{
+			Shards: 2,
+		},
 		ResultTimeout: 5 * time.Minute,
 	})
 
@@ -212,10 +219,12 @@ func TestObsSNMPMatchesMetrics(t *testing.T) {
 	o := obs.New(1)
 	clk := vclock.NewVirtual(chaosEpoch)
 	fw := core.New(clk, core.Config{
-		Workers:       cluster.Uniform(3, 1.0),
-		Shards:        2,
+		Workers: cluster.Uniform(3, 1.0),
+		Spec: shardhost.Spec{
+			Shards: 2,
+			Obs:    o,
+		},
 		ResultTimeout: 5 * time.Minute,
-		Obs:           o,
 	})
 	if fw.MIB == nil {
 		t.Fatal("framework MIB not built despite Config.Obs")

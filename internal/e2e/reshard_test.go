@@ -9,6 +9,7 @@ import (
 	"gospaces/internal/cluster"
 	"gospaces/internal/core"
 	"gospaces/internal/metrics"
+	"gospaces/internal/shardhost"
 	"gospaces/internal/space"
 	"gospaces/internal/vclock"
 )
@@ -39,9 +40,11 @@ func TestReshardManualSplitAndMergeMidJob(t *testing.T) {
 		mergeErr = f.MergeShards(rep.Child)
 	}
 	res, job, fw := runFailover(t, nil, 4, core.Config{
-		Shards:        1,
-		Elastic:       true,
-		TxnTTL:        8 * time.Second,
+		Spec: shardhost.Spec{
+			Shards:  1,
+			Elastic: true,
+			TxnTTL:  8 * time.Second,
+		},
 		ResultTimeout: 5 * time.Minute,
 		DedupResults:  true,
 	}, jc, script)
@@ -86,15 +89,17 @@ func TestReshardManualSplitAndMergeMidJob(t *testing.T) {
 func TestChaosReshardAutoSplitUnderSkew(t *testing.T) {
 	jc := failoverJobConfig()
 	res, job, fw := runFailover(t, nil, 4, core.Config{
-		Shards:            1,
-		AutoShard:         true,
-		SplitThreshold:    2, // ops/sec — far below the job's sustained rate
-		ReshardInterval:   500 * time.Millisecond,
-		ReshardHysteresis: 2,
-		ReshardCooldown:   2 * time.Minute, // one action per run, no flap
-		TxnTTL:            8 * time.Second,
-		ResultTimeout:     5 * time.Minute,
-		DedupResults:      true,
+		Spec: shardhost.Spec{
+			Shards:            1,
+			AutoShard:         true,
+			SplitThreshold:    2, // ops/sec — far below the job's sustained rate
+			ReshardInterval:   500 * time.Millisecond,
+			ReshardHysteresis: 2,
+			ReshardCooldown:   2 * time.Minute, // one action per run, no flap
+			TxnTTL:            8 * time.Second,
+		},
+		ResultTimeout: 5 * time.Minute,
+		DedupResults:  true,
 	}, jc, nil)
 
 	assertExactResults(t, job, jc)
@@ -140,10 +145,12 @@ func TestChaosReshardKillSourcePrimaryMidSplit(t *testing.T) {
 		g.Wait()
 	}
 	res, job, fw := runFailover(t, nil, 4, core.Config{
-		Shards:        1,
-		Replicas:      1,
-		Elastic:       true,
-		TxnTTL:        8 * time.Second,
+		Spec: shardhost.Spec{
+			Shards:   1,
+			Replicas: 1,
+			Elastic:  true,
+			TxnTTL:   8 * time.Second,
+		},
 		ResultTimeout: 5 * time.Minute,
 		DedupResults:  true,
 	}, jc, script)
@@ -203,10 +210,12 @@ func TestChaosReshardSplitBornCrashRestart(t *testing.T) {
 		info, restartErr = f.RestartShard(idx)
 	}
 	res, job, fw := runFailover(t, nil, 4, core.Config{
-		Shards:        1,
-		Elastic:       true,
-		DataDir:       t.TempDir(),
-		TxnTTL:        8 * time.Second,
+		Spec: shardhost.Spec{
+			Shards:  1,
+			Elastic: true,
+			DataDir: t.TempDir(),
+			TxnTTL:  8 * time.Second,
+		},
 		ResultTimeout: 5 * time.Minute,
 		DedupResults:  true,
 	}, jc, script)
@@ -265,11 +274,13 @@ func BenchmarkReshardSplit(b *testing.B) {
 	for n := 0; n < b.N; n++ {
 		clk := vclock.NewVirtual(chaosEpoch)
 		fw := core.New(clk, core.Config{
-			Shards:        1,
-			Elastic:       true,
-			SpaceOpCost:   20 * time.Millisecond,
-			WatchInterval: watch,
-			TxnTTL:        8 * time.Second,
+			Spec: shardhost.Spec{
+				Shards:        1,
+				Elastic:       true,
+				SpaceOpCost:   20 * time.Millisecond,
+				WatchInterval: watch,
+				TxnTTL:        8 * time.Second,
+			},
 			ResultTimeout: 5 * time.Minute,
 			DedupResults:  true,
 			Workers:       cluster.Uniform(4, 1.0),

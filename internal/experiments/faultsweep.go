@@ -9,6 +9,7 @@ import (
 	"gospaces/internal/core"
 	"gospaces/internal/faults"
 	"gospaces/internal/metrics"
+	"gospaces/internal/shardhost"
 	"gospaces/internal/space"
 	"gospaces/internal/vclock"
 )
@@ -53,9 +54,11 @@ func FaultSweep() ([]FaultPoint, error) {
 				faults.AfterHandler, "", 10*time.Second)
 		}
 		fw := core.New(clk, withObs(core.Config{
-			Workers:       cluster.Uniform(4, 1.0),
-			Shards:        2,
-			TxnTTL:        5 * time.Second,
+			Workers: cluster.Uniform(4, 1.0),
+			Spec: shardhost.Spec{
+				Shards: 2,
+				TxnTTL: 5 * time.Second,
+			},
 			Faults:        plan,
 			ResultTimeout: 10 * time.Minute,
 		}))

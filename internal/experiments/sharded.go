@@ -8,6 +8,7 @@ import (
 	"gospaces/internal/cluster"
 	"gospaces/internal/core"
 	"gospaces/internal/metrics"
+	"gospaces/internal/shardhost"
 	"gospaces/internal/vclock"
 )
 
@@ -51,9 +52,11 @@ func ShardedKnee() ([]ShardedPoint, error) {
 		for _, n := range shardedWorkerCounts {
 			clk := vclock.NewVirtual(epoch)
 			fw := core.New(clk, withObs(core.Config{
-				Workers:     cluster.Uniform(n, 1.0),
-				Shards:      shards,
-				SpaceOpCost: 8 * time.Millisecond,
+				Workers: cluster.Uniform(n, 1.0),
+				Spec: shardhost.Spec{
+					Shards:      shards,
+					SpaceOpCost: 8 * time.Millisecond,
+				},
 			}))
 			job := montecarlo.NewJob(shardedJobConfig())
 			var res core.Result

@@ -11,6 +11,7 @@ import (
 	"gospaces/internal/core"
 	"gospaces/internal/e2e/harness"
 	"gospaces/internal/obs"
+	"gospaces/internal/shardhost"
 	"gospaces/internal/space"
 	"gospaces/internal/tuplespace"
 	"gospaces/internal/vclock"
@@ -102,21 +103,23 @@ func Run(m Manifest) Report {
 		Workers: m.Workers,
 		Plan:    plan,
 		Config: core.Config{
-			Shards:        m.Shards,
-			Replicas:      m.Replicas,
-			Elastic:       m.Elastic,
-			DataDir:       dataDir,
-			FsyncPolicy:   fsync,
+			Spec: shardhost.Spec{
+				Shards:      m.Shards,
+				Replicas:    m.Replicas,
+				Elastic:     m.Elastic,
+				DataDir:     dataDir,
+				FsyncPolicy: fsync,
+				TxnTTL:      ttl,
+				ExactlyOnce: m.ExactlyOnce,
+				SpaceOpCost: m.OpCost,
+				MaxInflight: m.MaxInflight,
+				RetryBudget: m.RetryBudget,
+				Breakers:    m.Breakers,
+				Obs:         o,
+			},
 			DedupResults:  true,
-			TxnTTL:        ttl,
 			OpTimeout:     m.OpTimeout,
-			ExactlyOnce:   m.ExactlyOnce,
-			SpaceOpCost:   m.OpCost,
-			MaxInflight:   m.MaxInflight,
-			RetryBudget:   m.RetryBudget,
-			Breakers:      m.Breakers,
 			ResultTimeout: 10 * time.Minute,
-			Obs:           o,
 		},
 		Job:    app.job,
 		Script: st.script,

@@ -10,8 +10,8 @@
 // With one shard the router degenerates to pure pass-through, which is the
 // compatibility mode: semantics are identical to talking to the single
 // server directly. Shard membership comes from the discovery service (see
-// Discover and Watcher); shards are meant to be added between jobs, while
-// the space holds no keyed entries whose ring position would move.
+// Join); it changes under a running job only through a published topology
+// (see Watcher), which moves the affected entries first.
 package shard
 
 import (

@@ -73,7 +73,7 @@ func TestRouterPlacementStableAcrossDiscoverOrder(t *testing.T) {
 	dial := func(addr string) (space.Space, error) { return space.NewLocal(clk), nil }
 
 	build := func(perm []discovery.ServiceItem) *Router {
-		shards, err := dialItems(perm, dial, nil, nil)
+		shards, err := dialItems(perm, dial)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -262,15 +262,11 @@ func TestWatcherFollowsTopology(t *testing.T) {
 	}
 	reg.Register(discovery.ServiceItem{Name: "s0", Address: "space.0",
 		Attributes: map[string]string{"type": "javaspace", AttrShard: "0"}}, 0)
-	shards, err := Discover(client, map[string]string{"type": "javaspace"}, dial)
+	r, err := New(Options{Clock: clk}, discover(t, client, dial))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := New(Options{Clock: clk}, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := NewWatcher(client, clk, r, map[string]string{"type": "javaspace"}, dial, 10*time.Millisecond)
+	w := NewWatcher(client, clk, r, Resolver(client, dial), 10*time.Millisecond)
 	go w.Run()
 	defer w.Stop()
 

@@ -16,12 +16,17 @@ import (
 
 // Discovery attributes used by shard servers. A sharded master registers
 // every shard server under the usual javaspace type attribute plus its
-// shard index and the total shard count, so single-shard-aware clients
-// (which LookupOne the type attribute) still find shard 0 and work
-// unchanged.
+// shard index and the total shard count; a client waits until it sees that
+// many ring positions and joins them all (see Join).
 const (
-	AttrShard  = "shard"  // this server's shard index, "0".."K-1"
-	AttrShards = "shards" // total shard count, "K"
+	SpaceType  = "javaspace" // type attribute of every serving shard
+	AttrShard  = "shard"     // this server's shard index, "0".."K-1"
+	AttrShards = "shards"    // total shard count, "K"
+
+	// AttrElastic marks the registrations of a host whose ring can change
+	// membership at runtime; such a host also publishes a topology record,
+	// which a joining client adopts and then watches (see Join).
+	AttrElastic = "elastic"
 
 	// Replication attributes. The ring ID of a shard is the address its
 	// original primary registered under; a promoted backup serves from its
@@ -88,26 +93,13 @@ func itemCtrl(item discovery.ServiceItem) (obs.TraceContext, uint64) {
 // Dialer turns a discovered address into a Space handle.
 type Dialer func(addr string) (space.Space, error)
 
-// Discover looks up every service matching tmpl (typically
-// {"type": "javaspace"}) and dials each into a Shard, ordered by shard
-// index (registration order for items without one). Shard IDs are the
-// registered addresses, so every participant that discovers the same
-// membership builds the same ring.
-func Discover(c *discovery.Client, tmpl map[string]string, dial Dialer) ([]Shard, error) {
-	items, err := c.Lookup(tmpl)
-	if err != nil {
-		return nil, err
-	}
-	return dialItems(items, dial, nil, nil)
-}
-
-// dialItems converts registry items to Shards, reusing handles from known
-// (keyed by ring ID) instead of re-dialing. When several registrations
-// claim the same ring position (an expired primary's entry still cached
-// beside its promoted backup's), the highest epoch wins. A known handle
-// is reused only while its epoch is current; a registration at a newer
-// epoch is re-dialed (the old handle points at a deposed primary).
-func dialItems(items []discovery.ServiceItem, dial Dialer, known map[string]space.Space, knownEpochs map[string]uint64) ([]Shard, error) {
+// dialItems converts registry items to Shards, ordered by shard index
+// (registration order for items without one). Shard IDs are the registered
+// addresses, so every participant that discovers the same membership builds
+// the same ring. When several registrations claim the same ring position
+// (an expired primary's entry still cached beside its promoted backup's),
+// the highest epoch wins.
+func dialItems(items []discovery.ServiceItem, dial Dialer) ([]Shard, error) {
 	sort.SliceStable(items, func(i, j int) bool {
 		a, _ := strconv.Atoi(items[i].Attributes[AttrShard])
 		b, _ := strconv.Atoi(items[j].Attributes[AttrShard])
@@ -119,68 +111,57 @@ func dialItems(items []discovery.ServiceItem, dial Dialer, known map[string]spac
 		id := RingID(item)
 		cur, ok := best[id]
 		if !ok {
-			best[id] = item
 			order = append(order, id)
-			continue
 		}
-		if ItemEpoch(item) > ItemEpoch(cur) {
+		if !ok || ItemEpoch(item) > ItemEpoch(cur) {
 			best[id] = item
 		}
 	}
 	var shards []Shard
 	for _, id := range order {
 		item := best[id]
-		tc, clk := itemCtrl(item)
-		if sp, ok := known[id]; ok && ItemEpoch(item) <= knownEpochs[id] {
-			shards = append(shards, Shard{ID: id, Space: sp, Epoch: knownEpochs[id], Trace: tc, Clk: clk})
-			continue
-		}
 		sp, err := dial(item.Address)
 		if err != nil {
 			return nil, fmt.Errorf("shard: dial %s: %w", item.Address, err)
 		}
+		tc, clk := itemCtrl(item)
 		shards = append(shards, Shard{ID: id, Space: sp, Epoch: ItemEpoch(item), Trace: tc, Clk: clk})
 	}
 	return shards, nil
 }
 
 // Resolver returns an Options.Failover function backed by the lookup
-// service: it looks up every registration matching tmpl, keeps the one
-// claiming the wanted ring position with the highest epoch, and dials it.
-// The caller's router rejects stale epochs on Retarget, so resolving a
+// service: it looks up every javaspace registration, keeps the one claiming
+// the wanted ring position with the highest epoch, and dials it. The
+// caller's router rejects stale epochs on Retarget, so resolving a
 // not-yet-promoted (or already-known) registration is harmless.
-func Resolver(c *discovery.Client, tmpl map[string]string, dial Dialer) func(ringID string) (Shard, error) {
+func Resolver(c *discovery.Client, dial Dialer) func(ringID string) (Shard, error) {
 	return func(ringID string) (Shard, error) {
-		items, err := c.Lookup(tmpl)
+		items, err := c.Lookup(map[string]string{"type": SpaceType})
 		if err != nil {
 			return Shard{}, err
 		}
-		var best discovery.ServiceItem
-		found := false
+		var claims []discovery.ServiceItem
 		for _, item := range items {
-			if RingID(item) != ringID {
-				continue
-			}
-			if !found || ItemEpoch(item) > ItemEpoch(best) {
-				best, found = item, true
+			if RingID(item) == ringID {
+				claims = append(claims, item)
 			}
 		}
-		if !found {
+		shards, err := dialItems(claims, dial)
+		if err != nil {
+			return Shard{}, err
+		}
+		if len(shards) == 0 {
 			return Shard{}, fmt.Errorf("shard: no registration for ring %q", ringID)
 		}
-		sp, err := dial(best.Address)
-		if err != nil {
-			return Shard{}, fmt.Errorf("shard: dial %s: %w", best.Address, err)
-		}
-		tc, clk := itemCtrl(best)
-		return Shard{ID: ringID, Space: sp, Epoch: ItemEpoch(best), Trace: tc, Clk: clk}, nil
+		return shards[0], nil
 	}
 }
 
 // Assembly is the deployment-level shape of one participant's ring: what
-// the master, every worker and the TCP binaries each turn into Options the
-// same way. Seed names the participant; Failover is Resolver(...) for a
-// remote client and the host's in-process resolver on the master.
+// the master (shardhost) and every worker (Join) turn into Options the same
+// way. Seed names the participant; Failover is the host's in-process
+// resolver on the master and set by Join for a remote client.
 type Assembly struct {
 	Clock       vclock.Clock
 	Seed        string
@@ -212,16 +193,22 @@ func Assemble(a Assembly, shards []Shard) (*Router, error) {
 	return New(opts, shards)
 }
 
-// Watcher polls the lookup service and grows a Router's membership when
-// new shard servers register — the join path for shards added between
-// jobs. It only ever adds shards; a vanished registration is left in the
-// ring (removing it would orphan that shard's entries).
+// DefaultWatchInterval is how often a ring client polls the lookup service
+// for a newer topology — the bound on client ring convergence that a
+// host's post-cutover drain must outlast (shardhost.Spec.ReshardDrain).
+const DefaultWatchInterval = 500 * time.Millisecond
+
+// Watcher polls the lookup service for published topologies and applies
+// each strictly newer one to a Router — how a client of an elastic host
+// follows its splits and merges. The topology names exactly the members and
+// point labels of the ring; membership is never inferred from the plain
+// registrations, which could resurrect a merged-away shard or hand default
+// labels to a resharded one.
 type Watcher struct {
 	client   *discovery.Client
 	clock    vclock.Clock
 	router   *Router
-	tmpl     map[string]string
-	dial     Dialer
+	resolve  func(ringID string) (Shard, error)
 	interval time.Duration
 
 	mu     sync.Mutex
@@ -230,13 +217,14 @@ type Watcher struct {
 	err    error
 }
 
-// NewWatcher returns a watcher feeding router from lookups of tmpl every
-// interval. Run it as a clock process; Stop it before the clock drains.
-func NewWatcher(client *discovery.Client, clock vclock.Clock, router *Router, tmpl map[string]string, dial Dialer, interval time.Duration) *Watcher {
+// NewWatcher returns a watcher feeding router every interval (zero:
+// DefaultWatchInterval), dialing members new to it through resolve. Run it
+// as a clock process; Stop it before the clock drains.
+func NewWatcher(client *discovery.Client, clock vclock.Clock, router *Router, resolve func(ringID string) (Shard, error), interval time.Duration) *Watcher {
 	if interval <= 0 {
-		interval = 2 * time.Second
+		interval = DefaultWatchInterval
 	}
-	return &Watcher{client: client, clock: clock, router: router, tmpl: tmpl, dial: dial, interval: interval}
+	return &Watcher{client: client, clock: clock, router: router, resolve: resolve, interval: interval}
 }
 
 // Run polls until Stop. Lookup or dial errors are retained (see Err) and
@@ -259,77 +247,18 @@ func (w *Watcher) Run() {
 	}
 }
 
+// poll applies the newest published topology if it is newer than the
+// router's.
 func (w *Watcher) poll() {
-	// A published topology is authoritative: it names exactly the members
-	// and point labels of the ring, so once one exists the add-only legacy
-	// path below is disabled — it could resurrect a merged-away shard (or
-	// hand default labels to a resharded one) from a stale registration.
-	if done := w.pollTopology(); done {
-		return
-	}
-	items, err := w.client.Lookup(w.tmpl)
-	if err != nil {
-		w.setErr(err)
-		return
-	}
-	known := make(map[string]space.Space)
-	knownEpochs := make(map[string]uint64)
-	cur := w.router.Shards()
-	for _, s := range cur {
-		known[s.ID] = s.Space
-		knownEpochs[s.ID] = s.Epoch
-	}
-	fresh := 0
-	for _, item := range items {
-		if _, ok := known[RingID(item)]; !ok {
-			fresh++
-		}
-	}
-	if fresh == 0 {
-		return
-	}
-	shards, err := dialItems(items, w.dial, known, knownEpochs)
-	if err != nil {
-		w.setErr(err)
-		return
-	}
-	// Keep shards that have aged out of the registry but are still in the
-	// ring: membership only grows.
-	have := make(map[string]bool, len(shards))
-	for _, s := range shards {
-		have[s.ID] = true
-	}
-	for _, s := range cur {
-		if !have[s.ID] {
-			shards = append(shards, s)
-		}
-	}
-	w.setErr(w.router.SetShards(shards))
-}
-
-// pollTopology applies the newest published topology, if any. It reports
-// whether topology records govern this ring (true disables the legacy
-// add-only membership growth for this poll).
-func (w *Watcher) pollTopology() bool {
 	items, err := w.client.Lookup(map[string]string{"type": TopoType})
 	if err != nil {
-		// Lookup trouble also dooms the legacy path; retain and retry.
 		w.setErr(err)
-		return true
+		return
 	}
-	t, ok := BestTopology(items)
-	if !ok {
-		// No topology published yet: before the first reshard the plain
-		// membership lookup is authoritative — unless this router already
-		// applied one (the record aged out of the registry), in which case
-		// the legacy path must stay off.
-		return w.router.TopoEpoch() > 0
-	}
-	if t.Epoch > w.router.TopoEpoch() {
-		_, err := w.router.ApplyTopology(t, Resolver(w.client, w.tmpl, w.dial))
+	if t, ok := BestTopology(items); ok && t.Epoch > w.router.TopoEpoch() {
+		_, err := w.router.ApplyTopology(t, w.resolve)
 		w.setErr(err)
 	}
-	return true
 }
 
 func (w *Watcher) setErr(err error) {

@@ -1,14 +1,12 @@
 package shard
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
 	"gospaces/internal/discovery"
 	"gospaces/internal/space"
 	"gospaces/internal/transport"
-	"gospaces/internal/tuplespace"
 	"gospaces/internal/vclock"
 )
 
@@ -23,10 +21,24 @@ func newTestLookup(t *testing.T, clk vclock.Clock) (*discovery.Registry, *discov
 	return reg, discovery.NewClient(net.Dial(discovery.WellKnownAddress))
 }
 
+// discover looks the javaspace registrations up and dials each into a Shard.
+func discover(t *testing.T, client *discovery.Client, dial Dialer) []Shard {
+	t.Helper()
+	items, err := client.Lookup(map[string]string{"type": SpaceType})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards, err := dialItems(items, dial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return shards
+}
+
 func TestDiscoverOrdersByShardIndex(t *testing.T) {
 	clk := vclock.NewReal()
 	reg, client := newTestLookup(t, clk)
-	// Register out of order; Discover must sort by the shard attribute.
+	// Register out of order; discovery must sort by the shard attribute.
 	reg.Register(discovery.ServiceItem{
 		Name: "shard-1", Address: "space.1",
 		Attributes: map[string]string{"type": "javaspace", AttrShard: "1", AttrShards: "2"},
@@ -36,13 +48,10 @@ func TestDiscoverOrdersByShardIndex(t *testing.T) {
 		Attributes: map[string]string{"type": "javaspace", AttrShard: "0", AttrShards: "2"},
 	}, 0)
 	dialed := make(map[string]bool)
-	shards, err := Discover(client, map[string]string{"type": "javaspace"}, func(addr string) (space.Space, error) {
+	shards := discover(t, client, func(addr string) (space.Space, error) {
 		dialed[addr] = true
 		return space.NewLocal(clk), nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(shards) != 2 || shards[0].ID != "space.0" || shards[1].ID != "space.1" {
 		t.Fatalf("shards = %+v", shards)
 	}
@@ -51,69 +60,11 @@ func TestDiscoverOrdersByShardIndex(t *testing.T) {
 	}
 }
 
-// TestWatcherAddsNewShard: a shard server registering after the router is
-// built joins the ring on the watcher's next poll.
-func TestWatcherAddsNewShard(t *testing.T) {
-	clk := vclock.NewReal()
-	reg, client := newTestLookup(t, clk)
-	attrs := func(i int) map[string]string {
-		return map[string]string{"type": "javaspace", AttrShard: fmt.Sprintf("%d", i)}
-	}
-	reg.Register(discovery.ServiceItem{Name: "s0", Address: "space.0", Attributes: attrs(0)}, 0)
-
-	spaces := map[string]*space.Local{
-		"space.0": space.NewLocal(clk),
-		"space.1": space.NewLocal(clk),
-	}
-	dial := func(addr string) (space.Space, error) {
-		sp, ok := spaces[addr]
-		if !ok {
-			return nil, fmt.Errorf("no such space %q", addr)
-		}
-		return sp, nil
-	}
-	shards, err := Discover(client, map[string]string{"type": "javaspace"}, dial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := New(Options{Clock: clk}, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.NumShards() != 1 {
-		t.Fatalf("initial NumShards = %d", r.NumShards())
-	}
-
-	w := NewWatcher(client, clk, r, map[string]string{"type": "javaspace"}, dial, 10*time.Millisecond)
-	go w.Run()
-	defer w.Stop()
-
-	// A new shard server joins.
-	reg.Register(discovery.ServiceItem{Name: "s1", Address: "space.1", Attributes: attrs(1)}, 0)
-	waitFor(t, "watcher to add the shard", func() bool { return r.NumShards() == 2 })
-	if err := w.Err(); err != nil {
-		t.Fatalf("watcher error: %v", err)
-	}
-
-	// The grown ring routes to both members.
-	for i := 0; i < 32; i++ {
-		if _, err := r.Write(kv{Key: fmt.Sprintf("w-%d", i), Val: i}, nil, tuplespace.Forever); err != nil {
-			t.Fatal(err)
-		}
-	}
-	a := spaces["space.0"].TS.Stats().EntriesLive
-	b := spaces["space.1"].TS.Stats().EntriesLive
-	if a+b != 32 || a == 0 || b == 0 {
-		t.Fatalf("entries split %d/%d; want both shards populated", a, b)
-	}
-}
-
 func TestWatcherStopEndsRun(t *testing.T) {
 	clk := vclock.NewReal()
 	_, client := newTestLookup(t, clk)
 	r, _ := newLocalRouter(t, clk, 1)
-	w := NewWatcher(client, clk, r, map[string]string{"type": "javaspace"},
-		func(string) (space.Space, error) { return nil, fmt.Errorf("unused") }, time.Hour)
+	w := NewWatcher(client, clk, r, nil, time.Hour)
 	done := make(chan struct{})
 	go func() { w.Run(); close(done) }()
 	time.Sleep(5 * time.Millisecond)

@@ -198,6 +198,16 @@ func (h *Host) Split(parentRing string) (SplitReport, error) {
 	if err != nil {
 		return rep, err
 	}
+	// A split-born child must start empty. Its index — and so its WAL
+	// directory — can repeat one an earlier process used; entries recovered
+	// from that log would join the ring as if the split had migrated them.
+	if d := child.serving.durable; d != nil {
+		if info := d.Info(); info.Restored > 0 || info.SnapshotRecords > 0 || info.TailRecords > 0 {
+			h.retire(child) // stillborn: nothing on disk is touched
+			return rep, fmt.Errorf("shardhost: split %s: the child's WAL directory %s holds %d entries (%d records) from an earlier process; move it away and split again",
+				parentRing, child.serving.dir, info.Restored, info.SnapshotRecords+info.TailRecords)
+		}
+	}
 	// Captured before anything can fail the child over: the cutover hands
 	// routers the construction-time handle, like a seed's.
 	childTS, childHandle, childEpoch := child.serving.local.TS, child.handle, child.epoch

@@ -202,6 +202,10 @@ func (h *Host) assemble() error {
 	return nil
 }
 
+// Spec is the host's spec with every default filled in — what a caller that
+// builds the rest of the deployment from the same values reads them from.
+func (h *Host) Spec() Spec { return h.spec }
+
 // Space is the master's operating handle over the hosted shards: shard 0
 // directly for the classic single in-memory shard, a router otherwise.
 func (h *Host) Space() space.Space { return h.space }
@@ -224,8 +228,8 @@ func (h *Host) Server(i int) *transport.Server {
 
 // RingCounters is the family a ring's router counts into: Repl, else
 // Retries, else Overload — one snapshot then shows failovers next to the
-// retries and breaker trips they caused. Clients assembling their own ring
-// against this host (core's workers) share it.
+// retries and breaker trips they caused. In-process clients of this host
+// (core's workers) count into it too.
 func (h *Host) RingCounters() *metrics.Counters {
 	for _, c := range []*metrics.Counters{h.Counters.Repl, h.Counters.Retries, h.Counters.Overload} {
 		if c != nil {
@@ -566,6 +570,11 @@ func (h *Host) ringAttrs(ps *position, typ string) map[string]string {
 	}
 	if h.spec.Replicas > 0 {
 		attrs[shard.AttrRing] = ps.ring
+	}
+	if h.spec.Elastic {
+		// What tells a joining client to route through a ring and watch the
+		// topology even while there is one unreplicated shard (shard.Join).
+		attrs[shard.AttrElastic] = "1"
 	}
 	return attrs
 }

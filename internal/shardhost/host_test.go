@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -396,6 +397,65 @@ func TestTCPSplitThenFailover(t *testing.T) {
 	}
 	if err := h.Err(); err != nil {
 		t.Fatalf("background error: %v", err)
+	}
+}
+
+// TestSplitRefusesStaleChildWAL: a split-born child must start empty. Its
+// index — and so its WAL directory — can repeat one an earlier process used
+// (this host's first split builds shard1 whatever that earlier process called
+// it). At the parent commit the child recovered the directory and the stale
+// entries joined the ring as if the split had migrated them.
+func TestSplitRefusesStaleChildWAL(t *testing.T) {
+	const entries = 24
+	d := inproc(t)
+	dir := t.TempDir()
+	stale := filepath.Join(dir, "shard1")
+	old, dur, err := space.NewLocalDurable(d.clock, space.DurableOptions{Dir: stale, Fsync: wal.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := old.Write(kv{K: "stale", V: -1}, nil, tuplespace.Forever); err != nil {
+		t.Fatal(err)
+	}
+	if err := dur.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	h := d.host(t, Spec{Shards: 1, Elastic: true, DataDir: dir, FsyncPolicy: wal.FsyncNever})
+	for i := 0; i < entries; i++ {
+		if _, err := h.Space().Write(kv{K: fmt.Sprintf("k%02d", i), V: i}, nil, tuplespace.Forever); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ring0, _ := h.RingID(0)
+	_, err = h.Split(ring0)
+	if err == nil || !strings.Contains(err.Error(), stale) {
+		t.Fatalf("split over a stale child directory: err = %v, want a refusal naming %s", err, stale)
+	}
+	if got := h.TopologyEpoch(); got != 1 {
+		t.Fatalf("topology epoch = %d after the refused split, want the ring unchanged at 1", got)
+	}
+	if got := typeCounts(t, h.Space())["shardhost.kv"]; got != entries {
+		t.Fatalf("%d entries through the router, want the parent still serving all %d and the stale one invisible", got, entries)
+	}
+	if n, err := h.Space().Count(kv{K: "stale"}); err != nil || n != 0 {
+		t.Fatalf("the stale entry is visible through the router: count %d, %v", n, err)
+	}
+	if segs, _ := filepath.Glob(filepath.Join(stale, "*")); len(segs) == 0 {
+		t.Fatalf("the refusal emptied %s", stale)
+	}
+}
+
+// TestDrainOutlastsClientConvergence: the default lame-duck window is derived
+// from the clients' watch interval, so "drain outlasts ring convergence"
+// holds by definition — in the simulator and over TCP alike. At the parent
+// cmd/worker polled every 30 s against a 10 s default drain.
+func TestDrainOutlastsClientConvergence(t *testing.T) {
+	if got := (Spec{}).withDefaults(); got.ReshardDrain < 2*shard.DefaultWatchInterval {
+		t.Fatalf("default ReshardDrain = %v, want at least 2×%v", got.ReshardDrain, shard.DefaultWatchInterval)
+	}
+	if got := (Spec{WatchInterval: 3 * time.Second}).withDefaults(); got.ReshardDrain != 6*time.Second {
+		t.Fatalf("ReshardDrain = %v for a 3 s watch interval, want 6 s", got.ReshardDrain)
 	}
 }
 

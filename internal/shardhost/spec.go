@@ -6,64 +6,100 @@ import (
 
 	"gospaces/internal/obs"
 	"gospaces/internal/replica"
+	"gospaces/internal/shard"
 	"gospaces/internal/wal"
 )
 
-// Spec describes a hosted shard set. Its fields are the host-related
-// fields of core.Config (see there for the long-form documentation of
-// each knob) plus the two things that distinguish a TCP deployment's
-// lookup registrations: extra attributes and a lease.
+// Spec describes a hosted shard set and the deployment-wide knobs its
+// clients share: core.Config embeds it, cmd/master fills it from flags, and
+// the worker side (internal/workerhost) is handed ExactlyOnce, RetryBudget,
+// Breakers, TxnTTL, WatchInterval and Obs from the same struct, so each is
+// written once per deployment.
 type Spec struct {
-	// Shards is how many seed shards to host (default 1).
+	// Shards is how many seed shards to host (default 1). With K > 1
+	// entries partition across them by their `space:"index"` key via a
+	// consistent-hash ring the master and every worker share. The caller
+	// binds the code server on shard 0's server, so one shard is exactly the
+	// classic single-server deployment.
 	Shards int
-	// SpaceOpCost models the server CPU one space operation consumes; each
-	// serving node admits through a FIFO gate of this cost. Zero disables.
+	// SpaceOpCost models the server CPU one space operation consumes: each
+	// serving node admits requests through a FIFO service gate of this
+	// cost, so a saturated server queues callers. Zero disables the gate.
 	SpaceOpCost time.Duration
 
-	// DataDir, when set, makes every hosted shard durable: shard i keeps
-	// its WAL under <DataDir>/shard<i>, its standby under
-	// <DataDir>/shard<i>.backup.
-	DataDir          string
-	FsyncPolicy      wal.FsyncPolicy
+	// DataDir, when set, makes every hosted shard durable — JavaSpaces'
+	// persistent (Outrigger) mode: shard i keeps a segmented WAL plus
+	// snapshots under <DataDir>/shard<i> (its standby under
+	// <DataDir>/shard<i>.backup), recovers them before serving, and
+	// Host.Restart crash-restarts it from its log mid-run.
+	DataDir     string
+	FsyncPolicy wal.FsyncPolicy // default wal.FsyncAlways
+	// StrictDurability makes journal failures surface as space operation
+	// errors instead of acknowledging data the log lost.
 	StrictDurability bool
 
-	// Replicas gives every ring position a hot standby (0 or 1).
+	// Replicas gives every ring position a hot standby (0 or 1): journal
+	// records stream to a backup space on its own server, which promotes
+	// itself — next epoch, re-registration under the ring position — when
+	// the primary goes silent. ReplAck: sync (default; a mutation
+	// acknowledges after the backup confirmed) or async.
 	Replicas int
 	ReplAck  replica.AckMode
 	// FailoverTimeout is the standby's heartbeat-silence bound and the
 	// serving primary's registration lease. Default 2 s.
 	FailoverTimeout time.Duration
 
-	// MaxInflight / MaxWaiters bound each serving node's admitted ops and
-	// parked waiters (0 = unlimited). RetryBudget and Breakers shape the
-	// master-side router. ExactlyOnce mints idempotency tokens there.
+	// MaxInflight bounds each serving node's admitted-but-unfinished ops:
+	// past it calls fast-fail with tuplespace.ErrOverloaded and the brownout
+	// controller sheds the lowest-priority op classes first. MaxWaiters
+	// bounds the parked Take/Read waiters the same way. 0 = unlimited.
 	MaxInflight int
 	MaxWaiters  int
+	// RetryBudget caps the retry volume of the master's and each worker's
+	// router with a token bucket refilled by successes (0 = unlimited);
+	// Breakers arms their per-ring-position circuit breakers, which
+	// fast-fail (shard.ErrBreakerOpen) after consecutive hard failures
+	// until a half-open probe succeeds.
 	RetryBudget int
 	Breakers    bool
+	// ExactlyOnce upgrades client mutations from at-most-once: routers mint
+	// an idempotency token per mutation, shard servers memoize each tokened
+	// outcome (journaled, replicated, migrated with its bucket), and
+	// ambiguous failures are retried with the same token.
 	ExactlyOnce bool
 
-	// Elastic puts a migration tap in every node's journal chain and
-	// publishes a ring topology; AutoShard (which implies it) also runs the
-	// load-driven rebalancer between Start and Stop.
+	// Elastic puts a migration tap in every node's journal chain, publishes
+	// a ring topology that clients watch, and enables Split and Merge.
+	// AutoShard (which implies it) also runs the rebalancer between Start
+	// and Stop: every ReshardInterval (default 1 s) it splits a shard whose
+	// op-rate EWMA stayed above SplitThreshold for ReshardHysteresis ticks
+	// and merges split-born ones back below MergeThreshold (MaxShards,
+	// ReshardCooldown: see rebalance.ControllerConfig).
 	Elastic           bool
 	AutoShard         bool
 	SplitThreshold    float64
 	MergeThreshold    float64
-	ReshardInterval   time.Duration // default 1 s
+	ReshardInterval   time.Duration
 	ReshardHysteresis int
 	ReshardCooldown   time.Duration
 	MaxShards         int
-	// ReshardDrain is the post-cutover lame-duck window; it must outlast
-	// client ring convergence. Default 2×ReshardInterval.
+	// WatchInterval is how often this host's clients poll the lookup
+	// service for a newer ring topology — the bound on their convergence
+	// after a cutover. Default shard.DefaultWatchInterval.
+	WatchInterval time.Duration
+	// ReshardDrain is the post-cutover lame-duck window during which the old
+	// owner keeps sweeping straggler writes across to the new one; it must
+	// outlast client ring convergence. Default 2×WatchInterval.
 	ReshardDrain time.Duration
-	// TxnTTL bounds how long a migration waits for in-flight transactions
-	// holding entries of the moving range. Default 2 min.
+	// TxnTTL leases each worker's per-task transaction, and bounds how long
+	// a migration waits for in-flight transactions holding entries of the
+	// moving range. Default 2 min.
 	TxnTTL time.Duration
 
 	// Obs, if set, receives serve histograms, gauges, flight events, the
-	// /healthz provider and the federation members. Nil keeps every hook a
-	// no-op.
+	// /healthz provider and the federation members — and the spans and task
+	// histograms of the master and workers built from the same Spec. Nil
+	// keeps every hook a no-op.
 	Obs *obs.Obs
 
 	// Attrs are merged into every javaspace registration — a TCP master
@@ -101,7 +137,8 @@ func (s Spec) Validate() error {
 	}{
 		{"space-op-cost", s.SpaceOpCost}, {"failover-timeout", s.FailoverTimeout},
 		{"reshard-interval", s.ReshardInterval}, {"reshard-cooldown", s.ReshardCooldown},
-		{"reshard-drain", s.ReshardDrain}, {"txn-ttl", s.TxnTTL}, {"lease-ttl", s.LeaseTTL},
+		{"watch-interval", s.WatchInterval}, {"reshard-drain", s.ReshardDrain},
+		{"txn-ttl", s.TxnTTL}, {"lease-ttl", s.LeaseTTL},
 	} {
 		if c.v < 0 {
 			return fmt.Errorf("shardhost: %s must be >= 0, got %v", c.name, c.v)
@@ -129,8 +166,11 @@ func (s Spec) withDefaults() Spec {
 	if s.ReshardInterval == 0 {
 		s.ReshardInterval = time.Second
 	}
+	if s.WatchInterval == 0 {
+		s.WatchInterval = shard.DefaultWatchInterval
+	}
 	if s.ReshardDrain == 0 {
-		s.ReshardDrain = 2 * s.ReshardInterval
+		s.ReshardDrain = 2 * s.WatchInterval
 	}
 	if s.TxnTTL == 0 {
 		s.TxnTTL = 2 * time.Minute

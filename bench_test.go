@@ -13,6 +13,7 @@ package gospaces
 //	go test -bench=. -benchmem
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
@@ -176,22 +177,58 @@ type benchEntry struct {
 	Data []float64
 }
 
-// BenchmarkAblationMatchCache compares the cached reflective matcher
-// against the uncached reference matcher.
-func BenchmarkAblationMatchCache(b *testing.B) {
-	tmpl := benchEntry{Job: "bench"}
-	cand := benchEntry{Job: "bench", ID: 42, Data: []float64{1, 2, 3}}
-	b.Run("cached", func(b *testing.B) {
+// matchesReflective is the matcher the store used before templates were
+// compiled (DESIGN.md §16): per candidate, per exported field, test the
+// template's field for zero and reflect.DeepEqual the two boxed values.
+func matchesReflective(tmpl, cand reflect.Value) bool {
+	for i := 0; i < tmpl.NumField(); i++ {
+		f := tmpl.Field(i)
+		if f.IsZero() {
+			continue
+		}
+		if !reflect.DeepEqual(f.Interface(), cand.Field(i).Interface()) {
+			return false
+		}
+	}
+	return true
+}
+
+// BenchmarkAblationMatchCompiled prices one candidate under the reflective
+// matcher and under the compiled one. An op is one candidate: the compiled
+// arm counts a two-field template over 1,024 residents through the store,
+// once per 1,024 ops, so the compile and the lock are in its figure.
+func BenchmarkAblationMatchCompiled(b *testing.B) {
+	const residents = 1024
+	tmpl := benchEntry{Job: "bench", ID: residents}
+	entry := func(i int) benchEntry { return benchEntry{Job: "bench", ID: i + 1, Data: []float64{1, 2, 3}} }
+	b.Run("reflective", func(b *testing.B) {
+		tv := reflect.ValueOf(tmpl)
+		cands := make([]reflect.Value, residents)
+		for i := range cands {
+			// Addressable, as a stored entry is: boxing a field of one copies it.
+			cands[i] = reflect.New(tv.Type()).Elem()
+			cands[i].Set(reflect.ValueOf(entry(i)))
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if ok, err := tuplespace.Match(tmpl, cand); err != nil || !ok {
-				b.Fatal(ok, err)
+			if matchesReflective(tv, cands[i%residents]) != (i%residents == residents-1) {
+				b.Fatal("wrong answer")
 			}
 		}
 	})
-	b.Run("uncached", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if ok, err := tuplespace.MatchUncached(tmpl, cand); err != nil || !ok {
-				b.Fatal(ok, err)
+	b.Run("compiled", func(b *testing.B) {
+		s := tuplespace.New(vclock.NewReal())
+		for i := 0; i < residents; i++ {
+			if _, err := s.Write(entry(i), nil, tuplespace.Forever); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i += residents {
+			if n, err := s.Count(tmpl); err != nil || n != 1 {
+				b.Fatal(n, err)
 			}
 		}
 	})

@@ -81,6 +81,7 @@ const (
 // obs.WriteClusterMetrics with a {shard="<ring>"} label per member.
 const (
 	FedEntries     = "cluster:entries"      // gauge: live tuple count on the serving replica
+	FedDeadEntries = "cluster:dead_entries" // gauge: removed tuples whose pointer a store list still holds
 	FedMemoEntries = "cluster:memo_entries" // gauge: exactly-once memo table size
 	FedEpoch       = "cluster:epoch"        // gauge: serving replication epoch
 	FedOps         = "cluster:ops"          // gauge: cumulative served space operations

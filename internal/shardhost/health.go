@@ -111,7 +111,9 @@ func (h *Host) installObs() {
 			if epoch > 0 {
 				m.Gauges[metrics.FedEpoch] = int64(epoch)
 			}
-			m.Gauges[metrics.FedEntries] = int64(n.local.TS.Stats().EntriesLive)
+			st := n.local.TS.Stats()
+			m.Gauges[metrics.FedEntries] = int64(st.EntriesLive)
+			m.Gauges[metrics.FedDeadEntries] = int64(st.Dead)
 			memoN, hits, _ := n.local.TS.MemoStats()
 			m.Gauges[metrics.FedMemoEntries] = int64(memoN)
 			m.Counters[metrics.FedDedupHits] = hits

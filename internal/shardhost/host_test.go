@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"gospaces/internal/discovery"
+	"gospaces/internal/metrics"
 	"gospaces/internal/obs"
 	"gospaces/internal/shard"
 	"gospaces/internal/space"
@@ -346,6 +347,16 @@ func TestTCPAdmissionFollowsServingNode(t *testing.T) {
 		}
 		if err := <-parked; err != nil {
 			t.Fatalf("%s: parked take: %v", node.kind, err)
+		}
+	}
+
+	// Each position's federated snapshot reads the serving node's store:
+	// the live count and, beside it, the list slack the takes above left.
+	for _, m := range o.Fed().Snapshot() {
+		live, ok1 := m.Gauges[metrics.FedEntries]
+		dead, ok2 := m.Gauges[metrics.FedDeadEntries]
+		if !ok1 || !ok2 || live != 0 || dead < 0 {
+			t.Fatalf("member %s: entries %d (%v), dead entries %d (%v)", m.Name, live, ok1, dead, ok2)
 		}
 	}
 }

@@ -1,10 +1,6 @@
 package tuplespace
 
-import (
-	"reflect"
-
-	"gospaces/internal/txn"
-)
+import "gospaces/internal/txn"
 
 // ReadAll returns copies of up to max public entries matching tmpl
 // (max <= 0 means no limit), without blocking. Under a transaction the
@@ -22,12 +18,13 @@ func (s *Space) TakeAll(tmpl Entry, t *txn.Txn, max int) ([]Entry, error) {
 }
 
 func (s *Space) bulk(kind opKind, tmpl Entry, t *txn.Txn, max int) ([]Entry, error) {
-	ti, tv, err := infoFor(tmpl)
+	var buf [inlineCmps]comparer
+	ti, key, m, err := compile(tmpl, buf[:0])
 	if err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock()
 	if s.closed {
 		return nil, ErrClosed
 	}
@@ -35,41 +32,23 @@ func (s *Space) bulk(kind opKind, tmpl Entry, t *txn.Txn, max int) ([]Entry, err
 		return nil, err
 	}
 	var out []Entry
-	now := s.clock.Now()
-	list := s.byType[ti.name]
-	kept := list[:0]
-	s.dead[ti.name] = 0 // this pass drops them; the takes below count afresh
-	for _, se := range list {
-		if se.removed || (!se.expiry.IsZero() && now.After(se.expiry)) {
-			if !se.removed {
-				se.removed = true
-				s.stats.Expired++
-			}
-			continue
-		}
-		kept = append(kept, se)
-		if max > 0 && len(out) >= max {
-			continue
-		}
-		if !s.visibleLocked(se, t) {
-			continue
-		}
-		if kind == opTake && !s.takeableLocked(se, t) {
-			continue
-		}
-		if !matchesEntry(ti, tv, se.val) {
-			continue
-		}
+	for _, se := range s.pickLocked(kind, s.listLocked(ti, key), m, t, max) {
 		s.applyLocked(kind, se, t)
 		out = append(out, deepCopy(se.val).Interface())
 	}
-	s.byType[ti.name] = kept
 	return out, nil
 }
 
-// matchesEntry is a tiny wrapper so bulk reads the same matcher the
-// scalar paths use.
-func matchesEntry(ti *typeInfo, tv, cv reflect.Value) bool { return matches(ti, tv, cv) }
+// pickLocked returns, in list order, up to max (all when max <= 0) entries
+// of r's list that m matches and a kind operation under t may act on.
+func (s *Space) pickLocked(kind opKind, r listRef, m matcher, t *txn.Txn, max int) []*storedEntry {
+	var picked []*storedEntry
+	items, now := r.get().items, s.clock.Now()
+	for i := s.nextLocked(kind, items, 0, m, t, now); i >= 0 && (max <= 0 || len(picked) < max); i = s.nextLocked(kind, items, i+1, m, t, now) {
+		picked = append(picked, items[i])
+	}
+	return picked
+}
 
 // bulkTok is the token TakeAll: a two-phase bulk take whose memo record
 // is journaled before any remove record, so a replication ship torn
@@ -77,61 +56,33 @@ func matchesEntry(ti *typeInfo, tv, cv reflect.Value) bool { return matches(ti, 
 // consumed entries with no memo (see the ordering contract in memo.go).
 // Non-transactional and tokened by construction (TakeAllTok gates).
 func (s *Space) bulkTok(tmpl Entry, max int, tok OpToken) ([]Entry, error) {
-	ti, tv, err := infoFor(tmpl)
+	var buf [inlineCmps]comparer
+	ti, key, m, err := compile(tmpl, buf[:0])
 	if err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock()
 	if s.closed {
 		return nil, ErrClosed
 	}
 	if rec, ok := s.memoHitLocked(tok); ok && rec.op == MemoTakeAll {
 		return copyEntries(rec.entries), nil
 	}
-	// Phase 1: pick the matching entries without consuming, compacting
-	// dead ones as the plain bulk scan does.
-	var picked []*storedEntry
-	var out []Entry
-	now := s.clock.Now()
-	list := s.byType[ti.name]
-	kept := list[:0]
-	s.dead[ti.name] = 0 // this pass drops them; the takes below count afresh
-	for _, se := range list {
-		if se.removed || (!se.expiry.IsZero() && now.After(se.expiry)) {
-			if !se.removed {
-				se.removed = true
-				s.stats.Expired++
-			}
-			continue
-		}
-		kept = append(kept, se)
-		if max > 0 && len(picked) >= max {
-			continue
-		}
-		if !s.visibleLocked(se, nil) || !s.takeableLocked(se, nil) {
-			continue
-		}
-		if !matchesEntry(ti, tv, se.val) {
-			continue
-		}
-		picked = append(picked, se)
-		out = append(out, deepCopy(se.val).Interface())
-	}
-	s.byType[ti.name] = kept
+	// Phase 1: pick the matching entries without consuming.
+	picked := s.pickLocked(opTake, s.listLocked(ti, key), m, nil, max)
 	if len(picked) == 0 {
 		// Nothing consumed: re-execution is effect-free, so an empty
 		// result is not memoized (a retry is semantically a fresh op).
 		return nil, nil
 	}
+	out := make([]Entry, len(picked))
+	for i, se := range picked {
+		out[i] = deepCopy(se.val).Interface()
+	}
 	// Memoize under the template's key: the router routes the retry by
 	// it, so the memo must migrate with that bucket.
-	key, keyed := "", false
-	if ti.keyField >= 0 {
-		key = tv.Field(ti.keyField).String()
-		keyed = key != ""
-	}
-	rec := &memoRec{op: MemoTakeAll, key: key, keyed: keyed, entries: copyEntries(out)}
+	rec := &memoRec{op: MemoTakeAll, key: key, keyed: key != "", entries: copyEntries(out)}
 	s.journalMemoLocked(tok, rec)
 	// Phase 2: consume, journaling each removal behind the memo record.
 	for _, se := range picked {

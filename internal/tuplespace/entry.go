@@ -22,6 +22,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
 )
@@ -34,13 +35,55 @@ type Entry interface{}
 // typeInfo caches per-type reflection data used by the matcher.
 type typeInfo struct {
 	typ    reflect.Type
-	fields []int // indices of exported fields
+	fields []fieldInfo // exported fields
 	name   string
 	// keyField is the index of the first exported string field tagged
 	// `space:"index"`, or -1. Entries of such types are hash-indexed by
 	// that field's value, turning template lookups that fix the key into
 	// bucket scans instead of full type scans.
 	keyField int
+}
+
+// fieldInfo is one exported field: where it sits in the struct and how a
+// template's value for it is compared with a candidate's.
+type fieldInfo struct {
+	index int
+	kind  cmpKind
+}
+
+// cmpKind selects the comparison for one field. Everything without a
+// cheaper exact equivalent — pointers, nested structs, maps, interfaces,
+// arrays, complex numbers, slices of anything but bytes — is cmpDeep.
+type cmpKind uint8
+
+const (
+	cmpDeep   cmpKind = iota // reflect.DeepEqual
+	cmpInt                   // every signed width, ==
+	cmpUint                  // every unsigned width and uintptr, ==
+	cmpFloat                 // float32/64, == (so NaN equals nothing and -0 equals +0)
+	cmpBool                  // ==
+	cmpString                // ==
+	cmpBytes                 // both nil or both non-nil, then bytes.Equal
+)
+
+func cmpKindOf(t reflect.Type) cmpKind {
+	switch t.Kind() {
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return cmpInt
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		return cmpUint
+	case reflect.Float32, reflect.Float64:
+		return cmpFloat
+	case reflect.Bool:
+		return cmpBool
+	case reflect.String:
+		return cmpString
+	case reflect.Slice:
+		if t.Elem().Kind() == reflect.Uint8 {
+			return cmpBytes
+		}
+	}
+	return cmpDeep
 }
 
 var typeCache sync.Map // reflect.Type -> *typeInfo
@@ -67,7 +110,7 @@ func infoFor(e Entry) (*typeInfo, reflect.Value, error) {
 		if !f.IsExported() {
 			continue
 		}
-		ti.fields = append(ti.fields, i)
+		ti.fields = append(ti.fields, fieldInfo{index: i, kind: cmpKindOf(f.Type)})
 		if ti.keyField < 0 && f.Type.Kind() == reflect.String && f.Tag.Get("space") == "index" {
 			ti.keyField = i
 		}
@@ -76,36 +119,100 @@ func infoFor(e Entry) (*typeInfo, reflect.Value, error) {
 	return ti, v, nil
 }
 
-// matches reports whether template tmpl (already resolved to a struct
-// value) matches candidate cand of the same type: every non-zero exported
-// template field must be deeply equal to the candidate's field.
-func matches(ti *typeInfo, tmpl, cand reflect.Value) bool {
-	for _, i := range ti.fields {
-		f := tmpl.Field(i)
+// matcher is a template compiled for matching: one comparer per exported
+// non-zero field (zero fields are wildcards and cost nothing per
+// candidate), built once per lookup, parked waiter or notify registration.
+type matcher []comparer
+
+// comparer holds one template field's value in the form its kind compares.
+type comparer struct {
+	field int
+	kind  cmpKind
+	bits  uint64        // cmpInt, cmpUint; cmpFloat as Float64bits
+	str   string        // cmpString
+	val   reflect.Value // cmpBytes, cmpDeep: the template's field
+}
+
+// inlineCmps is how many comparers a lookup keeps on its own stack; a
+// template fixing more fields than this spills to the heap.
+const inlineCmps = 4
+
+// compile resolves tmpl and builds its matcher into buf (the [:0] of a
+// stack array, or nil to allocate). key is the index field's value when
+// the template fixes it — the lookup then scans that bucket only — and
+// empty otherwise. The matcher aliases buf: the compiler keeps buf on the
+// caller's stack only while the matcher itself is never stored anywhere,
+// so what must outlive the call (a parked waiter) compiles its own.
+func compile(tmpl Entry, buf []comparer) (ti *typeInfo, key string, m matcher, err error) {
+	ti, tv, err := infoFor(tmpl)
+	if err != nil {
+		return nil, "", nil, err
+	}
+	m = buf
+	for _, fi := range ti.fields {
+		f := tv.Field(fi.index)
 		if f.IsZero() {
 			continue // wildcard
 		}
-		if !reflect.DeepEqual(f.Interface(), cand.Field(i).Interface()) {
-			return false
+		c := comparer{field: fi.index, kind: fi.kind}
+		switch fi.kind {
+		case cmpInt:
+			c.bits = uint64(f.Int())
+		case cmpUint:
+			c.bits = f.Uint()
+		case cmpFloat:
+			c.bits = math.Float64bits(f.Float())
+		case cmpBool:
+			// Nothing to hold: false is the wildcard, so the field is true.
+		case cmpString:
+			c.str = f.String()
+			if fi.index == ti.keyField {
+				key = c.str
+			}
+		default:
+			c.val = f
 		}
+		m = append(m, c)
 	}
-	return true
+	return ti, key, m, nil
 }
 
-// matchesSlow is the uncached matcher used by the ablation benchmark: it
-// recomputes exported-field indices on every call instead of consulting the
-// type cache.
-func matchesSlow(tmpl, cand reflect.Value) bool {
-	t := tmpl.Type()
-	for i := 0; i < t.NumField(); i++ {
-		if !t.Field(i).IsExported() {
-			continue
+// parkedMatcher compiles tmpl — which the caller has compiled once already,
+// so it cannot fail — onto the heap, for a waiter that outlives the
+// lookup's stack.
+func parkedMatcher(tmpl Entry) matcher {
+	_, _, m, _ := compile(tmpl, nil)
+	return m
+}
+
+// match reports whether candidate cand (a struct value of the template's
+// type) matches: every non-zero exported template field must equal the
+// candidate's, by the rules of reflect.DeepEqual. It allocates nothing
+// for the typed kinds.
+func (m matcher) match(cand reflect.Value) bool {
+	for i := range m {
+		c := &m[i]
+		f := cand.Field(c.field)
+		var eq bool
+		switch c.kind {
+		case cmpInt:
+			eq = f.Int() == int64(c.bits)
+		case cmpUint:
+			eq = f.Uint() == c.bits
+		case cmpFloat:
+			eq = f.Float() == math.Float64frombits(c.bits)
+		case cmpBool:
+			eq = f.Bool()
+		case cmpString:
+			eq = f.String() == c.str
+		case cmpBytes:
+			// The template's slice is non-nil (nil is the wildcard), and
+			// DeepEqual tells a nil slice from an empty one.
+			eq = !f.IsNil() && bytes.Equal(f.Bytes(), c.val.Bytes())
+		default:
+			eq = reflect.DeepEqual(c.val.Interface(), f.Interface())
 		}
-		f := tmpl.Field(i)
-		if f.IsZero() {
-			continue
-		}
-		if !reflect.DeepEqual(f.Interface(), cand.Field(i).Interface()) {
+		if !eq {
 			return false
 		}
 	}
@@ -116,7 +223,8 @@ func matchesSlow(tmpl, cand reflect.Value) bool {
 // matching rules. Both must be values (or pointers to values) of the same
 // struct type; differing types never match.
 func Match(tmpl, e Entry) (bool, error) {
-	ti, tv, err := infoFor(tmpl)
+	var buf [inlineCmps]comparer
+	ti, _, m, err := compile(tmpl, buf[:0])
 	if err != nil {
 		return false, err
 	}
@@ -127,29 +235,7 @@ func Match(tmpl, e Entry) (bool, error) {
 	if ti.typ != ci.typ {
 		return false, nil
 	}
-	return matches(ti, tv, cv), nil
-}
-
-// MatchUncached is the reference matcher that recomputes field metadata
-// on every call instead of using the per-type cache. It exists for the
-// BenchmarkAblationMatchCache comparison and for cross-checking the
-// cached matcher in property tests.
-func MatchUncached(tmpl, e Entry) (bool, error) {
-	tv := reflect.ValueOf(tmpl)
-	for tv.Kind() == reflect.Ptr && !tv.IsNil() {
-		tv = tv.Elem()
-	}
-	cv := reflect.ValueOf(e)
-	for cv.Kind() == reflect.Ptr && !cv.IsNil() {
-		cv = cv.Elem()
-	}
-	if tv.Kind() != reflect.Struct || cv.Kind() != reflect.Struct {
-		return false, ErrNotStruct
-	}
-	if tv.Type() != cv.Type() {
-		return false, nil
-	}
-	return matchesSlow(tv, cv), nil
+	return m.match(cv), nil
 }
 
 // deepCopy returns a deep copy of entry value v (a struct). Entries are

@@ -129,7 +129,7 @@ func TestKeyedTakesDoNotGrowTheTypeList(t *testing.T) {
 	listLen := func() int {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		return len(s.byType[name])
+		return len(s.types[name].all.items)
 	}
 	for i := 0; i < 3; i++ { // residents the pairs must not disturb
 		mustWrite(t, s, idxTask{Job: "resident", ID: ip(i + 1)})

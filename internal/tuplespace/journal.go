@@ -180,13 +180,9 @@ func (j *Journal) record(op journalOp) error {
 // space returns an error (replay first, then attach).
 func (s *Space) AttachJournal(j *Journal) error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, list := range s.byType {
-		for _, se := range list {
-			if !se.removed {
-				return errors.New("tuplespace: cannot attach journal to a non-empty space")
-			}
-		}
+	defer s.unlock()
+	if s.live > 0 {
+		return errors.New("tuplespace: cannot attach journal to a non-empty space")
 	}
 	s.journal = j
 	return nil
@@ -200,7 +196,7 @@ func (s *Space) AttachJournal(j *Journal) error {
 func (s *Space) AttachRecoveredJournal(j *Journal) {
 	s.mu.Lock()
 	s.journal = j
-	s.mu.Unlock()
+	s.unlock()
 }
 
 // journalWriteLocked records a newly public entry. Caller holds s.mu. A
@@ -262,12 +258,9 @@ func (s *Space) EncodeStateWhere(pred func(Entry) bool) ([][]byte, error) {
 	s.mu.Lock()
 	var live []*storedEntry
 	now := s.clock.Now()
-	for _, list := range s.byType {
-		for _, se := range list {
-			if se.removed || se.writtenUnder != 0 {
-				continue
-			}
-			if !se.expiry.IsZero() && now.After(se.expiry) {
+	for _, st := range s.types {
+		for _, se := range st.all.items {
+			if se.removed || se.writtenUnder != 0 || se.expired(now) {
 				continue
 			}
 			if pred != nil && !pred(se.val.Interface()) {
@@ -281,7 +274,7 @@ func (s *Space) EncodeStateWhere(pred func(Entry) bool) ([][]byte, error) {
 	for i, se := range live {
 		ops[i] = journalOp{Kind: "write", Seq: se.id, Entry: se.val.Interface(), Expiry: se.expiry}
 	}
-	s.mu.Unlock()
+	s.unlock()
 
 	records := make([][]byte, len(ops))
 	for i, op := range ops {

@@ -241,7 +241,7 @@ type MemoResult struct {
 // and lease-cancel RPCs; Write/Take retries dedup inside their own ops.
 func (s *Space) MemoOutcome(tok OpToken) (MemoResult, bool) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock()
 	rec, ok := s.memoHitLocked(tok)
 	if !ok {
 		return MemoResult{}, false
@@ -258,7 +258,7 @@ func (s *Space) CompleteMemo(tok OpToken, op string) {
 		return
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock()
 	if s.closed {
 		return
 	}
@@ -287,7 +287,7 @@ func (s *Space) InstallMemo(tok OpToken, op, key string, keyed bool, entries []E
 		return
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock()
 	if s.closed {
 		return
 	}
@@ -302,7 +302,7 @@ func (s *Space) InstallMemo(tok OpToken, op, key string, keyed bool, entries []E
 // MemoStats reports the memo table's size, dedup hits and evictions.
 func (s *Space) MemoStats() (size int, hits, evicted uint64) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock()
 	if s.memos == nil {
 		return 0, 0, 0
 	}
@@ -313,7 +313,7 @@ func (s *Space) MemoStats() (size int, hits, evicted uint64) {
 // the current bound). Tests size it down to exercise eviction.
 func (s *Space) SetMemoBounds(perClient, total int) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock()
 	m := s.memosLocked()
 	if perClient > 0 {
 		m.maxClient = perClient
@@ -327,7 +327,7 @@ func (s *Space) SetMemoBounds(perClient, total int) {
 func (s *Space) SetMemoCounters(c *metrics.Counters) {
 	s.mu.Lock()
 	s.memoCounters = c
-	s.mu.Unlock()
+	s.unlock()
 }
 
 // SetFlightSink directs memo dedup hits to fn (kind "dedup", detail the
@@ -337,7 +337,7 @@ func (s *Space) SetMemoCounters(c *metrics.Counters) {
 func (s *Space) SetFlightSink(fn func(kind, detail string)) {
 	s.mu.Lock()
 	s.flightSink = fn
-	s.mu.Unlock()
+	s.unlock()
 }
 
 // EncodeMemos captures every memo as self-contained records — appended by
@@ -374,7 +374,7 @@ func (s *Space) EncodeMemosWhere(pred func(key string, keyed bool) bool) ([][]by
 			toks = append(toks, tok)
 		}
 	}
-	s.mu.Unlock()
+	s.unlock()
 
 	records := make([][]byte, len(ops))
 	for i, op := range ops {
@@ -437,7 +437,7 @@ func (l *EntryLease) CancelTok(tok OpToken) error {
 	}
 	s := l.space
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock()
 	if rec, ok := s.memoHitLocked(tok); ok && rec.op == MemoCancel {
 		return nil
 	}
@@ -448,7 +448,7 @@ func (l *EntryLease) CancelTok(tok OpToken) error {
 	if err := s.journalRemoveLocked(se); err != nil {
 		return err
 	}
-	se.removed = true
+	s.removeLocked(se)
 	key, keyed := entryKeyLocked(se)
 	s.memoCompleteLocked(tok, MemoCancel, key, keyed)
 	return nil
@@ -493,13 +493,14 @@ func (s *Space) lookupTok(kind opKind, tmpl Entry, t *txn.Txn, timeout time.Dura
 	if tok.Zero() || t != nil || kind != opTake {
 		return s.lookup(kind, tmpl, t, timeout, block)
 	}
-	ti, tv, err := infoFor(tmpl)
+	var buf [inlineCmps]comparer
+	ti, key, m, err := compile(tmpl, buf[:0])
 	if err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
 	if s.closed {
-		s.mu.Unlock()
+		s.unlock()
 		return nil, ErrClosed
 	}
 	if rec, ok := s.memoHitLocked(tok); ok && (rec.op == MemoTake || rec.op == MemoTakeAll) {
@@ -507,40 +508,40 @@ func (s *Space) lookupTok(kind opKind, tmpl Entry, t *txn.Txn, timeout time.Dura
 		if len(rec.entries) > 0 {
 			out = copyEntries(rec.entries[:1])[0]
 		}
-		s.mu.Unlock()
+		s.unlock()
 		if out == nil {
 			return nil, ErrNoMatch
 		}
 		return out, nil
 	}
-	if se := s.findLocked(kind, ti, tv, nil); se != nil {
+	if se := s.findLocked(kind, s.listLocked(ti, key), m, nil); se != nil {
 		// Memo record ahead of the remove record (ordering contract above).
 		rec := s.takeMemoRecLocked(se)
 		s.journalMemoLocked(tok, rec)
 		if err := s.applyLocked(kind, se, nil); err != nil {
-			s.mu.Unlock()
+			s.unlock()
 			return nil, err
 		}
 		s.memoInsertLocked(tok, rec)
 		out := deepCopy(se.val).Interface()
-		s.mu.Unlock()
+		s.unlock()
 		return out, nil
 	}
 	if !block {
-		s.mu.Unlock()
+		s.unlock()
 		return nil, ErrNoMatch
 	}
-	w := &waiter{kind: kind, ti: ti, tmpl: tv, w: s.clock.NewWaiter(), tok: tok}
+	w := &waiter{kind: kind, ti: ti, m: parkedMatcher(tmpl), w: s.clock.NewWaiter(), tok: tok}
 	s.waiters[ti.name] = append(s.waiters[ti.name], w)
 	s.stats.Blocked++
-	s.mu.Unlock()
+	s.unlock()
 
 	w.w.Wait(timeout)
 
 	s.mu.Lock()
 	if w.result != nil {
 		out := deepCopy(w.result.val).Interface()
-		s.mu.Unlock()
+		s.unlock()
 		return out, nil
 	}
 	s.removeWaiterLocked(w)
@@ -548,6 +549,6 @@ func (s *Space) lookupTok(kind opKind, tmpl Entry, t *txn.Txn, timeout time.Dura
 		w.err = ErrTimeout
 		s.stats.Timeouts++
 	}
-	s.mu.Unlock()
+	s.unlock()
 	return nil, w.err
 }

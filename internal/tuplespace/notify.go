@@ -1,9 +1,6 @@
 package tuplespace
 
-import (
-	"reflect"
-	"time"
-)
+import "time"
 
 // Event describes an entry arrival delivered to a notification listener,
 // mirroring JavaSpaces' RemoteEvent: a monotonically increasing sequence
@@ -21,8 +18,7 @@ type Listener func(Event)
 
 type registration struct {
 	id     uint64
-	ti     *typeInfo
-	tmpl   reflect.Value
+	m      matcher
 	fn     Listener
 	expiry time.Time
 	seq    uint64
@@ -47,23 +43,23 @@ func (r *Registration) ID() uint64 { return r.reg.id }
 func (r *Registration) Cancel() {
 	r.space.mu.Lock()
 	r.reg.dead = true
-	r.space.mu.Unlock()
+	r.space.unlock()
 }
 
 // Notify registers fn to be called whenever an entry matching tmpl becomes
 // publicly visible (a Write without a transaction, or a transactional write
 // at commit). ttl bounds the registration lifetime (Forever for none).
 func (s *Space) Notify(tmpl Entry, fn Listener, ttl time.Duration) (*Registration, error) {
-	ti, tv, err := infoFor(tmpl)
+	ti, _, m, err := compile(tmpl, nil)
 	if err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock()
 	if s.closed {
 		return nil, ErrClosed
 	}
-	reg := &registration{id: s.nextReg, ti: ti, tmpl: tv, fn: fn}
+	reg := &registration{id: s.nextReg, m: m, fn: fn}
 	s.nextReg++
 	if ttl > 0 {
 		reg.expiry = s.clock.Now().Add(ttl)
@@ -87,7 +83,7 @@ func (s *Space) matchNotifsLocked(se *storedEntry) []notification {
 			continue
 		}
 		out = append(out, r)
-		if matches(r.ti, r.tmpl, se.val) {
+		if r.m.match(se.val) {
 			r.seq++
 			s.stats.Notified++
 			fire = append(fire, notification{fn: r.fn, ev: Event{

@@ -203,18 +203,35 @@ func TestPropExactlyOnceUnderAborts(t *testing.T) {
 	}
 }
 
-// Property: the cached matcher agrees with the uncached reference matcher.
+// matchesReflective is the reference matcher: the rule as the package
+// comment states it, one reflect.DeepEqual per non-zero exported template
+// field, with nothing cached or compiled. The compiled matcher is checked
+// against it here, in matcher_test.go and by FuzzTemplateMatch.
+func matchesReflective(tmpl, cand reflect.Value) bool {
+	t := tmpl.Type()
+	for i := 0; i < t.NumField(); i++ {
+		if !t.Field(i).IsExported() {
+			continue
+		}
+		f := tmpl.Field(i)
+		if f.IsZero() {
+			continue
+		}
+		if !reflect.DeepEqual(f.Interface(), cand.Field(i).Interface()) {
+			return false
+		}
+	}
+	return true
+}
+
+// Property: the compiled matcher agrees with the reflective reference.
 func TestPropMatcherAgreesWithSlow(t *testing.T) {
 	f := func(tmpl, cand propEntry) bool {
-		ti, tv, err := infoFor(tmpl)
+		_, _, m, err := compile(tmpl, nil)
 		if err != nil {
 			return false
 		}
-		_, cv, err := infoFor(cand)
-		if err != nil {
-			return false
-		}
-		return matches(ti, tv, cv) == matchesSlow(tv, cv)
+		return m.match(reflect.ValueOf(cand)) == matchesReflective(reflect.ValueOf(tmpl), reflect.ValueOf(cand))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)

@@ -20,10 +20,11 @@ const Forever time.Duration = 0
 type Space struct {
 	clock vclock.Clock
 
-	mu      sync.Mutex
-	byType  map[string][]*storedEntry
-	byKey   map[string]map[string][]*storedEntry // type → index-field value → entries
-	dead    map[string]int                       // type → taken entries still in its byType list (see reapLocked)
+	mu      sync.Mutex            // released with unlock, the operation boundary (list.go)
+	types   map[string]*typeStore // entry type name → its residents
+	live    int                   // entries listed and not removed
+	dead    int                   // removed entries a list still holds, counted once per list
+	slack   []listRef             // lists due a compaction at unlock
 	waiters map[string][]*waiter
 	notifs  map[string][]*registration
 	txns    map[uint64]*txnState
@@ -54,6 +55,7 @@ type Stats struct {
 	TxnAborts   uint64 // transactions aborted at this space
 	Overloaded  uint64 // blocking calls rejected by the waiter bound
 	EntriesLive int    // entries currently stored (including txn-held)
+	Dead        int    // removed entries whose pointer a type list or key bucket still holds
 	Waiting     int    // Read/Take calls currently parked waiting for a match
 }
 
@@ -85,7 +87,7 @@ const (
 type waiter struct {
 	kind   opKind
 	ti     *typeInfo
-	tmpl   reflect.Value
+	m      matcher
 	txn    *txn.Txn
 	w      vclock.Waiter
 	result *storedEntry
@@ -97,9 +99,7 @@ type waiter struct {
 func New(clock vclock.Clock) *Space {
 	return &Space{
 		clock:   clock,
-		byType:  make(map[string][]*storedEntry),
-		byKey:   make(map[string]map[string][]*storedEntry),
-		dead:    make(map[string]int),
+		types:   make(map[string]*typeStore),
 		waiters: make(map[string][]*waiter),
 		notifs:  make(map[string][]*registration),
 		txns:    make(map[uint64]*txnState),
@@ -115,7 +115,7 @@ func New(clock vclock.Clock) *Space {
 func (s *Space) SetMaxWaiters(n int) {
 	s.mu.Lock()
 	s.maxWaiters = n
-	s.mu.Unlock()
+	s.unlock()
 }
 
 // Close shuts the space down: every blocked operation is woken with
@@ -123,7 +123,7 @@ func (s *Space) SetMaxWaiters(n int) {
 func (s *Space) Close() {
 	s.mu.Lock()
 	if s.closed {
-		s.mu.Unlock()
+		s.unlock()
 		return
 	}
 	s.closed = true
@@ -137,7 +137,7 @@ func (s *Space) Close() {
 		w.err = ErrClosed
 		w.w.Wake()
 	}
-	s.mu.Unlock()
+	s.unlock()
 }
 
 // Write stores a deep copy of entry e under transaction t (nil for none),
@@ -159,19 +159,19 @@ func (s *Space) write(e Entry, t *txn.Txn, ttl time.Duration, tok OpToken) (*Ent
 	}
 	s.mu.Lock()
 	if s.closed {
-		s.mu.Unlock()
+		s.unlock()
 		return nil, ErrClosed
 	}
 	if !tok.Zero() && t == nil {
 		if rec, ok := s.memoHitLocked(tok); ok {
 			l := rec.leaseOut(s)
-			s.mu.Unlock()
+			s.unlock()
 			return l, nil
 		}
 	}
 	ts, err := s.joinLocked(t)
 	if err != nil {
-		s.mu.Unlock()
+		s.unlock()
 		return nil, err
 	}
 	se := &storedEntry{id: s.nextID, ti: ti, val: deepCopy(v)}
@@ -179,16 +179,7 @@ func (s *Space) write(e Entry, t *txn.Txn, ttl time.Duration, tok OpToken) (*Ent
 	if ttl > 0 {
 		se.expiry = s.clock.Now().Add(ttl)
 	}
-	s.byType[ti.name] = append(s.byType[ti.name], se)
-	if ti.keyField >= 0 {
-		key := se.val.Field(ti.keyField).String()
-		buckets := s.byKey[ti.name]
-		if buckets == nil {
-			buckets = make(map[string][]*storedEntry)
-			s.byKey[ti.name] = buckets
-		}
-		buckets[key] = append(buckets[key], se)
-	}
+	s.insertLocked(se)
 	var fire []notification
 	if t != nil {
 		se.writtenUnder = t.ID()
@@ -196,9 +187,9 @@ func (s *Space) write(e Entry, t *txn.Txn, ttl time.Duration, tok OpToken) (*Ent
 	} else {
 		if jerr := s.journalWriteLocked(se); jerr != nil {
 			// Strict durability: the write was not logged, so it must
-			// not be acknowledged. Scans compact the dead entry.
-			se.removed = true
-			s.mu.Unlock()
+			// not be acknowledged.
+			s.removeLocked(se)
+			s.unlock()
 			return nil, jerr
 		}
 		if !tok.Zero() {
@@ -207,7 +198,7 @@ func (s *Space) write(e Entry, t *txn.Txn, ttl time.Duration, tok OpToken) (*Ent
 		fire = s.publishLocked(se)
 	}
 	s.stats.Writes++
-	s.mu.Unlock()
+	s.unlock()
 	deliver(fire)
 	return &EntryLease{space: s, entry: se}, nil
 }
@@ -238,49 +229,50 @@ func (s *Space) TakeIfExists(tmpl Entry, t *txn.Txn) (Entry, error) {
 }
 
 func (s *Space) lookup(kind opKind, tmpl Entry, t *txn.Txn, timeout time.Duration, block bool) (Entry, error) {
-	ti, tv, err := infoFor(tmpl)
+	var buf [inlineCmps]comparer
+	ti, key, m, err := compile(tmpl, buf[:0])
 	if err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
 	if s.closed {
-		s.mu.Unlock()
+		s.unlock()
 		return nil, ErrClosed
 	}
 	if _, err := s.joinLocked(t); err != nil {
-		s.mu.Unlock()
+		s.unlock()
 		return nil, err
 	}
-	if se := s.findLocked(kind, ti, tv, t); se != nil {
+	if se := s.findLocked(kind, s.listLocked(ti, key), m, t); se != nil {
 		if err := s.applyLocked(kind, se, t); err != nil {
-			s.mu.Unlock()
+			s.unlock()
 			return nil, err
 		}
 		out := deepCopy(se.val).Interface()
-		s.mu.Unlock()
+		s.unlock()
 		return out, nil
 	}
 	if !block {
-		s.mu.Unlock()
+		s.unlock()
 		return nil, ErrNoMatch
 	}
 	if s.maxWaiters > 0 && s.waiting >= s.maxWaiters {
 		s.stats.Overloaded++
-		s.mu.Unlock()
+		s.unlock()
 		return nil, ErrOverloaded
 	}
-	w := &waiter{kind: kind, ti: ti, tmpl: tv, txn: t, w: s.clock.NewWaiter()}
+	w := &waiter{kind: kind, ti: ti, m: parkedMatcher(tmpl), txn: t, w: s.clock.NewWaiter()}
 	s.waiters[ti.name] = append(s.waiters[ti.name], w)
 	s.stats.Blocked++
 	s.waiting++
-	s.mu.Unlock()
+	s.unlock()
 
 	w.w.Wait(timeout)
 
 	s.mu.Lock()
 	if w.result != nil {
 		out := deepCopy(w.result.val).Interface()
-		s.mu.Unlock()
+		s.unlock()
 		return out, nil
 	}
 	s.removeWaiterLocked(w)
@@ -288,113 +280,8 @@ func (s *Space) lookup(kind opKind, tmpl Entry, t *txn.Txn, timeout time.Duratio
 		w.err = ErrTimeout
 		s.stats.Timeouts++
 	}
-	s.mu.Unlock()
+	s.unlock()
 	return nil, w.err
-}
-
-// findLocked scans entries of template type for a visible match. When the
-// type declares an index field and the template fixes its value, only
-// that bucket is scanned.
-func (s *Space) findLocked(kind opKind, ti *typeInfo, tv reflect.Value, t *txn.Txn) *storedEntry {
-	if ti.keyField >= 0 {
-		if kf := tv.Field(ti.keyField); !kf.IsZero() {
-			s.reapLocked(ti.name)
-			return s.scanLocked(kind, ti, tv, t, s.byKey[ti.name], kf.String())
-		}
-	}
-	return s.scanLocked(kind, ti, tv, t, nil, "")
-}
-
-// reapMin is the fewest dead entries worth a pass over a type's list.
-const reapMin = 64
-
-// reapLocked keeps keyed traffic from growing a type's list without bound.
-// A keyed lookup scans (and compacts) only its index bucket, so every keyed
-// take used to leave its entry's pointer — and the payload it pins — in the
-// per-type list until some unkeyed scan happened by. Takes are counted per
-// type, and once the taken outnumber the rest (and are enough to be worth a
-// pass) the next keyed lookup drops them in place: order kept, one pass per
-// len/2 takes, so O(1) amortised. Unkeyed scans compact as they always did.
-func (s *Space) reapLocked(name string) {
-	list := s.byType[name]
-	if dead := s.dead[name]; dead < reapMin || dead <= len(list)-dead {
-		return
-	}
-	kept := list[:0]
-	for _, se := range list {
-		if !se.removed {
-			kept = append(kept, se)
-		}
-	}
-	clear(list[len(kept):])
-	s.byType[name] = kept
-	s.dead[name] = 0
-}
-
-// scanLocked walks either the full per-type list (buckets == nil) or one
-// index bucket, compacting dead entries as it goes.
-func (s *Space) scanLocked(kind opKind, ti *typeInfo, tv reflect.Value, t *txn.Txn, buckets map[string][]*storedEntry, key string) *storedEntry {
-	now := s.clock.Now()
-	var list []*storedEntry
-	if buckets != nil {
-		list = buckets[key]
-	} else {
-		list = s.byType[ti.name]
-	}
-	out := list[:0]
-	var found *storedEntry
-	for _, se := range list {
-		if se.removed || (!se.expiry.IsZero() && now.After(se.expiry)) {
-			if !se.removed {
-				se.removed = true
-				s.stats.Expired++
-			}
-			continue
-		}
-		out = append(out, se)
-		if found != nil {
-			continue
-		}
-		if !s.visibleLocked(se, t) {
-			continue
-		}
-		if kind == opTake && !s.takeableLocked(se, t) {
-			continue
-		}
-		if matches(ti, tv, se.val) {
-			found = se
-		}
-	}
-	if buckets != nil {
-		if len(out) == 0 {
-			delete(buckets, key)
-		} else {
-			buckets[key] = out
-		}
-	} else {
-		s.byType[ti.name] = out
-		s.dead[ti.name] = 0
-	}
-	return found
-}
-
-func (s *Space) visibleLocked(se *storedEntry, t *txn.Txn) bool {
-	if se.takenUnder != 0 {
-		return false
-	}
-	if se.writtenUnder != 0 {
-		return t != nil && t.ID() == se.writtenUnder
-	}
-	return true
-}
-
-func (s *Space) takeableLocked(se *storedEntry, t *txn.Txn) bool {
-	for id := range se.readLocks {
-		if t == nil || id != t.ID() {
-			return false
-		}
-	}
-	return true
 }
 
 // applyLocked records the effect of a successful read/take on entry se.
@@ -421,8 +308,7 @@ func (s *Space) applyLocked(kind opKind, se *storedEntry, t *txn.Txn) error {
 			if err := s.journalRemoveLocked(se); err != nil {
 				return err
 			}
-			se.removed = true
-			s.dead[se.ti.name]++
+			s.removeLocked(se)
 		}
 		s.stats.Takes++
 	}
@@ -441,7 +327,7 @@ func (s *Space) publishLocked(se *storedEntry) []notification {
 		var taken bool
 		for _, w := range ws {
 			if w.kind != kind || taken || se.removed || se.takenUnder != 0 ||
-				!s.visibleLocked(se, w.txn) || !matches(w.ti, w.tmpl, se.val) {
+				!s.visibleLocked(se, w.txn) || !w.m.match(se.val) {
 				out = append(out, w)
 				continue
 			}
@@ -523,7 +409,7 @@ func (s *Space) Commit(id uint64) {
 	s.mu.Lock()
 	ts, ok := s.txns[id]
 	if !ok {
-		s.mu.Unlock()
+		s.unlock()
 		return
 	}
 	delete(s.txns, id)
@@ -549,14 +435,13 @@ func (s *Space) Commit(id uint64) {
 	}
 	for _, se := range ts.takes {
 		se.takenUnder = 0
-		se.removed = true
-		s.dead[se.ti.name]++
+		s.removeLocked(se)
 		_ = s.journalRemoveLocked(se)
 	}
 	for _, se := range ts.reads {
 		s.unlockReadLocked(se, id)
 	}
-	s.mu.Unlock()
+	s.unlock()
 	deliver(fire)
 }
 
@@ -566,14 +451,14 @@ func (s *Space) Abort(id uint64) {
 	s.mu.Lock()
 	ts, ok := s.txns[id]
 	if !ok {
-		s.mu.Unlock()
+		s.unlock()
 		return
 	}
 	delete(s.txns, id)
 	s.stats.TxnAborts++
 	var fire []notification
 	for _, se := range ts.writes {
-		se.removed = true
+		s.removeLocked(se)
 	}
 	for _, se := range ts.reads {
 		s.unlockReadLocked(se, id)
@@ -585,7 +470,7 @@ func (s *Space) Abort(id uint64) {
 		se.takenUnder = 0
 		fire = append(fire, s.publishLocked(se)...)
 	}
-	s.mu.Unlock()
+	s.unlock()
 	deliver(fire)
 }
 
@@ -603,24 +488,17 @@ func (s *Space) unlockReadLocked(se *storedEntry, id uint64) {
 // Count returns the number of public entries matching tmpl — a diagnostic
 // extension (JavaSpaces05 added a similar contents query).
 func (s *Space) Count(tmpl Entry) (int, error) {
-	ti, tv, err := infoFor(tmpl)
+	var buf [inlineCmps]comparer
+	ti, key, m, err := compile(tmpl, buf[:0])
 	if err != nil {
 		return 0, err
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	now := s.clock.Now()
+	defer s.unlock()
+	items, now := s.listLocked(ti, key).get().items, s.clock.Now()
 	n := 0
-	for _, se := range s.byType[ti.name] {
-		if se.removed || se.writtenUnder != 0 || se.takenUnder != 0 {
-			continue
-		}
-		if !se.expiry.IsZero() && now.After(se.expiry) {
-			continue
-		}
-		if matches(ti, tv, se.val) {
-			n++
-		}
+	for i := s.nextLocked(opRead, items, 0, m, nil, now); i >= 0; i = s.nextLocked(opRead, items, i+1, m, nil, now) {
+		n++
 	}
 	return n, nil
 }
@@ -637,15 +515,15 @@ func (s *Space) Count(tmpl Entry) (int, error) {
 func (s *Space) EvictWhere(pred func(Entry) bool) ([][]byte, int, error) {
 	s.mu.Lock()
 	if s.closed {
-		s.mu.Unlock()
+		s.unlock()
 		return nil, 0, ErrClosed
 	}
 	now := s.clock.Now()
 	var ops []journalOp
 	locked := 0
-	for _, list := range s.byType {
-		for _, se := range list {
-			if se.removed || (!se.expiry.IsZero() && now.After(se.expiry)) {
+	for _, st := range s.types {
+		for _, se := range st.all.items {
+			if se.removed || se.expired(now) {
 				continue
 			}
 			if !pred(se.val.Interface()) {
@@ -659,14 +537,14 @@ func (s *Space) EvictWhere(pred func(Entry) bool) ([][]byte, int, error) {
 			// be logged does not happen (the entry stays, the caller sees
 			// the error and retries the pass).
 			if err := s.journalEvictLocked(se); err != nil {
-				s.mu.Unlock()
+				s.unlock()
 				return nil, locked, err
 			}
-			se.removed = true
+			s.removeLocked(se)
 			ops = append(ops, journalOp{Kind: "write", Seq: se.id, Entry: se.val.Interface(), Expiry: se.expiry})
 		}
 	}
-	s.mu.Unlock()
+	s.unlock()
 
 	records := make([][]byte, len(ops))
 	for i, op := range ops {
@@ -682,15 +560,9 @@ func (s *Space) EvictWhere(pred func(Entry) bool) ([][]byte, int, error) {
 // Stats returns a snapshot of the operation counters.
 func (s *Space) Stats() Stats {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock()
 	st := s.stats
-	for _, list := range s.byType {
-		for _, se := range list {
-			if !se.removed {
-				st.EntriesLive++
-			}
-		}
-	}
+	st.EntriesLive, st.Dead = s.live, s.dead
 	for _, ws := range s.waiters {
 		st.Waiting += len(ws)
 	}
@@ -702,13 +574,13 @@ func (s *Space) Stats() Stats {
 // the shard router use it to observe how entries balance across shards.
 func (s *Space) TypeCounts() map[string]int {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock()
 	now := s.clock.Now()
-	counts := make(map[string]int, len(s.byType))
-	for name, list := range s.byType {
+	counts := make(map[string]int, len(s.types))
+	for name, st := range s.types {
 		n := 0
-		for _, se := range list {
-			if se.removed || (!se.expiry.IsZero() && now.After(se.expiry)) {
+		for _, se := range st.all.items {
+			if se.removed || se.expired(now) {
 				continue
 			}
 			n++
@@ -735,7 +607,7 @@ func (l *EntryLease) Seq() uint64 {
 // Expiration returns the entry's current expiry time (zero for Forever).
 func (l *EntryLease) Expiration() time.Time {
 	l.space.mu.Lock()
-	defer l.space.mu.Unlock()
+	defer l.space.unlock()
 	return l.entry.expiry
 }
 
@@ -743,10 +615,10 @@ func (l *EntryLease) Expiration() time.Time {
 // lease fails with ErrLeaseExpired.
 func (l *EntryLease) Renew(ttl time.Duration) error {
 	l.space.mu.Lock()
-	defer l.space.mu.Unlock()
+	defer l.space.unlock()
 	se := l.entry
 	now := l.space.clock.Now()
-	if se.removed || (!se.expiry.IsZero() && now.After(se.expiry)) {
+	if se.removed || se.expired(now) {
 		return ErrLeaseExpired
 	}
 	if ttl > 0 {
@@ -762,15 +634,15 @@ func (l *EntryLease) Renew(ttl time.Duration) error {
 // it to drop dead handles (and the stored value they pin).
 func (l *EntryLease) Gone() bool {
 	l.space.mu.Lock()
-	defer l.space.mu.Unlock()
+	defer l.space.unlock()
 	se := l.entry
-	return se.removed || (!se.expiry.IsZero() && l.space.clock.Now().After(se.expiry))
+	return se.removed || se.expired(l.space.clock.Now())
 }
 
 // Cancel removes the entry immediately.
 func (l *EntryLease) Cancel() error {
 	l.space.mu.Lock()
-	defer l.space.mu.Unlock()
+	defer l.space.unlock()
 	se := l.entry
 	if se.removed {
 		return ErrLeaseExpired
@@ -780,7 +652,7 @@ func (l *EntryLease) Cancel() error {
 	if err := l.space.journalRemoveLocked(se); err != nil {
 		return err
 	}
-	se.removed = true
+	l.space.removeLocked(se)
 	return nil
 }
 

@@ -134,7 +134,7 @@ fi
 echo "obs_smoke: /debug/flight OK ($(grep -c '"kind"' <<<"$flight") events)"
 
 cluster=$(curl -fsS "$OBS_URL/metrics/cluster")
-for want in 'gospaces_cluster_entries{shard=' 'gospaces_cluster_ops_total{shard='; do
+for want in 'gospaces_cluster_entries{shard=' 'gospaces_cluster_dead_entries{shard=' 'gospaces_cluster_ops_total{shard='; do
     if ! grep -q "$want" <<<"$cluster"; then
         echo "obs_smoke: FAIL — /metrics/cluster lacks \"$want\":" >&2
         echo "$cluster" >&2

@@ -737,3 +737,147 @@ func BenchmarkSpaceThroughput(b *testing.B) {
 		}
 	})
 }
+
+// recordBenchTask is the benchmark module's Task (bench/inputs.go): a keyed
+// entry with an opaque payload, registered so it travels by compiled plan.
+type recordBenchTask struct {
+	Job     string `space:"index"`
+	ID      int
+	Payload []byte
+}
+
+func init() { transport.RegisterType(recordBenchTask{}) }
+
+// recordBenchSink counts what a journal hands it and keeps nothing, or
+// keeps every record for a decode benchmark to feed back.
+type recordBenchSink struct {
+	keep           bool
+	records, bytes int
+	recs           [][]byte
+}
+
+func (s *recordBenchSink) Append(p []byte) error {
+	s.records++
+	s.bytes += len(p)
+	if s.keep {
+		s.recs = append(s.recs, p)
+	}
+	return nil
+}
+
+// recordBenchPairs runs n write+take pairs of a payload-byte task on s,
+// tokened or not, and returns how long they took.
+func recordBenchPairs(b *testing.B, s *tuplespace.Space, n, payload int, tokened bool) time.Duration {
+	b.Helper()
+	body := make([]byte, payload)
+	var w, t tuplespace.OpToken
+	start := time.Now()
+	for i := 1; i <= n; i++ {
+		if tokened {
+			w, t = tuplespace.OpToken{Client: "bench", Seq: uint64(2 * i)}, tuplespace.OpToken{Client: "bench", Seq: uint64(2*i + 1)}
+		}
+		job := jobName(i)
+		if _, err := s.WriteTok(recordBenchTask{Job: job, ID: i, Payload: body}, nil, tuplespace.Forever, w); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.TakeTok(recordBenchTask{Job: job}, nil, time.Second, t); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return time.Since(start)
+}
+
+func recordBenchCases(b *testing.B, run func(b *testing.B, payload int, tokened bool)) {
+	for _, payload := range []int{64, 1024} {
+		for _, tokened := range []bool{false, true} {
+			name := fmt.Sprintf("%dB", payload)
+			if tokened {
+				name += "-tokened"
+			}
+			b.Run(name, func(b *testing.B) { run(b, payload, tokened) })
+		}
+	}
+}
+
+// BenchmarkJournalRecordEncode prices one journal record on the side that
+// writes it. A record is encoded under the space mutex as part of its
+// operation, so the benchmark runs b.N write+take pairs against a journal
+// whose sink keeps nothing (ns/op is that pair), the same pairs against a
+// bare space, and reports the difference per record as encode-ns/record —
+// the ladder's journal.encode_ns_per_record, at a fixed iteration count —
+// beside B/record. A pair is two records, tokened or not: the token rides
+// in the write record and, with the taken entry, in the remove record.
+//
+// With gob records (the parent of the binary record format, -benchtime
+// 20000x -cpu 1; there a tokened pair was four records, each mutation beside
+// its memo's): encode-ns/record 5,540–6,310 at 64 B plain, 5,840–6,090
+// tokened, 6,190–6,400 and 6,570–9,420 at 1 KiB; B/record 316 / 328 and 799
+// / 811; ns/op 14,200–15,800 / 30,300 and 45,300 / 77,500–81,400. Now:
+// encode-ns/record ≈ 235 / 460–560 and 340 / 630, B/record 64 / 134 and 545
+// / 1,095 (a tokened pair's bytes sit in half the records), ns/op ≈ 1,530 /
+// 3,900 and 2,040 / 4,820.
+func BenchmarkJournalRecordEncode(b *testing.B) {
+	clk := vclock.NewReal()
+	recordBenchCases(b, func(b *testing.B, payload int, tokened bool) {
+		bare := recordBenchPairs(b, tuplespace.New(clk), b.N, payload, tokened)
+		sink := &recordBenchSink{}
+		s := tuplespace.New(clk)
+		if err := s.AttachJournal(tuplespace.NewJournalSink(sink)); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		journaled := recordBenchPairs(b, s, b.N, payload, tokened)
+		b.StopTimer()
+		b.ReportMetric(float64(journaled-bare)/float64(sink.records), "encode-ns/record")
+		b.ReportMetric(float64(sink.bytes)/float64(sink.records), "B/record")
+		b.ReportMetric(float64(sink.records)/float64(b.N), "records/pair")
+	})
+}
+
+// BenchmarkJournalRecordDecode prices one journal record on the side that
+// reads it — a standby applying its primary's stream (Applier.Apply: decode
+// the record, then the store operation it describes), which is where a
+// replicated shard spent more than half its CPU. ns/op is one record; the
+// stream is the records of 512 write+take pairs, applied round and round.
+//
+// With gob records (same settings): 20,400 / 22,600 ns and 238 / 241
+// allocations per record at 64 B plain / tokened — a fresh gob decoder
+// compiled its engine for every record — 28,700 / 30,200 ns at 1 KiB, and a
+// tokened pair was four of them. Now ≈ 600 / 1,900 ns and 6 / 11
+// allocations, 700 / 2,400 ns at 1 KiB.
+func BenchmarkJournalRecordDecode(b *testing.B) {
+	clk := vclock.NewReal()
+	recordBenchCases(b, func(b *testing.B, payload int, tokened bool) {
+		stream := &recordBenchSink{keep: true}
+		src := tuplespace.New(clk)
+		if err := src.AttachJournal(tuplespace.NewJournalSink(stream)); err != nil {
+			b.Fatal(err)
+		}
+		recordBenchPairs(b, src, 512, payload, tokened)
+		a := tuplespace.NewApplier(tuplespace.New(clk))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := a.Apply(stream.recs[i%len(stream.recs)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(stream.bytes)/float64(stream.records), "B/record")
+	})
+}
+
+var deepCopySink tuplespace.Entry
+
+// BenchmarkDeepCopy1K is one hand-off of an entry with a 1 KiB payload
+// across the space boundary (CopyEntry; every Write, Read and Take makes
+// one). The element-wise copy it replaces stored the payload through
+// reflection a byte at a time: 15,500 ns and 4 allocations; the compiled
+// copier moves it once: ≈ 380 ns and 3.
+func BenchmarkDeepCopy1K(b *testing.B) {
+	var e tuplespace.Entry = recordBenchTask{Job: "job-aa", ID: 1, Payload: make([]byte, 1024)}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		deepCopySink, _ = tuplespace.CopyEntry(e)
+	}
+}

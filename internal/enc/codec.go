@@ -50,6 +50,15 @@ type sentType struct {
 // NewEncoder returns an Encoder with an empty type table.
 func NewEncoder() *Encoder { return &Encoder{sent: make(map[reflect.Type]sentType)} }
 
+// Reset empties the type table, so the next message defines every type it
+// uses and a Decoder that has seen nothing before it (one Reset at the same
+// point) can read it. A journal record is encoded between two Resets: any
+// record may be the first a reader sees.
+func (e *Encoder) Reset() {
+	clear(e.sent)
+	e.order, e.fresh = e.order[:0], 0
+}
+
 // DefinitionBytes returns how many bytes of the last encoded message were
 // type definitions: what the connection paid once for first uses, over and
 // above what the same value costs on every later call.
@@ -79,12 +88,17 @@ func (e *Encoder) Encode(dst []byte, v interface{}) ([]byte, error) {
 		return dst[:start], err
 	}
 	if e.fresh > 0 {
-		// First use of a type on this connection: splice the definitions in
-		// ahead of the value. Every later message skips this.
-		value := append([]byte(nil), out[start+2:]...)
-		out = binary.AppendUvarint(out[:start+1], uint64(e.fresh))
-		out = append(append(out, e.defs...), value...)
-		e.once = len(out) - start - 2 - len(value)
+		// First use of a type on this connection: open a gap ahead of the
+		// value and put the definitions in it. Every later message skips
+		// this.
+		var count [binary.MaxVarintLen64]byte
+		c := binary.PutUvarint(count[:], uint64(e.fresh))
+		e.once = c - 1 + len(e.defs)
+		end := len(out)
+		out = append(out, make([]byte, e.once)...)
+		copy(out[start+2+e.once:], out[start+2:end])
+		copy(out[start+1:], count[:c])
+		copy(out[start+1+c:], e.defs)
 	}
 	return out, nil
 }
@@ -172,6 +186,10 @@ type recvType struct {
 
 // NewDecoder returns a Decoder with an empty type table.
 func NewDecoder() *Decoder { return &Decoder{} }
+
+// Reset empties the type table: the next message must define every type it
+// uses (see Encoder.Reset).
+func (d *Decoder) Reset() { d.types = d.types[:0] }
 
 // Decode returns the value msg holds. The result shares no memory with
 // msg. A value-level failure (an id never defined, a layout mismatch, a

@@ -1,8 +1,8 @@
 // Package enc is the one codec for any-typed values that leave the
-// process over a connection, and the one type registry shared with the
-// tuplespace journal/WAL (which still writes gob records). An application
-// registers each entry type exactly once with RegisterType and it works
-// over the network and in the durable log alike.
+// process, over a connection or into the tuplespace journal (WAL records,
+// snapshots, replica shipping), and the one type registry behind both. An
+// application registers each entry type exactly once with RegisterType and
+// it works over the network and in the durable log alike.
 //
 // The wire codec is compiled, not interpreted: the first time a registered
 // type is sent or received, its layout is reflected once into an
@@ -12,7 +12,9 @@
 // the plan straight into the caller's buffer. Type identity crosses a
 // connection once: an Encoder/Decoder pair keeps a per-connection table, so
 // the first use of a type sends (id, registered name, layout fingerprint)
-// and later uses send the varint id alone. Two binaries whose layouts for a
+// and later uses send the varint id alone; a journal record is its own
+// connection (the pair is Reset per record), so every record defines the
+// types it uses and reads alone. Two binaries whose layouts for a
 // name differ fail the value with ErrFingerprint instead of decoding
 // garbage. A value the plan compiler cannot handle (a type registered only
 // with gob, a GobEncoder, a channel field, …) travels as one gob-encoded

@@ -59,6 +59,20 @@ func (t *Tap) Append(payload []byte) error {
 	return downErr
 }
 
+// Dropping reports that Append would discard a record now (see
+// tuplespace.RecordSink): no migration is buffering or forwarding, and
+// nothing downstream wants it either.
+func (t *Tap) Dropping() bool {
+	t.mu.Lock()
+	off := t.mode == tapOff
+	t.mu.Unlock()
+	if !off || t.down == nil {
+		return off
+	}
+	d, ok := t.down.(interface{ Dropping() bool })
+	return ok && d.Dropping()
+}
+
 // StartBuffer begins retaining records. Call before snapshotting the
 // source so the snapshot/buffer overlap covers every record (replay is
 // Seq-deduplicated, so overlap is idempotent, while a gap would lose

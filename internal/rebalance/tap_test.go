@@ -98,3 +98,38 @@ func TestTapForwardErrorNeverFailsSource(t *testing.T) {
 		t.Fatalf("Err() = %v after StartBuffer, want nil", tap.Err())
 	}
 }
+
+// idleSink is a downstream with nowhere to put a record.
+type idleSink struct{ sink }
+
+func (idleSink) Dropping() bool { return true }
+
+// TestTapDropping: an off tap over nothing, or over a downstream that is
+// itself dropping, tells the journal not to encode; a tap a migration has
+// switched on, or one over a downstream that keeps records, never does.
+func TestTapDropping(t *testing.T) {
+	if !NewTap(nil).Dropping() {
+		t.Fatal("an off tap over nothing wants records")
+	}
+	if NewTap(&sink{}).Dropping() {
+		t.Fatal("a tap over a sink that keeps records drops them")
+	}
+	tap := NewTap(&idleSink{})
+	if !tap.Dropping() {
+		t.Fatal("an off tap over a dropping downstream wants records")
+	}
+	tap.StartBuffer()
+	if tap.Dropping() {
+		t.Fatal("a buffering tap drops records")
+	}
+	if err := tap.GoLive(func([]byte) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if tap.Dropping() {
+		t.Fatal("a live tap drops records")
+	}
+	tap.Close()
+	if !tap.Dropping() {
+		t.Fatal("a closed tap over a dropping downstream wants records")
+	}
+}

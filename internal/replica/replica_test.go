@@ -455,3 +455,72 @@ func TestDegradedSyncFailsClosed(t *testing.T) {
 		sameEntries(t, "after heal", entries(t, pr.local), entries(t, pr.blocal))
 	})
 }
+
+// unlogged is never registered with anything: it cannot be encoded, so a
+// write of it succeeding under a strict journal shows nothing encoded it.
+type unlogged struct{ X int }
+
+type recordLog struct{ recs [][]byte }
+
+func (l *recordLog) Append(p []byte) error { l.recs = append(l.recs, p); return nil }
+
+// TestSwitchSinkDropsWithoutEncoding: a standby's journal sits on a switch
+// with no target until promotion. Until then the journal encodes nothing —
+// not a record per applied op for nobody — and from the moment a target is
+// set, it sees every record.
+func TestSwitchSinkDropsWithoutEncoding(t *testing.T) {
+	sw := replica.NewSwitchSink()
+	if !sw.Dropping() {
+		t.Fatal("a switch with no target wants records")
+	}
+	ts := tuplespace.New(vclock.NewReal())
+	if err := ts.AttachJournal(tuplespace.NewJournalSink(sw).SetStrict(true)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ts.Write(unlogged{X: 1}, nil, tuplespace.Forever); err != nil {
+		t.Fatalf("write with no target: %v (the journal encoded for nobody)", err)
+	}
+	if _, err := ts.WriteTok(kv{K: "before", N: 1}, nil, tuplespace.Forever, tuplespace.OpToken{Client: "c", Seq: 1}); err != nil {
+		t.Fatal(err)
+	}
+
+	// Promotion: the node's own controller becomes the target.
+	target := &recordLog{}
+	sw.Set(target)
+	if sw.Dropping() {
+		t.Fatal("a switch with a target drops records")
+	}
+	if _, err := ts.Write(unlogged{X: 2}, nil, tuplespace.Forever); err == nil {
+		t.Fatal("an unencodable entry was acknowledged under a strict journal with a target")
+	}
+	if _, err := ts.Write(kv{K: "after", N: 2}, nil, tuplespace.Forever); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ts.TakeTok(kv{K: "before"}, nil, time.Second, tuplespace.OpToken{Client: "c", Seq: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if len(target.recs) != 2 {
+		t.Fatalf("target saw %d records after promotion, want 2 (a write and a take)", len(target.recs))
+	}
+	// What it saw is the stream from that point on: a follower fed it holds
+	// the new entry and answers the take's retry from its memo.
+	follower := tuplespace.New(vclock.NewReal())
+	a := tuplespace.NewApplier(follower)
+	for i, rec := range target.recs {
+		if err := a.Apply(rec); err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+	}
+	if n, _ := follower.Count(kv{}); n != 1 {
+		t.Fatalf("follower holds %d entries, want 1", n)
+	}
+	got, err := follower.TakeTok(kv{K: "before"}, nil, time.Millisecond, tuplespace.OpToken{Client: "c", Seq: 2})
+	if err != nil || got.(kv).N != 1 {
+		t.Fatalf("take retried at the follower: %v, %v", got, err)
+	}
+
+	sw.Set(nil)
+	if !sw.Dropping() {
+		t.Fatal("a switch whose target was removed wants records")
+	}
+}

@@ -12,7 +12,9 @@ import (
 // attaches a journal over a SwitchSink at construction and points it at
 // the shard's replication controller later; after a role flip the same
 // switch is re-pointed at the node's next controller. A nil target drops
-// records, which is exactly right for a node with no replication peer.
+// records, which is exactly right for a node with no replication peer —
+// and Dropping tells the journal so, so a standby does not encode a record
+// per applied op for nobody.
 type SwitchSink struct {
 	mu   sync.Mutex
 	sink tuplespace.RecordSink
@@ -39,4 +41,13 @@ func (s *SwitchSink) Append(payload []byte) error {
 		return nil
 	}
 	return t.Append(payload)
+}
+
+// Dropping reports that Append would discard a record now: no target is
+// installed (see tuplespace.RecordSink). A record journaled while Set runs
+// is dropped or delivered exactly as Append alone would have decided.
+func (s *SwitchSink) Dropping() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.sink == nil
 }

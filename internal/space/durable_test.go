@@ -1,10 +1,14 @@
 package space
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -271,3 +275,115 @@ func TestDurableStrictDiskErrorFailsLoudly(t *testing.T) {
 		t.Fatalf("recovered count = %d, want 2 (entries 1 and 3)", n)
 	}
 }
+
+// TestDurableRefusesLegacyGobLog: a data directory written by a build from
+// before the binary record format fails the open with ErrRecordFormat,
+// naming the directory and the record — not an empty recovery, and with
+// every file left as it was.
+func TestDurableRefusesLegacyGobLog(t *testing.T) {
+	dir := t.TempDir()
+	// The last gob build's journal record, field for field.
+	type legacyOp struct {
+		Kind   string
+		Seq    uint64
+		Entry  interface{}
+		Expiry time.Time
+	}
+	var rec bytes.Buffer
+	if err := gob.NewEncoder(&rec).Encode(&legacyOp{Kind: "write", Seq: 1, Entry: job{Name: "old", ID: ip(1)}}); err != nil {
+		t.Fatal(err)
+	}
+	log, _, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Append(rec.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	listing := func() map[string]string {
+		out := map[string]string{}
+		names, _ := filepath.Glob(filepath.Join(dir, "*"))
+		for _, name := range names {
+			b, err := os.ReadFile(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[name] = string(b)
+		}
+		return out
+	}
+	before := listing()
+
+	_, _, err = NewLocalDurable(vclock.NewReal(), DurableOptions{Dir: dir})
+	if !errors.Is(err, tuplespace.ErrRecordFormat) {
+		t.Fatalf("open of a gob-era directory: %v, want ErrRecordFormat", err)
+	}
+	for _, want := range []string{dir, "record 0", "before the binary record format", "empty -datadir"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not say %q", err, want)
+		}
+	}
+	if after := listing(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("the refused open changed the directory: %d files before, %d after", len(before), len(after))
+	}
+}
+
+// deaf is a tee with nowhere to put records, and says so — a standby's
+// replication switch before promotion.
+type deaf struct{}
+
+func (deaf) Append([]byte) error { return nil }
+func (deaf) Dropping() bool      { return true }
+
+// TestDurableStandbyLogsWhatItApplies: a tee that drops does not make the
+// WAL drop. A durable standby fed its primary's records — tokened ones
+// included — logs each, and recovers entries and memos from its own log.
+func TestDurableStandbyLogsWhatItApplies(t *testing.T) {
+	clk := vclock.NewReal()
+	src := tuplespace.New(clk)
+	stream := &teeLog{}
+	if err := src.AttachJournal(tuplespace.NewJournalSink(stream)); err != nil {
+		t.Fatal(err)
+	}
+	tok := func(seq uint64) tuplespace.OpToken { return tuplespace.OpToken{Client: "c", Seq: seq} }
+	for i := 1; i <= 3; i++ {
+		if _, err := src.WriteTok(job{Name: "standby", ID: ip(i)}, nil, tuplespace.Forever, tok(uint64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := src.TakeTok(job{Name: "standby", ID: ip(2)}, nil, time.Second, tok(4)); err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	l1, d1 := openDurable(t, dir, DurableOptions{Tee: deaf{}})
+	a := tuplespace.NewApplier(l1.TS)
+	for i, rec := range stream.recs {
+		if err := a.Apply(rec); err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+	}
+	l1.Close()
+	d1.Close()
+
+	l2, d2 := openDurable(t, dir, DurableOptions{})
+	defer d2.Close()
+	if got := d2.Info(); got.Restored != 2 || got.TailRecords != len(stream.recs) {
+		t.Fatalf("recovered %d entries from %d records, want 2 from %d", got.Restored, got.TailRecords, len(stream.recs))
+	}
+	// The take's retry is answered from the recovered memo, consuming nothing.
+	got, err := l2.TS.TakeTok(job{Name: "standby", ID: ip(2)}, nil, time.Millisecond, tok(4))
+	if err != nil || *got.(job).ID != 2 {
+		t.Fatalf("take retried after recovery: %v, %v", got, err)
+	}
+	if n, _ := l2.Count(job{Name: "standby"}); n != 2 {
+		t.Fatalf("%d entries after the retry, want 2", n)
+	}
+}
+
+type teeLog struct{ recs [][]byte }
+
+func (l *teeLog) Append(p []byte) error { l.recs = append(l.recs, p); return nil }

@@ -1,7 +1,6 @@
 package tuplespace
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -11,8 +10,9 @@ import (
 // incrementally, record by record, as they are shipped — the backup half
 // of the replication protocol. It differs from ReplayRecords (which folds
 // a complete log into a final state once, at recovery) in that it keeps a
-// live space continuously converged with the stream: a "write" record
-// materializes immediately, a "remove" record cancels the matching entry.
+// live space continuously converged with the stream: a write record
+// materializes immediately, a remove record cancels the entries it names,
+// and a tokened record's memo lands in the same step as its mutation.
 //
 // Entry identity bridges the two spaces: the primary's records carry the
 // primary's Seq numbers, the backup space assigns its own — the Applier
@@ -111,11 +111,11 @@ func (a *Applier) SetFilter(pred func(Entry) bool) *Applier {
 	return a
 }
 
-// SetMemoFilter restricts which memo records materialize, by the (key,
-// keyed) pair each memo carries — the migration analogue of SetFilter: a
-// forked child only installs memos for the bucket range it is receiving.
-// Without a filter (the replication default) every memo applies. Returns
-// a for chaining.
+// SetMemoFilter restricts which memos materialize — a memo record's, and
+// the one a tokened write or remove record carries — by each memo's (key,
+// keyed) pair: the migration analogue of SetFilter, a forked child only
+// installs memos for the bucket range it is receiving. Without a filter
+// (the replication default) every memo applies. Returns a for chaining.
 func (a *Applier) SetMemoFilter(pred func(key string, keyed bool) bool) *Applier {
 	a.mu.Lock()
 	a.memoFilter = pred
@@ -124,82 +124,105 @@ func (a *Applier) SetMemoFilter(pred func(key string, keyed bool) bool) *Applier
 }
 
 // Apply applies one encoded journal record (the payload a RecordSink
-// receives on the primary).
+// receives on the primary), whole: its mutation and its memo become
+// visible together and leave as one record of this space's own journal.
 func (a *Applier) Apply(payload []byte) error {
-	op, err := decodeOp(payload)
+	r, err := decodeRecord(payload)
 	if err != nil {
 		return fmt.Errorf("tuplespace: apply record: %w", err)
 	}
-	switch op.Kind {
-	case "write":
+	a.mu.Lock()
+	filter, memoFilter := a.filter, a.memoFilter
+	a.mu.Unlock()
+	op, memoKey, returned := r.memo()
+	if memoFilter != nil && !memoFilter(memoKey, memoKey != "") {
+		r.tok = OpToken{}
+	}
+	switch r.kind {
+	case recWrite:
 		a.mu.Lock()
-		key := a.keyFor(op.Seq)
+		key := a.keyFor(r.seqs[0])
 		_, dup := a.leases[key]
-		filter := a.filter
 		a.mu.Unlock()
-		if filter != nil && !filter(op.Entry) {
-			return nil
-		}
+		// A record can arrive twice when a snapshot push and the
+		// incremental stream overlap; the Seq mapping makes the write
+		// idempotent.
 		if dup {
-			// A record can arrive twice when a snapshot push and the
-			// incremental stream overlap; the Seq mapping makes the write
-			// idempotent.
 			return nil
 		}
-		ttl := Forever
-		if !op.Expiry.IsZero() {
-			ttl = op.Expiry.Sub(a.s.clock.Now())
-			if ttl <= 0 {
-				return nil // already expired in transit
-			}
+		ttl, expired := Forever, false
+		if !r.expiry.IsZero() {
+			ttl = r.expiry.Sub(a.s.clock.Now())
+			expired = ttl <= 0
 		}
-		l, err := a.s.Write(op.Entry, nil, ttl)
+		if expired || filter != nil && !filter(r.entries[0]) {
+			// Expired in transit, or not this side's to hold. The write
+			// happened all the same: its memo answers with a lease on
+			// nothing.
+			if !r.tok.Zero() {
+				a.s.installMemo(r.tok, &memoRec{op: op, key: memoKey})
+			}
+			return nil
+		}
+		l, err := a.s.write(r.entries[0], nil, ttl, r.tok, true)
 		if err != nil {
-			return fmt.Errorf("tuplespace: apply write %d: %w", op.Seq, err)
+			return fmt.Errorf("tuplespace: apply write %d: %w", r.seqs[0], err)
 		}
 		a.mu.Lock()
 		a.leases[key] = l
 		a.mu.Unlock()
-	case "remove", "evict":
-		a.mu.Lock()
-		if op.Kind == "evict" && a.filter != nil {
+	case recRemove, recEvict:
+		if r.kind == recEvict && filter != nil {
 			// Migration mode: the source evicted the entry because this
 			// side owns it now. Keep the copy.
-			a.mu.Unlock()
 			return nil
 		}
-		key := a.keyFor(op.Seq)
-		l := a.leases[key]
-		delete(a.leases, key)
-		a.mu.Unlock()
-		if l == nil {
-			// Unknown Seq: the entry expired locally first, or the remove
-			// duplicates one already applied. Both leave the spaces
-			// converged, so this is not an error.
-			return nil
-		}
-		if err := l.Cancel(); err != nil && !errors.Is(err, ErrLeaseExpired) {
-			return fmt.Errorf("tuplespace: apply remove %d: %w", op.Seq, err)
-		}
-	case "memo":
+		// An unknown Seq means the entry expired locally first, or the
+		// remove duplicates one already applied. Both leave the spaces
+		// converged, so this is not an error.
+		var ses []*storedEntry
 		a.mu.Lock()
-		memoFilter := a.memoFilter
-		var l *EntryLease
-		if op.MemoOp == MemoWrite {
-			// The write record precedes its memo in the stream, so the
+		for _, seq := range r.seqs {
+			key := a.keyFor(seq)
+			if l := a.leases[key]; l != nil {
+				ses = append(ses, l.entry)
+				delete(a.leases, key)
+			}
+		}
+		a.mu.Unlock()
+		if err := a.s.applyRemove(ses, r.tok, op, memoKey, returned); err != nil {
+			return fmt.Errorf("tuplespace: apply remove %v: %w", r.seqs, err)
+		}
+	case recMemo:
+		if r.tok.Zero() {
+			return nil // filtered
+		}
+		rec := &memoRec{op: op, key: memoKey, entries: returned}
+		if op == MemoWrite && len(r.seqs) == 1 {
+			// The write record precedes its memo in a snapshot, so the
 			// lease is already tracked; nil (consumed or filtered away)
 			// resolves to a detached expired lease on retry.
-			l = a.leases[a.keyFor(op.Seq)]
+			a.mu.Lock()
+			rec.lease = a.leases[a.keyFor(r.seqs[0])]
+			a.mu.Unlock()
 		}
-		a.mu.Unlock()
-		if memoFilter != nil && !memoFilter(op.MemoKey, op.MemoKeyed) {
-			return nil
-		}
-		a.s.InstallMemo(op.Tok, op.MemoOp, op.MemoKey, op.MemoKeyed, op.MemoEntries, l)
-	default:
-		return fmt.Errorf("tuplespace: apply: unknown op %q", op.Kind)
+		a.s.installMemo(r.tok, rec)
 	}
 	return nil
+}
+
+// applyRemove is the space's half of applying a remove record: those of ses
+// still here go, and the record's memo arrives, under one hold of the mutex.
+func (s *Space) applyRemove(ses []*storedEntry, tok OpToken, op, key string, returned []Entry) error {
+	s.mu.Lock()
+	defer s.unlock()
+	here := ses[:0]
+	for _, se := range ses {
+		if !se.removed {
+			here = append(here, se)
+		}
+	}
+	return s.consumeLocked(here, tok, op, key, returned)
 }
 
 // Reset empties the replicated state: every tracked entry is cancelled

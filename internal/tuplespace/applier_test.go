@@ -56,14 +56,18 @@ func TestApplierMirrorsStream(t *testing.T) {
 	}
 }
 
-// mustOp encodes one journal op for direct injection into an applier.
-func mustOp(t *testing.T, op journalOp) []byte {
+// mustOp encodes one journal record for direct injection into an applier.
+func mustOp(t *testing.T, r record) []byte {
 	t.Helper()
-	rec, err := encodeOp(op)
+	rec, err := encodeRecord(&r)
 	if err != nil {
-		t.Fatalf("encode op: %v", err)
+		t.Fatalf("encode record: %v", err)
 	}
 	return rec
+}
+
+func writeRec(seq uint64, e Entry) record {
+	return record{kind: recWrite, seqs: []uint64{seq}, entries: []Entry{e}}
 }
 
 // TestApplierRebindAcrossIncarnations: after the source of a stream fails
@@ -80,9 +84,9 @@ func TestApplierRebindAcrossIncarnations(t *testing.T) {
 
 	// Incarnation 0 (the original primary): entry A under Seq 1, entry B
 	// under Seq 2.
-	for _, op := range []journalOp{
-		{Kind: "write", Seq: 1, Entry: task{Job: "mc", ID: ip(1)}},
-		{Kind: "write", Seq: 2, Entry: task{Job: "mc", ID: ip(2)}},
+	for _, op := range []record{
+		writeRec(1, task{Job: "mc", ID: ip(1)}),
+		writeRec(2, task{Job: "mc", ID: ip(2)}),
 	} {
 		if err := a.Apply(mustOp(t, op)); err != nil {
 			t.Fatal(err)
@@ -94,7 +98,7 @@ func TestApplierRebindAcrossIncarnations(t *testing.T) {
 
 	// The promoted node re-ships B under its own Seq 7 (a post-failover
 	// drain pass re-evicts it): must dedup, not duplicate.
-	if err := a.Apply(mustOp(t, journalOp{Kind: "write", Seq: 7, Entry: task{Job: "mc", ID: ip(2)}})); err != nil {
+	if err := a.Apply(mustOp(t, writeRec(7, task{Job: "mc", ID: ip(2)}))); err != nil {
 		t.Fatal(err)
 	}
 	if n, _ := dst.Count(task{Job: "mc", ID: ip(2)}); n != 1 {
@@ -103,7 +107,7 @@ func TestApplierRebindAcrossIncarnations(t *testing.T) {
 
 	// A genuinely new post-failover write whose Seq collides with the old
 	// incarnation's Seq 2: must apply, not be dropped as a dup.
-	if err := a.Apply(mustOp(t, journalOp{Kind: "write", Seq: 2, Entry: task{Job: "mc", ID: ip(9)}})); err != nil {
+	if err := a.Apply(mustOp(t, writeRec(2, task{Job: "mc", ID: ip(9)}))); err != nil {
 		t.Fatal(err)
 	}
 	if n, _ := dst.Count(task{Job: "mc", ID: ip(9)}); n != 1 {
@@ -111,7 +115,7 @@ func TestApplierRebindAcrossIncarnations(t *testing.T) {
 	}
 
 	// A remove in the new namespace cancels exactly the entry it names.
-	if err := a.Apply(mustOp(t, journalOp{Kind: "remove", Seq: 7})); err != nil {
+	if err := a.Apply(mustOp(t, record{kind: recRemove, seqs: []uint64{7}})); err != nil {
 		t.Fatal(err)
 	}
 	if n, _ := dst.Count(task{Job: "mc", ID: ip(2)}); n != 0 {
@@ -125,7 +129,7 @@ func TestApplierRebindAcrossIncarnations(t *testing.T) {
 	// previous incarnation's Seq 8). The translation composes back to the
 	// original key, so A still dedups.
 	a.Rebind(map[uint64]uint64{21: 8})
-	if err := a.Apply(mustOp(t, journalOp{Kind: "write", Seq: 21, Entry: task{Job: "mc", ID: ip(1)}})); err != nil {
+	if err := a.Apply(mustOp(t, writeRec(21, task{Job: "mc", ID: ip(1)}))); err != nil {
 		t.Fatal(err)
 	}
 	if n, _ := dst.Count(task{Job: "mc", ID: ip(1)}); n != 1 {
@@ -150,7 +154,7 @@ func TestApplierSeqMapping(t *testing.T) {
 	}
 
 	a := NewApplier(backup)
-	if err := a.Apply(mustOp(t, journalOp{Kind: "write", Seq: 5, Entry: task{Job: "mc", ID: ip(1)}})); err != nil {
+	if err := a.Apply(mustOp(t, writeRec(5, task{Job: "mc", ID: ip(1)}))); err != nil {
 		t.Fatal(err)
 	}
 	m := a.SeqMapping()

@@ -7,35 +7,68 @@ import "gospaces/internal/txn"
 // returned entries are read-locked. It is the JavaSpaces05 "contents"
 // extension, useful for bulk aggregation and diagnostics.
 func (s *Space) ReadAll(tmpl Entry, t *txn.Txn, max int) ([]Entry, error) {
-	return s.bulk(opRead, tmpl, t, max)
+	return s.bulk(opRead, tmpl, t, max, OpToken{})
 }
 
 // TakeAll removes and returns up to max matching entries (max <= 0 means
 // no limit), without blocking. Under a transaction the removals are
 // provisional until commit.
 func (s *Space) TakeAll(tmpl Entry, t *txn.Txn, max int) ([]Entry, error) {
-	return s.bulk(opTake, tmpl, t, max)
+	return s.bulk(opTake, tmpl, t, max, OpToken{})
 }
 
-func (s *Space) bulk(kind opKind, tmpl Entry, t *txn.Txn, max int) ([]Entry, error) {
+// bulk is every ReadAll and TakeAll. A take outside a transaction consumes
+// what it picked as one record — with tok and the result set when it is
+// tokened, so a retry is answered with the same entries.
+func (s *Space) bulk(kind opKind, tmpl Entry, t *txn.Txn, max int, tok OpToken) ([]Entry, error) {
 	var buf [inlineCmps]comparer
 	ti, key, m, err := compile(tmpl, buf[:0])
 	if err != nil {
 		return nil, err
+	}
+	if kind != opTake || t != nil {
+		tok = OpToken{}
 	}
 	s.mu.Lock()
 	defer s.unlock()
 	if s.closed {
 		return nil, ErrClosed
 	}
+	if rec, ok := s.memoHitLocked(tok); ok && rec.op == MemoTakeAll {
+		return copyEntries(rec.entries), nil
+	}
 	if _, err := s.joinLocked(t); err != nil {
 		return nil, err
 	}
-	var out []Entry
-	for _, se := range s.pickLocked(kind, s.listLocked(ti, key), m, t, max) {
-		s.applyLocked(kind, se, t)
-		out = append(out, deepCopy(se.val).Interface())
+	picked := s.pickLocked(kind, s.listLocked(ti, key), m, t, max)
+	if len(picked) == 0 {
+		// Nothing consumed: re-execution is effect-free, so an empty
+		// result is not memoized (a retry is semantically a fresh op).
+		return nil, nil
 	}
+	out := make([]Entry, len(picked))
+	for i, se := range picked {
+		out[i] = deepCopy(se.val).Interface()
+	}
+	if kind == opRead || t != nil {
+		for _, se := range picked {
+			s.applyLocked(kind, se, t, OpToken{}) // cannot fail: nothing of it is journaled
+		}
+		return out, nil
+	}
+	var returned []Entry
+	if !tok.Zero() {
+		returned = make([]Entry, len(picked))
+		for i, se := range picked {
+			returned[i] = se.val.Interface() // the memo keeps the taken values themselves
+		}
+	}
+	// Memoized under the template's key: the router routes the retry by
+	// it, so the memo must migrate with that bucket.
+	if err := s.consumeLocked(picked, tok, MemoTakeAll, key, returned); err != nil {
+		return nil, err
+	}
+	s.stats.Takes += uint64(len(picked))
 	return out, nil
 }
 
@@ -48,48 +81,4 @@ func (s *Space) pickLocked(kind opKind, r listRef, m matcher, t *txn.Txn, max in
 		picked = append(picked, items[i])
 	}
 	return picked
-}
-
-// bulkTok is the token TakeAll: a two-phase bulk take whose memo record
-// is journaled before any remove record, so a replication ship torn
-// mid-op can only leave memo-plus-live-entries on the standby, never
-// consumed entries with no memo (see the ordering contract in memo.go).
-// Non-transactional and tokened by construction (TakeAllTok gates).
-func (s *Space) bulkTok(tmpl Entry, max int, tok OpToken) ([]Entry, error) {
-	var buf [inlineCmps]comparer
-	ti, key, m, err := compile(tmpl, buf[:0])
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	defer s.unlock()
-	if s.closed {
-		return nil, ErrClosed
-	}
-	if rec, ok := s.memoHitLocked(tok); ok && rec.op == MemoTakeAll {
-		return copyEntries(rec.entries), nil
-	}
-	// Phase 1: pick the matching entries without consuming.
-	picked := s.pickLocked(opTake, s.listLocked(ti, key), m, nil, max)
-	if len(picked) == 0 {
-		// Nothing consumed: re-execution is effect-free, so an empty
-		// result is not memoized (a retry is semantically a fresh op).
-		return nil, nil
-	}
-	out := make([]Entry, len(picked))
-	for i, se := range picked {
-		out[i] = deepCopy(se.val).Interface()
-	}
-	// Memoize under the template's key: the router routes the retry by
-	// it, so the memo must migrate with that bucket.
-	rec := &memoRec{op: MemoTakeAll, key: key, keyed: key != "", entries: copyEntries(out)}
-	s.journalMemoLocked(tok, rec)
-	// Phase 2: consume, journaling each removal behind the memo record.
-	for _, se := range picked {
-		if err := s.applyLocked(opTake, se, nil); err != nil {
-			return nil, err
-		}
-	}
-	s.memoInsertLocked(tok, rec)
-	return out, nil
 }

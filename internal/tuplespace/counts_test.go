@@ -1,6 +1,8 @@
 package tuplespace
 
 import (
+	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -113,4 +115,78 @@ func TestStatsWaiting(t *testing.T) {
 	if got := s.Stats().Waiting; got != 0 {
 		t.Fatalf("after satisfying the take, Waiting = %d, want 0", got)
 	}
+}
+
+// waitFor polls cond (a Stats reading) for up to two seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestTokenedParkedTakesAreCounted: a tokened blocking take parks through
+// the same door as an untokened one — counted in Stats.Waiting while
+// parked, uncounted when satisfied or timed out, and subject to the waiter
+// bound. At the parent of this change they parked uncounted and unbounded,
+// and every wake-up drove the counter negative.
+func TestTokenedParkedTakesAreCounted(t *testing.T) {
+	const n = 4
+	s := newRealSpace()
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			timeout := 5 * time.Second
+			if i == 0 {
+				timeout = 30 * time.Millisecond // this one times out
+			}
+			_, err := s.TakeTok(task{Job: "w", ID: ip(i)}, nil, timeout, tok("c", uint64(i+1)))
+			if i == 0 && !errors.Is(err, ErrTimeout) {
+				t.Errorf("take 0: %v, want ErrTimeout", err)
+			}
+			if i != 0 && err != nil {
+				t.Errorf("take %d: %v", i, err)
+			}
+		}(i)
+	}
+	waitFor(t, "every taker to park", func() bool { return s.Stats().Blocked == n })
+	if got := s.Stats().Waiting; got != n {
+		t.Fatalf("%d tokened takes parked, Waiting = %d", n, got)
+	}
+	waitFor(t, "take 0 to time out", func() bool { return s.Stats().Timeouts == 1 })
+	if got := s.Stats().Waiting; got != n-1 {
+		t.Fatalf("after one timeout, Waiting = %d, want %d", got, n-1)
+	}
+	for i := 1; i < n; i++ {
+		mustWrite(t, s, task{Job: "w", ID: ip(i)})
+		if got := s.Stats().Waiting; got != n-1-i {
+			t.Fatalf("after %d satisfied, Waiting = %d, want %d", i, got, n-1-i)
+		}
+	}
+	wg.Wait()
+	if got := s.Stats().Waiting; got != 0 {
+		t.Fatalf("everyone gone, Waiting = %d", got)
+	}
+
+	// The bound binds tokened parks exactly as it binds untokened ones.
+	b := newRealSpace()
+	b.SetMaxWaiters(2)
+	for i := 0; i < 2; i++ {
+		go b.TakeTok(task{Job: "b", ID: ip(i)}, nil, 5*time.Second, tok("c", uint64(i+1)))
+	}
+	waitFor(t, "two takers to park", func() bool { return b.Stats().Waiting == 2 })
+	if _, err := b.TakeTok(task{Job: "b", ID: ip(9)}, nil, time.Second, tok("c", 9)); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("third tokened park: %v, want ErrOverloaded", err)
+	}
+	if _, err := b.Take(task{Job: "b", ID: ip(9)}, nil, time.Second); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("third untokened park: %v, want ErrOverloaded", err)
+	}
+	if st := b.Stats(); st.Overloaded != 2 || st.Waiting != 2 {
+		t.Fatalf("Overloaded = %d, Waiting = %d, want 2 and 2", st.Overloaded, st.Waiting)
+	}
+	b.Close()
 }

@@ -241,64 +241,155 @@ func Match(tmpl, e Entry) (bool, error) {
 // deepCopy returns a deep copy of entry value v (a struct). Entries are
 // copied on Write and on Read/Take so that callers can never alias storage
 // inside the space — the in-process analogue of JavaSpaces serialization.
+// Unexported fields are not copied: they are not part of an entry.
 func deepCopy(v reflect.Value) reflect.Value {
 	out := reflect.New(v.Type()).Elem()
-	copyInto(out, v)
+	copierFor(v.Type()).copy(out, v)
 	return out
 }
 
-func copyInto(dst, src reflect.Value) {
-	switch src.Kind() {
-	case reflect.Ptr:
-		if src.IsNil() {
-			return
-		}
-		dst.Set(reflect.New(src.Type().Elem()))
-		copyInto(dst.Elem(), src.Elem())
-	case reflect.Struct:
-		for i := 0; i < src.NumField(); i++ {
-			if !src.Type().Field(i).IsExported() {
-				continue
-			}
-			copyInto(dst.Field(i), src.Field(i))
-		}
-	case reflect.Slice:
-		if src.IsNil() {
-			return
-		}
-		dst.Set(reflect.MakeSlice(src.Type(), src.Len(), src.Len()))
-		for i := 0; i < src.Len(); i++ {
-			copyInto(dst.Index(i), src.Index(i))
-		}
-	case reflect.Map:
-		if src.IsNil() {
-			return
-		}
-		dst.Set(reflect.MakeMapWithSize(src.Type(), src.Len()))
-		iter := src.MapRange()
-		for iter.Next() {
-			k := reflect.New(src.Type().Key()).Elem()
-			copyInto(k, iter.Key())
-			val := reflect.New(src.Type().Elem()).Elem()
-			copyInto(val, iter.Value())
-			dst.SetMapIndex(k, val)
-		}
-	case reflect.Interface:
-		if src.IsNil() {
-			return
-		}
-		inner := reflect.New(src.Elem().Type()).Elem()
-		copyInto(inner, src.Elem())
-		dst.Set(inner)
+// A copier is the deep copy of one type, compiled once: what shares no
+// memory is copied in one assignment — a []byte payload in one move, where
+// walking it by reflection costs a store per byte — and only pointers,
+// maps, interfaces and the slices and structs that hold them are walked.
+type copier struct {
+	copy func(dst, src reflect.Value) // dst is the zero value, settable
+}
+
+var (
+	copiers   sync.Map   // reflect.Type → *copier
+	copiersMu sync.Mutex // held to compile
+)
+
+func copierFor(t reflect.Type) *copier {
+	if c, ok := copiers.Load(t); ok {
+		return c.(*copier)
+	}
+	copiersMu.Lock()
+	defer copiersMu.Unlock()
+	session := map[reflect.Type]*copier{}
+	c := compileCopier(t, session)
+	for t, c := range session {
+		copiers.LoadOrStore(t, c)
+	}
+	return c
+}
+
+// plain reports whether assigning a t copies all of it an entry owns:
+// scalars, strings (immutable), and arrays and all-exported structs of those.
+// Channels, funcs and unsafe pointers are shared by assignment, as always.
+func plain(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Pointer, reflect.Slice, reflect.Map, reflect.Interface:
+		return false
 	case reflect.Array:
-		for i := 0; i < src.Len(); i++ {
-			copyInto(dst.Index(i), src.Index(i))
-		}
-	default:
-		if dst.CanSet() {
-			dst.Set(src)
+		return plain(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if f := t.Field(i); !f.IsExported() || !plain(f.Type) {
+				return false
+			}
 		}
 	}
+	return true
+}
+
+// compileCopier builds t's copier. It is entered in session before its
+// parts are compiled, so a recursive type links to itself.
+func compileCopier(t reflect.Type, session map[reflect.Type]*copier) *copier {
+	if c, ok := copiers.Load(t); ok {
+		return c.(*copier)
+	}
+	if c := session[t]; c != nil {
+		return c
+	}
+	c := &copier{}
+	session[t] = c
+	switch {
+	case plain(t):
+		c.copy = func(dst, src reflect.Value) { dst.Set(src) }
+	case t.Kind() == reflect.Pointer:
+		elem := compileCopier(t.Elem(), session)
+		c.copy = func(dst, src reflect.Value) {
+			if !src.IsNil() {
+				p := reflect.New(t.Elem())
+				elem.copy(p.Elem(), src.Elem())
+				dst.Set(p)
+			}
+		}
+	case t.Kind() == reflect.Struct:
+		type field struct {
+			index int
+			c     *copier
+		}
+		var fields []field
+		for i := 0; i < t.NumField(); i++ {
+			if f := t.Field(i); f.IsExported() {
+				fields = append(fields, field{i, compileCopier(f.Type, session)})
+			}
+		}
+		c.copy = func(dst, src reflect.Value) {
+			for _, f := range fields {
+				f.c.copy(dst.Field(f.index), src.Field(f.index))
+			}
+		}
+	case t.Kind() == reflect.Slice && t.Elem().Kind() == reflect.Uint8:
+		c.copy = func(dst, src reflect.Value) {
+			if !src.IsNil() {
+				dst.SetBytes(append(make([]byte, 0, src.Len()), src.Bytes()...))
+			}
+		}
+	case t.Kind() == reflect.Slice && plain(t.Elem()):
+		c.copy = func(dst, src reflect.Value) {
+			if !src.IsNil() {
+				s := reflect.MakeSlice(t, src.Len(), src.Len())
+				reflect.Copy(s, src)
+				dst.Set(s)
+			}
+		}
+	case t.Kind() == reflect.Slice:
+		elem := compileCopier(t.Elem(), session)
+		c.copy = func(dst, src reflect.Value) {
+			if !src.IsNil() {
+				s := reflect.MakeSlice(t, src.Len(), src.Len())
+				for i := 0; i < src.Len(); i++ {
+					elem.copy(s.Index(i), src.Index(i))
+				}
+				dst.Set(s)
+			}
+		}
+	case t.Kind() == reflect.Array:
+		elem := compileCopier(t.Elem(), session)
+		c.copy = func(dst, src reflect.Value) {
+			for i := 0; i < src.Len(); i++ {
+				elem.copy(dst.Index(i), src.Index(i))
+			}
+		}
+	case t.Kind() == reflect.Map:
+		key, elem := compileCopier(t.Key(), session), compileCopier(t.Elem(), session)
+		c.copy = func(dst, src reflect.Value) {
+			if src.IsNil() {
+				return
+			}
+			m := reflect.MakeMapWithSize(t, src.Len())
+			for iter := src.MapRange(); iter.Next(); {
+				k, v := reflect.New(t.Key()).Elem(), reflect.New(t.Elem()).Elem()
+				key.copy(k, iter.Key())
+				elem.copy(v, iter.Value())
+				m.SetMapIndex(k, v)
+			}
+			dst.Set(m)
+		}
+	default: // an interface: the copier is its dynamic type's
+		c.copy = func(dst, src reflect.Value) {
+			if !src.IsNil() {
+				inner := reflect.New(src.Elem().Type()).Elem()
+				copierFor(src.Elem().Type()).copy(inner, src.Elem())
+				dst.Set(inner)
+			}
+		}
+	}
+	return c
 }
 
 // CopyEntry returns a deep copy of e as a value of the same struct type

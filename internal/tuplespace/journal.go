@@ -1,8 +1,6 @@
 package tuplespace
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sort"
@@ -17,7 +15,7 @@ import (
 // persistent objects": Outrigger could run in persistent mode, surviving
 // restarts. Journal gives the space the same property: every publicly
 // visible mutation (a committed write, a committed take, a cancellation
-// or expiry) is appended as a self-contained gob record, and
+// or eviction) is appended as one self-contained record (record.go), and
 // ReplayRecords reconstructs the live entries into a fresh space.
 // Transactions interact correctly: only committed effects reach the
 // journal.
@@ -37,62 +35,16 @@ const CounterJournalErrors = metrics.CounterJournalErrors
 // registration covers the wire and the disk.
 func RegisterType(v interface{}) { enc.RegisterType(v) }
 
-// journalOp is one durable mutation.
-type journalOp struct {
-	// Kind is "write", "remove" or "evict". An evict is a remove whose
-	// cause is resharding rather than consumption: the entry left this
-	// space because another shard now owns its key range, not because a
-	// take consumed it. Recovery and replication treat the two alike (the
-	// entry is gone from this space either way); a resharding migration
-	// tap distinguishes them so an eviction on the source never cancels
-	// the migrated copy on the destination.
-	Kind string
-	// Seq is the entry's space-assigned identity, stable across the
-	// journal so removes can reference prior writes.
-	Seq uint64
-	// Entry is the written entry (write records only).
-	Entry interface{}
-	// Expiry is the entry's absolute lease expiry (zero = forever).
-	Expiry time.Time
-
-	// The remaining fields describe a "memo" record: a memoized mutation
-	// outcome for exactly-once retries (see memo.go). Memo records ride
-	// the same stream as entry records so recovery, replication and
-	// reshard migration rebuild the memo table alongside the entries. For
-	// write memos Seq references the written entry's record; take memos
-	// are self-contained via MemoEntries.
-	Tok         OpToken
-	MemoOp      string // one of the Memo* constants
-	MemoKey     string // index key the op touched ("" when unkeyed)
-	MemoKeyed   bool
-	MemoEntries []Entry // take/takeall memos: the originally returned entries
-}
-
-// encodeOp gob-encodes op as a self-contained record: a fresh encoder per
-// record, so each record carries its own type descriptors and decodes
-// independently — the property segmented WAL storage needs (any segment
-// may be the first one read after compaction).
-func encodeOp(op journalOp) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&op); err != nil {
-		return nil, enc.WrapEncodeError(err, op.Entry)
-	}
-	return buf.Bytes(), nil
-}
-
-func decodeOp(payload []byte) (journalOp, error) {
-	var op journalOp
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&op); err != nil {
-		return journalOp{}, err
-	}
-	return op, nil
-}
-
 // RecordSink is the destination for journal records. internal/wal's Log
 // satisfies it.
+//
+// A sink that at times has nowhere to put a record — a switch with no
+// target yet, a tap that is off over nothing — may also implement
+// Dropping() bool; while it reports true the journal does not encode the
+// records Append would discard.
 type RecordSink interface {
 	// Append stores one record durably (per the sink's own policy) and
-	// returns any storage error.
+	// returns any storage error. The payload is the sink's to keep.
 	Append(payload []byte) error
 }
 
@@ -108,6 +60,7 @@ type RecordSink interface {
 // nothing is acknowledged that was not logged.
 type Journal struct {
 	sink RecordSink
+	idle interface{ Dropping() bool } // sink, when it can tell; else nil
 
 	mu       sync.Mutex
 	strict   bool
@@ -119,7 +72,9 @@ type Journal struct {
 // that pass through the journal must be registered via RegisterType (the
 // transport layer's registrations count too).
 func NewJournalSink(sink RecordSink) *Journal {
-	return &Journal{sink: sink}
+	j := &Journal{sink: sink}
+	j.idle, _ = sink.(interface{ Dropping() bool })
+	return j
 }
 
 // SetStrict switches the journal's failure mode: when strict, space
@@ -148,11 +103,14 @@ func (j *Journal) Err() error {
 	return j.err
 }
 
-// record appends one op. In strict mode the error is returned to the
-// caller; otherwise it is recorded and swallowed — but subsequent ops are
-// still attempted.
-func (j *Journal) record(op journalOp) error {
-	payload, err := encodeOp(op)
+// record appends r. In strict mode the error is returned to the caller;
+// otherwise it is recorded and swallowed — but subsequent records are still
+// attempted.
+func (j *Journal) record(r *record) error {
+	if j.idle != nil && j.idle.Dropping() {
+		return nil
+	}
+	payload, err := encodeRecord(r)
 	if err == nil {
 		err = j.sink.Append(payload)
 	}
@@ -199,50 +157,75 @@ func (s *Space) AttachRecoveredJournal(j *Journal) {
 	s.unlock()
 }
 
-// journalWriteLocked records a newly public entry. Caller holds s.mu. A
-// non-nil return (strict journal only) means the write was not logged.
-func (s *Space) journalWriteLocked(se *storedEntry) error {
+// journalLocked appends r to the space's journal, if it has one. Caller
+// holds s.mu. A non-nil return (strict journal only) means r was not
+// logged, and what it describes must not happen.
+func (s *Space) journalLocked(r *record) error {
 	if s.journal == nil {
 		return nil
 	}
-	return s.journal.record(journalOp{
-		Kind:   "write",
-		Seq:    se.id,
-		Entry:  se.val.Interface(),
-		Expiry: se.expiry,
+	return s.journal.record(r)
+}
+
+// journalWriteLocked records a newly public entry, with the token of the
+// write that made it when that write carried one.
+func (s *Space) journalWriteLocked(se *storedEntry, tok OpToken) error {
+	if s.journal == nil {
+		return nil
+	}
+	return s.journal.record(&record{
+		kind: recWrite, seqs: []uint64{se.id}, expiry: se.expiry, tok: tok,
+		entries: []Entry{se.val.Interface()},
 	})
 }
 
-// journalRemoveLocked records a public entry's permanent removal. Caller
-// holds s.mu.
-func (s *Space) journalRemoveLocked(se *storedEntry) error {
-	if s.journal == nil {
+// consumeLocked is how entries leave the space for good outside a
+// transaction — a take, a take-all, a lease cancel, a standby applying its
+// primary's remove: one record naming every entry of ses, carrying tok and
+// what the op returned when it was tokened, then the removals and the memo.
+// A record applies whole or not at all: when a strict journal refuses it,
+// nothing was removed and nothing memoized. With no entry to name (a
+// standby that never held them) what is left of a tokened op is its memo.
+func (s *Space) consumeLocked(ses []*storedEntry, tok OpToken, op, key string, returned []Entry) error {
+	if len(ses) == 0 {
+		if !tok.Zero() {
+			s.installMemoLocked(tok, &memoRec{op: op, key: key, entries: returned})
+		}
 		return nil
 	}
-	return s.journal.record(journalOp{Kind: "remove", Seq: se.id})
-}
-
-// journalEvictLocked records an entry's eviction — removal because the
-// key range moved to another shard during resharding. Caller holds s.mu.
-func (s *Space) journalEvictLocked(se *storedEntry) error {
-	if s.journal == nil {
-		return nil
+	if s.journal != nil {
+		r := record{kind: recRemove, seqs: make([]uint64, len(ses))}
+		for i, se := range ses {
+			r.seqs[i] = se.id
+		}
+		if !tok.Zero() {
+			r.tok, r.memoOp, r.key, r.entries = tok, op, key, returned
+		}
+		if err := s.journal.record(&r); err != nil {
+			return err
+		}
 	}
-	return s.journal.record(journalOp{Kind: "evict", Seq: se.id})
+	for _, se := range ses {
+		s.removeLocked(se)
+	}
+	if !tok.Zero() {
+		s.memoInsertLocked(tok, &memoRec{op: op, key: key, entries: returned})
+	}
+	return nil
 }
 
 // EncodeState captures the space's journal-visible state — every public
-// (or take-locked: the take has not committed) unexpired entry — as
-// self-contained write records in id order, followed by the memo table's
-// records (entries first, so replay binds write memos to restored
-// entries). It is the capture function behind WAL snapshots: replaying
-// the returned records into an empty space reproduces the live contents.
+// (or take-locked: the take has not committed) unexpired entry — as write
+// records in id order, followed by the memo table's records (entries
+// first, so replay binds write memos to restored entries). It is the
+// capture function behind WAL snapshots: replaying the returned records
+// into an empty space reproduces the live contents.
 func (s *Space) EncodeState() ([][]byte, error) {
 	records, err := s.EncodeStateWhere(nil)
 	if err != nil {
 		return nil, err
 	}
-	memos, err := s.EncodeMemos()
+	memos, err := s.EncodeMemosWhere(nil)
 	if err != nil {
 		return nil, err
 	}
@@ -270,28 +253,36 @@ func (s *Space) EncodeStateWhere(pred func(Entry) bool) ([][]byte, error) {
 		}
 	}
 	sort.Slice(live, func(i, j int) bool { return live[i].id < live[j].id })
-	ops := make([]journalOp, len(live))
+	expiries := make([]time.Time, len(live)) // a lease can be renewed once the mutex is released
 	for i, se := range live {
-		ops[i] = journalOp{Kind: "write", Seq: se.id, Entry: se.val.Interface(), Expiry: se.expiry}
+		expiries[i] = se.expiry
 	}
 	s.unlock()
+	return encodeWrites(live, expiries, "snapshot")
+}
 
-	records := make([][]byte, len(ops))
-	for i, op := range ops {
-		payload, err := encodeOp(op)
+// encodeWrites returns one untokened write record per entry. It runs
+// outside the mutex: a stored value is never written to again.
+func encodeWrites(ses []*storedEntry, expiries []time.Time, what string) ([][]byte, error) {
+	records := make([][]byte, len(ses))
+	for i, se := range ses {
+		var err error
+		records[i], err = encodeRecord(&record{
+			kind: recWrite, seqs: []uint64{se.id}, expiry: expiries[i],
+			entries: []Entry{se.val.Interface()},
+		})
 		if err != nil {
-			return nil, fmt.Errorf("tuplespace: snapshot entry %d: %w", op.Seq, err)
+			return records[:i], fmt.Errorf("tuplespace: %s entry %d: %w", what, se.id, err)
 		}
-		records[i] = payload
 	}
 	return records, nil
 }
 
-// replayState folds journal ops into the set of surviving entries.
+// replayState folds journal records into the set of surviving entries.
 type replayState struct {
 	live  map[uint64]replayPending
 	order []uint64
-	memos []journalOp // memo records, installed after the entries
+	memos []record // every tokened record, installed after the entries
 }
 
 type replayPending struct {
@@ -303,25 +294,19 @@ func newReplayState() *replayState {
 	return &replayState{live: make(map[uint64]replayPending)}
 }
 
-func (st *replayState) apply(op journalOp) error {
-	switch op.Kind {
-	case "write":
-		if op.Entry == nil {
-			return errors.New("write record without entry")
+func (st *replayState) apply(r record) {
+	switch r.kind {
+	case recWrite:
+		st.live[r.seqs[0]] = replayPending{entry: r.entries[0], expiry: r.expiry}
+		st.order = append(st.order, r.seqs[0])
+	case recRemove, recEvict:
+		for _, seq := range r.seqs {
+			delete(st.live, seq)
 		}
-		st.live[op.Seq] = replayPending{entry: op.Entry, expiry: op.Expiry}
-		st.order = append(st.order, op.Seq)
-	case "remove", "evict":
-		delete(st.live, op.Seq)
-	case "memo":
-		if op.Tok.Zero() {
-			return errors.New("memo record without token")
-		}
-		st.memos = append(st.memos, op)
-	default:
-		return fmt.Errorf("unknown op %q", op.Kind)
 	}
-	return nil
+	if !r.tok.Zero() {
+		st.memos = append(st.memos, r)
+	}
 }
 
 // materialize writes the surviving entries into s, restoring remaining
@@ -350,7 +335,7 @@ func (st *replayState) materialize(s *Space) (int, error) {
 				continue // lease already expired
 			}
 		}
-		l, err := s.Write(p.entry, nil, ttl)
+		l, err := s.write(p.entry, nil, ttl, OpToken{}, true)
 		if err != nil {
 			return restored, fmt.Errorf("tuplespace: replay entry %d: %w", seq, err)
 		}
@@ -359,15 +344,17 @@ func (st *replayState) materialize(s *Space) (int, error) {
 		}
 		restored++
 	}
-	for _, op := range st.memos {
+	for i := range st.memos {
+		r := &st.memos[i]
+		op, key, entries := r.memo()
 		var l *EntryLease
-		if op.MemoOp == MemoWrite {
+		if op == MemoWrite && len(r.seqs) == 1 {
 			// nil when the written entry was since consumed: the memo
 			// resolves to a detached expired lease on retry, which is the
 			// truth — the write happened and its entry is gone.
-			l = byOldSeq[op.Seq]
+			l = byOldSeq[r.seqs[0]]
 		}
-		s.InstallMemo(op.Tok, op.MemoOp, op.MemoKey, op.MemoKeyed, op.MemoEntries, l)
+		s.installMemo(r.tok, &memoRec{op: op, key: key, entries: entries, lease: l})
 	}
 	return restored, nil
 }
@@ -375,17 +362,16 @@ func (st *replayState) materialize(s *Space) (int, error) {
 // ReplayRecords replays already-framed records — a WAL snapshot followed
 // by its tail segments — into s and returns the number of live entries
 // restored. Records overlapping between snapshot and tail are
-// deduplicated by Seq.
+// deduplicated by Seq. Nothing is written to s unless every record
+// decodes; a record of another format fails with ErrRecordFormat.
 func ReplayRecords(records [][]byte, s *Space) (int, error) {
 	st := newReplayState()
 	for i, payload := range records {
-		op, err := decodeOp(payload)
+		r, err := decodeRecord(payload)
 		if err != nil {
 			return 0, fmt.Errorf("tuplespace: replay record %d: %w", i, err)
 		}
-		if err := st.apply(op); err != nil {
-			return 0, fmt.Errorf("tuplespace: replay record %d: %w", i, err)
-		}
+		st.apply(r)
 	}
 	return st.materialize(s)
 }

@@ -88,7 +88,7 @@ func (s *Space) insertLocked(se *storedEntry) {
 	}
 	st.all.items = append(st.all.items, se)
 	if ti.keyField >= 0 {
-		key, _ := entryKeyLocked(se)
+		key := entryKey(se)
 		r := listRef{st: st, key: key, bucket: true}
 		b := r.get()
 		b.items = append(b.items, se)
@@ -110,7 +110,7 @@ func (s *Space) removeLocked(se *storedEntry) {
 	st := s.types[se.ti.name]
 	s.deadLocked(listRef{st: st})
 	if se.ti.keyField >= 0 {
-		key, _ := entryKeyLocked(se)
+		key := entryKey(se)
 		s.deadLocked(listRef{st: st, key: key, bucket: true})
 	}
 }

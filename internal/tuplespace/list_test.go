@@ -69,7 +69,7 @@ func checkLists(t testing.TB, s *Space) {
 			}
 			inBuckets += n
 			for _, se := range b.items {
-				if k, _ := entryKeyLocked(se); k != key {
+				if k := entryKey(se); k != key {
 					t.Fatalf("%s[%s] holds an entry keyed %q", name, key, k)
 				}
 			}

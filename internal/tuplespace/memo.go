@@ -13,22 +13,21 @@ import (
 // space memoizes the outcome under it, so a retried RPC (ambiguous
 // timeout, failover, reshard cutover) returns the original outcome
 // instead of re-executing. The memo table lives under the same mutex as
-// the entries, making check-then-execute atomic with the mutation itself;
-// every memo is journaled as a "memo" record alongside the mutation's
-// own records, so crash-restart replay, hot-standby replication and
-// reshard migration all rebuild it alongside the entries (DESIGN §7).
+// the entries, making check-then-execute atomic with the mutation itself,
+// and the memo is durable the same way: it rides inside the record of the
+// mutation it protects. A tokened write is one write record carrying its
+// token; a tokened take, take-all or lease cancel is one remove record
+// carrying the token and what the op returned. Crash-restart replay,
+// hot-standby replication and reshard migration rebuild the table from
+// the records that rebuild the entries (DESIGN §7, §17).
 //
-// Record ordering is a crash-consistency contract: replication ships the
-// journal stream in batches, and a primary killed mid-stream leaves the
-// standby with a PREFIX of the records. Every prefix must be safe. So a
-// take's memo record is journaled BEFORE its remove record — a torn ship
-// leaves memo-plus-live-entry (the retry answers from the memo; a stray
-// duplicate delivery collapses at the aggregator), never a consumed
-// entry with no memo, which would block the retried take forever. A
-// write's memo comes AFTER its write record for the mirror-image reason:
-// a memo answering with a lease for an entry the standby never received
-// would turn the retry into silent loss, while entry-without-memo merely
-// re-executes into a collapsible duplicate.
+// So there is no ordering between a mutation and its memo to get right: a
+// record applies whole or not at all, and a stream cut anywhere leaves
+// each op either not happened (the retry executes) or happened and
+// remembered (the retry is answered from the memo). The only memos with a
+// record of their own are those of ops with no entry to ride on — a
+// transaction's commit or abort marker — and the memo table's rows in a
+// snapshot.
 
 // OpToken identifies one client-originated mutation: a stable client ID
 // plus a per-client monotonic operation sequence. The zero value means
@@ -65,11 +64,9 @@ const (
 // memoRec is one memoized mutation outcome.
 type memoRec struct {
 	op      string
-	key     string // index key the op touched ("" when unkeyed)
-	keyed   bool
+	key     string      // index key the op's retry routes by ("" when unkeyed)
 	lease   *EntryLease // write memos: the original entry's lease (nil once rebuilt past consumption)
-	entries []Entry     // take/takeall memos: deep copies of the taken entries
-	seq     uint64      // write memos: the written entry's journal Seq
+	entries []Entry     // take/takeall memos: the taken entries, never written to again
 }
 
 // memoTable is the bounded token → outcome map. Guarded by Space.mu.
@@ -164,31 +161,26 @@ func (s *Space) memoEvictLocked(want func(OpToken) bool) {
 	}
 }
 
-// journalMemoLocked appends tok's memo record. Memo durability is
-// best-effort even under a strict journal: the mutation itself was
-// already logged, and a lost memo only degrades that one op back to
+// installMemoLocked stores rec under tok and journals it as a record of
+// its own: the path of a memo with no mutation beside it. Memo durability
+// is best-effort even under a strict journal: whatever the memo describes
+// has happened, and a lost memo only degrades that one op back to
 // at-most-once on retry.
-func (s *Space) journalMemoLocked(tok OpToken, rec *memoRec) {
-	if s.journal == nil {
-		return
+func (s *Space) installMemoLocked(tok OpToken, rec *memoRec) {
+	s.memoInsertLocked(tok, rec)
+	if s.journal != nil {
+		_ = s.journal.record(rec.record(tok))
 	}
-	_ = s.journal.record(journalOp{
-		Kind:        "memo",
-		Seq:         rec.seq,
-		Tok:         tok,
-		MemoOp:      rec.op,
-		MemoKey:     rec.key,
-		MemoKeyed:   rec.keyed,
-		MemoEntries: rec.entries,
-	})
 }
 
-// memoCompleteLocked inserts and journals a bare success marker
-// (commit/abort/cancel memos carry no payload).
-func (s *Space) memoCompleteLocked(tok OpToken, op, key string, keyed bool) {
-	rec := &memoRec{op: op, key: key, keyed: keyed}
-	s.memoInsertLocked(tok, rec)
-	s.journalMemoLocked(tok, rec)
+// record is rec as a standalone memo record: a write memo names the entry
+// its lease holds, so a reader that has the entry binds the two.
+func (rec *memoRec) record(tok OpToken) *record {
+	r := &record{kind: recMemo, tok: tok, memoOp: rec.op, key: rec.key, entries: rec.entries}
+	if rec.lease != nil {
+		r.seqs = []uint64{rec.lease.Seq()}
+	}
+	return r
 }
 
 // leaseOut resolves a write memo to the lease handed back on retry: the
@@ -216,14 +208,13 @@ func copyEntries(entries []Entry) []Entry {
 	return out
 }
 
-// entryKeyLocked returns the entry's index-field value ("" / false when
-// the type is unindexed or the field is empty).
-func entryKeyLocked(se *storedEntry) (string, bool) {
+// entryKey returns the entry's index-field value ("" when the type is
+// unindexed or the field is empty).
+func entryKey(se *storedEntry) string {
 	if se.ti == nil || se.ti.keyField < 0 {
-		return "", false
+		return ""
 	}
-	key := se.val.Field(se.ti.keyField).String()
-	return key, key != ""
+	return se.val.Field(se.ti.keyField).String()
 }
 
 // MemoResult is a memoized outcome returned to a retried caller.
@@ -251,8 +242,8 @@ func (s *Space) MemoOutcome(tok OpToken) (MemoResult, bool) {
 
 // CompleteMemo records a bare success marker for tok — the dedup record
 // for mutations whose effect lives outside the space proper (a
-// transaction commit or abort at the manager). It is journaled like every
-// memo, so a retry after failover or restart still finds it.
+// transaction commit or abort at the manager). It is journaled as a memo
+// record, so a retry after failover or restart still finds it.
 func (s *Space) CompleteMemo(tok OpToken, op string) {
 	if tok.Zero() {
 		return
@@ -265,7 +256,7 @@ func (s *Space) CompleteMemo(tok OpToken, op string) {
 	if _, ok := s.memos.lookup(tok); ok {
 		return
 	}
-	s.memoCompleteLocked(tok, op, "", false)
+	s.installMemoLocked(tok, &memoRec{op: op})
 }
 
 // lookup is a hit-count-free probe (nil-safe).
@@ -277,26 +268,17 @@ func (m *memoTable) lookup(tok OpToken) (*memoRec, bool) {
 	return rec, ok
 }
 
-// InstallMemo installs a rebuilt memo — the replication/recovery path
+// installMemo installs a rebuilt memo — the replication/recovery path
 // (Applier and journal replay), where the outcome was decided by another
-// incarnation of this space. The memo is re-journaled under this space's
-// own journal so the chain downstream (WAL, standby-of-standby, taps)
-// carries it too.
-func (s *Space) InstallMemo(tok OpToken, op, key string, keyed bool, entries []Entry, l *EntryLease) {
-	if tok.Zero() {
-		return
-	}
+// incarnation of this space and rec's entries were decoded for it alone.
+// The memo is re-journaled under this space's own journal so the chain
+// downstream (WAL, standby-of-standby, taps) carries it too.
+func (s *Space) installMemo(tok OpToken, rec *memoRec) {
 	s.mu.Lock()
 	defer s.unlock()
-	if s.closed {
-		return
+	if !s.closed {
+		s.installMemoLocked(tok, rec)
 	}
-	rec := &memoRec{op: op, key: key, keyed: keyed, lease: l, entries: copyEntries(entries)}
-	if l != nil {
-		rec.seq = l.Seq()
-	}
-	s.memoInsertLocked(tok, rec)
-	s.journalMemoLocked(tok, rec)
 }
 
 // MemoStats reports the memo table's size, dedup hits and evictions.
@@ -340,49 +322,31 @@ func (s *Space) SetFlightSink(fn func(kind, detail string)) {
 	s.unlock()
 }
 
-// EncodeMemos captures every memo as self-contained records — appended by
-// EncodeState after the entry records so replay binds write memos to the
-// entries restored before them.
-func (s *Space) EncodeMemos() ([][]byte, error) {
-	return s.EncodeMemosWhere(nil)
-}
-
-// EncodeMemosWhere is EncodeMemos restricted to memos whose (key, keyed)
-// matches pred — the capture half of shipping a migrated bucket's memo
-// slice during a reshard (nil matches everything).
+// EncodeMemosWhere captures the memo table as memo records, oldest first,
+// restricted to memos whose (key, keyed) matches pred (nil matches
+// everything): what EncodeState appends after the entry records — so
+// replay binds write memos to the entries restored before them — and the
+// capture half of shipping a migrated bucket's memo slice during a
+// reshard.
 func (s *Space) EncodeMemosWhere(pred func(key string, keyed bool) bool) ([][]byte, error) {
 	s.mu.Lock()
-	var ops []journalOp
-	var toks []OpToken
+	var rs []*record
 	if s.memos != nil {
 		for _, tok := range s.memos.order {
 			rec, ok := s.memos.recs[tok]
-			if !ok {
-				continue
+			if ok && (pred == nil || pred(rec.key, rec.key != "")) {
+				rs = append(rs, rec.record(tok))
 			}
-			if pred != nil && !pred(rec.key, rec.keyed) {
-				continue
-			}
-			seq := rec.seq
-			if rec.lease != nil {
-				seq = rec.lease.Seq()
-			}
-			ops = append(ops, journalOp{
-				Kind: "memo", Seq: seq, Tok: tok, MemoOp: rec.op,
-				MemoKey: rec.key, MemoKeyed: rec.keyed, MemoEntries: rec.entries,
-			})
-			toks = append(toks, tok)
 		}
 	}
 	s.unlock()
 
-	records := make([][]byte, len(ops))
-	for i, op := range ops {
-		payload, err := encodeOp(op)
-		if err != nil {
-			return nil, fmt.Errorf("tuplespace: snapshot memo %s: %w", toks[i], err)
+	records := make([][]byte, len(rs))
+	for i, r := range rs {
+		var err error
+		if records[i], err = encodeRecord(r); err != nil {
+			return nil, fmt.Errorf("tuplespace: snapshot memo %s: %w", r.tok, err)
 		}
-		records[i] = payload
 	}
 	return records, nil
 }
@@ -394,14 +358,14 @@ func (s *Space) EncodeMemosWhere(pred func(key string, keyed bool) bool) ([][]by
 // copy. A zero token (or a transactional write — the transaction is the
 // retry unit there) behaves exactly like Write.
 func (s *Space) WriteTok(e Entry, t *txn.Txn, ttl time.Duration, tok OpToken) (*EntryLease, error) {
-	return s.write(e, t, ttl, tok)
+	return s.write(e, t, ttl, tok, false)
 }
 
 // TakeTok is Take with an idempotency token: a retry whose original
 // executed (reply lost) returns the originally taken entry instead of
 // consuming a second one.
 func (s *Space) TakeTok(tmpl Entry, t *txn.Txn, timeout time.Duration, tok OpToken) (Entry, error) {
-	return s.lookupTok(opTake, tmpl, t, timeout, true, tok)
+	return s.lookup(opTake, tmpl, t, timeout, true, tok)
 }
 
 // Lookup is the single-entry lookup behind Read, Take and their IfExists
@@ -413,18 +377,13 @@ func (s *Space) Lookup(take, block bool, tmpl Entry, t *txn.Txn, timeout time.Du
 	if take {
 		kind = opTake
 	}
-	return s.lookupTok(kind, tmpl, t, timeout, block, tok)
+	return s.lookup(kind, tmpl, t, timeout, block, tok)
 }
 
 // TakeAllTok is TakeAll with an idempotency token: a retry returns the
-// original result set. Memo check, memo journal and the removals happen
-// under one mutex hold so the memo record precedes every remove record
-// in the stream (ordering contract above).
+// original result set.
 func (s *Space) TakeAllTok(tmpl Entry, t *txn.Txn, max int, tok OpToken) ([]Entry, error) {
-	if tok.Zero() || t != nil {
-		return s.bulk(opTake, tmpl, t, max)
-	}
-	return s.bulkTok(tmpl, max, tok)
+	return s.bulk(opTake, tmpl, t, max, tok)
 }
 
 // CancelTok is EntryLease.Cancel with an idempotency token: a retried
@@ -432,9 +391,6 @@ func (s *Space) TakeAllTok(tmpl Entry, t *txn.Txn, max int, tok OpToken) ([]Entr
 // ErrLeaseExpired. Check and cancellation are atomic under the space
 // mutex.
 func (l *EntryLease) CancelTok(tok OpToken) error {
-	if tok.Zero() {
-		return l.Cancel()
-	}
 	s := l.space
 	s.mu.Lock()
 	defer s.unlock()
@@ -445,110 +401,7 @@ func (l *EntryLease) CancelTok(tok OpToken) error {
 	if se.removed {
 		return ErrLeaseExpired
 	}
-	if err := s.journalRemoveLocked(se); err != nil {
-		return err
-	}
-	s.removeLocked(se)
-	key, keyed := entryKeyLocked(se)
-	s.memoCompleteLocked(tok, MemoCancel, key, keyed)
-	return nil
-}
-
-// memoWriteLocked memoizes a successful non-transactional token write.
-// Caller holds s.mu; se is the entry just stored and journaled.
-func (s *Space) memoWriteLocked(tok OpToken, se *storedEntry) {
-	key, keyed := entryKeyLocked(se)
-	rec := &memoRec{
-		op:    MemoWrite,
-		key:   key,
-		keyed: keyed,
-		lease: &EntryLease{space: s, entry: se},
-		seq:   se.id,
-	}
-	s.memoInsertLocked(tok, rec)
-	s.journalMemoLocked(tok, rec)
-}
-
-// takeMemoRecLocked builds the memo record for a token take of se. The
-// caller journals it (journalMemoLocked) BEFORE applying the removal —
-// see the ordering contract in the package comment — and inserts it into
-// the table (memoInsertLocked) once the removal succeeded. If the
-// removal is then rejected by a strict journal the stray memo record
-// stays in the log; that replays as memo-plus-live-entry, the safe side
-// of the tear.
-func (s *Space) takeMemoRecLocked(se *storedEntry) *memoRec {
-	key, keyed := entryKeyLocked(se)
-	return &memoRec{
-		op:      MemoTake,
-		key:     key,
-		keyed:   keyed,
-		entries: []Entry{deepCopy(se.val).Interface()},
-	}
-}
-
-// lookupTok is lookup with memo check-then-execute for token takes. The
-// blocking path threads the token through the waiter so a park satisfied
-// later (publishLocked) still memoizes at the moment of consumption.
-func (s *Space) lookupTok(kind opKind, tmpl Entry, t *txn.Txn, timeout time.Duration, block bool, tok OpToken) (Entry, error) {
-	if tok.Zero() || t != nil || kind != opTake {
-		return s.lookup(kind, tmpl, t, timeout, block)
-	}
-	var buf [inlineCmps]comparer
-	ti, key, m, err := compile(tmpl, buf[:0])
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.unlock()
-		return nil, ErrClosed
-	}
-	if rec, ok := s.memoHitLocked(tok); ok && (rec.op == MemoTake || rec.op == MemoTakeAll) {
-		var out Entry
-		if len(rec.entries) > 0 {
-			out = copyEntries(rec.entries[:1])[0]
-		}
-		s.unlock()
-		if out == nil {
-			return nil, ErrNoMatch
-		}
-		return out, nil
-	}
-	if se := s.findLocked(kind, s.listLocked(ti, key), m, nil); se != nil {
-		// Memo record ahead of the remove record (ordering contract above).
-		rec := s.takeMemoRecLocked(se)
-		s.journalMemoLocked(tok, rec)
-		if err := s.applyLocked(kind, se, nil); err != nil {
-			s.unlock()
-			return nil, err
-		}
-		s.memoInsertLocked(tok, rec)
-		out := deepCopy(se.val).Interface()
-		s.unlock()
-		return out, nil
-	}
-	if !block {
-		s.unlock()
-		return nil, ErrNoMatch
-	}
-	w := &waiter{kind: kind, ti: ti, m: parkedMatcher(tmpl), w: s.clock.NewWaiter(), tok: tok}
-	s.waiters[ti.name] = append(s.waiters[ti.name], w)
-	s.stats.Blocked++
-	s.unlock()
-
-	w.w.Wait(timeout)
-
-	s.mu.Lock()
-	if w.result != nil {
-		out := deepCopy(w.result.val).Interface()
-		s.unlock()
-		return out, nil
-	}
-	s.removeWaiterLocked(w)
-	if w.err == nil {
-		w.err = ErrTimeout
-		s.stats.Timeouts++
-	}
-	s.unlock()
-	return nil, w.err
+	// Journal first: under a strict journal a cancellation that cannot be
+	// logged does not happen.
+	return s.consumeLocked([]*storedEntry{se}, tok, MemoCancel, entryKey(se), nil)
 }

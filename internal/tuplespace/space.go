@@ -92,7 +92,7 @@ type waiter struct {
 	w      vclock.Waiter
 	result *storedEntry
 	err    error
-	tok    OpToken // non-zero for exactly-once takes: memoize on satisfaction
+	tok    OpToken // non-zero for an exactly-once take: its record carries it
 }
 
 // New returns an empty Space on the given clock.
@@ -144,37 +144,44 @@ func (s *Space) Close() {
 // with lease duration ttl (Forever for no expiry). It returns an EntryLease
 // for renewal or cancellation.
 func (s *Space) Write(e Entry, t *txn.Txn, ttl time.Duration) (*EntryLease, error) {
-	return s.write(e, t, ttl, OpToken{})
+	return s.write(e, t, ttl, OpToken{}, false)
 }
 
 // write is the shared Write/WriteTok implementation. A non-zero token on
 // a non-transactional write makes the call idempotent: the memo check and
 // the write itself happen under one hold of s.mu, so however many
 // duplicate retries race in, exactly one executes and the rest return its
-// lease.
-func (s *Space) write(e Entry, t *txn.Txn, ttl time.Duration, tok OpToken) (*EntryLease, error) {
+// lease. A mirrored write is a standby's or a recovery's: e was decoded
+// for this call alone, so it is stored as it is, and the token is the
+// source's decision to record, not a retry to check.
+func (s *Space) write(e Entry, t *txn.Txn, ttl time.Duration, tok OpToken, mirrored bool) (*EntryLease, error) {
 	ti, v, err := infoFor(e)
 	if err != nil {
 		return nil, err
+	}
+	if t != nil {
+		tok = OpToken{} // the transaction is the retry unit
 	}
 	s.mu.Lock()
 	if s.closed {
 		s.unlock()
 		return nil, ErrClosed
 	}
-	if !tok.Zero() && t == nil {
+	if !mirrored {
 		if rec, ok := s.memoHitLocked(tok); ok {
 			l := rec.leaseOut(s)
 			s.unlock()
 			return l, nil
 		}
+		v = deepCopy(v)
 	}
 	ts, err := s.joinLocked(t)
 	if err != nil {
 		s.unlock()
 		return nil, err
 	}
-	se := &storedEntry{id: s.nextID, ti: ti, val: deepCopy(v)}
+	se := &storedEntry{id: s.nextID, ti: ti, val: v}
+	l := &EntryLease{space: s, entry: se}
 	s.nextID++
 	if ttl > 0 {
 		se.expiry = s.clock.Now().Add(ttl)
@@ -185,7 +192,7 @@ func (s *Space) write(e Entry, t *txn.Txn, ttl time.Duration, tok OpToken) (*Ent
 		se.writtenUnder = t.ID()
 		ts.writes = append(ts.writes, se)
 	} else {
-		if jerr := s.journalWriteLocked(se); jerr != nil {
+		if jerr := s.journalWriteLocked(se, tok); jerr != nil {
 			// Strict durability: the write was not logged, so it must
 			// not be acknowledged.
 			s.removeLocked(se)
@@ -193,14 +200,14 @@ func (s *Space) write(e Entry, t *txn.Txn, ttl time.Duration, tok OpToken) (*Ent
 			return nil, jerr
 		}
 		if !tok.Zero() {
-			s.memoWriteLocked(tok, se)
+			s.memoInsertLocked(tok, &memoRec{op: MemoWrite, key: entryKey(se), lease: l})
 		}
 		fire = s.publishLocked(se)
 	}
 	s.stats.Writes++
 	s.unlock()
 	deliver(fire)
-	return &EntryLease{space: s, entry: se}, nil
+	return l, nil
 }
 
 // Read returns a copy of an entry matching tmpl, waiting up to timeout for
@@ -208,43 +215,61 @@ func (s *Space) write(e Entry, t *txn.Txn, ttl time.Duration, tok OpToken) (*Ent
 // space; under a transaction it is read-locked until the transaction
 // completes.
 func (s *Space) Read(tmpl Entry, t *txn.Txn, timeout time.Duration) (Entry, error) {
-	return s.lookup(opRead, tmpl, t, timeout, true)
+	return s.lookup(opRead, tmpl, t, timeout, true, OpToken{})
 }
 
 // Take removes and returns an entry matching tmpl, waiting up to timeout.
 // Under a transaction the removal is provisional until commit.
 func (s *Space) Take(tmpl Entry, t *txn.Txn, timeout time.Duration) (Entry, error) {
-	return s.lookup(opTake, tmpl, t, timeout, true)
+	return s.lookup(opTake, tmpl, t, timeout, true, OpToken{})
 }
 
 // ReadIfExists is Read without blocking: it returns ErrNoMatch immediately
 // when no matching entry is present.
 func (s *Space) ReadIfExists(tmpl Entry, t *txn.Txn) (Entry, error) {
-	return s.lookup(opRead, tmpl, t, 0, false)
+	return s.lookup(opRead, tmpl, t, 0, false, OpToken{})
 }
 
 // TakeIfExists is Take without blocking.
 func (s *Space) TakeIfExists(tmpl Entry, t *txn.Txn) (Entry, error) {
-	return s.lookup(opTake, tmpl, t, 0, false)
+	return s.lookup(opTake, tmpl, t, 0, false, OpToken{})
 }
 
-func (s *Space) lookup(kind opKind, tmpl Entry, t *txn.Txn, timeout time.Duration, block bool) (Entry, error) {
+// lookup is every single-entry Read and Take. A token counts on a take
+// outside a transaction: the memo is checked before anything is consumed,
+// and the take — now, or when a write satisfies the parked waiter —
+// leaves as one record carrying the token and the entry.
+func (s *Space) lookup(kind opKind, tmpl Entry, t *txn.Txn, timeout time.Duration, block bool, tok OpToken) (Entry, error) {
 	var buf [inlineCmps]comparer
 	ti, key, m, err := compile(tmpl, buf[:0])
 	if err != nil {
 		return nil, err
+	}
+	if kind != opTake || t != nil {
+		tok = OpToken{}
 	}
 	s.mu.Lock()
 	if s.closed {
 		s.unlock()
 		return nil, ErrClosed
 	}
+	if rec, ok := s.memoHitLocked(tok); ok && (rec.op == MemoTake || rec.op == MemoTakeAll) {
+		var out Entry
+		if len(rec.entries) > 0 {
+			out = copyEntries(rec.entries[:1])[0]
+		}
+		s.unlock()
+		if out == nil {
+			return nil, ErrNoMatch
+		}
+		return out, nil
+	}
 	if _, err := s.joinLocked(t); err != nil {
 		s.unlock()
 		return nil, err
 	}
 	if se := s.findLocked(kind, s.listLocked(ti, key), m, t); se != nil {
-		if err := s.applyLocked(kind, se, t); err != nil {
+		if err := s.applyLocked(kind, se, t, tok); err != nil {
 			s.unlock()
 			return nil, err
 		}
@@ -261,7 +286,7 @@ func (s *Space) lookup(kind opKind, tmpl Entry, t *txn.Txn, timeout time.Duratio
 		s.unlock()
 		return nil, ErrOverloaded
 	}
-	w := &waiter{kind: kind, ti: ti, m: parkedMatcher(tmpl), txn: t, w: s.clock.NewWaiter()}
+	w := &waiter{kind: kind, ti: ti, m: parkedMatcher(tmpl), txn: t, w: s.clock.NewWaiter(), tok: tok}
 	s.waiters[ti.name] = append(s.waiters[ti.name], w)
 	s.stats.Blocked++
 	s.waiting++
@@ -284,10 +309,11 @@ func (s *Space) lookup(kind opKind, tmpl Entry, t *txn.Txn, timeout time.Duratio
 	return nil, w.err
 }
 
-// applyLocked records the effect of a successful read/take on entry se.
-// A non-nil return (strict journal, non-txn take only) means the removal
-// was not logged and the entry remains in the space untouched.
-func (s *Space) applyLocked(kind opKind, se *storedEntry, t *txn.Txn) error {
+// applyLocked records the effect of a successful read/take on entry se;
+// tok is the take's token, if it has one. A non-nil return (strict journal,
+// non-txn take only) means the removal was not logged and the entry remains
+// in the space untouched.
+func (s *Space) applyLocked(kind opKind, se *storedEntry, t *txn.Txn, tok OpToken) error {
 	switch kind {
 	case opRead:
 		s.stats.Reads++
@@ -303,12 +329,15 @@ func (s *Space) applyLocked(kind opKind, se *storedEntry, t *txn.Txn) error {
 			se.takenUnder = t.ID()
 			s.txns[t.ID()].takes = append(s.txns[t.ID()].takes, se)
 		} else {
-			// Journal before removing: if the log rejects the record in
-			// strict mode the take fails and the entry stays visible.
-			if err := s.journalRemoveLocked(se); err != nil {
+			var returned []Entry
+			if !tok.Zero() {
+				// The memo keeps the taken value itself: the space is
+				// done with it, and a memo's entries are only ever copied.
+				returned = []Entry{se.val.Interface()}
+			}
+			if err := s.consumeLocked([]*storedEntry{se}, tok, MemoTake, entryKey(se), returned); err != nil {
 				return err
 			}
-			s.removeLocked(se)
 		}
 		s.stats.Takes++
 	}
@@ -340,22 +369,12 @@ func (s *Space) publishLocked(se *storedEntry) []notification {
 				out = append(out, w)
 				continue
 			}
-			// A token take's memo record precedes its remove record in
-			// the journal (ordering contract in memo.go).
-			var rec *memoRec
-			if w.kind == opTake && w.txn == nil && !w.tok.Zero() {
-				rec = s.takeMemoRecLocked(se)
-				s.journalMemoLocked(w.tok, rec)
-			}
-			if err := s.applyLocked(w.kind, se, w.txn); err != nil {
+			if err := s.applyLocked(w.kind, se, w.txn, w.tok); err != nil {
 				// Strict journal rejected the removal: fail this waiter
 				// loudly; the entry stays for others.
 				w.err = err
 				w.w.Wake()
 				continue
-			}
-			if rec != nil {
-				s.memoInsertLocked(w.tok, rec)
 			}
 			w.result = se
 			w.w.Wake()
@@ -430,13 +449,13 @@ func (s *Space) Commit(id uint64) {
 			continue
 		}
 		se.writtenUnder = 0
-		_ = s.journalWriteLocked(se)
+		_ = s.journalWriteLocked(se, OpToken{})
 		fire = append(fire, s.publishLocked(se)...)
 	}
 	for _, se := range ts.takes {
 		se.takenUnder = 0
 		s.removeLocked(se)
-		_ = s.journalRemoveLocked(se)
+		_ = s.journalLocked(&record{kind: recRemove, seqs: []uint64{se.id}})
 	}
 	for _, se := range ts.reads {
 		s.unlockReadLocked(se, id)
@@ -505,7 +524,7 @@ func (s *Space) Count(tmpl Entry) (int, error) {
 
 // EvictWhere removes every public, unlocked entry matching pred from the
 // space, journaling each removal as an eviction (resharding, not
-// consumption — see journalOp). It returns self-contained write records
+// consumption — see record.go). It returns self-contained write records
 // for the evicted entries, so a resharding migration can re-apply them to
 // the destination shard, plus the number of matching entries it could NOT
 // evict because a transaction holds them (take-locked, read-locked, or an
@@ -519,7 +538,8 @@ func (s *Space) EvictWhere(pred func(Entry) bool) ([][]byte, int, error) {
 		return nil, 0, ErrClosed
 	}
 	now := s.clock.Now()
-	var ops []journalOp
+	var evicted []*storedEntry
+	var expiries []time.Time
 	locked := 0
 	for _, st := range s.types {
 		for _, se := range st.all.items {
@@ -536,25 +556,17 @@ func (s *Space) EvictWhere(pred func(Entry) bool) ([][]byte, int, error) {
 			// Journal first: under a strict journal an eviction that cannot
 			// be logged does not happen (the entry stays, the caller sees
 			// the error and retries the pass).
-			if err := s.journalEvictLocked(se); err != nil {
+			if err := s.journalLocked(&record{kind: recEvict, seqs: []uint64{se.id}}); err != nil {
 				s.unlock()
 				return nil, locked, err
 			}
 			s.removeLocked(se)
-			ops = append(ops, journalOp{Kind: "write", Seq: se.id, Entry: se.val.Interface(), Expiry: se.expiry})
+			evicted, expiries = append(evicted, se), append(expiries, se.expiry)
 		}
 	}
 	s.unlock()
-
-	records := make([][]byte, len(ops))
-	for i, op := range ops {
-		payload, err := encodeOp(op)
-		if err != nil {
-			return records[:i], locked, fmt.Errorf("tuplespace: evict entry %d: %w", op.Seq, err)
-		}
-		records[i] = payload
-	}
-	return records, locked, nil
+	records, err := encodeWrites(evicted, expiries, "evict")
+	return records, locked, err
 }
 
 // Stats returns a snapshot of the operation counters.
@@ -562,10 +574,7 @@ func (s *Space) Stats() Stats {
 	s.mu.Lock()
 	defer s.unlock()
 	st := s.stats
-	st.EntriesLive, st.Dead = s.live, s.dead
-	for _, ws := range s.waiters {
-		st.Waiting += len(ws)
-	}
+	st.EntriesLive, st.Dead, st.Waiting = s.live, s.dead, s.waiting
 	return st
 }
 
@@ -640,21 +649,7 @@ func (l *EntryLease) Gone() bool {
 }
 
 // Cancel removes the entry immediately.
-func (l *EntryLease) Cancel() error {
-	l.space.mu.Lock()
-	defer l.space.unlock()
-	se := l.entry
-	if se.removed {
-		return ErrLeaseExpired
-	}
-	// Journal first: under a strict journal a cancellation that cannot
-	// be logged does not happen.
-	if err := l.space.journalRemoveLocked(se); err != nil {
-		return err
-	}
-	l.space.removeLocked(se)
-	return nil
-}
+func (l *EntryLease) Cancel() error { return l.CancelTok(OpToken{}) }
 
 // String describes the space for diagnostics.
 func (s *Space) String() string {

@@ -73,7 +73,6 @@ type config struct {
 	replicas        int
 	replack         string
 	failoverTimeout time.Duration
-	exactlyOnce     bool
 	maxInflight     int
 	retryBudget     int
 
@@ -101,7 +100,6 @@ func main() {
 	flag.Float64Var(&c.splitThreshold, "split-threshold", 500, "with -autoshard: smoothed ops/sec above which a shard splits")
 	flag.Float64Var(&c.mergeThreshold, "merge-threshold", 10, "with -autoshard: smoothed ops/sec below which a split-born shard merges back")
 	flag.DurationVar(&c.reshardInterval, "reshard-interval", 5*time.Second, "with -autoshard: rebalancer sampling interval")
-	flag.BoolVar(&c.exactlyOnce, "exactly-once", false, "deduplicate retried mutations server-side: clients mint idempotency tokens, shards memoize tokened outcomes, and ambiguous op timeouts are retried instead of surfaced")
 	flag.IntVar(&c.maxInflight, "max-inflight", 0, "per-shard admission bound: ops admitted but unfinished beyond this fast-fail with 'overloaded' instead of queueing; also arms the brownout controller that sheds low-priority ops under sustained saturation (0 = unlimited)")
 	flag.IntVar(&c.retryBudget, "retry-budget", 0, "token-bucket cap on the master router's total retry volume, refilled by successes; an empty bucket surfaces the last error instead of retrying (0 = unlimited)")
 	flag.Parse()
@@ -172,7 +170,6 @@ func (c config) spec() (shardhost.Spec, error) {
 		FailoverTimeout: c.failoverTimeout,
 		MaxInflight:     c.maxInflight,
 		RetryBudget:     c.retryBudget,
-		ExactlyOnce:     c.exactlyOnce,
 		AutoShard:       c.autoshard,
 		SplitThreshold:  c.splitThreshold,
 		MergeThreshold:  c.mergeThreshold,

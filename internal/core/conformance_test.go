@@ -44,9 +44,8 @@ func conformanceStacks(t *testing.T, clk vclock.Clock) map[string]space.Space {
 		net.Listen(addr, srv)
 		return space.NewProxy(net.Dial(addr))
 	}
-	router := func(opts shard.Options, a, b space.Space) space.Space {
-		opts.Clock, opts.Seed = clk, "conf"
-		r, err := shard.New(opts, []shard.Shard{{ID: "s0", Space: a}, {ID: "s1", Space: b}})
+	router := func(a, b space.Space) space.Space {
+		r, err := shard.New(shard.Options{Clock: clk, Seed: "conf"}, []shard.Shard{{ID: "s0", Space: a}, {ID: "s1", Space: b}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,13 +53,13 @@ func conformanceStacks(t *testing.T, clk vclock.Clock) map[string]space.Space {
 	}
 	primary := space.NewLocal(clk)
 	return map[string]space.Space{
-		"local":         space.NewLocal(clk),
-		"proxy":         proxy(),
-		"router/local":  router(shard.Options{}, space.NewLocal(clk), space.NewLocal(clk)),
-		"router-eo/rpc": router(shard.Options{ExactlyOnce: true}, proxy(), proxy()),
-		"gate":          space.Gated(space.NewLocal(clk), transport.NewServiceGate(clk, time.Microsecond)),
-		"timed":         obs.InstrumentSpace(space.NewLocal(clk), clk, metrics.NewRegistry(), metrics.HistSpacePrefix),
-		"primary":       replica.NewPrimary(primary, replica.PrimaryOptions{Clock: clk}).Wrap(primary),
+		"local":        space.NewLocal(clk),
+		"proxy":        proxy(),
+		"router/local": router(space.NewLocal(clk), space.NewLocal(clk)),
+		"router/rpc":   router(proxy(), proxy()),
+		"gate":         space.Gated(space.NewLocal(clk), transport.NewServiceGate(clk, time.Microsecond)),
+		"timed":        obs.InstrumentSpace(space.NewLocal(clk), clk, metrics.NewRegistry(), metrics.HistSpacePrefix),
+		"primary":      replica.NewPrimary(primary, replica.PrimaryOptions{Clock: clk}).Wrap(primary),
 	}
 }
 

@@ -106,14 +106,14 @@ type Framework struct {
 	CodeServer *nodeconfig.CodeServer
 	Master     *master.Master
 
-	// Space is the master's operating handle: shard 0 directly for the
-	// classic single in-memory shard, a shard.Router otherwise (gated
-	// either way when SpaceOpCost is set).
+	// Space is the master's operating handle: a shard.Router over the
+	// hosted shards, a one-member ring for the classic single shard (its
+	// shards gated when SpaceOpCost is set).
 	Space space.Space
 	// Counters are the hosted shards' counter families — Durability, Repl,
-	// Reshard, Retries, Overload: each is nil while the feature it counts is
-	// off, Retries is Repl when both are on, and with Config.Obs set all of
-	// them are the Obs counter set.
+	// Reshard, Retries, Overload: each but Retries is nil while the feature
+	// it counts is off, Retries is Repl when replicated, and with Config.Obs
+	// set all of them are the Obs counter set.
 	shardhost.Counters
 	// MIB is the master's management information base when Config.Obs is
 	// set: the framework gauges exported as SNMP objects, served by an
@@ -155,12 +155,12 @@ type Result struct {
 	// Resharding is the reshard:* counter snapshot when Config.Elastic was
 	// set: splits, merges, entries migrated and evicted, aborted forks.
 	Resharding map[string]uint64
-	// Retries is the retry:* / dedup:* counter snapshot when
-	// Config.ExactlyOnce was set: retry attempts, ambiguous outcomes
-	// replayed, budgets exhausted, memo dedup hits and evictions.
+	// Retries is the retry:* / dedup:* / breaker:* counter snapshot (the
+	// same map as Replication when replicated): retry attempts, ambiguous
+	// outcomes replayed, budgets exhausted or denied, breaker transitions,
+	// memo dedup hits and evictions.
 	Retries map[string]uint64
-	// Overload is the admit:* / shed:* (plus, without repl or retry
-	// counters, breaker:* and retry budget) counter snapshot when any
+	// Overload is the admit:* / shed:* counter snapshot when any
 	// overload-protection knob was set.
 	Overload map[string]uint64
 	// ObsSummary is the per-stage tail-latency table (p50/p90/p99/max of
@@ -298,6 +298,23 @@ func (f *Framework) Close() { f.host.Close() }
 func (f *Framework) Run(job Job, script func(*Framework)) (Result, error) {
 	f.CodeServer.Publish(job.Bundle())
 
+	group := vclock.NewGroup(f.Clock)
+	f.runMu.Lock()
+	f.runGroup = group
+	f.runMu.Unlock()
+	// Replication pumps and, with AutoShard, the load-driven rebalancer run
+	// before any worker looks for the space: a worker's discovery retries
+	// through a lookup outage, and until the pumps run nothing renews a
+	// replicated primary's registration, whose lease is FailoverTimeout.
+	f.host.Start()
+	stopHost := func() {
+		f.runMu.Lock()
+		f.runGroup = nil
+		f.runMu.Unlock()
+		f.host.Stop()
+		group.Wait()
+	}
+
 	// One worker node per cluster node, each discovering the space through
 	// the lookup service exactly as a Jini client would (internal/workerhost
 	// — the assembly cmd/worker runs over TCP). The network management
@@ -323,16 +340,16 @@ func (f *Framework) Run(job Job, script func(*Framework)) (Result, error) {
 			TaskTemplate:  func(map[string]string) tuplespace.Entry { return job.TaskTemplate() },
 			TxnTTL:        f.cfg.TxnTTL,
 			OpTimeout:     f.cfg.OpTimeout,
-			ExactlyOnce:   f.cfg.ExactlyOnce,
 			RetryBudget:   f.cfg.RetryBudget,
 			Breakers:      f.cfg.Breakers,
 			WatchInterval: f.cfg.WatchInterval,
 			AutoStart:     !f.cfg.Monitoring,
 			Obs:           f.cfg.Obs,
-			Counters:      f.host.RingCounters(),
+			Counters:      f.Retries,
 		})
 		if err != nil {
 			closeNodes()
+			stopHost()
 			return Result{}, fmt.Errorf("core: %w", err)
 		}
 		nodes = append(nodes, n)
@@ -359,12 +376,6 @@ func (f *Framework) Run(job Job, script func(*Framework)) (Result, error) {
 		})
 	}
 
-	group := vclock.NewGroup(f.Clock)
-	f.runMu.Lock()
-	f.runGroup = group
-	f.runMu.Unlock()
-	// Replication pumps and, with AutoShard, the load-driven rebalancer.
-	f.host.Start()
 	for _, n := range nodes {
 		n.Start()
 	}
@@ -387,11 +398,7 @@ func (f *Framework) Run(job Job, script func(*Framework)) (Result, error) {
 	for _, watch := range watchers {
 		watch.Stop()
 	}
-	f.runMu.Lock()
-	f.runGroup = nil
-	f.runMu.Unlock()
-	f.host.Stop()
-	group.Wait()
+	stopHost()
 	closeNodes()
 
 	res := Result{
@@ -412,9 +419,7 @@ func (f *Framework) Run(job Job, script func(*Framework)) (Result, error) {
 	if f.Reshard != nil {
 		res.Resharding = f.Reshard.Snapshot()
 	}
-	if f.Retries != nil {
-		res.Retries = f.Retries.Snapshot()
-	}
+	res.Retries = f.Retries.Snapshot()
 	if f.Overload != nil {
 		res.Overload = f.Overload.Snapshot()
 	}

@@ -53,14 +53,9 @@ func (f *Framework) ShardInfos() []ShardInfo {
 }
 
 // Ownership reports each live ring position's share of the hash space.
-// Nil when the deployment has no router (Shards == 0). The shares of the
-// live positions sum to 1 — the topology-convergence invariant.
-func (f *Framework) Ownership() map[string]float64 {
-	if r := f.host.Router(); r != nil {
-		return r.Ownership()
-	}
-	return nil
-}
+// The shares of the live positions sum to 1 — the topology-convergence
+// invariant.
+func (f *Framework) Ownership() map[string]float64 { return f.host.Router().Ownership() }
 
 // RingID resolves shard index i to its ring position. ok is false when no
 // such shard is hosted.

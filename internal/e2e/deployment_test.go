@@ -76,7 +76,6 @@ func (d *tcpDeployment) node(t *testing.T, name string, edit func(*workerhost.Sp
 		TaskTemplate: func(map[string]string) tuplespace.Entry { return d.job.TaskTemplate() },
 		TxnTTL:       hs.TxnTTL,
 		PollTimeout:  50 * time.Millisecond,
-		ExactlyOnce:  hs.ExactlyOnce,
 	}
 	if edit != nil {
 		edit(&spec)

@@ -13,10 +13,10 @@ import (
 
 // TestFlightFailoverRetrySpanTree is the control-plane tracing acceptance
 // scenario: shard 0's primary is killed mid-job while delay faults push
-// exactly-once mutations into ambiguous op timeouts. The promotion must
+// tokened mutations into ambiguous op timeouts. The promotion must
 // record one root "failover" span, every router retarget must join it as
 // a child (the trace context rides the promoted registration's attrs),
-// and every recorded exactly-once retry attempt must parent under a
+// and every recorded token retry attempt must parent under a
 // retarget — one connected span tree, zero orphans. The flight recorder
 // must hold the same story as a causally consistent merged timeline:
 // kill, then promotion, then retargets, in vclock order.
@@ -39,11 +39,10 @@ func TestFlightFailoverRetrySpanTree(t *testing.T) {
 	}
 	res, job, fw := runFailover(t, plan, 4, core.Config{
 		Spec: shardhost.Spec{
-			Shards:      2,
-			Replicas:    1,
-			TxnTTL:      8 * time.Second,
-			ExactlyOnce: true,
-			Obs:         o,
+			Shards:   2,
+			Replicas: 1,
+			TxnTTL:   8 * time.Second,
+			Obs:      o,
 		},
 		OpTimeout:     500 * time.Millisecond,
 		DedupResults:  true,

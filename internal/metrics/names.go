@@ -43,8 +43,8 @@ const (
 	CounterReplResyncs    = "repl:resyncs"         // full snapshot re-syncs after divergence
 	CounterReplFailovers  = "repl:failovers"       // router retargets onto a promoted backup
 
-	// Exactly-once retry policy (internal/shard router, behind
-	// core.Config{ExactlyOnce}).
+	// Exactly-once retry policy (internal/shard router: every mutation is
+	// tokened).
 	CounterRetryAttempts  = "retry:attempts"  // mutation retries issued after a failure
 	CounterRetryAmbiguous = "retry:ambiguous" // retries of ambiguous (reply-lost) outcomes
 	CounterRetryExhausted = "retry:exhausted" // mutations that ran out of retry attempts

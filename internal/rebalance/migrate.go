@@ -100,12 +100,13 @@ func (m *Migration) settleEvery() time.Duration {
 // snapshot the matching source state, replay it into the destination,
 // then switch the tap live. From return onward every source mutation in
 // the migrating range reaches the destination before the source op
-// acknowledges. Returns the snapshot size.
+// acknowledges. Returns how many entries the snapshot carried — its memo
+// records, one per tokened write still remembered, are not entries.
 func (m *Migration) Fork() (int, error) {
 	m.Dst.SetFilter(m.Pred)
 	m.Dst.SetMemoFilter(m.MemoPred)
 	m.Tap.StartBuffer()
-	snap, err := m.Src.EncodeStateWhere(m.Pred)
+	entries, err := m.Src.EncodeStateWhere(m.Pred)
 	if err != nil {
 		m.Tap.Close()
 		return 0, fmt.Errorf("rebalance: snapshot source: %w", err)
@@ -118,8 +119,7 @@ func (m *Migration) Fork() (int, error) {
 		m.Tap.Close()
 		return 0, fmt.Errorf("rebalance: snapshot memos: %w", err)
 	}
-	snap = append(snap, memos...)
-	for _, rec := range snap {
+	for _, rec := range append(entries, memos...) {
 		if err := m.Dst.Apply(rec); err != nil {
 			m.Tap.Close()
 			return 0, fmt.Errorf("rebalance: replay snapshot: %w", err)
@@ -129,10 +129,10 @@ func (m *Migration) Fork() (int, error) {
 		return 0, fmt.Errorf("rebalance: drain tap buffer: %w", err)
 	}
 	if m.Counters != nil {
-		m.Counters.AddN(metrics.CounterReshardMigrated, uint64(len(snap)))
+		m.Counters.AddN(metrics.CounterReshardMigrated, uint64(len(entries)))
 	}
-	m.event("fork", fmt.Sprintf("%d records snapshotted", len(snap)))
-	return len(snap), nil
+	m.event("fork", fmt.Sprintf("%d entries and %d memos snapshotted", len(entries), len(memos)))
+	return len(entries), nil
 }
 
 // SettlePass evicts every currently unlocked matching entry from the

@@ -14,12 +14,11 @@ import (
 // latency so only the injected delays trip it.
 func eoManifest(seed int64) Manifest {
 	return Manifest{
-		Seed:        seed,
-		Workers:     4,
-		Shards:      2,
-		TxnTTL:      8 * time.Second,
-		OpTimeout:   500 * time.Millisecond,
-		ExactlyOnce: true,
+		Seed:      seed,
+		Workers:   4,
+		Shards:    2,
+		TxnTTL:    8 * time.Second,
+		OpTimeout: 500 * time.Millisecond,
 		// Execution spans ~6s on 4 workers (1.5s per task, inside the
 		// 4s lease budget), comfortably around the 2s event below.
 		App: AppSpec{Name: AppMonteCarlo, Tasks: 16, Work: 3 * time.Second, Spread: true},
@@ -34,10 +33,10 @@ func eoManifest(seed int64) Manifest {
 }
 
 // TestExactlyOnceChaosShapes is the acceptance chaos run: with ambiguous
-// op timeouts injected on every mutation path, an exactly-once deployment
-// must finish with zero lost AND zero duplicated results — across a
-// kill-primary failover, a mid-split cutover and a shard crash-restart
-// (the last also re-proving WAL recovery with memo records in the log).
+// op timeouts injected on every mutation path, a deployment must finish
+// with zero lost AND zero duplicated results — across a kill-primary
+// failover, a mid-split cutover and a shard crash-restart (the last also
+// re-proving WAL recovery with memo records in the log).
 func TestExactlyOnceChaosShapes(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -77,27 +76,5 @@ func TestExactlyOnceChaosShapes(t *testing.T) {
 				t.Errorf("%d mutations exhausted their retry budget; exactness held by luck", got)
 			}
 		})
-	}
-}
-
-// TestAmbiguousTimeoutsRequireExactlyOnce pins the flag-off contract: the
-// same ambiguous fault plan without exactly_once is rejected up front —
-// at-most-once surfaces reply-lost mutations as errors, so the exactness
-// invariant cannot be promised and the manifest is invalid by
-// construction.
-func TestAmbiguousTimeoutsRequireExactlyOnce(t *testing.T) {
-	m := eoManifest(11)
-	if !m.AmbiguousTimeouts() {
-		t.Fatal("base manifest's delays do not exceed op_timeout; the chaos runs are vacuous")
-	}
-	m.ExactlyOnce = false
-	if err := m.Validate(); err == nil {
-		t.Fatal("manifest with ambiguous timeouts and exactly_once off passed validation")
-	}
-	// With the delays gone the flag-off shape is valid again: plain
-	// at-most-once deployments stay expressible.
-	m.Faults.Rules = nil
-	if err := m.Validate(); err != nil {
-		t.Fatalf("flag-off manifest without ambiguous faults: %v", err)
 	}
 }

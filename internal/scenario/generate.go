@@ -36,7 +36,10 @@ func Generate(seed int64) Manifest {
 		Workers: minWorkers + r.Intn(maxWorkers-minWorkers+1),
 		Shards:  1 + r.Intn(maxShards),
 		TxnTTL:  8 * time.Second,
-		Faults:  faults.PlanSpec{Seed: seed},
+		// Far above the benign delay rules' latency, so only the
+		// ambiguous-timeout rule genFaults may add can trip it.
+		OpTimeout: 500 * time.Millisecond,
+		Faults:    faults.PlanSpec{Seed: seed},
 	}
 
 	// Deployment shape. Replication and elasticity stay exclusive in the
@@ -52,16 +55,6 @@ func Generate(seed int64) Manifest {
 		m.Durable = true
 		m.Fsync = pick(r, []weighted{{"always", 5}, {"interval", 3}, {"never", 2}})
 	}
-	if r.Float64() < 0.4 {
-		// Exactly-once: every mutation carries an idempotency token, the
-		// shards memoize tokened outcomes, and ambiguous op timeouts are
-		// retried instead of surfaced. The deadline is far above the
-		// benign delay rules' latency, so only the ambiguous-timeout rule
-		// below can trip it.
-		m.ExactlyOnce = true
-		m.OpTimeout = 500 * time.Millisecond
-	}
-
 	exec := minExec + time.Duration(r.Int63n(int64(maxExec-minExec)))
 	m.App = genApp(r, m, exec)
 	m.Events = genEvents(r, m)
@@ -204,7 +197,7 @@ func genFaults(r *rand.Rand, m *Manifest) {
 			Prob: 0.05 + 0.1*r.Float64(),
 		})
 	}
-	if m.ExactlyOnce && r.Float64() < 0.7 {
+	if r.Float64() < 0.7 {
 		// Ambiguous op timeouts on a mutation path: the injected delay
 		// exceeds OpTimeout, so the caller gives up while the shard still
 		// executes the call. The router's tokened retry must collapse
@@ -217,24 +210,19 @@ func genFaults(r *rand.Rand, m *Manifest) {
 			Delay: m.OpTimeout*3/2 + time.Duration(r.Int63n(int64(m.OpTimeout))),
 		})
 	}
-	if m.Replicas == 0 || m.ExactlyOnce {
-		// Hard drops and lookup outages need a retry story: unreplicated
-		// handles redial and replay transparently, and exactly-once runs
-		// retry with the original token. Only the plain replicated shape
-		// stays clear of them — there a dropped mutation surfaces the
-		// documented at-most-once ambiguity instead of retrying.
-		if r.Float64() < 0.4 {
-			*rules = append(*rules, faults.RuleSpec{
-				Kind: faults.RuleDrop, From: "node/*", To: "master*", Method: "space.Write",
-				Prob: 0.05 + 0.15*r.Float64(),
-			})
-		}
-		if r.Float64() < 0.3 {
-			m.Faults.Crashes = append(m.Faults.Crashes, faults.CrashWindowSpec{
-				Endpoint: discovery.WellKnownAddress,
-				End:      time.Second + time.Duration(r.Int63n(int64(1500*time.Millisecond))),
-			})
-		}
+	// Hard drops and lookup outages: a dropped write is retried with its
+	// original token, and a worker's discovery retries through the outage.
+	if r.Float64() < 0.4 {
+		*rules = append(*rules, faults.RuleSpec{
+			Kind: faults.RuleDrop, From: "node/*", To: "master*", Method: "space.Write",
+			Prob: 0.05 + 0.15*r.Float64(),
+		})
+	}
+	if r.Float64() < 0.3 {
+		m.Faults.Crashes = append(m.Faults.Crashes, faults.CrashWindowSpec{
+			Endpoint: discovery.WellKnownAddress,
+			End:      time.Second + time.Duration(r.Int63n(int64(1500*time.Millisecond))),
+		})
 	}
 }
 

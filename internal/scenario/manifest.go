@@ -104,12 +104,9 @@ type Manifest struct {
 	TxnTTL time.Duration `json:"txn_ttl,omitempty"`
 	// OpTimeout bounds each space RPC a worker issues (0 = unbounded).
 	// Timed-out calls surface space.ErrOpTimeout — the ambiguous "did it
-	// execute?" outcome the exactly-once machinery exists to resolve.
+	// execute?" outcome every router resolves by retrying the mutation's
+	// token against the shard's memo table.
 	OpTimeout time.Duration `json:"op_timeout,omitempty"`
-	// ExactlyOnce routes every mutation through the token-minting router
-	// and memoizes outcomes shard-side, so ambiguous op timeouts are
-	// retried with the original token instead of surfacing.
-	ExactlyOnce bool `json:"exactly_once,omitempty"`
 	// OpCost models each shard server's per-op CPU (core.Config.
 	// SpaceOpCost): with it set an overload-burst actually saturates the
 	// shard gates instead of being absorbed by an infinitely fast server.
@@ -163,9 +160,6 @@ func (m Manifest) Validate() error {
 		return fmt.Errorf("scenario: overload knobs must be >= 0 (op_cost %s, max_inflight %d, retry_budget %d)",
 			m.OpCost, m.MaxInflight, m.RetryBudget)
 	}
-	if m.AmbiguousTimeouts() && !m.ExactlyOnce {
-		return fmt.Errorf("scenario: ambiguous-timeout faults (delay > op_timeout) require exactly_once: at-most-once surfaces the ambiguity as an error, so exactness cannot hold")
-	}
 	last := time.Duration(-1)
 	for i, ev := range m.Events {
 		if ev.At < last {
@@ -207,23 +201,6 @@ func (m Manifest) Validate() error {
 		}
 	}
 	return nil
-}
-
-// AmbiguousTimeouts reports whether the fault plan can make a call
-// outlive the manifest's op deadline: a delay rule whose added latency
-// exceeds OpTimeout means the caller gives up while the shard still
-// executes the mutation — the "did it happen?" outcome only an
-// exactly-once retry can resolve.
-func (m Manifest) AmbiguousTimeouts() bool {
-	if m.OpTimeout <= 0 {
-		return false
-	}
-	for _, r := range m.Faults.Rules {
-		if r.Kind == faults.RuleDelay && r.Delay > m.OpTimeout {
-			return true
-		}
-	}
-	return false
 }
 
 // MarshalIndent renders the manifest as the JSON artifact CI uploads.

@@ -110,7 +110,6 @@ func Run(m Manifest) Report {
 				DataDir:     dataDir,
 				FsyncPolicy: fsync,
 				TxnTTL:      ttl,
-				ExactlyOnce: m.ExactlyOnce,
 				SpaceOpCost: m.OpCost,
 				MaxInflight: m.MaxInflight,
 				RetryBudget: m.RetryBudget,

@@ -40,14 +40,19 @@ func TestGenerateValidAndCovering(t *testing.T) {
 		if len(m.Faults.Crashes) > 0 {
 			shapes["lookup-outage"]++
 		}
-		if m.ExactlyOnce {
-			shapes["exactly-once"]++
+		if m.OpTimeout <= 0 {
+			t.Errorf("seed %d: no op deadline", seed)
 		}
-		if m.AmbiguousTimeouts() {
-			shapes["ambiguous-timeout"]++
+		for _, r := range m.Faults.Rules {
+			if r.Kind == faults.RuleDelay && r.Delay > m.OpTimeout {
+				shapes["ambiguous-timeout"]++
+				if m.Replicas == 1 {
+					shapes["ambiguous-timeout-replicated"]++
+				}
+			}
 		}
-		if m.ExactlyOnce && m.Replicas == 1 {
-			shapes["exactly-once-replicated"]++
+		if m.Replicas == 1 && len(m.Faults.Crashes) > 0 {
+			shapes["lookup-outage-replicated"]++
 		}
 		if m.MaxInflight > 0 {
 			shapes["overload"]++
@@ -73,7 +78,7 @@ func TestGenerateValidAndCovering(t *testing.T) {
 	}
 	for _, shape := range []string{
 		"replicated", "elastic", "durable", "raytrace", "events", "lookup-outage",
-		"exactly-once", "ambiguous-timeout", "exactly-once-replicated",
+		"ambiguous-timeout", "ambiguous-timeout-replicated", "lookup-outage-replicated",
 		"overload", "retry-budget", "breakers",
 		faults.RuleCrashOnCall, faults.RuleDelay, faults.RuleDuplicate, faults.RuleDrop,
 	} {

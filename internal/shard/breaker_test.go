@@ -47,7 +47,7 @@ func TestRetryBudgetTokenBucket(t *testing.T) {
 }
 
 // TestRetryBudgetExhaustedSurfacesAmbiguity: when the retry budget runs
-// dry, an ambiguous exactly-once mutation must SURFACE its reply-lost
+// dry, an ambiguous tokened mutation must SURFACE its reply-lost
 // error with the ambiguity counted — never be silently dropped or
 // silently re-driven outside the budget.
 func TestRetryBudgetExhaustedSurfacesAmbiguity(t *testing.T) {
@@ -59,11 +59,10 @@ func TestRetryBudgetExhaustedSurfacesAmbiguity(t *testing.T) {
 		t.Fatal("draining the budget")
 	}
 	r, err := New(Options{
-		Clock:       clk,
-		Seed:        "budget-test",
-		ExactlyOnce: true,
-		Counters:    ctr,
-		Budget:      budget,
+		Clock:    clk,
+		Seed:     "budget-test",
+		Counters: ctr,
+		Budget:   budget,
 	}, []Shard{{ID: "shard-0", Space: ghost, Epoch: 1}})
 	if err != nil {
 		t.Fatal(err)

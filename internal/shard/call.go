@@ -22,16 +22,17 @@ import (
 //	any                     not failoverWorthy      no              —
 //	under a caller txn      any                     no              the commit is the retry unit
 //	read / count / begin    failover-worthy         yes             once, only after tryFailover retargeted
-//	mutation, no token      unambiguous             yes             once, only after a retarget
-//	mutation, no token      ambiguous               no              resolve failover for the next op, surface
-//	mutation, token         failover-worthy,        yes, same token Options.Retry attempts, seeded full-jitter
+//	mutation (tokened)      failover-worthy,        yes, same token Options.Retry attempts, seeded full-jitter
 //	                        ambiguous or not                        backoff (a scan probe: once, if retargeted
 //	                                                                or ambiguous — the route's next round retries)
 //	blocking, one position, hard, a cure possible   poll            re-resolve and re-issue every PollInterval;
-//	no txn                                                          ErrTimeout joined with the ShardError at the deadline
+//	no txn                  (Failover set, or                       ErrTimeout joined with the ShardError at the deadline
+//	                        ambiguous)
 //
-// Every replay is charged to the shared RetryBudget first, so a
-// cluster-wide failure cannot amplify offered load into a retry storm.
+// Every mutation outside a caller transaction carries a token (token), so
+// none is ever left with an ambiguous outcome it may not replay. Every
+// replay is charged to the shared RetryBudget first, so a cluster-wide
+// failure cannot amplify offered load into a retry storm.
 
 // where addresses one ring position and says how it is re-resolved between
 // attempts: by key through the current ring (reshard migration ships a
@@ -60,20 +61,7 @@ func (w where) resolve(v *view) (Shard, bool) {
 // replayable is the router's one answer to "may op be issued again after
 // err?" — the replay? column above.
 func replayable(op space.Op, err error) bool {
-	switch {
-	case !failoverWorthy(err):
-		return false
-	case op.Txn != nil && op.Kind != space.OpCommit && op.Kind != space.OpAbort:
-		return false
-	case op.Token.Zero() && op.Kind.Mutates() && ambiguous(err):
-		// The op may have executed with only the reply lost: replaying a
-		// Write could duplicate the entry, replaying a Take would silently
-		// discard the one already taken. A token makes the replay safe —
-		// the shard's memo table answers a duplicate with the original
-		// outcome — which is the whole of exactly-once mode.
-		return false
-	}
-	return true
+	return failoverWorthy(err) && (op.Txn == nil || op.Kind == space.OpCommit || op.Kind == space.OpAbort)
 }
 
 // call performs op at position w, resolved through v for the first attempt
@@ -245,27 +233,25 @@ func (r *Router) park(v *view, w where, op space.Op) (space.Result, Shard, error
 		lastHard = wrapShard(s.ID, err)
 		pause := r.opts.PollInterval
 		switch {
-		case r.opts.Failover == nil && (tok.Zero() || !failoverWorthy(err)):
-			// No replica to promote and no token to replay under: nothing
-			// can cure a hard failure — except a closed handle being
-			// replaced. The shard was closed under the parked call because
-			// a merge retired it or a restart is swapping a recovered space
-			// in behind the same ID; ErrClosed guarantees the op did not
-			// execute, so re-parking is safe even for a take. A merge
-			// installs its topology before closing the child and a restart
-			// closes before swapping, so the first look at the live view
-			// usually finds the new owner and ten poll rounds cover the
-			// rest; if nothing replaced the handle by then the close is a
-			// shutdown.
+		case r.opts.Failover == nil && (tok.Zero() || !ambiguous(err)):
+			// No replica to promote and no lost reply for a token to recover:
+			// re-issuing would poll a dead handle blind — for ever, if the
+			// wait is unbounded — so nothing cures a hard failure except a
+			// closed handle being replaced. The shard was closed under the
+			// parked call because a merge retired it or a restart is
+			// swapping a recovered space in behind the same ID; ErrClosed
+			// guarantees the op did not execute, so re-parking is safe even
+			// for a take. A merge installs its topology before closing the
+			// child and a restart closes before swapping, so the first look
+			// at the live view usually finds the new owner and ten poll
+			// rounds cover the rest; if nothing replaced the handle by then
+			// the close is a shutdown.
 			if s.Space != closed {
 				closed, grace, pause = s.Space, clk.Now().Add(10*pause), 0
 			}
 			if !errors.Is(err, tuplespace.ErrClosed) || !clk.Now().Before(grace) {
 				return res, s, lastHard
 			}
-		case failoverWorthy(err) && !replayable(op, err):
-			r.tryFailover(s.ID) // heal the ring for the next op
-			return res, s, lastHard
 		case !tok.Zero() && ambiguous(err):
 			// Go straight around with the same token — unless the budget is
 			// dry: then the ambiguity surfaces (still counted) instead of

@@ -14,8 +14,8 @@ import (
 
 // ghostSpace is a Local behind an interceptor that executes Write and
 // Take for real, then reports the ambiguous space.ErrOpTimeout for the
-// first `ghosts` calls — the reply-lost half of the at-most-once window:
-// the op happened, only the caller doesn't know it. onGhost (optional)
+// first `ghosts` calls — the reply-lost window: the op happened, only the
+// caller doesn't know it. onGhost (optional)
 // runs just before each lost reply, letting a test change topology inside
 // the ambiguity window.
 type ghostSpace struct {
@@ -44,10 +44,9 @@ func newGhost(l *space.Local, ghosts int) *ghostSpace {
 func eoRouter(t *testing.T, clk vclock.Clock, sp space.Space, ctr *metrics.Counters) *Router {
 	t.Helper()
 	r, err := New(Options{
-		Clock:       clk,
-		Seed:        "eo-test",
-		ExactlyOnce: true,
-		Counters:    ctr,
+		Clock:    clk,
+		Seed:     "eo-test",
+		Counters: ctr,
 	}, []Shard{{ID: "shard-0", Space: sp, Epoch: 1}})
 	if err != nil {
 		t.Fatal(err)
@@ -55,11 +54,9 @@ func eoRouter(t *testing.T, clk vclock.Clock, sp space.Space, ctr *metrics.Count
 	return r
 }
 
-// TestExactlyOnceAmbiguousWriteRetriesAndDedups: in exactly-once mode an
-// ambiguous write is retried with the SAME token and the shard's memo
-// collapses the replay — success with exactly one stored entry, where
-// at-most-once mode (TestFailoverAmbiguousWriteNotReplayed) surfaces the
-// error.
+// TestExactlyOnceAmbiguousWriteRetriesAndDedups: an ambiguous write is
+// retried with the SAME token and the shard's memo collapses the replay —
+// success with exactly one stored entry.
 func TestExactlyOnceAmbiguousWriteRetriesAndDedups(t *testing.T) {
 	clk := vclock.NewReal()
 	ghost := newGhost(space.NewLocal(clk), 1)
@@ -67,7 +64,7 @@ func TestExactlyOnceAmbiguousWriteRetriesAndDedups(t *testing.T) {
 	r := eoRouter(t, clk, ghost, ctr)
 
 	if _, err := r.Write(kv{Key: "a", Val: 1}, nil, 0); err != nil {
-		t.Fatalf("ambiguous write under exactly-once: %v, want retried success", err)
+		t.Fatalf("ambiguous write: %v, want retried success", err)
 	}
 	if n, _ := ghost.Count(kv{}); n != 1 {
 		t.Fatalf("shard holds %d entries, want exactly 1 (no loss, no duplicate)", n)
@@ -97,7 +94,7 @@ func TestExactlyOnceAmbiguousTakeReturnsOriginal(t *testing.T) {
 	ghost.ghosts = 1
 	got, err := r.Take(kv{Key: "k1"}, nil, time.Second)
 	if err != nil {
-		t.Fatalf("ambiguous take under exactly-once: %v, want retried success", err)
+		t.Fatalf("ambiguous take: %v, want retried success", err)
 	}
 	if got.(kv).Val != 1 {
 		t.Fatalf("take returned %+v, want the memoized k1", got)
@@ -110,7 +107,7 @@ func TestExactlyOnceAmbiguousTakeReturnsOriginal(t *testing.T) {
 // TestExactlyOnceUnkeyedPinnedShardRetired: an unkeyed mutation's token
 // is pinned to the shard that may already hold its effect; if that shard
 // left the ring mid-retry, the retry stops and the ambiguity surfaces —
-// the documented at-most-once residual.
+// the documented residual (DESIGN §7).
 func TestExactlyOnceUnkeyedPinnedShardRetired(t *testing.T) {
 	clk := vclock.NewReal()
 	ghost := newGhost(space.NewLocal(clk), 1)
@@ -136,7 +133,7 @@ func TestExactlyOnceUnkeyedPinnedShardRetired(t *testing.T) {
 func TestExactlyOncePolicySeededByToken(t *testing.T) {
 	clk := vclock.NewReal()
 	r := eoRouter(t, clk, space.NewLocal(clk), metrics.NewCounters())
-	tok := tuplespace.OpToken{Client: "w1#1", Seq: 42}
+	tok := tuplespace.OpToken{Client: "w1@1", Seq: 42}
 	a, b := r.policy(tok), r.policy(tok)
 	if a.Seed == 0 || a.Seed != b.Seed {
 		t.Fatalf("policy seeds %d and %d, want equal and non-zero", a.Seed, b.Seed)
@@ -144,7 +141,41 @@ func TestExactlyOncePolicySeededByToken(t *testing.T) {
 	if !a.Jitter {
 		t.Fatal("per-op retry policy must use full jitter")
 	}
-	if c := r.policy(tuplespace.OpToken{Client: "w1#1", Seq: 43}); c.Seed == a.Seed {
+	if c := r.policy(tuplespace.OpToken{Client: "w1@1", Seq: 43}); c.Seed == a.Seed {
 		t.Fatal("distinct tokens share a jitter seed: retries would synchronize")
+	}
+}
+
+// TestClientIDDependsOnSeedAndInstant: a router's token namespace is a
+// function of its Seed and the instant it was built on its own clock, and
+// of nothing else. At the parent commit it was Seed#<process-wide router
+// count>: the same virtual-clock run replayed in one process minted
+// different tokens — which seed the retry jitter — and a restarted worker
+// reused its predecessor's namespace, whose memos outlive it.
+func TestClientIDDependsOnSeedAndInstant(t *testing.T) {
+	epoch := time.Date(2001, time.October, 8, 0, 0, 0, 0, time.UTC)
+	build := func(clk vclock.Clock, seed string) string {
+		t.Helper()
+		r, err := New(Options{Clock: clk, Seed: seed}, []Shard{{ID: "s0", Space: space.NewLocal(clk)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.clientID
+	}
+	first := build(vclock.NewVirtual(epoch), "node01")
+	for i := 0; i < 5; i++ {
+		build(vclock.NewVirtual(epoch), "node01") // routers built before the replay
+	}
+	if again := build(vclock.NewVirtual(epoch), "node01"); again != first {
+		t.Fatalf("same seed, same instant: %q then %q", first, again)
+	}
+	if other := build(vclock.NewVirtual(epoch), "node02"); other == first {
+		t.Fatalf("two seeds share the namespace %q", first)
+	}
+	if later := build(vclock.NewVirtual(epoch.Add(time.Nanosecond)), "node01"); later == first {
+		t.Fatalf("a router built later (a restart) reuses the namespace %q", first)
+	}
+	if len(first) > len("node01@")+13 {
+		t.Fatalf("client ID %q is longer than its seed plus 13 bytes", first)
 	}
 }

@@ -47,40 +47,6 @@ func failoverRouter(t *testing.T, clk vclock.Clock, flaky space.Space) (*Router,
 	return r, promoted
 }
 
-// TestFailoverAmbiguousWriteNotReplayed: a Write that fails with the
-// ambiguous space.ErrOpTimeout (the RPC may have executed, only the
-// reply was lost) must not be auto-retried against the promoted
-// primary — replaying it could duplicate the entry. The ring still
-// heals, so the next operation reaches the replacement.
-func TestFailoverAmbiguousWriteNotReplayed(t *testing.T) {
-	clk := vclock.NewReal()
-	flaky := newFlaky(space.NewLocal(clk), fmt.Errorf("%w: space.Write after 50ms", space.ErrOpTimeout), 1)
-	r, promoted := failoverRouter(t, clk, flaky)
-
-	_, err := r.Write(kv{Key: "a", Val: 1}, nil, 0)
-	if !errors.Is(err, space.ErrOpTimeout) {
-		t.Fatalf("ambiguous write: err = %v, want ErrOpTimeout surfaced", err)
-	}
-	var se *ShardError
-	if !errors.As(err, &se) || se.Shard != "shard-0" {
-		t.Fatalf("ambiguous write error not tagged with the shard: %v", err)
-	}
-	if n, _ := promoted.Count(kv{}); n != 0 {
-		t.Fatalf("ambiguous write was replayed onto the promoted shard (%d entries)", n)
-	}
-	// The ambiguity still triggered resolution: the ring position now
-	// serves from the promoted handle.
-	if got := r.FailoverCount(); got != 1 {
-		t.Fatalf("FailoverCount = %d, want 1 (resolution without replay)", got)
-	}
-	if _, err := r.Write(kv{Key: "a", Val: 2}, nil, 0); err != nil {
-		t.Fatalf("write after heal: %v", err)
-	}
-	if n, _ := promoted.Count(kv{}); n != 1 {
-		t.Fatalf("promoted shard holds %d entries after healed write, want 1", n)
-	}
-}
-
 // TestFailoverUnambiguousWriteRetries: a Write failing with an error
 // that proves it never executed (connection refused) retries
 // transparently against the promoted primary.

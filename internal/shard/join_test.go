@@ -10,10 +10,10 @@ import (
 	"gospaces/internal/vclock"
 )
 
-// TestJoinDecidesFromRegistrations is the join rule, row by row: what the
-// lookup service shows — not the caller's idea of the deployment — picks
-// between the direct proxy and a ring, and arms the resolver and the
-// watcher.
+// TestJoinDecidesFromRegistrations is the join rule, row by row: every set
+// of registrations gets a router over its ring positions, and what the
+// lookup service shows — not the caller's idea of the deployment — arms the
+// resolver and the watcher.
 func TestJoinDecidesFromRegistrations(t *testing.T) {
 	item := func(addr string, attrs ...string) discovery.ServiceItem {
 		m := map[string]string{"type": SpaceType}
@@ -23,35 +23,33 @@ func TestJoinDecidesFromRegistrations(t *testing.T) {
 		return discovery.ServiceItem{Name: "javaspace", Address: addr, Attributes: m}
 	}
 	cases := []struct {
-		name        string
-		items       []discovery.ServiceItem
-		exactlyOnce bool
-		router      bool
-		resolver    bool
-		watcher     bool
+		name     string
+		items    []discovery.ServiceItem
+		members  int
+		resolver bool
+		watcher  bool
 	}{
-		{"one plain shard", []discovery.ServiceItem{item("s0", AttrShard, "0", AttrShards, "1")}, false, false, false, false},
-		{"one plain shard, exactly-once", []discovery.ServiceItem{item("s0")}, true, true, false, false},
-		{"two shards", []discovery.ServiceItem{item("s1", AttrShard, "1"), item("s0", AttrShard, "0")}, false, true, false, false},
-		{"one replicated shard", []discovery.ServiceItem{item("s0", AttrEpoch, "1", AttrRing, "s0")}, false, true, true, false},
-		{"one elastic shard", []discovery.ServiceItem{item("s0", AttrElastic, "1")}, false, true, true, true},
+		{"one plain shard", []discovery.ServiceItem{item("s0", AttrShard, "0", AttrShards, "1")}, 1, false, false},
+		{"two shards", []discovery.ServiceItem{item("s1", AttrShard, "1"), item("s0", AttrShard, "0")}, 2, false, false},
+		{"one replicated shard", []discovery.ServiceItem{item("s0", AttrEpoch, "1", AttrRing, "s0")}, 1, true, false},
+		{"one elastic shard", []discovery.ServiceItem{item("s0", AttrElastic, "1")}, 1, true, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			clk := vclock.NewReal()
 			_, client := newTestLookup(t, clk)
 			dial := func(string) (space.Space, error) { return space.NewLocal(clk), nil }
-			ring, err := Join(Assembly{Clock: clk, Seed: "w", ExactlyOnce: tc.exactlyOnce}, client, tc.items, dial, time.Hour)
+			ring, err := Join(Assembly{Clock: clk, Seed: "w"}, client, tc.items, dial, time.Hour)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ring.Root != "s0" || ring.Space == nil {
-				t.Fatalf("ring = %+v, want root s0 and a handle", ring)
+			if ring.Root != "s0" || ring.Router == nil {
+				t.Fatalf("ring = %+v, want root s0 and a router", ring)
 			}
-			if got := ring.Router != nil; got != tc.router {
-				t.Fatalf("router = %v, want %v", got, tc.router)
+			if got := ring.Router.NumShards(); got != tc.members {
+				t.Fatalf("router over %d positions, want %d", got, tc.members)
 			}
-			if got := ring.Router != nil && ring.Router.opts.Failover != nil; got != tc.resolver {
+			if got := ring.Router.opts.Failover != nil; got != tc.resolver {
 				t.Fatalf("failover resolver = %v, want %v", got, tc.resolver)
 			}
 			if got := ring.Watcher != nil; got != tc.watcher {

@@ -15,15 +15,16 @@ import (
 )
 
 // The replay matrix pins what the router does after one scripted failure,
-// for every kind of routed op × retry mode × failure class × failover
-// resolver × retry budget. It is written against the exported API only
-// (New, Options, fake handles built with space.Intercept), so this file
-// and replay_matrix_table_test.go compile and run unchanged at the commit
-// before the per-shard call code was consolidated into Router.call: the
-// replayMatrix table was generated there (go test -v -run
-// 'TestReplayMatrix$' -replaymatrix.dump) and TestReplayMatrix passes on
-// both sides of that commit. The 15 of 576 cells the consolidation changed
-// on purpose are the replayDrift table.
+// for every kind of routed op × failure class × failover resolver × retry
+// budget. It is written against the exported API only (New, Options, fake
+// handles built with space.Intercept). The replayMatrix table was
+// generated at the commit before the per-shard call code was consolidated
+// into Router.call (go test -v -run 'TestReplayMatrix$'
+// -replaymatrix.dump), when routers still had an at-most-once mode and the
+// matrix a mode dimension; the at-most-once half went with the mode, and
+// what is left is that commit's exactly-once rows. The 14 of 288 cells
+// changed on purpose since — 10 by the consolidation, 4 when exactly-once
+// became the only mode — are the replayDrift table.
 
 var dumpReplayMatrix = flag.Bool("replaymatrix.dump", false,
 	"print the observed replay matrix as the replayMatrix table literal instead of asserting it")
@@ -31,7 +32,6 @@ var dumpReplayMatrix = flag.Bool("replaymatrix.dump", false,
 // mxCell names one matrix cell.
 type mxCell struct {
 	op       string // see mxOps
-	mode     string // "amo" (at-most-once) | "eo" (Options.ExactlyOnce)
 	fail     string // see mxFailures: the error the first handle call returns
 	resolver string // Options.Failover: "none" | "retarget" | "nothing"
 	budget   string // Options.Budget: "nil" | "empty"
@@ -52,7 +52,6 @@ type mxRow struct {
 }
 
 var (
-	mxModes     = []string{"amo", "eo"}
 	mxResolvers = []string{"none", "retarget", "nothing"}
 	mxBudgets   = []string{"nil", "empty"}
 	mxFailNames = []string{"refused", "optimeout", "overloaded", "badtxn"}
@@ -208,7 +207,6 @@ func mxRun(t *testing.T, c mxCell) mxOutcome {
 	ctr := metrics.NewCounters()
 	opts := Options{
 		Clock: clk, Seed: "mx", Counters: ctr,
-		ExactlyOnce:  c.mode == "eo",
 		Slice:        50 * time.Millisecond,
 		PollInterval: 2 * time.Millisecond,
 	}
@@ -285,18 +283,16 @@ func mxClassify(err error) string {
 }
 
 func (c mxCell) String() string {
-	return fmt.Sprintf("%s/%s/%s/%s/%s", c.op, c.mode, c.fail, c.resolver, c.budget)
+	return fmt.Sprintf("%s/%s/%s/%s", c.op, c.fail, c.resolver, c.budget)
 }
 
 func mxAllCells() []mxCell {
 	var out []mxCell
 	for _, op := range mxOps {
-		for _, mode := range mxModes {
-			for _, fail := range mxFailNames {
-				for _, res := range mxResolvers {
-					for _, b := range mxBudgets {
-						out = append(out, mxCell{op.name, mode, fail, res, b})
-					}
+		for _, fail := range mxFailNames {
+			for _, res := range mxResolvers {
+				for _, b := range mxBudgets {
+					out = append(out, mxCell{op.name, fail, res, b})
 				}
 			}
 		}
@@ -311,8 +307,8 @@ func TestReplayMatrix(t *testing.T) {
 	if *dumpReplayMatrix {
 		for _, c := range mxAllCells() {
 			o := mxRun(t, c)
-			fmt.Printf("\t{mxCell{%q, %q, %q, %q, %q}, mxOutcome{%d, %d, %q, %d, %d, %d, %d, %d}},\n",
-				c.op, c.mode, c.fail, c.resolver, c.budget,
+			fmt.Printf("\t{mxCell{%q, %q, %q, %q}, mxOutcome{%d, %d, %q, %d, %d, %d, %d, %d}},\n",
+				c.op, c.fail, c.resolver, c.budget,
 				o.primary, o.replacement, o.err, o.attempts, o.ambiguous, o.exhausted, o.denied, o.failovers)
 		}
 		return

@@ -2,8 +2,8 @@ package shard
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"gospaces/internal/metrics"
@@ -12,19 +12,27 @@ import (
 	"gospaces/internal/tuplespace"
 )
 
-// Exactly-once mutations (Options.ExactlyOnce). The router mints one
-// idempotency token per client-originated mutation — a stable client ID
-// plus a monotonic op sequence — and Router.call replays the SAME token
-// after a failover-worthy failure, ambiguous reply-lost outcomes included:
-// the server side memoizes each tokened outcome (see tuplespace memo.go),
-// so a replay returns the original result instead of re-executing. This
-// file holds what the replays draw on — the shared budget, the tokens, the
-// per-op schedule — and the lease handle; the decision table and the one
-// retry loop are in call.go.
+// Exactly-once mutations. The router mints one idempotency token per
+// client-originated mutation — its client ID plus a monotonic op sequence
+// — and Router.call replays the SAME token after a failover-worthy
+// failure, ambiguous reply-lost outcomes included: the server side
+// memoizes each tokened outcome (see tuplespace memo.go), so a replay
+// returns the original result instead of re-executing. This file holds
+// what the replays draw on — the shared budget, the tokens, the per-op
+// schedule — and the lease handle; the decision table and the one retry
+// loop are in call.go.
 
-// routerSeq distinguishes routers sharing a Seed within one process, so
-// their token namespaces never collide.
-var routerSeq atomic.Uint64
+// clientID names a router's token namespace: its Seed and the instant it
+// was built, on its own clock. Under the virtual clock that replays with
+// the run — no process-global counter leaks one run's router count into
+// the next run's tokens, and so into their jittered retry schedules — and
+// on the real clock it differs across restarts, so a restarted process
+// never has its new mutations answered from a predecessor's memos, which
+// outlive it on the WAL and the standby. Base 36 keeps the nanoseconds to
+// at most 13 bytes on every tokened op.
+func clientID(seed string, at time.Time) string {
+	return seed + "@" + strconv.FormatUint(uint64(at.UnixNano()), 36)
+}
 
 // RetryBudget is a token bucket bounding the router's total retry
 // volume (Options.Budget). Every successful call — soft no-match
@@ -96,8 +104,8 @@ func (b *RetryBudget) Tokens() float64 {
 }
 
 // spendRetry withdraws one retry from the shared budget, counting the
-// denial when the bucket is dry. Every replay — a tokened one and the
-// at-most-once single retry after a failover alike — spends here first.
+// denial when the bucket is dry. Every replay — a tokened one and a read's
+// single retry after a failover alike — spends here first.
 func (r *Router) spendRetry() bool {
 	if r.opts.Budget.Allow() {
 		return true
@@ -106,12 +114,8 @@ func (r *Router) spendRetry() bool {
 	return false
 }
 
-// mint returns a fresh op token, or the zero token outside exactly-once
-// mode.
+// mint returns a fresh op token.
 func (r *Router) mint() tuplespace.OpToken {
-	if !r.opts.ExactlyOnce {
-		return tuplespace.OpToken{}
-	}
 	return tuplespace.OpToken{Client: r.clientID, Seq: r.tokSeq.Add(1)}
 }
 
@@ -170,8 +174,8 @@ func (rl *routerLease) Cancel() error {
 }
 
 // leaseOp serves Renew/Cancel on the lease's own shard handle — a handle,
-// not a ring position, so no breaker gates it. In exactly-once mode a
-// Cancel is tokened and replayed like any mutation.
+// not a ring position, so no breaker gates it. A Cancel is tokened and
+// replayed like any mutation; a Renew is never replayed.
 func (r *Router) leaseOp(op space.Op) error {
 	rl, ok := op.Lease.(*routerLease)
 	if !ok || rl.r != r {

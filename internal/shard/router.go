@@ -77,31 +77,27 @@ type Options struct {
 	// service while the backup is still counting down to promotion.
 	FailoverBackoff time.Duration
 	// Counters, when set, receives the failover count under
-	// metrics.CounterReplFailovers and, in exactly-once mode, the
-	// metrics.CounterRetry* / CounterDedup* families.
+	// metrics.CounterReplFailovers and the metrics.CounterRetry* family.
 	Counters *metrics.Counters
-	// ExactlyOnce mints an idempotency token for every client-originated
-	// mutation and retries failover-worthy failures — ambiguous reply-lost
-	// outcomes included — with the same token, relying on the shard-side
-	// memo table to collapse duplicate executions (see retry.go). Off by
-	// default: without it ambiguous mutations surface their error
-	// (at-most-once), exactly as before.
+	// ExactlyOnce is ignored: every router mints an idempotency token for
+	// each client-originated mutation (see retry.go). The field stays only
+	// until bench/ stops setting it.
 	ExactlyOnce bool
-	// Retry is the unified per-mutation retry policy used in exactly-once
-	// mode (attempt budget and backoff envelope; full jitter is always
-	// applied, seeded per op so virtual-clock runs replay). Zero fields
-	// default to 4 attempts, 25ms doubling to 500ms.
+	// Retry is the unified per-mutation retry policy (attempt budget and
+	// backoff envelope; full jitter is always applied, seeded per op so
+	// virtual-clock runs replay). Zero fields default to 4 attempts, 25ms
+	// doubling to 500ms.
 	Retry transport.Backoff
 	// Obs, when set, records the router's control-plane activity: flight
-	// events (failover retargets, topology adoptions, exactly-once
-	// retries) in the flight recorder and retry/retarget spans in the
-	// tracer, parented into the promotion span the resolved registration
-	// carried. Nil keeps all of it a cheap branch.
+	// events (failover retargets, topology adoptions, token replays) in the
+	// flight recorder and retry/retarget spans in the tracer, parented into
+	// the promotion span the resolved registration carried. Nil keeps all
+	// of it a cheap branch.
 	Obs *obs.Obs
 	// Budget, when set, is the token-bucket retry budget every retry
-	// path shares — exactly-once token replays and the at-most-once
-	// single retry after a failover alike (see RetryBudget in retry.go).
-	// Nil never denies a retry, exactly the old behavior.
+	// path shares — token replays and the single retry of a read after a
+	// failover alike (see RetryBudget in retry.go). Nil never denies a
+	// retry.
 	Budget *RetryBudget
 	// Breaker, when set, enables per-ring-ID circuit breakers with
 	// half-open probing (see breaker.go): a shard whose calls hard-fail
@@ -163,7 +159,8 @@ type view struct {
 // Router implements space.Space over a set of shards. Entries and
 // templates whose `space:"index"` key field is set route to exactly one
 // shard via the consistent-hash ring; zero-key operations scatter-gather.
-// A Router over a single shard is pure pass-through.
+// A Router over a single shard — a one-member ring — sends every operation
+// there; it still mints tokens and opens sub-transactions lazily.
 type Router struct {
 	space.Facade
 	opts Options
@@ -173,8 +170,8 @@ type Router struct {
 
 	rot atomic.Uint64
 
-	// Exactly-once token namespace: clientID is unique per router
-	// instance, tokSeq is the monotonic op sequence (see retry.go).
+	// Token namespace: clientID names this router instance, tokSeq is the
+	// monotonic op sequence (see retry.go).
 	clientID string
 	tokSeq   atomic.Uint64
 
@@ -192,7 +189,7 @@ func New(opts Options, shards []Shard) (*Router, error) {
 	r := &Router{opts: opts.withDefaults()}
 	r.Facade = space.NewFacade(r)
 	r.rot.Store(hash64(r.opts.Seed))
-	r.clientID = fmt.Sprintf("%s#%d", r.opts.Seed, routerSeq.Add(1))
+	r.clientID = clientID(r.opts.Seed, r.opts.Clock.Now())
 	if err := r.SetShards(shards); err != nil {
 		return nil, err
 	}
@@ -420,9 +417,8 @@ func (t *routerTxn) finish(op space.Op) error {
 	sort.Strings(ids) // deterministic completion order
 	var firstErr error
 	for _, id := range ids {
-		// In exactly-once mode each sub-commit/abort carries its own token:
-		// the commit RPC is the op whose reply loss must not re-execute the
-		// transaction's effects.
+		// Each sub-commit/abort carries its own token: the commit RPC is the
+		// op whose reply loss must not re-execute the transaction's effects.
 		sop := space.Op{Kind: op.Kind, Txn: subs[id].tx, Token: op.Token}
 		if sop.Token.Zero() {
 			sop.Token = t.r.mint()
@@ -436,16 +432,15 @@ func (t *routerTxn) finish(op space.Op) error {
 
 // finishSub sends one sub-transaction's commit/abort to the handle it was
 // opened on — a handle, not a ring position: no breaker gates it (a
-// breaker must never fast-fail a commit) or hears of its outcome, and a
-// tokenless one is never replayed. A tokened one replays under the same
-// predicate and loop as any call; each replay resolves failover and
-// rebinds the transaction to the position's current handle, where the
-// promoted backup's memo table answers a commit that already executed and
-// a transaction that truly died with the primary still surfaces
-// ErrTxnInactive.
+// breaker must never fast-fail a commit) or hears of its outcome. It
+// replays under the same predicate and loop as any call; each replay
+// resolves failover and rebinds the transaction to the position's current
+// handle, where the promoted backup's memo table answers a commit that
+// already executed and a transaction that truly died with the primary
+// still surfaces ErrTxnInactive.
 func (r *Router) finishSub(id string, st subTxn, sop space.Op) error {
 	_, err := st.sp.Do(sop)
-	if sop.Token.Zero() || !replayable(sop, err) {
+	if !replayable(sop, err) {
 		return err
 	}
 	return r.replay(sop, id, err, func() (error, bool) {

@@ -163,10 +163,9 @@ func Resolver(c *discovery.Client, dial Dialer) func(ringID string) (Shard, erro
 // way. Seed names the participant; Failover is the host's in-process
 // resolver on the master and set by Join for a remote client.
 type Assembly struct {
-	Clock       vclock.Clock
-	Seed        string
-	ExactlyOnce bool
-	Obs         *obs.Obs
+	Clock vclock.Clock
+	Seed  string
+	Obs   *obs.Obs
 	// Counters receives the router's failover, retry, budget and breaker
 	// counts (nil = uncounted).
 	Counters *metrics.Counters
@@ -181,7 +180,7 @@ type Assembly struct {
 // Assemble builds the router for a over shards.
 func Assemble(a Assembly, shards []Shard) (*Router, error) {
 	opts := Options{
-		Clock: a.Clock, Seed: a.Seed, ExactlyOnce: a.ExactlyOnce, Obs: a.Obs,
+		Clock: a.Clock, Seed: a.Seed, Obs: a.Obs,
 		Counters: a.Counters, Failover: a.Failover,
 	}
 	if a.RetryBudget > 0 {

@@ -142,8 +142,9 @@ func (h *Host) servingChain(ring string) (*node, *replica.Primary) {
 // SplitReport describes one completed shard split.
 type SplitReport struct {
 	Parent, Child string
-	// Migrated is the snapshot size the child was forked from; Evicted
-	// counts entries swept off the parent afterwards (settle + lame duck).
+	// Migrated counts the entries the child was forked from (the memos
+	// that travel with them are not counted); Evicted counts entries swept
+	// off the parent afterwards (settle + lame duck).
 	Migrated, Evicted int
 	// Retries counts fork attempts abandoned to a source failover.
 	Retries int
@@ -605,12 +606,7 @@ func (r *rebalancer) Stop() {
 
 // TopologyEpoch reports the master router's current ring topology epoch
 // (0 when not elastic).
-func (h *Host) TopologyEpoch() uint64 {
-	if h.router == nil {
-		return 0
-	}
-	return h.router.TopoEpoch()
-}
+func (h *Host) TopologyEpoch() uint64 { return h.router.TopoEpoch() }
 
 // SplitBorn lists the ring IDs of live split-born shards, in no particular
 // order.

@@ -17,18 +17,15 @@ import (
 // Health is the /healthz provider: one entry per hosted ring position
 // with the serving node's role, the position's epoch, the primary-observed
 // replication lag, the serving node's WAL position (0 when memory-only),
-// memo-table vitals, admission-control vitals and — on an elastic host —
-// ring ownership, and the rebalancer's smoothed op rate. The Overload block
+// memo-table vitals, admission-control vitals, ring ownership and — on an
+// auto-sharded host — the rebalancer's smoothed op rate. The Overload block
 // aggregates the serving nodes' admission vitals; Status degrades to
 // "browned-out" while any of them sheds.
 func (h *Host) Health() obs.Health {
-	hl := obs.Health{Status: "ok"}
+	hl := obs.Health{Status: "ok", TopologyEpoch: h.router.TopoEpoch()}
 	hl.Overload.MaxInflight = h.spec.MaxInflight
-	var owned, rates map[string]float64
-	if h.router != nil {
-		hl.TopologyEpoch = h.router.TopoEpoch()
-		owned = h.router.Ownership()
-	}
+	owned := h.router.Ownership()
+	var rates map[string]float64
 	splitBorn := map[string]bool{}
 	if h.reshard != nil {
 		h.reshard.mu.Lock()
@@ -93,9 +90,7 @@ func (h *Host) installObs() {
 	}
 	o.SetHealth(h.Health)
 	reg := o.Reg()
-	if router := h.router; router != nil {
-		reg.RegisterGauge(metrics.GaugeTopologyEpoch, func() int64 { return int64(router.TopoEpoch()) })
-	}
+	reg.RegisterGauge(metrics.GaugeTopologyEpoch, func() int64 { return int64(h.router.TopoEpoch()) })
 	o.Fed().Add(func() []metrics.MemberSnapshot {
 		var out []metrics.MemberSnapshot
 		for _, ps := range h.snapshot() {

@@ -39,8 +39,11 @@ type Counters struct {
 	Durability *metrics.Counters // wal:* and journal:errors (DataDir)
 	Repl       *metrics.Counters // repl:* (Replicas)
 	Reshard    *metrics.Counters // reshard:* (Elastic)
-	Retries    *metrics.Counters // retry:* / dedup:* (ExactlyOnce); Repl when both are on
-	Overload   *metrics.Counters // admit:* / shed:* (any overload knob)
+	// Retries is never nil: every router's retry:*, breaker:* and failover
+	// counts and every shard's dedup:* counts. It is Repl when replicated,
+	// so one snapshot shows failovers next to the retries they caused.
+	Retries  *metrics.Counters
+	Overload *metrics.Counters // admit:* / shed:* (any overload knob)
 }
 
 // Host is an assembled shard set.
@@ -51,7 +54,7 @@ type Host struct {
 	env     Env
 	spec    Spec
 	sweeper growSweeper
-	router  *shard.Router // nil for the classic single in-memory shard
+	router  *shard.Router
 	space   space.Space
 	reshard *reshardState // elastic only
 	rebal   *rebalancer   // auto-shard only, between Start and Stop
@@ -151,10 +154,8 @@ func (h *Host) assemble() error {
 		Reshard:    family(spec.Elastic),
 		Overload:   family(spec.MaxInflight > 0 || spec.MaxWaiters > 0 || spec.RetryBudget > 0 || spec.Breakers),
 	}
-	if spec.ExactlyOnce {
-		if h.Counters.Retries = h.Counters.Repl; h.Counters.Retries == nil {
-			h.Counters.Retries = family(true)
-		}
+	if h.Counters.Retries = h.Counters.Repl; h.Counters.Retries == nil {
+		h.Counters.Retries = family(true)
 	}
 
 	seeds := make([]shard.Shard, spec.Shards)
@@ -169,27 +170,22 @@ func (h *Host) assemble() error {
 		seeds[i] = shard.Shard{ID: ps.ring, Space: ps.handle, Epoch: ps.epoch}
 	}
 
-	if spec.Shards == 1 && spec.DataDir == "" && spec.Replicas == 0 && !spec.Elastic && !spec.ExactlyOnce {
-		h.space = seeds[0].Space
-	} else {
-		// A router even for one durable, replicated or elastic shard:
-		// Restart re-admits a recovered space through Router.Replace, a
-		// promotion retargets the ring position through Router.Retarget, a
-		// split changes the membership — and the caller's captured handle
-		// observes all three.
-		a := shard.Assembly{
-			Clock: clock, Seed: "master", ExactlyOnce: spec.ExactlyOnce, Obs: spec.Obs,
-			Counters: h.RingCounters(), RetryBudget: spec.RetryBudget, Breakers: spec.Breakers,
-		}
-		if spec.Replicas > 0 {
-			a.Failover = h.resolve
-		}
-		router, err := shard.Assemble(a, seeds)
-		if err != nil {
-			return err
-		}
-		h.router, h.space = router, router
+	// A router even for one plain shard: it mints the master's tokens, and
+	// Restart re-admits a recovered space through Router.Replace, a promotion
+	// retargets the ring position through Router.Retarget, a split changes
+	// the membership — and the caller's captured handle observes all three.
+	a := shard.Assembly{
+		Clock: clock, Seed: "master", Obs: spec.Obs,
+		Counters: h.Counters.Retries, RetryBudget: spec.RetryBudget, Breakers: spec.Breakers,
 	}
+	if spec.Replicas > 0 {
+		a.Failover = h.resolve
+	}
+	router, err := shard.Assemble(a, seeds)
+	if err != nil {
+		return err
+	}
+	h.router, h.space = router, router
 	if spec.Elastic {
 		if err := h.initElastic(); err != nil {
 			return err
@@ -206,11 +202,11 @@ func (h *Host) assemble() error {
 // builds the rest of the deployment from the same values reads them from.
 func (h *Host) Spec() Spec { return h.spec }
 
-// Space is the master's operating handle over the hosted shards: shard 0
-// directly for the classic single in-memory shard, a router otherwise.
+// Space is the master's operating handle over the hosted shards: the
+// router, instrumented.
 func (h *Host) Space() space.Space { return h.space }
 
-// Router is the master-side router (nil for the classic single shard).
+// Router is the master-side router.
 func (h *Host) Router() *shard.Router { return h.router }
 
 // Sweeper reaps expired transactions on every live serving node; it
@@ -222,19 +218,6 @@ func (h *Host) Sweeper() interface{ Sweep() int } { return &h.sweeper }
 func (h *Host) Server(i int) *transport.Server {
 	if ps := h.position(i); ps != nil {
 		return ps.srv
-	}
-	return nil
-}
-
-// RingCounters is the family a ring's router counts into: Repl, else
-// Retries, else Overload — one snapshot then shows failovers next to the
-// retries and breaker trips they caused. In-process clients of this host
-// (core's workers) count into it too.
-func (h *Host) RingCounters() *metrics.Counters {
-	for _, c := range []*metrics.Counters{h.Counters.Repl, h.Counters.Retries, h.Counters.Overload} {
-		if c != nil {
-			return c
-		}
 	}
 	return nil
 }
@@ -378,7 +361,7 @@ func (h *Host) buildNode(at Node, reuse *node, ring, dir string) (*node, error) 
 		opts := space.DurableOptions{
 			Dir:      dir,
 			Fsync:    h.spec.FsyncPolicy,
-			Strict:   h.spec.StrictDurability,
+			Strict:   true,
 			Counters: h.Counters.Durability,
 			// All nodes share the append/fsync histograms: "how slow is my
 			// disk?" is per deployment; the serve histograms split load.

@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -408,6 +410,94 @@ func TestTCPSplitThenFailover(t *testing.T) {
 	}
 	if err := h.Err(); err != nil {
 		t.Fatalf("background error: %v", err)
+	}
+}
+
+// TestSplitReportsEntriesNotRecords: a split's Migrated count and the
+// reshard:entries_migrated counter are entries. Every write through the
+// master's router is tokened, so each moving entry travels with its memo;
+// at the parent commit Fork returned the snapshot's record count, memos
+// included, and a split that moved half of 40 entries reported 40.
+func TestSplitReportsEntriesNotRecords(t *testing.T) {
+	const entries = 40
+	d := inproc(t)
+	h := d.host(t, Spec{Shards: 1, Elastic: true, ReshardDrain: 50 * time.Millisecond})
+	for i := 0; i < entries; i++ {
+		if _, err := h.Space().Write(kv{K: fmt.Sprintf("k%02d", i), V: i}, nil, tuplespace.Forever); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ring0, _ := h.RingID(0)
+	rep, err := h.Split(ring0)
+	if err != nil {
+		t.Fatalf("split: %v", err)
+	}
+	owner := shard.OwnerFunc(h.Router().Topology())
+	moved := 0
+	for i := 0; i < entries; i++ {
+		if owner(fmt.Sprintf("k%02d", i)) == rep.Child {
+			moved++
+		}
+	}
+	if moved == 0 || moved == entries {
+		t.Fatalf("the child owns %d of %d keys; pick keys that split", moved, entries)
+	}
+	if rep.Migrated != moved {
+		t.Fatalf("split reports %d migrated, the child owns %d entries", rep.Migrated, moved)
+	}
+	if got := h.Counters.Reshard.Get(metrics.CounterReshardMigrated); got != uint64(moved) {
+		t.Fatalf("%s = %d, want %d", metrics.CounterReshardMigrated, got, moved)
+	}
+	child, _ := h.ShardIndex(rep.Child)
+	ts := h.Shards()[child].TS
+	if got := ts.Stats().EntriesLive; got != moved {
+		t.Fatalf("child holds %d entries, want %d", got, moved)
+	}
+	if memos, _, _ := ts.MemoStats(); memos != moved {
+		t.Fatalf("child holds %d memos, want one per migrated write (%d)", memos, moved)
+	}
+}
+
+// failingDisk fails every write while armed.
+type failingDisk struct {
+	w     io.Writer
+	armed *atomic.Bool
+}
+
+func (f failingDisk) Write(p []byte) (int, error) {
+	if f.armed.Load() {
+		return 0, errors.New("injected disk failure")
+	}
+	return f.w.Write(p)
+}
+
+// TestDurableHostIsStrict: a hosted durable shard acknowledges nothing its
+// log refused. At the parent commit Spec.StrictDurability was set by no
+// caller, so every hosted WAL was lenient: the write below succeeded, the
+// entry was served, and only journal:errors said the disk had refused it.
+func TestDurableHostIsStrict(t *testing.T) {
+	d := inproc(t)
+	var armed atomic.Bool
+	d.env.WrapWriter = func(string) func(io.Writer) io.Writer {
+		return func(w io.Writer) io.Writer { return failingDisk{w, &armed} }
+	}
+	h := d.host(t, Spec{Shards: 1, DataDir: t.TempDir()})
+	armed.Store(true)
+	if _, err := h.Space().Write(kv{K: "refused", V: 1}, nil, tuplespace.Forever); err == nil {
+		t.Fatal("a write the WAL refused was acknowledged")
+	}
+	armed.Store(false)
+	if n := h.Shards()[0].TS.Stats().EntriesLive; n != 0 {
+		t.Fatalf("the shard serves %d entries its log refused", n)
+	}
+	if got := h.Counters.Durability.Get(metrics.CounterJournalErrors); got == 0 {
+		t.Fatalf("%s = 0, want the refusal counted", metrics.CounterJournalErrors)
+	}
+	if _, err := h.Space().Write(kv{K: "logged", V: 2}, nil, tuplespace.Forever); err != nil {
+		t.Fatalf("write once the disk healed: %v", err)
+	}
+	if n, err := h.Space().Count(kv{}); err != nil || n != 1 {
+		t.Fatalf("count = %d, %v; want the one logged entry", n, err)
 	}
 }
 

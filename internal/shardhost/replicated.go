@@ -118,9 +118,7 @@ func (h *Host) promote(ps *position, epoch uint64) {
 	// Expired-transaction bookkeeping moves with the serving space, and the
 	// master's router retargets immediately.
 	ps.sweep.swap(n.local.Mgr)
-	if h.router != nil {
-		_ = h.router.RetargetTraced(shard.Shard{ID: ps.ring, Space: handle, Epoch: epoch, Trace: tc, Clk: stamp}) // a stale epoch lost a race it may lose
-	}
+	_ = h.router.RetargetTraced(shard.Shard{ID: ps.ring, Space: handle, Epoch: epoch, Trace: tc, Clk: stamp}) // a stale epoch lost a race it may lose
 	h.env.Spawn(p.Run)
 }
 

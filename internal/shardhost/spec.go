@@ -12,9 +12,9 @@ import (
 
 // Spec describes a hosted shard set and the deployment-wide knobs its
 // clients share: core.Config embeds it, cmd/master fills it from flags, and
-// the worker side (internal/workerhost) is handed ExactlyOnce, RetryBudget,
-// Breakers, TxnTTL, WatchInterval and Obs from the same struct, so each is
-// written once per deployment.
+// the worker side (internal/workerhost) is handed RetryBudget, Breakers,
+// TxnTTL, WatchInterval and Obs from the same struct, so each is written
+// once per deployment.
 type Spec struct {
 	// Shards is how many seed shards to host (default 1). With K > 1
 	// entries partition across them by their `space:"index"` key via a
@@ -31,12 +31,11 @@ type Spec struct {
 	// persistent (Outrigger) mode: shard i keeps a segmented WAL plus
 	// snapshots under <DataDir>/shard<i> (its standby under
 	// <DataDir>/shard<i>.backup), recovers them before serving, and
-	// Host.Restart crash-restarts it from its log mid-run.
+	// Host.Restart crash-restarts it from its log mid-run. A durable node
+	// is strict: a mutation its log refused fails and leaves the space
+	// unchanged, so nothing is acknowledged that was not logged.
 	DataDir     string
 	FsyncPolicy wal.FsyncPolicy // default wal.FsyncAlways
-	// StrictDurability makes journal failures surface as space operation
-	// errors instead of acknowledging data the log lost.
-	StrictDurability bool
 
 	// Replicas gives every ring position a hot standby (0 or 1): journal
 	// records stream to a backup space on its own server, which promotes
@@ -62,11 +61,6 @@ type Spec struct {
 	// until a half-open probe succeeds.
 	RetryBudget int
 	Breakers    bool
-	// ExactlyOnce upgrades client mutations from at-most-once: routers mint
-	// an idempotency token per mutation, shard servers memoize each tokened
-	// outcome (journaled, replicated, migrated with its bucket), and
-	// ambiguous failures are retried with the same token.
-	ExactlyOnce bool
 
 	// Elastic puts a migration tap in every node's journal chain, publishes
 	// a ring topology that clients watch, and enables Split and Merge.

@@ -108,7 +108,7 @@ type Op struct {
 	Max int
 	// Token makes a mutation idempotent: a replay carrying the same token
 	// returns the original outcome instead of executing again. Zero means
-	// none (an exactly-once shard.Router then mints its own).
+	// none (a shard.Router then mints its own).
 	Token tuplespace.OpToken
 }
 

@@ -36,9 +36,9 @@ import (
 const Community = "public"
 
 // Spec says what runs on the node. The deployment-wide values (TxnTTL,
-// ExactlyOnce, RetryBudget, Breakers, WatchInterval, Obs) are the
-// shardhost.Spec fields of the same name; a caller that owns both sides
-// hands them over from there.
+// RetryBudget, Breakers, WatchInterval, Obs) are the shardhost.Spec fields
+// of the same name; a caller that owns both sides hands them over from
+// there.
 type Spec struct {
 	// Machine models the node's CPU; its name is the node's.
 	Machine *sysmon.Machine
@@ -54,7 +54,6 @@ type Spec struct {
 	PollTimeout time.Duration
 	// OpTimeout bounds each remote space RPC (core.Config.OpTimeout).
 	OpTimeout     time.Duration
-	ExactlyOnce   bool
 	RetryBudget   int
 	Breakers      bool
 	WatchInterval time.Duration // zero: shard.DefaultWatchInterval
@@ -145,7 +144,7 @@ func (n *Node) assemble() error {
 		return fmt.Errorf("discovering space: %w", err)
 	}
 	n.ring, err = shard.Join(shard.Assembly{
-		Clock: n.clock, Seed: n.name, ExactlyOnce: spec.ExactlyOnce, Obs: spec.Obs,
+		Clock: n.clock, Seed: n.name, Obs: spec.Obs,
 		Counters: spec.Counters, RetryBudget: spec.RetryBudget, Breakers: spec.Breakers,
 	}, n.lookup, items, func(addr string) (space.Space, error) {
 		c, err := n.dial(addr)
@@ -168,7 +167,7 @@ func (n *Node) assemble() error {
 		Clock:   n.clock,
 		Machine: spec.Machine,
 		// Per-op latencies as this node sees them, network included.
-		Space:        obs.InstrumentSpace(n.ring.Space, n.clock, spec.Obs.Reg(), metrics.HistSpacePrefix),
+		Space:        obs.InstrumentSpace(n.ring.Router, n.clock, spec.Obs.Reg(), metrics.HistSpacePrefix),
 		Engine:       nodeconfig.NewEngine(nodeconfig.ExecContext{Clock: n.clock, Machine: spec.Machine, Node: n.name}, code),
 		Program:      spec.Program,
 		TaskTemplate: spec.TaskTemplate(items[0].Attributes), // every registration carries the host's Attrs
@@ -285,17 +284,11 @@ func (n *Node) Worker() *worker.Worker { return n.worker }
 func (n *Node) Addr() string     { return n.addr }
 func (n *Node) SNMPAddr() string { return n.snmpAddr }
 
-// Space is the node's handle on the space, as the worker uses it: shard 0's
-// proxy for the classic deployment, the ring router otherwise. Router is
-// that router (nil in the classic case).
-func (n *Node) Space() space.Space    { return n.ring.Space }
+// Router is the node's handle on the space, as the worker uses it.
 func (n *Node) Router() *shard.Router { return n.ring.Router }
 
 // Ring lists the ring positions the node currently routes over.
 func (n *Node) Ring() []string {
-	if n.ring.Router == nil {
-		return []string{n.ring.Root}
-	}
 	var ids []string
 	for _, s := range n.ring.Router.Shards() {
 		ids = append(ids, s.ID)

@@ -151,25 +151,23 @@ func smallJob() *montecarlo.Job {
 }
 
 // TestOneScriptTwoEnvironments builds a node against each shape of host —
-// classic, sharded, replicated, elastic, and classic under exactly-once —
-// over the in-process network and over loopback sockets, drives it through
-// its whole life (join, SNMP walk, announcement, rule-base Start, a job,
-// Close), and requires the two environments to be indistinguishable. Which
-// shapes route through a ring is the join rule, decided from the host's
+// classic, sharded, replicated, elastic — over the in-process network and
+// over loopback sockets, drives it through its whole life (join, SNMP walk,
+// announcement, rule-base Start, a job, Close), and requires the two
+// environments to be indistinguishable. Every shape routes through a ring;
+// what else the ring gets is the join rule, decided from the host's
 // registrations; the rest is the assembly cmd/worker had no test for.
 func TestOneScriptTwoEnvironments(t *testing.T) {
 	shapes := []struct {
-		name        string
-		host        shardhost.Spec
-		exactlyOnce bool
+		name string
+		host shardhost.Spec
 	}{
-		{"classic", shardhost.Spec{Shards: 1}, false},
-		{"sharded", shardhost.Spec{Shards: 2}, false},
-		{"replicated", shardhost.Spec{Shards: 1, Replicas: 1, FailoverTimeout: 1500 * time.Millisecond}, false},
-		{"elastic", shardhost.Spec{Shards: 1, Elastic: true, WatchInterval: watch}, false},
-		{"exactly-once", shardhost.Spec{Shards: 1, ExactlyOnce: true}, true},
+		{"classic", shardhost.Spec{Shards: 1}},
+		{"sharded", shardhost.Spec{Shards: 2}},
+		{"replicated", shardhost.Spec{Shards: 1, Replicas: 1, FailoverTimeout: 1500 * time.Millisecond}},
+		{"elastic", shardhost.Spec{Shards: 1, Elastic: true, WatchInterval: watch}},
 	}
-	run := func(t *testing.T, d deployment, host shardhost.Spec, exactlyOnce bool) string {
+	run := func(t *testing.T, d deployment, host shardhost.Spec) string {
 		h := d.host(t, host)
 		job := smallJob()
 		cs := nodeconfig.NewCodeServer()
@@ -180,7 +178,7 @@ func TestOneScriptTwoEnvironments(t *testing.T) {
 		n := d.node(t, "node01", Spec{
 			Program:      job.Name(),
 			TaskTemplate: func(map[string]string) tuplespace.Entry { return job.TaskTemplate() },
-			PollTimeout:  20 * time.Millisecond, ExactlyOnce: exactlyOnce, WatchInterval: host.WatchInterval,
+			PollTimeout:  20 * time.Millisecond, WatchInterval: host.WatchInterval,
 		})
 		var b strings.Builder
 		fmt.Fprintf(&b, "ring=%v members=%d watcher=%v\n", n.Router() != nil, len(n.Ring()), n.ring.Watcher != nil)
@@ -243,11 +241,10 @@ func TestOneScriptTwoEnvironments(t *testing.T) {
 	mib := "mib 1.3.6.1.2.1.1.1.0\nmib 1.3.6.1.2.1.1.5.0\nmib 1.3.6.1.2.1.25.3.3.1.2.1\n" +
 		"mib 1.3.6.1.4.1.52429.1.1\nmib 1.3.6.1.4.1.52429.1.2\nmib 1.3.6.1.4.1.52429.1.3\n"
 	want := map[string]string{
-		"classic":      "ring=false members=1 watcher=false\n",
-		"sharded":      "ring=true members=2 watcher=false\n",
-		"replicated":   "ring=true members=1 watcher=false\n",
-		"elastic":      "ring=true members=1 watcher=true\n",
-		"exactly-once": "ring=true members=1 watcher=false\n",
+		"classic":    "ring=true members=1 watcher=false\n",
+		"sharded":    "ring=true members=2 watcher=false\n",
+		"replicated": "ring=true members=1 watcher=false\n",
+		"elastic":    "ring=true members=1 watcher=true\n",
 	}
 	for _, shape := range shapes {
 		t.Run(shape.name, func(t *testing.T) {
@@ -256,7 +253,7 @@ func TestOneScriptTwoEnvironments(t *testing.T) {
 			// counts goroutines, and a listener built early for the other
 			// environment would still be starting its own.
 			for name, deploy := range map[string]func(*testing.T) deployment{"inproc": inproc, "tcp": tcp} {
-				t.Run(name, func(t *testing.T) { scripts[name] = run(t, deploy(t), shape.host, shape.exactlyOnce) })
+				t.Run(name, func(t *testing.T) { scripts[name] = run(t, deploy(t), shape.host) })
 			}
 			if scripts["inproc"] != scripts["tcp"] {
 				t.Fatalf("the two environments diverged:\n--- inproc\n%s--- tcp\n%s", scripts["inproc"], scripts["tcp"])
@@ -306,7 +303,7 @@ func TestElasticSingleShardRoutesThroughRing(t *testing.T) {
 	}
 	// One watch interval of convergence; the drain (2×watch) already ran
 	// inside Split.
-	e, err := n.Space().Take(kv{K: key}, nil, watch+2*watch)
+	e, err := n.Router().Take(kv{K: key}, nil, watch+2*watch)
 	if err != nil {
 		t.Fatalf("the worker-side handle cannot take an entry the split-born child owns: %v", err)
 	}
@@ -336,7 +333,7 @@ func TestJoinAfterSplitAdoptsTopology(t *testing.T) {
 				t.Fatal(err)
 			}
 			n := d.node(t, "late", Spec{WatchInterval: time.Hour})
-			if e, err := n.Space().TakeIfExists(kv{K: key}, nil); err != nil || e == nil {
+			if e, err := n.Router().TakeIfExists(kv{K: key}, nil); err != nil || e == nil {
 				t.Fatalf("first op after joining missed the child's entry: %v, %v", e, err)
 			}
 			if got := n.Router().TopoEpoch(); got != 2 {

@@ -1,8 +1,6 @@
 package montecarlo
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math"
 	"sync"
@@ -45,17 +43,17 @@ type Result struct {
 	Sims     int
 	Node     string
 	// Trace carries the worker's execute span back to the master, which
-	// parents the aggregate span to it (and zeroes it before dedup
-	// fingerprinting).
+	// parents the aggregate span to it.
 	Trace obs.TraceContext
 }
 
 func init() {
 	transport.RegisterType(Task{})
 	transport.RegisterType(Result{})
+	transport.RegisterType(bundleParams{})
 	nodeconfig.RegisterFactory(EntryPoint, func(params []byte) (nodeconfig.Program, error) {
-		var cfg bundleParams
-		if err := gob.NewDecoder(bytes.NewReader(params)).Decode(&cfg); err != nil {
+		cfg, err := nodeconfig.DecodeParams[bundleParams](params)
+		if err != nil {
 			return nil, fmt.Errorf("montecarlo: decode bundle params: %w", err)
 		}
 		return &program{work: cfg.WorkPerSubtask}, nil
@@ -193,13 +191,11 @@ func (j *Job) Aggregate(e tuplespace.Entry) error {
 
 // Bundle implements core.Job.
 func (j *Job) Bundle() nodeconfig.Bundle {
-	var buf bytes.Buffer
-	_ = gob.NewEncoder(&buf).Encode(bundleParams{WorkPerSubtask: j.cfg.WorkPerSubtask})
 	return nodeconfig.Bundle{
 		Name:       JobName,
 		Version:    1,
 		EntryPoint: EntryPoint,
-		Params:     buf.Bytes(),
+		Params:     nodeconfig.EncodeParams(bundleParams{WorkPerSubtask: j.cfg.WorkPerSubtask}),
 		Payload:    make([]byte, 96<<10), // the worker "jar"
 	}
 }
@@ -216,6 +212,9 @@ type Price struct {
 	High, HighErr float64
 	Low, LowErr   float64
 	Sims          int
+	// Repeats lists, in aggregation order, the tasks whose result was
+	// aggregated more than once.
+	Repeats []int
 }
 
 // Midpoint returns the point estimate (the bracket's center).
@@ -228,7 +227,12 @@ func (j *Job) Answer() (Price, error) {
 	var out Price
 	var highN, lowN int
 	var highVar, lowVar float64
+	seen := make(map[int]bool, len(j.results))
 	for _, r := range j.results {
+		if seen[r.ID] {
+			out.Repeats = append(out.Repeats, r.ID)
+		}
+		seen[r.ID] = true
 		switch r.Kind {
 		case "high":
 			out.High += r.Estimate * float64(r.Sims)

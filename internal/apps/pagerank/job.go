@@ -1,8 +1,6 @@
 package pagerank
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sync"
 	"time"
@@ -43,8 +41,10 @@ type Result struct {
 	Trace obs.TraceContext
 }
 
+// bundleParams ship the link graph, not the matrix built from it: the
+// graph is a few bytes a link, the dense matrix eight a cell.
 type bundleParams struct {
-	Matrix       [][]float64
+	Graph        Graph
 	Damping      float64
 	WorkPerStrip time.Duration
 	StripRows    int
@@ -53,12 +53,13 @@ type bundleParams struct {
 func init() {
 	transport.RegisterType(Task{})
 	transport.RegisterType(Result{})
+	transport.RegisterType(bundleParams{})
 	nodeconfig.RegisterFactory(EntryPoint, func(params []byte) (nodeconfig.Program, error) {
-		var cfg bundleParams
-		if err := gob.NewDecoder(bytes.NewReader(params)).Decode(&cfg); err != nil {
+		cfg, err := nodeconfig.DecodeParams[bundleParams](params)
+		if err != nil {
 			return nil, fmt.Errorf("pagerank: decode bundle params: %w", err)
 		}
-		return &program{cfg: cfg}, nil
+		return &program{cfg: cfg, matrix: cfg.Graph.Stochastic()}, nil
 	})
 }
 
@@ -199,24 +200,22 @@ func (j *Job) NextPhase() bool {
 	return j.round <= j.cfg.Iterations
 }
 
-// Bundle implements core.Job: the matrix ships once in the bundle; tasks
-// carry only the (small) current vector, keeping master–worker traffic
-// low, which is why the paper calls this application's planning overhead
-// low.
+// Bundle implements core.Job: the link graph ships once in the bundle, and
+// each worker builds the matrix from it; tasks carry only the (small)
+// current vector, keeping master–worker traffic low, which is why the
+// paper calls this application's planning overhead low.
 func (j *Job) Bundle() nodeconfig.Bundle {
-	var buf bytes.Buffer
-	_ = gob.NewEncoder(&buf).Encode(bundleParams{
-		Matrix:       j.matrix,
-		Damping:      j.cfg.Damping,
-		WorkPerStrip: j.cfg.WorkPerStrip,
-		StripRows:    j.cfg.StripRows,
-	})
 	return nodeconfig.Bundle{
 		Name:       JobName,
 		Version:    1,
 		EntryPoint: EntryPoint,
-		Params:     buf.Bytes(),
-		Payload:    make([]byte, 64<<10),
+		Params: nodeconfig.EncodeParams(bundleParams{
+			Graph:        j.cfg.Graph,
+			Damping:      j.cfg.Damping,
+			WorkPerStrip: j.cfg.WorkPerStrip,
+			StripRows:    j.cfg.StripRows,
+		}),
+		Payload: make([]byte, 64<<10),
 	}
 }
 
@@ -235,7 +234,8 @@ func (j *Job) Ranks() []float64 {
 
 // program is the downloaded worker code.
 type program struct {
-	cfg bundleParams
+	cfg    bundleParams
+	matrix [][]float64 // cfg.Graph.Stochastic()
 }
 
 // Name implements nodeconfig.Program.
@@ -247,7 +247,7 @@ func (p *program) Execute(ctx nodeconfig.ExecContext, e tuplespace.Entry) (tuple
 	if !ok {
 		return nil, fmt.Errorf("pagerank: unexpected task entry %T", e)
 	}
-	y, err := MultiplyRows(p.cfg.Matrix, t.X, t.R0, t.R1, p.cfg.Damping)
+	y, err := MultiplyRows(p.matrix, t.X, t.R0, t.R1, p.cfg.Damping)
 	if err != nil {
 		return nil, err
 	}

@@ -166,7 +166,7 @@ func TestJobIterativePhasesMatchSerial(t *testing.T) {
 	cfg.Iterations = 6
 	cfg.WorkPerStrip = 0
 	j := NewJob(cfg)
-	prog := &program{cfg: bundleParams{Matrix: j.matrix, Damping: cfg.Damping, StripRows: cfg.StripRows}}
+	prog := &program{cfg: bundleParams{Damping: cfg.Damping, StripRows: cfg.StripRows}, matrix: j.matrix}
 
 	phases := 0
 	for {

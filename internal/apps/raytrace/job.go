@@ -2,7 +2,6 @@ package raytrace
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sync"
 	"time"
@@ -50,9 +49,10 @@ type bundleParams struct {
 func init() {
 	transport.RegisterType(Task{})
 	transport.RegisterType(Result{})
+	transport.RegisterType(bundleParams{})
 	nodeconfig.RegisterFactory(EntryPoint, func(params []byte) (nodeconfig.Program, error) {
-		var cfg bundleParams
-		if err := gob.NewDecoder(bytes.NewReader(params)).Decode(&cfg); err != nil {
+		cfg, err := nodeconfig.DecodeParams[bundleParams](params)
+		if err != nil {
 			return nil, fmt.Errorf("raytrace: decode bundle params: %w", err)
 		}
 		return &program{scene: cfg.Scene, workPerPixel: cfg.WorkPerPixel}, nil
@@ -92,8 +92,9 @@ type Job struct {
 	cfg JobConfig
 
 	mu     sync.Mutex
-	pixels []byte // final w*h*3 image
-	got    int
+	pixels []byte       // final w*h*3 image
+	got    int          // results aggregated
+	strips map[int]bool // distinct strips aggregated, by first column
 }
 
 // NewJob returns a job for cfg.
@@ -104,7 +105,7 @@ func NewJob(cfg JobConfig) *Job {
 	if cfg.StripWidth <= 0 || cfg.StripWidth > cfg.Width {
 		cfg.StripWidth = 25
 	}
-	return &Job{cfg: cfg, pixels: make([]byte, cfg.Width*cfg.Height*3)}
+	return &Job{cfg: cfg, pixels: make([]byte, cfg.Width*cfg.Height*3), strips: make(map[int]bool)}
 }
 
 // Name implements core.Job.
@@ -154,19 +155,18 @@ func (j *Job) Aggregate(e tuplespace.Entry) error {
 		copy(dst[:sw*3], src)
 	}
 	j.got++
+	j.strips[r.X0] = true
 	return nil
 }
 
 // Bundle implements core.Job: the scene ships inside the program bundle,
 // so tasks stay small (just coordinates), as in the paper.
 func (j *Job) Bundle() nodeconfig.Bundle {
-	var buf bytes.Buffer
-	_ = gob.NewEncoder(&buf).Encode(bundleParams{Scene: j.cfg.Scene, WorkPerPixel: j.cfg.WorkPerPixel})
 	return nodeconfig.Bundle{
 		Name:       JobName,
 		Version:    1,
 		EntryPoint: EntryPoint,
-		Params:     buf.Bytes(),
+		Params:     nodeconfig.EncodeParams(bundleParams{Scene: j.cfg.Scene, WorkPerPixel: j.cfg.WorkPerPixel}),
 		Payload:    make([]byte, 160<<10),
 	}
 }
@@ -178,11 +178,12 @@ func (j *Job) PlanningCost() time.Duration { return j.cfg.PlanningCostPerTask }
 func (j *Job) AggregationCost() time.Duration { return j.cfg.AggregationCostPerResult }
 
 // Image returns the composed image (RGB, row-major) and whether every
-// strip has been aggregated.
+// strip has been aggregated exactly once.
 func (j *Job) Image() ([]byte, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	complete := j.got == (j.cfg.Width+j.cfg.StripWidth-1)/j.cfg.StripWidth
+	n := (j.cfg.Width + j.cfg.StripWidth - 1) / j.cfg.StripWidth
+	complete := j.got == n && len(j.strips) == n
 	out := make([]byte, len(j.pixels))
 	copy(out, j.pixels)
 	return out, complete

@@ -61,7 +61,7 @@ type Light struct {
 	Intensity float64
 }
 
-// Scene is a full renderable scene description; it is gob-serialized into
+// Scene is a full renderable scene description; it is encoded into
 // the program bundle the code server ships to workers.
 type Scene struct {
 	Spheres    []Sphere

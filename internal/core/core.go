@@ -84,10 +84,6 @@ type Config struct {
 	// scripted windows are offsets from construction time. See
 	// internal/faults.
 	Faults *faults.Plan
-	// DedupResults makes the master's collection idempotent against
-	// redelivered result writes (see master.Config.DedupResults). Chaos
-	// scenarios that duplicate deliveries turn this on.
-	DedupResults bool
 	// OpTimeout bounds each remote space RPC a worker issues (semantic
 	// blocking time excluded — a Take with a 5 s wait gets OpTimeout on
 	// top of it). A stuck server then surfaces as space.ErrOpTimeout,
@@ -234,7 +230,6 @@ func New(clock vclock.Clock, cfg Config) *Framework {
 		// crashed workers reappear instead of stalling collection.
 		Sweeper:       host.Sweeper(),
 		SweepInterval: cfg.TxnTTL / 4,
-		DedupResults:  cfg.DedupResults,
 		Obs:           cfg.Obs,
 	})
 

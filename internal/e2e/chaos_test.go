@@ -38,15 +38,8 @@ func TestChaosEveryWorkerCrashesOnceMidTask(t *testing.T) {
 
 	// Zero lost, zero duplicated: the aggregated simulation count must be
 	// exactly the configured total — a lost task would leave it short, a
-	// double-executed one would overshoot.
-	price, err := job.Answer()
-	if err != nil {
-		t.Fatalf("answer: %v", err)
-	}
-	want := chaosJobConfig().TotalSims
-	if price.Sims != want {
-		t.Fatalf("aggregated %d simulations, want exactly %d (lost or duplicated work)", price.Sims, want)
-	}
+	// double-executed one would overshoot — and no task aggregated twice.
+	assertExactResults(t, job, chaosJobConfig())
 	wantTasks := job.ResultCount()
 	if res.Metrics.Tasks != wantTasks {
 		t.Fatalf("planned %d tasks, aggregated %d results", res.Metrics.Tasks, wantTasks)

@@ -43,10 +43,6 @@ func TestChaosShardCrashRestartRecoversFromWAL(t *testing.T) {
 			TxnTTL:  8 * time.Second,
 			DataDir: t.TempDir(),
 		},
-		// Shard-local sub-commits are not atomic across shards, so a
-		// crash can redeliver a result write; dedup keeps collection
-		// exactly-once.
-		DedupResults:  true,
 		ResultTimeout: 5 * time.Minute,
 	}, chaosJobConfig(), script)
 	if restartErr != nil {
@@ -54,13 +50,7 @@ func TestChaosShardCrashRestartRecoversFromWAL(t *testing.T) {
 	}
 
 	// Zero lost, zero duplicated: the aggregate must be exact.
-	price, err := job.Answer()
-	if err != nil {
-		t.Fatalf("answer: %v", err)
-	}
-	if want := chaosJobConfig().TotalSims; price.Sims != want {
-		t.Fatalf("aggregated %d simulations, want exactly %d (lost or duplicated work)", price.Sims, want)
-	}
+	assertExactResults(t, job, chaosJobConfig())
 	if res.Metrics.Tasks != job.ResultCount() {
 		t.Fatalf("planned %d tasks, aggregated %d results", res.Metrics.Tasks, job.ResultCount())
 	}

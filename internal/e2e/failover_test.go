@@ -18,10 +18,9 @@ import (
 // The replication acceptance scenarios: a shard primary dying mid-job is
 // absorbed by its hot standby — promotion within the failover timeout,
 // ring retarget, zero lost and zero duplicated results, and no
-// RestartShard anywhere. DedupResults stays on: a worker whose commit
-// raced the crash may deliver its result twice, and collection must be
-// idempotent against that (the same discipline the crash-restart chaos
-// scenarios use).
+// RestartShard anywhere. The master collects with no dedup of its own:
+// a worker whose commit raced the crash replays it under its token, and
+// the promoted standby answers from the memo the commit shipped.
 
 // TestChaosFailoverKillEveryPrimaryMidJob is the acceptance scenario:
 // with Replicas=1, every shard primary is killed (the in-process
@@ -53,7 +52,6 @@ func TestChaosFailoverKillEveryPrimaryMidJob(t *testing.T) {
 			TxnTTL:   8 * time.Second,
 		},
 		ResultTimeout: 5 * time.Minute,
-		DedupResults:  true,
 	}, jc, script)
 
 	assertExactResults(t, job, jc)
@@ -93,7 +91,6 @@ func TestChaosFailoverPartitionPrimaryFromBackup(t *testing.T) {
 			TxnTTL:   8 * time.Second,
 		},
 		ResultTimeout: 5 * time.Minute,
-		DedupResults:  true,
 	}, jc, nil)
 
 	assertExactResults(t, job, jc)
@@ -139,7 +136,6 @@ func BenchmarkFailoverLatency(b *testing.B) {
 				TxnTTL:   8 * time.Second,
 			},
 			ResultTimeout: 5 * time.Minute,
-			DedupResults:  true,
 			Workers:       cluster.Uniform(4, 1.0),
 		})
 		job := montecarlo.NewJob(jc)
@@ -204,7 +200,6 @@ func TestChaosFailoverRejoinAndFailBack(t *testing.T) {
 			TxnTTL:   8 * time.Second,
 		},
 		ResultTimeout: 5 * time.Minute,
-		DedupResults:  true,
 	}, jc, script)
 
 	assertExactResults(t, job, jc)

@@ -45,7 +45,6 @@ func TestFlightFailoverRetrySpanTree(t *testing.T) {
 			Obs:      o,
 		},
 		OpTimeout:     500 * time.Millisecond,
-		DedupResults:  true,
 		ResultTimeout: 10 * time.Minute,
 	}, jc, script)
 

@@ -124,7 +124,7 @@ func Run(spec RunSpec) (Outcome, error) {
 
 // ExactSims fails (with a descriptive error) unless job aggregated
 // exactly want simulations — short means lost work, over means
-// duplicated work — and every planned task produced one result.
+// duplicated work — and no task's result twice, which keeps the count.
 func ExactSims(job *montecarlo.Job, want int) error {
 	price, err := job.Answer()
 	if err != nil {
@@ -132,6 +132,9 @@ func ExactSims(job *montecarlo.Job, want int) error {
 	}
 	if price.Sims != want {
 		return fmt.Errorf("aggregated %d simulations, want exactly %d (lost or duplicated work)", price.Sims, want)
+	}
+	if len(price.Repeats) > 0 {
+		return fmt.Errorf("aggregated the results of tasks %v twice (duplicated work)", price.Repeats)
 	}
 	return nil
 }

@@ -17,9 +17,9 @@ import (
 // The elastic resharding acceptance scenarios: a hot shard splits while
 // the job keeps running — snapshot fork, live journal tail, epoch-fenced
 // cutover — and a cold split-born shard merges back, with zero lost
-// entries in either direction. DedupResults stays on throughout: a
-// worker whose result write raced a reshard boundary may deliver twice,
-// and collection must absorb that (the same discipline as failover).
+// entries in either direction and none served twice: the master collects
+// with no dedup of its own, so an entry two ring members could both hand
+// out would be aggregated twice.
 
 // TestReshardManualSplitAndMergeMidJob drives the split and merge hooks
 // directly while a job is in flight: split shard 0 mid-run, verify the
@@ -46,7 +46,6 @@ func TestReshardManualSplitAndMergeMidJob(t *testing.T) {
 			TxnTTL:  8 * time.Second,
 		},
 		ResultTimeout: 5 * time.Minute,
-		DedupResults:  true,
 	}, jc, script)
 
 	if splitErr != nil {
@@ -99,7 +98,6 @@ func TestChaosReshardAutoSplitUnderSkew(t *testing.T) {
 			TxnTTL:            8 * time.Second,
 		},
 		ResultTimeout: 5 * time.Minute,
-		DedupResults:  true,
 	}, jc, nil)
 
 	assertExactResults(t, job, jc)
@@ -152,7 +150,6 @@ func TestChaosReshardKillSourcePrimaryMidSplit(t *testing.T) {
 			TxnTTL:   8 * time.Second,
 		},
 		ResultTimeout: 5 * time.Minute,
-		DedupResults:  true,
 	}, jc, script)
 
 	if killErr != nil {
@@ -217,7 +214,6 @@ func TestChaosReshardSplitBornCrashRestart(t *testing.T) {
 			TxnTTL:  8 * time.Second,
 		},
 		ResultTimeout: 5 * time.Minute,
-		DedupResults:  true,
 	}, jc, script)
 
 	if splitErr != nil {
@@ -282,7 +278,6 @@ func BenchmarkReshardSplit(b *testing.B) {
 				TxnTTL:        8 * time.Second,
 			},
 			ResultTimeout: 5 * time.Minute,
-			DedupResults:  true,
 			Workers:       cluster.Uniform(4, 1.0),
 		})
 		job := montecarlo.NewJob(jc)

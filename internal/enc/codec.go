@@ -1,29 +1,23 @@
 package enc
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
-	"errors"
 	"fmt"
 	"reflect"
 )
 
 // A message is one any-typed value:
 //
-//	mode byte   modePlan or modeGob
-//	modePlan:   uvarint count of type definitions, then each definition
-//	            (uvarint id, uvarint-prefixed registered name, 8-byte
-//	            little-endian fingerprint), then the value: uvarint type id
-//	            (0 = nil) followed by that type's plan encoding
-//	modeGob:    one gob stream holding the value
+//	mode byte   modePlan, the one mode there is; any other is ErrCorrupt
+//	uvarint     count of type definitions, then each definition (uvarint
+//	            id, uvarint-prefixed registered name, 8-byte little-endian
+//	            fingerprint)
+//	uvarint     the value's type id (0 = nil), then that type's plan
+//	            encoding
 //
 // Definitions sit ahead of the value so a receiver's table stays in step
 // with the sender's even when the value itself fails to decode.
-const (
-	modePlan = 0
-	modeGob  = 1
-)
+const modePlan = 0
 
 // maxTypes bounds a Decoder's table; no binary registers this many types,
 // so a peer that defines more is not speaking this protocol.
@@ -64,10 +58,6 @@ func (e *Encoder) Reset() {
 // above what the same value costs on every later call.
 func (e *Encoder) DefinitionBytes() int { return e.once }
 
-// errNeedsGob is the plan path giving up on a message: some type in the
-// value has no plan.
-var errNeedsGob = errors.New("enc: no compiled plan")
-
 // Encode appends v's message to dst. On error dst is returned at its
 // original length and the Encoder's table is as it was before the call.
 func (e *Encoder) Encode(dst []byte, v interface{}) ([]byte, error) {
@@ -82,9 +72,6 @@ func (e *Encoder) Encode(dst []byte, v interface{}) ([]byte, error) {
 	}
 	if err != nil {
 		e.Rollback()
-		if err == errNeedsGob {
-			return encodeGob(dst, v)
-		}
 		return dst[:start], err
 	}
 	if e.fresh > 0 {
@@ -135,8 +122,8 @@ func (e *Encoder) define(t reflect.Type) (sentType, error) {
 	mu.RLock()
 	w := byType[t]
 	mu.RUnlock()
-	if w == nil || w.compiled() == nil {
-		return sentType{}, errNeedsGob
+	if w == nil {
+		return sentType{}, &UnregisteredTypeError{Type: t.String()}
 	}
 	st := sentType{id: uint64(len(e.order) + 1), plan: w.plan}
 	e.sent[t] = st
@@ -156,20 +143,6 @@ func (e *Encoder) descend() error {
 }
 
 func (e *Encoder) ascend() { e.depth-- }
-
-// encodeGob is the fallback: the whole value as one gob stream. If gob
-// does not know a type in it either, the error names that type.
-func encodeGob(dst []byte, v interface{}) ([]byte, error) {
-	buf := bytes.NewBuffer(dst)
-	buf.WriteByte(modeGob)
-	if err := gob.NewEncoder(buf).Encode(&v); err != nil {
-		if err = WrapEncodeError(err, v); errors.As(err, new(*UnregisteredTypeError)) {
-			return dst, err
-		}
-		return dst, fmt.Errorf("enc: encode %T: %w", v, err)
-	}
-	return buf.Bytes(), nil
-}
 
 // Decoder is the receiving half of one direction of one connection. It is
 // not safe for concurrent use and must see messages in the order the
@@ -200,15 +173,7 @@ func (d *Decoder) Decode(msg []byte) (interface{}, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch mode {
-	case modeGob:
-		var v interface{}
-		if err := gob.NewDecoder(bytes.NewReader(r.b)).Decode(&v); err != nil {
-			return nil, fmt.Errorf("%w: gob: %v", ErrCorrupt, err)
-		}
-		return v, nil
-	case modePlan:
-	default:
+	if mode != modePlan {
 		return nil, fmt.Errorf("%w: message mode %d", ErrCorrupt, mode)
 	}
 	if err := d.define(r); err != nil {
@@ -256,7 +221,7 @@ func (d *Decoder) define(r *reader) error {
 		mu.RUnlock()
 		rt := recvType{w: w}
 		switch remote := binary.LittleEndian.Uint64(fp); {
-		case w == nil || w.compiled() == nil:
+		case w == nil:
 			rt.err = &UnregisteredTypeError{Type: string(name)}
 		case w.fp != remote:
 			rt.err = fmt.Errorf("%w: %s is %016x here, %016x at the sender", ErrFingerprint, w.name, w.fp, remote)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -62,19 +63,17 @@ type list struct {
 	Next *list
 }
 
-type gobOnly struct{ A int }
-
 type unknownInside struct{ B int }
 
+// selfEncoding encodes itself, so its exported fields are not its state.
 type selfEncoding struct{ v int }
 
 func (s selfEncoding) GobEncode() ([]byte, error) { return []byte{byte(s.v)}, nil }
-func (s *selfEncoding) GobDecode(b []byte) error {
-	if len(b) != 1 {
-		return errors.New("selfEncoding: want one byte")
-	}
-	s.v = int(b[0])
-	return nil
+
+// withChan has a field no plan can carry.
+type withChan struct {
+	N int
+	C chan int
 }
 
 func init() {
@@ -82,8 +81,6 @@ func init() {
 	RegisterType(everyKind{})
 	RegisterType(named(""))
 	RegisterType(list{})
-	RegisterType(selfEncoding{})
-	gob.Register(gobOnly{})
 }
 
 func fullValue() everyKind {
@@ -136,7 +133,7 @@ func TestRoundTripEveryKind(t *testing.T) {
 			t.Errorf("%T round trip:\n got %#v\nwant %#v", v, got, v)
 		}
 		if msg[0] != modePlan {
-			t.Errorf("%T took the gob fallback", v)
+			t.Errorf("%T: message mode %d", v, msg[0])
 		}
 	}
 }
@@ -237,7 +234,7 @@ func TestDecodeErrorsAreTypedAndLocal(t *testing.T) {
 		{"length beyond message", true, huge, ErrTruncated},
 		{"trailing bytes", true, []byte{modePlan, 0, 1, 0, 2, 0}, ErrCorrupt},
 		{"definition out of sequence", false, append([]byte{modePlan, 1, 5}, def[3:]...), ErrCorrupt},
-		{"corrupt gob", false, []byte{modeGob, 1, 2, 3}, ErrCorrupt},
+		{"corrupt gob", false, []byte{1, 1, 2, 3}, ErrCorrupt}, // mode 1 was a gob stream's
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -273,29 +270,34 @@ func TestDecodeErrorsAreTypedAndLocal(t *testing.T) {
 	}
 }
 
-// TestGobFallback: what the plan compiler declines still crosses, as one
-// gob message; what gob does not know either fails naming the type.
-func TestGobFallback(t *testing.T) {
-	p := newPipe()
-	for _, v := range []interface{}{
-		gobOnly{A: 3},                       // registered with gob alone
-		everyKind{Any: gobOnly{A: 4}, I: 1}, // …nested in a planned type
-		selfEncoding{v: 9},                  // a GobEncoder: gob's business
-		complex(1, 2),                       // a kind without a plan
+// TestRegisterTypeRefusesWhatNoPlanCarries: a type the plan compiler
+// declines is refused at registration — a panic naming the type and, inside
+// a struct, the field — and is left out of the registry. A value of a type
+// never registered fails its encode naming the type, and the connection
+// carries on.
+func TestRegisterTypeRefusesWhatNoPlanCarries(t *testing.T) {
+	for _, tc := range []struct {
+		v    interface{}
+		want string
+	}{
+		{selfEncoding{v: 9}, "enc.selfEncoding encodes itself"},
+		{withChan{}, "enc.withChan.C"},
+		{complex(1, 2), "complex128"},
 	} {
-		got, msg := p.send(t, v)
-		if msg[0] != modeGob {
-			t.Errorf("%T did not take the gob fallback", v)
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, tc.want) {
+					t.Errorf("RegisterType(%T) panicked with %q, want it to name %q", tc.v, msg, tc.want)
+				}
+			}()
+			RegisterType(tc.v)
+		}()
+		if IsRegistered(tc.v) {
+			t.Errorf("%T is registered after the refusal", tc.v)
 		}
-		if !reflect.DeepEqual(got, v) {
-			t.Errorf("%T via gob: got %#v", v, got)
-		}
-	}
-	// The failed plan attempts left no half-defined types behind.
-	if got, _ := p.send(t, everyKind{I: 2}); got.(everyKind).I != 2 {
-		t.Errorf("planned type after fallbacks: %#v", got)
 	}
 
+	p := newPipe()
 	_, err := p.e.Encode(nil, everyKind{Any: unknownInside{B: 1}})
 	var ute *UnregisteredTypeError
 	if !errors.As(err, &ute) || ute.Type != "enc.unknownInside" {

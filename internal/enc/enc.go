@@ -16,23 +16,22 @@
 // connection (the pair is Reset per record), so every record defines the
 // types it uses and reads alone. Two binaries whose layouts for a
 // name differ fail the value with ErrFingerprint instead of decoding
-// garbage. A value the plan compiler cannot handle (a type registered only
-// with gob, a GobEncoder, a channel field, …) travels as one gob-encoded
-// message behind a mode byte, so everything gob carried still crosses.
+// garbage. RegisterType refuses a type the plan compiler cannot handle (a
+// type that encodes itself, a channel or func field, a complex number, …):
+// it panics naming the type and the field, so such a type fails when its
+// package initialises, never on the wire.
 package enc
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"reflect"
-	"strings"
 	"sync"
 )
 
 // UnregisteredTypeError reports an attempt to encode a concrete type that
-// was never registered with RegisterType (or gob.Register), or to decode a
-// type name the receiving binary never registered.
+// was never registered with RegisterType, or to decode a type name the
+// receiving binary never registered.
 type UnregisteredTypeError struct {
 	// Type is the Go type of the offending value, e.g. "main.Task".
 	Type string
@@ -60,24 +59,13 @@ var (
 	ErrFingerprint = errors.New("enc: type layout differs between peers")
 )
 
-// wireType is one registry entry. Its plan is compiled on first use.
+// wireType is one registry entry, compiled when it is registered.
 type wireType struct {
 	name string
 	typ  reflect.Type
 	user bool // went through RegisterType (the basic kinds are built in)
-
-	once sync.Once
-	plan *codec // nil: not compilable, values of this type fall back to gob
+	plan *codec
 	fp   uint64
-}
-
-func (w *wireType) compiled() *codec {
-	w.once.Do(func() {
-		if c, err := compile(w.typ); err == nil {
-			w.plan, w.fp = c, fingerprint(w.typ)
-		}
-	})
-	return w.plan
 }
 
 var (
@@ -87,8 +75,8 @@ var (
 )
 
 func init() {
-	// The types gob itself pre-registers and this repository sends bare
-	// inside an `any`: scalars, strings, raw datagrams, numeric vectors.
+	// The basic types this repository sends bare inside an `any`: scalars,
+	// strings, raw datagrams, numeric vectors.
 	for _, v := range []interface{}{
 		false, "", int(0), int8(0), int16(0), int32(0), int64(0),
 		uint(0), uint8(0), uint16(0), uint32(0), uint64(0), float32(0), float64(0),
@@ -115,21 +103,22 @@ func register(v interface{}, user bool) {
 		w.user = w.user || user
 		return
 	}
-	w := &wireType{name: typeName(t), typ: t, user: user}
+	c, err := compile(t)
+	if err != nil {
+		panic(fmt.Sprintf("enc: RegisterType(%s): %v", t, err))
+	}
+	w := &wireType{name: typeName(t), typ: t, user: user, plan: c, fp: fingerprint(t)}
 	byType[t], byName[w.name] = w, w
 }
 
 // RegisterType registers v's concrete type for transmission inside
 // any-typed RPC frames and journal/WAL records. It is safe to call from
-// init functions and concurrently.
-func RegisterType(v interface{}) {
-	gob.Register(v)
-	register(v, true)
-}
+// init functions and concurrently. It panics, naming the type and the
+// field, when the plan compiler cannot carry the type.
+func RegisterType(v interface{}) { register(v, true) }
 
 // IsRegistered reports whether v's concrete type went through
-// RegisterType. Types registered directly with gob.Register are not
-// tracked and report false.
+// RegisterType.
 func IsRegistered(v interface{}) bool {
 	mu.RLock()
 	defer mu.RUnlock()
@@ -149,22 +138,4 @@ func RegisteredTypes() []reflect.Type {
 		}
 	}
 	return out
-}
-
-// WrapEncodeError upgrades gob's stringly "type not registered" encode
-// failure into a typed *UnregisteredTypeError naming the concrete type gob
-// stopped at (v's own type if gob's message does not say). Other errors
-// (and nil) pass through unchanged.
-func WrapEncodeError(err error, v interface{}) error {
-	if err == nil {
-		return nil
-	}
-	const marker = "type not registered for interface: "
-	if i := strings.Index(err.Error(), marker); i >= 0 {
-		return &UnregisteredTypeError{Type: err.Error()[i+len(marker):]}
-	}
-	if strings.Contains(err.Error(), "type not registered") {
-		return &UnregisteredTypeError{Type: fmt.Sprintf("%T", v)}
-	}
-	return err
 }

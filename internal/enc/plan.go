@@ -3,7 +3,6 @@ package enc
 import (
 	"encoding"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -35,11 +34,11 @@ var (
 	codecs    = make(map[reflect.Type]*codec) // every type reached by a successful compile
 
 	timeType        = reflect.TypeOf(time.Time{})
-	gobEncoderType  = reflect.TypeOf((*gob.GobEncoder)(nil)).Elem()
+	gobEncoderType  = reflect.TypeOf((*interface{ GobEncode() ([]byte, error) })(nil)).Elem()
 	binaryMarshaler = reflect.TypeOf((*encoding.BinaryMarshaler)(nil)).Elem()
 )
 
-// compile builds the plan for t, or reports why gob must carry it instead.
+// compile builds the plan for t, or reports why no plan can carry it.
 // Codecs built on the way are published only if the whole of t compiles,
 // so a type never holds a plan for a part whose other parts failed.
 func compile(t reflect.Type) (*codec, error) {
@@ -143,7 +142,8 @@ func (s session) build(c *codec, t reflect.Type) error {
 	return nil
 }
 
-// marshals reports whether gob would let t encode itself.
+// marshals reports whether t encodes itself (gob's GobEncoder, or
+// encoding.BinaryMarshaler): its exported fields need not be its state.
 func marshals(t reflect.Type) bool {
 	for _, it := range []reflect.Type{gobEncoderType, binaryMarshaler} {
 		if t.Implements(it) || reflect.PointerTo(t).Implements(it) {

@@ -6,8 +6,10 @@ import (
 	"time"
 
 	"gospaces/internal/faults"
+	"gospaces/internal/shard"
 	"gospaces/internal/space"
 	"gospaces/internal/transport"
+	"gospaces/internal/tuplespace"
 	"gospaces/internal/vclock"
 )
 
@@ -17,10 +19,13 @@ func init() {
 }
 
 // TestChaosDuplicatedResultDeliveries: the network redelivers every result
-// Write the worker makes (at-least-once delivery), so the space holds two
-// copies of each result. With DedupResults the master must still aggregate
-// each result exactly once, collect the phase to completion (no deadlock,
-// no starvation), and account for every dropped copy.
+// Write the worker makes (at-least-once delivery). The worker reaches the
+// space as the real one does — through a tokened shard.Router, taking the
+// task and writing its result under one transaction — so each redelivery
+// carries the first delivery's token and the shard answers it inside the
+// transaction instead of storing a second copy. The master, which keeps no
+// dedup of its own, must aggregate each result exactly once and find the
+// space empty of results afterwards.
 func TestChaosDuplicatedResultDeliveries(t *testing.T) {
 	const tasks = 8
 	clk := vclock.NewVirtual(time.Unix(0, 0))
@@ -36,27 +41,18 @@ func TestChaosDuplicatedResultDeliveries(t *testing.T) {
 		plan.DuplicateCalls("node/w1", "space", "space.Write", 1)
 		net.Intercept(plan.Interceptor())
 
-		m := New(Config{
-			Clock:         clk,
-			Space:         local,
-			ResultTimeout: 30 * time.Second,
-			DedupResults:  true,
-		})
+		router, err := shard.New(shard.Options{Clock: clk, Seed: "w1"},
+			[]shard.Shard{{ID: "space", Space: space.NewProxy(net.DialAs("node/w1", "space"))}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := New(Config{Clock: clk, Space: local, ResultTimeout: 30 * time.Second})
 		job := &fakeJob{n: tasks}
 		var quit atomic.Bool
 		worker := vclock.NewGroup(clk)
-		worker.Go(func() {
-			// The worker talks to the space over the faulty network; the
-			// master holds its usual direct local handle.
-			echoWorker(clk, space.NewProxy(net.DialAs("node/w1", "space")), &quit)
-		})
-		rm, err := m.RunJob(job)
+		worker.Go(func() { txnEchoWorker(clk, router, &quit) })
+		_, err = m.RunJob(job)
 		quit.Store(true)
-		// The plan redelivers a Write after its first delivery returns, and
-		// that first delivery is what wakes the master's last take: RunJob
-		// can finish while the worker is still runnable, its final
-		// duplicate undelivered. Virtual time orders sleeps, not runnable
-		// goroutines, so wait for the worker to drain before counting.
 		worker.Wait()
 		if err != nil {
 			t.Fatalf("run under duplicated deliveries: %v", err)
@@ -71,17 +67,36 @@ func TestChaosDuplicatedResultDeliveries(t *testing.T) {
 			}
 			ids[r.ID] = true
 		}
-		// Collection stops at n distinct results, so the copy of the very
-		// last result is still parked in the space: n-1 dropped, 1 left.
-		if rm.DuplicatesDropped != tasks-1 {
-			t.Fatalf("DuplicatesDropped = %d, want %d (every write was redelivered)",
-				rm.DuplicatesDropped, tasks-1)
-		}
-		if left, err := local.Count(job.ResultTemplate()); err != nil || left != 1 {
-			t.Fatalf("leftover duplicates in space = %d (err %v), want 1", left, err)
-		}
 		if got := plan.Counters().Get(faults.EventDuplicate); got != tasks {
-			t.Fatalf("duplicate events = %d, want %d", got, tasks)
+			t.Fatalf("duplicate events = %d, want %d (every result write redelivered)", got, tasks)
+		}
+		if left, err := local.Count(job.ResultTemplate()); err != nil || left != 0 {
+			t.Fatalf("results left in the space = %d (err %v), want 0: a redelivery was stored", left, err)
 		}
 	})
+}
+
+// txnEchoWorker is echoWorker with the real worker's transaction: take the
+// task, write its result and commit, all under one transaction.
+func txnEchoWorker(clk *vclock.Virtual, sp space.Space, quit *atomic.Bool) {
+	for !quit.Load() {
+		tx, err := sp.BeginTxn(time.Minute)
+		if err != nil {
+			return
+		}
+		e, err := sp.Take(fakeTask{Job: "fake"}, tx, 50*time.Millisecond)
+		if err != nil {
+			_ = tx.Abort()
+			continue
+		}
+		task := e.(fakeTask)
+		clk.Sleep(10 * time.Millisecond)
+		if _, err := sp.Write(fakeResult{Job: "fake", ID: task.ID, Round: task.Round}, tx, tuplespace.Forever); err != nil {
+			_ = tx.Abort()
+			return
+		}
+		if err := tx.Commit(); err != nil {
+			return
+		}
+	}
 }

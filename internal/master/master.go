@@ -8,8 +8,6 @@
 package master
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -74,9 +72,6 @@ type RunMetrics struct {
 	// MaxMasterOverhead is the maximum instantaneous time the master
 	// spent planning one task or aggregating one result.
 	MaxMasterOverhead time.Duration
-	// DuplicatesDropped counts redelivered results discarded by
-	// Config.DedupResults.
-	DuplicatesDropped int
 }
 
 // Config assembles a master.
@@ -101,14 +96,6 @@ type Config struct {
 	SweepInterval time.Duration
 	// Collector, if set, receives per-phase samples.
 	Collector *metrics.Collector
-	// DedupResults makes collection idempotent against at-least-once
-	// delivery: a result entry byte-identical to one already aggregated in
-	// the same phase is discarded instead of counted. Needed when the
-	// network may redeliver a worker's result Write (the chaos suite's
-	// duplicated-delivery scenarios); off by default because exact-once
-	// transports never produce duplicates and jobs may legitimately emit
-	// identical results.
-	DedupResults bool
 	// Obs, if set, enables causal tracing (a root "plan" span per task,
 	// an "aggregate" span per result parented to the worker's execute
 	// span) and per-stage latency histograms. Nil disables both at zero
@@ -284,48 +271,20 @@ func (m *Master) planPhase(job Job, rm *RunMetrics) (int, error) {
 	return n, nil
 }
 
-// collectPhase takes and aggregates n results. With DedupResults the loop
-// runs until n distinct results have been aggregated, dropping redelivered
-// copies along the way — so a duplicated Write can neither double-count a
-// result nor starve the phase.
+// collectPhase takes and aggregates n results. It trusts the space to
+// hold each result once: a worker's result write is tokened like every
+// mutation, so a redelivered one is answered, not stored twice (DESIGN §7).
 func (m *Master) collectPhase(job Job, n int, rm *RunMetrics) error {
 	aggregation := metrics.StartStopwatch(m.cfg.Clock)
 	aggCost := job.AggregationCost()
 	tmpl := job.ResultTemplate()
-	var seen map[string]bool
-	if m.cfg.DedupResults {
-		// Scoped per phase: iterative jobs legitimately reuse task IDs
-		// across phases.
-		seen = make(map[string]bool)
-	}
-	for collected := 0; collected < n; {
+	for collected := 0; collected < n; collected++ {
 		res, err := m.takeResult(tmpl)
 		if err != nil {
 			return fmt.Errorf("master: collecting result %d/%d: %w", collected+1, n, err)
 		}
-		// Pull the worker's execute-span context out of the result and
-		// clear the carrier: retries of the same task produce results that
-		// differ only in their trace context, and dedup fingerprinting
-		// must treat those as identical.
-		tc := obs.Extract(res)
-		if tc.Valid() {
-			res = obs.Inject(res, obs.TraceContext{})
-		}
-		if seen != nil {
-			// Fingerprint the whole encoded entry, not its index key: in
-			// non-spread task layouts every result of a job shares one key.
-			fp, err := fingerprint(res)
-			if err != nil {
-				return fmt.Errorf("master: fingerprint result: %w", err)
-			}
-			if seen[fp] {
-				rm.DuplicatesDropped++
-				continue
-			}
-			seen[fp] = true
-		}
 		one := metrics.StartStopwatch(m.cfg.Clock)
-		span := m.cfg.Obs.T().StartChild(m.cfg.Clock, tc, "aggregate", "master")
+		span := m.cfg.Obs.T().StartChild(m.cfg.Clock, obs.Extract(res), "aggregate", "master")
 		m.charge(aggCost)
 		if err := job.Aggregate(res); err != nil {
 			span.End()
@@ -337,22 +296,10 @@ func (m *Master) collectPhase(job Job, n int, rm *RunMetrics) error {
 		if d > rm.MaxMasterOverhead {
 			rm.MaxMasterOverhead = d
 		}
-		collected++
 		m.collected.Add(1)
 	}
 	rm.TaskAggregationTime += aggregation.Elapsed()
 	return nil
-}
-
-// fingerprint returns a byte-exact identity for a result entry. gob
-// encoding is deterministic for map-free entry types (all the framework's
-// jobs); entries containing maps should not rely on DedupResults.
-func fingerprint(e tuplespace.Entry) (string, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&e); err != nil {
-		return "", err
-	}
-	return buf.String(), nil
 }
 
 // takeResult waits up to ResultTimeout for one result, running the

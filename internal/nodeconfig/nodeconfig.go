@@ -18,6 +18,7 @@ import (
 	"sync"
 	"time"
 
+	"gospaces/internal/enc"
 	"gospaces/internal/sysmon"
 	"gospaces/internal/transport"
 	"gospaces/internal/tuplespace"
@@ -50,6 +51,27 @@ type Program interface {
 
 // Factory instantiates a Program from a bundle's parameter bytes.
 type Factory func(params []byte) (Program, error)
+
+// EncodeParams encodes a program's instantiation parameters, of a type
+// registered with transport.RegisterType, for Bundle.Params. Parameters
+// that do not encode are a bug in the application, and panic.
+func EncodeParams(v interface{}) []byte {
+	b, err := enc.NewEncoder().Encode(nil, v)
+	if err != nil {
+		panic(fmt.Sprintf("nodeconfig: bundle params: %v", err))
+	}
+	return b
+}
+
+// DecodeParams is the factory's half of EncodeParams.
+func DecodeParams[P any](params []byte) (P, error) {
+	v, err := enc.NewDecoder().Decode(params)
+	p, ok := v.(P)
+	if err == nil && !ok {
+		err = fmt.Errorf("nodeconfig: bundle params are %T, want %T", v, p)
+	}
+	return p, err
+}
 
 var (
 	facMu     sync.RWMutex

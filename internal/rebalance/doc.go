@@ -15,16 +15,16 @@
 //     to the same applier. Seq-based deduplication makes the
 //     snapshot/stream overlap idempotent, so after this phase the child
 //     continuously converges with the source's migrating range while
-//     the source keeps serving every operation.
+//     the source keeps serving every operation. The child's copies are
+//     staged: journaled, but seen by no lookup.
 //  2. Settle + cutover. EvictWhere atomically removes migrated-range
-//     entries from the source (journaling "evict" records, which a
-//     filtered applier deliberately ignores — the child's copy is now
-//     the entry) and returns their write-records, which are re-applied
-//     to the child as an idempotent safety net. When no matching entry
-//     is lock-held the new Topology — the child owning half of the
-//     parent's ring point labels — is published at a strictly higher
-//     topology epoch. Routers apply it or a newer one, never an older:
-//     the same fencing discipline as replication epochs.
+//     entries from the source, journaling "evict" records, each of which
+//     reveals the child's staged copy; the evicted write-records are
+//     re-applied as an idempotent safety net. When no matching entry is
+//     lock-held the new Topology — the child owning half of the parent's
+//     ring point labels — is published at a strictly higher topology
+//     epoch. Routers apply it or a newer one, never an older: the same
+//     fencing discipline as replication epochs.
 //  3. Lame duck. Workers converge on the new topology within one
 //     Watcher poll interval; until then stragglers may still write
 //     migrating-range entries to the parent. Periodic settle passes
@@ -33,15 +33,13 @@
 //
 // Entries are never in zero places durably: the child applies records
 // through its own journal chain (WAL, replica) before the source copy is
-// evicted. They are transiently in two places — but the child is not in
-// any router's ring until cutover, and post-cutover stragglers at the
-// parent are swept within the drain window, so the window in which an
-// unkeyed scatter could observe both copies is the same one the failover
-// path already has, absorbed the same way (result deduplication).
+// evicted. They are never served from two places: a copy is staged until
+// the source's eviction reveals it, and a take at the source cancels it.
 //
 // A merge is the cold inverse: the same migration engine run with an
 // all-entries predicate from the child back into its parent, and a
-// topology that returns the child's labels and drops the member.
+// topology that returns the child's labels and drops the member. The
+// parent is in the ring throughout, which is why copies are staged.
 //
 // The Controller watches per-shard op-rate EWMAs and entry counts,
 // applies hysteresis and a cooldown so split and merge cannot flap, and

@@ -56,8 +56,8 @@ type Migration struct {
 	Src *tuplespace.Space
 	Tap *Tap
 	// Dst applies into the destination shard through its own journal
-	// chain, so migrated entries are durable/replicated at the child
-	// before the source copy is evicted.
+	// chain, so migrated entries are durable/replicated at the destination
+	// before the source copy is evicted, and invisible there until then.
 	Dst *tuplespace.Applier
 	// Pred selects the migrating entries (KeyedTo for a split,
 	// Everything for a merge).
@@ -136,15 +136,16 @@ func (m *Migration) Fork() (int, error) {
 }
 
 // SettlePass evicts every currently unlocked matching entry from the
-// source and re-applies the returned write-records to the destination —
-// a no-op when the tap already forwarded them (Seq dedup), the safety
-// net when it had not (a record that reached the source through a path
-// the live tap postdates). Returns how many entries were evicted and how
-// many remain lock-held by in-flight transactions or reads.
+// source — each eviction, forwarded by the live tap, reveals the
+// destination's copy — and re-applies the returned write-records as
+// evicted: a no-op when the tap already did (Seq dedup), the safety net
+// when it had not (a record that reached the source through a path the
+// live tap postdates). Returns how many entries were evicted and how many
+// remain lock-held by in-flight transactions or reads.
 func (m *Migration) SettlePass() (evicted, locked int, err error) {
 	recs, locked, err := m.Src.EvictWhere(m.Pred)
 	for _, rec := range recs {
-		if aerr := m.Dst.Apply(rec); aerr != nil && err == nil {
+		if aerr := m.Dst.ApplyEvicted(rec); aerr != nil && err == nil {
 			err = fmt.Errorf("rebalance: re-apply evicted record: %w", aerr)
 		}
 	}

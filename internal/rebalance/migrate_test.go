@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"gospaces/internal/enc"
 	"gospaces/internal/tuplespace"
 	"gospaces/internal/txn"
 	"gospaces/internal/vclock"
@@ -25,8 +26,8 @@ type note struct {
 }
 
 func init() {
-	tuplespace.RegisterType(kv{})
-	tuplespace.RegisterType(note{})
+	enc.RegisterType(kv{})
+	enc.RegisterType(note{})
 }
 
 // newTappedSpace builds a space with a migration tap in its journal

@@ -1,7 +1,6 @@
 package replica_test
 
 import (
-	"encoding/gob"
 	"errors"
 	"sync/atomic"
 	"testing"
@@ -23,7 +22,7 @@ type kv struct {
 	N int
 }
 
-func init() { gob.Register(kv{}) }
+func init() { transport.RegisterType(kv{}) }
 
 // pair assembles one primary/backup replication pair on an in-process
 // network — the same wiring as shardhost.Host, without the host.

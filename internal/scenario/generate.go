@@ -190,8 +190,9 @@ func genFaults(r *rand.Rand, m *Manifest) {
 		})
 	}
 	if r.Float64() < 0.4 {
-		// At-least-once redelivery of result writes; DedupResults (always
-		// on) must absorb it.
+		// At-least-once redelivery of result writes: the write is tokened
+		// under the worker's transaction, so the shard answers the
+		// redelivery and stores one copy.
 		*rules = append(*rules, faults.RuleSpec{
 			Kind: faults.RuleDuplicate, From: "node/*", To: "master*", Method: "space.Write",
 			Prob: 0.05 + 0.1*r.Float64(),

@@ -25,12 +25,8 @@ func checkInvariants(m Manifest, out harness.Outcome, st *runState, app appRun) 
 
 	// Zero lost, zero duplicated work: the aggregate must be exact.
 	if app.mc != nil {
-		price, err := app.mc.Answer()
-		switch {
-		case err != nil:
-			bad("montecarlo answer: %v", err)
-		case price.Sims != wantSims(m):
-			bad("aggregated %d simulations, want exactly %d (lost or duplicated work)", price.Sims, wantSims(m))
+		if err := harness.ExactSims(app.mc, wantSims(m)); err != nil {
+			bad("montecarlo: %v", err)
 		}
 	} else if app.rt != nil {
 		if _, complete := app.rt.Image(); !complete {

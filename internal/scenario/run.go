@@ -116,7 +116,6 @@ func Run(m Manifest) Report {
 				Breakers:    m.Breakers,
 				Obs:         o,
 			},
-			DedupResults:  true,
 			OpTimeout:     m.OpTimeout,
 			ResultTimeout: 10 * time.Minute,
 		},

@@ -29,8 +29,9 @@ import (
 //	no txn                  (Failover set, or                       ErrTimeout joined with the ShardError at the deadline
 //	                        ambiguous)
 //
-// Every mutation outside a caller transaction carries a token (token), so
-// none is ever left with an ambiguous outcome it may not replay. Every
+// Every mutation carries a token (token), so none outside a caller
+// transaction is ever left with an ambiguous outcome it may not replay (one
+// inside is never replayed; its token answers a redelivery). Every
 // replay is charged to the shared RetryBudget first, so a cluster-wide
 // failure cannot amplify offered load into a retry storm.
 

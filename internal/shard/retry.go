@@ -120,15 +120,15 @@ func (r *Router) mint() tuplespace.OpToken {
 }
 
 // token picks the idempotency token op carries to its shard. Reads carry
-// none, and neither do ops under a transaction: the transaction is the
-// retry unit, and its commit gets its own token in routerTxn.finish. A
+// none. Every mutation does, under a transaction too: the router never
+// replays that one, but the shard answers a network redelivery of it. A
 // mutation one shard can satisfy keeps the caller's own token
 // (space.Op.Token) when it has one; a scan always mints per shard — a
 // token's effect lives on one shard, so it must never be replayed on
 // another.
 func (r *Router) token(op space.Op, scan bool) tuplespace.OpToken {
 	switch {
-	case !op.Kind.Mutates() || op.Txn != nil:
+	case !op.Kind.Mutates():
 		return tuplespace.OpToken{}
 	case !scan && !op.Token.Zero():
 		return op.Token

@@ -152,7 +152,7 @@ func (h *Host) assemble() error {
 		Durability: family(spec.DataDir != ""),
 		Repl:       family(spec.Replicas > 0),
 		Reshard:    family(spec.Elastic),
-		Overload:   family(spec.MaxInflight > 0 || spec.MaxWaiters > 0 || spec.RetryBudget > 0 || spec.Breakers),
+		Overload:   family(spec.MaxInflight > 0 || spec.RetryBudget > 0 || spec.Breakers),
 	}
 	if h.Counters.Retries = h.Counters.Repl; h.Counters.Retries == nil {
 		h.Counters.Retries = family(true)
@@ -393,9 +393,6 @@ func (h *Host) buildNode(at Node, reuse *node, ring, dir string) (*node, error) 
 	// hits stay visible whoever serves.
 	n.local.TS.SetMemoCounters(h.Counters.Retries)
 	n.local.TS.SetFlightSink(h.memoFlightSink(n.addr, ring))
-	if h.spec.MaxWaiters > 0 {
-		n.local.TS.SetMaxWaiters(h.spec.MaxWaiters)
-	}
 	return n, nil
 }
 

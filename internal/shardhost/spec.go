@@ -50,10 +50,8 @@ type Spec struct {
 
 	// MaxInflight bounds each serving node's admitted-but-unfinished ops:
 	// past it calls fast-fail with tuplespace.ErrOverloaded and the brownout
-	// controller sheds the lowest-priority op classes first. MaxWaiters
-	// bounds the parked Take/Read waiters the same way. 0 = unlimited.
+	// controller sheds the lowest-priority op classes first. 0 = unlimited.
 	MaxInflight int
-	MaxWaiters  int
 	// RetryBudget caps the retry volume of the master's and each worker's
 	// router with a token bucket refilled by successes (0 = unlimited);
 	// Breakers arms their per-ring-position circuit breakers, which
@@ -117,8 +115,8 @@ func (s Spec) Validate() error {
 		name string
 		v    int
 	}{
-		{"max-inflight", s.MaxInflight}, {"max-waiters", s.MaxWaiters},
-		{"retry-budget", s.RetryBudget}, {"max-shards", s.MaxShards},
+		{"max-inflight", s.MaxInflight}, {"retry-budget", s.RetryBudget},
+		{"max-shards", s.MaxShards},
 		{"reshard-hysteresis", s.ReshardHysteresis},
 	} {
 		if c.v < 0 {

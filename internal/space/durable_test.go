@@ -289,6 +289,7 @@ func TestDurableRefusesLegacyGobLog(t *testing.T) {
 		Entry  interface{}
 		Expiry time.Time
 	}
+	gob.Register(job{})
 	var rec bytes.Buffer
 	if err := gob.NewEncoder(&rec).Encode(&legacyOp{Kind: "write", Seq: 1, Entry: job{Name: "old", ID: ip(1)}}); err != nil {
 		t.Fatal(err)

@@ -97,12 +97,12 @@ func (a *Applier) SeqMapping() map[uint64]uint64 {
 }
 
 // SetFilter switches the applier into resharding-migration mode: only
-// write records whose entry matches pred materialize, remove records still
-// cancel (the source consumed an entry this side holds a copy of), and
-// evict records become no-ops — an eviction means the source dropped the
-// entry *because this side now owns it*, so cancelling here would lose it.
-// Without a filter (the replication default) an evict applies as a remove:
-// a backup must mirror its primary exactly, migrated ranges included.
+// write records whose entry matches pred materialize, staged — journaled,
+// but seen by no lookup while the source can still serve the original. A
+// remove record cancels the copy (the source consumed the original); an
+// evict reveals it (the source let it go because this side owns it now).
+// Without a filter (the replication default) a write is visible at once
+// and an evict applies as a remove: a backup mirrors its primary exactly.
 // Returns a for chaining.
 func (a *Applier) SetFilter(pred func(Entry) bool) *Applier {
 	a.mu.Lock()
@@ -126,7 +126,13 @@ func (a *Applier) SetMemoFilter(pred func(key string, keyed bool) bool) *Applier
 // Apply applies one encoded journal record (the payload a RecordSink
 // receives on the primary), whole: its mutation and its memo become
 // visible together and leave as one record of this space's own journal.
-func (a *Applier) Apply(payload []byte) error {
+func (a *Applier) Apply(payload []byte) error { return a.apply(payload, false) }
+
+// ApplyEvicted applies the write record of an entry its source already
+// evicted (a settle pass's safety net): the copy is visible at once.
+func (a *Applier) ApplyEvicted(payload []byte) error { return a.apply(payload, true) }
+
+func (a *Applier) apply(payload []byte, evicted bool) error {
 	r, err := decodeRecord(payload)
 	if err != nil {
 		return fmt.Errorf("tuplespace: apply record: %w", err)
@@ -142,12 +148,15 @@ func (a *Applier) Apply(payload []byte) error {
 	case recWrite:
 		a.mu.Lock()
 		key := a.keyFor(r.seqs[0])
-		_, dup := a.leases[key]
+		l, dup := a.leases[key]
 		a.mu.Unlock()
 		// A record can arrive twice when a snapshot push and the
 		// incremental stream overlap; the Seq mapping makes the write
 		// idempotent.
 		if dup {
+			if evicted {
+				a.s.reveal([]*storedEntry{l.entry})
+			}
 			return nil
 		}
 		ttl, expired := Forever, false
@@ -164,7 +173,11 @@ func (a *Applier) Apply(payload []byte) error {
 			}
 			return nil
 		}
-		l, err := a.s.write(r.entries[0], nil, ttl, r.tok, true)
+		mode := writeMirror
+		if filter != nil && !evicted {
+			mode = writeStaged
+		}
+		l, err := a.s.write(r.entries[0], nil, ttl, r.tok, mode)
 		if err != nil {
 			return fmt.Errorf("tuplespace: apply write %d: %w", r.seqs[0], err)
 		}
@@ -172,11 +185,7 @@ func (a *Applier) Apply(payload []byte) error {
 		a.leases[key] = l
 		a.mu.Unlock()
 	case recRemove, recEvict:
-		if r.kind == recEvict && filter != nil {
-			// Migration mode: the source evicted the entry because this
-			// side owns it now. Keep the copy.
-			return nil
-		}
+		reveal := r.kind == recEvict && filter != nil // see SetFilter
 		// An unknown Seq means the entry expired locally first, or the
 		// remove duplicates one already applied. Both leave the spaces
 		// converged, so this is not an error.
@@ -186,11 +195,15 @@ func (a *Applier) Apply(payload []byte) error {
 			key := a.keyFor(seq)
 			if l := a.leases[key]; l != nil {
 				ses = append(ses, l.entry)
-				delete(a.leases, key)
+				if !reveal {
+					delete(a.leases, key)
+				}
 			}
 		}
 		a.mu.Unlock()
-		if err := a.s.applyRemove(ses, r.tok, op, memoKey, returned); err != nil {
+		if reveal {
+			a.s.reveal(ses)
+		} else if err := a.s.applyRemove(ses, r.tok, op, memoKey, returned); err != nil {
 			return fmt.Errorf("tuplespace: apply remove %v: %w", r.seqs, err)
 		}
 	case recMemo:

@@ -17,16 +17,17 @@ func (s *Space) TakeAll(tmpl Entry, t *txn.Txn, max int) ([]Entry, error) {
 	return s.bulk(opTake, tmpl, t, max, OpToken{})
 }
 
-// bulk is every ReadAll and TakeAll. A take outside a transaction consumes
-// what it picked as one record — with tok and the result set when it is
-// tokened, so a retry is answered with the same entries.
+// bulk is every ReadAll and TakeAll. A tokened take is answered with the
+// same entries on redelivery: under a transaction from the transaction's
+// answers, outside one from the memo — there it consumes what it picked as
+// one record carrying tok and the result set.
 func (s *Space) bulk(kind opKind, tmpl Entry, t *txn.Txn, max int, tok OpToken) ([]Entry, error) {
 	var buf [inlineCmps]comparer
 	ti, key, m, err := compile(tmpl, buf[:0])
 	if err != nil {
 		return nil, err
 	}
-	if kind != opTake || t != nil {
+	if kind != opTake {
 		tok = OpToken{}
 	}
 	s.mu.Lock()
@@ -34,11 +35,15 @@ func (s *Space) bulk(kind opKind, tmpl Entry, t *txn.Txn, max int, tok OpToken) 
 	if s.closed {
 		return nil, ErrClosed
 	}
+	ts, err := s.joinLocked(t)
+	if err != nil {
+		return nil, err
+	}
+	if ses, ok := s.txnHitLocked(ts, tok, MemoTakeAll); ok {
+		return copyStored(ses), nil
+	}
 	if rec, ok := s.memoHitLocked(tok); ok && rec.op == MemoTakeAll {
 		return copyEntries(rec.entries), nil
-	}
-	if _, err := s.joinLocked(t); err != nil {
-		return nil, err
 	}
 	picked := s.pickLocked(kind, s.listLocked(ti, key), m, t, max)
 	if len(picked) == 0 {
@@ -46,13 +51,13 @@ func (s *Space) bulk(kind opKind, tmpl Entry, t *txn.Txn, max int, tok OpToken) 
 		// result is not memoized (a retry is semantically a fresh op).
 		return nil, nil
 	}
-	out := make([]Entry, len(picked))
-	for i, se := range picked {
-		out[i] = deepCopy(se.val).Interface()
-	}
+	out := copyStored(picked)
 	if kind == opRead || t != nil {
 		for _, se := range picked {
 			s.applyLocked(kind, se, t, OpToken{}) // cannot fail: nothing of it is journaled
+		}
+		if t != nil {
+			ts.answered[tok] = picked
 		}
 		return out, nil
 	}
@@ -70,6 +75,15 @@ func (s *Space) bulk(kind opKind, tmpl Entry, t *txn.Txn, max int, tok OpToken) 
 	}
 	s.stats.Takes += uint64(len(picked))
 	return out, nil
+}
+
+// copyStored deep-copies the values of ses for a caller.
+func copyStored(ses []*storedEntry) []Entry {
+	out := make([]Entry, len(ses))
+	for i, se := range ses {
+		out[i] = deepCopy(se.val).Interface()
+	}
+	return out
 }
 
 // pickLocked returns, in list order, up to max (all when max <= 0) entries

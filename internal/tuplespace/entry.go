@@ -20,11 +20,12 @@ package tuplespace
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math"
 	"reflect"
 	"sync"
+
+	"gospaces/internal/enc"
 )
 
 // Entry is any struct value stored in or used to query a Space. Passing a
@@ -431,15 +432,15 @@ func IndexKey(e Entry) (key string, ok bool, err error) {
 	return kf.String(), true, nil
 }
 
-// EncodedSize returns the gob-serialized size of entry e in bytes — the
-// size it occupies on the wire when written to a remote space.
+// EncodedSize returns the size in bytes of entry e's message on a fresh
+// connection or in a journal record, type definitions included.
 func EncodedSize(e Entry) (int, error) {
 	if _, _, err := infoFor(e); err != nil {
 		return 0, err
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&e); err != nil {
+	b, err := enc.NewEncoder().Encode(nil, e)
+	if err != nil {
 		return 0, fmt.Errorf("tuplespace: encode %T: %w", e, err)
 	}
-	return buf.Len(), nil
+	return len(b), nil
 }

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"gospaces/internal/enc"
 	"gospaces/internal/metrics"
 )
 
@@ -29,11 +28,6 @@ import (
 // used to be the ad-hoc "journal_errors", the one key that broke the
 // "<subsystem>:<metric>" convention.
 const CounterJournalErrors = metrics.CounterJournalErrors
-
-// RegisterType registers a concrete entry type for journal and WAL
-// records. It is the same registry the transport layer uses, so one
-// registration covers the wire and the disk.
-func RegisterType(v interface{}) { enc.RegisterType(v) }
 
 // RecordSink is the destination for journal records. internal/wal's Log
 // satisfies it.
@@ -69,8 +63,8 @@ type Journal struct {
 }
 
 // NewJournalSink returns a journal appending records to sink. Entry types
-// that pass through the journal must be registered via RegisterType (the
-// transport layer's registrations count too).
+// that pass through the journal must be registered with enc.RegisterType
+// (transport.RegisterType is the same registry).
 func NewJournalSink(sink RecordSink) *Journal {
 	j := &Journal{sink: sink}
 	j.idle, _ = sink.(interface{ Dropping() bool })
@@ -335,7 +329,7 @@ func (st *replayState) materialize(s *Space) (int, error) {
 				continue // lease already expired
 			}
 		}
-		l, err := s.write(p.entry, nil, ttl, OpToken{}, true)
+		l, err := s.write(p.entry, nil, ttl, OpToken{}, writeMirror)
 		if err != nil {
 			return restored, fmt.Errorf("tuplespace: replay entry %d: %w", seq, err)
 		}

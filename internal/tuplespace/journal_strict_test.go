@@ -180,7 +180,7 @@ func TestUnregisteredTypeReturnsTypedError(t *testing.T) {
 		}
 	}
 	// Registering the type fixes it.
-	RegisterType(unregEntry{})
+	enc.RegisterType(unregEntry{})
 	if _, err := s.Write(unregEntry{Name: "x"}, nil, Forever); err != nil {
 		t.Fatalf("write after RegisterType: %v", err)
 	}

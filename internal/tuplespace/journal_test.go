@@ -5,12 +5,15 @@ import (
 	"testing"
 	"time"
 
+	"gospaces/internal/enc"
 	"gospaces/internal/txn"
 	"gospaces/internal/vclock"
 )
 
 func init() {
-	// Journaled entry types must be gob-registered, as on the wire.
+	// Journaled entry types must be registered, as on the wire; task is
+	// gob's too, for the legacy gob records the format tests build.
+	enc.RegisterType(task{})
 	gob.Register(task{})
 }
 

@@ -214,7 +214,7 @@ func (s *Space) findLocked(kind opKind, r listRef, m matcher, t *txn.Txn) *store
 }
 
 func (s *Space) visibleLocked(se *storedEntry, t *txn.Txn) bool {
-	if se.takenUnder != 0 {
+	if se.takenUnder != 0 || se.staged {
 		return false
 	}
 	if se.writtenUnder != 0 {

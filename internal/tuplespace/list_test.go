@@ -1,7 +1,6 @@
 package tuplespace
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -9,12 +8,13 @@ import (
 	"testing"
 	"time"
 
+	"gospaces/internal/enc"
 	"gospaces/internal/txn"
 	"gospaces/internal/vclock"
 )
 
 func init() {
-	gob.Register(paddedDoc{})
+	enc.RegisterType(paddedDoc{})
 }
 
 // paddedDoc is an indexed entry heavy enough that a leaked pointer shows

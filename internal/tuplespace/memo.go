@@ -28,6 +28,10 @@ import (
 // record of their own are those of ops with no entry to ride on — a
 // transaction's commit or abort marker — and the memo table's rows in a
 // snapshot.
+//
+// A mutation under a transaction is tokened too, but not memoized: nothing
+// of it is public before the commit, so its answer lives and dies with the
+// transaction (txnState.answered) and is never journaled.
 
 // OpToken identifies one client-originated mutation: a stable client ID
 // plus a per-client monotonic operation sequence. The zero value means
@@ -105,14 +109,32 @@ func (s *Space) memoHitLocked(tok OpToken) (*memoRec, bool) {
 	rec, ok := s.memos.recs[tok]
 	if ok {
 		s.memos.hits++
-		if s.memoCounters != nil {
-			s.memoCounters.Inc(metrics.CounterDedupHits)
-		}
-		if s.flightSink != nil {
-			s.flightSink("dedup", fmt.Sprintf("tok %s op %s", tok, rec.op))
-		}
+		s.dedupHitLocked(tok, rec.op)
 	}
 	return rec, ok
+}
+
+// txnHitLocked is memoHitLocked for an op under transaction state ts (nil
+// outside one): it looks tok up among the transaction's own answers.
+func (s *Space) txnHitLocked(ts *txnState, tok OpToken, op string) ([]*storedEntry, bool) {
+	if ts == nil || tok.Zero() {
+		return nil, false
+	}
+	ses, ok := ts.answered[tok]
+	if ok {
+		s.dedupHitLocked(tok, op)
+	}
+	return ses, ok
+}
+
+// dedupHitLocked counts a redelivered op answered instead of executed.
+func (s *Space) dedupHitLocked(tok OpToken, op string) {
+	if s.memoCounters != nil {
+		s.memoCounters.Inc(metrics.CounterDedupHits)
+	}
+	if s.flightSink != nil {
+		s.flightSink("dedup", fmt.Sprintf("tok %s op %s", tok, op))
+	}
 }
 
 // memoInsertLocked stores rec under tok, evicting FIFO past the bounds.
@@ -355,10 +377,10 @@ func (s *Space) EncodeMemosWhere(pred func(key string, keyed bool) bool) ([][]by
 
 // WriteTok is Write with an idempotency token: a retry carrying the same
 // token returns the original write's lease instead of storing a second
-// copy. A zero token (or a transactional write — the transaction is the
-// retry unit there) behaves exactly like Write.
+// copy. Under a transaction the token is remembered until the transaction
+// ends, not memoized. A zero token behaves exactly like Write.
 func (s *Space) WriteTok(e Entry, t *txn.Txn, ttl time.Duration, tok OpToken) (*EntryLease, error) {
-	return s.write(e, t, ttl, tok, false)
+	return s.write(e, t, ttl, tok, writeClient)
 }
 
 // TakeTok is Take with an idempotency token: a retry whose original

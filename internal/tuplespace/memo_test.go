@@ -1,16 +1,18 @@
 package tuplespace
 
 import (
-	"encoding/gob"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
+	"gospaces/internal/enc"
+	"gospaces/internal/txn"
 	"gospaces/internal/vclock"
 )
 
 func init() {
-	gob.Register(keyedDoc{})
+	enc.RegisterType(keyedDoc{})
 }
 
 // keyedDoc is the indexed entry type for memo-migration tests: its Key
@@ -67,6 +69,122 @@ func TestMemoTakeDedup(t *testing.T) {
 	}
 	if n, _ := s.Count(task{Job: "mc"}); n != 1 {
 		t.Fatalf("space holds %d entries after take retry, want 1 (second entry consumed)", n)
+	}
+}
+
+// TestTxnTokensDedupInsideTransaction: the network redelivers every
+// tokened op a transaction carries — write, take, take-all. Each
+// redelivery gets the first delivery's answer and has no effect of its
+// own; nothing of it reaches the memo table; commit publishes one copy,
+// and after an abort nothing the transaction did remains.
+func TestTxnTokensDedupInsideTransaction(t *testing.T) {
+	for _, commit := range []bool{true, false} {
+		s := newRealSpace()
+		mgr := txn.NewManager(vclock.NewReal())
+		for i := 1; i <= 3; i++ {
+			if _, err := s.Write(task{Job: "in", ID: ip(i)}, nil, Forever); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tx := mgr.Begin(time.Minute)
+
+		l1, err := s.WriteTok(task{Job: "out", ID: ip(1)}, tx, Forever, tok("w1", 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		l2, err := s.WriteTok(task{Job: "out", ID: ip(1)}, tx, Forever, tok("w1", 1))
+		if err != nil {
+			t.Fatalf("redelivered write: %v", err)
+		}
+		if l1.Seq() != l2.Seq() {
+			t.Fatalf("redelivered write answered with entry %d, want the first delivery's %d", l2.Seq(), l1.Seq())
+		}
+
+		take1, err := s.TakeTok(task{Job: "in"}, tx, time.Second, tok("w1", 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		take2, err := s.TakeTok(task{Job: "in"}, tx, time.Second, tok("w1", 2))
+		if err != nil {
+			t.Fatalf("redelivered take: %v", err)
+		}
+		if *take1.(task).ID != *take2.(task).ID {
+			t.Fatalf("redelivered take returned %d, want the first delivery's %d", *take2.(task).ID, *take1.(task).ID)
+		}
+
+		all1, err := s.TakeAllTok(task{Job: "in"}, tx, 0, tok("w1", 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		all2, err := s.TakeAllTok(task{Job: "in"}, tx, 0, tok("w1", 3))
+		if err != nil {
+			t.Fatalf("redelivered take-all: %v", err)
+		}
+		if len(all1) != 2 || !reflect.DeepEqual(all1, all2) {
+			t.Fatalf("take-all answered %v then %v, want the same two entries twice", all1, all2)
+		}
+		if size, _, _ := s.MemoStats(); size != 0 {
+			t.Fatalf("memo table holds %d rows, want 0: a transaction's tokens are not memoized", size)
+		}
+
+		wantIn, wantOut := 0, 1
+		if commit {
+			err = tx.Commit()
+		} else {
+			err, wantIn, wantOut = tx.Abort(), 3, 0
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, _ := s.Count(task{Job: "in"}); n != wantIn {
+			t.Fatalf("commit=%v: %d inputs left, want %d", commit, n, wantIn)
+		}
+		if n, _ := s.Count(task{Job: "out"}); n != wantOut {
+			t.Fatalf("commit=%v: %d outputs published, want %d", commit, n, wantOut)
+		}
+		if st := s.Stats(); st.EntriesLive != wantIn+wantOut {
+			t.Fatalf("commit=%v: %d entries live, want %d", commit, st.EntriesLive, wantIn+wantOut)
+		}
+	}
+}
+
+// TestTxnTokenParkedRedeliveryGetsFirstAnswer: a blocking take under a
+// transaction parks, and its redelivery parks beside it. The first entry
+// to arrive satisfies the first delivery; the second must not be consumed
+// by the redelivery, which answers with the first entry instead.
+func TestTxnTokenParkedRedeliveryGetsFirstAnswer(t *testing.T) {
+	s := newRealSpace()
+	tx := txn.NewManager(vclock.NewReal()).Begin(time.Minute)
+	type reply struct {
+		e   Entry
+		err error
+	}
+	replies := make(chan reply, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			e, err := s.TakeTok(task{Job: "in"}, tx, 5*time.Second, tok("w1", 9))
+			replies <- reply{e, err}
+		}()
+	}
+	for s.Stats().Waiting < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	for i := 1; i <= 2; i++ {
+		if _, err := s.Write(task{Job: "in", ID: ip(i)}, nil, Forever); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		r := <-replies
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		if id := *r.e.(task).ID; id != 1 {
+			t.Fatalf("delivery %d took entry %d, want 1 (the first delivery's answer)", i, id)
+		}
+	}
+	if n, _ := s.Count(task{Job: "in", ID: ip(2)}); n != 1 {
+		t.Fatal("the redelivered take consumed a second entry")
 	}
 }
 

@@ -36,8 +36,8 @@ import (
 //	        shard (EvictWhere), not because anything consumed them; never
 //	        tokened. Recovery and a standby treat it as a remove — the
 //	        entry is gone from this space either way; a migration's applier
-//	        ignores it, so an eviction on the source never cancels the
-//	        migrated copy on the destination.
+//	        takes it as the source letting the entry go, and reveals the
+//	        staged copy on the destination (see Applier.SetFilter).
 //	memo    a token's outcome with no mutation beside it: a commit or abort
 //	        marker, or a memo table row in a snapshot — then with the
 //	        identity of the entry a write memo's lease names, or the

@@ -16,16 +16,15 @@ import (
 	"gospaces/internal/vclock"
 )
 
-// doc is the record tests' entry type: registered with RegisterType, so it
-// travels by compiled plan (task, registered with gob alone, is the
-// fallback's), and keyed, so its memos carry a routing key.
+// doc is the record tests' entry type: keyed, so its memos carry a routing
+// key.
 type doc struct {
 	Key  string `space:"index"`
 	ID   int
 	Body []byte
 }
 
-func init() { RegisterType(doc{}) }
+func init() { enc.RegisterType(doc{}) }
 
 // legacyOp is journalOp as the last gob build wrote it, field for field.
 type legacyOp struct {
@@ -55,8 +54,10 @@ type namedRecord struct {
 }
 
 // recordSeeds is one record of every shape the journal writes: each kind,
-// tokened and not, a multi-entry take-all, and an entry that travels by
-// gob. The fuzz corpora under testdata/fuzz are these, encoded.
+// tokened and not, a multi-entry take-all, and a second entry type — the
+// task of write_gob_fallback, named for the codec's gob mode it took until
+// RegisterType began refusing what no plan carries. The fuzz corpora under
+// testdata/fuzz are these, encoded.
 func recordSeeds() []namedRecord {
 	d := func(id int) Entry { return doc{Key: "k" + strconv.Itoa(id), ID: id, Body: []byte{byte(id), 2, 3}} }
 	tk := OpToken{Client: "c1", Seq: 9}
@@ -98,10 +99,8 @@ func TestRecordRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got, s.rec) {
 			t.Errorf("%s: decoded\n %+v\nwant\n %+v", s.name, got, s.rec)
 		}
-		if s.name != "write_gob_fallback" { // gob numbers types per process
-			if again := mustEncode(t, got); !bytes.Equal(again, b) {
-				t.Errorf("%s: re-encoded to other bytes:\n %x\n %x", s.name, again, b)
-			}
+		if again := mustEncode(t, got); !bytes.Equal(again, b) {
+			t.Errorf("%s: re-encoded to other bytes:\n %x\n %x", s.name, again, b)
 		}
 	}
 	if b := mustEncode(t, record{kind: recRemove, seqs: []uint64{5}}); len(b) != 5 {
@@ -171,9 +170,6 @@ func TestRecordCorpusIsCurrent(t *testing.T) {
 	files := map[string][]byte{}
 	var stream []byte
 	for _, s := range recordSeeds() {
-		if s.name == "write_gob_fallback" {
-			continue // gob numbers types per process: committed once, checked by decoding
-		}
 		b := mustEncode(t, s.rec)
 		files[filepath.Join("FuzzDecodeRecord", s.name)] = corpusFile(b)
 		stream = appendFramed(stream, b)
@@ -193,22 +189,15 @@ func TestRecordCorpusIsCurrent(t *testing.T) {
 			t.Errorf("%s is not what this build encodes (%v): regenerate with UPDATE_RECORD_CORPUS=1", path, err)
 		}
 	}
-	for _, once := range []struct {
-		name string
-		b    []byte
-	}{
-		{"write_gob_fallback", mustEncode(t, recordSeeds()[2].rec)},
-		{"legacy_gob_record", legacyRecord(t)},
-	} {
-		path := filepath.Join("testdata", "fuzz", "FuzzDecodeRecord", once.name)
-		if _, err := os.Stat(path); err != nil && os.Getenv("UPDATE_RECORD_CORPUS") != "" {
-			if err := os.WriteFile(path, corpusFile(once.b), 0o644); err != nil {
-				t.Fatal(err)
-			}
+	// The gob-era record is committed once: gob numbers types per process.
+	path := filepath.Join("testdata", "fuzz", "FuzzDecodeRecord", "legacy_gob_record")
+	if _, err := os.Stat(path); err != nil && os.Getenv("UPDATE_RECORD_CORPUS") != "" {
+		if err := os.WriteFile(path, corpusFile(legacyRecord(t)), 0o644); err != nil {
+			t.Fatal(err)
 		}
-		if _, err := os.Stat(path); err != nil {
-			t.Errorf("%s: %v", path, err)
-		}
+	}
+	if _, err := os.Stat(path); err != nil {
+		t.Errorf("%s: %v", path, err)
 	}
 }
 
@@ -229,8 +218,8 @@ func typedRecordError(err error) bool {
 // typed error. What it accepts it must understand: the decoded record
 // encodes, that encoding decodes and encodes to the same bytes again (the
 // first pass may differ from the input only inside an entry body, where the
-// codec reads a padded varint and gob its own framing), and a record that
-// is all header is its one encoding.
+// codec reads a padded varint), and a record that is all header is its one
+// encoding.
 func FuzzDecodeRecord(f *testing.F) {
 	for _, s := range recordSeeds() {
 		b := mustEncode(f, s.rec)
@@ -239,7 +228,10 @@ func FuzzDecodeRecord(f *testing.F) {
 			f.Add(b[:cut])
 		}
 	}
-	f.Add(legacyRecord(f))
+	legacy := legacyRecord(f) // and every cut of a gob-era record
+	for cut := 1; cut <= len(legacy); cut++ {
+		f.Add(legacy[:cut])
+	}
 	f.Add([]byte{recordV1, byte(recRemove), 1, 5, 0xff, 0xff, 0xff, 0xff, 0x0f}) // 2^32 entries in no bytes
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := decodeRecord(data)
@@ -263,16 +255,10 @@ func FuzzDecodeRecord(f *testing.F) {
 		if err != nil {
 			t.Fatalf("own encoding of %+v does not decode: %v", r, err)
 		}
-		if b2 := mustEncode(t, r2); !bytes.Equal(b1, b2) && !viaGob(b1) {
+		if b2 := mustEncode(t, r2); !bytes.Equal(b1, b2) {
 			t.Fatalf("encoding is not a fixed point:\n %x\n %x", b1, b2)
 		}
 	})
-}
-
-// viaGob reports whether record bytes b hold an entry in the codec's gob
-// mode, whose bytes depend on what the process encoded before.
-func viaGob(b []byte) bool {
-	return bytes.Contains(b, []byte("tuplespace.task"))
 }
 
 // appendFramed appends rec to a stream of records, each behind a two-byte

@@ -69,12 +69,20 @@ type storedEntry struct {
 	takenUnder   uint64         // txn holding a take lock, 0 if free
 	readLocks    map[uint64]int // txn id -> read lock count
 	removed      bool
+	// staged marks a migrated copy whose source can still serve the
+	// original: stored and journaled here, seen by no lookup until the
+	// source lets the original go (see Applier).
+	staged bool
 }
 
 type txnState struct {
 	writes []*storedEntry
 	takes  []*storedEntry
 	reads  []*storedEntry
+	// answered holds what each tokened write, take and take-all acted on,
+	// so a redelivery gets the first delivery's answer (see memo.go). The
+	// zero token's row is written over and never read.
+	answered map[OpToken][]*storedEntry
 }
 
 type opKind int
@@ -144,30 +152,46 @@ func (s *Space) Close() {
 // with lease duration ttl (Forever for no expiry). It returns an EntryLease
 // for renewal or cancellation.
 func (s *Space) Write(e Entry, t *txn.Txn, ttl time.Duration) (*EntryLease, error) {
-	return s.write(e, t, ttl, OpToken{}, false)
+	return s.write(e, t, ttl, OpToken{}, writeClient)
 }
 
-// write is the shared Write/WriteTok implementation. A non-zero token on
-// a non-transactional write makes the call idempotent: the memo check and
-// the write itself happen under one hold of s.mu, so however many
-// duplicate retries race in, exactly one executes and the rest return its
-// lease. A mirrored write is a standby's or a recovery's: e was decoded
-// for this call alone, so it is stored as it is, and the token is the
-// source's decision to record, not a retry to check.
-func (s *Space) write(e Entry, t *txn.Txn, ttl time.Duration, tok OpToken, mirrored bool) (*EntryLease, error) {
+// writeMode says whose write it is: a client's (e deep-copied, its token
+// checked); a standby's or a recovery's (e was decoded for this call alone
+// and is stored as it is, and the token is the source's decision to record,
+// not a retry to check); or a migration's, a mirror staged until reveal.
+type writeMode int
+
+const (
+	writeClient writeMode = iota
+	writeMirror
+	writeStaged
+)
+
+// write is the shared Write/WriteTok implementation. A non-zero token
+// makes the call idempotent: the check and the write itself happen under
+// one hold of s.mu, so however many duplicate deliveries race in, exactly
+// one executes and the rest return its lease — from the memo table outside
+// a transaction, from the transaction's own answers inside one.
+func (s *Space) write(e Entry, t *txn.Txn, ttl time.Duration, tok OpToken, mode writeMode) (*EntryLease, error) {
 	ti, v, err := infoFor(e)
 	if err != nil {
 		return nil, err
-	}
-	if t != nil {
-		tok = OpToken{} // the transaction is the retry unit
 	}
 	s.mu.Lock()
 	if s.closed {
 		s.unlock()
 		return nil, ErrClosed
 	}
-	if !mirrored {
+	ts, err := s.joinLocked(t)
+	if err != nil {
+		s.unlock()
+		return nil, err
+	}
+	if mode == writeClient {
+		if ses, ok := s.txnHitLocked(ts, tok, MemoWrite); ok {
+			s.unlock()
+			return &EntryLease{space: s, entry: ses[0]}, nil
+		}
 		if rec, ok := s.memoHitLocked(tok); ok {
 			l := rec.leaseOut(s)
 			s.unlock()
@@ -175,12 +199,7 @@ func (s *Space) write(e Entry, t *txn.Txn, ttl time.Duration, tok OpToken, mirro
 		}
 		v = deepCopy(v)
 	}
-	ts, err := s.joinLocked(t)
-	if err != nil {
-		s.unlock()
-		return nil, err
-	}
-	se := &storedEntry{id: s.nextID, ti: ti, val: v}
+	se := &storedEntry{id: s.nextID, ti: ti, val: v, staged: mode == writeStaged}
 	l := &EntryLease{space: s, entry: se}
 	s.nextID++
 	if ttl > 0 {
@@ -191,6 +210,7 @@ func (s *Space) write(e Entry, t *txn.Txn, ttl time.Duration, tok OpToken, mirro
 	if t != nil {
 		se.writtenUnder = t.ID()
 		ts.writes = append(ts.writes, se)
+		ts.answered[tok] = []*storedEntry{se}
 	} else {
 		if jerr := s.journalWriteLocked(se, tok); jerr != nil {
 			// Strict durability: the write was not logged, so it must
@@ -202,7 +222,9 @@ func (s *Space) write(e Entry, t *txn.Txn, ttl time.Duration, tok OpToken, mirro
 		if !tok.Zero() {
 			s.memoInsertLocked(tok, &memoRec{op: MemoWrite, key: entryKey(se), lease: l})
 		}
-		fire = s.publishLocked(se)
+		if !se.staged {
+			fire = s.publishLocked(se)
+		}
 	}
 	s.stats.Writes++
 	s.unlock()
@@ -235,23 +257,34 @@ func (s *Space) TakeIfExists(tmpl Entry, t *txn.Txn) (Entry, error) {
 	return s.lookup(opTake, tmpl, t, 0, false, OpToken{})
 }
 
-// lookup is every single-entry Read and Take. A token counts on a take
-// outside a transaction: the memo is checked before anything is consumed,
-// and the take — now, or when a write satisfies the parked waiter —
-// leaves as one record carrying the token and the entry.
+// lookup is every single-entry Read and Take. A token counts on a take:
+// the transaction's answers, or outside one the memo, are checked before
+// anything is consumed, and the take — now, or when a write satisfies the
+// parked waiter — is noted under the transaction, or leaves as one record
+// carrying the token and the entry.
 func (s *Space) lookup(kind opKind, tmpl Entry, t *txn.Txn, timeout time.Duration, block bool, tok OpToken) (Entry, error) {
 	var buf [inlineCmps]comparer
 	ti, key, m, err := compile(tmpl, buf[:0])
 	if err != nil {
 		return nil, err
 	}
-	if kind != opTake || t != nil {
+	if kind != opTake {
 		tok = OpToken{}
 	}
 	s.mu.Lock()
 	if s.closed {
 		s.unlock()
 		return nil, ErrClosed
+	}
+	ts, err := s.joinLocked(t)
+	if err != nil {
+		s.unlock()
+		return nil, err
+	}
+	if ses, ok := s.txnHitLocked(ts, tok, MemoTake); ok {
+		out := deepCopy(ses[0].val).Interface()
+		s.unlock()
+		return out, nil
 	}
 	if rec, ok := s.memoHitLocked(tok); ok && (rec.op == MemoTake || rec.op == MemoTakeAll) {
 		var out Entry
@@ -263,10 +296,6 @@ func (s *Space) lookup(kind opKind, tmpl Entry, t *txn.Txn, timeout time.Duratio
 			return nil, ErrNoMatch
 		}
 		return out, nil
-	}
-	if _, err := s.joinLocked(t); err != nil {
-		s.unlock()
-		return nil, err
 	}
 	if se := s.findLocked(kind, s.listLocked(ti, key), m, t); se != nil {
 		if err := s.applyLocked(kind, se, t, tok); err != nil {
@@ -310,9 +339,10 @@ func (s *Space) lookup(kind opKind, tmpl Entry, t *txn.Txn, timeout time.Duratio
 }
 
 // applyLocked records the effect of a successful read/take on entry se;
-// tok is the take's token, if it has one. A non-nil return (strict journal,
-// non-txn take only) means the removal was not logged and the entry remains
-// in the space untouched.
+// tok is the take's token, if it has one: noted as the transaction's answer
+// under one, memoized with the removal outside. A non-nil return (strict
+// journal, non-txn take only) means the removal was not logged and the
+// entry remains in the space untouched.
 func (s *Space) applyLocked(kind opKind, se *storedEntry, t *txn.Txn, tok OpToken) error {
 	switch kind {
 	case opRead:
@@ -327,7 +357,9 @@ func (s *Space) applyLocked(kind opKind, se *storedEntry, t *txn.Txn, tok OpToke
 	case opTake:
 		if t != nil {
 			se.takenUnder = t.ID()
-			s.txns[t.ID()].takes = append(s.txns[t.ID()].takes, se)
+			ts := s.txns[t.ID()]
+			ts.takes = append(ts.takes, se)
+			ts.answered[tok] = []*storedEntry{se}
 		} else {
 			var returned []Entry
 			if !tok.Zero() {
@@ -368,6 +400,13 @@ func (s *Space) publishLocked(se *storedEntry) []notification {
 			if w.kind == opTake && !s.takeableLocked(se, w.txn) {
 				out = append(out, w)
 				continue
+			}
+			if w.txn != nil { // a redelivered take parked beside its first delivery
+				if ses, ok := s.txnHitLocked(s.txns[w.txn.ID()], w.tok, MemoTake); ok {
+					w.result = ses[0]
+					w.w.Wake()
+					continue
+				}
 			}
 			if err := s.applyLocked(w.kind, se, w.txn, w.tok); err != nil {
 				// Strict journal rejected the removal: fail this waiter
@@ -414,7 +453,7 @@ func (s *Space) joinLocked(t *txn.Txn) (*txnState, error) {
 	if err := t.Join(s); err != nil {
 		return nil, ErrTxnInactive
 	}
-	ts := &txnState{}
+	ts := &txnState{answered: make(map[OpToken][]*storedEntry)}
 	s.txns[t.ID()] = ts
 	return ts, nil
 }
@@ -502,6 +541,21 @@ func (s *Space) unlockReadLocked(se *storedEntry, id uint64) {
 	} else {
 		delete(se.readLocks, id)
 	}
+}
+
+// reveal makes staged copies visible: their source has let the originals
+// go. Waiters and notifications see each as a fresh write.
+func (s *Space) reveal(ses []*storedEntry) {
+	s.mu.Lock()
+	var fire []notification
+	for _, se := range ses {
+		if se.staged && !se.removed {
+			se.staged = false
+			fire = append(fire, s.publishLocked(se)...)
+		}
+	}
+	s.unlock()
+	deliver(fire)
 }
 
 // Count returns the number of public entries matching tmpl — a diagnostic

@@ -186,9 +186,21 @@ func checkPrefix(t *testing.T, mode string, ops []tornOp, records [][]byte, k in
 			a.SetFilter(func(e Entry) bool { return e.(doc).Key == migrating })
 			a.SetMemoFilter(func(key string, keyed bool) bool { return !keyed || key == migrating })
 		}
+		var written []uint64
 		for i, rec := range records[:k] {
 			if err := a.Apply(rec); err != nil {
 				t.Fatalf("apply record %d: %v", i, err)
+			}
+			if r, _ := decodeRecord(rec); r.kind == recWrite {
+				written = append(written, r.seqs[0])
+			}
+		}
+		if mode == "migration" && len(written) > 0 {
+			// A retry reaches this side only after the cutover, and the
+			// cutover waits for the source to evict whatever it still
+			// holds of the range: that eviction reveals the staged copies.
+			if err := a.Apply(mustEncode(t, record{kind: recEvict, seqs: written})); err != nil {
+				t.Fatalf("apply the settle's evict: %v", err)
 			}
 		}
 	}

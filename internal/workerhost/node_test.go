@@ -209,7 +209,7 @@ func TestOneScriptTwoEnvironments(t *testing.T) {
 		if _, err := sig.Call("worker.Signal", worker.SignalArgs{Signal: rulebase.SignalStart, SentAt: d.clock.Now()}); err != nil {
 			t.Fatalf("%s: Start signal: %v", d.name, err)
 		}
-		m := master.New(master.Config{Clock: d.clock, Space: h.Space(), ResultTimeout: 30 * time.Second, DedupResults: true})
+		m := master.New(master.Config{Clock: d.clock, Space: h.Space(), ResultTimeout: 30 * time.Second})
 		rm, err := m.RunJob(job)
 		if err != nil {
 			t.Fatalf("%s: job: %v", d.name, err)

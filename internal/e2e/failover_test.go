@@ -1,6 +1,7 @@
 package e2e
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -110,10 +111,10 @@ func TestChaosFailoverPartitionPrimaryFromBackup(t *testing.T) {
 	if err == nil {
 		t.Fatalf("deposed primary accepted a write after promotion (split brain)")
 	}
-	if !replica.IsFenced(err) && err != replica.ErrUnavailable {
+	if !errors.Is(err, replica.ErrFenced) && err != replica.ErrUnavailable {
 		t.Fatalf("deposed write error = %v, want fenced (or unavailable while degraded)", err)
 	}
-	if !replica.IsFenced(err) {
+	if !errors.Is(err, replica.ErrFenced) {
 		t.Fatalf("deposed write error = %v, want replica.ErrFenced", err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"reflect"
+	"unsafe"
 )
 
 // A message is one any-typed value:
@@ -149,6 +150,7 @@ func (e *Encoder) ascend() { e.depth-- }
 // peer's Encoder produced them.
 type Decoder struct {
 	types []recvType // index id-1
+	r     reader     // the message being decoded, kept here so the *reader the plans take costs nothing
 }
 
 // recvType is one defined id: the local type, or why values of it fail.
@@ -168,7 +170,9 @@ func (d *Decoder) Reset() { d.types = d.types[:0] }
 // msg. A value-level failure (an id never defined, a layout mismatch, a
 // body cut short) leaves the Decoder usable for the next message.
 func (d *Decoder) Decode(msg []byte) (interface{}, error) {
-	r := &reader{b: msg, d: d}
+	r := &d.r
+	*r = reader{b: msg, d: d}
+	defer func() { r.b = nil }() // hold on to none of msg past the call
 	mode, err := r.byte()
 	if err != nil {
 		return nil, err
@@ -189,7 +193,7 @@ func (d *Decoder) Decode(msg []byte) (interface{}, error) {
 	if !x.IsValid() {
 		return nil, nil
 	}
-	return x.Interface(), nil
+	return Interface(x), nil
 }
 
 // define reads a message's definitions into the table. A name this binary
@@ -232,6 +236,7 @@ func (d *Decoder) define(r *reader) error {
 }
 
 // concrete reads a type reference and its value; the zero Value is nil.
+// A value it returns is fresh (see Interface): nothing else points at it.
 func (r *reader) concrete() (reflect.Value, error) {
 	id, err := r.uvarint()
 	if err != nil || id == 0 {
@@ -253,4 +258,30 @@ func (r *reader) concrete() (reflect.Value, error) {
 		return reflect.Value{}, err
 	}
 	return v, nil
+}
+
+// Interface returns the value v holds as an interface{}, as v.Interface()
+// does, but without copying it where that is safe. v must be fresh — the
+// element of a reflect.New that nothing else points at — and must never be
+// written again through v or any copy of it: the interface owns the value
+// from here on.
+//
+// A struct type wider than a machine word is never pointer-shaped, so an
+// interface holding one keeps a pointer to the value in its data word, and
+// the value reflect.New allocated can be that value: the second allocation
+// and copy v.Interface() would make are saved. Any other type takes the
+// copy.
+func Interface(v reflect.Value) interface{} {
+	t := v.Type()
+	if t.Kind() != reflect.Struct || t.Size() <= unsafe.Sizeof(uintptr(0)) || !v.CanAddr() {
+		return v.Interface()
+	}
+	// Both interface kinds are two words. An interface{}'s first word is its
+	// dynamic type, the same pointer a reflect.Type holds as its data word.
+	type words struct{ typ, data unsafe.Pointer }
+	var x interface{}
+	w := (*words)(unsafe.Pointer(&x))
+	w.typ = (*words)(unsafe.Pointer(&t)).data
+	w.data = v.Addr().UnsafePointer()
+	return x
 }

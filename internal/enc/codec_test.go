@@ -76,11 +76,31 @@ type withChan struct {
 	C chan int
 }
 
+// Shapes a decoded value can take when the decoder hands it over (see
+// Interface): a struct wider than a word, which the interface adopts; a
+// one-word struct and a pointer-shaped one, which are copied; and a holder
+// putting each inside an empty interface and one with methods.
+type (
+	wide          struct{ A, B int64 }
+	oneWord       struct{ LeaseID uint64 }
+	pointerShaped struct{ P *int }
+	holder        struct {
+		Any interface{}
+		Str Stringer
+	}
+)
+
+func (w wide) String() string { return fmt.Sprint(w.A, w.B) }
+
 func init() {
 	RegisterType(inner{})
 	RegisterType(everyKind{})
 	RegisterType(named(""))
 	RegisterType(list{})
+	RegisterType(wide{})
+	RegisterType(oneWord{})
+	RegisterType(pointerShaped{})
+	RegisterType(holder{})
 }
 
 func fullValue() everyKind {
@@ -134,6 +154,57 @@ func TestRoundTripEveryKind(t *testing.T) {
 		}
 		if msg[0] != modePlan {
 			t.Errorf("%T: message mode %d", v, msg[0])
+		}
+	}
+}
+
+// TestDecodeHandsOverEveryShape: every shape Interface tells apart round
+// trips at the top level and inside interface fields, empty or with
+// methods, and a decoded value outlives its message's bytes.
+func TestDecodeHandsOverEveryShape(t *testing.T) {
+	seven := 7
+	p := newPipe()
+	for _, v := range []interface{}{
+		wide{1, 2}, oneWord{1 << 40}, pointerShaped{&seven},
+		holder{Any: wide{3, 4}, Str: wide{5, 6}},
+		holder{Any: oneWord{7}, Str: named("n")},
+		holder{Any: pointerShaped{&seven}},
+		holder{Any: holder{Any: wide{8, 9}}},
+	} {
+		msg, err := p.e.Encode(nil, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := p.d.Decode(msg)
+		if err != nil {
+			t.Fatalf("decode %#v: %v", v, err)
+		}
+		for i := range msg {
+			msg[i] = 0xa5
+		}
+		if !reflect.DeepEqual(got, v) {
+			t.Errorf("round trip:\n got %#v\nwant %#v", got, v)
+		}
+	}
+}
+
+// TestInterfaceAdoptsOnlyWideStructs: Interface puts a wide struct's own
+// storage in the interface and copies every other shape. Writing through
+// the Value afterwards breaks Interface's contract on purpose, to see
+// where the interface's value lives.
+func TestInterfaceAdoptsOnlyWideStructs(t *testing.T) {
+	w := reflect.New(reflect.TypeOf(wide{})).Elem()
+	x := Interface(w)
+	w.Set(reflect.ValueOf(wide{1, 2}))
+	if x != (wide{1, 2}) {
+		t.Errorf("a wide struct was copied: %#v", x)
+	}
+	for _, nonzero := range []interface{}{oneWord{1}, pointerShaped{new(int)}, int64(1), [2]int64{1, 2}} {
+		v := reflect.New(reflect.TypeOf(nonzero)).Elem()
+		x := Interface(v)
+		v.Set(reflect.ValueOf(nonzero))
+		if !reflect.ValueOf(x).IsZero() {
+			t.Errorf("%T was not copied: %#v", nonzero, x)
 		}
 	}
 }

@@ -538,7 +538,7 @@ func decInterface(r *reader, v reflect.Value) error {
 	if !x.Type().AssignableTo(v.Type()) {
 		return fmt.Errorf("%w: %s does not implement %s", ErrCorrupt, x.Type(), v.Type())
 	}
-	v.Set(x)
+	v.Set(reflect.ValueOf(Interface(x)))
 	return nil
 }
 

@@ -424,8 +424,9 @@ func TestUnregisteredTypeStillNamed(t *testing.T) {
 // input — the space, replica, discovery and application wire structs,
 // Framed, and this package's struct of every kind among them — and requires
 // decode(encode(v)) to be v (or, for empty-but-non-nil slices, what gob
-// made of v). It then damages the message and requires the decoder to
-// return an error or a value: never panic, never hang.
+// made of v), before and after the message's bytes are overwritten. It
+// then damages the message and requires the decoder to return an error or
+// a value: never panic, never hang.
 func FuzzCodecRoundTrip(f *testing.F) {
 	types := registered(f)
 	for i := range types { // every registered type, filled and with empties
@@ -451,6 +452,16 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s round trip:\n got %#v\nwant %#v", rt, got, want)
 		}
+		// A decoded value shares no memory with its message (DESIGN §14):
+		// the connection reuses the buffer for the next frame.
+		kept := append([]byte(nil), msg...)
+		for i := range msg {
+			msg[i] = ^msg[i]
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s changed with the bytes it was decoded from:\n got %#v\nwant %#v", rt, got, want)
+		}
+		msg = kept
 
 		for i := 0; i+1 < len(damage); i += 2 {
 			msg[int(damage[i])%len(msg)] ^= damage[i+1]

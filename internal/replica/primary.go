@@ -318,7 +318,6 @@ func (p *Primary) shipResult(err error) error {
 	if err == nil {
 		return nil
 	}
-	err = mapRemote(err)
 	switch err {
 	case ErrFenced:
 		p.mu.Lock()

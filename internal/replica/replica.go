@@ -34,7 +34,6 @@ package replica
 import (
 	"errors"
 	"fmt"
-	"strings"
 
 	"gospaces/internal/transport"
 )
@@ -127,26 +126,7 @@ func init() {
 	transport.RegisterType(appendReply{})
 	transport.RegisterType(heartbeatArgs{})
 	transport.RegisterType(syncArgs{})
+	// A replication RPC's caller gets these back as themselves (append
+	// only: a sentinel's code is its position here).
+	transport.RegisterErrors(transport.ReplicaErrors, ErrFenced, ErrOutOfSync)
 }
-
-// mapRemote converts RemoteError strings carrying the replica sentinels
-// back into the sentinel errors, mirroring space.Proxy's convention.
-func mapRemote(err error) error {
-	if err == nil {
-		return nil
-	}
-	var re *transport.RemoteError
-	if !errors.As(err, &re) {
-		return err
-	}
-	for _, sentinel := range []error{ErrFenced, ErrOutOfSync} {
-		if strings.Contains(re.Msg, sentinel.Error()) {
-			return sentinel
-		}
-	}
-	return err
-}
-
-// IsFenced reports whether err is (or wraps, locally or remotely) the
-// fencing rejection.
-func IsFenced(err error) bool { return errors.Is(mapRemote(err), ErrFenced) }

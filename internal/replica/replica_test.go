@@ -2,6 +2,8 @@ package replica_test
 
 import (
 	"errors"
+	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -209,7 +211,7 @@ func TestEpochFencingDeposesPrimary(t *testing.T) {
 		}
 		for i := 0; i < 2; i++ {
 			_, err := pr.wrapped.Write(kv{K: "post", N: i}, nil, time.Hour)
-			if !replica.IsFenced(err) {
+			if !errors.Is(err, replica.ErrFenced) {
 				t.Fatalf("deposed write %d: err = %v, want fenced", i, err)
 			}
 		}
@@ -247,12 +249,12 @@ func TestFencedFlushFails(t *testing.T) {
 			t.Fatal("backup did not promote")
 		}
 		// The next ship discovers the fencing.
-		if _, err := pr.wrapped.Write(kv{K: "post", N: 1}, nil, time.Hour); !replica.IsFenced(err) {
+		if _, err := pr.wrapped.Write(kv{K: "post", N: 1}, nil, time.Hour); !errors.Is(err, replica.ErrFenced) {
 			t.Fatalf("deposed write: err = %v, want fenced", err)
 		}
 		// Every subsequent confirm keeps failing: an empty-queue Flush on
 		// a fenced primary is ErrFenced, never a silent nil.
-		if err := pr.p.Flush(); !replica.IsFenced(err) {
+		if err := pr.p.Flush(); !errors.Is(err, replica.ErrFenced) {
 			t.Fatalf("fenced Flush = %v, want ErrFenced", err)
 		}
 	})
@@ -521,5 +523,56 @@ func TestSwitchSinkDropsWithoutEncoding(t *testing.T) {
 	sw.Set(nil)
 	if !sw.Dropping() {
 		t.Fatal("a switch whose target was removed wants records")
+	}
+}
+
+// TestSentinelsCrossTheWire: a replication handler's ErrFenced or
+// ErrOutOfSync, bare or wrapped, reaches the caller as the sentinel itself
+// over both bindings, while an error that only quotes one's text is not
+// taken for it.
+func TestSentinelsCrossTheWire(t *testing.T) {
+	var mu sync.Mutex
+	var fail error // what the handler returns next
+	srv := transport.NewServer()
+	srv.Handle("probe", func(interface{}) (interface{}, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		return nil, fail
+	})
+	call := func(c transport.Client, err error) error {
+		mu.Lock()
+		fail = err
+		mu.Unlock()
+		_, got := c.Call("probe", nil)
+		return got
+	}
+
+	network := transport.NewNetwork(vclock.NewReal(), transport.Loopback())
+	network.Listen("replica", srv)
+	ln, err := transport.ListenTCP("127.0.0.1:0", srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	tc, err := transport.DialTCP(ln.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tc.Close()
+	for _, b := range []struct {
+		name string
+		c    transport.Client
+	}{{"inproc", network.Dial("replica")}, {"tcp", tc}} {
+		for _, s := range []error{replica.ErrFenced, replica.ErrOutOfSync} {
+			if got := call(b.c, s); got != s {
+				t.Errorf("%s: handler returned %q, caller got %v", b.name, s, got)
+			}
+			if got := call(b.c, fmt.Errorf("epoch 3 < 4: %w", s)); got != s {
+				t.Errorf("%s: handler wrapped %q, caller got %v", b.name, s, got)
+			}
+			if got := call(b.c, errors.New("quoting "+s.Error())); errors.Is(got, s) {
+				t.Errorf("%s: an error quoting %q was taken for a sentinel: %v", b.name, s, got)
+			}
+		}
 	}
 }

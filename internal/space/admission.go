@@ -12,7 +12,7 @@ import (
 
 // AdmissionConfig tunes a Service's server-side overload protection. The
 // zero value (an unconfigured Service) admits everything and only unwraps
-// the transport frame, so token-oblivious deployments behave as before.
+// a deadline the call carries.
 type AdmissionConfig struct {
 	// Clock evaluates deadlines and brownout windows. Required for any
 	// check to run.
@@ -112,15 +112,15 @@ func (a *Admission) Level() int {
 	return a.level
 }
 
-// admit runs every pre-execution check for one op and, on success,
-// reserves an inflight slot and pays the gate. The returned release frees
-// the slot after the handler finishes.
-func (a *Admission) admit(deadline time.Time, pri int) (func(), error) {
+// admit runs every pre-execution check for one op and, on success, pays
+// the gate. It reports whether it reserved an inflight slot, which the
+// caller frees with release once the handler finishes.
+func (a *Admission) admit(deadline time.Time, pri int) (bool, error) {
 	a.mu.Lock()
 	cfg := a.cfg
 	if cfg.Clock == nil {
 		a.mu.Unlock()
-		return func() {}, nil
+		return false, nil
 	}
 	now := cfg.Clock.Now()
 	// Expired deadline: the client has already given up on this op.
@@ -128,14 +128,14 @@ func (a *Admission) admit(deadline time.Time, pri int) (func(), error) {
 		a.expired++
 		a.mu.Unlock()
 		inc(cfg.Counters, metrics.CounterAdmitExpired)
-		return nil, tuplespace.ErrDeadlineExpired
+		return false, tuplespace.ErrDeadlineExpired
 	}
 	// Hard pending-op bound.
 	if cfg.MaxInflight > 0 && a.inflight >= cfg.MaxInflight {
 		a.rejected++
 		a.mu.Unlock()
 		inc(cfg.Counters, metrics.CounterAdmitRejected)
-		return nil, tuplespace.ErrOverloaded
+		return false, tuplespace.ErrOverloaded
 	}
 	// Brownout: sustained saturation sheds the lowest classes first.
 	transition := a.brownoutLocked(cfg, now)
@@ -150,7 +150,7 @@ func (a *Admission) admit(deadline time.Time, pri int) (func(), error) {
 			cfg.FlightSink(transition)
 		}
 		inc(cfg.Counters, key)
-		return nil, tuplespace.ErrOverloaded
+		return false, tuplespace.ErrOverloaded
 	}
 	a.inflight++
 	a.admitted++
@@ -158,22 +158,24 @@ func (a *Admission) admit(deadline time.Time, pri int) (func(), error) {
 	if transition != "" && cfg.FlightSink != nil {
 		cfg.FlightSink(transition)
 	}
-	release := func() {
-		a.mu.Lock()
-		a.inflight--
-		a.mu.Unlock()
-	}
 	// The gate sleeps through queue wait + service time; an op whose slot
 	// would complete after the client's deadline is dropped unexecuted.
 	if !cfg.Gate.AdmitBy(deadline) {
-		release()
 		a.mu.Lock()
+		a.inflight--
 		a.expired++
 		a.mu.Unlock()
 		inc(cfg.Counters, metrics.CounterAdmitExpired)
-		return nil, tuplespace.ErrDeadlineExpired
+		return false, tuplespace.ErrDeadlineExpired
 	}
-	return release, nil
+	return true, nil
+}
+
+// release frees the inflight slot a successful admit reserved.
+func (a *Admission) release() {
+	a.mu.Lock()
+	a.inflight--
+	a.mu.Unlock()
 }
 
 // inc is a nil-safe counter increment.
@@ -222,18 +224,22 @@ func brownoutDetail(level int) string {
 	}
 }
 
-// wrap is the admission middleware a Service installs around every
-// handler at registration: unwrap the transport frame, run the checks,
-// clamp a blocking lookup's park to the propagated deadline, then run the
-// handler.
-func (a *Admission) wrap(next transport.Handler) transport.Handler {
+// wrap is the admission middleware a Service installs around kind k's
+// handler at registration: unwrap a deadline the call carries, run the
+// checks with k's brownout class, clamp a blocking lookup's park to the
+// deadline, then run the handler. The class is the kind's, never the
+// caller's: the server knows which op it is running.
+func (a *Admission) wrap(k Kind, next transport.Handler) transport.Handler {
+	pri := k.Priority()
 	return func(arg interface{}) (interface{}, error) {
-		inner, deadline, pri := transport.Unframe(arg)
-		release, err := a.admit(deadline, pri)
+		inner, deadline, _ := transport.Unframe(arg)
+		held, err := a.admit(deadline, pri)
 		if err != nil {
 			return nil, err
 		}
-		defer release()
+		if held {
+			defer a.release()
+		}
 		if !deadline.IsZero() {
 			inner = a.clampDeadline(inner, deadline)
 		}

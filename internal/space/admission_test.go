@@ -18,8 +18,7 @@ func TestAdmissionInflightBound(t *testing.T) {
 	var a Admission
 	a.Configure(AdmissionConfig{Clock: clk, MaxInflight: 2})
 
-	rel1, err := a.admit(time.Time{}, transport.PriHigh)
-	if err != nil {
+	if _, err := a.admit(time.Time{}, transport.PriHigh); err != nil {
 		t.Fatalf("admit 1: %v", err)
 	}
 	if _, err := a.admit(time.Time{}, transport.PriHigh); err != nil {
@@ -28,7 +27,7 @@ func TestAdmissionInflightBound(t *testing.T) {
 	if _, err := a.admit(time.Time{}, transport.PriHigh); !errors.Is(err, tuplespace.ErrOverloaded) {
 		t.Fatalf("admit 3: err = %v, want ErrOverloaded", err)
 	}
-	rel1()
+	a.release()
 	if _, err := a.admit(time.Time{}, transport.PriHigh); err != nil {
 		t.Fatalf("admit after release: %v", err)
 	}
@@ -73,18 +72,15 @@ func TestAdmissionBrownoutLevels(t *testing.T) {
 
 	clk.Run(func() {
 		// Pin utilization at 0.9 with nine held slots, then probe over time.
-		var held []func()
 		for i := 0; i < 9; i++ {
-			rel, err := a.admit(time.Time{}, transport.PriHigh)
-			if err != nil {
+			if _, err := a.admit(time.Time{}, transport.PriHigh); err != nil {
 				t.Fatalf("fill %d: %v", i, err)
 			}
-			held = append(held, rel)
 		}
 		probe := func(pri int) error {
-			rel, err := a.admit(time.Time{}, pri)
+			_, err := a.admit(time.Time{}, pri)
 			if err == nil {
-				rel()
+				a.release()
 			}
 			return err
 		}
@@ -114,8 +110,8 @@ func TestAdmissionBrownoutLevels(t *testing.T) {
 
 		// Drain: the next admit sees utilization at or under BrownoutExit
 		// and leaves brownout, readmitting diagnostics.
-		for _, rel := range held {
-			rel()
+		for i := 0; i < 9; i++ {
+			a.release()
 		}
 		if err := probe(transport.PriLow); err != nil {
 			t.Fatalf("post-drain diagnostic: %v", err)

@@ -3,7 +3,6 @@ package space
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -19,6 +18,23 @@ import (
 // deadline expiry is a hard failure the shard router may cure by failing
 // over, while a space timeout just means "keep looking".
 var ErrOpTimeout = errors.New("space: remote operation deadline exceeded")
+
+// The tuplespace sentinels a Service's handlers return cross the wire as
+// fixed codes, so a Proxy's caller gets the sentinel itself back and
+// errors.Is works against local and remote spaces alike. Append only: a
+// sentinel's code is its position here.
+func init() {
+	transport.RegisterErrors(transport.SpaceErrors,
+		tuplespace.ErrTimeout,
+		tuplespace.ErrNoMatch,
+		tuplespace.ErrTxnInactive,
+		tuplespace.ErrLeaseExpired,
+		tuplespace.ErrClosed,
+		tuplespace.ErrNotStruct,
+		tuplespace.ErrOverloaded,
+		tuplespace.ErrDeadlineExpired,
+	)
+}
 
 // Proxy is a client-side Space backed by a transport.Client talking to a
 // Service. It is the analogue of the JavaSpaces proxy object a Jini client
@@ -62,11 +78,13 @@ func (p *Proxy) WithOpTimeout(clock vclock.Clock, d time.Duration) *Proxy {
 // socket, the caller stops waiting and the reply, if it ever comes, is
 // discarded — but the deadline rides the RPC frame, so the server rejects
 // the op unexecuted (and frees any parked waiter) once the client is gone.
+// A call without a deadline goes unframed: the server takes the op's
+// brownout class from its method.
 func (p *Proxy) call(op Op, arg interface{}) (interface{}, error) {
 	k := op.Kind
 	method := k.Method()
 	if p.opTimeout <= 0 || k.Blocks() && op.Wait <= 0 {
-		return p.c.Call(method, transport.Frame(arg, time.Time{}, k.Priority()))
+		return p.c.Call(method, arg)
 	}
 	bound := p.opTimeout
 	if k.Blocks() {
@@ -148,7 +166,7 @@ func (p *Proxy) Do(op Op) (Result, error) {
 	}
 	reply, err := p.call(op, wireArgs(op, txnID, leaseID))
 	if err != nil {
-		return Result{}, mapRemote(err)
+		return Result{}, err
 	}
 	res, txnID, leaseID := wireResult(reply)
 	switch op.Kind {
@@ -162,31 +180,3 @@ func (p *Proxy) Do(op Op) (Result, error) {
 
 // Close implements Space.
 func (p *Proxy) Close() error { return p.c.Close() }
-
-// mapRemote converts RemoteError strings carrying well-known tuplespace
-// sentinel messages back into the sentinel errors, so callers can use
-// errors.Is uniformly against local and remote spaces.
-func mapRemote(err error) error {
-	if err == nil {
-		return nil
-	}
-	var re *transport.RemoteError
-	if !errors.As(err, &re) {
-		return err
-	}
-	for _, sentinel := range []error{
-		tuplespace.ErrTimeout,
-		tuplespace.ErrNoMatch,
-		tuplespace.ErrTxnInactive,
-		tuplespace.ErrLeaseExpired,
-		tuplespace.ErrClosed,
-		tuplespace.ErrNotStruct,
-		tuplespace.ErrOverloaded,
-		tuplespace.ErrDeadlineExpired,
-	} {
-		if strings.Contains(re.Msg, sentinel.Error()) {
-			return sentinel
-		}
-	}
-	return err
-}

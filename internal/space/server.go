@@ -204,7 +204,7 @@ func NewService(local *Local, srv *transport.Server) *Service {
 		sweepAt: leaseSweepMin,
 	}
 	for k := Kind(0); k < NumKinds; k++ {
-		srv.Handle(k.Method(), s.adm.wrap(s.handler(k)))
+		srv.Handle(k.Method(), s.adm.wrap(k, s.handler(k)))
 	}
 	return s
 }

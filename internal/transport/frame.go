@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -25,16 +26,17 @@ const (
 	PriHigh = 2
 )
 
-// Framed is what an overload-aware client passes as its argument and what
-// the server's handler receives: the absolute deadline after which the
-// client abandons the call (zero = none) and the op's priority class,
-// beside the real argument. It exists in memory only — on the wire the
-// deadline and priority are fields of the frame header and Arg is the
+// Framed is what a client passes as its argument when the call carries a
+// deadline, and what the server's handler receives: the absolute deadline
+// after which the client abandons the call (zero = none) and a priority
+// class, beside the real argument. It exists in memory only — on the wire
+// the deadline and priority are fields of the frame header and Arg is the
 // frame's body, encoded once. Servers unwrap it at admission: an op whose
 // deadline has already passed is rejected before execution, and a queued
 // op whose service slot would start past the deadline is dropped instead
-// of executed into the void. Servers without an admission layer never see
-// one because space.NewService always installs the unwrapping middleware.
+// of executed into the void. A space.Service takes an op's class from its
+// kind, not from Pri, so a space call without a deadline is not framed at
+// all.
 type Framed struct {
 	Deadline time.Time
 	Pri      int
@@ -102,25 +104,59 @@ const readChunk = 64 << 10
 var ErrFrameTooLarge = errors.New("transport: frame exceeds the size limit")
 
 // Error codes a response carries so the caller gets back the class of
-// failure, not just its text. Code 1 is any error the handler returned.
-var wireErrors = []error{2: ErrNoSuchMethod, 3: enc.ErrTruncated, 4: enc.ErrCorrupt, 5: enc.ErrUnknownTypeID, 6: enc.ErrFingerprint}
+// failure, not just its text. Code 0 is success and 1 any handler error no
+// code names. A code means the same error in every binary built from this
+// tree — cmd/master and cmd/worker are separate processes — so every code
+// is fixed in the source, never handed out in registration order: the
+// protocol's own below 16, then one block for each package above transport
+// whose sentinels cross the wire, which it fills with RegisterErrors.
+const (
+	// SpaceErrors is the first code of the tuplespace sentinels a space
+	// Service's handlers return (package space registers them).
+	SpaceErrors = 16
+	// ReplicaErrors is the first code of the replication sentinels
+	// (package replica registers them).
+	ReplicaErrors = 32
+)
+
+var wireErrors = [256]error{2: ErrNoSuchMethod, 3: enc.ErrTruncated, 4: enc.ErrCorrupt, 5: enc.ErrUnknownTypeID, 6: enc.ErrFingerprint}
+
+// RegisterErrors gives errs the wire codes base, base+1, … in the order
+// given. A handler error that wraps one of them reaches the caller as that
+// sentinel itself, on either binding, so errors.Is and == hold across the
+// wire; an error that merely quotes a sentinel's text is not it. A code is
+// its position in the caller's list, so a shipped list only grows at its
+// end. RegisterErrors panics on a code outside base's block of 16 or taken
+// already; call it from init.
+func RegisterErrors(base int, errs ...error) {
+	if base < SpaceErrors || base%16 != 0 || len(errs) > 16 || base+len(errs) > len(wireErrors) {
+		panic(fmt.Sprintf("transport: RegisterErrors(%d, %d errors): not a block of its own", base, len(errs)))
+	}
+	for i, err := range errs {
+		if wireErrors[base+i] != nil {
+			panic(fmt.Sprintf("transport: error code %d registered twice", base+i))
+		}
+		wireErrors[base+i] = err
+	}
+}
 
 func errorCode(err error) byte {
 	for code := 2; code < len(wireErrors); code++ {
-		if errors.Is(err, wireErrors[code]) {
+		if wireErrors[code] != nil && errors.Is(err, wireErrors[code]) {
 			return byte(code)
 		}
 	}
 	return 1
 }
 
-// remoteError rebuilds the error a response's code and text stand for.
+// remoteError rebuilds the error a response's code and text stand for: a
+// registered sentinel as itself, anything else as a RemoteError that
+// unwraps to the protocol error its code names, if any.
 func remoteError(method string, code byte, msg string) error {
-	re := &RemoteError{Method: method, Msg: msg}
-	if int(code) < len(wireErrors) {
-		re.cause = wireErrors[code]
+	if code >= SpaceErrors && wireErrors[code] != nil {
+		return wireErrors[code]
 	}
-	return re
+	return &RemoteError{Method: method, Msg: msg, cause: wireErrors[code]}
 }
 
 // appendRequest appends one request frame to b: the header, then arg
@@ -201,16 +237,18 @@ func sealFrame(b []byte, e *enc.Encoder, start int) ([]byte, error) {
 // readFrame reads one frame from r into buf (grown as needed) and returns
 // its bytes after the length prefix. The prefix is checked before a byte
 // is allocated, and the buffer grows with the bytes received rather than
-// the bytes promised.
-func readFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var prefix [4]byte
-	if _, err := io.ReadFull(r, prefix[:]); err != nil {
-		if errors.Is(err, io.ErrUnexpectedEOF) {
+// the bytes promised. The prefix is peeked in r's own buffer: read into an
+// array of its own it would escape through r, one allocation per frame.
+func readFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
+	prefix, err := r.Peek(4)
+	if err != nil {
+		if len(prefix) > 0 && err == io.EOF {
 			return buf[:0], fmt.Errorf("%w: connection ended inside a length prefix", enc.ErrTruncated)
 		}
 		return buf[:0], err
 	}
-	n := int(binary.BigEndian.Uint32(prefix[:]))
+	n := int(binary.BigEndian.Uint32(prefix))
+	r.Discard(4)
 	if n > maxFrameBytes {
 		return buf[:0], fmt.Errorf("%w: length prefix %d", ErrFrameTooLarge, n)
 	}
@@ -235,11 +273,11 @@ type header struct {
 	code     byte // priority class on a request, error code on a response
 	id       uint64
 	deadline int64
-	method   string
+	method   []byte // aliases the frame
 }
 
 // parseFrame splits a frame, as readFrame returned it, into its header and
-// body. The body aliases frame.
+// body. The method and the body alias frame.
 func parseFrame(frame []byte) (header, []byte, error) {
 	const fixed = headerBytes - 4
 	if len(frame) < fixed {
@@ -255,7 +293,7 @@ func parseFrame(frame []byte) (header, []byte, error) {
 	if m > len(frame)-fixed {
 		return header{}, nil, fmt.Errorf("%w: %d-byte method name in a %d-byte frame", enc.ErrTruncated, m, len(frame))
 	}
-	h.method = string(frame[fixed : fixed+m])
+	h.method = frame[fixed : fixed+m]
 	return h, frame[fixed+m:], nil
 }
 

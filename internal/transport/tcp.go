@@ -38,8 +38,10 @@ func ListenTCP(addr string, srv *Server) (*TCPListener, error) {
 // Addr returns the bound network address.
 func (l *TCPListener) Addr() string { return l.ln.Addr().String() }
 
-// Close stops accepting, closes live connections, and waits for handlers
-// to drain.
+// Close stops accepting, closes live connections and waits for their read
+// loops to end. It does not wait for handlers: one still running — a Take
+// parked until a match arrives — finishes when the space wakes it, by a
+// write or by closing, and its reply is dropped with the connection.
 func (l *TCPListener) Close() error {
 	l.mu.Lock()
 	l.done = true
@@ -82,20 +84,13 @@ func (l *TCPListener) acceptLoop() {
 // see them in the order the client's encoder wrote them — and answers each
 // on its own goroutine, so a handler that parks (a blocking Take) delays
 // nobody. A frame this side cannot parse ends the connection; a body it
-// cannot decode fails that one call.
+// cannot decode, or a method the server lacks, fails that one call.
 func (l *TCPListener) serveConn(conn net.Conn) {
 	defer conn.Close()
-	var (
-		br  = bufio.NewReaderSize(conn, readChunk)
-		dec = enc.NewDecoder()
-		in  []byte
-
-		wmu  sync.Mutex // guards wenc, out and writes: handlers share them
-		wenc = enc.NewEncoder()
-		out  []byte
-		wg   sync.WaitGroup
-	)
-	defer wg.Wait()
+	br := bufio.NewReaderSize(conn, readChunk)
+	dec := enc.NewDecoder()
+	w := &responder{conn: conn, enc: enc.NewEncoder()}
+	var in []byte
 	for {
 		frame, err := readFrame(br, in)
 		if err != nil {
@@ -105,24 +100,41 @@ func (l *TCPListener) serveConn(conn net.Conn) {
 		if err != nil || h.flags&flagResponse != 0 {
 			return
 		}
+		// Decode even for a method the server lacks: the body may define
+		// types the requests behind it use.
+		handler, herr := l.srv.handler(h.method)
 		arg, err := h.argument(dec, body)
+		if err == nil {
+			err = herr
+		}
 		in = recycle(frame)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var res interface{}
-			if err == nil {
-				res, err = l.srv.Dispatch(h.method, arg)
-			}
-			wmu.Lock()
-			out = appendResponse(out[:0], wenc, h.id, res, err)
-			_, werr := conn.Write(out)
-			out = recycle(out)
-			wmu.Unlock()
-			if werr != nil {
-				conn.Close()
-			}
-		}()
+		go w.answer(h.id, handler, arg, err)
+	}
+}
+
+// responder is the sending half of a served connection, which the
+// connection's handlers share.
+type responder struct {
+	conn net.Conn
+	mu   sync.Mutex // guards enc, out and writes
+	enc  *enc.Encoder
+	out  []byte
+}
+
+// answer runs one call's handler, unless the request already failed, and
+// writes the response.
+func (w *responder) answer(id uint64, h Handler, arg interface{}, err error) {
+	var res interface{}
+	if err == nil {
+		res, err = h(arg)
+	}
+	w.mu.Lock()
+	w.out = appendResponse(w.out[:0], w.enc, id, res, err)
+	_, werr := w.conn.Write(w.out)
+	w.out = recycle(w.out)
+	w.mu.Unlock()
+	if werr != nil {
+		w.conn.Close()
 	}
 }
 
@@ -148,9 +160,14 @@ type tcpClient struct {
 	wenc *enc.Encoder
 	out  []byte
 
-	mu      sync.Mutex // guards nextID, pending, closed, readErr
+	mu      sync.Mutex // guards nextID, pending, idle, closed, readErr
 	nextID  uint64
 	pending map[uint64]pendingCall
+	// idle holds the reply channels of answered calls, empty, for the next
+	// calls to reuse. A channel is in pending, in idle or held by one Call,
+	// never two of these; fail closes only pending ones, so a closed
+	// channel never reaches idle.
+	idle    []chan reply
 	closed  bool
 	readErr error
 }
@@ -248,11 +265,16 @@ func (c *tcpClient) fail(err error) {
 
 // Call implements Client.
 func (c *tcpClient) Call(method string, arg interface{}) (interface{}, error) {
-	ch := make(chan reply, 1)
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return nil, ErrClosed
+	}
+	var ch chan reply
+	if n := len(c.idle); n > 0 {
+		ch, c.idle = c.idle[n-1], c.idle[:n-1]
+	} else {
+		ch = make(chan reply, 1)
 	}
 	id := c.nextID
 	c.nextID++
@@ -270,7 +292,12 @@ func (c *tcpClient) Call(method string, arg interface{}) (interface{}, error) {
 	c.wmu.Unlock()
 	if err != nil {
 		c.mu.Lock()
-		delete(c.pending, id)
+		// Still pending, ch is untouched. If not, fail closed it (or the
+		// read loop answered a request that half went out): drop it.
+		if _, ok := c.pending[id]; ok {
+			delete(c.pending, id)
+			c.idle = append(c.idle, ch)
+		}
 		c.mu.Unlock()
 		return nil, err
 	}
@@ -278,6 +305,9 @@ func (c *tcpClient) Call(method string, arg interface{}) (interface{}, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %w", ErrClosed, c.cause())
 	}
+	c.mu.Lock()
+	c.idle = append(c.idle, ch)
+	c.mu.Unlock()
 	return r.res, r.err
 }
 

@@ -28,7 +28,8 @@ import (
 // RemoteError carries an error returned by the remote side of a call: its
 // text, and — for the failures the wire protocol itself defines, such as
 // ErrNoSuchMethod or a codec error decoding the argument — the sentinel it
-// stands for, reachable with errors.Is.
+// stands for, reachable with errors.Is. A sentinel registered with
+// RegisterErrors comes back as itself instead.
 type RemoteError struct {
 	Method string
 	Msg    string
@@ -106,6 +107,19 @@ func (s *Server) Dispatch(method string, arg interface{}) (interface{}, error) {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchMethod, method)
 	}
 	return h(arg)
+}
+
+// handler returns the handler for a method name as a frame carries it, or
+// an ErrNoSuchMethod error. Indexing the map with string(method) copies
+// nothing: a name read off the socket is never turned into a string.
+func (s *Server) handler(method []byte) (Handler, error) {
+	s.mu.RLock()
+	h := s.handlers[string(method)]
+	s.mu.RUnlock()
+	if h == nil {
+		return nil, fmt.Errorf("%w: %q", ErrNoSuchMethod, method)
+	}
+	return h, nil
 }
 
 // Client is one side of an RPC connection.

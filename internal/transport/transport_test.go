@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -301,4 +302,133 @@ func TestTCPDialFailure(t *testing.T) {
 	if _, err := DialTCP("127.0.0.1:1"); err == nil {
 		t.Fatal("dial to closed port succeeded")
 	}
+}
+
+// TestReplyChannelReuse: a client hands an answered call's reply channel
+// to its next call, and never one its connection's failure closed. The
+// connection drops under calls in flight, and in the middle of a send;
+// neither leaves a closed channel where a later call could draw it.
+func TestReplyChannelReuse(t *testing.T) {
+	srv := newEchoServer()
+	release := make(chan struct{})
+	srv.Handle("hang", func(arg interface{}) (interface{}, error) {
+		<-release
+		return arg, nil
+	})
+	defer close(release)
+	l, err := ListenTCP("127.0.0.1:0", srv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	dial := func(wrap func(net.Conn) net.Conn) *tcpClient {
+		conn, err := net.Dial("tcp", l.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return newTCPClient(wrap(conn)).(*tcpClient)
+	}
+	plain := func(c net.Conn) net.Conn { return c }
+	noClosedIdle := func(what string, c *tcpClient) {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		for _, ch := range c.idle {
+			select {
+			case _, ok := <-ch:
+				t.Fatalf("%s: an idle reply channel is not empty (open %v)", what, ok)
+			default:
+			}
+		}
+	}
+	echo := func(what string, c Client, n int) {
+		for i := 0; i < n; i++ {
+			got, err := c.Call("echo", echoArg{Msg: "m", N: i})
+			if err != nil {
+				t.Fatalf("%s: call %d: %v", what, i, err)
+			}
+			if got.(echoArg).N != i {
+				t.Fatalf("%s: call %d answered %v", what, i, got)
+			}
+		}
+	}
+
+	// Calls in flight when the connection drops: their channels close.
+	a := dial(plain)
+	echo("warm-up", a, 10)
+	const inFlight = 8
+	failed := make(chan error, inFlight)
+	for i := 0; i < inFlight; i++ {
+		go func() {
+			_, err := a.Call("hang", echoArg{})
+			failed <- err
+		}()
+	}
+	for {
+		a.mu.Lock()
+		n := len(a.pending)
+		a.mu.Unlock()
+		if n == inFlight {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	a.conn.Close()
+	for i := 0; i < inFlight; i++ {
+		if err := <-failed; !errors.Is(err, ErrClosed) {
+			t.Fatalf("call in flight ended with %v, want ErrClosed", err)
+		}
+	}
+	noClosedIdle("dropped connection", a)
+	b := dial(plain)
+	echo("fresh client", b, 1000)
+	noClosedIdle("fresh client", b)
+	b.Close()
+
+	// A send that fails while the connection stays up returns its channel.
+	c := dial(func(conn net.Conn) net.Conn { return &faultyConn{Conn: conn} })
+	fc := c.conn.(*faultyConn)
+	echo("warm-up", c, 1)
+	fc.fail = func() error { return errors.New("send refused") }
+	if _, err := c.Call("echo", echoArg{}); err == nil {
+		t.Fatal("a refused send succeeded")
+	}
+	fc.fail = nil
+	noClosedIdle("refused send", c)
+	echo("after a refused send", c, 1000)
+	c.Close()
+
+	// The connection fails between the refused send and the call's cleanup:
+	// fail has closed the channel, which must not be reused.
+	d := dial(func(conn net.Conn) net.Conn { return &faultyConn{Conn: conn} })
+	fd := d.conn.(*faultyConn)
+	echo("warm-up", d, 1)
+	fd.fail = func() error {
+		d.fail(errors.New("connection dropped mid-send"))
+		return errors.New("send failed")
+	}
+	if _, err := d.Call("echo", echoArg{}); err == nil {
+		t.Fatal("a failed send succeeded")
+	}
+	d.mu.Lock()
+	idle := len(d.idle)
+	d.mu.Unlock()
+	if idle != 0 {
+		t.Fatalf("%d reply channels idle after fail closed the only one", idle)
+	}
+	if _, err := d.Call("echo", echoArg{}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("call on a failed client: %v, want ErrClosed", err)
+	}
+}
+
+// faultyConn fails its writes with what fail returns, while fail is set.
+type faultyConn struct {
+	net.Conn
+	fail func() error
+}
+
+func (c *faultyConn) Write(b []byte) (int, error) {
+	if c.fail != nil {
+		return 0, c.fail()
+	}
+	return c.Conn.Write(b)
 }

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -31,7 +32,7 @@ func rawCall(t *testing.T, conn net.Conn, frame []byte) (header, []byte) {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	resp, err := readFrame(conn, nil)
+	resp, err := readFrame(bufio.NewReader(conn), nil)
 	if err != nil {
 		t.Fatalf("reading the response: %v", err)
 	}
@@ -159,14 +160,14 @@ func TestServerRejectsBadFrames(t *testing.T) {
 // far as bytes have actually come in.
 func TestReadFrameAllocatesWhatArrives(t *testing.T) {
 	over := binary.BigEndian.AppendUint32(nil, maxFrameBytes+1)
-	buf, err := readFrame(bytes.NewReader(over), nil)
+	buf, err := readFrame(frameSource(over), nil)
 	if !errors.Is(err, ErrFrameTooLarge) || cap(buf) != 0 {
 		t.Fatalf("oversized prefix: err %v, %d bytes allocated", err, cap(buf))
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < 100; i++ {
-		readFrame(bytes.NewReader(over), nil)
+		readFrame(frameSource(over), nil)
 	}
 	runtime.ReadMemStats(&after)
 	if perCall := (after.TotalAlloc - before.TotalAlloc) / 100; perCall > 1024 {
@@ -175,7 +176,7 @@ func TestReadFrameAllocatesWhatArrives(t *testing.T) {
 	}
 
 	lying := append(binary.BigEndian.AppendUint32(nil, maxFrameBytes), make([]byte, 100)...)
-	buf, err = readFrame(bytes.NewReader(lying), nil)
+	buf, err = readFrame(frameSource(lying), nil)
 	if !errors.Is(err, enc.ErrTruncated) {
 		t.Fatalf("short frame: %v", err)
 	}
@@ -185,11 +186,14 @@ func TestReadFrameAllocatesWhatArrives(t *testing.T) {
 
 	// A frame larger than one chunk arrives whole, through a grown buffer.
 	big := requestFrame(t, 1, "echo", make([]byte, 5*readChunk))
-	buf, err = readFrame(bytes.NewReader(big), make([]byte, 0, 16))
+	buf, err = readFrame(frameSource(big), make([]byte, 0, 16))
 	if err != nil || !bytes.Equal(buf, big[4:]) {
 		t.Fatalf("large frame: %v, %d of %d bytes", err, len(buf), len(big)-4)
 	}
 }
+
+// frameSource serves b to readFrame through the smallest buffer bufio has.
+func frameSource(b []byte) *bufio.Reader { return bufio.NewReaderSize(bytes.NewReader(b), 16) }
 
 // fakeServer accepts one connection, reads one request frame and replies
 // with whatever respond returns, then closes.
@@ -206,7 +210,7 @@ func fakeServer(t *testing.T, respond func(request header) []byte) string {
 			return
 		}
 		defer conn.Close()
-		frame, err := readFrame(conn, nil)
+		frame, err := readFrame(bufio.NewReader(conn), nil)
 		if err != nil {
 			return
 		}
@@ -373,7 +377,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Add(req[:len(req)-5])
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := bytes.NewReader(data)
+		r := frameSource(data)
 		for {
 			frame, err := readFrame(r, nil)
 			if cap(frame) > len(data)+readChunk {
@@ -416,7 +420,7 @@ func FuzzDecodeFrame(f *testing.F) {
 			c.Call("echo", echoArg{})
 			close(called)
 		}()
-		readFrame(ours, nil) // the request
+		readFrame(bufio.NewReader(ours), nil) // the request
 		ours.Write(data)
 		ours.Close()
 		finished("client call", called)

@@ -81,7 +81,7 @@ func (s *Space) bulk(kind opKind, tmpl Entry, t *txn.Txn, max int, tok OpToken) 
 func copyStored(ses []*storedEntry) []Entry {
 	out := make([]Entry, len(ses))
 	for i, se := range ses {
-		out[i] = deepCopy(se.val).Interface()
+		out[i] = copyOut(se.val)
 	}
 	return out
 }

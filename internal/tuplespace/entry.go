@@ -249,6 +249,10 @@ func deepCopy(v reflect.Value) reflect.Value {
 	return out
 }
 
+// copyOut returns a deep copy of v as an Entry, allocated once: the copy
+// is fresh, so the interface takes it without copying it again.
+func copyOut(v reflect.Value) Entry { return enc.Interface(deepCopy(v)) }
+
 // A copier is the deep copy of one type, compiled once: what shares no
 // memory is copied in one assignment — a []byte payload in one move, where
 // walking it by reflection costs a store per byte — and only pointers,
@@ -400,7 +404,7 @@ func CopyEntry(e Entry) (Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	return deepCopy(v).Interface(), nil
+	return copyOut(v), nil
 }
 
 // TypeName returns the fully qualified struct type name of e, used as the

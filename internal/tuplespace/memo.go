@@ -225,7 +225,7 @@ func copyEntries(entries []Entry) []Entry {
 	}
 	out := make([]Entry, len(entries))
 	for i, e := range entries {
-		out[i] = deepCopy(reflect.Indirect(reflect.ValueOf(e))).Interface()
+		out[i] = copyOut(reflect.Indirect(reflect.ValueOf(e)))
 	}
 	return out
 }

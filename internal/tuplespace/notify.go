@@ -89,7 +89,7 @@ func (s *Space) matchNotifsLocked(se *storedEntry) []notification {
 			fire = append(fire, notification{fn: r.fn, ev: Event{
 				Registration: r.id,
 				Sequence:     r.seq,
-				Entry:        deepCopy(se.val).Interface(),
+				Entry:        copyOut(se.val),
 			}})
 		}
 	}

@@ -282,7 +282,7 @@ func (s *Space) lookup(kind opKind, tmpl Entry, t *txn.Txn, timeout time.Duratio
 		return nil, err
 	}
 	if ses, ok := s.txnHitLocked(ts, tok, MemoTake); ok {
-		out := deepCopy(ses[0].val).Interface()
+		out := copyOut(ses[0].val)
 		s.unlock()
 		return out, nil
 	}
@@ -302,7 +302,7 @@ func (s *Space) lookup(kind opKind, tmpl Entry, t *txn.Txn, timeout time.Duratio
 			s.unlock()
 			return nil, err
 		}
-		out := deepCopy(se.val).Interface()
+		out := copyOut(se.val)
 		s.unlock()
 		return out, nil
 	}
@@ -325,7 +325,7 @@ func (s *Space) lookup(kind opKind, tmpl Entry, t *txn.Txn, timeout time.Duratio
 
 	s.mu.Lock()
 	if w.result != nil {
-		out := deepCopy(w.result.val).Interface()
+		out := copyOut(w.result.val)
 		s.unlock()
 		return out, nil
 	}

@@ -258,8 +258,6 @@ func run(c config) error {
 		Clock:         clk,
 		Space:         host.Space(),
 		ResultTimeout: c.resultTimeout,
-		Sweeper:       host.Sweeper(),
-		SweepInterval: 30 * time.Second,
 		Obs:           o,
 	})
 	if reg := o.Reg(); reg != nil {

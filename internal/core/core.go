@@ -226,10 +226,6 @@ func New(clock vclock.Clock, cfg Config) *Framework {
 		Space:         f.Space,
 		Machine:       clus.MasterMachine,
 		ResultTimeout: cfg.ResultTimeout,
-		// Sweeping expired worker transactions lets tasks held by
-		// crashed workers reappear instead of stalling collection.
-		Sweeper:       host.Sweeper(),
-		SweepInterval: cfg.TxnTTL / 4,
 		Obs:           cfg.Obs,
 	})
 

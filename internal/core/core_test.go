@@ -289,9 +289,9 @@ func TestAdaptationScriptPausesAndResumes(t *testing.T) {
 }
 
 // TestCrashedWorkerTaskRecovered: a rogue client takes a task under a
-// leased transaction and dies without committing; the master's periodic
-// sweep aborts the expired transaction, the task reappears, and the run
-// still completes with every result.
+// leased transaction and dies without committing; the shard aborts the
+// transaction at its deadline, the task reappears, and the run still
+// completes with every result.
 func TestCrashedWorkerTaskRecovered(t *testing.T) {
 	clk := vclock.NewVirtual(epoch)
 	fw := New(clk, Config{

@@ -251,8 +251,6 @@ func TestDeploymentFailoverMidJobOverTCP(t *testing.T) {
 
 	m := master.New(master.Config{
 		Clock: d.clk, Space: d.host.Space(), ResultTimeout: 30 * time.Second,
-		// Tasks held by transactions that died with the primary reappear.
-		Sweeper: d.host.Sweeper(), SweepInterval: 500 * time.Millisecond,
 	})
 	if _, err := m.RunJob(job); err != nil {
 		t.Fatal(err)

@@ -86,14 +86,6 @@ type Config struct {
 	// Default 5 minutes (a stuck cluster fails the run rather than
 	// hanging it).
 	ResultTimeout time.Duration
-	// Sweeper, if set, is invoked periodically while the master waits
-	// for results, aborting expired worker transactions so tasks held by
-	// crashed workers reappear in the space. The framework passes the
-	// space's transaction manager here.
-	Sweeper interface{ Sweep() int }
-	// SweepInterval is how often Sweeper runs during collection.
-	// Default 5 s.
-	SweepInterval time.Duration
 	// Collector, if set, receives per-phase samples.
 	Collector *metrics.Collector
 	// Obs, if set, enables causal tracing (a root "plan" span per task,
@@ -129,9 +121,6 @@ var ErrNoTasks = errors.New("master: job planned no tasks")
 func New(cfg Config) *Master {
 	if cfg.ResultTimeout <= 0 {
 		cfg.ResultTimeout = 5 * time.Minute
-	}
-	if cfg.SweepInterval <= 0 {
-		cfg.SweepInterval = 5 * time.Second
 	}
 	m := &Master{cfg: cfg}
 	if cfg.Obs != nil {
@@ -302,33 +291,14 @@ func (m *Master) collectPhase(job Job, n int, rm *RunMetrics) error {
 	return nil
 }
 
-// takeResult waits up to ResultTimeout for one result, running the
-// transaction sweeper between bounded waits so tasks locked by crashed
-// workers are recovered instead of deadlocking the collection.
+// takeResult waits up to ResultTimeout for one result. A task held by a
+// crashed worker needs nothing from the master: its shard aborts the
+// worker's transaction at the lease deadline and another worker takes it.
 func (m *Master) takeResult(tmpl tuplespace.Entry) (tuplespace.Entry, error) {
-	deadline := m.cfg.Clock.Now().Add(m.cfg.ResultTimeout)
-	for {
-		wait := m.cfg.ResultTimeout
-		if m.cfg.Sweeper != nil && m.cfg.SweepInterval < wait {
-			wait = m.cfg.SweepInterval
-		}
-		if remaining := deadline.Sub(m.cfg.Clock.Now()); remaining < wait {
-			wait = remaining
-		}
-		if wait <= 0 {
-			return nil, tuplespace.ErrTimeout
-		}
-		start := m.cfg.Clock.Now()
-		res, err := m.cfg.Space.Take(tmpl, nil, wait)
-		if err == nil {
-			m.histTakeResult.Record(m.cfg.Clock.Since(start))
-			return res, nil
-		}
-		if !errors.Is(err, tuplespace.ErrTimeout) {
-			return nil, err
-		}
-		if m.cfg.Sweeper != nil {
-			m.cfg.Sweeper.Sweep()
-		}
+	start := m.cfg.Clock.Now()
+	res, err := m.cfg.Space.Take(tmpl, nil, m.cfg.ResultTimeout)
+	if err == nil {
+		m.histTakeResult.Record(m.cfg.Clock.Since(start))
 	}
+	return res, err
 }

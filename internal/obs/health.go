@@ -31,6 +31,10 @@ type ShardHealth struct {
 	// DedupHits counts retried mutations this replica answered from its
 	// memo table instead of re-executing.
 	DedupHits uint64 `json:"dedup_hits,omitempty"`
+	// TxnsLive is the serving replica's open transactions; TxnsExpired
+	// counts those it aborted because their lease lapsed.
+	TxnsLive    int    `json:"txns_live,omitempty"`
+	TxnsExpired uint64 `json:"txns_expired,omitempty"`
 	// SplitBorn marks shards created by an online split (merge candidates).
 	SplitBorn bool `json:"split_born,omitempty"`
 	// Retired marks shards merged away; they no longer serve the ring.

@@ -8,7 +8,6 @@ import (
 
 	"gospaces/internal/enc"
 	"gospaces/internal/tuplespace"
-	"gospaces/internal/txn"
 	"gospaces/internal/vclock"
 )
 
@@ -238,8 +237,7 @@ func TestMigrationSettleWaitsForLockedEntries(t *testing.T) {
 	if _, err := src.Write(kv{Key: "m-held", Val: 1}, nil, tuplespace.Forever); err != nil {
 		t.Fatal(err)
 	}
-	mgr := txn.NewManager(clk)
-	tx := mgr.Begin(time.Minute)
+	tx := src.Begin(time.Minute)
 	if _, err := src.Read(kv{Key: "m-held"}, tx, time.Second); err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ type BackupOptions struct {
 	LeaseExpired func() bool
 	// OnPromote runs after the role flip, with the new epoch. The glue
 	// layer uses it to bind the space service, re-register under the ring
-	// position, and swap sweepers.
+	// position, and retarget the master's router.
 	OnPromote func(epoch uint64)
 	// OnEvent, when set, receives failure-detection transitions for the
 	// cluster flight recorder: kind "detect" fires when the monitor decides

@@ -86,7 +86,7 @@ func pick(r *rand.Rand, opts []weighted) string {
 // genApp sizes a workload whose modeled execution spans exec on the
 // manifest's worker count. Per-task execution is exec×workers/tasks for
 // both apps, and a task must finish well inside the 8s transaction lease
-// — at TTL/2 or less — or the sweeper aborts every attempt mid-execution
+// — at TTL/2 or less — or the shard aborts every attempt mid-execution
 // and the run livelocks with zero results. The task count is floored
 // accordingly.
 func genApp(r *rand.Rand, m Manifest, exec time.Duration) AppSpec {

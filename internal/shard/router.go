@@ -1029,17 +1029,3 @@ func (r *Router) Close() error {
 	}
 	return firstErr
 }
-
-// MultiSweeper aggregates per-shard transaction sweepers into the single
-// Sweep the master's collect loop calls between bounded waits.
-type MultiSweeper []interface{ Sweep() int }
-
-// Sweep sweeps every shard's transaction manager and sums the reaped
-// transactions.
-func (m MultiSweeper) Sweep() int {
-	total := 0
-	for _, s := range m {
-		total += s.Sweep()
-	}
-	return total
-}

@@ -57,7 +57,8 @@ func (h *Host) Health() obs.Health {
 			sh.WALPosition = n.durable.Log().Position()
 		}
 		if !sh.Retired {
-			sh.Entries = n.local.TS.Stats().EntriesLive
+			st := n.local.TS.Stats()
+			sh.Entries, sh.TxnsLive, sh.TxnsExpired = st.EntriesLive, st.TxnsLive, st.TxnExpired
 			sh.MemoEntries, sh.DedupHits, _ = n.local.TS.MemoStats()
 		}
 		v := svc.Admission().Vitals()

@@ -1,9 +1,8 @@
 // Package shardhost owns a hosted shard set for its whole life: it builds
 // every node (seed, standby, restarted, rejoined and split-born alike) with
 // one function, joins the lookup service and keeps the leases, promotes,
-// fences and re-admits replicas, splits and merges ring positions, sweeps
-// expired transactions across a membership that changes size, routes the
-// master's own operations, and reports all of it on /healthz and the
+// fences and re-admits replicas, splits and merges ring positions, routes
+// the master's own operations, and reports all of it on /healthz and the
 // federated metrics view. The simulator (internal/core) and the TCP master
 // (cmd/master) are both configuration over it: a Spec saying what to host
 // and an Env saying where.
@@ -53,7 +52,6 @@ type Host struct {
 	clock   vclock.Clock
 	env     Env
 	spec    Spec
-	sweeper growSweeper
 	router  *shard.Router
 	space   space.Space
 	reshard *reshardState // elastic only
@@ -93,10 +91,9 @@ type node struct {
 // never changes; the two nodes of a replicated position swap roles at
 // promotion.
 type position struct {
-	idx   int
-	ring  string
-	srv   *transport.Server // the seed node's listener
-	sweep *swapSweeper
+	idx  int
+	ring string
+	srv  *transport.Server // the seed node's listener
 
 	mu      sync.Mutex
 	serving *node
@@ -208,10 +205,6 @@ func (h *Host) Space() space.Space { return h.space }
 
 // Router is the master-side router.
 func (h *Host) Router() *shard.Router { return h.router }
-
-// Sweeper reaps expired transactions on every live serving node; it
-// follows promotions, restarts, splits and merges.
-func (h *Host) Sweeper() interface{ Sweep() int } { return &h.sweeper }
 
 // Server is ring position i's seed listener — where a caller binds the
 // services that share the master's address (Server(0): code server, SNMP).
@@ -453,7 +446,7 @@ func (h *Host) serve(ps *position, n *node, epoch uint64, gate *transport.Servic
 
 // buildPosition assembles the next ring position — seed node serving,
 // standby attached when replicated — and adds it to the host's tables, so
-// sweepers, failover, restarts and health all see it. It is not announced: a
+// failover, restarts and health all see it. It is not announced: a
 // seed is announced by New, a split-born child only at its cutover. Builds
 // never overlap (New is sequential, reshards are one at a time), so the
 // table's length is the next index.
@@ -465,7 +458,7 @@ func (h *Host) buildPosition() (*position, error) {
 	if err != nil {
 		return nil, err
 	}
-	ps := &position{idx: idx, ring: n.addr, srv: n.srv, serving: n, sweep: &swapSweeper{s: n.local.Mgr}}
+	ps := &position{idx: idx, ring: n.addr, srv: n.srv, serving: n}
 	if h.spec.Replicas > 0 {
 		ps.epoch = 1
 	}
@@ -474,7 +467,6 @@ func (h *Host) buildPosition() (*position, error) {
 	h.mu.Lock()
 	h.positions = append(h.positions, ps)
 	h.mu.Unlock()
-	h.sweeper.add(ps.sweep)
 	h.positionGauges(ps)
 	if ps.primary == nil {
 		return ps, nil
@@ -644,7 +636,6 @@ func (h *Host) retire(ps *position) {
 	reg, breg, lease := ps.regID, ps.backupRegID, ps.lease
 	ps.regID, ps.backupRegID, ps.lease = 0, 0, nil
 	ps.mu.Unlock()
-	h.sweeper.remove(ps.sweep)
 	for _, s := range stops {
 		s.Stop()
 	}
@@ -712,7 +703,6 @@ func (h *Host) Restart(i int) (space.RecoveryInfo, error) {
 		ps.stops = append(ps.stops, p2)
 	}
 	ps.mu.Unlock()
-	ps.sweep.swap(n.local.Mgr)
 	if err := h.router.Replace(ps.ring, handle); err != nil {
 		return none, fmt.Errorf("shardhost: shard %d re-admission: %w", i, err)
 	}
@@ -738,63 +728,4 @@ func (h *Host) Restart(i int) (space.RecoveryInfo, error) {
 		}
 	}
 	return n.durable.Info(), nil
-}
-
-// --- sweepers ---
-
-// swapSweeper lets a sweeper captured once follow its ring position's
-// serving node: promotions and restarts swap in the new node's transaction
-// manager.
-type swapSweeper struct {
-	mu sync.Mutex
-	s  interface{ Sweep() int }
-}
-
-func (w *swapSweeper) Sweep() int {
-	w.mu.Lock()
-	s := w.s
-	w.mu.Unlock()
-	return s.Sweep()
-}
-
-func (w *swapSweeper) swap(s interface{ Sweep() int }) {
-	w.mu.Lock()
-	w.s = s
-	w.mu.Unlock()
-}
-
-// growSweeper sweeps a shard set that changes size: split-born positions
-// join the expired-transaction sweep, merged-away ones leave it, and the
-// master that captured it never needs to know.
-type growSweeper struct {
-	mu   sync.Mutex
-	list []*swapSweeper
-}
-
-func (g *growSweeper) Sweep() int {
-	g.mu.Lock()
-	list := append([]*swapSweeper(nil), g.list...)
-	g.mu.Unlock()
-	n := 0
-	for _, s := range list {
-		n += s.Sweep()
-	}
-	return n
-}
-
-func (g *growSweeper) add(s *swapSweeper) {
-	g.mu.Lock()
-	g.list = append(g.list, s)
-	g.mu.Unlock()
-}
-
-func (g *growSweeper) remove(s *swapSweeper) {
-	g.mu.Lock()
-	for i, have := range g.list {
-		if have == s {
-			g.list = append(g.list[:i], g.list[i+1:]...)
-			break
-		}
-	}
-	g.mu.Unlock()
 }

@@ -596,3 +596,53 @@ func TestSpecValidate(t *testing.T) {
 		})
 	}
 }
+
+// TestDeadWorkerTaskReturnsWithoutMaster: a worker takes the only task
+// under a leased transaction and goes silent — no commit, no abort — while
+// no master runs. The shard itself aborts the transaction at its deadline,
+// so another client's blocking take receives the task then, not at its own
+// timeout.
+func TestDeadWorkerTaskReturnsWithoutMaster(t *testing.T) {
+	const ttl = 8 * time.Second
+	const poll = 250 * time.Millisecond // a worker's default poll
+	clk := vclock.NewVirtual(time.Date(2001, time.March, 1, 0, 0, 0, 0, time.UTC))
+	nw := transport.NewNetwork(clk, transport.Loopback())
+	env := InProcEnv(nw, "master", discovery.NewRegistry(clk))
+	env.Spawn = clk.Go
+	h, err := New(clk, env, Spec{Shards: 1, TxnTTL: ttl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	clk.Run(func() {
+		a := space.NewProxy(nw.DialAs("worker-a", "master"))
+		b := space.NewProxy(nw.DialAs("worker-b", "master"))
+		if _, err := b.Write(kv{K: "task", V: 1}, nil, tuplespace.Forever); err != nil {
+			t.Fatal(err)
+		}
+		tx, err := a.BeginTxn(ttl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.Take(kv{K: "task"}, tx, time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if sh := h.Health().Shards[0]; sh.TxnsLive != 1 || sh.TxnsExpired != 0 {
+			t.Fatalf("healthz before the lapse: txns live %d expired %d, want 1 0", sh.TxnsLive, sh.TxnsExpired)
+		}
+		start := clk.Now()
+		got, err := b.Take(kv{K: "task"}, nil, 10*ttl)
+		if err != nil {
+			t.Fatalf("take after the dead worker's lease: %v", err)
+		}
+		if got.(kv).V != 1 {
+			t.Fatalf("took %+v", got)
+		}
+		if d := clk.Since(start); d > ttl+poll {
+			t.Fatalf("task came back after %v, want within %v", d, ttl+poll)
+		}
+		if sh := h.Health().Shards[0]; sh.TxnsLive != 0 || sh.TxnsExpired != 1 {
+			t.Fatalf("healthz after the lapse: txns live %d expired %d, want 0 1", sh.TxnsLive, sh.TxnsExpired)
+		}
+	})
+}

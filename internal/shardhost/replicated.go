@@ -115,10 +115,12 @@ func (h *Host) promote(ps *position, epoch uint64) {
 	h.unregister(backupReg, nil)
 	h.setErr(h.announce(ps, false))
 
-	// Expired-transaction bookkeeping moves with the serving space, and the
-	// master's router retargets immediately.
-	ps.sweep.swap(n.local.Mgr)
+	// The master's router retargets immediately, and the deposed node
+	// stops serving: a lookup parked there wakes with ErrClosed and is
+	// re-issued on the promoted node instead of waiting out its timeout
+	// where no entry will arrive. (Rejoin builds a fresh space.)
 	_ = h.router.RetargetTraced(shard.Shard{ID: ps.ring, Space: handle, Epoch: epoch, Trace: tc, Clk: stamp}) // a stale epoch lost a race it may lose
+	deposed.local.TS.Close()
 	h.env.Spawn(p.Run)
 }
 

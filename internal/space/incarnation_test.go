@@ -2,6 +2,8 @@ package space
 
 import (
 	"errors"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -121,16 +123,23 @@ func TestStaleLeaseIDDoesNotAliasAcrossServices(t *testing.T) {
 	}
 }
 
-// TestServiceLeaseTableBounded: the service's lease-id table is swept as
-// it grows, so ids whose entry was taken do not accumulate (each used to
-// pin its *EntryLease — and the stored value — for the service's
-// lifetime), while a live lease keeps its id across the sweeps.
-func TestServiceLeaseTableBounded(t *testing.T) {
+// TestServiceKeepsNoPerHandleState: a wire id is the store's own id under
+// the service's incarnation tag, so the service holds no table that could
+// grow with the handles it hands out. After many write+take pairs and
+// begin/abort rounds the store's seq index holds just the one live entry,
+// no transaction is left, and that entry's lease still resolves.
+func TestServiceKeepsNoPerHandleState(t *testing.T) {
+	st := reflect.TypeOf(Service{})
+	for i := 0; i < st.NumField(); i++ {
+		if f := st.Field(i); f.Type.Kind() == reflect.Map || f.Type == reflect.TypeOf(sync.Mutex{}) {
+			t.Fatalf("Service.%s is a %s", f.Name, f.Type)
+		}
+	}
 	clk := vclock.NewReal()
 	net := transport.NewNetwork(clk, transport.Loopback())
 	local := NewLocal(clk)
 	srv := transport.NewServer()
-	svc := NewService(local, srv)
+	NewService(local, srv)
 	net.Listen("leases", srv)
 	p := NewProxy(net.Dial("leases"))
 
@@ -146,19 +155,25 @@ func TestServiceLeaseTableBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	svc.mu.Lock()
-	n := len(svc.leases)
-	svc.mu.Unlock()
-	if n > 2*leaseSweepMin {
-		t.Fatalf("lease table holds %d ids after 10000 write+take pairs, want <= %d", n, 2*leaseSweepMin)
+	for i := 1; i <= 1000; i++ {
+		tx, err := p.BeginTxn(time.Hour)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Abort(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := local.TS.Stats(); st.EntriesLive != 1 || st.TxnsLive != 0 {
+		t.Fatalf("store indexes %d entries and %d txns, want 1 and 0", st.EntriesLive, st.TxnsLive)
 	}
 	if err := live.Renew(time.Hour); err != nil {
-		t.Fatalf("live lease lost its id in a sweep: renew: %v", err)
+		t.Fatalf("live lease: renew: %v", err)
 	}
 	if err := live.Cancel(); err != nil {
 		t.Fatalf("live lease cancel: %v", err)
 	}
-	if n, _ := p.Count(job{Name: "live"}); n != 0 {
-		t.Fatalf("cancelled entry still present: count = %d", n)
+	if st := local.TS.Stats(); st.EntriesLive != 0 {
+		t.Fatalf("store indexes %d entries after the cancel, want 0", st.EntriesLive)
 	}
 }

@@ -2,7 +2,6 @@ package space
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -155,18 +154,22 @@ func wireResult(reply interface{}) (res Result, txnID, leaseID uint64) {
 }
 
 // svcIncarnation numbers Service instances within a process so the wire
-// txn and lease IDs each instance mints live in disjoint namespaces. A
-// retried commit/abort/cancel that carries an ID minted by a dead
-// incarnation must surface unknown-txn / expired-lease at the promoted
-// replacement — never resolve an unrelated fresh handle that happens to
-// share the same small per-node sequence number (both managers count
-// from 1, so bare sequence numbers alias across a failover).
+// txn and lease IDs each instance hands out live in disjoint namespaces. A
+// retried commit/abort/cancel that carries an ID from a dead incarnation
+// must surface unknown-txn / expired-lease at the promoted replacement —
+// never resolve an unrelated fresh handle that happens to share the same
+// store id (every store counts its txn ids and entry seqs from 1, so bare
+// ids alias across a failover).
 var svcIncarnation atomic.Uint64
+
+// idBits is the width of the store id under a wire id's incarnation tag.
+const idBits = 32
 
 // Service exposes a Local space over a transport.Server. The master module
 // runs one of these; workers and the network-management module reach it
-// through Proxy. It owns nothing but the wire: each handler turns its
-// argument frame into an Op, resolves handle ids, and runs local.Do.
+// through Proxy. It owns nothing but the wire and keeps no state per
+// handle: a wire txn id is the store's txn id and a wire lease id the
+// entry's seq, each tagged with the service's incarnation.
 type Service struct {
 	local *Local
 	// base is this incarnation's namespace tag, OR'd into the high bits
@@ -176,33 +179,14 @@ type Service struct {
 	// priority) and, once configured, enforces admission control. Always
 	// installed so a framed argument never reaches a raw handler.
 	adm Admission
-
-	mu     sync.Mutex
-	txns   map[uint64]localTxn
-	leases map[uint64]*tuplespace.EntryLease
-	nextL  uint64
-	// sweepAt is the lease-table size that triggers the next sweep of ids
-	// whose entry is gone; it doubles with the surviving population, so
-	// sweeping costs O(1) amortised per write.
-	sweepAt int
 }
-
-// leaseSweepMin keeps small lease tables from sweeping on every write.
-const leaseSweepMin = 1024
 
 // NewService wraps local and registers one handler per Kind on srv under
 // the kind's wire method name. Every handler runs behind the service's
 // admission controller (see Admission); an unconfigured controller just
 // unwraps the RPC frame.
 func NewService(local *Local, srv *transport.Server) *Service {
-	s := &Service{
-		local:   local,
-		base:    svcIncarnation.Add(1) << 32,
-		txns:    make(map[uint64]localTxn),
-		leases:  make(map[uint64]*tuplespace.EntryLease),
-		nextL:   1,
-		sweepAt: leaseSweepMin,
-	}
+	s := &Service{local: local, base: svcIncarnation.Add(1) << idBits}
 	for k := Kind(0); k < NumKinds; k++ {
 		srv.Handle(k.Method(), s.adm.wrap(k, s.handler(k)))
 	}
@@ -219,79 +203,45 @@ func (s *Service) handler(k Kind) transport.Handler {
 		if err != nil {
 			return nil, err
 		}
-		unknown := s.resolve(&op, txnID, leaseID)
-		if unknown != nil && k != OpCommit && k != OpAbort {
-			return nil, unknown
+		if err := s.resolve(&op, txnID, leaseID); err != nil {
+			return nil, err
 		}
-		// A commit/abort for an id the table no longer holds still runs:
-		// a tokened retry whose original executed is answered from the
-		// memo (Local.finish); anything else comes back inactive.
 		res, err := s.local.Do(op)
 		if err != nil {
-			if unknown != nil {
-				err = unknown
-			}
 			return nil, err
 		}
 		switch k {
 		case OpWrite:
-			leaseID = s.addLease(res.Lease.(*tuplespace.EntryLease))
+			leaseID = s.base | res.Lease.(*tuplespace.EntryLease).Seq()
 		case OpBeginTxn:
-			lt := res.Txn.(localTxn)
-			txnID = s.base | lt.t.ID()
-			s.mu.Lock()
-			s.txns[txnID] = lt
-			s.mu.Unlock()
+			txnID = s.base | res.Txn.(*tuplespace.Txn).ID()
 		}
 		return wireReply(k, res, txnID, leaseID), nil
 	}
 }
 
-// resolve turns the wire ids back into op's handle operands. Completing a
-// transaction or cancelling a lease retires its id. An unknown lease id
-// leaves op.Lease nil, which Local answers (expired, or a tokened
-// cancel's memo).
+// resolve turns the wire ids back into op's handle operands. A txn id of
+// another incarnation fails the op, except a commit or abort: that runs
+// with no transaction, so the store answers a tokened retry whose original
+// executed from its memo and anything else as inactive. A lease id of
+// another incarnation names no entry here (seq 0), so the store answers it
+// as expired, or from a tokened cancel's memo.
 func (s *Service) resolve(op *Op, txnID, leaseID uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	const low = 1<<idBits - 1
 	if txnID != 0 {
-		t, ok := s.txns[txnID]
-		if !ok {
+		switch {
+		case txnID&^low == s.base:
+			op.Txn = s.local.TS.TxnFor(txnID & low)
+		case op.Kind != OpCommit && op.Kind != OpAbort:
 			return fmt.Errorf("space: unknown txn %d: %w", txnID, tuplespace.ErrTxnInactive)
 		}
-		op.Txn = t
-		if op.Kind == OpCommit || op.Kind == OpAbort {
-			delete(s.txns, txnID)
-		}
 	}
-	if l := s.leases[leaseID]; l != nil {
-		op.Lease = l
-		if op.Kind == OpCancel {
-			delete(s.leases, leaseID)
+	if op.Kind == OpRenew || op.Kind == OpCancel {
+		seq := leaseID & low
+		if leaseID&^low != s.base {
+			seq = 0
 		}
+		op.Lease = s.local.TS.LeaseFor(seq)
 	}
 	return nil
-}
-
-// addLease mints a wire id for l. Ids whose entry has since been taken,
-// cancelled or expired are dropped when the table has doubled since the
-// last sweep, so the table (and the stored values its leases pin) stays
-// proportional to the live leases instead of growing with every write.
-func (s *Service) addLease(l *tuplespace.EntryLease) uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	id := s.base | s.nextL
-	s.nextL++
-	s.leases[id] = l
-	if len(s.leases) >= s.sweepAt {
-		for old, ol := range s.leases {
-			if ol.Gone() {
-				delete(s.leases, old)
-			}
-		}
-		if s.sweepAt = 2 * len(s.leases); s.sweepAt < leaseSweepMin {
-			s.sweepAt = leaseSweepMin
-		}
-	}
-	return id
 }

@@ -12,13 +12,12 @@ import (
 
 	"gospaces/internal/transport"
 	"gospaces/internal/tuplespace"
-	"gospaces/internal/txn"
 	"gospaces/internal/vclock"
 )
 
 // Txn is a transaction handle usable with Space operations.
 type Txn interface {
-	// Commit completes the transaction (two-phase commit at the service).
+	// Commit completes the transaction.
 	Commit() error
 	// Abort cancels the transaction, undoing provisional takes/writes.
 	Abort() error
@@ -53,39 +52,31 @@ var ErrBadTxn = errors.New("space: transaction does not belong to this space")
 
 // --- local transport ---
 
-// Local adapts an in-process tuplespace.Space (plus a transaction manager)
-// to the Space interface. It is what the master module embeds: the master
-// hosts the space and talks to it locally while everyone else goes through
-// a proxy.
+// Local adapts an in-process tuplespace.Space to the Space interface. It is
+// what the master module embeds: the master hosts the space and talks to it
+// locally while everyone else goes through a proxy. The store's own
+// handles are Local's: a *tuplespace.Txn is its transaction, a
+// *tuplespace.EntryLease its lease.
 type Local struct {
 	Facade
-	TS  *tuplespace.Space
-	Mgr *txn.Manager
+	TS *tuplespace.Space
 }
 
-// NewLocal creates a fresh space and transaction manager on clock.
+// NewLocal creates a fresh space on clock.
 func NewLocal(clock vclock.Clock) *Local {
-	l := &Local{TS: tuplespace.New(clock), Mgr: txn.NewManager(clock)}
+	l := &Local{TS: tuplespace.New(clock)}
 	l.Facade = NewFacade(l)
 	return l
 }
 
-// localTxn is Local's transaction handle. Entry leases need no wrapper:
-// a *tuplespace.EntryLease is Local's lease handle.
-type localTxn struct{ t *txn.Txn }
-
-func (lt localTxn) Commit() error { return lt.t.Commit() }
-func (lt localTxn) Abort() error  { return lt.t.Abort() }
-
 // Do implements Space.
 func (l *Local) Do(op Op) (res Result, err error) {
-	var tx *txn.Txn
+	var tx *tuplespace.Txn
 	if op.Txn != nil {
-		lt, ok := op.Txn.(localTxn)
-		if !ok {
+		var ok bool
+		if tx, ok = op.Txn.(*tuplespace.Txn); !ok {
 			return res, ErrBadTxn
 		}
-		tx = lt.t
 	}
 	switch op.Kind {
 	case OpWrite:
@@ -104,20 +95,16 @@ func (l *Local) Do(op Op) (res Result, err error) {
 	case OpTypeCounts:
 		res.Counts = l.TS.TypeCounts()
 	case OpBeginTxn:
-		res.Txn = localTxn{t: l.Mgr.Begin(op.TTL)}
+		res.Txn = l.TS.Begin(op.TTL)
 	case OpCommit:
-		err = l.finish(tx, tuplespace.MemoCommit, op.Token)
+		err = l.TS.Commit(tx, op.Token)
 	case OpAbort:
-		err = l.finish(tx, tuplespace.MemoAbort, op.Token)
+		err = l.TS.Abort(tx, op.Token)
 	case OpRenew, OpCancel:
 		el, _ := op.Lease.(*tuplespace.EntryLease)
 		switch {
 		case el == nil:
-			// The Service no longer resolves the lease's id: expired,
-			// unless this is the replay of a tokened cancel that executed.
-			if op.Kind == OpRenew || !l.memoized(op.Token, tuplespace.MemoCancel) {
-				err = tuplespace.ErrLeaseExpired
-			}
+			err = tuplespace.ErrLeaseExpired
 		case op.Kind == OpRenew:
 			err = el.Renew(op.TTL)
 		default:
@@ -127,39 +114,6 @@ func (l *Local) Do(op Op) (res Result, err error) {
 		err = fmt.Errorf("space: unknown op kind %d", op.Kind)
 	}
 	return res, err
-}
-
-// finish commits or aborts tx. A tokened retry whose original executed
-// finds the transaction gone (nil here: the Service no longer resolves
-// its id) — the memo is what tells it apart from a transaction that died
-// unresolved. Committed but not yet memoized is the one crash window
-// where a retry still surfaces ErrTxnInactive (DESIGN §7).
-func (l *Local) finish(tx *txn.Txn, memoOp string, tok tuplespace.OpToken) error {
-	if l.memoized(tok, memoOp) {
-		return nil
-	}
-	if tx == nil {
-		return tuplespace.ErrTxnInactive
-	}
-	var err error
-	if memoOp == tuplespace.MemoCommit {
-		err = tx.Commit()
-	} else {
-		err = tx.Abort()
-	}
-	if err == nil {
-		l.TS.CompleteMemo(tok, memoOp)
-	}
-	return err
-}
-
-// memoized reports whether tok's operation already executed as memoOp.
-func (l *Local) memoized(tok tuplespace.OpToken, memoOp string) bool {
-	if tok.Zero() {
-		return false
-	}
-	res, hit := l.TS.MemoOutcome(tok)
-	return hit && res.Op == memoOp
 }
 
 // Notify registers fn for entries matching tmpl arriving at the underlying

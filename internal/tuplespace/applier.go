@@ -227,7 +227,7 @@ func (a *Applier) apply(payload []byte, evicted bool) error {
 // applyRemove is the space's half of applying a remove record: those of ses
 // still here go, and the record's memo arrives, under one hold of the mutex.
 func (s *Space) applyRemove(ses []*storedEntry, tok OpToken, op, key string, returned []Entry) error {
-	s.mu.Lock()
+	s.lock()
 	defer s.unlock()
 	here := ses[:0]
 	for _, se := range ses {

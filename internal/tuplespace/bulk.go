@@ -1,19 +1,17 @@
 package tuplespace
 
-import "gospaces/internal/txn"
-
 // ReadAll returns copies of up to max public entries matching tmpl
 // (max <= 0 means no limit), without blocking. Under a transaction the
 // returned entries are read-locked. It is the JavaSpaces05 "contents"
 // extension, useful for bulk aggregation and diagnostics.
-func (s *Space) ReadAll(tmpl Entry, t *txn.Txn, max int) ([]Entry, error) {
+func (s *Space) ReadAll(tmpl Entry, t *Txn, max int) ([]Entry, error) {
 	return s.bulk(opRead, tmpl, t, max, OpToken{})
 }
 
 // TakeAll removes and returns up to max matching entries (max <= 0 means
 // no limit), without blocking. Under a transaction the removals are
 // provisional until commit.
-func (s *Space) TakeAll(tmpl Entry, t *txn.Txn, max int) ([]Entry, error) {
+func (s *Space) TakeAll(tmpl Entry, t *Txn, max int) ([]Entry, error) {
 	return s.bulk(opTake, tmpl, t, max, OpToken{})
 }
 
@@ -21,7 +19,7 @@ func (s *Space) TakeAll(tmpl Entry, t *txn.Txn, max int) ([]Entry, error) {
 // same entries on redelivery: under a transaction from the transaction's
 // answers, outside one from the memo — there it consumes what it picked as
 // one record carrying tok and the result set.
-func (s *Space) bulk(kind opKind, tmpl Entry, t *txn.Txn, max int, tok OpToken) ([]Entry, error) {
+func (s *Space) bulk(kind opKind, tmpl Entry, t *Txn, max int, tok OpToken) ([]Entry, error) {
 	var buf [inlineCmps]comparer
 	ti, key, m, err := compile(tmpl, buf[:0])
 	if err != nil {
@@ -30,7 +28,7 @@ func (s *Space) bulk(kind opKind, tmpl Entry, t *txn.Txn, max int, tok OpToken) 
 	if kind != opTake {
 		tok = OpToken{}
 	}
-	s.mu.Lock()
+	s.lock()
 	defer s.unlock()
 	if s.closed {
 		return nil, ErrClosed
@@ -88,7 +86,7 @@ func copyStored(ses []*storedEntry) []Entry {
 
 // pickLocked returns, in list order, up to max (all when max <= 0) entries
 // of r's list that m matches and a kind operation under t may act on.
-func (s *Space) pickLocked(kind opKind, r listRef, m matcher, t *txn.Txn, max int) []*storedEntry {
+func (s *Space) pickLocked(kind opKind, r listRef, m matcher, t *Txn, max int) []*storedEntry {
 	var picked []*storedEntry
 	items, now := r.get().items, s.clock.Now()
 	for i := s.nextLocked(kind, items, 0, m, t, now); i >= 0 && (max <= 0 || len(picked) < max); i = s.nextLocked(kind, items, i+1, m, t, now) {

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"gospaces/internal/txn"
 	"gospaces/internal/vclock"
 )
 
@@ -75,11 +74,10 @@ func TestBulkEmptyResult(t *testing.T) {
 func TestTakeAllUnderTxnReappearsOnAbort(t *testing.T) {
 	clk := vclock.NewReal()
 	s := New(clk)
-	m := txn.NewManager(clk)
 	for i := 0; i < 3; i++ {
 		mustWrite(t, s, task{Job: "t", ID: ip(i)})
 	}
-	tx := m.Begin(0)
+	tx := s.Begin(0)
 	got, err := s.TakeAll(task{Job: "t"}, tx, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -101,9 +99,8 @@ func TestTakeAllUnderTxnReappearsOnAbort(t *testing.T) {
 func TestReadAllUnderTxnBlocksTakes(t *testing.T) {
 	clk := vclock.NewReal()
 	s := New(clk)
-	m := txn.NewManager(clk)
 	mustWrite(t, s, task{Job: "rl"})
-	tx := m.Begin(0)
+	tx := s.Begin(0)
 	if _, err := s.ReadAll(task{Job: "rl"}, tx, 0); err != nil {
 		t.Fatal(err)
 	}

@@ -5,9 +5,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"gospaces/internal/txn"
-	"gospaces/internal/vclock"
 )
 
 // keyedEntry carries an index key field, for IndexKey tests.
@@ -75,8 +72,7 @@ func TestTypeCounts(t *testing.T) {
 
 	// Txn-held provisional writes are still counted as live (they occupy
 	// storage), matching Stats.EntriesLive semantics.
-	tm := txn.NewManager(vclock.NewReal())
-	tx := tm.Begin(0)
+	tx := s.Begin(0)
 	if _, err := s.Write(task{Job: "txn", ID: ip(5)}, tx, Forever); err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"gospaces/internal/tuplespace"
-	"gospaces/internal/txn"
 	"gospaces/internal/vclock"
 )
 
@@ -36,12 +35,11 @@ func ExampleSpace() {
 func ExampleSpace_transaction() {
 	clock := vclock.NewReal()
 	space := tuplespace.New(clock)
-	mgr := txn.NewManager(clock)
 	id := 1
 	_, _ = space.Write(WorkItem{Kind: "task", ID: &id}, nil, tuplespace.Forever)
 
 	// A worker takes the task under a transaction…
-	tx := mgr.Begin(time.Minute)
+	tx := space.Begin(time.Minute)
 	_, _ = space.Take(WorkItem{Kind: "task"}, tx, time.Second)
 	// …and dies before committing. Aborting returns the task.
 	_ = tx.Abort()

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"gospaces/internal/txn"
 	"gospaces/internal/vclock"
 )
 
@@ -145,10 +144,9 @@ func TestKeyedTakesDoNotGrowTheTypeList(t *testing.T) {
 			t.Fatalf("after %d pairs the type list holds %d entries", i+1, n)
 		}
 	}
-	mgr := txn.NewManager(vclock.NewReal())
 	for i := 0; i < 4*reapMin; i++ {
 		mustWrite(t, s, idxTask{Job: "txn", ID: ip(i + 1)})
-		tx := mgr.Begin(time.Minute)
+		tx := s.Begin(time.Minute)
 		if _, err := s.Take(idxTask{Job: "txn"}, tx, time.Second); err != nil {
 			t.Fatal(err)
 		}

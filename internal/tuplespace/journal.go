@@ -131,9 +131,9 @@ func (j *Journal) record(r *record) error {
 // be called before any entries are written; attaching to a non-empty
 // space returns an error (replay first, then attach).
 func (s *Space) AttachJournal(j *Journal) error {
-	s.mu.Lock()
+	s.lock()
 	defer s.unlock()
-	if s.live > 0 {
+	if len(s.bySeq) > 0 {
 		return errors.New("tuplespace: cannot attach journal to a non-empty space")
 	}
 	s.journal = j
@@ -146,7 +146,7 @@ func (s *Space) AttachJournal(j *Journal) error {
 // for snapshotting promptly so the old log (whose Seq numbering the
 // recovered space no longer shares) is compacted away.
 func (s *Space) AttachRecoveredJournal(j *Journal) {
-	s.mu.Lock()
+	s.lock()
 	s.journal = j
 	s.unlock()
 }
@@ -232,7 +232,7 @@ func (s *Space) EncodeState() ([][]byte, error) {
 // moving, consistent with the journal stream because capture happens
 // under the same space mutex every journal append holds.
 func (s *Space) EncodeStateWhere(pred func(Entry) bool) ([][]byte, error) {
-	s.mu.Lock()
+	s.lock()
 	var live []*storedEntry
 	now := s.clock.Now()
 	for _, st := range s.types {

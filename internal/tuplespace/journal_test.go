@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"gospaces/internal/enc"
-	"gospaces/internal/txn"
 	"gospaces/internal/vclock"
 )
 
@@ -74,17 +73,16 @@ func TestJournalOnlyCommittedEffects(t *testing.T) {
 	if err := s.AttachJournal(NewJournalSink(&buf)); err != nil {
 		t.Fatal(err)
 	}
-	m := txn.NewManager(clk)
 
 	// An aborted transactional write must not survive.
-	tx1 := m.Begin(0)
+	tx1 := s.Begin(0)
 	if _, err := s.Write(task{Job: "aborted"}, tx1, Forever); err != nil {
 		t.Fatal(err)
 	}
 	_ = tx1.Abort()
 
 	// A committed transactional write must survive.
-	tx2 := m.Begin(0)
+	tx2 := s.Begin(0)
 	if _, err := s.Write(task{Job: "committed"}, tx2, Forever); err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +92,7 @@ func TestJournalOnlyCommittedEffects(t *testing.T) {
 
 	// A committed transactional take must remove durably.
 	mustWrite(t, s, task{Job: "taken"})
-	tx3 := m.Begin(0)
+	tx3 := s.Begin(0)
 	if _, err := s.Take(task{Job: "taken"}, tx3, time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +102,7 @@ func TestJournalOnlyCommittedEffects(t *testing.T) {
 
 	// An aborted take leaves the entry.
 	mustWrite(t, s, task{Job: "returned"})
-	tx4 := m.Begin(0)
+	tx4 := s.Begin(0)
 	if _, err := s.Take(task{Job: "returned"}, tx4, time.Second); err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"gospaces/internal/txn"
 	"gospaces/internal/vclock"
 )
 
@@ -139,10 +138,9 @@ func TestReplayRecordsSkipsTxnAborted(t *testing.T) {
 	if err := s.AttachJournal(NewJournalSink(sink)); err != nil {
 		t.Fatal(err)
 	}
-	m := txn.NewManager(clk)
 
 	// Aborted write: never visible, never journaled.
-	tx1 := m.Begin(0)
+	tx1 := s.Begin(0)
 	if _, err := s.Write(task{Job: "aborted", ID: ip(1)}, tx1, Forever); err != nil {
 		t.Fatal(err)
 	}
@@ -150,14 +148,14 @@ func TestReplayRecordsSkipsTxnAborted(t *testing.T) {
 
 	// Aborted take: the entry stays, and stays durable.
 	mustWrite(t, s, task{Job: "kept", ID: ip(2)})
-	tx2 := m.Begin(0)
+	tx2 := s.Begin(0)
 	if _, err := s.Take(task{Job: "kept"}, tx2, time.Second); err != nil {
 		t.Fatal(err)
 	}
 	_ = tx2.Abort()
 
 	// Committed write for contrast.
-	tx3 := m.Begin(0)
+	tx3 := s.Begin(0)
 	if _, err := s.Write(task{Job: "committed", ID: ip(3)}, tx3, Forever); err != nil {
 		t.Fatal(err)
 	}

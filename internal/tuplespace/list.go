@@ -1,10 +1,6 @@
 package tuplespace
 
-import (
-	"time"
-
-	"gospaces/internal/txn"
-)
+import "time"
 
 // An entry is listed twice: in its type's list, in write order, and — for
 // types with an index field — in the bucket of its key. Lookups range over
@@ -94,7 +90,7 @@ func (s *Space) insertLocked(se *storedEntry) {
 		b.items = append(b.items, se)
 		r.put(b)
 	}
-	s.live++
+	s.bySeq[se.id] = se
 }
 
 // removeLocked is the one way an entry leaves the space; removing one
@@ -106,7 +102,7 @@ func (s *Space) removeLocked(se *storedEntry) {
 		return
 	}
 	se.removed = true
-	s.live--
+	delete(s.bySeq, se.id)
 	st := s.types[se.ti.name]
 	s.deadLocked(listRef{st: st})
 	if se.ti.keyField >= 0 {
@@ -136,7 +132,8 @@ func (s *Space) deadLocked(r listRef) {
 }
 
 // unlock ends an operation: lists that fell due during it are compacted in
-// place, order kept, and the mutex released.
+// place, order kept, the mutex released, and what an expiry at lock
+// published delivered.
 func (s *Space) unlock() {
 	for i, r := range s.slack {
 		s.slack[i] = listRef{}
@@ -155,7 +152,10 @@ func (s *Space) unlock() {
 		r.put(entryList{items: kept})
 	}
 	s.slack = s.slack[:0]
+	fire := s.fire
+	s.fire = nil
 	s.mu.Unlock()
+	deliver(fire)
 }
 
 // listLocked names the list a lookup ranges over: the key's bucket when
@@ -167,7 +167,7 @@ func (s *Space) listLocked(ti *typeInfo, key string) listRef {
 // nextLocked returns the index of the first entry at or after from that
 // m matches and a kind operation under t may act on, or -1. Expired
 // entries it passes are removed (marked: the list does not move).
-func (s *Space) nextLocked(kind opKind, items []*storedEntry, from int, m matcher, t *txn.Txn, now time.Time) int {
+func (s *Space) nextLocked(kind opKind, items []*storedEntry, from int, m matcher, t *Txn, now time.Time) int {
 	for i := from; i < len(items); i++ {
 		se := items[i]
 		if se.removed {
@@ -195,7 +195,7 @@ func (s *Space) nextLocked(kind opKind, items []*storedEntry, from int, m matche
 // or nil. A dead run at the head of the list is dropped for good first, so
 // a bag drained from the head passes each dead entry once, not once per
 // take.
-func (s *Space) findLocked(kind opKind, r listRef, m matcher, t *txn.Txn) *storedEntry {
+func (s *Space) findLocked(kind opKind, r listRef, m matcher, t *Txn) *storedEntry {
 	l := r.get()
 	n := 0
 	for n < len(l.items) && l.items[n].removed {
@@ -213,19 +213,19 @@ func (s *Space) findLocked(kind opKind, r listRef, m matcher, t *txn.Txn) *store
 	return nil
 }
 
-func (s *Space) visibleLocked(se *storedEntry, t *txn.Txn) bool {
+func (s *Space) visibleLocked(se *storedEntry, t *Txn) bool {
 	if se.takenUnder != 0 || se.staged {
 		return false
 	}
 	if se.writtenUnder != 0 {
-		return t != nil && t.ID() == se.writtenUnder
+		return t != nil && t.id == se.writtenUnder
 	}
 	return true
 }
 
-func (s *Space) takeableLocked(se *storedEntry, t *txn.Txn) bool {
+func (s *Space) takeableLocked(se *storedEntry, t *Txn) bool {
 	for id := range se.readLocks {
-		if t == nil || id != t.ID() {
+		if t == nil || id != t.id {
 			return false
 		}
 	}

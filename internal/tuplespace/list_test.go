@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"gospaces/internal/enc"
-	"gospaces/internal/txn"
 	"gospaces/internal/vclock"
 )
 
@@ -78,8 +77,8 @@ func checkLists(t testing.TB, s *Space) {
 			t.Fatalf("%s: %d live entries in buckets, %d in the type list", name, inBuckets, len(st.all.items)-int(st.all.dead))
 		}
 	}
-	if live != s.live || dead != s.dead {
-		t.Fatalf("space counts live %d dead %d, lists hold %d and %d", s.live, s.dead, live, dead)
+	if live != len(s.bySeq) || dead != s.dead {
+		t.Fatalf("space counts live %d dead %d, lists hold %d and %d", len(s.bySeq), s.dead, live, dead)
 	}
 }
 
@@ -110,7 +109,6 @@ func listLens(t testing.TB, s *Space, e Entry, key string) (all, bucket int) {
 func TestUnkeyedTakesDoNotGrowTheKeyBucket(t *testing.T) {
 	clk := vclock.NewVirtual(time.Unix(0, 0))
 	s := New(clk)
-	mgr := txn.NewManager(clk)
 	const residents = 3
 	bounded := func(after string) {
 		t.Helper()
@@ -147,7 +145,7 @@ func TestUnkeyedTakesDoNotGrowTheKeyBucket(t *testing.T) {
 		}
 		for i := 1; i <= 4*reapMin; i++ {
 			mustWrite(t, s, keyedDoc{Key: "k", Val: i})
-			tx := mgr.Begin(time.Minute)
+			tx := s.Begin(time.Minute)
 			if _, err := s.TakeIfExists(keyedDoc{Val: i}, tx); err != nil {
 				t.Fatal(err)
 			}
@@ -157,7 +155,7 @@ func TestUnkeyedTakesDoNotGrowTheKeyBucket(t *testing.T) {
 			bounded("a committed take")
 		}
 		for i := 1; i <= 4*reapMin; i++ {
-			tx := mgr.Begin(time.Minute)
+			tx := s.Begin(time.Minute)
 			if _, err := s.Write(keyedDoc{Key: "k", Val: i}, tx, Forever); err != nil {
 				t.Fatal(err)
 			}
@@ -254,7 +252,6 @@ func TestStandbyListsStayBounded(t *testing.T) {
 	if err := s.AttachJournal(NewJournalSink(sink).SetStrict(true)); err != nil {
 		t.Fatal(err)
 	}
-	mgr := txn.NewManager(clk)
 	mustWrite(t, s, padded("k", -1)) // a resident, so the bucket is never simply dropped
 	for i := 1; i <= 4*reapMin; i++ {
 		l, err := s.Write(padded("k", i), nil, Forever)
@@ -267,7 +264,7 @@ func TestStandbyListsStayBounded(t *testing.T) {
 		bounded("CancelTok", s, 1)
 	}
 	for i := 1; i <= 4*reapMin; i++ {
-		tx := mgr.Begin(time.Minute)
+		tx := s.Begin(time.Minute)
 		if _, err := s.Write(padded("k", i), tx, Forever); err != nil {
 			t.Fatal(err)
 		}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"gospaces/internal/metrics"
-	"gospaces/internal/txn"
 )
 
 // Exactly-once mutations: a client mints an OpToken per mutation and the
@@ -239,64 +238,13 @@ func entryKey(se *storedEntry) string {
 	return se.val.Field(se.ti.keyField).String()
 }
 
-// MemoResult is a memoized outcome returned to a retried caller.
-type MemoResult struct {
-	// Op is the memoized operation kind (the Memo* constants).
-	Op string
-	// Lease is the write memo's entry lease (never nil for write memos).
-	Lease *EntryLease
-	// Entries are the take/takeall memo's originally returned entries.
-	Entries []Entry
-}
-
-// MemoOutcome looks up the memoized outcome for tok, counting a dedup
-// hit. The remote service layer uses it to answer retried commit/abort
-// and lease-cancel RPCs; Write/Take retries dedup inside their own ops.
-func (s *Space) MemoOutcome(tok OpToken) (MemoResult, bool) {
-	s.mu.Lock()
-	defer s.unlock()
-	rec, ok := s.memoHitLocked(tok)
-	if !ok {
-		return MemoResult{}, false
-	}
-	return MemoResult{Op: rec.op, Lease: rec.leaseOut(s), Entries: copyEntries(rec.entries)}, true
-}
-
-// CompleteMemo records a bare success marker for tok — the dedup record
-// for mutations whose effect lives outside the space proper (a
-// transaction commit or abort at the manager). It is journaled as a memo
-// record, so a retry after failover or restart still finds it.
-func (s *Space) CompleteMemo(tok OpToken, op string) {
-	if tok.Zero() {
-		return
-	}
-	s.mu.Lock()
-	defer s.unlock()
-	if s.closed {
-		return
-	}
-	if _, ok := s.memos.lookup(tok); ok {
-		return
-	}
-	s.installMemoLocked(tok, &memoRec{op: op})
-}
-
-// lookup is a hit-count-free probe (nil-safe).
-func (m *memoTable) lookup(tok OpToken) (*memoRec, bool) {
-	if m == nil {
-		return nil, false
-	}
-	rec, ok := m.recs[tok]
-	return rec, ok
-}
-
 // installMemo installs a rebuilt memo — the replication/recovery path
 // (Applier and journal replay), where the outcome was decided by another
 // incarnation of this space and rec's entries were decoded for it alone.
 // The memo is re-journaled under this space's own journal so the chain
 // downstream (WAL, standby-of-standby, taps) carries it too.
 func (s *Space) installMemo(tok OpToken, rec *memoRec) {
-	s.mu.Lock()
+	s.lock()
 	defer s.unlock()
 	if !s.closed {
 		s.installMemoLocked(tok, rec)
@@ -305,7 +253,7 @@ func (s *Space) installMemo(tok OpToken, rec *memoRec) {
 
 // MemoStats reports the memo table's size, dedup hits and evictions.
 func (s *Space) MemoStats() (size int, hits, evicted uint64) {
-	s.mu.Lock()
+	s.lock()
 	defer s.unlock()
 	if s.memos == nil {
 		return 0, 0, 0
@@ -316,7 +264,7 @@ func (s *Space) MemoStats() (size int, hits, evicted uint64) {
 // SetMemoBounds overrides the memo table's FIFO bounds (values <= 0 keep
 // the current bound). Tests size it down to exercise eviction.
 func (s *Space) SetMemoBounds(perClient, total int) {
-	s.mu.Lock()
+	s.lock()
 	defer s.unlock()
 	m := s.memosLocked()
 	if perClient > 0 {
@@ -329,7 +277,7 @@ func (s *Space) SetMemoBounds(perClient, total int) {
 
 // SetMemoCounters directs dedup:* counter increments to c.
 func (s *Space) SetMemoCounters(c *metrics.Counters) {
-	s.mu.Lock()
+	s.lock()
 	s.memoCounters = c
 	s.unlock()
 }
@@ -339,7 +287,7 @@ func (s *Space) SetMemoCounters(c *metrics.Counters) {
 // mutex: it must not block, wait on the clock, or re-enter the space —
 // the flight recorder's enqueue-only Record satisfies this.
 func (s *Space) SetFlightSink(fn func(kind, detail string)) {
-	s.mu.Lock()
+	s.lock()
 	s.flightSink = fn
 	s.unlock()
 }
@@ -351,7 +299,7 @@ func (s *Space) SetFlightSink(fn func(kind, detail string)) {
 // capture half of shipping a migrated bucket's memo slice during a
 // reshard.
 func (s *Space) EncodeMemosWhere(pred func(key string, keyed bool) bool) ([][]byte, error) {
-	s.mu.Lock()
+	s.lock()
 	var rs []*record
 	if s.memos != nil {
 		for _, tok := range s.memos.order {
@@ -379,14 +327,14 @@ func (s *Space) EncodeMemosWhere(pred func(key string, keyed bool) bool) ([][]by
 // token returns the original write's lease instead of storing a second
 // copy. Under a transaction the token is remembered until the transaction
 // ends, not memoized. A zero token behaves exactly like Write.
-func (s *Space) WriteTok(e Entry, t *txn.Txn, ttl time.Duration, tok OpToken) (*EntryLease, error) {
+func (s *Space) WriteTok(e Entry, t *Txn, ttl time.Duration, tok OpToken) (*EntryLease, error) {
 	return s.write(e, t, ttl, tok, writeClient)
 }
 
 // TakeTok is Take with an idempotency token: a retry whose original
 // executed (reply lost) returns the originally taken entry instead of
 // consuming a second one.
-func (s *Space) TakeTok(tmpl Entry, t *txn.Txn, timeout time.Duration, tok OpToken) (Entry, error) {
+func (s *Space) TakeTok(tmpl Entry, t *Txn, timeout time.Duration, tok OpToken) (Entry, error) {
 	return s.lookup(opTake, tmpl, t, timeout, true, tok)
 }
 
@@ -394,7 +342,7 @@ func (s *Space) TakeTok(tmpl Entry, t *txn.Txn, timeout time.Duration, tok OpTok
 // variants, for callers that dispatch on the operation rather than call a
 // typed method: take selects removal, block selects waiting up to timeout,
 // and tok (takes only) makes a retry return the originally taken entry.
-func (s *Space) Lookup(take, block bool, tmpl Entry, t *txn.Txn, timeout time.Duration, tok OpToken) (Entry, error) {
+func (s *Space) Lookup(take, block bool, tmpl Entry, t *Txn, timeout time.Duration, tok OpToken) (Entry, error) {
 	kind := opRead
 	if take {
 		kind = opTake
@@ -404,7 +352,7 @@ func (s *Space) Lookup(take, block bool, tmpl Entry, t *txn.Txn, timeout time.Du
 
 // TakeAllTok is TakeAll with an idempotency token: a retry returns the
 // original result set.
-func (s *Space) TakeAllTok(tmpl Entry, t *txn.Txn, max int, tok OpToken) ([]Entry, error) {
+func (s *Space) TakeAllTok(tmpl Entry, t *Txn, max int, tok OpToken) ([]Entry, error) {
 	return s.bulk(opTake, tmpl, t, max, tok)
 }
 
@@ -414,7 +362,7 @@ func (s *Space) TakeAllTok(tmpl Entry, t *txn.Txn, max int, tok OpToken) ([]Entr
 // mutex.
 func (l *EntryLease) CancelTok(tok OpToken) error {
 	s := l.space
-	s.mu.Lock()
+	s.lock()
 	defer s.unlock()
 	if rec, ok := s.memoHitLocked(tok); ok && rec.op == MemoCancel {
 		return nil

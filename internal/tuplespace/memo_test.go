@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"gospaces/internal/enc"
-	"gospaces/internal/txn"
 	"gospaces/internal/vclock"
 )
 
@@ -80,13 +79,12 @@ func TestMemoTakeDedup(t *testing.T) {
 func TestTxnTokensDedupInsideTransaction(t *testing.T) {
 	for _, commit := range []bool{true, false} {
 		s := newRealSpace()
-		mgr := txn.NewManager(vclock.NewReal())
 		for i := 1; i <= 3; i++ {
 			if _, err := s.Write(task{Job: "in", ID: ip(i)}, nil, Forever); err != nil {
 				t.Fatal(err)
 			}
 		}
-		tx := mgr.Begin(time.Minute)
+		tx := s.Begin(time.Minute)
 
 		l1, err := s.WriteTok(task{Job: "out", ID: ip(1)}, tx, Forever, tok("w1", 1))
 		if err != nil {
@@ -154,7 +152,7 @@ func TestTxnTokensDedupInsideTransaction(t *testing.T) {
 // by the redelivery, which answers with the first entry instead.
 func TestTxnTokenParkedRedeliveryGetsFirstAnswer(t *testing.T) {
 	s := newRealSpace()
-	tx := txn.NewManager(vclock.NewReal()).Begin(time.Minute)
+	tx := s.Begin(time.Minute)
 	type reply struct {
 		e   Entry
 		err error

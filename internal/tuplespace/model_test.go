@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"gospaces/internal/txn"
 	"gospaces/internal/vclock"
 )
 
@@ -41,7 +40,7 @@ type modelDoc struct {
 }
 
 type modelTxn struct {
-	tx   *txn.Txn
+	tx   *Txn
 	open bool
 }
 
@@ -50,7 +49,6 @@ type modelRun struct {
 	rng     *rand.Rand
 	clk     *vclock.Virtual
 	s       *Space
-	mgr     *txn.Manager
 	entries []*modelEntry
 	txns    []*modelTxn
 	nextID  int
@@ -117,7 +115,7 @@ func (r *modelRun) template() modelDoc {
 
 // openTxn returns a random open transaction's index, or -1 (always -1
 // one time in two, so that most traffic is plain).
-func (r *modelRun) openTxn() (int, *txn.Txn) {
+func (r *modelRun) openTxn() (int, *Txn) {
 	if r.rng.Intn(2) == 0 {
 		return -1, nil
 	}
@@ -205,7 +203,7 @@ func (r *modelRun) step(n int, grow bool) {
 	case op < 93: // let leases lapse
 		r.clk.Sleep(time.Duration(1+r.rng.Intn(30)) * time.Millisecond)
 	case op < 96: // begin
-		r.txns = append(r.txns, &modelTxn{tx: r.mgr.Begin(0), open: true})
+		r.txns = append(r.txns, &modelTxn{tx: r.s.Begin(0), open: true})
 	default: // commit or abort
 		txi, tx := r.openTxn()
 		if tx == nil {
@@ -241,7 +239,7 @@ func (r *modelRun) step(n int, grow bool) {
 func TestSpaceAgreesWithNaiveModel(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		clk := vclock.NewVirtual(time.Unix(0, 0))
-		r := &modelRun{t: t, rng: rand.New(rand.NewSource(seed)), clk: clk, s: New(clk), mgr: txn.NewManager(clk)}
+		r := &modelRun{t: t, rng: rand.New(rand.NewSource(seed)), clk: clk, s: New(clk)}
 		clk.Run(func() {
 			for n := 0; n < 6_000; n++ {
 				// Phases of 1,000 steps: lists grow to several hundred

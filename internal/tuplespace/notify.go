@@ -41,7 +41,7 @@ func (r *Registration) ID() uint64 { return r.reg.id }
 
 // Cancel stops event delivery for this registration.
 func (r *Registration) Cancel() {
-	r.space.mu.Lock()
+	r.space.lock()
 	r.reg.dead = true
 	r.space.unlock()
 }
@@ -54,7 +54,7 @@ func (s *Space) Notify(tmpl Entry, fn Listener, ttl time.Duration) (*Registratio
 	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
+	s.lock()
 	defer s.unlock()
 	if s.closed {
 		return nil, ErrClosed

@@ -8,7 +8,6 @@ import (
 	"testing/quick"
 	"time"
 
-	"gospaces/internal/txn"
 	"gospaces/internal/vclock"
 )
 
@@ -156,7 +155,6 @@ func TestPropWriteTakeRoundTrip(t *testing.T) {
 func TestPropExactlyOnceUnderAborts(t *testing.T) {
 	clk := vclock.NewReal()
 	s := New(clk)
-	m := txn.NewManager(clk)
 	const nTasks = 60
 	for i := 0; i < nTasks; i++ {
 		if _, err := s.Write(task{Job: "eo", ID: ip(i)}, nil, Forever); err != nil {
@@ -172,7 +170,7 @@ func TestPropExactlyOnceUnderAborts(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			for {
-				tx := m.Begin(0)
+				tx := s.Begin(0)
 				got, err := s.Take(task{Job: "eo"}, tx, 50*time.Millisecond)
 				if err != nil {
 					_ = tx.Abort()

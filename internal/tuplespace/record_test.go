@@ -410,7 +410,7 @@ func TestOneRecordPerTokenedOp(t *testing.T) {
 	if r.memoOp != MemoCancel || r.key != "c" || len(r.entries) != 0 {
 		t.Fatalf("cancel record %+v", r)
 	}
-	step("a bare commit memo", recMemo, func() { s.CompleteMemo(tok("c", 6), MemoCommit) })
+	step("a bare commit memo", recMemo, func() { _ = s.Commit(s.Begin(0), tok("c", 6)) })
 
 	// And each of them is answered from its memo, journaling nothing more.
 	before = len(sink.recs)

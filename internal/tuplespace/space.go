@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"gospaces/internal/metrics"
-	"gospaces/internal/txn"
 	"gospaces/internal/vclock"
 )
 
@@ -15,19 +14,22 @@ import (
 const Forever time.Duration = 0
 
 // Space is an in-process JavaSpace: a shared repository of typed entries
-// with associative lookup. All methods are safe for concurrent use. A Space
-// participates in transactions created by a txn.Manager.
+// with associative lookup, and the transactions that run in it (txn.go).
+// All methods are safe for concurrent use.
 type Space struct {
 	clock vclock.Clock
 
-	mu      sync.Mutex            // released with unlock, the operation boundary (list.go)
-	types   map[string]*typeStore // entry type name → its residents
-	live    int                   // entries listed and not removed
-	dead    int                   // removed entries a list still holds, counted once per list
-	slack   []listRef             // lists due a compaction at unlock
+	mu      sync.Mutex              // taken with lock, released with unlock: the operation boundary
+	types   map[string]*typeStore   // entry type name → its residents
+	bySeq   map[uint64]*storedEntry // entries listed and not removed, by id
+	dead    int                     // removed entries a list still holds, counted once per list
+	slack   []listRef               // lists due a compaction at unlock
+	fire    []notification          // what an expiry at lock published, delivered at unlock
 	waiters map[string][]*waiter
 	notifs  map[string][]*registration
-	txns    map[uint64]*txnState
+	txns    map[uint64]*txnState // live transactions (txn.go)
+	txnNext time.Time            // no transaction lapses before this; zero when none can
+	nextTxn uint64
 	nextID  uint64
 	nextReg uint64
 	closed  bool
@@ -52,11 +54,13 @@ type Stats struct {
 	Notified    uint64 // notification events delivered
 	Expired     uint64 // entries reaped after lease expiry
 	TxnCommits  uint64 // transactions committed at this space
-	TxnAborts   uint64 // transactions aborted at this space
+	TxnAborts   uint64 // transactions aborted at this space, lapsed ones included
+	TxnExpired  uint64 // transactions aborted because their deadline passed
 	Overloaded  uint64 // blocking calls rejected by the waiter bound
 	EntriesLive int    // entries currently stored (including txn-held)
 	Dead        int    // removed entries whose pointer a type list or key bucket still holds
 	Waiting     int    // Read/Take calls currently parked waiting for a match
+	TxnsLive    int    // transactions begun and not yet committed, aborted or lapsed
 }
 
 type storedEntry struct {
@@ -75,16 +79,6 @@ type storedEntry struct {
 	staged bool
 }
 
-type txnState struct {
-	writes []*storedEntry
-	takes  []*storedEntry
-	reads  []*storedEntry
-	// answered holds what each tokened write, take and take-all acted on,
-	// so a redelivery gets the first delivery's answer (see memo.go). The
-	// zero token's row is written over and never read.
-	answered map[OpToken][]*storedEntry
-}
-
 type opKind int
 
 const (
@@ -96,7 +90,7 @@ type waiter struct {
 	kind   opKind
 	ti     *typeInfo
 	m      matcher
-	txn    *txn.Txn
+	txn    *Txn
 	w      vclock.Waiter
 	result *storedEntry
 	err    error
@@ -108,6 +102,7 @@ func New(clock vclock.Clock) *Space {
 	return &Space{
 		clock:   clock,
 		types:   make(map[string]*typeStore),
+		bySeq:   make(map[uint64]*storedEntry),
 		waiters: make(map[string][]*waiter),
 		notifs:  make(map[string][]*registration),
 		txns:    make(map[uint64]*txnState),
@@ -121,7 +116,7 @@ func New(clock vclock.Clock) *Space {
 // would exceed the bound fails fast with ErrOverloaded instead of
 // queueing — the blocked-waiter half of server-side admission control.
 func (s *Space) SetMaxWaiters(n int) {
-	s.mu.Lock()
+	s.lock()
 	s.maxWaiters = n
 	s.unlock()
 }
@@ -129,7 +124,7 @@ func (s *Space) SetMaxWaiters(n int) {
 // Close shuts the space down: every blocked operation is woken with
 // ErrClosed and subsequent operations fail.
 func (s *Space) Close() {
-	s.mu.Lock()
+	s.lock()
 	if s.closed {
 		s.unlock()
 		return
@@ -151,7 +146,7 @@ func (s *Space) Close() {
 // Write stores a deep copy of entry e under transaction t (nil for none),
 // with lease duration ttl (Forever for no expiry). It returns an EntryLease
 // for renewal or cancellation.
-func (s *Space) Write(e Entry, t *txn.Txn, ttl time.Duration) (*EntryLease, error) {
+func (s *Space) Write(e Entry, t *Txn, ttl time.Duration) (*EntryLease, error) {
 	return s.write(e, t, ttl, OpToken{}, writeClient)
 }
 
@@ -172,12 +167,12 @@ const (
 // one hold of s.mu, so however many duplicate deliveries race in, exactly
 // one executes and the rest return its lease — from the memo table outside
 // a transaction, from the transaction's own answers inside one.
-func (s *Space) write(e Entry, t *txn.Txn, ttl time.Duration, tok OpToken, mode writeMode) (*EntryLease, error) {
+func (s *Space) write(e Entry, t *Txn, ttl time.Duration, tok OpToken, mode writeMode) (*EntryLease, error) {
 	ti, v, err := infoFor(e)
 	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
+	s.lock()
 	if s.closed {
 		s.unlock()
 		return nil, ErrClosed
@@ -208,7 +203,7 @@ func (s *Space) write(e Entry, t *txn.Txn, ttl time.Duration, tok OpToken, mode 
 	s.insertLocked(se)
 	var fire []notification
 	if t != nil {
-		se.writtenUnder = t.ID()
+		se.writtenUnder = t.id
 		ts.writes = append(ts.writes, se)
 		ts.answered[tok] = []*storedEntry{se}
 	} else {
@@ -236,24 +231,24 @@ func (s *Space) write(e Entry, t *txn.Txn, ttl time.Duration, tok OpToken, mode 
 // one to appear (timeout <= 0 waits forever). The entry remains in the
 // space; under a transaction it is read-locked until the transaction
 // completes.
-func (s *Space) Read(tmpl Entry, t *txn.Txn, timeout time.Duration) (Entry, error) {
+func (s *Space) Read(tmpl Entry, t *Txn, timeout time.Duration) (Entry, error) {
 	return s.lookup(opRead, tmpl, t, timeout, true, OpToken{})
 }
 
 // Take removes and returns an entry matching tmpl, waiting up to timeout.
 // Under a transaction the removal is provisional until commit.
-func (s *Space) Take(tmpl Entry, t *txn.Txn, timeout time.Duration) (Entry, error) {
+func (s *Space) Take(tmpl Entry, t *Txn, timeout time.Duration) (Entry, error) {
 	return s.lookup(opTake, tmpl, t, timeout, true, OpToken{})
 }
 
 // ReadIfExists is Read without blocking: it returns ErrNoMatch immediately
 // when no matching entry is present.
-func (s *Space) ReadIfExists(tmpl Entry, t *txn.Txn) (Entry, error) {
+func (s *Space) ReadIfExists(tmpl Entry, t *Txn) (Entry, error) {
 	return s.lookup(opRead, tmpl, t, 0, false, OpToken{})
 }
 
 // TakeIfExists is Take without blocking.
-func (s *Space) TakeIfExists(tmpl Entry, t *txn.Txn) (Entry, error) {
+func (s *Space) TakeIfExists(tmpl Entry, t *Txn) (Entry, error) {
 	return s.lookup(opTake, tmpl, t, 0, false, OpToken{})
 }
 
@@ -262,7 +257,7 @@ func (s *Space) TakeIfExists(tmpl Entry, t *txn.Txn) (Entry, error) {
 // anything is consumed, and the take — now, or when a write satisfies the
 // parked waiter — is noted under the transaction, or leaves as one record
 // carrying the token and the entry.
-func (s *Space) lookup(kind opKind, tmpl Entry, t *txn.Txn, timeout time.Duration, block bool, tok OpToken) (Entry, error) {
+func (s *Space) lookup(kind opKind, tmpl Entry, t *Txn, timeout time.Duration, block bool, tok OpToken) (Entry, error) {
 	var buf [inlineCmps]comparer
 	ti, key, m, err := compile(tmpl, buf[:0])
 	if err != nil {
@@ -271,7 +266,7 @@ func (s *Space) lookup(kind opKind, tmpl Entry, t *txn.Txn, timeout time.Duratio
 	if kind != opTake {
 		tok = OpToken{}
 	}
-	s.mu.Lock()
+	s.lock()
 	if s.closed {
 		s.unlock()
 		return nil, ErrClosed
@@ -310,20 +305,47 @@ func (s *Space) lookup(kind opKind, tmpl Entry, t *txn.Txn, timeout time.Duratio
 		s.unlock()
 		return nil, ErrNoMatch
 	}
+	return s.park(&waiter{kind: kind, ti: ti, m: parkedMatcher(tmpl), txn: t, tok: tok}, timeout)
+}
+
+// park waits, with s.mu held on entry and released on return, until a
+// write or an abort hands w an entry, w fails, or timeout (<= 0: none)
+// passes. A transaction holding a lock on w's type may lapse before the
+// timeout: the wait is capped just past its deadline, when the lock() that
+// ends the wait aborts it and hands what it held to the parked waiters in
+// order. A capped waiter that got nothing parks again where it stood.
+func (s *Space) park(w *waiter, timeout time.Duration) (Entry, error) {
 	if s.maxWaiters > 0 && s.waiting >= s.maxWaiters {
 		s.stats.Overloaded++
 		s.unlock()
 		return nil, ErrOverloaded
 	}
-	w := &waiter{kind: kind, ti: ti, m: parkedMatcher(tmpl), txn: t, w: s.clock.NewWaiter(), tok: tok}
-	s.waiters[ti.name] = append(s.waiters[ti.name], w)
+	w.w = s.clock.NewWaiter()
+	s.waiters[w.ti.name] = append(s.waiters[w.ti.name], w)
 	s.stats.Blocked++
 	s.waiting++
-	s.unlock()
-
-	w.w.Wait(timeout)
-
-	s.mu.Lock()
+	now := s.clock.Now()
+	end := now.Add(timeout) // the lookup's own deadline, when timeout > 0
+	for {
+		wait, capped := end.Sub(now), false
+		if timeout <= 0 {
+			wait = 0 // no deadline of its own: wait until woken
+		} else if wait <= 0 {
+			break
+		}
+		if at := s.lapseLocked(w.kind, w.ti); !at.IsZero() {
+			if d := at.Sub(now) + time.Nanosecond; wait <= 0 || d < wait {
+				wait, capped = d, true
+			}
+		}
+		s.unlock()
+		w.w.Wait(wait)
+		s.lock()
+		if w.result != nil || w.err != nil || !capped {
+			break
+		}
+		w.w, now = s.clock.NewWaiter(), s.clock.Now()
+	}
 	if w.result != nil {
 		out := copyOut(w.result.val)
 		s.unlock()
@@ -343,7 +365,7 @@ func (s *Space) lookup(kind opKind, tmpl Entry, t *txn.Txn, timeout time.Duratio
 // under one, memoized with the removal outside. A non-nil return (strict
 // journal, non-txn take only) means the removal was not logged and the
 // entry remains in the space untouched.
-func (s *Space) applyLocked(kind opKind, se *storedEntry, t *txn.Txn, tok OpToken) error {
+func (s *Space) applyLocked(kind opKind, se *storedEntry, t *Txn, tok OpToken) error {
 	switch kind {
 	case opRead:
 		s.stats.Reads++
@@ -351,13 +373,13 @@ func (s *Space) applyLocked(kind opKind, se *storedEntry, t *txn.Txn, tok OpToke
 			if se.readLocks == nil {
 				se.readLocks = make(map[uint64]int)
 			}
-			se.readLocks[t.ID()]++
-			s.txns[t.ID()].reads = append(s.txns[t.ID()].reads, se)
+			se.readLocks[t.id]++
+			s.txns[t.id].reads = append(s.txns[t.id].reads, se)
 		}
 	case opTake:
 		if t != nil {
-			se.takenUnder = t.ID()
-			ts := s.txns[t.ID()]
+			se.takenUnder = t.id
+			ts := s.txns[t.id]
 			ts.takes = append(ts.takes, se)
 			ts.answered[tok] = []*storedEntry{se}
 		} else {
@@ -392,7 +414,7 @@ func (s *Space) publishLocked(se *storedEntry) []notification {
 				out = append(out, w)
 				continue
 			}
-			if w.txn != nil && !w.txn.Active() {
+			if w.txn != nil && s.txns[w.txn.id] == nil { // finished or lapsed while parked
 				w.err = ErrTxnInactive
 				w.w.Wake()
 				continue
@@ -402,7 +424,7 @@ func (s *Space) publishLocked(se *storedEntry) []notification {
 				continue
 			}
 			if w.txn != nil { // a redelivered take parked beside its first delivery
-				if ses, ok := s.txnHitLocked(s.txns[w.txn.ID()], w.tok, MemoTake); ok {
+				if ses, ok := s.txnHitLocked(s.txns[w.txn.id], w.tok, MemoTake); ok {
 					w.result = ses[0]
 					w.w.Wake()
 					continue
@@ -438,115 +460,10 @@ func (s *Space) removeWaiterLocked(w *waiter) {
 	}
 }
 
-// joinLocked enrols the space in t (if non-nil) and returns its local
-// state. Caller holds s.mu.
-func (s *Space) joinLocked(t *txn.Txn) (*txnState, error) {
-	if t == nil {
-		return nil, nil
-	}
-	if !t.Active() {
-		return nil, ErrTxnInactive
-	}
-	if ts, ok := s.txns[t.ID()]; ok {
-		return ts, nil
-	}
-	if err := t.Join(s); err != nil {
-		return nil, ErrTxnInactive
-	}
-	ts := &txnState{answered: make(map[OpToken][]*storedEntry)}
-	s.txns[t.ID()] = ts
-	return ts, nil
-}
-
-// Prepare implements txn.Participant. Local spaces can always commit.
-func (s *Space) Prepare(uint64) error { return nil }
-
-// Commit implements txn.Participant: provisional writes become public,
-// take-locked entries are removed for good, read locks are released.
-func (s *Space) Commit(id uint64) {
-	s.mu.Lock()
-	ts, ok := s.txns[id]
-	if !ok {
-		s.unlock()
-		return
-	}
-	delete(s.txns, id)
-	s.stats.TxnCommits++
-	// The transaction has already committed at the coordinator; journal
-	// failures here cannot unwind it. They are counted and retained by
-	// the journal (Journal.Err) even in strict mode.
-	// Writes are journaled before removes: replication ships the stream
-	// in batches, and a primary killed mid-commit leaves the standby with
-	// a prefix. Writes-first means a torn commit can only leave both the
-	// result and its consumed input live (re-execution collapses at the
-	// aggregator), never an input consumed with its output lost.
-	var fire []notification
-	for _, se := range ts.writes {
-		if se.removed || se.takenUnder != 0 {
-			// Taken under this same transaction: never became public,
-			// nothing to journal (the takes loop below logs the removal).
-			continue
-		}
-		se.writtenUnder = 0
-		_ = s.journalWriteLocked(se, OpToken{})
-		fire = append(fire, s.publishLocked(se)...)
-	}
-	for _, se := range ts.takes {
-		se.takenUnder = 0
-		s.removeLocked(se)
-		_ = s.journalLocked(&record{kind: recRemove, seqs: []uint64{se.id}})
-	}
-	for _, se := range ts.reads {
-		s.unlockReadLocked(se, id)
-	}
-	s.unlock()
-	deliver(fire)
-}
-
-// Abort implements txn.Participant: provisional writes vanish, take-locked
-// entries become visible again, read locks are released.
-func (s *Space) Abort(id uint64) {
-	s.mu.Lock()
-	ts, ok := s.txns[id]
-	if !ok {
-		s.unlock()
-		return
-	}
-	delete(s.txns, id)
-	s.stats.TxnAborts++
-	var fire []notification
-	for _, se := range ts.writes {
-		s.removeLocked(se)
-	}
-	for _, se := range ts.reads {
-		s.unlockReadLocked(se, id)
-	}
-	for _, se := range ts.takes {
-		if se.removed {
-			continue
-		}
-		se.takenUnder = 0
-		fire = append(fire, s.publishLocked(se)...)
-	}
-	s.unlock()
-	deliver(fire)
-}
-
-func (s *Space) unlockReadLocked(se *storedEntry, id uint64) {
-	if se.readLocks == nil {
-		return
-	}
-	if n := se.readLocks[id]; n > 1 {
-		se.readLocks[id] = n - 1
-	} else {
-		delete(se.readLocks, id)
-	}
-}
-
 // reveal makes staged copies visible: their source has let the originals
 // go. Waiters and notifications see each as a fresh write.
 func (s *Space) reveal(ses []*storedEntry) {
-	s.mu.Lock()
+	s.lock()
 	var fire []notification
 	for _, se := range ses {
 		if se.staged && !se.removed {
@@ -566,7 +483,7 @@ func (s *Space) Count(tmpl Entry) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	s.mu.Lock()
+	s.lock()
 	defer s.unlock()
 	items, now := s.listLocked(ti, key).get().items, s.clock.Now()
 	n := 0
@@ -586,7 +503,7 @@ func (s *Space) Count(tmpl Entry) (int, error) {
 // Capture and removal happen atomically under the space mutex, so no
 // concurrent operation observes a half-evicted range.
 func (s *Space) EvictWhere(pred func(Entry) bool) ([][]byte, int, error) {
-	s.mu.Lock()
+	s.lock()
 	if s.closed {
 		s.unlock()
 		return nil, 0, ErrClosed
@@ -625,10 +542,10 @@ func (s *Space) EvictWhere(pred func(Entry) bool) ([][]byte, int, error) {
 
 // Stats returns a snapshot of the operation counters.
 func (s *Space) Stats() Stats {
-	s.mu.Lock()
+	s.lock()
 	defer s.unlock()
 	st := s.stats
-	st.EntriesLive, st.Dead, st.Waiting = s.live, s.dead, s.waiting
+	st.EntriesLive, st.Dead, st.Waiting, st.TxnsLive = len(s.bySeq), s.dead, s.waiting, len(s.txns)
 	return st
 }
 
@@ -636,7 +553,7 @@ func (s *Space) Stats() Stats {
 // txn-held entries), keyed by the fully qualified type name. Operators and
 // the shard router use it to observe how entries balance across shards.
 func (s *Space) TypeCounts() map[string]int {
-	s.mu.Lock()
+	s.lock()
 	defer s.unlock()
 	now := s.clock.Now()
 	counts := make(map[string]int, len(s.types))
@@ -667,9 +584,24 @@ func (l *EntryLease) Seq() uint64 {
 	return l.entry.id
 }
 
+// LeaseFor returns the lease of entry seq: how a service turns a wire
+// lease id back into a handle. Once the entry is gone (or for seq 0, which
+// names none) it is a lease on nothing: a renewal or cancel answers
+// ErrLeaseExpired, unless the cancel is the retry of a tokened one that
+// executed.
+func (s *Space) LeaseFor(seq uint64) *EntryLease {
+	s.lock()
+	defer s.unlock()
+	se := s.bySeq[seq]
+	if se == nil {
+		se = &storedEntry{removed: true}
+	}
+	return &EntryLease{space: s, entry: se}
+}
+
 // Expiration returns the entry's current expiry time (zero for Forever).
 func (l *EntryLease) Expiration() time.Time {
-	l.space.mu.Lock()
+	l.space.lock()
 	defer l.space.unlock()
 	return l.entry.expiry
 }
@@ -677,7 +609,7 @@ func (l *EntryLease) Expiration() time.Time {
 // Renew extends the lease to now+ttl. Renewing an expired or cancelled
 // lease fails with ErrLeaseExpired.
 func (l *EntryLease) Renew(ttl time.Duration) error {
-	l.space.mu.Lock()
+	l.space.lock()
 	defer l.space.unlock()
 	se := l.entry
 	now := l.space.clock.Now()
@@ -690,16 +622,6 @@ func (l *EntryLease) Renew(ttl time.Duration) error {
 		se.expiry = time.Time{}
 	}
 	return nil
-}
-
-// Gone reports whether the lease can no longer be renewed: its entry was
-// taken, cancelled or has expired. Holders of long-lived lease tables use
-// it to drop dead handles (and the stored value they pin).
-func (l *EntryLease) Gone() bool {
-	l.space.mu.Lock()
-	defer l.space.unlock()
-	se := l.entry
-	return se.removed || se.expired(l.space.clock.Now())
 }
 
 // Cancel removes the entry immediately.

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"gospaces/internal/txn"
 	"gospaces/internal/vclock"
 )
 
@@ -321,8 +320,7 @@ func mustWrite(t *testing.T, s *Space, e Entry) {
 func TestTxnWriteInvisibleUntilCommit(t *testing.T) {
 	clk := vclock.NewReal()
 	s := New(clk)
-	m := txn.NewManager(clk)
-	tx := m.Begin(0)
+	tx := s.Begin(0)
 	if _, err := s.Write(task{Job: "t"}, tx, Forever); err != nil {
 		t.Fatal(err)
 	}
@@ -345,8 +343,7 @@ func TestTxnWriteInvisibleUntilCommit(t *testing.T) {
 func TestTxnWriteDiscardedOnAbort(t *testing.T) {
 	clk := vclock.NewReal()
 	s := New(clk)
-	m := txn.NewManager(clk)
-	tx := m.Begin(0)
+	tx := s.Begin(0)
 	if _, err := s.Write(task{Job: "t"}, tx, Forever); err != nil {
 		t.Fatal(err)
 	}
@@ -361,9 +358,8 @@ func TestTxnWriteDiscardedOnAbort(t *testing.T) {
 func TestTxnTakeReappearsOnAbort(t *testing.T) {
 	clk := vclock.NewReal()
 	s := New(clk)
-	m := txn.NewManager(clk)
 	mustWrite(t, s, task{Job: "t", ID: ip(5)})
-	tx := m.Begin(0)
+	tx := s.Begin(0)
 	if _, err := s.Take(task{Job: "t"}, tx, time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -386,9 +382,8 @@ func TestTxnTakeReappearsOnAbort(t *testing.T) {
 func TestTxnTakeGoneOnCommit(t *testing.T) {
 	clk := vclock.NewReal()
 	s := New(clk)
-	m := txn.NewManager(clk)
 	mustWrite(t, s, task{Job: "t"})
-	tx := m.Begin(0)
+	tx := s.Begin(0)
 	if _, err := s.Take(task{Job: "t"}, tx, time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -403,9 +398,8 @@ func TestTxnTakeGoneOnCommit(t *testing.T) {
 func TestTxnReadLockBlocksOtherTake(t *testing.T) {
 	clk := vclock.NewReal()
 	s := New(clk)
-	m := txn.NewManager(clk)
 	mustWrite(t, s, task{Job: "t"})
-	tx := m.Begin(0)
+	tx := s.Begin(0)
 	if _, err := s.Read(task{Job: "t"}, tx, time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -428,9 +422,8 @@ func TestTxnReadLockBlocksOtherTake(t *testing.T) {
 func TestTxnReadLockReleasedOnCommit(t *testing.T) {
 	clk := vclock.NewReal()
 	s := New(clk)
-	m := txn.NewManager(clk)
 	mustWrite(t, s, task{Job: "t"})
-	tx := m.Begin(0)
+	tx := s.Begin(0)
 	if _, err := s.Read(task{Job: "t"}, tx, time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -445,8 +438,7 @@ func TestTxnReadLockReleasedOnCommit(t *testing.T) {
 func TestTxnInactiveRejected(t *testing.T) {
 	clk := vclock.NewReal()
 	s := New(clk)
-	m := txn.NewManager(clk)
-	tx := m.Begin(0)
+	tx := s.Begin(0)
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
@@ -461,45 +453,19 @@ func TestTxnInactiveRejected(t *testing.T) {
 func TestTxnExpiredLeaseAborts(t *testing.T) {
 	clk := vclock.NewVirtual(time.Unix(0, 0))
 	s := New(clk)
-	m := txn.NewManager(clk)
 	clk.Run(func() {
 		mustWrite(t, s, task{Job: "t"})
-		tx := m.Begin(50 * time.Millisecond)
+		tx := s.Begin(50 * time.Millisecond)
 		if _, err := s.Take(task{Job: "t"}, tx, time.Second); err != nil {
 			t.Error(err)
 		}
 		clk.Sleep(100 * time.Millisecond)
-		if err := tx.Commit(); !errors.Is(err, txn.ErrNotActive) {
+		if err := tx.Commit(); !errors.Is(err, ErrTxnInactive) {
 			t.Errorf("commit of expired txn err = %v", err)
 		}
 		// The abort path must have returned the task.
 		if n, _ := s.Count(task{}); n != 1 {
 			t.Errorf("task lost after expired txn: count = %d", n)
-		}
-	})
-}
-
-func TestTxnSweepRecoversTasks(t *testing.T) {
-	clk := vclock.NewVirtual(time.Unix(0, 0))
-	s := New(clk)
-	m := txn.NewManager(clk)
-	clk.Run(func() {
-		for i := 0; i < 5; i++ {
-			mustWrite(t, s, task{Job: "sweep", ID: ip(i)})
-		}
-		// Three "workers" take tasks under leased transactions and die.
-		for i := 0; i < 3; i++ {
-			tx := m.Begin(10 * time.Millisecond)
-			if _, err := s.Take(task{Job: "sweep"}, tx, time.Second); err != nil {
-				t.Error(err)
-			}
-		}
-		clk.Sleep(50 * time.Millisecond)
-		if n := m.Sweep(); n != 3 {
-			t.Errorf("swept %d txns, want 3", n)
-		}
-		if n, _ := s.Count(task{Job: "sweep"}); n != 5 {
-			t.Errorf("count after sweep = %d, want 5", n)
 		}
 	})
 }
@@ -540,13 +506,12 @@ func TestNotifyOnWrite(t *testing.T) {
 func TestNotifyFiresOnTxnCommitNotWrite(t *testing.T) {
 	clk := vclock.NewReal()
 	s := New(clk)
-	m := txn.NewManager(clk)
 	var n int
 	var mu sync.Mutex
 	if _, err := s.Notify(task{}, func(Event) { mu.Lock(); n++; mu.Unlock() }, Forever); err != nil {
 		t.Fatal(err)
 	}
-	tx := m.Begin(0)
+	tx := s.Begin(0)
 	if _, err := s.Write(task{Job: "t"}, tx, Forever); err != nil {
 		t.Fatal(err)
 	}

@@ -86,9 +86,9 @@ func (op *tornOp) run(t *testing.T, s *Space, leases map[int]*EntryLease, self i
 			op.got = []int{-1} // the target's ID, filled in by the caller
 		}
 	case tornCommit:
-		if res, hit := s.MemoOutcome(op.tok); !hit || res.Op != MemoCommit {
-			s.CompleteMemo(op.tok, MemoCommit)
-		}
+		tx := s.Begin(0)
+		_ = s.Commit(tx, op.tok)
+		_ = tx.Abort() // still open when its commit was answered from the memo
 	}
 }
 

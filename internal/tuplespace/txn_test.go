@@ -1,0 +1,277 @@
+package tuplespace
+
+import (
+	"errors"
+	"sync"
+	"testing"
+	"time"
+
+	"gospaces/internal/vclock"
+)
+
+// ttl is the transaction lease the expiry tests run on.
+const ttl = 10 * time.Second
+
+func virtualSpace() (*vclock.Virtual, *Space) {
+	clk := vclock.NewVirtual(time.Date(2001, time.March, 1, 0, 0, 0, 0, time.UTC))
+	return clk, New(clk)
+}
+
+// TestTxnExpiredTakeVisibleAtDeadline: a worker takes under a leased
+// transaction and dies. Nothing sweeps; the next lookup after the deadline
+// finds the entry, and at the deadline itself it is still held.
+func TestTxnExpiredTakeVisibleAtDeadline(t *testing.T) {
+	clk, s := virtualSpace()
+	clk.Run(func() {
+		mustWrite(t, s, task{Job: "t", ID: ip(7)})
+		if _, err := s.TakeIfExists(task{Job: "t"}, s.Begin(ttl)); err != nil {
+			t.Fatal(err)
+		}
+		clk.Sleep(ttl)
+		if _, err := s.TakeIfExists(task{Job: "t"}, nil); !errors.Is(err, ErrNoMatch) {
+			t.Fatalf("at the deadline: %v, want the entry still held", err)
+		}
+		clk.Sleep(time.Nanosecond)
+		got, err := s.TakeIfExists(task{Job: "t"}, nil)
+		if err != nil {
+			t.Fatalf("deadline + 1ns: %v, want the entry back", err)
+		}
+		if *got.(task).ID != 7 {
+			t.Fatalf("got %+v", got)
+		}
+	})
+}
+
+// TestTxnExpiryWakesParkedTake: a take parked for ten leases receives the
+// entry the moment the holder's lease lapses, not at its own timeout; a
+// take on another type is not woken by the lapse.
+func TestTxnExpiryWakesParkedTake(t *testing.T) {
+	clk, s := virtualSpace()
+	clk.Run(func() {
+		mustWrite(t, s, task{Job: "t", ID: ip(1)})
+		if _, err := s.TakeIfExists(task{Job: "t"}, s.Begin(ttl)); err != nil {
+			t.Fatal(err)
+		}
+		start := clk.Now()
+		clk.Go(func() {
+			if _, err := s.Take(idxTask{Job: "other"}, nil, 10*ttl); !errors.Is(err, ErrTimeout) {
+				t.Errorf("take on another type: %v, want a timeout", err)
+			}
+			if d := clk.Since(start); d != 10*ttl {
+				t.Errorf("take on another type returned after %v, want its own timeout %v", d, 10*ttl)
+			}
+		})
+		got, err := s.Take(task{Job: "t"}, nil, 10*ttl)
+		if err != nil {
+			t.Fatalf("parked take: %v", err)
+		}
+		if *got.(task).ID != 1 {
+			t.Fatalf("got %+v", got)
+		}
+		if d := clk.Since(start); d != ttl+time.Nanosecond {
+			t.Fatalf("parked take returned after %v, want the deadline %v", d, ttl+time.Nanosecond)
+		}
+	})
+}
+
+// TestTxnCommitAfterDeadlineIsInactive: a commit that arrives after the
+// lease lapsed fails, publishes nothing and journals nothing; the taken
+// entry is back.
+func TestTxnCommitAfterDeadlineIsInactive(t *testing.T) {
+	clk, s := virtualSpace()
+	var sink captureSink
+	if err := s.AttachJournal(NewJournalSink(&sink)); err != nil {
+		t.Fatal(err)
+	}
+	clk.Run(func() {
+		mustWrite(t, s, task{Job: "t"})
+		tx := s.Begin(ttl)
+		if _, err := s.TakeIfExists(task{Job: "t"}, tx); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Write(task{Job: "result"}, tx, Forever); err != nil {
+			t.Fatal(err)
+		}
+		clk.Sleep(ttl + time.Nanosecond)
+		before := len(sink.recs)
+		if err := s.Commit(tx, tok("w", 1)); !errors.Is(err, ErrTxnInactive) {
+			t.Fatalf("late commit: %v, want ErrTxnInactive", err)
+		}
+		if n := len(sink.recs) - before; n != 0 {
+			t.Fatalf("late commit journaled %d records", n)
+		}
+		if n, _ := s.Count(task{Job: "result"}); n != 0 {
+			t.Fatalf("late commit published %d results", n)
+		}
+		if n, _ := s.Count(task{Job: "t"}); n != 1 {
+			t.Fatalf("task count %d after the lapse, want 1", n)
+		}
+	})
+}
+
+// TestTxnExpiryCountedOnce: each lapse is counted once however many
+// operations pass it, and only lapsed transactions are aborted.
+func TestTxnExpiryCountedOnce(t *testing.T) {
+	clk, s := virtualSpace()
+	clk.Run(func() {
+		var short []*Txn
+		for i := 0; i < 3; i++ {
+			mustWrite(t, s, task{Job: "t", ID: ip(i)})
+			tx := s.Begin(ttl)
+			if _, err := s.TakeIfExists(task{Job: "t"}, tx); err != nil {
+				t.Fatal(err)
+			}
+			short = append(short, tx)
+		}
+		long, forever := s.Begin(time.Hour), s.Begin(0)
+		clk.Sleep(ttl + time.Nanosecond)
+		for i := 0; i < 3; i++ {
+			if st := s.Stats(); st.TxnExpired != 3 || st.TxnAborts != 3 || st.TxnsLive != 2 {
+				t.Fatalf("pass %d: expired %d aborts %d live %d, want 3 3 2", i, st.TxnExpired, st.TxnAborts, st.TxnsLive)
+			}
+			if n, _ := s.Count(task{Job: "t"}); n != 3 {
+				t.Fatalf("pass %d: %d tasks visible, want 3", i, n)
+			}
+		}
+		for _, tx := range short {
+			if err := tx.Abort(); !errors.Is(err, ErrTxnInactive) {
+				t.Fatalf("abort of a lapsed txn: %v", err)
+			}
+		}
+		if err := long.Commit(); err != nil {
+			t.Fatalf("unexpired txn: %v", err)
+		}
+		if err := forever.Commit(); err != nil {
+			t.Fatalf("txn without a lease: %v", err)
+		}
+		if st := s.Stats(); st.TxnExpired != 3 || st.TxnsLive != 0 {
+			t.Fatalf("after: expired %d live %d, want 3 0", st.TxnExpired, st.TxnsLive)
+		}
+	})
+}
+
+func TestTxnCommitTwiceFails(t *testing.T) {
+	s := newRealSpace()
+	tx := s.Begin(0)
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); !errors.Is(err, ErrTxnInactive) {
+		t.Fatalf("second commit: %v", err)
+	}
+	if err := tx.Abort(); !errors.Is(err, ErrTxnInactive) {
+		t.Fatalf("abort after commit: %v", err)
+	}
+}
+
+func TestTxnAbortTwiceFails(t *testing.T) {
+	s := newRealSpace()
+	tx := s.Begin(0)
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Abort(); !errors.Is(err, ErrTxnInactive) {
+		t.Fatalf("second abort: %v", err)
+	}
+	if err := tx.Commit(); !errors.Is(err, ErrTxnInactive) {
+		t.Fatalf("commit after abort: %v", err)
+	}
+}
+
+// TestTxnJoinAfterAbortFails: no operation runs under a finished
+// transaction, nor under one another space minted.
+func TestTxnJoinAfterAbortFails(t *testing.T) {
+	s := newRealSpace()
+	tx := s.Begin(0)
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Write(task{}, tx, Forever); !errors.Is(err, ErrTxnInactive) {
+		t.Fatalf("write under an aborted txn: %v", err)
+	}
+	if _, err := s.ReadAll(task{}, tx, 0); !errors.Is(err, ErrTxnInactive) {
+		t.Fatalf("read-all under an aborted txn: %v", err)
+	}
+	other := newRealSpace()
+	s.Begin(0) // so the foreign id is live here too
+	if _, err := s.Write(task{}, other.Begin(0), Forever); !errors.Is(err, ErrTxnInactive) {
+		t.Fatalf("write under another space's txn: %v", err)
+	}
+}
+
+func TestTxnIDsCountFromOne(t *testing.T) {
+	s := newRealSpace()
+	for want := uint64(1); want <= 100; want++ {
+		tx := s.Begin(0)
+		if tx.ID() != want {
+			t.Fatalf("txn id %d, want %d", tx.ID(), want)
+		}
+		_ = tx.Abort()
+	}
+}
+
+func TestTxnConcurrentCommitAbort(t *testing.T) {
+	s := newRealSpace()
+	for i := 0; i < 200; i++ {
+		mustWrite(t, s, task{Job: "race"})
+		tx := s.Begin(0)
+		if _, err := s.TakeIfExists(task{Job: "race"}, tx); err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		errs := make([]error, 2)
+		wg.Add(2)
+		go func() { defer wg.Done(); errs[0] = tx.Commit() }()
+		go func() { defer wg.Done(); errs[1] = tx.Abort() }()
+		wg.Wait()
+		if (errs[0] == nil) == (errs[1] == nil) {
+			t.Fatalf("commit %v, abort %v: want exactly one to win", errs[0], errs[1])
+		}
+		want := 0
+		if errs[1] == nil {
+			want = 1
+		}
+		if n, _ := s.Count(task{Job: "race"}); n != want {
+			t.Fatalf("count %d after the race, want %d", n, want)
+		}
+		_, _ = s.TakeIfExists(task{Job: "race"}, nil)
+	}
+}
+
+// TestAbortReexposesEntryToBlockedTake is the paper's §3 fault-tolerance
+// story at the smallest scale: an entry taken under a transaction is
+// invisible to everyone else, and the moment the transaction aborts the
+// entry is delivered to a Take already parked for it.
+func TestAbortReexposesEntryToBlockedTake(t *testing.T) {
+	s := newRealSpace()
+	mustWrite(t, s, task{Job: "work", ID: ip(1)})
+	tx := s.Begin(time.Minute)
+	if _, err := s.Take(task{Job: "work"}, tx, 0); err != nil {
+		t.Fatalf("take under txn: %v", err)
+	}
+	if _, err := s.TakeIfExists(task{Job: "work"}, nil); !errors.Is(err, ErrNoMatch) {
+		t.Fatalf("entry visible while locked under txn: %v", err)
+	}
+	type res struct {
+		e   Entry
+		err error
+	}
+	done := make(chan res, 1)
+	go func() {
+		e, err := s.Take(task{Job: "work"}, nil, 5*time.Second)
+		done <- res{e, err}
+	}()
+	for s.Stats().Waiting == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	if err := tx.Abort(); err != nil {
+		t.Fatalf("abort: %v", err)
+	}
+	r := <-done
+	if r.err != nil || *r.e.(task).ID != 1 {
+		t.Fatalf("blocked take after abort: %+v, %v", r.e, r.err)
+	}
+	if _, err := s.TakeIfExists(task{Job: "work"}, nil); !errors.Is(err, ErrNoMatch) {
+		t.Fatalf("entry still present after recovery take: %v", err)
+	}
+}

@@ -760,7 +760,7 @@ func (s *recordBenchSink) Append(p []byte) error {
 	s.records++
 	s.bytes += len(p)
 	if s.keep {
-		s.recs = append(s.recs, p)
+		s.recs = append(s.recs, append([]byte(nil), p...)) // p is lent for the call
 	}
 	return nil
 }

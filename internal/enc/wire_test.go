@@ -360,10 +360,14 @@ func TestJournalRecordsDeliverWhatGobDelivered(t *testing.T) {
 	}
 }
 
-// recordLog is a journal sink that keeps every record.
+// recordLog is a journal sink that keeps a copy of every record: the
+// payload is the journal's again once Append returns.
 type recordLog struct{ recs [][]byte }
 
-func (l *recordLog) Append(p []byte) error { l.recs = append(l.recs, p); return nil }
+func (l *recordLog) Append(p []byte) error {
+	l.recs = append(l.recs, append([]byte(nil), p...))
+	return nil
+}
 
 // TestFramedCrossesInTheHeader: the deadline and priority of a Framed
 // argument travel as header fields and come out as the Framed the handler

@@ -41,6 +41,8 @@ func NewTap(down tuplespace.RecordSink) *Tap { return &Tap{down: down} }
 // Append implements tuplespace.RecordSink. Downstream (replication,
 // durability tee) always sees the record first; migration failures are
 // retained for the migration to observe and never fail the source op.
+// The buffer keeps a copy of the borrowed payload; a live forward applies
+// it before Append returns.
 func (t *Tap) Append(payload []byte) error {
 	var downErr error
 	if t.down != nil {
@@ -49,7 +51,7 @@ func (t *Tap) Append(payload []byte) error {
 	t.mu.Lock()
 	switch t.mode {
 	case tapBuffer:
-		t.buf = append(t.buf, payload)
+		t.buf = append(t.buf, append([]byte(nil), payload...))
 	case tapLive:
 		if err := t.fwd(payload); err != nil && t.err == nil {
 			t.err = err

@@ -4,6 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+
+	"gospaces/internal/tuplespace"
+	"gospaces/internal/vclock"
 )
 
 // sink records appended payloads in order.
@@ -131,5 +134,54 @@ func TestTapDropping(t *testing.T) {
 	tap.Close()
 	if !tap.Dropping() {
 		t.Fatal("a closed tap over a dropping downstream wants records")
+	}
+}
+
+// TestTapCopiesBorrowedPayloads: a journal lends each record to its sink
+// for the Append call only, then encodes the next one into the same
+// buffer. A buffering tap keeps copies, and a live tap applies each record
+// before Append returns, so records appended from one overwritten buffer —
+// in buffer mode and in live mode — reach the migration's destination as
+// they were.
+func TestTapCopiesBorrowedPayloads(t *testing.T) {
+	src := tuplespace.New(vclock.NewReal())
+	made := &sink{}
+	if err := src.AttachJournal(tuplespace.NewJournalSink(made)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		if _, err := src.Write(kv{Key: fmt.Sprintf("k%d", i), Val: i}, nil, tuplespace.Forever); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dst := tuplespace.New(vclock.NewReal())
+	tap := NewTap(&sink{})
+	var buf []byte
+	appendBorrowed := func(rec string) {
+		buf = append(buf[:0], rec...)
+		if err := tap.Append(buf); err != nil {
+			t.Fatal(err)
+		}
+		for j := range buf {
+			buf[j] = 0xff
+		}
+	}
+	tap.StartBuffer()
+	for _, rec := range made.recs[:3] {
+		appendBorrowed(rec)
+	}
+	if err := tap.GoLive(tuplespace.NewApplier(dst).Apply); err != nil {
+		t.Fatalf("draining the buffered records: %v", err)
+	}
+	for _, rec := range made.recs[3:] {
+		appendBorrowed(rec)
+	}
+	if err := tap.Err(); err != nil {
+		t.Fatalf("live forward: %v", err)
+	}
+	for i := 0; i < 6; i++ {
+		if _, err := dst.ReadIfExists(kv{Key: fmt.Sprintf("k%d", i), Val: i}, nil); err != nil {
+			t.Fatalf("destination lacks record %d's entry: %v", i, err)
+		}
 	}
 }

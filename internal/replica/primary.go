@@ -111,7 +111,8 @@ func (p *Primary) SetMirror(c transport.Client) {
 type queueSink struct{ p *Primary }
 
 // Append implements tuplespace.RecordSink by enqueueing only — the
-// records ship later, outside the space mutex.
+// records ship later, outside the space mutex, so the queue keeps a copy
+// of the borrowed payload.
 func (s queueSink) Append(payload []byte) error {
 	p := s.p
 	p.mu.Lock()
@@ -135,7 +136,7 @@ func (s queueSink) Append(payload []byte) error {
 		return nil
 	}
 	p.seq++
-	p.queue = append(p.queue, payload)
+	p.queue = append(p.queue, append([]byte(nil), payload...))
 	return nil
 }
 

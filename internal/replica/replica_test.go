@@ -461,9 +461,14 @@ func TestDegradedSyncFailsClosed(t *testing.T) {
 // write of it succeeding under a strict journal shows nothing encoded it.
 type unlogged struct{ X int }
 
+// recordLog keeps a copy of every record: the payload is the journal's
+// again once Append returns.
 type recordLog struct{ recs [][]byte }
 
-func (l *recordLog) Append(p []byte) error { l.recs = append(l.recs, p); return nil }
+func (l *recordLog) Append(p []byte) error {
+	l.recs = append(l.recs, append([]byte(nil), p...))
+	return nil
+}
 
 // TestSwitchSinkDropsWithoutEncoding: a standby's journal sits on a switch
 // with no target until promotion. Until then the journal encodes nothing —
@@ -575,4 +580,55 @@ func TestSentinelsCrossTheWire(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSinksCopyBorrowedPayloads: a journal lends each record to its sink
+// for the Append call only, then encodes the next one into the same
+// buffer. The primary's queue ships records after the call returns, so it
+// keeps copies: records appended from one overwritten buffer — straight
+// into Primary.Sink, and through a SwitchSink pointed at it — reach the
+// standby as they were.
+func TestSinksCopyBorrowedPayloads(t *testing.T) {
+	src := tuplespace.New(vclock.NewReal())
+	made := &recordLog{}
+	if err := src.AttachJournal(tuplespace.NewJournalSink(made)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if _, err := src.Write(kv{K: "borrowed", N: i}, nil, tuplespace.Forever); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clk := vclock.NewVirtual(testEpoch)
+	clk.Run(func() {
+		pr := newPair(t, clk, transport.NewNetwork(clk, transport.Model{}), pairOptions{ack: replica.AckSync})
+		if err := pr.p.Flush(); err != nil { // the attach-time snapshot push
+			t.Fatal(err)
+		}
+		sw := replica.NewSwitchSink()
+		sw.Set(pr.p.Sink())
+		var buf []byte
+		for i, rec := range made.recs {
+			var sink tuplespace.RecordSink = sw
+			if i%2 == 0 {
+				sink = pr.p.Sink()
+			}
+			buf = append(buf[:0], rec...)
+			if err := sink.Append(buf); err != nil {
+				t.Fatal(err)
+			}
+			for j := range buf {
+				buf[j] = 0xff
+			}
+		}
+		if err := pr.p.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		got := entries(t, pr.blocal)
+		for i := range made.recs {
+			if got[kv{K: "borrowed", N: i}] != 1 {
+				t.Fatalf("standby holds %v, want kv{borrowed %d} once", got, i)
+			}
+		}
+	})
 }

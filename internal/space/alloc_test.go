@@ -7,6 +7,7 @@ import (
 	"gospaces/internal/transport"
 	"gospaces/internal/tuplespace"
 	"gospaces/internal/vclock"
+	"gospaces/internal/wal"
 )
 
 // pairTask has the benchmark entry's shape: an indexed key, a number and
@@ -20,24 +21,22 @@ type pairTask struct {
 func init() { transport.RegisterType(pairTask{}) }
 
 // maxPairAllocs is what one keyed write+take pair may allocate end to
-// end over loopback TCP: the client's argument and lease handle, each
-// decoded value once, one goroutine per request, the store's copies in
-// and out, and the reply boxes. It reads 26 built with go1.24 on amd64;
-// the spare two absorb runtime differences between the Go releases CI
-// builds with.
-const maxPairAllocs = 28
+// end over loopback TCP: the client's argument, lease handle and reply
+// channel, each value decoded once — the store keeps the written entry it
+// was sent and answers the take with it — and the reply boxes. The server
+// starts no goroutine per request and copies no entry. It reads 20 built
+// with go1.24 on amd64; the spare two absorb runtime differences between
+// the Go releases CI builds with.
+const maxPairAllocs = 22
 
-// TestPairAllocations pins the allocation count of one write+take pair
-// through Proxy → TCP → Service → Local, counted across every goroutine
-// the pair touches. It is skipped under the race detector, which
-// allocates on its own.
-func TestPairAllocations(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector allocates")
-	}
+// pairAllocations serves local over loopback TCP and returns what one
+// keyed write+take pair through Proxy → TCP → Service → local allocates,
+// counted across every goroutine the pair touches.
+func pairAllocations(t *testing.T, local *Local) float64 {
+	t.Helper()
 	clk := vclock.NewReal()
 	srv := transport.NewServer()
-	svc := NewService(NewLocal(clk), srv)
+	svc := NewService(local, srv)
 	svc.Admission().Configure(AdmissionConfig{Clock: clk})
 	ln, err := transport.ListenTCP("127.0.0.1:0", srv)
 	if err != nil {
@@ -62,9 +61,46 @@ func TestPairAllocations(t *testing.T) {
 		}
 	}
 	pair() // first use defines the types on the connection
-	got := testing.AllocsPerRun(200, pair)
+	return testing.AllocsPerRun(200, pair)
+}
+
+// TestPairAllocations pins the allocation count of one write+take pair
+// through Proxy → TCP → Service → Local. It is skipped under the race
+// detector, which allocates on its own.
+func TestPairAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	got := pairAllocations(t, NewLocal(vclock.NewReal()))
 	t.Logf("%.1f allocations per write+take pair", got)
 	if got > maxPairAllocs {
 		t.Fatalf("%.1f allocations per write+take pair, want ≤ %d", got, maxPairAllocs)
+	}
+}
+
+// TestDurablePairAllocations: the same pair on a strict WAL-backed space
+// allocates exactly what it does in memory. Both records are encoded into
+// the journal's reused buffer and framed into the log's, and the journal
+// hands the log the stored value itself, so durability adds no allocation.
+func TestDurablePairAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	mem := pairAllocations(t, NewLocal(vclock.NewReal()))
+	local, d, err := NewLocalDurable(vclock.NewReal(), DurableOptions{
+		Dir: t.TempDir(), Fsync: wal.FsyncNever, Strict: true, SnapshotBytes: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	defer local.Close()
+	got := pairAllocations(t, local)
+	t.Logf("%.1f allocations per durable write+take pair, %.1f in memory", got, mem)
+	if got != mem {
+		t.Fatalf("%.1f allocations per durable write+take pair, want the in-memory pair's %.1f", got, mem)
+	}
+	if n := d.Log().Position(); n < 2*200 {
+		t.Fatalf("log holds %d records, want the pairs' writes and takes", n)
 	}
 }

@@ -385,6 +385,60 @@ func TestDurableStandbyLogsWhatItApplies(t *testing.T) {
 	}
 }
 
+// teeLog keeps a copy of every record: the payload is the journal's again
+// once Append returns.
 type teeLog struct{ recs [][]byte }
 
-func (l *teeLog) Append(p []byte) error { l.recs = append(l.recs, p); return nil }
+func (l *teeLog) Append(p []byte) error {
+	l.recs = append(l.recs, append([]byte(nil), p...))
+	return nil
+}
+
+// TestDurableSinkLendsPayloadToLogAndTee: a journal lends each record to
+// its sink for the Append call only, then encodes the next one into the
+// same buffer. The durable sink hands it on to the WAL and to its tee
+// within the call, so records appended from one overwritten buffer are
+// what recovery restores and what the tee kept.
+func TestDurableSinkLendsPayloadToLogAndTee(t *testing.T) {
+	src := tuplespace.New(vclock.NewReal())
+	made := &teeLog{}
+	if err := src.AttachJournal(tuplespace.NewJournalSink(made)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 4; i++ {
+		if _, err := src.Write(job{Name: "lent", ID: ip(i)}, nil, tuplespace.Forever); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dir := t.TempDir()
+	tee := &teeLog{}
+	l1, d1 := openDurable(t, dir, DurableOptions{Tee: tee, SnapshotBytes: -1})
+	var buf []byte
+	for _, rec := range made.recs {
+		buf = append(buf[:0], rec...)
+		if err := (durableSink{d1}).Append(buf); err != nil {
+			t.Fatal(err)
+		}
+		for j := range buf {
+			buf[j] = 0xff
+		}
+	}
+	l1.Close()
+	d1.Close()
+
+	l2, d2 := openDurable(t, dir, DurableOptions{})
+	defer d2.Close()
+	if n, _ := l2.Count(job{Name: "lent"}); n != 4 {
+		t.Fatalf("recovered %d entries from the log, want 4", n)
+	}
+	follower := tuplespace.New(vclock.NewReal())
+	a := tuplespace.NewApplier(follower)
+	for i, rec := range tee.recs {
+		if err := a.Apply(rec); err != nil {
+			t.Fatalf("tee record %d: %v", i, err)
+		}
+	}
+	if n, _ := follower.Count(job{Name: "lent"}); n != 4 {
+		t.Fatalf("the tee's records hold %d entries, want 4", n)
+	}
+}

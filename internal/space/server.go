@@ -197,6 +197,9 @@ func NewService(local *Local, srv *transport.Server) *Service {
 // and /healthz vitals.
 func (s *Service) Admission() *Admission { return &s.adm }
 
+// handler serves kind k. The op's entry was decoded for this call alone
+// and its result is encoded into the reply and dropped, so it reaches the
+// store through Local's decoded path, which copies neither.
 func (s *Service) handler(k Kind) transport.Handler {
 	return func(arg interface{}) (interface{}, error) {
 		op, txnID, leaseID, err := wireOp(k, arg)
@@ -206,7 +209,7 @@ func (s *Service) handler(k Kind) transport.Handler {
 		if err := s.resolve(&op, txnID, leaseID); err != nil {
 			return nil, err
 		}
-		res, err := s.local.Do(op)
+		res, err := s.local.do(op, true)
 		if err != nil {
 			return nil, err
 		}

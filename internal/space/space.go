@@ -69,8 +69,15 @@ func NewLocal(clock vclock.Clock) *Local {
 	return l
 }
 
-// Do implements Space.
-func (l *Local) Do(op Op) (res Result, err error) {
+// Do implements Space. Entries cross it as copies: nothing the caller
+// holds, before or after, aliases the store.
+func (l *Local) Do(op Op) (Result, error) { return l.do(op, false) }
+
+// do is Do; decoded says the op came off a wire. Its entry was decoded
+// for this call alone and its result is encoded and dropped, so the store
+// keeps the entry it is handed and answers a read or take with the stored
+// value: the frame made the only copy either side needs.
+func (l *Local) do(op Op, decoded bool) (res Result, err error) {
 	var tx *tuplespace.Txn
 	if op.Txn != nil {
 		var ok bool
@@ -81,11 +88,20 @@ func (l *Local) Do(op Op) (res Result, err error) {
 	switch op.Kind {
 	case OpWrite:
 		var el *tuplespace.EntryLease
-		if el, err = l.TS.WriteTok(op.Entry, tx, op.TTL, op.Token); err == nil {
+		if decoded {
+			el, err = l.TS.WriteDecoded(op.Entry, tx, op.TTL, op.Token)
+		} else {
+			el, err = l.TS.WriteTok(op.Entry, tx, op.TTL, op.Token)
+		}
+		if err == nil {
 			res.Lease = el
 		}
 	case OpRead, OpTake, OpReadIfExists, OpTakeIfExists:
-		res.Entry, err = l.TS.Lookup(op.Kind.Takes(), op.Kind.Blocks(), op.Entry, tx, op.Wait, op.Token)
+		if decoded {
+			res.Entry, err = l.TS.LookupShared(op.Kind.Takes(), op.Kind.Blocks(), op.Entry, tx, op.Wait, op.Token)
+		} else {
+			res.Entry, err = l.TS.Lookup(op.Kind.Takes(), op.Kind.Blocks(), op.Entry, tx, op.Wait, op.Token)
+		}
 	case OpReadAll:
 		res.Entries, err = l.TS.ReadAll(op.Entry, tx, op.Max)
 	case OpTakeAll:

@@ -81,15 +81,19 @@ func (l *TCPListener) acceptLoop() {
 }
 
 // serveConn reads request frames in order — the decoder's type table must
-// see them in the order the client's encoder wrote them — and answers each
-// on its own goroutine, so a handler that parks (a blocking Take) delays
-// nobody. A frame this side cannot parse ends the connection; a body it
-// cannot decode, or a method the server lacks, fails that one call.
+// see them in the order the client's encoder wrote them — and hands each
+// decoded call to a handler goroutine of the connection's own: an idle one
+// when one is waiting, a new one when none is, so a handler that parks (a
+// blocking Take) delays nobody, not even the Write that will wake it. A
+// handler idle for handlerIdle exits, as all do when the connection ends.
+// A frame this side cannot parse ends the connection; a body it cannot
+// decode, or a method the server lacks, fails that one call.
 func (l *TCPListener) serveConn(conn net.Conn) {
 	defer conn.Close()
 	br := bufio.NewReaderSize(conn, readChunk)
 	dec := enc.NewDecoder()
-	w := &responder{conn: conn, enc: enc.NewEncoder()}
+	w := &responder{conn: conn, enc: enc.NewEncoder(), calls: make(chan call)}
+	defer close(w.calls)
 	var in []byte
 	for {
 		frame, err := readFrame(br, in)
@@ -108,28 +112,77 @@ func (l *TCPListener) serveConn(conn net.Conn) {
 			err = herr
 		}
 		in = recycle(frame)
-		go w.answer(h.id, handler, arg, err)
+		c := call{h.id, handler, arg, err}
+		select {
+		case w.calls <- c:
+		default:
+			go w.serve(c)
+		}
 	}
 }
 
+// handlerIdle bounds how long a served connection's handler goroutine
+// waits for another call before it exits: between half of it and all of
+// it, as it looks at a ticker of half the period. It is short beside the
+// gaps of a quiet connection — a replica's heartbeat comes every 500 ms —
+// so an idle connection is soon its read loop alone, and long beside the
+// gap between a busy client's calls, so those reuse one goroutine and the
+// stack it grew.
+const handlerIdle = 100 * time.Millisecond
+
+// call is one decoded request on its way to a handler goroutine.
+type call struct {
+	id  uint64
+	h   Handler
+	arg interface{}
+	err error // the request already failed: answer with this
+}
+
 // responder is the sending half of a served connection, which the
-// connection's handlers share.
+// connection's handler goroutines share.
 type responder struct {
-	conn net.Conn
-	mu   sync.Mutex // guards enc, out and writes
-	enc  *enc.Encoder
-	out  []byte
+	conn  net.Conn
+	calls chan call  // unbuffered: a send succeeds only to an idle handler
+	mu    sync.Mutex // guards enc, out and writes
+	enc   *enc.Encoder
+	out   []byte
+}
+
+// serve is one handler goroutine: it answers c, then every call handed to
+// it while it waits, until it has waited a whole tick of handlerIdle/2
+// without one or the connection ends. Checking a ticker, not resetting a
+// timer per call, keeps the wait free.
+func (w *responder) serve(c call) {
+	w.answer(c)
+	tick := time.NewTicker(handlerIdle / 2)
+	defer tick.Stop()
+	for busy := false; ; {
+		select {
+		case c, ok := <-w.calls:
+			if !ok {
+				return
+			}
+			w.answer(c)
+			busy = true
+		case <-tick.C:
+			if !busy {
+				return
+			}
+			busy = false
+		}
+	}
 }
 
 // answer runs one call's handler, unless the request already failed, and
 // writes the response.
-func (w *responder) answer(id uint64, h Handler, arg interface{}, err error) {
+func (w *responder) answer(c call) {
 	var res interface{}
+	err := c.err
 	if err == nil {
-		res, err = h(arg)
+		res, err = c.h(c.arg)
 	}
 	w.mu.Lock()
-	w.out = appendResponse(w.out[:0], w.enc, id, res, err)
+	w.out = appendResponse(w.out[:0], w.enc, c.id, res, err)
 	_, werr := w.conn.Write(w.out)
 	w.out = recycle(w.out)
 	w.mu.Unlock()

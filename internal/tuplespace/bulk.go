@@ -1,5 +1,7 @@
 package tuplespace
 
+import "gospaces/internal/enc"
+
 // ReadAll returns copies of up to max public entries matching tmpl
 // (max <= 0 means no limit), without blocking. Under a transaction the
 // returned entries are read-locked. It is the JavaSpaces05 "contents"
@@ -63,7 +65,7 @@ func (s *Space) bulk(kind opKind, tmpl Entry, t *Txn, max int, tok OpToken) ([]E
 	if !tok.Zero() {
 		returned = make([]Entry, len(picked))
 		for i, se := range picked {
-			returned[i] = se.val.Interface() // the memo keeps the taken values themselves
+			returned[i] = enc.Interface(se.val) // the memo keeps the taken values themselves
 		}
 	}
 	// Memoized under the template's key: the router routes the retry by

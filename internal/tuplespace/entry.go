@@ -239,9 +239,12 @@ func Match(tmpl, e Entry) (bool, error) {
 	return m.match(cv), nil
 }
 
-// deepCopy returns a deep copy of entry value v (a struct). Entries are
-// copied on Write and on Read/Take so that callers can never alias storage
-// inside the space — the in-process analogue of JavaSpaces serialization.
+// deepCopy returns a deep copy of entry value v (a struct). An in-process
+// caller's entries are copied on Write and on Read/Take so that it can
+// never alias storage inside the space — the in-process analogue of
+// JavaSpaces serialization. An entry that crossed a wire is not: its frame
+// was the copy, so the store keeps what was decoded (WriteDecoded) and a
+// service encodes the stored value into its reply (LookupShared).
 // Unexported fields are not copied: they are not part of an entry.
 func deepCopy(v reflect.Value) reflect.Value {
 	out := reflect.New(v.Type()).Elem()

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"gospaces/internal/enc"
 	"gospaces/internal/metrics"
 )
 
@@ -32,13 +33,19 @@ const CounterJournalErrors = metrics.CounterJournalErrors
 // RecordSink is the destination for journal records. internal/wal's Log
 // satisfies it.
 //
+// The payload is borrowed for the call: the journal encodes every record
+// into one reused buffer, so a sink that keeps a record past Append — a
+// replication queue, a migration's buffer — keeps a copy. One that only
+// writes it out or decodes it on the spot copies nothing.
+//
 // A sink that at times has nowhere to put a record — a switch with no
 // target yet, a tap that is off over nothing — may also implement
 // Dropping() bool; while it reports true the journal does not encode the
 // records Append would discard.
 type RecordSink interface {
 	// Append stores one record durably (per the sink's own policy) and
-	// returns any storage error. The payload is the sink's to keep.
+	// returns any storage error. The payload is the caller's again once
+	// Append returns.
 	Append(payload []byte) error
 }
 
@@ -104,10 +111,12 @@ func (j *Journal) record(r *record) error {
 	if j.idle != nil && j.idle.Dropping() {
 		return nil
 	}
-	payload, err := encodeRecord(r)
+	c := recordCodecs.Get().(*recordCodec)
+	payload, err := c.encode(r)
 	if err == nil {
 		err = j.sink.Append(payload)
 	}
+	recordCodecs.Put(c)
 	if err == nil {
 		return nil
 	}
@@ -169,7 +178,7 @@ func (s *Space) journalWriteLocked(se *storedEntry, tok OpToken) error {
 	}
 	return s.journal.record(&record{
 		kind: recWrite, seqs: []uint64{se.id}, expiry: se.expiry, tok: tok,
-		entries: []Entry{se.val.Interface()},
+		entries: []Entry{enc.Interface(se.val)},
 	})
 }
 
@@ -188,9 +197,10 @@ func (s *Space) consumeLocked(ses []*storedEntry, tok OpToken, op, key string, r
 		return nil
 	}
 	if s.journal != nil {
-		r := record{kind: recRemove, seqs: make([]uint64, len(ses))}
-		for i, se := range ses {
-			r.seqs[i] = se.id
+		var one [1]uint64 // a take's, which names one entry
+		r := record{kind: recRemove, seqs: one[:0]}
+		for _, se := range ses {
+			r.seqs = append(r.seqs, se.id)
 		}
 		if !tok.Zero() {
 			r.tok, r.memoOp, r.key, r.entries = tok, op, key, returned
@@ -263,7 +273,7 @@ func encodeWrites(ses []*storedEntry, expiries []time.Time, what string) ([][]by
 		var err error
 		records[i], err = encodeRecord(&record{
 			kind: recWrite, seqs: []uint64{se.id}, expiry: expiries[i],
-			entries: []Entry{se.val.Interface()},
+			entries: []Entry{enc.Interface(se.val)},
 		})
 		if err != nil {
 			return records[:i], fmt.Errorf("tuplespace: %s entry %d: %w", what, se.id, err)

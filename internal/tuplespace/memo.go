@@ -335,7 +335,7 @@ func (s *Space) WriteTok(e Entry, t *Txn, ttl time.Duration, tok OpToken) (*Entr
 // executed (reply lost) returns the originally taken entry instead of
 // consuming a second one.
 func (s *Space) TakeTok(tmpl Entry, t *Txn, timeout time.Duration, tok OpToken) (Entry, error) {
-	return s.lookup(opTake, tmpl, t, timeout, true, tok)
+	return s.lookup(opTake, tmpl, t, timeout, true, tok, false)
 }
 
 // Lookup is the single-entry lookup behind Read, Take and their IfExists
@@ -343,11 +343,28 @@ func (s *Space) TakeTok(tmpl Entry, t *Txn, timeout time.Duration, tok OpToken) 
 // typed method: take selects removal, block selects waiting up to timeout,
 // and tok (takes only) makes a retry return the originally taken entry.
 func (s *Space) Lookup(take, block bool, tmpl Entry, t *Txn, timeout time.Duration, tok OpToken) (Entry, error) {
-	kind := opRead
+	return s.lookup(lookupKind(take), tmpl, t, timeout, block, tok, false)
+}
+
+// WriteDecoded is WriteTok for a service whose entry was decoded from a
+// request frame for this call alone: the space stores e itself instead of
+// a copy, so nobody may touch e again.
+func (s *Space) WriteDecoded(e Entry, t *Txn, ttl time.Duration, tok OpToken) (*EntryLease, error) {
+	return s.write(e, t, ttl, tok, writeDecoded)
+}
+
+// LookupShared is Lookup for a service that encodes the entry into its
+// reply and drops it: the entry found is the stored value itself, not a
+// copy, and nobody may write to it or keep it.
+func (s *Space) LookupShared(take, block bool, tmpl Entry, t *Txn, timeout time.Duration, tok OpToken) (Entry, error) {
+	return s.lookup(lookupKind(take), tmpl, t, timeout, block, tok, true)
+}
+
+func lookupKind(take bool) opKind {
 	if take {
-		kind = opTake
+		return opTake
 	}
-	return s.lookup(kind, tmpl, t, timeout, block, tok)
+	return opRead
 }
 
 // TakeAllTok is TakeAll with an idempotency token: a retry returns the

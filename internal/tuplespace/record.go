@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -93,13 +94,14 @@ var ErrRecordFormat = errors.New("tuplespace: unknown record format")
 // memoOps numbers the Memo* constants for the record's op byte.
 var memoOps = [...]string{1: MemoWrite, MemoTake, MemoTakeAll, MemoCommit, MemoAbort, MemoCancel}
 
-func memoOpByte(op string) (byte, error) {
+// memoOpByte returns op's number, 0 for no Memo* constant.
+func memoOpByte(op string) byte {
 	for i, name := range memoOps {
 		if name == op && i > 0 {
-			return byte(i), nil
+			return byte(i)
 		}
 	}
-	return 0, fmt.Errorf("tuplespace: unknown memo op %q", op)
+	return 0
 }
 
 // recordCodec is the reusable state of one encode or decode: the codec pair
@@ -114,11 +116,22 @@ var recordCodecs = sync.Pool{New: func() interface{} {
 	return &recordCodec{enc: enc.NewEncoder(), dec: enc.NewDecoder()}
 }}
 
-// encodeRecord returns r's bytes in a slice of their own: sinks keep what
-// they are handed.
+// encodeRecord returns r's bytes in a slice of their own, for a caller
+// that keeps them: a snapshot, a migration's batch.
 func encodeRecord(r *record) ([]byte, error) {
 	c := recordCodecs.Get().(*recordCodec)
 	defer recordCodecs.Put(c)
+	b, err := c.encode(r)
+	if err != nil {
+		return nil, err
+	}
+	return append([]byte(nil), b...), nil
+}
+
+// encode returns r's bytes in c's buffer: they are c's again at its next
+// encode. Nothing of r outlives the call, so a record built on the
+// caller's stack stays there.
+func (c *recordCodec) encode(r *record) ([]byte, error) {
 	c.enc.Reset()
 	flags := byte(r.kind)
 	if !r.tok.Zero() {
@@ -140,9 +153,11 @@ func encodeRecord(r *record) ([]byte, error) {
 		b = appendBytes(b, r.tok.Client)
 		b = binary.AppendUvarint(b, r.tok.Seq)
 		if r.kind != recWrite {
-			op, err := memoOpByte(r.memoOp)
-			if err != nil {
-				return nil, err
+			op := memoOpByte(r.memoOp)
+			if op == 0 {
+				// A clone: passing r's own string to Errorf would move
+				// every record to the heap.
+				return nil, fmt.Errorf("tuplespace: unknown memo op %q", strings.Clone(r.memoOp))
 			}
 			b = appendBytes(append(b, op), r.key)
 		}
@@ -157,7 +172,7 @@ func encodeRecord(r *record) ([]byte, error) {
 		binary.LittleEndian.PutUint32(b[at:], uint32(len(b)-at-4))
 	}
 	c.buf = b
-	return append([]byte(nil), b...), nil
+	return b, nil
 }
 
 func appendBytes(b []byte, s string) []byte {

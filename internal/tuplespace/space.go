@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"gospaces/internal/enc"
 	"gospaces/internal/metrics"
 	"gospaces/internal/vclock"
 )
@@ -95,6 +96,7 @@ type waiter struct {
 	result *storedEntry
 	err    error
 	tok    OpToken // non-zero for an exactly-once take: its record carries it
+	shared bool    // the result is the stored value, not a copy (see lookup)
 }
 
 // New returns an empty Space on the given clock.
@@ -150,14 +152,17 @@ func (s *Space) Write(e Entry, t *Txn, ttl time.Duration) (*EntryLease, error) {
 	return s.write(e, t, ttl, OpToken{}, writeClient)
 }
 
-// writeMode says whose write it is: a client's (e deep-copied, its token
-// checked); a standby's or a recovery's (e was decoded for this call alone
-// and is stored as it is, and the token is the source's decision to record,
-// not a retry to check); or a migration's, a mirror staged until reveal.
+// writeMode says whose write it is: an in-process client's (e deep-copied,
+// its token checked); a remote client's (e was decoded from its frame for
+// this call alone and is stored as it is, its token checked); a standby's or
+// a recovery's (e decoded and stored as it is, and the token is the source's
+// decision to record, not a retry to check); or a migration's, a mirror
+// staged until reveal.
 type writeMode int
 
 const (
 	writeClient writeMode = iota
+	writeDecoded
 	writeMirror
 	writeStaged
 )
@@ -182,7 +187,7 @@ func (s *Space) write(e Entry, t *Txn, ttl time.Duration, tok OpToken, mode writ
 		s.unlock()
 		return nil, err
 	}
-	if mode == writeClient {
+	if mode == writeClient || mode == writeDecoded {
 		if ses, ok := s.txnHitLocked(ts, tok, MemoWrite); ok {
 			s.unlock()
 			return &EntryLease{space: s, entry: ses[0]}, nil
@@ -192,6 +197,8 @@ func (s *Space) write(e Entry, t *Txn, ttl time.Duration, tok OpToken, mode writ
 			s.unlock()
 			return l, nil
 		}
+	}
+	if mode == writeClient {
 		v = deepCopy(v)
 	}
 	se := &storedEntry{id: s.nextID, ti: ti, val: v, staged: mode == writeStaged}
@@ -232,32 +239,35 @@ func (s *Space) write(e Entry, t *Txn, ttl time.Duration, tok OpToken, mode writ
 // space; under a transaction it is read-locked until the transaction
 // completes.
 func (s *Space) Read(tmpl Entry, t *Txn, timeout time.Duration) (Entry, error) {
-	return s.lookup(opRead, tmpl, t, timeout, true, OpToken{})
+	return s.lookup(opRead, tmpl, t, timeout, true, OpToken{}, false)
 }
 
 // Take removes and returns an entry matching tmpl, waiting up to timeout.
 // Under a transaction the removal is provisional until commit.
 func (s *Space) Take(tmpl Entry, t *Txn, timeout time.Duration) (Entry, error) {
-	return s.lookup(opTake, tmpl, t, timeout, true, OpToken{})
+	return s.lookup(opTake, tmpl, t, timeout, true, OpToken{}, false)
 }
 
 // ReadIfExists is Read without blocking: it returns ErrNoMatch immediately
 // when no matching entry is present.
 func (s *Space) ReadIfExists(tmpl Entry, t *Txn) (Entry, error) {
-	return s.lookup(opRead, tmpl, t, 0, false, OpToken{})
+	return s.lookup(opRead, tmpl, t, 0, false, OpToken{}, false)
 }
 
 // TakeIfExists is Take without blocking.
 func (s *Space) TakeIfExists(tmpl Entry, t *Txn) (Entry, error) {
-	return s.lookup(opTake, tmpl, t, 0, false, OpToken{})
+	return s.lookup(opTake, tmpl, t, 0, false, OpToken{}, false)
 }
 
 // lookup is every single-entry Read and Take. A token counts on a take:
 // the transaction's answers, or outside one the memo, are checked before
 // anything is consumed, and the take — now, or when a write satisfies the
 // parked waiter — is noted under the transaction, or leaves as one record
-// carrying the token and the entry.
-func (s *Space) lookup(kind opKind, tmpl Entry, t *Txn, timeout time.Duration, block bool, tok OpToken) (Entry, error) {
+// carrying the token and the entry. The entry found is copied out, unless
+// shared: then the caller gets the stored value itself, to encode and drop,
+// never to write. An answer from a transaction's or the memo's record is
+// copied either way.
+func (s *Space) lookup(kind opKind, tmpl Entry, t *Txn, timeout time.Duration, block bool, tok OpToken, shared bool) (Entry, error) {
 	var buf [inlineCmps]comparer
 	ti, key, m, err := compile(tmpl, buf[:0])
 	if err != nil {
@@ -297,7 +307,7 @@ func (s *Space) lookup(kind opKind, tmpl Entry, t *Txn, timeout time.Duration, b
 			s.unlock()
 			return nil, err
 		}
-		out := copyOut(se.val)
+		out := se.out(shared)
 		s.unlock()
 		return out, nil
 	}
@@ -305,7 +315,16 @@ func (s *Space) lookup(kind opKind, tmpl Entry, t *Txn, timeout time.Duration, b
 		s.unlock()
 		return nil, ErrNoMatch
 	}
-	return s.park(&waiter{kind: kind, ti: ti, m: parkedMatcher(tmpl), txn: t, tok: tok}, timeout)
+	return s.park(&waiter{kind: kind, ti: ti, m: parkedMatcher(tmpl), txn: t, tok: tok, shared: shared}, timeout)
+}
+
+// out is what a lookup that found se answers with: a copy, or when shared
+// the stored value itself.
+func (se *storedEntry) out(shared bool) Entry {
+	if shared {
+		return enc.Interface(se.val)
+	}
+	return copyOut(se.val)
 }
 
 // park waits, with s.mu held on entry and released on return, until a
@@ -347,7 +366,7 @@ func (s *Space) park(w *waiter, timeout time.Duration) (Entry, error) {
 		w.w, now = s.clock.NewWaiter(), s.clock.Now()
 	}
 	if w.result != nil {
-		out := copyOut(w.result.val)
+		out := w.result.out(w.shared)
 		s.unlock()
 		return out, nil
 	}
@@ -387,7 +406,7 @@ func (s *Space) applyLocked(kind opKind, se *storedEntry, t *Txn, tok OpToken) e
 			if !tok.Zero() {
 				// The memo keeps the taken value itself: the space is
 				// done with it, and a memo's entries are only ever copied.
-				returned = []Entry{se.val.Interface()}
+				returned = []Entry{enc.Interface(se.val)}
 			}
 			if err := s.consumeLocked([]*storedEntry{se}, tok, MemoTake, entryKey(se), returned); err != nil {
 				return err

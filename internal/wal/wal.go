@@ -180,7 +180,19 @@ type Log struct {
 	lastSync time.Time // last sync (FsyncInterval)
 	sinceSnp int64     // bytes appended since last snapshot
 	pos      uint64    // records in the log's history (recovered + appended)
+	buf      []byte    // the frame being written, reused by the next Append
 	closed   bool
+}
+
+// keepFrame is the largest frame buffer a Log keeps for its next Append;
+// one large record does not pin its size for the log's lifetime.
+const keepFrame = 64 << 10
+
+// appendFrame appends payload's frame — length, checksum, payload — to b.
+func appendFrame(b, payload []byte) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
+	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(payload, crcTable))
+	return append(b, payload...)
 }
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -374,7 +386,8 @@ func syncDir(dir string) error {
 // Append frames payload and appends it to the log, rotating segments and
 // syncing per the configured policy. The error (if any) must reach the
 // caller that believes the record durable — strict journal mode does
-// exactly that.
+// exactly that. The log keeps nothing of payload: it is framed into a
+// buffer the log reuses, and written out before Append returns.
 func (l *Log) Append(payload []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -394,11 +407,12 @@ func (l *Log) Append(payload []byte) error {
 			return l.countErr(err)
 		}
 	}
-	buf := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(buf, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:], crc32.Checksum(payload, crcTable))
-	copy(buf[8:], payload)
-	if _, err := l.w.Write(buf); err != nil {
+	l.buf = appendFrame(l.buf[:0], payload)
+	_, err := l.w.Write(l.buf)
+	if cap(l.buf) > keepFrame {
+		l.buf = nil
+	}
+	if err != nil {
 		return l.countErr(fmt.Errorf("wal: append: %w", err))
 	}
 	l.size += frame
@@ -535,11 +549,9 @@ func (l *Log) Snapshot(capture func() ([][]byte, error)) error {
 	if err != nil {
 		return fmt.Errorf("wal: snapshot: %w", err)
 	}
+	var buf []byte
 	for _, payload := range records {
-		buf := make([]byte, 8+len(payload))
-		binary.LittleEndian.PutUint32(buf, uint32(len(payload)))
-		binary.LittleEndian.PutUint32(buf[4:], crc32.Checksum(payload, crcTable))
-		copy(buf[8:], payload)
+		buf = appendFrame(buf[:0], payload)
 		if _, err := f.Write(buf); err != nil {
 			f.Close()
 			os.Remove(tmp)

@@ -328,3 +328,48 @@ func TestFrameFormat(t *testing.T) {
 		t.Fatalf("frame bytes\n got %x\nwant %x", got, want)
 	}
 }
+
+// TestAppendBorrowsPayload: a journal hands Append a payload it reuses for
+// the next record, so the log keeps nothing of it past the call. Every
+// record here is appended from one buffer, overwritten between appends,
+// and the log still replays each as it was.
+func TestAppendBorrowsPayload(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := mustOpen(t, dir, Options{Fsync: FsyncNever})
+	var buf []byte
+	for i := 0; i < 20; i++ {
+		buf = append(buf[:0], record(i)...)
+		if err := l.Append(buf); err != nil {
+			t.Fatalf("append %d: %v", i, err)
+		}
+		copy(buf, "XXXXXXXXXXXXXXXX")
+	}
+	big := bytes.Repeat([]byte{'b'}, 2*keepFrame) // past what the log keeps for reuse
+	if err := l.Append(big); err != nil {
+		t.Fatal(err)
+	}
+	buf = append(buf[:0], record(20)...)
+	if err := l.Append(buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, rec := mustOpen(t, dir, Options{})
+	defer l2.Close()
+	if len(rec.Records) != 22 {
+		t.Fatalf("recovered %d records, want 22", len(rec.Records))
+	}
+	for i, r := range rec.Records {
+		want := record(i)
+		switch {
+		case i == 20:
+			want = bytes.Repeat([]byte{'b'}, 2*keepFrame)
+		case i == 21:
+			want = record(20)
+		}
+		if !bytes.Equal(r, want) {
+			t.Fatalf("record %d = %.40q, want %.40q", i, r, want)
+		}
+	}
+}

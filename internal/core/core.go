@@ -63,8 +63,6 @@ type Config struct {
 	// start only when the rule base signals Start, and back off under
 	// load. Without it, workers auto-start (scalability experiments).
 	Monitoring bool
-	// Thresholds configures the rule base (zero value = paper defaults).
-	Thresholds rulebase.Thresholds
 	// PollInterval is the SNMP monitoring period. Default 1 s.
 	PollInterval time.Duration
 	// TrapDriven additionally runs a load watcher on every node that
@@ -116,9 +114,12 @@ type Framework struct {
 	// agent bound on the master's server (the same substrate the network
 	// management module polls workers through).
 	MIB *snmp.MIB
+	// Host is the hosted shard set — the same shardhost.Host cmd/master
+	// runs. Scripts and tests drive it directly: Split, Merge, KillPrimary,
+	// Rejoin, Restart, and Health for a snapshot of every shard.
+	Host *shardhost.Host
 
-	cfg  Config
-	host *shardhost.Host
+	cfg Config
 	// runGroup is the active Run's process group; background processes the
 	// host spawns (replication pumps, the rebalancer) join it.
 	runMu    sync.Mutex
@@ -214,7 +215,7 @@ func New(clock vclock.Clock, cfg Config) *Framework {
 	// From here on the spec is the host's, defaults filled in: the master
 	// and the workers are built from the values the shards run with.
 	cfg.Spec = host.Spec()
-	f.cfg, f.host = cfg, host
+	f.cfg, f.Host = cfg, host
 	f.Space, f.Counters = host.Space(), host.Counters
 	// The code server shares shard 0's server, preserving the classic
 	// single-server deployment when Shards == 1.
@@ -265,22 +266,10 @@ func (f *Framework) spawn(fn func()) {
 	}
 }
 
-// Shards returns every hosted shard's serving space, split-born children
-// included, by shard index.
-func (f *Framework) Shards() []*space.Local { return f.host.Shards() }
-
-// Durables pairs each shard with its serving node's persistence controller
-// (nil entries when the node is memory-only).
-func (f *Framework) Durables() []*space.Durable { return f.host.Durables() }
-
-// RestartShard crash-restarts hosted shard i from its WAL (see
-// shardhost.Host.Restart). Requires Config.DataDir.
-func (f *Framework) RestartShard(i int) (space.RecoveryInfo, error) { return f.host.Restart(i) }
-
 // Close shuts down the hosted shards and their durable logs. Runs are
 // unaffected if it is never called (tests rely on process teardown), but
 // durable deployments should close so final appends reach disk.
-func (f *Framework) Close() { f.host.Close() }
+func (f *Framework) Close() { f.Host.Close() }
 
 // Run executes job on the framework's cluster. If script is non-nil it
 // runs concurrently (experiment scripts toggle load simulators with it).
@@ -297,12 +286,12 @@ func (f *Framework) Run(job Job, script func(*Framework)) (Result, error) {
 	// before any worker looks for the space: a worker's discovery retries
 	// through a lookup outage, and until the pumps run nothing renews a
 	// replicated primary's registration, whose lease is FailoverTimeout.
-	f.host.Start()
+	f.Host.Start()
 	stopHost := func() {
 		f.runMu.Lock()
 		f.runGroup = nil
 		f.runMu.Unlock()
-		f.host.Stop()
+		f.Host.Stop()
 		group.Wait()
 	}
 
@@ -316,7 +305,7 @@ func (f *Framework) Run(job Job, script func(*Framework)) (Result, error) {
 			n.Close()
 		}
 	}
-	engine := rulebase.NewEngine(f.cfg.Thresholds)
+	engine := rulebase.NewEngine(rulebase.DefaultThresholds())
 	mod := netmgmt.New(netmgmt.Config{
 		Clock:        f.Clock,
 		Engine:       engine,

@@ -20,8 +20,8 @@ func TestShardedPlacementSpreadsKeys(t *testing.T) {
 	clk := vclock.NewReal()
 	model := transport.Loopback()
 	fw := New(clk, Config{Spec: shardhost.Spec{Shards: 4}, Model: &model})
-	if len(fw.Shards()) != 4 {
-		t.Fatalf("Shards = %d", len(fw.Shards()))
+	if len(fw.Host.Shards()) != 4 {
+		t.Fatalf("Shards = %d", len(fw.Host.Shards()))
 	}
 	for i := 0; i < 32; i++ {
 		task := montecarlo.Task{Job: fmt.Sprintf("mc#%d", i), ID: i + 1}
@@ -30,7 +30,7 @@ func TestShardedPlacementSpreadsKeys(t *testing.T) {
 		}
 	}
 	total, populated := 0, 0
-	for _, l := range fw.Shards() {
+	for _, l := range fw.Host.Shards() {
 		n := l.TS.Stats().EntriesLive
 		total += n
 		if n > 0 {
@@ -82,7 +82,7 @@ func TestShardedEndToEnd(t *testing.T) {
 	}
 	// Nothing left behind on any shard: no leaked tasks, results, or
 	// scatter write-backs.
-	for i, l := range fw.Shards() {
+	for i, l := range fw.Host.Shards() {
 		if n := l.TS.Stats().EntriesLive; n != 0 {
 			t.Fatalf("shard %d holds %d leftover entries", i, n)
 		}

@@ -34,7 +34,7 @@ func TestChaosShardCrashRestartRecoversFromWAL(t *testing.T) {
 		// Kill -9 at t=1500ms, inside the network outage: the in-memory
 		// space is dropped and the replacement recovers from the WAL.
 		f.Clock.Sleep(1500 * time.Millisecond)
-		restartInfo, restartErr = f.RestartShard(1)
+		restartInfo, restartErr = f.Host.Restart(1)
 	}
 
 	res, job, _ := runFailover(t, plan, 4, core.Config{
@@ -46,7 +46,7 @@ func TestChaosShardCrashRestartRecoversFromWAL(t *testing.T) {
 		ResultTimeout: 5 * time.Minute,
 	}, chaosJobConfig(), script)
 	if restartErr != nil {
-		t.Fatalf("RestartShard: %v", restartErr)
+		t.Fatalf("Host.Restart: %v", restartErr)
 	}
 
 	// Zero lost, zero duplicated: the aggregate must be exact.
@@ -102,7 +102,7 @@ func TestDurableFrameworkRestartAcrossRuns(t *testing.T) {
 	fw1 := core.New(clk1, cfg)
 	clk1.Run(func() {
 		for i := 0; i < 6; i++ {
-			shard := fw1.Shards()[i%2]
+			shard := fw1.Host.Shards()[i%2]
 			if _, err := shard.Write(duraEntry{K: "persist", N: i}, nil, tuplespace.Forever); err != nil {
 				t.Errorf("write %d: %v", i, err)
 			}
@@ -116,11 +116,11 @@ func TestDurableFrameworkRestartAcrossRuns(t *testing.T) {
 	total := 0
 	clk2.Run(func() {
 		for s := 0; s < 2; s++ {
-			info := fw2.Durables()[s].Info()
+			info := fw2.Host.Durables()[s].Info()
 			if info.Restored != 3 {
 				t.Errorf("shard %d restored %d entries, want 3", s, info.Restored)
 			}
-			n, err := fw2.Shards()[s].Count(duraEntry{K: "persist"})
+			n, err := fw2.Host.Shards()[s].Count(duraEntry{K: "persist"})
 			if err != nil {
 				t.Errorf("shard %d count: %v", s, err)
 			}

@@ -19,7 +19,7 @@ import (
 // The replication acceptance scenarios: a shard primary dying mid-job is
 // absorbed by its hot standby — promotion within the failover timeout,
 // ring retarget, zero lost and zero duplicated results, and no
-// RestartShard anywhere. The master collects with no dedup of its own:
+// Host.Restart anywhere. The master collects with no dedup of its own:
 // a worker whose commit raced the crash replays it under its token, and
 // the promoted standby answers from the memo the commit shipped.
 
@@ -28,7 +28,7 @@ import (
 // equivalent of kill -9: pump dead mid-beat, space closed, WAL shut)
 // exactly once while the job is in flight. Each hot standby must promote
 // itself — exactly one epoch bump per killed primary — the ring must
-// retarget without any RestartShard call, and the job must complete with
+// retarget without any Host.Restart call, and the job must complete with
 // zero lost and zero duplicated results.
 func TestChaosFailoverKillEveryPrimaryMidJob(t *testing.T) {
 	const shards = 2
@@ -36,7 +36,7 @@ func TestChaosFailoverKillEveryPrimaryMidJob(t *testing.T) {
 	script := func(f *core.Framework) {
 		for i := 0; i < shards; i++ {
 			f.Clock.Sleep(2 * time.Second)
-			if err := f.KillShardPrimary(i); err != nil {
+			if err := f.Host.KillPrimary(i); err != nil {
 				t.Errorf("kill shard %d primary: %v", i, err)
 				return
 			}
@@ -60,7 +60,7 @@ func TestChaosFailoverKillEveryPrimaryMidJob(t *testing.T) {
 		t.Fatalf("promotions = %d, want exactly %d (one per killed primary)", got, shards)
 	}
 	for i := 0; i < shards; i++ {
-		if e := fw.ShardEpoch(i); e != 2 {
+		if e := fw.Host.Epoch(i); e != 2 {
 			t.Fatalf("shard %d epoch = %d, want 2 (exactly one bump)", i, e)
 		}
 	}
@@ -98,7 +98,7 @@ func TestChaosFailoverPartitionPrimaryFromBackup(t *testing.T) {
 	if got := res.Replication[metrics.CounterReplPromotions]; got != 1 {
 		t.Fatalf("promotions = %d, want exactly 1 (one epoch, one promotion)", got)
 	}
-	if e := fw.ShardEpoch(0); e != 2 {
+	if e := fw.Host.Epoch(0); e != 2 {
 		t.Fatalf("shard epoch = %d, want 2", e)
 	}
 	if got := res.Replication[metrics.CounterReplFenced]; got == 0 {
@@ -107,7 +107,7 @@ func TestChaosFailoverPartitionPrimaryFromBackup(t *testing.T) {
 
 	// The deposed primary survived the whole run, but the higher epoch
 	// fenced it: mutations through its old handle must be refused.
-	_, err := fw.DeposedHandle(0).Write(montecarlo.Task{Job: "late", ID: 999}, nil, tuplespace.Forever)
+	_, err := fw.Host.DeposedHandle(0).Write(montecarlo.Task{Job: "late", ID: 999}, nil, tuplespace.Forever)
 	if err == nil {
 		t.Fatalf("deposed primary accepted a write after promotion (split brain)")
 	}
@@ -120,7 +120,7 @@ func TestChaosFailoverPartitionPrimaryFromBackup(t *testing.T) {
 }
 
 // BenchmarkFailoverLatency measures the failover blackout window on the
-// virtual clock: the span from KillShardPrimary to the ring serving at
+// virtual clock: the span from Host.KillPrimary to the ring serving at
 // the promoted epoch (silence detection + promotion + retarget). CI
 // archives the result as BENCH_failover.json; the vms/failover metric is
 // virtual milliseconds, bounded below by Config.FailoverTimeout (2s
@@ -144,11 +144,11 @@ func BenchmarkFailoverLatency(b *testing.B) {
 		script := func(f *core.Framework) {
 			f.Clock.Sleep(2 * time.Second)
 			killAt := f.Clock.Now()
-			if err := f.KillShardPrimary(0); err != nil {
+			if err := f.Host.KillPrimary(0); err != nil {
 				b.Errorf("kill: %v", err)
 				return
 			}
-			for f.ShardEpoch(0) != 2 {
+			for f.Host.Epoch(0) != 2 {
 				f.Clock.Sleep(50 * time.Millisecond)
 			}
 			lat = f.Clock.Now().Sub(killAt)
@@ -174,22 +174,22 @@ func TestChaosFailoverRejoinAndFailBack(t *testing.T) {
 	jc := failoverJobConfig()
 	script := func(f *core.Framework) {
 		f.Clock.Sleep(2 * time.Second)
-		if err := f.KillShardPrimary(0); err != nil {
+		if err := f.Host.KillPrimary(0); err != nil {
 			t.Errorf("first kill: %v", err)
 			return
 		}
 		// Wait out the promotion, then bring the dead node back as the
 		// promoted primary's standby.
-		for f.ShardEpoch(0) != 2 {
+		for f.Host.Epoch(0) != 2 {
 			f.Clock.Sleep(250 * time.Millisecond)
 		}
 		f.Clock.Sleep(time.Second)
-		if err := f.RejoinShard(0); err != nil {
+		if err := f.Host.Rejoin(0); err != nil {
 			t.Errorf("rejoin: %v", err)
 			return
 		}
 		f.Clock.Sleep(2 * time.Second)
-		if err := f.KillShardPrimary(0); err != nil {
+		if err := f.Host.KillPrimary(0); err != nil {
 			t.Errorf("second kill: %v", err)
 			return
 		}
@@ -207,7 +207,7 @@ func TestChaosFailoverRejoinAndFailBack(t *testing.T) {
 	if got := res.Replication[metrics.CounterReplPromotions]; got != 2 {
 		t.Fatalf("promotions = %d, want 2 (failover, then fail-back)", got)
 	}
-	if e := fw.ShardEpoch(0); e != 3 {
+	if e := fw.Host.Epoch(0); e != 3 {
 		t.Fatalf("shard epoch = %d, want 3", e)
 	}
 	if got := res.Replication[metrics.CounterReplResyncs]; got == 0 {

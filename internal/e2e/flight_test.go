@@ -33,7 +33,7 @@ func TestFlightFailoverRetrySpanTree(t *testing.T) {
 	jc := failoverJobConfig()
 	script := func(f *core.Framework) {
 		f.Clock.Sleep(2 * time.Second)
-		if err := f.KillShardPrimary(0); err != nil {
+		if err := f.Host.KillPrimary(0); err != nil {
 			t.Errorf("kill shard 0 primary: %v", err)
 		}
 	}
@@ -102,7 +102,7 @@ func TestFlightFailoverRetrySpanTree(t *testing.T) {
 	if err := obs.CheckTimeline(dump.Events); err != nil {
 		t.Fatalf("merged timeline not causally consistent: %v", err)
 	}
-	ring0, ok := fw.RingID(0)
+	ring0, ok := fw.Host.RingID(0)
 	if !ok {
 		t.Fatal("no ring ID for shard 0")
 	}

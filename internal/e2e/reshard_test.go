@@ -27,17 +27,17 @@ import (
 // an exact result count at the end.
 func TestReshardManualSplitAndMergeMidJob(t *testing.T) {
 	jc := failoverJobConfig()
-	var rep core.SplitReport
+	var rep shardhost.SplitReport
 	var splitErr, mergeErr error
 	script := func(f *core.Framework) {
 		f.Clock.Sleep(2 * time.Second)
-		rep, splitErr = f.SplitShard(f.Cluster.MasterAddr)
+		rep, splitErr = f.Host.Split(f.Cluster.MasterAddr)
 		if splitErr != nil {
 			return
 		}
 		// Let the split-born shard serve for a while, then fold it back.
 		f.Clock.Sleep(4 * time.Second)
-		mergeErr = f.MergeShards(rep.Child)
+		mergeErr = f.Host.Merge(rep.Child)
 	}
 	res, job, fw := runFailover(t, nil, 4, core.Config{
 		Spec: shardhost.Spec{
@@ -56,7 +56,7 @@ func TestReshardManualSplitAndMergeMidJob(t *testing.T) {
 	}
 	assertExactResults(t, job, jc)
 	// Epoch 1 seeds the elastic topology, 2 is the split, 3 the merge.
-	if e := fw.TopologyEpoch(); e != 3 {
+	if e := fw.Host.TopologyEpoch(); e != 3 {
 		t.Fatalf("topology epoch = %d, want 3", e)
 	}
 	if rep.Parent != fw.Cluster.MasterAddr || rep.Child == "" {
@@ -71,10 +71,10 @@ func TestReshardManualSplitAndMergeMidJob(t *testing.T) {
 	if res.Resharding[metrics.CounterReshardMigrated] == 0 {
 		t.Fatal("no entries migrated across the split")
 	}
-	if len(fw.SplitBorn()) != 0 {
-		t.Fatalf("split-born shards still live after merge: %v", fw.SplitBorn())
+	if len(fw.Host.SplitBorn()) != 0 {
+		t.Fatalf("split-born shards still live after merge: %v", fw.Host.SplitBorn())
 	}
-	if err := fw.ReshardErr(); err != nil {
+	if err := fw.Host.Err(); err != nil {
 		t.Fatalf("reshard error: %v", err)
 	}
 }
@@ -107,16 +107,16 @@ func TestChaosReshardAutoSplitUnderSkew(t *testing.T) {
 	if got := res.Resharding[metrics.CounterReshardMerges]; got != 0 {
 		t.Fatalf("merges = %d during cooldown, want 0", got)
 	}
-	if e := fw.TopologyEpoch(); e != 2 {
+	if e := fw.Host.TopologyEpoch(); e != 2 {
 		t.Fatalf("topology epoch = %d, want 2 (seed + one split)", e)
 	}
-	if born := fw.SplitBorn(); len(born) != 1 {
+	if born := fw.Host.SplitBorn(); len(born) != 1 {
 		t.Fatalf("split-born shards = %v, want exactly one", born)
 	}
 	if res.Resharding[metrics.CounterReshardMigrated] == 0 {
 		t.Fatal("the automatic split migrated nothing")
 	}
-	if err := fw.ReshardErr(); err != nil {
+	if err := fw.Host.Err(); err != nil {
 		t.Fatalf("reshard error: %v", err)
 	}
 }
@@ -130,16 +130,16 @@ func TestChaosReshardAutoSplitUnderSkew(t *testing.T) {
 // with zero lost results.
 func TestChaosReshardKillSourcePrimaryMidSplit(t *testing.T) {
 	jc := failoverJobConfig()
-	var rep core.SplitReport
+	var rep shardhost.SplitReport
 	var splitErr, killErr error
 	script := func(f *core.Framework) {
 		f.Clock.Sleep(2 * time.Second)
 		g := vclock.NewGroup(f.Clock)
-		g.Go(func() { rep, splitErr = f.SplitShard(f.Cluster.MasterAddr) })
+		g.Go(func() { rep, splitErr = f.Host.Split(f.Cluster.MasterAddr) })
 		// Land the kill inside the split, after the fork has seeded the
 		// child and while the settle sweep waits on workers' locks.
 		f.Clock.Sleep(300 * time.Millisecond)
-		killErr = f.KillShardPrimary(0)
+		killErr = f.Host.KillPrimary(0)
 		g.Wait()
 	}
 	res, job, fw := runFailover(t, nil, 4, core.Config{
@@ -162,21 +162,21 @@ func TestChaosReshardKillSourcePrimaryMidSplit(t *testing.T) {
 	if got := res.Replication[metrics.CounterReplPromotions]; got != 1 {
 		t.Fatalf("promotions = %d, want exactly 1", got)
 	}
-	if e := fw.ShardEpoch(0); e != 2 {
+	if e := fw.Host.Epoch(0); e != 2 {
 		t.Fatalf("source shard epoch = %d, want 2 (one promotion)", e)
 	}
-	if e := fw.TopologyEpoch(); e != 2 {
+	if e := fw.Host.TopologyEpoch(); e != 2 {
 		t.Fatalf("topology epoch = %d, want 2 (seed + split)", e)
 	}
 	if got := res.Resharding[metrics.CounterReshardSplits]; got != 1 {
 		t.Fatalf("splits = %d, want 1", got)
 	}
-	if born := fw.SplitBorn(); len(born) != 1 || born[0] != rep.Child {
+	if born := fw.Host.SplitBorn(); len(born) != 1 || born[0] != rep.Child {
 		t.Fatalf("split-born shards = %v, want [%s]", born, rep.Child)
 	}
 	// A settle interrupted by the kill records an error by design — the
 	// protocol's commit point is the reason the split still finished.
-	if err := fw.ReshardErr(); err != nil {
+	if err := fw.Host.Err(); err != nil {
 		t.Logf("reshard recovered from: %v", err)
 	}
 }
@@ -188,23 +188,23 @@ func TestChaosReshardKillSourcePrimaryMidSplit(t *testing.T) {
 // topology and the job completes exactly.
 func TestChaosReshardSplitBornCrashRestart(t *testing.T) {
 	jc := failoverJobConfig()
-	var rep core.SplitReport
+	var rep shardhost.SplitReport
 	var info space.RecoveryInfo
 	var splitErr, restartErr error
 	script := func(f *core.Framework) {
 		f.Clock.Sleep(2 * time.Second)
-		rep, splitErr = f.SplitShard(f.Cluster.MasterAddr)
+		rep, splitErr = f.Host.Split(f.Cluster.MasterAddr)
 		if splitErr != nil {
 			return
 		}
 		// Past the lame-duck drain: the child now serves its arc alone.
 		f.Clock.Sleep(2 * time.Second)
-		idx, ok := f.ShardIndex(rep.Child)
+		idx, ok := f.Host.ShardIndex(rep.Child)
 		if !ok {
 			restartErr = fmt.Errorf("no shard index for split-born %q", rep.Child)
 			return
 		}
-		info, restartErr = f.RestartShard(idx)
+		info, restartErr = f.Host.Restart(idx)
 	}
 	res, job, fw := runFailover(t, nil, 4, core.Config{
 		Spec: shardhost.Spec{
@@ -226,7 +226,7 @@ func TestChaosReshardSplitBornCrashRestart(t *testing.T) {
 	if info.Restored == 0 {
 		t.Fatal("the split-born shard recovered nothing from its WAL; the migration was never journaled")
 	}
-	if e := fw.TopologyEpoch(); e != 2 {
+	if e := fw.Host.TopologyEpoch(); e != 2 {
 		t.Fatalf("topology epoch = %d, want 2 (a restart must not move the ring)", e)
 	}
 	if got := res.Resharding[metrics.CounterReshardSplits]; got != 1 {
@@ -240,7 +240,7 @@ func TestChaosReshardSplitBornCrashRestart(t *testing.T) {
 // task, so the delta over a window is task throughput.
 func shardTakes(f *core.Framework) uint64 {
 	var n uint64
-	for _, l := range f.Shards() {
+	for _, l := range f.Host.Shards() {
 		n += l.TS.Stats().Takes
 	}
 	return n
@@ -281,7 +281,7 @@ func BenchmarkReshardSplit(b *testing.B) {
 			Workers:       cluster.Uniform(4, 1.0),
 		})
 		job := montecarlo.NewJob(jc)
-		var rep core.SplitReport
+		var rep shardhost.SplitReport
 		var splitErr error
 		var pre, post float64
 		script := func(f *core.Framework) {
@@ -289,7 +289,7 @@ func BenchmarkReshardSplit(b *testing.B) {
 			t0 := shardTakes(f)
 			f.Clock.Sleep(window)
 			pre = float64(shardTakes(f)-t0) / window.Seconds()
-			rep, splitErr = f.SplitShard(f.Cluster.MasterAddr)
+			rep, splitErr = f.Host.Split(f.Cluster.MasterAddr)
 			if splitErr != nil {
 				return
 			}

@@ -310,7 +310,7 @@ func TestJournalRecordsDeliverWhatGobDelivered(t *testing.T) {
 		any := reflect.Zero(reflect.TypeOf(v)).Interface() // the template matching everything
 
 		src, log := tuplespace.New(clk), &recordLog{}
-		if err := src.AttachJournal(tuplespace.NewJournalSink(log).SetStrict(true)); err != nil {
+		if err := src.AttachJournal(tuplespace.NewJournalSink(log)); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := src.WriteTok(v, nil, tuplespace.Forever, tok(1)); err != nil {

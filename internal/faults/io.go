@@ -5,7 +5,7 @@ import "io"
 // Disk fault injection: the durable space service exposes its WAL writes
 // through an io.Writer hook (wal.Options.WrapWriter); wrapping that hook
 // with Plan.WrapWriter routes every segment write through the same
-// deterministic rule engine as network calls. The strict-durability tests
+// deterministic rule engine as network calls. The durability tests
 // use it to prove a failed disk write surfaces as a loud space error
 // instead of an acknowledged-but-lost record.
 

@@ -48,7 +48,7 @@ func checkInvariants(m Manifest, out harness.Outcome, st *runState, app appRun) 
 			bad("promotions = %d, want exactly %d (one per executed kill)", got, total)
 		}
 		for i, k := range st.kills {
-			if e := out.Framework.ShardEpoch(i); e != uint64(1+k) {
+			if e := out.Framework.Host.Epoch(i); e != uint64(1+k) {
 				bad("shard %d epoch = %d, want %d (1 + %d kills)", i, e, 1+k, k)
 			}
 		}
@@ -60,7 +60,7 @@ func checkInvariants(m Manifest, out harness.Outcome, st *runState, app appRun) 
 	if m.Elastic {
 		base := st.samples[0].topo
 		want := base + uint64(st.splits+st.merges)
-		if got := out.Framework.TopologyEpoch(); got != want {
+		if got := out.Framework.Host.TopologyEpoch(); got != want {
 			bad("topology epoch = %d, want %d (%d at start + %d splits + %d merges)", got, want, base, st.splits, st.merges)
 		}
 		// A crashed worker's leased transaction legitimately pins an entry
@@ -70,10 +70,10 @@ func checkInvariants(m Manifest, out harness.Outcome, st *runState, app appRun) 
 		// eviction (elastic.go phase 2). The exactness invariant above
 		// separately proves nothing was lost. Any other reshard error is a
 		// violation.
-		if err := out.Framework.ReshardErr(); err != nil && !errors.Is(err, rebalance.ErrSettleTimeout) {
+		if err := out.Framework.Host.Err(); err != nil && !errors.Is(err, rebalance.ErrSettleTimeout) {
 			bad("reshard error: %v", err)
 		}
-		own := out.Framework.Ownership()
+		own := out.Framework.Host.Router().Ownership()
 		sum := 0.0
 		for _, frac := range own {
 			sum += frac
@@ -82,7 +82,7 @@ func checkInvariants(m Manifest, out harness.Outcome, st *runState, app appRun) 
 			bad("ring ownership sums to %.12f, want 1", sum)
 		}
 		live := 0
-		for _, si := range out.Framework.ShardInfos() {
+		for _, si := range out.Framework.Host.Health().Shards {
 			if !si.Retired {
 				live++
 			}
@@ -125,7 +125,7 @@ func wantSims(m Manifest) int { return m.App.Tasks * 50 }
 // scenario.
 func checkWALEquivalence(m Manifest, out harness.Outcome, dataDir string, fsync wal.FsyncPolicy) []string {
 	var v []string
-	infos := out.Framework.ShardInfos()
+	infos := out.Framework.Host.Health().Shards
 	out.Framework.Close()
 	for i := 0; i < m.Shards && i < len(infos); i++ {
 		dir := filepath.Join(dataDir, fmt.Sprintf("shard%d", i))
@@ -134,7 +134,7 @@ func checkWALEquivalence(m Manifest, out harness.Outcome, dataDir string, fsync 
 			v = append(v, fmt.Sprintf("wal-equivalence: reopen shard %d: %v", i, err))
 			continue
 		}
-		if got, want := d.Info().Restored, infos[i].LiveEntries; got != want {
+		if got, want := d.Info().Restored, infos[i].Entries; got != want {
 			v = append(v, fmt.Sprintf("wal-equivalence: shard %d recovered %d live entries, had %d at shutdown", i, got, want))
 		}
 		d.Close()

@@ -221,9 +221,9 @@ func (st *runState) script(f *core.Framework) {
 }
 
 func (st *runState) sample(f *core.Framework) {
-	s := epochSample{topo: f.TopologyEpoch(), shards: make([]uint64, st.m.Shards)}
+	s := epochSample{topo: f.Host.TopologyEpoch(), shards: make([]uint64, st.m.Shards)}
 	for i := range s.shards {
-		s.shards[i] = f.ShardEpoch(i)
+		s.shards[i] = f.Host.Epoch(i)
 	}
 	st.samples = append(st.samples, s)
 }
@@ -245,41 +245,41 @@ func (st *runState) apply(f *core.Framework, ev Event) {
 		for i := range st.kills {
 			want := uint64(1 + st.kills[i])
 			i := i
-			st.waitFor(f, 10*time.Second, func() bool { return f.ShardEpoch(i) >= want })
+			st.waitFor(f, 10*time.Second, func() bool { return f.Host.Epoch(i) >= want })
 		}
-		if err := f.KillShardPrimary(ev.Shard); err != nil {
+		if err := f.Host.KillPrimary(ev.Shard); err != nil {
 			skip(err.Error())
 		} else {
 			st.kills[ev.Shard]++
 		}
 	case Rejoin:
 		want := uint64(1 + st.kills[ev.Shard])
-		if !st.waitFor(f, 15*time.Second, func() bool { return f.ShardEpoch(ev.Shard) >= want }) {
+		if !st.waitFor(f, 15*time.Second, func() bool { return f.Host.Epoch(ev.Shard) >= want }) {
 			skip("no promotion to rejoin behind")
-		} else if err := f.RejoinShard(ev.Shard); err != nil {
+		} else if err := f.Host.Rejoin(ev.Shard); err != nil {
 			skip(err.Error())
 		}
 	case RestartShard:
-		if _, err := f.RestartShard(ev.Shard); err != nil {
+		if _, err := f.Host.Restart(ev.Shard); err != nil {
 			hard(err)
 		}
 	case Split:
-		ring, ok := f.RingID(ev.Shard)
+		ring, ok := f.Host.RingID(ev.Shard)
 		if !ok {
 			skip(fmt.Sprintf("no shard %d", ev.Shard))
-		} else if _, err := f.SplitShard(ring); err != nil {
+		} else if _, err := f.Host.Split(ring); err != nil {
 			hard(err)
 		} else {
 			st.splits++
 		}
 	case Merge:
-		rings := f.SplitBorn()
+		rings := f.Host.SplitBorn()
 		if len(rings) == 0 {
 			skip("no split-born shard to merge")
 			break
 		}
 		sort.Strings(rings)
-		if err := f.MergeShards(rings[0]); err != nil {
+		if err := f.Host.Merge(rings[0]); err != nil {
 			hard(err)
 		} else {
 			st.merges++

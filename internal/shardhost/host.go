@@ -354,7 +354,6 @@ func (h *Host) buildNode(at Node, reuse *node, ring, dir string) (*node, error) 
 		opts := space.DurableOptions{
 			Dir:      dir,
 			Fsync:    h.spec.FsyncPolicy,
-			Strict:   true,
 			Counters: h.Counters.Durability,
 			// All nodes share the append/fsync histograms: "how slow is my
 			// disk?" is per deployment; the serve histograms split load.

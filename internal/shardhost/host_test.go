@@ -233,12 +233,29 @@ func TestOneScriptTwoEnvironments(t *testing.T) {
 		}
 		check("merged")
 
+		ops := func(ring string) uint64 {
+			t.Helper()
+			for _, s := range h.loadSamples() {
+				if s.ID == ring {
+					return s.Ops
+				}
+			}
+			t.Fatalf("%s: no load sample for %s", d.name, ring)
+			return 0
+		}
+		crashed := ops(ring1)
 		info, err := h.Restart(1)
 		if err != nil {
 			t.Fatalf("%s: restart: %v", d.name, err)
 		}
 		if info.Restored == 0 {
 			t.Fatalf("%s: restart recovered nothing from the WAL", d.name)
+		}
+		// Recovery replays a subset of the node's history, so a restart
+		// never raises its op count: the rebalancer reads it as a counter
+		// reset, not as a burst of load.
+		if restarted := ops(ring1); restarted > crashed {
+			t.Fatalf("%s: restart raised the load sample's op count %d → %d", d.name, crashed, restarted)
 		}
 		check("restarted")
 		if err := h.Err(); err != nil {

@@ -31,9 +31,9 @@ type Spec struct {
 	// persistent (Outrigger) mode: shard i keeps a segmented WAL plus
 	// snapshots under <DataDir>/shard<i> (its standby under
 	// <DataDir>/shard<i>.backup), recovers them before serving, and
-	// Host.Restart crash-restarts it from its log mid-run. A durable node
-	// is strict: a mutation its log refused fails and leaves the space
-	// unchanged, so nothing is acknowledged that was not logged.
+	// Host.Restart crash-restarts it from its log mid-run. A mutation a
+	// node's log refused fails and leaves the space unchanged, so nothing
+	// is acknowledged that was not logged.
 	DataDir     string
 	FsyncPolicy wal.FsyncPolicy // default wal.FsyncAlways
 

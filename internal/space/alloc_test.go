@@ -88,7 +88,7 @@ func TestDurablePairAllocations(t *testing.T) {
 	}
 	mem := pairAllocations(t, NewLocal(vclock.NewReal()))
 	local, d, err := NewLocalDurable(vclock.NewReal(), DurableOptions{
-		Dir: t.TempDir(), Fsync: wal.FsyncNever, Strict: true, SnapshotBytes: -1,
+		Dir: t.TempDir(), Fsync: wal.FsyncNever, SnapshotBytes: -1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -30,8 +30,9 @@ type DurableOptions struct {
 	// WAL has grown by this much since the last one. Zero means
 	// DefaultSnapshotBytes; negative disables automatic snapshots.
 	SnapshotBytes int64
-	// Strict makes journal failures surface as space operation errors:
-	// nothing is acknowledged that was not logged.
+	// Strict is ignored: a journal failure always surfaces as the space
+	// operation's error, and nothing is acknowledged that was not logged.
+	// The field stays only until bench/ stops setting it.
 	Strict bool
 	// Counters, when non-nil, receives wal:* and journal:errors counts.
 	Counters *metrics.Counters
@@ -76,7 +77,6 @@ type RecoveryInfo struct {
 type Durable struct {
 	log           *wal.Log
 	ts            *tuplespace.Space
-	journal       *tuplespace.Journal
 	info          RecoveryInfo
 	snapshotBytes int64
 	tee           tuplespace.RecordSink
@@ -126,10 +126,7 @@ func NewLocalDurable(clock vclock.Clock, opts DurableOptions) (*Local, *Durable,
 		snapBytes = DefaultSnapshotBytes
 	}
 	d := &Durable{log: log, ts: l.TS, snapshotBytes: snapBytes, tee: opts.Tee}
-	d.journal = tuplespace.NewJournalSink(durableSink{d}).
-		SetStrict(opts.Strict).
-		SetCounters(opts.Counters)
-	l.TS.AttachRecoveredJournal(d.journal)
+	l.TS.AttachRecoveredJournal(tuplespace.NewJournalSink(durableSink{d}).SetCounters(opts.Counters))
 
 	// Recovery snapshot: the recovered space assigns fresh entry ids, so
 	// records in pre-crash segments speak a different Seq numbering than
@@ -211,10 +208,6 @@ func (d *Durable) SnapshotNow() error {
 
 // Info returns what recovery reconstructed when the space was opened.
 func (d *Durable) Info() RecoveryInfo { return d.info }
-
-// Err returns the first journal append error, if any (primarily useful
-// in non-strict mode, where operations succeed past failures).
-func (d *Durable) Err() error { return d.journal.Err() }
 
 // Log exposes the underlying WAL (diagnostics and tests).
 func (d *Durable) Log() *wal.Log { return d.log }

@@ -223,8 +223,8 @@ func TestDurableAutoSnapshotCompacts(t *testing.T) {
 
 // TestDurableStrictDiskErrorFailsLoudly wires the fault layer's disk
 // injection through the whole stack: a scripted WAL write failure makes
-// the strict space return the injected error and nothing is lost
-// silently — the tentpole's "strict mode fails writes loudly" property.
+// the space return the injected error and nothing is lost silently — a
+// durable space is strict with no option set.
 func TestDurableStrictDiskErrorFailsLoudly(t *testing.T) {
 	dir := t.TempDir()
 	clk := vclock.NewReal()
@@ -237,7 +237,6 @@ func TestDurableStrictDiskErrorFailsLoudly(t *testing.T) {
 	c := metrics.NewCounters()
 	l, d, err := NewLocalDurable(clk, DurableOptions{
 		Dir:        dir,
-		Strict:     true,
 		Counters:   c,
 		WrapWriter: func(w io.Writer) io.Writer { return plan.WrapWriter(disk, w) },
 	})

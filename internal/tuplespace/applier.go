@@ -6,13 +6,15 @@ import (
 	"time"
 )
 
-// Applier replays a primary's journal records into a hot-standby space
-// incrementally, record by record, as they are shipped — the backup half
-// of the replication protocol. It differs from ReplayRecords (which folds
-// a complete log into a final state once, at recovery) in that it keeps a
-// live space continuously converged with the stream: a write record
-// materializes immediately, a remove record cancels the entries it names,
-// and a tokened record's memo lands in the same step as its mutation.
+// Applier is the one code path that turns journal records into space
+// state, record by record: a write record materializes immediately, a
+// remove record cancels the entries it names, and a tokened record's memo
+// lands in the same step as its mutation. It runs in three modes: a hot
+// standby applies its primary's records as they are shipped (the backup
+// half of the replication protocol), a migration applies a source shard's
+// records through a filter (SetFilter), and recovery (ReplayRecords)
+// applies a WAL snapshot and its tail through a fresh Applier once every
+// record has decoded.
 //
 // Entry identity bridges the two spaces: the primary's records carry the
 // primary's Seq numbers, the backup space assigns its own — the Applier
@@ -126,17 +128,22 @@ func (a *Applier) SetMemoFilter(pred func(key string, keyed bool) bool) *Applier
 // Apply applies one encoded journal record (the payload a RecordSink
 // receives on the primary), whole: its mutation and its memo become
 // visible together and leave as one record of this space's own journal.
-func (a *Applier) Apply(payload []byte) error { return a.apply(payload, false) }
+func (a *Applier) Apply(payload []byte) error { return a.decodeApply(payload, false) }
 
 // ApplyEvicted applies the write record of an entry its source already
 // evicted (a settle pass's safety net): the copy is visible at once.
-func (a *Applier) ApplyEvicted(payload []byte) error { return a.apply(payload, true) }
+func (a *Applier) ApplyEvicted(payload []byte) error { return a.decodeApply(payload, true) }
 
-func (a *Applier) apply(payload []byte, evicted bool) error {
+func (a *Applier) decodeApply(payload []byte, evicted bool) error {
 	r, err := decodeRecord(payload)
 	if err != nil {
 		return fmt.Errorf("tuplespace: apply record: %w", err)
 	}
+	return a.apply(&r, evicted)
+}
+
+// apply applies one decoded record; it may clear r's token (SetMemoFilter).
+func (a *Applier) apply(r *record, evicted bool) error {
 	a.mu.Lock()
 	filter, memoFilter := a.filter, a.memoFilter
 	a.mu.Unlock()

@@ -16,7 +16,8 @@ import (
 // restarts. Journal gives the space the same property: every publicly
 // visible mutation (a committed write, a committed take, a cancellation
 // or eviction) is appended as one self-contained record (record.go), and
-// ReplayRecords reconstructs the live entries into a fresh space.
+// ReplayRecords reconstructs the live entries into a fresh space through
+// the same Applier a standby uses.
 // Transactions interact correctly: only committed effects reach the
 // journal.
 //
@@ -24,10 +25,10 @@ import (
 // internal/wal for segmented, checksummed, snapshot-compacted storage.
 
 // CounterJournalErrors is the metrics key under which failed journal
-// appends are counted (strict and non-strict mode alike). The string is
-// owned by the canonical name set in internal/metrics/names.go — this
-// used to be the ad-hoc "journal_errors", the one key that broke the
-// "<subsystem>:<metric>" convention.
+// appends are counted. The string is owned by the canonical name set in
+// internal/metrics/names.go — this used to be the ad-hoc
+// "journal_errors", the one key that broke the "<subsystem>:<metric>"
+// convention.
 const CounterJournalErrors = metrics.CounterJournalErrors
 
 // RecordSink is the destination for journal records. internal/wal's Log
@@ -52,21 +53,17 @@ type RecordSink interface {
 // Journal persists a space's public mutations to a RecordSink. Attach it
 // with Space.AttachJournal; it is safe for concurrent use.
 //
-// By default the journal is lenient: a failed append is counted (see
-// CounterJournalErrors), retained as Err, and the space operation
-// succeeds anyway — but unlike earlier versions, later mutations keep
-// being appended, so one transient disk error no longer silently voids
-// the rest of the log. In strict mode (SetStrict) the durability error is
-// returned to the space caller and the mutation does not take effect:
-// nothing is acknowledged that was not logged.
+// A failed append is counted (see CounterJournalErrors) and returned to the
+// space caller, and the mutation does not take effect: nothing is
+// acknowledged that was not logged. Of the sinks production attaches, only
+// the WAL can refuse a record: a replication queue, a switch and a
+// migration tap accept every one.
 type Journal struct {
 	sink RecordSink
 	idle interface{ Dropping() bool } // sink, when it can tell; else nil
 
 	mu       sync.Mutex
-	strict   bool
 	counters *metrics.Counters
-	err      error
 }
 
 // NewJournalSink returns a journal appending records to sink. Entry types
@@ -75,16 +72,6 @@ type Journal struct {
 func NewJournalSink(sink RecordSink) *Journal {
 	j := &Journal{sink: sink}
 	j.idle, _ = sink.(interface{ Dropping() bool })
-	return j
-}
-
-// SetStrict switches the journal's failure mode: when strict, space
-// mutations return the durability error instead of succeeding unlogged.
-// Returns j for chaining.
-func (j *Journal) SetStrict(strict bool) *Journal {
-	j.mu.Lock()
-	j.strict = strict
-	j.mu.Unlock()
 	return j
 }
 
@@ -97,16 +84,7 @@ func (j *Journal) SetCounters(c *metrics.Counters) *Journal {
 	return j
 }
 
-// Err returns the first append error the journal encountered, if any.
-func (j *Journal) Err() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.err
-}
-
-// record appends r. In strict mode the error is returned to the caller;
-// otherwise it is recorded and swallowed — but subsequent records are still
-// attempted.
+// record appends r, returning the error of an append that failed.
 func (j *Journal) record(r *record) error {
 	if j.idle != nil && j.idle.Dropping() {
 		return nil
@@ -120,20 +98,13 @@ func (j *Journal) record(r *record) error {
 	if err == nil {
 		return nil
 	}
-	err = fmt.Errorf("tuplespace: journal: %w", err)
 	j.mu.Lock()
-	if j.err == nil {
-		j.err = err
-	}
-	strict, counters := j.strict, j.counters
+	counters := j.counters
 	j.mu.Unlock()
 	if counters != nil {
 		counters.Inc(CounterJournalErrors)
 	}
-	if strict {
-		return err
-	}
-	return nil
+	return fmt.Errorf("tuplespace: journal: %w", err)
 }
 
 // AttachJournal starts journaling the space's public mutations. It must
@@ -161,8 +132,8 @@ func (s *Space) AttachRecoveredJournal(j *Journal) {
 }
 
 // journalLocked appends r to the space's journal, if it has one. Caller
-// holds s.mu. A non-nil return (strict journal only) means r was not
-// logged, and what it describes must not happen.
+// holds s.mu. A non-nil return means r was not logged, and what it
+// describes must not happen.
 func (s *Space) journalLocked(r *record) error {
 	if s.journal == nil {
 		return nil
@@ -186,7 +157,7 @@ func (s *Space) journalWriteLocked(se *storedEntry, tok OpToken) error {
 // transaction — a take, a take-all, a lease cancel, a standby applying its
 // primary's remove: one record naming every entry of ses, carrying tok and
 // what the op returned when it was tokened, then the removals and the memo.
-// A record applies whole or not at all: when a strict journal refuses it,
+// A record applies whole or not at all: when the journal refuses it,
 // nothing was removed and nothing memoized. With no entry to name (a
 // standby that never held them) what is left of a tokened op is its memo.
 func (s *Space) consumeLocked(ses []*storedEntry, tok OpToken, op, key string, returned []Entry) error {
@@ -282,100 +253,25 @@ func encodeWrites(ses []*storedEntry, expiries []time.Time, what string) ([][]by
 	return records, nil
 }
 
-// replayState folds journal records into the set of surviving entries.
-type replayState struct {
-	live  map[uint64]replayPending
-	order []uint64
-	memos []record // every tokened record, installed after the entries
-}
-
-type replayPending struct {
-	entry  Entry
-	expiry time.Time
-}
-
-func newReplayState() *replayState {
-	return &replayState{live: make(map[uint64]replayPending)}
-}
-
-func (st *replayState) apply(r record) {
-	switch r.kind {
-	case recWrite:
-		st.live[r.seqs[0]] = replayPending{entry: r.entries[0], expiry: r.expiry}
-		st.order = append(st.order, r.seqs[0])
-	case recRemove, recEvict:
-		for _, seq := range r.seqs {
-			delete(st.live, seq)
-		}
-	}
-	if !r.tok.Zero() {
-		st.memos = append(st.memos, r)
-	}
-}
-
-// materialize writes the surviving entries into s, restoring remaining
-// leases relative to the space's clock. Duplicate write records for one
-// Seq (snapshot/segment overlap) materialize once: each Seq is consumed
-// on first use.
-func (st *replayState) materialize(s *Space) (int, error) {
-	now := s.clock.Now()
-	restored := 0
-	// Write memos reference their entry by the journal's (old) Seq; the
-	// re-written entries get fresh ids, so track the binding as we go.
-	var byOldSeq map[uint64]*EntryLease
-	if len(st.memos) > 0 {
-		byOldSeq = make(map[uint64]*EntryLease)
-	}
-	for _, seq := range st.order {
-		p, ok := st.live[seq]
-		if !ok {
-			continue
-		}
-		delete(st.live, seq)
-		ttl := Forever
-		if !p.expiry.IsZero() {
-			ttl = p.expiry.Sub(now)
-			if ttl <= 0 {
-				continue // lease already expired
-			}
-		}
-		l, err := s.write(p.entry, nil, ttl, OpToken{}, writeMirror)
-		if err != nil {
-			return restored, fmt.Errorf("tuplespace: replay entry %d: %w", seq, err)
-		}
-		if byOldSeq != nil {
-			byOldSeq[seq] = l
-		}
-		restored++
-	}
-	for i := range st.memos {
-		r := &st.memos[i]
-		op, key, entries := r.memo()
-		var l *EntryLease
-		if op == MemoWrite && len(r.seqs) == 1 {
-			// nil when the written entry was since consumed: the memo
-			// resolves to a detached expired lease on retry, which is the
-			// truth — the write happened and its entry is gone.
-			l = byOldSeq[r.seqs[0]]
-		}
-		s.installMemo(r.tok, &memoRec{op: op, key: key, entries: entries, lease: l})
-	}
-	return restored, nil
-}
-
 // ReplayRecords replays already-framed records — a WAL snapshot followed
-// by its tail segments — into s and returns the number of live entries
-// restored. Records overlapping between snapshot and tail are
-// deduplicated by Seq. Nothing is written to s unless every record
-// decodes; a record of another format fails with ErrRecordFormat.
+// by its tail segments — into s through a fresh Applier, the reader every
+// standby and migration uses, and returns the number of live entries
+// restored. A record in both snapshot and tail applies once: the Applier's
+// Seq map makes a write idempotent. Nothing is written to s unless every
+// record decodes; a record of another format fails with ErrRecordFormat.
 func ReplayRecords(records [][]byte, s *Space) (int, error) {
-	st := newReplayState()
+	decoded := make([]record, len(records))
 	for i, payload := range records {
-		r, err := decodeRecord(payload)
-		if err != nil {
+		var err error
+		if decoded[i], err = decodeRecord(payload); err != nil {
 			return 0, fmt.Errorf("tuplespace: replay record %d: %w", i, err)
 		}
-		st.apply(r)
 	}
-	return st.materialize(s)
+	a := NewApplier(s)
+	for i := range decoded {
+		if err := a.apply(&decoded[i], false); err != nil {
+			return a.Len(), err
+		}
+	}
+	return a.Len(), nil
 }

@@ -39,14 +39,14 @@ func (s *scriptedSink) stats() (calls, stored int) {
 	return s.calls, len(s.records)
 }
 
-// TestStrictJournalFailsWriteLoudly: in strict mode a write whose journal
-// append fails returns the durability error and the entry is NOT stored —
-// nothing is acknowledged that was not logged.
+// TestStrictJournalFailsWriteLoudly: a write whose journal append fails
+// returns the durability error and the entry is NOT stored — nothing is
+// acknowledged that was not logged.
 func TestStrictJournalFailsWriteLoudly(t *testing.T) {
 	sink := &scriptedSink{failAt: 1, failOnce: true}
 	c := metrics.NewCounters()
 	s := newRealSpace()
-	if err := s.AttachJournal(NewJournalSink(sink).SetStrict(true).SetCounters(c)); err != nil {
+	if err := s.AttachJournal(NewJournalSink(sink).SetCounters(c)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Write(task{Job: "s"}, nil, Forever); !errors.Is(err, errDisk) {
@@ -72,7 +72,7 @@ func TestStrictJournalFailsWriteLoudly(t *testing.T) {
 func TestStrictJournalFailsTakeLoudly(t *testing.T) {
 	sink := &scriptedSink{failAt: 2, failOnce: true} // write ok, remove fails
 	s := newRealSpace()
-	if err := s.AttachJournal(NewJournalSink(sink).SetStrict(true)); err != nil {
+	if err := s.AttachJournal(NewJournalSink(sink)); err != nil {
 		t.Fatal(err)
 	}
 	mustWrite(t, s, task{Job: "s", ID: ip(1)})
@@ -94,7 +94,7 @@ func TestStrictJournalFailsTakeLoudly(t *testing.T) {
 func TestStrictJournalFailsBlockedTakeLoudly(t *testing.T) {
 	sink := &scriptedSink{failAt: 2, failOnce: true} // write ok, handoff remove fails
 	s := newRealSpace()
-	if err := s.AttachJournal(NewJournalSink(sink).SetStrict(true)); err != nil {
+	if err := s.AttachJournal(NewJournalSink(sink)); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
@@ -114,47 +114,6 @@ func TestStrictJournalFailsBlockedTakeLoudly(t *testing.T) {
 	}
 }
 
-// TestLenientJournalKeepsRecordingAfterError is the regression test for
-// the silent-drop bug: the old journal stopped recording everything after
-// its first write error. Now the error is counted and retained, but every
-// subsequent mutation is still appended.
-func TestLenientJournalKeepsRecordingAfterError(t *testing.T) {
-	sink := &scriptedSink{failAt: 2, failOnce: true} // only the 2nd append fails
-	c := metrics.NewCounters()
-	s := newRealSpace()
-	j := NewJournalSink(sink).SetCounters(c)
-	if err := s.AttachJournal(j); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if _, err := s.Write(task{Job: "l", ID: ip(i)}, nil, Forever); err != nil {
-			t.Fatalf("lenient write %d failed: %v", i, err)
-		}
-	}
-	if j.Err() == nil {
-		t.Fatal("journal error not retained")
-	}
-	if got := c.Get(CounterJournalErrors); got != 1 {
-		t.Fatalf("%s = %d, want 1", CounterJournalErrors, got)
-	}
-	calls, stored := sink.stats()
-	if calls != 4 {
-		t.Fatalf("journal attempted %d appends, want 4 (stopped after first error?)", calls)
-	}
-	if stored != 3 {
-		t.Fatalf("sink stored %d records, want 3", stored)
-	}
-	// The survivors replay: entries 0, 2, 3 (record 1 was lost).
-	s2 := newRealSpace()
-	n, err := ReplayRecords(sink.records, s2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 {
-		t.Fatalf("replayed %d entries, want 3", n)
-	}
-}
-
 // unregEntry is deliberately never passed to RegisterType.
 type unregEntry struct {
 	Name string
@@ -166,7 +125,7 @@ type unregEntry struct {
 func TestUnregisteredTypeReturnsTypedError(t *testing.T) {
 	sink := &scriptedSink{}
 	s := newRealSpace()
-	if err := s.AttachJournal(NewJournalSink(sink).SetStrict(true)); err != nil {
+	if err := s.AttachJournal(NewJournalSink(sink)); err != nil {
 		t.Fatal(err)
 	}
 	if !enc.IsRegistered(unregEntry{}) { // else a later -count pass: registration is process-wide

@@ -196,7 +196,7 @@ func (k applySink) Append(p []byte) error { return k.a.Apply(p) }
 // primary, each entry pinning 1 KiB, must leave the standby's lists and
 // heap where they started (before removeLocked: 5,000 pointers in each
 // list of the standby, 5,000 in the primary's bucket, 11 MB pinned); so must a Reset, token cancels, aborted
-// transactional writes and writes a strict journal refused.
+// transactional writes and writes the journal refused.
 func TestStandbyListsStayBounded(t *testing.T) {
 	clk := vclock.NewReal()
 	primary, standby := New(clk), New(clk)
@@ -249,7 +249,7 @@ func TestStandbyListsStayBounded(t *testing.T) {
 	// that no lookup follows.
 	s := New(clk)
 	sink := &scriptedSink{}
-	if err := s.AttachJournal(NewJournalSink(sink).SetStrict(true)); err != nil {
+	if err := s.AttachJournal(NewJournalSink(sink)); err != nil {
 		t.Fatal(err)
 	}
 	mustWrite(t, s, padded("k", -1)) // a resident, so the bucket is never simply dropped

@@ -184,7 +184,7 @@ func (s *Space) memoEvictLocked(want func(OpToken) bool) {
 
 // installMemoLocked stores rec under tok and journals it as a record of
 // its own: the path of a memo with no mutation beside it. Memo durability
-// is best-effort even under a strict journal: whatever the memo describes
+// is best-effort: a refused memo record is dropped, because whatever the memo describes
 // has happened, and a lost memo only degrades that one op back to
 // at-most-once on retry.
 func (s *Space) installMemoLocked(tok OpToken, rec *memoRec) {
@@ -388,7 +388,6 @@ func (l *EntryLease) CancelTok(tok OpToken) error {
 	if se.removed {
 		return ErrLeaseExpired
 	}
-	// Journal first: under a strict journal a cancellation that cannot be
-	// logged does not happen.
+	// Journal first: a cancellation that cannot be logged does not happen.
 	return s.consumeLocked([]*storedEntry{se}, tok, MemoCancel, entryKey(se), nil)
 }

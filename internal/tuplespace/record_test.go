@@ -267,10 +267,11 @@ func appendFramed(stream, rec []byte) []byte {
 	return append(binary.LittleEndian.AppendUint16(stream, uint16(len(rec))), rec...)
 }
 
-// FuzzReplayRecords feeds an arbitrary record stream to both readers of
-// one: recovery (ReplayRecords) and a standby's Applier, plain and in
-// migration mode. Neither may panic; a stream recovery accepts must
-// snapshot and recover to the same contents.
+// FuzzReplayRecords feeds an arbitrary record stream to the one record
+// reader in its three modes: a standby's Applier, a migration's, and
+// recovery (ReplayRecords, an Applier behind a decode-all gate). None may
+// panic; a stream recovery accepts must snapshot and recover to the same
+// contents.
 func FuzzReplayRecords(f *testing.F) {
 	var all []byte
 	for _, s := range recordSeeds() {

@@ -215,8 +215,8 @@ func (s *Space) write(e Entry, t *Txn, ttl time.Duration, tok OpToken, mode writ
 		ts.answered[tok] = []*storedEntry{se}
 	} else {
 		if jerr := s.journalWriteLocked(se, tok); jerr != nil {
-			// Strict durability: the write was not logged, so it must
-			// not be acknowledged.
+			// The write was not logged, so it must not be
+			// acknowledged.
 			s.removeLocked(se)
 			s.unlock()
 			return nil, jerr
@@ -381,8 +381,8 @@ func (s *Space) park(w *waiter, timeout time.Duration) (Entry, error) {
 
 // applyLocked records the effect of a successful read/take on entry se;
 // tok is the take's token, if it has one: noted as the transaction's answer
-// under one, memoized with the removal outside. A non-nil return (strict
-// journal, non-txn take only) means the removal was not logged and the
+// under one, memoized with the removal outside. A non-nil return (a
+// refused journal append, non-txn take only) means the removal was not logged and the
 // entry remains in the space untouched.
 func (s *Space) applyLocked(kind opKind, se *storedEntry, t *Txn, tok OpToken) error {
 	switch kind {
@@ -450,7 +450,7 @@ func (s *Space) publishLocked(se *storedEntry) []notification {
 				}
 			}
 			if err := s.applyLocked(w.kind, se, w.txn, w.tok); err != nil {
-				// Strict journal rejected the removal: fail this waiter
+				// The journal refused the removal: fail this waiter
 				// loudly; the entry stays for others.
 				w.err = err
 				w.w.Wake()
@@ -543,8 +543,8 @@ func (s *Space) EvictWhere(pred func(Entry) bool) ([][]byte, int, error) {
 				locked++
 				continue
 			}
-			// Journal first: under a strict journal an eviction that cannot
-			// be logged does not happen (the entry stays, the caller sees
+			// Journal first: an eviction that cannot be logged does not
+			// happen (the entry stays, the caller sees
 			// the error and retries the pass).
 			if err := s.journalLocked(&record{kind: recEvict, seqs: []uint64{se.id}}); err != nil {
 				s.unlock()

@@ -122,8 +122,8 @@ func (s *Space) joinLocked(t *Txn) (*txnState, error) {
 // batches, and a primary killed mid-commit leaves the standby with a
 // prefix. Writes-first means a torn commit can only leave both the result
 // and its consumed input live, never an input consumed with its output
-// lost. A journal failure cannot unwind a commit; it is counted and
-// retained by the journal (Journal.Err) even in strict mode.
+// lost. A journal failure cannot unwind a commit; it is counted
+// (CounterJournalErrors) and the commit stands.
 func (s *Space) commitLocked(id uint64, ts *txnState) []notification {
 	s.stats.TxnCommits++
 	var fire []notification

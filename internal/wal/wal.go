@@ -385,7 +385,7 @@ func syncDir(dir string) error {
 
 // Append frames payload and appends it to the log, rotating segments and
 // syncing per the configured policy. The error (if any) must reach the
-// caller that believes the record durable — strict journal mode does
+// caller that believes the record durable — the space journal does
 // exactly that. The log keeps nothing of payload: it is framed into a
 // buffer the log reuses, and written out before Append returns.
 func (l *Log) Append(payload []byte) error {

@@ -393,40 +393,59 @@ func init() {
 	transport.RegisterType(indexedBenchEntry{})
 }
 
+// floatGroupEntry groups its entries by a float field, which no index
+// covers: a lookup by it scans the whole type however large it is.
+type floatGroupEntry struct {
+	Group float64
+	ID    int
+	Data  []float64
+}
+
 // BenchmarkAblationFieldIndex compares template lookups against a space
-// holding many entries of one type under many distinct key values, with
-// and without the `space:"index"` field tag (DESIGN.md decision: indexed
-// buckets vs full type scans).
+// holding one type's entries in 100 groups (DESIGN.md decision 7): the
+// group is the `space:"index"` key ("key"); an untagged string field,
+// indexed by the store at the first lookup that fixes it once the type
+// holds indexMin (1,024) entries ("adaptive", the build happening before
+// the timer starts; below indexMin it scans); or a float field, which no
+// index covers, so every lookup scans the type ("scan"). A group's entries
+// are written together, so a scan meets a group's first entry halfway
+// down the type on average. Each arm runs at type sizes on both sides of
+// indexMin, which puts the crossover between scanning and indexing in
+// numbers.
 func BenchmarkAblationFieldIndex(b *testing.B) {
-	const entries, groups = 5000, 100
-	b.Run("indexed", func(b *testing.B) {
+	const groups = 100
+	arm := func(b *testing.B, entries int, entry, tmpl func(g int) tuplespace.Entry) {
 		s := tuplespace.New(vclock.NewReal())
 		for i := 0; i < entries; i++ {
-			if _, err := s.Write(indexedBenchEntry{Job: jobName(i % groups), ID: i}, nil, tuplespace.Forever); err != nil {
+			if _, err := s.Write(entry(i*groups/entries), nil, tuplespace.Forever); err != nil {
 				b.Fatal(err)
 			}
+		}
+		if _, err := s.ReadIfExists(tmpl(0), nil); err != nil {
+			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := s.ReadIfExists(indexedBenchEntry{Job: jobName(i % groups)}, nil); err != nil {
+			if _, err := s.ReadIfExists(tmpl(i%groups), nil); err != nil {
 				b.Fatal(err)
 			}
 		}
-	})
-	b.Run("unindexed", func(b *testing.B) {
-		s := tuplespace.New(vclock.NewReal())
-		for i := 0; i < entries; i++ {
-			if _, err := s.Write(benchEntry{Job: jobName(i % groups), ID: i}, nil, tuplespace.Forever); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := s.ReadIfExists(benchEntry{Job: jobName(i % groups)}, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
+	for _, entries := range []int{128, 512, 1024, 5000} {
+		size := fmt.Sprintf("entries=%d", entries)
+		b.Run("key/"+size, func(b *testing.B) {
+			arm(b, entries, func(g int) tuplespace.Entry { return indexedBenchEntry{Job: jobName(g), ID: g} },
+				func(g int) tuplespace.Entry { return indexedBenchEntry{Job: jobName(g)} })
+		})
+		b.Run("adaptive/"+size, func(b *testing.B) {
+			arm(b, entries, func(g int) tuplespace.Entry { return benchEntry{Job: jobName(g), ID: g} },
+				func(g int) tuplespace.Entry { return benchEntry{Job: jobName(g)} })
+		})
+		b.Run("scan/"+size, func(b *testing.B) {
+			arm(b, entries, func(g int) tuplespace.Entry { return floatGroupEntry{Group: float64(g) + 0.5, ID: g} },
+				func(g int) tuplespace.Entry { return floatGroupEntry{Group: float64(g) + 0.5} })
+		})
+	}
 }
 
 func jobName(i int) string { return "job-" + string(rune('a'+i%26)) + string(rune('a'+(i/26)%26)) }

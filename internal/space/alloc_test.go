@@ -24,10 +24,11 @@ func init() { transport.RegisterType(pairTask{}) }
 // end over loopback TCP: the client's argument, lease handle and reply
 // channel, each value decoded once — the store keeps the written entry it
 // was sent and answers the take with it — and the reply boxes. The server
-// starts no goroutine per request and copies no entry. It reads 20 built
-// with go1.24 on amd64; the spare two absorb runtime differences between
-// the Go releases CI builds with.
-const maxPairAllocs = 22
+// starts no goroutine per request and copies no entry, and the stored
+// entry carries its own lease. It reads 19 built with go1.24 on amd64; the
+// spare two absorb runtime differences between the Go releases CI builds
+// with.
+const maxPairAllocs = 21
 
 // pairAllocations serves local over loopback TCP and returns what one
 // keyed write+take pair through Proxy → TCP → Service → local allocates,

@@ -23,7 +23,7 @@ func (s *Space) TakeAll(tmpl Entry, t *Txn, max int) ([]Entry, error) {
 // one record carrying tok and the result set.
 func (s *Space) bulk(kind opKind, tmpl Entry, t *Txn, max int, tok OpToken) ([]Entry, error) {
 	var buf [inlineCmps]comparer
-	ti, key, m, err := compile(tmpl, buf[:0])
+	ti, m, err := compile(tmpl, buf[:0])
 	if err != nil {
 		return nil, err
 	}
@@ -45,7 +45,7 @@ func (s *Space) bulk(kind opKind, tmpl Entry, t *Txn, max int, tok OpToken) ([]E
 	if rec, ok := s.memoHitLocked(tok); ok && rec.op == MemoTakeAll {
 		return copyEntries(rec.entries), nil
 	}
-	picked := s.pickLocked(kind, s.listLocked(ti, key), m, t, max)
+	picked := s.pickLocked(kind, s.listLocked(ti, m), m, t, max)
 	if len(picked) == 0 {
 		// Nothing consumed: re-execution is effect-free, so an empty
 		// result is not memoized (a retry is semantically a fresh op).
@@ -70,7 +70,7 @@ func (s *Space) bulk(kind opKind, tmpl Entry, t *Txn, max int, tok OpToken) ([]E
 	}
 	// Memoized under the template's key: the router routes the retry by
 	// it, so the memo must migrate with that bucket.
-	if err := s.consumeLocked(picked, tok, MemoTakeAll, key, returned); err != nil {
+	if err := s.consumeLocked(picked, tok, MemoTakeAll, m.key(ti), returned); err != nil {
 		return nil, err
 	}
 	s.stats.Takes += uint64(len(picked))

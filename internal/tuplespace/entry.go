@@ -38,10 +38,11 @@ type typeInfo struct {
 	typ    reflect.Type
 	fields []fieldInfo // exported fields
 	name   string
-	// keyField is the index of the first exported string field tagged
-	// `space:"index"`, or -1. Entries of such types are hash-indexed by
-	// that field's value, turning template lookups that fix the key into
-	// bucket scans instead of full type scans.
+	// keyField is the number of the first exported string field tagged
+	// `space:"index"`, or -1. It is the field the shard router routes by,
+	// and the one field the store indexes from the type's first write; a
+	// lookup that fixes it reads one bucket. Other fields are indexed when
+	// lookups ask for them (listLocked).
 	keyField int
 }
 
@@ -129,9 +130,11 @@ type matcher []comparer
 type comparer struct {
 	field int
 	kind  cmpKind
-	bits  uint64        // cmpInt, cmpUint; cmpFloat as Float64bits
-	str   string        // cmpString
-	val   reflect.Value // cmpBytes, cmpDeep: the template's field
+	// fieldKey holds the value of the typed kinds: bits for cmpInt,
+	// cmpUint and cmpFloat (as Float64bits), str for cmpString. For an
+	// indexable kind it is also the key of the value's bucket.
+	fieldKey
+	val reflect.Value // cmpBytes, cmpDeep: the template's field
 }
 
 // inlineCmps is how many comparers a lookup keeps on its own stack; a
@@ -139,15 +142,16 @@ type comparer struct {
 const inlineCmps = 4
 
 // compile resolves tmpl and builds its matcher into buf (the [:0] of a
-// stack array, or nil to allocate). key is the index field's value when
-// the template fixes it — the lookup then scans that bucket only — and
-// empty otherwise. The matcher aliases buf: the compiler keeps buf on the
-// caller's stack only while the matcher itself is never stored anywhere,
-// so what must outlive the call (a parked waiter) compiles its own.
-func compile(tmpl Entry, buf []comparer) (ti *typeInfo, key string, m matcher, err error) {
+// stack array, or nil to allocate). Which list the lookup reads — one
+// bucket of an index on a field the matcher fixes, or the whole type — is
+// the store's choice (listLocked), made from the matcher. The matcher
+// aliases buf: the compiler keeps buf on the caller's stack only while the
+// matcher itself is never stored anywhere, so what must outlive the call
+// (a parked waiter) compiles its own.
+func compile(tmpl Entry, buf []comparer) (ti *typeInfo, m matcher, err error) {
 	ti, tv, err := infoFor(tmpl)
 	if err != nil {
-		return nil, "", nil, err
+		return nil, nil, err
 	}
 	m = buf
 	for _, fi := range ti.fields {
@@ -167,22 +171,30 @@ func compile(tmpl Entry, buf []comparer) (ti *typeInfo, key string, m matcher, e
 			// Nothing to hold: false is the wildcard, so the field is true.
 		case cmpString:
 			c.str = f.String()
-			if fi.index == ti.keyField {
-				key = c.str
-			}
 		default:
 			c.val = f
 		}
 		m = append(m, c)
 	}
-	return ti, key, m, nil
+	return ti, m, nil
+}
+
+// key returns the value m fixes ti's key field to, or "" when it leaves
+// the key open.
+func (m matcher) key(ti *typeInfo) string {
+	for i := range m {
+		if m[i].field == ti.keyField {
+			return m[i].str
+		}
+	}
+	return ""
 }
 
 // parkedMatcher compiles tmpl — which the caller has compiled once already,
 // so it cannot fail — onto the heap, for a waiter that outlives the
 // lookup's stack.
 func parkedMatcher(tmpl Entry) matcher {
-	_, _, m, _ := compile(tmpl, nil)
+	_, m, _ := compile(tmpl, nil)
 	return m
 }
 
@@ -225,7 +237,7 @@ func (m matcher) match(cand reflect.Value) bool {
 // struct type; differing types never match.
 func Match(tmpl, e Entry) (bool, error) {
 	var buf [inlineCmps]comparer
-	ti, _, m, err := compile(tmpl, buf[:0])
+	ti, m, err := compile(tmpl, buf[:0])
 	if err != nil {
 		return false, err
 	}
@@ -423,7 +435,9 @@ func TypeName(e Entry) (string, error) {
 // IndexKey returns the value of e's `space:"index"` key field. ok is false
 // when the type declares no key field or the field is zero (a wildcard in a
 // template). The shard router uses this to decide between keyed routing and
-// scatter-gather.
+// scatter-gather. It is the routing key only: within a shard the store
+// indexes the key and, once a type is large, whichever other field lookups
+// fix.
 func IndexKey(e Entry) (key string, ok bool, err error) {
 	ti, v, err := infoFor(e)
 	if err != nil {

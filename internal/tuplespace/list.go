@@ -2,14 +2,14 @@ package tuplespace
 
 import "time"
 
-// An entry is listed twice: in its type's list, in write order, and — for
-// types with an index field — in the bucket of its key. Lookups range over
-// one of the two and return at their first match, so neither can be
-// rewritten in passing. Removal is therefore one function, removeLocked,
-// whatever took the entry out (take, commit, abort, lease cancel, expiry,
-// eviction, a write the journal refused): it marks the entry and counts it
-// dead on both lists. The pointers leave later, at the operation boundary
-// (unlock), and never under a range over the list they leave.
+// An entry is listed in its type's list, in write order, and in one bucket
+// of each of its type's field indexes. Lookups range over one of them and
+// return at their first match, so none can be rewritten in passing.
+// Removal is therefore one function, removeLocked, whatever took the entry
+// out (take, commit, abort, lease cancel, expiry, eviction, a write the
+// journal refused): it marks the entry and counts it dead on every list.
+// The pointers leave later, at the operation boundary (unlock), and never
+// under a range over the list they leave.
 
 // entryList is one ordered list of stored entries.
 type entryList struct {
@@ -21,35 +21,105 @@ type entryList struct {
 // typeStore holds the residents of one entry type.
 type typeStore struct {
 	all entryList
-	// byKey is the index: index-field value → bucket, nil for a type
-	// without an index field. It holds no bucket without a live entry, so
-	// it is as large as the set of live keys. Buckets are values: a
-	// workload of write-take pairs on distinct keys makes and drops one per
-	// pair, and a population of distinct keys has one per entry.
-	byKey map[string]entryList
+	// indexes are the type's field indexes: the `space:"index"` key's
+	// first, from the type's first write, then one per field a lookup
+	// asked for (see listLocked).
+	indexes []*fieldIndex
 }
 
-// listRef names one of a type's two kinds of list. A bucket is a map value,
-// so a list is read with get, changed, and put back.
+// fieldIndex buckets a type's entries by the value of one string, int or
+// uint field. It holds no bucket without a live entry, so it is as large
+// as the set of live values. Buckets are values: a workload of write-take
+// pairs on distinct keys makes and drops one per pair, and a population of
+// distinct values has one per entry.
+type fieldIndex struct {
+	field   int     // struct field number
+	kind    cmpKind // cmpString, cmpInt or cmpUint
+	buckets map[fieldKey]entryList
+}
+
+// fieldKey is one value of an indexed field: a string field's in str, an
+// int or uint field's bits in bits. A comparer holds its value in one.
+type fieldKey struct {
+	str  string
+	bits uint64
+}
+
+// indexMin is the fewest live entries a type holds before a lookup builds
+// an index on a field other than its key. An index answers a lookup in
+// about 1 µs at any size, where a scan costs about 11 ns per candidate it
+// passes (10 µs to the middle of 1,024 entries); it costs each entry about
+// 100 bytes and each write+take about 0.5 µs (DESIGN.md §16). At indexMin
+// one lookup saves what about eighteen writes pay, so the index pays
+// wherever the field is looked up once per eighteen writes or more often;
+// in a smaller type the saving shrinks and the type scans. The value is a
+// policy, not a measured optimum: no benchmark workload looks up a type
+// this small by a non-key field.
+const indexMin = 1024
+
+// indexable reports whether a field of kind k can be indexed: two values
+// match exactly when their fieldKeys are equal. Floats fail that (NaN
+// matches nothing, −0 matches +0 under other bits), and so do byte slices
+// and the deep kinds; a bool could be indexed, but a template can fix it
+// only to true (false is the wildcard), so its index would halve a scan at
+// best.
+func indexable(k cmpKind) bool {
+	return k == cmpString || k == cmpInt || k == cmpUint
+}
+
+func (ix *fieldIndex) keyOf(se *storedEntry) fieldKey {
+	f := se.val.Field(ix.field)
+	switch ix.kind {
+	case cmpString:
+		return fieldKey{str: f.String()}
+	case cmpInt:
+		return fieldKey{bits: uint64(f.Int())}
+	}
+	return fieldKey{bits: f.Uint()}
+}
+
+func (ix *fieldIndex) add(se *storedEntry) {
+	k := ix.keyOf(se)
+	b := ix.buckets[k]
+	b.items = append(b.items, se)
+	ix.buckets[k] = b
+}
+
+// addIndex indexes st's live entries by field, in write order, and keeps
+// the index from then on.
+func (st *typeStore) addIndex(field int, kind cmpKind) *fieldIndex {
+	ix := &fieldIndex{field: field, kind: kind, buckets: make(map[fieldKey]entryList)}
+	for _, se := range st.all.items {
+		if !se.removed {
+			ix.add(se)
+		}
+	}
+	st.indexes = append(st.indexes, ix)
+	return ix
+}
+
+// listRef names one list of a type: its whole list, or the bucket of key
+// in index ix. A bucket is a map value, so a list is read with get,
+// changed, and put back.
 type listRef struct {
-	st     *typeStore
-	key    string
-	bucket bool // the bucket of key (which may be ""), not the type's list
+	st  *typeStore
+	ix  *fieldIndex // nil for the type's list
+	key fieldKey
 }
 
 func (r listRef) get() entryList {
 	switch {
 	case r.st == nil: // nothing of the type was ever written
 		return entryList{}
-	case r.bucket:
-		return r.st.byKey[r.key]
+	case r.ix != nil:
+		return r.ix.buckets[r.key]
 	}
 	return r.st.all
 }
 
 func (r listRef) put(l entryList) {
-	if r.bucket {
-		r.st.byKey[r.key] = l
+	if r.ix != nil {
+		r.ix.buckets[r.key] = l
 	} else {
 		r.st.all = l
 	}
@@ -78,24 +148,20 @@ func (s *Space) insertLocked(se *storedEntry) {
 	if st == nil {
 		st = &typeStore{}
 		if ti.keyField >= 0 {
-			st.byKey = make(map[string]entryList)
+			st.addIndex(ti.keyField, cmpString)
 		}
 		s.types[ti.name] = st
 	}
 	st.all.items = append(st.all.items, se)
-	if ti.keyField >= 0 {
-		key := entryKey(se)
-		r := listRef{st: st, key: key, bucket: true}
-		b := r.get()
-		b.items = append(b.items, se)
-		r.put(b)
+	for _, ix := range st.indexes {
+		ix.add(se)
 	}
 	s.bySeq[se.id] = se
 }
 
 // removeLocked is the one way an entry leaves the space; removing one
 // already gone (a lease cancelled under a transaction that then resolves)
-// does nothing. It is safe under a range over either list: nothing moves
+// does nothing. It is safe under a range over any list: nothing moves
 // until unlock.
 func (s *Space) removeLocked(se *storedEntry) {
 	if se.removed {
@@ -105,22 +171,21 @@ func (s *Space) removeLocked(se *storedEntry) {
 	delete(s.bySeq, se.id)
 	st := s.types[se.ti.name]
 	s.deadLocked(listRef{st: st})
-	if se.ti.keyField >= 0 {
-		key := entryKey(se)
-		s.deadLocked(listRef{st: st, key: key, bucket: true})
+	for _, ix := range st.indexes {
+		s.deadLocked(listRef{st: st, ix: ix, key: ix.keyOf(se)})
 	}
 }
 
 // deadLocked counts one more dead entry in r's list. A bucket with nothing
-// live left is dropped from the index there and then — whoever ranges over
+// live left is dropped from its index there and then — whoever ranges over
 // it holds its own slice header — and any other list that falls due is
 // queued for unlock.
 func (s *Space) deadLocked(r listRef) {
 	l := r.get()
 	l.dead++
 	s.dead++
-	if r.bucket && int(l.dead) == len(l.items) {
-		delete(r.st.byKey, r.key)
+	if r.ix != nil && int(l.dead) == len(l.items) {
+		delete(r.ix.buckets, r.key)
 		s.dead -= int(l.dead)
 		return
 	}
@@ -158,10 +223,32 @@ func (s *Space) unlock() {
 	deliver(fire)
 }
 
-// listLocked names the list a lookup ranges over: the key's bucket when
-// the template fixes the index field, the type's whole list otherwise.
-func (s *Space) listLocked(ti *typeInfo, key string) listRef {
-	return listRef{st: s.types[ti.name], key: key, bucket: key != ""}
+// listLocked names the list a lookup with matcher m ranges over: the
+// bucket of the first index whose field m fixes, else the type's whole
+// list. When m fixes no indexed field but does fix an indexable one, and
+// the type holds indexMin live entries, it first indexes that field — so
+// the fields indexed are the ones lookups ask for, and a store that is
+// never looked up (a standby) builds nothing but its key index.
+func (s *Space) listLocked(ti *typeInfo, m matcher) listRef {
+	st := s.types[ti.name]
+	if st == nil {
+		return listRef{}
+	}
+	for _, ix := range st.indexes {
+		for i := range m {
+			if c := &m[i]; c.field == ix.field {
+				return listRef{st: st, ix: ix, key: c.fieldKey}
+			}
+		}
+	}
+	if len(st.all.items)-int(st.all.dead) >= indexMin {
+		for i := range m {
+			if c := &m[i]; indexable(c.kind) {
+				return listRef{st: st, ix: st.addIndex(c.field, c.kind), key: c.fieldKey}
+			}
+		}
+	}
+	return listRef{st: st}
 }
 
 // nextLocked returns the index of the first entry at or after from that

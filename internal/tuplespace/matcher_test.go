@@ -142,7 +142,7 @@ func kindsPair(b []byte) (tmpl, cand allKinds) {
 func agree(t testing.TB, tmpl, cand allKinds) (bool, bool) {
 	t.Helper()
 	var buf [inlineCmps]comparer
-	_, _, m, err := compile(tmpl, buf[:0])
+	_, m, err := compile(tmpl, buf[:0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestMatchAllocatesNothingPerCandidate(t *testing.T) {
 	tmpl := allKinds{I: 1, I8: 1, I16: 1, I32: 1, I64: 1, U: 1, U8: 1, U16: 1, U32: 1, U64: 1, UP: 1,
 		F32: 1.5, F64: 1.5, B: true, S: "a", Bytes: []byte{1, 2}, Label: "a", Count: 1, Blob: blob{1}}
 	cand := reflect.ValueOf(tmpl)
-	_, _, m, err := compile(tmpl, nil)
+	_, m, err := compile(tmpl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestMatchAllocatesNothingPerCandidate(t *testing.T) {
 	var small Entry = allKinds{S: "a", I: 1}
 	if n := testing.AllocsPerRun(1000, func() {
 		var buf [inlineCmps]comparer
-		if _, _, m, _ := compile(small, buf[:0]); !m.match(cand) {
+		if _, m, _ := compile(small, buf[:0]); !m.match(cand) {
 			t.Fatal("no match")
 		}
 	}); n != 0 {

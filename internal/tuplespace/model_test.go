@@ -135,6 +135,20 @@ func ids(entries []Entry) []int {
 	return out
 }
 
+func (r *modelRun) write(n, txi int, tx *Txn, ttl time.Duration) {
+	r.nextID++
+	doc := modelDoc{Key: fmt.Sprintf("k%d", r.rng.Intn(3)), Tag: 1 + r.rng.Intn(4), ID: r.nextID}
+	l, err := r.s.Write(doc, tx, ttl)
+	if err != nil {
+		r.t.Fatalf("step %d: write: %v", n, err)
+	}
+	e := &modelEntry{key: doc.Key, tag: doc.Tag, id: doc.ID, writtenUnder: txi, takenUnder: -1, readers: map[int]bool{}, lease: l}
+	if ttl > 0 {
+		e.expiry = r.clk.Now().Add(ttl)
+	}
+	r.entries = append(r.entries, e)
+}
+
 func (r *modelRun) step(n int, grow bool) {
 	t := r.t
 	op := r.rng.Intn(100)
@@ -148,17 +162,7 @@ func (r *modelRun) step(n int, grow bool) {
 		if r.rng.Intn(5) == 0 {
 			ttl = time.Duration(1+r.rng.Intn(40)) * time.Millisecond
 		}
-		r.nextID++
-		doc := modelDoc{Key: fmt.Sprintf("k%d", r.rng.Intn(3)), Tag: 1 + r.rng.Intn(4), ID: r.nextID}
-		l, err := r.s.Write(doc, tx, ttl)
-		if err != nil {
-			t.Fatalf("step %d: write: %v", n, err)
-		}
-		e := &modelEntry{key: doc.Key, tag: doc.Tag, id: doc.ID, writtenUnder: txi, takenUnder: -1, readers: map[int]bool{}, lease: l}
-		if ttl > 0 {
-			e.expiry = r.clk.Now().Add(ttl)
-		}
-		r.entries = append(r.entries, e)
+		r.write(n, txi, tx, ttl)
 	case op < 75: // read or take, first match
 		tmpl, take := r.template(), r.rng.Intn(3) > 0
 		txi, tx := r.openTxn()
@@ -246,6 +250,26 @@ func TestSpaceAgreesWithNaiveModel(t *testing.T) {
 				// entries, then drain, so reaps of every size happen.
 				r.step(n, n/1000%2 == 0)
 				checkLists(t, r.s)
+			}
+			// Then the type grows past indexMin, and the first lookup by
+			// Tag alone indexes it: the remaining steps run, and every
+			// lookup that fixes Tag and not the key reads a bucket of it.
+			// The lists are checked every tenth step: at this size a check
+			// costs more than the step.
+			ti, _, _ := infoFor(modelDoc{})
+			st := r.s.types[ti.name]
+			for n := 6_000; len(st.all.items)-int(st.all.dead) < indexMin+100; n++ {
+				r.write(n, -1, nil, Forever)
+			}
+			for n := 7_000; n < 9_000; n++ {
+				r.step(n, n < 7_500)
+				if n%10 == 0 {
+					checkLists(t, r.s)
+				}
+			}
+			checkLists(t, r.s)
+			if ixs := st.indexes; len(ixs) != 2 || ixs[1].field != 1 {
+				t.Fatalf("seed %d: %d indexes on a type that grew past indexMin, want the key's and Tag's", seed, len(ixs))
 			}
 			// Whatever is left agrees too, entry by entry.
 			got, err := r.s.ReadAll(modelDoc{}, nil, 0)

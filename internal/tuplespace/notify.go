@@ -50,7 +50,7 @@ func (r *Registration) Cancel() {
 // publicly visible (a Write without a transaction, or a transactional write
 // at commit). ttl bounds the registration lifetime (Forever for none).
 func (s *Space) Notify(tmpl Entry, fn Listener, ttl time.Duration) (*Registration, error) {
-	ti, _, m, err := compile(tmpl, nil)
+	ti, m, err := compile(tmpl, nil)
 	if err != nil {
 		return nil, err
 	}

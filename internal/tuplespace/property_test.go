@@ -225,7 +225,7 @@ func matchesReflective(tmpl, cand reflect.Value) bool {
 // Property: the compiled matcher agrees with the reflective reference.
 func TestPropMatcherAgreesWithSlow(t *testing.T) {
 	f := func(tmpl, cand propEntry) bool {
-		_, _, m, err := compile(tmpl, nil)
+		_, m, err := compile(tmpl, nil)
 		if err != nil {
 			return false
 		}

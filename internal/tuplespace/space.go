@@ -59,7 +59,7 @@ type Stats struct {
 	TxnExpired  uint64 // transactions aborted because their deadline passed
 	Overloaded  uint64 // blocking calls rejected by the waiter bound
 	EntriesLive int    // entries currently stored (including txn-held)
-	Dead        int    // removed entries whose pointer a type list or key bucket still holds
+	Dead        int    // removed entries whose pointer a type list or index bucket still holds
 	Waiting     int    // Read/Take calls currently parked waiting for a match
 	TxnsLive    int    // transactions begun and not yet committed, aborted or lapsed
 }
@@ -78,6 +78,9 @@ type storedEntry struct {
 	// original: stored and journaled here, seen by no lookup until the
 	// source lets the original go (see Applier).
 	staged bool
+	// lease is the entry's handle, allocated with it: every holder of the
+	// lease pins the entry anyway.
+	lease EntryLease
 }
 
 type opKind int
@@ -190,7 +193,7 @@ func (s *Space) write(e Entry, t *Txn, ttl time.Duration, tok OpToken, mode writ
 	if mode == writeClient || mode == writeDecoded {
 		if ses, ok := s.txnHitLocked(ts, tok, MemoWrite); ok {
 			s.unlock()
-			return &EntryLease{space: s, entry: ses[0]}, nil
+			return &ses[0].lease, nil
 		}
 		if rec, ok := s.memoHitLocked(tok); ok {
 			l := rec.leaseOut(s)
@@ -202,7 +205,8 @@ func (s *Space) write(e Entry, t *Txn, ttl time.Duration, tok OpToken, mode writ
 		v = deepCopy(v)
 	}
 	se := &storedEntry{id: s.nextID, ti: ti, val: v, staged: mode == writeStaged}
-	l := &EntryLease{space: s, entry: se}
+	se.lease = EntryLease{space: s, entry: se}
+	l := &se.lease
 	s.nextID++
 	if ttl > 0 {
 		se.expiry = s.clock.Now().Add(ttl)
@@ -269,7 +273,7 @@ func (s *Space) TakeIfExists(tmpl Entry, t *Txn) (Entry, error) {
 // copied either way.
 func (s *Space) lookup(kind opKind, tmpl Entry, t *Txn, timeout time.Duration, block bool, tok OpToken, shared bool) (Entry, error) {
 	var buf [inlineCmps]comparer
-	ti, key, m, err := compile(tmpl, buf[:0])
+	ti, m, err := compile(tmpl, buf[:0])
 	if err != nil {
 		return nil, err
 	}
@@ -302,7 +306,7 @@ func (s *Space) lookup(kind opKind, tmpl Entry, t *Txn, timeout time.Duration, b
 		}
 		return out, nil
 	}
-	if se := s.findLocked(kind, s.listLocked(ti, key), m, t); se != nil {
+	if se := s.findLocked(kind, s.listLocked(ti, m), m, t); se != nil {
 		if err := s.applyLocked(kind, se, t, tok); err != nil {
 			s.unlock()
 			return nil, err
@@ -498,13 +502,13 @@ func (s *Space) reveal(ses []*storedEntry) {
 // extension (JavaSpaces05 added a similar contents query).
 func (s *Space) Count(tmpl Entry) (int, error) {
 	var buf [inlineCmps]comparer
-	ti, key, m, err := compile(tmpl, buf[:0])
+	ti, m, err := compile(tmpl, buf[:0])
 	if err != nil {
 		return 0, err
 	}
 	s.lock()
 	defer s.unlock()
-	items, now := s.listLocked(ti, key).get().items, s.clock.Now()
+	items, now := s.listLocked(ti, m).get().items, s.clock.Now()
 	n := 0
 	for i := s.nextLocked(opRead, items, 0, m, nil, now); i >= 0; i = s.nextLocked(opRead, items, i+1, m, nil, now) {
 		n++
@@ -611,11 +615,10 @@ func (l *EntryLease) Seq() uint64 {
 func (s *Space) LeaseFor(seq uint64) *EntryLease {
 	s.lock()
 	defer s.unlock()
-	se := s.bySeq[seq]
-	if se == nil {
-		se = &storedEntry{removed: true}
+	if se := s.bySeq[seq]; se != nil {
+		return &se.lease
 	}
-	return &EntryLease{space: s, entry: se}
+	return &EntryLease{space: s, entry: &storedEntry{removed: true}}
 }
 
 // Expiration returns the entry's current expiry time (zero for Forever).

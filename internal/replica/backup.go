@@ -130,36 +130,30 @@ func (b *Backup) handleAppend(arg interface{}) (interface{}, error) {
 	if !synced {
 		return nil, ErrOutOfSync // never initialized: need the snapshot first
 	}
-	// Trim records the backup already holds (a re-shipped batch after a
+	if err := checkBatch(a.N, a.Batch); err != nil {
+		return nil, err
+	}
+	// Skip records the backup already holds (a re-shipped batch after a
 	// lost reply); a gap means the stream diverged and needs a re-sync.
-	recs := a.Records
-	from := a.From
+	from, skip := a.From, uint64(0)
 	if from <= applied {
-		overlap := applied - from + 1
-		if overlap >= uint64(len(recs)) {
-			return appendReply{Applied: applied}, nil
-		}
-		recs = recs[overlap:]
-		from = applied + 1
+		skip = min(applied-from+1, a.N)
+		from += skip
 	}
 	if from > applied+1 {
 		return nil, ErrOutOfSync
 	}
-	for i, rec := range recs {
-		if err := b.applier.Apply(rec); err != nil {
-			return nil, fmt.Errorf("replica: apply record %d: %w", from+uint64(i), err)
-		}
-	}
-	last := from + uint64(len(recs)) - 1
+	n, err := applyBatch(b.applier, a.Batch, skip)
 	b.mu.Lock()
-	if last > b.applied {
-		b.applied = last
-	}
-	if last > b.primarySeq {
-		b.primarySeq = last
+	if n > 0 {
+		b.applied = from + n - 1
+		b.primarySeq = max(b.primarySeq, b.applied)
 	}
 	applied = b.applied
 	b.mu.Unlock()
+	if err != nil {
+		return nil, fmt.Errorf("replica: apply record %d: %w", from+n, err)
+	}
 	return appendReply{Applied: applied}, nil
 }
 
@@ -192,17 +186,23 @@ func (b *Backup) handleSync(arg interface{}) (interface{}, error) {
 	if err := b.admit(a.Epoch, nil); err != nil {
 		return nil, err
 	}
-	b.applier.Reset()
-	for i, rec := range a.Records {
-		if err := b.applier.Apply(rec); err != nil {
-			return nil, fmt.Errorf("replica: apply snapshot record %d: %w", i, err)
-		}
+	if err := checkBatch(a.N, a.Batch); err != nil {
+		return nil, err
 	}
+	b.applier.Reset()
+	n, err := applyBatch(b.applier, a.Batch, 0)
 	b.mu.Lock()
-	b.applied = a.Seq
-	b.primarySeq = a.Seq
-	b.synced = true
+	// Half a snapshot is no position: until one applies whole, appends
+	// answer ErrOutOfSync and the primary pushes another.
+	b.synced = err == nil
+	if err == nil {
+		b.applied = a.Seq
+		b.primarySeq = a.Seq
+	}
 	b.mu.Unlock()
+	if err != nil {
+		return nil, fmt.Errorf("replica: apply snapshot record %d: %w", n, err)
+	}
 	return appendReply{Applied: a.Seq}, nil
 }
 

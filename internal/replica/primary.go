@@ -58,9 +58,10 @@ type Primary struct {
 	local *space.Local
 
 	mu       sync.Mutex
-	queue    [][]byte // unshipped records, seqs [acked+1 .. seq]
-	seq      uint64   // last enqueued sequence number
-	acked    uint64   // last sequence number confirmed by the backup
+	queue    []byte // unshipped records [acked+1 .. seq], each behind its uvarint length
+	offs     []int  // offs[i]: where record acked+1+i starts in queue
+	seq      uint64 // last enqueued sequence number
+	acked    uint64 // last sequence number confirmed by the backup
 	mirror   transport.Client
 	resync   bool // stream diverged (overflow / new mirror): snapshot push next
 	degraded bool // backup unreachable: sync-mode mutations fail fast
@@ -111,8 +112,8 @@ func (p *Primary) SetMirror(c transport.Client) {
 type queueSink struct{ p *Primary }
 
 // Append implements tuplespace.RecordSink by enqueueing only — the
-// records ship later, outside the space mutex, so the queue keeps a copy
-// of the borrowed payload.
+// records ship later, outside the space mutex, so the queue copies the
+// borrowed payload into its buffer, framed as the wire's batch carries it.
 func (s queueSink) Append(payload []byte) error {
 	p := s.p
 	p.mu.Lock()
@@ -130,13 +131,16 @@ func (s queueSink) Append(payload []byte) error {
 	if p.resync {
 		return nil // queue is dead, snapshot push supersedes it
 	}
-	if len(p.queue) >= p.opts.MaxQueue {
-		p.queue = nil
+	if len(p.offs) >= p.opts.MaxQueue {
+		// Dropped, not truncated: a flush in flight may still be reading
+		// the buffer.
+		p.queue, p.offs = nil, nil
 		p.resync = true
 		return nil
 	}
 	p.seq++
-	p.queue = append(p.queue, append([]byte(nil), payload...))
+	p.offs = append(p.offs, len(p.queue))
+	p.queue = appendRecord(p.queue, payload)
 	return nil
 }
 
@@ -212,16 +216,15 @@ func (p *Primary) flushLocked() error {
 			}
 			continue // ship whatever queued while the snapshot was in flight
 		}
-		if len(p.queue) == 0 {
+		if len(p.offs) == 0 {
 			p.mu.Unlock()
 			return nil
 		}
-		batch := p.queue
-		from := p.acked + 1
-		epoch := p.epoch
+		// The queue's prefix ships as it stands. An Append while the call
+		// is out writes past it; only this ship section trims it.
+		args := appendArgs{Epoch: p.epoch, From: p.acked + 1, N: uint64(len(p.offs)), Batch: p.queue}
 		p.mu.Unlock()
 
-		args := appendArgs{Epoch: epoch, From: from, Records: batch}
 		start := p.opts.Clock.Now()
 		res, err := mirror.Call(methodAppend, args)
 		p.opts.ShipHist.Record(p.opts.Clock.Since(start))
@@ -238,20 +241,32 @@ func (p *Primary) flushLocked() error {
 		p.mu.Lock()
 		if rep.Applied > p.acked {
 			shipped := rep.Applied - p.acked
-			n := int(shipped)
-			if n > len(p.queue) {
-				n = len(p.queue)
-			}
-			p.queue = p.queue[n:]
+			p.trimLocked(shipped)
 			p.acked = rep.Applied
 			p.count(metrics.CounterReplShipped, shipped)
 		}
 		p.degraded = false
-		more := len(p.queue) > 0 || p.resync
+		more := len(p.offs) > 0 || p.resync
 		p.mu.Unlock()
 		if !more {
 			return nil
 		}
+	}
+}
+
+// trimLocked drops the first n queued records, which the backup holds now,
+// moving the rest to the front of the buffer. Caller holds mu and the ship
+// section, so no call is reading the buffer.
+func (p *Primary) trimLocked(n uint64) {
+	if n >= uint64(len(p.offs)) {
+		p.queue, p.offs = p.queue[:0], p.offs[:0]
+		return
+	}
+	cut := p.offs[n]
+	p.queue = p.queue[:copy(p.queue, p.queue[cut:])]
+	p.offs = p.offs[:copy(p.offs, p.offs[n:])]
+	for i := range p.offs {
+		p.offs[i] -= cut
 	}
 }
 
@@ -265,7 +280,7 @@ func (p *Primary) resyncLocked(mirror transport.Client) error {
 	p.mu.Lock()
 	seqMark := p.seq
 	epoch := p.epoch
-	p.queue = nil
+	p.queue, p.offs = p.queue[:0], p.offs[:0]
 	p.acked = seqMark
 	p.resync = false
 	p.mu.Unlock()
@@ -274,7 +289,11 @@ func (p *Primary) resyncLocked(mirror transport.Client) error {
 	if err != nil {
 		return fmt.Errorf("replica: encode state for re-sync: %w", err)
 	}
-	_, err = mirror.Call(methodSync, syncArgs{Epoch: epoch, Seq: seqMark, Records: records})
+	var batch []byte
+	for _, rec := range records {
+		batch = appendRecord(batch, rec)
+	}
+	_, err = mirror.Call(methodSync, syncArgs{Epoch: epoch, Seq: seqMark, N: uint64(len(records)), Batch: batch})
 	if err := p.shipResult(err); err != nil {
 		p.mu.Lock()
 		p.resync = true

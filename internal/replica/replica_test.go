@@ -1,6 +1,7 @@
 package replica_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -29,7 +30,7 @@ func init() { transport.RegisterType(kv{}) }
 // pair assembles one primary/backup replication pair on an in-process
 // network — the same wiring as shardhost.Host, without the host.
 type pair struct {
-	clk     *vclock.Virtual
+	clk     vclock.Clock
 	net     *transport.Network
 	ctrs    *metrics.Counters
 	local   *space.Local // primary's space
@@ -49,7 +50,7 @@ type pairOptions struct {
 	promote func(uint64)
 }
 
-func newPair(t *testing.T, clk *vclock.Virtual, net *transport.Network, opts pairOptions) *pair {
+func newPair(t *testing.T, clk vclock.Clock, net *transport.Network, opts pairOptions) *pair {
 	t.Helper()
 	ctrs := metrics.NewCounters()
 
@@ -629,6 +630,159 @@ func TestSinksCopyBorrowedPayloads(t *testing.T) {
 			if got[kv{K: "borrowed", N: i}] != 1 {
 				t.Fatalf("standby holds %v, want kv{borrowed %d} once", got, i)
 			}
+		}
+	})
+}
+
+// TestConcurrentWritersShareTheQueue: the queue is one buffer that
+// concurrent mutations append to while a flush is shipping its prefix and
+// that the flush trims after the ack. Writers on the real clock, each
+// confirming its own records, race every one of those steps; the standby
+// ends up with each write once.
+func TestConcurrentWritersShareTheQueue(t *testing.T) {
+	clk := vclock.NewReal()
+	pr := newPair(t, clk, transport.NewNetwork(clk, transport.Model{}), pairOptions{ack: replica.AckSync, ft: time.Hour})
+	const writers, each = 8, 40
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if _, err := pr.wrapped.Write(kv{K: fmt.Sprintf("w%d", w), N: i}, nil, time.Hour); err != nil {
+					t.Errorf("writer %d, write %d: %v", w, i, err)
+					return
+				}
+				if i%4 == 3 {
+					if _, err := pr.wrapped.TakeIfExists(kv{K: fmt.Sprintf("w%d", w), N: i - 1}, nil); err != nil {
+						t.Errorf("writer %d, take %d: %v", w, i-1, err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if lag := pr.p.Lag(); lag != 0 {
+		t.Fatalf("sync primary reports lag %d", lag)
+	}
+	sameEntries(t, "after concurrent writers", entries(t, pr.local), entries(t, pr.blocal))
+	if got := len(entries(t, pr.blocal)); got != writers*each*3/4 {
+		t.Fatalf("standby holds %d entries, want %d", got, writers*each*3/4)
+	}
+}
+
+// TestAckTrimsWhatShipped: records queued while a batch is on the wire
+// stay queued when its ack arrives. The flush trims only the acked
+// records off the front of the buffer and ships the rest next, twice in a
+// row here, so the second trim reads offsets the first one moved.
+func TestAckTrimsWhatShipped(t *testing.T) {
+	clk := vclock.NewVirtual(testEpoch)
+	clk.Run(func() {
+		net := transport.NewNetwork(clk, transport.Model{Latency: 10 * time.Millisecond})
+		pr := newPair(t, clk, net, pairOptions{ack: replica.AckAsync, ft: time.Hour})
+		if err := pr.p.Flush(); err != nil { // the attach-time snapshot push
+			t.Fatal(err)
+		}
+		write := func(n int) {
+			t.Helper()
+			if _, err := pr.wrapped.Write(kv{K: "trim", N: n}, nil, time.Hour); err != nil {
+				t.Fatal(err)
+			}
+		}
+		write(0)
+		g := vclock.NewGroup(clk)
+		g.Go(func() {
+			if err := pr.p.Flush(); err != nil {
+				t.Error(err)
+			}
+		})
+		clk.Sleep(5 * time.Millisecond) // record 0 is on the wire
+		write(1)
+		write(2)
+		clk.Sleep(20 * time.Millisecond) // records 1 and 2 are
+		write(3)
+		g.Wait()
+		if err := pr.p.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if lag := pr.p.Lag(); lag != 0 {
+			t.Fatalf("lag %d after the flush", lag)
+		}
+		if got := pr.ctrs.Get(metrics.CounterReplShipped); got != 4 {
+			t.Fatalf("%d records shipped, want 4", got)
+		}
+		sameEntries(t, "after trimming under writes", entries(t, pr.local), entries(t, pr.blocal))
+	})
+}
+
+// blob is a keyed entry with a kilobyte of payload.
+type blob struct {
+	K    string `space:"index"`
+	N    int
+	Data []byte
+}
+
+func init() { transport.RegisterType(blob{}) }
+
+// TestStandbyTakeMemoOutlivesItsRecord: the standby decodes every record
+// into one record of its own, reusing its arrays. A take memo keeps the
+// entries its record returned, so it must keep its own copy: after a
+// tokened take of a 1 KiB entry and 120 records more — writes and tokened
+// takes of other entries by the same client and another — the promoted
+// standby answers a retry of the take with the original entry, byte for
+// byte, under its original key.
+func TestStandbyTakeMemoOutlivesItsRecord(t *testing.T) {
+	clk := vclock.NewVirtual(testEpoch)
+	clk.Run(func() {
+		pr := newPair(t, clk, transport.NewNetwork(clk, transport.Model{}), pairOptions{ack: replica.AckSync, ft: time.Hour})
+		if err := pr.p.Flush(); err != nil { // the attach-time snapshot push
+			t.Fatal(err)
+		}
+		fill := func(seed byte) []byte {
+			b := make([]byte, 1024)
+			for i := range b {
+				b[i] = seed + byte(i*7)
+			}
+			return b
+		}
+		do := func(op space.Op) space.Result {
+			t.Helper()
+			res, err := pr.wrapped.Do(op)
+			if err != nil {
+				t.Fatalf("%v: %v", op.Kind, err)
+			}
+			return res
+		}
+		orig := blob{K: "memo", N: 1, Data: fill(1)}
+		do(space.Op{Kind: space.OpWrite, Entry: orig, TTL: tuplespace.Forever})
+		tok := tuplespace.OpToken{Client: "reuse", Seq: 1}
+		if res := do(space.Op{Kind: space.OpTake, Entry: blob{K: "memo"}, Token: tok}); res.Entry.(blob).N != 1 {
+			t.Fatalf("took %v", res.Entry)
+		}
+		for i := 0; i < 60; i++ {
+			client := []string{"reuse", "other"}[i%2]
+			key := fmt.Sprintf("c%03d", i) // as long as "memo": a shared key buffer would be overwritten in place
+			do(space.Op{Kind: space.OpWrite, Entry: blob{K: key, N: 100 + i, Data: fill(byte(i + 2))}, TTL: tuplespace.Forever,
+				Token: tuplespace.OpToken{Client: client, Seq: uint64(2 + 2*i)}})
+			do(space.Op{Kind: space.OpTake, Entry: blob{K: key}, Token: tuplespace.OpToken{Client: client, Seq: uint64(3 + 2*i)}})
+		}
+		if got := pr.b.Applied(); got < 122 {
+			t.Fatalf("standby applied %d records, want the take and 120 more", got)
+		}
+		if _, ok := pr.b.Promote(); !ok {
+			t.Fatal("standby did not promote")
+		}
+		res, err := pr.blocal.Do(space.Op{Kind: space.OpTake, Entry: blob{K: "memo"}, Token: tok})
+		if err != nil {
+			t.Fatalf("retried take on the promoted standby: %v", err)
+		}
+		if got, ok := res.Entry.(blob); !ok || got.K != orig.K || got.N != orig.N || !bytes.Equal(got.Data, orig.Data) {
+			t.Fatalf("retried take answered %T %q #%d, want the original entry %q #%d with its own bytes", res.Entry, got.K, got.N, orig.K, orig.N)
+		}
+		keyed, err := pr.blocal.TS.EncodeMemosWhere(func(key string, keyed bool) bool { return keyed && key == "memo" })
+		if err != nil || len(keyed) != 1 {
+			t.Fatalf("%d memos under the key \"memo\" (%v), want the take's alone", len(keyed), err)
 		}
 	})
 }

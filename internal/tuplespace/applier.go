@@ -36,6 +36,12 @@ type Applier struct {
 	leases     map[seqKey]*EntryLease // source Seq (incarnation-qualified) → local entry lease
 	gen        int                    // current source incarnation
 	xlat       map[uint64]seqKey      // current-incarnation Seq → key the entry was first tracked under
+
+	// decodeMu serializes Apply's use of the one record it decodes into
+	// and the client strings its tokens share.
+	decodeMu sync.Mutex
+	scratch  record
+	clients  map[string]string
 }
 
 // seqKey qualifies a source Seq with the source incarnation that assigned
@@ -50,7 +56,7 @@ type seqKey struct {
 // only through the applier (and its own lease expiries) while replication
 // is active; promotion detaches it by simply ceasing to Apply.
 func NewApplier(s *Space) *Applier {
-	return &Applier{s: s, leases: make(map[seqKey]*EntryLease)}
+	return &Applier{s: s, leases: make(map[seqKey]*EntryLease), clients: make(map[string]string)}
 }
 
 // keyFor resolves an incoming Seq to its dedup key under the current
@@ -134,12 +140,24 @@ func (a *Applier) Apply(payload []byte) error { return a.decodeApply(payload, fa
 // evicted (a settle pass's safety net): the copy is visible at once.
 func (a *Applier) ApplyEvicted(payload []byte) error { return a.decodeApply(payload, true) }
 
+// decodeApply decodes payload into the applier's own record, reusing its
+// arrays and interning the token's client: a stream costs the allocations
+// of what it stores, not of each record's frame.
 func (a *Applier) decodeApply(payload []byte, evicted bool) error {
-	r, err := decodeRecord(payload)
-	if err != nil {
+	a.decodeMu.Lock()
+	defer a.decodeMu.Unlock()
+	r := &a.scratch
+	if err := r.decode(payload, a.clients); err != nil {
 		return fmt.Errorf("tuplespace: apply record: %w", err)
 	}
-	return a.apply(&r, evicted)
+	if r.kind != recWrite && len(r.entries) > 0 {
+		// A take memo keeps the entries it answers with; the scratch
+		// array is the next record's.
+		own := *r
+		own.entries = append([]Entry(nil), r.entries...)
+		return a.apply(&own, evicted)
+	}
+	return a.apply(r, evicted)
 }
 
 // apply applies one decoded record; it may clear r's token (SetMemoFilter).
@@ -196,7 +214,8 @@ func (a *Applier) apply(r *record, evicted bool) error {
 		// An unknown Seq means the entry expired locally first, or the
 		// remove duplicates one already applied. Both leave the spaces
 		// converged, so this is not an error.
-		var ses []*storedEntry
+		var one [1]*storedEntry // a take's, which names one entry
+		ses := one[:0]
 		a.mu.Lock()
 		for _, seq := range r.seqs {
 			key := a.keyFor(seq)

@@ -184,22 +184,39 @@ func appendBytes(b []byte, s string) []byte {
 // internal/enc returns for bytes it cannot accept (ErrTruncated, ErrCorrupt,
 // ErrFingerprint, ErrUnknownTypeID, *UnregisteredTypeError).
 func decodeRecord(payload []byte) (record, error) {
+	var r record
+	if err := r.decode(payload, nil); err != nil {
+		return record{}, err
+	}
+	return r, nil
+}
+
+// decode reads payload into r, as decodeRecord, but into r's own seqs and
+// entries arrays when they are large enough: a caller that reuses r keeps
+// nothing of them past the next decode without copying it. The entries
+// themselves, the memo key and the token are the record's own either way.
+// clients, when not nil, interns the token's client string (see intern).
+// On an error r holds no record.
+func (r *record) decode(payload []byte, clients map[string]string) error {
+	r.reset()
 	if len(payload) == 0 {
-		return record{}, fmt.Errorf("%w: empty record", enc.ErrTruncated)
+		return fmt.Errorf("%w: empty record", enc.ErrTruncated)
 	}
 	if payload[0] != recordV1 {
-		return record{}, fmt.Errorf("%w: first byte %#02x; written by a build before the binary record format (start from an empty -datadir), or not a record", ErrRecordFormat, payload[0])
+		return fmt.Errorf("%w: first byte %#02x; written by a build before the binary record format (start from an empty -datadir), or not a record", ErrRecordFormat, payload[0])
 	}
 	p := recordReader{b: payload[1:]}
 	flags := p.byte()
-	r := record{kind: recordKind(flags & kindMask)}
+	r.kind = recordKind(flags & kindMask)
 	if p.err == nil && (flags&^(kindMask|flagToken|flagExpiry) != 0 || r.kind < recWrite || r.kind > recMemo) {
 		p.fail(fmt.Errorf("%w: record kind byte %#02x", enc.ErrCorrupt, flags))
 	}
 	if n := p.count(1); n > 0 {
-		r.seqs = make([]uint64, n)
-		for i := range r.seqs {
-			r.seqs[i] = p.uvarint()
+		if cap(r.seqs) < n {
+			r.seqs = make([]uint64, 0, n)
+		}
+		for ; n > 0; n-- {
+			r.seqs = append(r.seqs, p.uvarint())
 		}
 	}
 	if flags&flagExpiry != 0 {
@@ -209,7 +226,7 @@ func decodeRecord(payload []byte) (record, error) {
 		}
 	}
 	if flags&flagToken != 0 {
-		if r.tok = (OpToken{Client: string(p.bytes()), Seq: p.uvarint()}); r.tok.Zero() {
+		if r.tok = (OpToken{Client: intern(clients, p.bytes()), Seq: p.uvarint()}); r.tok.Zero() {
 			p.fail(fmt.Errorf("%w: token without a client", enc.ErrCorrupt))
 		}
 		if r.kind != recWrite {
@@ -223,7 +240,9 @@ func decodeRecord(payload []byte) (record, error) {
 		c := recordCodecs.Get().(*recordCodec)
 		defer recordCodecs.Put(c)
 		c.dec.Reset()
-		r.entries = make([]Entry, 0, n)
+		if cap(r.entries) < n {
+			r.entries = make([]Entry, 0, n)
+		}
 		for ; n > 0 && p.err == nil; n-- {
 			if size := p.take(4); size != nil {
 				r.entries = append(r.entries, p.entry(c.dec, p.take(int(binary.LittleEndian.Uint32(size)))))
@@ -237,9 +256,38 @@ func decodeRecord(payload []byte) (record, error) {
 		p.err = r.shape()
 	}
 	if p.err != nil {
-		return record{}, p.err
+		r.reset()
+		return p.err
 	}
-	return r, nil
+	return nil
+}
+
+// reset empties r and keeps its arrays; the entries they held are let go.
+func (r *record) reset() {
+	clear(r.entries)
+	*r = record{seqs: r.seqs[:0], entries: r.entries[:0]}
+}
+
+// maxInterned bounds an intern table: a replication stream names a handful
+// of clients, and a table that fills up anyway (clients come and go over a
+// long life) starts again rather than grow.
+const maxInterned = 1024
+
+// intern returns b as a string, the same string for the same bytes while
+// they stay in clients; a nil table interns nothing.
+func intern(clients map[string]string, b []byte) string {
+	if clients == nil {
+		return string(b)
+	}
+	if s, ok := clients[string(b)]; ok {
+		return s
+	}
+	if len(clients) >= maxInterned {
+		clear(clients)
+	}
+	s := string(b)
+	clients[s] = s
+	return s
 }
 
 // entry decodes one entry's message; an entry is a struct.

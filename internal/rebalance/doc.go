@@ -12,7 +12,7 @@
 //     range is snapshotted (tuplespace.EncodeStateWhere) and replayed
 //     into the child shard through a range-filtered tuplespace.Applier;
 //     then the tap goes live, forwarding every subsequent source record
-//     to the same applier. Seq-based deduplication makes the
+//     to the same applier. Deduplication by source entry id makes the
 //     snapshot/stream overlap idempotent, so after this phase the child
 //     continuously converges with the source's migrating range while
 //     the source keeps serving every operation. The child's copies are

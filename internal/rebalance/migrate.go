@@ -138,7 +138,7 @@ func (m *Migration) Fork() (int, error) {
 // SettlePass evicts every currently unlocked matching entry from the
 // source — each eviction, forwarded by the live tap, reveals the
 // destination's copy — and re-applies the returned write-records as
-// evicted: a no-op when the tap already did (Seq dedup), the safety net
+// evicted: a no-op when the tap already did (id dedup), the safety net
 // when it had not (a record that reached the source through a path the
 // live tap postdates). Returns how many entries were evicted and how many
 // remain lock-held by in-flight transactions or reads.

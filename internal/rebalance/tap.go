@@ -77,8 +77,8 @@ func (t *Tap) Dropping() bool {
 
 // StartBuffer begins retaining records. Call before snapshotting the
 // source so the snapshot/buffer overlap covers every record (replay is
-// Seq-deduplicated, so overlap is idempotent, while a gap would lose
-// entries).
+// deduplicated by entry id, so overlap is idempotent, while a gap would
+// lose entries).
 func (t *Tap) StartBuffer() {
 	t.mu.Lock()
 	t.mode = tapBuffer

@@ -310,9 +310,6 @@ func (b *Backup) Lag() uint64 {
 	return b.primarySeq - b.applied
 }
 
-// Applier exposes the record applier (promotion glue prunes it).
-func (b *Backup) Applier() *tuplespace.Applier { return b.applier }
-
 // Local returns the backup's space adapter (the promotion glue binds the
 // space service around it).
 func (b *Backup) Local() *space.Local { return b.local }

@@ -273,7 +273,7 @@ func (p *Primary) trimLocked(n uint64) {
 // resyncLocked pushes the primary's full live state to the backup. The
 // ordering subtlety: records enqueued before EncodeState captures the
 // space are also reflected in the snapshot, so the backup may see an op
-// twice — the Applier is idempotent per sequence number, which makes the
+// twice — the Applier is idempotent per entry id, which makes the
 // overlap harmless; seqMark (read before the capture) conservatively
 // marks where the incremental stream resumes.
 func (p *Primary) resyncLocked(mirror transport.Client) error {

@@ -3,6 +3,7 @@ package replica_test
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -160,6 +161,11 @@ func runConvergence(t *testing.T, seed int64) {
 			}
 			epoch = b.Epoch()
 			sameEntries(t, fmt.Sprintf("round %d promoted", round), entries(t, local), entries(t, blocal))
+			// One identity: the same entries under the same ids with the
+			// same expiries, not only the same values.
+			if a, bb := state(t, local), state(t, blocal); !reflect.DeepEqual(a, bb) {
+				t.Fatalf("round %d promoted: same values under different ids (%d records on the primary, %d on the standby)", round, len(a), len(bb))
+			}
 
 			// The promoted node is the next generation's primary; its old
 			// identity keeps the ring position, the address moves on.
@@ -180,6 +186,16 @@ func runConvergence(t *testing.T, seed int64) {
 	if ctrs.Get(metrics.CounterReplShipped) == 0 && ctrs.Get(metrics.CounterReplResyncs) == 0 {
 		t.Fatal("schedule never replicated anything")
 	}
+}
+
+// state is l's entries as the write records a snapshot holds, in id order.
+func state(t *testing.T, l *space.Local) [][]byte {
+	t.Helper()
+	recs, err := l.TS.EncodeStateWhere(nil)
+	if err != nil {
+		t.Fatalf("EncodeStateWhere: %v", err)
+	}
+	return recs
 }
 
 // TestReplicaConvergenceDeterminism: the same seed must produce the same

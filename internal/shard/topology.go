@@ -141,6 +141,9 @@ func (r *Router) Ownership() map[string]float64 { return r.snapshot().ring.fract
 // router already holds a newer handle for a ring position (a failover
 // retarget raced the reshard), that handle survives.
 //
+// A topology that names a member twice, or gives a label to two members
+// (or twice to one), is refused with an error.
+//
 // Returns whether the topology was applied (false means it was stale).
 func (r *Router) ApplyTopology(t Topology, resolve func(ringID string) (Shard, error)) (bool, error) {
 	cur := r.snapshot()
@@ -152,9 +155,19 @@ func (r *Router) ApplyTopology(t Topology, resolve func(ringID string) (Shard, e
 	}
 	// Resolve outside the lock: dialing may block.
 	resolved := make(map[string]Shard, len(t.Members))
+	owners := make(map[string]string)
 	for _, m := range t.Members {
 		if len(m.Labels) == 0 {
 			return false, fmt.Errorf("shard: topology %d: member %q owns no labels", t.Epoch, m.ID)
+		}
+		if _, dup := resolved[m.ID]; dup {
+			return false, fmt.Errorf("shard: topology %d names member %q twice", t.Epoch, m.ID)
+		}
+		for _, l := range m.Labels {
+			if o, dup := owners[l]; dup {
+				return false, fmt.Errorf("shard: topology %d gives label %q to %q and %q", t.Epoch, l, o, m.ID)
+			}
+			owners[l] = m.ID
 		}
 		if have, ok := cur.shards[m.ID]; ok && cur.epochs[m.ID] >= m.Epoch {
 			resolved[m.ID] = Shard{ID: m.ID, Space: have, Epoch: cur.epochs[m.ID]}

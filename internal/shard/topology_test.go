@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"reflect"
+	"sort"
 	"strconv"
 	"sync"
 	"testing"
@@ -464,4 +466,61 @@ func TestReshardEpochMonotonicityProperty(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestApplyTopologyRefusesMalformed: a topology that names a member twice
+// or gives one label to two members is refused, and the view stays where
+// it was. Kept, the router would list the member twice in Topology() and
+// keep only one copy's labels.
+func TestApplyTopologyRefusesMalformed(t *testing.T) {
+	a, b := DefaultLabels("shard-0", 64), DefaultLabels("shard-1", 64)
+	for _, tc := range []struct {
+		name    string
+		members []TopoMember
+	}{
+		{"member named twice", []TopoMember{{ID: "shard-0", Labels: a[:32]}, {ID: "shard-0", Labels: a[32:]}, {ID: "shard-1", Labels: b}}},
+		{"label given to two members", []TopoMember{{ID: "shard-0", Labels: a}, {ID: "shard-1", Labels: append([]string{a[0]}, b...)}}},
+		{"label given twice to one member", []TopoMember{{ID: "shard-0", Labels: append([]string{a[0]}, a...)}, {ID: "shard-1", Labels: b}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, _ := topoRouter(t, vclock.NewReal())
+			before := r.Topology()
+			next := Topology{Epoch: before.Epoch + 1, Members: tc.members}
+			if ok, err := r.ApplyTopology(next, nil); ok || err == nil {
+				t.Fatalf("ApplyTopology: ok=%v err=%v, want an error", ok, err)
+			}
+			if after := r.Topology(); !reflect.DeepEqual(after, before) {
+				t.Fatalf("a refused topology moved the view:\nbefore %+v\nafter  %+v", before, after)
+			}
+		})
+	}
+}
+
+// FuzzDecodeTopology feeds an arbitrary topology attribute through
+// decode and apply, as a watcher does. Neither may panic, and a topology
+// the router accepts comes back from Router.Topology() with the same epoch,
+// members and labels. The seed corpus is testdata/fuzz/FuzzDecodeTopology.
+func FuzzDecodeTopology(f *testing.F) {
+	f.Fuzz(func(t *testing.T, attr string) {
+		topo, err := DecodeTopology(attr)
+		if err != nil {
+			return
+		}
+		r, locals := newLocalRouter(t, vclock.NewReal(), 1)
+		resolve := func(id string) (Shard, error) { return Shard{ID: id, Space: locals[0], Epoch: 1}, nil }
+		if ok, err := r.ApplyTopology(topo, resolve); !ok || err != nil {
+			return
+		}
+		got := r.Topology()
+		if got.Epoch != topo.Epoch || len(got.Members) != len(topo.Members) {
+			t.Fatalf("applied epoch %d with %d members, the router reports epoch %d with %d", topo.Epoch, len(topo.Members), got.Epoch, len(got.Members))
+		}
+		want := append([]TopoMember(nil), topo.Members...)
+		sort.SliceStable(want, func(i, j int) bool { return want[i].ID < want[j].ID })
+		for i, m := range got.Members {
+			if m.ID != want[i].ID || !reflect.DeepEqual(m.Labels, want[i].Labels) {
+				t.Fatalf("applied member %q with labels %q, the router reports %q with %q", want[i].ID, want[i].Labels, m.ID, m.Labels)
+			}
+		}
+	})
 }

@@ -124,11 +124,10 @@ func (h *Host) isRetired(ring string) bool {
 }
 
 // servingChain resolves ring to the node currently serving it — the raw
-// space a migration snapshots and evicts from, its migration tap, the
-// applier that fed it while it stood by (nil for a node that never did: its
-// Seqs are then its own) — plus the position's primary controller (nil when
-// unreplicated). After a failover this follows the promoted node, which is
-// the point: a reshard always works against whoever serves now.
+// space a migration snapshots and evicts from and its migration tap — plus
+// the position's primary controller (nil when unreplicated). After a
+// failover this follows the promoted node, which is the point: a reshard
+// always works against whoever serves now.
 func (h *Host) servingChain(ring string) (*node, *replica.Primary) {
 	ps := h.byRing(ring)
 	if ps == nil {
@@ -337,15 +336,13 @@ func (h *Host) flushPrimary(ps *position) {
 // needed, the drain passes themselves evict-and-re-apply whatever state
 // that node still holds in the migrating range.
 //
-// A promoted node assigns its own Seqs, so before re-arming against a
-// node other than the one the migration has been reading, dst is rebound
-// to the new incarnation: the node's own standby-era applier supplies the
-// promoted-Seq → old-Seq mapping, keeping the dedup exact — an entry both
-// incarnations carried is recognized (no duplicate), and a new write whose
-// Seq happens to equal an unrelated old one is not mistaken for a dup (no
-// loss). Without a mapping (an unreplicated source that was crash-
-// restarted) the rebind still fences the namespaces so no collision can
-// drop an entry.
+// A promoted or restarted node holds every entry it mirrored under the
+// dead source's id and mints ids above the highest of them, so before
+// re-arming against a node other than the one the migration has been
+// reading, dst is fenced there: an entry both incarnations carried still
+// dedups (no duplicate), and an id the dead source minted but never
+// shipped or logged can no longer be mistaken for a new write's (no
+// loss).
 func (h *Host) lameDuck(m *rebalance.Migration, healthy bool, ring string, dst *tuplespace.Applier, pred func(tuplespace.Entry) bool, memoPred func(key string, keyed bool) bool) (int, error) {
 	total := 0
 	if healthy {
@@ -364,11 +361,7 @@ func (h *Host) lameDuck(m *rebalance.Migration, healthy bool, ring string, dst *
 		}
 		src, _ := h.servingChain(ring)
 		if src.local.TS != curSrc {
-			var xlat map[uint64]uint64
-			if src.applier != nil {
-				xlat = src.applier.SeqMapping()
-			}
-			dst.Rebind(xlat)
+			dst.Fence(src.local.TS.Mirrored() + 1)
 			curSrc = src.local.TS
 		}
 		m2 := &rebalance.Migration{Clock: h.clock, Src: src.local.TS, Tap: src.tap, Dst: dst, Pred: pred, MemoPred: memoPred, Counters: h.Counters.Reshard, OnEvent: m.OnEvent}

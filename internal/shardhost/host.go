@@ -80,11 +80,6 @@ type node struct {
 	// promoted node after a mid-split failover.
 	sink *replica.SwitchSink
 	tap  *rebalance.Tap
-	// applier populated this node's space while it stood by (nil on a
-	// node that never did). Its Seq mapping lets a reshard that re-arms
-	// against the node after promotion translate its Seqs back to the dead
-	// primary's namespace.
-	applier *tuplespace.Applier
 }
 
 // position is one ring position. The ring ID — the seed node's address —

@@ -37,7 +37,6 @@ func (h *Host) standBy(ps *position, n *node, p *replica.Primary) (*replica.Back
 		Counters:        h.Counters.Repl,
 	})
 	b.Bind(n.srv) // on a rejoining node this replaces the deposed handlers
-	n.applier = b.Applier()
 	attrs := h.ringAttrs(ps, "javaspace-backup")
 	attrs[shard.AttrRole] = shard.RoleBackup
 	id, err := h.env.Registrar.Register(discovery.ServiceItem{Name: "javaspace-backup", Address: n.addr, Attributes: attrs}, 0)

@@ -89,9 +89,9 @@ type Durable struct {
 
 // NewLocalDurable opens (or creates) the durable space stored in
 // opts.Dir: it recovers the newest snapshot plus the WAL tail into a
-// fresh space — truncating any torn final record — takes a recovery
-// snapshot so stale segments are compacted away before new writes renew
-// the Seq numbering, and attaches a journal that appends every public
+// fresh space — truncating any torn final record; each entry keeps its
+// logged id — takes a recovery snapshot so the replayed segments are
+// compacted away, and attaches a journal that appends every public
 // mutation to the WAL. The space is fully recovered before this returns;
 // serve it only after.
 func NewLocalDurable(clock vclock.Clock, opts DurableOptions) (*Local, *Durable, error) {
@@ -128,11 +128,10 @@ func NewLocalDurable(clock vclock.Clock, opts DurableOptions) (*Local, *Durable,
 	d := &Durable{log: log, ts: l.TS, snapshotBytes: snapBytes, tee: opts.Tee}
 	l.TS.AttachRecoveredJournal(tuplespace.NewJournalSink(durableSink{d}).SetCounters(opts.Counters))
 
-	// Recovery snapshot: the recovered space assigns fresh entry ids, so
-	// records in pre-crash segments speak a different Seq numbering than
-	// the appends about to happen. Snapshotting now moves the boundary
-	// past every old segment (compacting them) before the first new
-	// record lands. A virgin directory has nothing to fence off.
+	// Recovery snapshot: compaction. The recovered state becomes one
+	// snapshot and every replayed segment goes, so the next start reads
+	// the live entries instead of replaying their history again. A virgin
+	// directory has nothing to compact.
 	if rec.FromSnapshot || rec.Segments > 0 {
 		if err := d.SnapshotNow(); err != nil {
 			log.Close()

@@ -158,8 +158,10 @@ func wireResult(reply interface{}) (res Result, txnID, leaseID uint64) {
 // retried commit/abort/cancel that carries an ID from a dead incarnation
 // must surface unknown-txn / expired-lease at the promoted replacement —
 // never resolve an unrelated fresh handle that happens to share the same
-// store id (every store counts its txn ids and entry seqs from 1, so bare
-// ids alias across a failover).
+// store id. Bare ids alias across a failover: every store counts its txn
+// ids from 1, and a promoted standby, which holds each entry under its
+// primary's id, mints the ids above the highest it mirrored — among them
+// ids the dead primary handed out for entries it never shipped.
 var svcIncarnation atomic.Uint64
 
 // idBits is the width of the store id under a wire id's incarnation tag.

@@ -2,8 +2,8 @@ package tuplespace
 
 import (
 	"fmt"
+	"maps"
 	"sync"
-	"time"
 )
 
 // Applier is the one code path that turns journal records into space
@@ -16,26 +16,18 @@ import (
 // applies a WAL snapshot and its tail through a fresh Applier once every
 // record has decoded.
 //
-// Entry identity bridges the two spaces: the primary's records carry the
-// primary's Seq numbers, the backup space assigns its own — the Applier
-// keeps the mapping as the lease handle each write returned, so a later
-// remove cancels exactly the entry its Seq named.
-//
-// Seq numbers are only meaningful within one source incarnation: a
-// promoted standby assigns its own Seqs, disjoint in meaning (but not in
-// value) from the dead primary's. Rebind moves the applier to a new
-// incarnation so records from the new source can neither collide with an
-// unrelated old Seq (a false dup would drop the entry) nor miss the dedup
-// for an entry both incarnations carried (a miss would duplicate it).
+// A standby and a recovery mirror their source: each entry is stored under
+// the id its record carries, so it is the same entry under the same id on
+// every copy. A migration destination holds entries of its own, so a copy
+// gets an id of its own, and the applier maps source id → copy for as long
+// as the migration's applier lives (see Fence and Reset).
 type Applier struct {
 	s *Space
 
 	mu         sync.Mutex
 	filter     func(Entry) bool
 	memoFilter func(key string, keyed bool) bool
-	leases     map[seqKey]*EntryLease // source Seq (incarnation-qualified) → local entry lease
-	gen        int                    // current source incarnation
-	xlat       map[uint64]seqKey      // current-incarnation Seq → key the entry was first tracked under
+	copies     map[uint64]*storedEntry // under a filter: source id → this space's copy
 
 	// decodeMu serializes Apply's use of the one record it decodes into
 	// and the client strings its tokens share.
@@ -44,64 +36,21 @@ type Applier struct {
 	clients  map[string]string
 }
 
-// seqKey qualifies a source Seq with the source incarnation that assigned
-// it, so Seqs from successive incarnations of a failed-over source never
-// alias.
-type seqKey struct {
-	gen int
-	seq uint64
-}
-
 // NewApplier returns an applier feeding s. The space should be mutated
 // only through the applier (and its own lease expiries) while replication
 // is active; promotion detaches it by simply ceasing to Apply.
 func NewApplier(s *Space) *Applier {
-	return &Applier{s: s, leases: make(map[seqKey]*EntryLease), clients: make(map[string]string)}
+	return &Applier{s: s, copies: make(map[uint64]*storedEntry), clients: make(map[string]string)}
 }
 
-// keyFor resolves an incoming Seq to its dedup key under the current
-// incarnation: translated to the key the entry was first applied under
-// when the translation table knows it, fresh otherwise. Caller holds a.mu.
-func (a *Applier) keyFor(seq uint64) seqKey {
-	if k, ok := a.xlat[seq]; ok {
-		return k
-	}
-	return seqKey{gen: a.gen, seq: seq}
-}
-
-// Rebind switches the applier to a new source incarnation — a promoted
-// standby now feeds it. xlat maps the new incarnation's Seqs to the
-// previous incarnation's Seqs for the entries both carried (a promoted
-// backup's own applier provides it via SeqMapping); Seqs outside the
-// table are treated as genuinely new writes under a fresh namespace.
-// Translations compose across chained failovers.
-func (a *Applier) Rebind(xlat map[uint64]uint64) *Applier {
+// Fence re-arms a migration against a new incarnation of its source (a
+// promoted standby, a restarted store) that mirrored the ids below from and
+// mints from there up: copies of the ids below still dedup, and the ids
+// from up are forgotten, since the new incarnation mints them anew.
+func (a *Applier) Fence(from uint64) {
 	a.mu.Lock()
-	next := make(map[uint64]seqKey, len(xlat))
-	for newSeq, prevSeq := range xlat {
-		// prevSeq is in the namespace the applier currently reads, so the
-		// current table resolves it to its canonical first-seen key.
-		next[newSeq] = a.keyFor(prevSeq)
-	}
-	a.gen++
-	a.xlat = next
+	maps.DeleteFunc(a.copies, func(id uint64, _ *storedEntry) bool { return id >= from })
 	a.mu.Unlock()
-	return a
-}
-
-// SeqMapping reports, for every tracked entry, the local space's Seq for
-// it → the source Seq it was applied under. When this applier's space is
-// promoted to source itself, the mapping lets a downstream applier that
-// followed the old source translate the promoted node's Seqs back to the
-// namespace it already deduplicates in (see Rebind).
-func (a *Applier) SeqMapping() map[uint64]uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make(map[uint64]uint64, len(a.leases))
-	for k, l := range a.leases {
-		out[l.Seq()] = k.seq
-	}
-	return out
 }
 
 // SetFilter switches the applier into resharding-migration mode: only
@@ -171,16 +120,12 @@ func (a *Applier) apply(r *record, evicted bool) error {
 	}
 	switch r.kind {
 	case recWrite:
-		a.mu.Lock()
-		key := a.keyFor(r.seqs[0])
-		l, dup := a.leases[key]
-		a.mu.Unlock()
+		id := r.seqs[0]
 		// A record can arrive twice when a snapshot push and the
-		// incremental stream overlap; the Seq mapping makes the write
-		// idempotent.
-		if dup {
+		// incremental stream overlap; the id makes the write idempotent.
+		if se := a.entry(id, filter != nil, false); se != nil {
 			if evicted {
-				a.s.reveal([]*storedEntry{l.entry})
+				a.s.reveal([]*storedEntry{se})
 			}
 			return nil
 		}
@@ -198,35 +143,34 @@ func (a *Applier) apply(r *record, evicted bool) error {
 			}
 			return nil
 		}
-		mode := writeMirror
-		if filter != nil && !evicted {
-			mode = writeStaged
-		}
-		l, err := a.s.write(r.entries[0], nil, ttl, r.tok, mode)
-		if err != nil {
-			return fmt.Errorf("tuplespace: apply write %d: %w", r.seqs[0], err)
-		}
-		a.mu.Lock()
-		a.leases[key] = l
-		a.mu.Unlock()
-	case recRemove, recEvict:
-		reveal := r.kind == recEvict && filter != nil // see SetFilter
-		// An unknown Seq means the entry expired locally first, or the
-		// remove duplicates one already applied. Both leave the spaces
-		// converged, so this is not an error.
-		var one [1]*storedEntry // a take's, which names one entry
-		ses := one[:0]
-		a.mu.Lock()
-		for _, seq := range r.seqs {
-			key := a.keyFor(seq)
-			if l := a.leases[key]; l != nil {
-				ses = append(ses, l.entry)
-				if !reveal {
-					delete(a.leases, key)
-				}
+		mode, under := writeMirror, id
+		if filter != nil {
+			under = 0 // a copy gets an id of this space's own
+			if !evicted {
+				mode = writeStaged
 			}
 		}
-		a.mu.Unlock()
+		l, err := a.s.write(r.entries[0], nil, ttl, r.tok, mode, under)
+		if err != nil {
+			return fmt.Errorf("tuplespace: apply write %d: %w", id, err)
+		}
+		if filter != nil {
+			a.mu.Lock()
+			a.copies[id] = l.entry
+			a.mu.Unlock()
+		}
+	case recRemove, recEvict:
+		reveal := r.kind == recEvict && filter != nil // see SetFilter
+		// An id nothing here stands for means the entry expired locally
+		// first, or the remove duplicates one already applied. Both leave
+		// the spaces converged, so this is not an error.
+		var one [1]*storedEntry // a take's, which names one entry
+		ses := one[:0]
+		for _, id := range r.seqs {
+			if se := a.entry(id, filter != nil, !reveal); se != nil {
+				ses = append(ses, se)
+			}
+		}
 		if reveal {
 			a.s.reveal(ses)
 		} else if err := a.s.applyRemove(ses, r.tok, op, memoKey, returned); err != nil {
@@ -239,15 +183,33 @@ func (a *Applier) apply(r *record, evicted bool) error {
 		rec := &memoRec{op: op, key: memoKey, entries: returned}
 		if op == MemoWrite && len(r.seqs) == 1 {
 			// The write record precedes its memo in a snapshot, so the
-			// lease is already tracked; nil (consumed or filtered away)
+			// entry is already here; none (consumed or filtered away)
 			// resolves to a detached expired lease on retry.
-			a.mu.Lock()
-			rec.lease = a.leases[a.keyFor(r.seqs[0])]
-			a.mu.Unlock()
+			if se := a.entry(r.seqs[0], filter != nil, false); se != nil {
+				rec.lease = &se.lease
+			}
 		}
 		a.s.installMemo(r.tok, rec)
 	}
 	return nil
+}
+
+// entry returns what stands here for source entry id, or nil: a migration's
+// copy, forgotten once consumed, or the entry mirrored under id.
+func (a *Applier) entry(id uint64, filtered, consumed bool) *storedEntry {
+	if filtered {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		se := a.copies[id]
+		if consumed {
+			delete(a.copies, id)
+		}
+		return se
+	}
+	s := a.s
+	s.lock()
+	defer s.unlock()
+	return s.bySeq[id]
 }
 
 // applyRemove is the space's half of applying a remove record: those of ses
@@ -264,40 +226,23 @@ func (s *Space) applyRemove(ses []*storedEntry, tok OpToken, op, key string, ret
 	return s.consumeLocked(here, tok, op, key, returned)
 }
 
-// Reset empties the replicated state: every tracked entry is cancelled
-// and the Seq mapping (translation table included) cleared. It precedes a
-// full re-sync (snapshot push) after the incremental stream diverged.
+// Reset empties the replicated state before a full re-sync (snapshot
+// push) or after an aborted migration: a mirror cancels every entry of its
+// space, a migration destination the copies it made.
 func (a *Applier) Reset() {
 	a.mu.Lock()
-	leases := a.leases
-	a.leases = make(map[seqKey]*EntryLease)
-	a.xlat = nil
-	a.mu.Unlock()
-	for _, l := range leases {
-		_ = l.Cancel() // already-expired entries are fine
-	}
-}
-
-// Len reports how many replicated entries are currently tracked.
-func (a *Applier) Len() int {
-	a.mu.Lock()
 	defer a.mu.Unlock()
-	return len(a.leases)
-}
-
-// expireTracked drops mappings whose backup-side lease has expired so the
-// map does not grow with long-lived churn. Called opportunistically.
-func (a *Applier) expireTracked(now time.Time) {
-	a.mu.Lock()
-	for seq, l := range a.leases {
-		exp := l.Expiration()
-		if !exp.IsZero() && now.After(exp) {
-			delete(a.leases, seq)
+	s := a.s
+	s.lock()
+	defer s.unlock()
+	ses := a.copies
+	if a.filter == nil {
+		ses = s.bySeq
+	}
+	for _, se := range ses {
+		if !se.removed {
+			_ = s.consumeLocked([]*storedEntry{se}, OpToken{}, "", "", nil)
 		}
 	}
-	a.mu.Unlock()
+	clear(a.copies)
 }
-
-// Prune removes mappings for entries that have already expired on the
-// backup's clock.
-func (a *Applier) Prune() { a.expireTracked(a.s.clock.Now()) }

@@ -1,6 +1,8 @@
 package tuplespace
 
 import (
+	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -51,8 +53,8 @@ func TestApplierMirrorsStream(t *testing.T) {
 			t.Fatalf("target has %d copies of task %d, want %d", n, i, want)
 		}
 	}
-	if a.Len() != 5 {
-		t.Fatalf("applier tracks %d leases, want 5", a.Len())
+	if n := dst.Stats().EntriesLive; n != 5 {
+		t.Fatalf("target holds %d entries, want 5", n)
 	}
 }
 
@@ -70,110 +72,196 @@ func writeRec(seq uint64, e Entry) record {
 	return record{kind: recWrite, seqs: []uint64{seq}, entries: []Entry{e}}
 }
 
-// TestApplierRebindAcrossIncarnations: after the source of a stream fails
-// over, the promoted node assigns its own Seqs. Rebind with a translation
-// table must keep the dedup exact across the switch: an entry both
-// incarnations carried is recognized as already applied (no duplicate), a
-// new write whose Seq merely collides with an unrelated old Seq is not
-// mistaken for a dup (no loss), removes resolve to the entry they meant,
-// and translations compose across chained failovers.
-func TestApplierRebindAcrossIncarnations(t *testing.T) {
+// TestApplierFenceAcrossSources: a migration whose source fails over
+// re-arms against the promoted node, which holds what it mirrored under
+// the dead source's ids and mints above them. Fencing the destination at
+// the promoted node's Mirrored()+1 keeps the dedup exact across the
+// switch: an entry both sources carried is recognized as already applied
+// (no duplicate), a new write under an id the dead source used for an
+// entry the standby never received is not mistaken for a dup (no loss), a
+// remove hits only the entry it names, and a second fence after a chained
+// failover keeps the dedup. The copies here are applied as evicted, so
+// they are visible to Count.
+func TestApplierFenceAcrossSources(t *testing.T) {
 	clk := vclock.NewReal()
 	dst := New(clk)
-	a := NewApplier(dst)
-
-	// Incarnation 0 (the original primary): entry A under Seq 1, entry B
-	// under Seq 2.
-	for _, op := range []record{
-		writeRec(1, task{Job: "mc", ID: ip(1)}),
-		writeRec(2, task{Job: "mc", ID: ip(2)}),
-	} {
-		if err := a.Apply(mustOp(t, op)); err != nil {
+	a := NewApplier(dst).SetFilter(func(Entry) bool { return true })
+	count := func(id int) int {
+		t.Helper()
+		n, err := dst.Count(task{Job: "mc", ID: ip(id)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	// source returns a space and the records it journals.
+	source := func() (*Space, *captureSink) {
+		s, c := New(clk), &captureSink{}
+		if err := s.AttachJournal(NewJournalSink(c)); err != nil {
+			t.Fatal(err)
+		}
+		return s, c
+	}
+	ship := func(c *captureSink, from int) int {
+		t.Helper()
+		for _, rec := range c.recs[from:] {
+			if err := a.ApplyEvicted(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return len(c.recs)
+	}
+	mirror := func(standby *Space, recs [][]byte) {
+		t.Helper()
+		m := NewApplier(standby)
+		for _, rec := range recs {
+			if err := m.Apply(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	write := func(s *Space, id int) {
+		t.Helper()
+		if _, err := s.Write(task{Job: "mc", ID: ip(id)}, nil, Forever); err != nil {
+			t.Fatal(err)
+		}
+	}
+	take := func(s *Space, id int) {
+		t.Helper()
+		if _, err := s.TakeIfExists(task{Job: "mc", ID: ip(id)}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	// Failover: the promoted node knows A as Seq 8 and B as Seq 7.
-	a.Rebind(map[uint64]uint64{8: 1, 7: 2})
+	// The first source stores A under id 1, B under 2 and C under 3; its
+	// standby receives A and B, the destination all three.
+	p0, c0 := source()
+	write(p0, 1)
+	write(p0, 2)
+	write(p0, 3)
+	ship(c0, 0)
+	s1, c1 := source()
+	mirror(s1, c0.recs[:2])
+	if s1.Mirrored() != 2 {
+		t.Fatalf("standby mirrored up to id %d, want 2", s1.Mirrored())
+	}
 
-	// The promoted node re-ships B under its own Seq 7 (a post-failover
-	// drain pass re-evicts it): must dedup, not duplicate.
-	if err := a.Apply(mustOp(t, writeRec(7, task{Job: "mc", ID: ip(2)}))); err != nil {
+	// Failover: the destination re-arms against the promoted standby.
+	a.Fence(s1.Mirrored() + 1)
+	shipped := len(c1.recs)
+
+	// The promoted node re-ships B (a drain pass re-evicts it): it must
+	// dedup, not duplicate.
+	recs, err := s1.EncodeStateWhere(func(e Entry) bool { return *e.(task).ID == 2 })
+	if err != nil || len(recs) != 1 {
+		t.Fatalf("re-ship B: %d records, %v", len(recs), err)
+	}
+	if err := a.ApplyEvicted(recs[0]); err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := dst.Count(task{Job: "mc", ID: ip(2)}); n != 1 {
+	if n := count(2); n != 1 {
 		t.Fatalf("re-shipped entry B duplicated: %d copies", n)
 	}
 
-	// A genuinely new post-failover write whose Seq collides with the old
-	// incarnation's Seq 2: must apply, not be dropped as a dup.
-	if err := a.Apply(mustOp(t, writeRec(2, task{Job: "mc", ID: ip(9)}))); err != nil {
-		t.Fatal(err)
+	// A new write on the promoted node gets id 3, the id C had on the dead
+	// source: it must apply, not be dropped as a dup of C.
+	write(s1, 4)
+	shipped = ship(c1, shipped)
+	if l := s1.LeaseFor(3); l.entry.removed {
+		t.Fatal("the promoted node did not mint id 3 for its first write")
 	}
-	if n, _ := dst.Count(task{Job: "mc", ID: ip(9)}); n != 1 {
-		t.Fatalf("new write lost to a cross-incarnation Seq collision: %d copies", n)
-	}
-
-	// A remove in the new namespace cancels exactly the entry it names.
-	if err := a.Apply(mustOp(t, record{kind: recRemove, seqs: []uint64{7}})); err != nil {
-		t.Fatal(err)
-	}
-	if n, _ := dst.Count(task{Job: "mc", ID: ip(2)}); n != 0 {
-		t.Fatalf("remove of translated Seq missed: %d copies of B left", n)
-	}
-	if n, _ := dst.Count(task{Job: "mc", ID: ip(1)}); n != 1 {
-		t.Fatalf("remove of translated Seq hit the wrong entry: %d copies of A left", n)
+	if n := count(4); n != 1 {
+		t.Fatalf("new write lost to a cross-source id collision: %d copies", n)
 	}
 
-	// Chained failover: the next incarnation knows A as Seq 21 (via the
-	// previous incarnation's Seq 8). The translation composes back to the
-	// original key, so A still dedups.
-	a.Rebind(map[uint64]uint64{21: 8})
-	if err := a.Apply(mustOp(t, writeRec(21, task{Job: "mc", ID: ip(1)}))); err != nil {
+	// A remove cancels exactly the entry it names: id 3 is the new
+	// write's now, and id 2 is B's on both sources.
+	take(s1, 4)
+	take(s1, 2)
+	shipped = ship(c1, shipped)
+	if count(4) != 0 || count(2) != 0 {
+		t.Fatalf("removes missed: %d copies of the new write, %d of B left", count(4), count(2))
+	}
+	if count(3) != 1 || count(1) != 1 {
+		t.Fatalf("a remove hit the wrong entry: %d copies of C, %d of A left", count(3), count(1))
+	}
+
+	// Chained failover: the promoted node's own standby receives all of
+	// the above, then the promoted node stores E under id 4 and dies.
+	s2, c2 := source()
+	mirror(s2, c1.recs[:shipped])
+	write(s1, 5)
+	ship(c1, shipped)
+	a.Fence(s2.Mirrored() + 1)
+	recs, err = s2.EncodeStateWhere(func(e Entry) bool { return *e.(task).ID == 1 })
+	if err != nil || len(recs) != 1 {
+		t.Fatalf("re-ship A: %d records, %v", len(recs), err)
+	}
+	if err := a.ApplyEvicted(recs[0]); err != nil {
 		t.Fatal(err)
 	}
-	if n, _ := dst.Count(task{Job: "mc", ID: ip(1)}); n != 1 {
-		t.Fatalf("chained rebind broke dedup: %d copies of A", n)
+	if n := count(1); n != 1 {
+		t.Fatalf("the second fence broke dedup: %d copies of A", n)
+	}
+	write(s2, 6)
+	if l := s2.LeaseFor(4); l.entry.removed {
+		t.Fatal("the second promoted node did not mint id 4, E's on the dead source")
+	}
+	ship(c2, len(c2.recs)-1)
+	if count(6) != 1 || count(5) != 1 {
+		t.Fatalf("after the second fence: %d copies of the new write, %d of E", count(6), count(5))
 	}
 }
 
-// TestApplierSeqMapping: a standby's applier reports, per entry, the local
-// space's Seq → the Seq the source shipped it under — the translation
-// table a downstream applier rebinds with when this node is promoted.
-func TestApplierSeqMapping(t *testing.T) {
+// TestStandbyKeepsPrimaryIDs: a standby holds each entry under the id its
+// primary gave it, whatever its own counter stood at, and mints above the
+// highest id it mirrored.
+func TestStandbyKeepsPrimaryIDs(t *testing.T) {
 	clk := vclock.NewReal()
-	backup := New(clk)
-	// Shift the backup's Seq counter so local Seqs diverge from the
-	// source's, as they do after any skipped record.
-	l, err := backup.Write(task{Job: "warmup", ID: ip(0)}, nil, Forever)
+	primary, standby := New(clk), New(clk)
+	// Shift the standby's counter so a minted id would differ from the
+	// primary's.
+	for i := 0; i < 3; i++ {
+		l, err := standby.Write(task{Job: "warmup", ID: ip(i)}, nil, Forever)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Cancel(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := primary.AttachJournal(NewJournalSink(appliers{NewApplier(standby)})); err != nil {
+		t.Fatal(err)
+	}
+	var ids []uint64
+	for i := 1; i <= 5; i++ {
+		l, err := primary.Write(task{Job: "mc", ID: ip(i)}, nil, Forever)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, l.Seq())
+	}
+	for i, id := range ids {
+		l := standby.LeaseFor(id)
+		if l.Seq() != id || l.entry.removed || *l.entry.val.Interface().(task).ID != i+1 {
+			t.Fatalf("the standby does not hold the primary's entry %d under id %d", i+1, id)
+		}
+	}
+	if got, want := standby.Mirrored(), ids[len(ids)-1]; got != want {
+		t.Fatalf("Mirrored() = %d, want %d", got, want)
+	}
+	l, err := standby.Write(task{Job: "promoted", ID: ip(1)}, nil, Forever)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Cancel(); err != nil {
-		t.Fatal(err)
-	}
-
-	a := NewApplier(backup)
-	if err := a.Apply(mustOp(t, writeRec(5, task{Job: "mc", ID: ip(1)}))); err != nil {
-		t.Fatal(err)
-	}
-	m := a.SeqMapping()
-	if len(m) != 1 {
-		t.Fatalf("SeqMapping has %d entries, want 1", len(m))
-	}
-	for local, src := range m {
-		if src != 5 {
-			t.Fatalf("SeqMapping reports source Seq %d, want 5", src)
-		}
-		if local == 5 {
-			t.Fatalf("local Seq unexpectedly equals source Seq; counter shift failed")
-		}
+	if l.Seq() <= standby.Mirrored() {
+		t.Fatalf("the standby minted id %d, not above the mirrored %d", l.Seq(), standby.Mirrored())
 	}
 }
 
 // TestApplierIdempotent: a snapshot push overlapping the incremental
-// stream delivers records twice; the Seq mapping makes the replay a
-// no-op, and a remove for an unknown Seq is tolerated.
+// stream delivers records twice; the ids they carry make the replay a
+// no-op, and a remove for an id nothing holds is tolerated.
 func TestApplierIdempotent(t *testing.T) {
 	clk := vclock.NewReal()
 	src := New(clk)
@@ -204,8 +292,7 @@ func TestApplierIdempotent(t *testing.T) {
 		t.Fatalf("double replay left %d entries, want 1", n)
 	}
 
-	// Reset forgets the mapping — the snapshot-push preamble. Replaying
-	// into a fresh space afterwards works from scratch.
+	// Reset empties the mirror — the snapshot-push preamble.
 	a2 := NewApplier(New(clk))
 	for _, rec := range cap.recs {
 		if err := a2.Apply(rec); err != nil {
@@ -213,7 +300,57 @@ func TestApplierIdempotent(t *testing.T) {
 		}
 	}
 	a2.Reset()
-	if a2.Len() != 0 {
-		t.Fatalf("Reset left %d tracked leases", a2.Len())
+	if n := a2.s.Stats().EntriesLive; n != 0 {
+		t.Fatalf("Reset left %d entries", n)
 	}
+}
+
+// TestStandbyForgetsExpiredEntries: a lease expiry is not journaled, so
+// each copy expires its entries on its own clock. Once a standby's leased
+// entries expired and a lookup reaped them, nothing on the standby may
+// still hold them: four rounds of a thousand 1 KiB entries must leave
+// less than a quarter of one round's payload on the heap.
+func TestStandbyForgetsExpiredEntries(t *testing.T) {
+	const rounds, perRound, lease = 4, 1000, time.Second
+	clk := vclock.NewVirtual(time.Unix(1_600_000_000, 0))
+	primary, standby := New(clk), New(clk)
+	if err := primary.AttachJournal(NewJournalSink(appliers{NewApplier(standby)})); err != nil {
+		t.Fatal(err)
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := heap()
+	clk.Run(func() {
+		for r := 0; r < rounds; r++ {
+			for i := 0; i < perRound; i++ {
+				if _, err := primary.Write(padded("k", i), nil, lease); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if n := standby.Stats().EntriesLive; n != perRound {
+				t.Fatalf("round %d: the standby holds %d entries, want %d", r, n, perRound)
+			}
+			clk.Sleep(2 * lease)
+			for _, s := range []*Space{primary, standby} {
+				if _, err := s.TakeIfExists(paddedDoc{}, nil); !errors.Is(err, ErrNoMatch) {
+					t.Fatalf("round %d: a lookup past the lease found %v", r, err)
+				}
+				if n := s.Stats().EntriesLive; n != 0 {
+					t.Fatalf("round %d: %d entries outlived their lease", r, n)
+				}
+			}
+		}
+	})
+	grown, bound := int64(heap())-int64(before), int64(perRound*1024/4)
+	runtime.KeepAlive(primary) // and through its journal, the standby's applier
+	runtime.KeepAlive(standby)
+	if grown > bound {
+		t.Fatalf("%d rounds of %d expired entries left the heap %d KiB larger (bound %d KiB): the standby still holds them",
+			rounds, perRound, grown>>10, bound>>10)
+	}
+	t.Logf("heap grew by %d B", grown)
 }

@@ -122,9 +122,8 @@ func (s *Space) AttachJournal(j *Journal) error {
 
 // AttachRecoveredJournal attaches j to a space whose current contents
 // were just replayed from that journal's storage — the recovery path,
-// where the space is deliberately non-empty. The caller is responsible
-// for snapshotting promptly so the old log (whose Seq numbering the
-// recovered space no longer shares) is compacted away.
+// where the space is deliberately non-empty. The recovered entries keep
+// their logged ids, so new records continue the old log's numbering.
 func (s *Space) AttachRecoveredJournal(j *Journal) {
 	s.lock()
 	s.journal = j
@@ -256,9 +255,10 @@ func encodeWrites(ses []*storedEntry, expiries []time.Time, what string) ([][]by
 // ReplayRecords replays already-framed records — a WAL snapshot followed
 // by its tail segments — into s through a fresh Applier, the reader every
 // standby and migration uses, and returns the number of live entries
-// restored. A record in both snapshot and tail applies once: the Applier's
-// Seq map makes a write idempotent. Nothing is written to s unless every
-// record decodes; a record of another format fails with ErrRecordFormat.
+// restored. Each entry keeps the id its records carry, so a record in both
+// snapshot and tail applies once and a memo's lease survives the restart.
+// Nothing is written to s unless every record decodes; a record of another
+// format fails with ErrRecordFormat.
 func ReplayRecords(records [][]byte, s *Space) (int, error) {
 	decoded := make([]record, len(records))
 	for i, payload := range records {
@@ -270,8 +270,8 @@ func ReplayRecords(records [][]byte, s *Space) (int, error) {
 	a := NewApplier(s)
 	for i := range decoded {
 		if err := a.apply(&decoded[i], false); err != nil {
-			return a.Len(), err
+			return s.Stats().EntriesLive, err
 		}
 	}
-	return a.Len(), nil
+	return s.Stats().EntriesLive, nil
 }

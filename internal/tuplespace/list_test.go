@@ -31,10 +31,13 @@ func padded(key string, n int) paddedDoc {
 
 // checkLists asserts what must hold of every list of s between
 // operations: the dead counters are exact, nothing waits for compaction,
-// no list holds more dead than max(reapMin, live), every list is in write
-// order, the buckets of each of a type's indexes partition its live
-// entries with every entry under its own value and no bucket empty, and
-// the space-wide counters are the sums.
+// no list holds more dead than max(reapMin, live), every bucket lists its
+// entries in the order its type list does, the buckets of each of a type's
+// indexes partition its live entries with every entry under its own value
+// and no bucket empty, and the space-wide counters are the sums. Lists are
+// in insertion order, which is id order on a space that mirrored nothing;
+// a standby receives a transaction's write at commit, under the id it got
+// at write time, so its lists follow commit order instead.
 func checkLists(t testing.TB, s *Space) {
 	t.Helper()
 	s.mu.Lock()
@@ -43,14 +46,23 @@ func checkLists(t testing.TB, s *Space) {
 		t.Fatalf("%d lists still queued for compaction between operations", len(s.slack))
 	}
 	live, dead := 0, 0
+	// pos is each entry's position in the type list being checked; a dead
+	// entry may already have left it while a bucket still holds it.
+	var pos map[*storedEntry]int
 	check := func(what func() string, l *entryList) (alive int) {
-		n := 0
+		n, last := 0, -1
 		for i, se := range l.items {
 			if se.removed {
 				n++
 			}
-			if i > 0 && se.id <= l.items[i-1].id {
+			if s.mirrored == 0 && i > 0 && se.id <= l.items[i-1].id {
 				t.Fatalf("%s: entry %d listed after entry %d", what(), se.id, l.items[i-1].id)
+			}
+			if p, ok := pos[se]; ok {
+				if p <= last {
+					t.Fatalf("%s: entry %d listed out of its type list's order", what(), se.id)
+				}
+				last = p
 			}
 		}
 		alive = len(l.items) - n
@@ -64,12 +76,17 @@ func checkLists(t testing.TB, s *Space) {
 		return alive
 	}
 	for name, st := range s.types {
+		pos = nil
 		inType := check(func() string { return name }, &st.all)
 		live += inType
-		// An entry is in a bucket once at most (the list is in write
-		// order) and in one bucket at most (its own value's), so as many
-		// live entries in the buckets as in the type list are all of
-		// them: the buckets partition the type.
+		pos = make(map[*storedEntry]int, len(st.all.items))
+		for i, se := range st.all.items {
+			pos[se] = i
+		}
+		// An entry is in a bucket once at most (the bucket is in its
+		// type list's order) and in one bucket at most (its own
+		// value's), so as many live entries in the buckets as in the
+		// type list are all of them: the buckets partition the type.
 		for _, ix := range st.indexes {
 			inBuckets := 0
 			for key, b := range ix.buckets {

@@ -328,7 +328,7 @@ func (s *Space) EncodeMemosWhere(pred func(key string, keyed bool) bool) ([][]by
 // copy. Under a transaction the token is remembered until the transaction
 // ends, not memoized. A zero token behaves exactly like Write.
 func (s *Space) WriteTok(e Entry, t *Txn, ttl time.Duration, tok OpToken) (*EntryLease, error) {
-	return s.write(e, t, ttl, tok, writeClient)
+	return s.write(e, t, ttl, tok, writeClient, 0)
 }
 
 // TakeTok is Take with an idempotency token: a retry whose original
@@ -350,7 +350,7 @@ func (s *Space) Lookup(take, block bool, tmpl Entry, t *Txn, timeout time.Durati
 // request frame for this call alone: the space stores e itself instead of
 // a copy, so nobody may touch e again.
 func (s *Space) WriteDecoded(e Entry, t *Txn, ttl time.Duration, tok OpToken) (*EntryLease, error) {
-	return s.write(e, t, ttl, tok, writeDecoded)
+	return s.write(e, t, ttl, tok, writeDecoded, 0)
 }
 
 // LookupShared is Lookup for a service that encodes the entry into its

@@ -31,11 +31,13 @@ type Space struct {
 	txns    map[uint64]*txnState // live transactions (txn.go)
 	txnNext time.Time            // no transaction lapses before this; zero when none can
 	nextTxn uint64
-	nextID  uint64
+	nextID  uint64 // above every id stored here
 	nextReg uint64
 	closed  bool
 	journal *Journal
 	stats   Stats
+
+	mirrored uint64 // see Mirrored
 
 	memos        *memoTable // token → memoized outcome (see memo.go), lazily allocated
 	memoCounters *metrics.Counters
@@ -152,7 +154,7 @@ func (s *Space) Close() {
 // with lease duration ttl (Forever for no expiry). It returns an EntryLease
 // for renewal or cancellation.
 func (s *Space) Write(e Entry, t *Txn, ttl time.Duration) (*EntryLease, error) {
-	return s.write(e, t, ttl, OpToken{}, writeClient)
+	return s.write(e, t, ttl, OpToken{}, writeClient, 0)
 }
 
 // writeMode says whose write it is: an in-process client's (e deep-copied,
@@ -174,8 +176,9 @@ const (
 // makes the call idempotent: the check and the write itself happen under
 // one hold of s.mu, so however many duplicate deliveries race in, exactly
 // one executes and the rest return its lease — from the memo table outside
-// a transaction, from the transaction's own answers inside one.
-func (s *Space) write(e Entry, t *Txn, ttl time.Duration, tok OpToken, mode writeMode) (*EntryLease, error) {
+// a transaction, from the transaction's own answers inside one. The entry
+// is stored under id (a mirror's), or when id is 0 under one minted here.
+func (s *Space) write(e Entry, t *Txn, ttl time.Duration, tok OpToken, mode writeMode, id uint64) (*EntryLease, error) {
 	ti, v, err := infoFor(e)
 	if err != nil {
 		return nil, err
@@ -204,10 +207,15 @@ func (s *Space) write(e Entry, t *Txn, ttl time.Duration, tok OpToken, mode writ
 	if mode == writeClient {
 		v = deepCopy(v)
 	}
-	se := &storedEntry{id: s.nextID, ti: ti, val: v, staged: mode == writeStaged}
+	if id == 0 {
+		id = s.nextID
+	} else {
+		s.mirrored = max(s.mirrored, id)
+	}
+	s.nextID = max(s.nextID, id+1) // id+1 wraps to 0 for the largest id
+	se := &storedEntry{id: id, ti: ti, val: v, staged: mode == writeStaged}
 	se.lease = EntryLease{space: s, entry: se}
 	l := &se.lease
-	s.nextID++
 	if ttl > 0 {
 		se.expiry = s.clock.Now().Add(ttl)
 	}
@@ -599,6 +607,15 @@ func (s *Space) TypeCounts() map[string]int {
 type EntryLease struct {
 	space *Space
 	entry *storedEntry
+}
+
+// Mirrored reports the highest id an entry was stored under because its
+// record carried it (a standby's, a recovery's), or 0: ids above it are
+// minted here.
+func (s *Space) Mirrored() uint64 {
+	s.lock()
+	defer s.unlock()
+	return s.mirrored
 }
 
 // Seq returns the space-assigned identity of the leased entry — the Seq

@@ -55,6 +55,7 @@ import (
 	"gospaces/internal/replica"
 	"gospaces/internal/shardhost"
 	"gospaces/internal/snmp"
+	"gospaces/internal/space"
 	"gospaces/internal/transport"
 	"gospaces/internal/vclock"
 	"gospaces/internal/wal"
@@ -74,7 +75,6 @@ type config struct {
 	replack         string
 	failoverTimeout time.Duration
 	maxInflight     int
-	retryBudget     int
 
 	autoshard                      bool
 	splitThreshold, mergeThreshold float64
@@ -100,8 +100,7 @@ func main() {
 	flag.Float64Var(&c.splitThreshold, "split-threshold", 500, "with -autoshard: smoothed ops/sec above which a shard splits")
 	flag.Float64Var(&c.mergeThreshold, "merge-threshold", 10, "with -autoshard: smoothed ops/sec below which a split-born shard merges back")
 	flag.DurationVar(&c.reshardInterval, "reshard-interval", 5*time.Second, "with -autoshard: rebalancer sampling interval")
-	flag.IntVar(&c.maxInflight, "max-inflight", 0, "per-shard admission bound: ops admitted but unfinished beyond this fast-fail with 'overloaded' instead of queueing; also arms the brownout controller that sheds low-priority ops under sustained saturation (0 = unlimited)")
-	flag.IntVar(&c.retryBudget, "retry-budget", 0, "token-bucket cap on the master router's total retry volume, refilled by successes; an empty bucket surfaces the last error instead of retrying (0 = unlimited)")
+	flag.IntVar(&c.maxInflight, "max-inflight", space.DefaultMaxInflight, "per-shard admission bound: ops admitted but unfinished beyond this fast-fail with 'overloaded' instead of queueing, and the brownout controller sheds low-priority ops under sustained saturation near it")
 	flag.Parse()
 	if err := run(c); err != nil {
 		log.Fatalf("master: %v", err)
@@ -169,7 +168,6 @@ func (c config) spec() (shardhost.Spec, error) {
 		ReplAck:         ack,
 		FailoverTimeout: c.failoverTimeout,
 		MaxInflight:     c.maxInflight,
-		RetryBudget:     c.retryBudget,
 		AutoShard:       c.autoshard,
 		SplitThreshold:  c.splitThreshold,
 		MergeThreshold:  c.mergeThreshold,

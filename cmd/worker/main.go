@@ -54,7 +54,6 @@ func run(args []string) error {
 	loadsim2 := fs.Bool("loadsim2", false, "run load simulator 2 (100% CPU)")
 	obsAddr := fs.String("obs", "", "serve the live ops surface (Prometheus /metrics, /debug/pprof, /tracez) on this address, e.g. :6061")
 	fs.DurationVar(&spec.OpTimeout, "optimeout", 0, "per-operation deadline on space RPCs (0 = unbounded); timed-out calls fail with space.ErrOpTimeout and, against a dead shard, trigger failover resolution")
-	fs.IntVar(&spec.RetryBudget, "retry-budget", 0, "token-bucket cap on this worker's total retry volume, refilled by successes; an empty bucket surfaces the last error instead of retrying (0 = unlimited)")
 	fs.Parse(args) // ExitOnError: Parse does not return one
 	if _, err := taskTemplate(*job, false); err != nil {
 		return err

@@ -19,7 +19,6 @@ func TestRunFlagValidationMatrix(t *testing.T) {
 		want string
 	}{
 		{"unknown job", []string{"-job", "sudoku"}, `unknown job "sudoku"`},
-		{"negative retry-budget", []string{"-retry-budget", "-1"}, "retry-budget must be >= 0"},
 		{"negative optimeout", []string{"-optimeout", "-1s"}, "optimeout must be >= 0"},
 	}
 	for _, tc := range cases {

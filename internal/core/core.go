@@ -55,7 +55,8 @@ type Job = master.Job
 type Config struct {
 	shardhost.Spec
 
-	// Model is the network cost model. Default transport.LAN2001().
+	// Model is the network cost model, the shard servers' modeled per-op
+	// CPU (Model.SpaceOp) included. Default transport.LAN2001().
 	Model *transport.Model
 	// Workers are the cluster's worker nodes.
 	Workers []cluster.NodeSpec
@@ -102,12 +103,12 @@ type Framework struct {
 
 	// Space is the master's operating handle: a shard.Router over the
 	// hosted shards, a one-member ring for the classic single shard (its
-	// shards gated when SpaceOpCost is set).
+	// shards gated when Model.SpaceOp is set).
 	Space space.Space
 	// Counters are the hosted shards' counter families — Durability, Repl,
-	// Reshard, Retries, Overload: each but Retries is nil while the feature
-	// it counts is off, Retries is Repl when replicated, and with Config.Obs
-	// set all of them are the Obs counter set.
+	// Reshard, Retries, Overload: each but Retries and Overload is nil while
+	// the feature it counts is off, Retries is Repl when replicated, and with
+	// Config.Obs set all of them are the Obs counter set.
 	shardhost.Counters
 	// MIB is the master's management information base when Config.Obs is
 	// set: the framework gauges exported as SNMP objects, served by an
@@ -157,8 +158,7 @@ type Result struct {
 	// outcomes replayed, budgets exhausted or denied, breaker transitions,
 	// memo dedup hits and evictions.
 	Retries map[string]uint64
-	// Overload is the admit:* / shed:* counter snapshot when any
-	// overload-protection knob was set.
+	// Overload is the admit:* / shed:* counter snapshot.
 	Overload map[string]uint64
 	// ObsSummary is the per-stage tail-latency table (p50/p90/p99/max of
 	// every non-empty histogram) when Config.Obs was set.
@@ -320,8 +320,6 @@ func (f *Framework) Run(job Job, script func(*Framework)) (Result, error) {
 			TaskTemplate:  func(map[string]string) tuplespace.Entry { return job.TaskTemplate() },
 			TxnTTL:        f.cfg.TxnTTL,
 			OpTimeout:     f.cfg.OpTimeout,
-			RetryBudget:   f.cfg.RetryBudget,
-			Breakers:      f.cfg.Breakers,
 			WatchInterval: f.cfg.WatchInterval,
 			AutoStart:     !f.cfg.Monitoring,
 			Obs:           f.cfg.Obs,
@@ -400,9 +398,7 @@ func (f *Framework) Run(job Job, script func(*Framework)) (Result, error) {
 		res.Resharding = f.Reshard.Snapshot()
 	}
 	res.Retries = f.Retries.Snapshot()
-	if f.Overload != nil {
-		res.Overload = f.Overload.Snapshot()
-	}
+	res.Overload = f.Overload.Snapshot()
 	if f.cfg.Obs != nil {
 		res.ObsSummary = f.cfg.Obs.Reg().Summary()
 	}

@@ -114,12 +114,12 @@ func TestShardedSingleShardMatchesClassic(t *testing.T) {
 // completes, and the master's metrics report the shard count.
 func TestGatedSpaceOpCost(t *testing.T) {
 	clk := vclock.NewVirtual(epoch)
+	model := transport.LAN2001()
+	model.SpaceOp = 2 * time.Millisecond
 	fw := New(clk, Config{
 		Workers: cluster.Uniform(2, 1.0),
-		Spec: shardhost.Spec{
-			Shards:      2,
-			SpaceOpCost: 2 * time.Millisecond,
-		},
+		Spec:    shardhost.Spec{Shards: 2},
+		Model:   &model,
 	})
 	job := montecarlo.NewJob(smallMCConfig())
 	var res Result

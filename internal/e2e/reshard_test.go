@@ -11,6 +11,7 @@ import (
 	"gospaces/internal/metrics"
 	"gospaces/internal/shardhost"
 	"gospaces/internal/space"
+	"gospaces/internal/transport"
 	"gospaces/internal/vclock"
 )
 
@@ -83,19 +84,17 @@ func TestReshardManualSplitAndMergeMidJob(t *testing.T) {
 // against a deliberately skewed deployment: one shard, ShardSpread tasks
 // (so the whole bag of keyed entries lands on that shard), and a split
 // threshold well under the job's op rate. The controller must observe
-// the hot EWMA, split the shard mid-job exactly once (the long cooldown
-// forbids a second action), and the job must finish exactly.
+// the hot EWMA, split the shard mid-job exactly once (the controller's
+// cooldown forbids a second action), and the job must finish exactly.
 func TestChaosReshardAutoSplitUnderSkew(t *testing.T) {
 	jc := failoverJobConfig()
 	res, job, fw := runFailover(t, nil, 4, core.Config{
 		Spec: shardhost.Spec{
-			Shards:            1,
-			AutoShard:         true,
-			SplitThreshold:    2, // ops/sec — far below the job's sustained rate
-			ReshardInterval:   500 * time.Millisecond,
-			ReshardHysteresis: 2,
-			ReshardCooldown:   2 * time.Minute, // one action per run, no flap
-			TxnTTL:            8 * time.Second,
+			Shards:          1,
+			AutoShard:       true,
+			SplitThreshold:  2, // ops/sec — far below the job's sustained rate
+			ReshardInterval: 500 * time.Millisecond,
+			TxnTTL:          8 * time.Second,
 		},
 		ResultTimeout: 5 * time.Minute,
 	}, jc, nil)
@@ -250,7 +249,7 @@ func shardTakes(f *core.Framework) uint64 {
 // exists for, on the virtual clock: the split blackout (the master's
 // cutover span plus one WatchInterval of worker ring convergence — the
 // window in which a not-yet-converged router can still miss) and the
-// post-split throughput gain on a skewed workload. SpaceOpCost models a
+// post-split throughput gain on a skewed workload. Model.SpaceOp models a
 // saturated shard server: one gate serializes every op pre-split, two
 // gates split the load after. CI archives the stream as
 // BENCH_reshard.json.
@@ -267,16 +266,18 @@ func BenchmarkReshardSplit(b *testing.B) {
 	const window = 4 * time.Second
 	var blackoutTotal time.Duration
 	var ratioTotal float64
+	model := transport.LAN2001()
+	model.SpaceOp = 20 * time.Millisecond
 	for n := 0; n < b.N; n++ {
 		clk := vclock.NewVirtual(chaosEpoch)
 		fw := core.New(clk, core.Config{
 			Spec: shardhost.Spec{
 				Shards:        1,
 				Elastic:       true,
-				SpaceOpCost:   20 * time.Millisecond,
 				WatchInterval: watch,
 				TxnTTL:        8 * time.Second,
 			},
+			Model:         &model,
 			ResultTimeout: 5 * time.Minute,
 			Workers:       cluster.Uniform(4, 1.0),
 		})

@@ -9,6 +9,7 @@ import (
 	"gospaces/internal/core"
 	"gospaces/internal/metrics"
 	"gospaces/internal/shardhost"
+	"gospaces/internal/transport"
 	"gospaces/internal/vclock"
 )
 
@@ -27,7 +28,7 @@ var shardedWorkerCounts = []int{1, 2, 4, 8, 12}
 
 // shardedJobConfig sizes the option-pricing job for the sharded sweep: a
 // smaller bag of tasks than Figure 6 with cheap planning, so the knee is
-// set by space-server saturation (SpaceOpCost) rather than by the
+// set by space-server saturation (Model.SpaceOp) rather than by the
 // master's serial planning work — the bottleneck sharding removes.
 func shardedJobConfig() montecarlo.JobConfig {
 	cfg := montecarlo.DefaultJobConfig()
@@ -47,16 +48,16 @@ func shardedJobConfig() montecarlo.JobConfig {
 // shards the same operation stream spreads over four servers and the knee
 // moves right.
 func ShardedKnee() ([]ShardedPoint, error) {
+	model := transport.LAN2001()
+	model.SpaceOp = 8 * time.Millisecond
 	var out []ShardedPoint
 	for _, shards := range []int{1, 4} {
 		for _, n := range shardedWorkerCounts {
 			clk := vclock.NewVirtual(epoch)
 			fw := core.New(clk, withObs(core.Config{
 				Workers: cluster.Uniform(n, 1.0),
-				Spec: shardhost.Spec{
-					Shards:      shards,
-					SpaceOpCost: 8 * time.Millisecond,
-				},
+				Spec:    shardhost.Spec{Shards: shards},
+				Model:   &model,
 			}))
 			job := montecarlo.NewJob(shardedJobConfig())
 			var res core.Result

@@ -56,7 +56,7 @@ type ShardHealth struct {
 type OverloadHealth struct {
 	// BrownoutLevel is the maximum level across hosted shards.
 	BrownoutLevel int `json:"brownout_level"`
-	// MaxInflight is the per-shard pending-op bound (0 = unlimited).
+	// MaxInflight is the per-shard pending-op bound.
 	MaxInflight int `json:"max_inflight"`
 	// Inflight sums admitted-but-unfinished ops across shards.
 	Inflight int `json:"inflight"`

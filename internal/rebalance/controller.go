@@ -48,16 +48,6 @@ type ControllerConfig struct {
 	// under SplitThreshold or split/merge could flap on a single load
 	// level; Controller enforces a 2× gap.
 	MergeThreshold float64
-	// Hysteresis is how many consecutive ticks a shard must breach a
-	// threshold before the controller acts (default 3) — one noisy tick
-	// never triggers a reshard.
-	Hysteresis int
-	// Cooldown is the minimum pause after any emitted action before the
-	// next one (default 30s): a reshard must have time to change the
-	// load picture before it is judged.
-	Cooldown time.Duration
-	// MaxShards caps the ring size splits can grow to (default 8).
-	MaxShards int
 	// Alpha is the EWMA smoothing factor in (0,1] (default 0.3).
 	Alpha float64
 	// Mergeable reports whether a shard may be merged away — the driver
@@ -76,15 +66,6 @@ func (c ControllerConfig) withDefaults() ControllerConfig {
 	if c.MergeThreshold > c.SplitThreshold/2 {
 		c.MergeThreshold = c.SplitThreshold / 2
 	}
-	if c.Hysteresis <= 0 {
-		c.Hysteresis = 3
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 30 * time.Second
-	}
-	if c.MaxShards <= 0 {
-		c.MaxShards = 8
-	}
 	if c.Alpha <= 0 || c.Alpha > 1 {
 		c.Alpha = 0.3
 	}
@@ -96,7 +77,17 @@ func (c ControllerConfig) withDefaults() ControllerConfig {
 // own cadence and executes whatever Actions come back, which keeps every
 // decision unit-testable and deterministic under the virtual clock.
 type Controller struct {
-	cfg    ControllerConfig
+	cfg ControllerConfig
+	// The pacing, the same for every deployment (only tests change it):
+	// a shard must breach a threshold for hysteresis consecutive ticks
+	// (3) before the controller acts, so one noisy tick never reshards;
+	// after any action it pauses for cooldown (30 s), so a reshard has
+	// time to change the load picture before it is judged; splits never
+	// grow the ring past maxShards (8).
+	hysteresis int
+	cooldown   time.Duration
+	maxShards  int
+
 	last   time.Time
 	cooled time.Time
 	stats  map[string]*shardStat
@@ -113,7 +104,8 @@ type shardStat struct {
 
 // NewController returns a controller with cfg's defaults filled in.
 func NewController(cfg ControllerConfig) *Controller {
-	return &Controller{cfg: cfg.withDefaults(), stats: make(map[string]*shardStat)}
+	return &Controller{cfg: cfg.withDefaults(), hysteresis: 3, cooldown: 30 * time.Second,
+		maxShards: 8, stats: make(map[string]*shardStat)}
 }
 
 // Rates returns the current per-shard op-rate EWMAs (ops/sec) — the
@@ -172,7 +164,7 @@ func (c *Controller) Advance(now time.Time, samples []Sample) []Action {
 		}
 	}
 
-	if !c.cooled.IsZero() && now.Sub(c.cooled) < c.cfg.Cooldown {
+	if !c.cooled.IsZero() && now.Sub(c.cooled) < c.cooldown {
 		return nil
 	}
 
@@ -189,9 +181,9 @@ func (c *Controller) Advance(now time.Time, samples []Sample) []Action {
 		return ids[i] < ids[j]
 	})
 
-	if len(c.stats) < c.cfg.MaxShards {
+	if len(c.stats) < c.maxShards {
 		for _, id := range ids {
-			if c.stats[id].hot >= c.cfg.Hysteresis {
+			if c.stats[id].hot >= c.hysteresis {
 				c.acted(now, id)
 				return []Action{{Kind: ActionSplit, ID: id}}
 			}
@@ -200,7 +192,7 @@ func (c *Controller) Advance(now time.Time, samples []Sample) []Action {
 	if c.cfg.Mergeable != nil && len(c.stats) > 1 {
 		for i := len(ids) - 1; i >= 0; i-- { // coldest first
 			id := ids[i]
-			if c.stats[id].cold >= c.cfg.Hysteresis && c.cfg.Mergeable(id) {
+			if c.stats[id].cold >= c.hysteresis && c.cfg.Mergeable(id) {
 				c.acted(now, id)
 				return []Action{{Kind: ActionMerge, ID: id}}
 			}

@@ -14,12 +14,20 @@ type tickSeq struct {
 	last []Action
 }
 
-func newTickSeq(cfg ControllerConfig) *tickSeq {
+func newTickSeq(c *Controller) *tickSeq {
 	return &tickSeq{
-		c:   NewController(cfg),
+		c:   c,
 		now: time.Unix(1000, 0),
 		cum: make(map[string]uint64),
 	}
+}
+
+// paced is NewController with the controller's pacing set to hyst ticks
+// of hysteresis and a cool cooldown.
+func paced(cfg ControllerConfig, hyst int, cool time.Duration) *Controller {
+	c := NewController(cfg)
+	c.hysteresis, c.cooldown = hyst, cool
+	return c
 }
 
 // tick advances one second with the given per-shard rates and entry
@@ -36,7 +44,7 @@ func (ts *tickSeq) tick(rates map[string]uint64) []Action {
 }
 
 func TestControllerSplitsAfterHysteresis(t *testing.T) {
-	ts := newTickSeq(ControllerConfig{SplitThreshold: 100, Hysteresis: 3, Cooldown: 5 * time.Second})
+	ts := newTickSeq(paced(ControllerConfig{SplitThreshold: 100}, 3, 5*time.Second))
 	rates := map[string]uint64{"hot": 1000, "cool": 10}
 	var acted []Action
 	ticks := 0
@@ -69,21 +77,22 @@ func TestControllerSplitsAfterHysteresis(t *testing.T) {
 }
 
 func TestControllerMaxShardsCapsSplits(t *testing.T) {
-	ts := newTickSeq(ControllerConfig{SplitThreshold: 100, Hysteresis: 1, Cooldown: time.Second, MaxShards: 2})
+	ts := newTickSeq(paced(ControllerConfig{SplitThreshold: 100}, 1, time.Second))
+	ts.c.maxShards = 2
 	rates := map[string]uint64{"a": 1000, "b": 1000}
 	for i := 0; i < 10; i++ {
 		if a := ts.tick(rates); len(a) != 0 {
-			t.Fatalf("split emitted at the MaxShards cap: %+v", a)
+			t.Fatalf("split emitted at the maxShards cap: %+v", a)
 		}
 	}
 }
 
 func TestControllerMergesOnlyMergeable(t *testing.T) {
 	allowed := map[string]bool{"child": true}
-	ts := newTickSeq(ControllerConfig{
-		SplitThreshold: 1000, MergeThreshold: 50, Hysteresis: 2, Cooldown: time.Second,
+	ts := newTickSeq(paced(ControllerConfig{
+		SplitThreshold: 1000, MergeThreshold: 50,
 		Mergeable: func(id string) bool { return allowed[id] },
-	})
+	}, 2, time.Second))
 	// Both shards idle; only the split-born child may merge.
 	rates := map[string]uint64{"parent": 0, "child": 0}
 	var acted []Action
@@ -96,10 +105,10 @@ func TestControllerMergesOnlyMergeable(t *testing.T) {
 }
 
 func TestControllerNeverMergesLastShard(t *testing.T) {
-	ts := newTickSeq(ControllerConfig{
-		MergeThreshold: 50, Hysteresis: 1, Cooldown: time.Second,
-		Mergeable: func(string) bool { return true },
-	})
+	ts := newTickSeq(paced(ControllerConfig{
+		MergeThreshold: 50,
+		Mergeable:      func(string) bool { return true },
+	}, 1, time.Second))
 	for i := 0; i < 10; i++ {
 		if a := ts.tick(map[string]uint64{"only": 0}); len(a) != 0 {
 			t.Fatalf("merged the last shard: %+v", a)
@@ -111,7 +120,7 @@ func TestControllerNeverMergesLastShard(t *testing.T) {
 // cumulative counters to zero; the difference must re-baseline, not wrap
 // uint64 into an absurd rate that triggers a spurious split.
 func TestControllerCounterResetGuard(t *testing.T) {
-	c := NewController(ControllerConfig{SplitThreshold: 100, Hysteresis: 1, Cooldown: time.Second})
+	c := paced(ControllerConfig{SplitThreshold: 100}, 1, time.Second)
 	now := time.Unix(1000, 0)
 	c.Advance(now, []Sample{{ID: "s", Ops: 100000}})
 	now = now.Add(time.Second)
@@ -135,10 +144,10 @@ func TestControllerCounterResetGuard(t *testing.T) {
 // TestControllerNoFlap: a load level between the merge and split
 // thresholds must never produce any action, however long it holds.
 func TestControllerNoFlap(t *testing.T) {
-	ts := newTickSeq(ControllerConfig{
-		SplitThreshold: 1000, MergeThreshold: 100, Hysteresis: 2, Cooldown: time.Second,
+	ts := newTickSeq(paced(ControllerConfig{
+		SplitThreshold: 1000, MergeThreshold: 100,
 		Mergeable: func(string) bool { return true },
-	})
+	}, 2, time.Second))
 	rates := map[string]uint64{"a": 500, "b": 500}
 	for i := 0; i < 30; i++ {
 		if a := ts.tick(rates); len(a) != 0 {

@@ -227,14 +227,14 @@ func genFaults(r *rand.Rand, m *Manifest) {
 	}
 }
 
-// genOverload arms the overload-protection plane on ~30% of manifests and
-// fires one mid-run burst against it. The knobs are deliberately generous
-// — MaxInflight well above what the workers alone generate — so the burst
-// generators absorb the sheds and rejections while the workers' high-
-// priority mutations keep flowing; the invariants then prove overload
+// genOverload tightens the overload-protection plane on ~30% of manifests
+// and fires one mid-run burst against it. The knobs are deliberately
+// generous — MaxInflight well above what the workers alone generate — so
+// the burst generators absorb the sheds and rejections while the workers'
+// high-priority mutations keep flowing; the invariants then prove overload
 // protection never loses or duplicates a result. A slow shard sometimes
 // rides along (extra latency on one shard's address) so the burst also
-// exercises the retry budget and, when armed, the breakers.
+// exercises the routers' retry budgets and breakers.
 func genOverload(r *rand.Rand, m *Manifest) {
 	if r.Float64() >= 0.3 {
 		return
@@ -244,12 +244,6 @@ func genOverload(r *rand.Rand, m *Manifest) {
 	// hold inflight slots through the gate queue), large enough that the
 	// workers alone never graze it.
 	m.MaxInflight = 8 + r.Intn(17)
-	if r.Float64() < 0.5 {
-		m.RetryBudget = 20 + r.Intn(30)
-	}
-	if r.Float64() < 0.5 {
-		m.Breakers = true
-	}
 	// The burst lands mid-run (4.5–5.5s): after genEvents' early slot and
 	// before its late one, so sorting keeps both plans' spacing intact.
 	m.Events = append(m.Events, Event{

@@ -51,7 +51,7 @@ const (
 	CorruptResult = "corrupt-result"
 	// OverloadBurst multiplies the offered load: Factor extra read
 	// generators per worker hammer the space for Window. With the
-	// manifest's overload knobs armed (OpCost, MaxInflight) the burst
+	// manifest's overload knobs set (OpCost, MaxInflight) the burst
 	// saturates the shard gates and exercises admission control, brownout
 	// shedding and retry budgets while the invariants must still hold —
 	// shed ops are the burst's own and the workers', and a worker
@@ -107,17 +107,14 @@ type Manifest struct {
 	// execute?" outcome every router resolves by retrying the mutation's
 	// token against the shard's memo table.
 	OpTimeout time.Duration `json:"op_timeout,omitempty"`
-	// OpCost models each shard server's per-op CPU (core.Config.
-	// SpaceOpCost): with it set an overload-burst actually saturates the
-	// shard gates instead of being absorbed by an infinitely fast server.
+	// OpCost models each shard server's per-op CPU (the network model's
+	// SpaceOp): with it set an overload-burst actually saturates the shard
+	// gates instead of being absorbed by an infinitely fast server.
 	OpCost time.Duration `json:"op_cost,omitempty"`
-	// MaxInflight bounds each shard's admitted-but-unfinished ops and arms
-	// its brownout controller (core.Config.MaxInflight; 0 = unlimited).
+	// MaxInflight bounds each shard's admitted-but-unfinished ops, which
+	// its brownout controller judges saturation against
+	// (core.Config.MaxInflight; 0 = space.DefaultMaxInflight).
 	MaxInflight int `json:"max_inflight,omitempty"`
-	// RetryBudget caps each router's retry volume (core.Config.RetryBudget).
-	RetryBudget int `json:"retry_budget,omitempty"`
-	// Breakers arms per-shard circuit breakers in every router.
-	Breakers bool `json:"breakers,omitempty"`
 	// App is the workload.
 	App AppSpec `json:"app"`
 	// Faults is the seeded fault schedule installed on the cluster's
@@ -156,9 +153,9 @@ func (m Manifest) Validate() error {
 	if m.OpTimeout < 0 {
 		return fmt.Errorf("scenario: op_timeout = %s, want >= 0", m.OpTimeout)
 	}
-	if m.OpCost < 0 || m.MaxInflight < 0 || m.RetryBudget < 0 {
-		return fmt.Errorf("scenario: overload knobs must be >= 0 (op_cost %s, max_inflight %d, retry_budget %d)",
-			m.OpCost, m.MaxInflight, m.RetryBudget)
+	if m.OpCost < 0 || m.MaxInflight < 0 {
+		return fmt.Errorf("scenario: overload knobs must be >= 0 (op_cost %s, max_inflight %d)",
+			m.OpCost, m.MaxInflight)
 	}
 	last := time.Duration(-1)
 	for i, ev := range m.Events {

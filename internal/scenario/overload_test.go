@@ -26,8 +26,6 @@ func TestOverloadBurstShedsWithoutLoss(t *testing.T) {
 		// MaxInflight and arms the brownout controller.
 		OpCost:      2 * time.Millisecond,
 		MaxInflight: 10,
-		RetryBudget: 40,
-		Breakers:    true,
 		App: AppSpec{
 			Name:   AppMonteCarlo,
 			Tasks:  16,

@@ -13,6 +13,7 @@ import (
 	"gospaces/internal/obs"
 	"gospaces/internal/shardhost"
 	"gospaces/internal/space"
+	"gospaces/internal/transport"
 	"gospaces/internal/tuplespace"
 	"gospaces/internal/vclock"
 	"gospaces/internal/wal"
@@ -94,6 +95,9 @@ func Run(m Manifest) Report {
 	if ttl == 0 {
 		ttl = 8 * time.Second
 	}
+	// The paper's LAN, with each shard server's modeled per-op CPU.
+	model := transport.LAN2001()
+	model.SpaceOp = m.OpCost
 	st := &runState{m: m, kills: make([]int, m.Shards)}
 	// The flight recorder is seeded like everything else: two same-seed
 	// runs produce byte-identical timelines (modulo wall stamps, which
@@ -110,12 +114,10 @@ func Run(m Manifest) Report {
 				DataDir:     dataDir,
 				FsyncPolicy: fsync,
 				TxnTTL:      ttl,
-				SpaceOpCost: m.OpCost,
 				MaxInflight: m.MaxInflight,
-				RetryBudget: m.RetryBudget,
-				Breakers:    m.Breakers,
 				Obs:         o,
 			},
+			Model:         &model,
 			OpTimeout:     m.OpTimeout,
 			ResultTimeout: 10 * time.Minute,
 		},

@@ -66,12 +66,6 @@ func TestGenerateValidAndCovering(t *testing.T) {
 				t.Errorf("seed %d: overload knobs armed without an overload-burst event", seed)
 			}
 		}
-		if m.RetryBudget > 0 {
-			shapes["retry-budget"]++
-		}
-		if m.Breakers {
-			shapes["breakers"]++
-		}
 		for _, r := range m.Faults.Rules {
 			shapes[r.Kind]++
 		}
@@ -79,7 +73,7 @@ func TestGenerateValidAndCovering(t *testing.T) {
 	for _, shape := range []string{
 		"replicated", "elastic", "durable", "raytrace", "events", "lookup-outage",
 		"ambiguous-timeout", "ambiguous-timeout-replicated", "lookup-outage-replicated",
-		"overload", "retry-budget", "breakers",
+		"overload",
 		faults.RuleCrashOnCall, faults.RuleDelay, faults.RuleDuplicate, faults.RuleDrop,
 	} {
 		if shapes[shape] == 0 {

@@ -2,54 +2,43 @@ package shard
 
 import (
 	"errors"
+	"fmt"
 	"time"
 
 	"gospaces/internal/metrics"
 	"gospaces/internal/obs"
 )
 
-// Per-shard circuit breakers (Options.Breaker). Every routed call feeds
-// its outcome into the target ring position's breaker; Threshold
-// consecutive hard failures trip it open, and while open the router
-// fast-fails calls at that position with ErrBreakerOpen instead of
-// paying the failure latency — which is what keeps one dead or hung
-// shard from stalling every scatter round for a full slice. After
-// Cooldown one call is admitted as the half-open probe; its success
-// closes the breaker, its failure re-opens it for another cooldown.
-// Tripping also nudges failover resolution once, so a breaker opening
-// on a dead primary usually heals by retargeting rather than waiting
-// out the cooldown.
+// Per-shard circuit breakers, armed in every router. Every routed call
+// feeds its outcome into the target ring position's breaker; threshold
+// consecutive failover-worthy failures trip it open, and while open the
+// router fast-fails calls at that position with ErrBreakerOpen instead of
+// paying the failure latency — which is what keeps one dead or hung shard
+// from stalling every scatter round for a full slice. After cooldown one
+// call is admitted as the half-open probe; its success closes the breaker,
+// its failure re-opens it for another cooldown. Tripping also nudges
+// failover resolution once, so a breaker opening on a dead primary usually
+// heals by retargeting rather than waiting out the cooldown.
 
 // ErrBreakerOpen fast-fails a call routed at a ring position whose
-// circuit breaker is open. It is a hard failure (the shard did not
-// serve the op) but never failover-worthy or ambiguous: the call was
-// not sent, so it provably did not execute.
+// circuit breaker is open; the fast-fail wraps it together with the
+// failure that opened the breaker. It is a hard failure (the shard did not
+// serve the op) but never failover-worthy or ambiguous: the call was not
+// sent, so it provably did not execute.
 var ErrBreakerOpen = errors.New("shard: circuit breaker open, call fast-failed")
 
-// BreakerConfig tunes the per-shard circuit breakers. The zero value of
-// each field selects the documented default; a nil Options.Breaker
-// disables breakers entirely.
-type BreakerConfig struct {
-	// Threshold is the consecutive hard-failure count that trips a
-	// closed breaker open (default 5).
-	Threshold int
-	// Cooldown is how long an open breaker fast-fails before admitting a
-	// single half-open probe (default 500ms). A half-open probe that
-	// never reports (its caller died) is replaced after another
-	// Cooldown, so a lost probe cannot wedge the breaker.
-	Cooldown time.Duration
+// breaker tunes a router's circuit breakers: threshold is the consecutive
+// failure count that trips a closed breaker open; cooldown is how long an
+// open breaker fast-fails before admitting a single half-open probe. A
+// half-open probe that never reports (its caller died) is replaced after
+// another cooldown, so a lost probe cannot wedge the breaker.
+type breaker struct {
+	threshold int
+	cooldown  time.Duration
 }
 
-func (c *BreakerConfig) withDefaults() *BreakerConfig {
-	out := *c
-	if out.Threshold <= 0 {
-		out.Threshold = 5
-	}
-	if out.Cooldown <= 0 {
-		out.Cooldown = 500 * time.Millisecond
-	}
-	return &out
-}
+// defaultBreaker is every router's breaker tuning.
+var defaultBreaker = breaker{threshold: 5, cooldown: 500 * time.Millisecond}
 
 const (
 	bkClosed = iota
@@ -70,6 +59,9 @@ type position struct {
 	// openedAt is when the breaker last opened, or — in the half-open
 	// state — when the current probe was admitted.
 	openedAt time.Time
+	// cause is the failure that last opened the breaker; a fast-fail
+	// carries it, so the caller's error still names what failed.
+	cause error
 
 	// lastResolve is the last failover resolution attempt, zero before the
 	// first (see tryFailover).
@@ -97,27 +89,26 @@ func (r *Router) syncPositions(v *view) {
 // allow reports whether a call routed at ring ID id may proceed. It
 // returns nil while the breaker is closed, admits exactly one probe per
 // cooldown while it is open or half-open, and fast-fails everything
-// else with ErrBreakerOpen. With no Options.Breaker it always allows.
+// else with ErrBreakerOpen wrapping the failure that opened the breaker.
 func (r *Router) allow(id string) error {
-	cfg := r.opts.Breaker
-	if cfg == nil {
-		return nil
-	}
 	now := r.opts.Clock.Now()
 	r.posMu.Lock()
 	denied := false
+	var cause error
 	if p := r.pos[id]; p != nil && p.state != bkClosed {
 		// Open: fast-fail until the cooldown admits a probe. Half-open: a
 		// probe is in flight, keep fast-failing — unless it never reported
 		// for a whole cooldown, then admit a replacement.
-		if denied = now.Sub(p.openedAt) < cfg.Cooldown; !denied {
+		if denied = now.Sub(p.openedAt) < r.breaker.cooldown; denied {
+			cause = p.cause
+		} else {
 			p.state, p.openedAt = bkHalfOpen, now
 		}
 	}
 	r.posMu.Unlock()
 	if denied {
 		r.countRetry(metrics.CounterBreakerFastFail)
-		return ErrBreakerOpen
+		return fmt.Errorf("%w: %w", ErrBreakerOpen, cause)
 	}
 	return nil
 }
@@ -128,13 +119,12 @@ func (r *Router) allow(id string) error {
 func (r *Router) observe(id string, err error) {
 	ok := err == nil || !hard(err)
 	if ok {
-		r.opts.Budget.Success()
+		r.budget.Success()
 	}
-	cfg := r.opts.Breaker
 	// Hard failures that are not failover-worthy are alive-but-refusing
 	// (overload, an expired deadline) or caller-side transaction misuse:
 	// proof the shard answers, or no signal about it at all.
-	if cfg == nil || !ok && !failoverWorthy(err) {
+	if !ok && !failoverWorthy(err) {
 		return
 	}
 	now := r.opts.Clock.Now()
@@ -148,17 +138,17 @@ func (r *Router) observe(id string, err error) {
 	switch {
 	case ok:
 		closed = p.state != bkClosed
-		p.state, p.fails = bkClosed, 0
+		p.state, p.fails, p.cause = bkClosed, 0, nil
 	case p.state == bkClosed:
-		if p.fails++; p.fails >= cfg.Threshold {
-			p.state, p.openedAt = bkOpen, now
+		if p.fails++; p.fails >= r.breaker.threshold {
+			p.state, p.openedAt, p.cause = bkOpen, now, err
 			tripped = true
 		}
 	default:
 		// A failed half-open probe re-opens for another cooldown; a
 		// straggler admitted before the trip that fails late restarts it,
 		// so the next probe waits out a full quiet period.
-		p.state, p.openedAt = bkOpen, now
+		p.state, p.openedAt, p.cause = bkOpen, now, err
 	}
 	r.posMu.Unlock()
 	if tripped {
@@ -175,8 +165,8 @@ func (r *Router) observe(id string, err error) {
 }
 
 // BreakerState reports ring ID id's breaker state as a string for
-// diagnostics ("closed", "open", "half-open"; "closed" with no breaker
-// configured, no recorded outcome, or an ID that is not in the ring).
+// diagnostics ("closed", "open", "half-open"; "closed" with no recorded
+// outcome, or for an ID that is not in the ring).
 func (r *Router) BreakerState(id string) string {
 	r.posMu.Lock()
 	defer r.posMu.Unlock()

@@ -14,11 +14,10 @@ import (
 	"gospaces/internal/vclock"
 )
 
-// TestRetryBudgetTokenBucket: the bucket starts full, denies when dry,
-// refills by the success ratio capped at max, and a nil budget never
-// denies.
+// TestRetryBudgetTokenBucket: the bucket starts full, denies when dry, and
+// refills by the success ratio capped at max.
 func TestRetryBudgetTokenBucket(t *testing.T) {
-	b := NewRetryBudget(2, 0.5)
+	b := newRetryBudget(2, 0.5)
 	if !b.Allow() || !b.Allow() {
 		t.Fatal("fresh bucket denied a retry")
 	}
@@ -39,11 +38,6 @@ func TestRetryBudgetTokenBucket(t *testing.T) {
 	if got := b.Tokens(); got != 2 {
 		t.Fatalf("tokens = %v after heavy refill, want capped at 2", got)
 	}
-	var nilBudget *RetryBudget
-	if !nilBudget.Allow() {
-		t.Fatal("nil budget denied")
-	}
-	nilBudget.Success() // must not panic
 }
 
 // TestRetryBudgetExhaustedSurfacesAmbiguity: when the retry budget runs
@@ -54,18 +48,17 @@ func TestRetryBudgetExhaustedSurfacesAmbiguity(t *testing.T) {
 	clk := vclock.NewReal()
 	ghost := newGhost(space.NewLocal(clk), 1)
 	ctr := metrics.NewCounters()
-	budget := NewRetryBudget(1, 0.001)
-	if !budget.Allow() {
-		t.Fatal("draining the budget")
-	}
 	r, err := New(Options{
 		Clock:    clk,
 		Seed:     "budget-test",
 		Counters: ctr,
-		Budget:   budget,
 	}, []Shard{{ID: "shard-0", Space: ghost, Epoch: 1}})
 	if err != nil {
 		t.Fatal(err)
+	}
+	r.budget = newRetryBudget(1, 0.001)
+	if !r.budget.Allow() {
+		t.Fatal("draining the budget")
 	}
 
 	_, werr := r.Write(kv{Key: "a", Val: 1}, nil, 0)
@@ -102,11 +95,11 @@ func TestBreakerTripsHalfOpensAndCloses(t *testing.T) {
 		Clock:    clk,
 		Seed:     "breaker-test",
 		Counters: ctr,
-		Breaker:  &BreakerConfig{Threshold: 3, Cooldown: 100 * time.Millisecond},
 	}, []Shard{{ID: "shard-0", Space: flaky, Epoch: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.breaker = breaker{threshold: 3, cooldown: 100 * time.Millisecond}
 
 	clk.Run(func() {
 		read := func() error {
@@ -160,6 +153,30 @@ func TestBreakerTripsHalfOpensAndCloses(t *testing.T) {
 	}
 }
 
+// TestBreakerSuccessResetsFailures: a breaker trips on consecutive
+// failures only — any reply in between starts the count again, also when
+// the breaker never left the closed state.
+func TestBreakerSuccessResetsFailures(t *testing.T) {
+	clk := vclock.NewVirtual(time.Unix(0, 0))
+	flaky := newFlaky(space.NewLocal(clk), errors.New("connection refused"), 0)
+	r, err := New(Options{Clock: clk, Seed: "reset-test"}, []Shard{{ID: "shard-0", Space: flaky, Epoch: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.breaker = breaker{threshold: 3, cooldown: 100 * time.Millisecond}
+	clk.Run(func() {
+		for round := 0; round < 3; round++ {
+			flaky.left = 2
+			for i := 0; i < 3; i++ {
+				r.ReadIfExists(kv{Key: "a"}, nil) // two failures, then ErrNoMatch
+			}
+			if got := r.BreakerState("shard-0"); got != "closed" {
+				t.Fatalf("round %d: state = %q after 2 failures and a reply, want closed", round, got)
+			}
+		}
+	})
+}
+
 // TestBreakerIgnoresAdmissionFastFails: ErrOverloaded means the shard is
 // alive and protecting itself — it must not count toward the breaker, or
 // overload would cascade into a spurious trip (and, with a resolver, a
@@ -168,13 +185,13 @@ func TestBreakerIgnoresAdmissionFastFails(t *testing.T) {
 	clk := vclock.NewReal()
 	flaky := newFlaky(space.NewLocal(clk), tuplespace.ErrOverloaded, 10)
 	r, err := New(Options{
-		Clock:   clk,
-		Seed:    "breaker-overload-test",
-		Breaker: &BreakerConfig{Threshold: 2, Cooldown: time.Millisecond},
+		Clock: clk,
+		Seed:  "breaker-overload-test",
 	}, []Shard{{ID: "shard-0", Space: flaky, Epoch: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.breaker = breaker{threshold: 2, cooldown: time.Millisecond}
 	for i := 0; i < 10; i++ {
 		if _, e := r.ReadIfExists(kv{Key: "a"}, nil); !errors.Is(e, tuplespace.ErrOverloaded) {
 			t.Fatalf("call %d: err = %v, want ErrOverloaded passed through", i, e)
@@ -182,6 +199,45 @@ func TestBreakerIgnoresAdmissionFastFails(t *testing.T) {
 	}
 	if got := r.BreakerState("shard-0"); got != "closed" {
 		t.Fatalf("state after 10 overload rejections = %q, want closed", got)
+	}
+}
+
+// TestBreakerFastFailKeepsCause: a fast-fail names the failure that opened
+// the breaker — here a per-op deadline expiry — and is never ambiguous,
+// however ambiguous its cause: the fast-failed call never left the router,
+// so a tokened take must surface it at once instead of replaying its token
+// against the open breaker until the budget runs dry.
+func TestBreakerFastFailKeepsCause(t *testing.T) {
+	clk := vclock.NewReal()
+	hung := newFlaky(space.NewLocal(clk), space.ErrOpTimeout, 1)
+	ctr := metrics.NewCounters()
+	r, err := New(Options{
+		Clock:    clk,
+		Seed:     "breaker-cause-test",
+		Counters: ctr,
+	}, []Shard{{ID: "shard-0", Space: hung, Epoch: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.breaker = breaker{threshold: 1, cooldown: time.Hour}
+	if _, e := r.ReadIfExists(kv{Key: "a"}, nil); !errors.Is(e, space.ErrOpTimeout) {
+		t.Fatalf("tripping read: err = %v, want ErrOpTimeout", e)
+	}
+	if got := r.BreakerState("shard-0"); got != "open" {
+		t.Fatalf("state after a timed-out read = %q, want open", got)
+	}
+	ambig := ctr.Snapshot()[metrics.CounterRetryAmbiguous]
+
+	_, e := r.Take(kv{Key: "a"}, nil, time.Second)
+	if !errors.Is(e, ErrBreakerOpen) || !errors.Is(e, space.ErrOpTimeout) {
+		t.Fatalf("fast-fail: err = %v, want ErrBreakerOpen naming ErrOpTimeout", e)
+	}
+	snap := ctr.Snapshot()
+	if got := snap[metrics.CounterRetryAmbiguous]; got != ambig {
+		t.Fatalf("retry:ambiguous moved %d → %d on a fast-fail: %v", ambig, got, snap)
+	}
+	if got := r.budget.Tokens(); got != defaultRetryTokens {
+		t.Fatalf("budget = %v after a fast-fail, want untouched %d", got, defaultRetryTokens)
 	}
 }
 
@@ -204,7 +260,6 @@ func TestPositionStateBounded(t *testing.T) {
 		Counters:        ctr,
 		Obs:             obs.New(1),
 		FailoverBackoff: time.Nanosecond,
-		Breaker:         &BreakerConfig{Threshold: 1, Cooldown: time.Hour},
 		Failover: func(id string) (Shard, error) {
 			return Shard{ID: id, Space: space.NewLocal(clk), Epoch: 2, Trace: obs.TraceContext{TraceID: 1, SpanID: 1}}, nil
 		},
@@ -212,6 +267,7 @@ func TestPositionStateBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.breaker = breaker{threshold: 1, cooldown: time.Hour}
 	base := r.Topology().Members[0]
 	const cycles = 200
 	for i := 1; i <= cycles; i++ {

@@ -32,7 +32,7 @@ import (
 // Every mutation carries a token (token), so none outside a caller
 // transaction is ever left with an ambiguous outcome it may not replay (one
 // inside is never replayed; its token answers a redelivery). Every
-// replay is charged to the shared RetryBudget first, so a cluster-wide
+// replay is charged to the router's RetryBudget first, so a cluster-wide
 // failure cannot amplify offered load into a retry storm.
 
 // where addresses one ring position and says how it is re-resolved between

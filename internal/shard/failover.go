@@ -162,8 +162,11 @@ func failoverWorthy(err error) bool {
 // answered, so it may have executed on the old primary with only the
 // reply lost. Every other hard failure here (dial refusal, ErrFenced,
 // ErrUnavailable, a closed space) guarantees the mutation did not take
-// effect.
-func ambiguous(err error) bool { return errors.Is(err, space.ErrOpTimeout) }
+// effect, and so does a breaker fast-fail whatever its cause: that call
+// never left the router.
+func ambiguous(err error) bool {
+	return errors.Is(err, space.ErrOpTimeout) && !errors.Is(err, ErrBreakerOpen)
+}
 
 // fresh returns the current handle behind ring ID id.
 func (r *Router) fresh(id string) space.Space { return r.snapshot().shards[id] }

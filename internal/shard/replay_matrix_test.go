@@ -16,8 +16,9 @@ import (
 
 // The replay matrix pins what the router does after one scripted failure,
 // for every kind of routed op × failure class × failover resolver × retry
-// budget. It is written against the exported API only (New, Options, fake
-// handles built with space.Intercept). The replayMatrix table was
+// budget. It is written against the exported API (New, Options, fake
+// handles built with space.Intercept), save for draining the router's
+// budget in the "empty" column. The replayMatrix table was
 // generated at the commit before the per-shard call code was consolidated
 // into Router.call (go test -v -run 'TestReplayMatrix$'
 // -replaymatrix.dump), when routers still had an at-most-once mode and the
@@ -34,7 +35,7 @@ type mxCell struct {
 	op       string // see mxOps
 	fail     string // see mxFailures: the error the first handle call returns
 	resolver string // Options.Failover: "none" | "retarget" | "nothing"
-	budget   string // Options.Budget: "nil" | "empty"
+	budget   string // the router's retry budget: "full" | "empty"
 }
 
 // mxOutcome is what one cell is held to.
@@ -53,7 +54,7 @@ type mxRow struct {
 
 var (
 	mxResolvers = []string{"none", "retarget", "nothing"}
-	mxBudgets   = []string{"nil", "empty"}
+	mxBudgets   = []string{"full", "empty"}
 	mxFailNames = []string{"refused", "optimeout", "overloaded", "badtxn"}
 	mxFailures  = map[string]error{
 		"refused":    errors.New("dial tcp 127.0.0.1:1: connect: connection refused"),
@@ -216,13 +217,13 @@ func mxRun(t *testing.T, c mxCell) mxOutcome {
 	case "nothing":
 		opts.Failover = func(id string) (Shard, error) { return Shard{}, errors.New("no newer registration") }
 	}
-	if c.budget == "empty" {
-		opts.Budget = NewRetryBudget(1, 0.001)
-		opts.Budget.Allow()
-	}
 	r, err := New(opts, shards)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if c.budget == "empty" {
+		r.budget = newRetryBudget(1, 0.001)
+		r.budget.Allow()
 	}
 	var run func() error
 	for _, op := range mxOps {

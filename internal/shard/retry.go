@@ -34,16 +34,14 @@ func clientID(seed string, at time.Time) string {
 	return seed + "@" + strconv.FormatUint(uint64(at.UnixNano()), 36)
 }
 
-// RetryBudget is a token bucket bounding the router's total retry
-// volume (Options.Budget). Every successful call — soft no-match
-// replies included, the shard answered — deposits Ratio tokens, capped
-// at Max; every retry attempt withdraws one. When the bucket runs dry
+// RetryBudget is the token bucket bounding a router's total retry volume;
+// every router builds its own. Every successful call — soft no-match
+// replies included, the shard answered — deposits ratio tokens, capped
+// at max; every retry attempt withdraws one. When the bucket runs dry
 // retries are denied (metrics.CounterRetryBudgetDenied) and the last
 // error surfaces instead, so a cluster-wide failure cannot amplify
 // offered load into a retry storm: sustained retry throughput is capped
-// at Ratio times the success throughput. One budget is typically shared
-// by everything a process routes through. A nil *RetryBudget never
-// denies — the zero-configuration behavior is exactly the old one.
+// at ratio times the success throughput.
 type RetryBudget struct {
 	mu     sync.Mutex
 	tokens float64
@@ -51,26 +49,23 @@ type RetryBudget struct {
 	ratio  float64
 }
 
-// NewRetryBudget returns a budget holding at most max tokens (default
-// 10 when <= 0) that refills ratio tokens per observed success (default
-// 0.1 when <= 0, i.e. one retry per ten successes). The bucket starts
-// full so cold-start failures can still retry.
-func NewRetryBudget(max int, ratio float64) *RetryBudget {
-	if max <= 0 {
-		max = 10
-	}
-	if ratio <= 0 {
-		ratio = 0.1
-	}
+// The budget every router starts with: ten retries, refilled by one per
+// ten successes.
+const (
+	defaultRetryTokens = 10
+	defaultRetryRatio  = 0.1
+)
+
+// newRetryBudget returns a budget holding at most max tokens that refills
+// ratio tokens per observed success. The bucket starts full so cold-start
+// failures can still retry.
+func newRetryBudget(max int, ratio float64) *RetryBudget {
 	return &RetryBudget{tokens: float64(max), max: float64(max), ratio: ratio}
 }
 
 // Allow withdraws one retry token, reporting false when the bucket is
-// empty. A nil budget always allows.
+// empty.
 func (b *RetryBudget) Allow() bool {
-	if b == nil {
-		return true
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.tokens < 1 {
@@ -80,12 +75,8 @@ func (b *RetryBudget) Allow() bool {
 	return true
 }
 
-// Success deposits one success's worth of refill. A nil budget ignores
-// it.
+// Success deposits one success's worth of refill.
 func (b *RetryBudget) Success() {
-	if b == nil {
-		return
-	}
 	b.mu.Lock()
 	if b.tokens += b.ratio; b.tokens > b.max {
 		b.tokens = b.max
@@ -93,11 +84,8 @@ func (b *RetryBudget) Success() {
 	b.mu.Unlock()
 }
 
-// Tokens reports the current balance (diagnostics; nil-safe).
+// Tokens reports the current balance (diagnostics).
 func (b *RetryBudget) Tokens() float64 {
-	if b == nil {
-		return 0
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.tokens
@@ -107,7 +95,7 @@ func (b *RetryBudget) Tokens() float64 {
 // denial when the bucket is dry. Every replay — a tokened one and a read's
 // single retry after a failover alike — spends here first.
 func (r *Router) spendRetry() bool {
-	if r.opts.Budget.Allow() {
+	if r.budget.Allow() {
 		return true
 	}
 	r.countRetry(metrics.CounterRetryBudgetDenied)

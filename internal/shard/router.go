@@ -94,16 +94,6 @@ type Options struct {
 	// the promotion span the resolved registration carried. Nil keeps all
 	// of it a cheap branch.
 	Obs *obs.Obs
-	// Budget, when set, is the token-bucket retry budget every retry
-	// path shares — token replays and the single retry of a read after a
-	// failover alike (see RetryBudget in retry.go). Nil never denies a
-	// retry.
-	Budget *RetryBudget
-	// Breaker, when set, enables per-ring-ID circuit breakers with
-	// half-open probing (see breaker.go): a shard whose calls hard-fail
-	// Threshold times in a row fast-fails with ErrBreakerOpen instead of
-	// stalling scatter rounds. Nil disables breakers.
-	Breaker *BreakerConfig
 }
 
 func (o Options) withDefaults() Options {
@@ -134,9 +124,6 @@ func (o Options) withDefaults() Options {
 	if o.Retry.Max <= 0 {
 		o.Retry.Max = 500 * time.Millisecond
 	}
-	if o.Breaker != nil {
-		o.Breaker = o.Breaker.withDefaults()
-	}
 	return o
 }
 
@@ -160,10 +147,15 @@ type view struct {
 // templates whose `space:"index"` key field is set route to exactly one
 // shard via the consistent-hash ring; zero-key operations scatter-gather.
 // A Router over a single shard — a one-member ring — sends every operation
-// there; it still mints tokens and opens sub-transactions lazily.
+// there; it still mints tokens and opens sub-transactions lazily. Every
+// router is overload-protected: one retry budget bounds all of its
+// retries (retry.go) and a circuit breaker guards each ring position
+// (breaker.go).
 type Router struct {
 	space.Facade
-	opts Options
+	opts    Options
+	budget  *RetryBudget
+	breaker breaker
 
 	mu sync.RWMutex
 	v  *view
@@ -186,7 +178,11 @@ type Router struct {
 
 // New builds a router over shards (at least one, distinct IDs).
 func New(opts Options, shards []Shard) (*Router, error) {
-	r := &Router{opts: opts.withDefaults()}
+	r := &Router{
+		opts:    opts.withDefaults(),
+		budget:  newRetryBudget(defaultRetryTokens, defaultRetryRatio),
+		breaker: defaultBreaker,
+	}
 	r.Facade = space.NewFacade(r)
 	r.rot.Store(hash64(r.opts.Seed))
 	r.clientID = clientID(r.opts.Seed, r.opts.Clock.Now())

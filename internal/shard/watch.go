@@ -169,32 +169,20 @@ type Assembly struct {
 	// Counters receives the router's failover, retry, budget and breaker
 	// counts (nil = uncounted).
 	Counters *metrics.Counters
-	// RetryBudget > 0 caps this participant's retry volume with its own
-	// token bucket: the budget bounds what one process can amplify.
-	RetryBudget int
-	// Breakers arms the per-ring-position circuit breakers.
-	Breakers bool
 	Failover func(ringID string) (Shard, error)
 }
 
 // Assemble builds the router for a over shards.
 func Assemble(a Assembly, shards []Shard) (*Router, error) {
-	opts := Options{
+	return New(Options{
 		Clock: a.Clock, Seed: a.Seed, Obs: a.Obs,
 		Counters: a.Counters, Failover: a.Failover,
-	}
-	if a.RetryBudget > 0 {
-		opts.Budget = NewRetryBudget(a.RetryBudget, 0)
-	}
-	if a.Breakers {
-		opts.Breaker = &BreakerConfig{}
-	}
-	return New(opts, shards)
+	}, shards)
 }
 
 // DefaultWatchInterval is how often a ring client polls the lookup service
 // for a newer topology — the bound on client ring convergence that a
-// host's post-cutover drain must outlast (shardhost.Spec.ReshardDrain).
+// host's post-cutover drain, two of them, must outlast.
 const DefaultWatchInterval = 500 * time.Millisecond
 
 // Watcher polls the lookup service for published topologies and applies

@@ -58,11 +58,9 @@ func (s *reshardState) end() {
 }
 
 // initElastic publishes the initial topology (epoch 1: every seed shard
-// with its default labels) and primes the reshard bookkeeping. Publishing
-// before the first split makes topology records authoritative from the
-// start: a watcher that sees any topology record disables its legacy
-// add-only membership growth, so a reshard can never race a stale
-// registration back into the ring.
+// with its default labels) and primes the reshard bookkeeping. A watcher
+// takes ring membership from topology records only, so publishing before
+// the first split gives every client a record to follow from the start.
 func (h *Host) initElastic() error {
 	h.reshard = &reshardState{parents: make(map[string]string)}
 	t := h.router.Topology()
@@ -344,9 +342,10 @@ func (h *Host) flushPrimary(ps *position) {
 // shipped or logged can no longer be mistaken for a new write's (no
 // loss).
 func (h *Host) lameDuck(m *rebalance.Migration, healthy bool, ring string, dst *tuplespace.Applier, pred func(tuplespace.Entry) bool, memoPred func(key string, keyed bool) bool) (int, error) {
+	drain := h.spec.drain()
 	total := 0
 	if healthy {
-		n, err := m.Drain(h.spec.ReshardDrain)
+		n, err := m.Drain(drain)
 		total += n
 		if err == nil {
 			return total, nil
@@ -371,7 +370,7 @@ func (h *Host) lameDuck(m *rebalance.Migration, healthy bool, ring string, dst *
 			lastErr = err
 			continue
 		}
-		n, err := m2.Drain(h.spec.ReshardDrain)
+		n, err := m2.Drain(drain)
 		total += n
 		if err == nil {
 			return total, nil
@@ -533,9 +532,6 @@ func (h *Host) newRebalancer() *rebalancer {
 	return &rebalancer{h: h, ctrl: rebalance.NewController(rebalance.ControllerConfig{
 		SplitThreshold: h.spec.SplitThreshold,
 		MergeThreshold: h.spec.MergeThreshold,
-		Hysteresis:     h.spec.ReshardHysteresis,
-		Cooldown:       h.spec.ReshardCooldown,
-		MaxShards:      h.spec.MaxShards,
 		Mergeable:      h.mergeable,
 	})}
 }

@@ -44,6 +44,12 @@ type Env struct {
 	// WrapWriter, when set, wraps the WAL segment writer of the node at
 	// addr — the fault plan's disk-error hook.
 	WrapWriter func(addr string) func(io.Writer) io.Writer
+
+	// spaceOp is the in-process network model's transport.Model.SpaceOp,
+	// which only InProcEnv sets: every serving node admits requests
+	// through a FIFO service gate of this cost. A TCP host's servers
+	// spend real CPU instead.
+	spaceOp time.Duration
 }
 
 type registryRegistrar struct{ *discovery.Registry }
@@ -64,7 +70,8 @@ func RegistryRegistrar(r *discovery.Registry) Registrar { return registryRegistr
 // root, shard i at "<root>.shard<i>", a standby at "<ring>.backup". Dials
 // are tagged with the caller's address so a fault plan can cut exactly one
 // link. Spawn starts a plain goroutine; a caller with a process group
-// (core's Run) replaces it.
+// (core's Run) replaces it. Every node is gated at the network model's
+// per-op server cost.
 func InProcEnv(nw *transport.Network, root string, reg *discovery.Registry) Env {
 	return Env{
 		Listen: func(n Node, srv *transport.Server) (string, func(), error) {
@@ -85,6 +92,7 @@ func InProcEnv(nw *transport.Network, root string, reg *discovery.Registry) Env 
 		},
 		Registrar: RegistryRegistrar(reg),
 		Spawn:     func(fn func()) { go fn() },
+		spaceOp:   nw.Model().SpaceOp,
 	}
 }
 

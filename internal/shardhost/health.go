@@ -23,7 +23,6 @@ import (
 // "browned-out" while any of them sheds.
 func (h *Host) Health() obs.Health {
 	hl := obs.Health{Status: "ok", TopologyEpoch: h.router.TopoEpoch()}
-	hl.Overload.MaxInflight = h.spec.MaxInflight
 	owned := h.router.Ownership()
 	var rates map[string]float64
 	splitBorn := map[string]bool{}
@@ -62,6 +61,7 @@ func (h *Host) Health() obs.Health {
 			sh.MemoEntries, sh.DedupHits, _ = n.local.TS.MemoStats()
 		}
 		v := svc.Admission().Vitals()
+		hl.Overload.MaxInflight = v.MaxInflight
 		sh.BrownoutLevel = v.BrownoutLevel
 		sh.Inflight = v.Inflight
 		sh.AdmitRejected = v.Rejected

@@ -42,7 +42,7 @@ type Counters struct {
 	// counts and every shard's dedup:* counts. It is Repl when replicated,
 	// so one snapshot shows failovers next to the retries they caused.
 	Retries  *metrics.Counters
-	Overload *metrics.Counters // admit:* / shed:* (any overload knob)
+	Overload *metrics.Counters // admit:* / shed:* (never nil)
 }
 
 // Host is an assembled shard set.
@@ -144,7 +144,7 @@ func (h *Host) assemble() error {
 		Durability: family(spec.DataDir != ""),
 		Repl:       family(spec.Replicas > 0),
 		Reshard:    family(spec.Elastic),
-		Overload:   family(spec.MaxInflight > 0 || spec.RetryBudget > 0 || spec.Breakers),
+		Overload:   family(true),
 	}
 	if h.Counters.Retries = h.Counters.Repl; h.Counters.Retries == nil {
 		h.Counters.Retries = family(true)
@@ -168,7 +168,7 @@ func (h *Host) assemble() error {
 	// the membership — and the caller's captured handle observes all three.
 	a := shard.Assembly{
 		Clock: clock, Seed: "master", Obs: spec.Obs,
-		Counters: h.Counters.Retries, RetryBudget: spec.RetryBudget, Breakers: spec.Breakers,
+		Counters: h.Counters.Retries,
 	}
 	if spec.Replicas > 0 {
 		a.Failover = h.resolve
@@ -411,14 +411,14 @@ func (h *Host) serve(ps *position, n *node, epoch uint64, gate *transport.Servic
 		n.srv.WrapPrefix("space.", p.Middleware())
 	}
 	var handle space.Space = n.local
-	if h.spec.SpaceOpCost > 0 {
+	if h.env.spaceOp > 0 {
 		if gate == nil {
-			gate = transport.NewServiceGate(h.clock, h.spec.SpaceOpCost)
+			gate = transport.NewServiceGate(h.clock, h.env.spaceOp)
 		}
 		handle = space.Gated(n.local, gate)
 	}
-	// The propagated-deadline check always, the inflight bound and brownout
-	// controller with MaxInflight, the deadline-aware gate when modeled.
+	// The propagated-deadline check, the inflight bound and the brownout
+	// controller always, the deadline-aware gate when modeled.
 	svc.Admission().Configure(space.AdmissionConfig{
 		Clock:       h.clock,
 		MaxInflight: h.spec.MaxInflight,

@@ -176,7 +176,7 @@ func TestOneScriptTwoEnvironments(t *testing.T) {
 		h := d.host(t, Spec{
 			Shards: 2, Replicas: 1, Elastic: true, FailoverTimeout: failover,
 			DataDir: t.TempDir(), FsyncPolicy: wal.FsyncNever,
-			ReshardDrain: 50 * time.Millisecond,
+			WatchInterval: 25 * time.Millisecond,
 		})
 		var script []string
 		check := func(step string) {
@@ -310,7 +310,7 @@ func TestTCPAdmissionFollowsServingNode(t *testing.T) {
 		// -autoshard with thresholds no test load reaches: the rebalancer
 		// runs, the health provider is the elastic one, nothing reshards.
 		AutoShard: true, SplitThreshold: 1e9, ReshardInterval: 50 * time.Millisecond,
-		ReshardDrain: 50 * time.Millisecond,
+		WatchInterval: 25 * time.Millisecond,
 	})
 	ring0, _ := h.RingID(0)
 	if err := h.KillPrimary(0); err != nil {
@@ -390,7 +390,7 @@ func TestTCPSplitThenFailover(t *testing.T) {
 	d := tcp(t)
 	h := d.host(t, Spec{
 		Shards: 1, Replicas: 1, AutoShard: true, SplitThreshold: 1e9,
-		FailoverTimeout: failover, ReshardDrain: 50 * time.Millisecond,
+		FailoverTimeout: failover, WatchInterval: 25 * time.Millisecond,
 	})
 	for i := 0; i < entries; i++ {
 		if _, err := h.Space().Write(kv{K: fmt.Sprintf("k%02d", i), V: i}, nil, tuplespace.Forever); err != nil {
@@ -438,7 +438,7 @@ func TestTCPSplitThenFailover(t *testing.T) {
 func TestSplitReportsEntriesNotRecords(t *testing.T) {
 	const entries = 40
 	d := inproc(t)
-	h := d.host(t, Spec{Shards: 1, Elastic: true, ReshardDrain: 50 * time.Millisecond})
+	h := d.host(t, Spec{Shards: 1, Elastic: true, WatchInterval: 25 * time.Millisecond})
 	for i := 0; i < entries; i++ {
 		if _, err := h.Space().Write(kv{K: fmt.Sprintf("k%02d", i), V: i}, nil, tuplespace.Forever); err != nil {
 			t.Fatal(err)
@@ -475,23 +475,30 @@ func TestSplitReportsEntriesNotRecords(t *testing.T) {
 	}
 }
 
-// failingDisk fails every write while armed.
+// failingDisk fails every write with errDiskFailure while armed.
 type failingDisk struct {
 	w     io.Writer
 	armed *atomic.Bool
 }
 
+var errDiskFailure = errors.New("injected disk failure")
+
 func (f failingDisk) Write(p []byte) (int, error) {
 	if f.armed.Load() {
-		return 0, errors.New("injected disk failure")
+		return 0, errDiskFailure
 	}
 	return f.w.Write(p)
 }
 
 // TestDurableHostIsStrict: a hosted durable shard acknowledges nothing its
-// log refused. At the parent commit Spec.StrictDurability was set by no
-// caller, so every hosted WAL was lenient: the write below succeeded, the
-// entry was served, and only journal:errors said the disk had refused it.
+// log refused. Once Spec.StrictDurability was set by no caller, so every
+// hosted WAL was lenient: the write below succeeded, the entry was served,
+// and only journal:errors said the disk had refused it.
+//
+// The refused write and its token replays are consecutive failures that a
+// promoted standby could cure, so they trip the master's circuit breaker:
+// a write inside the cooldown fast-fails naming the disk's error, and the
+// first write after it is the probe that finds the healed disk.
 func TestDurableHostIsStrict(t *testing.T) {
 	d := inproc(t)
 	var armed atomic.Bool
@@ -500,8 +507,8 @@ func TestDurableHostIsStrict(t *testing.T) {
 	}
 	h := d.host(t, Spec{Shards: 1, DataDir: t.TempDir()})
 	armed.Store(true)
-	if _, err := h.Space().Write(kv{K: "refused", V: 1}, nil, tuplespace.Forever); err == nil {
-		t.Fatal("a write the WAL refused was acknowledged")
+	if _, err := h.Space().Write(kv{K: "refused", V: 1}, nil, tuplespace.Forever); !errors.Is(err, errDiskFailure) {
+		t.Fatalf("a write the WAL refused: err = %v, want the disk's error", err)
 	}
 	armed.Store(false)
 	if n := h.Shards()[0].TS.Stats().EntriesLive; n != 0 {
@@ -510,8 +517,22 @@ func TestDurableHostIsStrict(t *testing.T) {
 	if got := h.Counters.Durability.Get(metrics.CounterJournalErrors); got == 0 {
 		t.Fatalf("%s = 0, want the refusal counted", metrics.CounterJournalErrors)
 	}
-	if _, err := h.Space().Write(kv{K: "logged", V: 2}, nil, tuplespace.Forever); err != nil {
-		t.Fatalf("write once the disk healed: %v", err)
+	_, err := h.Space().Write(kv{K: "logged", V: 2}, nil, tuplespace.Forever)
+	if !errors.Is(err, shard.ErrBreakerOpen) || !errors.Is(err, errDiskFailure) {
+		t.Fatalf("write inside the breaker's cooldown: err = %v, want ErrBreakerOpen naming the disk's error", err)
+	}
+	if n := h.Shards()[0].TS.Stats().EntriesLive; n != 0 {
+		t.Fatalf("the shard serves %d entries after a fast-failed write", n)
+	}
+	for deadline := time.Now().Add(5 * time.Second); errors.Is(err, shard.ErrBreakerOpen); {
+		if time.Now().After(deadline) {
+			t.Fatalf("write once the disk healed: %v", err)
+		}
+		time.Sleep(20 * time.Millisecond)
+		_, err = h.Space().Write(kv{K: "logged", V: 2}, nil, tuplespace.Forever)
+	}
+	if err != nil {
+		t.Fatalf("write once the disk healed and the cooldown passed: %v", err)
 	}
 	if n, err := h.Space().Count(kv{}); err != nil || n != 1 {
 		t.Fatalf("count = %d, %v; want the one logged entry", n, err)
@@ -564,16 +585,16 @@ func TestSplitRefusesStaleChildWAL(t *testing.T) {
 	}
 }
 
-// TestDrainOutlastsClientConvergence: the default lame-duck window is derived
-// from the clients' watch interval, so "drain outlasts ring convergence"
-// holds by definition — in the simulator and over TCP alike. At the parent
-// cmd/worker polled every 30 s against a 10 s default drain.
+// TestDrainOutlastsClientConvergence: the lame-duck window is derived from
+// the clients' watch interval, so "drain outlasts ring convergence" holds
+// by definition — in the simulator and over TCP alike. Once cmd/worker
+// polled every 30 s against a 10 s default drain.
 func TestDrainOutlastsClientConvergence(t *testing.T) {
-	if got := (Spec{}).withDefaults(); got.ReshardDrain < 2*shard.DefaultWatchInterval {
-		t.Fatalf("default ReshardDrain = %v, want at least 2×%v", got.ReshardDrain, shard.DefaultWatchInterval)
+	if got := (Spec{}).withDefaults().drain(); got < 2*shard.DefaultWatchInterval {
+		t.Fatalf("default drain = %v, want at least 2×%v", got, shard.DefaultWatchInterval)
 	}
-	if got := (Spec{WatchInterval: 3 * time.Second}).withDefaults(); got.ReshardDrain != 6*time.Second {
-		t.Fatalf("ReshardDrain = %v for a 3 s watch interval, want 6 s", got.ReshardDrain)
+	if got := (Spec{WatchInterval: 3 * time.Second}).withDefaults().drain(); got != 6*time.Second {
+		t.Fatalf("drain = %v for a 3 s watch interval, want 6 s", got)
 	}
 }
 
@@ -590,11 +611,9 @@ func TestSpecValidate(t *testing.T) {
 		{"replicas out of range", Spec{Replicas: 2}, "replicas must be 0 or 1"},
 		{"negative replicas", Spec{Replicas: -1}, "replicas must be 0 or 1"},
 		{"negative max-inflight", Spec{MaxInflight: -1}, "max-inflight must be >= 0"},
-		{"negative retry-budget", Spec{RetryBudget: -5}, "retry-budget must be >= 0"},
 		{"negative failover-timeout", Spec{FailoverTimeout: -time.Second}, "failover-timeout must be >= 0"},
 		{"negative reshard-interval", Spec{ReshardInterval: -time.Second}, "reshard-interval must be >= 0"},
 		{"negative split threshold", Spec{SplitThreshold: -1}, "thresholds must be >= 0"},
-		{"max-shards below seeds", Spec{Shards: 4, MaxShards: 2}, "below the 4 seed shards"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

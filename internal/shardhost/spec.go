@@ -12,9 +12,15 @@ import (
 
 // Spec describes a hosted shard set and the deployment-wide knobs its
 // clients share: core.Config embeds it, cmd/master fills it from flags, and
-// the worker side (internal/workerhost) is handed RetryBudget, Breakers,
-// TxnTTL, WatchInterval and Obs from the same struct, so each is written
-// once per deployment.
+// the worker side (internal/workerhost) is handed TxnTTL, WatchInterval and
+// Obs from the same struct, so each is written once per deployment.
+//
+// Overload protection is not a setting: every serving node bounds its
+// inflight ops (MaxInflight, default space.DefaultMaxInflight) and runs
+// the brownout controller, and every router — the master's and each
+// worker's — arms its retry budget and circuit breakers. The modeled
+// per-op server CPU is the in-process network's (transport.Model.SpaceOp,
+// which InProcEnv hands the host), not the spec's.
 type Spec struct {
 	// Shards is how many seed shards to host (default 1). With K > 1
 	// entries partition across them by their `space:"index"` key via a
@@ -22,10 +28,6 @@ type Spec struct {
 	// binds the code server on shard 0's server, so one shard is exactly the
 	// classic single-server deployment.
 	Shards int
-	// SpaceOpCost models the server CPU one space operation consumes: each
-	// serving node admits requests through a FIFO service gate of this
-	// cost, so a saturated server queues callers. Zero disables the gate.
-	SpaceOpCost time.Duration
 
 	// DataDir, when set, makes every hosted shard durable — JavaSpaces'
 	// persistent (Outrigger) mode: shard i keeps a segmented WAL plus
@@ -49,40 +51,29 @@ type Spec struct {
 	FailoverTimeout time.Duration
 
 	// MaxInflight bounds each serving node's admitted-but-unfinished ops:
-	// past it calls fast-fail with tuplespace.ErrOverloaded and the brownout
-	// controller sheds the lowest-priority op classes first. 0 = unlimited.
+	// past it calls fast-fail with tuplespace.ErrOverloaded, and near it
+	// the brownout controller sheds the lowest-priority op classes first.
+	// 0 = space.DefaultMaxInflight.
 	MaxInflight int
-	// RetryBudget caps the retry volume of the master's and each worker's
-	// router with a token bucket refilled by successes (0 = unlimited);
-	// Breakers arms their per-ring-position circuit breakers, which
-	// fast-fail (shard.ErrBreakerOpen) after consecutive hard failures
-	// until a half-open probe succeeds.
-	RetryBudget int
-	Breakers    bool
 
 	// Elastic puts a migration tap in every node's journal chain, publishes
 	// a ring topology that clients watch, and enables Split and Merge.
 	// AutoShard (which implies it) also runs the rebalancer between Start
 	// and Stop: every ReshardInterval (default 1 s) it splits a shard whose
-	// op-rate EWMA stayed above SplitThreshold for ReshardHysteresis ticks
-	// and merges split-born ones back below MergeThreshold (MaxShards,
-	// ReshardCooldown: see rebalance.ControllerConfig).
-	Elastic           bool
-	AutoShard         bool
-	SplitThreshold    float64
-	MergeThreshold    float64
-	ReshardInterval   time.Duration
-	ReshardHysteresis int
-	ReshardCooldown   time.Duration
-	MaxShards         int
+	// op-rate EWMA stayed above SplitThreshold and merges split-born ones
+	// back below MergeThreshold, paced by the controller's fixed
+	// hysteresis, cooldown and shard cap.
+	Elastic         bool
+	AutoShard       bool
+	SplitThreshold  float64
+	MergeThreshold  float64
+	ReshardInterval time.Duration
 	// WatchInterval is how often this host's clients poll the lookup
 	// service for a newer ring topology — the bound on their convergence
-	// after a cutover. Default shard.DefaultWatchInterval.
+	// after a cutover. Default shard.DefaultWatchInterval. A reshard's
+	// post-cutover drain, during which the old owner keeps sweeping
+	// straggler writes across to the new one, lasts two of them.
 	WatchInterval time.Duration
-	// ReshardDrain is the post-cutover lame-duck window during which the old
-	// owner keeps sweeping straggler writes across to the new one; it must
-	// outlast client ring convergence. Default 2×WatchInterval.
-	ReshardDrain time.Duration
 	// TxnTTL leases each worker's per-task transaction, and bounds how long
 	// a migration waits for in-flight transactions holding entries of the
 	// moving range. Default 2 min.
@@ -111,26 +102,15 @@ func (s Spec) Validate() error {
 	if s.Replicas < 0 || s.Replicas > 1 {
 		return fmt.Errorf("shardhost: replicas must be 0 or 1, got %d", s.Replicas)
 	}
-	for _, c := range []struct {
-		name string
-		v    int
-	}{
-		{"max-inflight", s.MaxInflight}, {"retry-budget", s.RetryBudget},
-		{"max-shards", s.MaxShards},
-		{"reshard-hysteresis", s.ReshardHysteresis},
-	} {
-		if c.v < 0 {
-			return fmt.Errorf("shardhost: %s must be >= 0, got %d", c.name, c.v)
-		}
+	if s.MaxInflight < 0 {
+		return fmt.Errorf("shardhost: max-inflight must be >= 0, got %d", s.MaxInflight)
 	}
 	for _, c := range []struct {
 		name string
 		v    time.Duration
 	}{
-		{"space-op-cost", s.SpaceOpCost}, {"failover-timeout", s.FailoverTimeout},
-		{"reshard-interval", s.ReshardInterval}, {"reshard-cooldown", s.ReshardCooldown},
-		{"watch-interval", s.WatchInterval}, {"reshard-drain", s.ReshardDrain},
-		{"txn-ttl", s.TxnTTL}, {"lease-ttl", s.LeaseTTL},
+		{"failover-timeout", s.FailoverTimeout}, {"reshard-interval", s.ReshardInterval},
+		{"watch-interval", s.WatchInterval}, {"txn-ttl", s.TxnTTL}, {"lease-ttl", s.LeaseTTL},
 	} {
 		if c.v < 0 {
 			return fmt.Errorf("shardhost: %s must be >= 0, got %v", c.name, c.v)
@@ -139,11 +119,13 @@ func (s Spec) Validate() error {
 	if s.SplitThreshold < 0 || s.MergeThreshold < 0 {
 		return fmt.Errorf("shardhost: split/merge thresholds must be >= 0, got %g/%g", s.SplitThreshold, s.MergeThreshold)
 	}
-	if s.MaxShards > 0 && s.MaxShards < s.Shards {
-		return fmt.Errorf("shardhost: max-shards %d is below the %d seed shards", s.MaxShards, s.Shards)
-	}
 	return nil
 }
+
+// drain is a reshard's post-cutover lame-duck window, during which the old
+// owner keeps sweeping straggler writes across to the new one: two watch
+// intervals, so it outlasts the clients' ring convergence.
+func (s Spec) drain() time.Duration { return 2 * s.WatchInterval }
 
 func (s Spec) withDefaults() Spec {
 	if s.Shards <= 0 {
@@ -160,9 +142,6 @@ func (s Spec) withDefaults() Spec {
 	}
 	if s.WatchInterval == 0 {
 		s.WatchInterval = shard.DefaultWatchInterval
-	}
-	if s.ReshardDrain == 0 {
-		s.ReshardDrain = 2 * s.WatchInterval
 	}
 	if s.TxnTTL == 0 {
 		s.TxnTTL = 2 * time.Minute

@@ -10,15 +10,15 @@ import (
 	"gospaces/internal/vclock"
 )
 
-// AdmissionConfig tunes a Service's server-side overload protection. The
-// zero value (an unconfigured Service) admits everything and only unwraps
-// a deadline the call carries.
+// AdmissionConfig tunes a Service's server-side overload protection. An
+// unconfigured Service admits everything and only unwraps a deadline the
+// call carries.
 type AdmissionConfig struct {
 	// Clock evaluates deadlines and brownout windows. Required for any
 	// check to run.
 	Clock vclock.Clock
 	// MaxInflight bounds the ops between admission and completion —
-	// the pending-op queue, gate wait included. 0 = unlimited.
+	// the pending-op queue, gate wait included. 0 = DefaultMaxInflight.
 	MaxInflight int
 	// Gate, when set, charges the modeled per-op CPU inside admission so
 	// a queued op whose service slot would end past its propagated
@@ -29,18 +29,21 @@ type AdmissionConfig struct {
 	// FlightSink receives brownout level transitions for the flight
 	// recorder (nil = none).
 	FlightSink func(detail string)
-
-	// Brownout tuning: when inflight utilization stays at or above
-	// BrownoutEnter (default 0.9) for BrownoutAfter (default 250ms) the
-	// controller enters level 1 and sheds PriLow ops; after another
-	// BrownoutAfter of sustained saturation, level 2 sheds PriNormal too.
-	// Utilization at or below BrownoutExit (default 0.5) leaves brownout.
-	// Brownout needs MaxInflight > 0 — without a capacity bound there is
-	// no utilization to react to.
-	BrownoutEnter float64
-	BrownoutExit  float64
-	BrownoutAfter time.Duration
 }
+
+// DefaultMaxInflight is a configured controller's inflight bound when its
+// AdmissionConfig names none.
+const DefaultMaxInflight = 1024
+
+// Brownout: when inflight utilization stays at or above brownoutEnter for
+// brownoutAfter the controller enters level 1 and sheds PriLow ops; after
+// another brownoutAfter of sustained saturation, level 2 sheds PriNormal
+// too. Utilization at or below brownoutExit leaves brownout.
+const (
+	brownoutEnter = 0.9
+	brownoutExit  = 0.5
+	brownoutAfter = 250 * time.Millisecond
+)
 
 // Admission is a Service's admission controller: the expired-deadline
 // check, the inflight bound, the brownout shedder and the deadline-aware
@@ -74,14 +77,8 @@ type AdmissionVitals struct {
 // Configure arms the controller. Call once at service assembly, before
 // traffic; reconfiguring a live controller is safe but resets brownout.
 func (a *Admission) Configure(cfg AdmissionConfig) {
-	if cfg.BrownoutEnter <= 0 {
-		cfg.BrownoutEnter = 0.9
-	}
-	if cfg.BrownoutExit <= 0 {
-		cfg.BrownoutExit = 0.5
-	}
-	if cfg.BrownoutAfter <= 0 {
-		cfg.BrownoutAfter = 250 * time.Millisecond
+	if cfg.MaxInflight <= 0 {
+		cfg.MaxInflight = DefaultMaxInflight
 	}
 	a.mu.Lock()
 	a.cfg = cfg
@@ -131,14 +128,14 @@ func (a *Admission) admit(deadline time.Time, pri int) (bool, error) {
 		return false, tuplespace.ErrDeadlineExpired
 	}
 	// Hard pending-op bound.
-	if cfg.MaxInflight > 0 && a.inflight >= cfg.MaxInflight {
+	if a.inflight >= cfg.MaxInflight {
 		a.rejected++
 		a.mu.Unlock()
 		inc(cfg.Counters, metrics.CounterAdmitRejected)
 		return false, tuplespace.ErrOverloaded
 	}
 	// Brownout: sustained saturation sheds the lowest classes first.
-	transition := a.brownoutLocked(cfg, now)
+	transition := a.brownoutLocked(cfg.MaxInflight, now)
 	if a.level >= 1 && pri <= transport.PriLow || a.level >= 2 && pri <= transport.PriNormal {
 		a.shed++
 		key := metrics.CounterShedLow
@@ -187,23 +184,20 @@ func inc(c *metrics.Counters, key string) {
 
 // brownoutLocked advances the brownout state machine and returns a
 // non-empty transition description when the level changed.
-func (a *Admission) brownoutLocked(cfg AdmissionConfig, now time.Time) string {
-	if cfg.MaxInflight <= 0 {
-		return ""
-	}
-	util := float64(a.inflight) / float64(cfg.MaxInflight)
+func (a *Admission) brownoutLocked(maxInflight int, now time.Time) string {
+	util := float64(a.inflight) / float64(maxInflight)
 	switch {
-	case util >= cfg.BrownoutEnter:
+	case util >= brownoutEnter:
 		if a.satSince.IsZero() {
 			a.satSince = now
 		}
 		sustained := now.Sub(a.satSince)
 		want := a.level + 1
-		if want <= 2 && sustained >= time.Duration(want)*cfg.BrownoutAfter {
+		if want <= 2 && sustained >= time.Duration(want)*brownoutAfter {
 			a.level = want
 			return brownoutDetail(a.level)
 		}
-	case util <= cfg.BrownoutExit:
+	case util <= brownoutExit:
 		a.satSince = time.Time{}
 		if a.level != 0 {
 			a.level = 0

@@ -87,7 +87,7 @@ func TestAdmissionBrownoutLevels(t *testing.T) {
 		if err := probe(transport.PriLow); err != nil {
 			t.Fatalf("level 0 must admit diagnostics: %v", err)
 		}
-		clk.Sleep(300 * time.Millisecond) // past BrownoutAfter (250ms)
+		clk.Sleep(300 * time.Millisecond) // past brownoutAfter (250ms)
 		if err := probe(transport.PriLow); !errors.Is(err, tuplespace.ErrOverloaded) {
 			t.Fatalf("level 1 diagnostic: err = %v, want ErrOverloaded", err)
 		}
@@ -97,7 +97,7 @@ func TestAdmissionBrownoutLevels(t *testing.T) {
 		if err := probe(transport.PriNormal); err != nil {
 			t.Fatalf("level 1 must still admit reads: %v", err)
 		}
-		clk.Sleep(300 * time.Millisecond) // past 2×BrownoutAfter total
+		clk.Sleep(300 * time.Millisecond) // past 2×brownoutAfter total
 		if err := probe(transport.PriNormal); !errors.Is(err, tuplespace.ErrOverloaded) {
 			t.Fatalf("level 2 read: err = %v, want ErrOverloaded", err)
 		}
@@ -108,7 +108,7 @@ func TestAdmissionBrownoutLevels(t *testing.T) {
 			t.Fatalf("mutations must never be shed: %v", err)
 		}
 
-		// Drain: the next admit sees utilization at or under BrownoutExit
+		// Drain: the next admit sees utilization at or under brownoutExit
 		// and leaves brownout, readmitting diagnostics.
 		for i := 0; i < 9; i++ {
 			a.release()
@@ -169,35 +169,6 @@ func TestAdmissionFreesAbandonedWaiter(t *testing.T) {
 		clk.Sleep(600 * time.Millisecond) // well past the deadline, well short of 14s
 		if st := local.TS.Stats(); st.Waiting != 0 {
 			t.Errorf("%d waiter(s) still parked after the client's deadline", st.Waiting)
-		}
-	})
-}
-
-// TestMaxWaitersBound: the blocked-waiter queue is bounded — the waiter
-// that would exceed it fails fast with ErrOverloaded instead of parking,
-// and a freed slot readmits.
-func TestMaxWaitersBound(t *testing.T) {
-	clk := vclock.NewVirtual(time.Unix(0, 0))
-	local := NewLocal(clk)
-	local.TS.SetMaxWaiters(1)
-
-	clk.Run(func() {
-		g := vclock.NewGroup(clk)
-		g.Go(func() {
-			if _, err := local.Read(job{Name: "a"}, nil, time.Second); !errors.Is(err, tuplespace.ErrTimeout) {
-				t.Errorf("parked read: err = %v, want ErrTimeout", err)
-			}
-		})
-		clk.Sleep(10 * time.Millisecond)
-		if _, err := local.Read(job{Name: "a"}, nil, time.Second); !errors.Is(err, tuplespace.ErrOverloaded) {
-			t.Errorf("second waiter: err = %v, want ErrOverloaded", err)
-		}
-		g.Wait() // first waiter timed out: its slot is free again
-		if _, err := local.Read(job{Name: "a"}, nil, 10*time.Millisecond); !errors.Is(err, tuplespace.ErrTimeout) {
-			t.Errorf("readmitted waiter: err = %v, want ErrTimeout", err)
-		}
-		if st := local.TS.Stats(); st.Overloaded != 1 {
-			t.Errorf("stats.Overloaded = %d, want 1", st.Overloaded)
 		}
 	})
 }

@@ -20,6 +20,11 @@ type Model struct {
 	// PerKB is charged per kilobyte of encoded frame (covers both
 	// serialization CPU and wire time).
 	PerKB time.Duration
+	// SpaceOp is the server CPU one space operation consumes: every
+	// serving node on the network admits requests through a FIFO service
+	// gate of this cost, so a saturated server queues callers. Zero models
+	// an infinitely fast server (no gate).
+	SpaceOp time.Duration
 }
 
 // Cost returns the time to move n encoded bytes one way.
@@ -64,6 +69,9 @@ type Network struct {
 func NewNetwork(clock vclock.Clock, model Model) *Network {
 	return &Network{clock: clock, model: model, servers: make(map[string]*Server)}
 }
+
+// Model returns the network's cost model.
+func (n *Network) Model() Model { return n.model }
 
 // Listen binds srv to addr, replacing any previous binding.
 func (n *Network) Listen(addr string, srv *Server) {

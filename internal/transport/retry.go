@@ -1,10 +1,8 @@
 package transport
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
-	"net"
 	"time"
 
 	"gospaces/internal/vclock"
@@ -56,14 +54,6 @@ func (b Backoff) withDefaults() Backoff {
 // Do runs op up to b.Attempts times, sleeping between failures. It returns
 // nil on the first success, or the last error.
 func (b Backoff) Do(op func() error) error {
-	return b.DoContext(context.Background(), op)
-}
-
-// DoContext is Do honoring ctx: cancellation interrupts a backoff sleep
-// promptly (within one clock wakeup, not the remaining schedule) and is
-// checked before every attempt. The returned error is ctx.Err() when the
-// context ended the retry loop.
-func (b Backoff) DoContext(ctx context.Context, op func() error) error {
 	b = b.withDefaults()
 	var jitter *rand.Rand
 	if b.Jitter {
@@ -83,16 +73,11 @@ func (b Backoff) DoContext(ctx context.Context, op func() error) error {
 				// schedule still governs the envelope.
 				sleep = time.Duration(jitter.Int63n(int64(sleep) + 1))
 			}
-			if !sleepInterruptible(ctx, b.Clock, sleep) {
-				return fmt.Errorf("transport: retry canceled after %d attempts: %w", i, ctx.Err())
-			}
+			b.Clock.Sleep(sleep)
 			delay *= 2
 			if delay > b.Max {
 				delay = b.Max
 			}
-		}
-		if ctx.Err() != nil {
-			return fmt.Errorf("transport: retry canceled after %d attempts: %w", i, ctx.Err())
 		}
 		if err = op(); err == nil {
 			return nil
@@ -101,62 +86,18 @@ func (b Backoff) DoContext(ctx context.Context, op func() error) error {
 	return fmt.Errorf("transport: giving up after %d attempts: %w", b.Attempts, err)
 }
 
-// sleepInterruptible sleeps d on clock but returns early (false) if ctx is
-// canceled first. The watcher goroutine is unregistered on a virtual clock
-// on purpose: the Waiter's own timer keeps virtual time advancing, and the
-// watcher only ever shortens the wait.
-func sleepInterruptible(ctx context.Context, clock vclock.Clock, d time.Duration) bool {
-	if ctx.Done() == nil {
-		clock.Sleep(d)
-		return true
-	}
-	if ctx.Err() != nil {
-		return false
-	}
-	w := clock.NewWaiter()
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-ctx.Done():
-			w.Wake()
-		case <-stop:
-		}
-	}()
-	w.Wait(d)
-	return ctx.Err() == nil
-}
-
 // DialTCPRetry dials addr with DialTCP under b's retry policy. It rides out
 // the window where a freshly registered service has published its address
 // but its listener is not yet accepting.
 func DialTCPRetry(addr string, b Backoff) (Client, error) {
-	return DialTCPRetryContext(context.Background(), addr, b)
-}
-
-// DialTCPRetryContext is DialTCPRetry honoring ctx: cancellation aborts
-// both an in-flight connection attempt and the backoff sleeps between
-// attempts.
-func DialTCPRetryContext(ctx context.Context, addr string, b Backoff) (Client, error) {
 	var c Client
-	err := b.DoContext(ctx, func() error {
+	err := b.Do(func() error {
 		var err error
-		c, err = DialTCPContext(ctx, addr, DefaultDialTimeout)
+		c, err = DialTCP(addr)
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 	return c, nil
-}
-
-// DialTCPContext is DialTCPTimeout honoring ctx during the connection
-// attempt.
-func DialTCPContext(ctx context.Context, addr string, timeout time.Duration) (Client, error) {
-	d := net.Dialer{Timeout: timeout}
-	conn, err := d.DialContext(ctx, "tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
-	}
-	return newTCPClient(conn), nil
 }

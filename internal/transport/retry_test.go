@@ -1,105 +1,20 @@
 package transport
 
 import (
-	"context"
 	"errors"
-	"net"
 	"testing"
 	"time"
 
 	"gospaces/internal/vclock"
 )
 
-// deadAddr returns an address that refuses connections quickly: bind a
-// listener, note its port, close it.
-func deadAddr(t *testing.T) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close()
-	return addr
-}
-
-// TestDialTCPRetryContextCancelPrompt pins the contract that canceling the
-// context aborts the retry loop within one backoff step — not after the
-// whole remaining schedule. With 8 attempts at 300ms initial delay the full
-// schedule is several seconds; a cancel at 100ms must return well under one
-// doubled step.
-func TestDialTCPRetryContextCancelPrompt(t *testing.T) {
-	addr := deadAddr(t)
-	b := Backoff{Attempts: 8, Initial: 300 * time.Millisecond, Max: 2 * time.Second}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(100 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
-	_, err := DialTCPRetryContext(ctx, addr, b)
-	elapsed := time.Since(start)
-	if err == nil {
-		t.Fatal("dial to dead address succeeded")
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled in the chain", err)
-	}
-	// One backoff step past the cancel point is the generous bound; the
-	// un-canceled schedule would be 300+600+1200+... ms.
-	if elapsed > 700*time.Millisecond {
-		t.Fatalf("cancel took %v to take effect, want < 700ms", elapsed)
-	}
-}
-
-// TestDialTCPRetryContextPreCanceled: an already-canceled context makes no
-// connection attempt at all.
-func TestDialTCPRetryContextPreCanceled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := DialTCPRetryContext(ctx, deadAddr(t), Backoff{Attempts: 3})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
-// TestDoContextHonorsCancelBetweenAttempts exercises the generic retry
-// path (no TCP): the op keeps failing, the context cancels mid-backoff,
-// and the loop reports how far it got.
-func TestDoContextHonorsCancelBetweenAttempts(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	calls := 0
-	b := Backoff{Attempts: 10, Initial: 200 * time.Millisecond, Max: time.Second}
-	start := time.Now()
-	err := b.DoContext(ctx, func() error {
-		calls++
-		if calls == 1 {
-			go func() {
-				time.Sleep(50 * time.Millisecond)
-				cancel()
-			}()
-		}
-		return errors.New("nope")
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if calls != 1 {
-		t.Fatalf("op ran %d times, want 1 (cancel lands in the first backoff)", calls)
-	}
-	if elapsed := time.Since(start); elapsed > 150*time.Millisecond {
-		t.Fatalf("cancel took %v, want well under the 200ms backoff", elapsed)
-	}
-}
-
-// TestDoContextNoCancelStillRetries: the ctx path must not change the
-// plain retry semantics when the context never fires.
-func TestDoContextNoCancelStillRetries(t *testing.T) {
+// TestDoRetriesUntilSuccess: Do re-runs a failing op on its schedule and
+// returns nil on the first success.
+func TestDoRetriesUntilSuccess(t *testing.T) {
 	calls := 0
 	b := Backoff{Attempts: 3, Initial: time.Millisecond, Max: 2 * time.Millisecond,
 		Clock: vclock.NewReal()}
-	err := b.DoContext(context.Background(), func() error {
+	err := b.Do(func() error {
 		calls++
 		if calls < 3 {
 			return errors.New("transient")

@@ -125,9 +125,8 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 // TestTokenedParkedTakesAreCounted: a tokened blocking take parks through
 // the same door as an untokened one — counted in Stats.Waiting while
-// parked, uncounted when satisfied or timed out, and subject to the waiter
-// bound. At the parent of this change they parked uncounted and unbounded,
-// and every wake-up drove the counter negative.
+// parked, uncounted when satisfied or timed out. Once they parked
+// uncounted, and every wake-up drove the counter negative.
 func TestTokenedParkedTakesAreCounted(t *testing.T) {
 	const n = 4
 	s := newRealSpace()
@@ -167,22 +166,4 @@ func TestTokenedParkedTakesAreCounted(t *testing.T) {
 	if got := s.Stats().Waiting; got != 0 {
 		t.Fatalf("everyone gone, Waiting = %d", got)
 	}
-
-	// The bound binds tokened parks exactly as it binds untokened ones.
-	b := newRealSpace()
-	b.SetMaxWaiters(2)
-	for i := 0; i < 2; i++ {
-		go b.TakeTok(task{Job: "b", ID: ip(i)}, nil, 5*time.Second, tok("c", uint64(i+1)))
-	}
-	waitFor(t, "two takers to park", func() bool { return b.Stats().Waiting == 2 })
-	if _, err := b.TakeTok(task{Job: "b", ID: ip(9)}, nil, time.Second, tok("c", 9)); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("third tokened park: %v, want ErrOverloaded", err)
-	}
-	if _, err := b.Take(task{Job: "b", ID: ip(9)}, nil, time.Second); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("third untokened park: %v, want ErrOverloaded", err)
-	}
-	if st := b.Stats(); st.Overloaded != 2 || st.Waiting != 2 {
-		t.Fatalf("Overloaded = %d, Waiting = %d, want 2 and 2", st.Overloaded, st.Waiting)
-	}
-	b.Close()
 }

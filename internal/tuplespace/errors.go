@@ -22,8 +22,8 @@ var (
 	// ErrClosed is returned by operations on a closed space.
 	ErrClosed = errors.New("tuplespace: space closed")
 	// ErrOverloaded is the typed fast-fail for admission control: the
-	// server's pending-op or blocked-waiter queue is full (or the brownout
-	// controller shed the op), so the call was rejected before execution.
+	// server's pending-op queue is full (or the brownout controller shed
+	// the op), so the call was rejected before execution.
 	// It is retryable — nothing executed — but callers must retry within
 	// their budget, never through failover resolution.
 	ErrOverloaded = errors.New("tuplespace: overloaded, call rejected before execution")

@@ -43,8 +43,7 @@ type Space struct {
 	memoCounters *metrics.Counters
 	flightSink   func(kind, detail string) // dedup-hit sink (see SetFlightSink)
 
-	maxWaiters int // bound on parked Read/Take waiters, 0 = unlimited
-	waiting    int // parked waiters, maintained at park/unpark
+	waiting int // parked waiters, maintained at park/unpark
 }
 
 // Stats counts space operations; returned by Space.Stats.
@@ -59,7 +58,6 @@ type Stats struct {
 	TxnCommits  uint64 // transactions committed at this space
 	TxnAborts   uint64 // transactions aborted at this space, lapsed ones included
 	TxnExpired  uint64 // transactions aborted because their deadline passed
-	Overloaded  uint64 // blocking calls rejected by the waiter bound
 	EntriesLive int    // entries currently stored (including txn-held)
 	Dead        int    // removed entries whose pointer a type list or index bucket still holds
 	Waiting     int    // Read/Take calls currently parked waiting for a match
@@ -116,16 +114,6 @@ func New(clock vclock.Clock) *Space {
 		nextID:  1,
 		nextReg: 1,
 	}
-}
-
-// SetMaxWaiters bounds the number of blocked Read/Take waiters the space
-// will park at once (0 = unlimited, the default). A blocking lookup that
-// would exceed the bound fails fast with ErrOverloaded instead of
-// queueing — the blocked-waiter half of server-side admission control.
-func (s *Space) SetMaxWaiters(n int) {
-	s.lock()
-	s.maxWaiters = n
-	s.unlock()
 }
 
 // Close shuts the space down: every blocked operation is woken with
@@ -346,11 +334,6 @@ func (se *storedEntry) out(shared bool) Entry {
 // ends the wait aborts it and hands what it held to the parked waiters in
 // order. A capped waiter that got nothing parks again where it stood.
 func (s *Space) park(w *waiter, timeout time.Duration) (Entry, error) {
-	if s.maxWaiters > 0 && s.waiting >= s.maxWaiters {
-		s.stats.Overloaded++
-		s.unlock()
-		return nil, ErrOverloaded
-	}
 	w.w = s.clock.NewWaiter()
 	s.waiters[w.ti.name] = append(s.waiters[w.ti.name], w)
 	s.stats.Blocked++

@@ -36,9 +36,9 @@ import (
 const Community = "public"
 
 // Spec says what runs on the node. The deployment-wide values (TxnTTL,
-// RetryBudget, Breakers, WatchInterval, Obs) are the shardhost.Spec fields
-// of the same name; a caller that owns both sides hands them over from
-// there.
+// WatchInterval, Obs) are the shardhost.Spec fields of the same name; a
+// caller that owns both sides hands them over from there. The node's ring
+// arms its retry budget and circuit breakers like every router.
 type Spec struct {
 	// Machine models the node's CPU; its name is the node's.
 	Machine *sysmon.Machine
@@ -54,8 +54,6 @@ type Spec struct {
 	PollTimeout time.Duration
 	// OpTimeout bounds each remote space RPC (core.Config.OpTimeout).
 	OpTimeout     time.Duration
-	RetryBudget   int
-	Breakers      bool
 	WatchInterval time.Duration // zero: shard.DefaultWatchInterval
 	// AutoStart starts the worker without waiting for a rule-base Start.
 	AutoStart bool
@@ -75,8 +73,6 @@ func (s Spec) Validate() error {
 		return errors.New("workerhost: no program")
 	case s.TaskTemplate == nil:
 		return errors.New("workerhost: no task template")
-	case s.RetryBudget < 0:
-		return fmt.Errorf("workerhost: retry-budget must be >= 0, got %d", s.RetryBudget)
 	case s.OpTimeout < 0:
 		return fmt.Errorf("workerhost: optimeout must be >= 0, got %v", s.OpTimeout)
 	}
@@ -144,8 +140,7 @@ func (n *Node) assemble() error {
 		return fmt.Errorf("discovering space: %w", err)
 	}
 	n.ring, err = shard.Join(shard.Assembly{
-		Clock: n.clock, Seed: n.name, Obs: spec.Obs,
-		Counters: spec.Counters, RetryBudget: spec.RetryBudget, Breakers: spec.Breakers,
+		Clock: n.clock, Seed: n.name, Obs: spec.Obs, Counters: spec.Counters,
 	}, n.lookup, items, func(addr string) (space.Space, error) {
 		c, err := n.dial(addr)
 		if err != nil {

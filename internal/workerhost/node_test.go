@@ -322,7 +322,7 @@ func TestElasticSingleShardRoutesThroughRing(t *testing.T) {
 func TestJoinAfterSplitAdoptsTopology(t *testing.T) {
 	for _, d := range []deployment{inproc(t), tcp(t)} {
 		t.Run(d.name, func(t *testing.T) {
-			h := d.host(t, shardhost.Spec{Shards: 1, Elastic: true, ReshardDrain: 10 * time.Millisecond})
+			h := d.host(t, shardhost.Spec{Shards: 1, Elastic: true, WatchInterval: 5 * time.Millisecond})
 			ring0, _ := h.RingID(0)
 			rep, err := h.Split(ring0)
 			if err != nil {
@@ -359,7 +359,6 @@ func TestSpecValidate(t *testing.T) {
 		{"no machine", func(s *Spec) { s.Machine = nil }, "no machine"},
 		{"no program", func(s *Spec) { s.Program = "" }, "no program"},
 		{"no template", func(s *Spec) { s.TaskTemplate = nil }, "no task template"},
-		{"negative retry-budget", func(s *Spec) { s.RetryBudget = -1 }, "retry-budget must be >= 0"},
 		{"negative optimeout", func(s *Spec) { s.OpTimeout = -time.Second }, "optimeout must be >= 0"},
 	}
 	for _, tc := range cases {

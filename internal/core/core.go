@@ -105,11 +105,10 @@ type Framework struct {
 	// hosted shards, a one-member ring for the classic single shard (its
 	// shards gated when Model.SpaceOp is set).
 	Space space.Space
-	// Counters are the hosted shards' counter families — Durability, Repl,
-	// Reshard, Retries, Overload: each but Retries and Overload is nil while
-	// the feature it counts is off, Retries is Repl when replicated, and with
-	// Config.Obs set all of them are the Obs counter set.
-	shardhost.Counters
+	// Counters is the host's counter set (shardhost.Host.Counters — the
+	// Obs counter set when Config.Obs is set), which every worker's router
+	// counts into too.
+	Counters *metrics.Counters
 	// MIB is the master's management information base when Config.Obs is
 	// set: the framework gauges exported as SNMP objects, served by an
 	// agent bound on the master's server (the same substrate the network
@@ -143,23 +142,12 @@ type Result struct {
 	// FaultEvents is the injected-fault event counts when Config.Faults
 	// was set (keys are the faults.Event* constants).
 	FaultEvents map[string]uint64
-	// Durability is the wal:* / journal:errors counter snapshot when
-	// Config.DataDir was set.
-	Durability map[string]uint64
-	// Replication is the repl:* counter snapshot when Config.Replicas was
-	// set: records shipped, promotions, fenced requests, resyncs, and the
-	// failover count across the master's and every worker's router.
-	Replication map[string]uint64
-	// Resharding is the reshard:* counter snapshot when Config.Elastic was
-	// set: splits, merges, entries migrated and evicted, aborted forks.
-	Resharding map[string]uint64
-	// Retries is the retry:* / dedup:* / breaker:* counter snapshot (the
-	// same map as Replication when replicated): retry attempts, ambiguous
-	// outcomes replayed, budgets exhausted or denied, breaker transitions,
-	// memo dedup hits and evictions.
-	Retries map[string]uint64
-	// Overload is the admit:* / shed:* counter snapshot.
-	Overload map[string]uint64
+	// Counters is the snapshot of Framework.Counters: wal:* and
+	// journal:errors (durable shards), repl:* (replicated: promotions,
+	// fenced requests, resyncs, and failovers across the master's and every
+	// worker's router), reshard:* (elastic), retry:* / dedup:* / breaker:*,
+	// and admit:* / shed:*. A feature that was off has no keys.
+	Counters map[string]uint64
 	// ObsSummary is the per-stage tail-latency table (p50/p90/p99/max of
 	// every non-empty histogram) when Config.Obs was set.
 	ObsSummary []metrics.StageSummary
@@ -323,7 +311,7 @@ func (f *Framework) Run(job Job, script func(*Framework)) (Result, error) {
 			WatchInterval: f.cfg.WatchInterval,
 			AutoStart:     !f.cfg.Monitoring,
 			Obs:           f.cfg.Obs,
-			Counters:      f.Retries,
+			Counters:      f.Counters,
 		})
 		if err != nil {
 			closeNodes()
@@ -388,17 +376,7 @@ func (f *Framework) Run(job Job, script func(*Framework)) (Result, error) {
 	if f.cfg.Faults != nil {
 		res.FaultEvents = f.cfg.Faults.Counters().Snapshot()
 	}
-	if f.Durability != nil {
-		res.Durability = f.Durability.Snapshot()
-	}
-	if f.Repl != nil {
-		res.Replication = f.Repl.Snapshot()
-	}
-	if f.Reshard != nil {
-		res.Resharding = f.Reshard.Snapshot()
-	}
-	res.Retries = f.Retries.Snapshot()
-	res.Overload = f.Overload.Snapshot()
+	res.Counters = f.Counters.Snapshot()
 	if f.cfg.Obs != nil {
 		res.ObsSummary = f.cfg.Obs.Reg().Summary()
 	}

@@ -60,14 +60,14 @@ func TestChaosShardCrashRestartRecoversFromWAL(t *testing.T) {
 	if restartInfo.SnapshotRecords+restartInfo.TailRecords == 0 {
 		t.Fatal("shard restart replayed nothing — the crash never hit a populated WAL")
 	}
-	if got := res.Durability[wal.CounterTailRestored]; got == 0 {
+	if got := res.Counters[wal.CounterTailRestored]; got == 0 {
 		t.Fatalf("%s = 0, want > 0 (recovery metrics missing from Result)", wal.CounterTailRestored)
 	}
 	// The recovery snapshot fenced off the pre-crash segments.
-	if got := res.Durability[wal.CounterSnapshots]; got == 0 {
+	if got := res.Counters[wal.CounterSnapshots]; got == 0 {
 		t.Fatalf("%s = 0, want > 0 (recovery snapshot not taken)", wal.CounterSnapshots)
 	}
-	if got := res.Durability[tuplespace.CounterJournalErrors]; got != 0 {
+	if got := res.Counters[tuplespace.CounterJournalErrors]; got != 0 {
 		t.Fatalf("%s = %d, want 0", tuplespace.CounterJournalErrors, got)
 	}
 	// The outage was visible: workers' calls against the dark shard died.

@@ -56,7 +56,7 @@ func TestChaosFailoverKillEveryPrimaryMidJob(t *testing.T) {
 	}, jc, script)
 
 	assertExactResults(t, job, jc)
-	if got := res.Replication[metrics.CounterReplPromotions]; got != shards {
+	if got := res.Counters[metrics.CounterReplPromotions]; got != shards {
 		t.Fatalf("promotions = %d, want exactly %d (one per killed primary)", got, shards)
 	}
 	for i := 0; i < shards; i++ {
@@ -64,10 +64,10 @@ func TestChaosFailoverKillEveryPrimaryMidJob(t *testing.T) {
 			t.Fatalf("shard %d epoch = %d, want 2 (exactly one bump)", i, e)
 		}
 	}
-	if got := res.Replication[metrics.CounterReplFailovers]; got == 0 {
+	if got := res.Counters[metrics.CounterReplFailovers]; got == 0 {
 		t.Fatalf("no router failovers recorded; expected at least one retarget onto a promoted backup")
 	}
-	if shipped := res.Replication[metrics.CounterReplShipped]; shipped == 0 {
+	if shipped := res.Counters[metrics.CounterReplShipped]; shipped == 0 {
 		t.Fatalf("no journal records shipped; replication stream never ran")
 	}
 }
@@ -95,13 +95,13 @@ func TestChaosFailoverPartitionPrimaryFromBackup(t *testing.T) {
 	}, jc, nil)
 
 	assertExactResults(t, job, jc)
-	if got := res.Replication[metrics.CounterReplPromotions]; got != 1 {
+	if got := res.Counters[metrics.CounterReplPromotions]; got != 1 {
 		t.Fatalf("promotions = %d, want exactly 1 (one epoch, one promotion)", got)
 	}
 	if e := fw.Host.Epoch(0); e != 2 {
 		t.Fatalf("shard epoch = %d, want 2", e)
 	}
-	if got := res.Replication[metrics.CounterReplFenced]; got == 0 {
+	if got := res.Counters[metrics.CounterReplFenced]; got == 0 {
 		t.Fatalf("no fenced requests recorded; the deposed primary was never rejected")
 	}
 
@@ -204,13 +204,13 @@ func TestChaosFailoverRejoinAndFailBack(t *testing.T) {
 	}, jc, script)
 
 	assertExactResults(t, job, jc)
-	if got := res.Replication[metrics.CounterReplPromotions]; got != 2 {
+	if got := res.Counters[metrics.CounterReplPromotions]; got != 2 {
 		t.Fatalf("promotions = %d, want 2 (failover, then fail-back)", got)
 	}
 	if e := fw.Host.Epoch(0); e != 3 {
 		t.Fatalf("shard epoch = %d, want 3", e)
 	}
-	if got := res.Replication[metrics.CounterReplResyncs]; got == 0 {
+	if got := res.Counters[metrics.CounterReplResyncs]; got == 0 {
 		t.Fatalf("no resyncs recorded; the rejoined node never caught up by snapshot push")
 	}
 }

@@ -49,10 +49,10 @@ func TestFlightFailoverRetrySpanTree(t *testing.T) {
 	}, jc, script)
 
 	assertExactResults(t, job, jc)
-	if got := res.Replication[metrics.CounterReplPromotions]; got != 1 {
+	if got := res.Counters[metrics.CounterReplPromotions]; got != 1 {
 		t.Fatalf("promotions = %d, want exactly 1", got)
 	}
-	if res.Retries[metrics.CounterRetryAmbiguous] == 0 {
+	if res.Counters[metrics.CounterRetryAmbiguous] == 0 {
 		t.Fatal("no ambiguous outcomes despite delay faults past the op deadline")
 	}
 

@@ -63,13 +63,13 @@ func TestReshardManualSplitAndMergeMidJob(t *testing.T) {
 	if rep.Parent != fw.Cluster.MasterAddr || rep.Child == "" {
 		t.Fatalf("split report %+v", rep)
 	}
-	if got := res.Resharding[metrics.CounterReshardSplits]; got != 1 {
+	if got := res.Counters[metrics.CounterReshardSplits]; got != 1 {
 		t.Fatalf("splits = %d, want 1", got)
 	}
-	if got := res.Resharding[metrics.CounterReshardMerges]; got != 1 {
+	if got := res.Counters[metrics.CounterReshardMerges]; got != 1 {
 		t.Fatalf("merges = %d, want 1", got)
 	}
-	if res.Resharding[metrics.CounterReshardMigrated] == 0 {
+	if res.Counters[metrics.CounterReshardMigrated] == 0 {
 		t.Fatal("no entries migrated across the split")
 	}
 	if len(fw.Host.SplitBorn()) != 0 {
@@ -100,10 +100,10 @@ func TestChaosReshardAutoSplitUnderSkew(t *testing.T) {
 	}, jc, nil)
 
 	assertExactResults(t, job, jc)
-	if got := res.Resharding[metrics.CounterReshardSplits]; got != 1 {
+	if got := res.Counters[metrics.CounterReshardSplits]; got != 1 {
 		t.Fatalf("automatic splits = %d, want exactly 1", got)
 	}
-	if got := res.Resharding[metrics.CounterReshardMerges]; got != 0 {
+	if got := res.Counters[metrics.CounterReshardMerges]; got != 0 {
 		t.Fatalf("merges = %d during cooldown, want 0", got)
 	}
 	if e := fw.Host.TopologyEpoch(); e != 2 {
@@ -112,7 +112,7 @@ func TestChaosReshardAutoSplitUnderSkew(t *testing.T) {
 	if born := fw.Host.SplitBorn(); len(born) != 1 {
 		t.Fatalf("split-born shards = %v, want exactly one", born)
 	}
-	if res.Resharding[metrics.CounterReshardMigrated] == 0 {
+	if res.Counters[metrics.CounterReshardMigrated] == 0 {
 		t.Fatal("the automatic split migrated nothing")
 	}
 	if err := fw.Host.Err(); err != nil {
@@ -158,7 +158,7 @@ func TestChaosReshardKillSourcePrimaryMidSplit(t *testing.T) {
 		t.Fatalf("split across a source failover: %v", splitErr)
 	}
 	assertExactResults(t, job, jc)
-	if got := res.Replication[metrics.CounterReplPromotions]; got != 1 {
+	if got := res.Counters[metrics.CounterReplPromotions]; got != 1 {
 		t.Fatalf("promotions = %d, want exactly 1", got)
 	}
 	if e := fw.Host.Epoch(0); e != 2 {
@@ -167,7 +167,7 @@ func TestChaosReshardKillSourcePrimaryMidSplit(t *testing.T) {
 	if e := fw.Host.TopologyEpoch(); e != 2 {
 		t.Fatalf("topology epoch = %d, want 2 (seed + split)", e)
 	}
-	if got := res.Resharding[metrics.CounterReshardSplits]; got != 1 {
+	if got := res.Counters[metrics.CounterReshardSplits]; got != 1 {
 		t.Fatalf("splits = %d, want 1", got)
 	}
 	if born := fw.Host.SplitBorn(); len(born) != 1 || born[0] != rep.Child {
@@ -228,7 +228,7 @@ func TestChaosReshardSplitBornCrashRestart(t *testing.T) {
 	if e := fw.Host.TopologyEpoch(); e != 2 {
 		t.Fatalf("topology epoch = %d, want 2 (a restart must not move the ring)", e)
 	}
-	if got := res.Resharding[metrics.CounterReshardSplits]; got != 1 {
+	if got := res.Counters[metrics.CounterReshardSplits]; got != 1 {
 		t.Fatalf("splits = %d, want 1", got)
 	}
 }

@@ -86,8 +86,6 @@ type Config struct {
 	// Default 5 minutes (a stuck cluster fails the run rather than
 	// hanging it).
 	ResultTimeout time.Duration
-	// Collector, if set, receives per-phase samples.
-	Collector *metrics.Collector
 	// Obs, if set, enables causal tracing (a root "plan" span per task,
 	// an "aggregate" span per result parented to the worker's execute
 	// span) and per-stage latency histograms. Nil disables both at zero
@@ -213,11 +211,6 @@ func (m *Master) RunJob(job Job) (RunMetrics, error) {
 		}
 	}
 	rm.ParallelTime = total.Elapsed()
-	if m.cfg.Collector != nil {
-		m.cfg.Collector.Add("planning", rm.TaskPlanningTime)
-		m.cfg.Collector.Add("aggregation", rm.TaskAggregationTime)
-		m.cfg.Collector.Add("parallel", rm.ParallelTime)
-	}
 	return rm, nil
 }
 

@@ -14,11 +14,11 @@ import (
 const numBuckets = 65
 
 // Histogram is a lock-free latency histogram with power-of-two buckets.
-// Record costs a handful of atomic adds, so it is safe on hot paths where
-// the append-all-durations Collector used to grow without bound. Count,
-// Sum and Max are exact; quantiles are approximate, rounded up to the
-// holding bucket's upper bound (≤ 2× overestimate, never an underestimate)
-// and clamped by the exact maximum.
+// Record costs a handful of atomic adds and memory stays constant however
+// many samples arrive, so it is safe on hot paths. Count, Sum and Max are
+// exact; quantiles are approximate, rounded up to the holding bucket's
+// upper bound (≤ 2× overestimate, never an underestimate) and clamped by
+// the exact maximum.
 //
 // All methods are safe on a nil *Histogram (Record is a no-op, reads
 // return zero), so disabled-observability paths need no branches.

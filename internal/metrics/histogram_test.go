@@ -103,35 +103,6 @@ func TestHistogramConcurrentRecord(t *testing.T) {
 	}
 }
 
-func TestCollectorBackedByHistograms(t *testing.T) {
-	c := NewCollector()
-	c.Add("task", 10*time.Millisecond)
-	c.Add("task", 30*time.Millisecond)
-	c.Add("plan", time.Millisecond)
-	if got := c.Count("task"); got != 2 {
-		t.Fatalf("Count = %d, want 2", got)
-	}
-	if got := c.Sum("task"); got != 40*time.Millisecond {
-		t.Fatalf("Sum = %v, want 40ms", got)
-	}
-	if got := c.Max("task"); got != 30*time.Millisecond {
-		t.Fatalf("Max = %v, want 30ms", got)
-	}
-	if got := c.Mean("task"); got != 20*time.Millisecond {
-		t.Fatalf("Mean = %v, want 20ms", got)
-	}
-	if q := c.Quantile("task", 0.99); q < 30*time.Millisecond || q > 60*time.Millisecond {
-		t.Fatalf("Quantile(0.99) = %v, want within [30ms, 60ms]", q)
-	}
-	if got := c.Count("missing"); got != 0 {
-		t.Fatalf("Count(missing) = %d, want 0", got)
-	}
-	keys := c.Keys()
-	if len(keys) != 2 || keys[0] != "plan" || keys[1] != "task" {
-		t.Fatalf("Keys = %v, want [plan task]", keys)
-	}
-}
-
 func TestRegistryGetOrCreateAndGauges(t *testing.T) {
 	r := NewRegistry()
 	h1 := r.Histogram("space:write")

@@ -1,14 +1,12 @@
 // Package metrics provides the timing instrumentation and tabular output
-// used by the experiment harness: stopwatches on a vclock.Clock, per-worker
-// timing collections, and fixed-width tables matching the rows/series the
-// paper's figures report.
+// used by the experiment harness: stopwatches on a vclock.Clock, latency
+// histograms, event counters, and fixed-width tables matching the
+// rows/series the paper's figures report.
 package metrics
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"gospaces/internal/vclock"
@@ -27,80 +25,6 @@ func StartStopwatch(clock vclock.Clock) *Stopwatch {
 
 // Elapsed returns the time since the stopwatch started.
 func (s *Stopwatch) Elapsed() time.Duration { return s.clock.Since(s.start) }
-
-// Collector accumulates named duration samples; safe for concurrent use
-// by workers and the master. Each key is backed by a fixed-size Histogram
-// rather than an ever-growing slice, so hot paths (a worker recording
-// every task, a master recording every result) run in constant memory no
-// matter how long the deployment lives. Count, Sum, Max and Mean stay
-// exact; Quantile is the histogram's bucket-rounded upper bound.
-type Collector struct {
-	mu    sync.Mutex
-	hists map[string]*Histogram
-}
-
-// NewCollector returns an empty collector.
-func NewCollector() *Collector {
-	return &Collector{hists: make(map[string]*Histogram)}
-}
-
-// hist returns key's histogram, creating it on first use (nil if the
-// collector itself is nil, which Record treats as a no-op).
-func (c *Collector) hist(key string) *Histogram {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	h, ok := c.hists[key]
-	if !ok {
-		h = NewHistogram()
-		c.hists[key] = h
-	}
-	return h
-}
-
-// get returns key's histogram without creating it (nil if absent); a nil
-// *Histogram answers every read as zero.
-func (c *Collector) get(key string) *Histogram {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hists[key]
-}
-
-// Add records one duration under key.
-func (c *Collector) Add(key string, d time.Duration) { c.hist(key).Record(d) }
-
-// Max returns the maximum duration recorded under key (0 if none).
-func (c *Collector) Max(key string) time.Duration { return c.get(key).Max() }
-
-// Sum returns the total of durations under key.
-func (c *Collector) Sum(key string) time.Duration { return c.get(key).Sum() }
-
-// Count returns how many durations were recorded under key.
-func (c *Collector) Count(key string) int { return int(c.get(key).Count()) }
-
-// Mean returns the exact mean duration under key (0 if none).
-func (c *Collector) Mean(key string) time.Duration { return c.get(key).Mean() }
-
-// Quantile returns an upper bound on the q-th quantile under key — the
-// holding histogram bucket's upper edge, clamped by the exact max.
-func (c *Collector) Quantile(key string, q float64) time.Duration {
-	return c.get(key).Quantile(q)
-}
-
-// Histogram exposes key's underlying histogram (created on first use), so
-// callers can hand the same instance to a Registry or renderer.
-func (c *Collector) Histogram(key string) *Histogram { return c.hist(key) }
-
-// Keys returns the recorded keys, sorted.
-func (c *Collector) Keys() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	keys := make([]string, 0, len(c.hists))
-	for k := range c.hists {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
 
 // Table is a printable result table — one per reproduced figure/table.
 type Table struct {

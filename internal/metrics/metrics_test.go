@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -18,47 +17,6 @@ func TestStopwatch(t *testing.T) {
 			t.Errorf("elapsed %v", got)
 		}
 	})
-}
-
-func TestCollector(t *testing.T) {
-	c := NewCollector()
-	c.Add("a", time.Second)
-	c.Add("a", 3*time.Second)
-	c.Add("b", time.Millisecond)
-	if got := c.Max("a"); got != 3*time.Second {
-		t.Fatalf("Max = %v", got)
-	}
-	if got := c.Sum("a"); got != 4*time.Second {
-		t.Fatalf("Sum = %v", got)
-	}
-	if got := c.Count("a"); got != 2 {
-		t.Fatalf("Count = %d", got)
-	}
-	if got := c.Max("missing"); got != 0 {
-		t.Fatalf("Max(missing) = %v", got)
-	}
-	keys := c.Keys()
-	if len(keys) != 2 || keys[0] != "a" || keys[1] != "b" {
-		t.Fatalf("Keys = %v", keys)
-	}
-}
-
-func TestCollectorConcurrent(t *testing.T) {
-	c := NewCollector()
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 100; j++ {
-				c.Add("k", time.Duration(j))
-			}
-		}()
-	}
-	wg.Wait()
-	if got := c.Count("k"); got != 1600 {
-		t.Fatalf("Count = %d", got)
-	}
 }
 
 func TestTableRendering(t *testing.T) {

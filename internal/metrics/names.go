@@ -77,19 +77,6 @@ const (
 	CounterReshardAborted  = "reshard:aborted"          // migrations abandoned (source failover, errors)
 )
 
-// Federated per-shard metric keys (metrics.MemberSnapshot). Rendered by
-// obs.WriteClusterMetrics with a {shard="<ring>"} label per member.
-const (
-	FedEntries     = "cluster:entries"      // gauge: live tuple count on the serving replica
-	FedDeadEntries = "cluster:dead_entries" // gauge: removed tuples whose pointer a store list still holds
-	FedMemoEntries = "cluster:memo_entries" // gauge: exactly-once memo table size
-	FedEpoch       = "cluster:epoch"        // gauge: serving replication epoch
-	FedOps         = "cluster:ops"          // gauge: cumulative served space operations
-	FedWALPosition = "cluster:wal_position" // gauge: write-ahead log position
-	FedDedupHits   = "cluster:dedup_hits"   // counter: memo-table dedup answers
-	FedServe       = "cluster:serve"        // histogram: server-side space-op service time
-)
-
 // Histogram names (metrics.Registry).
 const (
 	// HistSpacePrefix prefixes the master-side per-operation space
@@ -137,6 +124,27 @@ func HistShardServe(i int) string { return fmt.Sprintf("shard%d:serve", i) }
 // GaugeShardOps names shard i's served-operation count (the count of the
 // HistShardServe histogram, exported as a rate-able counter).
 func GaugeShardOps(i int) string { return fmt.Sprintf("shard%d:ops", i) }
+
+// The gauges below read shard i's serving node at scrape time, so they
+// follow a promotion, restart or split; a retired position reads 0, as on
+// /healthz.
+
+// GaugeShardEntries names shard i's live tuple count.
+func GaugeShardEntries(i int) string { return fmt.Sprintf("shard%d:entries", i) }
+
+// GaugeShardDeadEntries names shard i's removed tuples whose pointer a
+// store list still holds.
+func GaugeShardDeadEntries(i int) string { return fmt.Sprintf("shard%d:dead_entries", i) }
+
+// GaugeShardMemoEntries names shard i's exactly-once memo table size.
+func GaugeShardMemoEntries(i int) string { return fmt.Sprintf("shard%d:memo_entries", i) }
+
+// GaugeShardDedupHits names shard i's memo-table dedup answers.
+func GaugeShardDedupHits(i int) string { return fmt.Sprintf("shard%d:dedup_hits", i) }
+
+// GaugeShardWALPosition names shard i's write-ahead log position (0 when
+// memory-only).
+func GaugeShardWALPosition(i int) string { return fmt.Sprintf("shard%d:wal_position", i) }
 
 // GaugeReplRole names shard i's serving role: 1 when the original primary
 // still serves, 2 once its backup has been promoted.

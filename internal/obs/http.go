@@ -36,10 +36,6 @@ func Handler(o *Obs) http.Handler {
 		}
 		_ = json.NewEncoder(w).Encode(h)
 	})
-	mux.HandleFunc("/metrics/cluster", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		WriteClusterMetrics(w, o)
-	})
 	mux.HandleFunc("/debug/flight", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
@@ -64,7 +60,7 @@ func Handler(o *Obs) http.Handler {
 			http.NotFound(w, r)
 			return
 		}
-		fmt.Fprintln(w, "gospaces ops surface: /metrics /metrics/cluster /healthz /tracez /debug/flight /debug/pprof/")
+		fmt.Fprintln(w, "gospaces ops surface: /metrics /healthz /tracez /debug/flight /debug/pprof/")
 	})
 	return mux
 }

@@ -15,9 +15,6 @@ type Obs struct {
 	// Flight is the control-plane flight recorder: bounded per-node rings
 	// of causally-stamped events, served at /debug/flight.
 	Flight *FlightRecorder
-	// Federation aggregates per-shard metric snapshots into the
-	// cluster-level /metrics/cluster view.
-	Federation *metrics.Federation
 
 	// health, when set via SetHealth, backs the /healthz endpoint
 	// (guarded by the package healthMu — Obs predates having any mutable
@@ -29,11 +26,10 @@ type Obs struct {
 // reproducible traces.
 func New(seed int64) *Obs {
 	o := &Obs{
-		Tracer:     NewTracer(seed),
-		Registry:   metrics.NewRegistry(),
-		Counters:   metrics.NewCounters(),
-		Flight:     NewFlightRecorder(),
-		Federation: metrics.NewFederation(),
+		Tracer:   NewTracer(seed),
+		Registry: metrics.NewRegistry(),
+		Counters: metrics.NewCounters(),
+		Flight:   NewFlightRecorder(),
 	}
 	// The recorder's own vitals are ordinary gauges, so every exporter
 	// (and scripts/obs_smoke.sh) sees flight-ring health beside the data
@@ -86,12 +82,4 @@ func (o *Obs) Fl() *FlightRecorder {
 		return nil
 	}
 	return o.Flight
-}
-
-// Fed returns the metrics federation (nil when o is nil).
-func (o *Obs) Fed() *metrics.Federation {
-	if o == nil {
-		return nil
-	}
-	return o.Federation
 }

@@ -69,10 +69,10 @@ func TestExactlyOnceChaosShapes(t *testing.T) {
 			// least one ambiguous outcome retried, at least one retry
 			// answered from a memo table. Both streams are seeded, so
 			// this does not flake.
-			if got := rep.Result.Retries[metrics.CounterRetryAmbiguous]; got == 0 {
+			if got := rep.Result.Counters[metrics.CounterRetryAmbiguous]; got == 0 {
 				t.Errorf("no ambiguous retries recorded: the injected delays never tripped the deadline (fault events: %v)", rep.FaultEvents)
 			}
-			if got := rep.Result.Retries[metrics.CounterRetryExhausted]; got != 0 {
+			if got := rep.Result.Counters[metrics.CounterRetryExhausted]; got != 0 {
 				t.Errorf("%d mutations exhausted their retry budget; exactness held by luck", got)
 			}
 		})

@@ -44,7 +44,7 @@ func checkInvariants(m Manifest, out harness.Outcome, st *runState, app appRun) 
 		for _, k := range st.kills {
 			total += k
 		}
-		if got := out.Result.Replication[metrics.CounterReplPromotions]; got != uint64(total) {
+		if got := out.Result.Counters[metrics.CounterReplPromotions]; got != uint64(total) {
 			bad("promotions = %d, want exactly %d (one per executed kill)", got, total)
 		}
 		for i, k := range st.kills {
@@ -94,7 +94,7 @@ func checkInvariants(m Manifest, out harness.Outcome, st *runState, app appRun) 
 
 	// Durability: no journaled mutation may have been dropped.
 	if m.Durable {
-		if got := out.Result.Durability[tuplespace.CounterJournalErrors]; got != 0 {
+		if got := out.Result.Counters[tuplespace.CounterJournalErrors]; got != 0 {
 			bad("%s = %d, want 0", tuplespace.CounterJournalErrors, got)
 		}
 	}

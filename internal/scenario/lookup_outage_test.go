@@ -36,7 +36,7 @@ func TestReplicatedPrimarySurvivesLookupOutageAtStart(t *testing.T) {
 		data, _ := m.MarshalIndent()
 		t.Fatalf("violations: %v\nmanifest:\n%s", rep.Violations, data)
 	}
-	if got := rep.Result.Replication[metrics.CounterReplPromotions]; got != 0 {
+	if got := rep.Result.Counters[metrics.CounterReplPromotions]; got != 0 {
 		t.Fatalf("promotions = %d, want 0: nothing killed the primary", got)
 	}
 }

@@ -44,7 +44,7 @@ func TestOverloadBurstShedsWithoutLoss(t *testing.T) {
 	if rep.Failed() {
 		t.Fatalf("overload burst violated invariants: %v", rep.Violations)
 	}
-	ov := rep.Result.Overload
+	ov := rep.Result.Counters
 	pressure := ov[metrics.CounterAdmitRejected] + ov[metrics.CounterShedLow] + ov[metrics.CounterShedNormal]
 	if pressure == 0 {
 		t.Fatalf("burst left no admission trace (rejected/shed all zero): %v", ov)

@@ -255,11 +255,10 @@ func TestPositionStateBounded(t *testing.T) {
 	})
 	ctr := metrics.NewCounters()
 	r, err := New(Options{
-		Clock:           clk,
-		Seed:            "positions-test",
-		Counters:        ctr,
-		Obs:             obs.New(1),
-		FailoverBackoff: time.Nanosecond,
+		Clock:    clk,
+		Seed:     "positions-test",
+		Counters: ctr,
+		Obs:      obs.New(1),
 		Failover: func(id string) (Shard, error) {
 			return Shard{ID: id, Space: space.NewLocal(clk), Epoch: 2, Trace: obs.TraceContext{TraceID: 1, SpanID: 1}}, nil
 		},
@@ -268,6 +267,7 @@ func TestPositionStateBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.breaker = breaker{threshold: 1, cooldown: time.Hour}
+	r.failoverBackoff = time.Nanosecond
 	base := r.Topology().Members[0]
 	const cycles = 200
 	for i := 1; i <= cycles; i++ {

@@ -22,10 +22,10 @@ import (
 //	any                     not failoverWorthy      no              —
 //	under a caller txn      any                     no              the commit is the retry unit
 //	read / count / begin    failover-worthy         yes             once, only after tryFailover retargeted
-//	mutation (tokened)      failover-worthy,        yes, same token Options.Retry attempts, seeded full-jitter
+//	mutation (tokened)      failover-worthy,        yes, same token retryPolicy attempts, seeded full-jitter
 //	                        ambiguous or not                        backoff (a scan probe: once, if retargeted
 //	                                                                or ambiguous — the route's next round retries)
-//	blocking, one position, hard, a cure possible   poll            re-resolve and re-issue every PollInterval;
+//	blocking, one position, hard, a cure possible   poll            re-resolve and re-issue every r.poll;
 //	no txn                  (Failover set, or                       ErrTimeout joined with the ShardError at the deadline
 //	                        ambiguous)
 //
@@ -165,7 +165,7 @@ func (r *Router) noteAmbiguous(id string, tok tuplespace.OpToken, err error) {
 // replay is the router's one retry loop: it re-drives tokened op, whose
 // first attempt at ring ID id (empty for a lease's bare handle) failed
 // with first, to a definite outcome
-// under the per-op policy — Options.Retry attempts, seeded full-jitter
+// under the per-op policy — retryPolicy attempts, seeded full-jitter
 // backoff between them, each one charged to the shared budget. again
 // re-issues the op once — the same op, the same token — and reports false
 // when it could not even be re-addressed (its position left the ring, its
@@ -200,7 +200,7 @@ func (r *Router) replay(op space.Op, id string, first error, again func() (error
 // template, or a one-shard ring) outside any transaction: the op's Wait is
 // its attempt budget. The healthy path hands the shard the full wait in
 // one call. After a hard failure it re-resolves the position and re-issues
-// with the remaining wait every PollInterval for as long as a cure is
+// with the remaining wait every r.poll for as long as a cure is
 // possible, so the window between a primary dying and its backup promoting
 // looks like a timeout (which retry loops such as the master's collect
 // treat as benign) instead of a fatal ShardError.
@@ -232,7 +232,7 @@ func (r *Router) park(v *view, w where, op space.Op) (space.Result, Shard, error
 			return res, s, err
 		}
 		lastHard = wrapShard(s.ID, err)
-		pause := r.opts.PollInterval
+		pause := r.poll
 		switch {
 		case r.opts.Failover == nil && (tok.Zero() || !ambiguous(err)):
 			// No replica to promote and no lost reply for a token to recover:

@@ -35,10 +35,11 @@ func proxyRouter(t *testing.T, clk vclock.Clock, net *transport.Network, k int, 
 		}
 		shards[i] = Shard{ID: addr, Space: space.NewProxy(net.DialAs("master", addr))}
 	}
-	r, err := New(Options{Clock: clk, Slice: 50 * time.Millisecond, PollInterval: 5 * time.Millisecond}, shards)
+	r, err := New(Options{Clock: clk}, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.slice, r.poll = 50*time.Millisecond, 5*time.Millisecond
 	return r
 }
 

@@ -58,9 +58,9 @@ func (r *Router) FailoverCount() uint64 { return r.failovers.Load() }
 
 // tryFailover attempts to resolve a replacement primary for ring ID id
 // and retarget onto it. It returns true only when the view actually
-// changed. Attempts are throttled per ring ID by FailoverBackoff; losing
-// a throttle race is fine — the caller's retry re-snapshots and sees
-// whatever the winning attempt installed.
+// changed. Attempts are throttled per ring ID by r.failoverBackoff; losing a
+// throttle race is fine — the caller's retry re-snapshots and sees whatever
+// the winning attempt installed.
 func (r *Router) tryFailover(id string) bool {
 	if r.opts.Failover == nil {
 		return false
@@ -68,7 +68,7 @@ func (r *Router) tryFailover(id string) bool {
 	now := r.opts.Clock.Now()
 	r.posMu.Lock()
 	p := r.pos[id]
-	if p == nil || !p.lastResolve.IsZero() && now.Sub(p.lastResolve) < r.opts.FailoverBackoff {
+	if p == nil || !p.lastResolve.IsZero() && now.Sub(p.lastResolve) < r.failoverBackoff {
 		r.posMu.Unlock()
 		return false
 	}

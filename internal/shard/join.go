@@ -34,7 +34,7 @@ type Ring struct {
 // joins after a reshard must not route one request over default placements
 // — and returns the Watcher that polls for the next one every watch (zero:
 // DefaultWatchInterval).
-func Join(a Assembly, lc *discovery.Client, items []discovery.ServiceItem, dial Dialer, watch time.Duration) (Ring, error) {
+func Join(opts Options, lc *discovery.Client, items []discovery.ServiceItem, dial Dialer, watch time.Duration) (Ring, error) {
 	var replicated, elastic bool
 	for _, it := range items {
 		replicated = replicated || it.Attributes[AttrEpoch] != ""
@@ -48,10 +48,10 @@ func Join(a Assembly, lc *discovery.Client, items []discovery.ServiceItem, dial 
 		return Ring{}, errors.New("shard: no javaspace service registered")
 	}
 	if replicated || elastic {
-		a.Failover = Resolver(lc, dial)
+		opts.Failover = Resolver(lc, dial)
 	}
 	ring := Ring{Root: shards[0].ID}
-	if ring.Router, err = Assemble(a, shards); err != nil {
+	if ring.Router, err = New(opts, shards); err != nil {
 		return Ring{}, err
 	}
 	if !elastic {
@@ -60,11 +60,11 @@ func Join(a Assembly, lc *discovery.Client, items []discovery.ServiceItem, dial 
 	// A failed lookup is not fatal: the watcher's first tick retries it.
 	if topos, lerr := lc.Lookup(map[string]string{"type": TopoType}); lerr == nil {
 		if t, ok := BestTopology(topos); ok {
-			if _, err := ring.Router.ApplyTopology(t, a.Failover); err != nil {
+			if _, err := ring.Router.ApplyTopology(t, opts.Failover); err != nil {
 				return Ring{}, fmt.Errorf("shard: adopt topology epoch %d: %w", t.Epoch, err)
 			}
 		}
 	}
-	ring.Watcher = NewWatcher(lc, a.Clock, ring.Router, a.Failover, watch)
+	ring.Watcher = NewWatcher(lc, ring.Router.opts.Clock, ring.Router, opts.Failover, watch)
 	return ring, nil
 }

@@ -39,7 +39,7 @@ func TestJoinDecidesFromRegistrations(t *testing.T) {
 			clk := vclock.NewReal()
 			_, client := newTestLookup(t, clk)
 			dial := func(string) (space.Space, error) { return space.NewLocal(clk), nil }
-			ring, err := Join(Assembly{Clock: clk, Seed: "w"}, client, tc.items, dial, time.Hour)
+			ring, err := Join(Options{Clock: clk, Seed: "w"}, client, tc.items, dial, time.Hour)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -57,7 +57,7 @@ func TestJoinDecidesFromRegistrations(t *testing.T) {
 			}
 		})
 	}
-	if _, err := Join(Assembly{Clock: vclock.NewReal()}, nil, nil, nil, 0); err == nil {
+	if _, err := Join(Options{Clock: vclock.NewReal()}, nil, nil, nil, 0); err == nil {
 		t.Fatal("Join over no registrations succeeded")
 	}
 }
@@ -88,7 +88,7 @@ func TestJoinAdoptsPublishedTopology(t *testing.T) {
 		t.Fatal(err)
 	}
 	dial := func(string) (space.Space, error) { return space.NewLocal(clk), nil }
-	ring, err := Join(Assembly{Clock: clk, Seed: "w"}, client, items, dial, time.Hour)
+	ring, err := Join(Options{Clock: clk, Seed: "w"}, client, items, dial, time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -206,11 +206,7 @@ func mxRun(t *testing.T, c mxCell) mxOutcome {
 		}
 	}
 	ctr := metrics.NewCounters()
-	opts := Options{
-		Clock: clk, Seed: "mx", Counters: ctr,
-		Slice:        50 * time.Millisecond,
-		PollInterval: 2 * time.Millisecond,
-	}
+	opts := Options{Clock: clk, Seed: "mx", Counters: ctr}
 	switch c.resolver {
 	case "retarget":
 		opts.Failover = func(id string) (Shard, error) { return Shard{ID: id, Space: repl[id], Epoch: 2}, nil }
@@ -221,6 +217,7 @@ func mxRun(t *testing.T, c mxCell) mxOutcome {
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.slice, r.poll = 50*time.Millisecond, 2*time.Millisecond
 	if c.budget == "empty" {
 		r.budget = newRetryBudget(1, 0.001)
 		r.budget.Allow()

@@ -48,13 +48,12 @@ func TestBlockingTakeReroute(t *testing.T) {
 			t.Run(res.name+"/"+shape, func(t *testing.T) {
 				clk := vclock.NewReal()
 				locals := []*space.Local{space.NewLocal(clk), space.NewLocal(clk)}
-				r, err := New(Options{
-					Clock: clk, Slice: 50 * time.Millisecond, PollInterval: 5 * time.Millisecond,
-					Failover: res.fn,
-				}, []Shard{{ID: "shard-0", Space: locals[0]}, {ID: "shard-1", Space: locals[1]}})
+				r, err := New(Options{Clock: clk, Failover: res.fn},
+					[]Shard{{ID: "shard-0", Space: locals[0]}, {ID: "shard-1", Space: locals[1]}})
 				if err != nil {
 					t.Fatal(err)
 				}
+				r.slice, r.poll = 50*time.Millisecond, 5*time.Millisecond
 				// Resolve which ring position owns the key, so the test
 				// kills exactly the space the take is parked on.
 				key, keyed, err := tuplespace.IndexKey(kv{Key: "reroute"})

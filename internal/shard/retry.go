@@ -133,7 +133,7 @@ func (r *Router) countRetry(name string) {
 // policy is the unified per-op retry schedule, seeded from the token so
 // backoff jitter replays identically under the virtual clock.
 func (r *Router) policy(tok tuplespace.OpToken) transport.Backoff {
-	b := r.opts.Retry
+	b := retryPolicy
 	b.Clock = r.opts.Clock
 	b.Jitter = true
 	b.Seed = int64(hash64(tok.String()) | 1)

@@ -40,26 +40,13 @@ type Shard struct {
 	Clk uint64
 }
 
-// Options tunes a Router. The zero value of each field selects the
-// documented default.
+// Options says who a Router is and what it reports to; every field may be
+// left zero.
 type Options struct {
 	// Clock times scatter rounds and poll sleeps; nil means the real
 	// clock. Under the virtual clock all scatter goroutines are spawned
 	// as registered clock processes.
 	Clock vclock.Clock
-	// VirtualNodes is the number of ring points per shard (default 64).
-	VirtualNodes int
-	// Fanout bounds the number of concurrent per-shard calls in a
-	// scatter (default 8). Shards beyond the fanout are covered by
-	// striding.
-	Fanout int
-	// Slice bounds each shard-side blocking wait during a scatter round
-	// (default 250ms). Losing shards time out within one slice, so a
-	// first-win scatter never leaves an RPC parked behind it.
-	Slice time.Duration
-	// PollInterval is the sleep between sweeps when a blocking scatter
-	// must run under a transaction and therefore polls (default 25ms).
-	PollInterval time.Duration
 	// Seed offsets this router's rotation counter (e.g. the worker's node
 	// name) so that concurrent routers spread their unkeyed probes and
 	// round-robin writes across different shards instead of marching in
@@ -72,10 +59,6 @@ type Options struct {
 	// replaces the dead one in place, and the operation retries instead of
 	// surfacing a ShardError.
 	Failover func(ringID string) (Shard, error)
-	// FailoverBackoff throttles resolution attempts per ring ID (default
-	// 100ms), so a scatter polling a dead shard does not hammer the lookup
-	// service while the backup is still counting down to promotion.
-	FailoverBackoff time.Duration
 	// Counters, when set, receives the failover count under
 	// metrics.CounterReplFailovers and the metrics.CounterRetry* family.
 	Counters *metrics.Counters
@@ -83,11 +66,6 @@ type Options struct {
 	// each client-originated mutation (see retry.go). The field stays only
 	// until bench/ stops setting it.
 	ExactlyOnce bool
-	// Retry is the unified per-mutation retry policy (attempt budget and
-	// backoff envelope; full jitter is always applied, seeded per op so
-	// virtual-clock runs replay). Zero fields default to 4 attempts, 25ms
-	// doubling to 500ms.
-	Retry transport.Backoff
 	// Obs, when set, records the router's control-plane activity: flight
 	// events (failover retargets, topology adoptions, token replays) in the
 	// flight recorder and retry/retarget spans in the tracer, parented into
@@ -96,36 +74,32 @@ type Options struct {
 	Obs *obs.Obs
 }
 
-func (o Options) withDefaults() Options {
-	if o.Clock == nil {
-		o.Clock = vclock.NewReal()
-	}
-	if o.VirtualNodes <= 0 {
-		o.VirtualNodes = 64
-	}
-	if o.Fanout <= 0 {
-		o.Fanout = 8
-	}
-	if o.Slice <= 0 {
-		o.Slice = 250 * time.Millisecond
-	}
-	if o.PollInterval <= 0 {
-		o.PollInterval = 25 * time.Millisecond
-	}
-	if o.FailoverBackoff <= 0 {
-		o.FailoverBackoff = 100 * time.Millisecond
-	}
-	if o.Retry.Attempts <= 0 {
-		o.Retry.Attempts = 4
-	}
-	if o.Retry.Initial <= 0 {
-		o.Retry.Initial = 25 * time.Millisecond
-	}
-	if o.Retry.Max <= 0 {
-		o.Retry.Max = 500 * time.Millisecond
-	}
-	return o
-}
+// Router constants. They are not options: every participant must derive
+// the same DefaultLabels, and no deployment tunes the rest. In-package
+// tests shrink the three a Router holds as fields (slice, poll,
+// failoverBackoff).
+const (
+	// virtualNodes is the number of ring points per shard.
+	virtualNodes = 64
+	// maxFanout bounds the concurrent per-shard calls in a scatter; shards
+	// beyond it are covered by striding.
+	maxFanout = 8
+	// defaultSlice bounds each shard-side blocking wait during a scatter
+	// round, so a first-win scatter never leaves an RPC parked behind it.
+	defaultSlice = 250 * time.Millisecond
+	// defaultPoll is the sleep between sweeps when a blocking scatter must
+	// run under a transaction and therefore polls.
+	defaultPoll = 25 * time.Millisecond
+	// defaultFailoverBackoff throttles resolution attempts per ring ID, so
+	// a scatter polling a dead shard does not hammer the lookup service
+	// while the backup is still counting down to promotion.
+	defaultFailoverBackoff = 100 * time.Millisecond
+)
+
+// retryPolicy is the per-mutation retry policy: 4 attempts, 25 ms doubling
+// to 500 ms (full jitter is always applied, seeded per op so virtual-clock
+// runs replay).
+var retryPolicy = transport.Backoff{Attempts: 4, Initial: 25 * time.Millisecond, Max: 500 * time.Millisecond}
 
 // view is an immutable membership snapshot. Operations grab one snapshot
 // up front so a concurrent SetShards never splits a single op across two
@@ -156,6 +130,8 @@ type Router struct {
 	opts    Options
 	budget  *RetryBudget
 	breaker breaker
+	// Router constants, as fields so in-package tests can shrink them.
+	slice, poll, failoverBackoff time.Duration
 
 	mu sync.RWMutex
 	v  *view
@@ -178,10 +154,16 @@ type Router struct {
 
 // New builds a router over shards (at least one, distinct IDs).
 func New(opts Options, shards []Shard) (*Router, error) {
+	if opts.Clock == nil {
+		opts.Clock = vclock.NewReal()
+	}
 	r := &Router{
-		opts:    opts.withDefaults(),
-		budget:  newRetryBudget(defaultRetryTokens, defaultRetryRatio),
-		breaker: defaultBreaker,
+		opts:            opts,
+		budget:          newRetryBudget(defaultRetryTokens, defaultRetryRatio),
+		breaker:         defaultBreaker,
+		slice:           defaultSlice,
+		poll:            defaultPoll,
+		failoverBackoff: defaultFailoverBackoff,
 	}
 	r.Facade = space.NewFacade(r)
 	r.rot.Store(hash64(r.opts.Seed))
@@ -231,7 +213,7 @@ func (r *Router) SetShards(shards []Shard) error {
 	}
 	for _, id := range v.order {
 		if v.labels[id] == nil {
-			v.labels[id] = DefaultLabels(id, r.opts.VirtualNodes)
+			v.labels[id] = DefaultLabels(id, virtualNodes)
 		}
 	}
 	v.ring = newRingLabels(v.order, v.labels)
@@ -643,7 +625,7 @@ func (r *Router) pollScatter(v *view, op space.Op) (space.Result, error) {
 			}
 			lastHard = err // partial: healthy shards may still match
 		}
-		wait, ok := r.left(deadline, r.opts.PollInterval)
+		wait, ok := r.left(deadline, r.poll)
 		if !ok {
 			return space.Result{}, timeoutErr(lastHard)
 		}
@@ -671,11 +653,11 @@ func (r *Router) scatter(v *view, op space.Op) (space.Result, error) {
 		lastHard = err
 	}
 	n := len(v.order)
-	fanout := min(r.opts.Fanout, n)
+	fanout := min(maxFanout, n)
 	base := r.nextRot(n)
 	for round := 0; ; round++ {
 		var ok bool
-		if op.Wait, ok = r.left(deadline, r.opts.Slice); !ok {
+		if op.Wait, ok = r.left(deadline, r.slice); !ok {
 			return space.Result{}, timeoutErr(lastHard)
 		}
 		// Re-snapshot each round so a failover retarget is picked up by the
@@ -915,13 +897,13 @@ func (r *Router) count(op space.Op) (int, error) {
 	return total, err
 }
 
-// gather runs one(id) for every shard of v with at most Fanout concurrent
+// gather runs one(id) for every shard of v with at most maxFanout concurrent
 // calls and returns the results in shard order; the first error in shard
 // order wins and discards them.
 func gather[T any](r *Router, v *view, one func(id string) (T, error)) ([]T, error) {
 	n := len(v.order)
 	out, errs := make([]T, n), make([]error, n)
-	fanout := min(r.opts.Fanout, n)
+	fanout := min(maxFanout, n)
 	g := vclock.NewGroup(r.opts.Clock)
 	for j := 0; j < fanout; j++ {
 		g.Go(func() {

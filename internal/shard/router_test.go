@@ -40,10 +40,11 @@ func newLocalRouter(t *testing.T, clk vclock.Clock, k int) (*Router, []*space.Lo
 		locals[i] = space.NewLocal(clk)
 		shards[i] = Shard{ID: fmt.Sprintf("shard-%d", i), Space: locals[i]}
 	}
-	r, err := New(Options{Clock: clk, Slice: 50 * time.Millisecond, PollInterval: 5 * time.Millisecond}, shards)
+	r, err := New(Options{Clock: clk}, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.slice, r.poll = 50*time.Millisecond, 5*time.Millisecond
 	return r, locals
 }
 
@@ -449,10 +450,11 @@ func TestRouterOverProxies(t *testing.T) {
 		net.Listen(addr, srv)
 		shards[i] = Shard{ID: addr, Space: space.NewProxy(net.Dial(addr))}
 	}
-	r, err := New(Options{Clock: clk, Slice: 50 * time.Millisecond}, shards)
+	r, err := New(Options{Clock: clk}, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.slice = 50 * time.Millisecond
 	defer r.Close()
 	for i := 0; i < 12; i++ {
 		if _, err := r.Write(kv{Key: fmt.Sprintf("p-%d", i), Val: i}, nil, tuplespace.Forever); err != nil {

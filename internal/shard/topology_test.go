@@ -209,7 +209,7 @@ func TestApplyTopologyKeepsNewerFailoverHandle(t *testing.T) {
 // completes against the surviving member.
 func TestMergeDuringBlockingScatter(t *testing.T) {
 	clk := vclock.NewReal()
-	r, locals := topoRouter(t, clk) // 2 members, default Fanout clamps to 2
+	r, locals := topoRouter(t, clk) // 2 members, default fanout clamps to 2
 	cur := r.Topology()
 
 	done := make(chan error, 1)

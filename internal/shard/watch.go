@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"gospaces/internal/discovery"
-	"gospaces/internal/metrics"
 	"gospaces/internal/obs"
 	"gospaces/internal/space"
 	"gospaces/internal/vclock"
@@ -156,28 +155,6 @@ func Resolver(c *discovery.Client, dial Dialer) func(ringID string) (Shard, erro
 		}
 		return shards[0], nil
 	}
-}
-
-// Assembly is the deployment-level shape of one participant's ring: what
-// the master (shardhost) and every worker (Join) turn into Options the same
-// way. Seed names the participant; Failover is the host's in-process
-// resolver on the master and set by Join for a remote client.
-type Assembly struct {
-	Clock vclock.Clock
-	Seed  string
-	Obs   *obs.Obs
-	// Counters receives the router's failover, retry, budget and breaker
-	// counts (nil = uncounted).
-	Counters *metrics.Counters
-	Failover func(ringID string) (Shard, error)
-}
-
-// Assemble builds the router for a over shards.
-func Assemble(a Assembly, shards []Shard) (*Router, error) {
-	return New(Options{
-		Clock: a.Clock, Seed: a.Seed, Obs: a.Obs,
-		Counters: a.Counters, Failover: a.Failover,
-	}, shards)
 }
 
 // DefaultWatchInterval is how often a ring client polls the lookup service

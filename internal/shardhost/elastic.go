@@ -242,14 +242,14 @@ func (h *Host) Split(parentRing string) (SplitReport, error) {
 	var m *rebalance.Migration
 	for attempt := 1; ; attempt++ {
 		src, _ := h.servingChain(parentRing)
-		m = &rebalance.Migration{Clock: h.clock, Src: src.local.TS, Tap: src.tap, Dst: dst, Pred: pred, MemoPred: memoPred, Counters: h.Counters.Reshard, OnEvent: phases}
+		m = &rebalance.Migration{Clock: h.clock, Src: src.local.TS, Tap: src.tap, Dst: dst, Pred: pred, MemoPred: memoPred, Counters: h.Counters, OnEvent: phases}
 		n, ferr := m.Fork()
 		if ferr == nil {
 			rep.Migrated = n
 			break
 		}
 		m.Abort()
-		h.Counters.Reshard.Inc(metrics.CounterReshardAborted)
+		h.Counters.Inc(metrics.CounterReshardAborted)
 		if attempt >= splitAttempts {
 			h.retire(child) // stillborn
 			return rep, fmt.Errorf("shardhost: split %s: fork: %w", parentRing, ferr)
@@ -307,7 +307,7 @@ func (h *Host) Split(parentRing string) (SplitReport, error) {
 	h.setErr(derr)
 
 	h.flushPrimary(child)
-	h.Counters.Reshard.Inc(metrics.CounterReshardSplits)
+	h.Counters.Inc(metrics.CounterReshardSplits)
 	h.Flight("master", obs.FlightEvent{
 		Kind: obs.EventSplitDone, Shard: parentRing, Epoch: next.Epoch,
 		Detail: fmt.Sprintf("child %s: %d migrated, %d evicted", child.ring, rep.Migrated, rep.Evicted),
@@ -363,7 +363,7 @@ func (h *Host) lameDuck(m *rebalance.Migration, healthy bool, ring string, dst *
 			dst.Fence(src.local.TS.Mirrored() + 1)
 			curSrc = src.local.TS
 		}
-		m2 := &rebalance.Migration{Clock: h.clock, Src: src.local.TS, Tap: src.tap, Dst: dst, Pred: pred, MemoPred: memoPred, Counters: h.Counters.Reshard, OnEvent: m.OnEvent}
+		m2 := &rebalance.Migration{Clock: h.clock, Src: src.local.TS, Tap: src.tap, Dst: dst, Pred: pred, MemoPred: memoPred, Counters: h.Counters, OnEvent: m.OnEvent}
 		src.tap.StartBuffer()
 		if err := src.tap.GoLive(dst.Apply); err != nil {
 			src.tap.Close()
@@ -440,13 +440,13 @@ func (h *Host) Merge(childRing string) error {
 	var m *rebalance.Migration
 	for attempt := 1; ; attempt++ {
 		src, _ := h.servingChain(childRing)
-		m = &rebalance.Migration{Clock: h.clock, Src: src.local.TS, Tap: src.tap, Dst: dst, Pred: pred, Counters: h.Counters.Reshard, OnEvent: phases}
+		m = &rebalance.Migration{Clock: h.clock, Src: src.local.TS, Tap: src.tap, Dst: dst, Pred: pred, Counters: h.Counters, OnEvent: phases}
 		_, ferr := m.Fork()
 		if ferr == nil {
 			break
 		}
 		m.Abort()
-		h.Counters.Reshard.Inc(metrics.CounterReshardAborted)
+		h.Counters.Inc(metrics.CounterReshardAborted)
 		if attempt >= splitAttempts {
 			return fmt.Errorf("shardhost: merge %s: fork: %w", childRing, ferr)
 		}
@@ -481,7 +481,7 @@ func (h *Host) Merge(childRing string) error {
 	if parentPrim != nil {
 		_ = parentPrim.Flush()
 	}
-	h.Counters.Reshard.Inc(metrics.CounterReshardMerges)
+	h.Counters.Inc(metrics.CounterReshardMerges)
 	h.Flight("master", obs.FlightEvent{
 		Kind: obs.EventMergeDone, Shard: childRing, Epoch: next.Epoch,
 		Detail: fmt.Sprintf("folded into %s", parentRing),

@@ -9,10 +9,9 @@ import (
 )
 
 // The host owns health: it is the only thing that knows which node serves
-// each ring position right now, so /healthz, the federated
-// /metrics/cluster members and the per-shard gauges are all computed here,
-// once, for every environment — and all of them follow promotions,
-// restarts, splits and merges.
+// each ring position right now, so /healthz and the per-shard gauges on
+// /metrics are both computed here, once, for every environment — and both
+// follow promotions, restarts, splits and merges.
 
 // Health is the /healthz provider: one entry per hosted ring position
 // with the serving node's role, the position's epoch, the primary-observed
@@ -81,52 +80,21 @@ func (h *Host) Health() obs.Health {
 	return hl
 }
 
-// installObs hooks the host into Spec.Obs: the /healthz provider, one
-// federation member per ring position (labeled by ring ID, carrying the
-// serving node's live state) and the topology-epoch gauge.
+// installObs hooks the host into Spec.Obs: the /healthz provider and the
+// topology-epoch gauge.
 func (h *Host) installObs() {
 	o := h.spec.Obs
 	if o == nil {
 		return
 	}
 	o.SetHealth(h.Health)
-	reg := o.Reg()
-	reg.RegisterGauge(metrics.GaugeTopologyEpoch, func() int64 { return int64(h.router.TopoEpoch()) })
-	o.Fed().Add(func() []metrics.MemberSnapshot {
-		var out []metrics.MemberSnapshot
-		for _, ps := range h.snapshot() {
-			m := metrics.MemberSnapshot{
-				Name:     ps.ring,
-				Counters: make(map[string]uint64),
-				Gauges:   make(map[string]int64),
-				Hists:    make(map[string]metrics.HistogramSnapshot),
-			}
-			ps.mu.Lock()
-			n, epoch := ps.serving, ps.epoch
-			ps.mu.Unlock()
-			if epoch > 0 {
-				m.Gauges[metrics.FedEpoch] = int64(epoch)
-			}
-			st := n.local.TS.Stats()
-			m.Gauges[metrics.FedEntries] = int64(st.EntriesLive)
-			m.Gauges[metrics.FedDeadEntries] = int64(st.Dead)
-			memoN, hits, _ := n.local.TS.MemoStats()
-			m.Gauges[metrics.FedMemoEntries] = int64(memoN)
-			m.Counters[metrics.FedDedupHits] = hits
-			if n.durable != nil {
-				m.Gauges[metrics.FedWALPosition] = int64(n.durable.Log().Position())
-			}
-			serve := reg.Histogram(metrics.HistShardServe(ps.idx))
-			m.Counters[metrics.FedOps] = serve.Count()
-			m.Hists[metrics.FedServe] = serve.Snapshot()
-			out = append(out, m)
-		}
-		return out
-	})
+	o.Reg().RegisterGauge(metrics.GaugeTopologyEpoch, func() int64 { return int64(h.router.TopoEpoch()) })
 }
 
-// positionGauges registers ps's per-shard gauges: served ops and, when
-// replicated, role (1 = the seed serves, 2 = failed over), epoch and lag.
+// positionGauges registers ps's per-shard gauges: served ops; the serving
+// node's live and dead entries, memo-table size and dedup hits; its WAL
+// position when durable; and, when replicated, role (1 = the seed serves,
+// 2 = failed over), epoch and lag.
 func (h *Host) positionGauges(ps *position) {
 	reg := h.spec.Obs.Reg()
 	if reg == nil {
@@ -134,6 +102,41 @@ func (h *Host) positionGauges(ps *position) {
 	}
 	serve := reg.Histogram(metrics.HistShardServe(ps.idx))
 	reg.RegisterGauge(metrics.GaugeShardOps(ps.idx), func() int64 { return int64(serve.Count()) })
+	// Read off whichever node serves ps at scrape time; a retired position
+	// reads 0, as on /healthz.
+	serving := func(read func(n *node) int64) func() int64 {
+		return func() int64 {
+			ps.mu.Lock()
+			n, retired := ps.serving, ps.retired
+			ps.mu.Unlock()
+			if retired {
+				return 0
+			}
+			return read(n)
+		}
+	}
+	reg.RegisterGauge(metrics.GaugeShardEntries(ps.idx), serving(func(n *node) int64 {
+		return int64(n.local.TS.Stats().EntriesLive)
+	}))
+	reg.RegisterGauge(metrics.GaugeShardDeadEntries(ps.idx), serving(func(n *node) int64 {
+		return int64(n.local.TS.Stats().Dead)
+	}))
+	reg.RegisterGauge(metrics.GaugeShardMemoEntries(ps.idx), serving(func(n *node) int64 {
+		size, _, _ := n.local.TS.MemoStats()
+		return int64(size)
+	}))
+	reg.RegisterGauge(metrics.GaugeShardDedupHits(ps.idx), serving(func(n *node) int64 {
+		_, hits, _ := n.local.TS.MemoStats()
+		return int64(hits)
+	}))
+	if h.spec.DataDir != "" {
+		reg.RegisterGauge(metrics.GaugeShardWALPosition(ps.idx), serving(func(n *node) int64 {
+			if n.durable == nil {
+				return 0 // rejoined from a snapshot: memory-only
+			}
+			return int64(n.durable.Log().Position())
+		}))
+	}
 	if h.spec.Replicas == 0 {
 		return
 	}

@@ -2,10 +2,10 @@
 // every node (seed, standby, restarted, rejoined and split-born alike) with
 // one function, joins the lookup service and keeps the leases, promotes,
 // fences and re-admits replicas, splits and merges ring positions, routes
-// the master's own operations, and reports all of it on /healthz and the
-// federated metrics view. The simulator (internal/core) and the TCP master
-// (cmd/master) are both configuration over it: a Spec saying what to host
-// and an Env saying where.
+// the master's own operations, and reports all of it on /healthz and as
+// per-shard gauges on /metrics. The simulator (internal/core) and the TCP
+// master (cmd/master) are both configuration over it: a Spec saying what
+// to host and an Env saying where.
 //
 // What is about the job rather than the shards stays with the caller — the
 // code server, the SNMP agent, the master's task gauges, the workers — and
@@ -31,23 +31,13 @@ import (
 	"gospaces/internal/vclock"
 )
 
-// Counters are the host's event-count families; a family is nil while the
-// feature it counts is off. With Spec.Obs set every family is the Obs
-// counter set, so /metrics shows what the host counts.
-type Counters struct {
-	Durability *metrics.Counters // wal:* and journal:errors (DataDir)
-	Repl       *metrics.Counters // repl:* (Replicas)
-	Reshard    *metrics.Counters // reshard:* (Elastic)
-	// Retries is never nil: every router's retry:*, breaker:* and failover
-	// counts and every shard's dedup:* counts. It is Repl when replicated,
-	// so one snapshot shows failovers next to the retries they caused.
-	Retries  *metrics.Counters
-	Overload *metrics.Counters // admit:* / shed:* (never nil)
-}
-
 // Host is an assembled shard set.
 type Host struct {
-	Counters Counters
+	// Counters is every count the host and its master-side router keep —
+	// wal:*, journal:errors, repl:*, reshard:*, retry:*, dedup:*,
+	// breaker:*, admit:* and shed:* — under those key prefixes: Spec.Obs's
+	// counter set when set, so /metrics shows them, else a fresh one.
+	Counters *metrics.Counters
 
 	clock   vclock.Clock
 	env     Env
@@ -131,23 +121,8 @@ func New(clock vclock.Clock, env Env, spec Spec) (*Host, error) {
 // it had already built.
 func (h *Host) assemble() error {
 	clock, spec := h.clock, h.spec
-	family := func(on bool) *metrics.Counters {
-		switch {
-		case !on:
-			return nil
-		case spec.Obs != nil:
-			return spec.Obs.Ctr()
-		}
-		return metrics.NewCounters()
-	}
-	h.Counters = Counters{
-		Durability: family(spec.DataDir != ""),
-		Repl:       family(spec.Replicas > 0),
-		Reshard:    family(spec.Elastic),
-		Overload:   family(true),
-	}
-	if h.Counters.Retries = h.Counters.Repl; h.Counters.Retries == nil {
-		h.Counters.Retries = family(true)
+	if h.Counters = spec.Obs.Ctr(); h.Counters == nil {
+		h.Counters = metrics.NewCounters()
 	}
 
 	seeds := make([]shard.Shard, spec.Shards)
@@ -166,14 +141,11 @@ func (h *Host) assemble() error {
 	// Restart re-admits a recovered space through Router.Replace, a promotion
 	// retargets the ring position through Router.Retarget, a split changes
 	// the membership — and the caller's captured handle observes all three.
-	a := shard.Assembly{
-		Clock: clock, Seed: "master", Obs: spec.Obs,
-		Counters: h.Counters.Retries,
-	}
+	opts := shard.Options{Clock: clock, Seed: "master", Obs: spec.Obs, Counters: h.Counters}
 	if spec.Replicas > 0 {
-		a.Failover = h.resolve
+		opts.Failover = h.resolve
 	}
-	router, err := shard.Assemble(a, seeds)
+	router, err := shard.New(opts, seeds)
 	if err != nil {
 		return err
 	}
@@ -349,7 +321,7 @@ func (h *Host) buildNode(at Node, reuse *node, ring, dir string) (*node, error) 
 		opts := space.DurableOptions{
 			Dir:      dir,
 			Fsync:    h.spec.FsyncPolicy,
-			Counters: h.Counters.Durability,
+			Counters: h.Counters,
 			// All nodes share the append/fsync histograms: "how slow is my
 			// disk?" is per deployment; the serve histograms split load.
 			AppendHist: reg.Histogram(metrics.HistWALAppend),
@@ -378,7 +350,7 @@ func (h *Host) buildNode(at Node, reuse *node, ring, dir string) (*node, error) 
 	// A standby's applier (and a restart's WAL replay) rebuilds the memo
 	// table; its counters and flight sink are wired on every node so dedup
 	// hits stay visible whoever serves.
-	n.local.TS.SetMemoCounters(h.Counters.Retries)
+	n.local.TS.SetMemoCounters(h.Counters)
 	n.local.TS.SetFlightSink(h.memoFlightSink(n.addr, ring))
 	return n, nil
 }
@@ -404,7 +376,7 @@ func (h *Host) serve(ps *position, n *node, epoch uint64, gate *transport.Servic
 			Renew:    func() { h.renew(ps) },
 			OnFenced: h.fencedHook(n.addr, ps.ring),
 			OnEvent:  h.replFlightSink(n.addr, ps.ring),
-			Counters: h.Counters.Repl,
+			Counters: h.Counters,
 			ShipHist: h.spec.Obs.Reg().Histogram(metrics.HistReplShip),
 		})
 		n.sink.Set(p.Sink())
@@ -423,7 +395,7 @@ func (h *Host) serve(ps *position, n *node, epoch uint64, gate *transport.Servic
 		Clock:       h.clock,
 		MaxInflight: h.spec.MaxInflight,
 		Gate:        gate,
-		Counters:    h.Counters.Overload,
+		Counters:    h.Counters,
 		FlightSink: func(detail string) {
 			h.Flight(n.addr, obs.FlightEvent{Kind: obs.EventBrownout, Shard: n.addr, Detail: detail})
 		},

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -369,14 +370,72 @@ func TestTCPAdmissionFollowsServingNode(t *testing.T) {
 		}
 	}
 
-	// Each position's federated snapshot reads the serving node's store:
-	// the live count and, beside it, the list slack the takes above left.
-	for _, m := range o.Fed().Snapshot() {
-		live, ok1 := m.Gauges[metrics.FedEntries]
-		dead, ok2 := m.Gauges[metrics.FedDeadEntries]
-		if !ok1 || !ok2 || live != 0 || dead < 0 {
-			t.Fatalf("member %s: entries %d (%v), dead entries %d (%v)", m.Name, live, ok1, dead, ok2)
+	// Each position's gauges on /metrics read the serving node's store: the
+	// live count and, beside it, the list slack the takes above left.
+	for _, sh := range h.Health().Shards {
+		live := scrape(t, o, metrics.GaugeShardEntries(sh.Shard))
+		dead := scrape(t, o, metrics.GaugeShardDeadEntries(sh.Shard))
+		if live != 0 || dead < 0 {
+			t.Fatalf("shard %d: entries %d, dead entries %d", sh.Shard, live, dead)
 		}
+	}
+}
+
+// scrape renders o's /metrics page and returns the value of the gauge
+// named key, failing the test when the page lacks it.
+func scrape(t *testing.T, o *obs.Obs, key string) int64 {
+	t.Helper()
+	var page strings.Builder
+	obs.WriteMetrics(&page, o)
+	name := "gospaces_" + strings.ReplaceAll(key, ":", "_") + " "
+	for _, line := range strings.Split(page.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, name); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("/metrics lacks %s:\n%s", key, page.String())
+	return 0
+}
+
+// TestShardGaugesFollowPromotion: shard0:entries reads whichever node
+// serves ring position 0, so after KillPrimary it reads the promoted
+// standby's store — not the dead primary's, which still holds every entry.
+func TestShardGaugesFollowPromotion(t *testing.T) {
+	const entries, taken = 10, 4
+	d := inproc(t)
+	o := obs.New(1)
+	h := d.host(t, Spec{Shards: 1, Replicas: 1, FailoverTimeout: failover, Obs: o})
+	for i := 0; i < entries; i++ {
+		if _, err := h.Space().Write(kv{K: fmt.Sprintf("k%02d", i), V: i}, nil, tuplespace.Forever); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := scrape(t, o, metrics.GaugeShardEntries(0)); got != entries {
+		t.Fatalf("before failover: shard0:entries = %d, want %d", got, entries)
+	}
+	deposed := h.Shards()[0].TS
+	ring0, _ := h.RingID(0)
+	if err := h.KillPrimary(0); err != nil {
+		t.Fatal(err)
+	}
+	d.promoted(t, ring0, 2)
+	for i := 0; i < taken; i++ {
+		if _, err := h.Space().Take(kv{K: fmt.Sprintf("k%02d", i)}, nil, time.Second); err != nil {
+			t.Fatalf("take %d after failover: %v", i, err)
+		}
+	}
+	if n := deposed.Stats().EntriesLive; n != entries {
+		t.Fatalf("the dead primary holds %d entries, want %d untouched", n, entries)
+	}
+	if got := scrape(t, o, metrics.GaugeShardEntries(0)); got != entries-taken {
+		t.Fatalf("after failover: shard0:entries = %d, want the promoted store's %d", got, entries-taken)
+	}
+	if got, want := scrape(t, o, metrics.GaugeShardDeadEntries(0)), int64(h.Shards()[0].TS.Stats().Dead); got != want {
+		t.Fatalf("after failover: shard0:dead_entries = %d, want the promoted store's %d", got, want)
 	}
 }
 
@@ -462,7 +521,7 @@ func TestSplitReportsEntriesNotRecords(t *testing.T) {
 	if rep.Migrated != moved {
 		t.Fatalf("split reports %d migrated, the child owns %d entries", rep.Migrated, moved)
 	}
-	if got := h.Counters.Reshard.Get(metrics.CounterReshardMigrated); got != uint64(moved) {
+	if got := h.Counters.Get(metrics.CounterReshardMigrated); got != uint64(moved) {
 		t.Fatalf("%s = %d, want %d", metrics.CounterReshardMigrated, got, moved)
 	}
 	child, _ := h.ShardIndex(rep.Child)
@@ -514,7 +573,7 @@ func TestDurableHostIsStrict(t *testing.T) {
 	if n := h.Shards()[0].TS.Stats().EntriesLive; n != 0 {
 		t.Fatalf("the shard serves %d entries its log refused", n)
 	}
-	if got := h.Counters.Durability.Get(metrics.CounterJournalErrors); got == 0 {
+	if got := h.Counters.Get(metrics.CounterJournalErrors); got == 0 {
 		t.Fatalf("%s = 0, want the refusal counted", metrics.CounterJournalErrors)
 	}
 	_, err := h.Space().Write(kv{K: "logged", V: 2}, nil, tuplespace.Forever)

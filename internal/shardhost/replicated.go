@@ -34,7 +34,7 @@ func (h *Host) standBy(ps *position, n *node, p *replica.Primary) (*replica.Back
 		LeaseExpired:    func() bool { return h.leaseExpired(ps.ring) },
 		OnPromote:       func(e uint64) { h.promote(ps, e) },
 		OnEvent:         h.detectFlightSink(n.addr, ps.ring),
-		Counters:        h.Counters.Repl,
+		Counters:        h.Counters,
 	})
 	b.Bind(n.srv) // on a rejoining node this replaces the deposed handlers
 	attrs := h.ringAttrs(ps, "javaspace-backup")

@@ -79,10 +79,10 @@ type Spec struct {
 	// moving range. Default 2 min.
 	TxnTTL time.Duration
 
-	// Obs, if set, receives serve histograms, gauges, flight events, the
-	// /healthz provider and the federation members — and the spans and task
-	// histograms of the master and workers built from the same Spec. Nil
-	// keeps every hook a no-op.
+	// Obs, if set, receives serve histograms, per-shard gauges, the host's
+	// counters, flight events and the /healthz provider — and the spans and
+	// task histograms of the master and workers built from the same Spec.
+	// Nil keeps every hook a no-op.
 	Obs *obs.Obs
 
 	// Attrs are merged into every javaspace registration — a TCP master

@@ -41,16 +41,13 @@ type Config struct {
 	// TaskTemplate matches the task entries this worker consumes.
 	TaskTemplate tuplespace.Entry
 	// TxnTTL leases each per-task transaction; if the worker dies
-	// mid-task the lease expires and the task reappears. <= 0 disables
-	// transactions (tasks are then taken destructively).
+	// mid-task the lease expires and the task reappears. Default 2 min.
 	TxnTTL time.Duration
 	// PollTimeout bounds each blocking Take so pending signals and
 	// shutdown are honoured on an idle space. Default 250 ms.
 	PollTimeout time.Duration
 	// ParkPoll bounds each wait while Paused/Stopped. Default 500 ms.
 	ParkPoll time.Duration
-	// Collector, if set, receives per-task timing samples.
-	Collector *metrics.Collector
 	// Obs, if set, enables causal tracing ("take" and "execute" spans
 	// parented to the task's plan span) and the worker task-latency
 	// histogram. Nil disables both at zero cost.
@@ -138,6 +135,9 @@ func New(cfg Config) *Worker {
 	}
 	if cfg.ParkPoll <= 0 {
 		cfg.ParkPoll = 500 * time.Millisecond
+	}
+	if cfg.TxnTTL <= 0 {
+		cfg.TxnTTL = 2 * time.Minute
 	}
 	w := &Worker{cfg: cfg, target: rulebase.StateStopped, state: rulebase.StateStopped}
 	if cfg.Obs != nil {
@@ -375,25 +375,19 @@ func (w *Worker) taskFailed() {
 	w.cfg.Clock.Sleep(w.cfg.PollTimeout)
 }
 
-// runOneTask takes, executes and answers a single task (or returns on
-// poll timeout so the loop can honour signals).
+// runOneTask takes, executes and answers a single task under its own
+// transaction (or returns on poll timeout so the loop can honour signals).
 func (w *Worker) runOneTask() {
-	var tx space.Txn
-	var err error
-	if w.cfg.TxnTTL > 0 {
-		tx, err = w.cfg.Space.BeginTxn(w.cfg.TxnTTL)
-		if err != nil {
-			w.spaceFailed(err)
-			w.cfg.Clock.Sleep(w.cfg.PollTimeout)
-			return
-		}
+	tx, err := w.cfg.Space.BeginTxn(w.cfg.TxnTTL)
+	if err != nil {
+		w.spaceFailed(err)
+		w.cfg.Clock.Sleep(w.cfg.PollTimeout)
+		return
 	}
 	takeStart := w.cfg.Clock.Now()
 	task, err := w.cfg.Space.Take(w.cfg.TaskTemplate, tx, w.cfg.PollTimeout)
 	if err != nil {
-		if tx != nil {
-			_ = tx.Abort()
-		}
+		_ = tx.Abort()
 		if w.spaceFailed(err) {
 			// A hard failure (dead endpoint, partition) returns instantly,
 			// unlike a served timeout: back off one poll period so a down
@@ -425,9 +419,7 @@ func (w *Worker) runOneTask() {
 	}, task)
 	execSpan.End()
 	if err != nil {
-		if tx != nil {
-			_ = tx.Abort() // the task reappears for another worker
-		}
+		_ = tx.Abort() // the task reappears for another worker
 		w.taskFailed()
 		return
 	}
@@ -437,24 +429,17 @@ func (w *Worker) runOneTask() {
 		result = obs.Inject(result, execSpan.Context())
 	}
 	if _, err := w.cfg.Space.Write(result, tx, tuplespace.Forever); err != nil {
-		if tx != nil {
-			_ = tx.Abort()
-		}
+		_ = tx.Abort()
 		w.spaceFailed(err)
 		w.taskFailed()
 		return
 	}
-	if tx != nil {
-		if err := tx.Commit(); err != nil {
-			w.spaceFailed(err)
-			w.taskFailed()
-			return
-		}
+	if err := tx.Commit(); err != nil {
+		w.spaceFailed(err)
+		w.taskFailed()
+		return
 	}
 	done := w.cfg.Clock.Now()
-	if w.cfg.Collector != nil {
-		w.cfg.Collector.Add("task:"+w.cfg.Node, done.Sub(start))
-	}
 	w.histTask.Record(done.Sub(start))
 	w.mu.Lock()
 	w.stats.TasksDone++

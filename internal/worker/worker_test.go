@@ -9,6 +9,7 @@ import (
 
 	"gospaces/internal/metrics"
 	"gospaces/internal/nodeconfig"
+	"gospaces/internal/obs"
 	"gospaces/internal/rulebase"
 	"gospaces/internal/space"
 	"gospaces/internal/sysmon"
@@ -317,30 +318,14 @@ func TestWorkerFailingTaskReappears(t *testing.T) {
 	}
 }
 
-// TestWorkerWithoutTransactions: TxnTTL <= 0 disables per-task
-// transactions (tasks are taken destructively); the loop still works.
-func TestWorkerWithoutTransactions(t *testing.T) {
-	r := newRig(t)
-	r.w.cfg.TxnTTL = 0
-	r.writeTasks(t, 6)
-	r.clk.Run(func() {
-		r.clk.Go(r.w.Run)
-		r.w.AutoStart()
-		r.clk.Sleep(4 * time.Second)
-		r.w.Shutdown()
-	})
-	if got := r.countResults(t); got != 6 {
-		t.Fatalf("results = %d, want 6", got)
-	}
-	if st := r.w.Stats(); st.TasksDone != 6 || st.TaskFailures != 0 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
+// TestWorkerCollectorReceivesTaskTimings: every completed task lands one
+// take-to-commit sample in Obs's worker:task histogram.
 func TestWorkerCollectorReceivesTaskTimings(t *testing.T) {
 	r := newRig(t)
-	col := metrics.NewCollector()
-	r.w.cfg.Collector = col
+	o := obs.New(1)
+	cfg := r.w.cfg
+	cfg.Obs = o
+	r.w = New(cfg)
 	r.writeTasks(t, 5)
 	r.clk.Run(func() {
 		r.clk.Go(r.w.Run)
@@ -348,11 +333,12 @@ func TestWorkerCollectorReceivesTaskTimings(t *testing.T) {
 		r.clk.Sleep(5 * time.Second)
 		r.w.Shutdown()
 	})
-	if got := col.Count("task:n1"); got != 5 {
-		t.Fatalf("collector has %d task samples, want 5", got)
+	h := o.Hist(metrics.HistWorkerTask)
+	if got := h.Count(); got != 5 {
+		t.Fatalf("%s has %d samples, want 5", metrics.HistWorkerTask, got)
 	}
-	if col.Max("task:n1") < 50*time.Millisecond {
-		t.Fatalf("max task time %v, want >= compute time", col.Max("task:n1"))
+	if h.Max() < 50*time.Millisecond {
+		t.Fatalf("max task time %v, want >= compute time", h.Max())
 	}
 }
 

@@ -48,7 +48,7 @@ type Spec struct {
 	// from the attributes of the javaspace registration it discovered (a TCP
 	// master tags its shards with the task keying).
 	TaskTemplate func(attrs map[string]string) tuplespace.Entry
-	// TxnTTL leases each per-task transaction. Default 2 min.
+	// TxnTTL leases each per-task transaction (worker.Config's default).
 	TxnTTL time.Duration
 	// PollTimeout bounds each blocking Take (worker.Config's default).
 	PollTimeout time.Duration
@@ -75,6 +75,8 @@ func (s Spec) Validate() error {
 		return errors.New("workerhost: no task template")
 	case s.OpTimeout < 0:
 		return fmt.Errorf("workerhost: optimeout must be >= 0, got %v", s.OpTimeout)
+	case s.TxnTTL < 0:
+		return fmt.Errorf("workerhost: txn-ttl must be >= 0, got %v", s.TxnTTL)
 	}
 	return nil
 }
@@ -112,9 +114,6 @@ func New(clock vclock.Clock, env Env, spec Spec) (*Node, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if spec.TxnTTL == 0 {
-		spec.TxnTTL = 2 * time.Minute
-	}
 	if spec.Counters == nil {
 		spec.Counters = spec.Obs.Ctr()
 	}
@@ -139,7 +138,7 @@ func (n *Node) assemble() error {
 	if err != nil {
 		return fmt.Errorf("discovering space: %w", err)
 	}
-	n.ring, err = shard.Join(shard.Assembly{
+	n.ring, err = shard.Join(shard.Options{
 		Clock: n.clock, Seed: n.name, Obs: spec.Obs, Counters: spec.Counters,
 	}, n.lookup, items, func(addr string) (space.Space, error) {
 		c, err := n.dial(addr)

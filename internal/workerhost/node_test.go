@@ -360,6 +360,7 @@ func TestSpecValidate(t *testing.T) {
 		{"no program", func(s *Spec) { s.Program = "" }, "no program"},
 		{"no template", func(s *Spec) { s.TaskTemplate = nil }, "no task template"},
 		{"negative optimeout", func(s *Spec) { s.OpTimeout = -time.Second }, "optimeout must be >= 0"},
+		{"negative txn-ttl", func(s *Spec) { s.TxnTTL = -time.Second }, "txn-ttl must be >= 0"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

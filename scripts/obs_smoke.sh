@@ -6,10 +6,9 @@
 # ops endpoint while the master is mid-run (planning keeps it busy for
 # tens of seconds, so histograms are live):
 #
-#   /metrics          must serve Prometheus text with framework gauges
-#                     and at least one latency histogram
-#   /metrics/cluster  must serve the federated per-shard view with
-#                     {shard="..."} labels
+#   /metrics          must serve Prometheus text with framework gauges,
+#                     at least one latency histogram and the per-shard
+#                     gauges (entries, dead entries, ops)
 #   /healthz          must serve the JSON health report with one entry
 #                     per shard (role, epoch, replication lag, WAL
 #                     position), the overload block carrying the
@@ -133,15 +132,17 @@ if ! grep -q '"kind": "node:start"' <<<"$flight"; then
 fi
 echo "obs_smoke: /debug/flight OK ($(grep -c '"kind"' <<<"$flight") events)"
 
-cluster=$(curl -fsS "$OBS_URL/metrics/cluster")
-for want in 'gospaces_cluster_entries{shard=' 'gospaces_cluster_dead_entries{shard=' 'gospaces_cluster_ops_total{shard='; do
-    if ! grep -q "$want" <<<"$cluster"; then
-        echo "obs_smoke: FAIL — /metrics/cluster lacks \"$want\":" >&2
-        echo "$cluster" >&2
+# Per-shard vitals are gauges on /metrics, read off whichever node serves
+# the ring position.
+metrics=$(curl -fsS "$OBS_URL/metrics")
+for want in 'gospaces_shard0_entries' 'gospaces_shard0_dead_entries' 'gospaces_shard0_ops'; do
+    if ! grep -q "^$want " <<<"$metrics"; then
+        echo "obs_smoke: FAIL — /metrics lacks \"$want\":" >&2
+        echo "$metrics" >&2
         exit 1
     fi
 done
-echo "obs_smoke: /metrics/cluster OK"
+echo "obs_smoke: per-shard gauges on /metrics OK"
 
 heap=$(curl -fsS -o "$workdir/heap.pprof" -w '%{size_download}' "$OBS_URL/debug/pprof/heap")
 if [ "$heap" -le 0 ]; then

@@ -180,6 +180,74 @@ func TestChaosReshardKillSourcePrimaryMidSplit(t *testing.T) {
 	}
 }
 
+// TestChaosReshardKillSourcePrimaryMidMerge is the merge's twin of the
+// test above: the split-born child — the merge's source — loses its
+// primary while the merge is settling. The merge is past its commit point
+// (the parent already holds the only copy of what was evicted), so the
+// child's standby promotes, the migration re-arms against it, and the
+// child's arc still folds back into the parent with zero lost results.
+func TestChaosReshardKillSourcePrimaryMidMerge(t *testing.T) {
+	jc := failoverJobConfig()
+	var rep shardhost.SplitReport
+	var splitErr, mergeErr, killErr error
+	script := func(f *core.Framework) {
+		f.Clock.Sleep(2 * time.Second)
+		rep, splitErr = f.Host.Split(f.Cluster.MasterAddr)
+		if splitErr != nil {
+			return
+		}
+		f.Clock.Sleep(3 * time.Second)
+		idx, ok := f.Host.ShardIndex(rep.Child)
+		if !ok {
+			killErr = fmt.Errorf("no shard index for split-born %q", rep.Child)
+			return
+		}
+		g := vclock.NewGroup(f.Clock)
+		g.Go(func() { mergeErr = f.Host.Merge(rep.Child) })
+		f.Clock.Sleep(300 * time.Millisecond)
+		killErr = f.Host.KillPrimary(idx)
+		g.Wait()
+	}
+	res, job, fw := runFailover(t, nil, 4, core.Config{
+		Spec: shardhost.Spec{
+			Shards:   1,
+			Replicas: 1,
+			Elastic:  true,
+			TxnTTL:   8 * time.Second,
+		},
+		ResultTimeout: 5 * time.Minute,
+	}, jc, script)
+
+	if splitErr != nil {
+		t.Fatalf("split: %v", splitErr)
+	}
+	if killErr != nil {
+		t.Fatalf("kill: %v", killErr)
+	}
+	if mergeErr != nil {
+		t.Fatalf("merge across a source failover: %v", mergeErr)
+	}
+	assertExactResults(t, job, jc)
+	if got := res.Counters[metrics.CounterReplPromotions]; got != 1 {
+		t.Fatalf("promotions = %d, want exactly 1", got)
+	}
+	if got := res.Counters[metrics.CounterReshardSplits]; got != 1 {
+		t.Fatalf("splits = %d, want 1", got)
+	}
+	if got := res.Counters[metrics.CounterReshardMerges]; got != 1 {
+		t.Fatalf("merges = %d, want 1", got)
+	}
+	if e := fw.Host.TopologyEpoch(); e != 3 {
+		t.Fatalf("topology epoch = %d, want 3 (seed + split + merge)", e)
+	}
+	if born := fw.Host.SplitBorn(); len(born) != 0 {
+		t.Fatalf("split-born shards still live after merge: %v", born)
+	}
+	if err := fw.Host.Err(); err != nil {
+		t.Logf("reshard recovered from: %v", err)
+	}
+}
+
 // TestChaosReshardSplitBornCrashRestart crash-restarts a durable
 // split-born shard after its cutover: the in-memory space is dropped and
 // the child recovers from the WAL its migration applier populated. The

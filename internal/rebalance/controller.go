@@ -9,9 +9,8 @@ import (
 // cumulative (the served-operation counter, monotone); the controller
 // differentiates it against the previous tick itself.
 type Sample struct {
-	ID      string
-	Ops     uint64
-	Entries int
+	ID  string
+	Ops uint64
 }
 
 // Action is a reshard decision the controller's driver executes.
@@ -37,6 +36,9 @@ func (k ActionKind) String() string {
 	return "split"
 }
 
+// alpha is the op-rate EWMA's smoothing factor.
+const alpha = 0.3
+
 // ControllerConfig tunes the rebalancer's decision loop. The zero value
 // of each field selects the documented default.
 type ControllerConfig struct {
@@ -48,8 +50,6 @@ type ControllerConfig struct {
 	// under SplitThreshold or split/merge could flap on a single load
 	// level; Controller enforces a 2× gap.
 	MergeThreshold float64
-	// Alpha is the EWMA smoothing factor in (0,1] (default 0.3).
-	Alpha float64
 	// Mergeable reports whether a shard may be merged away — the driver
 	// restricts merges to split-born children it can still pair with
 	// their parent. Nil means nothing is mergeable.
@@ -65,9 +65,6 @@ func (c ControllerConfig) withDefaults() ControllerConfig {
 	}
 	if c.MergeThreshold > c.SplitThreshold/2 {
 		c.MergeThreshold = c.SplitThreshold / 2
-	}
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.3
 	}
 	return c
 }
@@ -99,7 +96,6 @@ type shardStat struct {
 	ewma     float64
 	hot      int // consecutive ticks above SplitThreshold
 	cold     int // consecutive ticks below MergeThreshold
-	entries  int
 }
 
 // NewController returns a controller with cfg's defaults filled in.
@@ -136,7 +132,6 @@ func (c *Controller) Advance(now time.Time, samples []Sample) []Action {
 			st = &shardStat{}
 			c.stats[s.ID] = st
 		}
-		st.entries = s.Entries
 		if !st.havePrev || first || dt <= 0 || s.Ops < st.prevOps {
 			// First sighting, clock oddity, or a counter reset (the shard
 			// failed over onto a fresh space): re-baseline, don't let the
@@ -146,7 +141,7 @@ func (c *Controller) Advance(now time.Time, samples []Sample) []Action {
 		}
 		rate := float64(s.Ops-st.prevOps) / dt
 		st.prevOps = s.Ops
-		st.ewma = c.cfg.Alpha*rate + (1-c.cfg.Alpha)*st.ewma
+		st.ewma = alpha*rate + (1-alpha)*st.ewma
 		if st.ewma > c.cfg.SplitThreshold {
 			st.hot++
 		} else {

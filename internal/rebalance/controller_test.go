@@ -37,7 +37,7 @@ func (ts *tickSeq) tick(rates map[string]uint64) []Action {
 	var samples []Sample
 	for id, r := range rates {
 		ts.cum[id] += r
-		samples = append(samples, Sample{ID: id, Ops: ts.cum[id], Entries: 10})
+		samples = append(samples, Sample{ID: id, Ops: ts.cum[id]})
 	}
 	ts.last = ts.c.Advance(ts.now, samples)
 	return ts.last

@@ -36,12 +36,22 @@
 // evicted. They are never served from two places: a copy is staged until
 // the source's eviction reveals it, and a take at the source cancels it.
 //
-// A merge is the cold inverse: the same migration engine run with an
-// all-entries predicate from the child back into its parent, and a
-// topology that returns the child's labels and drops the member. The
-// parent is in the ring throughout, which is why copies are staged.
+// A merge is the cold inverse: the same migration run from the child back
+// into its parent, and a topology that returns the child's labels and
+// drops the member. One ownership rule (Moving) selects what moves in
+// both directions: a keyed entry whose key the new ring gives to another
+// member, and an unkeyed one only off a member that leaves — so a merge
+// moves everything. The parent is in the ring throughout, which is why
+// copies are staged.
 //
-// The Controller watches per-shard op-rate EWMAs and entry counts,
+// A Migration owns its retries. Source names the node serving the source
+// now, so a fork that fails (the source died before any eviction) rolls
+// back and forks again against the promoted standby, and a settle or
+// sweep that fails after the first eviction — the commit point — makes
+// Drain fence the destination, re-arm a live tap on that node and sweep
+// again. The caller only says how long a promotion takes (Retry).
+//
+// The Controller watches per-shard op-rate EWMAs,
 // applies hysteresis and a cooldown so split and merge cannot flap, and
 // emits split/merge actions that core executes replica-aware: a
 // split-born shard comes up with the same Replicas/ReplAck posture as

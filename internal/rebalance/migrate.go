@@ -10,77 +10,72 @@ import (
 	"gospaces/internal/vclock"
 )
 
-// KeyedTo builds a migration predicate selecting the keyed entries that
-// member owns under the post-reshard ring (owner is typically
-// shard.OwnerFunc of the topology about to be published). Unkeyed entries
-// never migrate on a split: they were placed round-robin, every zero-key
-// lookup scatters, so they are findable wherever they sit.
-func KeyedTo(owner func(key string) string, member string) func(tuplespace.Entry) bool {
-	return func(e tuplespace.Entry) bool {
+const (
+	attempts    = 3                     // forks, or re-arms after a source failure, per migration
+	settleEvery = 25 * time.Millisecond // pause between settle passes
+)
+
+// Moving returns a reshard's entry and memo predicates: what ring member
+// from hands over under owner, the ring about to be published (typically
+// shard.OwnerFunc), which from leaves iff leaving. A keyed entry moves iff
+// owner gives its key to another member: on a split only the child gains
+// labels, on a merge every key goes. An unkeyed entry was placed
+// round-robin and every zero-key lookup scatters, so it moves only off a
+// member that leaves. Unkeyed memos always ship (see Migration.MemoPred).
+func Moving(owner func(key string) string, from string, leaving bool) (func(tuplespace.Entry) bool, func(key string, keyed bool) bool) {
+	pred := func(e tuplespace.Entry) bool {
 		key, ok, err := tuplespace.IndexKey(e)
 		if err != nil || !ok {
-			return false
+			return leaving
 		}
-		return owner(key) == member
+		return owner(key) != from
 	}
-}
-
-// Everything is the merge predicate: the vacating shard hands over every
-// entry, keyed or not.
-func Everything(tuplespace.Entry) bool { return true }
-
-// KeyedMemosTo is the memo-slice analogue of KeyedTo: it selects the
-// exactly-once memos whose key the member owns under the post-reshard
-// ring. Unkeyed memos ship too — their ops were placed round-robin, and
-// an over-shipped memo is harmless while a missing one re-executes a
-// retry (see Migration.MemoPred).
-func KeyedMemosTo(owner func(key string) string, member string) func(key string, keyed bool) bool {
-	return func(key string, keyed bool) bool {
-		if !keyed {
-			return true
-		}
-		return owner(key) == member
+	memoPred := func(key string, keyed bool) bool {
+		return !keyed || owner(key) != from
 	}
+	return pred, memoPred
 }
 
 // Migration moves the entries matching Pred from a source shard's space
 // into a destination applier while the source keeps serving. One
-// Migration drives one direction of one reshard; a source failover
-// mid-migration is handled by aborting and running a fresh Migration
-// against the promoted node (after Dst.Reset()).
+// Migration drives one direction of one reshard, across failovers of its
+// source: Fork forks again against whichever node Source names after a
+// failed attempt, and Drain re-arms there after a failed settle or sweep.
 type Migration struct {
-	// Clock paces settle passes.
+	// Clock paces settle passes and retries.
 	Clock vclock.Clock
-	// Src is the serving node's raw space; Tap must sit in that same
-	// node's journal chain.
-	Src *tuplespace.Space
-	Tap *Tap
+	// Source resolves the node serving the source position now: its raw
+	// space and the migration tap in that same node's journal chain.
+	Source func() (*tuplespace.Space, *Tap)
 	// Dst applies into the destination shard through its own journal
 	// chain, so migrated entries are durable/replicated at the destination
 	// before the source copy is evicted, and invisible there until then.
 	Dst *tuplespace.Applier
-	// Pred selects the migrating entries (KeyedTo for a split,
-	// Everything for a merge).
+	// Pred selects the migrating entries (see Moving).
 	Pred func(tuplespace.Entry) bool
 	// MemoPred selects which exactly-once memo records (idempotency-token
 	// outcomes, see tuplespace memo.go) ship and forward with the
-	// migrating entries, by each memo's (key, keyed) pair — KeyedMemosTo
-	// for a split, nil for "all of them" (a merge, or when the caller
-	// cannot scope them). Over-shipping is safe: a duplicate memo on a
+	// migrating entries, by each memo's (key, keyed) pair (see Moving);
+	// nil ships all of them. Over-shipping is safe: a duplicate memo on a
 	// non-owning shard is never consulted and ages out of the bounded
 	// table; under-shipping is not — a retried mutation that re-routes to
 	// the destination without its memo would re-execute.
 	MemoPred func(key string, keyed bool) bool
-	// SettleEvery is the pause between settle passes (default 25ms).
-	SettleEvery time.Duration
-	// Counters, when set, receives reshard:entries_migrated and
-	// reshard:entries_evicted.
+	// Retry is the pause before each fork retry and each re-arm: long
+	// enough for a failed source's standby to promote.
+	Retry time.Duration
+	// Counters, when set, receives reshard:entries_migrated,
+	// reshard:entries_evicted and reshard:aborted.
 	Counters *metrics.Counters
 	// OnEvent, when set, receives phase-boundary notifications for the
 	// cluster flight recorder: "fork" after the destination goes live,
 	// "settle" after the cutover barrier clears, "drain" after the
 	// lame-duck sweep. Called outside any space mutex.
 	OnEvent func(kind, detail string)
+
+	src    *tuplespace.Space // the node the migration reads now
+	tap    *Tap
+	broken bool // a settle failed and closed the tap: Drain re-arms first
 }
 
 func (m *Migration) event(kind, detail string) {
@@ -89,43 +84,54 @@ func (m *Migration) event(kind, detail string) {
 	}
 }
 
-func (m *Migration) settleEvery() time.Duration {
-	if m.SettleEvery > 0 {
-		return m.SettleEvery
-	}
-	return 25 * time.Millisecond
-}
-
 // Fork brings the destination online-converging: buffer the journal,
 // snapshot the matching source state, replay it into the destination,
 // then switch the tap live. From return onward every source mutation in
 // the migrating range reaches the destination before the source op
-// acknowledges. Returns how many entries the snapshot carried — its memo
-// records, one per tokened write still remembered, are not entries.
-func (m *Migration) Fork() (int, error) {
+// acknowledges. Nothing is evicted yet, so a failed attempt rolls back
+// wholesale (Abort) and, after Retry, forks again against whichever node
+// Source then names. Returns how many entries the snapshot carried — its
+// memo records, one per tokened write still remembered, are not entries —
+// and how many attempts were abandoned.
+func (m *Migration) Fork() (n, retries int, err error) {
+	for {
+		m.src, m.tap = m.Source()
+		if n, err = m.fork(); err == nil {
+			return n, retries, nil
+		}
+		m.Abort()
+		if m.Counters != nil {
+			m.Counters.Inc(metrics.CounterReshardAborted)
+		}
+		if retries+1 >= attempts {
+			return 0, retries, err
+		}
+		retries++
+		m.Clock.Sleep(m.Retry)
+	}
+}
+
+func (m *Migration) fork() (int, error) {
 	m.Dst.SetFilter(m.Pred)
 	m.Dst.SetMemoFilter(m.MemoPred)
-	m.Tap.StartBuffer()
-	entries, err := m.Src.EncodeStateWhere(m.Pred)
+	m.tap.StartBuffer()
+	entries, err := m.src.EncodeStateWhere(m.Pred)
 	if err != nil {
-		m.Tap.Close()
 		return 0, fmt.Errorf("rebalance: snapshot source: %w", err)
 	}
 	// Memo slice after the entry snapshot: a write memo binds to its entry
 	// by sequence, so the entry must exist at the destination first. Live
 	// memo records then ride the tap like any journal record.
-	memos, err := m.Src.EncodeMemosWhere(m.MemoPred)
+	memos, err := m.src.EncodeMemosWhere(m.MemoPred)
 	if err != nil {
-		m.Tap.Close()
 		return 0, fmt.Errorf("rebalance: snapshot memos: %w", err)
 	}
 	for _, rec := range append(entries, memos...) {
 		if err := m.Dst.Apply(rec); err != nil {
-			m.Tap.Close()
 			return 0, fmt.Errorf("rebalance: replay snapshot: %w", err)
 		}
 	}
-	if err := m.Tap.GoLive(m.Dst.Apply); err != nil {
+	if err := m.tap.GoLive(m.Dst.Apply); err != nil {
 		return 0, fmt.Errorf("rebalance: drain tap buffer: %w", err)
 	}
 	if m.Counters != nil {
@@ -143,7 +149,7 @@ func (m *Migration) Fork() (int, error) {
 // live tap postdates). Returns how many entries were evicted and how many
 // remain lock-held by in-flight transactions or reads.
 func (m *Migration) SettlePass() (evicted, locked int, err error) {
-	recs, locked, err := m.Src.EvictWhere(m.Pred)
+	recs, locked, err := m.src.EvictWhere(m.Pred)
 	for _, rec := range recs {
 		if aerr := m.Dst.ApplyEvicted(rec); aerr != nil && err == nil {
 			err = fmt.Errorf("rebalance: re-apply evicted record: %w", aerr)
@@ -155,7 +161,7 @@ func (m *Migration) SettlePass() (evicted, locked int, err error) {
 	if err != nil {
 		return len(recs), locked, err
 	}
-	if terr := m.Tap.Err(); terr != nil {
+	if terr := m.tap.Err(); terr != nil {
 		return len(recs), locked, fmt.Errorf("rebalance: tap forward: %w", terr)
 	}
 	return len(recs), locked, nil
@@ -171,23 +177,27 @@ var ErrSettleTimeout = errors.New("rebalance: settle timed out on locked entries
 // holds no visible or in-flight-held entry in the migrating range that
 // the destination lacks. New matching writes may still arrive (routers
 // have not cut over yet); Drain sweeps those. Gives up after maxWait.
+// The first eviction is the commit point, so a failure closes the tap but
+// leaves the migration standing: Drain re-arms and finishes the eviction.
 func (m *Migration) SettleUntilClear(maxWait time.Duration) (int, error) {
 	deadline := m.Clock.Now().Add(maxWait)
 	total := 0
 	for {
 		evicted, locked, err := m.SettlePass()
 		total += evicted
+		if err == nil && locked > 0 && m.Clock.Now().After(deadline) {
+			err = fmt.Errorf("%w (%d held after %v)", ErrSettleTimeout, locked, maxWait)
+		}
 		if err != nil {
+			m.tap.Close()
+			m.broken = true
 			return total, err
 		}
 		if locked == 0 {
 			m.event("settle", fmt.Sprintf("%d evicted", total))
 			return total, nil
 		}
-		if m.Clock.Now().After(deadline) {
-			return total, fmt.Errorf("%w (%d held after %v)", ErrSettleTimeout, locked, maxWait)
-		}
-		m.Clock.Sleep(m.settleEvery())
+		m.Clock.Sleep(settleEvery)
 	}
 }
 
@@ -199,8 +209,56 @@ func (m *Migration) SettleUntilClear(maxWait time.Duration) (int, error) {
 // to the new ring only until the next pass of whoever still writes
 // there, which the window is sized to outlast (the worker watch
 // interval). Closes the tap on return.
-func (m *Migration) Drain(window time.Duration) (int, error) {
-	defer m.Tap.Close()
+// A failed sweep or settle means the source failed over mid-reshard:
+// Drain waits Retry for the promotion (not after a failed settle), re-arms
+// on the node Source names and sweeps again. No new snapshot is needed;
+// the passes evict and re-apply whatever that node holds in the range.
+func (m *Migration) Drain(window time.Duration) (total int, err error) {
+	healthy := !m.broken
+	if healthy {
+		if total, err = m.drain(window); err == nil {
+			return total, nil
+		}
+	}
+	for attempt := 1; attempt <= attempts; attempt++ {
+		if attempt > 1 || healthy {
+			m.Clock.Sleep(m.Retry)
+		}
+		if err = m.rearm(); err != nil {
+			continue
+		}
+		n, derr := m.drain(window)
+		total += n
+		if err = derr; err == nil {
+			return total, nil
+		}
+	}
+	return total, err
+}
+
+// rearm switches a fresh live tap on at the node serving the source now.
+// A promoted or restarted node holds what it mirrored under the dead
+// source's ids and mints above them, so Dst is fenced there first: an
+// entry both incarnations carried still dedups (no duplicate), and an id
+// the dead source minted but never shipped or logged is not mistaken for
+// a new write's (no loss).
+func (m *Migration) rearm() error {
+	src, tap := m.Source()
+	if src != m.src {
+		m.Dst.Fence(src.Mirrored() + 1)
+		m.src = src
+	}
+	m.tap = tap
+	tap.StartBuffer()
+	if err := tap.GoLive(m.Dst.Apply); err != nil {
+		tap.Close()
+		return err
+	}
+	return nil
+}
+
+func (m *Migration) drain(window time.Duration) (int, error) {
+	defer m.tap.Close()
 	deadline := m.Clock.Now().Add(window)
 	total := 0
 	for {
@@ -217,15 +275,15 @@ func (m *Migration) Drain(window time.Duration) (int, error) {
 			m.event("drain", fmt.Sprintf("%d evicted", total))
 			return total, nil
 		}
-		m.Clock.Sleep(m.settleEvery())
+		m.Clock.Sleep(settleEvery)
 	}
 }
 
 // Abort tears the migration down without cutting over: the tap stops
-// forwarding and the caller resets the destination applier. Safe at any
-// phase; the source was never not-serving.
+// forwarding and the destination applier resets. Safe at any phase; the
+// source was never not-serving.
 func (m *Migration) Abort() {
-	m.Tap.Close()
+	m.tap.Close()
 	m.Dst.Reset()
 	m.Dst.SetFilter(nil)
 	m.Dst.SetMemoFilter(nil)

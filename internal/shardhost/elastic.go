@@ -11,7 +11,6 @@ import (
 	"gospaces/internal/metrics"
 	"gospaces/internal/obs"
 	"gospaces/internal/rebalance"
-	"gospaces/internal/replica"
 	"gospaces/internal/shard"
 	"gospaces/internal/tuplespace"
 	"gospaces/internal/vclock"
@@ -25,10 +24,6 @@ import (
 // load-driven controller issues those calls itself from per-shard op-rate
 // EWMAs. The protocol lives in internal/rebalance; this file is the wiring.
 
-// splitAttempts bounds how often a reshard re-arms against a freshly
-// promoted node after the node it was migrating from failed mid-flight.
-const splitAttempts = 3
-
 // reshardState is the host-side bookkeeping of elastic mode.
 type reshardState struct {
 	mu       sync.Mutex
@@ -41,7 +36,11 @@ type reshardState struct {
 	rates map[string]float64
 }
 
-func (s *reshardState) begin() error {
+// begin claims the host's one reshard slot for op (nil s: not elastic).
+func (s *reshardState) begin(op string) error {
+	if s == nil {
+		return fmt.Errorf("shardhost: %s requires an elastic host", op)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.inFlight {
@@ -121,21 +120,6 @@ func (h *Host) isRetired(ring string) bool {
 	return ps.retired
 }
 
-// servingChain resolves ring to the node currently serving it — the raw
-// space a migration snapshots and evicts from and its migration tap — plus
-// the position's primary controller (nil when unreplicated). After a
-// failover this follows the promoted node, which is the point: a reshard
-// always works against whoever serves now.
-func (h *Host) servingChain(ring string) (*node, *replica.Primary) {
-	ps := h.byRing(ring)
-	if ps == nil {
-		return nil, nil
-	}
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	return ps.serving, ps.primary
-}
-
 // SplitReport describes one completed shard split.
 type SplitReport struct {
 	Parent, Child string
@@ -162,10 +146,7 @@ type SplitReport struct {
 // source fails mid-flight. Requires Spec.Elastic.
 func (h *Host) Split(parentRing string) (SplitReport, error) {
 	var rep SplitReport
-	if h.reshard == nil {
-		return rep, errors.New("shardhost: Split requires an elastic host")
-	}
-	if err := h.reshard.begin(); err != nil {
+	if err := h.reshard.begin("Split"); err != nil {
 		return rep, err
 	}
 	defer h.reshard.end()
@@ -173,18 +154,19 @@ func (h *Host) Split(parentRing string) (SplitReport, error) {
 		return rep, fmt.Errorf("shardhost: ring member %q was merged away", parentRing)
 	}
 
-	cur := h.router.Topology()
-	var parent *shard.TopoMember
-	for i := range cur.Members {
-		if cur.Members[i].ID == parentRing {
-			parent = &cur.Members[i]
+	next := h.router.Topology()
+	next.Epoch++
+	var keep, give []string
+	for i, m := range next.Members {
+		if m.ID == parentRing {
+			keep, give = shard.SplitLabels(m.Labels)
+			next.Members[i].Labels = keep
 		}
 	}
-	if parent == nil {
+	if keep == nil {
 		return rep, fmt.Errorf("shardhost: no ring member %q", parentRing)
 	}
-	keep, give := shard.SplitLabels(parent.Labels)
-	if len(keep) == 0 || len(give) == 0 {
+	if give == nil {
 		return rep, fmt.Errorf("shardhost: ring member %q owns too few points to split", parentRing)
 	}
 
@@ -206,113 +188,114 @@ func (h *Host) Split(parentRing string) (SplitReport, error) {
 				parentRing, child.serving.dir, info.Restored, info.SnapshotRecords+info.TailRecords)
 		}
 	}
-	// Captured before anything can fail the child over: the cutover hands
-	// routers the construction-time handle, like a seed's.
-	childTS, childHandle, childEpoch := child.serving.local.TS, child.handle, child.epoch
+	childEpoch := child.epoch // read before its controllers run
 	if child.primary != nil {
 		h.env.Spawn(child.primary.Run)
 		h.env.Spawn(child.backup.Run)
 	}
 	h.Flight(child.ring, obs.FlightEvent{Kind: obs.EventNodeStart, Shard: child.ring, Detail: "split child"})
-	rep.Parent, rep.Child = parentRing, child.ring
-
-	// The split is one control-plane operation: a root span whose context
-	// tags every phase event, so `expt timeline` groups the whole reshard.
-	tc, phases := h.reshardTrace("split", parentRing)
-
-	next := shard.Topology{Epoch: cur.Epoch + 1}
-	for _, m := range cur.Members {
-		if m.ID == parentRing {
-			m.Labels = keep
-		}
-		next.Members = append(next.Members, m)
-	}
 	next.Members = append(next.Members, shard.TopoMember{ID: child.ring, Labels: give, Epoch: childEpoch})
+	rep, err = h.move("split", parentRing, child, next)
+	rep.Parent, rep.Child = parentRing, child.ring
+	return rep, err
+}
 
-	pred := rebalance.KeyedTo(shard.OwnerFunc(next), child.ring)
+// move is the one reshard protocol, Split's (to joins the ring) and
+// Merge's (from leaves it): migrate what next no longer gives ring member
+// from into position to, cut over to next, sweep the stragglers. One root
+// span tags every phase event, so `expt timeline` groups the reshard. A
+// failed fork rolls back (a joining to is retired stillborn); from the
+// first eviction on, the move runs to completion across source failovers.
+func (h *Host) move(op, from string, to *position, next shard.Topology) (SplitReport, error) {
+	var rep SplitReport
+	tc, phases := h.reshardTrace(op, from)
+	leaving := op == "merge"
+	src := h.byRing(from)
+	// Read before anything can fail to over: a joining member is handed to
+	// routers by its construction-time handle, like a seed.
+	to.mu.Lock()
+	dst, handle, epoch := tuplespace.NewApplier(to.serving.local.TS), to.handle, to.epoch
+	to.mu.Unlock()
 	// Memos for the migrating bucket ship with it, so a mutation retried
-	// after the cutover re-routes to the child and still dedups there.
-	memoPred := rebalance.KeyedMemosTo(shard.OwnerFunc(next), child.ring)
-	dst := tuplespace.NewApplier(childTS)
-
-	// Phase 1 — fork. Before any eviction the split can be rolled back
-	// wholesale (the child just resets), so a source failover here means
-	// waiting out the promotion and forking against whichever node then
-	// serves the ring position.
-	var m *rebalance.Migration
-	for attempt := 1; ; attempt++ {
-		src, _ := h.servingChain(parentRing)
-		m = &rebalance.Migration{Clock: h.clock, Src: src.local.TS, Tap: src.tap, Dst: dst, Pred: pred, MemoPred: memoPred, Counters: h.Counters, OnEvent: phases}
-		n, ferr := m.Fork()
-		if ferr == nil {
-			rep.Migrated = n
-			break
-		}
-		m.Abort()
-		h.Counters.Inc(metrics.CounterReshardAborted)
-		if attempt >= splitAttempts {
-			h.retire(child) // stillborn
-			return rep, fmt.Errorf("shardhost: split %s: fork: %w", parentRing, ferr)
-		}
-		rep.Retries++
-		h.clock.Sleep(h.spec.FailoverTimeout)
+	// after the cutover re-routes to its new owner and still dedups there.
+	pred, memoPred := rebalance.Moving(shard.OwnerFunc(next), from, leaving)
+	m := &rebalance.Migration{
+		Clock: h.clock,
+		Source: func() (*tuplespace.Space, *rebalance.Tap) {
+			src.mu.Lock()
+			defer src.mu.Unlock()
+			return src.serving.local.TS, src.serving.tap
+		},
+		Dst: dst, Pred: pred, MemoPred: memoPred,
+		Retry: h.spec.FailoverTimeout, Counters: h.Counters, OnEvent: phases,
 	}
 
-	// Phase 2 — settle: evict the migrating range off the source until no
-	// matching entry is held by an in-flight transaction. From the first
-	// eviction on the split must complete — rolling back would drop entries
-	// whose only authoritative copy is now the child's — so a failure here
-	// does not abort; the lame-duck sweep below finishes the eviction
-	// against whichever node serves after the dust settles.
-	evicted, serr := m.SettleUntilClear(h.spec.TxnTTL)
-	rep.Evicted += evicted
-	if serr != nil {
-		m.Tap.Close()
-		h.setErr(serr)
+	// Fork — rolled back and retried across a source failover.
+	var err error
+	if rep.Migrated, rep.Retries, err = m.Fork(); err != nil {
+		if !leaving {
+			h.retire(to) // stillborn
+		}
+		return rep, fmt.Errorf("shardhost: %s %s: fork: %w", op, from, err)
 	}
 
-	// The child's own standby must hold everything before routers cut
-	// over, so a child failover directly after the split loses nothing.
-	h.flushPrimary(child)
+	// Settle: evict the migrating range off the source until no matching
+	// entry is held by an in-flight transaction. A failure is recorded,
+	// not returned: past the first eviction the lame duck below finishes
+	// the eviction against whichever node serves by then.
+	rep.Evicted, err = m.SettleUntilClear(h.spec.TxnTTL)
+	h.setErr(err)
 
-	// Phase 3 — cutover: topology record first (any watcher that can see
-	// the child's registration then also sees the ring that places it),
-	// master retargets in-process, child registers last.
+	// to's own standby must hold everything before routers cut over, so a
+	// failover of to directly after the reshard loses nothing.
+	h.flushPrimary(to)
+
+	// Cutover: topology record first (any watcher that can see a joining
+	// member's registration then also sees the ring that places it),
+	// master retargets in-process, a joining member registers last.
 	cutStart := h.clock.Now()
-	if perr := h.publishTopology(&next); perr != nil {
+	if err := h.publishTopology(&next); err != nil {
 		// Remote clients keep the previous ring — consistent but stale —
-		// and keep writing the moved range to the parent, which the drain
-		// below keeps sweeping across.
-		h.setErr(perr)
+		// and keep writing the moved range to from, which the drain below
+		// keeps sweeping across.
+		h.setErr(err)
 	}
 	resolve := func(ring string) (shard.Shard, error) {
-		if ring == child.ring {
-			return shard.Shard{ID: ring, Space: childHandle, Epoch: childEpoch}, nil
+		if ring == to.ring {
+			return shard.Shard{ID: ring, Space: handle, Epoch: epoch}, nil
 		}
 		return shard.Shard{}, fmt.Errorf("shardhost: unexpected new ring member %q", ring)
 	}
-	if _, aerr := h.router.ApplyTopology(next, resolve); aerr != nil {
-		return rep, fmt.Errorf("shardhost: split %s: apply topology: %w", parentRing, aerr)
+	if _, err := h.router.ApplyTopology(next, resolve); err != nil {
+		return rep, fmt.Errorf("shardhost: %s %s: apply topology: %w", op, from, err)
 	}
-	h.setErr(h.announce(child, false))
-	h.reshard.mu.Lock()
-	h.reshard.parents[child.ring] = parentRing
-	h.reshard.mu.Unlock()
+	if !leaving {
+		h.setErr(h.announce(to, false))
+		h.reshard.mu.Lock()
+		h.reshard.parents[to.ring] = from
+		h.reshard.mu.Unlock()
+	}
 	rep.Cutover = h.clock.Since(cutStart)
 
-	// Phase 4 — lame duck: sweep stragglers written by not-yet-converged
-	// routers until the drain window outlasts every watcher's poll.
-	drained, derr := h.lameDuck(m, serr == nil, parentRing, dst, pred, memoPred)
+	// Lame duck: sweep stragglers written by not-yet-converged routers
+	// until the drain window outlasts every watcher's poll.
+	drained, err := m.Drain(h.spec.drain())
 	rep.Evicted += drained
-	h.setErr(derr)
+	h.setErr(err)
 
-	h.flushPrimary(child)
-	h.Counters.Inc(metrics.CounterReshardSplits)
-	h.Flight("master", obs.FlightEvent{
-		Kind: obs.EventSplitDone, Shard: parentRing, Epoch: next.Epoch,
-		Detail: fmt.Sprintf("child %s: %d migrated, %d evicted", child.ring, rep.Migrated, rep.Evicted),
+	ev := obs.FlightEvent{
+		Kind: obs.EventSplitDone, Shard: from, Epoch: next.Epoch,
+		Detail: fmt.Sprintf("child %s: %d migrated, %d evicted", to.ring, rep.Migrated, rep.Evicted),
 		Trace:  tc.TraceID, Span: tc.SpanID,
-	})
+	}
+	counter := metrics.CounterReshardSplits
+	if leaving {
+		h.retire(src)
+		ev.Kind, ev.Detail, counter = obs.EventMergeDone, "folded into "+to.ring, metrics.CounterReshardMerges
+	}
+	h.flushPrimary(to)
+	h.Counters.Inc(counter)
+	h.Flight("master", ev)
 	return rep, nil
 }
 
@@ -327,59 +310,6 @@ func (h *Host) flushPrimary(ps *position) {
 	}
 }
 
-// lameDuck runs the post-cutover straggler sweep. While the live migration
-// is healthy its tap keeps forwarding synchronously and the sweep reuses
-// it; otherwise (the source failed over mid-reshard) a fresh live tap is
-// armed on the node now serving the ring position — no new snapshot
-// needed, the drain passes themselves evict-and-re-apply whatever state
-// that node still holds in the migrating range.
-//
-// A promoted or restarted node holds every entry it mirrored under the
-// dead source's id and mints ids above the highest of them, so before
-// re-arming against a node other than the one the migration has been
-// reading, dst is fenced there: an entry both incarnations carried still
-// dedups (no duplicate), and an id the dead source minted but never
-// shipped or logged can no longer be mistaken for a new write's (no
-// loss).
-func (h *Host) lameDuck(m *rebalance.Migration, healthy bool, ring string, dst *tuplespace.Applier, pred func(tuplespace.Entry) bool, memoPred func(key string, keyed bool) bool) (int, error) {
-	drain := h.spec.drain()
-	total := 0
-	if healthy {
-		n, err := m.Drain(drain)
-		total += n
-		if err == nil {
-			return total, nil
-		}
-	}
-	curSrc := m.Src
-	var lastErr error
-	for attempt := 1; attempt <= splitAttempts; attempt++ {
-		if attempt > 1 || healthy {
-			// Give a mid-sweep failover time to promote before re-arming.
-			h.clock.Sleep(h.spec.FailoverTimeout)
-		}
-		src, _ := h.servingChain(ring)
-		if src.local.TS != curSrc {
-			dst.Fence(src.local.TS.Mirrored() + 1)
-			curSrc = src.local.TS
-		}
-		m2 := &rebalance.Migration{Clock: h.clock, Src: src.local.TS, Tap: src.tap, Dst: dst, Pred: pred, MemoPred: memoPred, Counters: h.Counters, OnEvent: m.OnEvent}
-		src.tap.StartBuffer()
-		if err := src.tap.GoLive(dst.Apply); err != nil {
-			src.tap.Close()
-			lastErr = err
-			continue
-		}
-		n, err := m2.Drain(drain)
-		total += n
-		if err == nil {
-			return total, nil
-		}
-		lastErr = err
-	}
-	return total, lastErr
-}
-
 // Merge folds split-born position childRing back into the parent it was
 // forked from: every entry (keyed or not) migrates over with the same
 // snapshot + live tap + evict protocol a split uses, the topology returns
@@ -387,120 +317,49 @@ func (h *Host) lameDuck(m *rebalance.Migration, healthy bool, ring string, dst *
 // child is retired. Only positions created by Split can merge, and only
 // while their parent is still in the ring.
 func (h *Host) Merge(childRing string) error {
-	if h.reshard == nil {
-		return errors.New("shardhost: Merge requires an elastic host")
-	}
-	if err := h.reshard.begin(); err != nil {
+	if err := h.reshard.begin("Merge"); err != nil {
 		return err
 	}
 	defer h.reshard.end()
-	h.reshard.mu.Lock()
-	parentRing, ok := h.reshard.parents[childRing]
-	h.reshard.mu.Unlock()
-	child := h.byRing(childRing)
+	parentRing, ok := h.mergeParent(childRing)
 	if !ok {
-		return fmt.Errorf("shardhost: %q is not a split-born shard", childRing)
-	}
-	if h.isRetired(childRing) || h.isRetired(parentRing) {
-		return fmt.Errorf("shardhost: %q or its parent %q is already retired", childRing, parentRing)
+		return fmt.Errorf("shardhost: %q is not a live split-born shard with a live parent", childRing)
 	}
 
 	cur := h.router.Topology()
-	var childM *shard.TopoMember
-	haveParent := false
-	for i := range cur.Members {
-		switch cur.Members[i].ID {
-		case childRing:
-			childM = &cur.Members[i]
-		case parentRing:
-			haveParent = true
-		}
-	}
-	if childM == nil || !haveParent {
-		return fmt.Errorf("shardhost: merge %s: ring does not hold both child and parent", childRing)
-	}
 	next := shard.Topology{Epoch: cur.Epoch + 1}
+	var give []string
+	parent := -1
 	for _, m := range cur.Members {
-		if m.ID == childRing {
+		switch m.ID {
+		case childRing:
+			give = m.Labels
 			continue
-		}
-		if m.ID == parentRing {
-			m.Labels = append(append([]string(nil), m.Labels...), childM.Labels...)
+		case parentRing:
+			parent = len(next.Members)
 		}
 		next.Members = append(next.Members, m)
 	}
+	if give == nil || parent < 0 {
+		return fmt.Errorf("shardhost: merge %s: ring does not hold both child and parent", childRing)
+	}
+	next.Members[parent].Labels = append(next.Members[parent].Labels, give...)
 
-	parentNode, parentPrim := h.servingChain(parentRing)
-	dst := tuplespace.NewApplier(parentNode.local.TS)
-	pred := rebalance.Everything
-	tc, phases := h.reshardTrace("merge", childRing)
-
-	// Fork with retries — abort is safe until the first eviction (the
-	// child keeps everything; the parent just resets the copies).
-	var m *rebalance.Migration
-	for attempt := 1; ; attempt++ {
-		src, _ := h.servingChain(childRing)
-		m = &rebalance.Migration{Clock: h.clock, Src: src.local.TS, Tap: src.tap, Dst: dst, Pred: pred, Counters: h.Counters, OnEvent: phases}
-		_, ferr := m.Fork()
-		if ferr == nil {
-			break
-		}
-		m.Abort()
-		h.Counters.Inc(metrics.CounterReshardAborted)
-		if attempt >= splitAttempts {
-			return fmt.Errorf("shardhost: merge %s: fork: %w", childRing, ferr)
-		}
-		h.clock.Sleep(h.spec.FailoverTimeout)
-	}
-
-	// From the first eviction on the parent holds the only copy of the
-	// moved entries while the ring still routes the child's arc to the
-	// child — the merge must run to completion.
-	_, serr := m.SettleUntilClear(h.spec.TxnTTL)
-	if serr != nil {
-		m.Tap.Close()
-		h.setErr(serr)
-	}
-	if parentPrim != nil {
-		_ = parentPrim.Flush() // degrades the pair on failure; the next flush retries
-	}
-
-	// Cutover: the child's arc returns to the parent at a newer epoch; no
-	// new members, so the master applies without a resolver.
-	if perr := h.publishTopology(&next); perr != nil {
-		h.setErr(perr)
-	}
-	if _, aerr := h.router.ApplyTopology(next, nil); aerr != nil {
-		return fmt.Errorf("shardhost: merge %s: apply topology: %w", childRing, aerr)
-	}
-
-	// Lame duck, then retire the emptied child.
-	_, derr := h.lameDuck(m, serr == nil, childRing, dst, pred, nil)
-	h.setErr(derr)
-	h.retire(child)
-	if parentPrim != nil {
-		_ = parentPrim.Flush()
-	}
-	h.Counters.Inc(metrics.CounterReshardMerges)
-	h.Flight("master", obs.FlightEvent{
-		Kind: obs.EventMergeDone, Shard: childRing, Epoch: next.Epoch,
-		Detail: fmt.Sprintf("folded into %s", parentRing),
-		Trace:  tc.TraceID, Span: tc.SpanID,
-	})
-	return nil
+	_, err := h.move("merge", childRing, h.byRing(parentRing), next)
+	return err
 }
 
-// mergeable restricts the rebalancer's merges to split-born shards whose
-// parent is still in the ring.
-func (h *Host) mergeable(ring string) bool {
+// mergeParent returns the parent split-born ring was forked from, while
+// both are live: only such a ring may merge.
+func (h *Host) mergeParent(ring string) (string, bool) {
 	h.reshard.mu.Lock()
 	parent, ok := h.reshard.parents[ring]
 	h.reshard.mu.Unlock()
-	return ok && !h.isRetired(ring) && !h.isRetired(parent)
+	return parent, ok && !h.isRetired(ring) && !h.isRetired(parent)
 }
 
-// loadSamples reads every live position's cumulative op count and entry
-// count off the node currently serving it — the rebalancer's input.
+// loadSamples reads every live position's cumulative op count off the
+// node currently serving it — the rebalancer's input.
 func (h *Host) loadSamples() []rebalance.Sample {
 	var out []rebalance.Sample
 	for _, ps := range h.snapshot() {
@@ -511,7 +370,7 @@ func (h *Host) loadSamples() []rebalance.Sample {
 			continue
 		}
 		st := l.TS.Stats()
-		out = append(out, rebalance.Sample{ID: ps.ring, Ops: st.Writes + st.Reads + st.Takes, Entries: st.EntriesLive})
+		out = append(out, rebalance.Sample{ID: ps.ring, Ops: st.Writes + st.Reads + st.Takes})
 	}
 	return out
 }
@@ -532,7 +391,7 @@ func (h *Host) newRebalancer() *rebalancer {
 	return &rebalancer{h: h, ctrl: rebalance.NewController(rebalance.ControllerConfig{
 		SplitThreshold: h.spec.SplitThreshold,
 		MergeThreshold: h.spec.MergeThreshold,
-		Mergeable:      h.mergeable,
+		Mergeable:      func(ring string) bool { _, ok := h.mergeParent(ring); return ok },
 	})}
 }
 

@@ -2,6 +2,7 @@ package discovery
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -145,6 +146,32 @@ func TestKeepAliveRenewsUntilStopped(t *testing.T) {
 			t.Errorf("unexpected error: %v", ka.Err())
 		}
 	})
+}
+
+// renewCounter is a Renewer that counts renewals.
+type renewCounter struct{ n atomic.Int32 }
+
+func (r *renewCounter) Renew(uint64, time.Duration) error { r.n.Add(1); return nil }
+
+func TestKeepAliveStopBeforeRunNeverRenews(t *testing.T) {
+	clk := vclock.NewVirtual(time.Unix(0, 0))
+	var r renewCounter
+	ka := NewKeepAlive(&r, clk, 1, 300*time.Millisecond)
+	ka.Stop()
+	clk.Run(func() {
+		g := vclock.NewGroup(clk)
+		g.Go(ka.Run)
+		g.Wait()
+	})
+	if n := r.n.Load(); n != 0 {
+		t.Fatalf("stopped keep-alive renewed %d times, want 0", n)
+	}
+	if now := clk.Now(); !now.Equal(time.Unix(0, 0)) {
+		t.Fatalf("stopped keep-alive parked until %v", now)
+	}
+	if ka.Err() != nil {
+		t.Fatalf("unexpected error: %v", ka.Err())
+	}
 }
 
 func TestKeepAliveEndsOnRenewFailure(t *testing.T) {

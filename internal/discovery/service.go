@@ -129,11 +129,10 @@ type KeepAlive struct {
 	clock  vclock.Clock
 	id     uint64
 	ttl    time.Duration
+	loop   vclock.Loop
 
-	mu     sync.Mutex
-	quit   bool
-	parker vclock.Waiter
-	err    error
+	mu  sync.Mutex
+	err error
 }
 
 // Renewer is the part of a lookup service a KeepAlive needs: *Client, or
@@ -153,19 +152,7 @@ func (k *KeepAlive) Run() {
 	if interval <= 0 {
 		interval = time.Second
 	}
-	for {
-		k.mu.Lock()
-		if k.quit {
-			k.mu.Unlock()
-			return
-		}
-		k.parker = k.clock.NewWaiter()
-		p := k.parker
-		k.mu.Unlock()
-
-		if woken := p.Wait(interval); woken {
-			return // stopped
-		}
+	for k.loop.Tick(k.clock, interval) {
 		if err := k.client.Renew(k.id, k.ttl); err != nil {
 			k.mu.Lock()
 			k.err = err
@@ -176,15 +163,7 @@ func (k *KeepAlive) Run() {
 }
 
 // Stop ends the renewal loop.
-func (k *KeepAlive) Stop() {
-	k.mu.Lock()
-	k.quit = true
-	p := k.parker
-	k.mu.Unlock()
-	if p != nil {
-		p.Wake()
-	}
-}
+func (k *KeepAlive) Stop() { k.loop.Stop() }
 
 // Err returns the renewal error that ended the loop, if any.
 func (k *KeepAlive) Err() error {

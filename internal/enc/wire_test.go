@@ -59,7 +59,7 @@ var wireTypes = []string{
 	"gospaces/internal/space.bulkReply", "gospaces/internal/space.countsReply",
 	"gospaces/internal/replica.appendArgs", "gospaces/internal/replica.appendReply",
 	"gospaces/internal/replica.heartbeatArgs", "gospaces/internal/replica.syncArgs",
-	"gospaces/internal/discovery.ServiceItem", "gospaces/internal/netmgmt.TrapArgs",
+	"gospaces/internal/discovery.ServiceItem",
 	"gospaces/internal/worker.SignalArgs", "gospaces/internal/nodeconfig.Bundle",
 	"gospaces/internal/apps/montecarlo.Task", "gospaces/internal/apps/montecarlo.Result",
 	"gospaces/internal/apps/raytrace.Task", "gospaces/internal/apps/raytrace.Result",

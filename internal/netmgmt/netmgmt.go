@@ -54,7 +54,6 @@ type RegisterReply struct {
 func init() {
 	transport.RegisterType(RegisterArgs{})
 	transport.RegisterType(RegisterReply{})
-	transport.RegisterType(TrapArgs{})
 }
 
 // Event records one signal decision and its measured latencies.
@@ -75,9 +74,8 @@ type Module struct {
 	workers map[string]*managed
 	nextID  int
 	events  []Event
-	quit    bool
-	parker  vclock.Waiter
 	running bool
+	loop    vclock.Loop
 }
 
 type managed struct {
@@ -119,22 +117,6 @@ func (m *Module) Bind(srv *transport.Server) {
 		id := m.Register(a.Node, m.cfg.DialSNMP(a.SNMPAddr), m.cfg.DialSignal(a.SignalAddr))
 		return RegisterReply{ID: id}, nil
 	})
-	srv.Handle("netman.Trap", func(arg interface{}) (interface{}, error) {
-		a, ok := arg.(TrapArgs)
-		if !ok {
-			return nil, fmt.Errorf("netmgmt: bad trap args %T", arg)
-		}
-		if _, err := m.HandleTrap(a.Node, a.Packet); err != nil {
-			return nil, err
-		}
-		return RegisterReply{}, nil
-	})
-}
-
-// TrapArgs is the RPC frame carrying an SNMP trap to the module.
-type TrapArgs struct {
-	Node   string
-	Packet []byte
 }
 
 // HandleTrap processes a trap from a node: a valid load-band trap
@@ -308,32 +290,12 @@ func (m *Module) Run() {
 	}
 	m.running = true
 	m.mu.Unlock()
-	for {
-		m.mu.Lock()
-		if m.quit {
-			m.mu.Unlock()
-			return
-		}
-		m.parker = m.cfg.Clock.NewWaiter()
-		p := m.parker
-		m.mu.Unlock()
-
+	// The first round polls at once: a zero Tick only asks whether
+	// Shutdown came first.
+	for d := time.Duration(0); m.loop.Tick(m.cfg.Clock, d); d = m.cfg.PollInterval {
 		m.PollOnce()
-
-		p.Wait(m.cfg.PollInterval)
-		m.mu.Lock()
-		m.parker = nil
-		m.mu.Unlock()
 	}
 }
 
 // Shutdown stops the poll loop.
-func (m *Module) Shutdown() {
-	m.mu.Lock()
-	m.quit = true
-	p := m.parker
-	m.mu.Unlock()
-	if p != nil {
-		p.Wake()
-	}
-}
+func (m *Module) Shutdown() { m.loop.Stop() }

@@ -195,6 +195,24 @@ func TestRunLoopPollsPeriodically(t *testing.T) {
 	}
 }
 
+func TestShutdownBeforeRunPollsNothing(t *testing.T) {
+	clk := vclock.NewVirtual(time.Unix(0, 0))
+	net := transport.NewNetwork(clk, transport.Loopback())
+	n := newFakeNode(clk, net, "n1")
+	mod := newModule(clk, net, n)
+	mod.Shutdown()
+	clk.Run(func() {
+		clk.Go(mod.Run) // must exit without polling
+		clk.Sleep(2 * time.Second)
+	})
+	if evs := mod.Events(); len(evs) != 0 {
+		t.Fatalf("events = %+v, want none", evs)
+	}
+	if st, _ := mod.WorkerState("n1"); st != rulebase.StateStopped {
+		t.Fatalf("state = %v, want Stopped", st)
+	}
+}
+
 // TestWorkerSelfRegistration exercises steps 1–3 of the rule-base
 // protocol: the worker's SNMP client initiates participation and the
 // server assigns it an ID, after which polling drives it normally.

@@ -21,8 +21,6 @@ type BackupOptions struct {
 	// FailoverTimeout is how long the heartbeat stream may go silent
 	// before the backup promotes itself. Default 2s.
 	FailoverTimeout time.Duration
-	// CheckEvery paces the monitor. Default FailoverTimeout/4.
-	CheckEvery time.Duration
 	// LeaseExpired, when set, is the registration-lease failure detector:
 	// it reports whether the primary's lookup registration has lapsed.
 	// Lease expiry promotes immediately, without waiting out the full
@@ -61,8 +59,7 @@ type Backup struct {
 	lastContact time.Time
 	synced      bool // a snapshot or append has arrived at least once
 	promoted    bool
-	stop        vclock.Waiter // monitor parker, non-nil while it sleeps
-	quit        bool
+	monitor     vclock.Loop
 }
 
 // NewBackup returns a controller applying into local.
@@ -72,9 +69,6 @@ func NewBackup(local *space.Local, opts BackupOptions) *Backup {
 	}
 	if opts.FailoverTimeout <= 0 {
 		opts.FailoverTimeout = 2 * time.Second
-	}
-	if opts.CheckEvery <= 0 {
-		opts.CheckEvery = opts.FailoverTimeout / 4
 	}
 	return &Backup{
 		opts:        opts,
@@ -210,28 +204,16 @@ func (b *Backup) handleSync(arg interface{}) (interface{}, error) {
 
 // Run is the monitor: a clock process that promotes the backup when the
 // primary's heartbeat stream goes silent for FailoverTimeout, or sooner
-// when the primary's lookup-registration lease lapses. Returns after
-// promotion or Stop.
+// when the primary's lookup-registration lease lapses. It checks every
+// FailoverTimeout/4 and returns after promotion or Stop.
 func (b *Backup) Run() {
-	for {
+	for b.monitor.Tick(b.opts.Clock, b.opts.FailoverTimeout/4) {
 		b.mu.Lock()
-		if b.quit || b.promoted {
-			b.mu.Unlock()
-			return
-		}
-		w := b.opts.Clock.NewWaiter()
-		b.stop = w
-		b.mu.Unlock()
-
-		woken := w.Wait(b.opts.CheckEvery)
-
-		b.mu.Lock()
-		b.stop = nil
-		done := b.quit || b.promoted
+		promoted := b.promoted
 		silent := b.opts.Clock.Since(b.lastContact) >= b.opts.FailoverTimeout
 		b.mu.Unlock()
-		if done || woken {
-			return
+		if promoted {
+			return // a Promote raced the park's timeout
 		}
 		leaseGone := b.opts.LeaseExpired != nil && b.opts.LeaseExpired()
 		if silent || leaseGone {
@@ -249,15 +231,7 @@ func (b *Backup) Run() {
 }
 
 // Stop terminates the monitor without promoting (shutdown path).
-func (b *Backup) Stop() {
-	b.mu.Lock()
-	b.quit = true
-	w := b.stop
-	b.mu.Unlock()
-	if w != nil {
-		w.Wake()
-	}
-}
+func (b *Backup) Stop() { b.monitor.Stop() }
 
 // Promote flips the backup to primary at epoch+1: replication RPCs from
 // the deposed primary are fenced from this point on, and OnPromote wires
@@ -275,11 +249,8 @@ func (b *Backup) Promote() (uint64, bool) {
 	b.promoted = true
 	b.epoch++
 	epoch := b.epoch
-	w := b.stop
 	b.mu.Unlock()
-	if w != nil {
-		w.Wake() // unpark the monitor so it exits promptly
-	}
+	b.monitor.Stop() // unpark the monitor so it exits promptly
 	if b.opts.Counters != nil {
 		b.opts.Counters.Inc(metrics.CounterReplPromotions)
 	}

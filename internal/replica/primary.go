@@ -20,9 +20,6 @@ type PrimaryOptions struct {
 	Epoch uint64
 	// Ack selects sync (default) or async acknowledgement.
 	Ack AckMode
-	// HeartbeatEvery paces the pump: lease renewal plus an idle-stream
-	// heartbeat (and, in async mode, the background flush). Default 500ms.
-	HeartbeatEvery time.Duration
 	// MaxQueue bounds the unshipped-record queue; overflow discards the
 	// queue and schedules a full snapshot re-sync. Default 65536.
 	MaxQueue int
@@ -68,8 +65,7 @@ type Primary struct {
 	fenced   bool // deposed by a higher epoch: all mutations fail
 	killed   bool // simulated kill -9: everything fails
 	epoch    uint64
-	stop     vclock.Waiter // pump parker, non-nil while the pump sleeps
-	quit     bool
+	pump     vclock.Loop
 
 	// The ship section serializes transport I/O (Flush, re-sync,
 	// heartbeat) so the record stream stays ordered. It cannot be a bare
@@ -88,9 +84,6 @@ type Primary struct {
 func NewPrimary(local *space.Local, opts PrimaryOptions) *Primary {
 	if opts.Epoch == 0 {
 		opts.Epoch = 1
-	}
-	if opts.HeartbeatEvery <= 0 {
-		opts.HeartbeatEvery = 500 * time.Millisecond
 	}
 	if opts.MaxQueue <= 0 {
 		opts.MaxQueue = 65536
@@ -462,30 +455,21 @@ func (p *Primary) Wrap(inner space.Space) space.Space {
 
 // --- pump ---
 
-// Run is the pump: a clock process that each interval renews the lookup
-// lease, ships any backlog, and heartbeats the backup so it can tell a
-// healthy-but-idle primary from a dead one. Run returns when Stop or
-// Kill is called.
+// heartbeatEvery paces the pump: lease renewal plus an idle-stream
+// heartbeat (and, in async mode, the background flush).
+const heartbeatEvery = 500 * time.Millisecond
+
+// Run is the pump: a clock process that every heartbeatEvery renews the
+// lookup lease, ships any backlog, and heartbeats the backup so it can
+// tell a healthy-but-idle primary from a dead one. Run returns when Stop
+// or Kill is called.
 func (p *Primary) Run() {
-	for {
+	for p.pump.Tick(p.opts.Clock, heartbeatEvery) {
 		p.mu.Lock()
-		if p.quit || p.killed {
-			p.mu.Unlock()
-			return
-		}
-		w := p.opts.Clock.NewWaiter()
-		p.stop = w
+		killed, fenced := p.killed, p.fenced
 		p.mu.Unlock()
-
-		woken := w.Wait(p.opts.HeartbeatEvery)
-
-		p.mu.Lock()
-		p.stop = nil
-		done := p.quit || p.killed
-		fenced := p.fenced
-		p.mu.Unlock()
-		if done || woken {
-			return
+		if killed {
+			return // Kill landed as the park timed out
 		}
 		if !fenced && p.opts.Renew != nil {
 			p.opts.Renew()
@@ -495,15 +479,7 @@ func (p *Primary) Run() {
 }
 
 // Stop terminates the pump cleanly (shutdown path).
-func (p *Primary) Stop() {
-	p.mu.Lock()
-	p.quit = true
-	w := p.stop
-	p.mu.Unlock()
-	if w != nil {
-		w.Wake()
-	}
-}
+func (p *Primary) Stop() { p.pump.Stop() }
 
 // Kill simulates kill -9 of the primary process: the pump stops mid-beat
 // (no more heartbeats, no more lease renewals) and every subsequent
@@ -512,11 +488,8 @@ func (p *Primary) Stop() {
 func (p *Primary) Kill() {
 	p.mu.Lock()
 	p.killed = true
-	w := p.stop
 	p.mu.Unlock()
-	if w != nil {
-		w.Wake()
-	}
+	p.pump.Stop()
 }
 
 // --- accessors ---

@@ -291,6 +291,67 @@ func TestOverflowForcesResync(t *testing.T) {
 	})
 }
 
+// callCounter is a mirror that counts the calls reaching it.
+type callCounter struct{ n atomic.Int32 }
+
+func (c *callCounter) Call(string, interface{}) (interface{}, error) {
+	c.n.Add(1)
+	return nil, errors.New("unreachable")
+}
+func (c *callCounter) Close() error { return nil }
+
+// TestKillBeforeRunNeverHeartbeats: a primary killed before its pump
+// starts ends the pump at once, without a lease renewal or a call to the
+// backup, and without parking.
+func TestKillBeforeRunNeverHeartbeats(t *testing.T) {
+	clk := vclock.NewVirtual(testEpoch)
+	var mirror callCounter
+	var renewals atomic.Int32
+	p := replica.NewPrimary(space.NewLocal(clk), replica.PrimaryOptions{
+		Clock: clk,
+		Renew: func() { renewals.Add(1) },
+	})
+	p.SetMirror(&mirror)
+	p.Kill()
+	clk.Run(func() {
+		g := vclock.NewGroup(clk)
+		g.Go(p.Run)
+		g.Wait()
+	})
+	if calls, renewed := mirror.n.Load(), renewals.Load(); calls != 0 || renewed != 0 {
+		t.Fatalf("killed pump made %d backup calls and %d renewals, want 0 and 0", calls, renewed)
+	}
+	if now := clk.Now(); !now.Equal(testEpoch) {
+		t.Fatalf("killed pump parked until %v", now.Sub(testEpoch))
+	}
+}
+
+// TestPromoteBeforeRunRecordsNoDetect: a standby promoted before its
+// monitor starts ends the monitor at once, with no failure detection.
+func TestPromoteBeforeRunRecordsNoDetect(t *testing.T) {
+	clk := vclock.NewVirtual(testEpoch)
+	var events atomic.Int32
+	b := replica.NewBackup(space.NewLocal(clk), replica.BackupOptions{
+		Clock:           clk,
+		FailoverTimeout: 2 * time.Second,
+		OnEvent:         func(string, string) { events.Add(1) },
+	})
+	if _, flipped := b.Promote(); !flipped {
+		t.Fatal("Promote did not flip")
+	}
+	clk.Run(func() {
+		g := vclock.NewGroup(clk)
+		g.Go(b.Run)
+		g.Wait()
+	})
+	if n := events.Load(); n != 0 {
+		t.Fatalf("promoted standby's monitor recorded %d events, want 0", n)
+	}
+	if now := clk.Now(); !now.Equal(testEpoch) {
+		t.Fatalf("promoted standby's monitor parked until %v", now.Sub(testEpoch))
+	}
+}
+
 // TestHeartbeatSilencePromotes: kill the primary mid-stream and the
 // monitor promotes the standby within the failover timeout.
 func TestHeartbeatSilencePromotes(t *testing.T) {
@@ -344,7 +405,7 @@ func TestLeaseExpiryPromotesEarly(t *testing.T) {
 		var leaseGone atomic.Bool
 		pr := newPair(t, clk, transport.NewNetwork(clk, transport.Model{}), pairOptions{
 			ack:   replica.AckSync,
-			ft:    20 * time.Second, // CheckEvery = 5s; silence alone would take 20s
+			ft:    20 * time.Second, // checks every 5s; silence alone would take 20s
 			lease: leaseGone.Load,
 		})
 		g := vclock.NewGroup(clk)
@@ -356,7 +417,7 @@ func TestLeaseExpiryPromotesEarly(t *testing.T) {
 			t.Fatal("standby promoted with a live lease")
 		}
 		leaseGone.Store(true)
-		clk.Sleep(6 * time.Second) // just over one CheckEvery
+		clk.Sleep(6 * time.Second) // just over one check
 		if !pr.b.Promoted() {
 			t.Fatal("standby ignored the lapsed lease")
 		}

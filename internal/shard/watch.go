@@ -174,11 +174,10 @@ type Watcher struct {
 	router   *Router
 	resolve  func(ringID string) (Shard, error)
 	interval time.Duration
+	loop     vclock.Loop
 
-	mu     sync.Mutex
-	quit   bool
-	parker vclock.Waiter
-	err    error
+	mu  sync.Mutex
+	err error
 }
 
 // NewWatcher returns a watcher feeding router every interval (zero:
@@ -194,19 +193,7 @@ func NewWatcher(client *discovery.Client, clock vclock.Clock, router *Router, re
 // Run polls until Stop. Lookup or dial errors are retained (see Err) and
 // the loop keeps going — discovery hiccups must not kill the router.
 func (w *Watcher) Run() {
-	for {
-		w.mu.Lock()
-		if w.quit {
-			w.mu.Unlock()
-			return
-		}
-		w.parker = w.clock.NewWaiter()
-		p := w.parker
-		w.mu.Unlock()
-
-		if woken := p.Wait(w.interval); woken {
-			return // stopped
-		}
+	for w.loop.Tick(w.clock, w.interval) {
 		w.poll()
 	}
 }
@@ -234,15 +221,7 @@ func (w *Watcher) setErr(err error) {
 }
 
 // Stop ends the poll loop.
-func (w *Watcher) Stop() {
-	w.mu.Lock()
-	w.quit = true
-	p := w.parker
-	w.mu.Unlock()
-	if p != nil {
-		p.Wake()
-	}
-}
+func (w *Watcher) Stop() { w.loop.Stop() }
 
 // Err returns the most recent poll error, if any.
 func (w *Watcher) Err() error {

@@ -381,10 +381,7 @@ func (h *Host) loadSamples() []rebalance.Sample {
 type rebalancer struct {
 	h    *Host
 	ctrl *rebalance.Controller
-
-	mu     sync.Mutex
-	quit   bool
-	parker vclock.Waiter
+	loop vclock.Loop
 }
 
 func (h *Host) newRebalancer() *rebalancer {
@@ -397,18 +394,7 @@ func (h *Host) newRebalancer() *rebalancer {
 
 // Run ticks until Stop.
 func (r *rebalancer) Run() {
-	for {
-		r.mu.Lock()
-		if r.quit {
-			r.mu.Unlock()
-			return
-		}
-		r.parker = r.h.clock.NewWaiter()
-		p := r.parker
-		r.mu.Unlock()
-		if woken := p.Wait(r.h.spec.ReshardInterval); woken {
-			return // stopped
-		}
+	for r.loop.Tick(r.h.clock, r.h.spec.ReshardInterval) {
 		r.tick()
 	}
 }
@@ -442,15 +428,7 @@ func (r *rebalancer) tick() {
 }
 
 // Stop ends the loop.
-func (r *rebalancer) Stop() {
-	r.mu.Lock()
-	r.quit = true
-	p := r.parker
-	r.mu.Unlock()
-	if p != nil {
-		p.Wake()
-	}
-}
+func (r *rebalancer) Stop() { r.loop.Stop() }
 
 // TopologyEpoch reports the master router's current ring topology epoch
 // (0 when not elastic).

@@ -22,8 +22,6 @@ type DurableOptions struct {
 	Dir string
 	// Fsync is the WAL sync policy (default: always).
 	Fsync wal.FsyncPolicy
-	// FsyncEvery is the lazy-sync interval under wal.FsyncInterval.
-	FsyncEvery time.Duration
 	// SegmentSize caps WAL segment files (default wal.DefaultSegmentSize).
 	SegmentSize int64
 	// SnapshotBytes triggers a background snapshot + compaction once the
@@ -99,7 +97,6 @@ func NewLocalDurable(clock vclock.Clock, opts DurableOptions) (*Local, *Durable,
 	wopts := wal.Options{
 		SegmentSize: opts.SegmentSize,
 		Fsync:       opts.Fsync,
-		FsyncEvery:  opts.FsyncEvery,
 		Counters:    opts.Counters,
 		WrapWriter:  opts.WrapWriter,
 		AppendHist:  opts.AppendHist,

@@ -20,9 +20,8 @@ type Watcher struct {
 	onChange func(load float64)
 
 	mu      sync.Mutex
-	quit    bool
-	parker  vclock.Waiter
 	running bool
+	loop    vclock.Loop
 }
 
 // NewWatcher returns a watcher; call Run on a clock process.
@@ -46,25 +45,7 @@ func (w *Watcher) Run() {
 	w.mu.Unlock()
 
 	last := w.classify(w.machine.BackgroundLoad())
-	for {
-		w.mu.Lock()
-		if w.quit {
-			w.mu.Unlock()
-			return
-		}
-		w.parker = w.clock.NewWaiter()
-		p := w.parker
-		w.mu.Unlock()
-
-		p.Wait(w.interval)
-
-		w.mu.Lock()
-		w.parker = nil
-		quit := w.quit
-		w.mu.Unlock()
-		if quit {
-			return
-		}
+	for w.loop.Tick(w.clock, w.interval) {
 		load := w.machine.BackgroundLoad()
 		if c := w.classify(load); c != last {
 			last = c
@@ -74,12 +55,4 @@ func (w *Watcher) Run() {
 }
 
 // Stop terminates the watcher.
-func (w *Watcher) Stop() {
-	w.mu.Lock()
-	w.quit = true
-	p := w.parker
-	w.mu.Unlock()
-	if p != nil {
-		p.Wake()
-	}
-}
+func (w *Watcher) Stop() { w.loop.Stop() }

@@ -46,9 +46,9 @@ const (
 	// ever lost, at one fsync per operation. The zero value, because
 	// durability should be opt-out, not opt-in.
 	FsyncAlways FsyncPolicy = iota
-	// FsyncInterval syncs lazily: an append syncs only if Options.
-	// FsyncEvery has elapsed since the last sync (and on rotation,
-	// snapshot and close). Bounded loss window, amortised cost.
+	// FsyncInterval syncs lazily: an append syncs only if 100 ms
+	// (DefaultFsyncEvery) have elapsed since the last sync (and on
+	// rotation, snapshot and close). Bounded loss window, amortised cost.
 	FsyncInterval
 	// FsyncNever leaves syncing to the OS page cache. Fastest; a host
 	// crash may lose recently acknowledged records. Process crashes
@@ -82,10 +82,11 @@ func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 	return FsyncAlways, fmt.Errorf("wal: unknown fsync policy %q (want always, interval or never)", s)
 }
 
-// Defaults for Options zero values.
 const (
+	// DefaultSegmentSize is the segment cap a zero SegmentSize selects.
 	DefaultSegmentSize = 1 << 20 // 1 MiB
-	DefaultFsyncEvery  = 100 * time.Millisecond
+	// DefaultFsyncEvery is FsyncInterval's lazy-sync interval.
+	DefaultFsyncEvery = 100 * time.Millisecond
 
 	// maxRecordSize bounds a single record; a length prefix beyond it is
 	// treated as frame corruption rather than an allocation request.
@@ -115,8 +116,6 @@ type Options struct {
 	SegmentSize int64
 	// Fsync selects the sync policy.
 	Fsync FsyncPolicy
-	// FsyncEvery is the lazy-sync interval under FsyncInterval.
-	FsyncEvery time.Duration
 	// Counters, when non-nil, receives the wal:* counters above.
 	Counters *metrics.Counters
 	// WrapWriter, when non-nil, wraps each segment's writer — the hook
@@ -139,9 +138,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.SegmentSize <= 0 {
 		o.SegmentSize = DefaultSegmentSize
-	}
-	if o.FsyncEvery <= 0 {
-		o.FsyncEvery = DefaultFsyncEvery
 	}
 	return o
 }
@@ -444,7 +440,7 @@ func (l *Log) maybeSyncLocked() error {
 		// Lazy: sync piggybacks on the next append once the interval
 		// has elapsed — no background goroutine to interfere with the
 		// deterministic virtual-clock harness.
-		if time.Since(l.lastSync) >= l.opts.FsyncEvery {
+		if time.Since(l.lastSync) >= DefaultFsyncEvery {
 			return l.syncLocked()
 		}
 	case FsyncNever:

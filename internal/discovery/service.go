@@ -44,38 +44,38 @@ func init() {
 // NewService exposes registry reg on srv under the "lookup." prefix.
 func NewService(reg *Registry, srv *transport.Server) {
 	srv.Handle("lookup.Register", func(arg interface{}) (interface{}, error) {
-		a, ok := arg.(registerArgs)
+		a, ok := arg.(*registerArgs)
 		if !ok {
 			return nil, fmt.Errorf("discovery: bad register args %T", arg)
 		}
-		return registerReply{ID: reg.Register(a.Item, a.TTL)}, nil
+		return &registerReply{ID: reg.Register(a.Item, a.TTL)}, nil
 	})
 	srv.Handle("lookup.Renew", func(arg interface{}) (interface{}, error) {
-		a, ok := arg.(renewArgs)
+		a, ok := arg.(*renewArgs)
 		if !ok {
 			return nil, fmt.Errorf("discovery: bad renew args %T", arg)
 		}
 		if err := reg.Renew(a.ID, a.TTL); err != nil {
 			return nil, err
 		}
-		return registerReply{ID: a.ID}, nil
+		return &registerReply{ID: a.ID}, nil
 	})
 	srv.Handle("lookup.Cancel", func(arg interface{}) (interface{}, error) {
-		a, ok := arg.(renewArgs)
+		a, ok := arg.(*renewArgs)
 		if !ok {
 			return nil, fmt.Errorf("discovery: bad cancel args %T", arg)
 		}
 		if err := reg.Cancel(a.ID); err != nil {
 			return nil, err
 		}
-		return registerReply{ID: a.ID}, nil
+		return &registerReply{ID: a.ID}, nil
 	})
 	srv.Handle("lookup.Lookup", func(arg interface{}) (interface{}, error) {
-		a, ok := arg.(lookupArgs)
+		a, ok := arg.(*lookupArgs)
 		if !ok {
 			return nil, fmt.Errorf("discovery: bad lookup args %T", arg)
 		}
-		return lookupReply{Items: reg.Lookup(a.Tmpl)}, nil
+		return &lookupReply{Items: reg.Lookup(a.Tmpl)}, nil
 	})
 }
 
@@ -90,32 +90,32 @@ func NewClient(c transport.Client) *Client { return &Client{c: c} }
 // Register implements the join protocol: it registers item with the remote
 // lookup service and returns a registration ID.
 func (c *Client) Register(item ServiceItem, ttl time.Duration) (uint64, error) {
-	res, err := c.c.Call("lookup.Register", registerArgs{Item: item, TTL: ttl})
+	res, err := c.c.Call("lookup.Register", &registerArgs{Item: item, TTL: ttl})
 	if err != nil {
 		return 0, err
 	}
-	return res.(registerReply).ID, nil
+	return res.(*registerReply).ID, nil
 }
 
 // Renew extends a registration's lease.
 func (c *Client) Renew(id uint64, ttl time.Duration) error {
-	_, err := c.c.Call("lookup.Renew", renewArgs{ID: id, TTL: ttl})
+	_, err := c.c.Call("lookup.Renew", &renewArgs{ID: id, TTL: ttl})
 	return err
 }
 
 // Cancel removes a registration.
 func (c *Client) Cancel(id uint64) error {
-	_, err := c.c.Call("lookup.Cancel", renewArgs{ID: id})
+	_, err := c.c.Call("lookup.Cancel", &renewArgs{ID: id})
 	return err
 }
 
 // Lookup returns services matching the attribute template.
 func (c *Client) Lookup(tmpl map[string]string) ([]ServiceItem, error) {
-	res, err := c.c.Call("lookup.Lookup", lookupArgs{Tmpl: tmpl})
+	res, err := c.c.Call("lookup.Lookup", &lookupArgs{Tmpl: tmpl})
 	if err != nil {
 		return nil, err
 	}
-	return res.(lookupReply).Items, nil
+	return res.(*lookupReply).Items, nil
 }
 
 // KeepAlive is the standard Jini lease discipline for long-lived

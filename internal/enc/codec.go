@@ -59,17 +59,29 @@ func (e *Encoder) Reset() {
 // above what the same value costs on every later call.
 func (e *Encoder) DefinitionBytes() int { return e.once }
 
-// Encode appends v's message to dst. On error dst is returned at its
-// original length and the Encoder's table is as it was before the call.
+// Encode appends v's message to dst. A pointer to a struct encodes as the
+// struct: exactly the bytes the value itself does. On error dst is
+// returned at its original length and the Encoder's table is as it was
+// before the call.
 func (e *Encoder) Encode(dst []byte, v interface{}) ([]byte, error) {
 	start := len(dst)
 	e.defs, e.fresh, e.once, e.depth = e.defs[:0], 0, 0, 0
 	out := append(dst, modePlan, 0) // mode, then a zero definition count
 	var err error
-	if v == nil {
+	x := reflect.ValueOf(v)
+	if x.Kind() == reflect.Pointer && lendable(x.Type().Elem()) {
+		// A *T, lent or not, travels as the T it points at: the receiver
+		// cannot tell which form the sender held.
+		if x.IsNil() {
+			x = reflect.Value{}
+		} else {
+			x = x.Elem()
+		}
+	}
+	if !x.IsValid() {
 		out = append(out, 0)
 	} else {
-		out, err = e.concrete(out, reflect.ValueOf(v))
+		out, err = e.concrete(out, x)
 	}
 	if err != nil {
 		e.Rollback()
@@ -169,7 +181,15 @@ func (d *Decoder) Reset() { d.types = d.types[:0] }
 // Decode returns the value msg holds. The result shares no memory with
 // msg. A value-level failure (an id never defined, a layout mismatch, a
 // body cut short) leaves the Decoder usable for the next message.
-func (d *Decoder) Decode(msg []byte) (interface{}, error) {
+func (d *Decoder) Decode(msg []byte) (interface{}, error) { return d.decode(msg, false) }
+
+// DecodeLent is Decode for a message the caller hands over for one use: a
+// struct comes back as a *T lent from T's pool (see Lend), which the
+// caller may Release once done with it. What the struct points at is
+// fresh, as Decode delivers it.
+func (d *Decoder) DecodeLent(msg []byte) (interface{}, error) { return d.decode(msg, true) }
+
+func (d *Decoder) decode(msg []byte, lend bool) (interface{}, error) {
 	r := &d.r
 	*r = reader{b: msg, d: d}
 	defer func() { r.b = nil }() // hold on to none of msg past the call
@@ -183,17 +203,29 @@ func (d *Decoder) Decode(msg []byte) (interface{}, error) {
 	if err := d.define(r); err != nil {
 		return nil, err
 	}
-	x, err := r.concrete()
+	w, err := r.ref()
+	var x interface{}
+	switch {
+	case err != nil || w == nil: // failed, or nil
+	case lend && lendable(w.typ):
+		x = poolOf(w.typ).Get()
+		err = r.body(w, reflect.ValueOf(x).Elem())
+	default:
+		var v reflect.Value
+		if v, err = r.concrete(w); err == nil {
+			x = Interface(v)
+		}
+	}
+	if err == nil && len(r.b) != 0 {
+		err = fmt.Errorf("%w: %d bytes after the value", ErrCorrupt, len(r.b))
+	}
 	if err != nil {
+		if lend {
+			Release(x)
+		}
 		return nil, err
 	}
-	if len(r.b) != 0 {
-		return nil, fmt.Errorf("%w: %d bytes after the value", ErrCorrupt, len(r.b))
-	}
-	if !x.IsValid() {
-		return nil, nil
-	}
-	return Interface(x), nil
+	return x, nil
 }
 
 // define reads a message's definitions into the table. A name this binary
@@ -235,26 +267,41 @@ func (d *Decoder) define(r *reader) error {
 	return nil
 }
 
-// concrete reads a type reference and its value; the zero Value is nil.
-// A value it returns is fresh (see Interface): nothing else points at it.
-func (r *reader) concrete() (reflect.Value, error) {
+// ref reads a type reference: the type's registry entry, or nil for id 0
+// (a nil value).
+func (r *reader) ref() (*wireType, error) {
 	id, err := r.uvarint()
 	if err != nil || id == 0 {
-		return reflect.Value{}, err
+		return nil, err
 	}
 	if id > uint64(len(r.d.types)) {
-		return reflect.Value{}, fmt.Errorf("%w: %d of %d defined", ErrUnknownTypeID, id, len(r.d.types))
+		return nil, fmt.Errorf("%w: %d of %d defined", ErrUnknownTypeID, id, len(r.d.types))
 	}
 	rt := r.d.types[id-1]
 	if rt.err != nil {
-		return reflect.Value{}, rt.err
+		return nil, rt.err
 	}
+	return rt.w, nil
+}
+
+// body decodes a value of w's type into the zero, settable v.
+func (r *reader) body(w *wireType, v reflect.Value) error {
 	if err := r.descend(); err != nil {
-		return reflect.Value{}, err
+		return err
 	}
 	defer r.ascend()
-	v := reflect.New(rt.w.typ).Elem()
-	if err := rt.w.plan.dec(r, v); err != nil {
+	return w.plan.dec(r, v)
+}
+
+// concrete reads a value of w's type, the type reference ref read; the
+// zero Value for a nil w. A value it returns is fresh (see Interface):
+// nothing else points at it.
+func (r *reader) concrete(w *wireType) (reflect.Value, error) {
+	if w == nil {
+		return reflect.Value{}, nil
+	}
+	v := reflect.New(w.typ).Elem()
+	if err := r.body(w, v); err != nil {
 		return reflect.Value{}, err
 	}
 	return v, nil

@@ -139,3 +139,57 @@ func RegisteredTypes() []reflect.Type {
 	}
 	return out
 }
+
+// Lending. A call's top-level argument or result is a struct that lives
+// for one call: the sender builds it, the receiver copies its fields out.
+// Allocating it afresh at both ends was half of what a keyed write+take
+// pair allocated, so such a struct is lent instead, from one pool per
+// type: DecodeLent hands a received one over as a *T taken from its
+// type's pool, a sender takes the *T it sends from the same pool with
+// Lend, and whoever is done with one hands it back with Release. Only the
+// top-level struct is lent; what it points at (an entry in an interface
+// field, a byte slice, a map) is fresh and may be kept past its Release.
+// Releasing is optional: a lent value nobody releases is ordinary
+// garbage. Releasing one that someone still uses is the one mistake
+// possible: the next lend hands it to another call.
+
+// pools holds the pool of each lendable type. It is the one place a
+// type's pool is found, by Lend, Release and DecodeLent alike, and a
+// sync.Map so that finding it takes no lock.
+var pools sync.Map // reflect.Type → *sync.Pool
+
+// lendable reports whether a top-level value of type t is lent: a struct,
+// except time.Time, which crosses as its own bytes.
+func lendable(t reflect.Type) bool { return t.Kind() == reflect.Struct && t != timeType }
+
+func poolOf(t reflect.Type) *sync.Pool {
+	if p, ok := pools.Load(t); ok {
+		return p.(*sync.Pool)
+	}
+	p, _ := pools.LoadOrStore(t, &sync.Pool{New: func() interface{} { return reflect.New(t).Interface() }})
+	return p.(*sync.Pool)
+}
+
+// Lend returns a *T holding v, for a struct type T, taken from the pool
+// DecodeLent takes T's values from: for a message whose receiver, or
+// whoever the caller hands it to, releases it.
+func Lend[T any](v T) *T {
+	p := poolOf(reflect.TypeOf((*T)(nil)).Elem()).Get().(*T)
+	*p = v
+	return p
+}
+
+// Release zeroes the struct v points at and returns it to its type's pool
+// (see Lend). Anything else — nil, a value that is not a pointer to a
+// struct — is left alone, so a caller may release whatever a call handed
+// it. Nobody may use v after it is released, and it is released once.
+func Release(v interface{}) {
+	p := reflect.ValueOf(v)
+	if p.Kind() != reflect.Pointer || p.IsNil() {
+		return
+	}
+	if t := p.Type().Elem(); lendable(t) {
+		p.Elem().SetZero()
+		poolOf(t).Put(v)
+	}
+}

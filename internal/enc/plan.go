@@ -531,7 +531,11 @@ func encInterface(e *Encoder, b []byte, v reflect.Value) ([]byte, error) {
 }
 
 func decInterface(r *reader, v reflect.Value) error {
-	x, err := r.concrete()
+	w, err := r.ref()
+	if err != nil {
+		return err
+	}
+	x, err := r.concrete(w)
 	if err != nil || !x.IsValid() {
 		return err
 	}

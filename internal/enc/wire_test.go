@@ -198,6 +198,8 @@ func viaGob(t testing.TB, v interface{}) interface{} {
 
 // bindings returns an echo service reached over the in-process network and
 // over loopback TCP, and a function returning what the handler last saw.
+// The echo answers with the argument it was lent, out of its Framed if it
+// came in one.
 func bindings(t *testing.T) (map[string]transport.Client, func() interface{}) {
 	t.Helper()
 	var mu sync.Mutex
@@ -205,9 +207,10 @@ func bindings(t *testing.T) (map[string]transport.Client, func() interface{}) {
 	srv := transport.NewServer()
 	srv.Handle("echo", func(arg interface{}) (interface{}, error) {
 		mu.Lock()
-		seen = arg
+		seen = kept(arg)
 		mu.Unlock()
-		return arg, nil
+		inner, _, _ := transport.Unframe(arg)
+		return inner, nil
 	})
 	network := transport.NewNetwork(vclock.NewReal(), transport.Loopback())
 	network.Listen("echo", srv)
@@ -227,15 +230,45 @@ func bindings(t *testing.T) (map[string]transport.Client, func() interface{}) {
 	}
 }
 
+// kept copies what a handler was lent out of the struct the transport
+// releases once the reply is written: a *T into a *T of its own, inside
+// its Framed if it came in one.
+func kept(v interface{}) interface{} {
+	if f, ok := v.(transport.Framed); ok {
+		f.Arg = kept(f.Arg)
+		return f
+	}
+	p := reflect.ValueOf(v)
+	if p.Kind() != reflect.Pointer || p.IsNil() {
+		return v
+	}
+	c := reflect.New(p.Type().Elem())
+	c.Elem().Set(p.Elem())
+	return c.Interface()
+}
+
+// lent is what a call delivers for a value gob delivered as want: a
+// struct arrives as a *T (see enc.DecodeLent), anything else as itself.
+func lent(want interface{}) interface{} {
+	v := reflect.ValueOf(want)
+	if v.Kind() != reflect.Struct || v.Type() == reflect.TypeOf(time.Time{}) {
+		return want
+	}
+	p := reflect.New(v.Type())
+	p.Elem().Set(v)
+	return p.Interface()
+}
+
 // TestWireDeliversWhatGobDelivered sends every registered wire type in the
 // tree — zero, populated, and with empty-but-non-nil slices and maps —
 // through both bindings and requires the argument the handler sees and the
-// result the caller sees to be exactly what the gob wire handed them.
+// result the caller sees to be exactly what the gob wire handed them, a
+// struct as a pointer to it (lent).
 func TestWireDeliversWhatGobDelivered(t *testing.T) {
 	clients, handlerSaw := bindings(t)
 	check := func(name string, v interface{}) {
 		t.Helper()
-		want := viaGob(t, v)
+		want := lent(viaGob(t, v))
 		for binding, c := range clients {
 			res, err := c.Call("echo", v)
 			if err != nil {
@@ -284,7 +317,7 @@ func TestWireDeliversWhatGobDelivered(t *testing.T) {
 	}
 	for binding, c := range clients {
 		res, err := c.Call("echo", withPointer{ID: &zero})
-		if got, ok := res.(withPointer); err != nil || !ok || got.ID == nil || *got.ID != 0 {
+		if got, ok := res.(*withPointer); err != nil || !ok || got.ID == nil || *got.ID != 0 {
 			t.Errorf("%s: pointer to zero arrived as %#v, %v", binding, res, err)
 		}
 	}
@@ -384,7 +417,7 @@ func TestFramedCrossesInTheHeader(t *testing.T) {
 				t.Fatalf("%s: %v", binding, err)
 			}
 			arg, gotDeadline, pri := transport.Unframe(handlerSaw())
-			if !reflect.DeepEqual(arg, inner) || pri != transport.PriHigh || !gotDeadline.Equal(deadline) {
+			if !reflect.DeepEqual(arg, &inner) || pri != transport.PriHigh || !gotDeadline.Equal(deadline) {
 				t.Errorf("%s: handler saw (%#v, %v, %d), sent (%#v, %v, %d)", binding, arg, gotDeadline, pri, inner, deadline, transport.PriHigh)
 			}
 			if !deadline.IsZero() && gotDeadline.Location() != time.Local {
@@ -397,7 +430,7 @@ func TestFramedCrossesInTheHeader(t *testing.T) {
 		if _, err := c.Call("echo", transport.Frame(inner, time.Time{}, transport.PriNormal)); err != nil {
 			t.Fatalf("%s: %v", binding, err)
 		}
-		if !reflect.DeepEqual(handlerSaw(), inner) {
+		if !reflect.DeepEqual(handlerSaw(), &inner) {
 			t.Errorf("%s: unframed argument arrived as %#v", binding, handlerSaw())
 		}
 	}
@@ -418,7 +451,7 @@ func TestUnregisteredTypeStillNamed(t *testing.T) {
 		if !errors.As(err, &ute) || ute.Type != "enc_test.neverRegistered" {
 			t.Errorf("%s: error %v, want *enc.UnregisteredTypeError naming enc_test.neverRegistered", binding, err)
 		}
-		if res, err := c.Call("echo", benchTask{Job: "after"}); err != nil || !reflect.DeepEqual(res, benchTask{Job: "after"}) {
+		if res, err := c.Call("echo", benchTask{Job: "after"}); err != nil || !reflect.DeepEqual(res, &benchTask{Job: "after"}) {
 			t.Errorf("%s: call after the failed one: %#v, %v", binding, res, err)
 		}
 	}

@@ -107,7 +107,7 @@ func New(cfg Config) *Module {
 // must provide DialSignal and DialSNMP.
 func (m *Module) Bind(srv *transport.Server) {
 	srv.Handle("netman.Register", func(arg interface{}) (interface{}, error) {
-		a, ok := arg.(RegisterArgs)
+		a, ok := arg.(*RegisterArgs)
 		if !ok {
 			return nil, fmt.Errorf("netmgmt: bad register args %T", arg)
 		}
@@ -115,7 +115,7 @@ func (m *Module) Bind(srv *transport.Server) {
 			return nil, fmt.Errorf("netmgmt: self-registration not configured")
 		}
 		id := m.Register(a.Node, m.cfg.DialSNMP(a.SNMPAddr), m.cfg.DialSignal(a.SignalAddr))
-		return RegisterReply{ID: id}, nil
+		return &RegisterReply{ID: id}, nil
 	})
 }
 
@@ -252,13 +252,13 @@ func (m *Module) pollWorker(w *managed) *Event {
 		return nil
 	}
 	sent := m.cfg.Clock.Now()
-	res, err := w.sig.Call("worker.Signal", worker.SignalArgs{Signal: sig, SentAt: sent})
+	res, err := w.sig.Call("worker.Signal", &worker.SignalArgs{Signal: sig, SentAt: sent})
 	ev := Event{At: sent, Node: w.node, Load: effective, Signal: sig}
 	if err != nil {
 		ev.Err = err
 		return m.record(ev)
 	}
-	reply, ok := res.(worker.SignalReply)
+	reply, ok := res.(*worker.SignalReply)
 	if !ok {
 		ev.Err = fmt.Errorf("netmgmt: bad signal reply %T", res)
 		return m.record(ev)

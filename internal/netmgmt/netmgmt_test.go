@@ -234,13 +234,13 @@ func TestWorkerSelfRegistration(t *testing.T) {
 
 	clk.Run(func() {
 		// The worker side registers itself.
-		res, err := net.Dial("netman").Call("netman.Register", RegisterArgs{
+		res, err := net.Dial("netman").Call("netman.Register", &RegisterArgs{
 			Node: "n1", SNMPAddr: n.addr, SignalAddr: n.addr,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.(RegisterReply).ID <= 0 {
+		if res.(*RegisterReply).ID <= 0 {
 			t.Fatalf("reply = %+v", res)
 		}
 		evs := mod.PollOnce()
@@ -258,7 +258,7 @@ func TestSelfRegistrationUnconfigured(t *testing.T) {
 	mod.Bind(srv)
 	net.Listen("netman", srv)
 	clk.Run(func() {
-		if _, err := net.Dial("netman").Call("netman.Register", RegisterArgs{Node: "x"}); err == nil {
+		if _, err := net.Dial("netman").Call("netman.Register", &RegisterArgs{Node: "x"}); err == nil {
 			t.Fatal("unconfigured self-registration accepted")
 		}
 	})

@@ -140,7 +140,7 @@ func (cs *CodeServer) Publish(b Bundle) {
 // Bind registers the fetch method on an RPC server.
 func (cs *CodeServer) Bind(srv *transport.Server) {
 	srv.Handle("code.Fetch", func(arg interface{}) (interface{}, error) {
-		a, ok := arg.(fetchArgs)
+		a, ok := arg.(*fetchArgs)
 		if !ok {
 			return nil, fmt.Errorf("nodeconfig: bad fetch args %T", arg)
 		}
@@ -150,7 +150,7 @@ func (cs *CodeServer) Bind(srv *transport.Server) {
 		if !ok {
 			return nil, fmt.Errorf("%w: %q", ErrUnknownProgram, a.Name)
 		}
-		return b, nil
+		return &b, nil
 	})
 }
 
@@ -190,11 +190,11 @@ func (e *Engine) Load(name string) (Program, error) {
 	}
 	e.mu.Unlock()
 
-	res, err := e.client.Call("code.Fetch", fetchArgs{Name: name})
+	res, err := e.client.Call("code.Fetch", &fetchArgs{Name: name})
 	if err != nil {
 		return nil, err
 	}
-	b, ok := res.(Bundle)
+	b, ok := res.(*Bundle)
 	if !ok {
 		return nil, fmt.Errorf("nodeconfig: bad fetch reply %T", res)
 	}

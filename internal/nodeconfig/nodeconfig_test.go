@@ -144,11 +144,11 @@ func TestPublishReplaces(t *testing.T) {
 	cs.Bind(srv)
 	net := transport.NewNetwork(vclock.NewReal(), transport.Loopback())
 	net.Listen("m", srv)
-	res, err := net.Dial("m").Call("code.Fetch", fetchArgs{Name: "app"})
+	res, err := net.Dial("m").Call("code.Fetch", &fetchArgs{Name: "app"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b := res.(Bundle); string(b.Params) != "v2" || b.Version != 2 {
+	if b := res.(*Bundle); string(b.Params) != "v2" || b.Version != 2 {
 		t.Fatalf("got %+v", b)
 	}
 }

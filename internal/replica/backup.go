@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"gospaces/internal/enc"
 	"gospaces/internal/metrics"
 	"gospaces/internal/space"
 	"gospaces/internal/transport"
@@ -109,7 +110,7 @@ func (b *Backup) admit(epoch uint64, fn func()) error {
 }
 
 func (b *Backup) handleAppend(arg interface{}) (interface{}, error) {
-	a, ok := arg.(appendArgs)
+	a, ok := arg.(*appendArgs)
 	if !ok {
 		return nil, fmt.Errorf("replica: bad append args %T", arg)
 	}
@@ -148,11 +149,11 @@ func (b *Backup) handleAppend(arg interface{}) (interface{}, error) {
 	if err != nil {
 		return nil, fmt.Errorf("replica: apply record %d: %w", from+n, err)
 	}
-	return appendReply{Applied: applied}, nil
+	return enc.Lend(appendReply{Applied: applied}), nil
 }
 
 func (b *Backup) handleHeartbeat(arg interface{}) (interface{}, error) {
-	a, ok := arg.(heartbeatArgs)
+	a, ok := arg.(*heartbeatArgs)
 	if !ok {
 		return nil, fmt.Errorf("replica: bad heartbeat args %T", arg)
 	}
@@ -166,11 +167,11 @@ func (b *Backup) handleHeartbeat(arg interface{}) (interface{}, error) {
 	if err != nil {
 		return nil, err
 	}
-	return appendReply{Applied: applied}, nil
+	return enc.Lend(appendReply{Applied: applied}), nil
 }
 
 func (b *Backup) handleSync(arg interface{}) (interface{}, error) {
-	a, ok := arg.(syncArgs)
+	a, ok := arg.(*syncArgs)
 	if !ok {
 		return nil, fmt.Errorf("replica: bad sync args %T", arg)
 	}
@@ -197,7 +198,7 @@ func (b *Backup) handleSync(arg interface{}) (interface{}, error) {
 	if err != nil {
 		return nil, fmt.Errorf("replica: apply snapshot record %d: %w", n, err)
 	}
-	return appendReply{Applied: a.Seq}, nil
+	return enc.Lend(appendReply{Applied: a.Seq}), nil
 }
 
 // --- failure detection and promotion ---

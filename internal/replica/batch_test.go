@@ -82,7 +82,7 @@ func batchOf(recs [][]byte) []byte {
 func syncedBackup(t testing.TB, clk vclock.Clock) *Backup {
 	t.Helper()
 	b := NewBackup(space.NewLocal(clk), BackupOptions{Clock: clk, FailoverTimeout: time.Hour})
-	if _, err := b.handleSync(syncArgs{Epoch: 1}); err != nil {
+	if _, err := b.handleSync(&syncArgs{Epoch: 1}); err != nil {
 		t.Fatal(err)
 	}
 	return b
@@ -100,11 +100,11 @@ func stateOf(t testing.TB, ts *tuplespace.Space) []byte {
 }
 
 func appendBatch(b *Backup, from uint64, recs [][]byte) (uint64, error) {
-	res, err := b.handleAppend(appendArgs{Epoch: 1, From: from, N: uint64(len(recs)), Batch: batchOf(recs)})
+	res, err := b.handleAppend(&appendArgs{Epoch: 1, From: from, N: uint64(len(recs)), Batch: batchOf(recs)})
 	if err != nil {
 		return 0, err
 	}
-	return res.(appendReply).Applied, nil
+	return res.(*appendReply).Applied, nil
 }
 
 // TestAppendSkipsReshippedOverlap: a reply lost after the standby applied
@@ -183,11 +183,11 @@ func TestMalformedBatchAppliesNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 			before := stateOf(t, b.local.TS)
-			_, err := b.handleAppend(appendArgs{Epoch: 1, From: 2, N: c.n, Batch: c.batch})
+			_, err := b.handleAppend(&appendArgs{Epoch: 1, From: 2, N: c.n, Batch: c.batch})
 			if !errors.Is(err, errBatch) {
 				t.Fatalf("append answered %v, want errBatch", err)
 			}
-			_, err = b.handleSync(syncArgs{Epoch: 1, Seq: 9, N: c.n, Batch: c.batch})
+			_, err = b.handleSync(&syncArgs{Epoch: 1, Seq: 9, N: c.n, Batch: c.batch})
 			if !errors.Is(err, errBatch) {
 				t.Fatalf("sync answered %v, want errBatch", err)
 			}
@@ -219,7 +219,7 @@ func TestFailedRecordKeepsPositionHonest(t *testing.T) {
 		t.Fatalf("retry: applied %d, %v; want %d", got, err, len(recs))
 	}
 	// A snapshot that fails halfway is no position at all.
-	if _, err := b.handleSync(syncArgs{Epoch: 1, Seq: 40, N: 2, Batch: batchOf([][]byte{recs[0], {0x00}})}); err == nil {
+	if _, err := b.handleSync(&syncArgs{Epoch: 1, Seq: 40, N: 2, Batch: batchOf([][]byte{recs[0], {0x00}})}); err == nil {
 		t.Fatal("an undecodable snapshot record was accepted")
 	}
 	if _, err := appendBatch(b, uint64(len(recs))+1, recs[:1]); err != ErrOutOfSync {
@@ -254,7 +254,7 @@ func FuzzAppendBatch(f *testing.F) {
 			t.Fatalf("base batch: applied %d, %v", got, err)
 		}
 
-		_, err := b.handleAppend(appendArgs{Epoch: 1, From: from, N: n, Batch: batch})
+		_, err := b.handleAppend(&appendArgs{Epoch: 1, From: from, N: n, Batch: batch})
 
 		want, wantErr := uint64(base), true
 		if checkBatch(n, batch) == nil && from <= base+1 {

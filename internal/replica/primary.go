@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"gospaces/internal/enc"
 	"gospaces/internal/metrics"
 	"gospaces/internal/space"
 	"gospaces/internal/transport"
@@ -215,27 +216,32 @@ func (p *Primary) flushLocked() error {
 		}
 		// The queue's prefix ships as it stands. An Append while the call
 		// is out writes past it; only this ship section trims it.
-		args := appendArgs{Epoch: p.epoch, From: p.acked + 1, N: uint64(len(p.offs)), Batch: p.queue}
+		// The argument is lent (enc.Lend) and taken back once Call has
+		// returned; so is the reply, once read.
+		args := enc.Lend(appendArgs{Epoch: p.epoch, From: p.acked + 1, N: uint64(len(p.offs)), Batch: p.queue})
 		p.mu.Unlock()
 
 		start := p.opts.Clock.Now()
 		res, err := mirror.Call(methodAppend, args)
+		enc.Release(args)
 		p.opts.ShipHist.Record(p.opts.Clock.Since(start))
 		if err := p.shipResult(err); err != nil {
 			return err
 		}
-		rep, ok := res.(appendReply)
+		rep, ok := res.(*appendReply)
 		if !ok {
 			// A nil or mistyped reply with a nil error would look like
 			// "applied nothing" and spin this loop re-shipping the same
 			// batch; treat it as a ship failure (degrades, surfaces).
 			return p.shipResult(fmt.Errorf("replica: malformed %s reply %T", methodAppend, res))
 		}
+		applied := rep.Applied
+		enc.Release(rep)
 		p.mu.Lock()
-		if rep.Applied > p.acked {
-			shipped := rep.Applied - p.acked
+		if applied > p.acked {
+			shipped := applied - p.acked
 			p.trimLocked(shipped)
-			p.acked = rep.Applied
+			p.acked = applied
 			p.count(metrics.CounterReplShipped, shipped)
 		}
 		p.degraded = false
@@ -286,7 +292,7 @@ func (p *Primary) resyncLocked(mirror transport.Client) error {
 	for _, rec := range records {
 		batch = appendRecord(batch, rec)
 	}
-	_, err = mirror.Call(methodSync, syncArgs{Epoch: epoch, Seq: seqMark, N: uint64(len(records)), Batch: batch})
+	_, err = mirror.Call(methodSync, &syncArgs{Epoch: epoch, Seq: seqMark, N: uint64(len(records)), Batch: batch})
 	if err := p.shipResult(err); err != nil {
 		p.mu.Lock()
 		p.resync = true
@@ -315,7 +321,7 @@ func (p *Primary) heartbeat() error {
 	if mirror == nil {
 		return nil
 	}
-	_, err := mirror.Call(methodHeartbeat, heartbeatArgs{Epoch: epoch, Seq: seq})
+	_, err := mirror.Call(methodHeartbeat, &heartbeatArgs{Epoch: epoch, Seq: seq})
 	if err := p.shipResult(err); err != nil {
 		return err
 	}

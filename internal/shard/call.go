@@ -25,6 +25,8 @@ import (
 //	mutation (tokened)      failover-worthy,        yes, same token retryPolicy attempts, seeded full-jitter
 //	                        ambiguous or not                        backoff (a scan probe: once, if retargeted
 //	                                                                or ambiguous — the route's next round retries)
+//	blocking, keyed,        clean timeout,          yes, same token re-resolve and re-issue at once; one slice
+//	no txn                  wait left                               (r.slice) per issue, so the op follows its key
 //	blocking, one position, hard, a cure possible   poll            re-resolve and re-issue every r.poll;
 //	no txn                  (Failover set, or                       ErrTimeout joined with the ShardError at the deadline
 //	                        ambiguous)
@@ -198,15 +200,28 @@ func (r *Router) replay(op space.Op, id string, first error, again func() (error
 
 // park is call for a blocking lookup that one position can satisfy (keyed
 // template, or a one-shard ring) outside any transaction: the op's Wait is
-// its attempt budget. The healthy path hands the shard the full wait in
-// one call. After a hard failure it re-resolves the position and re-issues
-// with the remaining wait every r.poll for as long as a cure is
-// possible, so the window between a primary dying and its backup promoting
-// looks like a timeout (which retry loops such as the master's collect
-// treat as benign) instead of a fatal ShardError.
+// its attempt budget. A keyed lookup parks on its key's owner one slice
+// (r.slice) at a time: after a clean timeout with wait left it
+// re-resolves the key on the live view and parks again, so a take whose
+// key a split moved to another member follows it within a slice. A clean
+// timeout installs no memo, so the same token goes round again. A pinned
+// position (an unkeyed lookup on a one-shard ring) cannot move, so it
+// hands the shard the whole wait in one issue. After a hard failure it re-resolves the position and re-issues every
+// r.poll for as long as a cure is possible, so the window between a
+// primary dying and its backup promoting looks like a timeout (which
+// retry loops such as the master's collect treat as benign) instead of a
+// fatal ShardError.
 func (r *Router) park(v *view, w where, op space.Op) (space.Result, Shard, error) {
 	clk, tok, wait := r.opts.Clock, op.Token, op.Wait
 	deadline := r.deadlineOf(wait)
+	step := wait // the most one issue may wait
+	if w.keyed {
+		step = r.slice
+	}
+	op.Wait = step
+	if wait > 0 {
+		op.Wait = min(wait, step)
+	}
 	var (
 		res           space.Result
 		err, lastHard error
@@ -224,8 +239,14 @@ func (r *Router) park(v *view, w where, op space.Op) (space.Result, Shard, error
 			}
 		}
 		if err == nil || !hard(err) {
-			// Done, or the shard itself timed out cleanly: keep any earlier
-			// hard failure in the diagnostics.
+			if w.keyed && errors.Is(err, tuplespace.ErrTimeout) {
+				if op.Wait, ok = r.left(deadline, step); ok {
+					v = r.snapshot() // a slice ran out: park on whoever owns the key now
+					continue
+				}
+			}
+			// Done, or the shard itself timed out cleanly at the deadline:
+			// keep any earlier hard failure in the diagnostics.
 			if err != nil && lastHard != nil {
 				err = timeoutErr(lastHard)
 			}
@@ -271,7 +292,7 @@ func (r *Router) park(v *view, w where, op space.Op) (space.Result, Shard, error
 		if pause, _ = r.left(deadline, pause); pause > 0 {
 			clk.Sleep(pause)
 		}
-		if op.Wait, ok = r.left(deadline, wait); !ok {
+		if op.Wait, ok = r.left(deadline, step); !ok {
 			return res, s, timeoutErr(lastHard)
 		}
 		v = r.snapshot()

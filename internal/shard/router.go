@@ -478,7 +478,9 @@ func (r *Router) lookup(op space.Op) (space.Result, error) {
 		return space.Result{}, err
 	}
 	if keyed || len(v.order) == 1 {
-		// One shard can satisfy this: hand it the full timeout directly.
+		// One shard can satisfy this. An unkeyed lookup on a one-shard
+		// ring gets the full timeout in one issue; a keyed one parks a
+		// slice at a time so it can follow its key (see park).
 		res, _, err := r.call(v, where{key: key, keyed: keyed, id: v.order[0]}, op)
 		return res, err
 	}

@@ -235,7 +235,7 @@ func (a *Admission) wrap(k Kind, next transport.Handler) transport.Handler {
 			defer a.release()
 		}
 		if !deadline.IsZero() {
-			inner = a.clampDeadline(inner, deadline)
+			a.clampDeadline(inner, deadline)
 		}
 		return next(inner)
 	}
@@ -244,16 +244,14 @@ func (a *Admission) wrap(k Kind, next transport.Handler) transport.Handler {
 // clampDeadline bounds a blocking lookup's server-side park at the
 // client's propagated deadline: once the client has abandoned the call,
 // the waiter slot frees instead of leaking until the semantic timeout.
-func (a *Admission) clampDeadline(inner interface{}, deadline time.Time) interface{} {
+// The argument is the handler's to change: it was lent for this call.
+func (a *Admission) clampDeadline(inner interface{}, deadline time.Time) {
 	a.mu.Lock()
 	clock := a.cfg.Clock
 	a.mu.Unlock()
-	if clock == nil {
-		return inner
-	}
-	la, ok := inner.(lookupArgs)
-	if !ok {
-		return inner
+	la, ok := inner.(*lookupArgs)
+	if clock == nil || !ok {
+		return
 	}
 	rem := deadline.Sub(clock.Now())
 	if rem <= 0 {
@@ -261,9 +259,7 @@ func (a *Admission) clampDeadline(inner interface{}, deadline time.Time) interfa
 	}
 	if la.Timeout <= 0 || la.Timeout > rem {
 		la.Timeout = rem
-		return la
 	}
-	return inner
 }
 
 // Gated charges gate for every operation of an in-process handle on l.

@@ -21,14 +21,18 @@ type pairTask struct {
 func init() { transport.RegisterType(pairTask{}) }
 
 // maxPairAllocs is what one keyed write+take pair may allocate end to
-// end over loopback TCP: the client's argument, lease handle and reply
-// channel, each value decoded once — the store keeps the written entry it
-// was sent and answers the take with it — and the reply boxes. The server
-// starts no goroutine per request and copies no entry, and the stored
-// entry carries its own lease. It reads 19 built with go1.24 on amd64; the
-// spare two absorb runtime differences between the Go releases CI builds
-// with.
-const maxPairAllocs = 21
+// end over loopback TCP, and all of it is what somebody keeps: the
+// caller's entry and template, the stored entry (the service decodes it
+// and the store keeps it, its lease inside), the template the server
+// decodes, the entry and payload the caller gets back, and the lease
+// handle. The wire structs of both calls — arguments and replies, at both
+// ends — are lent from their pools and released (DESIGN §14), the server
+// starts no goroutine per request, and the key's index bucket reuses the
+// array the last pair's emptied bucket left. It reads 9 built with go1.24
+// on amd64 (19 while the wire structs were allocated and boxed per call
+// and each pair made its bucket anew); the spare two absorb runtime
+// differences between the Go releases CI builds with.
+const maxPairAllocs = 11
 
 // pairAllocations serves local over loopback TCP and returns what one
 // keyed write+take pair through Proxy → TCP → Service → local allocates,

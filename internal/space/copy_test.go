@@ -81,14 +81,14 @@ func TestServiceStoresTheDecodedValue(t *testing.T) {
 	srv := transport.NewServer()
 	NewService(local, srv)
 	decoded := pairTask{Job: "wire", ID: 1, Payload: []byte("decoded")}
-	if _, err := srv.Dispatch(OpWrite.Method(), writeArgs{Entry: decoded}); err != nil {
+	if _, err := srv.Dispatch(OpWrite.Method(), &writeArgs{Entry: decoded}); err != nil {
 		t.Fatal(err)
 	}
-	reply, err := srv.Dispatch(OpReadIfExists.Method(), lookupArgs{Tmpl: pairTask{Job: "wire"}})
+	reply, err := srv.Dispatch(OpReadIfExists.Method(), &lookupArgs{Tmpl: pairTask{Job: "wire"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := reply.(lookupReply).Entry.(pairTask).Payload; &got[0] != &decoded.Payload[0] {
+	if got := reply.(*lookupReply).Entry.(pairTask).Payload; &got[0] != &decoded.Payload[0] {
 		t.Fatal("the service's read answered with a copy of the decoded value, or the store kept a copy of it")
 	}
 

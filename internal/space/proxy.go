@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"gospaces/internal/enc"
 	"gospaces/internal/transport"
 	"gospaces/internal/tuplespace"
 	"gospaces/internal/vclock"
@@ -79,18 +80,22 @@ func (p *Proxy) WithOpTimeout(clock vclock.Clock, d time.Duration) *Proxy {
 // discarded — but the deadline rides the RPC frame, so the server rejects
 // the op unexecuted (and frees any parked waiter) once the client is gone.
 // A call without a deadline goes unframed: the server takes the op's
-// brownout class from its method.
+// brownout class from its method. call releases arg, a lent wire struct,
+// once Call has returned; an abandoned call's argument is never released,
+// since its Call may still be encoding it.
 func (p *Proxy) call(op Op, arg interface{}) (interface{}, error) {
 	k := op.Kind
 	method := k.Method()
 	if p.opTimeout <= 0 || k.Blocks() && op.Wait <= 0 {
-		return p.c.Call(method, arg)
+		res, err := p.c.Call(method, arg)
+		enc.Release(arg)
+		return res, err
 	}
 	bound := p.opTimeout
 	if k.Blocks() {
 		bound += op.Wait
 	}
-	arg = transport.Frame(arg, p.clock.Now().Add(bound), k.Priority())
+	framed := transport.Frame(arg, p.clock.Now().Add(bound), k.Priority())
 	type outcome struct {
 		res interface{}
 		err error
@@ -100,7 +105,7 @@ func (p *Proxy) call(op Op, arg interface{}) (interface{}, error) {
 	var done *outcome
 	g := vclock.NewGroup(p.clock)
 	g.Go(func() {
-		res, err := p.c.Call(method, arg)
+		res, err := p.c.Call(method, framed)
 		mu.Lock()
 		done = &outcome{res, err}
 		mu.Unlock()
@@ -112,6 +117,7 @@ func (p *Proxy) call(op Op, arg interface{}) (interface{}, error) {
 	if done == nil {
 		return nil, fmt.Errorf("%w: %s after %v", ErrOpTimeout, method, bound)
 	}
+	enc.Release(arg)
 	return done.res, done.err
 }
 

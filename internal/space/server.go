@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"gospaces/internal/enc"
 	"gospaces/internal/transport"
 	"gospaces/internal/tuplespace"
 )
@@ -62,45 +63,49 @@ type countsReply struct {
 	Counts map[string]int
 }
 
-// wireArgs encodes op as its RPC argument frame (client side); the
-// handles travel as the ids the service minted for them.
+// The wire structs are lent (enc.Lend): wireArgs and wireReply take the
+// struct they fill from its type's pool, and the receiver's transport
+// decodes it into one. A Proxy releases its argument once Call has
+// returned and its reply once wireResult has copied it out; the TCP
+// binding releases a served call's argument and reply once the response
+// is written.
+
+// wireArgs encodes op as its RPC argument (client side); the handles
+// travel as the ids the service minted for them.
 func wireArgs(op Op, txnID, leaseID uint64) interface{} {
 	switch op.Kind {
 	case OpWrite:
-		return writeArgs{Entry: op.Entry, TxnID: txnID, TTL: op.TTL, Tok: op.Token}
+		return enc.Lend(writeArgs{Entry: op.Entry, TxnID: txnID, TTL: op.TTL, Tok: op.Token})
 	case OpBeginTxn, OpCommit, OpAbort:
-		return txnArgs{TxnID: txnID, TTL: op.TTL, Tok: op.Token}
+		return enc.Lend(txnArgs{TxnID: txnID, TTL: op.TTL, Tok: op.Token})
 	case OpRenew, OpCancel:
-		return leaseArgs{LeaseID: leaseID, TTL: op.TTL, Tok: op.Token}
+		return enc.Lend(leaseArgs{LeaseID: leaseID, TTL: op.TTL, Tok: op.Token})
 	default:
-		return lookupArgs{Tmpl: op.Entry, TxnID: txnID, Timeout: op.Wait, Max: op.Max, Tok: op.Token}
+		return enc.Lend(lookupArgs{Tmpl: op.Entry, TxnID: txnID, Timeout: op.Wait, Max: op.Max, Tok: op.Token})
 	}
 }
 
-// wireOp is wireArgs' inverse (server side).
+// wireOp is wireArgs' inverse (server side). It copies arg out, so the
+// caller may release arg once it returns.
 func wireOp(k Kind, arg interface{}) (op Op, txnID, leaseID uint64, err error) {
 	op.Kind = k
-	var ok bool
+	ok := false
 	switch k {
 	case OpWrite:
-		var a writeArgs
-		if a, ok = arg.(writeArgs); ok {
-			op.Entry, op.TTL, op.Token, txnID = a.Entry, a.TTL, a.Tok, a.TxnID
+		if a, is := arg.(*writeArgs); is {
+			op.Entry, op.TTL, op.Token, txnID, ok = a.Entry, a.TTL, a.Tok, a.TxnID, true
 		}
 	case OpBeginTxn, OpCommit, OpAbort:
-		var a txnArgs
-		if a, ok = arg.(txnArgs); ok {
-			op.TTL, op.Token, txnID = a.TTL, a.Tok, a.TxnID
+		if a, is := arg.(*txnArgs); is {
+			op.TTL, op.Token, txnID, ok = a.TTL, a.Tok, a.TxnID, true
 		}
 	case OpRenew, OpCancel:
-		var a leaseArgs
-		if a, ok = arg.(leaseArgs); ok {
-			op.TTL, op.Token, leaseID = a.TTL, a.Tok, a.LeaseID
+		if a, is := arg.(*leaseArgs); is {
+			op.TTL, op.Token, leaseID, ok = a.TTL, a.Tok, a.LeaseID, true
 		}
 	default:
-		var a lookupArgs
-		if a, ok = arg.(lookupArgs); ok {
-			op.Entry, op.Wait, op.Max, op.Token, txnID = a.Tmpl, a.Timeout, a.Max, a.Tok, a.TxnID
+		if a, is := arg.(*lookupArgs); is {
+			op.Entry, op.Wait, op.Max, op.Token, txnID, ok = a.Tmpl, a.Timeout, a.Max, a.Tok, a.TxnID, true
 		}
 	}
 	if !ok {
@@ -113,43 +118,45 @@ func wireOp(k Kind, arg interface{}) (op Op, txnID, leaseID uint64, err error) {
 func wireReply(k Kind, res Result, txnID, leaseID uint64) interface{} {
 	switch k {
 	case OpWrite, OpRenew, OpCancel:
-		return writeReply{LeaseID: leaseID}
+		return enc.Lend(writeReply{LeaseID: leaseID})
 	case OpBeginTxn, OpCommit, OpAbort:
-		return txnReply{TxnID: txnID}
+		return enc.Lend(txnReply{TxnID: txnID})
 	case OpReadAll, OpTakeAll:
 		out := make([]interface{}, len(res.Entries))
 		for i, e := range res.Entries {
 			out[i] = e
 		}
-		return bulkReply{Entries: out}
+		return enc.Lend(bulkReply{Entries: out})
 	case OpCount:
-		return countReply{N: res.N}
+		return enc.Lend(countReply{N: res.N})
 	case OpTypeCounts:
-		return countsReply{Counts: res.Counts}
+		return enc.Lend(countsReply{Counts: res.Counts})
 	default:
-		return lookupReply{Entry: res.Entry}
+		return enc.Lend(lookupReply{Entry: res.Entry})
 	}
 }
 
-// wireResult is wireReply's inverse (client side).
+// wireResult is wireReply's inverse (client side). It copies reply out
+// and releases it.
 func wireResult(reply interface{}) (res Result, txnID, leaseID uint64) {
 	switch r := reply.(type) {
-	case writeReply:
+	case *writeReply:
 		leaseID = r.LeaseID
-	case txnReply:
+	case *txnReply:
 		txnID = r.TxnID
-	case lookupReply:
+	case *lookupReply:
 		res.Entry = r.Entry
-	case bulkReply:
+	case *bulkReply:
 		res.Entries = make([]tuplespace.Entry, len(r.Entries))
 		for i, e := range r.Entries {
 			res.Entries[i] = e
 		}
-	case countReply:
+	case *countReply:
 		res.N = r.N
-	case countsReply:
+	case *countsReply:
 		res.Counts = r.Counts
 	}
+	enc.Release(reply)
 	return res, txnID, leaseID
 }
 

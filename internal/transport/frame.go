@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"reflect"
 	"time"
 
 	"gospaces/internal/enc"
@@ -297,10 +298,10 @@ func parseFrame(frame []byte) (header, []byte, error) {
 	return h, frame[fixed+m:], nil
 }
 
-// argument decodes a request's body and restores the Framed the caller
-// passed, if it passed one.
+// argument decodes a request's body, a struct lent (enc.DecodeLent), and
+// restores the Framed the caller passed, if it passed one.
 func (h header) argument(d *enc.Decoder, body []byte) (interface{}, error) {
-	arg, err := d.Decode(body)
+	arg, err := d.DecodeLent(body)
 	if err != nil || h.flags&flagFramed == 0 {
 		return arg, err
 	}
@@ -311,10 +312,23 @@ func (h header) argument(d *enc.Decoder, body []byte) (interface{}, error) {
 	return f, nil
 }
 
-// result decodes a response's body: the call's result or its error.
+// result decodes a response's body: the call's result, a struct lent
+// (enc.DecodeLent), or its error.
 func (h header) result(d *enc.Decoder, method string, body []byte) (interface{}, error) {
 	if h.code != 0 {
 		return nil, remoteError(method, h.code, string(body))
 	}
-	return d.Decode(body)
+	return d.DecodeLent(body)
+}
+
+// releaseResult returns a handler's result to its pool once its response
+// is written, unless it is the argument the handler was lent (an echo):
+// that is one value, and whoever owns the argument releases it.
+func releaseResult(arg, res interface{}) {
+	arg, _, _ = Unframe(arg)
+	a, r := reflect.ValueOf(arg), reflect.ValueOf(res)
+	if a.Kind() == reflect.Pointer && r.Kind() == reflect.Pointer && a.Pointer() == r.Pointer() {
+		return
+	}
+	enc.Release(res)
 }

@@ -76,7 +76,7 @@ func TestSequentialCallsReuseOneHandler(t *testing.T) {
 	defer c.Close()
 	for i := 0; i < 10000; i++ {
 		got, err := c.Call("echo", echoArg{N: i})
-		if err != nil || got.(echoArg).N != i {
+		if err != nil || got.(*echoArg).N != i {
 			t.Fatalf("call %d = %v, %v", i, got, err)
 		}
 	}
@@ -98,10 +98,10 @@ func TestParkedHandlersDoNotBlockTheirWaker(t *testing.T) {
 	srv := NewServer()
 	srv.Handle("take", func(interface{}) (interface{}, error) {
 		parked <- struct{}{}
-		return echoArg{N: <-bag}, nil
+		return &echoArg{N: <-bag}, nil
 	})
 	srv.Handle("write", func(arg interface{}) (interface{}, error) {
-		bag <- arg.(echoArg).N
+		bag <- arg.(*echoArg).N
 		return nil, nil
 	})
 	l, c := dialEcho(t, srv)
@@ -120,7 +120,7 @@ func TestParkedHandlersDoNotBlockTheirWaker(t *testing.T) {
 				errs <- err
 				return
 			}
-			got <- res.(echoArg).N
+			got <- res.(*echoArg).N
 		}()
 	}
 	for i := 0; i < n; i++ {

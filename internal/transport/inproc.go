@@ -218,8 +218,12 @@ func (c *inprocClient) deliver(method string, arg interface{}) (interface{}, err
 	n.account(size, true)
 	n.clock.Sleep(n.model.Cost(size))
 
-	res, err := srv.Dispatch(method, arg)
-	res, size, err = c.responses.response(method, res, err)
+	// The argument the handler was lent is not released: the handler may
+	// have handed it on, and nothing here knows for how long. Its result
+	// is released once encoded, as the TCP binding releases it.
+	out, err := srv.Dispatch(method, arg)
+	res, size, err := c.responses.response(method, out, err)
+	releaseResult(arg, out)
 	n.account(size, false)
 	n.clock.Sleep(n.model.Cost(size))
 	return res, err

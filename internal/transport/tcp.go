@@ -173,8 +173,9 @@ func (w *responder) serve(c call) {
 	}
 }
 
-// answer runs one call's handler, unless the request already failed, and
-// writes the response.
+// answer runs one call's handler, unless the request already failed,
+// writes the response, and then releases what the call was lent and what
+// the handler answered: both are the responder's once the bytes are out.
 func (w *responder) answer(c call) {
 	var res interface{}
 	err := c.err
@@ -189,6 +190,9 @@ func (w *responder) answer(c call) {
 	if werr != nil {
 		w.conn.Close()
 	}
+	releaseResult(c.arg, res)
+	arg, _, _ := Unframe(c.arg)
+	enc.Release(arg)
 }
 
 // recycle returns b emptied for reuse as a connection's frame buffer,
@@ -299,6 +303,8 @@ func (c *tcpClient) readLoop() {
 		in = recycle(frame)
 		if ok {
 			p.ch <- r
+		} else {
+			enc.Release(r.res)
 		}
 	}
 }

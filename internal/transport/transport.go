@@ -56,7 +56,12 @@ var (
 // layer (see internal/enc): one call covers the wire and the durable log.
 func RegisterType(v interface{}) { enc.RegisterType(v) }
 
-// Handler processes one RPC method.
+// Handler processes one RPC method. A struct argument arrives as a *T
+// lent for the call (enc.DecodeLent): the handler may use it until it
+// returns and keeps nothing of the struct itself, only what it points at.
+// A struct result is the transport's once returned, which releases it
+// after sending: it must be the handler's to give — lent (enc.Lend),
+// fresh, or the argument itself.
 type Handler func(arg interface{}) (interface{}, error)
 
 // Server dispatches method calls to registered handlers. It is shared by
@@ -125,7 +130,10 @@ func (s *Server) handler(method []byte) (Handler, error) {
 // Client is one side of an RPC connection.
 type Client interface {
 	// Call invokes method with arg and returns the result. Calls may be
-	// issued concurrently.
+	// issued concurrently. A struct argument may be sent as the struct or
+	// a pointer to it (the bytes are the same); a struct result arrives as
+	// a *T lent from its pool, which the caller may enc.Release once it
+	// has copied out what it keeps.
 	Call(method string, arg interface{}) (interface{}, error)
 	// Close releases the connection.
 	Close() error

@@ -28,8 +28,8 @@ func newEchoServer() *Server {
 		return arg, nil
 	})
 	srv.Handle("double", func(arg interface{}) (interface{}, error) {
-		e := arg.(echoArg)
-		return echoArg{Msg: e.Msg + e.Msg, N: e.N * 2}, nil
+		e := arg.(*echoArg)
+		return &echoArg{Msg: e.Msg + e.Msg, N: e.N * 2}, nil
 	})
 	srv.Handle("fail", func(arg interface{}) (interface{}, error) {
 		return nil, errors.New("boom")
@@ -50,7 +50,7 @@ func TestInprocRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e := got.(echoArg); e.Msg != "abab" || e.N != 6 {
+	if e := got.(*echoArg); e.Msg != "abab" || e.N != 6 {
 		t.Fatalf("got %+v", e)
 	}
 }
@@ -172,7 +172,7 @@ func TestTCPRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e := got.(echoArg); e.N != 42 {
+	if e := got.(*echoArg); e.N != 42 {
 		t.Fatalf("got %+v", e)
 	}
 }
@@ -203,7 +203,7 @@ func TestTCPConcurrentCalls(t *testing.T) {
 				errs <- err
 				return
 			}
-			if got.(echoArg).N != i {
+			if got.(*echoArg).N != i {
 				errs <- fmt.Errorf("call %d got %+v", i, got)
 			}
 		}(i)
@@ -346,7 +346,7 @@ func TestReplyChannelReuse(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: call %d: %v", what, i, err)
 			}
-			if got.(echoArg).N != i {
+			if got.(*echoArg).N != i {
 				t.Fatalf("%s: call %d answered %v", what, i, got)
 			}
 		}

@@ -303,7 +303,7 @@ func TestFailedCallsLeaveOthersInFlight(t *testing.T) {
 	parked := make(chan error, 1)
 	go func() {
 		res, err := c.Call("park", echoArg{N: 7})
-		if err == nil && res.(echoArg).N != 7 {
+		if err == nil && res.(*echoArg).N != 7 {
 			err = errors.New("parked call got someone else's answer")
 		}
 		parked <- err
@@ -320,7 +320,7 @@ func TestFailedCallsLeaveOthersInFlight(t *testing.T) {
 	if _, err := c.Call("unencodable", echoArg{}); !errors.As(err, &re) {
 		t.Errorf("unencodable result: %v", err)
 	}
-	if res, err := c.Call("double", echoArg{Msg: "a", N: 1}); err != nil || res.(echoArg).N != 2 {
+	if res, err := c.Call("double", echoArg{Msg: "a", N: 1}); err != nil || res.(*echoArg).N != 2 {
 		t.Errorf("a good call after the failures: %v, %v", res, err)
 	}
 	close(release)

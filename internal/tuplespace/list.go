@@ -28,15 +28,23 @@ type typeStore struct {
 }
 
 // fieldIndex buckets a type's entries by the value of one string, int or
-// uint field. It holds no bucket without a live entry, so it is as large
-// as the set of live values. Buckets are values: a workload of write-take
-// pairs on distinct keys makes and drops one per pair, and a population of
-// distinct values has one per entry.
+// uint field. Between operations it holds no bucket without a live entry,
+// so it is as large as the set of live values. Buckets are values: a
+// workload of write-take pairs on distinct keys makes and drops one per
+// pair, and a population of distinct values has one per entry. A dropped
+// bucket's array goes on spare, cleared, and the index's next new bucket
+// takes it, so that workload allocates no array per pair.
 type fieldIndex struct {
 	field   int     // struct field number
 	kind    cmpKind // cmpString, cmpInt or cmpUint
 	buckets map[fieldKey]entryList
+	spare   [][]*storedEntry
 }
+
+// spareMax bounds an index's spare arrays, in number and in capacity: the
+// arrays worth keeping are those of the small buckets that come and go,
+// and 16 of 16 slots hold at most 2 KiB.
+const spareMax = 16
 
 // fieldKey is one value of an indexed field: a string field's in str, an
 // int or uint field's bits in bits. A comparer holds its value in one.
@@ -80,9 +88,21 @@ func (ix *fieldIndex) keyOf(se *storedEntry) fieldKey {
 
 func (ix *fieldIndex) add(se *storedEntry) {
 	k := ix.keyOf(se)
-	b := ix.buckets[k]
+	b, ok := ix.buckets[k]
+	if n := len(ix.spare); !ok && n > 0 {
+		b.items, ix.spare = ix.spare[n-1], ix.spare[:n-1]
+	}
 	b.items = append(b.items, se)
 	ix.buckets[k] = b
+}
+
+// drop removes key's bucket, whose items are all dead and cleared, and
+// keeps its array for a new bucket.
+func (ix *fieldIndex) drop(key fieldKey, items []*storedEntry) {
+	delete(ix.buckets, key)
+	if c := cap(items); c > 0 && c <= spareMax && len(ix.spare) < spareMax {
+		ix.spare = append(ix.spare, items[:0])
+	}
 }
 
 // addIndex indexes st's live entries by field, in write order, and keeps
@@ -176,19 +196,12 @@ func (s *Space) removeLocked(se *storedEntry) {
 	}
 }
 
-// deadLocked counts one more dead entry in r's list. A bucket with nothing
-// live left is dropped from its index there and then — whoever ranges over
-// it holds its own slice header — and any other list that falls due is
-// queued for unlock.
+// deadLocked counts one more dead entry in r's list, and queues the list
+// for unlock if that makes it due.
 func (s *Space) deadLocked(r listRef) {
 	l := r.get()
 	l.dead++
 	s.dead++
-	if r.ix != nil && int(l.dead) == len(l.items) {
-		delete(r.ix.buckets, r.key)
-		s.dead -= int(l.dead)
-		return
-	}
 	if !l.queued && l.due() {
 		l.queued = true
 		s.slack = append(s.slack, r)
@@ -197,15 +210,13 @@ func (s *Space) deadLocked(r listRef) {
 }
 
 // unlock ends an operation: lists that fell due during it are compacted in
-// place, order kept, the mutex released, and what an expiry at lock
-// published delivered.
+// place, order kept, a bucket left with nothing live is dropped from its
+// index, the mutex released, and what an expiry at lock published
+// delivered.
 func (s *Space) unlock() {
 	for i, r := range s.slack {
 		s.slack[i] = listRef{}
 		l := r.get()
-		if !l.queued {
-			continue // a bucket queued, then dropped when its last live entry went
-		}
 		kept := l.items[:0]
 		for _, se := range l.items {
 			if !se.removed {
@@ -214,6 +225,10 @@ func (s *Space) unlock() {
 		}
 		clear(l.items[len(kept):])
 		s.dead -= int(l.dead)
+		if r.ix != nil && len(kept) == 0 {
+			r.ix.drop(r.key, kept)
+			continue
+		}
 		r.put(entryList{items: kept})
 	}
 	s.slack = s.slack[:0]

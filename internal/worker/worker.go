@@ -150,7 +150,7 @@ func New(cfg Config) *Worker {
 // client side of the rule-base protocol, Figure 4).
 func (w *Worker) Bind(srv *transport.Server) {
 	srv.Handle("worker.Signal", func(arg interface{}) (interface{}, error) {
-		a, ok := arg.(SignalArgs)
+		a, ok := arg.(*SignalArgs)
 		if !ok {
 			return nil, fmt.Errorf("worker: bad signal args %T", arg)
 		}
@@ -158,10 +158,10 @@ func (w *Worker) Bind(srv *transport.Server) {
 		if err != nil {
 			return nil, err
 		}
-		return SignalReply{Record: rec}, nil
+		return &SignalReply{Record: rec}, nil
 	})
 	srv.Handle("worker.State", func(arg interface{}) (interface{}, error) {
-		return StateReply{State: w.State()}, nil
+		return &StateReply{State: w.State()}, nil
 	})
 }
 

@@ -365,11 +365,11 @@ func TestWorkerBindSignalEndpoint(t *testing.T) {
 	net.Listen("n1", srv)
 	r.clk.Run(func() {
 		c := net.Dial("n1")
-		res, err := c.Call("worker.Signal", SignalArgs{Signal: rulebase.SignalStart, SentAt: r.clk.Now()})
+		res, err := c.Call("worker.Signal", &SignalArgs{Signal: rulebase.SignalStart, SentAt: r.clk.Now()})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.(SignalReply).Record.Signal != rulebase.SignalStart {
+		if res.(*SignalReply).Record.Signal != rulebase.SignalStart {
 			t.Fatalf("reply = %+v", res)
 		}
 		st, err := c.Call("worker.State", 0)
@@ -378,7 +378,7 @@ func TestWorkerBindSignalEndpoint(t *testing.T) {
 		}
 		// Run loop not started: state is still Stopped even though the
 		// target is Running.
-		if got := st.(StateReply).State; got != rulebase.StateStopped {
+		if got := st.(*StateReply).State; got != rulebase.StateStopped {
 			t.Fatalf("state = %v", got)
 		}
 	})

@@ -206,7 +206,7 @@ func TestOneScriptTwoEnvironments(t *testing.T) {
 		fmt.Fprintf(&b, "announced=%v\n", announced())
 
 		n.Start()
-		if _, err := sig.Call("worker.Signal", worker.SignalArgs{Signal: rulebase.SignalStart, SentAt: d.clock.Now()}); err != nil {
+		if _, err := sig.Call("worker.Signal", &worker.SignalArgs{Signal: rulebase.SignalStart, SentAt: d.clock.Now()}); err != nil {
 			t.Fatalf("%s: Start signal: %v", d.name, err)
 		}
 		m := master.New(master.Config{Clock: d.clock, Space: h.Space(), ResultTimeout: 30 * time.Second})

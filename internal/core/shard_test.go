@@ -80,8 +80,7 @@ func TestShardedEndToEnd(t *testing.T) {
 	if total != 12 {
 		t.Fatalf("workers completed %d tasks", total)
 	}
-	// Nothing left behind on any shard: no leaked tasks, results, or
-	// scatter write-backs.
+	// Nothing left behind on any shard: no leaked tasks or results.
 	for i, l := range fw.Host.Shards() {
 		if n := l.TS.Stats().EntriesLive; n != 0 {
 			t.Fatalf("shard %d holds %d leftover entries", i, n)

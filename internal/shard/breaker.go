@@ -14,7 +14,7 @@ import (
 // consecutive failover-worthy failures trip it open, and while open the
 // router fast-fails calls at that position with ErrBreakerOpen instead of
 // paying the failure latency — which is what keeps one dead or hung shard
-// from stalling every scatter round for a full slice. After cooldown one
+// from stalling every round of a blocking lookup for a full slice. After cooldown one
 // call is admitted as the half-open probe; its success closes the breaker,
 // its failure re-opens it for another cooldown. Tripping also nudges
 // failover resolution once, so a breaker opening on a dead primary usually

@@ -164,7 +164,7 @@ func TestChaosPartitionedShardBoundedScatter(t *testing.T) {
 			t.Fatalf("take returned after %v, want ≈%v (bounded, no hang)", elapsed, timeout)
 		}
 
-		// Same bound under a transaction (the poll-scatter path).
+		// Same bound under a transaction.
 		tx, err := r.BeginTxn(time.Minute)
 		if err != nil {
 			t.Fatal(err)

@@ -15,7 +15,7 @@ import (
 // registered address — the stable shard identity) with an incremented
 // epoch. The router keeps the ring untouched and swaps only the handle
 // behind the ring position, so key placement is preserved exactly as with
-// Replace; in-flight scatters re-snapshot the view each round and retry
+// Replace; blocking lookups re-snapshot the view each round and retry
 // against the promoted primary instead of surfacing a ShardError. This
 // file is the mechanism — Retarget, the throttled tryFailover, the two
 // error classes (failoverWorthy, ambiguous); when an op is replayed after

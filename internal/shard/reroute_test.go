@@ -143,72 +143,90 @@ func TestBlockingTakeReroute(t *testing.T) {
 // and a matching write lands there, the take finds it within a slice. A
 // take that handed the old owner its whole wait (30 s here, the master's
 // ResultTimeout in a job) stayed parked where no match would ever arrive.
-//
-// A keyed blocking take under a transaction still hands its owner the
-// whole wait in one call (Router.call → issue): that path is left for the
-// router's one wait loop (ROADMAP item 16), and this test does not cover it.
+// The same holds under a caller's transaction: there the take opens a
+// sub-transaction on the child, and the commit removes the entry for good.
+// A transaction's take used to hand the owner its whole wait in one issue
+// and was stranded by the split.
 func TestKeyedTakeFollowsSplit(t *testing.T) {
-	clk := vclock.NewReal()
-	r, _ := topoRouter(t, clk)
-	r.slice = 100 * time.Millisecond
-	key, keyed, err := tuplespace.IndexKey(kv{Key: "moving"})
-	if err != nil || !keyed {
-		t.Fatalf("index key: keyed=%t err=%v", keyed, err)
-	}
-	cur := r.Topology()
-	parent := OwnerFunc(cur)(key)
-
-	type outcome struct {
-		e   tuplespace.Entry
-		err error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		e, err := r.Take(kv{Key: "moving"}, nil, 30*time.Second)
-		done <- outcome{e, err}
-	}()
-	time.Sleep(20 * time.Millisecond) // let the take park on the parent
-
-	// Split the parent, giving the child whichever half holds the key.
-	split := func(swap bool) Topology {
-		next := Topology{Epoch: cur.Epoch + 1}
-		var give []string
-		for _, m := range cur.Members {
-			if m.ID == parent {
-				var keep []string
-				keep, give = SplitLabels(m.Labels)
-				if swap {
-					keep, give = give, keep
-				}
-				m.Labels = keep
+	for _, txn := range []bool{false, true} {
+		t.Run(fmt.Sprintf("txn=%t", txn), func(t *testing.T) {
+			clk := vclock.NewReal()
+			r, _ := topoRouter(t, clk)
+			r.slice = 100 * time.Millisecond
+			key, keyed, err := tuplespace.IndexKey(kv{Key: "moving"})
+			if err != nil || !keyed {
+				t.Fatalf("index key: keyed=%t err=%v", keyed, err)
 			}
-			next.Members = append(next.Members, m)
-		}
-		next.Members = append(next.Members, TopoMember{ID: "child", Labels: give})
-		return next
-	}
-	next := split(false)
-	if OwnerFunc(next)(key) != "child" {
-		next = split(true)
-	}
-	child := space.NewLocal(clk)
-	ok, err := r.ApplyTopology(next, func(ring string) (Shard, error) { return Shard{ID: ring, Space: child}, nil })
-	if err != nil || !ok {
-		t.Fatalf("split apply: ok=%v err=%v", ok, err)
-	}
-	if _, err := r.Write(kv{Key: "moving", Val: 7}, nil, tuplespace.Forever); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := child.Count(kv{}); err != nil || n != 1 {
-		t.Fatalf("the write reached the child %d times (%v), want once", n, err)
-	}
-	select {
-	case got := <-done:
-		if e, ok := got.e.(kv); got.err != nil || !ok || e.Val != 7 {
-			t.Fatalf("take returned %#v, %v; want the child's entry", got.e, got.err)
-		}
-	case <-time.After(r.slice + 400*time.Millisecond):
-		t.Fatalf("take still parked on %s a slice after its key moved to the child", parent)
+			cur := r.Topology()
+			parent := OwnerFunc(cur)(key)
+			var tx space.Txn
+			if txn {
+				if tx, err = r.BeginTxn(time.Minute); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			type outcome struct {
+				e   tuplespace.Entry
+				err error
+			}
+			done := make(chan outcome, 1)
+			go func() {
+				e, err := r.Take(kv{Key: "moving"}, tx, 30*time.Second)
+				done <- outcome{e, err}
+			}()
+			time.Sleep(20 * time.Millisecond) // let the take park on the parent
+
+			// Split the parent, giving the child whichever half holds the key.
+			split := func(swap bool) Topology {
+				next := Topology{Epoch: cur.Epoch + 1}
+				var give []string
+				for _, m := range cur.Members {
+					if m.ID == parent {
+						var keep []string
+						keep, give = SplitLabels(m.Labels)
+						if swap {
+							keep, give = give, keep
+						}
+						m.Labels = keep
+					}
+					next.Members = append(next.Members, m)
+				}
+				next.Members = append(next.Members, TopoMember{ID: "child", Labels: give})
+				return next
+			}
+			next := split(false)
+			if OwnerFunc(next)(key) != "child" {
+				next = split(true)
+			}
+			child := space.NewLocal(clk)
+			ok, err := r.ApplyTopology(next, func(ring string) (Shard, error) { return Shard{ID: ring, Space: child}, nil })
+			if err != nil || !ok {
+				t.Fatalf("split apply: ok=%v err=%v", ok, err)
+			}
+			if _, err := r.Write(kv{Key: "moving", Val: 7}, nil, tuplespace.Forever); err != nil {
+				t.Fatal(err)
+			}
+			if n, err := child.Count(kv{}); err != nil || n != 1 {
+				t.Fatalf("the write reached the child %d times (%v), want once", n, err)
+			}
+			select {
+			case got := <-done:
+				if e, ok := got.e.(kv); got.err != nil || !ok || e.Val != 7 {
+					t.Fatalf("take returned %#v, %v; want the child's entry", got.e, got.err)
+				}
+			case <-time.After(r.slice + 400*time.Millisecond):
+				t.Fatalf("take still parked on %s a slice after its key moved to the child", parent)
+			}
+			if txn {
+				if err := tx.Commit(); err != nil {
+					t.Fatalf("commit: %v", err)
+				}
+			}
+			if n, err := r.Count(kv{}); err != nil || n != 0 {
+				t.Fatalf("after the take the ring counts %d entries (%v), want 0", n, err)
+			}
+		})
 	}
 }
 

@@ -4,8 +4,9 @@
 // hashing. Operations whose entry or template fixes the key route to
 // exactly one shard; everything else — zero-key templates, bulk reads,
 // counts, notifications — scatter-gathers across all shards with bounded
-// concurrency, and blocking lookups use first-win rounds whose per-shard
-// waits are time-sliced so losing shards never leak a parked RPC.
+// concurrency. Every blocking lookup runs one wait loop that parks at most
+// a slice per round and takes once, so no take is undone and no parked RPC
+// outlives its slice.
 //
 // With one shard the router degenerates to pure pass-through, which is the
 // compatibility mode: semantics are identical to talking to the single

@@ -36,7 +36,7 @@ type lookupReply struct {
 }
 
 type bulkReply struct {
-	Entries []interface{}
+	Entries []tuplespace.Entry
 }
 
 type txnArgs struct {
@@ -122,11 +122,7 @@ func wireReply(k Kind, res Result, txnID, leaseID uint64) interface{} {
 	case OpBeginTxn, OpCommit, OpAbort:
 		return enc.Lend(txnReply{TxnID: txnID})
 	case OpReadAll, OpTakeAll:
-		out := make([]interface{}, len(res.Entries))
-		for i, e := range res.Entries {
-			out[i] = e
-		}
-		return enc.Lend(bulkReply{Entries: out})
+		return enc.Lend(bulkReply{Entries: res.Entries})
 	case OpCount:
 		return enc.Lend(countReply{N: res.N})
 	case OpTypeCounts:
@@ -147,10 +143,7 @@ func wireResult(reply interface{}) (res Result, txnID, leaseID uint64) {
 	case *lookupReply:
 		res.Entry = r.Entry
 	case *bulkReply:
-		res.Entries = make([]tuplespace.Entry, len(r.Entries))
-		for i, e := range r.Entries {
-			res.Entries[i] = e
-		}
+		res.Entries = r.Entries
 	case *countReply:
 		res.N = r.N
 	case *countsReply:

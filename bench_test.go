@@ -32,6 +32,16 @@ import (
 	"gospaces/internal/vclock"
 )
 
+// newFramework is core.New failing tb on an assembly error.
+func newFramework(tb testing.TB, clk vclock.Clock, net core.Net, cfg core.Config) *core.Framework {
+	tb.Helper()
+	f, err := core.New(clk, net, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return f
+}
+
 func reportScalability(b *testing.B, pts []experiments.ScalabilityPoint) {
 	b.Helper()
 	first, last := pts[0], pts[len(pts)-1]
@@ -241,7 +251,7 @@ func BenchmarkAblationMatchCompiled(b *testing.B) {
 func BenchmarkAblationPauseVsStop(b *testing.B) {
 	run := func(transientLoad float64) time.Duration {
 		clk := vclock.NewVirtual(time.Date(2001, 10, 8, 9, 0, 0, 0, time.UTC))
-		fw := core.New(clk, core.Config{
+		fw := newFramework(b, clk, core.InProc(nil, nil), core.Config{
 			Workers:      cluster.Uniform(1, 1.0),
 			Monitoring:   true,
 			PollInterval: 500 * time.Millisecond,
@@ -283,7 +293,7 @@ func BenchmarkAblationPauseVsStop(b *testing.B) {
 func BenchmarkAblationNetworkModel(b *testing.B) {
 	run := func(model transport.Model) time.Duration {
 		clk := vclock.NewVirtual(time.Date(2001, 10, 8, 9, 0, 0, 0, time.UTC))
-		fw := core.New(clk, core.Config{Workers: cluster.Uniform(4, 1.0), Model: &model})
+		fw := newFramework(b, clk, core.InProc(&model, nil), core.Config{Workers: cluster.Uniform(4, 1.0)})
 		cfg := montecarlo.DefaultJobConfig()
 		cfg.TotalSims = 2000
 		job := montecarlo.NewJob(cfg)
@@ -309,7 +319,7 @@ func BenchmarkAblationNetworkModel(b *testing.B) {
 func BenchmarkAblationMonitoringOverhead(b *testing.B) {
 	run := func(monitoring bool) time.Duration {
 		clk := vclock.NewVirtual(time.Date(2001, 10, 8, 9, 0, 0, 0, time.UTC))
-		fw := core.New(clk, core.Config{
+		fw := newFramework(b, clk, core.InProc(nil, nil), core.Config{
 			Workers:      cluster.Uniform(4, 1.0),
 			Monitoring:   monitoring,
 			PollInterval: 500 * time.Millisecond,
@@ -340,7 +350,7 @@ func BenchmarkAblationMonitoringOverhead(b *testing.B) {
 func BenchmarkAblationTrapVsPoll(b *testing.B) {
 	measure := func(trapDriven bool) time.Duration {
 		clk := vclock.NewVirtual(time.Date(2001, 10, 8, 9, 0, 0, 0, time.UTC))
-		fw := core.New(clk, core.Config{
+		fw := newFramework(b, clk, core.InProc(nil, nil), core.Config{
 			Workers:      cluster.Uniform(1, 1.0),
 			Monitoring:   true,
 			PollInterval: 2 * time.Second,

@@ -1,4 +1,5 @@
-// Command master runs the master module over TCP: it hosts the JavaSpaces
+// Command master runs the master node over TCP — core.New over core.TCP,
+// the assembly the simulator runs in process: it hosts the JavaSpaces
 // service and the code server, registers them with the lookup service,
 // plans the chosen application's tasks, and aggregates results produced
 // by however many workers join the federation.
@@ -27,10 +28,6 @@
 // listeners and merges cold split-born ones back at runtime; workers follow
 // the published ring topology without restarting. See internal/rebalance.
 //
-// The shards themselves — listeners, WALs, standbys, lookup leases,
-// failover, resharding, /healthz — are internal/shardhost's; this binary is
-// flags, the job, the code server and the master module over it.
-//
 // Usage:
 //
 //	master -addr 127.0.0.1:7002 -lookup 127.0.0.1:7001 -job montecarlo -shards 4 -spread
@@ -47,16 +44,13 @@ import (
 	"gospaces/internal/apps/montecarlo"
 	"gospaces/internal/apps/pagerank"
 	"gospaces/internal/apps/raytrace"
-	"gospaces/internal/discovery"
+	"gospaces/internal/core"
 	"gospaces/internal/master"
 	"gospaces/internal/metrics"
-	"gospaces/internal/nodeconfig"
 	"gospaces/internal/obs"
 	"gospaces/internal/replica"
 	"gospaces/internal/shardhost"
-	"gospaces/internal/snmp"
 	"gospaces/internal/space"
-	"gospaces/internal/transport"
 	"gospaces/internal/vclock"
 	"gospaces/internal/wal"
 )
@@ -180,7 +174,6 @@ func (c config) spec() (shardhost.Spec, error) {
 }
 
 func run(c config) error {
-	clk := vclock.NewReal()
 	job, report, err := buildJob(c.job, c.sims, c.spread)
 	if err != nil {
 		return err
@@ -190,7 +183,7 @@ func run(c config) error {
 		return err
 	}
 	// The ops surface is opt-in; a nil *obs.Obs makes every instrumentation
-	// call below a no-op.
+	// call a no-op.
 	if c.obsAddr != "" {
 		spec.Obs = obs.New(time.Now().UnixNano())
 		closer, url, err := obs.Serve(c.obsAddr, spec.Obs)
@@ -200,32 +193,21 @@ func run(c config) error {
 		defer closer.Close()
 		log.Printf("master: ops surface at %s (/metrics, /debug/pprof, /tracez)", url)
 	}
-	o := spec.Obs
 
-	// Host the space services and join the lookup federation: one
-	// registration per shard, each carrying its shard index so clients
-	// rebuild the same ring. -datadir selects the durable (Outrigger
-	// persistent) mode: each shard recovers its WAL + snapshot before serving.
-	lc, err := transport.DialTCP(c.lookup)
-	if err != nil {
-		return fmt.Errorf("dial lookup: %w", err)
-	}
-	defer lc.Close()
-	background := vclock.NewGroup(clk)
-	env, err := shardhost.TCPEnv(c.addr, discovery.NewClient(lc), background.Go)
+	// Host the space services and the code server, and join the lookup
+	// federation: one registration per shard, each carrying its shard index
+	// so clients rebuild the same ring. -datadir selects the durable
+	// (Outrigger persistent) mode: each shard recovers its WAL + snapshot
+	// before serving. The workers are other processes.
+	f, err := core.New(vclock.NewReal(), core.TCP(c.lookup, c.addr), core.Config{Spec: spec, ResultTimeout: c.resultTimeout})
 	if err != nil {
 		return err
 	}
-	host, err := shardhost.New(clk, env, spec)
-	if err != nil {
-		return err
-	}
-	defer background.Wait()
-	defer host.Close()
-	durables := host.Durables()
+	defer f.Close()
+	durables := f.Host.Durables()
 	n := len(durables) // one entry per hosted shard, nil when not durable
 	for i, d := range durables {
-		ring, _ := host.RingID(i)
+		ring, _ := f.Host.RingID(i)
 		log.Printf("master: space shard %d/%d on %s", i, n, ring)
 		if d != nil {
 			info := d.Info()
@@ -242,46 +224,20 @@ func run(c config) error {
 			c.splitThreshold, c.mergeThreshold, c.reshardInterval)
 	}
 
-	// The code server shares shard 0's listener (the master's address).
-	cs := nodeconfig.NewCodeServer()
-	cs.Publish(job.Bundle())
-	cs.Bind(host.Server(0))
-	host.Flight("master", obs.FlightEvent{
-		Kind:   obs.EventNodeStart,
-		Detail: fmt.Sprintf("%d shards, %d replicas", n, c.replicas),
-	})
-	host.Start()
-
-	m := master.New(master.Config{
-		Clock:         clk,
-		Space:         host.Space(),
-		ResultTimeout: c.resultTimeout,
-		Obs:           o,
-	})
-	if reg := o.Reg(); reg != nil {
-		reg.RegisterGauge(metrics.GaugeTasksPending, m.PendingTasks)
-		reg.RegisterGauge(metrics.GaugeTasksInFlight, m.InFlight)
-		reg.RegisterGauge(metrics.GaugeTasksPlanned, m.TasksPlanned)
-		reg.RegisterGauge(metrics.GaugeResultsCollected, m.ResultsCollected)
-		// The framework MIB answers SNMP GETs on shard 0's server — the
-		// same numbers /metrics reports, over the management substrate.
-		mib := snmp.NewMIB()
-		obs.ExportMIB(mib, o, n)
-		snmp.NewAgent("public", mib).Bind(host.Server(0))
-	}
 	log.Printf("master: running job %q", c.job)
-	rm, err := m.RunJob(job)
+	res, err := f.Run(job, nil)
 	if err != nil {
 		return err
 	}
+	rm := res.Metrics
 	log.Printf("master: done — tasks=%d shards=%d planning=%v aggregation=%v parallel=%v",
 		rm.Tasks, rm.Shards, rm.TaskPlanningTime, rm.TaskAggregationTime, rm.ParallelTime)
-	if err := host.Err(); err != nil {
+	if err := f.Host.Err(); err != nil {
 		log.Printf("master: last background shard-host error: %v", err)
 	}
 	report()
-	if o != nil {
-		fmt.Print(metrics.SummaryTable("Observability — per-stage latency", o.Registry.Summary()))
+	if spec.Obs != nil {
+		fmt.Print(metrics.SummaryTable("Observability — per-stage latency", res.ObsSummary))
 	}
 	return nil
 }

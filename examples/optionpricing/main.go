@@ -20,11 +20,14 @@ var epoch = time.Date(2001, 10, 8, 9, 0, 0, 0, time.UTC)
 
 func main() {
 	clk := vclock.NewVirtual(epoch)
-	fw := core.New(clk, core.Config{
+	fw, err := core.New(clk, core.InProc(nil, nil), core.Config{
 		Workers:      cluster.ThirteenPC(),
 		Monitoring:   true,
 		PollInterval: time.Second,
 	})
+	if err != nil {
+		log.Fatal(err)
+	}
 	job := montecarlo.NewJob(montecarlo.DefaultJobConfig())
 
 	// An "interactive user" arrives on three nodes 20 seconds in and
@@ -41,7 +44,6 @@ func main() {
 	}
 
 	var res core.Result
-	var err error
 	clk.Run(func() { res, err = fw.Run(job, script) })
 	if err != nil {
 		log.Fatal(err)

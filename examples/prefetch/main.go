@@ -18,12 +18,14 @@ import (
 
 func main() {
 	clk := vclock.NewVirtual(time.Date(2001, 10, 8, 9, 0, 0, 0, time.UTC))
-	fw := core.New(clk, core.Config{Workers: cluster.FivePC()})
+	fw, err := core.New(clk, core.InProc(nil, nil), core.Config{Workers: cluster.FivePC()})
+	if err != nil {
+		log.Fatal(err)
+	}
 	cfg := pagerank.DefaultJobConfig()
 	job := pagerank.NewJob(cfg)
 
 	var res core.Result
-	var err error
 	clk.Run(func() { res, err = fw.Run(job, nil) })
 	if err != nil {
 		log.Fatal(err)

@@ -17,14 +17,16 @@ import (
 
 func main() {
 	clk := vclock.NewVirtual(time.Date(2001, 10, 8, 9, 0, 0, 0, time.UTC))
-	fw := core.New(clk, core.Config{Workers: cluster.Uniform(4, 1.0)})
+	fw, err := core.New(clk, core.InProc(nil, nil), core.Config{Workers: cluster.Uniform(4, 1.0)})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	cfg := montecarlo.DefaultJobConfig()
 	cfg.TotalSims = 2000 // 20 subtasks: a quick demonstration
 	job := montecarlo.NewJob(cfg)
 
 	var res core.Result
-	var err error
 	clk.Run(func() {
 		res, err = fw.Run(job, nil)
 	})

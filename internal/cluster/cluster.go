@@ -1,18 +1,15 @@
-// Package cluster assembles simulated heterogeneous clusters: an in-process
-// network, the master's machine and server, and per node the hardware — a
-// sysmon.Machine with a relative CPU speed, the two load simulators of the
-// paper's experiments, and the address its worker node (internal/workerhost:
-// signal endpoint, SNMP agent, worker module) is served at. The canned
-// topologies reproduce the paper's testbeds: five 800 MHz Pentium III
-// nodes, and thirteen 300 MHz nodes (the master is an 800 MHz node in both,
-// §5).
+// Package cluster models a heterogeneous cluster's hardware: the master's
+// machine and, per node, a sysmon.Machine with a relative CPU speed and the
+// two load simulators of the paper's experiments. Which network the nodes
+// are on is internal/core's (core.Net). The canned topologies reproduce the
+// paper's testbeds: five 800 MHz Pentium III nodes, and thirteen 300 MHz
+// nodes (the master is an 800 MHz node in both, §5).
 package cluster
 
 import (
 	"fmt"
 
 	"gospaces/internal/sysmon"
-	"gospaces/internal/transport"
 	"gospaces/internal/vclock"
 )
 
@@ -43,62 +40,36 @@ func Uniform(n int, speed float64) []NodeSpec {
 	return specs
 }
 
-// Node is one worker node's hardware and network address.
+// Node is one worker node's hardware.
 type Node struct {
 	Name    string
 	Machine *sysmon.Machine
-	Addr    string
 	Sim1    *sysmon.LoadSimulator // 30–50 % traffic-shaped load
 	Sim2    *sysmon.LoadSimulator // 100 % load
 }
 
 // Cluster is an assembled simulated cluster.
 type Cluster struct {
-	Clock         vclock.Clock
-	Net           *transport.Network
 	Nodes         []*Node
 	MasterMachine *sysmon.Machine
-	MasterAddr    string
-	MasterServer  *transport.Server
-	Community     string
 }
 
-// New assembles a cluster on clock with the given network model, a
-// 1.0-speed master node, and the given worker specs. Worker nodes are
-// addressed "node/<name>"; the master's server is bound at "master".
-func New(clock vclock.Clock, model transport.Model, specs []NodeSpec) *Cluster {
-	c := &Cluster{
-		Clock:         clock,
-		Net:           transport.NewNetwork(clock, model),
-		MasterMachine: sysmon.NewMachine(clock, "master", Speed800MHz),
-		MasterAddr:    "master",
-		MasterServer:  transport.NewServer(),
-		Community:     "public",
-	}
-	c.Net.Listen(c.MasterAddr, c.MasterServer)
+// New assembles a cluster on clock: a 1.0-speed master machine and the
+// given worker specs.
+func New(clock vclock.Clock, specs []NodeSpec) *Cluster {
+	c := &Cluster{MasterMachine: sysmon.NewMachine(clock, "master", Speed800MHz)}
 	for _, spec := range specs {
-		c.Nodes = append(c.Nodes, c.addNode(spec))
+		c.Nodes = append(c.Nodes, addNode(clock, spec))
 	}
 	return c
 }
 
-func (c *Cluster) addNode(spec NodeSpec) *Node {
-	m := sysmon.NewMachine(c.Clock, spec.Name, spec.Speed)
+func addNode(clock vclock.Clock, spec NodeSpec) *Node {
+	m := sysmon.NewMachine(clock, spec.Name, spec.Speed)
 	return &Node{
 		Name:    spec.Name,
 		Machine: m,
-		Addr:    "node/" + spec.Name,
 		Sim1:    sysmon.NewLoadSimulator1(m),
 		Sim2:    sysmon.NewLoadSimulator2(m),
 	}
-}
-
-// Node returns the named node, or nil.
-func (c *Cluster) Node(name string) *Node {
-	for _, n := range c.Nodes {
-		if n.Name == name {
-			return n
-		}
-	}
-	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"gospaces/internal/transport"
 	"gospaces/internal/vclock"
 )
 
@@ -28,12 +27,9 @@ func TestCannedTopologies(t *testing.T) {
 
 func TestClusterAssembly(t *testing.T) {
 	clk := vclock.NewVirtual(time.Unix(0, 0))
-	c := New(clk, transport.Loopback(), Uniform(3, 0.5))
+	c := New(clk, Uniform(3, 0.5))
 	if len(c.Nodes) != 3 {
 		t.Fatalf("%d nodes", len(c.Nodes))
-	}
-	if c.Node("node02") == nil || c.Node("ghost") != nil {
-		t.Fatal("Node lookup broken")
 	}
 	if c.MasterMachine.Speed() != Speed800MHz {
 		t.Fatalf("master speed %v", c.MasterMachine.Speed())
@@ -46,19 +42,4 @@ func TestClusterAssembly(t *testing.T) {
 			t.Fatalf("%s missing load simulators", n.Name)
 		}
 	}
-}
-
-func TestMasterServerListens(t *testing.T) {
-	clk := vclock.NewVirtual(time.Unix(0, 0))
-	c := New(clk, transport.Loopback(), nil)
-	c.MasterServer.Handle("ping", func(arg interface{}) (interface{}, error) { return "pong", nil })
-	clk.Run(func() {
-		res, err := c.Net.Dial(c.MasterAddr).Call("ping", 0)
-		if err != nil {
-			t.Error(err)
-		}
-		if res != "pong" {
-			t.Errorf("res = %v", res)
-		}
-	})
 }

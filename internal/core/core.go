@@ -13,14 +13,15 @@
 //     SNMP agent and drives workers through the rule-base protocol so
 //     cycle stealing stays non-intrusive.
 //
-// A Framework runs on either clock: the experiment harness uses
-// vclock.Virtual for deterministic simulated-cluster runs; the cmd tools
-// and examples use the real clock.
+// Config says what runs and Net says where: a modeled in-process network
+// (InProc, on either clock) or TCP/UDP sockets (TCP, as cmd/master runs).
+// New assembles the deployment once for both (DESIGN §18).
 package core
 
 import (
 	"fmt"
 	"io"
+	"net"
 	"sync"
 	"time"
 
@@ -47,18 +48,14 @@ import (
 // Job is re-exported so applications depend only on core.
 type Job = master.Job
 
-// Config tunes a Framework: the hosted shard set and the deployment-wide
-// client knobs (the embedded shardhost.Spec, documented there — the same
-// struct cmd/master fills from flags), plus what only the simulator has: a
-// modeled network, a simulated cluster, the network management module and a
-// fault plan.
+// Config says what a Framework runs: the hosted shard set and the
+// deployment-wide client knobs (the embedded shardhost.Spec, documented
+// there — the same struct cmd/master fills from flags), the worker nodes
+// run in this process, and the network management module.
 type Config struct {
 	shardhost.Spec
 
-	// Model is the network cost model, the shard servers' modeled per-op
-	// CPU (Model.SpaceOp) included. Default transport.LAN2001().
-	Model *transport.Model
-	// Workers are the cluster's worker nodes.
+	// Workers are the worker nodes the framework runs in this process.
 	Workers []cluster.NodeSpec
 	// Monitoring enables the network management module: workers then
 	// start only when the rule base signals Start, and back off under
@@ -76,13 +73,6 @@ type Config struct {
 	TrapInterval time.Duration
 	// ResultTimeout bounds the master's wait per result. Default 5 min.
 	ResultTimeout time.Duration
-	// Faults, if set, is a fault-injection plan installed on the
-	// cluster's in-process network: every RPC between named endpoints
-	// (master, workers as "node/<name>", shards, the lookup service)
-	// routes through it. New binds the plan to the framework's clock, so
-	// scripted windows are offsets from construction time. See
-	// internal/faults.
-	Faults *faults.Plan
 	// OpTimeout bounds each remote space RPC a worker issues (semantic
 	// blocking time excluded — a Take with a 5 s wait gets OpTimeout on
 	// top of it). A stuck server then surfaces as space.ErrOpTimeout,
@@ -92,18 +82,105 @@ type Config struct {
 	OpTimeout time.Duration
 }
 
-// Framework is an assembled deployment: cluster, lookup service, the
-// hosted shard set (internal/shardhost), code server and master module.
+// Net says where a Framework runs: the network its lookup service, shards,
+// worker nodes and network manager are on. InProc and TCP build one.
+type Net func(clock vclock.Clock) (*links, error)
+
+// links is an opened Net: how the shard host, each worker node and the
+// network manager reach the rest of the deployment.
+type links struct {
+	shards shardhost.Env
+	node   func(name string) workerhost.Env
+	// manage links the network manager to n's SNMP agent and signal endpoint.
+	manage     func(n *workerhost.Node) (snmp.Exchanger, transport.Client, error)
+	background *vclock.Group // when set, runs every host process; see spawn
+	faults     *faults.Plan
+	release    func()
+}
+
+// inProcMaster is shard 0's address on the in-process network.
+const inProcMaster = "master"
+
+// InProc runs the deployment on an in-process network of cost model model
+// (nil: transport.LAN2001()): the lookup service at discovery.WellKnownAddress,
+// shard 0 at "master", worker nodes at "node/<name>". plan, if set, goes on
+// the network and the WAL writers, bound to the clock by New, so scripted
+// windows are offsets from construction time (internal/faults).
+func InProc(model *transport.Model, plan *faults.Plan) Net {
+	return func(clock vclock.Clock) (*links, error) {
+		m := transport.LAN2001()
+		if model != nil {
+			m = *model
+		}
+		nw := transport.NewNetwork(clock, m)
+		reg := discovery.NewRegistry(clock)
+		lookupSrv := transport.NewServer()
+		discovery.NewService(reg, lookupSrv)
+		nw.Listen(discovery.WellKnownAddress, lookupSrv)
+		env := shardhost.InProcEnv(nw, inProcMaster, reg)
+		if plan != nil {
+			plan.Bind(clock)
+			nw.Intercept(plan.Interceptor())
+			env.WrapWriter = func(addr string) func(io.Writer) io.Writer {
+				ep := faults.DiskEndpoint(addr)
+				return func(w io.Writer) io.Writer { return plan.WrapWriter(ep, w) }
+			}
+		}
+		return &links{
+			shards: env,
+			node:   func(name string) workerhost.Env { return workerhost.InProcEnv(nw, "node/"+name) },
+			// The manager's calls leave from the master's endpoint.
+			manage: func(w *workerhost.Node) (snmp.Exchanger, transport.Client, error) {
+				return &snmp.RPCExchanger{C: nw.DialAs(inProcMaster, w.SNMPAddr())}, nw.DialAs(inProcMaster, w.Addr()), nil
+			},
+			faults:  plan,
+			release: func() {},
+		}, nil
+	}
+}
+
+// TCP runs the deployment over sockets against the lookup service at
+// lookupAddr: shard 0 at listenAddr, every other shard node and each worker
+// node's signal endpoint (TCP) and SNMP agent (UDP) on an ephemeral port of
+// its host. Host processes run from New to Close, so shard leases are
+// renewed before and between runs.
+func TCP(lookupAddr, listenAddr string) Net {
+	return func(clock vclock.Clock) (*links, error) {
+		lc, err := transport.DialTCP(lookupAddr)
+		if err != nil {
+			return nil, fmt.Errorf("dial lookup: %w", err)
+		}
+		env, err := shardhost.TCPEnv(listenAddr, discovery.NewClient(lc))
+		if err != nil {
+			lc.Close()
+			return nil, err
+		}
+		host, _, _ := net.SplitHostPort(listenAddr) // TCPEnv parsed it
+		ephemeral := net.JoinHostPort(host, "0")
+		return &links{
+			shards: env,
+			node:   func(string) workerhost.Env { return workerhost.TCPEnv(lookupAddr, ephemeral, ephemeral) },
+			// SNMP over UDP, signals over TCP, as cmd/netman manages.
+			manage: func(w *workerhost.Node) (snmp.Exchanger, transport.Client, error) {
+				sig, err := transport.DialTCP(w.Addr())
+				return &snmp.UDPExchanger{Addr: w.SNMPAddr(), Timeout: time.Second}, sig, err
+			},
+			background: vclock.NewGroup(clock),
+			release:    func() { lc.Close() },
+		}, nil
+	}
+}
+
+// Framework is an assembled deployment: cluster hardware, the hosted shard
+// set (internal/shardhost), code server and master module.
 type Framework struct {
-	Clock      vclock.Clock
-	Cluster    *cluster.Cluster
-	Lookup     *discovery.Registry
-	CodeServer *nodeconfig.CodeServer
-	Master     *master.Master
+	Clock   vclock.Clock
+	Cluster *cluster.Cluster
+	Master  *master.Master
 
 	// Space is the master's operating handle: a shard.Router over the
 	// hosted shards, a one-member ring for the classic single shard (its
-	// shards gated when Model.SpaceOp is set).
+	// shards gated when the in-process model's SpaceOp is set).
 	Space space.Space
 	// Counters is the host's counter set (shardhost.Host.Counters — the
 	// Obs counter set when Config.Obs is set), which every worker's router
@@ -114,14 +191,16 @@ type Framework struct {
 	// agent bound on the master's server (the same substrate the network
 	// management module polls workers through).
 	MIB *snmp.MIB
-	// Host is the hosted shard set — the same shardhost.Host cmd/master
-	// runs. Scripts and tests drive it directly: Split, Merge, KillPrimary,
-	// Rejoin, Restart, and Health for a snapshot of every shard.
+	// Host is the hosted shard set — the same shardhost.Host on either
+	// network. Scripts and tests drive it directly: Split, Merge,
+	// KillPrimary, Rejoin, Restart, and Health for a snapshot of every shard.
 	Host *shardhost.Host
 
-	cfg Config
-	// runGroup is the active Run's process group; background processes the
-	// host spawns (replication pumps, the rebalancer) join it.
+	cfg        Config
+	links      *links
+	codeServer *nodeconfig.CodeServer
+	// runGroup is the active Run's process group; in process, background
+	// processes the host spawns (replication pumps, the rebalancer) join it.
 	runMu    sync.Mutex
 	runGroup *vclock.Group
 }
@@ -139,8 +218,8 @@ type Result struct {
 	// Events is the network management module's signal log (empty when
 	// monitoring is disabled).
 	Events []netmgmt.Event
-	// FaultEvents is the injected-fault event counts when Config.Faults
-	// was set (keys are the faults.Event* constants).
+	// FaultEvents is the injected-fault event counts when InProc had a
+	// fault plan (keys are the faults.Event* constants).
 	FaultEvents map[string]uint64
 	// Counters is the snapshot of Framework.Counters: wal:* and
 	// journal:errors (durable shards), repl:* (replicated: promotions,
@@ -153,52 +232,31 @@ type Result struct {
 	ObsSummary []metrics.StageSummary
 }
 
-// New assembles a Framework on clock.
-func New(clock vclock.Clock, cfg Config) *Framework {
-	model := transport.LAN2001()
-	if cfg.Model != nil {
-		model = *cfg.Model
+// New assembles a Framework on clock over net: it opens the network, hosts
+// the shard set, binds the code server (and, with Config.Obs, the
+// framework MIB's agent) on shard 0's server and builds the master module.
+func New(clock vclock.Clock, net Net, cfg Config) (*Framework, error) {
+	if err := cfg.Spec.Validate(); err != nil {
+		return nil, err
 	}
 	if cfg.PollInterval <= 0 {
 		cfg.PollInterval = time.Second
 	}
-
-	clus := cluster.New(clock, model, cfg.Workers)
-	if cfg.Faults != nil {
-		cfg.Faults.Bind(clock)
-		clus.Net.Intercept(cfg.Faults.Interceptor())
+	l, err := net(clock)
+	if err != nil {
+		return nil, err
 	}
-
 	f := &Framework{
 		Clock:      clock,
-		Cluster:    clus,
-		Lookup:     discovery.NewRegistry(clock),
-		CodeServer: nodeconfig.NewCodeServer(),
+		Cluster:    cluster.New(clock, cfg.Workers),
+		links:      l,
+		codeServer: nodeconfig.NewCodeServer(),
 	}
-
-	// The lookup service listens at the well-known discovery address.
-	lookupSrv := transport.NewServer()
-	discovery.NewService(f.Lookup, lookupSrv)
-	clus.Net.Listen(discovery.WellKnownAddress, lookupSrv)
-
-	// The master hosts the JavaSpaces service — one server per shard — and
-	// joins the lookup federation. Shard 0 listens at the master's address,
-	// shards i > 0 at "<master>.shard<i>", standbys at "<shard>.backup".
-	env := shardhost.InProcEnv(clus.Net, clus.MasterAddr, f.Lookup)
-	env.Spawn = f.spawn
-	if plan := cfg.Faults; plan != nil {
-		// WAL writes route through the fault plan under the node's disk
-		// endpoint, so chaos scripts can fail specific disk writes.
-		env.WrapWriter = func(addr string) func(io.Writer) io.Writer {
-			ep := faults.DiskEndpoint(addr)
-			return func(w io.Writer) io.Writer { return plan.WrapWriter(ep, w) }
-		}
-	}
-	host, err := shardhost.New(clock, env, cfg.Spec)
+	l.shards.Spawn = f.spawn
+	host, err := shardhost.New(clock, l.shards, cfg.Spec)
 	if err != nil {
-		// New has no error return (it predates durability); an invalid spec
-		// or an unopenable data directory is a deployment misconfiguration.
-		panic(fmt.Sprintf("core: %v", err))
+		l.release()
+		return nil, err
 	}
 	// From here on the spec is the host's, defaults filled in: the master
 	// and the workers are built from the values the shards run with.
@@ -207,13 +265,12 @@ func New(clock vclock.Clock, cfg Config) *Framework {
 	f.Space, f.Counters = host.Space(), host.Counters
 	// The code server shares shard 0's server, preserving the classic
 	// single-server deployment when Shards == 1.
-	clus.MasterServer = host.Server(0)
-	f.CodeServer.Bind(clus.MasterServer)
+	f.codeServer.Bind(host.Server(0))
 
 	f.Master = master.New(master.Config{
 		Clock:         clock,
 		Space:         f.Space,
-		Machine:       clus.MasterMachine,
+		Machine:       f.Cluster.MasterMachine,
 		ResultTimeout: cfg.ResultTimeout,
 		Obs:           cfg.Obs,
 	})
@@ -231,40 +288,55 @@ func New(clock vclock.Clock, cfg Config) *Framework {
 		// the master.
 		f.MIB = snmp.NewMIB()
 		obs.ExportMIB(f.MIB, cfg.Obs, cfg.Shards)
-		snmp.NewAgent(clus.Community, f.MIB).Bind(clus.MasterServer)
+		snmp.NewAgent(workerhost.Community, f.MIB).Bind(host.Server(0))
 	}
 	host.Flight("master", obs.FlightEvent{
 		Kind:   obs.EventNodeStart,
 		Detail: fmt.Sprintf("%d shards, %d workers", cfg.Shards, len(cfg.Workers)),
 	})
-	return f
+	return f, nil
 }
 
-// spawn runs a host background process on the active Run's clock group.
-// With no Run active the process simply does not start — sync-mode
-// replication still works (each mutation flushes inline); only background
-// heartbeats and lease renewals need the pumps, and those only matter
-// while a job runs.
+// spawn runs a host background process: over TCP until Close; in process
+// on the active Run's clock group, and not at all with no Run active —
+// sync-mode replication flushes inline, and heartbeats and lease renewals
+// only matter while a job runs.
 func (f *Framework) spawn(fn func()) {
-	f.runMu.Lock()
-	g := f.runGroup
-	f.runMu.Unlock()
+	g := f.links.background
+	if g == nil {
+		f.runMu.Lock()
+		g = f.runGroup
+		f.runMu.Unlock()
+	}
 	if g != nil {
 		g.Go(fn)
 	}
 }
 
-// Close shuts down the hosted shards and their durable logs. Runs are
-// unaffected if it is never called (tests rely on process teardown), but
-// durable deployments should close so final appends reach disk.
-func (f *Framework) Close() { f.Host.Close() }
+// Dial connects endpoint from to the node at to over the framework's
+// network, for a script's or a test's own clients; from tags the calls for
+// an in-process fault plan.
+func (f *Framework) Dial(from, to string) (transport.Client, error) {
+	return f.links.shards.Dial(from, to)
+}
+
+// Close shuts down the hosted shards and their durable logs, waits for the
+// host's processes and hangs up on the lookup service. In-process runs may
+// skip it; durable deployments should close so final appends reach disk.
+func (f *Framework) Close() {
+	f.Host.Close()
+	if g := f.links.background; g != nil {
+		g.Wait()
+	}
+	f.links.release()
+}
 
 // Run executes job on the framework's cluster. If script is non-nil it
 // runs concurrently (experiment scripts toggle load simulators with it).
 // Run must execute as a process on the framework's clock — inside
 // vclock.Virtual.Run for virtual time, or any goroutine for real time.
 func (f *Framework) Run(job Job, script func(*Framework)) (Result, error) {
-	f.CodeServer.Publish(job.Bundle())
+	f.codeServer.Publish(job.Bundle())
 
 	group := vclock.NewGroup(f.Clock)
 	f.runMu.Lock()
@@ -285,24 +357,25 @@ func (f *Framework) Run(job Job, script func(*Framework)) (Result, error) {
 
 	// One worker node per cluster node, each discovering the space through
 	// the lookup service exactly as a Jini client would (internal/workerhost
-	// — the assembly cmd/worker runs over TCP). The network management
-	// module and its trap watchers are the manager's side, wired here.
+	// — the assembly cmd/worker runs). The network management module and
+	// its trap watchers are the manager's side, wired here.
 	nodes := make([]*workerhost.Node, 0, len(f.Cluster.Nodes))
+	var mod *netmgmt.Module
 	closeNodes := func() {
 		for _, n := range nodes {
+			mod.Unregister(n.Name()) // hangs up the manager's links
 			n.Close()
 		}
 	}
 	engine := rulebase.NewEngine(rulebase.DefaultThresholds())
-	mod := netmgmt.New(netmgmt.Config{
+	mod = netmgmt.New(netmgmt.Config{
 		Clock:        f.Clock,
 		Engine:       engine,
 		PollInterval: f.cfg.PollInterval,
-		Community:    workerhost.Community,
 	})
 	var watchers []*sysmon.Watcher
 	for _, node := range f.Cluster.Nodes {
-		n, err := workerhost.New(f.Clock, workerhost.InProcEnv(f.Cluster.Net, node.Addr), workerhost.Spec{
+		n, err := workerhost.New(f.Clock, f.links.node(node.Name), workerhost.Spec{
 			Machine:       node.Machine,
 			Program:       job.Name(),
 			TaskTemplate:  func(map[string]string) tuplespace.Entry { return job.TaskTemplate() },
@@ -322,15 +395,21 @@ func (f *Framework) Run(job Job, script func(*Framework)) (Result, error) {
 		if !f.cfg.Monitoring {
 			continue
 		}
-		mod.Register(node.Name,
-			&snmp.RPCExchanger{C: f.Cluster.Net.DialAs(f.Cluster.MasterAddr, n.SNMPAddr())},
-			f.Cluster.Net.DialAs(f.Cluster.MasterAddr, n.Addr()))
+		ex, sig, err := f.links.manage(n)
+		if err != nil {
+			closeNodes()
+			stopHost()
+			return Result{}, fmt.Errorf("core: managing %s: %w", node.Name, err)
+		}
+		mod.Register(node.Name, ex, sig)
 		if f.cfg.TrapDriven {
 			watchers = append(watchers, f.buildTrapWatcher(node, engine, mod))
 		}
 	}
 
-	if reg := f.cfg.Obs.Reg(); reg != nil {
+	// Without nodes of its own (cmd/master) the gauge would read a
+	// constant 0 however many workers run; it is not registered.
+	if reg := f.cfg.Obs.Reg(); reg != nil && len(nodes) > 0 {
 		reg.RegisterGauge(metrics.GaugeWorkersRunning, func() int64 {
 			var running int64
 			for _, n := range nodes {
@@ -373,8 +452,8 @@ func (f *Framework) Run(job Job, script func(*Framework)) (Result, error) {
 		SignalLogs:  make(map[string][]worker.SignalRecord, len(nodes)),
 		Events:      mod.Events(),
 	}
-	if f.cfg.Faults != nil {
-		res.FaultEvents = f.cfg.Faults.Counters().Snapshot()
+	if plan := f.links.faults; plan != nil {
+		res.FaultEvents = plan.Counters().Snapshot()
 	}
 	res.Counters = f.Counters.Snapshot()
 	if f.cfg.Obs != nil {
@@ -410,13 +489,4 @@ func (f *Framework) buildTrapWatcher(node *cluster.Node, engine *rulebase.Engine
 		_ = sender.Send(uptime, snmp.OIDLoadBandTrap,
 			snmp.Varbind{OID: snmp.OIDBackgroundLoad, Value: snmp.Integer(int64(load + 0.5))})
 	})
-}
-
-// Machine returns the named node's machine (nil if unknown) — convenience
-// for experiment scripts.
-func (f *Framework) Machine(name string) *sysmon.Machine {
-	if n := f.Cluster.Node(name); n != nil {
-		return n.Machine
-	}
-	return nil
 }

@@ -15,9 +15,20 @@ import (
 	"gospaces/internal/space"
 	"gospaces/internal/transport"
 	"gospaces/internal/vclock"
+	"gospaces/internal/workerhost"
 )
 
 var epoch = time.Date(2001, 10, 8, 9, 0, 0, 0, time.UTC)
+
+// mustNew is New failing tb on an assembly error.
+func mustNew(tb testing.TB, clk vclock.Clock, net Net, cfg Config) *Framework {
+	tb.Helper()
+	f, err := New(clk, net, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return f
+}
 
 func smallMCConfig() montecarlo.JobConfig {
 	cfg := montecarlo.DefaultJobConfig()
@@ -30,7 +41,7 @@ func smallMCConfig() montecarlo.JobConfig {
 
 func TestMonteCarloEndToEnd(t *testing.T) {
 	clk := vclock.NewVirtual(epoch)
-	fw := New(clk, Config{Workers: cluster.Uniform(4, 1.0)})
+	fw := mustNew(t, clk, InProc(nil, nil), Config{Workers: cluster.Uniform(4, 1.0)})
 	job := montecarlo.NewJob(smallMCConfig())
 	var res Result
 	var err error
@@ -78,7 +89,7 @@ func TestMonteCarloEndToEnd(t *testing.T) {
 func TestDeterministicAcrossRuns(t *testing.T) {
 	run := func() (Result, time.Time) {
 		clk := vclock.NewVirtual(epoch)
-		fw := New(clk, Config{Workers: cluster.Uniform(3, 1.0)})
+		fw := mustNew(t, clk, InProc(nil, nil), Config{Workers: cluster.Uniform(3, 1.0)})
 		job := montecarlo.NewJob(smallMCConfig())
 		var res Result
 		clk.Run(func() {
@@ -99,7 +110,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 func TestMoreWorkersFasterUntilPlanningBound(t *testing.T) {
 	elapsed := func(n int) time.Duration {
 		clk := vclock.NewVirtual(epoch)
-		fw := New(clk, Config{Workers: cluster.Uniform(n, cluster.Speed300MHz)})
+		fw := mustNew(t, clk, InProc(nil, nil), Config{Workers: cluster.Uniform(n, cluster.Speed300MHz)})
 		job := montecarlo.NewJob(smallMCConfig())
 		var res Result
 		var err error
@@ -122,7 +133,7 @@ func TestRayTraceDistributedMatchesSerial(t *testing.T) {
 	job := raytrace.NewJob(cfg)
 
 	clk := vclock.NewVirtual(epoch)
-	fw := New(clk, Config{Workers: cluster.FivePC()[:3]})
+	fw := mustNew(t, clk, InProc(nil, nil), Config{Workers: cluster.FivePC()[:3]})
 	var err error
 	clk.Run(func() { _, err = fw.Run(job, nil) })
 	if err != nil {
@@ -147,7 +158,7 @@ func TestPageRankIterativeThroughFramework(t *testing.T) {
 	job := pagerank.NewJob(cfg)
 
 	clk := vclock.NewVirtual(epoch)
-	fw := New(clk, Config{Workers: cluster.Uniform(3, 1.0)})
+	fw := mustNew(t, clk, InProc(nil, nil), Config{Workers: cluster.Uniform(3, 1.0)})
 	var res Result
 	var err error
 	clk.Run(func() { res, err = fw.Run(job, nil) })
@@ -168,7 +179,7 @@ func TestPageRankIterativeThroughFramework(t *testing.T) {
 
 func TestMonitoredRunStartsWorkersViaRuleBase(t *testing.T) {
 	clk := vclock.NewVirtual(epoch)
-	fw := New(clk, Config{
+	fw := mustNew(t, clk, InProc(nil, nil), Config{
 		Workers:      cluster.Uniform(2, 1.0),
 		Monitoring:   true,
 		PollInterval: 300 * time.Millisecond,
@@ -204,7 +215,7 @@ func TestMonitoredRunStartsWorkersViaRuleBase(t *testing.T) {
 
 func TestLoadedNodeIsAvoided(t *testing.T) {
 	clk := vclock.NewVirtual(epoch)
-	fw := New(clk, Config{
+	fw := mustNew(t, clk, InProc(nil, nil), Config{
 		Workers:      cluster.Uniform(3, 1.0),
 		Monitoring:   true,
 		PollInterval: 300 * time.Millisecond,
@@ -231,7 +242,7 @@ func TestLoadedNodeIsAvoided(t *testing.T) {
 
 func TestAdaptationScriptPausesAndResumes(t *testing.T) {
 	clk := vclock.NewVirtual(epoch)
-	fw := New(clk, Config{
+	fw := mustNew(t, clk, InProc(nil, nil), Config{
 		Workers:      cluster.Uniform(1, 1.0),
 		Monitoring:   true,
 		PollInterval: 250 * time.Millisecond,
@@ -294,7 +305,7 @@ func TestAdaptationScriptPausesAndResumes(t *testing.T) {
 // completes with every result.
 func TestCrashedWorkerTaskRecovered(t *testing.T) {
 	clk := vclock.NewVirtual(epoch)
-	fw := New(clk, Config{
+	fw := mustNew(t, clk, InProc(nil, nil), Config{
 		Workers: cluster.Uniform(2, 1.0),
 		Spec: shardhost.Spec{
 			TxnTTL: 3 * time.Second, // short lease → fast recovery
@@ -305,7 +316,12 @@ func TestCrashedWorkerTaskRecovered(t *testing.T) {
 	script := func(f *Framework) {
 		// The rogue "worker" bypasses the worker module: raw proxy, take
 		// under a short-lease txn, then vanish.
-		proxy := space.NewProxy(f.Cluster.Net.Dial(f.Cluster.MasterAddr))
+		c, err := f.Dial("rogue", inProcMaster)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		proxy := space.NewProxy(c)
 		tx, err := proxy.BeginTxn(3 * time.Second)
 		if err != nil {
 			t.Error(err)
@@ -336,7 +352,7 @@ func TestCrashedWorkerTaskRecovered(t *testing.T) {
 // tasks without any explicit scheduling.
 func TestHeterogeneousClusterNaturalBalance(t *testing.T) {
 	clk := vclock.NewVirtual(epoch)
-	fw := New(clk, Config{Workers: []cluster.NodeSpec{
+	fw := mustNew(t, clk, InProc(nil, nil), Config{Workers: []cluster.NodeSpec{
 		{Name: "fast", Speed: 1.0},
 		{Name: "slow", Speed: 0.25},
 	}})
@@ -366,7 +382,7 @@ func TestHeterogeneousClusterNaturalBalance(t *testing.T) {
 // watch cycle-stealing activity.
 func TestWorkerStatsExportedOverSNMP(t *testing.T) {
 	clk := vclock.NewVirtual(epoch)
-	fw := New(clk, Config{Workers: cluster.Uniform(2, 1.0)})
+	fw := mustNew(t, clk, InProc(nil, nil), Config{Workers: cluster.Uniform(2, 1.0)})
 	job := montecarlo.NewJob(smallMCConfig())
 	clk.Run(func() {
 		if _, err := fw.Run(job, nil); err != nil {
@@ -375,8 +391,12 @@ func TestWorkerStatsExportedOverSNMP(t *testing.T) {
 		}
 		total := int64(0)
 		for _, node := range fw.Cluster.Nodes {
-			mgr := snmp.NewManager(fw.Cluster.Community,
-				&snmp.RPCExchanger{C: fw.Cluster.Net.Dial(node.Addr)})
+			c, err := fw.Dial(inProcMaster, "node/"+node.Name)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			mgr := snmp.NewManager(workerhost.Community, &snmp.RPCExchanger{C: c})
 			done, err := mgr.GetInt(snmp.OIDWorkerTasksDone)
 			if err != nil {
 				t.Error(err)
@@ -404,7 +424,7 @@ func TestWorkerStatsExportedOverSNMP(t *testing.T) {
 func reactionLatency(t *testing.T, trapDriven bool) time.Duration {
 	t.Helper()
 	clk := vclock.NewVirtual(epoch)
-	fw := New(clk, Config{
+	fw := mustNew(t, clk, InProc(nil, nil), Config{
 		Workers:      cluster.Uniform(1, 1.0),
 		Monitoring:   true,
 		PollInterval: 2 * time.Second,
@@ -458,7 +478,7 @@ func TestRealClockSmallRun(t *testing.T) {
 	// The same framework runs on the wall clock (as cmd tools do).
 	clk := vclock.NewReal()
 	model := transport.Loopback()
-	fw := New(clk, Config{Workers: cluster.Uniform(2, 1.0), Model: &model})
+	fw := mustNew(t, clk, InProc(&model, nil), Config{Workers: cluster.Uniform(2, 1.0)})
 	cfg := smallMCConfig()
 	cfg.TotalSims = 400
 	cfg.WorkPerSubtask = time.Millisecond

@@ -15,14 +15,16 @@ import (
 // on any host.
 func ExampleFramework() {
 	clk := vclock.NewVirtual(time.Date(2001, 10, 8, 9, 0, 0, 0, time.UTC))
-	fw := core.New(clk, core.Config{Workers: cluster.Uniform(4, 1.0)})
+	fw, err := core.New(clk, core.InProc(nil, nil), core.Config{Workers: cluster.Uniform(4, 1.0)})
+	if err != nil {
+		panic(err)
+	}
 
 	cfg := montecarlo.DefaultJobConfig()
 	cfg.TotalSims = 1000 // 10 subtasks
 	job := montecarlo.NewJob(cfg)
 
 	var res core.Result
-	var err error
 	clk.Run(func() { res, err = fw.Run(job, nil) })
 	if err != nil {
 		panic(err)

@@ -19,7 +19,7 @@ import (
 func TestShardedPlacementSpreadsKeys(t *testing.T) {
 	clk := vclock.NewReal()
 	model := transport.Loopback()
-	fw := New(clk, Config{Spec: shardhost.Spec{Shards: 4}, Model: &model})
+	fw := mustNew(t, clk, InProc(&model, nil), Config{Spec: shardhost.Spec{Shards: 4}})
 	if len(fw.Host.Shards()) != 4 {
 		t.Fatalf("Shards = %d", len(fw.Host.Shards()))
 	}
@@ -51,7 +51,7 @@ func TestShardedPlacementSpreadsKeys(t *testing.T) {
 // result aggregated — the shards=K path end to end.
 func TestShardedEndToEnd(t *testing.T) {
 	clk := vclock.NewVirtual(epoch)
-	fw := New(clk, Config{Workers: cluster.Uniform(4, 1.0), Spec: shardhost.Spec{Shards: 2}})
+	fw := mustNew(t, clk, InProc(nil, nil), Config{Workers: cluster.Uniform(4, 1.0), Spec: shardhost.Spec{Shards: 2}})
 	cfg := smallMCConfig()
 	cfg.ShardSpread = true
 	job := montecarlo.NewJob(cfg)
@@ -93,7 +93,7 @@ func TestShardedEndToEnd(t *testing.T) {
 func TestShardedSingleShardMatchesClassic(t *testing.T) {
 	run := func(cfg Config) (Result, time.Time) {
 		clk := vclock.NewVirtual(epoch)
-		fw := New(clk, cfg)
+		fw := mustNew(t, clk, InProc(nil, nil), cfg)
 		job := montecarlo.NewJob(smallMCConfig())
 		var res Result
 		clk.Run(func() { res, _ = fw.Run(job, nil) })
@@ -115,10 +115,9 @@ func TestGatedSpaceOpCost(t *testing.T) {
 	clk := vclock.NewVirtual(epoch)
 	model := transport.LAN2001()
 	model.SpaceOp = 2 * time.Millisecond
-	fw := New(clk, Config{
+	fw := mustNew(t, clk, InProc(&model, nil), Config{
 		Workers: cluster.Uniform(2, 1.0),
 		Spec:    shardhost.Spec{Shards: 2},
-		Model:   &model,
 	})
 	job := montecarlo.NewJob(smallMCConfig())
 	var res Result
@@ -136,13 +135,13 @@ func TestGatedSpaceOpCost(t *testing.T) {
 }
 
 // TestNewRejectsInvalidSpec: the simulator validates the embedded shard-host
-// spec exactly as cmd/master does. At the parent core.New applied its own
-// defaults first and silently clamped Replicas: 2 to 1.
+// spec exactly as cmd/master does, and returns the host's validation error
+// (once a panic) before opening either network.
 func TestNewRejectsInvalidSpec(t *testing.T) {
-	defer func() {
-		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "replicas must be 0 or 1") {
-			t.Fatalf("New with Replicas: 2: recovered %v, want the host's validation error", r)
+	for _, net := range []Net{InProc(nil, nil), TCP("127.0.0.1:1", "127.0.0.1:0")} {
+		_, err := New(vclock.NewReal(), net, Config{Spec: shardhost.Spec{Replicas: 2}})
+		if err == nil || !strings.Contains(err.Error(), "replicas must be 0 or 1") {
+			t.Fatalf("New with Replicas: 2: err = %v, want the host's validation error", err)
 		}
-	}()
-	New(vclock.NewReal(), Config{Spec: shardhost.Spec{Replicas: 2}})
+	}
 }

@@ -1,220 +1,243 @@
 package e2e
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
 	"gospaces/internal/apps/montecarlo"
+	"gospaces/internal/cluster"
+	"gospaces/internal/core"
 	"gospaces/internal/discovery"
 	"gospaces/internal/e2e/harness"
-	"gospaces/internal/master"
-	"gospaces/internal/netmgmt"
-	"gospaces/internal/nodeconfig"
+	"gospaces/internal/obs"
 	"gospaces/internal/rulebase"
 	"gospaces/internal/shardhost"
 	"gospaces/internal/snmp"
-	"gospaces/internal/sysmon"
 	"gospaces/internal/transport"
-	"gospaces/internal/tuplespace"
 	"gospaces/internal/vclock"
 	"gospaces/internal/workerhost"
 )
 
-// tcpDeployment is the federation the cmd tools deploy, over loopback
-// sockets and built from the code the binaries run: a lookup listener, the
-// master's shards (shardhost.New on TCPEnv — cmd/master) with the job's code
-// server on shard 0, and worker nodes (workerhost.New on TCPEnv —
-// cmd/worker) with their signal endpoints on TCP and SNMP agents on UDP.
-type tcpDeployment struct {
-	clk    vclock.Clock
-	lookup string
-	host   *shardhost.Host
-	job    master.Job
-}
-
-func deployTCP(t *testing.T, spec shardhost.Spec, job master.Job) *tcpDeployment {
+// tcpLookup serves a lookup service on a loopback port, as cmd/lookup does,
+// and returns its address and registry.
+func tcpLookup(t *testing.T) (string, *discovery.Registry) {
 	t.Helper()
-	clk := vclock.NewReal()
-	lookupSrv := transport.NewServer()
-	discovery.NewService(discovery.NewRegistry(clk), lookupSrv)
-	lookupL, err := transport.ListenTCP("127.0.0.1:0", lookupSrv)
+	reg := discovery.NewRegistry(vclock.NewReal())
+	srv := transport.NewServer()
+	discovery.NewService(reg, srv)
+	l, err := transport.ListenTCP("127.0.0.1:0", srv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lc, err := transport.DialTCP(lookupL.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	background := vclock.NewGroup(clk)
-	t.Cleanup(func() { background.Wait(); lc.Close(); lookupL.Close() })
-	env, err := shardhost.TCPEnv("127.0.0.1:0", discovery.NewClient(lc), background.Go)
-	if err != nil {
-		t.Fatal(err)
-	}
-	host, err := shardhost.New(clk, env, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(host.Close)
-	cs := nodeconfig.NewCodeServer()
-	cs.Publish(job.Bundle())
-	cs.Bind(host.Server(0))
-	host.Start()
-	return &tcpDeployment{clk: clk, lookup: lookupL.Addr(), host: host, job: job}
+	t.Cleanup(func() { l.Close() })
+	return l.Addr(), reg
 }
 
-// node builds one worker node against the deployment, with the client-side
-// values of the host's spec — as core does in the simulator. The caller
-// starts it.
-func (d *tcpDeployment) node(t *testing.T, name string, edit func(*workerhost.Spec)) *workerhost.Node {
+// tcpFramework assembles cfg with core.New over core.TCP against a fresh
+// loopback lookup service — the deployment cmd/master runs, with cfg's
+// worker nodes in the same process. It returns the lookup registry, where
+// each node announces its SNMP agent.
+func tcpFramework(t *testing.T, cfg core.Config) (*core.Framework, *discovery.Registry) {
 	t.Helper()
-	hs := d.host.Spec()
-	spec := workerhost.Spec{
-		Machine:      sysmon.NewMachine(d.clk, name, 1),
-		Program:      d.job.Name(),
-		TaskTemplate: func(map[string]string) tuplespace.Entry { return d.job.TaskTemplate() },
-		TxnTTL:       hs.TxnTTL,
-		PollTimeout:  50 * time.Millisecond,
-	}
-	if edit != nil {
-		edit(&spec)
-	}
-	n, err := workerhost.New(d.clk, workerhost.TCPEnv(d.lookup, "127.0.0.1:0", "127.0.0.1:0"), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(n.Close)
-	return n
+	lookup, reg := tcpLookup(t)
+	f := newFramework(t, vclock.NewReal(), core.TCP(lookup, "127.0.0.1:0"), cfg)
+	t.Cleanup(f.Close)
+	return f, reg
 }
 
-// manage registers n with mod the way cmd/netman does: SNMP over UDP,
-// signals over TCP.
-func (d *tcpDeployment) manage(t *testing.T, mod *netmgmt.Module, n *workerhost.Node) {
-	t.Helper()
-	sig, err := transport.DialTCP(n.Addr())
-	if err != nil {
-		t.Fatal(err)
+// udpAgent reaches the named node's SNMP agent over UDP at the address its
+// lookup registration announces, as cmd/netman does.
+func udpAgent(t *testing.T, reg *discovery.Registry, name string) snmp.Exchanger {
+	items := reg.Lookup(map[string]string{"type": "worker", "node": name})
+	if len(items) != 1 {
+		t.Errorf("%s: %d worker registrations, want 1", name, len(items))
+		return &snmp.UDPExchanger{Timeout: time.Second}
 	}
-	t.Cleanup(func() { sig.Close() })
-	mod.Register(n.Name(), &snmp.UDPExchanger{Addr: n.SNMPAddr(), Timeout: time.Second}, sig)
+	return &snmp.UDPExchanger{Addr: items[0].Attributes["snmp"], Timeout: time.Second}
 }
 
-// snmpInt GETs one numeric OID from n's agent over UDP.
-func snmpInt(t *testing.T, n *workerhost.Node, oid snmp.OID) int64 {
-	t.Helper()
-	mgr := snmp.NewManager(workerhost.Community, &snmp.UDPExchanger{Addr: n.SNMPAddr(), Timeout: time.Second})
-	defer mgr.Close()
-	v, err := mgr.GetInt(oid)
-	if err != nil {
-		t.Fatalf("%s: GET %s: %v", n.Name(), oid, err)
+// awaitOID polls oid on each agent until want holds for every node's value
+// or the framework clock passes a 5 s deadline.
+func awaitOID(t *testing.T, f *core.Framework, agents map[string]snmp.Exchanger, oid snmp.OID, want func(map[string]int64) bool) map[string]int64 {
+	deadline := f.Clock.Now().Add(5 * time.Second)
+	for {
+		vals := make(map[string]int64, len(agents))
+		for name, ex := range agents {
+			v, err := snmp.NewManager(workerhost.Community, ex).GetInt(oid)
+			if err != nil {
+				t.Errorf("%s: GET %s: %v", name, oid, err)
+				return vals
+			}
+			vals[name] = v
+		}
+		if want(vals) || f.Clock.Now().After(deadline) {
+			return vals
+		}
+		f.Clock.Sleep(10 * time.Millisecond)
 	}
-	return v
 }
 
-// TestFullDeploymentOverTCPAndUDP stands up the complete federation the
-// cmd tools deploy — lookup, master (space + code server), two workers,
-// network management — over real localhost sockets, and runs a small
-// option-pricing job end to end with rule-base-driven starts.
-func TestFullDeploymentOverTCPAndUDP(t *testing.T) {
+// deploymentJob is an option-pricing job of tasks tasks, each work long.
+func deploymentJob(tasks int, work time.Duration) montecarlo.JobConfig {
 	cfg := montecarlo.DefaultJobConfig()
-	cfg.TotalSims = 400
-	cfg.SimsPerTask = 100 // 4 subtasks
-	cfg.WorkPerSubtask = 5 * time.Millisecond
+	cfg.SimsPerTask = 100
+	cfg.TotalSims = tasks * cfg.SimsPerTask
+	cfg.WorkPerSubtask = work
 	cfg.PlanningCostPerTask = time.Millisecond
 	cfg.AggregationCostPerResult = 0
-	job := montecarlo.NewJob(cfg)
-	d := deployTCP(t, shardhost.Spec{Shards: 1, TxnTTL: time.Minute}, job)
+	return cfg
+}
 
-	// Workers discover the space through the lookup service; network
-	// management polls SNMP over UDP and signals over TCP.
-	mod := netmgmt.New(netmgmt.Config{Clock: d.clk, PollInterval: 50 * time.Millisecond})
-	var nodes []*workerhost.Node
-	for i := 0; i < 2; i++ {
-		n := d.node(t, fmt.Sprintf("tcp-node%02d", i+1), nil)
-		n.Start()
-		d.manage(t, mod, n)
-		nodes = append(nodes, n)
+// TestOneJobTwoNetworks runs one Config — a 4-task job, two worker nodes,
+// network management on — through core.New over the in-process network
+// and over TCP/UDP sockets. Both must aggregate the exact simulation
+// count with one rule-base Start per worker, and both nodes' agents must
+// report workerState Running mid-job and four tasks done between them, read
+// the way stock tooling reads them (over UDP on the socket row).
+func TestOneJobTwoNetworks(t *testing.T) {
+	cfg := core.Config{
+		Spec:          shardhost.Spec{Shards: 1, TxnTTL: time.Minute},
+		Workers:       cluster.Uniform(2, 1.0),
+		Monitoring:    true,
+		PollInterval:  50 * time.Millisecond,
+		ResultTimeout: 30 * time.Second,
 	}
-	go mod.Run()
-	defer mod.Shutdown()
-
-	m := master.New(master.Config{Clock: d.clk, Space: d.host.Space(), ResultTimeout: 30 * time.Second})
-	rm, err := m.RunJob(job)
-	if err != nil {
-		t.Fatal(err)
+	rows := []struct {
+		name string
+		// deploy assembles cfg and returns the framework, how to run on its
+		// clock, and how to reach a node's SNMP agent.
+		deploy func(t *testing.T) (*core.Framework, func(func()), func(string) snmp.Exchanger)
+	}{
+		{"inproc", func(t *testing.T) (*core.Framework, func(func()), func(string) snmp.Exchanger) {
+			clk := vclock.NewVirtual(chaosEpoch)
+			f := newFramework(t, clk, core.InProc(nil, nil), cfg)
+			return f, clk.Run, func(name string) snmp.Exchanger {
+				c, err := f.Dial("manager", "node/"+name)
+				if err != nil {
+					t.Error(err)
+				}
+				return &snmp.RPCExchanger{C: c}
+			}
+		}},
+		{"tcp", func(t *testing.T) (*core.Framework, func(func()), func(string) snmp.Exchanger) {
+			f, reg := tcpFramework(t, cfg)
+			return f, func(fn func()) { fn() }, func(name string) snmp.Exchanger { return udpAgent(t, reg, name) }
+		}},
 	}
-	if rm.Tasks != 4 {
-		t.Fatalf("tasks = %d", rm.Tasks)
-	}
-	price, err := job.Answer()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if price.Midpoint() <= 0 {
-		t.Fatalf("price %+v", price)
-	}
-
-	// The rule base started both workers.
-	starts := 0
-	for _, ev := range mod.Events() {
-		if ev.Err == nil && ev.Signal == rulebase.SignalStart {
-			starts++
-		}
-	}
-	if starts != 2 {
-		t.Fatalf("start signals = %d, want 2", starts)
-	}
-	// Workers bump their counters just after the commit that publishes
-	// the result, so give them a moment to settle. The counters are read
-	// the way stock tooling would: SNMP GETs over UDP against the deployed
-	// nodes' agents (which did not export them before the nodes were built
-	// by workerhost).
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		done := int64(0)
-		for _, n := range nodes {
-			done += snmpInt(t, n, snmp.OIDWorkerTasksDone)
-		}
-		if done == 4 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("workers completed %d tasks, want 4", done)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	for _, n := range nodes {
-		if st := rulebase.State(snmpInt(t, n, snmp.OIDWorkerState)); st != rulebase.StateRunning {
-			t.Fatalf("%s: workerState OID = %v, want Running", n.Name(), st)
-		}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			f, run, agent := row.deploy(t)
+			jc := deploymentJob(4, 200*time.Millisecond)
+			job := montecarlo.NewJob(jc)
+			var running, done map[string]int64
+			script := func(f *core.Framework) {
+				agents := map[string]snmp.Exchanger{}
+				for _, n := range cfg.Workers {
+					agents[n.Name] = agent(n.Name)
+				}
+				running = awaitOID(t, f, agents, snmp.OIDWorkerState, func(v map[string]int64) bool {
+					for _, s := range v {
+						if rulebase.State(s) != rulebase.StateRunning {
+							return false
+						}
+					}
+					return true
+				})
+				// Workers bump their counters just after the commit that
+				// publishes the result; the agents stay up until the script
+				// ends.
+				done = awaitOID(t, f, agents, snmp.OIDWorkerTasksDone, func(v map[string]int64) bool {
+					return v["node01"]+v["node02"] == 4
+				})
+			}
+			var res core.Result
+			var err error
+			run(func() { res, err = f.Run(job, script) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := harness.ExactSims(job, jc.TotalSims); err != nil {
+				t.Fatal(err)
+			}
+			starts := map[string]int{}
+			for _, ev := range res.Events {
+				if ev.Err == nil && ev.Signal == rulebase.SignalStart {
+					starts[ev.Node]++
+				}
+			}
+			for _, n := range cfg.Workers {
+				if starts[n.Name] != 1 {
+					t.Errorf("%s: %d rule-base Starts, want 1 (events %+v)", n.Name, starts[n.Name], res.Events)
+				}
+				if st := rulebase.State(running[n.Name]); st != rulebase.StateRunning {
+					t.Errorf("%s: workerState OID = %v mid-job, want Running", n.Name, st)
+				}
+			}
+			if got := done["node01"] + done["node02"]; got != 4 {
+				t.Errorf("workerTasksDone over SNMP = %v, want 4 in total", done)
+			}
+		})
 	}
 }
 
 // TestDeploymentWorkerStopsUnderLoadOverUDP checks the rule-base loop over
-// real sockets: raising a node's background load pauses/stops its worker.
+// real sockets: raising a node's background load to 95 % stops its worker,
+// and clearing it restarts the worker, which then finishes the job.
 func TestDeploymentWorkerStopsUnderLoadOverUDP(t *testing.T) {
-	d := deployTCP(t, shardhost.Spec{Shards: 1}, montecarlo.NewJob(montecarlo.DefaultJobConfig()))
-	// The node is signalled but never started: only the signal endpoint and
-	// the agent are under test, and a worker loop computing on a machine
-	// this test saturates would crawl.
-	var machine *sysmon.Machine
-	n := d.node(t, "loaded", func(s *workerhost.Spec) { machine = s.Machine })
-	mod := netmgmt.New(netmgmt.Config{Clock: d.clk, PollInterval: 20 * time.Millisecond})
-	d.manage(t, mod, n)
-
-	// Round 1: idle → Start.
-	mod.PollOnce()
-	if st, _ := mod.WorkerState("loaded"); st != rulebase.StateRunning {
-		t.Fatalf("state = %v, want Running", st)
+	f, reg := tcpFramework(t, core.Config{
+		Spec:          shardhost.Spec{Shards: 1},
+		Workers:       []cluster.NodeSpec{{Name: "loaded", Speed: 1}},
+		Monitoring:    true,
+		PollInterval:  20 * time.Millisecond,
+		ResultTimeout: 30 * time.Second,
+	})
+	jc := deploymentJob(8, 50*time.Millisecond)
+	job := montecarlo.NewJob(jc)
+	state := func(want rulebase.State) bool {
+		agents := map[string]snmp.Exchanger{"loaded": udpAgent(t, reg, "loaded")}
+		got := awaitOID(t, f, agents, snmp.OIDWorkerState, func(v map[string]int64) bool {
+			return rulebase.State(v["loaded"]) == want
+		})
+		return rulebase.State(got["loaded"]) == want
 	}
-	// Round 2: saturate → Stop.
-	machine.SetConstSource("user", 95)
-	mod.PollOnce()
-	if st, _ := mod.WorkerState("loaded"); st != rulebase.StateStopped {
-		t.Fatalf("state = %v, want Stopped", st)
+	script := func(f *core.Framework) {
+		// Idle → Start; saturate → Stop; idle again → Restart.
+		if !state(rulebase.StateRunning) {
+			t.Error("worker never started")
+			return
+		}
+		f.Cluster.Nodes[0].Machine.SetConstSource("user", 95)
+		if !state(rulebase.StateStopped) {
+			t.Error("worker not stopped under 95 % load")
+		}
+		f.Cluster.Nodes[0].Machine.ClearSource("user")
 	}
-	mod.Unregister("loaded")
+	res, err := f.Run(job, script)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := harness.ExactSims(job, jc.TotalSims); err != nil {
+		t.Fatal(err)
+	}
+	var signals []rulebase.Signal
+	for _, ev := range res.Events {
+		if ev.Err != nil {
+			t.Fatalf("signal %v failed: %v", ev.Signal, ev.Err)
+		}
+		if ev.Signal == rulebase.SignalStop && ev.Load < 95 {
+			t.Fatalf("Stop at load %v, want it under the 95 %% load", ev.Load)
+		}
+		signals = append(signals, ev.Signal)
+	}
+	want := []rulebase.Signal{rulebase.SignalStart, rulebase.SignalStop, rulebase.SignalRestart}
+	if len(signals) != len(want) {
+		t.Fatalf("signals = %v, want %v", signals, want)
+	}
+	for i := range want {
+		if signals[i] != want[i] {
+			t.Fatalf("signals = %v, want %v", signals, want)
+		}
+	}
 }
 
 // TestDeploymentFailoverMidJobOverTCP kills shard 0's primary of a
@@ -225,54 +248,53 @@ func TestDeploymentWorkerStopsUnderLoadOverUDP(t *testing.T) {
 // task set.
 func TestDeploymentFailoverMidJobOverTCP(t *testing.T) {
 	const failover = 1500 * time.Millisecond // must exceed the pump's 500 ms heartbeat
-	cfg := montecarlo.DefaultJobConfig()
-	cfg.TotalSims = 2400
-	cfg.SimsPerTask = 100 // 24 subtasks
-	cfg.WorkPerSubtask = 120 * time.Millisecond
-	cfg.PlanningCostPerTask = time.Millisecond
-	cfg.AggregationCostPerResult = 0
-	cfg.ShardSpread = true
-	job := montecarlo.NewJob(cfg)
-	d := deployTCP(t, shardhost.Spec{Shards: 2, Replicas: 1, FailoverTimeout: failover, TxnTTL: 2 * time.Second}, job)
-	var nodes []*workerhost.Node
-	for i := 0; i < 2; i++ {
-		n := d.node(t, fmt.Sprintf("tcp-node%02d", i+1), func(s *workerhost.Spec) {
-			s.AutoStart, s.OpTimeout = true, 2*time.Second
-		})
-		n.Start()
-		nodes = append(nodes, n)
-	}
-	ring0, _ := d.host.RingID(0)
-	killed := make(chan error, 1)
-	go func() {
-		time.Sleep(300 * time.Millisecond) // planning done, both workers executing
-		killed <- d.host.KillPrimary(0)
-	}()
-
-	m := master.New(master.Config{
-		Clock: d.clk, Space: d.host.Space(), ResultTimeout: 30 * time.Second,
+	jc := deploymentJob(24, 120*time.Millisecond)
+	jc.ShardSpread = true
+	job := montecarlo.NewJob(jc)
+	o := obs.New(1)
+	f, _ := tcpFramework(t, core.Config{
+		Spec: shardhost.Spec{
+			Shards: 2, Replicas: 1, FailoverTimeout: failover, TxnTTL: 2 * time.Second, Obs: o,
+		},
+		Workers:       cluster.Uniform(2, 1.0),
+		OpTimeout:     2 * time.Second,
+		ResultTimeout: 30 * time.Second,
 	})
-	if _, err := m.RunJob(job); err != nil {
+	pos0 := ring0(f)
+	killed := make(chan error, 1)
+	script := func(f *core.Framework) {
+		f.Clock.Sleep(300 * time.Millisecond) // planning done, both workers executing
+		killed <- f.Host.KillPrimary(0)
+	}
+	if _, err := f.Run(job, script); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-killed; err != nil {
 		t.Fatalf("kill shard 0 primary: %v", err)
 	}
-	if err := harness.ExactSims(job, cfg.TotalSims); err != nil {
+	if err := harness.ExactSims(job, jc.TotalSims); err != nil {
 		t.Fatal(err)
 	}
-	if got := d.host.Epoch(0); got != 2 {
+	if got := f.Host.Epoch(0); got != 2 {
 		t.Fatalf("shard 0 epoch = %d, want 2 (one promotion)", got)
 	}
-	// A worker retargets when a call to the dead primary fails; its idle
-	// scatter takes keep touching every position, so each gets there.
-	for _, n := range nodes {
-		deadline := time.Now().Add(5 * time.Second)
-		for n.Router().Epochs()[ring0] != 2 {
-			if time.Now().After(deadline) {
-				t.Fatalf("%s: router epochs = %v, want %s at 2", n.Name(), n.Router().Epochs(), ring0)
-			}
-			time.Sleep(20 * time.Millisecond)
+	// A worker's router retargets when a call to the dead primary fails;
+	// the tasks left on shard 0 after the promotion reach every worker
+	// through it.
+	for _, n := range []string{"node01", "node02"} {
+		if !retargeted(o.Fl().Events(n), pos0, 2) {
+			t.Fatalf("%s: no retarget of %s to epoch 2 in its flight events %+v", n, pos0, o.Fl().Events(n))
 		}
 	}
+}
+
+// retargeted reports whether events hold a router retarget of ring position
+// id onto epoch.
+func retargeted(events []obs.FlightEvent, id string, epoch uint64) bool {
+	for _, ev := range events {
+		if ev.Kind == obs.EventRetarget && ev.Shard == id && ev.Epoch == epoch {
+			return true
+		}
+	}
+	return false
 }

@@ -99,7 +99,7 @@ func TestDurableFrameworkRestartAcrossRuns(t *testing.T) {
 	}
 
 	clk1 := vclock.NewVirtual(chaosEpoch)
-	fw1 := core.New(clk1, cfg)
+	fw1 := newFramework(t, clk1, core.InProc(nil, nil), cfg)
 	clk1.Run(func() {
 		for i := 0; i < 6; i++ {
 			shard := fw1.Host.Shards()[i%2]
@@ -111,7 +111,7 @@ func TestDurableFrameworkRestartAcrossRuns(t *testing.T) {
 	fw1.Close()
 
 	clk2 := vclock.NewVirtual(chaosEpoch.Add(24 * time.Hour))
-	fw2 := core.New(clk2, cfg)
+	fw2 := newFramework(t, clk2, core.InProc(nil, nil), cfg)
 	defer fw2.Close()
 	total := 0
 	clk2.Run(func() {

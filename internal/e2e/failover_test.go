@@ -130,7 +130,7 @@ func BenchmarkFailoverLatency(b *testing.B) {
 	var total time.Duration
 	for n := 0; n < b.N; n++ {
 		clk := vclock.NewVirtual(chaosEpoch)
-		fw := core.New(clk, core.Config{
+		fw := newFramework(b, clk, core.InProc(nil, nil), core.Config{
 			Spec: shardhost.Spec{
 				Shards:   1,
 				Replicas: 1,

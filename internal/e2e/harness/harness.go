@@ -22,6 +22,7 @@ import (
 	"gospaces/internal/cluster"
 	"gospaces/internal/core"
 	"gospaces/internal/faults"
+	"gospaces/internal/transport"
 	"gospaces/internal/vclock"
 )
 
@@ -79,10 +80,10 @@ type RunSpec struct {
 	// Workers is the cluster size; nodes are uniform 1.0-speed machines
 	// named node01…nodeNN. Ignored when Config.Workers is already set.
 	Workers int
-	// Plan, when non-nil, is installed as Config.Faults.
-	Plan *faults.Plan
-	// Config is the deployment shape. Workers and Faults are filled in
-	// from the fields above.
+	// Model and Plan are core.InProc's: cost model and fault plan, or nil.
+	Model *transport.Model
+	Plan  *faults.Plan
+	// Config is the deployment shape; Workers is filled in from above.
 	Config core.Config
 	// Job is the application to run.
 	Job core.Job
@@ -112,12 +113,11 @@ func Run(spec RunSpec) (Outcome, error) {
 	if cfg.Workers == nil {
 		cfg.Workers = cluster.Uniform(spec.Workers, 1.0)
 	}
-	if spec.Plan != nil {
-		cfg.Faults = spec.Plan
+	fw, err := core.New(clk, core.InProc(spec.Model, spec.Plan), cfg)
+	if err != nil {
+		return Outcome{}, err
 	}
-	fw := core.New(clk, cfg)
 	var res core.Result
-	var err error
 	clk.Run(func() { res, err = fw.Run(spec.Job, spec.Script) })
 	return Outcome{Result: res, Framework: fw, Clock: clk}, err
 }

@@ -13,9 +13,27 @@ import (
 	"gospaces/internal/core"
 	"gospaces/internal/e2e/harness"
 	"gospaces/internal/faults"
+	"gospaces/internal/vclock"
 )
 
 var chaosEpoch = harness.Epoch
+
+// newFramework is core.New failing tb on an assembly error.
+func newFramework(tb testing.TB, clk vclock.Clock, net core.Net, cfg core.Config) *core.Framework {
+	tb.Helper()
+	f, err := core.New(clk, net, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return f
+}
+
+// ring0 is shard 0's ring ID — on the in-process network, the master's
+// address.
+func ring0(f *core.Framework) string {
+	id, _ := f.Host.RingID(0)
+	return id
+}
 
 // chaosSeed lets CI pin (or vary) the fault schedule without editing the
 // test: GOSPACES_FAULT_SEED=<n>.

@@ -17,6 +17,7 @@ import (
 	"gospaces/internal/shardhost"
 	"gospaces/internal/snmp"
 	"gospaces/internal/vclock"
+	"gospaces/internal/workerhost"
 )
 
 // runObserved runs the chaos-sized montecarlo job on a 2-shard framework
@@ -218,7 +219,7 @@ func TestObsMetricsEndpointAfterRun(t *testing.T) {
 func TestObsSNMPMatchesMetrics(t *testing.T) {
 	o := obs.New(1)
 	clk := vclock.NewVirtual(chaosEpoch)
-	fw := core.New(clk, core.Config{
+	fw := newFramework(t, clk, core.InProc(nil, nil), core.Config{
 		Workers: cluster.Uniform(3, 1.0),
 		Spec: shardhost.Spec{
 			Shards: 2,
@@ -244,8 +245,12 @@ func TestObsSNMPMatchesMetrics(t *testing.T) {
 		}
 		// Probe over the simulated network, exactly as a management
 		// station would: SNMP GETs against the master's bound agent.
-		mgr := snmp.NewManager(fw.Cluster.Community,
-			&snmp.RPCExchanger{C: fw.Cluster.Net.DialAs(fw.Cluster.MasterAddr, fw.Cluster.MasterAddr)})
+		c, err := fw.Dial(ring0(fw), ring0(fw))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		mgr := snmp.NewManager(workerhost.Community, &snmp.RPCExchanger{C: c})
 		get := func(oid snmp.OID) int64 {
 			v, err := mgr.GetInt(oid)
 			if err != nil {

@@ -32,7 +32,7 @@ func TestReshardManualSplitAndMergeMidJob(t *testing.T) {
 	var splitErr, mergeErr error
 	script := func(f *core.Framework) {
 		f.Clock.Sleep(2 * time.Second)
-		rep, splitErr = f.Host.Split(f.Cluster.MasterAddr)
+		rep, splitErr = f.Host.Split(ring0(f))
 		if splitErr != nil {
 			return
 		}
@@ -60,7 +60,7 @@ func TestReshardManualSplitAndMergeMidJob(t *testing.T) {
 	if e := fw.Host.TopologyEpoch(); e != 3 {
 		t.Fatalf("topology epoch = %d, want 3", e)
 	}
-	if rep.Parent != fw.Cluster.MasterAddr || rep.Child == "" {
+	if rep.Parent != ring0(fw) || rep.Child == "" {
 		t.Fatalf("split report %+v", rep)
 	}
 	if got := res.Counters[metrics.CounterReshardSplits]; got != 1 {
@@ -134,7 +134,7 @@ func TestChaosReshardKillSourcePrimaryMidSplit(t *testing.T) {
 	script := func(f *core.Framework) {
 		f.Clock.Sleep(2 * time.Second)
 		g := vclock.NewGroup(f.Clock)
-		g.Go(func() { rep, splitErr = f.Host.Split(f.Cluster.MasterAddr) })
+		g.Go(func() { rep, splitErr = f.Host.Split(ring0(f)) })
 		// Land the kill inside the split, after the fork has seeded the
 		// child and while the settle sweep waits on workers' locks.
 		f.Clock.Sleep(300 * time.Millisecond)
@@ -192,7 +192,7 @@ func TestChaosReshardKillSourcePrimaryMidMerge(t *testing.T) {
 	var splitErr, mergeErr, killErr error
 	script := func(f *core.Framework) {
 		f.Clock.Sleep(2 * time.Second)
-		rep, splitErr = f.Host.Split(f.Cluster.MasterAddr)
+		rep, splitErr = f.Host.Split(ring0(f))
 		if splitErr != nil {
 			return
 		}
@@ -260,7 +260,7 @@ func TestChaosReshardSplitBornCrashRestart(t *testing.T) {
 	var splitErr, restartErr error
 	script := func(f *core.Framework) {
 		f.Clock.Sleep(2 * time.Second)
-		rep, splitErr = f.Host.Split(f.Cluster.MasterAddr)
+		rep, splitErr = f.Host.Split(ring0(f))
 		if splitErr != nil {
 			return
 		}
@@ -338,14 +338,13 @@ func BenchmarkReshardSplit(b *testing.B) {
 	model.SpaceOp = 20 * time.Millisecond
 	for n := 0; n < b.N; n++ {
 		clk := vclock.NewVirtual(chaosEpoch)
-		fw := core.New(clk, core.Config{
+		fw := newFramework(b, clk, core.InProc(&model, nil), core.Config{
 			Spec: shardhost.Spec{
 				Shards:        1,
 				Elastic:       true,
 				WatchInterval: watch,
 				TxnTTL:        8 * time.Second,
 			},
-			Model:         &model,
 			ResultTimeout: 5 * time.Minute,
 			Workers:       cluster.Uniform(4, 1.0),
 		})
@@ -358,7 +357,7 @@ func BenchmarkReshardSplit(b *testing.B) {
 			t0 := shardTakes(f)
 			f.Clock.Sleep(window)
 			pre = float64(shardTakes(f)-t0) / window.Seconds()
-			rep, splitErr = f.Host.Split(f.Cluster.MasterAddr)
+			rep, splitErr = f.Host.Split(ring0(f))
 			if splitErr != nil {
 				return
 			}

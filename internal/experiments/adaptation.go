@@ -28,11 +28,14 @@ type AdaptationResult struct {
 func Adaptation(app AppName) (AdaptationResult, error) {
 	clk := vclock.NewVirtual(epoch)
 	specs := clusterFor(app)[:1]
-	fw := core.New(clk, withObs(core.Config{
+	fw, err := core.New(clk, core.InProc(nil, nil), withObs(core.Config{
 		Workers:      specs,
 		Monitoring:   true,
 		PollInterval: time.Second,
 	}))
+	if err != nil {
+		return AdaptationResult{}, err
+	}
 	job := jobFor(app)
 	node := fw.Cluster.Nodes[0]
 
@@ -48,7 +51,6 @@ func Adaptation(app AppName) (AdaptationResult, error) {
 	}
 
 	var res core.Result
-	var err error
 	clk.Run(func() { res, err = fw.Run(job, script) })
 	if err != nil {
 		return AdaptationResult{}, fmt.Errorf("experiments: adaptation %s: %w", app, err)

@@ -40,18 +40,20 @@ func DynamicWorkerBehavior(app AppName) ([]DynamicLoadPoint, error) {
 func dynamicRun(app AppName, frac float64) (DynamicLoadPoint, error) {
 	clk := vclock.NewVirtual(epoch)
 	specs := clusterFor(app)
-	fw := core.New(clk, withObs(core.Config{
+	fw, err := core.New(clk, core.InProc(nil, nil), withObs(core.Config{
 		Workers:      specs,
 		Monitoring:   true,
 		PollInterval: time.Second,
 	}))
+	if err != nil {
+		return DynamicLoadPoint{}, err
+	}
 	loaded := int(frac * float64(len(specs)))
 	for i := 0; i < loaded; i++ {
 		fw.Cluster.Nodes[i].Sim2.Start() // sustained 100 % load from t=0
 	}
 	job := jobFor(app)
 	var res core.Result
-	var err error
 	clk.Run(func() { res, err = fw.Run(job, nil) })
 	if err != nil {
 		return DynamicLoadPoint{}, fmt.Errorf("experiments: dynamic %s (%.0f%% loaded): %w", app, frac*100, err)

@@ -96,10 +96,12 @@ func Scalability(app AppName, maxWorkers int) ([]ScalabilityPoint, error) {
 	var out []ScalabilityPoint
 	for n := 1; n <= maxWorkers; n++ {
 		clk := vclock.NewVirtual(epoch)
-		fw := core.New(clk, withObs(core.Config{Workers: specs[:n]}))
+		fw, err := core.New(clk, core.InProc(nil, nil), withObs(core.Config{Workers: specs[:n]}))
+		if err != nil {
+			return nil, err
+		}
 		job := jobFor(app)
 		var res core.Result
-		var err error
 		clk.Run(func() { res, err = fw.Run(job, nil) })
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s with %d workers: %w", app, n, err)

@@ -53,18 +53,19 @@ func FaultSweep() ([]FaultPoint, error) {
 			plan.CrashProbOnCall("node/*", "", space.OpTake.Method()+"*", rate,
 				faults.AfterHandler, "", 10*time.Second)
 		}
-		fw := core.New(clk, withObs(core.Config{
+		fw, err := core.New(clk, core.InProc(nil, plan), withObs(core.Config{
 			Workers: cluster.Uniform(4, 1.0),
 			Spec: shardhost.Spec{
 				Shards: 2,
 				TxnTTL: 5 * time.Second,
 			},
-			Faults:        plan,
 			ResultTimeout: 10 * time.Minute,
 		}))
+		if err != nil {
+			return nil, err
+		}
 		job := montecarlo.NewJob(cfg)
 		var res core.Result
-		var err error
 		clk.Run(func() { res, err = fw.Run(job, nil) })
 		if err != nil {
 			return nil, fmt.Errorf("experiments: fault sweep at rate %.2f: %w", rate, err)

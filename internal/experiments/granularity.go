@@ -45,11 +45,14 @@ func Granularity() ([]GranularityPoint, error) {
 
 func granularityRun(simsPerTask int) (GranularityPoint, error) {
 	clk := vclock.NewVirtual(epoch)
-	fw := core.New(clk, withObs(core.Config{
+	fw, err := core.New(clk, core.InProc(nil, nil), withObs(core.Config{
 		Workers:      cluster.Uniform(1, 1.0),
 		Monitoring:   true,
 		PollInterval: 500 * time.Millisecond,
 	}))
+	if err != nil {
+		return GranularityPoint{}, err
+	}
 	cfg := montecarlo.DefaultJobConfig()
 	cfg.TotalSims = 10000
 	cfg.SimsPerTask = simsPerTask
@@ -67,7 +70,6 @@ func granularityRun(simsPerTask int) (GranularityPoint, error) {
 		userTime = runUserJob(clk, node.Machine)
 	}
 	var res core.Result
-	var err error
 	clk.Run(func() { res, err = fw.Run(job, script) })
 	if err != nil {
 		return GranularityPoint{}, fmt.Errorf("experiments: granularity %d: %w", simsPerTask, err)

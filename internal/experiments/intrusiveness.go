@@ -8,7 +8,6 @@ import (
 	"gospaces/internal/cluster"
 	"gospaces/internal/core"
 	"gospaces/internal/metrics"
-	"gospaces/internal/transport"
 	"gospaces/internal/vclock"
 )
 
@@ -77,7 +76,7 @@ func Intrusiveness() ([]IntrusivenessResult, error) {
 // userJobBaseline measures the user job alone on an idle node.
 func userJobBaseline() time.Duration {
 	clk := vclock.NewVirtual(epoch)
-	c := cluster.New(clk, transport.Loopback(), cluster.Uniform(1, 1.0))
+	c := cluster.New(clk, cluster.Uniform(1, 1.0))
 	var elapsed time.Duration
 	clk.Run(func() {
 		elapsed = runUserJob(clk, c.Nodes[0].Machine)
@@ -87,11 +86,14 @@ func userJobBaseline() time.Duration {
 
 func intrusivenessRun(adaptive bool, baseline time.Duration) (IntrusivenessResult, error) {
 	clk := vclock.NewVirtual(epoch)
-	fw := core.New(clk, withObs(core.Config{
+	fw, err := core.New(clk, core.InProc(nil, nil), withObs(core.Config{
 		Workers:      cluster.Uniform(1, 1.0),
 		Monitoring:   adaptive,
 		PollInterval: 500 * time.Millisecond,
 	}))
+	if err != nil {
+		return IntrusivenessResult{}, err
+	}
 	cfg := montecarlo.DefaultJobConfig()
 	cfg.TotalSims = 6000 // 60 subtasks: outlives the user's visit
 	cfg.PlanningCostPerTask = 10 * time.Millisecond
@@ -104,7 +106,6 @@ func intrusivenessRun(adaptive bool, baseline time.Duration) (IntrusivenessResul
 		userTime = runUserJob(clk, node.Machine)
 	}
 	var res core.Result
-	var err error
 	clk.Run(func() { res, err = fw.Run(job, script) })
 	if err != nil {
 		return IntrusivenessResult{}, fmt.Errorf("experiments: intrusiveness (adaptive=%v): %w", adaptive, err)

@@ -7,7 +7,6 @@ import (
 	"gospaces/internal/apps/montecarlo"
 	"gospaces/internal/cluster"
 	"gospaces/internal/core"
-	"gospaces/internal/metrics"
 	"gospaces/internal/shardhost"
 	"gospaces/internal/transport"
 	"gospaces/internal/vclock"
@@ -42,7 +41,7 @@ func shardedJobConfig() montecarlo.JobConfig {
 }
 
 // ShardedKnee reruns the Figure-6-shaped sweep against a saturating space
-// server (every space operation costs 5 ms of modeled server CPU) with 1
+// server (every space operation costs 8 ms of modeled server CPU) with 1
 // and with 4 shards. With one shard the server's FIFO queue saturates as
 // workers are added and the parallel-time curve flattens early; with four
 // shards the same operation stream spreads over four servers and the knee
@@ -54,14 +53,15 @@ func ShardedKnee() ([]ShardedPoint, error) {
 	for _, shards := range []int{1, 4} {
 		for _, n := range shardedWorkerCounts {
 			clk := vclock.NewVirtual(epoch)
-			fw := core.New(clk, withObs(core.Config{
+			fw, err := core.New(clk, core.InProc(&model, nil), withObs(core.Config{
 				Workers: cluster.Uniform(n, 1.0),
 				Spec:    shardhost.Spec{Shards: shards},
-				Model:   &model,
 			}))
+			if err != nil {
+				return nil, err
+			}
 			job := montecarlo.NewJob(shardedJobConfig())
 			var res core.Result
-			var err error
 			clk.Run(func() { res, err = fw.Run(job, nil) })
 			if err != nil {
 				return nil, fmt.Errorf("experiments: sharded %d workers × %d shards: %w", n, shards, err)
@@ -76,17 +76,4 @@ func ShardedKnee() ([]ShardedPoint, error) {
 		}
 	}
 	return out, nil
-}
-
-// ShardedTable renders the sweep as a figure-style series.
-func ShardedTable(pts []ShardedPoint) *metrics.Table {
-	t := &metrics.Table{
-		Title:   "Sharded space: parallel time vs workers (1 vs 4 shards, 5 ms/op server)",
-		Columns: []string{"workers", "shards", "parallel_ms", "planning_ms", "max_worker_ms"},
-	}
-	for _, p := range pts {
-		t.AddRow(fmt.Sprint(p.Workers), fmt.Sprint(p.Shards), metrics.Ms(p.ParallelTime),
-			metrics.Ms(p.TaskPlanningTime), metrics.Ms(p.MaxWorkerTime))
-	}
-	return t
 }

@@ -199,7 +199,7 @@ func NewPlan(seed int64) *Plan {
 
 // Bind attaches the plan to the run's clock and stamps the epoch that
 // scripted windows (PartitionOneWay, CrashEndpoint) are measured from.
-// core.New calls it when Config.Faults is set; direct users must call it
+// core.New calls it for core.InProc's plan; direct users must call it
 // before installing the plan.
 //
 // A Plan drives exactly one run. Rebinding would silently restamp the

@@ -84,7 +84,7 @@ func crashPoint(s string) (CrashPoint, error) {
 }
 
 // Build constructs a fresh, unbound Plan from the spec. Call Bind on the
-// result (or hand it to core.Config.Faults, whose assembly binds it)
+// result (or hand it to core.InProc, whose assembly binds it)
 // before use. Building twice yields two independent plans with identical
 // schedules — the replay property the scenario shrinker relies on.
 func (s PlanSpec) Build() (*Plan, error) {

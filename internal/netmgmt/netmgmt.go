@@ -17,6 +17,7 @@ import (
 	"gospaces/internal/transport"
 	"gospaces/internal/vclock"
 	"gospaces/internal/worker"
+	"gospaces/internal/workerhost"
 )
 
 // Config assembles the module's dependencies.
@@ -26,8 +27,6 @@ type Config struct {
 	Engine *rulebase.Engine
 	// PollInterval is the SNMP monitoring period. Default 1 s.
 	PollInterval time.Duration
-	// Community is the SNMP community string. Default "public".
-	Community string
 	// DialSignal and DialSNMP connect to a worker's endpoints by
 	// address; they are required only when workers self-register through
 	// the Bind RPC endpoint (steps 1–3 of the rule-base protocol, where
@@ -96,9 +95,6 @@ func New(cfg Config) *Module {
 	if cfg.PollInterval <= 0 {
 		cfg.PollInterval = time.Second
 	}
-	if cfg.Community == "" {
-		cfg.Community = "public"
-	}
 	return &Module{cfg: cfg, workers: make(map[string]*managed), nextID: 1}
 }
 
@@ -148,7 +144,7 @@ func (m *Module) Register(node string, ex snmp.Exchanger, sig transport.Client) 
 	w := &managed{
 		id:    m.nextID,
 		node:  node,
-		mgr:   snmp.NewManager(m.cfg.Community, ex),
+		mgr:   snmp.NewManager(workerhost.Community, ex),
 		sig:   sig,
 		state: rulebase.StateStopped,
 	}

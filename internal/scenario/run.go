@@ -105,6 +105,7 @@ func Run(m Manifest) Report {
 	o := obs.New(m.Seed)
 	out, runErr := harness.Run(harness.RunSpec{
 		Workers: m.Workers,
+		Model:   &model,
 		Plan:    plan,
 		Config: core.Config{
 			Spec: shardhost.Spec{
@@ -117,7 +118,6 @@ func Run(m Manifest) Report {
 				MaxInflight: m.MaxInflight,
 				Obs:         o,
 			},
-			Model:         &model,
 			OpTimeout:     m.OpTimeout,
 			ResultTimeout: 10 * time.Minute,
 		},
@@ -327,7 +327,8 @@ func (st *runState) burst(f *core.Framework, ev Event) {
 		g.Go(func() {
 			// A generator dies with the endpoint it targets (a killed
 			// primary, a mid-restart shard): errors are part of the storm.
-			sp := space.NewProxy(f.Cluster.Net.DialAs(from, addr))
+			c, _ := f.Dial(from, addr) // an in-process dial cannot fail
+			sp := space.NewProxy(c)
 			for f.Clock.Now().Before(end) {
 				_, _ = sp.ReadIfExists(tmpl, nil) // PriNormal: shed at level 2
 				_, _ = sp.Count(tmpl)             // PriLow: shed at level 1

@@ -97,8 +97,8 @@ func InProcEnv(nw *transport.Network, root string, reg *discovery.Registry) Env 
 }
 
 // TCPEnv hosts shards on TCP listeners: shard 0 at addr, every other node
-// on an ephemeral port of the same host.
-func TCPEnv(addr string, reg Registrar, spawn func(func())) (Env, error) {
+// on an ephemeral port of the same host. The caller sets Spawn.
+func TCPEnv(addr string, reg Registrar) (Env, error) {
 	host, _, err := net.SplitHostPort(addr)
 	if err != nil {
 		return Env{}, fmt.Errorf("shardhost: bad listen address %q: %w", addr, err)
@@ -117,6 +117,5 @@ func TCPEnv(addr string, reg Registrar, spawn func(func())) (Env, error) {
 		},
 		Dial:      func(_, to string) (transport.Client, error) { return transport.DialTCP(to) },
 		Registrar: reg,
-		Spawn:     spawn,
 	}, nil
 }

@@ -75,10 +75,11 @@ func tcp(t *testing.T) deployment {
 	}
 	group := vclock.NewGroup(clk)
 	t.Cleanup(func() { group.Wait(); lc.Close(); ll.Close() })
-	env, err := TCPEnv("127.0.0.1:0", discovery.NewClient(lc), group.Go)
+	env, err := TCPEnv("127.0.0.1:0", discovery.NewClient(lc))
 	if err != nil {
 		t.Fatal(err)
 	}
+	env.Spawn = group.Go
 	return deployment{
 		name: "tcp", clock: clk, env: env, lookup: reg.Lookup,
 		dial: func(t *testing.T, addr string) transport.Client {

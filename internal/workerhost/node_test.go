@@ -85,10 +85,11 @@ func tcp(t *testing.T) deployment {
 	}
 	group := vclock.NewGroup(clk)
 	t.Cleanup(func() { group.Wait(); lc.Close(); ll.Close() })
-	hostEnv, err := shardhost.TCPEnv("127.0.0.1:0", discovery.NewClient(lc), group.Go)
+	hostEnv, err := shardhost.TCPEnv("127.0.0.1:0", discovery.NewClient(lc))
 	if err != nil {
 		t.Fatal(err)
 	}
+	hostEnv.Spawn = group.Go
 	return deployment{
 		name: "tcp", clock: clk, reg: reg, hostEnv: hostEnv,
 		nodeEnv: func(string) Env { return TCPEnv(ll.Addr(), "127.0.0.1:0", "127.0.0.1:0") },

@@ -161,8 +161,9 @@ func (e *Encoder) ascend() { e.depth-- }
 // not safe for concurrent use and must see messages in the order the
 // peer's Encoder produced them.
 type Decoder struct {
-	types []recvType // index id-1
-	r     reader     // the message being decoded, kept here so the *reader the plans take costs nothing
+	types    []recvType // index id-1
+	r        reader     // the message being decoded, kept here so the *reader the plans take costs nothing
+	borrowed bool       // the last decode set a View into its message
 }
 
 // recvType is one defined id: the local type, or why values of it fail.
@@ -179,8 +180,9 @@ func NewDecoder() *Decoder { return &Decoder{} }
 func (d *Decoder) Reset() { d.types = d.types[:0] }
 
 // Decode returns the value msg holds. The result shares no memory with
-// msg. A value-level failure (an id never defined, a layout mismatch, a
-// body cut short) leaves the Decoder usable for the next message.
+// msg, except a View it holds (see Borrowed). A value-level failure (an id
+// never defined, a layout mismatch, a body cut short) leaves the Decoder
+// usable for the next message.
 func (d *Decoder) Decode(msg []byte) (interface{}, error) { return d.decode(msg, false) }
 
 // DecodeLent is Decode for a message the caller hands over for one use: a
@@ -189,7 +191,14 @@ func (d *Decoder) Decode(msg []byte) (interface{}, error) { return d.decode(msg,
 // fresh, as Decode delivers it.
 func (d *Decoder) DecodeLent(msg []byte) (interface{}, error) { return d.decode(msg, true) }
 
+// Borrowed reports whether the value the last Decode or DecodeLent
+// returned holds a View into its message: then the message's bytes are
+// the value's for as long as it is used, and the caller must not reuse
+// them before.
+func (d *Decoder) Borrowed() bool { return d.borrowed }
+
 func (d *Decoder) decode(msg []byte, lend bool) (interface{}, error) {
+	d.borrowed = false
 	r := &d.r
 	*r = reader{b: msg, d: d}
 	defer func() { r.b = nil }() // hold on to none of msg past the call
@@ -223,6 +232,7 @@ func (d *Decoder) decode(msg []byte, lend bool) (interface{}, error) {
 		if lend {
 			Release(x)
 		}
+		d.borrowed = false
 		return nil, err
 	}
 	return x, nil

@@ -59,6 +59,18 @@ var (
 	ErrFingerprint = errors.New("enc: type layout differs between peers")
 )
 
+// View is a []byte field that a decode sets to the run of bytes in the
+// message itself instead of a copy: for a call's argument that carries a
+// large byte string its handler reads once and keeps nothing of, as a
+// replica batch is. It encodes exactly as a []byte does, and a layout
+// with a View in place of a []byte has the same fingerprint. A decode
+// that set one says so (Decoder.Borrowed), and its message then belongs
+// to the value: the transport keeps a call's request frame for the call
+// until its response is encoded (DESIGN §14). Anything a receiver keeps
+// past that it copies. Only a request's argument may hold one: a
+// response's frame goes back to its connection.
+type View []byte
+
 // wireType is one registry entry, compiled when it is registered.
 type wireType struct {
 	name string

@@ -34,6 +34,7 @@ var (
 	codecs    = make(map[reflect.Type]*codec) // every type reached by a successful compile
 
 	timeType        = reflect.TypeOf(time.Time{})
+	viewType        = reflect.TypeOf(View(nil))
 	gobEncoderType  = reflect.TypeOf((*interface{ GobEncode() ([]byte, error) })(nil)).Elem()
 	binaryMarshaler = reflect.TypeOf((*encoding.BinaryMarshaler)(nil)).Elem()
 )
@@ -101,6 +102,10 @@ func (s session) build(c *codec, t reflect.Type) error {
 	case reflect.Struct:
 		return s.buildStruct(c, t)
 	case reflect.Slice:
+		if t == viewType {
+			c.enc, c.dec = encBytes, decView
+			return nil
+		}
 		if t.Elem().Kind() == reflect.Uint8 {
 			c.enc, c.dec = encBytes, decBytes
 			return nil
@@ -354,6 +359,18 @@ func decBytes(r *reader, v reflect.Value) error {
 		return err
 	}
 	v.SetBytes(append([]byte(nil), p...))
+	return nil
+}
+
+// decView is decBytes without the copy: the View is the run of bytes in
+// the message itself, and the Decoder notes that its last decode borrowed.
+func decView(r *reader, v reflect.Value) error {
+	p, err := r.counted()
+	if err != nil || len(p) == 0 {
+		return err
+	}
+	v.SetBytes(p[:len(p):len(p)])
+	r.d.borrowed = true
 	return nil
 }
 

@@ -24,28 +24,31 @@ func init() { transport.RegisterType(pairTask{}) }
 
 // maxReplicatedPairAllocs is what one keyed write+take pair may allocate
 // through a sync-replicated shard over loopback TCP: the in-memory pair's
-// allocations and per op one shipped batch — the standby's copy of the
-// batch bytes and its stored entry. The ship's own wire structs are lent
-// like a proxy's (DESIGN §14): the primary takes its appendArgs from the
-// pool and releases it once Call has returned, the standby decodes it into
-// a pooled one, and the appendReply is pooled at both ends. The queue
-// copies each record into one buffer and the standby decodes each into one
-// reused record, so a record costs neither side an allocation of its own.
-// It reads 14 built with go1.24 on amd64 (33 while every wire struct was
-// allocated and boxed per call, 45 while the queue held a slice per record
-// and the standby decoded each into fresh arrays, 62 while each request
-// had a goroutine of its own and each record two copies); the spare two
-// absorb runtime differences between Go releases.
-const maxReplicatedPairAllocs = 16
+// allocations and, on the standby, the one copy of the entry it stores.
+// The ship's own wire structs are lent like a proxy's (DESIGN §14): the
+// primary takes its appendArgs from the pool and releases it once Call has
+// returned, the standby decodes it into a pooled one, and the appendReply
+// is pooled at both ends. The standby reads each batch in place, in the
+// request frame (an enc.View), which goes back to the connection's spare
+// list once answered. The queue copies each record into one buffer and the
+// standby decodes each into one reused record, so a record costs neither
+// side an allocation of its own. It reads 12 built with go1.24 on amd64
+// (14 while the standby copied each batch out of its frame, 33 while every
+// wire struct was allocated and boxed per call, 45 while the queue held a
+// slice per record and the standby decoded each into fresh arrays, 62
+// while each request had a goroutine of its own and each record two
+// copies); the spare two absorb runtime differences between Go releases.
+const maxReplicatedPairAllocs = 14
 
 // maxTokenedReplicatedPairAllocs is the same pair through a one-member
 // tokened shard.Router, as every production client reaches its shard:
-// the router's token and retry state on top, and on the standby the token's
-// client string, interned, and the take memo's copy of what it returned.
-// It reads 25 built with go1.24 on amd64 (46 before the wire structs were
-// lent, 60 before the queue buffer and the reused record); the spare two
-// as above.
-const maxTokenedReplicatedPairAllocs = 27
+// the router's token and retry state on top, and on the standby the take
+// memo, which answers with the entry the standby already holds (its client
+// and key interned). It reads 21 built with go1.24 on amd64 (25 while the
+// standby decoded the memo's entry a second time out of the remove record,
+// 46 before the wire structs were lent, 60 before the queue buffer and the
+// reused record); the spare two as above.
+const maxTokenedReplicatedPairAllocs = 23
 
 // TestReplicatedPairAllocations pins the allocation count of one
 // write+take pair through Proxy → TCP → Service → Local on a primary whose
@@ -53,7 +56,7 @@ const maxTokenedReplicatedPairAllocs = 27
 // acknowledged: straight through the proxy, and through a tokened router
 // over it. Skipped under the race detector, which allocates on its own.
 func TestReplicatedPairAllocations(t *testing.T) {
-	if raceEnabled {
+	if replica.RaceEnabled {
 		t.Skip("the race detector allocates")
 	}
 	clk := vclock.NewReal()

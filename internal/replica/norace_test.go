@@ -1,5 +1,7 @@
 //go:build !race
 
-package replica_test
+package replica
 
-const raceEnabled = false
+// RaceEnabled reports a build with the race detector, which allocates on
+// its own: the allocation tests, inside the package and out, skip then.
+const RaceEnabled = false

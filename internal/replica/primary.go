@@ -74,9 +74,12 @@ type Primary struct {
 	// the virtual clock a process blocked on a mutex is invisible — time
 	// would freeze with one confirm() shipping and another waiting. So
 	// contenders park on clock waiters (visible), and the holder wakes
-	// them on release.
+	// them on release. A contender's waiter goes back on idleWaiters once
+	// it holds the section, for the next contender: a contended ship
+	// allocates nothing.
 	shipping    bool            // guarded by mu
-	shipWaiters []vclock.Waiter // guarded by mu
+	shipWaiters []vclock.Waiter // guarded by mu: the parked contenders'
+	idleWaiters []vclock.Waiter // guarded by mu
 }
 
 // NewPrimary returns a controller for local. Call SetMirror to attach the
@@ -148,12 +151,21 @@ func (p *Primary) Sink() tuplespace.RecordSink { return queueSink{p: p} }
 // another process ships.
 func (p *Primary) acquireShip() {
 	p.mu.Lock()
-	for p.shipping {
-		w := p.opts.Clock.NewWaiter()
-		p.shipWaiters = append(p.shipWaiters, w)
-		p.mu.Unlock()
-		w.Wait(0)
-		p.mu.Lock()
+	if p.shipping {
+		var w vclock.Waiter
+		if n := len(p.idleWaiters); n > 0 {
+			w = p.idleWaiters[n-1]
+			p.idleWaiters = p.idleWaiters[:n-1]
+		} else {
+			w = p.opts.Clock.NewWaiter()
+		}
+		for p.shipping {
+			p.shipWaiters = append(p.shipWaiters, w)
+			p.mu.Unlock()
+			w.Wait(0) // one Wake per park: releaseShip takes w off the list as it wakes it
+			p.mu.Lock()
+		}
+		p.idleWaiters = append(p.idleWaiters, w)
 	}
 	p.shipping = true
 	p.mu.Unlock()
@@ -161,15 +173,17 @@ func (p *Primary) acquireShip() {
 
 // releaseShip leaves the ship section and wakes every parked contender
 // (they re-check and re-park; herds are tiny — one per concurrent client).
+// It wakes them under mu, so the list keeps its array: a Wake neither
+// blocks nor takes a lock of the controller's.
 func (p *Primary) releaseShip() {
 	p.mu.Lock()
 	p.shipping = false
-	ws := p.shipWaiters
-	p.shipWaiters = nil
-	p.mu.Unlock()
-	for _, w := range ws {
+	for i, w := range p.shipWaiters {
 		w.Wake()
+		p.shipWaiters[i] = nil
 	}
+	p.shipWaiters = p.shipWaiters[:0]
+	p.mu.Unlock()
 }
 
 // Flush ships every queued record to the backup and waits for the ack.

@@ -1,5 +1,6 @@
 //go:build race
 
-package replica_test
+package replica
 
-const raceEnabled = true
+// RaceEnabled: see norace_test.go.
+const RaceEnabled = true

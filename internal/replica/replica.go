@@ -39,6 +39,7 @@ import (
 	"errors"
 	"fmt"
 
+	"gospaces/internal/enc"
 	"gospaces/internal/transport"
 	"gospaces/internal/tuplespace"
 )
@@ -105,7 +106,10 @@ type appendArgs struct {
 	Epoch uint64
 	From  uint64 // sequence number of the batch's first record
 	N     uint64 // records in Batch
-	Batch []byte // N records, each a uvarint length and that many bytes
+	// Batch is N records, each a uvarint length and that many bytes. The
+	// backup reads it in place, in the request frame, and its applier
+	// copies what it stores: a shipped entry is copied once there.
+	Batch enc.View
 }
 
 // appendReply confirms application up to (and including) Applied.
@@ -127,7 +131,7 @@ type syncArgs struct {
 	Epoch uint64
 	Seq   uint64
 	N     uint64
-	Batch []byte
+	Batch enc.View // as appendArgs.Batch
 }
 
 // errBatch refuses a batch whose framing is not N records and nothing

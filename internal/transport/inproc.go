@@ -131,7 +131,9 @@ type inprocClient struct {
 // does with a socket between them, done back to back. A message is built
 // into a frame and parsed out of it again under one lock, so the frame's
 // length is what the network model is charged, the receiver's copy shares
-// no memory with the sender's, and both ends see messages in one order.
+// no memory with the sender's, and both ends see messages in one order. An
+// argument that borrowed its frame (an enc.View) keeps it: the wire builds
+// the next message in a buffer of its own.
 // The length charged leaves out a message's one-time type definitions:
 // which of two concurrent first calls carries them is a race, and a
 // simulated run must cost the same every time it is replayed.
@@ -153,12 +155,17 @@ func (w *wire) request(method string, arg interface{}) (interface{}, int, error)
 	if err != nil {
 		return nil, 0, err
 	}
-	w.buf = recycle(frame)
 	h, body, err := parseFrame(frame[4:])
 	if err != nil {
+		w.buf = recycle(frame)
 		return nil, 0, err
 	}
 	got, err := h.argument(w.dec, body)
+	if w.dec.Borrowed() {
+		w.buf = nil // the argument keeps the frame
+	} else {
+		w.buf = recycle(frame)
+	}
 	return got, len(frame) - w.enc.DefinitionBytes(), err
 }
 

@@ -111,8 +111,15 @@ func (l *TCPListener) serveConn(conn net.Conn) {
 		if err == nil {
 			err = herr
 		}
-		in = recycle(frame)
-		c := call{h.id, handler, arg, err}
+		c := call{id: h.id, h: handler, arg: arg, err: err}
+		if dec.Borrowed() {
+			// The argument reads the frame in place (an enc.View): the
+			// call holds it until answered, and the next frame goes into
+			// one an earlier such call gave back.
+			c.frame, in = frame, w.spare()
+		} else {
+			in = recycle(frame)
+		}
 		select {
 		case w.calls <- c:
 		default:
@@ -132,10 +139,11 @@ const handlerIdle = 100 * time.Millisecond
 
 // call is one decoded request on its way to a handler goroutine.
 type call struct {
-	id  uint64
-	h   Handler
-	arg interface{}
-	err error // the request already failed: answer with this
+	id    uint64
+	h     Handler
+	arg   interface{}
+	err   error  // the request already failed: answer with this
+	frame []byte // the request frame, when arg borrowed from it; else nil
 }
 
 // responder is the sending half of a served connection, which the
@@ -146,6 +154,40 @@ type responder struct {
 	mu    sync.Mutex // guards enc, out and writes
 	enc   *enc.Encoder
 	out   []byte
+
+	spareMu sync.Mutex
+	spares  [][]byte // frames answered calls borrowed from, emptied, for the read loop
+}
+
+// maxSpares bounds a connection's spare frames: only calls that borrowed
+// their frame give one back, and those arrive one at a time.
+const maxSpares = 4
+
+// spare returns a frame an answered call gave back, or nil.
+func (w *responder) spare() []byte {
+	w.spareMu.Lock()
+	defer w.spareMu.Unlock()
+	n := len(w.spares)
+	if n == 0 {
+		return nil
+	}
+	b := w.spares[n-1]
+	w.spares[n-1] = nil
+	w.spares = w.spares[:n-1]
+	return b
+}
+
+// giveBack puts a borrowed frame on the spare list once its call is done
+// with it, unless it is one recycle would drop or the list is full.
+func (w *responder) giveBack(frame []byte) {
+	if frame = recycle(frame); frame == nil {
+		return
+	}
+	w.spareMu.Lock()
+	if len(w.spares) < maxSpares {
+		w.spares = append(w.spares, frame)
+	}
+	w.spareMu.Unlock()
 }
 
 // serve is one handler goroutine: it answers c, then every call handed to
@@ -176,6 +218,8 @@ func (w *responder) serve(c call) {
 // answer runs one call's handler, unless the request already failed,
 // writes the response, and then releases what the call was lent and what
 // the handler answered: both are the responder's once the bytes are out.
+// A request frame the argument borrowed goes back to the read loop once
+// the response is encoded, when nothing reads it any more.
 func (w *responder) answer(c call) {
 	var res interface{}
 	err := c.err
@@ -184,6 +228,9 @@ func (w *responder) answer(c call) {
 	}
 	w.mu.Lock()
 	w.out = appendResponse(w.out[:0], w.enc, c.id, res, err)
+	if c.frame != nil {
+		w.giveBack(c.frame)
+	}
 	_, werr := w.conn.Write(w.out)
 	w.out = recycle(w.out)
 	w.mu.Unlock()

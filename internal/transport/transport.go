@@ -61,7 +61,9 @@ func RegisterType(v interface{}) { enc.RegisterType(v) }
 // returns and keeps nothing of the struct itself, only what it points at.
 // A struct result is the transport's once returned, which releases it
 // after sending: it must be the handler's to give — lent (enc.Lend),
-// fresh, or the argument itself.
+// fresh, or the argument itself. An enc.View in the argument reads the
+// request frame in place, which the call holds until its response is
+// encoded: the handler copies what it keeps of one.
 type Handler func(arg interface{}) (interface{}, error)
 
 // Server dispatches method calls to registered handlers. It is shared by

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"maps"
 	"sync"
+
+	"gospaces/internal/enc"
 )
 
 // Applier is the one code path that turns journal records into space
@@ -90,22 +92,18 @@ func (a *Applier) Apply(payload []byte) error { return a.decodeApply(payload, fa
 func (a *Applier) ApplyEvicted(payload []byte) error { return a.decodeApply(payload, true) }
 
 // decodeApply decodes payload into the applier's own record, reusing its
-// arrays and interning the token's client: a stream costs the allocations
-// of what it stores, not of each record's frame.
+// arrays and interning the token's client and memo key: a stream costs the
+// allocations of what it stores, not of each record's frame. A non-write
+// record's entries are left undecoded until its memo needs them (see
+// memoEntries), and nothing of payload is kept past the call.
 func (a *Applier) decodeApply(payload []byte, evicted bool) error {
 	a.decodeMu.Lock()
 	defer a.decodeMu.Unlock()
 	r := &a.scratch
-	if err := r.decode(payload, a.clients); err != nil {
+	if err := r.decode(payload, a.clients, true); err != nil {
 		return fmt.Errorf("tuplespace: apply record: %w", err)
 	}
-	if r.kind != recWrite && len(r.entries) > 0 {
-		// A take memo keeps the entries it answers with; the scratch
-		// array is the next record's.
-		own := *r
-		own.entries = append([]Entry(nil), r.entries...)
-		return a.apply(&own, evicted)
-	}
+	defer clear(r.msgs)
 	return a.apply(r, evicted)
 }
 
@@ -123,7 +121,7 @@ func (a *Applier) apply(r *record, evicted bool) error {
 		id := r.seqs[0]
 		// A record can arrive twice when a snapshot push and the
 		// incremental stream overlap; the id makes the write idempotent.
-		if se := a.entry(id, filter != nil, false); se != nil {
+		if se := a.entry(id, filter != nil); se != nil {
 			if evicted {
 				a.s.reveal([]*storedEntry{se})
 			}
@@ -167,9 +165,18 @@ func (a *Applier) apply(r *record, evicted bool) error {
 		var one [1]*storedEntry // a take's, which names one entry
 		ses := one[:0]
 		for _, id := range r.seqs {
-			if se := a.entry(id, filter != nil, !reveal); se != nil {
+			if se := a.entry(id, filter != nil); se != nil {
 				ses = append(ses, se)
 			}
+		}
+		if !r.tok.Zero() {
+			var err error
+			if returned, err = memoEntries(r, ses); err != nil {
+				return fmt.Errorf("tuplespace: apply record: %w", err)
+			}
+		}
+		if filter != nil && !reveal {
+			a.forget(r.seqs) // the source consumed them: so are the copies
 		}
 		if reveal {
 			a.s.reveal(ses)
@@ -180,12 +187,16 @@ func (a *Applier) apply(r *record, evicted bool) error {
 		if r.tok.Zero() {
 			return nil // filtered
 		}
+		returned, err := memoEntries(r, nil)
+		if err != nil {
+			return fmt.Errorf("tuplespace: apply record: %w", err)
+		}
 		rec := &memoRec{op: op, key: memoKey, entries: returned}
 		if op == MemoWrite && len(r.seqs) == 1 {
 			// The write record precedes its memo in a snapshot, so the
 			// entry is already here; none (consumed or filtered away)
 			// resolves to a detached expired lease on retry.
-			if se := a.entry(r.seqs[0], filter != nil, false); se != nil {
+			if se := a.entry(r.seqs[0], filter != nil); se != nil {
 				rec.lease = &se.lease
 			}
 		}
@@ -194,17 +205,44 @@ func (a *Applier) apply(r *record, evicted bool) error {
 	return nil
 }
 
+// memoEntries returns what the memo of tokened record r answers with. A
+// record decoded whole (recovery) carries them. A remove whose every
+// named entry is still here (ses, as found for r.seqs) answers with those
+// stored values, the copy this side already holds, as its primary's memo
+// answers with the values it removed. Otherwise — the entry expired here
+// first, the record duplicates one already applied, a migration never
+// copied it, or a memo record — the record's own entries are decoded and
+// checked.
+func memoEntries(r *record, ses []*storedEntry) ([]Entry, error) {
+	switch {
+	case len(r.msgs) == 0:
+		return r.entries, nil
+	case len(ses) == len(r.msgs) && len(ses) == len(r.seqs):
+		out := make([]Entry, len(ses))
+		for i, se := range ses {
+			out[i] = enc.Interface(se.val) // never written again, like the primary's
+		}
+		return out, nil
+	}
+	return r.decodeMsgs()
+}
+
+// forget drops a migration's copies of source ids the source consumed.
+func (a *Applier) forget(ids []uint64) {
+	a.mu.Lock()
+	for _, id := range ids {
+		delete(a.copies, id)
+	}
+	a.mu.Unlock()
+}
+
 // entry returns what stands here for source entry id, or nil: a migration's
-// copy, forgotten once consumed, or the entry mirrored under id.
-func (a *Applier) entry(id uint64, filtered, consumed bool) *storedEntry {
+// copy, or the entry mirrored under id.
+func (a *Applier) entry(id uint64, filtered bool) *storedEntry {
 	if filtered {
 		a.mu.Lock()
 		defer a.mu.Unlock()
-		se := a.copies[id]
-		if consumed {
-			delete(a.copies, id)
-		}
-		return se
+		return a.copies[id]
 	}
 	s := a.s
 	s.lock()

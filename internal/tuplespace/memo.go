@@ -74,8 +74,14 @@ type memoRec struct {
 
 // memoTable is the bounded token → outcome map. Guarded by Space.mu.
 type memoTable struct {
-	recs      map[OpToken]*memoRec
-	order     []OpToken // FIFO insertion order for eviction
+	recs map[OpToken]*memoRec
+	// order is the FIFO of live tokens, oldest first, from head on. An
+	// evicted token leaves a zero token (a hole) in its place, so an
+	// eviction moves nothing; holes at the front move head past them, and
+	// the live tokens move down once half the array is dead.
+	order     []OpToken
+	head      int
+	holes     int // zero tokens in order[head:]
 	perClient map[string]int
 	maxClient int
 	maxTotal  int
@@ -156,15 +162,12 @@ func (s *Space) memoInsertLocked(tok OpToken, rec *memoRec) {
 	}
 }
 
-// memoEvictLocked drops the oldest memo matching want, compacting the
-// FIFO of already-deleted tokens as it walks.
+// memoEvictLocked drops the oldest memo matching want.
 func (s *Space) memoEvictLocked(want func(OpToken) bool) {
 	m := s.memos
-	for i, t := range m.order {
-		if _, live := m.recs[t]; !live {
-			continue // already evicted under the other bound
-		}
-		if !want(t) {
+	for i := m.head; i < len(m.order); i++ {
+		t := m.order[i]
+		if t.Zero() || !want(t) {
 			continue
 		}
 		delete(m.recs, t)
@@ -173,13 +176,36 @@ func (s *Space) memoEvictLocked(want func(OpToken) bool) {
 		} else {
 			delete(m.perClient, t.Client)
 		}
-		m.order = append(m.order[:i], m.order[i+1:]...)
+		m.order[i] = OpToken{}
+		m.holes++
+		m.trim()
 		m.evicted++
 		if s.memoCounters != nil {
 			s.memoCounters.Inc(metrics.CounterDedupMemoEvicted)
 		}
 		return
 	}
+}
+
+// trim moves head past the holes at the front of the FIFO, and moves the
+// live tokens down once holes are half of it, so a hole costs O(1)
+// amortized.
+func (m *memoTable) trim() {
+	for m.head < len(m.order) && m.order[m.head].Zero() {
+		m.head++
+		m.holes--
+	}
+	if 2*(m.head+m.holes) <= len(m.order) {
+		return
+	}
+	live := m.order[:0]
+	for _, t := range m.order[m.head:] {
+		if !t.Zero() {
+			live = append(live, t)
+		}
+	}
+	clear(m.order[len(live):])
+	m.order, m.head, m.holes = live, 0, 0
 }
 
 // installMemoLocked stores rec under tok and journals it as a record of
@@ -302,7 +328,7 @@ func (s *Space) EncodeMemosWhere(pred func(key string, keyed bool) bool) ([][]by
 	s.lock()
 	var rs []*record
 	if s.memos != nil {
-		for _, tok := range s.memos.order {
+		for _, tok := range s.memos.order[s.memos.head:] { // a hole is in no rec
 			rec, ok := s.memos.recs[tok]
 			if ok && (pred == nil || pred(rec.key, rec.key != "")) {
 				rs = append(rs, rec.record(tok))

@@ -51,6 +51,9 @@ type record struct {
 	memoOp  string    // one of the Memo* constants
 	key     string    // the index key the memoized op's retry routes by
 	entries []Entry
+	// msgs holds a non-write record's entry messages, undecoded, when its
+	// reader asked for that (see decode); they alias the payload.
+	msgs [][]byte
 }
 
 // memo returns what a tokened record memoizes under its token; a write's
@@ -185,7 +188,7 @@ func appendBytes(b []byte, s string) []byte {
 // ErrFingerprint, ErrUnknownTypeID, *UnregisteredTypeError).
 func decodeRecord(payload []byte) (record, error) {
 	var r record
-	if err := r.decode(payload, nil); err != nil {
+	if err := r.decode(payload, nil, false); err != nil {
 		return record{}, err
 	}
 	return r, nil
@@ -195,9 +198,11 @@ func decodeRecord(payload []byte) (record, error) {
 // entries arrays when they are large enough: a caller that reuses r keeps
 // nothing of them past the next decode without copying it. The entries
 // themselves, the memo key and the token are the record's own either way.
-// clients, when not nil, interns the token's client string (see intern).
-// On an error r holds no record.
-func (r *record) decode(payload []byte, clients map[string]string) error {
+// clients, when not nil, interns the token's client and the memo key (see
+// intern). With lazy set, a non-write record's entry messages are framed
+// but left undecoded in r.msgs, aliasing payload, for a reader that may
+// not need them (see decodeMsgs). On an error r holds no record.
+func (r *record) decode(payload []byte, clients map[string]string, lazy bool) error {
 	r.reset()
 	if len(payload) == 0 {
 		return fmt.Errorf("%w: empty record", enc.ErrTruncated)
@@ -233,19 +238,33 @@ func (r *record) decode(payload []byte, clients map[string]string) error {
 			if op := int(p.byte()); op > 0 && op < len(memoOps) {
 				r.memoOp = memoOps[op]
 			}
-			r.key = string(p.bytes())
+			r.key = intern(clients, p.bytes())
 		}
 	}
 	if n := p.count(4); n > 0 {
-		c := recordCodecs.Get().(*recordCodec)
-		defer recordCodecs.Put(c)
-		c.dec.Reset()
-		if cap(r.entries) < n {
-			r.entries = make([]Entry, 0, n)
+		lazy = lazy && r.kind != recWrite
+		var dec *enc.Decoder
+		if lazy {
+			if cap(r.msgs) < n {
+				r.msgs = make([][]byte, 0, n)
+			}
+		} else {
+			c := recordCodecs.Get().(*recordCodec)
+			defer recordCodecs.Put(c)
+			c.dec.Reset()
+			dec = c.dec
+			if cap(r.entries) < n {
+				r.entries = make([]Entry, 0, n)
+			}
 		}
 		for ; n > 0 && p.err == nil; n-- {
 			if size := p.take(4); size != nil {
-				r.entries = append(r.entries, p.entry(c.dec, p.take(int(binary.LittleEndian.Uint32(size)))))
+				msg := p.take(int(binary.LittleEndian.Uint32(size)))
+				if lazy {
+					r.msgs = append(r.msgs, msg)
+				} else {
+					r.entries = append(r.entries, p.entry(dec, msg))
+				}
 			}
 		}
 	}
@@ -262,10 +281,29 @@ func (r *record) decode(payload []byte, clients map[string]string) error {
 	return nil
 }
 
-// reset empties r and keeps its arrays; the entries they held are let go.
+// decodeMsgs decodes the entry messages a lazy decode left in r.msgs into
+// a slice of their own, checked as an eager decode checks them.
+func (r *record) decodeMsgs() ([]Entry, error) {
+	c := recordCodecs.Get().(*recordCodec)
+	defer recordCodecs.Put(c)
+	c.dec.Reset()
+	var p recordReader
+	out := make([]Entry, 0, len(r.msgs))
+	for _, msg := range r.msgs {
+		out = append(out, p.entry(c.dec, msg))
+	}
+	if p.err != nil {
+		return nil, p.err
+	}
+	return out, nil
+}
+
+// reset empties r and keeps its arrays; the entries and messages they held
+// are let go.
 func (r *record) reset() {
 	clear(r.entries)
-	*r = record{seqs: r.seqs[:0], entries: r.entries[:0]}
+	clear(r.msgs)
+	*r = record{seqs: r.seqs[:0], entries: r.entries[:0], msgs: r.msgs[:0]}
 }
 
 // maxInterned bounds an intern table: a replication stream names a handful
@@ -274,7 +312,8 @@ func (r *record) reset() {
 const maxInterned = 1024
 
 // intern returns b as a string, the same string for the same bytes while
-// they stay in clients; a nil table interns nothing.
+// they stay in clients; a nil table interns nothing. A standby's stream
+// names few clients and, in a keyed bag, the same keys over and over.
 func intern(clients map[string]string, b []byte) string {
 	if clients == nil {
 		return string(b)
@@ -310,7 +349,7 @@ func (p *recordReader) entry(dec *enc.Decoder, msg []byte) Entry {
 // shape checks that r's header holds what its kind carries, and nothing an
 // encoder would have written differently.
 func (r *record) shape() error {
-	tokened, entries, bad := !r.tok.Zero(), len(r.entries), ""
+	tokened, entries, bad := !r.tok.Zero(), len(r.entries)+len(r.msgs), ""
 	switch {
 	case tokened && r.kind != recWrite && r.memoOp == "":
 		bad = "unknown memo op"

@@ -32,15 +32,17 @@ type Clock interface {
 }
 
 // Waiter parks the calling process until another process calls Wake, or
-// until a timeout elapses on the clock. A Waiter is single-use: after Wait
-// returns it must not be reused.
+// until a timeout elapses on the clock. A Waiter may be waited on again
+// once Wait has returned, by an owner that pairs each Wake with one Wait:
+// a Wake that lands after the Wait it was meant for has ended (timed out,
+// or woken already) wakes the next Wait at once.
 type Waiter interface {
 	// Wait blocks until Wake is called or timeout elapses. timeout <= 0
 	// means wait forever. It reports whether the waiter was woken (true)
 	// as opposed to timing out (false).
 	Wait(timeout time.Duration) bool
-	// Wake unparks the waiter. It is safe to call multiple times and
-	// concurrently with Wait; calls after the first are no-ops.
+	// Wake unparks the waiter. It is safe to call concurrently with Wait,
+	// and more than once before Wait: calls after the first are no-ops.
 	Wake()
 }
 

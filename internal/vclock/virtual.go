@@ -129,7 +129,11 @@ type virtualWaiter struct {
 	ch    chan bool // value: woken (true) vs timed out (false)
 	label string
 	id    int64
-	done  bool // guarded by v.mu
+	// Guarded by v.mu. waits counts the parks that ended, so the timer of
+	// an earlier one fires on nothing; early marks a Wake that came before
+	// the next Wait parked.
+	waits uint64
+	early bool
 }
 
 // Wait implements Waiter.
@@ -142,15 +146,19 @@ func (w *virtualWaiter) Wait(timeout time.Duration) bool {
 func (w *virtualWaiter) wait(timeout time.Duration, isSleep bool) bool {
 	v := w.v
 	v.mu.Lock()
-	if w.done {
+	if w.early {
 		// Woken before we parked.
+		w.early = false
 		v.mu.Unlock()
 		return true
 	}
 	if timeout > 0 {
 		deadline := v.now.Add(timeout)
+		n := w.waits
 		v.pushTimerLocked(deadline, func(time.Time) {
-			w.wakeLocked(false)
+			if w.waits == n {
+				w.wakeLocked(false)
+			}
 		})
 	}
 	v.blocked++
@@ -173,18 +181,18 @@ func (w *virtualWaiter) Wake() {
 	v.mu.Unlock()
 }
 
-// wakeLocked unparks the waiter; caller holds v.mu. The blocked count is
-// decremented under the lock, before the parked goroutine resumes, so the
-// scheduler never sees an in-flight wakeup as a deadlock.
+// wakeLocked unparks the waiter, or marks the Wait to come as woken when
+// none is parked; caller holds v.mu. The blocked count is decremented
+// under the lock, before the parked goroutine resumes, so the scheduler
+// never sees an in-flight wakeup as a deadlock.
 func (w *virtualWaiter) wakeLocked(woken bool) {
-	if w.done {
+	if _, parked := w.v.labels[w.id]; !parked {
+		w.early = true
 		return
 	}
-	w.done = true
-	if _, parked := w.v.labels[w.id]; parked {
-		w.v.blocked--
-		delete(w.v.labels, w.id)
-	}
+	w.v.blocked--
+	delete(w.v.labels, w.id)
+	w.waits++
 	w.ch <- woken
 }
 

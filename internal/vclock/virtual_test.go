@@ -177,6 +177,35 @@ func TestVirtualWaiterWokenBeforeTimeout(t *testing.T) {
 	}
 }
 
+// TestVirtualWaiterReused: a waiter woken before its timeout can wait
+// again, and the first wait's timer, firing later, wakes nothing: the
+// second wait ends at its own Wake. A Wake before a wait counts for it.
+func TestVirtualWaiterReused(t *testing.T) {
+	v := NewVirtual(epoch)
+	var first, second, third bool
+	var secondAt time.Duration
+	v.Run(func() {
+		w := v.NewWaiter()
+		v.Go(func() {
+			v.Sleep(1 * time.Second)
+			w.Wake() // ends the first wait, 9 s before its timeout
+			v.Sleep(19 * time.Second)
+			w.Wake() // ends the second, long after the first's timer fired
+		})
+		first = w.Wait(10 * time.Second)
+		second = w.Wait(0)
+		secondAt = v.Now().Sub(epoch)
+		w.Wake()
+		third = w.Wait(time.Second)
+	})
+	if !first || !second || !third {
+		t.Fatalf("woken = %v, %v, %v; want every wait woken", first, second, third)
+	}
+	if secondAt != 20*time.Second {
+		t.Fatalf("the second wait ended at %v, want 20s: the first wait's timer woke it", secondAt)
+	}
+}
+
 func TestVirtualAfter(t *testing.T) {
 	v := NewVirtual(epoch)
 	var fired time.Time

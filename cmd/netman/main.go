@@ -1,7 +1,9 @@
 // Command netman runs the network management module over real networks:
-// it discovers worker nodes through the lookup service, polls each one's
-// SNMP agent over UDP for CPU load, and drives the workers through the
-// rule-base protocol (Start/Stop/Pause/Resume) over TCP.
+// each monitoring round reads the worker nodes from the lookup service,
+// polls each one's SNMP agent over UDP for CPU load, and drives the workers
+// through the rule-base protocol (Start/Stop/Pause/Resume) over TCP. A node
+// that leaves the lookup service is dropped on the next round; one that
+// re-announces under its name gets a fresh Start.
 //
 // Usage:
 //
@@ -17,64 +19,39 @@ import (
 
 	"gospaces/internal/discovery"
 	"gospaces/internal/netmgmt"
-	"gospaces/internal/snmp"
 	"gospaces/internal/transport"
 	"gospaces/internal/vclock"
 )
 
 func main() {
 	lookupAddr := flag.String("lookup", "127.0.0.1:7001", "lookup service address")
-	poll := flag.Duration("poll", time.Second, "SNMP poll interval")
-	rescan := flag.Duration("rescan", 5*time.Second, "how often to rediscover workers")
+	poll := flag.Duration("poll", time.Second, "monitoring period: each round rereads the workers from the lookup service and polls them")
 	flag.Parse()
-	if err := run(*lookupAddr, *poll, *rescan); err != nil {
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt)
+	if err := run(*lookupAddr, *poll, stop); err != nil {
 		log.Fatalf("netman: %v", err)
 	}
 }
 
-func run(lookupAddr string, poll, rescan time.Duration) error {
-	clk := vclock.NewReal()
+// run manages the workers announced at lookupAddr until stop delivers.
+func run(lookupAddr string, poll time.Duration, stop <-chan os.Signal) error {
 	lc, err := transport.DialTCP(lookupAddr)
 	if err != nil {
 		return err
 	}
 	defer lc.Close()
-	client := discovery.NewClient(lc)
-
-	mod := netmgmt.New(netmgmt.Config{Clock: clk, PollInterval: poll})
-	go mod.Run()
-	defer mod.Shutdown()
-
-	known := make(map[string]bool)
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt)
-	ticker := time.NewTicker(rescan)
-	defer ticker.Stop()
-	log.Printf("netman: monitoring via lookup at %s", lookupAddr)
-	for {
-		items, err := client.Lookup(map[string]string{"type": "worker"})
-		if err != nil {
-			log.Printf("netman: lookup: %v", err)
-		}
-		for _, item := range items {
-			if known[item.Name] {
-				continue
-			}
-			sig, err := transport.DialTCP(item.Address)
-			if err != nil {
-				log.Printf("netman: dial worker %s: %v", item.Name, err)
-				continue
-			}
-			mod.Register(item.Name, &snmp.UDPExchanger{Addr: item.Attributes["snmp"]}, sig)
-			known[item.Name] = true
-			log.Printf("netman: registered worker %s (snmp %s, signal %s)",
-				item.Name, item.Attributes["snmp"], item.Address)
-		}
-		select {
-		case <-stop:
-			log.Printf("netman: shutting down (%d signal events)", len(mod.Events()))
-			return nil
-		case <-ticker.C:
-		}
-	}
+	mod := netmgmt.New(netmgmt.Config{
+		Clock:        vclock.NewReal(),
+		Env:          netmgmt.TCPEnv(discovery.NewClient(lc)),
+		PollInterval: poll,
+	})
+	done := make(chan struct{})
+	go func() { mod.Run(); close(done) }()
+	log.Printf("netman: monitoring the workers announced at %s", lookupAddr)
+	<-stop
+	mod.Shutdown()
+	<-done
+	log.Printf("netman: shutting down (%d signal events)", len(mod.Events()))
+	return nil
 }

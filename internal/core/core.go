@@ -91,8 +91,9 @@ type Net func(clock vclock.Clock) (*links, error)
 type links struct {
 	shards shardhost.Env
 	node   func(name string) workerhost.Env
-	// manage links the network manager to n's SNMP agent and signal endpoint.
-	manage     func(n *workerhost.Node) (snmp.Exchanger, transport.Client, error)
+	// manager is where the network manager finds the nodes and how it
+	// reaches them.
+	manager    netmgmt.Env
 	background *vclock.Group // when set, runs every host process; see spawn
 	faults     *faults.Plan
 	release    func()
@@ -128,11 +129,9 @@ func InProc(model *transport.Model, plan *faults.Plan) Net {
 		}
 		return &links{
 			shards: env,
-			node:   func(name string) workerhost.Env { return workerhost.InProcEnv(nw, "node/"+name) },
+			node:   func(name string) workerhost.Env { return workerhost.InProcEnv(nw, "node/"+name, reg) },
 			// The manager's calls leave from the master's endpoint.
-			manage: func(w *workerhost.Node) (snmp.Exchanger, transport.Client, error) {
-				return &snmp.RPCExchanger{C: nw.DialAs(inProcMaster, w.SNMPAddr())}, nw.DialAs(inProcMaster, w.Addr()), nil
-			},
+			manager: netmgmt.InProcEnv(nw, inProcMaster, reg),
 			faults:  plan,
 			release: func() {},
 		}, nil
@@ -150,7 +149,8 @@ func TCP(lookupAddr, listenAddr string) Net {
 		if err != nil {
 			return nil, fmt.Errorf("dial lookup: %w", err)
 		}
-		env, err := shardhost.TCPEnv(listenAddr, discovery.NewClient(lc))
+		lookup := discovery.NewClient(lc)
+		env, err := shardhost.TCPEnv(listenAddr, lookup)
 		if err != nil {
 			lc.Close()
 			return nil, err
@@ -158,13 +158,9 @@ func TCP(lookupAddr, listenAddr string) Net {
 		host, _, _ := net.SplitHostPort(listenAddr) // TCPEnv parsed it
 		ephemeral := net.JoinHostPort(host, "0")
 		return &links{
-			shards: env,
-			node:   func(string) workerhost.Env { return workerhost.TCPEnv(lookupAddr, ephemeral, ephemeral) },
-			// SNMP over UDP, signals over TCP, as cmd/netman manages.
-			manage: func(w *workerhost.Node) (snmp.Exchanger, transport.Client, error) {
-				sig, err := transport.DialTCP(w.Addr())
-				return &snmp.UDPExchanger{Addr: w.SNMPAddr(), Timeout: time.Second}, sig, err
-			},
+			shards:     env,
+			node:       func(string) workerhost.Env { return workerhost.TCPEnv(lookupAddr, ephemeral, ephemeral) },
+			manager:    netmgmt.TCPEnv(lookup),
 			background: vclock.NewGroup(clock),
 			release:    func() { lc.Close() },
 		}, nil
@@ -356,20 +352,20 @@ func (f *Framework) Run(job Job, script func(*Framework)) (Result, error) {
 	}
 
 	// One worker node per cluster node, each discovering the space through
-	// the lookup service exactly as a Jini client would (internal/workerhost
-	// — the assembly cmd/worker runs). The network management module and
-	// its trap watchers are the manager's side, wired here.
+	// the lookup service exactly as a Jini client would and announcing
+	// itself there (internal/workerhost — the assembly cmd/worker runs). The
+	// network management module finds the nodes in the lookup service; it
+	// and its trap watchers are the manager's side, wired here.
 	nodes := make([]*workerhost.Node, 0, len(f.Cluster.Nodes))
-	var mod *netmgmt.Module
 	closeNodes := func() {
 		for _, n := range nodes {
-			mod.Unregister(n.Name()) // hangs up the manager's links
 			n.Close()
 		}
 	}
 	engine := rulebase.NewEngine(rulebase.DefaultThresholds())
-	mod = netmgmt.New(netmgmt.Config{
+	mod := netmgmt.New(netmgmt.Config{
 		Clock:        f.Clock,
+		Env:          f.links.manager,
 		Engine:       engine,
 		PollInterval: f.cfg.PollInterval,
 	})
@@ -392,17 +388,7 @@ func (f *Framework) Run(job Job, script func(*Framework)) (Result, error) {
 			return Result{}, fmt.Errorf("core: %w", err)
 		}
 		nodes = append(nodes, n)
-		if !f.cfg.Monitoring {
-			continue
-		}
-		ex, sig, err := f.links.manage(n)
-		if err != nil {
-			closeNodes()
-			stopHost()
-			return Result{}, fmt.Errorf("core: managing %s: %w", node.Name, err)
-		}
-		mod.Register(node.Name, ex, sig)
-		if f.cfg.TrapDriven {
+		if f.cfg.Monitoring && f.cfg.TrapDriven {
 			watchers = append(watchers, f.buildTrapWatcher(node, engine, mod))
 		}
 	}

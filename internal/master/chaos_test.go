@@ -8,6 +8,7 @@ import (
 	"gospaces/internal/faults"
 	"gospaces/internal/shard"
 	"gospaces/internal/space"
+	"gospaces/internal/sysmon"
 	"gospaces/internal/transport"
 	"gospaces/internal/tuplespace"
 	"gospaces/internal/vclock"
@@ -46,7 +47,7 @@ func TestChaosDuplicatedResultDeliveries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := New(Config{Clock: clk, Space: local, ResultTimeout: 30 * time.Second})
+		m := New(Config{Clock: clk, Space: local, Machine: sysmon.NewMachine(clk, "master", 1), ResultTimeout: 30 * time.Second})
 		job := &fakeJob{n: tasks}
 		var quit atomic.Bool
 		worker := vclock.NewGroup(clk)

@@ -79,8 +79,8 @@ type Config struct {
 	Clock vclock.Clock
 	// Space is the master's local handle on the JavaSpace it hosts.
 	Space space.Space
-	// Machine models the master node's CPU; nil charges costs as plain
-	// clock sleeps.
+	// Machine models the master node's CPU, on which planning and
+	// aggregation costs are charged. Required.
 	Machine *sysmon.Machine
 	// ResultTimeout bounds the wait for each result during aggregation.
 	// Default 5 minutes (a stuck cluster fails the run rather than
@@ -165,16 +165,10 @@ func (m *Master) InFlight() int64 {
 	return 0
 }
 
-// charge burns d of master CPU (at full intensity on the master machine,
-// or as a plain sleep without one).
+// charge burns d of master CPU on the master machine.
 func (m *Master) charge(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	if m.cfg.Machine != nil {
+	if d > 0 {
 		m.cfg.Machine.Compute(d, 90)
-	} else {
-		m.cfg.Clock.Sleep(d)
 	}
 }
 

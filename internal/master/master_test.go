@@ -9,6 +9,7 @@ import (
 
 	"gospaces/internal/nodeconfig"
 	"gospaces/internal/space"
+	"gospaces/internal/sysmon"
 	"gospaces/internal/tuplespace"
 	"gospaces/internal/vclock"
 )
@@ -94,7 +95,7 @@ func runWithWorker(t *testing.T, job Job, planCostless bool) (RunMetrics, *vcloc
 	t.Helper()
 	clk := vclock.NewVirtual(time.Unix(0, 0))
 	local := space.NewLocal(clk)
-	m := New(Config{Clock: clk, Space: local, ResultTimeout: 30 * time.Second})
+	m := New(Config{Clock: clk, Space: local, Machine: sysmon.NewMachine(clk, "master", 1), ResultTimeout: 30 * time.Second})
 	var rm RunMetrics
 	var err error
 	var quit atomic.Bool
@@ -180,24 +181,11 @@ func TestRunJobResultTimeout(t *testing.T) {
 	// No worker: collection must fail after ResultTimeout, not hang.
 	clk := vclock.NewVirtual(time.Unix(0, 0))
 	local := space.NewLocal(clk)
-	m := New(Config{Clock: clk, Space: local, ResultTimeout: 2 * time.Second})
+	m := New(Config{Clock: clk, Space: local, Machine: sysmon.NewMachine(clk, "master", 1), ResultTimeout: 2 * time.Second})
 	job := &fakeJob{n: 1}
 	var err error
 	clk.Run(func() { _, err = m.RunJob(job) })
 	if err == nil || !errors.Is(err, tuplespace.ErrTimeout) {
 		t.Fatalf("err = %v, want wrapped ErrTimeout", err)
 	}
-}
-
-func TestChargeWithoutMachineSleeps(t *testing.T) {
-	clk := vclock.NewVirtual(time.Unix(0, 0))
-	m := New(Config{Clock: clk, Space: space.NewLocal(clk)})
-	clk.Run(func() {
-		start := clk.Now()
-		m.charge(70 * time.Millisecond)
-		if got := clk.Since(start); got != 70*time.Millisecond {
-			t.Errorf("charge slept %v", got)
-		}
-		m.charge(0) // no-op
-	})
 }

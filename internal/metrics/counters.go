@@ -1,9 +1,6 @@
 package metrics
 
-import (
-	"sort"
-	"sync"
-)
+import "sync"
 
 // Counters accumulates named event counts; safe for concurrent use. The
 // fault-injection layer counts every injected event here (drops, delays,
@@ -34,17 +31,6 @@ func (c *Counters) Get(key string) uint64 {
 	return c.m[key]
 }
 
-// Total returns the sum over all keys.
-func (c *Counters) Total() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var t uint64
-	for _, n := range c.m {
-		t += n
-	}
-	return t
-}
-
 // Snapshot returns a copy of every non-zero counter.
 func (c *Counters) Snapshot() map[string]uint64 {
 	c.mu.Lock()
@@ -54,16 +40,4 @@ func (c *Counters) Snapshot() map[string]uint64 {
 		out[k] = n
 	}
 	return out
-}
-
-// CounterKeys returns the recorded keys, sorted.
-func (c *Counters) CounterKeys() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	keys := make([]string, 0, len(c.m))
-	for k := range c.m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

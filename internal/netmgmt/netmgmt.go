@@ -1,17 +1,24 @@
 // Package netmgmt implements the paper's network management module: a
-// monitoring agent that polls each registered worker's SNMP agent for CPU
-// load, an inference engine (the rule base of package rulebase) that
-// decides each worker's availability, and the rule-base protocol that
-// delivers Start/Stop/Pause/Resume signals to workers (Figure 4). It also
-// records, per signal, the client and worker reaction times that Figures
-// 9(b), 10(b) and 11(b) report.
+// monitoring agent that polls each worker's SNMP agent for CPU load, an
+// inference engine (the rule base of package rulebase) that decides each
+// worker's availability, and the rule-base protocol that delivers
+// Start/Stop/Pause/Resume signals to workers (Figure 4). It also records,
+// per signal, the client and worker reaction times that Figures 9(b),
+// 10(b) and 11(b) report.
+//
+// The module finds its workers in the lookup service and nowhere else:
+// every worker node announces itself there (package workerhost), and each
+// monitoring round starts by reading that list — Figure 4's steps 1–3 are
+// the node's registration and the round that discovers it.
 package netmgmt
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 	"time"
 
+	"gospaces/internal/discovery"
 	"gospaces/internal/rulebase"
 	"gospaces/internal/snmp"
 	"gospaces/internal/transport"
@@ -20,39 +27,53 @@ import (
 	"gospaces/internal/workerhost"
 )
 
+// Env is where the module finds its workers and how it reaches them — what
+// differs between the simulator and a TCP deployment, and nothing else.
+type Env struct {
+	// Lookup returns the lookup service's items matching tmpl, in
+	// registration order.
+	Lookup func(tmpl map[string]string) ([]discovery.ServiceItem, error)
+	// Link connects the module to the SNMP agent and the signal endpoint
+	// a worker's item announces.
+	Link func(item discovery.ServiceItem) (snmp.Exchanger, transport.Client, error)
+}
+
+// InProcEnv reads the in-process registry reg directly — discovery charges
+// no modeled time — and reaches each worker over nw from endpoint from, so
+// a fault plan sees the manager's calls leave there.
+func InProcEnv(nw *transport.Network, from string, reg *discovery.Registry) Env {
+	return Env{
+		Lookup: func(tmpl map[string]string) ([]discovery.ServiceItem, error) { return reg.Lookup(tmpl), nil },
+		Link: func(item discovery.ServiceItem) (snmp.Exchanger, transport.Client, error) {
+			return &snmp.RPCExchanger{C: nw.DialAs(from, item.Attributes[workerhost.AttrSNMP])}, nw.DialAs(from, item.Address), nil
+		},
+	}
+}
+
+// TCPEnv reads the lookup service through lc and reaches each worker over
+// sockets: signals over TCP, SNMP over UDP.
+func TCPEnv(lc *discovery.Client) Env {
+	return Env{
+		Lookup: lc.Lookup,
+		Link: func(item discovery.ServiceItem) (snmp.Exchanger, transport.Client, error) {
+			sig, err := transport.DialTCP(item.Address)
+			if err != nil {
+				return nil, nil, err
+			}
+			return &snmp.UDPExchanger{Addr: item.Attributes[workerhost.AttrSNMP], Timeout: time.Second}, sig, nil
+		},
+	}
+}
+
 // Config assembles the module's dependencies.
 type Config struct {
 	Clock vclock.Clock
+	// Env is where the workers are found and how they are reached.
+	Env Env
 	// Engine is the inference engine; nil selects default thresholds.
 	Engine *rulebase.Engine
 	// PollInterval is the SNMP monitoring period. Default 1 s.
 	PollInterval time.Duration
-	// DialSignal and DialSNMP connect to a worker's endpoints by
-	// address; they are required only when workers self-register through
-	// the Bind RPC endpoint (steps 1–3 of the rule-base protocol, where
-	// the SNMP client initiates its participation).
-	DialSignal func(addr string) transport.Client
-	DialSNMP   func(addr string) snmp.Exchanger
-}
-
-// RegisterArgs is the RPC frame a worker's SNMP client sends to join the
-// monitored pool (Figure 4, steps 1–2: "Client connects and sends its
-// I.P. Address to Server").
-type RegisterArgs struct {
-	Node       string
-	SNMPAddr   string
-	SignalAddr string
-}
-
-// RegisterReply acknowledges with the assigned registry identifier
-// (Figure 4, step 3: "Server assigns a Client I.D.").
-type RegisterReply struct {
-	ID int
-}
-
-func init() {
-	transport.RegisterType(RegisterArgs{})
-	transport.RegisterType(RegisterReply{})
 }
 
 // Event records one signal decision and its measured latencies.
@@ -69,17 +90,17 @@ type Event struct {
 type Module struct {
 	cfg Config
 
-	mu      sync.Mutex
-	workers map[string]*managed
-	nextID  int
+	mu sync.Mutex
+	// workers are the linked workers in the lookup service's registration
+	// order, the poll order; discover replaces the slice, never edits it.
+	workers []*managed
 	events  []Event
 	running bool
 	loop    vclock.Loop
 }
 
 type managed struct {
-	id        int
-	node      string
+	item      discovery.ServiceItem // the announcement the links were made from
 	mgr       *snmp.Manager
 	sig       transport.Client
 	state     rulebase.State
@@ -87,7 +108,7 @@ type managed struct {
 	lastLoad  float64
 }
 
-// New returns a module with no registered workers.
+// New returns a module that has discovered no workers yet.
 func New(cfg Config) *Module {
 	if cfg.Engine == nil {
 		cfg.Engine = rulebase.NewEngine(rulebase.DefaultThresholds())
@@ -95,24 +116,7 @@ func New(cfg Config) *Module {
 	if cfg.PollInterval <= 0 {
 		cfg.PollInterval = time.Second
 	}
-	return &Module{cfg: cfg, workers: make(map[string]*managed), nextID: 1}
-}
-
-// Bind exposes the module's registration endpoint on an RPC server, so
-// workers can initiate their own participation as in Figure 4. Config
-// must provide DialSignal and DialSNMP.
-func (m *Module) Bind(srv *transport.Server) {
-	srv.Handle("netman.Register", func(arg interface{}) (interface{}, error) {
-		a, ok := arg.(*RegisterArgs)
-		if !ok {
-			return nil, fmt.Errorf("netmgmt: bad register args %T", arg)
-		}
-		if m.cfg.DialSignal == nil || m.cfg.DialSNMP == nil {
-			return nil, fmt.Errorf("netmgmt: self-registration not configured")
-		}
-		id := m.Register(a.Node, m.cfg.DialSNMP(a.SNMPAddr), m.cfg.DialSignal(a.SignalAddr))
-		return &RegisterReply{ID: id}, nil
-	})
+	return &Module{cfg: cfg}
 }
 
 // HandleTrap processes a trap from a node: a valid load-band trap
@@ -126,64 +130,100 @@ func (m *Module) HandleTrap(node string, packet []byte) (*Event, error) {
 	if !trapOID.Equal(snmp.OIDLoadBandTrap) {
 		return nil, fmt.Errorf("netmgmt: unexpected trap %s from %s", trapOID, node)
 	}
-	m.mu.Lock()
-	w := m.workers[node]
-	m.mu.Unlock()
+	w := m.find(node)
 	if w == nil {
 		return nil, fmt.Errorf("netmgmt: trap from unregistered node %s", node)
 	}
 	return m.pollWorker(w), nil
 }
 
-// Register enrols a worker node: its SNMP agent is reachable through ex
-// and its signal endpoint through sig (steps 1–3 of the rule-base
-// protocol). The returned ID is the worker's registry identifier.
-func (m *Module) Register(node string, ex snmp.Exchanger, sig transport.Client) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	w := &managed{
-		id:    m.nextID,
-		node:  node,
-		mgr:   snmp.NewManager(workerhost.Community, ex),
-		sig:   sig,
-		state: rulebase.StateStopped,
+// discover reconciles the monitored workers with the lookup service's
+// worker items: a new item is linked, one that is gone is dropped, and one
+// whose announcement changed — a node replaced under its name — is linked
+// afresh, so its new node gets its own Start. A name listed twice (a
+// restarted node whose predecessor's lease has not lapsed) is its latest
+// registration's. Every dropped or replaced worker's links are closed. It
+// returns the events of lookups and links that failed; a failed lookup
+// leaves the monitored set as it was.
+func (m *Module) discover() []Event {
+	items, err := m.cfg.Env.Lookup(map[string]string{"type": workerhost.ServiceType})
+	if err != nil {
+		return []Event{*m.record(Event{At: m.cfg.Clock.Now(), Err: fmt.Errorf("netmgmt: lookup: %w", err)})}
 	}
-	m.nextID++
-	m.workers[node] = w
-	return w.id
+	latest := make(map[string]int, len(items))
+	for i, it := range items {
+		latest[it.Name] = i
+	}
+	m.mu.Lock()
+	old := make(map[string]*managed, len(m.workers))
+	for _, w := range m.workers {
+		old[w.item.Name] = w
+	}
+	m.mu.Unlock()
+	var linked []*managed
+	var failed []Event
+	for i, it := range items {
+		if latest[it.Name] != i {
+			continue
+		}
+		if w := old[it.Name]; w != nil && it.Address == w.item.Address && maps.Equal(it.Attributes, w.item.Attributes) {
+			delete(old, it.Name)
+			linked = append(linked, w)
+			continue
+		}
+		ex, sig, err := m.cfg.Env.Link(it)
+		if err != nil {
+			failed = append(failed, *m.record(Event{At: m.cfg.Clock.Now(), Node: it.Name, Err: fmt.Errorf("netmgmt: link %s: %w", it.Name, err)}))
+			continue
+		}
+		linked = append(linked, &managed{item: it, mgr: snmp.NewManager(workerhost.Community, ex), sig: sig, state: rulebase.StateStopped})
+	}
+	m.mu.Lock()
+	m.workers = linked
+	m.mu.Unlock()
+	for _, w := range old {
+		w.close()
+	}
+	return failed
 }
 
-// Unregister removes a worker from monitoring.
-func (m *Module) Unregister(node string) {
+// close hangs up the module's links to w.
+func (w *managed) close() {
+	_ = w.mgr.Close()
+	_ = w.sig.Close()
+}
+
+// find returns the linked worker named node, or nil.
+func (m *Module) find(node string) *managed {
 	m.mu.Lock()
-	w := m.workers[node]
-	delete(m.workers, node)
-	m.mu.Unlock()
-	if w != nil {
-		_ = w.mgr.Close()
-		_ = w.sig.Close()
+	defer m.mu.Unlock()
+	for _, w := range m.workers {
+		if w.item.Name == node {
+			return w
+		}
 	}
+	return nil
 }
 
 // WorkerState returns the tracked state of a node.
 func (m *Module) WorkerState(node string) (rulebase.State, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	w, ok := m.workers[node]
-	if !ok {
+	w := m.find(node)
+	if w == nil {
 		return rulebase.StateStopped, false
 	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	return w.state, true
 }
 
 // LastLoad returns the most recent polled load for a node.
 func (m *Module) LastLoad(node string) (float64, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	w, ok := m.workers[node]
-	if !ok {
+	w := m.find(node)
+	if w == nil {
 		return 0, false
 	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	return w.lastLoad, true
 }
 
@@ -196,24 +236,15 @@ func (m *Module) Events() []Event {
 	return out
 }
 
-// PollOnce performs one monitoring round: query every worker's CPU load
-// via SNMP, run the inference engine, and deliver any signals. It returns
-// the events generated this round.
+// PollOnce performs one monitoring round: read the workers from the lookup
+// service, query every worker's CPU load via SNMP, run the inference
+// engine, and deliver any signals. It returns the events generated this
+// round.
 func (m *Module) PollOnce() []Event {
+	round := m.discover()
 	m.mu.Lock()
-	list := make([]*managed, 0, len(m.workers))
-	for _, w := range m.workers {
-		list = append(list, w)
-	}
+	list := m.workers
 	m.mu.Unlock()
-	// Deterministic order by registration ID.
-	for i := 1; i < len(list); i++ {
-		for j := i; j > 0 && list[j-1].id > list[j].id; j-- {
-			list[j-1], list[j] = list[j], list[j-1]
-		}
-	}
-
-	var round []Event
 	for _, w := range list {
 		ev := m.pollWorker(w)
 		if ev != nil {
@@ -227,7 +258,7 @@ func (m *Module) PollOnce() []Event {
 func (m *Module) pollWorker(w *managed) *Event {
 	load, err := w.mgr.GetInt(snmp.OIDHrProcessorLoad)
 	if err != nil {
-		return m.record(Event{At: m.cfg.Clock.Now(), Node: w.node, Err: fmt.Errorf("netmgmt: poll %s: %w", w.node, err)})
+		return m.record(Event{At: m.cfg.Clock.Now(), Node: w.item.Name, Err: fmt.Errorf("netmgmt: poll %s: %w", w.item.Name, err)})
 	}
 	// The worker's own cycle-stealing load must not count against the
 	// node: the agent exports background load on a dedicated OID when
@@ -249,7 +280,7 @@ func (m *Module) pollWorker(w *managed) *Event {
 	}
 	sent := m.cfg.Clock.Now()
 	res, err := w.sig.Call("worker.Signal", &worker.SignalArgs{Signal: sig, SentAt: sent})
-	ev := Event{At: sent, Node: w.node, Load: effective, Signal: sig}
+	ev := Event{At: sent, Node: w.item.Name, Load: effective, Signal: sig}
 	if err != nil {
 		ev.Err = err
 		return m.record(ev)
@@ -276,8 +307,9 @@ func (m *Module) record(ev Event) *Event {
 	return &ev
 }
 
-// Run polls until Shutdown, sleeping PollInterval between rounds. It must
-// run as a process on the module's clock.
+// Run polls until Shutdown, sleeping PollInterval between rounds, then
+// closes every worker's links. It must run as a process on the module's
+// clock.
 func (m *Module) Run() {
 	m.mu.Lock()
 	if m.running {
@@ -290,6 +322,13 @@ func (m *Module) Run() {
 	// Shutdown came first.
 	for d := time.Duration(0); m.loop.Tick(m.cfg.Clock, d); d = m.cfg.PollInterval {
 		m.PollOnce()
+	}
+	m.mu.Lock()
+	list := m.workers
+	m.workers = nil
+	m.mu.Unlock()
+	for _, w := range list {
+		w.close()
 	}
 }
 

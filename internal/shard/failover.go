@@ -52,10 +52,6 @@ func (r *Router) Epochs() map[string]uint64 {
 	return out
 }
 
-// FailoverCount reports how many times this router retargeted a ring
-// position onto a promoted backup.
-func (r *Router) FailoverCount() uint64 { return r.failovers.Load() }
-
 // tryFailover attempts to resolve a replacement primary for ring ID id
 // and retarget onto it. It returns true only when the view actually
 // changed. Attempts are throttled per ring ID by r.failoverBackoff; losing a
@@ -82,7 +78,6 @@ func (r *Router) tryFailover(id string) bool {
 	if err := r.Retarget(id, s.Space, s.Epoch); err != nil {
 		return false
 	}
-	r.failovers.Add(1)
 	r.countRetry(metrics.CounterReplFailovers)
 	r.noteRetarget(id, s)
 	return true

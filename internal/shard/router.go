@@ -145,9 +145,6 @@ type Router struct {
 	clientID string
 	tokSeq   atomic.Uint64
 
-	// failovers counts retargets onto a promoted backup (see failover.go).
-	failovers atomic.Uint64
-
 	// Per-position state — breaker, failover throttle, last retarget span —
 	// for exactly the ring IDs of the current view (see position).
 	posMu sync.Mutex
@@ -897,48 +894,6 @@ func (r *Router) ShardCounts() (map[string]map[string]int, error) {
 		out[id] = per[i]
 	}
 	return out, nil
-}
-
-// Notifier is implemented by shard handles that support event
-// registration (space.Local does; the remote proxy protocol has no event
-// callback channel yet).
-type Notifier interface {
-	Notify(tmpl tuplespace.Entry, fn tuplespace.Listener, ttl time.Duration) (*tuplespace.Registration, error)
-}
-
-// Registrations aggregates the per-shard registrations behind one Notify.
-type Registrations struct {
-	regs []*tuplespace.Registration
-}
-
-// Cancel stops delivery on every shard.
-func (rs *Registrations) Cancel() {
-	for _, reg := range rs.regs {
-		reg.Cancel()
-	}
-}
-
-// Notify fans the registration out to every shard: fn fires when a
-// matching entry becomes visible on any of them. Registration IDs and
-// sequence numbers in delivered events are per-shard streams. Fails if
-// any shard handle does not support notification.
-func (r *Router) Notify(tmpl tuplespace.Entry, fn tuplespace.Listener, ttl time.Duration) (*Registrations, error) {
-	v := r.snapshot()
-	rs := &Registrations{}
-	for _, id := range v.order {
-		nt, ok := v.shards[id].(Notifier)
-		if !ok {
-			rs.Cancel()
-			return nil, fmt.Errorf("shard: %s does not support Notify", id)
-		}
-		reg, err := nt.Notify(tmpl, fn, ttl)
-		if err != nil {
-			rs.Cancel()
-			return nil, err
-		}
-		rs.regs = append(rs.regs, reg)
-	}
-	return rs, nil
 }
 
 // Close implements space.Space: it closes every shard handle.

@@ -526,44 +526,6 @@ func TestRouterBulkOps(t *testing.T) {
 	}
 }
 
-func TestRouterNotifyFanOut(t *testing.T) {
-	r, _ := newLocalRouter(t, vclock.NewReal(), 3)
-	events := make(chan tuplespace.Event, 16)
-	regs, err := r.Notify(kv{}, func(ev tuplespace.Event) { events <- ev }, tuplespace.Forever)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 6; i++ {
-		if _, err := r.Write(kv{Key: fmt.Sprintf("n-%d", i), Val: i}, nil, tuplespace.Forever); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := make(map[int]bool)
-	for i := 0; i < 6; i++ {
-		select {
-		case ev := <-events:
-			got[ev.Entry.(kv).Val] = true
-		case <-time.After(time.Second):
-			t.Fatalf("only %d of 6 events arrived", len(got))
-		}
-	}
-	if len(got) != 6 {
-		t.Fatalf("saw %d distinct entries", len(got))
-	}
-	regs.Cancel()
-	if _, err := r.Write(kv{Key: "after", Val: 99}, nil, tuplespace.Forever); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case ev := <-events:
-		t.Fatalf("event after cancel: %+v", ev)
-	case <-time.After(50 * time.Millisecond):
-	}
-}
-
-// TestRouterOverProxies drives the router through the in-proc network
-// binding — proxies over a simulated LAN — to prove the scatter machinery
-// and keyed routing hold across the RPC layer.
 func TestRouterOverProxies(t *testing.T) {
 	clk := vclock.NewReal()
 	net := transport.NewNetwork(clk, transport.Loopback())

@@ -1,7 +1,6 @@
 package space
 
 import (
-	"errors"
 	"time"
 
 	"gospaces/internal/transport"
@@ -243,20 +242,8 @@ func (s *intercepted) Do(op Op) (Result, error) {
 // Close implements Space.
 func (s *intercepted) Close() error { return s.inner.Close() }
 
-// Notify and NumShards forward the optional capabilities of whatever the
-// chain ends in (space.Local registers listeners, shard.Router reports
-// its ring size), so no interceptor re-declares them. Notifications are
-// server push, not operations: they bypass fn.
-func (s *intercepted) Notify(tmpl tuplespace.Entry, fn tuplespace.Listener, ttl time.Duration) (*tuplespace.Registration, error) {
-	n, ok := s.inner.(interface {
-		Notify(tuplespace.Entry, tuplespace.Listener, time.Duration) (*tuplespace.Registration, error)
-	})
-	if !ok {
-		return nil, errors.New("space: wrapped space does not support Notify")
-	}
-	return n.Notify(tmpl, fn, ttl)
-}
-
+// NumShards forwards the ring size of whatever the chain ends in (a
+// shard.Router reports its own), so no interceptor re-declares it.
 func (s *intercepted) NumShards() int {
 	if ns, ok := s.inner.(interface{ NumShards() int }); ok {
 		return ns.NumShards()

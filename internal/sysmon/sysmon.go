@@ -209,12 +209,6 @@ func (m *Machine) ComputeAs(group string, work time.Duration, intensity float64)
 	m.mu.Unlock()
 }
 
-// EstimateCompute returns the wall time Compute(work, _) would take right
-// now, without performing it.
-func (m *Machine) EstimateCompute(work time.Duration) time.Duration {
-	return time.Duration(float64(work) / m.speed * contentionFactor(m.BackgroundLoad()))
-}
-
 // String describes the machine.
 func (m *Machine) String() string {
 	return fmt.Sprintf("sysmon.Machine{%s speed=%.2f usage=%.0f%%}", m.name, m.speed, m.Usage())

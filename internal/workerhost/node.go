@@ -3,17 +3,18 @@
 // waits for the lookup service to show the space, joins its ring
 // (shard.Join), dials the master's code server, builds the worker module,
 // puts the node's signal endpoint and SNMP agent on the network, announces
-// the node where the environment leases registrations, and starts, stops and
-// closes all of it in dependency order. The simulator (internal/core), the
-// TCP binary (cmd/worker) and the socket-level tests are configuration over
-// it: a Spec saying what runs and an Env saying where. What is the network
-// manager's rather than the node's — which nodes it polls, the trap-driven
-// load watchers — stays with the caller. See DESIGN §15.
+// the node in the lookup service, where the network manager finds it, and
+// starts, stops and closes all of it in dependency order. The simulator
+// (internal/core), the TCP binary (cmd/worker) and the socket-level tests
+// are configuration over it: a Spec saying what runs and an Env saying
+// where. The trap-driven load watchers are the network manager's and stay
+// with the caller. See DESIGN §15.
 package workerhost
 
 import (
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"strconv"
 	"sync"
 	"time"
@@ -34,6 +35,17 @@ import (
 
 // Community is the SNMP community every worker node's agent answers to.
 const Community = "public"
+
+// A worker node's lookup announcement: type ServiceType, the signal
+// endpoint's address as the item's, and these attributes beside "node".
+const (
+	ServiceType = "worker"
+	AttrSNMP    = "snmp" // the SNMP agent's address
+	// AttrIncarnation tells a node from an earlier one announced under the
+	// same name and addresses: 64 random bits drawn per node, as a Jini
+	// ServiceID is random.
+	AttrIncarnation = "incarnation"
+)
 
 // Spec says what runs on the node. The deployment-wide values (TxnTTL,
 // WatchInterval, Obs) are the shardhost.Spec fields of the same name; a
@@ -93,7 +105,7 @@ type Node struct {
 	worker         *worker.Worker
 	addr, snmpAddr string // signal endpoint, SNMP agent
 	release        func()
-	regID          uint64
+	withdraw       func() // takes the node's announcement out of the lookup service
 	// procs are the node's clock processes — worker loop, ring watcher,
 	// lease renewal — in start order; Close waits for them on running.
 	procs   []process
@@ -181,17 +193,20 @@ func (n *Node) assemble() error {
 	if n.addr, n.snmpAddr, n.release, err = n.env.Serve(srv, snmp.NewAgent(Community, n.mib())); err != nil {
 		return fmt.Errorf("serving signal endpoint and SNMP agent: %w", err)
 	}
-	if ttl := n.env.LeaseTTL; ttl > 0 {
-		n.regID, err = n.lookup.Register(discovery.ServiceItem{
-			Name:       n.name,
-			Address:    n.addr,
-			Attributes: map[string]string{"type": "worker", "snmp": n.snmpAddr, "node": n.name},
-		}, ttl)
-		if err != nil {
-			return fmt.Errorf("register with lookup: %w", err)
-		}
-		lease := discovery.NewKeepAlive(n.lookup, n.clock, n.regID, ttl)
-		n.procs = append(n.procs, process{lease.Run, lease.Stop})
+	renew, withdraw, err := n.env.Announce(n.clock, n.lookup, discovery.ServiceItem{
+		Name:    n.name,
+		Address: n.addr,
+		Attributes: map[string]string{
+			"type": ServiceType, "node": n.name, AttrSNMP: n.snmpAddr,
+			AttrIncarnation: strconv.FormatUint(rand.Uint64(), 16),
+		},
+	})
+	if err != nil {
+		return fmt.Errorf("register with lookup: %w", err)
+	}
+	n.withdraw = withdraw
+	if renew != nil {
+		n.procs = append(n.procs, process{renew.Run, renew.Stop})
 	}
 	spec.Obs.Fl().Record(n.clock, obs.FlightEvent{Node: n.name, Kind: obs.EventNodeStart, Detail: "worker"})
 	if spec.AutoStart {
@@ -291,7 +306,7 @@ func (n *Node) Ring() []string {
 }
 
 // Start launches the node's processes: the worker loop, the ring watcher
-// when the space is elastic, the lease renewal when the node is announced.
+// when the space is elastic, the renewal of a leased announcement.
 func (n *Node) Start() {
 	for _, p := range n.procs {
 		n.running.Go(p.run)
@@ -312,9 +327,9 @@ func (n *Node) Stop() {
 func (n *Node) Close() {
 	n.Stop()
 	n.running.Wait()
-	if n.regID != 0 {
-		_ = n.lookup.Cancel(n.regID) // already lapsed is fine
-		n.regID = 0
+	if n.withdraw != nil {
+		n.withdraw() // already lapsed is fine
+		n.withdraw = nil
 	}
 	if n.release != nil {
 		n.release()

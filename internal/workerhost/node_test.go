@@ -46,8 +46,7 @@ type deployment struct {
 	manage  func(t *testing.T, n *Node) (snmp.Exchanger, transport.Client)
 }
 
-// inproc deploys on an in-process network. The node Env is given a lease
-// so one script can assert on the announcement in both environments.
+// inproc deploys on an in-process network.
 func inproc(t *testing.T) deployment {
 	clk := vclock.NewReal()
 	nw := transport.NewNetwork(clk, transport.Loopback())
@@ -58,11 +57,7 @@ func inproc(t *testing.T) deployment {
 	return deployment{
 		name: "inproc", clock: clk, reg: reg,
 		hostEnv: shardhost.InProcEnv(nw, "master", reg),
-		nodeEnv: func(node string) Env {
-			env := InProcEnv(nw, "node/"+node)
-			env.LeaseTTL = time.Minute
-			return env
-		},
+		nodeEnv: func(node string) Env { return InProcEnv(nw, "node/"+node, reg) },
 		manage: func(_ *testing.T, n *Node) (snmp.Exchanger, transport.Client) {
 			return &snmp.RPCExchanger{C: nw.Dial(n.SNMPAddr())}, nw.Dial(n.Addr())
 		},
@@ -210,7 +205,7 @@ func TestOneScriptTwoEnvironments(t *testing.T) {
 		if _, err := sig.Call("worker.Signal", &worker.SignalArgs{Signal: rulebase.SignalStart, SentAt: d.clock.Now()}); err != nil {
 			t.Fatalf("%s: Start signal: %v", d.name, err)
 		}
-		m := master.New(master.Config{Clock: d.clock, Space: h.Space(), ResultTimeout: 30 * time.Second})
+		m := master.New(master.Config{Clock: d.clock, Space: h.Space(), Machine: sysmon.NewMachine(d.clock, "master", 1), ResultTimeout: 30 * time.Second})
 		rm, err := m.RunJob(job)
 		if err != nil {
 			t.Fatalf("%s: job: %v", d.name, err)

@@ -167,8 +167,6 @@ func (c config) spec() (shardhost.Spec, error) {
 		MergeThreshold:  c.mergeThreshold,
 		ReshardInterval: c.reshardInterval,
 		Attrs:           attrs,
-		// A dead master's registrations age out of the lookup service.
-		LeaseTTL: time.Minute,
 	}
 	return spec, spec.Validate()
 }

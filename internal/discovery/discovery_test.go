@@ -129,7 +129,7 @@ func TestKeepAliveRenewsUntilStopped(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ka := NewKeepAlive(c, clk, id, 300*time.Millisecond)
+		ka := newKeepAlive(c, clk, id, 300*time.Millisecond)
 		clk.Go(ka.Run)
 		// Well past the original lease, the service is still registered.
 		clk.Sleep(2 * time.Second)
@@ -148,7 +148,7 @@ func TestKeepAliveRenewsUntilStopped(t *testing.T) {
 	})
 }
 
-// renewCounter is a Renewer that counts renewals.
+// renewCounter is a renewer that counts renewals.
 type renewCounter struct{ n atomic.Int32 }
 
 func (r *renewCounter) Renew(uint64, time.Duration) error { r.n.Add(1); return nil }
@@ -156,7 +156,7 @@ func (r *renewCounter) Renew(uint64, time.Duration) error { r.n.Add(1); return n
 func TestKeepAliveStopBeforeRunNeverRenews(t *testing.T) {
 	clk := vclock.NewVirtual(time.Unix(0, 0))
 	var r renewCounter
-	ka := NewKeepAlive(&r, clk, 1, 300*time.Millisecond)
+	ka := newKeepAlive(&r, clk, 1, 300*time.Millisecond)
 	ka.Stop()
 	clk.Run(func() {
 		g := vclock.NewGroup(clk)
@@ -191,7 +191,7 @@ func TestKeepAliveEndsOnRenewFailure(t *testing.T) {
 		if err := c.Cancel(id); err != nil {
 			t.Fatal(err)
 		}
-		ka := NewKeepAlive(c, clk, id, time.Second)
+		ka := newKeepAlive(c, clk, id, time.Second)
 		clk.Go(ka.Run) // first renewal fails; the loop must end, not hang
 		clk.Sleep(2 * time.Second)
 		if ka.Err() == nil {

@@ -118,14 +118,14 @@ func (c *Client) Lookup(tmpl map[string]string) ([]ServiceItem, error) {
 	return res.(*lookupReply).Items, nil
 }
 
-// KeepAlive is the standard Jini lease discipline for long-lived
+// keepAlive is the standard Jini lease discipline for long-lived
 // services: it renews registration id every ttl/3 so a crashed service
 // ages out of the lookup registry while live ones stay listed. Run is a
 // clock process (start it with vclock.Group.Go or a plain goroutine);
 // Stop terminates it. A failed renewal (e.g. the registration was
 // cancelled) also ends the loop.
-type KeepAlive struct {
-	client Renewer
+type keepAlive struct {
+	client renewer
 	clock  vclock.Clock
 	id     uint64
 	ttl    time.Duration
@@ -135,19 +135,19 @@ type KeepAlive struct {
 	err error
 }
 
-// Renewer is the part of a lookup service a KeepAlive needs: *Client, or
+// renewer is the part of a lookup service a keepAlive needs: *Client, or
 // any registrar with the same Renew.
-type Renewer interface {
+type renewer interface {
 	Renew(id uint64, ttl time.Duration) error
 }
 
-// NewKeepAlive returns a renewal loop for registration id.
-func NewKeepAlive(client Renewer, clock vclock.Clock, id uint64, ttl time.Duration) *KeepAlive {
-	return &KeepAlive{client: client, clock: clock, id: id, ttl: ttl}
+// newKeepAlive returns a renewal loop for registration id.
+func newKeepAlive(client renewer, clock vclock.Clock, id uint64, ttl time.Duration) *keepAlive {
+	return &keepAlive{client: client, clock: clock, id: id, ttl: ttl}
 }
 
 // Run renews until Stop or a renewal failure.
-func (k *KeepAlive) Run() {
+func (k *keepAlive) Run() {
 	interval := k.ttl / 3
 	if interval <= 0 {
 		interval = time.Second
@@ -163,10 +163,10 @@ func (k *KeepAlive) Run() {
 }
 
 // Stop ends the renewal loop.
-func (k *KeepAlive) Stop() { k.loop.Stop() }
+func (k *keepAlive) Stop() { k.loop.Stop() }
 
 // Err returns the renewal error that ended the loop, if any.
-func (k *KeepAlive) Err() error {
+func (k *keepAlive) Err() error {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	return k.err

@@ -51,9 +51,9 @@ func udpAgent(t *testing.T, reg *discovery.Registry, name string) snmp.Exchanger
 	items := reg.Lookup(map[string]string{"type": "worker", "node": name})
 	if len(items) != 1 {
 		t.Errorf("%s: %d worker registrations, want 1", name, len(items))
-		return &snmp.UDPExchanger{Timeout: time.Second}
+		return &snmp.UDPExchanger{}
 	}
-	return &snmp.UDPExchanger{Addr: items[0].Attributes["snmp"], Timeout: time.Second}
+	return &snmp.UDPExchanger{Addr: items[0].Attributes["snmp"]}
 }
 
 // awaitOID polls oid on each agent until want holds for every node's value

@@ -60,7 +60,7 @@ func TCPEnv(lc *discovery.Client) Env {
 			if err != nil {
 				return nil, nil, err
 			}
-			return &snmp.UDPExchanger{Addr: item.Attributes[workerhost.AttrSNMP], Timeout: time.Second}, sig, nil
+			return &snmp.UDPExchanger{Addr: item.Attributes[workerhost.AttrSNMP]}, sig, nil
 		},
 	}
 }

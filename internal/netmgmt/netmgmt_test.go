@@ -29,7 +29,7 @@ func newFakeNode(clk vclock.Clock, net *transport.Network, name string) *fakeNod
 	m := sysmon.NewMachine(clk, name, 1)
 	srv := transport.NewServer()
 	agent(m).Bind(srv)
-	w := worker.New(worker.Config{Node: name, Clock: clk})
+	w := worker.New(worker.Config{Node: name, Clock: clk, Machine: m})
 	w.Bind(srv)
 	net.Listen(name, srv)
 	return &fakeNode{machine: m, w: w, addr: name}
@@ -166,7 +166,7 @@ func TestFallbackToTotalLoadWithoutBackgroundOID(t *testing.T) {
 	})
 	srv := transport.NewServer()
 	snmp.NewAgent("public", mib).Bind(srv)
-	w := worker.New(worker.Config{Node: "plain", Clock: clk})
+	w := worker.New(worker.Config{Node: "plain", Clock: clk, Machine: m})
 	w.Bind(srv)
 	net.Listen("plain", srv)
 
@@ -405,13 +405,14 @@ func tcpBinding(t *testing.T) binding {
 		name: "tcp", clock: clk, reg: reg, env: TCPEnv(discovery.NewClient(lc)),
 		serve: func(t *testing.T, name, sig, snmpAddr string) (*worker.Worker, string, string, func()) {
 			srv := transport.NewServer()
-			w := worker.New(worker.Config{Node: name, Clock: clk})
+			m := sysmon.NewMachine(clk, name, 1)
+			w := worker.New(worker.Config{Node: name, Clock: clk, Machine: m})
 			w.Bind(srv)
 			l, err := transport.ListenTCP(or(sig), srv)
 			if err != nil {
 				t.Fatal(err)
 			}
-			u, err := snmp.ListenUDP(or(snmpAddr), agent(sysmon.NewMachine(clk, name, 1)))
+			u, err := snmp.ListenUDP(or(snmpAddr), agent(m))
 			if err != nil {
 				l.Close()
 				t.Fatal(err)

@@ -2,14 +2,20 @@ package obs
 
 import "sync"
 
+// The two values of ShardHealth.Role.
+const (
+	RolePrimary = "primary"
+	RoleBackup  = "backup"
+)
+
 // ShardHealth is one hosted shard's liveness summary: which replica
 // currently serves its ring position, at what epoch, how far the standby
 // trails the primary's record stream, and how far the shard's write-ahead
 // log has advanced (0 when the shard is not durable).
 type ShardHealth struct {
 	Shard int `json:"shard"`
-	// Role is "primary" while the original primary serves the ring
-	// position and "backup" once a promoted standby holds it.
+	// Role is RolePrimary while the original primary serves the ring
+	// position and RoleBackup once a promoted standby holds it.
 	Role           string `json:"role"`
 	Epoch          uint64 `json:"epoch,omitempty"`
 	ReplicationLag uint64 `json:"replication_lag"`

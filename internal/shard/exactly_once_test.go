@@ -116,7 +116,7 @@ func TestExactlyOnceUnkeyedPinnedShardRetired(t *testing.T) {
 	// retry — the pinned shard leaves the ring.
 	other := space.NewLocal(clk)
 	ghost.onGhost = func() {
-		if err := r.SetShards([]Shard{{ID: "shard-1", Space: other, Epoch: 1}}); err != nil {
+		if err := r.setShards([]Shard{{ID: "shard-1", Space: other, Epoch: 1}}); err != nil {
 			t.Error(err)
 		}
 	}

@@ -104,7 +104,7 @@ const (
 var retryPolicy = transport.Backoff{Attempts: 4, Initial: 25 * time.Millisecond, Max: 500 * time.Millisecond}
 
 // view is an immutable membership snapshot. Operations grab one snapshot
-// up front so a concurrent SetShards never splits a single op across two
+// up front so a concurrent setShards never splits a single op across two
 // rings.
 type view struct {
 	order  []string // shard IDs, sorted
@@ -167,19 +167,19 @@ func New(opts Options, shards []Shard) (*Router, error) {
 	r.Facade = space.NewFacade(r)
 	r.rot.Store(hash64(r.opts.Seed))
 	r.clientID = clientID(r.opts.Seed, r.opts.Clock.Now())
-	if err := r.SetShards(shards); err != nil {
+	if err := r.setShards(shards); err != nil {
 		return nil, err
 	}
 	return r, nil
 }
 
-// SetShards replaces the membership. Intended for growing the cluster
+// setShards replaces the membership. Intended for growing the cluster
 // between jobs: entries keyed onto a shard before a membership change are
 // not migrated, so keyed lookups can miss them afterwards — add shards
 // while the space holds no keyed entries. Members the router already
 // knows keep their (possibly resharded) point labels; new members get the
 // defaults. Label moves go through ApplyTopology.
-func (r *Router) SetShards(shards []Shard) error {
+func (r *Router) setShards(shards []Shard) error {
 	if len(shards) == 0 {
 		return errors.New("shard: router needs at least one shard")
 	}

@@ -34,7 +34,6 @@ const (
 	// client resolves the same ring regardless of which replica currently
 	// holds it.
 	AttrRing  = "ring"  // ring position (original primary's address)
-	AttrRole  = "role"  // "primary" or "backup"
 	AttrEpoch = "epoch" // replication epoch, "1", "2", ...
 
 	// Control-plane trace propagation. A promoted backup's registration
@@ -46,9 +45,6 @@ const (
 	AttrTraceID = "trace" // promotion span's trace ID, hex
 	AttrSpanID  = "span"  // promotion span's span ID, hex
 	AttrClk     = "clk"   // promoting node's causal stamp, decimal
-
-	RolePrimary = "primary"
-	RoleBackup  = "backup"
 )
 
 // RingID returns the ring position an item serves: its AttrRing when set

@@ -27,10 +27,10 @@ import (
 // reshardState is the host-side bookkeeping of elastic mode.
 type reshardState struct {
 	mu       sync.Mutex
-	inFlight bool              // one reshard at a time
-	topoReg  uint64            // current topology record registration
-	stale    bool              // a cutover's publish failed; the rebalancer retries it
-	parents  map[string]string // split-born ring → parent ring
+	inFlight bool               // one reshard at a time
+	topo     *discovery.Listing // current topology record
+	stale    bool               // a cutover's publish failed; the rebalancer retries it
+	parents  map[string]string  // split-born ring → parent ring
 	// rates is the rebalancer's last per-shard op-rate EWMA snapshot —
 	// what /healthz shows so operators see what the controller sees.
 	rates map[string]float64
@@ -56,6 +56,15 @@ func (s *reshardState) end() {
 	s.mu.Unlock()
 }
 
+// withdraw takes the current topology record out of the lookup service.
+func (s *reshardState) withdraw() {
+	s.mu.Lock()
+	l := s.topo
+	s.topo = nil
+	s.mu.Unlock()
+	l.Withdraw()
+}
+
 // initElastic publishes the initial topology (epoch 1: every seed shard
 // with its default labels) and primes the reshard bookkeeping. A watcher
 // takes ring membership from topology records only, so publishing before
@@ -70,22 +79,23 @@ func (h *Host) initElastic() error {
 	return h.publishTopology(&t)
 }
 
-// publishTopology registers t in the lookup service (new record before the
-// old one is cancelled, so a watcher's lookup always finds at least one)
-// and records the registration for the next rotation. The publication is
-// flight-recorded first and its causal stamp rides the record as t.Clk, so
-// every adopting router's subsequent events order strictly after the
-// publish — the property CheckTimeline holds reshard dumps to.
+// publishTopology lists t in the lookup service, leased by the Env (new
+// record before the old one is withdrawn, so a watcher's lookup always
+// finds at least one), and keeps the listing for the next rotation and
+// Close. The publication is flight-recorded first and its causal stamp
+// rides the record as t.Clk, so every adopting router's subsequent events
+// order strictly after the publish — the property CheckTimeline holds
+// reshard dumps to.
 func (h *Host) publishTopology(t *shard.Topology) error {
 	t.Clk = h.Flight("master", obs.FlightEvent{
 		Kind: obs.EventTopoPublish, Shard: "ring", Epoch: t.Epoch,
 		Detail: fmt.Sprintf("%d members", len(t.Members)),
 	})
-	var id uint64
+	var l *discovery.Listing
 	enc, err := shard.EncodeTopology(*t)
 	if err == nil {
 		root, _ := h.RingID(0)
-		id, err = h.env.Registrar.Register(discovery.ServiceItem{
+		l, err = discovery.List(h.env.Registrar, discovery.ServiceItem{
 			Name:    "javaspace-topology",
 			Address: root,
 			Attributes: map[string]string{
@@ -93,19 +103,21 @@ func (h *Host) publishTopology(t *shard.Topology) error {
 				shard.AttrTopo:      enc,
 				shard.AttrTopoEpoch: strconv.FormatUint(t.Epoch, 10),
 			},
-		}, 0)
+		}, h.env.Lease)
 	}
-	h.reshard.mu.Lock()
-	h.reshard.stale = err != nil
-	old := h.reshard.topoReg
-	if err == nil {
-		h.reshard.topoReg = id
-	}
-	h.reshard.mu.Unlock()
 	if err != nil {
+		h.reshard.mu.Lock()
+		h.reshard.stale = true
+		h.reshard.mu.Unlock()
 		return fmt.Errorf("shardhost: publish topology epoch %d: %w", t.Epoch, err)
 	}
-	h.unregister(old, nil)
+	l.Keep(h.clock, h.env.Spawn)
+	h.reshard.mu.Lock()
+	h.reshard.stale = false
+	old := h.reshard.topo
+	h.reshard.topo = l
+	h.reshard.mu.Unlock()
+	old.Withdraw()
 	return nil
 }
 

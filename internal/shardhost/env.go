@@ -17,16 +17,6 @@ type Node struct {
 	StandbyOf string
 }
 
-// Registrar is the lookup service as the host uses it. *discovery.Client
-// satisfies it as is; an in-process *discovery.Registry goes behind
-// RegistryRegistrar.
-type Registrar interface {
-	Register(item discovery.ServiceItem, ttl time.Duration) (uint64, error)
-	Renew(id uint64, ttl time.Duration) error
-	Cancel(id uint64) error
-	Lookup(tmpl map[string]string) ([]discovery.ServiceItem, error)
-}
-
 // Env is what differs between the simulator and a TCP deployment — this,
 // and nothing else. It carries no policy: every field is a capability the
 // host calls, none selects behaviour.
@@ -36,8 +26,11 @@ type Env struct {
 	Listen func(n Node, srv *transport.Server) (addr string, release func(), err error)
 	// Dial connects the node at from to the node at to.
 	Dial func(from, to string) (transport.Client, error)
-	// Registrar is the lookup service the shards join.
-	Registrar Registrar
+	// Registrar is the lookup service the shards join. Lease leases every
+	// item the host lists there (zero: unleased) but a replicated primary's
+	// registration, whose lease is Spec.FailoverTimeout, renewed by its pump.
+	Registrar discovery.Registrar
+	Lease     time.Duration
 	// Spawn runs fn as a background process: the replication pumps, the
 	// lease renewals and the auto-shard loop.
 	Spawn func(fn func())
@@ -52,26 +45,13 @@ type Env struct {
 	spaceOp time.Duration
 }
 
-type registryRegistrar struct{ *discovery.Registry }
-
-func (r registryRegistrar) Register(item discovery.ServiceItem, ttl time.Duration) (uint64, error) {
-	return r.Registry.Register(item, ttl), nil
-}
-
-func (r registryRegistrar) Lookup(tmpl map[string]string) ([]discovery.ServiceItem, error) {
-	return r.Registry.Lookup(tmpl), nil
-}
-
-// RegistryRegistrar adapts an in-process registry (whose Register and
-// Lookup cannot fail) to the error-returning Registrar.
-func RegistryRegistrar(r *discovery.Registry) Registrar { return registryRegistrar{r} }
-
 // InProcEnv hosts shards on an in-process network: shard 0 listens at
 // root, shard i at "<root>.shard<i>", a standby at "<ring>.backup". Dials
 // are tagged with the caller's address so a fault plan can cut exactly one
 // link. Spawn starts a plain goroutine; a caller with a process group
 // (core's Run) replaces it. Every node is gated at the network model's
-// per-op server cost.
+// per-op server cost. The host lists its items straight into reg,
+// unleased, charging no modeled time.
 func InProcEnv(nw *transport.Network, root string, reg *discovery.Registry) Env {
 	return Env{
 		Listen: func(n Node, srv *transport.Server) (string, func(), error) {
@@ -90,15 +70,16 @@ func InProcEnv(nw *transport.Network, root string, reg *discovery.Registry) Env 
 		Dial: func(from, to string) (transport.Client, error) {
 			return nw.DialAs(from, to), nil
 		},
-		Registrar: RegistryRegistrar(reg),
+		Registrar: discovery.Local(reg),
 		Spawn:     func(fn func()) { go fn() },
 		spaceOp:   nw.Model().SpaceOp,
 	}
 }
 
 // TCPEnv hosts shards on TCP listeners: shard 0 at addr, every other node
-// on an ephemeral port of the same host. The caller sets Spawn.
-func TCPEnv(addr string, reg Registrar) (Env, error) {
+// on an ephemeral port of the same host, listed in reg under
+// discovery.Lease. The caller sets Spawn.
+func TCPEnv(addr string, reg discovery.Registrar) (Env, error) {
 	host, _, err := net.SplitHostPort(addr)
 	if err != nil {
 		return Env{}, fmt.Errorf("shardhost: bad listen address %q: %w", addr, err)
@@ -117,5 +98,6 @@ func TCPEnv(addr string, reg Registrar) (Env, error) {
 		},
 		Dial:      func(_, to string) (transport.Client, error) { return transport.DialTCP(to) },
 		Registrar: reg,
+		Lease:     discovery.Lease,
 	}, nil
 }

@@ -5,7 +5,6 @@ import (
 
 	"gospaces/internal/metrics"
 	"gospaces/internal/obs"
-	"gospaces/internal/shard"
 )
 
 // The host owns health: it is the only thing that knows which node serves
@@ -36,12 +35,12 @@ func (h *Host) Health() obs.Health {
 	for _, ps := range h.snapshot() {
 		ps.mu.Lock()
 		sh := obs.ShardHealth{
-			Shard: ps.idx, Role: shard.RolePrimary, Epoch: ps.epoch,
+			Shard: ps.idx, Role: obs.RolePrimary, Epoch: ps.epoch,
 			RingID: ps.ring, Retired: ps.retired,
 		}
 		if ps.promoted {
 			// A promoted standby holds the ring position.
-			sh.Role = shard.RoleBackup
+			sh.Role = obs.RoleBackup
 		}
 		n, p, svc := ps.serving, ps.primary, ps.svc
 		ps.mu.Unlock()

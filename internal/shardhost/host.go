@@ -91,9 +91,8 @@ type position struct {
 	// the current one. They differ once promoted.
 	origHandle, handle space.Space
 	promoted, retired  bool
-	epoch              uint64 // 0 unreplicated, 1 until the first failover
-	regID, backupRegID uint64
-	lease              *discovery.KeepAlive // unreplicated, Spec.LeaseTTL only
+	epoch              uint64             // 0 unreplicated, 1 until the first failover
+	listing            *discovery.Listing // the serving node's registration
 	stops              []interface{ Stop() }
 	// trace and clk are the last promotion's root span context and causal
 	// stamp — what the in-process resolver hands the master's router so its
@@ -453,17 +452,19 @@ func (h *Host) buildPosition() (*position, error) {
 
 // --- lookup registration ---
 
-// announce registers ps's serving node under its ring position. Durable
-// nodes carry recovery metadata, so clients and operators can see a service
-// came back from its log and how much it restored. A replicated position's registration is a
-// lease its primary pump renews each heartbeat — the lapse is the standby's
-// second failure signal — and a promotion's carries the promotion's span
-// context and causal stamp to every router that resolves it.
+// announce lists ps's serving node under its ring position, leased by the
+// Env and renewed until retire withdraws it. Durable nodes carry recovery
+// metadata, so clients and operators can see a service came back from its
+// log and how much it restored. A replicated position's registration is a
+// FailoverTimeout lease its primary pump renews each heartbeat — the lapse
+// is the standby's second failure signal — and a promotion's carries the
+// promotion's span context and causal stamp to every router that resolves
+// it.
 func (h *Host) announce(ps *position, restarted bool) error {
 	ps.mu.Lock()
 	n, epoch, tc, clk := ps.serving, ps.epoch, ps.trace, ps.clk
 	ps.mu.Unlock()
-	attrs := h.ringAttrs(ps, "javaspace")
+	attrs := h.ringAttrs(ps)
 	if n.durable != nil {
 		info := n.durable.Info()
 		attrs["durable"] = "1"
@@ -472,34 +473,29 @@ func (h *Host) announce(ps *position, restarted bool) error {
 			attrs["recovered"] = "1"
 		}
 	}
-	ttl := h.spec.LeaseTTL
+	ttl := h.env.Lease
 	if epoch > 0 {
-		attrs[shard.AttrRole] = shard.RolePrimary
 		attrs[shard.AttrEpoch] = strconv.FormatUint(epoch, 10)
 		shard.SetCtrlAttrs(attrs, tc, clk)
 		ttl = h.spec.FailoverTimeout
 	}
-	id, err := h.env.Registrar.Register(discovery.ServiceItem{Name: "javaspace", Address: n.addr, Attributes: attrs}, ttl)
+	l, err := discovery.List(h.env.Registrar, discovery.ServiceItem{Name: "javaspace", Address: n.addr, Attributes: attrs}, ttl)
 	if err != nil {
 		return fmt.Errorf("shardhost: register shard %d with lookup: %w", ps.idx, err)
 	}
-	var lease *discovery.KeepAlive
-	if epoch == 0 && ttl > 0 {
-		lease = discovery.NewKeepAlive(h.env.Registrar, h.clock, id, ttl)
-		h.env.Spawn(lease.Run)
+	if epoch == 0 {
+		l.Keep(h.clock, h.env.Spawn)
 	}
 	ps.mu.Lock()
-	ps.regID, ps.lease = id, lease
+	ps.listing = l
 	ps.mu.Unlock()
 	return nil
 }
 
-// ringAttrs are the attributes every registration of ps carries; typ is
-// "javaspace" or, for a standby, a distinct type worker discovery never
-// routes to.
-func (h *Host) ringAttrs(ps *position, typ string) map[string]string {
+// ringAttrs are the attributes every registration of ps carries.
+func (h *Host) ringAttrs(ps *position) map[string]string {
 	attrs := map[string]string{
-		"type":           typ,
+		"type":           shard.SpaceType,
 		shard.AttrShard:  strconv.Itoa(ps.idx),
 		shard.AttrShards: strconv.Itoa(h.spec.Shards),
 	}
@@ -517,26 +513,14 @@ func (h *Host) ringAttrs(ps *position, typ string) map[string]string {
 	return attrs
 }
 
-// unregister cancels a registration and stops its renewal. A deposed
-// primary's registration is never cancelled — its owner may be partitioned,
-// not dead; it lapses, and every resolver picks the highest epoch meanwhile.
-func (h *Host) unregister(id uint64, lease *discovery.KeepAlive) {
-	if lease != nil {
-		lease.Stop()
-	}
-	if id != 0 {
-		_ = h.env.Registrar.Cancel(id) // already lapsed is fine
-	}
-}
-
 // renew extends the serving primary's lookup lease — called from its pump
 // each heartbeat. A dead or fenced primary stops calling.
 func (h *Host) renew(ps *position) {
 	ps.mu.Lock()
-	id := ps.regID
+	l := ps.listing
 	ps.mu.Unlock()
-	if id != 0 {
-		_ = h.env.Registrar.Renew(id, h.spec.FailoverTimeout) // a lapse is the failure signal itself
+	if l != nil {
+		_ = l.Renew() // a lapse is the failure signal itself
 	}
 }
 
@@ -580,10 +564,14 @@ func (h *Host) Stop() {
 	}
 }
 
-// Close stops the host and shuts every node down: leases cancelled,
-// listeners released, spaces closed, final WAL appends on disk.
+// Close stops the host and shuts every node down: every item it lists
+// withdrawn from the lookup service, listeners released, spaces closed,
+// final WAL appends on disk.
 func (h *Host) Close() {
 	h.Stop()
+	if h.reshard != nil {
+		h.reshard.withdraw()
+	}
 	for _, ps := range h.snapshot() {
 		h.retire(ps)
 	}
@@ -599,14 +587,13 @@ func (h *Host) retire(ps *position) {
 	ps.retired = true
 	stops := append([]interface{ Stop() }(nil), ps.stops...)
 	nodes := []*node{ps.serving, ps.standby}
-	reg, breg, lease := ps.regID, ps.backupRegID, ps.lease
-	ps.regID, ps.backupRegID, ps.lease = 0, 0, nil
+	l := ps.listing
+	ps.listing = nil
 	ps.mu.Unlock()
 	for _, s := range stops {
 		s.Stop()
 	}
-	h.unregister(reg, lease)
-	h.unregister(breg, nil)
+	l.Withdraw()
 	for _, n := range nodes {
 		if n == nil {
 			continue
@@ -641,7 +628,7 @@ func (h *Host) Restart(i int) (space.RecoveryInfo, error) {
 	ps.mu.Lock()
 	old, p, gate, epoch := ps.serving, ps.primary, ps.gate, ps.epoch
 	sb, b := ps.standby, ps.backup
-	oldReg, oldLease := ps.regID, ps.lease
+	oldListing := ps.listing
 	ps.mu.Unlock()
 	if old.dir == "" {
 		return none, fmt.Errorf("shardhost: shard %d is served by a memory-only node (it rejoined from a snapshot)", i)
@@ -677,7 +664,7 @@ func (h *Host) Restart(i int) (space.RecoveryInfo, error) {
 	if err := h.announce(ps, true); err != nil {
 		return none, err
 	}
-	h.unregister(oldReg, oldLease)
+	oldListing.Withdraw()
 	h.Flight(n.addr, obs.FlightEvent{
 		Kind: obs.EventShardRestart, Shard: ps.ring,
 		Detail: fmt.Sprintf("%d entries restored", n.durable.Info().Restored),

@@ -490,6 +490,82 @@ func TestTCPSplitThenFailover(t *testing.T) {
 	}
 }
 
+// TestTCPListingsLapseWhenRenewalsStop hosts an elastic, replicated shard
+// set over TCPEnv with a 300 ms binding lease and a Spawn the test owns,
+// and splits it once. Every item the host lists — each ring position's
+// primary, under a FailoverTimeout lease its pump renews, and the topology
+// record, under the binding's lease and its own renewal — stays listed
+// well past its lease, and no standby is listed. Cut off from the lookup
+// service, the host's renewals stop: the topology record's renewal process
+// ends, and every item lapses within its lease.
+func TestTCPListingsLapseWhenRenewalsStop(t *testing.T) {
+	const lease = 300 * time.Millisecond
+	const slack = 150 * time.Millisecond
+	clk := vclock.NewReal()
+	reg := discovery.NewRegistry(clk)
+	lsrv := transport.NewServer()
+	discovery.NewService(reg, lsrv)
+	ll, err := transport.ListenTCP("127.0.0.1:0", lsrv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ll.Close()
+	lc, err := transport.DialTCP(ll.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, err := TCPEnv("127.0.0.1:0", discovery.NewClient(lc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.Lease = lease
+	group := vclock.NewGroup(clk)
+	defer group.Wait()
+	var live atomic.Int32 // the host's background processes still running
+	env.Spawn = func(fn func()) {
+		live.Add(1)
+		group.Go(func() { defer live.Add(-1); fn() })
+	}
+	h, err := New(clk, env, Spec{Shards: 1, Replicas: 1, Elastic: true, FailoverTimeout: failover, WatchInterval: 25 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	h.Start()
+	for i := 0; i < 20; i++ {
+		if _, err := h.Space().Write(kv{K: fmt.Sprintf("k%02d", i), V: i}, nil, tuplespace.Forever); err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+	}
+	ring0, _ := h.RingID(0)
+	if _, err := h.Split(ring0); err != nil {
+		t.Fatalf("split: %v", err)
+	}
+	listed := func(typ string) int { return len(reg.Lookup(map[string]string{"type": typ})) }
+
+	clk.Sleep(failover + failover/2)
+	if n, topo, all := listed(shard.SpaceType), listed(shard.TopoType), reg.Len(); n != 2 || topo != 1 || all != 3 {
+		t.Fatalf("after %v: %d javaspace and %d topology registrations of %d, want 2 and 1 of 3", failover+failover/2, n, topo, all)
+	}
+	running := live.Load()
+
+	lc.Close()
+	clk.Sleep(lease + slack)
+	if topo := listed(shard.TopoType); topo != 0 {
+		t.Errorf("%v after the cut the topology record is still listed", lease+slack)
+	}
+	if got := live.Load(); got != running-1 {
+		t.Errorf("%d background processes after the cut, want %d: the topology record's renewal should have ended", got, running-1)
+	}
+	clk.Sleep(failover - lease)
+	if all := reg.Len(); all != 0 {
+		t.Errorf("%v after the cut %d items are still listed, want 0", failover+slack, all)
+	}
+	if err := h.Err(); err != nil {
+		t.Fatalf("background error: %v", err)
+	}
+}
+
 // TestSplitReportsEntriesNotRecords: a split's Migrated count and the
 // reshard:entries_migrated counter are entries. Every write through the
 // master's router is tokened, so each moving entry travels with its memo;

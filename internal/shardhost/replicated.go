@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"gospaces/internal/discovery"
 	"gospaces/internal/obs"
 	"gospaces/internal/replica"
 	"gospaces/internal/shard"
@@ -21,8 +20,9 @@ import (
 // in internal/replica; this file is the wiring.
 
 // standBy makes n the hot standby of ps behind primary controller p: a
-// backup controller bound on n's listener, a mirror link from the serving
-// node, and a registration under a type worker discovery never routes to.
+// backup controller bound on n's listener and a mirror link from the
+// serving node. A standby is not listed in the lookup service: only its
+// primary dials it.
 func (h *Host) standBy(ps *position, n *node, p *replica.Primary) (*replica.Backup, error) {
 	ps.mu.Lock()
 	serving, epoch := ps.serving, ps.epoch
@@ -37,14 +37,8 @@ func (h *Host) standBy(ps *position, n *node, p *replica.Primary) (*replica.Back
 		Counters:        h.Counters,
 	})
 	b.Bind(n.srv) // on a rejoining node this replaces the deposed handlers
-	attrs := h.ringAttrs(ps, "javaspace-backup")
-	attrs[shard.AttrRole] = shard.RoleBackup
-	id, err := h.env.Registrar.Register(discovery.ServiceItem{Name: "javaspace-backup", Address: n.addr, Attributes: attrs}, 0)
-	if err != nil {
-		return nil, fmt.Errorf("shardhost: register shard %d standby with lookup: %w", ps.idx, err)
-	}
 	ps.mu.Lock()
-	ps.standby, ps.backup, ps.backupRegID = n, b, id
+	ps.standby, ps.backup = n, b
 	ps.stops = append(ps.stops, b)
 	ps.mu.Unlock()
 	return b, h.attach(ps, p, serving, n)
@@ -78,7 +72,6 @@ func (h *Host) leaseExpired(ring string) bool {
 func (h *Host) promote(ps *position, epoch uint64) {
 	ps.mu.Lock()
 	n, deposed := ps.standby, ps.serving
-	backupReg := ps.backupRegID
 	ps.mu.Unlock()
 
 	// A fresh primary controller gates the promoted node from now on: it
@@ -106,12 +99,13 @@ func (h *Host) promote(ps *position, epoch uint64) {
 	ps.serving, ps.standby = n, deposed
 	ps.svc, ps.gate, ps.primary, ps.handle = svc, gate, p, handle
 	ps.promoted, ps.epoch = true, epoch
-	ps.regID, ps.backupRegID = 0, 0 // the deposed registration is left to lapse
+	// The deposed registration is not withdrawn: its owner may be
+	// partitioned, not dead. It lapses within FailoverTimeout.
+	ps.listing = nil
 	ps.stops = append(ps.stops, p)
 	ps.trace, ps.clk = tc, stamp
 	ps.mu.Unlock()
 
-	h.unregister(backupReg, nil)
 	h.setErr(h.announce(ps, false))
 
 	// The master's router retargets immediately, and the deposed node

@@ -89,11 +89,6 @@ type Spec struct {
 	// tags its shards with the job ("job") and task keying ("spread") so
 	// workers can pick the matching template.
 	Attrs map[string]string
-	// LeaseTTL leases the registrations of unreplicated shards, renewed by
-	// the host while it lives, so a dead process ages out of the lookup
-	// service. Zero registers forever (one process, one registry: nothing
-	// can outlive it).
-	LeaseTTL time.Duration
 }
 
 // Validate rejects a spec the host cannot run. Zero values are not errors
@@ -110,7 +105,7 @@ func (s Spec) Validate() error {
 		v    time.Duration
 	}{
 		{"failover-timeout", s.FailoverTimeout}, {"reshard-interval", s.ReshardInterval},
-		{"watch-interval", s.WatchInterval}, {"txn-ttl", s.TxnTTL}, {"lease-ttl", s.LeaseTTL},
+		{"watch-interval", s.WatchInterval}, {"txn-ttl", s.TxnTTL},
 	} {
 		if c.v < 0 {
 			return fmt.Errorf("shardhost: %s must be >= 0, got %v", c.name, c.v)

@@ -8,8 +8,8 @@ import (
 	"gospaces/internal/transport"
 )
 
-// MIB is an agent's management information base: a set of OIDs bound to
-// getter (and optionally setter) functions.
+// MIB is an agent's management information base: a set of read-only OIDs
+// bound to getter functions.
 type MIB struct {
 	mu   sync.Mutex
 	vars map[string]*mibVar // key: OID string
@@ -19,7 +19,6 @@ type MIB struct {
 type mibVar struct {
 	oid OID
 	get func() Value
-	set func(Value) error
 }
 
 // NewMIB returns an empty MIB.
@@ -27,11 +26,6 @@ func NewMIB() *MIB { return &MIB{vars: make(map[string]*mibVar)} }
 
 // Register binds oid to getter get. Re-registering an OID replaces it.
 func (m *MIB) Register(oid OID, get func() Value) {
-	m.RegisterSettable(oid, get, nil)
-}
-
-// RegisterSettable binds oid to a getter and a setter for SetRequest.
-func (m *MIB) RegisterSettable(oid OID, get func() Value, set func(Value) error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	key := oid.String()
@@ -39,7 +33,7 @@ func (m *MIB) RegisterSettable(oid OID, get func() Value, set func(Value) error)
 		m.oids = append(m.oids, oid)
 		sortOIDs(m.oids)
 	}
-	m.vars[key] = &mibVar{oid: oid, get: get, set: set}
+	m.vars[key] = &mibVar{oid: oid, get: get}
 }
 
 // get returns the value at exactly oid, or NoSuchObject.
@@ -66,22 +60,6 @@ func (m *MIB) next(oid OID) (OID, Value) {
 	return oid, EndOfMibView{}
 }
 
-func (m *MIB) setValue(oid OID, val Value) (int32, Value) {
-	m.mu.Lock()
-	v, ok := m.vars[oid.String()]
-	m.mu.Unlock()
-	if !ok {
-		return ErrStatusNoAccess, NoSuchObject{}
-	}
-	if v.set == nil {
-		return ErrStatusNotWritable, Null{}
-	}
-	if err := v.set(val); err != nil {
-		return ErrStatusGenErr, Null{}
-	}
-	return ErrStatusNoError, v.get()
-}
-
 // Agent answers SNMP requests against a MIB. The worker module runs one
 // per node (the paper's "worker-agent component").
 type Agent struct {
@@ -95,8 +73,9 @@ func NewAgent(community string, mib *MIB) *Agent {
 }
 
 // HandlePacket processes one BER-encoded request datagram and returns the
-// BER-encoded response (nil for undecodable or unauthorized requests, which
-// real agents silently drop).
+// BER-encoded response: nil for an undecodable or unauthorized request, or
+// one the agent does not serve (it answers GetRequest and GetNextRequest
+// only), which real agents silently drop.
 func (a *Agent) HandlePacket(req []byte) []byte {
 	msg, err := Decode(req)
 	if err != nil {
@@ -109,20 +88,13 @@ func (a *Agent) HandlePacket(req []byte) []byte {
 		Type:      GetResponse,
 		RequestID: msg.PDU.RequestID,
 	}}
-	for i, vb := range msg.PDU.Varbinds {
+	for _, vb := range msg.PDU.Varbinds {
 		switch msg.PDU.Type {
 		case GetRequest:
 			resp.PDU.Varbinds = append(resp.PDU.Varbinds, Varbind{OID: vb.OID, Value: a.MIB.getValue(vb.OID)})
 		case GetNextRequest:
 			oid, val := a.MIB.next(vb.OID)
 			resp.PDU.Varbinds = append(resp.PDU.Varbinds, Varbind{OID: oid, Value: val})
-		case SetRequest:
-			status, val := a.MIB.setValue(vb.OID, vb.Value)
-			resp.PDU.Varbinds = append(resp.PDU.Varbinds, Varbind{OID: vb.OID, Value: val})
-			if status != ErrStatusNoError && resp.PDU.ErrorStatus == ErrStatusNoError {
-				resp.PDU.ErrorStatus = status
-				resp.PDU.ErrorIndex = int32(i + 1)
-			}
 		default:
 			return nil
 		}

@@ -48,13 +48,18 @@ func (e *RPCExchanger) Close() error { return e.C.Close() }
 
 // UDPExchanger carries SNMP packets over real UDP with retry.
 type UDPExchanger struct {
-	Addr    string
-	Timeout time.Duration // per attempt; default 2s
-	Retries int           // extra attempts; default 2
+	Addr string
 
 	mu   sync.Mutex
 	conn *net.UDPConn
 }
+
+// A UDP request waits udpTimeout for its answer and is sent at most
+// udpAttempts times.
+const (
+	udpTimeout  = time.Second
+	udpAttempts = 3
+)
 
 // Exchange implements Exchanger.
 func (e *UDPExchanger) Exchange(req []byte) ([]byte, error) {
@@ -75,20 +80,12 @@ func (e *UDPExchanger) Exchange(req []byte) ([]byte, error) {
 	conn := e.conn
 	e.mu.Unlock()
 
-	timeout := e.Timeout
-	if timeout <= 0 {
-		timeout = 2 * time.Second
-	}
-	attempts := e.Retries + 1
-	if attempts < 1 {
-		attempts = 1
-	}
 	buf := make([]byte, 64*1024)
-	for i := 0; i < attempts; i++ {
+	for i := 0; i < udpAttempts; i++ {
 		if _, err := conn.Write(req); err != nil {
 			return nil, err
 		}
-		_ = conn.SetReadDeadline(time.Now().Add(timeout))
+		_ = conn.SetReadDeadline(time.Now().Add(udpTimeout))
 		n, err := conn.Read(buf)
 		if err == nil {
 			out := make([]byte, n)
@@ -225,10 +222,4 @@ func (m *Manager) Walk(root OID, visit func(Varbind) error) error {
 		}
 		cur = vb.OID
 	}
-}
-
-// Set writes val at oid.
-func (m *Manager) Set(oid OID, val Value) error {
-	_, err := m.roundTrip(SetRequest, []Varbind{{OID: oid, Value: val}})
-	return err
 }

@@ -35,11 +35,8 @@ func (t PDUType) String() string {
 
 // SNMP error-status codes (subset).
 const (
-	ErrStatusNoError     = 0
-	ErrStatusTooBig      = 1
-	ErrStatusNoAccess    = 6
-	ErrStatusGenErr      = 5
-	ErrStatusNotWritable = 17
+	ErrStatusNoError = 0
+	ErrStatusTooBig  = 1
 )
 
 // Varbind pairs an OID with a value.

@@ -153,9 +153,7 @@ func newTestAgent() *Agent {
 	mib.Register(OIDHrProcessorLoad, func() Value { return load })
 	mib.Register(OIDSysDescr, func() Value { return OctetString("gospaces simulated node") })
 	mib.Register(OIDSysUpTime, func() Value { return TimeTicks(4242) })
-	var speed Value = Integer(100)
-	mib.RegisterSettable(MustOID("1.3.6.1.4.1.9999.1.1"), func() Value { return speed },
-		func(v Value) error { speed = v; return nil })
+	mib.Register(MustOID("1.3.6.1.4.1.9999.1.1"), func() Value { return Integer(100) })
 	return NewAgent("public", mib)
 }
 
@@ -257,29 +255,18 @@ func TestManagerWalk(t *testing.T) {
 	}
 }
 
-func TestManagerSet(t *testing.T) {
-	clk := vclock.NewReal()
-	net := transport.NewNetwork(clk, transport.Loopback())
-	srv := transport.NewServer()
-	newTestAgent().Bind(srv)
-	net.Listen("w", srv)
-	m := NewManager("public", &RPCExchanger{C: net.Dial("w")})
-	defer m.Close()
-
+// TestAgentDropsSetRequest pins the agent as read-only: a SetRequest is
+// a PDU it does not serve, dropped like any other, and the value stays.
+func TestAgentDropsSetRequest(t *testing.T) {
+	a := newTestAgent()
 	oid := MustOID("1.3.6.1.4.1.9999.1.1")
-	if err := m.Set(oid, Integer(55)); err != nil {
-		t.Fatal(err)
+	req := Message{Community: "public", PDU: PDU{Type: SetRequest, RequestID: 3,
+		Varbinds: []Varbind{{OID: oid, Value: Integer(55)}}}}
+	if resp := a.HandlePacket(req.Encode()); resp != nil {
+		t.Fatalf("SetRequest answered: % x", resp)
 	}
-	got, err := m.GetInt(oid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 55 {
-		t.Fatalf("after set, value = %d", got)
-	}
-	// Setting a read-only OID reports an agent error.
-	if err := m.Set(OIDSysDescr, Integer(1)); !errors.Is(err, ErrAgent) {
-		t.Fatalf("set read-only err = %v", err)
+	if v := a.MIB.getValue(oid); v != Integer(100) {
+		t.Fatalf("after a SetRequest the value is %v, want 100", v)
 	}
 }
 

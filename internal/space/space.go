@@ -133,8 +133,8 @@ func (l *Local) do(op Op, decoded bool) (res Result, err error) {
 }
 
 // Notify registers fn for entries matching tmpl arriving at the underlying
-// space. The shard router relies on this to fan a registration out across
-// shard-local spaces.
+// space. It is in-process only: no proxy or router carries a registration,
+// so a listener sees one shard's arrivals.
 func (l *Local) Notify(tmpl tuplespace.Entry, fn tuplespace.Listener, ttl time.Duration) (*tuplespace.Registration, error) {
 	return l.TS.Notify(tmpl, fn, ttl)
 }

@@ -30,7 +30,7 @@ type Config struct {
 	Node string
 	// Clock is the node's time source.
 	Clock vclock.Clock
-	// Machine models the node's CPU; may be nil for tests.
+	// Machine models the node's CPU; required.
 	Machine *sysmon.Machine
 	// Space is the (usually remote) JavaSpace holding tasks and results.
 	Space space.Space
@@ -43,11 +43,6 @@ type Config struct {
 	// TxnTTL leases each per-task transaction; if the worker dies
 	// mid-task the lease expires and the task reappears. Default 2 min.
 	TxnTTL time.Duration
-	// PollTimeout bounds each blocking Take so pending signals and
-	// shutdown are honoured on an idle space. Default 250 ms.
-	PollTimeout time.Duration
-	// ParkPoll bounds each wait while Paused/Stopped. Default 500 ms.
-	ParkPoll time.Duration
 	// Obs, if set, enables causal tracing ("take" and "execute" spans
 	// parented to the task's plan span) and the worker task-latency
 	// histogram. Nil disables both at zero cost.
@@ -104,6 +99,14 @@ var signalHandlingCost = map[rulebase.Signal]time.Duration{
 	rulebase.SignalStop:    6 * time.Millisecond, // interrupt + cleanup
 }
 
+// pollTimeout bounds each blocking Take so pending signals and shutdown
+// are honoured on an idle space; parkPoll bounds each wait while Paused or
+// Stopped.
+const (
+	pollTimeout = 250 * time.Millisecond
+	parkPoll    = 500 * time.Millisecond
+)
+
 // ErrBadSignal is returned for a signal invalid in the worker's state.
 var ErrBadSignal = errors.New("worker: signal not valid in current state")
 
@@ -130,12 +133,6 @@ type Worker struct {
 // New returns a worker in the Stopped state; it does nothing until it
 // receives a Start signal (or AutoStart is invoked) and Run is called.
 func New(cfg Config) *Worker {
-	if cfg.PollTimeout <= 0 {
-		cfg.PollTimeout = 250 * time.Millisecond
-	}
-	if cfg.ParkPoll <= 0 {
-		cfg.ParkPoll = 500 * time.Millisecond
-	}
 	if cfg.TxnTTL <= 0 {
 		cfg.TxnTTL = 2 * time.Minute
 	}
@@ -205,11 +202,7 @@ func (w *Worker) Signal(sig rulebase.Signal, sentAt time.Time) (SignalRecord, er
 	// Burn the signal-handling cost on the node (visible to the caller as
 	// worker reaction time, exactly as the paper measures it).
 	if cost := signalHandlingCost[sig]; cost > 0 {
-		if w.cfg.Machine != nil {
-			w.cfg.Machine.Compute(cost, 20)
-		} else {
-			w.cfg.Clock.Sleep(cost)
-		}
+		w.cfg.Machine.Compute(cost, 20)
 	}
 	if parker != nil {
 		parker.Wake()
@@ -322,14 +315,14 @@ func (w *Worker) Run() {
 	}
 }
 
-// park records the parked state and blocks until woken or ParkPoll
+// park records the parked state and blocks until woken or parkPoll
 // elapses. Caller holds w.mu; park releases it.
 func (w *Worker) park() {
 	w.state = w.target
 	w.parker = w.cfg.Clock.NewWaiter()
 	p := w.parker
 	w.mu.Unlock()
-	p.Wait(w.cfg.ParkPoll)
+	p.Wait(parkPoll)
 	w.mu.Lock()
 	w.parker = nil
 	w.mu.Unlock()
@@ -343,7 +336,7 @@ func (w *Worker) loadProgram() bool {
 	p, err := w.cfg.Engine.Load(w.cfg.Program)
 	if err != nil {
 		// Transient code-server failure: back off and let the loop retry.
-		w.cfg.Clock.Sleep(w.cfg.ParkPoll)
+		w.cfg.Clock.Sleep(parkPoll)
 		return false
 	}
 	w.mu.Lock()
@@ -372,7 +365,7 @@ func (w *Worker) taskFailed() {
 	w.mu.Lock()
 	w.stats.TaskFailures++
 	w.mu.Unlock()
-	w.cfg.Clock.Sleep(w.cfg.PollTimeout)
+	w.cfg.Clock.Sleep(pollTimeout)
 }
 
 // runOneTask takes, executes and answers a single task under its own
@@ -381,11 +374,11 @@ func (w *Worker) runOneTask() {
 	tx, err := w.cfg.Space.BeginTxn(w.cfg.TxnTTL)
 	if err != nil {
 		w.spaceFailed(err)
-		w.cfg.Clock.Sleep(w.cfg.PollTimeout)
+		w.cfg.Clock.Sleep(pollTimeout)
 		return
 	}
 	takeStart := w.cfg.Clock.Now()
-	task, err := w.cfg.Space.Take(w.cfg.TaskTemplate, tx, w.cfg.PollTimeout)
+	task, err := w.cfg.Space.Take(w.cfg.TaskTemplate, tx, pollTimeout)
 	if err != nil {
 		_ = tx.Abort()
 		if w.spaceFailed(err) {
@@ -393,7 +386,7 @@ func (w *Worker) runOneTask() {
 			// unlike a served timeout: back off one poll period so a down
 			// window cannot spin the loop hot — on the virtual clock a
 			// sleepless retry loop would stall time entirely.
-			w.cfg.Clock.Sleep(w.cfg.PollTimeout)
+			w.cfg.Clock.Sleep(pollTimeout)
 		}
 		return // loop re-checks signals
 	}

@@ -95,8 +95,6 @@ func newRig(t *testing.T) *rig {
 		Program:      "testjob",
 		TaskTemplate: testTask{Job: "testjob"},
 		TxnTTL:       time.Minute,
-		PollTimeout:  100 * time.Millisecond,
-		ParkPoll:     200 * time.Millisecond,
 	})
 	return &rig{clk: clk, local: local, machine: machine, w: w}
 }

@@ -6,7 +6,6 @@ import (
 	"gospaces/internal/discovery"
 	"gospaces/internal/snmp"
 	"gospaces/internal/transport"
-	"gospaces/internal/vclock"
 )
 
 // Env is where a worker node runs — what differs between the simulator and
@@ -20,19 +19,22 @@ type Env struct {
 	// endpoint, agent answers SNMP. It returns where each is reached and a
 	// function taking both off again.
 	Serve func(srv *transport.Server, agent *snmp.Agent) (signal, snmpAddr string, release func(), err error)
-	// Announce lists item in the lookup service, where the network manager
-	// finds the node; lc is the node's own lookup client. It returns the
-	// function withdrawing the listing and, for a leased listing, the
-	// renewal that keeps it (nil when the listing needs none).
-	Announce func(clock vclock.Clock, lc *discovery.Client, item discovery.ServiceItem) (renew *discovery.KeepAlive, withdraw func(), err error)
+	// Lease leases the node's listing in the lookup service, where the
+	// network manager finds it (zero: unleased).
+	Lease time.Duration
+
+	// registrar, which only InProcEnv sets, is where the node lists itself
+	// instead of through its own lookup client: the in-process registry,
+	// written directly so the listing charges no modeled time.
+	registrar discovery.Registrar
 }
 
 // InProcEnv runs the node at address node of an in-process network whose
 // lookup service keeps registry reg. The SNMP agent shares the node's RPC
 // server, and every dial is tagged with the node's address so a fault plan
 // can apply per-endpoint rules (crashes, partitions) to this worker's
-// traffic. The node is announced straight into reg, unleased: the
-// announcement charges no modeled time.
+// traffic. The node lists itself straight into reg, unleased: the listing
+// charges no modeled time.
 func InProcEnv(nw *transport.Network, node string, reg *discovery.Registry) Env {
 	return Env{
 		Lookup: discovery.WellKnownAddress,
@@ -47,18 +49,15 @@ func InProcEnv(nw *transport.Network, node string, reg *discovery.Registry) Env 
 			// node built there replaces it.
 			return node, node, func() {}, nil
 		},
-		Announce: func(_ vclock.Clock, _ *discovery.Client, item discovery.ServiceItem) (*discovery.KeepAlive, func(), error) {
-			id := reg.Register(item, 0)
-			return nil, func() { _ = reg.Cancel(id) }, nil
-		},
+		registrar: discovery.Local(reg),
 	}
 }
 
 // TCPEnv runs the node over real sockets: the signal endpoint on a TCP
 // listener at sigAddr, the SNMP agent on UDP at snmpAddr, dials with the
 // shared retry policy (a freshly registered service may not be accepting
-// yet), and an announcement under a one-minute lookup lease, so a dead
-// process ages out of the lookup service.
+// yet), and a listing through the node's lookup client under
+// discovery.Lease, so a dead process ages out of the lookup service.
 func TCPEnv(lookupAddr, sigAddr, snmpAddr string) Env {
 	return Env{
 		Lookup: lookupAddr,
@@ -77,12 +76,6 @@ func TCPEnv(lookupAddr, sigAddr, snmpAddr string) Env {
 			}
 			return l.Addr(), u.Addr(), func() { u.Close(); l.Close() }, nil
 		},
-		Announce: func(clock vclock.Clock, lc *discovery.Client, item discovery.ServiceItem) (*discovery.KeepAlive, func(), error) {
-			id, err := lc.Register(item, time.Minute)
-			if err != nil {
-				return nil, nil, err
-			}
-			return discovery.NewKeepAlive(lc, clock, id, time.Minute), func() { _ = lc.Cancel(id) }, nil
-		},
+		Lease: discovery.Lease,
 	}
 }

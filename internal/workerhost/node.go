@@ -62,8 +62,6 @@ type Spec struct {
 	TaskTemplate func(attrs map[string]string) tuplespace.Entry
 	// TxnTTL leases each per-task transaction (worker.Config's default).
 	TxnTTL time.Duration
-	// PollTimeout bounds each blocking Take (worker.Config's default).
-	PollTimeout time.Duration
 	// OpTimeout bounds each remote space RPC (core.Config.OpTimeout).
 	OpTimeout     time.Duration
 	WatchInterval time.Duration // zero: shard.DefaultWatchInterval
@@ -105,9 +103,10 @@ type Node struct {
 	worker         *worker.Worker
 	addr, snmpAddr string // signal endpoint, SNMP agent
 	release        func()
-	withdraw       func() // takes the node's announcement out of the lookup service
-	// procs are the node's clock processes — worker loop, ring watcher,
-	// lease renewal — in start order; Close waits for them on running.
+	listing        *discovery.Listing // the node's item in the lookup service
+	// procs are the node's clock processes — worker loop and ring watcher —
+	// in start order; Close waits for them, and for the listing's renewal,
+	// on running.
 	procs   []process
 	running *vclock.Group
 
@@ -178,7 +177,6 @@ func (n *Node) assemble() error {
 		Program:      spec.Program,
 		TaskTemplate: spec.TaskTemplate(items[0].Attributes), // every registration carries the host's Attrs
 		TxnTTL:       spec.TxnTTL,
-		PollTimeout:  spec.PollTimeout,
 		Obs:          spec.Obs,
 	})
 
@@ -193,21 +191,24 @@ func (n *Node) assemble() error {
 	if n.addr, n.snmpAddr, n.release, err = n.env.Serve(srv, snmp.NewAgent(Community, n.mib())); err != nil {
 		return fmt.Errorf("serving signal endpoint and SNMP agent: %w", err)
 	}
-	renew, withdraw, err := n.env.Announce(n.clock, n.lookup, discovery.ServiceItem{
+	var reg discovery.Registrar = n.lookup
+	if n.env.registrar != nil {
+		reg = n.env.registrar
+	}
+	n.listing, err = discovery.List(reg, discovery.ServiceItem{
 		Name:    n.name,
 		Address: n.addr,
 		Attributes: map[string]string{
 			"type": ServiceType, "node": n.name, AttrSNMP: n.snmpAddr,
 			AttrIncarnation: strconv.FormatUint(rand.Uint64(), 16),
 		},
-	})
+	}, n.env.Lease)
 	if err != nil {
 		return fmt.Errorf("register with lookup: %w", err)
 	}
-	n.withdraw = withdraw
-	if renew != nil {
-		n.procs = append(n.procs, process{renew.Run, renew.Stop})
-	}
+	// Renewed from here to Close: a node stays listed while it is on the
+	// network, started or not.
+	n.listing.Keep(n.clock, n.running.Go)
 	spec.Obs.Fl().Record(n.clock, obs.FlightEvent{Node: n.name, Kind: obs.EventNodeStart, Detail: "worker"})
 	if spec.AutoStart {
 		n.worker.AutoStart()
@@ -305,8 +306,8 @@ func (n *Node) Ring() []string {
 	return ids
 }
 
-// Start launches the node's processes: the worker loop, the ring watcher
-// when the space is elastic, the renewal of a leased announcement.
+// Start launches the node's processes: the worker loop and, when the space
+// is elastic, the ring watcher.
 func (n *Node) Start() {
 	for _, p := range n.procs {
 		n.running.Go(p.run)
@@ -322,15 +323,13 @@ func (n *Node) Stop() {
 	}
 }
 
-// Close stops the node, waits for its processes, withdraws its lookup
-// registration, takes it off the network and drops its connections.
+// Close stops the node, withdraws its lookup listing, waits for its
+// processes, takes it off the network and drops its connections.
 func (n *Node) Close() {
 	n.Stop()
+	n.listing.Withdraw()
+	n.listing = nil
 	n.running.Wait()
-	if n.withdraw != nil {
-		n.withdraw() // already lapsed is fine
-		n.withdraw = nil
-	}
 	if n.release != nil {
 		n.release()
 		n.release = nil

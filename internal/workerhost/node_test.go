@@ -93,7 +93,7 @@ func tcp(t *testing.T) deployment {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return &snmp.UDPExchanger{Addr: n.SNMPAddr(), Timeout: time.Second}, sig
+			return &snmp.UDPExchanger{Addr: n.SNMPAddr()}, sig
 		},
 	}
 }
@@ -172,9 +172,9 @@ func TestOneScriptTwoEnvironments(t *testing.T) {
 
 		before := runtime.NumGoroutine()
 		n := d.node(t, "node01", Spec{
-			Program:      job.Name(),
-			TaskTemplate: func(map[string]string) tuplespace.Entry { return job.TaskTemplate() },
-			PollTimeout:  20 * time.Millisecond, WatchInterval: host.WatchInterval,
+			Program:       job.Name(),
+			TaskTemplate:  func(map[string]string) tuplespace.Entry { return job.TaskTemplate() },
+			WatchInterval: host.WatchInterval,
 		})
 		var b strings.Builder
 		fmt.Fprintf(&b, "ring=%v members=%d watcher=%v\n", n.Router() != nil, len(n.Ring()), n.ring.Watcher != nil)

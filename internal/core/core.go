@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"time"
 
@@ -226,6 +227,73 @@ type Result struct {
 	// ObsSummary is the per-stage tail-latency table (p50/p90/p99/max of
 	// every non-empty histogram) when Config.Obs was set.
 	ObsSummary []metrics.StageSummary
+	// PerTask is what one task cost, counted, when Config.Obs was set.
+	PerTask *PerTask
+}
+
+// PerTask is the per-task ledger of a run: every figure is a total over
+// the run divided by the tasks the master planned. It reads only counters
+// and histogram counts the deployment keeps anyway, so the counts cost
+// nothing to take; a figure of a feature that was off reads 0.
+type PerTask struct {
+	// MasterOps and WorkerOps are the space ops the master's handle and
+	// the worker nodes' issued, by space.Kind name ("write", "take", …);
+	// a kind a side never issued is absent from its map.
+	MasterOps, WorkerOps map[string]float64
+	// ServedCalls is the space RPCs the shard servers served.
+	ServedCalls float64
+	// WALRecords and WALFsyncs are the durable shards' log appends and
+	// fsyncs.
+	WALRecords, WALFsyncs float64
+	// ShippedRecords and ShipBatches are the journal records the primaries
+	// shipped to their standbys and the batches they went in.
+	ShippedRecords, ShipBatches float64
+	// MemoEvictions is the memo rows the shards' bounds evicted.
+	MemoEvictions float64
+}
+
+// SpaceOps returns the ops the master and the workers issued together.
+func (p *PerTask) SpaceOps() float64 {
+	var n float64
+	for _, ops := range []map[string]float64{p.MasterOps, p.WorkerOps} {
+		for _, v := range ops {
+			n += v
+		}
+	}
+	return n
+}
+
+// perTask reads the ledger of a run of tasks tasks off its counters and
+// registry.
+func perTask(tasks int, counters map[string]uint64, reg *metrics.Registry) *PerTask {
+	if reg == nil || tasks <= 0 {
+		return nil
+	}
+	per := func(n uint64) float64 { return float64(n) / float64(tasks) }
+	p := &PerTask{
+		MasterOps:      map[string]float64{},
+		WorkerOps:      map[string]float64{},
+		WALRecords:     per(counters[metrics.CounterWALRecords]),
+		ShippedRecords: per(counters[metrics.CounterReplShipped]),
+		MemoEvictions:  per(counters[metrics.CounterDedupMemoEvicted]),
+	}
+	hists := reg.Histograms()
+	for name, h := range hists {
+		n := h.Count()
+		switch {
+		case n == 0:
+		case strings.HasPrefix(name, metrics.HistWorkerSpacePrefix):
+			p.WorkerOps[strings.TrimPrefix(name, metrics.HistWorkerSpacePrefix)] = per(n)
+		case strings.HasPrefix(name, metrics.HistSpacePrefix):
+			p.MasterOps[strings.TrimPrefix(name, metrics.HistSpacePrefix)] = per(n)
+		}
+	}
+	for i := 0; hists[metrics.HistShardServe(i)] != nil; i++ {
+		p.ServedCalls += per(hists[metrics.HistShardServe(i)].Count())
+	}
+	p.WALFsyncs = per(hists[metrics.HistWALFsync].Count())
+	p.ShipBatches = per(hists[metrics.HistReplShip].Count())
+	return p
 }
 
 // New assembles a Framework on clock over net: it opens the network, hosts
@@ -444,6 +512,7 @@ func (f *Framework) Run(job Job, script func(*Framework)) (Result, error) {
 	res.Counters = f.Counters.Snapshot()
 	if f.cfg.Obs != nil {
 		res.ObsSummary = f.cfg.Obs.Reg().Summary()
+		res.PerTask = perTask(rm.Tasks, res.Counters, f.cfg.Obs.Reg())
 	}
 	for _, n := range nodes {
 		w := n.Worker()

@@ -83,6 +83,10 @@ const (
 	// latencies: "space:write", "space:take", … (one per space.Space
 	// method, recorded by obs.InstrumentSpace).
 	HistSpacePrefix = "space:"
+	// HistWorkerSpacePrefix prefixes the same latencies as a worker node
+	// sees them: "worker:space:take", … — kept apart from the master's so
+	// a run's ops split into the master's side and the workers'.
+	HistWorkerSpacePrefix = "worker:space:"
 
 	// Per-stage task pipeline latencies.
 	HistMasterPlan       = "master:plan"        // charge + task write, per task

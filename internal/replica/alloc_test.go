@@ -44,11 +44,14 @@ const maxReplicatedPairAllocs = 14
 // tokened shard.Router, as every production client reaches its shard:
 // the router's token and retry state on top, and on the standby the take
 // memo, which answers with the entry the standby already holds (its client
-// and key interned). It reads 21 built with go1.24 on amd64 (25 while the
-// standby decoded the memo's entry a second time out of the remove record,
-// 46 before the wire structs were lent, 60 before the queue buffer and the
-// reused record); the spare two as above.
-const maxTokenedReplicatedPairAllocs = 23
+// and key interned). The memo table keeps its rows by value and a take's
+// entry inline, so no memo allocates on either side. It reads 15 built with
+// go1.24 on amd64 (21 while each memo row was a pointer and a take's answer
+// a slice of its own, 25 while the standby decoded the memo's entry a
+// second time out of the remove record, 46 before the wire structs were
+// lent, 60 before the queue buffer and the reused record); the spare two as
+// above.
+const maxTokenedReplicatedPairAllocs = 17
 
 // TestReplicatedPairAllocations pins the allocation count of one
 // write+take pair through Proxy → TCP → Service → Local on a primary whose

@@ -167,6 +167,22 @@ var svcIncarnation atomic.Uint64
 // idBits is the width of the store id under a wire id's incarnation tag.
 const idBits = 32
 
+// A tag runs from tagMin up and wraps below tagEnd, so every wire id is a
+// 6-byte uvarint (2^35 ≤ id < 2^42) however many services the process
+// built before: a message's size, and with it a modeled wire time, does
+// not depend on what ran earlier in the process. Ids alias only between
+// services built tagEnd−tagMin apart; a retry reaches the replacement of
+// its own shard, built a few services after it.
+const (
+	tagMin = 1 << 3
+	tagEnd = 1 << (6*7 - idBits)
+)
+
+// nextBase returns the next service's namespace tag, shifted into place.
+func nextBase() uint64 {
+	return (tagMin + (svcIncarnation.Add(1)-1)%(tagEnd-tagMin)) << idBits
+}
+
 // Service exposes a Local space over a transport.Server. The master module
 // runs one of these; workers and the network-management module reach it
 // through Proxy. It owns nothing but the wire and keeps no state per
@@ -188,7 +204,7 @@ type Service struct {
 // admission controller (see Admission); an unconfigured controller just
 // unwraps the RPC frame.
 func NewService(local *Local, srv *transport.Server) *Service {
-	s := &Service{local: local, base: svcIncarnation.Add(1) << idBits}
+	s := &Service{local: local, base: nextBase()}
 	for k := Kind(0); k < NumKinds; k++ {
 		srv.Handle(k.Method(), s.adm.wrap(k, s.handler(k)))
 	}

@@ -112,8 +112,8 @@ func (a *Applier) apply(r *record, evicted bool) error {
 	a.mu.Lock()
 	filter, memoFilter := a.filter, a.memoFilter
 	a.mu.Unlock()
-	op, memoKey, returned := r.memo()
-	if memoFilter != nil && !memoFilter(memoKey, memoKey != "") {
+	memo := r.memo()
+	if memoFilter != nil && !memoFilter(memo.key, memo.key != "") {
 		r.tok = OpToken{}
 	}
 	switch r.kind {
@@ -137,7 +137,7 @@ func (a *Applier) apply(r *record, evicted bool) error {
 			// happened all the same: its memo answers with a lease on
 			// nothing.
 			if !r.tok.Zero() {
-				a.s.installMemo(r.tok, &memoRec{op: op, key: memoKey})
+				a.s.installMemo(r.tok, memo)
 			}
 			return nil
 		}
@@ -170,8 +170,7 @@ func (a *Applier) apply(r *record, evicted bool) error {
 			}
 		}
 		if !r.tok.Zero() {
-			var err error
-			if returned, err = memoEntries(r, ses); err != nil {
+			if err := memo.answerRecord(r, ses); err != nil {
 				return fmt.Errorf("tuplespace: apply record: %w", err)
 			}
 		}
@@ -180,51 +179,59 @@ func (a *Applier) apply(r *record, evicted bool) error {
 		}
 		if reveal {
 			a.s.reveal(ses)
-		} else if err := a.s.applyRemove(ses, r.tok, op, memoKey, returned); err != nil {
+		} else if err := a.s.applyRemove(ses, r.tok, memo); err != nil {
 			return fmt.Errorf("tuplespace: apply remove %v: %w", r.seqs, err)
 		}
 	case recMemo:
 		if r.tok.Zero() {
 			return nil // filtered
 		}
-		returned, err := memoEntries(r, nil)
-		if err != nil {
+		if err := memo.answerRecord(r, nil); err != nil {
 			return fmt.Errorf("tuplespace: apply record: %w", err)
 		}
-		rec := &memoRec{op: op, key: memoKey, entries: returned}
-		if op == MemoWrite && len(r.seqs) == 1 {
+		if memo.op == MemoWrite && len(r.seqs) == 1 {
 			// The write record precedes its memo in a snapshot, so the
 			// entry is already here; none (consumed or filtered away)
 			// resolves to a detached expired lease on retry.
 			if se := a.entry(r.seqs[0], filter != nil); se != nil {
-				rec.lease = &se.lease
+				memo.lease = &se.lease
 			}
 		}
-		a.s.installMemo(r.tok, rec)
+		a.s.installMemo(r.tok, memo)
 	}
 	return nil
 }
 
-// memoEntries returns what the memo of tokened record r answers with. A
-// record decoded whole (recovery) carries them. A remove whose every
-// named entry is still here (ses, as found for r.seqs) answers with those
-// stored values, the copy this side already holds, as its primary's memo
-// answers with the values it removed. Otherwise — the entry expired here
-// first, the record duplicates one already applied, a migration never
-// copied it, or a memo record — the record's own entries are decoded and
-// checked.
-func memoEntries(r *record, ses []*storedEntry) ([]Entry, error) {
+// answerRecord sets what rec, the memo of tokened record r, answers with.
+// A record decoded whole (recovery) carries it. A remove whose every named
+// entry is still here (ses, as found for r.seqs) answers with those stored
+// values, the copy this side already holds, as its primary's memo answers
+// with the values it removed: a take's inline, like the primary's.
+// Otherwise — the entry expired here first, the record duplicates one
+// already applied, a migration never copied it, or a memo record — the
+// record's own entries are decoded and checked.
+func (rec *memoRec) answerRecord(r *record, ses []*storedEntry) error {
 	switch {
 	case len(r.msgs) == 0:
-		return r.entries, nil
+		rec.answer(r.entries)
 	case len(ses) == len(r.msgs) && len(ses) == len(r.seqs):
-		out := make([]Entry, len(ses))
-		for i, se := range ses {
-			out[i] = enc.Interface(se.val) // never written again, like the primary's
+		if rec.op != MemoTakeAll && len(ses) == 1 {
+			rec.taken = enc.Interface(ses[0].val) // never written again, like the primary's
+			return nil
 		}
-		return out, nil
+		all := make([]Entry, len(ses))
+		for i, se := range ses {
+			all[i] = enc.Interface(se.val)
+		}
+		rec.all = all
+	default:
+		es, err := r.decodeMsgs()
+		if err != nil {
+			return err
+		}
+		rec.answer(es)
 	}
-	return r.decodeMsgs()
+	return nil
 }
 
 // forget drops a migration's copies of source ids the source consumed.
@@ -252,7 +259,7 @@ func (a *Applier) entry(id uint64, filtered bool) *storedEntry {
 
 // applyRemove is the space's half of applying a remove record: those of ses
 // still here go, and the record's memo arrives, under one hold of the mutex.
-func (s *Space) applyRemove(ses []*storedEntry, tok OpToken, op, key string, returned []Entry) error {
+func (s *Space) applyRemove(ses []*storedEntry, tok OpToken, memo memoRec) error {
 	s.lock()
 	defer s.unlock()
 	here := ses[:0]
@@ -261,7 +268,7 @@ func (s *Space) applyRemove(ses []*storedEntry, tok OpToken, op, key string, ret
 			here = append(here, se)
 		}
 	}
-	return s.consumeLocked(here, tok, op, key, returned)
+	return s.consumeLocked(here, tok, memo)
 }
 
 // Reset empties the replicated state before a full re-sync (snapshot
@@ -279,7 +286,7 @@ func (a *Applier) Reset() {
 	}
 	for _, se := range ses {
 		if !se.removed {
-			_ = s.consumeLocked([]*storedEntry{se}, OpToken{}, "", "", nil)
+			_ = s.consumeLocked([]*storedEntry{se}, OpToken{}, memoRec{})
 		}
 	}
 	clear(a.copies)

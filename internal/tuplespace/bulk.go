@@ -43,7 +43,7 @@ func (s *Space) bulk(kind opKind, tmpl Entry, t *Txn, max int, tok OpToken) ([]E
 		return copyStored(ses), nil
 	}
 	if rec, ok := s.memoHitLocked(tok); ok && rec.op == MemoTakeAll {
-		return copyEntries(rec.entries), nil
+		return copyEntries(rec.all), nil
 	}
 	picked := s.pickLocked(kind, s.listLocked(ti, m), m, t, max)
 	if len(picked) == 0 {
@@ -61,16 +61,16 @@ func (s *Space) bulk(kind opKind, tmpl Entry, t *Txn, max int, tok OpToken) ([]E
 		}
 		return out, nil
 	}
-	var returned []Entry
-	if !tok.Zero() {
-		returned = make([]Entry, len(picked))
-		for i, se := range picked {
-			returned[i] = enc.Interface(se.val) // the memo keeps the taken values themselves
-		}
-	}
 	// Memoized under the template's key: the router routes the retry by
 	// it, so the memo must migrate with that bucket.
-	if err := s.consumeLocked(picked, tok, MemoTakeAll, m.key(ti), returned); err != nil {
+	rec := memoRec{op: MemoTakeAll, key: m.key(ti)}
+	if !tok.Zero() {
+		rec.all = make([]Entry, len(picked))
+		for i, se := range picked {
+			rec.all[i] = enc.Interface(se.val) // the memo keeps the taken values themselves
+		}
+	}
+	if err := s.consumeLocked(picked, tok, rec); err != nil {
 		return nil, err
 	}
 	s.stats.Takes += uint64(len(picked))

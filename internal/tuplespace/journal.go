@@ -155,14 +155,14 @@ func (s *Space) journalWriteLocked(se *storedEntry, tok OpToken) error {
 // consumeLocked is how entries leave the space for good outside a
 // transaction — a take, a take-all, a lease cancel, a standby applying its
 // primary's remove: one record naming every entry of ses, carrying tok and
-// what the op returned when it was tokened, then the removals and the memo.
-// A record applies whole or not at all: when the journal refuses it,
+// what the op returned when it was tokened (rec), then the removals and the
+// memo. A record applies whole or not at all: when the journal refuses it,
 // nothing was removed and nothing memoized. With no entry to name (a
 // standby that never held them) what is left of a tokened op is its memo.
-func (s *Space) consumeLocked(ses []*storedEntry, tok OpToken, op, key string, returned []Entry) error {
+func (s *Space) consumeLocked(ses []*storedEntry, tok OpToken, rec memoRec) error {
 	if len(ses) == 0 {
 		if !tok.Zero() {
-			s.installMemoLocked(tok, &memoRec{op: op, key: key, entries: returned})
+			s.installMemoLocked(tok, rec)
 		}
 		return nil
 	}
@@ -173,7 +173,8 @@ func (s *Space) consumeLocked(ses []*storedEntry, tok OpToken, op, key string, r
 			r.seqs = append(r.seqs, se.id)
 		}
 		if !tok.Zero() {
-			r.tok, r.memoOp, r.key, r.entries = tok, op, key, returned
+			var taken [1]Entry // a take's answer, which is one entry
+			r.tok, r.memoOp, r.key, r.entries = tok, rec.op, rec.key, rec.entriesIn(taken[:0])
 		}
 		if err := s.journal.record(&r); err != nil {
 			return err
@@ -183,7 +184,7 @@ func (s *Space) consumeLocked(ses []*storedEntry, tok OpToken, op, key string, r
 		s.removeLocked(se)
 	}
 	if !tok.Zero() {
-		s.memoInsertLocked(tok, &memoRec{op: op, key: key, entries: returned})
+		s.memoInsertLocked(tok, rec)
 	}
 	return nil
 }

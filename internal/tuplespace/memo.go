@@ -64,17 +64,42 @@ const (
 	defaultMemoTotal     = 8192
 )
 
-// memoRec is one memoized mutation outcome.
+// memoRec is one memoized mutation outcome, kept by value in the table: a
+// tokened op's memo allocates nothing of its own. What a take answers with
+// lives in the row; a take-all's is the slice the op built for it. Taken
+// entries are the stored values themselves, never written to again, and a
+// hit hands out a copy. A slice of a take's answer is built only where it
+// is needed whole, which is rare: a snapshot and a memo record.
 type memoRec struct {
-	op      string
-	key     string      // index key the op's retry routes by ("" when unkeyed)
-	lease   *EntryLease // write memos: the original entry's lease (nil once rebuilt past consumption)
-	entries []Entry     // take/takeall memos: the taken entries, never written to again
+	op    string
+	key   string      // index key the op's retry routes by ("" when unkeyed)
+	lease *EntryLease // write memos: the original entry's lease (nil once rebuilt past consumption)
+	taken Entry       // take memos: the taken entry (nil when the take took none)
+	all   []Entry     // take-all memos, and any other op's entries: the taken entries
+}
+
+// answer sets what rec answers with to es, which rec keeps unless it is a
+// take's one entry.
+func (rec *memoRec) answer(es []Entry) {
+	if rec.op != MemoTakeAll && len(es) == 1 {
+		rec.taken = es[0]
+	} else {
+		rec.all = es
+	}
+}
+
+// entriesIn returns what rec answers with, in buf when it is a take's one
+// entry.
+func (rec *memoRec) entriesIn(buf []Entry) []Entry {
+	if rec.taken != nil {
+		return append(buf, rec.taken)
+	}
+	return rec.all
 }
 
 // memoTable is the bounded token → outcome map. Guarded by Space.mu.
 type memoTable struct {
-	recs map[OpToken]*memoRec
+	recs map[OpToken]memoRec
 	// order is the FIFO of live tokens, oldest first, from head on. An
 	// evicted token leaves a zero token (a hole) in its place, so an
 	// eviction moves nothing; holes at the front move head past them, and
@@ -91,7 +116,7 @@ type memoTable struct {
 
 func newMemoTable() *memoTable {
 	return &memoTable{
-		recs:      make(map[OpToken]*memoRec),
+		recs:      make(map[OpToken]memoRec),
 		perClient: make(map[string]int),
 		maxClient: defaultMemoPerClient,
 		maxTotal:  defaultMemoTotal,
@@ -107,9 +132,9 @@ func (s *Space) memosLocked() *memoTable {
 }
 
 // memoHitLocked looks tok up and counts a dedup hit.
-func (s *Space) memoHitLocked(tok OpToken) (*memoRec, bool) {
+func (s *Space) memoHitLocked(tok OpToken) (memoRec, bool) {
 	if tok.Zero() || s.memos == nil {
-		return nil, false
+		return memoRec{}, false
 	}
 	rec, ok := s.memos.recs[tok]
 	if ok {
@@ -144,14 +169,14 @@ func (s *Space) dedupHitLocked(tok OpToken, op string) {
 
 // memoInsertLocked stores rec under tok, evicting FIFO past the bounds.
 // Evictions are not journaled: bounds re-apply naturally on replay.
-func (s *Space) memoInsertLocked(tok OpToken, rec *memoRec) {
+func (s *Space) memoInsertLocked(tok OpToken, rec memoRec) {
 	m := s.memosLocked()
-	if old, ok := m.recs[tok]; ok {
-		// Re-install (replication overlap, replay dedup): replace in place.
-		*old = *rec
+	_, again := m.recs[tok]
+	m.recs[tok] = rec
+	if again {
+		// Re-install (replication overlap, replay dedup): replaced in place.
 		return
 	}
-	m.recs[tok] = rec
 	m.order = append(m.order, tok)
 	m.perClient[tok.Client]++
 	if m.perClient[tok.Client] > m.maxClient {
@@ -213,17 +238,18 @@ func (m *memoTable) trim() {
 // is best-effort: a refused memo record is dropped, because whatever the memo describes
 // has happened, and a lost memo only degrades that one op back to
 // at-most-once on retry.
-func (s *Space) installMemoLocked(tok OpToken, rec *memoRec) {
+func (s *Space) installMemoLocked(tok OpToken, rec memoRec) {
 	s.memoInsertLocked(tok, rec)
 	if s.journal != nil {
-		_ = s.journal.record(rec.record(tok))
+		r := rec.record(tok)
+		_ = s.journal.record(&r)
 	}
 }
 
 // record is rec as a standalone memo record: a write memo names the entry
 // its lease holds, so a reader that has the entry binds the two.
-func (rec *memoRec) record(tok OpToken) *record {
-	r := &record{kind: recMemo, tok: tok, memoOp: rec.op, key: rec.key, entries: rec.entries}
+func (rec *memoRec) record(tok OpToken) record {
+	r := record{kind: recMemo, tok: tok, memoOp: rec.op, key: rec.key, entries: rec.entriesIn(nil)}
 	if rec.lease != nil {
 		r.seqs = []uint64{rec.lease.Seq()}
 	}
@@ -250,10 +276,13 @@ func copyEntries(entries []Entry) []Entry {
 	}
 	out := make([]Entry, len(entries))
 	for i, e := range entries {
-		out[i] = copyOut(reflect.Indirect(reflect.ValueOf(e)))
+		out[i] = copyEntry(e)
 	}
 	return out
 }
+
+// copyEntry is copyEntries for one entry.
+func copyEntry(e Entry) Entry { return copyOut(reflect.Indirect(reflect.ValueOf(e))) }
 
 // entryKey returns the entry's index-field value ("" when the type is
 // unindexed or the field is empty).
@@ -269,7 +298,7 @@ func entryKey(se *storedEntry) string {
 // incarnation of this space and rec's entries were decoded for it alone.
 // The memo is re-journaled under this space's own journal so the chain
 // downstream (WAL, standby-of-standby, taps) carries it too.
-func (s *Space) installMemo(tok OpToken, rec *memoRec) {
+func (s *Space) installMemo(tok OpToken, rec memoRec) {
 	s.lock()
 	defer s.unlock()
 	if !s.closed {
@@ -326,7 +355,7 @@ func (s *Space) SetFlightSink(fn func(kind, detail string)) {
 // reshard.
 func (s *Space) EncodeMemosWhere(pred func(key string, keyed bool) bool) ([][]byte, error) {
 	s.lock()
-	var rs []*record
+	var rs []record
 	if s.memos != nil {
 		for _, tok := range s.memos.order[s.memos.head:] { // a hole is in no rec
 			rec, ok := s.memos.recs[tok]
@@ -338,7 +367,8 @@ func (s *Space) EncodeMemosWhere(pred func(key string, keyed bool) bool) ([][]by
 	s.unlock()
 
 	records := make([][]byte, len(rs))
-	for i, r := range rs {
+	for i := range rs {
+		r := &rs[i]
 		var err error
 		if records[i], err = encodeRecord(r); err != nil {
 			return nil, fmt.Errorf("tuplespace: snapshot memo %s: %w", r.tok, err)
@@ -415,5 +445,5 @@ func (l *EntryLease) CancelTok(tok OpToken) error {
 		return ErrLeaseExpired
 	}
 	// Journal first: a cancellation that cannot be logged does not happen.
-	return s.consumeLocked([]*storedEntry{se}, tok, MemoCancel, entryKey(se), nil)
+	return s.consumeLocked([]*storedEntry{se}, tok, memoRec{op: MemoCancel, key: entryKey(se)})
 }

@@ -56,17 +56,18 @@ type record struct {
 	msgs [][]byte
 }
 
-// memo returns what a tokened record memoizes under its token; a write's
-// follows from its entry. All zero for a record without a token.
-func (r *record) memo() (op, key string, returned []Entry) {
+// memo returns the op and key a tokened record memoizes under its token,
+// without what the op answers with (see answerRecord); a write's follow
+// from its entry. Zero for a record without a token.
+func (r *record) memo() memoRec {
 	switch {
 	case r.tok.Zero():
-		return "", "", nil
+		return memoRec{}
 	case r.kind == recWrite:
-		key, _, _ = IndexKey(r.entries[0])
-		return MemoWrite, key, nil
+		key, _, _ := IndexKey(r.entries[0])
+		return memoRec{op: MemoWrite, key: key}
 	}
-	return r.memoOp, r.key, r.entries
+	return memoRec{op: r.memoOp, key: r.key}
 }
 
 type recordKind byte

@@ -222,7 +222,7 @@ func (s *Space) write(e Entry, t *Txn, ttl time.Duration, tok OpToken, mode writ
 			return nil, jerr
 		}
 		if !tok.Zero() {
-			s.memoInsertLocked(tok, &memoRec{op: MemoWrite, key: entryKey(se), lease: l})
+			s.memoInsertLocked(tok, memoRec{op: MemoWrite, key: entryKey(se), lease: l})
 		}
 		if !se.staged {
 			fire = s.publishLocked(se)
@@ -292,15 +292,18 @@ func (s *Space) lookup(kind opKind, tmpl Entry, t *Txn, timeout time.Duration, b
 		return out, nil
 	}
 	if rec, ok := s.memoHitLocked(tok); ok && (rec.op == MemoTake || rec.op == MemoTakeAll) {
-		var out Entry
-		if len(rec.entries) > 0 {
-			out = copyEntries(rec.entries[:1])[0]
+		e := rec.taken // a take-all's memo answers a take with its first entry
+		if e == nil && len(rec.all) > 0 {
+			e = rec.all[0]
+		}
+		if e != nil {
+			e = copyEntry(e)
 		}
 		s.unlock()
-		if out == nil {
+		if e == nil {
 			return nil, ErrNoMatch
 		}
-		return out, nil
+		return e, nil
 	}
 	if se := s.findLocked(kind, s.listLocked(ti, m), m, t); se != nil {
 		if err := s.applyLocked(kind, se, t, tok); err != nil {
@@ -397,13 +400,13 @@ func (s *Space) applyLocked(kind opKind, se *storedEntry, t *Txn, tok OpToken) e
 			ts.takes = append(ts.takes, se)
 			ts.answered[tok] = []*storedEntry{se}
 		} else {
-			var returned []Entry
+			rec := memoRec{op: MemoTake, key: entryKey(se)}
 			if !tok.Zero() {
 				// The memo keeps the taken value itself: the space is
 				// done with it, and a memo's entries are only ever copied.
-				returned = []Entry{enc.Interface(se.val)}
+				rec.taken = enc.Interface(se.val)
 			}
-			if err := s.consumeLocked([]*storedEntry{se}, tok, MemoTake, entryKey(se), returned); err != nil {
+			if err := s.consumeLocked([]*storedEntry{se}, tok, rec); err != nil {
 				return err
 			}
 		}

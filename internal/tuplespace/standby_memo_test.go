@@ -75,17 +75,17 @@ func TestStandbyMemoAnswersWithHeldEntries(t *testing.T) {
 				tok  OpToken
 				want []Entry
 			}{{tok("c", 1), []Entry{took}}, {tok("c", 2), all}} {
-				rec := dst.memos.recs[c.tok]
-				if rec == nil {
+				rec, ok := dst.memos.recs[c.tok]
+				if !ok {
 					t.Fatalf("the standby holds no memo for %s", c.tok)
 				}
-				if !reflect.DeepEqual(rec.entries, c.want) {
-					t.Fatalf("memo %s = %v, want what the primary returned, %v", c.tok, rec.entries, c.want)
+				if !reflect.DeepEqual(rec.entriesIn(nil), c.want) {
+					t.Fatalf("memo %s = %v, want what the primary returned, %v", c.tok, rec.entriesIn(nil), c.want)
 				}
-				if p := src.memos.recs[c.tok]; p == nil || !reflect.DeepEqual(p.entries, rec.entries) {
+				if p, ok := src.memos.recs[c.tok]; !ok || !reflect.DeepEqual(p.entriesIn(nil), rec.entriesIn(nil)) {
 					t.Fatalf("memo %s differs from the primary's", c.tok)
 				}
-				for _, e := range rec.entries {
+				for _, e := range rec.entriesIn(nil) {
 					d := e.(paddedDoc)
 					if unsafe.SliceData(d.Pad) != payloads[d.N] {
 						t.Fatalf("memo %s: entry %d is a second copy, not the one the standby held", c.tok, d.N)
@@ -139,7 +139,7 @@ func TestStandbyMemoDecodesWhatItNoLongerHolds(t *testing.T) {
 					t.Fatalf("apply record %d: %v", i, err)
 				}
 			}
-			if rec := dst.memos.recs[tok("c", 1)]; rec == nil || !reflect.DeepEqual(rec.entries, []Entry{took}) {
+			if rec, ok := dst.memos.recs[tok("c", 1)]; !ok || !reflect.DeepEqual(rec.entriesIn(nil), []Entry{took}) {
 				t.Fatalf("the standby's memo = %+v, want the entry the primary returned", rec)
 			}
 			// Promoted, the standby answers the retry from its memo.

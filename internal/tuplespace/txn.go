@@ -98,7 +98,7 @@ func (s *Space) finish(t *Txn, tok OpToken, op string) error {
 		fire = s.abortLocked(t.id, ts)
 	}
 	if !tok.Zero() && !s.closed { // a closed space's journal is gone with it
-		s.installMemoLocked(tok, &memoRec{op: op})
+		s.installMemoLocked(tok, memoRec{op: op})
 	}
 	s.unlock()
 	deliver(fire)

@@ -172,7 +172,7 @@ func (n *Node) assemble() error {
 		Clock:   n.clock,
 		Machine: spec.Machine,
 		// Per-op latencies as this node sees them, network included.
-		Space:        obs.InstrumentSpace(n.ring.Router, n.clock, spec.Obs.Reg(), metrics.HistSpacePrefix),
+		Space:        obs.InstrumentSpace(n.ring.Router, n.clock, spec.Obs.Reg(), metrics.HistWorkerSpacePrefix),
 		Engine:       nodeconfig.NewEngine(nodeconfig.ExecContext{Clock: n.clock, Machine: spec.Machine, Node: n.name}, code),
 		Program:      spec.Program,
 		TaskTemplate: spec.TaskTemplate(items[0].Attributes), // every registration carries the host's Attrs

@@ -24,6 +24,12 @@
 //	expt scenario -seed 42 -count 10   # ten manifests from seed 42
 //	expt scenario -seed 1 -minutes 30  # soak for half an hour
 //
+// The ledger subcommand prints what one task of the paper's loop costs,
+// counted (core.Result.PerTask), for each deployment TestPerTaskLedger
+// pins, over the in-process network and over loopback TCP:
+//
+//	expt ledger
+//
 // The timeline subcommand renders flight-recorder dumps (the
 // /debug/flight payload, or a scenario failure's timeline artifact) as
 // one merged causal cluster timeline:
@@ -49,6 +55,13 @@ func main() {
 	if len(os.Args) > 1 && os.Args[1] == "scenario" {
 		if err := runScenario(os.Args[2:]); err != nil {
 			fmt.Fprintln(os.Stderr, "expt scenario:", err)
+			os.Exit(1)
+		}
+		return
+	}
+	if len(os.Args) > 1 && os.Args[1] == "ledger" {
+		if err := runLedger(); err != nil {
+			fmt.Fprintln(os.Stderr, "expt ledger:", err)
 			os.Exit(1)
 		}
 		return

@@ -1,7 +1,11 @@
 package main
 
 import (
+	"bytes"
+	"log"
 	"os"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -18,7 +22,7 @@ import (
 
 // TestRunManagesAnnouncedWorkers runs netman against a loopback lookup
 // service and a worker node over TCP, as cmd/worker builds it: the node
-// gets Start; after its Close it leaves the lookup service and is dropped;
+// gets Start, and netman logs the node it found and the signal it sent; after its Close it leaves the lookup service and is dropped;
 // and a replacement under the same name, restarted in place at the same
 // signal and SNMP addresses, gets its own Start. The first node's signal
 // connection died with it, so that Start reaches the replacement only on
@@ -54,7 +58,8 @@ func TestRunManagesAnnouncedWorkers(t *testing.T) {
 
 	stop := make(chan os.Signal)
 	done := make(chan error, 1)
-	go func() { done <- run(ll.Addr(), 20*time.Millisecond, stop) }()
+	var out lockedBuffer
+	go func() { done <- run(ll.Addr(), 20*time.Millisecond, stop, log.New(&out, "", 0)) }()
 	defer func() {
 		close(stop)
 		if err := <-done; err != nil {
@@ -91,6 +96,14 @@ func TestRunManagesAnnouncedWorkers(t *testing.T) {
 
 	first := node("127.0.0.1:0", "127.0.0.1:0")
 	started("the node", first)
+	for deadline := time.Now().Add(5 * time.Second); !strings.Contains(out.String(), "netman: node01 load "); time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("netman logged no event for node01 within 5s:\n%s", out.String())
+		}
+	}
+	if line := out.line("netman: node01 load "); !strings.HasSuffix(line, " signal Start") {
+		t.Fatalf("netman logged %q for the node's first round, want its Start", line)
+	}
 	first.Close()
 	if items := reg.Lookup(map[string]string{"type": workerhost.ServiceType}); len(items) != 0 {
 		t.Fatalf("a closed node is still announced: %+v", items)
@@ -100,4 +113,32 @@ func TestRunManagesAnnouncedWorkers(t *testing.T) {
 	second := node(first.Addr(), first.SNMPAddr())
 	defer second.Close()
 	started("the replacement", second)
+}
+
+// lockedBuffer is a log destination the test reads while run writes it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// line returns the first line logged that starts with prefix.
+func (b *lockedBuffer) line(prefix string) string {
+	for _, l := range strings.Split(b.String(), "\n") {
+		if strings.HasPrefix(l, prefix) {
+			return l
+		}
+	}
+	return ""
 }

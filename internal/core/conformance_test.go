@@ -90,7 +90,7 @@ func conformanceScript(t *testing.T, sp space.Space) []string {
 		}
 		sort.Ints(vals)
 		log = append(log, fmt.Sprintf("%s: entry=%v entries=%v lease=%t txn=%t n=%d counts=%v err=%s",
-			step, res.Entry, vals, res.Lease != nil, res.Txn != nil, res.N, res.Counts, confErr(err)))
+			step, res.Entry, vals, res.Lease != (space.Lease{}), res.Txn != nil, res.N, res.Counts, confErr(err)))
 		return res
 	}
 	write := func(step, key string, val int, tx space.Txn) space.Lease {

@@ -479,7 +479,7 @@ func (f *Framework) Run(job Job, script func(*Framework)) (Result, error) {
 		n.Start()
 	}
 	if f.cfg.Monitoring {
-		group.Go(mod.Run)
+		group.Go(func() { mod.Run(nil) })
 	}
 	for _, watch := range watchers {
 		group.Go(watch.Run)

@@ -5,20 +5,12 @@ import (
 	"testing"
 	"time"
 
-	"gospaces/internal/apps/montecarlo"
-	"gospaces/internal/cluster"
 	"gospaces/internal/core"
-	"gospaces/internal/obs"
-	"gospaces/internal/shardhost"
-	"gospaces/internal/vclock"
+	"gospaces/internal/experiments"
 )
 
-// ledgerRow is one deployment of TestPerTaskLedger.
-type ledgerRow struct {
-	name           string
-	shape          string // one shard: "memory", "durable" (WAL-backed) or "standby" (one hot standby)
-	tasks, workers int
-	work           time.Duration
+// ledgerPins is what TestPerTaskLedger pins of one experiments.LedgerRow.
+type ledgerPins struct {
 	// busy marks a row with one worker and tasks waiting for it: it never
 	// polls in vain, and on the virtual clock its counts repeat exactly
 	// and are pinned.
@@ -33,66 +25,52 @@ type ledgerRow struct {
 // and fsyncs, shipped records and ship batches (core.Result.PerTask). The
 // busy rows run one worker on 40 tasks, on one shard held in memory, in a
 // WAL and with a hot standby; the idle-heavy row runs 8 workers on 4 long
-// tasks, so the idle workers' polls time out and abort. Each row runs one
+// tasks, so the idle workers' polls time out and abort
+// (experiments.LedgerRows, which `expt ledger` prints). Each row runs one
 // core.Config through core.InProc and core.TCP. A busy row's counts repeat
 // exactly on the virtual clock and are pinned; everywhere else the ops are
 // pinned, how many polls time out is bounded, and the records follow from
 // it.
 func TestPerTaskLedger(t *testing.T) {
-	rows := []ledgerRow{
-		{name: "memory/busy", shape: "memory", tasks: 40, workers: 1, work: time.Millisecond, busy: true},
-		{name: "durable/busy", shape: "durable", tasks: 40, workers: 1, work: time.Millisecond, busy: true, wal: 5, fsyncs: 5},
-		{name: "standby/busy", shape: "standby", tasks: 40, workers: 1, work: time.Millisecond, busy: true, shipped: 4.975, batches: 1.975},
-		{name: "standby/idle", shape: "standby", tasks: 4, workers: 8, work: 300 * time.Millisecond},
+	pins := map[string]ledgerPins{
+		"memory/busy":  {busy: true},
+		"durable/busy": {busy: true, wal: 5, fsyncs: 5},
+		"standby/busy": {busy: true, shipped: 4.975, batches: 1.975},
+		"standby/idle": {},
 	}
-	for _, row := range rows {
+	for _, row := range experiments.LedgerRows {
+		pin, ok := pins[row.Name]
+		if !ok {
+			t.Fatalf("no pins for ledger row %s", row.Name)
+		}
 		for _, tcp := range []bool{false, true} {
-			name := row.name + "/inproc"
+			name := row.Name + "/inproc"
 			if tcp {
-				name = row.name + "/tcp"
+				name = row.Name + "/tcp"
 			}
 			t.Run(name, func(t *testing.T) {
 				t.Parallel()
-				spec := shardhost.Spec{Shards: 1, TxnTTL: time.Minute, Obs: obs.New(1)}
-				switch row.shape {
-				case "durable":
-					spec.DataDir = t.TempDir()
-				case "standby":
-					spec.Replicas = 1
-				}
-				cfg := core.Config{Spec: spec, Workers: cluster.Uniform(row.workers, 1.0), ResultTimeout: 30 * time.Second}
-				job := montecarlo.NewJob(deploymentJob(row.tasks, row.work))
-				var res core.Result
-				var err error
-				if tcp {
-					f, _ := tcpFramework(t, cfg)
-					res, err = f.Run(job, nil)
-				} else {
-					clk := vclock.NewVirtual(chaosEpoch)
-					f := newFramework(t, clk, core.InProc(nil, nil), cfg)
-					defer f.Close()
-					clk.Run(func() { res, err = f.Run(job, nil) })
-				}
+				res, err := experiments.RunLedger(row, tcp)
 				if err != nil {
 					t.Fatal(err)
 				}
 				tasks := res.Metrics.Tasks
 				if tcp {
-					waves := (tasks + row.workers - 1) / row.workers
-					compute := time.Duration(waves) * row.work
+					waves := (tasks + row.Workers - 1) / row.Workers
+					compute := time.Duration(waves) * row.Work
 					t.Logf("per_task_overhead_us %.0f: wall-clock parallel time %v beyond %d waves of modeled compute, per task; the pricing's own arithmetic is in it (planning %v, aggregation %v)",
 						float64(res.Metrics.ParallelTime-compute)/float64(tasks)/1e3, res.Metrics.ParallelTime, waves,
 						res.Metrics.TaskPlanningTime, res.Metrics.TaskAggregationTime)
 				}
-				checkLedger(t, row, row.busy && !tcp, tasks, res.PerTask)
+				checkLedger(t, row, pin, pin.busy && !tcp, tasks, res.PerTask)
 			})
 		}
 	}
 }
 
-// checkLedger requires the per-task counts p to be row's: exactly, or
-// within the bounds of a run whose idle polls vary.
-func checkLedger(t *testing.T, row ledgerRow, exact bool, tasks int, p *core.PerTask) {
+// checkLedger requires the per-task counts p to be row's: exactly, as
+// pin says, or within the bounds of a run whose idle polls vary.
+func checkLedger(t *testing.T, row experiments.LedgerRow, pin ledgerPins, exact bool, tasks int, p *core.PerTask) {
 	t.Helper()
 	if p == nil {
 		t.Fatal("no per-task ledger with Obs set")
@@ -123,10 +101,10 @@ func checkLedger(t *testing.T, row ledgerRow, exact bool, tasks int, p *core.Per
 	eq("memo evictions", p.MemoEvictions, 0)
 	if exact {
 		eq("aborts", aborts, 0)
-		eq("WAL records", p.WALRecords, row.wal)
-		eq("WAL fsyncs", p.WALFsyncs, row.fsyncs)
-		eq("shipped records", p.ShippedRecords, row.shipped)
-		eq("ship batches", p.ShipBatches, row.batches)
+		eq("WAL records", p.WALRecords, pin.wal)
+		eq("WAL fsyncs", p.WALFsyncs, pin.fsyncs)
+		eq("shipped records", p.ShippedRecords, pin.shipped)
+		eq("ship batches", p.ShipBatches, pin.batches)
 		return
 	}
 	// How many polls time out varies with goroutine order, and over TCP
@@ -135,17 +113,17 @@ func checkLedger(t *testing.T, row ledgerRow, exact bool, tasks int, p *core.Per
 	// commit's memo) and the result's take. An idle poll journals one, its
 	// abort's memo. A ship may still be on its way when the run's counters
 	// are read.
-	if row.busy && aborts > 0.5 || !row.busy && (aborts == 0 || aborts > 4*float64(row.workers)) {
-		t.Errorf("aborts: %.4f per task, out of bounds for %d workers on %d tasks", aborts, row.workers, tasks)
+	if pin.busy && aborts > 0.5 || !pin.busy && (aborts == 0 || aborts > 4*float64(row.Workers)) {
+		t.Errorf("aborts: %.4f per task, out of bounds for %d workers on %d tasks", aborts, row.Workers, tasks)
 	}
-	if row.shape == "durable" {
+	if row.Shape == "durable" {
 		eq("WAL records", p.WALRecords, 5+aborts)
 		eq("WAL fsyncs", p.WALFsyncs, 5+aborts)
 	} else {
 		eq("WAL records", p.WALRecords, 0)
 		eq("WAL fsyncs", p.WALFsyncs, 0)
 	}
-	if row.shape != "standby" {
+	if row.Shape != "standby" {
 		eq("shipped records", p.ShippedRecords, 0)
 	} else if got := p.ShippedRecords; got < 5-1/float64(tasks)-1e-9 || got > 5+aborts+1e-9 {
 		t.Errorf("shipped records: %.4f per task, want 5 (the last may be in flight) plus at most one per abort (%.4f)", got, aborts)

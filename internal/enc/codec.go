@@ -159,11 +159,14 @@ func (e *Encoder) ascend() { e.depth-- }
 
 // Decoder is the receiving half of one direction of one connection. It is
 // not safe for concurrent use and must see messages in the order the
-// peer's Encoder produced them.
+// peer's Encoder produced them. Every string it decodes comes from its
+// table (see Intern), so a string its stream sent before is shared, not
+// copied again.
 type Decoder struct {
 	types    []recvType // index id-1
-	r        reader     // the message being decoded, kept here so the *reader the plans take costs nothing
-	borrowed bool       // the last decode set a View into its message
+	strs     strtab
+	r        reader // the message being decoded, kept here so the *reader the plans take costs nothing
+	borrowed bool   // the last decode set a View into its message
 }
 
 // recvType is one defined id: the local type, or why values of it fail.
@@ -176,19 +179,26 @@ type recvType struct {
 func NewDecoder() *Decoder { return &Decoder{} }
 
 // Reset empties the type table: the next message must define every type it
-// uses (see Encoder.Reset).
+// uses (see Encoder.Reset). The string table stays: a journal stream
+// resets per record and still names the same clients and keys.
 func (d *Decoder) Reset() { d.types = d.types[:0] }
 
+// Intern returns b as a string from the Decoder's table, as a decode
+// delivers a string field: for the strings a caller reads from the same
+// stream outside a value, such as a journal record's header.
+func (d *Decoder) Intern(b []byte) string { return d.strs.intern(b) }
+
 // Decode returns the value msg holds. The result shares no memory with
-// msg, except a View it holds (see Borrowed). A value-level failure (an id
-// never defined, a layout mismatch, a body cut short) leaves the Decoder
-// usable for the next message.
+// msg, except a View it holds (see Borrowed), and nothing with any other
+// value but the strings it shares with this Decoder's earlier results. A
+// value-level failure (an id never defined, a layout mismatch, a body cut
+// short) leaves the Decoder usable for the next message.
 func (d *Decoder) Decode(msg []byte) (interface{}, error) { return d.decode(msg, false) }
 
 // DecodeLent is Decode for a message the caller hands over for one use: a
 // struct comes back as a *T lent from T's pool (see Lend), which the
-// caller may Release once done with it. What the struct points at is
-// fresh, as Decode delivers it.
+// caller may Release once done with it. What the struct points at is the
+// caller's to keep, as Decode delivers it.
 func (d *Decoder) DecodeLent(msg []byte) (interface{}, error) { return d.decode(msg, true) }
 
 // Borrowed reports whether the value the last Decode or DecodeLent
@@ -305,7 +315,7 @@ func (r *reader) body(w *wireType, v reflect.Value) error {
 
 // concrete reads a value of w's type, the type reference ref read; the
 // zero Value for a nil w. A value it returns is fresh (see Interface):
-// nothing else points at it.
+// nothing else points at it, though the strings inside it may be shared.
 func (r *reader) concrete(w *wireType) (reflect.Value, error) {
 	if w == nil {
 		return reflect.Value{}, nil
@@ -319,9 +329,9 @@ func (r *reader) concrete(w *wireType) (reflect.Value, error) {
 
 // Interface returns the value v holds as an interface{}, as v.Interface()
 // does, but without copying it where that is safe. v must be fresh — the
-// element of a reflect.New that nothing else points at — and must never be
-// written again through v or any copy of it: the interface owns the value
-// from here on.
+// element of a reflect.New that nothing else points at; the strings it
+// holds may be shared, being immutable — and must never be written again
+// through v or any copy of it: the interface owns the value from here on.
 //
 // A struct type wider than a machine word is never pointer-shaped, so an
 // interface holding one keeps a pointer to the value in its data word, and

@@ -160,7 +160,8 @@ func RegisteredTypes() []reflect.Type {
 // type's pool, a sender takes the *T it sends from the same pool with
 // Lend, and whoever is done with one hands it back with Release. Only the
 // top-level struct is lent; what it points at (an entry in an interface
-// field, a byte slice, a map) is fresh and may be kept past its Release.
+// field, a byte slice, a map, a string from the Decoder's table) is the
+// receiver's and may be kept past its Release.
 // Releasing is optional: a lent value nobody releases is ordinary
 // garbage. Releasing one that someone still uses is the one mistake
 // possible: the next lend hands it to another call.

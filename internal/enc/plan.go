@@ -336,12 +336,13 @@ func encString(_ *Encoder, b []byte, v reflect.Value) ([]byte, error) {
 	return append(binary.AppendUvarint(b, uint64(len(s))), s...), nil
 }
 
+// decString takes the string from the Decoder's table (see strtab).
 func decString(r *reader, v reflect.Value) error {
 	p, err := r.counted()
 	if err != nil {
 		return err
 	}
-	v.SetString(string(p))
+	v.SetString(r.d.strs.intern(p))
 	return nil
 }
 

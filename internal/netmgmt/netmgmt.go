@@ -308,9 +308,10 @@ func (m *Module) record(ev Event) *Event {
 }
 
 // Run polls until Shutdown, sleeping PollInterval between rounds, then
-// closes every worker's links. It must run as a process on the module's
-// clock.
-func (m *Module) Run() {
+// closes every worker's links. Each event a round returns goes to each,
+// when it is not nil, in the round's order. It must run as a process on
+// the module's clock.
+func (m *Module) Run(each func(Event)) {
 	m.mu.Lock()
 	if m.running {
 		m.mu.Unlock()
@@ -321,7 +322,11 @@ func (m *Module) Run() {
 	// The first round polls at once: a zero Tick only asks whether
 	// Shutdown came first.
 	for d := time.Duration(0); m.loop.Tick(m.cfg.Clock, d); d = m.cfg.PollInterval {
-		m.PollOnce()
+		for _, ev := range m.PollOnce() {
+			if each != nil {
+				each(ev)
+			}
+		}
 	}
 	m.mu.Lock()
 	list := m.workers

@@ -204,7 +204,7 @@ func TestRunLoopPollsPeriodically(t *testing.T) {
 	n := newFakeNode(clk, net, "n1")
 	mod := newModule(clk, net, n)
 	clk.Run(func() {
-		clk.Go(mod.Run)
+		clk.Go(func() { mod.Run(nil) })
 		clk.Sleep(2 * time.Second)
 		// Raise load mid-run; the loop must notice within a poll period.
 		n.machine.SetConstSource("user", 95)
@@ -230,7 +230,7 @@ func TestShutdownBeforeRunPollsNothing(t *testing.T) {
 	mod := newModule(clk, net, n)
 	mod.Shutdown()
 	clk.Run(func() {
-		clk.Go(mod.Run) // must exit without polling
+		clk.Go(func() { mod.Run(nil) }) // must exit without polling
 		clk.Sleep(2 * time.Second)
 	})
 	if evs := mod.Events(); len(evs) != 0 {

@@ -32,26 +32,31 @@ func init() { transport.RegisterType(pairTask{}) }
 // request frame (an enc.View), which goes back to the connection's spare
 // list once answered. The queue copies each record into one buffer and the
 // standby decodes each into one reused record, so a record costs neither
-// side an allocation of its own. It reads 12 built with go1.24 on amd64
-// (14 while the standby copied each batch out of its frame, 33 while every
-// wire struct was allocated and boxed per call, 45 while the queue held a
-// slice per record and the standby decoded each into fresh arrays, 62
-// while each request had a goroutine of its own and each record two
-// copies); the spare two absorb runtime differences between Go releases.
-const maxReplicatedPairAllocs = 14
+// side an allocation of its own. It reads 11 built with go1.24 on amd64
+// (12 while each write's lease was a handle of its own, 14 while the
+// standby copied each batch out of its frame, 33 while every wire struct
+// was allocated and boxed per call, 45 while the queue held a slice per
+// record and the standby decoded each into fresh arrays, 62 while each
+// request had a goroutine of its own and each record two copies); the
+// spare two absorb runtime differences between Go releases.
+const maxReplicatedPairAllocs = 13
 
 // maxTokenedReplicatedPairAllocs is the same pair through a one-member
 // tokened shard.Router, as every production client reaches its shard:
 // the router's token and retry state on top, and on the standby the take
-// memo, which answers with the entry the standby already holds (its client
-// and key interned). The memo table keeps its rows by value and a take's
-// entry inline, so no memo allocates on either side. It reads 15 built with
-// go1.24 on amd64 (21 while each memo row was a pointer and a take's answer
-// a slice of its own, 25 while the standby decoded the memo's entry a
-// second time out of the remove record, 46 before the wire structs were
-// lent, 60 before the queue buffer and the reused record); the spare two as
-// above.
-const maxTokenedReplicatedPairAllocs = 17
+// memo, which answers with the entry the standby already holds. The memo
+// table keeps its rows by value and a take's entry inline, so no memo
+// allocates on either side; the token's client comes from each stream's
+// string table (DESIGN §14) after its first op, on the primary's
+// connection and in the standby's applier alike; and the router passes
+// the proxy's lease on as a value (DESIGN §11). It reads 11 built with
+// go1.24 on amd64 (15 while the primary copied the token's client per op
+// and each written lease was a proxy handle wrapped in a router handle, 21
+// while each memo row was a pointer and a take's answer a slice of its
+// own, 25 while the standby decoded the memo's entry a second time out of
+// the remove record, 46 before the wire structs were lent, 60 before the
+// queue buffer and the reused record); the spare two as above.
+const maxTokenedReplicatedPairAllocs = 13
 
 // TestReplicatedPairAllocations pins the allocation count of one
 // write+take pair through Proxy → TCP → Service → Local on a primary whose

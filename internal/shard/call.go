@@ -126,13 +126,11 @@ func (r *Router) ready(v *view, s Shard, op space.Op) (space.Op, Shard, error) {
 
 // issue sends op to s once, feeds the outcome to the position's breaker
 // and the retry budget, and binds a written lease to the handle that
-// produced it (see routerLease).
+// produced it (see leaseOp).
 func (r *Router) issue(s Shard, op space.Op) (space.Result, error) {
 	res, err := s.Space.Do(op)
 	r.observe(s.ID, err)
-	if res.Lease != nil {
-		res.Lease = &routerLease{r: r, sp: s.Space, l: res.Lease}
-	}
+	res.Lease = res.Lease.Issued(r, s.Space)
 	return res, err
 }
 

@@ -1,7 +1,7 @@
 package shard
 
 import (
-	"fmt"
+	"errors"
 	"strconv"
 	"sync"
 	"time"
@@ -19,8 +19,8 @@ import (
 // memoizes each tokened outcome (see tuplespace memo.go), so a replay
 // returns the original result instead of re-executing. This file holds
 // what the replays draw on — the shared budget, the tokens, the per-op
-// schedule — and the lease handle; the decision table and the one retry
-// loop are in call.go.
+// schedule — and a lease's renew and cancel; the decision table and the
+// one retry loop are in call.go.
 
 // clientID names a router's token namespace: its Seed and the instant it
 // was built, on its own clock. Under the virtual clock that replays with
@@ -140,41 +140,23 @@ func (r *Router) policy(tok tuplespace.OpToken) transport.Backoff {
 	return b
 }
 
-// routerLease binds a written lease to the shard handle that produced it,
-// so Renew/Cancel re-enter the router as Ops and a Cancel can carry a
-// token and retry reply-lost outcomes against the same service connection.
-// Service lease IDs do not survive failover, so a cancel retried across a
-// promotion still surfaces ErrLeaseExpired (DESIGN §7).
-type routerLease struct {
-	r  *Router
-	sp space.Space
-	l  space.Lease
-}
-
-// Renew implements space.Lease.
-func (rl *routerLease) Renew(ttl time.Duration) error {
-	return rl.r.leaseOp(space.Op{Kind: space.OpRenew, Lease: rl, TTL: ttl})
-}
-
-// Cancel implements space.Lease.
-func (rl *routerLease) Cancel() error {
-	return rl.r.leaseOp(space.Op{Kind: space.OpCancel, Lease: rl})
-}
-
-// leaseOp serves Renew/Cancel on the lease's own shard handle — a handle,
-// not a ring position, so no breaker gates it. A Cancel is tokened and
-// replayed like any mutation; a Renew is never replayed.
+// leaseOp serves Renew/Cancel on the shard handle the lease was issued on
+// (see issue), so a Cancel can carry a token and retry reply-lost outcomes
+// against the same service connection — a handle, not a ring position, so
+// no breaker gates it. A Cancel is tokened and replayed like any mutation;
+// a Renew is never replayed. Service lease IDs do not survive failover, so
+// a cancel retried across a promotion still surfaces ErrLeaseExpired
+// (DESIGN §7).
 func (r *Router) leaseOp(op space.Op) error {
-	rl, ok := op.Lease.(*routerLease)
-	if !ok || rl.r != r {
-		return fmt.Errorf("shard: lease %T does not belong to this router", op.Lease)
+	sp := op.Lease.Shard()
+	if sp == nil {
+		return errors.New("shard: lease was not written through a router")
 	}
-	op.Lease = rl.l
 	if op.Kind == space.OpCancel && op.Token.Zero() {
 		op.Token = r.mint()
 	}
 	try := func() error {
-		_, err := rl.sp.Do(op)
+		_, err := sp.Do(op)
 		return err
 	}
 	err := try()

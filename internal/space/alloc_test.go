@@ -24,15 +24,18 @@ func init() { transport.RegisterType(pairTask{}) }
 // end over loopback TCP, and all of it is what somebody keeps: the
 // caller's entry and template, the stored entry (the service decodes it
 // and the store keeps it, its lease inside), the template the server
-// decodes, the entry and payload the caller gets back, and the lease
-// handle. The wire structs of both calls — arguments and replies, at both
-// ends — are lent from their pools and released (DESIGN §14), the server
-// starts no goroutine per request, and the key's index bucket reuses the
-// array the last pair's emptied bucket left. It reads 9 built with go1.24
-// on amd64 (19 while the wire structs were allocated and boxed per call
-// and each pair made its bucket anew); the spare two absorb runtime
+// decodes, and the entry and payload the caller gets back. The wire
+// structs of both calls — arguments and replies, at both ends — are lent
+// from their pools and released (DESIGN §14), the server starts no
+// goroutine per request, the key's index bucket reuses the array the last
+// pair's emptied bucket left, and the lease the caller gets is a value
+// (DESIGN §11). The key is one byte, which Go never copies, so the
+// connection's string table (DESIGN §14) saves nothing here. It reads 8
+// built with go1.24 on amd64 (9 while each write's lease was a handle of
+// its own, 19 while the wire structs were allocated and boxed per call and
+// each pair made its bucket anew); the spare two absorb runtime
 // differences between the Go releases CI builds with.
-const maxPairAllocs = 11
+const maxPairAllocs = 10
 
 // maxBulkExtraAllocs is how many more the same pair may allocate when it
 // takes with TakeAll. The reply's entry slice is decoded once at the client

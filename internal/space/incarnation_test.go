@@ -110,9 +110,9 @@ func TestStaleLeaseIDDoesNotAliasAcrossServices(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Re-address A's lease handle at B, as a failover retry would.
-	if _, ok := la.(*proxyLease); !ok {
-		t.Fatalf("lease is %T, want *proxyLease", la)
+	// Re-address A's lease, A's wire id, at B, as a failover retry would.
+	if la.id == 0 {
+		t.Fatalf("lease %+v carries no wire id", la)
 	}
 	if _, err := pb.Do(Op{Kind: OpCancel, Lease: la, Token: tuplespace.OpToken{Client: "test", Seq: 2}}); !errors.Is(err, tuplespace.ErrLeaseExpired) {
 		t.Fatalf("stale cancel err = %v, want ErrLeaseExpired", err)

@@ -205,9 +205,10 @@ func (f Facade) BeginTxn(ttl time.Duration) (Txn, error) {
 // out. Chains are plain composition fixed at wrap time, outermost last:
 // Intercept(Intercept(local, replicate), gate).
 //
-// Handles are operands: a transaction or lease an intercepted space hands
-// out is bound to it, so Commit/Abort/Renew/Cancel re-enter the chain as
-// Ops and meet the same interceptors as the operation that created them.
+// Handles are operands: a transaction an intercepted space hands out is
+// bound to it, and a lease it hands out enters the chain at it, so
+// Commit/Abort/Renew/Cancel re-enter the chain as Ops and meet the same
+// interceptors as the operation that created them.
 func Intercept(inner Space, fn func(op Op, next Doer) (Result, error)) Space {
 	s := &intercepted{inner: inner, fn: fn}
 	s.Facade = NewFacade(s)
@@ -220,21 +221,18 @@ type intercepted struct {
 	fn    func(Op, Doer) (Result, error)
 }
 
-// Do implements Space: unbind this layer's handles on the way in, bind
-// the inner layer's on the way out.
+// Do implements Space: unbind this layer's transaction on the way in,
+// bind the inner layer's on the way out, and enter a written lease here.
 func (s *intercepted) Do(op Op) (Result, error) {
 	if bt, ok := op.Txn.(*boundTxn); ok {
 		op.Txn = bt.t
-	}
-	if bl, ok := op.Lease.(*boundLease); ok {
-		op.Lease = bl.l
 	}
 	res, err := s.fn(op, s.inner)
 	if res.Txn != nil {
 		res.Txn = &boundTxn{s, res.Txn}
 	}
-	if res.Lease != nil {
-		res.Lease = &boundLease{s, res.Lease}
+	if res.Lease.at != nil {
+		res.Lease.at = s
 	}
 	return res, err
 }
@@ -258,15 +256,3 @@ type boundTxn struct {
 
 func (t *boundTxn) Commit() error { _, err := t.s.Do(Op{Kind: OpCommit, Txn: t}); return err }
 func (t *boundTxn) Abort() error  { _, err := t.s.Do(Op{Kind: OpAbort, Txn: t}); return err }
-
-type boundLease struct {
-	s *intercepted
-	l Lease
-}
-
-func (l *boundLease) Renew(ttl time.Duration) error {
-	_, err := l.s.Do(Op{Kind: OpRenew, Lease: l, TTL: ttl})
-	return err
-}
-
-func (l *boundLease) Cancel() error { _, err := l.s.Do(Op{Kind: OpCancel, Lease: l}); return err }

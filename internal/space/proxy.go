@@ -134,8 +134,9 @@ func Dial(addr string) (*Proxy, error) {
 
 var _ Space = (*Proxy)(nil)
 
-// proxyTxn and proxyLease are the client-side handles: the service's
-// wire id plus the proxy to send it through.
+// proxyTxn is the client-side transaction handle: the service's wire id
+// plus the proxy to send it through. A lease needs no handle: it carries
+// the wire id itself.
 type proxyTxn struct {
 	p  *Proxy
 	id uint64
@@ -144,22 +145,10 @@ type proxyTxn struct {
 func (t *proxyTxn) Commit() error { _, err := t.p.Do(Op{Kind: OpCommit, Txn: t}); return err }
 func (t *proxyTxn) Abort() error  { _, err := t.p.Do(Op{Kind: OpAbort, Txn: t}); return err }
 
-type proxyLease struct {
-	p  *Proxy
-	id uint64
-}
-
-func (l *proxyLease) Renew(ttl time.Duration) error {
-	_, err := l.p.Do(Op{Kind: OpRenew, Lease: l, TTL: ttl})
-	return err
-}
-
-func (l *proxyLease) Cancel() error { _, err := l.p.Do(Op{Kind: OpCancel, Lease: l}); return err }
-
 // Do implements Space: one RPC per op, the handles travelling as the wire
 // ids the service minted for them.
 func (p *Proxy) Do(op Op) (Result, error) {
-	var txnID, leaseID uint64
+	var txnID uint64
 	if op.Txn != nil {
 		pt, ok := op.Txn.(*proxyTxn)
 		if !ok {
@@ -167,17 +156,14 @@ func (p *Proxy) Do(op Op) (Result, error) {
 		}
 		txnID = pt.id
 	}
-	if pl, ok := op.Lease.(*proxyLease); ok {
-		leaseID = pl.id
-	}
-	reply, err := p.call(op, wireArgs(op, txnID, leaseID))
+	reply, err := p.call(op, wireArgs(op, txnID, op.Lease.id))
 	if err != nil {
 		return Result{}, err
 	}
 	res, txnID, leaseID := wireResult(reply)
 	switch op.Kind {
 	case OpWrite:
-		res.Lease = &proxyLease{p: p, id: leaseID}
+		res.Lease = Lease{at: p, id: leaseID}
 	case OpBeginTxn:
 		res.Txn = &proxyTxn{p: p, id: txnID}
 	}

@@ -233,7 +233,7 @@ func (s *Service) handler(k Kind) transport.Handler {
 		}
 		switch k {
 		case OpWrite:
-			leaseID = s.base | res.Lease.(*tuplespace.EntryLease).Seq()
+			leaseID = s.base | res.Lease.id
 		case OpBeginTxn:
 			txnID = s.base | res.Txn.(*tuplespace.Txn).ID()
 		}
@@ -245,7 +245,7 @@ func (s *Service) handler(k Kind) transport.Handler {
 // another incarnation fails the op, except a commit or abort: that runs
 // with no transaction, so the store answers a tokened retry whose original
 // executed from its memo and anything else as inactive. A lease id of
-// another incarnation names no entry here (seq 0), so the store answers it
+// another incarnation names no entry here (id 0), so the store answers it
 // as expired, or from a tokened cancel's memo.
 func (s *Service) resolve(op *Op, txnID, leaseID uint64) error {
 	const low = 1<<idBits - 1
@@ -262,7 +262,7 @@ func (s *Service) resolve(op *Op, txnID, leaseID uint64) error {
 		if leaseID&^low != s.base {
 			seq = 0
 		}
-		op.Lease = s.local.TS.LeaseFor(seq)
+		op.Lease = Lease{id: seq}
 	}
 	return nil
 }

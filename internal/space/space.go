@@ -23,11 +23,49 @@ type Txn interface {
 	Abort() error
 }
 
-// Lease controls a written entry's lifetime.
-type Lease interface {
-	Renew(ttl time.Duration) error
-	Cancel() error
+// Lease controls a written entry's lifetime. It is a value that every
+// layer a write comes back through passes on without allocating, each
+// setting the field it owns: the innermost one (Local, Proxy) the id, a
+// shard.Router the shard handle it issued the write on, and every layer
+// the entry point. Renew and Cancel enter the chain there as Ops, so they
+// meet the same interceptors as the write that made the lease. The zero
+// Lease leases nothing: Renew and Cancel answer ErrLeaseExpired.
+type Lease struct {
+	at    Doer   // where Renew and Cancel enter: the outermost layer the write came back through
+	shard Doer   // the shard handle a router issued the write on; nil outside a router
+	id    uint64 // the entry's id in its store (Local), or the service's wire id (Proxy)
 }
+
+// Renew extends the entry's lease to ttl from now.
+func (l Lease) Renew(ttl time.Duration) error {
+	if l.at == nil {
+		return tuplespace.ErrLeaseExpired
+	}
+	_, err := l.at.Do(Op{Kind: OpRenew, Lease: l, TTL: ttl})
+	return err
+}
+
+// Cancel removes the entry.
+func (l Lease) Cancel() error {
+	if l.at == nil {
+		return tuplespace.ErrLeaseExpired
+	}
+	_, err := l.at.Do(Op{Kind: OpCancel, Lease: l})
+	return err
+}
+
+// Issued returns l entered at router r, which issued the write on shard:
+// what a shard.Router sets on a written lease. The zero Lease stays zero.
+func (l Lease) Issued(r, shard Doer) Lease {
+	if l.at != nil {
+		l.at, l.shard = r, shard
+	}
+	return l
+}
+
+// Shard returns the shard handle a router issued the write on (see
+// Issued), or nil.
+func (l Lease) Shard() Doer { return l.shard }
 
 // Space is the JavaSpaces API surface the framework uses: the typed
 // methods (written once, by Facade) plus the Do they are sugar for.
@@ -54,9 +92,8 @@ var ErrBadTxn = errors.New("space: transaction does not belong to this space")
 
 // Local adapts an in-process tuplespace.Space to the Space interface. It is
 // what the master module embeds: the master hosts the space and talks to it
-// locally while everyone else goes through a proxy. The store's own
-// handles are Local's: a *tuplespace.Txn is its transaction, a
-// *tuplespace.EntryLease its lease.
+// locally while everyone else goes through a proxy. A *tuplespace.Txn is
+// its transaction, and its leases carry the entry's id in the store.
 type Local struct {
 	Facade
 	TS *tuplespace.Space
@@ -94,7 +131,7 @@ func (l *Local) do(op Op, decoded bool) (res Result, err error) {
 			el, err = l.TS.WriteTok(op.Entry, tx, op.TTL, op.Token)
 		}
 		if err == nil {
-			res.Lease = el
+			res.Lease = Lease{at: l, id: el.Seq()}
 		}
 	case OpRead, OpTake, OpReadIfExists, OpTakeIfExists:
 		if decoded {
@@ -116,16 +153,10 @@ func (l *Local) do(op Op, decoded bool) (res Result, err error) {
 		err = l.TS.Commit(tx, op.Token)
 	case OpAbort:
 		err = l.TS.Abort(tx, op.Token)
-	case OpRenew, OpCancel:
-		el, _ := op.Lease.(*tuplespace.EntryLease)
-		switch {
-		case el == nil:
-			err = tuplespace.ErrLeaseExpired
-		case op.Kind == OpRenew:
-			err = el.Renew(op.TTL)
-		default:
-			err = el.CancelTok(op.Token)
-		}
+	case OpRenew:
+		err = l.TS.LeaseFor(op.Lease.id).Renew(op.TTL)
+	case OpCancel:
+		err = l.TS.LeaseFor(op.Lease.id).CancelTok(op.Token)
 	default:
 		err = fmt.Errorf("space: unknown op kind %d", op.Kind)
 	}

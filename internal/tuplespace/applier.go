@@ -32,17 +32,17 @@ type Applier struct {
 	copies     map[uint64]*storedEntry // under a filter: source id → this space's copy
 
 	// decodeMu serializes Apply's use of the one record it decodes into
-	// and the client strings its tokens share.
+	// and the stream's decoder, whose string table its records share.
 	decodeMu sync.Mutex
 	scratch  record
-	clients  map[string]string
+	dec      *enc.Decoder
 }
 
 // NewApplier returns an applier feeding s. The space should be mutated
 // only through the applier (and its own lease expiries) while replication
 // is active; promotion detaches it by simply ceasing to Apply.
 func NewApplier(s *Space) *Applier {
-	return &Applier{s: s, copies: make(map[uint64]*storedEntry), clients: make(map[string]string)}
+	return &Applier{s: s, copies: make(map[uint64]*storedEntry), dec: enc.NewDecoder()}
 }
 
 // Fence re-arms a migration against a new incarnation of its source (a
@@ -92,15 +92,16 @@ func (a *Applier) Apply(payload []byte) error { return a.decodeApply(payload, fa
 func (a *Applier) ApplyEvicted(payload []byte) error { return a.decodeApply(payload, true) }
 
 // decodeApply decodes payload into the applier's own record, reusing its
-// arrays and interning the token's client and memo key: a stream costs the
-// allocations of what it stores, not of each record's frame. A non-write
-// record's entries are left undecoded until its memo needs them (see
-// memoEntries), and nothing of payload is kept past the call.
+// arrays, with the applier's own decoder, whose string table gives the
+// token's client, the memo key and the entries' strings: a stream costs
+// the allocations of what it stores, not of each record's frame. A
+// non-write record's entries are left undecoded until its memo needs them
+// (see answerRecord), and nothing of payload is kept past the call.
 func (a *Applier) decodeApply(payload []byte, evicted bool) error {
 	a.decodeMu.Lock()
 	defer a.decodeMu.Unlock()
 	r := &a.scratch
-	if err := r.decode(payload, a.clients, true); err != nil {
+	if err := r.decode(payload, a.dec); err != nil {
 		return fmt.Errorf("tuplespace: apply record: %w", err)
 	}
 	defer clear(r.msgs)
@@ -170,7 +171,7 @@ func (a *Applier) apply(r *record, evicted bool) error {
 			}
 		}
 		if !r.tok.Zero() {
-			if err := memo.answerRecord(r, ses); err != nil {
+			if err := memo.answerRecord(r, ses, a.dec); err != nil {
 				return fmt.Errorf("tuplespace: apply record: %w", err)
 			}
 		}
@@ -186,7 +187,7 @@ func (a *Applier) apply(r *record, evicted bool) error {
 		if r.tok.Zero() {
 			return nil // filtered
 		}
-		if err := memo.answerRecord(r, nil); err != nil {
+		if err := memo.answerRecord(r, nil, a.dec); err != nil {
 			return fmt.Errorf("tuplespace: apply record: %w", err)
 		}
 		if memo.op == MemoWrite && len(r.seqs) == 1 {
@@ -209,8 +210,9 @@ func (a *Applier) apply(r *record, evicted bool) error {
 // with the values it removed: a take's inline, like the primary's.
 // Otherwise — the entry expired here first, the record duplicates one
 // already applied, a migration never copied it, or a memo record — the
-// record's own entries are decoded and checked.
-func (rec *memoRec) answerRecord(r *record, ses []*storedEntry) error {
+// record's own entries are decoded and checked, with stream, the decoder r
+// was read with.
+func (rec *memoRec) answerRecord(r *record, ses []*storedEntry, stream *enc.Decoder) error {
 	switch {
 	case len(r.msgs) == 0:
 		rec.answer(r.entries)
@@ -225,7 +227,7 @@ func (rec *memoRec) answerRecord(r *record, ses []*storedEntry) error {
 		}
 		rec.all = all
 	default:
-		es, err := r.decodeMsgs()
+		es, err := r.decodeMsgs(stream)
 		if err != nil {
 			return err
 		}

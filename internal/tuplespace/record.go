@@ -109,7 +109,9 @@ func memoOpByte(op string) byte {
 }
 
 // recordCodec is the reusable state of one encode or decode: the codec pair
-// is reset per record, so its tables never outlive one.
+// is reset per record, so its type tables never outlive one. The decoder's
+// string table does: the records it reads one after another are its
+// stream.
 type recordCodec struct {
 	enc *enc.Encoder
 	dec *enc.Decoder
@@ -189,7 +191,7 @@ func appendBytes(b []byte, s string) []byte {
 // ErrFingerprint, ErrUnknownTypeID, *UnregisteredTypeError).
 func decodeRecord(payload []byte) (record, error) {
 	var r record
-	if err := r.decode(payload, nil, false); err != nil {
+	if err := r.decode(payload, nil); err != nil {
 		return record{}, err
 	}
 	return r, nil
@@ -199,11 +201,12 @@ func decodeRecord(payload []byte) (record, error) {
 // entries arrays when they are large enough: a caller that reuses r keeps
 // nothing of them past the next decode without copying it. The entries
 // themselves, the memo key and the token are the record's own either way.
-// clients, when not nil, interns the token's client and the memo key (see
-// intern). With lazy set, a non-write record's entry messages are framed
-// but left undecoded in r.msgs, aliasing payload, for a reader that may
-// not need them (see decodeMsgs). On an error r holds no record.
-func (r *record) decode(payload []byte, clients map[string]string, lazy bool) error {
+// stream, when not nil, is the decoder of the stream payload belongs to
+// (an Applier's): its string table gives the token's client, the memo key
+// and the entries' strings alike, and a non-write record's entry messages
+// are framed but left undecoded in r.msgs, aliasing payload, for a reader
+// that may not need them (see decodeMsgs). On an error r holds no record.
+func (r *record) decode(payload []byte, stream *enc.Decoder) error {
 	r.reset()
 	if len(payload) == 0 {
 		return fmt.Errorf("%w: empty record", enc.ErrTruncated)
@@ -211,6 +214,13 @@ func (r *record) decode(payload []byte, clients map[string]string, lazy bool) er
 	if payload[0] != recordV1 {
 		return fmt.Errorf("%w: first byte %#02x; written by a build before the binary record format (start from an empty -datadir), or not a record", ErrRecordFormat, payload[0])
 	}
+	dec := stream
+	if dec == nil {
+		c := recordCodecs.Get().(*recordCodec)
+		defer recordCodecs.Put(c)
+		dec = c.dec
+	}
+	dec.Reset()
 	p := recordReader{b: payload[1:]}
 	flags := p.byte()
 	r.kind = recordKind(flags & kindMask)
@@ -232,31 +242,24 @@ func (r *record) decode(payload []byte, clients map[string]string, lazy bool) er
 		}
 	}
 	if flags&flagToken != 0 {
-		if r.tok = (OpToken{Client: intern(clients, p.bytes()), Seq: p.uvarint()}); r.tok.Zero() {
+		if r.tok = (OpToken{Client: dec.Intern(p.bytes()), Seq: p.uvarint()}); r.tok.Zero() {
 			p.fail(fmt.Errorf("%w: token without a client", enc.ErrCorrupt))
 		}
 		if r.kind != recWrite {
 			if op := int(p.byte()); op > 0 && op < len(memoOps) {
 				r.memoOp = memoOps[op]
 			}
-			r.key = intern(clients, p.bytes())
+			r.key = dec.Intern(p.bytes())
 		}
 	}
 	if n := p.count(4); n > 0 {
-		lazy = lazy && r.kind != recWrite
-		var dec *enc.Decoder
+		lazy := stream != nil && r.kind != recWrite
 		if lazy {
 			if cap(r.msgs) < n {
 				r.msgs = make([][]byte, 0, n)
 			}
-		} else {
-			c := recordCodecs.Get().(*recordCodec)
-			defer recordCodecs.Put(c)
-			c.dec.Reset()
-			dec = c.dec
-			if cap(r.entries) < n {
-				r.entries = make([]Entry, 0, n)
-			}
+		} else if cap(r.entries) < n {
+			r.entries = make([]Entry, 0, n)
 		}
 		for ; n > 0 && p.err == nil; n-- {
 			if size := p.take(4); size != nil {
@@ -283,15 +286,14 @@ func (r *record) decode(payload []byte, clients map[string]string, lazy bool) er
 }
 
 // decodeMsgs decodes the entry messages a lazy decode left in r.msgs into
-// a slice of their own, checked as an eager decode checks them.
-func (r *record) decodeMsgs() ([]Entry, error) {
-	c := recordCodecs.Get().(*recordCodec)
-	defer recordCodecs.Put(c)
-	c.dec.Reset()
+// a slice of their own, checked as an eager decode checks them, with the
+// stream's decoder that framed them.
+func (r *record) decodeMsgs(stream *enc.Decoder) ([]Entry, error) {
+	stream.Reset()
 	var p recordReader
 	out := make([]Entry, 0, len(r.msgs))
 	for _, msg := range r.msgs {
-		out = append(out, p.entry(c.dec, msg))
+		out = append(out, p.entry(stream, msg))
 	}
 	if p.err != nil {
 		return nil, p.err
@@ -305,29 +307,6 @@ func (r *record) reset() {
 	clear(r.entries)
 	clear(r.msgs)
 	*r = record{seqs: r.seqs[:0], entries: r.entries[:0], msgs: r.msgs[:0]}
-}
-
-// maxInterned bounds an intern table: a replication stream names a handful
-// of clients, and a table that fills up anyway (clients come and go over a
-// long life) starts again rather than grow.
-const maxInterned = 1024
-
-// intern returns b as a string, the same string for the same bytes while
-// they stay in clients; a nil table interns nothing. A standby's stream
-// names few clients and, in a keyed bag, the same keys over and over.
-func intern(clients map[string]string, b []byte) string {
-	if clients == nil {
-		return string(b)
-	}
-	if s, ok := clients[string(b)]; ok {
-		return s
-	}
-	if len(clients) >= maxInterned {
-		clear(clients)
-	}
-	s := string(b)
-	clients[s] = s
-	return s
 }
 
 // entry decodes one entry's message; an entry is a struct.

@@ -197,8 +197,9 @@ func (d *Decoder) Decode(msg []byte) (interface{}, error) { return d.decode(msg,
 
 // DecodeLent is Decode for a message the caller hands over for one use: a
 // struct comes back as a *T lent from T's pool (see Lend), which the
-// caller may Release once done with it. What the struct points at is the
-// caller's to keep, as Decode delivers it.
+// caller may Release once done with it, and so does a struct in a Lent
+// field inside it, which the caller releases with ReleaseLent. What the
+// structs point at is the caller's to keep, as Decode delivers it.
 func (d *Decoder) DecodeLent(msg []byte) (interface{}, error) { return d.decode(msg, true) }
 
 // Borrowed reports whether the value the last Decode or DecodeLent
@@ -210,7 +211,7 @@ func (d *Decoder) Borrowed() bool { return d.borrowed }
 func (d *Decoder) decode(msg []byte, lend bool) (interface{}, error) {
 	d.borrowed = false
 	r := &d.r
-	*r = reader{b: msg, d: d}
+	*r = reader{b: msg, d: d, lend: lend}
 	defer func() { r.b = nil }() // hold on to none of msg past the call
 	mode, err := r.byte()
 	if err != nil {
@@ -226,8 +227,8 @@ func (d *Decoder) decode(msg []byte, lend bool) (interface{}, error) {
 	var x interface{}
 	switch {
 	case err != nil || w == nil: // failed, or nil
-	case lend && lendable(w.typ):
-		x = poolOf(w.typ).Get()
+	case lend && w.pool != nil:
+		x = w.pool.Get()
 		err = r.body(w, reflect.ValueOf(x).Elem())
 	default:
 		var v reflect.Value

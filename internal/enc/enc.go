@@ -27,6 +27,8 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
+	"sync/atomic"
+	"unsafe"
 )
 
 // UnregisteredTypeError reports an attempt to encode a concrete type that
@@ -78,6 +80,7 @@ type wireType struct {
 	user bool // went through RegisterType (the basic kinds are built in)
 	plan *codec
 	fp   uint64
+	pool *lender // a lendable type's values for DecodeLent, else nil
 }
 
 var (
@@ -120,6 +123,9 @@ func register(v interface{}, user bool) {
 		panic(fmt.Sprintf("enc: RegisterType(%s): %v", t, err))
 	}
 	w := &wireType{name: typeName(t), typ: t, user: user, plan: c, fp: fingerprint(t)}
+	if lendable(t) {
+		w.pool = poolOf(t)
+	}
 	byType[t], byName[w.name] = w, w
 }
 
@@ -158,36 +164,109 @@ func RegisteredTypes() []reflect.Type {
 // pair allocated, so such a struct is lent instead, from one pool per
 // type: DecodeLent hands a received one over as a *T taken from its
 // type's pool, a sender takes the *T it sends from the same pool with
-// Lend, and whoever is done with one hands it back with Release. Only the
-// top-level struct is lent; what it points at (an entry in an interface
+// Lend, and whoever is done with one hands it back with Release (a Lent
+// field's, with ReleaseLent). Only the top-level struct is lent, and a
+// struct in a Lent field; what they point at (an entry in an interface
 // field, a byte slice, a map, a string from the Decoder's table) is the
 // receiver's and may be kept past its Release.
 // Releasing is optional: a lent value nobody releases is ordinary
 // garbage. Releasing one that someone still uses is the one mistake
 // possible: the next lend hands it to another call.
 
-// pools holds the pool of each lendable type. It is the one place a
-// type's pool is found, by Lend, Release and DecodeLent alike, and a
-// sync.Map so that finding it takes no lock.
-var pools sync.Map // reflect.Type → *sync.Pool
+// Lent is an interface{} field whose struct DecodeLent lends too: where
+// Decode puts a T in the field, DecodeLent puts a *T from T's pool — for a
+// call's argument whose receiver matches against the struct and keeps
+// nothing of it, as a lookup's template is. It lives for the call: the
+// receiver of a lent struct with Lent fields releases them with
+// ReleaseLent, which Release alone does not do, since a sender's Lent
+// field holds the caller's value, which the caller uses again. A Lent
+// field encodes exactly as an interface{} does, a *T in it as the T, and
+// a layout with one in place of an interface{} has the same fingerprint.
+type Lent interface{}
+
+// A lender is one lendable type's pool, and where the type's Lent fields
+// are.
+type lender struct {
+	sync.Pool
+	lent []int // indexes of the type's Lent fields
+}
+
+// pools holds the lender of each lendable type T, keyed by the type word
+// of *T: what an interface holding a *T starts with. It is the one place
+// Lend, Release and ReleaseLent find a type's pool (DecodeLent finds it in
+// the type's registry entry), and it is copied on write: a type's first
+// lend adds it, so a lookup is one load and one map read, with no lock.
+var (
+	pools   atomic.Pointer[map[unsafe.Pointer]*lender]
+	poolsMu sync.Mutex // serializes additions
+)
 
 // lendable reports whether a top-level value of type t is lent: a struct,
 // except time.Time, which crosses as its own bytes.
 func lendable(t reflect.Type) bool { return t.Kind() == reflect.Struct && t != timeType }
 
-func poolOf(t reflect.Type) *sync.Pool {
-	if p, ok := pools.Load(t); ok {
-		return p.(*sync.Pool)
+// typeWord returns the first word of an interface holding a value of type
+// t, which is also the data word of t itself.
+func typeWord(t reflect.Type) unsafe.Pointer { return (*[2]unsafe.Pointer)(unsafe.Pointer(&t))[1] }
+
+// dynamicType returns the first word of x: its dynamic type, nil for nil.
+func dynamicType(x interface{}) unsafe.Pointer { return (*[2]unsafe.Pointer)(unsafe.Pointer(&x))[0] }
+
+// poolOf returns the lender of the lendable type t, adding it on first
+// use.
+func poolOf(t reflect.Type) *lender {
+	key := typeWord(reflect.PointerTo(t))
+	if m := pools.Load(); m != nil && (*m)[key] != nil {
+		return (*m)[key]
 	}
-	p, _ := pools.LoadOrStore(t, &sync.Pool{New: func() interface{} { return reflect.New(t).Interface() }})
-	return p.(*sync.Pool)
+	poolsMu.Lock()
+	defer poolsMu.Unlock()
+	old := pools.Load()
+	if old != nil && (*old)[key] != nil {
+		return (*old)[key]
+	}
+	m := make(map[unsafe.Pointer]*lender, 1)
+	if old != nil {
+		for k, l := range *old {
+			m[k] = l
+		}
+	}
+	l := &lender{Pool: sync.Pool{New: func() interface{} { return reflect.New(t).Interface() }}}
+	for i := 0; i < t.NumField(); i++ {
+		if t.Field(i).Type == lentType {
+			l.lent = append(l.lent, i)
+		}
+	}
+	m[key] = l
+	pools.Store(&m)
+	return l
+}
+
+// pooled returns the lender of x's dynamic type, a *T, or nil when the
+// type has none yet.
+func pooled(x interface{}) *lender {
+	if m := pools.Load(); m != nil {
+		return (*m)[dynamicType(x)]
+	}
+	return nil
 }
 
 // Lend returns a *T holding v, for a struct type T, taken from the pool
 // DecodeLent takes T's values from: for a message whose receiver, or
 // whoever the caller hands it to, releases it.
 func Lend[T any](v T) *T {
-	p := poolOf(reflect.TypeOf((*T)(nil)).Elem()).Get().(*T)
+	var np *T
+	pool := pooled(np)
+	if pool == nil {
+		t := reflect.TypeOf(np).Elem()
+		if !lendable(t) {
+			p := new(T)
+			*p = v
+			return p
+		}
+		pool = poolOf(t)
+	}
+	p := pool.Get().(*T)
 	*p = v
 	return p
 }
@@ -197,12 +276,42 @@ func Lend[T any](v T) *T {
 // struct — is left alone, so a caller may release whatever a call handed
 // it. Nobody may use v after it is released, and it is released once.
 func Release(v interface{}) {
-	p := reflect.ValueOf(v)
-	if p.Kind() != reflect.Pointer || p.IsNil() {
+	pool := lenderOf(v)
+	if pool == nil {
 		return
 	}
-	if t := p.Type().Elem(); lendable(t) {
-		p.Elem().SetZero()
-		poolOf(t).Put(v)
+	reflect.ValueOf(v).Elem().SetZero()
+	pool.Put(v)
+}
+
+// ReleaseLent releases the struct in each Lent field of the struct v
+// points at (see Release), leaving v itself as it is: for the receiver of
+// a lent call argument, once the call is over. Anything else is left
+// alone, as Release leaves it.
+func ReleaseLent(v interface{}) {
+	pool := lenderOf(v)
+	if pool == nil || len(pool.lent) == 0 {
+		return
 	}
+	s := reflect.ValueOf(v).Elem()
+	for _, i := range pool.lent {
+		Release(s.Field(i).Interface())
+	}
+}
+
+// lenderOf returns the lender of v's type when v is a non-nil pointer to a
+// lendable struct, else nil.
+func lenderOf(v interface{}) *lender {
+	pool := pooled(v)
+	if pool == nil {
+		t := reflect.TypeOf(v)
+		if t == nil || t.Kind() != reflect.Pointer || !lendable(t.Elem()) {
+			return nil
+		}
+		pool = poolOf(t.Elem())
+	}
+	if reflect.ValueOf(v).IsNil() {
+		return nil
+	}
+	return pool
 }

@@ -85,3 +85,84 @@ func TestLentDecodeAllocatesOnlyInterior(t *testing.T) {
 		t.Fatalf("a lent decode allocates %.0f times, want 1: the byte slice (the string repeats, so it comes from the decoder's table)", n)
 	}
 }
+
+// lentField and plainField differ only in their template field's type: an
+// enc.Lent, and the interface{} it stands in for.
+type lentField struct {
+	Tmpl Lent
+	N    int
+}
+
+type plainField struct {
+	Tmpl interface{}
+	N    int
+}
+
+func init() {
+	RegisterType(lentField{})
+	RegisterType(plainField{})
+}
+
+// TestLentFieldIsLent: a Lent field encodes as an interface{} does, with
+// the same fingerprint, and sends a *T as the T; DecodeLent puts a struct
+// in it as a *T from T's pool, allocating nothing for it once the pool
+// holds one, where Decode puts the T; and releasing the enclosing struct
+// leaves the field's value alone — the receiver releases it on its own.
+func TestLentFieldIsLent(t *testing.T) {
+	tmpl := lendMsg{Name: "job", N: 7}
+	if fingerprint(reflect.TypeOf(lentField{})) != fingerprint(reflect.TypeOf(plainField{})) {
+		t.Fatal("a Lent field changes its struct's fingerprint")
+	}
+	// A connection's second message of a type is the value alone, with no
+	// definition naming the type.
+	later := func(v interface{}) []byte {
+		t.Helper()
+		e := NewEncoder()
+		if _, err := e.Encode(nil, v); err != nil {
+			t.Fatal(err)
+		}
+		b, err := e.Encode(nil, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	asLent := later(lentField{Tmpl: tmpl, N: 1})
+	if plain, byPointer := later(plainField{Tmpl: tmpl, N: 1}), later(lentField{Tmpl: &tmpl, N: 1}); !bytes.Equal(asLent, plain) || !bytes.Equal(asLent, byPointer) {
+		t.Fatalf("a Lent field encodes to %x (%x holding a *T), an interface{} to %x", asLent, byPointer, plain)
+	}
+	e, d := NewEncoder(), NewDecoder()
+	first, _ := e.Encode(nil, lentField{Tmpl: tmpl, N: 1})
+	if v, err := NewDecoder().Decode(first); err != nil || !reflect.DeepEqual(v, lentField{Tmpl: tmpl, N: 1}) {
+		t.Fatalf("Decode = %#v, %v; want the template as a value", v, err)
+	}
+	v, err := d.DecodeLent(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := v.(*lentField)
+	lent, ok := got.Tmpl.(*lendMsg)
+	if !ok || !reflect.DeepEqual(*lent, tmpl) {
+		t.Fatalf("DecodeLent's template = %#v, want &%#v", got.Tmpl, tmpl)
+	}
+	Release(got)
+	if !reflect.DeepEqual(*lent, tmpl) {
+		t.Fatalf("releasing the enclosing struct reached its template: %#v", *lent)
+	}
+	Release(lent)
+
+	if raceEnabled {
+		return
+	}
+	n := testing.AllocsPerRun(100, func() {
+		v, err := d.DecodeLent(asLent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		Release(v.(*lentField).Tmpl)
+		Release(v)
+	})
+	if n != 0 {
+		t.Fatalf("a lent decode of a struct with a lent template allocates %.0f times, want 0", n)
+	}
+}

@@ -35,6 +35,7 @@ var (
 
 	timeType        = reflect.TypeOf(time.Time{})
 	viewType        = reflect.TypeOf(View(nil))
+	lentType        = reflect.TypeOf((*Lent)(nil)).Elem()
 	gobEncoderType  = reflect.TypeOf((*interface{ GobEncode() ([]byte, error) })(nil)).Elem()
 	binaryMarshaler = reflect.TypeOf((*encoding.BinaryMarshaler)(nil)).Elem()
 )
@@ -99,6 +100,9 @@ func (s session) build(c *codec, t reflect.Type) error {
 		c.enc, c.dec = encString, decString
 	case reflect.Interface:
 		c.enc, c.dec = encInterface, decInterface
+		if t == lentType {
+			c.enc, c.dec = encLent, decLent
+		}
 	case reflect.Struct:
 		return s.buildStruct(c, t)
 	case reflect.Slice:
@@ -548,13 +552,41 @@ func encInterface(e *Encoder, b []byte, v reflect.Value) ([]byte, error) {
 	return e.concrete(b, v.Elem())
 }
 
-func decInterface(r *reader, v reflect.Value) error {
+func decInterface(r *reader, v reflect.Value) error { return r.iface(v, false) }
+
+// encLent is encInterface for a Lent field, which sends a *T as the T it
+// points at, as Encode does a top-level *T: a receiver can pass on what
+// DecodeLent lent it.
+func encLent(e *Encoder, b []byte, v reflect.Value) ([]byte, error) {
+	if x := v.Elem(); x.Kind() == reflect.Pointer && lendable(x.Type().Elem()) {
+		if x.IsNil() {
+			return append(b, 0), nil
+		}
+		return e.concrete(b, x.Elem())
+	}
+	return encInterface(e, b, v)
+}
+
+// decLent is decInterface for a Lent field: under DecodeLent, a struct
+// comes from its type's pool and the field holds a pointer to it.
+func decLent(r *reader, v reflect.Value) error { return r.iface(v, r.lend) }
+
+func (r *reader) iface(v reflect.Value, lend bool) error {
 	w, err := r.ref()
-	if err != nil {
+	if err != nil || w == nil {
 		return err
 	}
+	if lend && w.pool != nil {
+		p := w.pool.Get()
+		if err := r.body(w, reflect.ValueOf(p).Elem()); err != nil {
+			Release(p)
+			return err
+		}
+		v.Set(reflect.ValueOf(p))
+		return nil
+	}
 	x, err := r.concrete(w)
-	if err != nil || !x.IsValid() {
+	if err != nil {
 		return err
 	}
 	if !x.Type().AssignableTo(v.Type()) {
@@ -577,6 +609,7 @@ type reader struct {
 	b     []byte
 	d     *Decoder
 	depth int
+	lend  bool // DecodeLent: a Lent field's struct comes from its pool
 }
 
 func (r *reader) descend() error {

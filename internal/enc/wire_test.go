@@ -231,9 +231,10 @@ func bindings(t *testing.T) (map[string]transport.Client, func() interface{}) {
 	}
 }
 
-// kept copies what a handler was lent out of the struct the transport
-// releases once the reply is written: a *T into a *T of its own, inside
-// its Framed if it came in one.
+// kept copies what a handler was lent out of the structs the transport
+// releases once the reply is written: a *T into a *T of its own, and the
+// struct in each of its enc.Lent fields likewise, inside its Framed if it
+// came in one.
 func kept(v interface{}) interface{} {
 	if f, ok := v.(transport.Framed); ok {
 		f.Arg = kept(f.Arg)
@@ -245,11 +246,19 @@ func kept(v interface{}) interface{} {
 	}
 	c := reflect.New(p.Type().Elem())
 	c.Elem().Set(p.Elem())
+	if c.Elem().Kind() == reflect.Struct {
+		for i := 0; i < c.Elem().NumField(); i++ {
+			if f := c.Elem().Field(i); f.Type() == lentType && !f.IsNil() {
+				f.Set(reflect.ValueOf(kept(f.Interface())))
+			}
+		}
+	}
 	return c.Interface()
 }
 
 // lent is what a call delivers for a value gob delivered as want: a
-// struct arrives as a *T (see enc.DecodeLent), anything else as itself.
+// struct arrives as a *T (see enc.DecodeLent), and so does a struct in
+// one of its enc.Lent fields; anything else as itself.
 func lent(want interface{}) interface{} {
 	v := reflect.ValueOf(want)
 	if v.Kind() != reflect.Struct || v.Type() == reflect.TypeOf(time.Time{}) {
@@ -257,8 +266,15 @@ func lent(want interface{}) interface{} {
 	}
 	p := reflect.New(v.Type())
 	p.Elem().Set(v)
+	for i := 0; i < v.NumField(); i++ {
+		if f := p.Elem().Field(i); f.Type() == lentType && !f.IsNil() {
+			f.Set(reflect.ValueOf(lent(f.Interface())))
+		}
+	}
 	return p.Interface()
 }
+
+var lentType = reflect.TypeOf((*enc.Lent)(nil)).Elem()
 
 // views returns the non-empty View fields of a decoded struct; the wire
 // structs carry one only at the top.
@@ -550,12 +566,110 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			t.Fatalf("%s changed with the bytes it was decoded from:\n got %#v\nwant %#v", rt, got, want)
 		}
 		msg = kept
+		sameLent(t, msg)
 
 		for i := 0; i+1 < len(damage); i += 2 {
 			msg[int(damage[i])%len(msg)] ^= damage[i+1]
 		}
-		_, _ = enc.NewDecoder().Decode(msg)
-		_, _ = enc.NewDecoder().Decode(msg[:len(msg)/2])
-		_, _ = enc.NewDecoder().Decode(damage)
+		sameLent(t, msg)
+		sameLent(t, msg[:len(msg)/2])
+		sameLent(t, damage)
 	})
+}
+
+// sameLent requires DecodeLent to give what Decode gives for msg, in its
+// lent form (see lent), or the same error — twice, with the first value and
+// its Lent fields released in between, so the second likely decodes into
+// the memory the first held and must hold nothing left over from it.
+func sameLent(t *testing.T, msg []byte) {
+	t.Helper()
+	plain, perr := enc.NewDecoder().Decode(msg)
+	for i := 0; i < 2; i++ {
+		got, err := enc.NewDecoder().DecodeLent(msg)
+		if (err == nil) != (perr == nil) || err != nil && err.Error() != perr.Error() {
+			t.Fatalf("DecodeLent(%x) fails with %v, Decode with %v", msg, err, perr)
+		}
+		if err != nil {
+			return
+		}
+		if want := lent(plain); !sameValue(reflect.ValueOf(got), reflect.ValueOf(want)) {
+			t.Fatalf("DecodeLent(%x) = %#v, Decode gives %#v", msg, got, want)
+		}
+		releaseLent(got)
+	}
+}
+
+// sameValue is reflect.DeepEqual on decoded trees, except that NaN equals
+// NaN: a damaged message can decode a float into one.
+func sameValue(a, b reflect.Value) bool {
+	if !a.IsValid() || !b.IsValid() {
+		return a.IsValid() == b.IsValid()
+	}
+	if a.Type() != b.Type() {
+		return false
+	}
+	switch a.Kind() {
+	case reflect.Float32, reflect.Float64:
+		x, y := a.Float(), b.Float()
+		return x == y || x != x && y != y
+	case reflect.Pointer, reflect.Interface:
+		if a.IsNil() || b.IsNil() {
+			return a.IsNil() == b.IsNil()
+		}
+		return sameValue(a.Elem(), b.Elem())
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if !sameValue(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Slice:
+		if a.IsNil() != b.IsNil() {
+			return false
+		}
+		fallthrough
+	case reflect.Array:
+		if a.Len() != b.Len() {
+			return false
+		}
+		for i := 0; i < a.Len(); i++ {
+			if !sameValue(a.Index(i), b.Index(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Map:
+		if a.IsNil() != b.IsNil() || a.Len() != b.Len() {
+			return false
+		}
+		for _, k := range a.MapKeys() {
+			if y := b.MapIndex(k); !y.IsValid() || !sameValue(a.MapIndex(k), y) {
+				return false
+			}
+		}
+		return true
+	case reflect.Bool:
+		return a.Bool() == b.Bool()
+	case reflect.String:
+		return a.String() == b.String()
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return a.Int() == b.Int()
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		return a.Uint() == b.Uint()
+	}
+	return reflect.DeepEqual(a.Interface(), b.Interface())
+}
+
+// releaseLent releases what DecodeLent lent: the struct in each Lent field,
+// then the struct itself.
+func releaseLent(x interface{}) {
+	if v := reflect.ValueOf(x); v.Kind() == reflect.Pointer && !v.IsNil() && v.Elem().Kind() == reflect.Struct {
+		for i := 0; i < v.Elem().NumField(); i++ {
+			if f := v.Elem().Field(i); f.Type() == lentType {
+				enc.Release(f.Interface())
+			}
+		}
+	}
+	enc.Release(x)
 }

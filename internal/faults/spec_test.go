@@ -2,7 +2,11 @@ package faults
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
+	"slices"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -172,4 +176,95 @@ func errKind(err error) string {
 		return fe.Kind
 	}
 	return "err"
+}
+
+// FuzzPlanSpec feeds arbitrary JSON through PlanSpec.Build, the one decoder
+// of configuration bytes a scenario run replays: Build never panics, fails
+// twice alike or not at all, and two plans built from one spec inject the
+// same schedule. The corpus starts from the fault plans of the fixed-seed
+// manifests CI runs (seeds 42–44, testdata/fuzz/FuzzPlanSpec).
+func FuzzPlanSpec(f *testing.F) {
+	f.Add([]byte(`{"seed":1}`))
+	f.Add([]byte(`{"seed":7,"rules":[{"kind":"crash-on-prob","from":"node/*","prob":0.5,"point":"before","down_for":5000000000}],` +
+		`"partitions":[{"from":"x","to":"y*","start":1000000000,"end":3000000000}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var spec PlanSpec
+		if json.Unmarshal(data, &spec) != nil {
+			return
+		}
+		a, errA := spec.Build()
+		b, errB := spec.Build()
+		if errA != nil || errB != nil {
+			if errA == nil || errB == nil || errA.Error() != errB.Error() {
+				t.Fatalf("two builds of %s failed with %v and %v", data, errA, errB)
+			}
+			return
+		}
+		if sa, sb := schedule(spec, a), schedule(spec, b); !reflect.DeepEqual(sa, sb) {
+			t.Fatalf("two builds of %s injected\n %v\n %v", data, sa, sb)
+		}
+	})
+}
+
+// schedule binds p, built from spec, to a virtual clock and returns what
+// it injects into a fixed run of calls: at the start and at each scripted
+// window's edges, a few calls between every pair of the spec's own
+// endpoints for each of its methods, a pattern's '*' (or an empty one)
+// read as some name.
+func schedule(spec PlanSpec, p *Plan) []string {
+	var names, methods []string
+	add := func(to *[]string, pat string, max int) {
+		name := pat
+		if pat == "" || strings.HasSuffix(pat, "*") {
+			name = strings.TrimSuffix(pat, "*") + "x"
+		}
+		if len(*to) < max && !slices.Contains(*to, name) {
+			*to = append(*to, name)
+		}
+	}
+	add(&names, "", 4)
+	add(&methods, "", 3)
+	instants := []time.Duration{0}
+	for _, r := range spec.Rules {
+		add(&names, r.From, 4)
+		add(&names, r.To, 4)
+		add(&names, r.Endpoint, 4)
+		add(&methods, r.Method, 3)
+	}
+	for _, pt := range spec.Partitions {
+		add(&names, pt.From, 4)
+		add(&names, pt.To, 4)
+		instants = append(instants, pt.Start, pt.End)
+	}
+	for _, c := range spec.Crashes {
+		add(&names, c.Endpoint, 4)
+		instants = append(instants, c.Start, c.End)
+	}
+	sort.Slice(instants, func(i, j int) bool { return instants[i] < instants[j] })
+	if len(instants) > 4 {
+		instants = instants[:4]
+	}
+
+	clk := vclock.NewVirtual(time.Date(2001, time.March, 1, 0, 0, 0, 0, time.UTC))
+	p.Bind(clk)
+	var got []string
+	clk.Run(func() {
+		start := clk.Now()
+		for _, at := range instants {
+			if d := at - clk.Now().Sub(start); d > 0 {
+				clk.Sleep(d)
+			}
+			for _, from := range names {
+				for _, to := range names {
+					for _, m := range methods {
+						for i := 0; i < 2; i++ {
+							_, err := p.intercept(from, to, m, ok)
+							got = append(got, errKind(err))
+						}
+					}
+				}
+			}
+		}
+	})
+	return append(got, fmt.Sprint(p.Counters().Snapshot()))
 }

@@ -24,7 +24,7 @@ type writeReply struct {
 }
 
 type lookupArgs struct {
-	Tmpl    interface{}
+	Tmpl    enc.Lent // lent for the call by the service's transport
 	TxnID   uint64
 	Timeout time.Duration
 	Max     int
@@ -68,7 +68,11 @@ type countsReply struct {
 // decodes it into one. A Proxy releases its argument once Call has
 // returned and its reply once wireResult has copied it out; the TCP
 // binding releases a served call's argument and reply once the response
-// is written.
+// is written. A lookup's template is lent too (an enc.Lent field): the
+// service's transport decodes it into a struct from its type's pool and
+// releases it once the response is written, on both bindings. The proxy
+// never releases one: its template is the caller's, which the caller uses
+// again.
 
 // wireArgs encodes op as its RPC argument (client side); the handles
 // travel as the ids the service minted for them.
@@ -217,7 +221,10 @@ func (s *Service) Admission() *Admission { return &s.adm }
 
 // handler serves kind k. The op's entry was decoded for this call alone
 // and its result is encoded into the reply and dropped, so it reaches the
-// store through Local's decoded path, which copies neither.
+// store through Local's decoded path, which copies neither. A lookup's
+// template is the transport's to release once the response is written:
+// by then the store has returned, and no waiter of the op matches against
+// it.
 func (s *Service) handler(k Kind) transport.Handler {
 	return func(arg interface{}) (interface{}, error) {
 		op, txnID, leaseID, err := wireOp(k, arg)

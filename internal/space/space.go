@@ -124,7 +124,7 @@ func (l *Local) do(op Op, decoded bool) (res Result, err error) {
 	}
 	switch op.Kind {
 	case OpWrite:
-		var el *tuplespace.EntryLease
+		var el tuplespace.EntryLease
 		if decoded {
 			el, err = l.TS.WriteDecoded(op.Entry, tx, op.TTL, op.Token)
 		} else {

@@ -227,10 +227,13 @@ func (c *inprocClient) deliver(method string, arg interface{}) (interface{}, err
 
 	// The argument the handler was lent is not released: the handler may
 	// have handed it on, and nothing here knows for how long. Its result
-	// is released once encoded, as the TCP binding releases it.
+	// is released once encoded, as the TCP binding releases it, and so are
+	// the structs in its Lent fields, which live for the call alone.
 	out, err := srv.Dispatch(method, arg)
 	res, size, err := c.responses.response(method, out, err)
 	releaseResult(arg, out)
+	inner, _, _ := Unframe(arg)
+	enc.ReleaseLent(inner)
 	n.account(size, false)
 	n.clock.Sleep(n.model.Cost(size))
 	return res, err

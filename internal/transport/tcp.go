@@ -239,6 +239,7 @@ func (w *responder) answer(c call) {
 	}
 	releaseResult(c.arg, res)
 	arg, _, _ := Unframe(c.arg)
+	enc.ReleaseLent(arg)
 	enc.Release(arg)
 }
 

@@ -59,6 +59,11 @@ func RegisterType(v interface{}) { enc.RegisterType(v) }
 // Handler processes one RPC method. A struct argument arrives as a *T
 // lent for the call (enc.DecodeLent): the handler may use it until it
 // returns and keeps nothing of the struct itself, only what it points at.
+// A struct in an enc.Lent field of the argument arrives lent too, as a *T
+// that lives for the call alone: both bindings release it once the
+// response is encoded (enc.ReleaseLent), even where they leave the
+// argument itself, so the handler keeps nothing of it and hands it to
+// nothing that outlives the call.
 // A struct result is the transport's once returned, which releases it
 // after sending: it must be the handler's to give — lent (enc.Lend),
 // fresh, or the argument itself. An enc.View in the argument reads the

@@ -195,7 +195,7 @@ func (a *Applier) apply(r *record, evicted bool) error {
 			// entry is already here; none (consumed or filtered away)
 			// resolves to a detached expired lease on retry.
 			if se := a.entry(r.seqs[0], filter != nil); se != nil {
-				memo.lease = &se.lease
+				memo.entry = se
 			}
 		}
 		a.s.installMemo(r.tok, memo)

@@ -196,7 +196,7 @@ func TestFieldIndexBuiltOnDemand(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
-	var leases []*EntryLease
+	var leases []EntryLease
 	nextID := 0
 	write := func(tx *Txn, ttl time.Duration) {
 		t.Helper()

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"gospaces/internal/enc"
 	"gospaces/internal/metrics"
@@ -147,7 +146,7 @@ func (s *Space) journalWriteLocked(se *storedEntry, tok OpToken) error {
 		return nil
 	}
 	return s.journal.record(&record{
-		kind: recWrite, seqs: []uint64{se.id}, expiry: se.expiry, tok: tok,
+		kind: recWrite, seqs: []uint64{se.id}, expiry: expiryTime(se.expiry), tok: tok,
 		entries: []Entry{enc.Interface(se.val)},
 	})
 }
@@ -228,7 +227,7 @@ func (s *Space) EncodeStateWhere(pred func(Entry) bool) ([][]byte, error) {
 		}
 	}
 	sort.Slice(live, func(i, j int) bool { return live[i].id < live[j].id })
-	expiries := make([]time.Time, len(live)) // a lease can be renewed once the mutex is released
+	expiries := make([]int64, len(live)) // a lease can be renewed once the mutex is released
 	for i, se := range live {
 		expiries[i] = se.expiry
 	}
@@ -238,12 +237,12 @@ func (s *Space) EncodeStateWhere(pred func(Entry) bool) ([][]byte, error) {
 
 // encodeWrites returns one untokened write record per entry. It runs
 // outside the mutex: a stored value is never written to again.
-func encodeWrites(ses []*storedEntry, expiries []time.Time, what string) ([][]byte, error) {
+func encodeWrites(ses []*storedEntry, expiries []int64, what string) ([][]byte, error) {
 	records := make([][]byte, len(ses))
 	for i, se := range ses {
 		var err error
 		records[i], err = encodeRecord(&record{
-			kind: recWrite, seqs: []uint64{se.id}, expiry: expiries[i],
+			kind: recWrite, seqs: []uint64{se.id}, expiry: expiryTime(expiries[i]),
 			entries: []Entry{enc.Interface(se.val)},
 		})
 		if err != nil {

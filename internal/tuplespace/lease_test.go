@@ -76,7 +76,7 @@ func TestLeaseRenewExpiredWithoutSweep(t *testing.T) {
 func TestLeaseCancelConcurrentWithSweep(t *testing.T) {
 	s := newRealSpace()
 	const n = 64
-	leases := make([]*EntryLease, n)
+	leases := make([]EntryLease, n)
 	for i := 0; i < n; i++ {
 		l, err := s.Write(task{Job: "race", ID: ip(i)}, nil, 5*time.Millisecond)
 		if err != nil {

@@ -1,6 +1,10 @@
 package tuplespace
 
-import "time"
+import (
+	"math"
+	"time"
+	"unsafe"
+)
 
 // An entry is listed in its type's list, in write order, and in one bucket
 // of each of its type's field indexes. Lookups range over one of them and
@@ -33,7 +37,12 @@ type typeStore struct {
 // workload of write-take pairs on distinct keys makes and drops one per
 // pair, and a population of distinct values has one per entry. A dropped
 // bucket's array goes on spare, cleared, and the index's next new bucket
-// takes it, so that workload allocates no array per pair.
+// takes it, so that workload allocates no array per pair. With no spare
+// array at hand — a bag that fills past spareMax keys before it drains —
+// a new bucket's array is its first entry's slot, so a keyed write
+// allocates none either way. A bucket that outgrows the slot moves to the
+// heap; a slot-backed bucket, when dropped, is not kept on spare, where it
+// would pin its dead entry.
 type fieldIndex struct {
 	field   int     // struct field number
 	kind    cmpKind // cmpString, cmpInt or cmpUint
@@ -89,18 +98,34 @@ func (ix *fieldIndex) keyOf(se *storedEntry) fieldKey {
 func (ix *fieldIndex) add(se *storedEntry) {
 	k := ix.keyOf(se)
 	b, ok := ix.buckets[k]
-	if n := len(ix.spare); !ok && n > 0 {
-		b.items, ix.spare = ix.spare[n-1], ix.spare[:n-1]
+	if !ok {
+		if n := len(ix.spare); n > 0 {
+			b.items, ix.spare = ix.spare[n-1], ix.spare[:n-1]
+		} else if se.slot == nil {
+			b.items = unsafe.Slice(&se.slot, 1)[:0]
+		}
 	}
 	b.items = append(b.items, se)
 	ix.buckets[k] = b
 }
 
-// drop removes key's bucket, whose items are all dead and cleared, and
-// keeps its array for a new bucket.
+// inSlot reports whether items is an entry's slot (see storedEntry.slot):
+// then the one entry it can hold is that entry.
+func inSlot(items []*storedEntry) bool {
+	if cap(items) != 1 {
+		return false
+	}
+	first := &items[:1][0]
+	return *first != nil && first == &(*first).slot
+}
+
+// drop removes key's bucket, whose items are all dead, and keeps a heap
+// array for a new bucket, cleared.
 func (ix *fieldIndex) drop(key fieldKey, items []*storedEntry) {
 	delete(ix.buckets, key)
-	if c := cap(items); c > 0 && c <= spareMax && len(ix.spare) < spareMax {
+	slot := inSlot(items)
+	clear(items)
+	if c := cap(items); !slot && c > 0 && c <= spareMax && len(ix.spare) < spareMax {
 		ix.spare = append(ix.spare, items[:0])
 	}
 }
@@ -158,7 +183,28 @@ func (l *entryList) due() bool {
 }
 
 func (se *storedEntry) expired(now time.Time) bool {
-	return !se.expiry.IsZero() && now.After(se.expiry)
+	return se.expiry != 0 && now.UnixNano() > se.expiry
+}
+
+// expiryAfter returns when a lease of ttl > 0 granted at now ends, in Unix
+// nanoseconds: the instant a time.Time would hold, without its monotonic
+// reading, so a step of the wall clock moves it. A clock must read within
+// the years 1678–2262, as UnixNano requires; an end past 2262 is held as
+// the last nanosecond there is.
+func expiryAfter(now time.Time, ttl time.Duration) int64 {
+	at := now.UnixNano()
+	if end := at + int64(ttl); end > at {
+		return end
+	}
+	return math.MaxInt64
+}
+
+// expiryTime is an expiry as a time: the zero Time for 0, forever.
+func expiryTime(ns int64) time.Time {
+	if ns == 0 {
+		return time.Time{}
+	}
+	return time.Unix(0, ns)
 }
 
 // insertLocked lists a newly written entry.
@@ -223,12 +269,12 @@ func (s *Space) unlock() {
 				kept = append(kept, se)
 			}
 		}
-		clear(l.items[len(kept):])
 		s.dead -= int(l.dead)
 		if r.ix != nil && len(kept) == 0 {
-			r.ix.drop(r.key, kept)
+			r.ix.drop(r.key, l.items)
 			continue
 		}
+		clear(l.items[len(kept):])
 		r.put(entryList{items: kept})
 	}
 	s.slack = s.slack[:0]

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"gospaces/internal/enc"
 	"gospaces/internal/vclock"
@@ -355,8 +356,8 @@ const (
 // that field's first lookup built — costs its write-back no bucket array:
 // the new buckets take the arrays the take's emptied ones left on their
 // indexes' spare lists; its read, only the copy. A keyed write+take pair
-// costs no more than it must: the entry's lease lives inside the entry,
-// and the key's bucket reuses the array the last pair's left.
+// costs no more than it must: the entry's lease is a value naming the
+// entry, and the key's bucket reuses the array the last pair's left.
 func TestLookupAllocations(t *testing.T) {
 	const residents = 20_000
 	pin := func(what string, max float64, f func()) {
@@ -419,4 +420,73 @@ func TestLookupAllocations(t *testing.T) {
 		}
 	})
 	checkLists(t, s)
+}
+
+// maxStoredEntryBytes bounds a resident's own record, storedEntry: 88
+// bytes, the 96-byte size class (112 while the expiry was a time.Time and
+// each entry held its lease handle; the inline bucket slot came in with
+// both gone). One more word keeps it in the class; past it each resident
+// costs 16 bytes more.
+const maxStoredEntryBytes = 96
+
+// TestStoredEntrySize pins storedEntry to its size class.
+func TestStoredEntrySize(t *testing.T) {
+	if n := unsafe.Sizeof(storedEntry{}); n > maxStoredEntryBytes {
+		t.Fatalf("storedEntry is %d bytes, want at most %d", n, maxStoredEntryBytes)
+	}
+}
+
+// TestBagWriteAllocatesNoBucketArray: a keyed write into a store that
+// holds 128 live keys allocates exactly what it does into one that holds
+// one. An index keeps at most spareMax emptied arrays, so a bag that fills
+// past that many keys before it drains opens most of its buckets with no
+// spare at hand; each takes its entry's inline slot as its array instead
+// of allocating one (8 B, once per write past the sixteenth, before), and
+// none of those arrays is kept once its bucket empties.
+func TestBagWriteAllocatesNoBucketArray(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	perWrite := func(live int) float64 {
+		s := newRealSpace()
+		docs := make([]Entry, live)
+		for i := range docs {
+			docs[i] = paddedDoc{Key: fmt.Sprintf("k%d", i), N: i + 1, Pad: make([]byte, 8)}
+		}
+		var mallocs uint64
+		const rounds = 10
+		for r := 0; r <= rounds; r++ { // round 0 sizes the maps and lists
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for _, d := range docs {
+				if _, err := s.Write(d, nil, Forever); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			if r > 0 {
+				mallocs += after.Mallocs - before.Mallocs
+			}
+			for _, d := range docs {
+				if e, err := s.TakeIfExists(paddedDoc{Key: d.(paddedDoc).Key}, nil); err != nil || e == nil {
+					t.Fatalf("take %v: %v, %v", d, e, err)
+				}
+			}
+		}
+		// Every bucket opened on a slot, so no array was kept on spare,
+		// where it would pin its dead entry.
+		for _, st := range s.types {
+			for _, ix := range st.indexes {
+				if len(ix.spare) != 0 {
+					t.Fatalf("%d emptied slot arrays kept on spare", len(ix.spare))
+				}
+			}
+		}
+		return float64(mallocs) / float64(rounds*live)
+	}
+	one, bag := perWrite(1), perWrite(128)
+	t.Logf("a keyed write allocates %.3f times beside 1 live key, %.3f beside 128", one, bag)
+	if bag != one {
+		t.Fatalf("a keyed write into a bag of 128 live keys allocates %.3f times, want %.3f as beside 1", bag, one)
+	}
 }

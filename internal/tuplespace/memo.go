@@ -72,10 +72,10 @@ const (
 // is needed whole, which is rare: a snapshot and a memo record.
 type memoRec struct {
 	op    string
-	key   string      // index key the op's retry routes by ("" when unkeyed)
-	lease *EntryLease // write memos: the original entry's lease (nil once rebuilt past consumption)
-	taken Entry       // take memos: the taken entry (nil when the take took none)
-	all   []Entry     // take-all memos, and any other op's entries: the taken entries
+	key   string       // index key the op's retry routes by ("" when unkeyed)
+	entry *storedEntry // write memos: the entry written, which a retry's lease names (nil once rebuilt past consumption)
+	taken Entry        // take memos: the taken entry (nil when the take took none)
+	all   []Entry      // take-all memos, and any other op's entries: the taken entries
 }
 
 // answer sets what rec answers with to es, which rec keeps unless it is a
@@ -250,8 +250,8 @@ func (s *Space) installMemoLocked(tok OpToken, rec memoRec) {
 // its lease holds, so a reader that has the entry binds the two.
 func (rec *memoRec) record(tok OpToken) record {
 	r := record{kind: recMemo, tok: tok, memoOp: rec.op, key: rec.key, entries: rec.entriesIn(nil)}
-	if rec.lease != nil {
-		r.seqs = []uint64{rec.lease.Seq()}
+	if rec.entry != nil {
+		r.seqs = []uint64{rec.entry.id}
 	}
 	return r
 }
@@ -261,11 +261,11 @@ func (rec *memoRec) record(tok OpToken) record {
 // the entry was consumed before the memo was rebuilt — the write
 // happened, its entry is simply gone, exactly as if the retry had won the
 // race and a take then consumed it.
-func (rec *memoRec) leaseOut(s *Space) *EntryLease {
-	if rec.lease != nil {
-		return rec.lease
+func (rec *memoRec) leaseOut(s *Space) EntryLease {
+	if rec.entry != nil {
+		return EntryLease{s, rec.entry}
 	}
-	return &EntryLease{space: s, entry: &storedEntry{removed: true}}
+	return EntryLease{s, noEntry}
 }
 
 // copyEntries deep-copies entries so memo state and caller results never
@@ -383,7 +383,7 @@ func (s *Space) EncodeMemosWhere(pred func(key string, keyed bool) bool) ([][]by
 // token returns the original write's lease instead of storing a second
 // copy. Under a transaction the token is remembered until the transaction
 // ends, not memoized. A zero token behaves exactly like Write.
-func (s *Space) WriteTok(e Entry, t *Txn, ttl time.Duration, tok OpToken) (*EntryLease, error) {
+func (s *Space) WriteTok(e Entry, t *Txn, ttl time.Duration, tok OpToken) (EntryLease, error) {
 	return s.write(e, t, ttl, tok, writeClient, 0)
 }
 
@@ -405,7 +405,7 @@ func (s *Space) Lookup(take, block bool, tmpl Entry, t *Txn, timeout time.Durati
 // WriteDecoded is WriteTok for a service whose entry was decoded from a
 // request frame for this call alone: the space stores e itself instead of
 // a copy, so nobody may touch e again.
-func (s *Space) WriteDecoded(e Entry, t *Txn, ttl time.Duration, tok OpToken) (*EntryLease, error) {
+func (s *Space) WriteDecoded(e Entry, t *Txn, ttl time.Duration, tok OpToken) (EntryLease, error) {
 	return s.write(e, t, ttl, tok, writeDecoded, 0)
 }
 
@@ -433,7 +433,7 @@ func (s *Space) TakeAllTok(tmpl Entry, t *Txn, max int, tok OpToken) ([]Entry, e
 // cancel whose original executed returns success instead of
 // ErrLeaseExpired. Check and cancellation are atomic under the space
 // mutex.
-func (l *EntryLease) CancelTok(tok OpToken) error {
+func (l EntryLease) CancelTok(tok OpToken) error {
 	s := l.space
 	s.lock()
 	defer s.unlock()

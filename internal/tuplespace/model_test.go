@@ -29,7 +29,7 @@ type modelEntry struct {
 	takenUnder   int
 	readers      map[int]bool
 	removed      bool
-	lease        *EntryLease
+	lease        EntryLease
 }
 
 // modelDoc's templates fix the key, the tag, both or neither.

@@ -351,7 +351,7 @@ func TestOneRecordPerTokenedOp(t *testing.T) {
 		}
 		return r
 	}
-	var lease *EntryLease
+	var lease EntryLease
 	step("WriteTok", recWrite, func() {
 		var err error
 		if lease, err = s.WriteTok(doc{Key: "a", ID: 1}, nil, Forever, tok("c", 1)); err != nil {

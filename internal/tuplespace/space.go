@@ -64,11 +64,13 @@ type Stats struct {
 	TxnsLive    int    // transactions begun and not yet committed, aborted or lapsed
 }
 
+// storedEntry is one resident, 88 bytes on 64-bit platforms: the 96-byte
+// size class (DESIGN §16).
 type storedEntry struct {
 	id     uint64
 	ti     *typeInfo
 	val    reflect.Value // struct value, owned by the space
-	expiry time.Time     // zero = forever
+	expiry int64         // Unix nanoseconds; 0 = forever
 
 	writtenUnder uint64         // txn holding an uncommitted write, 0 if public
 	takenUnder   uint64         // txn holding a take lock, 0 if free
@@ -78,9 +80,10 @@ type storedEntry struct {
 	// original: stored and journaled here, seen by no lookup until the
 	// source lets the original go (see Applier).
 	staged bool
-	// lease is the entry's handle, allocated with it: every holder of the
-	// lease pins the entry anyway.
-	lease EntryLease
+	// slot is the array of the first new index bucket the entry opens
+	// when its index has no spare one (see fieldIndex.add), so a keyed
+	// write allocates no bucket array of its own.
+	slot *storedEntry
 }
 
 type opKind int
@@ -141,7 +144,7 @@ func (s *Space) Close() {
 // Write stores a deep copy of entry e under transaction t (nil for none),
 // with lease duration ttl (Forever for no expiry). It returns an EntryLease
 // for renewal or cancellation.
-func (s *Space) Write(e Entry, t *Txn, ttl time.Duration) (*EntryLease, error) {
+func (s *Space) Write(e Entry, t *Txn, ttl time.Duration) (EntryLease, error) {
 	return s.write(e, t, ttl, OpToken{}, writeClient, 0)
 }
 
@@ -166,25 +169,25 @@ const (
 // one executes and the rest return its lease — from the memo table outside
 // a transaction, from the transaction's own answers inside one. The entry
 // is stored under id (a mirror's), or when id is 0 under one minted here.
-func (s *Space) write(e Entry, t *Txn, ttl time.Duration, tok OpToken, mode writeMode, id uint64) (*EntryLease, error) {
+func (s *Space) write(e Entry, t *Txn, ttl time.Duration, tok OpToken, mode writeMode, id uint64) (EntryLease, error) {
 	ti, v, err := infoFor(e)
 	if err != nil {
-		return nil, err
+		return EntryLease{}, err
 	}
 	s.lock()
 	if s.closed {
 		s.unlock()
-		return nil, ErrClosed
+		return EntryLease{}, ErrClosed
 	}
 	ts, err := s.joinLocked(t)
 	if err != nil {
 		s.unlock()
-		return nil, err
+		return EntryLease{}, err
 	}
 	if mode == writeClient || mode == writeDecoded {
 		if ses, ok := s.txnHitLocked(ts, tok, MemoWrite); ok {
 			s.unlock()
-			return &ses[0].lease, nil
+			return EntryLease{s, ses[0]}, nil
 		}
 		if rec, ok := s.memoHitLocked(tok); ok {
 			l := rec.leaseOut(s)
@@ -202,10 +205,8 @@ func (s *Space) write(e Entry, t *Txn, ttl time.Duration, tok OpToken, mode writ
 	}
 	s.nextID = max(s.nextID, id+1) // id+1 wraps to 0 for the largest id
 	se := &storedEntry{id: id, ti: ti, val: v, staged: mode == writeStaged}
-	se.lease = EntryLease{space: s, entry: se}
-	l := &se.lease
 	if ttl > 0 {
-		se.expiry = s.clock.Now().Add(ttl)
+		se.expiry = expiryAfter(s.clock.Now(), ttl)
 	}
 	s.insertLocked(se)
 	var fire []notification
@@ -219,10 +220,10 @@ func (s *Space) write(e Entry, t *Txn, ttl time.Duration, tok OpToken, mode writ
 			// acknowledged.
 			s.removeLocked(se)
 			s.unlock()
-			return nil, jerr
+			return EntryLease{}, jerr
 		}
 		if !tok.Zero() {
-			s.memoInsertLocked(tok, memoRec{op: MemoWrite, key: entryKey(se), lease: l})
+			s.memoInsertLocked(tok, memoRec{op: MemoWrite, key: entryKey(se), entry: se})
 		}
 		if !se.staged {
 			fire = s.publishLocked(se)
@@ -231,7 +232,7 @@ func (s *Space) write(e Entry, t *Txn, ttl time.Duration, tok OpToken, mode writ
 	s.stats.Writes++
 	s.unlock()
 	deliver(fire)
-	return l, nil
+	return EntryLease{s, se}, nil
 }
 
 // Read returns a copy of an entry matching tmpl, waiting up to timeout for
@@ -527,7 +528,7 @@ func (s *Space) EvictWhere(pred func(Entry) bool) ([][]byte, int, error) {
 	}
 	now := s.clock.Now()
 	var evicted []*storedEntry
-	var expiries []time.Time
+	var expiries []int64
 	locked := 0
 	for _, st := range s.types {
 		for _, se := range st.all.items {
@@ -589,11 +590,16 @@ func (s *Space) TypeCounts() map[string]int {
 	return counts
 }
 
-// EntryLease controls the lifetime of a written entry.
+// EntryLease controls the lifetime of a written entry. It is a value: the
+// space and the entry, which every copy of it names alike.
 type EntryLease struct {
 	space *Space
 	entry *storedEntry
 }
+
+// noEntry is what a lease on nothing names: an entry removed before the
+// lease was made, which nothing writes to again.
+var noEntry = &storedEntry{removed: true}
 
 // Mirrored reports the highest id an entry was stored under because its
 // record carried it (a standby's, a recovery's), or 0: ids above it are
@@ -606,7 +612,7 @@ func (s *Space) Mirrored() uint64 {
 
 // Seq returns the space-assigned identity of the leased entry — the Seq
 // its journal records carry.
-func (l *EntryLease) Seq() uint64 {
+func (l EntryLease) Seq() uint64 {
 	return l.entry.id
 }
 
@@ -615,25 +621,25 @@ func (l *EntryLease) Seq() uint64 {
 // names none) it is a lease on nothing: a renewal or cancel answers
 // ErrLeaseExpired, unless the cancel is the retry of a tokened one that
 // executed.
-func (s *Space) LeaseFor(seq uint64) *EntryLease {
+func (s *Space) LeaseFor(seq uint64) EntryLease {
 	s.lock()
 	defer s.unlock()
 	if se := s.bySeq[seq]; se != nil {
-		return &se.lease
+		return EntryLease{s, se}
 	}
-	return &EntryLease{space: s, entry: &storedEntry{removed: true}}
+	return EntryLease{s, noEntry}
 }
 
 // Expiration returns the entry's current expiry time (zero for Forever).
-func (l *EntryLease) Expiration() time.Time {
+func (l EntryLease) Expiration() time.Time {
 	l.space.lock()
 	defer l.space.unlock()
-	return l.entry.expiry
+	return expiryTime(l.entry.expiry)
 }
 
 // Renew extends the lease to now+ttl. Renewing an expired or cancelled
 // lease fails with ErrLeaseExpired.
-func (l *EntryLease) Renew(ttl time.Duration) error {
+func (l EntryLease) Renew(ttl time.Duration) error {
 	l.space.lock()
 	defer l.space.unlock()
 	se := l.entry
@@ -641,16 +647,15 @@ func (l *EntryLease) Renew(ttl time.Duration) error {
 	if se.removed || se.expired(now) {
 		return ErrLeaseExpired
 	}
+	se.expiry = 0
 	if ttl > 0 {
-		se.expiry = now.Add(ttl)
-	} else {
-		se.expiry = time.Time{}
+		se.expiry = expiryAfter(now, ttl)
 	}
 	return nil
 }
 
 // Cancel removes the entry immediately.
-func (l *EntryLease) Cancel() error { return l.CancelTok(OpToken{}) }
+func (l EntryLease) Cancel() error { return l.CancelTok(OpToken{}) }
 
 // String describes the space for diagnostics.
 func (s *Space) String() string {

@@ -53,7 +53,7 @@ func docIDs(entries ...Entry) []int {
 
 // run executes op against s, recording its outcome in op.got. leases holds,
 // per write op index, the lease that write (or its retry) returned on s.
-func (op *tornOp) run(t *testing.T, s *Space, leases map[int]*EntryLease, self int) {
+func (op *tornOp) run(t *testing.T, s *Space, leases map[int]EntryLease, self int) {
 	t.Helper()
 	fail := func(err error, tolerated ...error) {
 		for _, ok := range tolerated {
@@ -102,7 +102,7 @@ func tornStream(t *testing.T, rng *rand.Rand) ([]tornOp, [][]byte) {
 		t.Fatal(err)
 	}
 	var ops []tornOp
-	leases := map[int]*EntryLease{}
+	leases := map[int]EntryLease{}
 	var writes []int // indexes of write ops
 	nextID := 1
 	next := func(kind tornKind) *tornOp {
@@ -221,7 +221,7 @@ func checkPrefix(t *testing.T, mode string, ops []tornOp, records [][]byte, k in
 		}
 		where[id] = place
 	}
-	leases := map[int]*EntryLease{}
+	leases := map[int]EntryLease{}
 	for i := range ops {
 		orig := ops[i]
 		if orig.kind != tornCommit && !mine(orig.key) {

@@ -197,7 +197,7 @@ func run(c config) error {
 	// so clients rebuild the same ring. -datadir selects the durable
 	// (Outrigger persistent) mode: each shard recovers its WAL + snapshot
 	// before serving. The workers are other processes.
-	f, err := core.New(vclock.NewReal(), core.TCP(c.lookup, c.addr), core.Config{Spec: spec, ResultTimeout: c.resultTimeout})
+	f, err := core.New(vclock.NewReal(), core.TCP(c.lookup, c.addr, nil), core.Config{Spec: spec, ResultTimeout: c.resultTimeout})
 	if err != nil {
 		return err
 	}

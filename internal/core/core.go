@@ -100,14 +100,16 @@ type links struct {
 	release    func()
 }
 
-// inProcMaster is shard 0's address on the in-process network.
+// inProcMaster is shard 0's address on the in-process network, and where a
+// fault plan sees the network manager's calls leave from on either network.
 const inProcMaster = "master"
 
 // InProc runs the deployment on an in-process network of cost model model
 // (nil: transport.LAN2001()): the lookup service at discovery.WellKnownAddress,
 // shard 0 at "master", worker nodes at "node/<name>". plan, if set, goes on
-// the network and the WAL writers, bound to the clock by New, so scripted
-// windows are offsets from construction time (internal/faults).
+// every client the deployment dials and every WAL writer it opens, bound to
+// the clock here, so scripted windows are offsets from construction time
+// (attach, internal/faults).
 func InProc(model *transport.Model, plan *faults.Plan) Net {
 	return func(clock vclock.Clock) (*links, error) {
 		m := transport.LAN2001()
@@ -119,23 +121,14 @@ func InProc(model *transport.Model, plan *faults.Plan) Net {
 		lookupSrv := transport.NewServer()
 		discovery.NewService(reg, lookupSrv)
 		nw.Listen(discovery.WellKnownAddress, lookupSrv)
-		env := shardhost.InProcEnv(nw, inProcMaster, reg)
-		if plan != nil {
-			plan.Bind(clock)
-			nw.Intercept(plan.Interceptor())
-			env.WrapWriter = func(addr string) func(io.Writer) io.Writer {
-				ep := faults.DiskEndpoint(addr)
-				return func(w io.Writer) io.Writer { return plan.WrapWriter(ep, w) }
-			}
-		}
-		return &links{
-			shards: env,
-			node:   func(name string) workerhost.Env { return workerhost.InProcEnv(nw, "node/"+name, reg) },
-			// The manager's calls leave from the master's endpoint.
-			manager: netmgmt.InProcEnv(nw, inProcMaster, reg),
-			faults:  plan,
+		l := &links{
+			shards:  shardhost.InProcEnv(nw, inProcMaster, reg),
+			node:    func(name string) workerhost.Env { return workerhost.InProcEnv(nw, "node/"+name, reg) },
+			manager: netmgmt.InProcEnv(nw, reg),
 			release: func() {},
-		}, nil
+		}
+		l.attach(plan, clock)
+		return l, nil
 	}
 }
 
@@ -143,8 +136,10 @@ func InProc(model *transport.Model, plan *faults.Plan) Net {
 // lookupAddr: shard 0 at listenAddr, every other shard node and each worker
 // node's signal endpoint (TCP) and SNMP agent (UDP) on an ephemeral port of
 // its host. Host processes run from New to Close, so shard leases are
-// renewed before and between runs.
-func TCP(lookupAddr, listenAddr string) Net {
+// renewed before and between runs. plan, if set, is bound to the clock and
+// attached as InProc attaches it; it sees shards by their host:port, and
+// neither the host's lookup client nor the manager's SNMP, which is UDP.
+func TCP(lookupAddr, listenAddr string, plan *faults.Plan) Net {
 	return func(clock vclock.Clock) (*links, error) {
 		lc, err := transport.DialTCP(lookupAddr)
 		if err != nil {
@@ -158,14 +153,50 @@ func TCP(lookupAddr, listenAddr string) Net {
 		}
 		host, _, _ := net.SplitHostPort(listenAddr) // TCPEnv parsed it
 		ephemeral := net.JoinHostPort(host, "0")
-		return &links{
+		l := &links{
 			shards:     env,
 			node:       func(string) workerhost.Env { return workerhost.TCPEnv(lookupAddr, ephemeral, ephemeral) },
 			manager:    netmgmt.TCPEnv(lookup),
 			background: vclock.NewGroup(clock),
 			release:    func() { lc.Close() },
-		}, nil
+		}
+		l.attach(plan, clock)
+		return l, nil
 	}
+}
+
+// attach binds plan to clock and puts it, before the first dial, on every
+// client l's processes dial — the shard host's as calls from the dialing
+// node, worker node <name>'s from "node/<name>", the network manager's from
+// "master" — and on every WAL writer the host opens, as the disk endpoint
+// of the writing node. A nil plan leaves l as it is.
+func (l *links) attach(plan *faults.Plan, clock vclock.Clock) {
+	if plan == nil {
+		return
+	}
+	plan.Bind(clock)
+	l.faults = plan
+	// wrap(from, to) puts the client a dial from → to returned under plan.
+	wrap := func(from, to string) func(transport.Client, error) (transport.Client, error) {
+		return func(c transport.Client, err error) (transport.Client, error) {
+			if err != nil {
+				return nil, err
+			}
+			return plan.WrapClient(from, to, c), nil
+		}
+	}
+	shardDial, node, managerDial := l.shards.Dial, l.node, l.manager.Dial
+	l.shards.Dial = func(from, to string) (transport.Client, error) { return wrap(from, to)(shardDial(from, to)) }
+	l.shards.WrapWriter = func(addr string) func(io.Writer) io.Writer {
+		return func(w io.Writer) io.Writer { return plan.WrapWriter(faults.DiskEndpoint(addr), w) }
+	}
+	l.node = func(name string) workerhost.Env {
+		env := node(name)
+		dial := env.Dial
+		env.Dial = func(to string) (transport.Client, error) { return wrap("node/"+name, to)(dial(to)) }
+		return env
+	}
+	l.manager.Dial = func(to string) (transport.Client, error) { return wrap(inProcMaster, to)(managerDial(to)) }
 }
 
 // Framework is an assembled deployment: cluster hardware, the hosted shard
@@ -215,7 +246,7 @@ type Result struct {
 	// Events is the network management module's signal log (empty when
 	// monitoring is disabled).
 	Events []netmgmt.Event
-	// FaultEvents is the injected-fault event counts when InProc had a
+	// FaultEvents is the injected-fault event counts when the Net had a
 	// fault plan (keys are the faults.Event* constants).
 	FaultEvents map[string]uint64
 	// Counters is the snapshot of Framework.Counters: wal:* and
@@ -378,8 +409,8 @@ func (f *Framework) spawn(fn func()) {
 }
 
 // Dial connects endpoint from to the node at to over the framework's
-// network, for a script's or a test's own clients; from tags the calls for
-// an in-process fault plan.
+// network, for a script's or a test's own clients; a fault plan sees the
+// calls leave from from.
 func (f *Framework) Dial(from, to string) (transport.Client, error) {
 	return f.links.shards.Dial(from, to)
 }

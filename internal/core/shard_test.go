@@ -138,7 +138,7 @@ func TestGatedSpaceOpCost(t *testing.T) {
 // spec exactly as cmd/master does, and returns the host's validation error
 // (once a panic) before opening either network.
 func TestNewRejectsInvalidSpec(t *testing.T) {
-	for _, net := range []Net{InProc(nil, nil), TCP("127.0.0.1:1", "127.0.0.1:0")} {
+	for _, net := range []Net{InProc(nil, nil), TCP("127.0.0.1:1", "127.0.0.1:0", nil)} {
 		_, err := New(vclock.NewReal(), net, Config{Spec: shardhost.Spec{Replicas: 2}})
 		if err == nil || !strings.Contains(err.Error(), "replicas must be 0 or 1") {
 			t.Fatalf("New with Replicas: 2: err = %v, want the host's validation error", err)

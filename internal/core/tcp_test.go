@@ -59,7 +59,7 @@ func TestTCPLeasesOutliveTheirTTL(t *testing.T) {
 	const ttl = 300 * time.Millisecond
 	clk := vclock.NewReal()
 	lookup, reg := tcpLookup(t, clk)
-	f := mustNew(t, clk, leased(TCP(lookup, "127.0.0.1:0"), ttl), Config{
+	f := mustNew(t, clk, leased(TCP(lookup, "127.0.0.1:0", nil), ttl), Config{
 		Spec:          shardhost.Spec{Shards: 2, Elastic: true},
 		Workers:       cluster.Uniform(1, 1.0),
 		ResultTimeout: 30 * time.Second,
@@ -99,13 +99,13 @@ func TestTCPCloseWithdrawsEveryListing(t *testing.T) {
 		Workers:       cluster.Uniform(1, 1.0),
 		ResultTimeout: 30 * time.Second,
 	}
-	first := mustNew(t, clk, TCP(lookup, "127.0.0.1:0"), cfg)
+	first := mustNew(t, clk, TCP(lookup, "127.0.0.1:0", nil), cfg)
 	first.Close()
 	for _, it := range reg.Lookup(nil) {
 		t.Errorf("after the first host's Close the lookup service lists %s at %s", it.Name, it.Address)
 	}
 
-	second := mustNew(t, clk, TCP(lookup, "127.0.0.1:0"), cfg)
+	second := mustNew(t, clk, TCP(lookup, "127.0.0.1:0", nil), cfg)
 	defer second.Close()
 	mc := smallMCConfig()
 	mc.TotalSims = 400 // 4 tasks

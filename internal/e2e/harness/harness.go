@@ -80,7 +80,9 @@ type RunSpec struct {
 	// Workers is the cluster size; nodes are uniform 1.0-speed machines
 	// named node01…nodeNN. Ignored when Config.Workers is already set.
 	Workers int
-	// Model and Plan are core.InProc's: cost model and fault plan, or nil.
+	// Model and Plan are core.InProc's: cost model, or nil for LAN2001,
+	// and fault plan, or nil. The plan wraps every client the deployment
+	// dials and every WAL writer it opens; each run needs a fresh one.
 	Model *transport.Model
 	Plan  *faults.Plan
 	// Config is the deployment shape; Workers is filled in from above.

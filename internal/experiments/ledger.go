@@ -75,7 +75,7 @@ func RunLedger(row LedgerRow, tcp bool) (core.Result, error) {
 		return core.Result{}, err
 	}
 	defer lookup.Close()
-	f, err := core.New(vclock.NewReal(), core.TCP(lookup.Addr(), "127.0.0.1:0"), cfg)
+	f, err := core.New(vclock.NewReal(), core.TCP(lookup.Addr(), "127.0.0.1:0", nil), cfg)
 	if err != nil {
 		return core.Result{}, err
 	}

@@ -3,10 +3,11 @@
 // and process behaviour — dropped calls, added latency, duplicated
 // deliveries, one-way partitions between named endpoints, and endpoint
 // crashes (scripted by virtual time, or triggered on the Nth matching call,
-// before or after the handler runs). The same Plan drives both transport
-// bindings: install Interceptor on an in-process transport.Network (the
-// simulated cluster under the virtual clock), or wrap individual TCP
-// clients with WrapClient.
+// before or after the handler runs). A Plan has two adapters: WrapClient
+// routes one client's calls through it — a client of either transport
+// binding, the in-process network under the virtual clock or TCP — and
+// WrapWriter routes a WAL segment's writes (io.go). A deployment's plan is
+// put on every client it dials and every log it opens by core.
 //
 // Determinism: probabilistic rules draw from a splitmix-style stream keyed
 // by (plan seed, rule, endpoint pair) with a per-stream call counter, so a
@@ -169,8 +170,9 @@ type crashSched struct {
 }
 
 // Plan is a deterministic fault schedule. Configure it with the rule
-// builders, Bind it to the run's clock, then install it on the transports.
-// All methods are safe for concurrent use once bound.
+// builders, Bind it to the run's clock, then wrap clients (WrapClient) and
+// log writers (WrapWriter) with it. All methods are safe for concurrent use
+// once bound.
 type Plan struct {
 	seed uint64
 
@@ -199,8 +201,8 @@ func NewPlan(seed int64) *Plan {
 
 // Bind attaches the plan to the run's clock and stamps the epoch that
 // scripted windows (PartitionOneWay, CrashEndpoint) are measured from.
-// core.New calls it for core.InProc's plan; direct users must call it
-// before installing the plan.
+// core.InProc and core.TCP call it for their plan before the deployment's
+// first dial; direct users must call it before wrapping anything.
 //
 // A Plan drives exactly one run. Rebinding would silently restamp the
 // epoch — shifting every scripted window — and, raced from another
@@ -297,16 +299,10 @@ func (p *Plan) Down(endpoint string) bool {
 	return p.isDownLocked(endpoint, now, off)
 }
 
-// Interceptor adapts the plan to the in-process network hook:
-// net.Intercept(plan.Interceptor()).
-func (p *Plan) Interceptor() transport.Interceptor {
-	return func(from, to, method string, invoke func() (interface{}, error)) (interface{}, error) {
-		return p.intercept(from, to, method, invoke)
-	}
-}
-
-// WrapClient wraps any transport.Client (typically a TCP client) so its
-// calls route through the plan, tagged with the given endpoint names.
+// WrapClient wraps inner, a client of either transport binding, so its
+// calls route through the plan as calls from endpoint from to endpoint to.
+// A call the plan lets through is inner's; a duplicated one runs inner's
+// Call twice.
 func (p *Plan) WrapClient(from, to string, inner transport.Client) transport.Client {
 	return &wrappedClient{p: p, from: from, to: to, inner: inner}
 }
@@ -389,8 +385,8 @@ func (p *Plan) killLocked(endpoint string, now time.Time, downFor time.Duration)
 	p.counters.Inc(EventCrash + ":" + endpoint)
 }
 
-// intercept applies the plan to one call. It is the single choke point
-// both transport adapters funnel through.
+// intercept applies the plan to one call: the choke point every wrapped
+// client funnels through.
 func (p *Plan) intercept(from, to, method string, invoke func() (interface{}, error)) (interface{}, error) {
 	now, off := p.nowOff()
 

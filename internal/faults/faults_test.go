@@ -98,10 +98,9 @@ func TestDropDelayDuplicateOverInproc(t *testing.T) {
 		p := NewPlan(1)
 		p.Bind(clk)
 		p.DropCalls("caller", "svc", "echo.Ping", 1)
-		net.Intercept(p.Interceptor())
 
-		c := net.DialAs("caller", "svc")
-		if _, err := c.Call("echo.Ping", "x"); !errors.Is(err, ErrInjected) {
+		raw := net.Dial("svc")
+		if _, err := p.WrapClient("caller", "svc", raw).Call("echo.Ping", "x"); !errors.Is(err, ErrInjected) {
 			t.Fatalf("dropped call: got err %v, want ErrInjected", err)
 		}
 		if handled != 0 {
@@ -111,13 +110,12 @@ func TestDropDelayDuplicateOverInproc(t *testing.T) {
 			t.Fatalf("drop count = %d, want 1", got)
 		}
 
-		// Replace with a delay-everything plan.
+		// The same connection under a delay-everything plan.
 		p2 := NewPlan(1)
 		p2.Bind(clk)
 		p2.DelayCalls("", "svc", "", 40*time.Millisecond, 1)
-		net.Intercept(p2.Interceptor())
 		before := clk.Now()
-		if _, err := c.Call("echo.Ping", "x"); err != nil {
+		if _, err := p2.WrapClient("caller", "svc", raw).Call("echo.Ping", "x"); err != nil {
 			t.Fatalf("delayed call failed: %v", err)
 		}
 		if d := clk.Now().Sub(before); d < 40*time.Millisecond {
@@ -131,8 +129,7 @@ func TestDropDelayDuplicateOverInproc(t *testing.T) {
 		p3 := NewPlan(1)
 		p3.Bind(clk)
 		p3.DuplicateCalls("", "svc", "echo.Ping", 1)
-		net.Intercept(p3.Interceptor())
-		if _, err := c.Call("echo.Ping", "x"); err != nil {
+		if _, err := p3.WrapClient("caller", "svc", raw).Call("echo.Ping", "x"); err != nil {
 			t.Fatalf("duplicated call failed: %v", err)
 		}
 		if handled != 3 {
@@ -163,9 +160,8 @@ func TestCrashOnCallAfterHandler(t *testing.T) {
 		p.Bind(clk)
 		// Crash the caller on its 1st *successful* call, down for 1s.
 		p.CrashOnCall("w1", "svc", "echo.Ping", 1, AfterHandler, "", time.Second)
-		net.Intercept(p.Interceptor())
 
-		c := net.DialAs("w1", "svc")
+		c := p.WrapClient("w1", "svc", net.Dial("svc"))
 		// Handler error: must NOT consume the nth-success budget.
 		if _, err := c.Call("echo.Ping", "x"); err == nil {
 			t.Fatal("expected handler error on first call")
@@ -189,7 +185,7 @@ func TestCrashOnCallAfterHandler(t *testing.T) {
 		if _, err := c.Call("echo.Ping", "x"); !errors.Is(err, ErrInjected) {
 			t.Fatalf("call from dead endpoint: %v", err)
 		}
-		if _, err := net.DialAs("svc", "w1").Call("echo.Ping", "x"); !errors.Is(err, ErrInjected) {
+		if _, err := p.WrapClient("svc", "w1", net.Dial("w1")).Call("echo.Ping", "x"); !errors.Is(err, ErrInjected) {
 			t.Fatalf("call to dead endpoint: %v", err)
 		}
 		if handled != 2 {
@@ -220,9 +216,8 @@ func TestPartitionOneWayAndCrashWindow(t *testing.T) {
 		p.Bind(clk)
 		p.PartitionOneWay("a", "svc", 0, 500*time.Millisecond)
 		p.CrashEndpoint("svc", time.Second, 2*time.Second)
-		net.Intercept(p.Interceptor())
 
-		a, b := net.DialAs("a", "svc"), net.DialAs("b", "svc")
+		a, b := p.WrapClient("a", "svc", net.Dial("svc")), p.WrapClient("b", "svc", net.Dial("svc"))
 		// In the partition window: a→svc cut, b→svc open (one-way).
 		if _, err := a.Call("echo.Ping", "x"); !errors.Is(err, ErrInjected) {
 			t.Fatalf("partitioned call: %v", err)

@@ -130,20 +130,19 @@ func TestPlanConcurrentStreamsDeterministic(t *testing.T) {
 		p := NewPlan(99)
 		p.DropCalls("node/*", "master", "space.Write", 0.4)
 		p.Bind(vclock.NewReal())
-		ic := p.Interceptor()
 		var wg sync.WaitGroup
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < calls; i++ {
-				_, err := ic("node/node01", "master", "space.Write", ok)
+				_, err := p.intercept("node/node01", "master", "space.Write", ok)
 				a = append(a, errKind(err))
 			}
 		}()
 		go func() {
 			defer wg.Done()
 			for i := 0; i < calls; i++ {
-				_, err := ic("node/node02", "master", "space.Write", ok)
+				_, err := p.intercept("node/node02", "master", "space.Write", ok)
 				b = append(b, errKind(err))
 			}
 		}()

@@ -40,10 +40,9 @@ func TestChaosDuplicatedResultDeliveries(t *testing.T) {
 		plan := faults.NewPlan(5)
 		plan.Bind(clk)
 		plan.DuplicateCalls("node/w1", "space", "space.Write", 1)
-		net.Intercept(plan.Interceptor())
 
 		router, err := shard.New(shard.Options{Clock: clk, Seed: "w1"},
-			[]shard.Shard{{ID: "space", Space: space.NewProxy(net.DialAs("node/w1", "space"))}})
+			[]shard.Shard{{ID: "space", Space: space.NewProxy(plan.WrapClient("node/w1", "space", net.Dial("space")))}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -33,20 +33,20 @@ type Env struct {
 	// Lookup returns the lookup service's items matching tmpl, in
 	// registration order.
 	Lookup func(tmpl map[string]string) ([]discovery.ServiceItem, error)
-	// Link connects the module to the SNMP agent and the signal endpoint
-	// a worker's item announces.
-	Link func(item discovery.ServiceItem) (snmp.Exchanger, transport.Client, error)
+	// Dial connects the module to the node at addr: a worker's signal
+	// endpoint and, with SNMP unset, its SNMP agent, then reached over RPC.
+	Dial func(addr string) (transport.Client, error)
+	// SNMP, when set, reaches the SNMP agent at addr without Dial.
+	SNMP func(addr string) snmp.Exchanger
 }
 
 // InProcEnv reads the in-process registry reg directly — discovery charges
-// no modeled time — and reaches each worker over nw from endpoint from, so
-// a fault plan sees the manager's calls leave there.
-func InProcEnv(nw *transport.Network, from string, reg *discovery.Registry) Env {
+// no modeled time — and reaches each worker's signal endpoint and SNMP
+// agent over nw.
+func InProcEnv(nw *transport.Network, reg *discovery.Registry) Env {
 	return Env{
 		Lookup: func(tmpl map[string]string) ([]discovery.ServiceItem, error) { return reg.Lookup(tmpl), nil },
-		Link: func(item discovery.ServiceItem) (snmp.Exchanger, transport.Client, error) {
-			return &snmp.RPCExchanger{C: nw.DialAs(from, item.Attributes[workerhost.AttrSNMP])}, nw.DialAs(from, item.Address), nil
-		},
+		Dial:   func(addr string) (transport.Client, error) { return nw.Dial(addr), nil },
 	}
 }
 
@@ -55,14 +55,28 @@ func InProcEnv(nw *transport.Network, from string, reg *discovery.Registry) Env 
 func TCPEnv(lc *discovery.Client) Env {
 	return Env{
 		Lookup: lc.Lookup,
-		Link: func(item discovery.ServiceItem) (snmp.Exchanger, transport.Client, error) {
-			sig, err := transport.DialTCP(item.Address)
-			if err != nil {
-				return nil, nil, err
-			}
-			return &snmp.UDPExchanger{Addr: item.Attributes[workerhost.AttrSNMP]}, sig, nil
-		},
+		Dial:   transport.DialTCP,
+		SNMP:   func(addr string) snmp.Exchanger { return &snmp.UDPExchanger{Addr: addr} },
 	}
+}
+
+// link connects the module to the SNMP agent and the signal endpoint item
+// announces.
+func (e Env) link(item discovery.ServiceItem) (snmp.Exchanger, transport.Client, error) {
+	sig, err := e.Dial(item.Address)
+	if err != nil {
+		return nil, nil, err
+	}
+	agent := item.Attributes[workerhost.AttrSNMP]
+	if e.SNMP != nil {
+		return e.SNMP(agent), sig, nil
+	}
+	c, err := e.Dial(agent)
+	if err != nil {
+		sig.Close()
+		return nil, nil, err
+	}
+	return &snmp.RPCExchanger{C: c}, sig, nil
 }
 
 // Config assembles the module's dependencies.
@@ -171,7 +185,7 @@ func (m *Module) discover() []Event {
 			linked = append(linked, w)
 			continue
 		}
-		ex, sig, err := m.cfg.Env.Link(it)
+		ex, sig, err := m.cfg.Env.link(it)
 		if err != nil {
 			failed = append(failed, *m.record(Event{At: m.cfg.Clock.Now(), Node: it.Name, Err: fmt.Errorf("netmgmt: link %s: %w", it.Name, err)}))
 			continue

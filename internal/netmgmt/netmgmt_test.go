@@ -66,7 +66,7 @@ func newModule(clk vclock.Clock, net *transport.Network, nodes ...*fakeNode) *Mo
 	for _, n := range nodes {
 		announce(reg, n.addr, n.addr, n.addr)
 	}
-	return New(Config{Clock: clk, Env: InProcEnv(net, "", reg), PollInterval: 500 * time.Millisecond})
+	return New(Config{Clock: clk, Env: InProcEnv(net, reg), PollInterval: 500 * time.Millisecond})
 }
 
 func TestPollStartsIdleWorker(t *testing.T) {
@@ -172,7 +172,7 @@ func TestFallbackToTotalLoadWithoutBackgroundOID(t *testing.T) {
 
 	reg := discovery.NewRegistry(clk)
 	announce(reg, "plain", "plain", "plain")
-	mod := New(Config{Clock: clk, Env: InProcEnv(net, "", reg), PollInterval: time.Second})
+	mod := New(Config{Clock: clk, Env: InProcEnv(net, reg), PollInterval: time.Second})
 	clk.Run(func() {
 		m.SetConstSource("user", 60)
 		if evs := mod.PollOnce(); len(evs) != 0 {
@@ -189,7 +189,7 @@ func TestPollErrorRecorded(t *testing.T) {
 	net := transport.NewNetwork(clk, transport.Loopback())
 	reg := discovery.NewRegistry(clk)
 	announce(reg, "ghost", "ghost", "ghost")
-	mod := New(Config{Clock: clk, Env: InProcEnv(net, "", reg), PollInterval: time.Second})
+	mod := New(Config{Clock: clk, Env: InProcEnv(net, reg), PollInterval: time.Second})
 	clk.Run(func() {
 		evs := mod.PollOnce()
 		if len(evs) != 1 || evs[0].Err == nil {
@@ -257,7 +257,7 @@ func TestSignalDeliveryFailureRecorded(t *testing.T) {
 
 	reg := discovery.NewRegistry(clk)
 	announce(reg, "broken", "broken", "broken")
-	mod := New(Config{Clock: clk, Env: InProcEnv(net, "", reg), PollInterval: time.Second})
+	mod := New(Config{Clock: clk, Env: InProcEnv(net, reg), PollInterval: time.Second})
 	clk.Run(func() {
 		evs := mod.PollOnce()
 		if len(evs) != 1 || evs[0].Err == nil {
@@ -335,7 +335,7 @@ func TestUnregisterStopsMonitoring(t *testing.T) {
 	newFakeNode(clk, net, "n1")
 	reg := discovery.NewRegistry(clk)
 	id := announce(reg, "n1", "n1", "n1")
-	mod := New(Config{Clock: clk, Env: InProcEnv(net, "", reg)})
+	mod := New(Config{Clock: clk, Env: InProcEnv(net, reg)})
 	clk.Run(func() {
 		mod.PollOnce()
 		sig := mod.find("n1").sig
@@ -373,7 +373,7 @@ func inprocBinding(t *testing.T) binding {
 	net := transport.NewNetwork(clk, transport.Loopback())
 	reg := discovery.NewRegistry(clk)
 	return binding{
-		name: "inproc", clock: clk, reg: reg, env: InProcEnv(net, "master", reg),
+		name: "inproc", clock: clk, reg: reg, env: InProcEnv(net, reg),
 		serve: func(_ *testing.T, name, _, _ string) (*worker.Worker, string, string, func()) {
 			n := newFakeNode(clk, net, "node/"+name)
 			return n.w, n.addr, n.addr, func() {}
@@ -494,7 +494,7 @@ func TestLatestRegistrationOfANameWins(t *testing.T) {
 	reg := discovery.NewRegistry(clk)
 	announce(reg, "n1", old.addr, old.addr)
 	announce(reg, "n1", cur.addr, cur.addr)
-	mod := New(Config{Clock: clk, Env: InProcEnv(net, "", reg)})
+	mod := New(Config{Clock: clk, Env: InProcEnv(net, reg)})
 	clk.Run(func() {
 		for i := 0; i < 3; i++ {
 			mod.PollOnce()

@@ -47,7 +47,6 @@ func runConvergence(t *testing.T, seed int64) {
 	net := transport.NewNetwork(clk, transport.Model{})
 	plan := faults.NewPlan(seed)
 	plan.Bind(clk)
-	net.Intercept(plan.Interceptor())
 	ctrs := metrics.NewCounters()
 
 	// Half the seeds run with a tiny ship queue so partitions overflow it
@@ -89,7 +88,7 @@ func runConvergence(t *testing.T, seed int64) {
 				Clock: clk, Epoch: epoch, FailoverTimeout: convFT, Counters: ctrs,
 			})
 			b.Bind(bsrv)
-			p.SetMirror(net.DialAs(paddr, baddr))
+			p.SetMirror(plan.WrapClient(paddr, baddr, net.Dial(baddr)))
 			g.Go(p.Run)
 			g.Go(b.Run)
 
@@ -207,7 +206,6 @@ func TestReplicaConvergenceDeterminism(t *testing.T) {
 		net := transport.NewNetwork(clk, transport.Model{})
 		plan := faults.NewPlan(99)
 		plan.Bind(clk)
-		net.Intercept(plan.Interceptor())
 		plan.PartitionOneWay("p", "b", 500*time.Millisecond, 2*time.Second)
 
 		var out map[kv]int
@@ -224,7 +222,7 @@ func TestReplicaConvergenceDeterminism(t *testing.T) {
 			sw.Set(p.Sink())
 			b := replica.NewBackup(blocal, replica.BackupOptions{Clock: clk, FailoverTimeout: convFT})
 			b.Bind(bsrv)
-			p.SetMirror(net.DialAs("p", "b"))
+			p.SetMirror(plan.WrapClient("p", "b", net.Dial("b")))
 			g := vclock.NewGroup(clk)
 			g.Go(p.Run)
 			g.Go(b.Run)

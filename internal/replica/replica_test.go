@@ -76,7 +76,7 @@ func newPair(t *testing.T, clk vclock.Clock, net *transport.Network, opts pairOp
 		Counters: ctrs,
 	})
 	psw.Set(p.Sink())
-	p.SetMirror(net.DialAs("primary", "backup"))
+	p.SetMirror(net.Dial("backup"))
 
 	b := replica.NewBackup(blocal, replica.BackupOptions{
 		Clock:           clk,
@@ -465,7 +465,7 @@ func TestRejoinCatchesUp(t *testing.T) {
 			Clock: clk, Epoch: epoch, Counters: pr.ctrs,
 		})
 		b2.Bind(rsrv)
-		p2.SetMirror(net.DialAs("backup", "rejoined"))
+		p2.SetMirror(net.Dial("rejoined"))
 		if err := p2.Flush(); err != nil {
 			t.Fatalf("catch-up flush: %v", err)
 		}

@@ -117,8 +117,8 @@ type Manifest struct {
 	MaxInflight int `json:"max_inflight,omitempty"`
 	// App is the workload.
 	App AppSpec `json:"app"`
-	// Faults is the seeded fault schedule installed on the cluster's
-	// network.
+	// Faults is the seeded fault schedule put on every client the cluster
+	// dials and every log it writes.
 	Faults faults.PlanSpec `json:"faults"`
 	// Events is the timed control-plane plan.
 	Events []Event `json:"events,omitempty"`

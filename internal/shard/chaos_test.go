@@ -16,10 +16,10 @@ import (
 var chaosEpoch = time.Date(2001, time.March, 1, 0, 0, 0, 0, time.UTC)
 
 // proxyRouter builds a Router over k shard services on an in-process
-// network, dialing each as "master". Shard i listens at "shard-i"; skip
-// lists indices that get no listener at all (a registered address whose
-// server never came up).
-func proxyRouter(t *testing.T, clk vclock.Clock, net *transport.Network, k int, skip ...int) *Router {
+// network, dialing each as "master" under plan (nil: no plan). Shard i
+// listens at "shard-i"; skip lists indices that get no listener at all (a
+// registered address whose server never came up).
+func proxyRouter(t *testing.T, clk vclock.Clock, net *transport.Network, plan *faults.Plan, k int, skip ...int) *Router {
 	t.Helper()
 	dead := make(map[int]bool)
 	for _, i := range skip {
@@ -33,7 +33,11 @@ func proxyRouter(t *testing.T, clk vclock.Clock, net *transport.Network, k int, 
 			space.NewService(space.NewLocal(clk), srv)
 			net.Listen(addr, srv)
 		}
-		shards[i] = Shard{ID: addr, Space: space.NewProxy(net.DialAs("master", addr))}
+		c := net.Dial(addr)
+		if plan != nil {
+			c = plan.WrapClient("master", addr, c)
+		}
+		shards[i] = Shard{ID: addr, Space: space.NewProxy(c)}
 	}
 	r, err := New(Options{Clock: clk}, shards)
 	if err != nil {
@@ -65,7 +69,7 @@ func keyFor(t *testing.T, r *Router, id string) string {
 func TestChaosNoListenerShardScatterDegrades(t *testing.T) {
 	clk := vclock.NewReal()
 	net := transport.NewNetwork(clk, transport.Loopback())
-	r := proxyRouter(t, clk, net, 4, 2)
+	r := proxyRouter(t, clk, net, nil, 4, 2)
 
 	// Unkeyed writes round-robin; one in four lands on the dead shard and
 	// fails. Write until three entries made it to live shards.
@@ -128,8 +132,7 @@ func TestChaosPartitionedShardBoundedScatter(t *testing.T) {
 		plan := faults.NewPlan(11)
 		plan.Bind(clk)
 		plan.PartitionOneWay("master", "shard-1", 0, 0) // forever
-		net.Intercept(plan.Interceptor())
-		r := proxyRouter(t, clk, net, 4)
+		r := proxyRouter(t, clk, net, plan, 4)
 
 		// Entries on healthy shards are still found by blocking scatter.
 		for i := 0; ; i++ {
@@ -196,8 +199,7 @@ func TestChaosAllShardsDownFailsFast(t *testing.T) {
 		plan := faults.NewPlan(12)
 		plan.Bind(clk)
 		plan.PartitionOneWay("master", "shard-*", 0, 0)
-		net.Intercept(plan.Interceptor())
-		r := proxyRouter(t, clk, net, 4)
+		r := proxyRouter(t, clk, net, plan, 4)
 
 		start := clk.Now()
 		_, err := r.Take(blob{}, nil, time.Minute)

@@ -35,7 +35,7 @@ type Env struct {
 	// lease renewals and the auto-shard loop.
 	Spawn func(fn func())
 	// WrapWriter, when set, wraps the WAL segment writer of the node at
-	// addr — the fault plan's disk-error hook.
+	// addr — where core puts a fault plan's disk errors.
 	WrapWriter func(addr string) func(io.Writer) io.Writer
 
 	// spaceOp is the in-process network model's transport.Model.SpaceOp,
@@ -46,12 +46,11 @@ type Env struct {
 }
 
 // InProcEnv hosts shards on an in-process network: shard 0 listens at
-// root, shard i at "<root>.shard<i>", a standby at "<ring>.backup". Dials
-// are tagged with the caller's address so a fault plan can cut exactly one
-// link. Spawn starts a plain goroutine; a caller with a process group
-// (core's Run) replaces it. Every node is gated at the network model's
-// per-op server cost. The host lists its items straight into reg,
-// unleased, charging no modeled time.
+// root, shard i at "<root>.shard<i>", a standby at "<ring>.backup". Spawn
+// starts a plain goroutine; a caller with a process group (core's Run)
+// replaces it. Every node is gated at the network model's per-op server
+// cost. The host lists its items straight into reg, unleased, charging no
+// modeled time.
 func InProcEnv(nw *transport.Network, root string, reg *discovery.Registry) Env {
 	return Env{
 		Listen: func(n Node, srv *transport.Server) (string, func(), error) {
@@ -67,9 +66,7 @@ func InProcEnv(nw *transport.Network, root string, reg *discovery.Registry) Env 
 			// to it keep failing against its closed space.
 			return addr, func() {}, nil
 		},
-		Dial: func(from, to string) (transport.Client, error) {
-			return nw.DialAs(from, to), nil
-		},
+		Dial:      func(_, to string) (transport.Client, error) { return nw.Dial(to), nil },
 		Registrar: discovery.Local(reg),
 		Spawn:     func(fn func()) { go fn() },
 		spaceOp:   nw.Model().SpaceOp,

@@ -787,8 +787,8 @@ func TestDeadWorkerTaskReturnsWithoutMaster(t *testing.T) {
 	}
 	defer h.Close()
 	clk.Run(func() {
-		a := space.NewProxy(nw.DialAs("worker-a", "master"))
-		b := space.NewProxy(nw.DialAs("worker-b", "master"))
+		a := space.NewProxy(nw.Dial("master"))
+		b := space.NewProxy(nw.Dial("master"))
 		if _, err := b.Write(kv{K: "task", V: 1}, nil, tuplespace.Forever); err != nil {
 			t.Fatal(err)
 		}

@@ -41,15 +41,6 @@ func LAN2001() Model {
 // Loopback is a free network for unit tests.
 func Loopback() Model { return Model{} }
 
-// Interceptor observes and manipulates every call crossing an in-process
-// Network. invoke performs the real delivery (cost charging, dispatch,
-// response); an interceptor may decline to call it (dropping the call),
-// call it more than once (duplicating the delivery), or delay around it.
-// from is the caller's endpoint name as given to DialAs ("" for untagged
-// dials), to is the dialed address. The fault-injection layer
-// (internal/faults) is the only intended implementor.
-type Interceptor func(from, to, method string, invoke func() (interface{}, error)) (interface{}, error)
-
 // Network is an in-process network: a namespace of addresses backed by
 // Servers, with Model costs charged to the calling process's clock. It is
 // safe for concurrent use.
@@ -59,7 +50,6 @@ type Network struct {
 
 	mu      sync.Mutex
 	servers map[string]*Server
-	ic      Interceptor
 
 	bytesSent uint64
 	calls     uint64
@@ -91,21 +81,8 @@ func (n *Network) Unlisten(addr string) {
 // the address is not yet bound; calls fail with ErrNoSuchService until it
 // is (mirroring UDP-style late binding, and keeping construction order
 // flexible).
-func (n *Network) Dial(addr string) Client { return n.DialAs("", addr) }
-
-// DialAs is Dial with the caller's own endpoint name attached, so an
-// installed Interceptor can apply per-endpoint rules (one-way partitions,
-// caller crashes) to the calls made on the returned client.
-func (n *Network) DialAs(from, addr string) Client {
-	return &inprocClient{net: n, addr: addr, from: from, requests: newWire(), responses: newWire()}
-}
-
-// Intercept installs ic on the network (nil removes it). Every subsequent
-// Call on every client routes through it.
-func (n *Network) Intercept(ic Interceptor) {
-	n.mu.Lock()
-	n.ic = ic
-	n.mu.Unlock()
+func (n *Network) Dial(addr string) Client {
+	return &inprocClient{net: n, addr: addr, requests: newWire(), responses: newWire()}
 }
 
 // Stats returns cumulative traffic counters.
@@ -118,7 +95,6 @@ func (n *Network) Stats() (calls, bytesSent uint64) {
 type inprocClient struct {
 	net    *Network
 	addr   string
-	from   string
 	mu     sync.Mutex
 	closed bool
 
@@ -184,9 +160,11 @@ func (w *wire) response(method string, res interface{}, err error) (interface{},
 	return got, len(frame) - w.enc.DefinitionBytes(), err
 }
 
-// Call implements Client. The request and response cross as the frames the
-// TCP binding would send, so the callee never aliases caller memory and the
-// network model is charged the true encoded size.
+// Call implements Client: it charges the request across the modeled
+// network, dispatches, and charges the response — result or error — back.
+// The request and response cross as the frames the TCP binding would send,
+// so the callee never aliases caller memory and the network model is
+// charged the true encoded size.
 func (c *inprocClient) Call(method string, arg interface{}) (interface{}, error) {
 	c.mu.Lock()
 	if c.closed {
@@ -195,21 +173,6 @@ func (c *inprocClient) Call(method string, arg interface{}) (interface{}, error)
 	}
 	c.mu.Unlock()
 
-	n := c.net
-	n.mu.Lock()
-	ic := n.ic
-	n.mu.Unlock()
-	if ic != nil {
-		return ic(c.from, c.addr, method, func() (interface{}, error) {
-			return c.deliver(method, arg)
-		})
-	}
-	return c.deliver(method, arg)
-}
-
-// deliver performs the real call: charge the request across the modeled
-// network, dispatch, charge the response — result or error — back.
-func (c *inprocClient) deliver(method string, arg interface{}) (interface{}, error) {
 	n := c.net
 	n.mu.Lock()
 	srv := n.servers[c.addr]

@@ -31,16 +31,12 @@ type Env struct {
 
 // InProcEnv runs the node at address node of an in-process network whose
 // lookup service keeps registry reg. The SNMP agent shares the node's RPC
-// server, and every dial is tagged with the node's address so a fault plan
-// can apply per-endpoint rules (crashes, partitions) to this worker's
-// traffic. The node lists itself straight into reg, unleased: the listing
+// server. The node lists itself straight into reg, unleased: the listing
 // charges no modeled time.
 func InProcEnv(nw *transport.Network, node string, reg *discovery.Registry) Env {
 	return Env{
 		Lookup: discovery.WellKnownAddress,
-		Dial: func(addr string) (transport.Client, error) {
-			return nw.DialAs(node, addr), nil
-		},
+		Dial:   func(addr string) (transport.Client, error) { return nw.Dial(addr), nil },
 		Serve: func(srv *transport.Server, agent *snmp.Agent) (string, string, func(), error) {
 			agent.Bind(srv)
 			nw.Listen(node, srv)

@@ -476,9 +476,9 @@ func shardedThroughput(b *testing.B, shards int, reg *metrics.Registry) float64 
 	for i := 0; i < shards; i++ {
 		l := space.NewLocal(clk)
 		srv := transport.NewServer()
-		space.NewService(l, srv)
+		svc := space.NewService(l, srv)
 		gate := transport.NewServiceGate(clk, time.Millisecond)
-		srv.Wrap(gate.Middleware())
+		svc.Admission().Configure(space.AdmissionConfig{Clock: clk, Gate: gate})
 		addrs[i] = fmt.Sprintf("space.%d", i)
 		net.Listen(addrs[i], srv)
 	}
@@ -655,7 +655,14 @@ func overloadGoodput(b *testing.B, protected bool) (float64, time.Duration) {
 	if protected {
 		svc.Admission().Configure(space.AdmissionConfig{Clock: clk, MaxInflight: 128, Gate: gate})
 	} else {
-		srv.Wrap(gate.Middleware())
+		// The seed configuration: the gate charged on every RPC ahead of
+		// the service, blind to deadlines.
+		srv.WrapPrefix("", func(_ string, next transport.Handler) transport.Handler {
+			return func(arg interface{}) (interface{}, error) {
+				gate.AdmitBy(time.Time{})
+				return next(arg)
+			}
+		})
 	}
 	net.Listen("space", srv)
 

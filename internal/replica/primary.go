@@ -422,9 +422,12 @@ func (p *Primary) confirm() error {
 }
 
 // Middleware gates the shard's space service: install with
-// srv.WrapPrefix("space.", p.Middleware()) directly above the service
-// handlers, so replication confirms before the gate or obs layers see the
-// reply. Only kinds that mutate (space.Kind.Mutates) are wrapped.
+// srv.WrapPrefix("space.", p.Middleware()) once the service is registered.
+// It wraps each handler as registered — admission included — so a fenced,
+// killed or degraded primary refuses a mutation before admission sees it,
+// and the standby confirm runs after admission has freed the op's inflight
+// slot, before an outer (obs) layer sees the reply. Only kinds that mutate
+// (space.Kind.Mutates) are wrapped.
 func (p *Primary) Middleware() func(method string, next transport.Handler) transport.Handler {
 	return func(method string, next transport.Handler) transport.Handler {
 		if k, ok := space.KindOf(method); !ok || !k.Mutates() {

@@ -847,3 +847,39 @@ func TestStandbyTakeMemoOutlivesItsRecord(t *testing.T) {
 		}
 	})
 }
+
+// TestKilledPrimaryRefusesBeforeAdmission pins the serving layers' order:
+// the service registers each handler behind its admission controller, and
+// the replication envelope is wrapped around that afterwards — so the
+// confirm is outermost, and a killed (or fenced, or degraded) primary
+// refuses a mutation before admission counts it.
+func TestKilledPrimaryRefusesBeforeAdmission(t *testing.T) {
+	clk := vclock.NewVirtual(testEpoch)
+	clk.Run(func() {
+		local := space.NewLocal(clk)
+		srv := transport.NewServer()
+		svc := space.NewService(local, srv)
+		svc.Admission().Configure(space.AdmissionConfig{Clock: clk})
+		p := replica.NewPrimary(local, replica.PrimaryOptions{Clock: clk, Ack: replica.AckSync})
+		defer p.Stop()
+		srv.WrapPrefix("space.", p.Middleware())
+		net := transport.NewNetwork(clk, transport.Model{})
+		net.Listen("primary", srv)
+		px := space.NewProxy(net.Dial("primary"))
+		defer px.Close()
+
+		if _, err := px.Write(kv{K: "a", N: 1}, nil, tuplespace.Forever); err != nil {
+			t.Fatalf("write before kill: %v", err)
+		}
+		if got := svc.Admission().Vitals().Admitted; got != 1 {
+			t.Fatalf("admitted %d after one write, want 1", got)
+		}
+		p.Kill()
+		if _, err := px.Write(kv{K: "b", N: 2}, nil, tuplespace.Forever); !errors.Is(err, tuplespace.ErrClosed) {
+			t.Fatalf("write after kill: %v, want tuplespace.ErrClosed", err)
+		}
+		if got := svc.Admission().Vitals().Admitted; got != 1 {
+			t.Fatalf("admitted %d after the killed primary's refusal, want 1: admission ran before the replication gate", got)
+		}
+	})
+}

@@ -285,7 +285,7 @@ func TestPositionStateBounded(t *testing.T) {
 		if _, err := r.Count(blob{}); err == nil {
 			t.Fatalf("cycle %d: count over a dead shard succeeded", i)
 		}
-		if got := r.Epochs()[id]; got != 2 {
+		if got := epochs(r)[id]; got != 2 {
 			t.Fatalf("cycle %d: child epoch = %d, want 2 (retargeted)", i, got)
 		}
 		if got := r.BreakerState(id); got != "open" {

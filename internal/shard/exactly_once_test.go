@@ -138,9 +138,6 @@ func TestExactlyOncePolicySeededByToken(t *testing.T) {
 	if a.Seed == 0 || a.Seed != b.Seed {
 		t.Fatalf("policy seeds %d and %d, want equal and non-zero", a.Seed, b.Seed)
 	}
-	if !a.Jitter {
-		t.Fatal("per-op retry policy must use full jitter")
-	}
 	if c := r.policy(tuplespace.OpToken{Client: "w1@1", Seq: 43}); c.Seed == a.Seed {
 		t.Fatal("distinct tokens share a jitter seed: retries would synchronize")
 	}

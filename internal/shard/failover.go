@@ -42,16 +42,6 @@ func (r *Router) Retarget(id string, sp space.Space, epoch uint64) error {
 	return nil
 }
 
-// Epochs returns the per-ring-ID epochs of the current view.
-func (r *Router) Epochs() map[string]uint64 {
-	v := r.snapshot()
-	out := make(map[string]uint64, len(v.epochs))
-	for id, e := range v.epochs {
-		out[id] = e
-	}
-	return out
-}
-
 // tryFailover attempts to resolve a replacement primary for ring ID id
 // and retarget onto it. It returns true only when the view actually
 // changed. Attempts are throttled per ring ID by r.failoverBackoff; losing a

@@ -82,6 +82,15 @@ func TestFailoverAmbiguousReadRetries(t *testing.T) {
 	}
 }
 
+// epochs maps each ring ID of r's current view to its epoch.
+func epochs(r *Router) map[string]uint64 {
+	out := make(map[string]uint64)
+	for _, s := range r.Shards() {
+		out[s.ID] = s.Epoch
+	}
+	return out
+}
+
 // TestRetargetEpochOrdering: a ring position only ever moves forward in
 // epochs — a stale resolution (the deposed primary re-registering, a
 // lagging lookup snapshot) must not displace the promoted serving node.
@@ -94,7 +103,7 @@ func TestRetargetEpochOrdering(t *testing.T) {
 	if err := r.Retarget(id, promoted, 2); err != nil {
 		t.Fatalf("retarget to epoch 2: %v", err)
 	}
-	if got := r.Epochs()[id]; got != 2 {
+	if got := epochs(r)[id]; got != 2 {
 		t.Fatalf("epoch after retarget = %d, want 2", got)
 	}
 	if r.fresh(id) != space.Space(promoted) {
@@ -116,7 +125,7 @@ func TestRetargetEpochOrdering(t *testing.T) {
 	if err := r.Retarget(id, newer, 3); err != nil {
 		t.Fatalf("retarget to epoch 3: %v", err)
 	}
-	if got := r.Epochs()[id]; got != 3 {
+	if got := epochs(r)[id]; got != 3 {
 		t.Fatalf("epoch = %d, want 3", got)
 	}
 

@@ -135,7 +135,6 @@ func (r *Router) countRetry(name string) {
 func (r *Router) policy(tok tuplespace.OpToken) transport.Backoff {
 	b := retryPolicy
 	b.Clock = r.opts.Clock
-	b.Jitter = true
 	b.Seed = int64(hash64(tok.String()) | 1)
 	return b
 }

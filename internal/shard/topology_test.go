@@ -197,7 +197,7 @@ func TestApplyTopologyKeepsNewerFailoverHandle(t *testing.T) {
 	}); err != nil || !ok {
 		t.Fatalf("apply: ok=%v err=%v", ok, err)
 	}
-	if got := r.Epochs()["shard-1"]; got != 7 {
+	if got := epochs(r)["shard-1"]; got != 7 {
 		t.Fatalf("shard-1 epoch = %d after apply, want 7 (failover epoch preserved)", got)
 	}
 }
@@ -407,7 +407,7 @@ func TestReshardEpochMonotonicityProperty(t *testing.T) {
 			default:
 			}
 			te := r.TopoEpoch()
-			eps := r.Epochs()
+			eps := epochs(r)
 			monMu.Lock()
 			if te < lastTopo {
 				monErr = fmt.Errorf("topology epoch went backwards: %d then %d", lastTopo, te)
@@ -458,7 +458,7 @@ func TestReshardEpochMonotonicityProperty(t *testing.T) {
 	if r.NumShards() != len(final.Members) {
 		t.Fatalf("final NumShards = %d, want %d (seed %d)", r.NumShards(), len(final.Members), seed)
 	}
-	eps := r.Epochs()
+	eps := epochs(r)
 	for id, e := range eps {
 		if id == "shard-0" || id == "shard-1" {
 			if e < 9 {

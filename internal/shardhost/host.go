@@ -355,11 +355,13 @@ func (h *Host) buildNode(at Node, reuse *node, ring, dir string) (*node, error) 
 }
 
 // serve makes n the serving node of ps at epoch, with the one layering
-// every serving node gets: space service handlers; the replication
-// confirm innermost (a fresh primary controller feeding n's switch sink —
-// a mutation confirms on the standby before any outer layer sees the
-// reply); then the admission controller, service gate included; then the
-// serve histogram outermost, so it sees gate queueing plus service time.
+// every serving node gets, innermost first: space service handlers, each
+// registered behind the admission controller (service gate included);
+// then the replication envelope (a fresh primary controller feeding n's
+// switch sink), so a fenced, killed or degraded primary refuses a
+// mutation before admission sees it, and an op's inflight slot is freed
+// before its standby confirm; then the serve histogram outermost, so it
+// sees gate queueing, service time and the confirm.
 // It returns the master-side handle — gated (space.Gated) and
 // replication-wrapped like a remote call, so the master competes for the
 // same modeled CPU and is fenced with everyone else. The caller publishes

@@ -17,8 +17,10 @@ type AdmissionConfig struct {
 	// Clock evaluates deadlines and brownout windows. Required for any
 	// check to run.
 	Clock vclock.Clock
-	// MaxInflight bounds the ops between admission and completion —
-	// the pending-op queue, gate wait included. 0 = DefaultMaxInflight.
+	// MaxInflight bounds the ops between admission and their handler's
+	// return — the pending-op queue, gate wait included; a replicated
+	// shard's standby confirm runs outside admission, after the slot is
+	// freed (DESIGN §12). 0 = DefaultMaxInflight.
 	MaxInflight int
 	// Gate, when set, charges the modeled per-op CPU inside admission so
 	// a queued op whose service slot would end past its propagated
@@ -100,13 +102,6 @@ func (a *Admission) Vitals() AdmissionVitals {
 		Shed:            a.shed,
 		DeadlineExpired: a.expired,
 	}
-}
-
-// Level returns the current brownout level.
-func (a *Admission) Level() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.level
 }
 
 // admit runs every pre-execution check for one op and, on success, pays
@@ -269,7 +264,7 @@ func (a *Admission) clampDeadline(inner interface{}, deadline time.Time) {
 // saturation knee would vanish from the measurements.
 func Gated(l *Local, gate *transport.ServiceGate) Space {
 	return Intercept(l, func(op Op, next Doer) (Result, error) {
-		gate.Admit()
+		gate.AdmitBy(time.Time{})
 		return next.Do(op)
 	})
 }

@@ -91,8 +91,8 @@ func TestAdmissionBrownoutLevels(t *testing.T) {
 		if err := probe(transport.PriLow); !errors.Is(err, tuplespace.ErrOverloaded) {
 			t.Fatalf("level 1 diagnostic: err = %v, want ErrOverloaded", err)
 		}
-		if a.Level() != 1 {
-			t.Fatalf("level = %d, want 1", a.Level())
+		if a.Vitals().BrownoutLevel != 1 {
+			t.Fatalf("level = %d, want 1", a.Vitals().BrownoutLevel)
 		}
 		if err := probe(transport.PriNormal); err != nil {
 			t.Fatalf("level 1 must still admit reads: %v", err)
@@ -101,8 +101,8 @@ func TestAdmissionBrownoutLevels(t *testing.T) {
 		if err := probe(transport.PriNormal); !errors.Is(err, tuplespace.ErrOverloaded) {
 			t.Fatalf("level 2 read: err = %v, want ErrOverloaded", err)
 		}
-		if a.Level() != 2 {
-			t.Fatalf("level = %d, want 2", a.Level())
+		if a.Vitals().BrownoutLevel != 2 {
+			t.Fatalf("level = %d, want 2", a.Vitals().BrownoutLevel)
 		}
 		if err := probe(transport.PriHigh); err != nil {
 			t.Fatalf("mutations must never be shed: %v", err)
@@ -116,8 +116,8 @@ func TestAdmissionBrownoutLevels(t *testing.T) {
 		if err := probe(transport.PriLow); err != nil {
 			t.Fatalf("post-drain diagnostic: %v", err)
 		}
-		if a.Level() != 0 {
-			t.Fatalf("level = %d after drain, want 0", a.Level())
+		if a.Vitals().BrownoutLevel != 0 {
+			t.Fatalf("level = %d after drain, want 0", a.Vitals().BrownoutLevel)
 		}
 	})
 	if v := a.Vitals(); v.Shed != 2 {

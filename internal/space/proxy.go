@@ -125,7 +125,7 @@ func (p *Proxy) call(op Op, arg interface{}) (interface{}, error) {
 // timeout and retry, riding out the window between a service registering
 // its address and its listener accepting.
 func Dial(addr string) (*Proxy, error) {
-	c, err := transport.DialTCPRetry(addr, transport.DefaultPolicy())
+	c, err := transport.DialTCPRetry(addr, transport.Backoff{})
 	if err != nil {
 		return nil, err
 	}

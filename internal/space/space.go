@@ -163,13 +163,6 @@ func (l *Local) do(op Op, decoded bool) (res Result, err error) {
 	return res, err
 }
 
-// Notify registers fn for entries matching tmpl arriving at the underlying
-// space. It is in-process only: no proxy or router carries a registration,
-// so a listener sees one shard's arrivals.
-func (l *Local) Notify(tmpl tuplespace.Entry, fn tuplespace.Listener, ttl time.Duration) (*tuplespace.Registration, error) {
-	return l.TS.Notify(tmpl, fn, ttl)
-}
-
 // Close implements Space; closing the local adapter closes the space.
 func (l *Local) Close() error {
 	l.TS.Close()

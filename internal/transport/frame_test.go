@@ -50,17 +50,19 @@ func TestServiceGateAdmitBy(t *testing.T) {
 		// The gate is idle again; book a slot with a no-deadline op run in
 		// the background so the next AdmitBy sees a busy server.
 		g := vclock.NewGroup(clk)
-		g.Go(func() { gate.Admit() })
+		g.Go(func() { gate.AdmitBy(time.Time{}) })
 		clk.Sleep(time.Millisecond)
-		before := gate.Admitted()
-		if gate.AdmitBy(clk.Now().Add(5 * time.Millisecond)) {
+		busy := clk.Now()
+		if gate.AdmitBy(busy.Add(5 * time.Millisecond)) {
 			t.Fatal("busy gate admitted an op whose slot ends past its deadline")
 		}
-		if gate.Admitted() != before {
-			t.Fatal("refused op reserved a slot anyway")
-		}
+		// Had the refused op reserved its slot, this one would queue
+		// behind both and finish a whole cost later.
 		if !gate.AdmitBy(time.Time{}) {
 			t.Fatal("zero deadline must admit unconditionally")
+		}
+		if got, want := clk.Since(busy), 2*cost-time.Millisecond; got != want {
+			t.Fatalf("op after a refusal finished %v after arriving, want %v: the refused op reserved a slot", got, want)
 		}
 		g.Wait()
 	})
@@ -71,27 +73,37 @@ func TestServiceGateAdmitBy(t *testing.T) {
 	}
 }
 
-// TestServiceGateBacklog: the backlog is the reserved work extending past
-// now — zero when idle, the queued ops' total service time when saturated.
+// TestServiceGateBacklog: the backlog — the reserved work extending past
+// now — is what a newly arriving op waits before its own service: the
+// queued ops' remaining service time when saturated, nothing once drained.
 func TestServiceGateBacklog(t *testing.T) {
 	clk := vclock.NewVirtual(time.Unix(0, 0))
 	const cost = 10 * time.Millisecond
 	gate := NewServiceGate(clk, cost)
-	if gate.Backlog() != 0 {
-		t.Fatalf("idle backlog = %v, want 0", gate.Backlog())
-	}
 	clk.Run(func() {
 		g := vclock.NewGroup(clk)
 		for i := 0; i < 3; i++ {
-			g.Go(func() { gate.Admit() })
+			g.Go(func() { gate.AdmitBy(time.Time{}) })
 		}
 		clk.Sleep(time.Millisecond)
-		if got := gate.Backlog(); got != 3*cost-time.Millisecond {
-			t.Errorf("backlog = %v, want %v", got, 3*cost-time.Millisecond)
+		backlog := 3*cost - time.Millisecond
+		// A deadline one slot past the backlog is met; one a nanosecond
+		// short of it is refused.
+		now := clk.Now()
+		if gate.AdmitBy(now.Add(backlog + cost - 1)) {
+			t.Errorf("op admitted with a deadline inside the %v backlog", backlog)
+		}
+		if !gate.AdmitBy(now.Add(backlog + cost)) {
+			t.Errorf("op refused with a deadline one slot past the %v backlog", backlog)
+		}
+		if got := clk.Since(now); got != backlog+cost {
+			t.Errorf("arrival behind the backlog waited %v, want %v", got, backlog+cost)
 		}
 		g.Wait()
-		if got := gate.Backlog(); got != 0 {
-			t.Errorf("drained backlog = %v, want 0", got)
+		start := clk.Now()
+		gate.AdmitBy(time.Time{})
+		if got := clk.Since(start); got != cost {
+			t.Errorf("arrival at a drained gate waited %v, want %v", got, cost)
 		}
 	})
 }

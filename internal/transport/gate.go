@@ -24,7 +24,6 @@ type ServiceGate struct {
 
 	mu        sync.Mutex
 	busyUntil time.Time
-	admitted  uint64
 }
 
 // NewServiceGate returns a gate on clock charging cost per operation. A
@@ -33,34 +32,14 @@ func NewServiceGate(clock vclock.Clock, cost time.Duration) *ServiceGate {
 	return &ServiceGate{clock: clock, cost: cost}
 }
 
-// Admit reserves the next service slot and sleeps until the operation's
-// service completes (queue wait + service time). The lock is held only to
-// compute the slot, never across the sleep, so gated callers on the
-// virtual clock all park on timers and time can advance.
-func (g *ServiceGate) Admit() {
-	if g == nil || g.cost <= 0 {
-		return
-	}
-	g.mu.Lock()
-	now := g.clock.Now()
-	start := now
-	if g.busyUntil.After(start) {
-		start = g.busyUntil
-	}
-	end := start.Add(g.cost)
-	g.busyUntil = end
-	g.admitted++
-	g.mu.Unlock()
-	if wait := end.Sub(now); wait > 0 {
-		g.clock.Sleep(wait)
-	}
-}
-
-// AdmitBy is Admit with a deadline: when the next service slot would not
-// complete by deadline the op is refused without reserving the slot, so
-// queued work the client will already have abandoned is never executed.
-// A zero deadline admits unconditionally. Reports whether the op was
-// admitted (and, if so, served).
+// AdmitBy reserves the next service slot and sleeps until the operation's
+// service completes (queue wait + service time). When that slot would not
+// complete by deadline the op is refused without reserving it, so queued
+// work the client will already have abandoned is never executed; a zero
+// deadline admits unconditionally. The lock is held only to compute the
+// slot, never across the sleep, so gated callers on the virtual clock all
+// park on timers and time can advance. Reports whether the op was admitted
+// (and, if so, served).
 func (g *ServiceGate) AdmitBy(deadline time.Time) bool {
 	if g == nil || g.cost <= 0 {
 		return true
@@ -77,43 +56,9 @@ func (g *ServiceGate) AdmitBy(deadline time.Time) bool {
 		return false
 	}
 	g.busyUntil = end
-	g.admitted++
 	g.mu.Unlock()
 	if wait := end.Sub(now); wait > 0 {
 		g.clock.Sleep(wait)
 	}
 	return true
-}
-
-// Backlog returns the queueing delay a newly arriving op would see — how
-// far the reserved work extends past now. It is the gate's queue depth in
-// clock time, the quantity overload protection must keep bounded.
-func (g *ServiceGate) Backlog() time.Duration {
-	if g == nil || g.cost <= 0 {
-		return 0
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if d := g.busyUntil.Sub(g.clock.Now()); d > 0 {
-		return d
-	}
-	return 0
-}
-
-// Admitted returns the number of operations admitted so far.
-func (g *ServiceGate) Admitted() uint64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.admitted
-}
-
-// Middleware adapts the gate to Server.Wrap, charging every RPC method the
-// gate's cost before the handler runs.
-func (g *ServiceGate) Middleware() func(method string, next Handler) Handler {
-	return func(method string, next Handler) Handler {
-		return func(arg interface{}) (interface{}, error) {
-			g.Admit()
-			return next(arg)
-		}
-	}
 }

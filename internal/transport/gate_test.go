@@ -23,7 +23,7 @@ func TestServiceGateQueueing(t *testing.T) {
 			i := i
 			g.Go(func() {
 				start := clk.Now()
-				gate.Admit()
+				gate.AdmitBy(time.Time{})
 				latencies[i] = clk.Since(start)
 			})
 		}
@@ -44,9 +44,6 @@ func TestServiceGateQueueing(t *testing.T) {
 	if want := cost * n * (n + 1) / 2; total != want {
 		t.Fatalf("total latency %v, want %v", total, want)
 	}
-	if got := gate.Admitted(); got != n {
-		t.Fatalf("admitted = %d, want %d", got, n)
-	}
 }
 
 // TestServiceGateIdleServer: arrivals spaced wider than the cost never
@@ -59,7 +56,7 @@ func TestServiceGateIdleServer(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			clk.Sleep(20 * time.Millisecond)
 			start := clk.Now()
-			gate.Admit()
+			gate.AdmitBy(time.Time{})
 			if got := clk.Since(start); got != cost {
 				t.Errorf("arrival %d waited %v, want %v", i, got, cost)
 			}
@@ -68,19 +65,25 @@ func TestServiceGateIdleServer(t *testing.T) {
 }
 
 func TestServiceGateDisabledAndNil(t *testing.T) {
-	NewServiceGate(vclock.NewReal(), 0).Admit() // no-op, returns immediately
+	NewServiceGate(vclock.NewReal(), 0).AdmitBy(time.Time{}) // no-op, returns immediately
 	var g *ServiceGate
-	g.Admit() // nil gate is a no-op too
+	g.AdmitBy(time.Time{}) // nil gate is a no-op too
 }
 
-// TestServerWrapGate wires the gate through Server.Wrap on the in-proc
-// binding: the virtual clock should advance by the service cost per call.
+// TestServerWrapGate wires the gate through Server.WrapPrefix on the
+// in-proc binding: the virtual clock should advance by the service cost
+// per call.
 func TestServerWrapGate(t *testing.T) {
 	clk := vclock.NewVirtual(time.Unix(0, 0))
 	const cost = 2 * time.Millisecond
 	srv := newEchoServer()
 	gate := NewServiceGate(clk, cost)
-	srv.Wrap(gate.Middleware())
+	srv.WrapPrefix("", func(_ string, next Handler) Handler {
+		return func(arg interface{}) (interface{}, error) {
+			gate.AdmitBy(time.Time{})
+			return next(arg)
+		}
+	})
 	n := NewNetwork(clk, Loopback())
 	n.Listen("svc", srv)
 	var elapsed time.Duration

@@ -8,31 +8,22 @@ import (
 	"gospaces/internal/vclock"
 )
 
-// Backoff retries an operation with exponential backoff between attempts.
-// The zero value is usable and means: 4 attempts, 50ms initial delay
-// doubling up to 2s, slept on the real clock, no jitter.
+// Backoff retries an operation with exponential backoff and full jitter
+// between attempts: each sleep is drawn uniformly from [0, d], where d is
+// the exponential schedule's delay, so synchronized clients fan out instead
+// of thundering-herding a recovering shard. The zero value is the shared
+// dial/retry policy: 4 attempts, 50ms initial delay doubling up to 2s,
+// slept on the real clock.
 type Backoff struct {
 	Attempts int           // total tries (not retries); <= 0 means 4
 	Initial  time.Duration // delay before the second attempt; <= 0 means 50ms
 	Max      time.Duration // delay cap; <= 0 means 2s
 	Clock    vclock.Clock  // sleep source; nil means the real clock
-	// Jitter enables full jitter: each sleep is drawn uniformly from
-	// [0, d] where d is the exponential schedule's delay, so synchronized
-	// clients fan out instead of thundering-herding a recovering shard.
-	Jitter bool
 	// Seed fixes the jitter stream (used when non-zero), keeping schedules
 	// replayable under the virtual clock; zero seeds from the policy's
 	// parameters, which is deterministic but shared across callers — pass
 	// a caller-unique seed to decorrelate.
 	Seed int64
-}
-
-// DefaultPolicy is the shared dial/retry policy for call sites with no
-// special requirements: the zero-value schedule (4 attempts, 50ms
-// doubling to 2s) plus full jitter. Named so call sites state intent
-// instead of relying on zero-value behavior.
-func DefaultPolicy() Backoff {
-	return Backoff{Jitter: true}
 }
 
 func (b Backoff) withDefaults() Backoff {
@@ -55,20 +46,17 @@ func (b Backoff) withDefaults() Backoff {
 // nil on the first success, or the last error.
 func (b Backoff) Do(op func() error) error {
 	b = b.withDefaults()
-	var jitter *rand.Rand
-	if b.Jitter {
-		seed := b.Seed
-		if seed == 0 {
-			seed = int64(b.Attempts)<<32 ^ int64(b.Initial) ^ int64(b.Max)
-		}
-		jitter = rand.New(rand.NewSource(seed))
+	seed := b.Seed
+	if seed == 0 {
+		seed = int64(b.Attempts)<<32 ^ int64(b.Initial) ^ int64(b.Max)
 	}
+	jitter := rand.New(rand.NewSource(seed))
 	delay := b.Initial
 	var err error
 	for i := 0; i < b.Attempts; i++ {
 		if i > 0 {
 			sleep := delay
-			if jitter != nil && sleep > 0 {
+			if sleep > 0 {
 				// Full jitter: uniform over [0, delay]. The exponential
 				// schedule still governs the envelope.
 				sleep = time.Duration(jitter.Int63n(int64(sleep) + 1))

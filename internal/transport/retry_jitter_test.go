@@ -39,7 +39,7 @@ func schedule(t *testing.T, b Backoff) []time.Duration {
 // diverge), and stays inside the exponential envelope — the properties
 // the exactly-once retry policy relies on under the virtual clock.
 func TestBackoffFullJitterSeededReplay(t *testing.T) {
-	base := Backoff{Attempts: 6, Initial: 100 * time.Millisecond, Max: time.Second, Jitter: true, Seed: 7}
+	base := Backoff{Attempts: 6, Initial: 100 * time.Millisecond, Max: time.Second, Seed: 7}
 	a := schedule(t, base)
 	b := schedule(t, base)
 	if len(a) != 5 {
@@ -67,23 +67,12 @@ func TestBackoffFullJitterSeededReplay(t *testing.T) {
 	}
 }
 
-// TestBackoffZeroSeedDeterministic: with Jitter on and no explicit seed
-// the stream seeds from the policy parameters — still deterministic, so
-// two identical policies (e.g. DefaultPolicy) replay identically.
+// TestBackoffZeroSeedDeterministic: with no explicit seed the stream
+// seeds from the policy parameters — still deterministic, so two identical
+// policies (e.g. the zero Backoff) replay identically.
 func TestBackoffZeroSeedDeterministic(t *testing.T) {
-	p := DefaultPolicy()
-	p.Attempts = 5
+	p := Backoff{Attempts: 5}
 	if !reflect.DeepEqual(schedule(t, p), schedule(t, p)) {
 		t.Fatal("zero-seed jitter is not deterministic across identical policies")
-	}
-}
-
-// TestBackoffNoJitterKeepsExactSchedule: without jitter the legacy
-// deterministic exponential schedule is unchanged.
-func TestBackoffNoJitterKeepsExactSchedule(t *testing.T) {
-	got := schedule(t, Backoff{Attempts: 5, Initial: 50 * time.Millisecond, Max: 300 * time.Millisecond})
-	want := []time.Duration{50 * time.Millisecond, 100 * time.Millisecond, 200 * time.Millisecond, 300 * time.Millisecond}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("schedule = %v, want %v", got, want)
 	}
 }

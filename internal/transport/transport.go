@@ -14,6 +14,11 @@
 // same frames, so the simulator is charged the bytes TCP would carry.
 // Concrete types crossing the wire inside an `any` must be registered with
 // RegisterType (the analogue of Java serialization's class registry).
+//
+// ServiceGate models a server's CPU as a FIFO queue; the space service's
+// admission controller charges it (AdmitBy), no server middleware does.
+// Backoff is the one retry policy: its zero value is the shared jittered
+// schedule the dials use.
 package transport
 
 import (
@@ -90,16 +95,10 @@ func (s *Server) Handle(method string, h Handler) {
 	s.mu.Unlock()
 }
 
-// Wrap replaces every registered handler h with mw(method, h) — middleware
-// applied uniformly across the server's methods (used, for example, to
-// charge a modeled per-operation CPU cost to a shard server).
-func (s *Server) Wrap(mw func(method string, next Handler) Handler) {
-	s.WrapPrefix("", mw)
-}
-
-// WrapPrefix wraps only the handlers whose method name starts with prefix
-// — re-gating a rebound service's methods without touching unrelated ones
-// on the same server.
+// WrapPrefix replaces every registered handler h whose method name starts
+// with prefix with mw(method, h) — middleware over one service's methods
+// that leaves unrelated ones on the same server alone; an empty prefix
+// wraps them all.
 func (s *Server) WrapPrefix(prefix string, mw func(method string, next Handler) Handler) {
 	s.mu.Lock()
 	for m, h := range s.handlers {

@@ -257,8 +257,9 @@ func (s *Space) deadLocked(r listRef) {
 
 // unlock ends an operation: lists that fell due during it are compacted in
 // place, order kept, a bucket left with nothing live is dropped from its
-// index, the mutex released, and what an expiry at lock published
-// delivered.
+// index, the mutex released, and the notifications the operation raised
+// delivered — the only place any leaves the store: first what an expiry
+// at lock re-published, then the operation's own.
 func (s *Space) unlock() {
 	for i, r := range s.slack {
 		s.slack[i] = listRef{}
@@ -281,7 +282,9 @@ func (s *Space) unlock() {
 	fire := s.fire
 	s.fire = nil
 	s.mu.Unlock()
-	deliver(fire)
+	for _, n := range fire {
+		n.fn(n.ev)
+	}
 }
 
 // listLocked names the list a lookup with matcher m ranges over: the

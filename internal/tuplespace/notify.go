@@ -68,16 +68,15 @@ func (s *Space) Notify(tmpl Entry, fn Listener, ttl time.Duration) (*Registratio
 	return &Registration{space: s, reg: reg}, nil
 }
 
-// matchNotifsLocked collects the notifications to deliver for newly public
-// entry se. Caller holds s.mu; delivery happens after unlock via deliver.
-func (s *Space) matchNotifsLocked(se *storedEntry) []notification {
+// matchNotifsLocked queues on s.fire the notifications newly public entry
+// se raises. Caller holds s.mu; unlock delivers them once it is released.
+func (s *Space) matchNotifsLocked(se *storedEntry) {
 	regs := s.notifs[se.ti.name]
 	if len(regs) == 0 {
-		return nil
+		return
 	}
 	now := s.clock.Now()
 	out := regs[:0]
-	var fire []notification
 	for _, r := range regs {
 		if r.dead || (!r.expiry.IsZero() && now.After(r.expiry)) {
 			continue
@@ -86,7 +85,7 @@ func (s *Space) matchNotifsLocked(se *storedEntry) []notification {
 		if r.m.match(se.val) {
 			r.seq++
 			s.stats.Notified++
-			fire = append(fire, notification{fn: r.fn, ev: Event{
+			s.fire = append(s.fire, notification{fn: r.fn, ev: Event{
 				Registration: r.id,
 				Sequence:     r.seq,
 				Entry:        copyOut(se.val),
@@ -94,11 +93,4 @@ func (s *Space) matchNotifsLocked(se *storedEntry) []notification {
 		}
 	}
 	s.notifs[se.ti.name] = out
-	return fire
-}
-
-func deliver(fire []notification) {
-	for _, n := range fire {
-		n.fn(n.ev)
-	}
 }

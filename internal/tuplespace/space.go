@@ -25,7 +25,7 @@ type Space struct {
 	bySeq   map[uint64]*storedEntry // entries listed and not removed, by id
 	dead    int                     // removed entries a list still holds, counted once per list
 	slack   []listRef               // lists due a compaction at unlock
-	fire    []notification          // what an expiry at lock published, delivered at unlock
+	fire    []notification          // what the current op published, delivered at unlock
 	waiters map[string][]*waiter
 	notifs  map[string][]*registration
 	txns    map[uint64]*txnState // live transactions (txn.go)
@@ -209,7 +209,6 @@ func (s *Space) write(e Entry, t *Txn, ttl time.Duration, tok OpToken, mode writ
 		se.expiry = expiryAfter(s.clock.Now(), ttl)
 	}
 	s.insertLocked(se)
-	var fire []notification
 	if t != nil {
 		se.writtenUnder = t.id
 		ts.writes = append(ts.writes, se)
@@ -226,12 +225,11 @@ func (s *Space) write(e Entry, t *Txn, ttl time.Duration, tok OpToken, mode writ
 			s.memoInsertLocked(tok, memoRec{op: MemoWrite, key: entryKey(se), entry: se})
 		}
 		if !se.staged {
-			fire = s.publishLocked(se)
+			s.publishLocked(se)
 		}
 	}
 	s.stats.Writes++
 	s.unlock()
-	deliver(fire)
 	return EntryLease{s, se}, nil
 }
 
@@ -417,11 +415,11 @@ func (s *Space) applyLocked(kind opKind, se *storedEntry, t *Txn, tok OpToken) e
 }
 
 // publishLocked makes a newly public entry visible: it satisfies blocked
-// waiters and collects matching notifications to deliver after unlock.
+// waiters and queues matching notifications for unlock to deliver.
 // Read-waiters are satisfied before take-waiters so that a single arriving
 // entry serves every blocked reader and still hands off to one taker —
 // the policy that maximizes satisfied operations.
-func (s *Space) publishLocked(se *storedEntry) []notification {
+func (s *Space) publishLocked(se *storedEntry) {
 	for _, kind := range [...]opKind{opRead, opTake} {
 		ws := s.waiters[se.ti.name]
 		out := ws[:0]
@@ -464,7 +462,7 @@ func (s *Space) publishLocked(se *storedEntry) []notification {
 		s.waiting -= len(ws) - len(out)
 		s.waiters[se.ti.name] = out
 	}
-	return s.matchNotifsLocked(se)
+	s.matchNotifsLocked(se)
 }
 
 func (s *Space) removeWaiterLocked(w *waiter) {
@@ -482,15 +480,13 @@ func (s *Space) removeWaiterLocked(w *waiter) {
 // go. Waiters and notifications see each as a fresh write.
 func (s *Space) reveal(ses []*storedEntry) {
 	s.lock()
-	var fire []notification
 	for _, se := range ses {
 		if se.staged && !se.removed {
 			se.staged = false
-			fire = append(fire, s.publishLocked(se)...)
+			s.publishLocked(se)
 		}
 	}
 	s.unlock()
-	deliver(fire)
 }
 
 // Count returns the number of public entries matching tmpl — a diagnostic

@@ -91,17 +91,15 @@ func (s *Space) finish(t *Txn, tok OpToken, op string) error {
 		return err
 	}
 	delete(s.txns, t.id)
-	var fire []notification
 	if op == MemoCommit {
-		fire = s.commitLocked(t.id, ts)
+		s.commitLocked(t.id, ts)
 	} else {
-		fire = s.abortLocked(t.id, ts)
+		s.abortLocked(t.id, ts)
 	}
 	if !tok.Zero() && !s.closed { // a closed space's journal is gone with it
 		s.installMemoLocked(tok, memoRec{op: op})
 	}
 	s.unlock()
-	deliver(fire)
 	return nil
 }
 
@@ -124,9 +122,8 @@ func (s *Space) joinLocked(t *Txn) (*txnState, error) {
 // and its consumed input live, never an input consumed with its output
 // lost. A journal failure cannot unwind a commit; it is counted
 // (CounterJournalErrors) and the commit stands.
-func (s *Space) commitLocked(id uint64, ts *txnState) []notification {
+func (s *Space) commitLocked(id uint64, ts *txnState) {
 	s.stats.TxnCommits++
-	var fire []notification
 	for _, se := range ts.writes {
 		if se.removed || se.takenUnder != 0 {
 			// Taken under this same transaction: never became public,
@@ -135,7 +132,7 @@ func (s *Space) commitLocked(id uint64, ts *txnState) []notification {
 		}
 		se.writtenUnder = 0
 		_ = s.journalWriteLocked(se, OpToken{})
-		fire = append(fire, s.publishLocked(se)...)
+		s.publishLocked(se)
 	}
 	for _, se := range ts.takes {
 		se.takenUnder = 0
@@ -145,14 +142,12 @@ func (s *Space) commitLocked(id uint64, ts *txnState) []notification {
 	for _, se := range ts.reads {
 		s.unlockReadLocked(se, id)
 	}
-	return fire
 }
 
 // abortLocked applies an abort of transaction id, already out of s.txns.
 // It journals nothing: none of the transaction's effects ever was.
-func (s *Space) abortLocked(id uint64, ts *txnState) []notification {
+func (s *Space) abortLocked(id uint64, ts *txnState) {
 	s.stats.TxnAborts++
-	var fire []notification
 	for _, se := range ts.writes {
 		s.removeLocked(se)
 	}
@@ -164,9 +159,8 @@ func (s *Space) abortLocked(id uint64, ts *txnState) []notification {
 			continue
 		}
 		se.takenUnder = 0
-		fire = append(fire, s.publishLocked(se)...)
+		s.publishLocked(se)
 	}
-	return fire
 }
 
 func (s *Space) unlockReadLocked(se *storedEntry, id uint64) {
@@ -204,7 +198,7 @@ func (s *Space) lock() {
 		ts := s.txns[id]
 		delete(s.txns, id)
 		s.stats.TxnExpired++
-		s.fire = append(s.fire, s.abortLocked(id, ts)...)
+		s.abortLocked(id, ts)
 	}
 }
 

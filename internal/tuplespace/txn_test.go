@@ -275,3 +275,83 @@ func TestAbortReexposesEntryToBlockedTake(t *testing.T) {
 		t.Fatalf("entry still present after recovery take: %v", err)
 	}
 }
+
+// TestTxnNotifyOnAbortAndLapse: the two publishers besides a write and a
+// commit — an aborted take re-publishing its entry, and a lapsed
+// transaction aborted by the next operation's lock — each fire a listener
+// exactly once, after the store's mutex is released: a listener that
+// calls back into the space (here Count) does not deadlock.
+func TestTxnNotifyOnAbortAndLapse(t *testing.T) {
+	clk, s := virtualSpace()
+	// within runs op and fails the test if it has not returned in 5 s of
+	// wall time: a listener delivered under the mutex deadlocks in Count.
+	within := func(what string, op func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() { defer close(done); op() }()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: no return in 5s — listener delivered under the store's mutex", what)
+		}
+	}
+	mustWrite(t, s, task{Job: "a", ID: ip(1)})
+	mustWrite(t, s, task{Job: "b", ID: ip(2)})
+	var mu sync.Mutex
+	var seen []string
+	var counts []int
+	if _, err := s.Notify(task{}, func(ev Event) {
+		n, err := s.Count(task{Job: ev.Entry.(task).Job})
+		if err != nil {
+			t.Error(err)
+		}
+		mu.Lock()
+		seen = append(seen, ev.Entry.(task).Job)
+		counts = append(counts, n)
+		mu.Unlock()
+	}, Forever); err != nil {
+		t.Fatal(err)
+	}
+	check := func(what string, want []string) {
+		t.Helper()
+		mu.Lock()
+		defer mu.Unlock()
+		if len(seen) != len(want) {
+			t.Fatalf("%s: listener saw %v, want %v", what, seen, want)
+		}
+		for i := range want {
+			if seen[i] != want[i] || counts[i] != 1 {
+				t.Fatalf("%s: listener saw %v counting %v, want %v each counting 1", what, seen, counts, want)
+			}
+		}
+	}
+
+	// An aborted take re-publishes its entry.
+	tx := s.Begin(0)
+	if _, err := s.TakeIfExists(task{Job: "a"}, tx); err != nil {
+		t.Fatal(err)
+	}
+	check("take under a transaction", nil)
+	within("abort", func() {
+		if err := tx.Abort(); err != nil {
+			t.Error(err)
+		}
+	})
+	check("aborted take", []string{"a"})
+
+	// A lapsed transaction is aborted by the next operation's lock.
+	if _, err := s.TakeIfExists(task{Job: "b"}, s.Begin(ttl)); err != nil {
+		t.Fatal(err)
+	}
+	clk.Run(func() { clk.Sleep(ttl + time.Nanosecond) })
+	check("lapse before any operation", []string{"a"})
+	within("the operation after the lapse", func() {
+		if _, err := s.Count(task{Job: "none"}); err != nil {
+			t.Error(err)
+		}
+	})
+	check("lapsed take", []string{"a", "b"})
+	if st := s.Stats(); st.TxnExpired != 1 || st.Notified != 2 {
+		t.Fatalf("expired %d notified %d, want 1 2", st.TxnExpired, st.Notified)
+	}
+}

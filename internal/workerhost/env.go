@@ -58,7 +58,7 @@ func TCPEnv(lookupAddr, sigAddr, snmpAddr string) Env {
 	return Env{
 		Lookup: lookupAddr,
 		Dial: func(addr string) (transport.Client, error) {
-			return transport.DialTCPRetry(addr, transport.DefaultPolicy())
+			return transport.DialTCPRetry(addr, transport.Backoff{})
 		},
 		Serve: func(srv *transport.Server, agent *snmp.Agent) (string, string, func(), error) {
 			l, err := transport.ListenTCP(sigAddr, srv)

@@ -234,8 +234,7 @@ func (n *Node) dial(addr string) (transport.Client, error) {
 // lookup service inside a crash-restart window, heals within a few attempts
 // instead of failing the deployment.
 func (n *Node) discover() ([]discovery.ServiceItem, error) {
-	retry := transport.DefaultPolicy()
-	retry.Clock, retry.Attempts, retry.Initial, retry.Max = n.clock, 16, 250*time.Millisecond, 4*time.Second
+	retry := transport.Backoff{Clock: n.clock, Attempts: 16, Initial: 250 * time.Millisecond, Max: 4 * time.Second}
 	var items []discovery.ServiceItem
 	err := retry.Do(func() error {
 		var err error

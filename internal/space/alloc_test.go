@@ -1,6 +1,8 @@
 package space
 
 import (
+	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -47,11 +49,9 @@ const maxPairAllocs = 9
 // rest of the path move both pairs alike.
 const maxBulkExtraAllocs = 6
 
-// pairAllocations serves local over loopback TCP and returns what one
-// keyed write+take pair through Proxy → TCP → Service → local allocates,
-// counted across every goroutine the pair touches. bulk takes with
-// TakeAll instead of Take.
-func pairAllocations(t *testing.T, local *Local, bulk bool) float64 {
+// admittedProxy serves local over loopback TCP, behind admission, and
+// returns a Proxy on it; the test closes both.
+func admittedProxy(t *testing.T, local *Local) *Proxy {
 	t.Helper()
 	clk := vclock.NewReal()
 	srv := transport.NewServer()
@@ -61,14 +61,23 @@ func pairAllocations(t *testing.T, local *Local, bulk bool) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
+	t.Cleanup(func() { ln.Close() })
 	c, err := transport.DialTCP(ln.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := NewProxy(c)
-	defer p.Close()
+	t.Cleanup(func() { p.Close() })
+	return p
+}
 
+// tcpPair serves local over loopback TCP and returns one keyed write+take
+// pair through Proxy → TCP → Service → local, run once so that the
+// connection has defined its types. bulk takes with TakeAll instead of
+// Take.
+func tcpPair(t *testing.T, local *Local, bulk bool) func() {
+	t.Helper()
+	p := admittedProxy(t, local)
 	payload := make([]byte, 64)
 	pair := func() {
 		if _, err := p.Write(pairTask{Job: "k", ID: 7, Payload: payload}, nil, tuplespace.Forever); err != nil {
@@ -86,8 +95,28 @@ func pairAllocations(t *testing.T, local *Local, bulk bool) float64 {
 			t.Fatalf("take = %v, %v", e, err)
 		}
 	}
-	pair() // first use defines the types on the connection
-	return testing.AllocsPerRun(200, pair)
+	pair()
+	return pair
+}
+
+// maxPairBytes is what the pair of maxPairAllocs allocates in bytes: the
+// caller's entry and template (48 B each), the stored entry (48 B and its
+// 64-byte payload) and its 64-byte header, and the entry and payload the
+// caller gets back. It reads 384 built with go1.24 on amd64 (416 while the
+// header was 88 bytes, the 96-byte size class).
+const maxPairBytes = 384
+
+// maxTxnTaskAllocs is what a worker's transaction step allocates end to
+// end over loopback TCP. It reads 20 built with go1.24 on amd64, as it did
+// while each resident held its value as a reflect.Value and its read
+// locks in a map of its own: neither was on this path.
+const maxTxnTaskAllocs = 20
+
+// pairAllocations returns what one tcpPair allocates, counted across every
+// goroutine the pair touches.
+func pairAllocations(t *testing.T, local *Local, bulk bool) float64 {
+	t.Helper()
+	return testing.AllocsPerRun(200, tcpPair(t, local, bulk))
 }
 
 // TestPairAllocations pins the allocation count of one write+take pair
@@ -106,6 +135,71 @@ func TestPairAllocations(t *testing.T) {
 	t.Logf("%.1f allocations per write+take-all pair", bulk)
 	if bulk > got+maxBulkExtraAllocs {
 		t.Errorf("%.1f allocations per write+take-all pair, want ≤ %.1f (the take pair's + %d)", bulk, got+maxBulkExtraAllocs, maxBulkExtraAllocs)
+	}
+}
+
+// TestPairBytes pins the bytes one write+take pair through Proxy → TCP →
+// Service → Local allocates, across every goroutine it touches: the
+// TotalAlloc delta over 200 pairs. A resident's header grown back past its
+// size class fails it.
+func TestPairBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	pair := tcpPair(t, NewLocal(vclock.NewReal()), false)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // as AllocsPerRun runs
+	// The least of three runs: a collection mid-run empties the pools the
+	// pair borrows its wire structs from, and the refill is no pair's.
+	const n = 200
+	got := math.Inf(1)
+	for r := 0; r < 3; r++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			pair()
+		}
+		runtime.ReadMemStats(&after)
+		got = min(got, float64(after.TotalAlloc-before.TotalAlloc)/n)
+	}
+	t.Logf("%.1f bytes per write+take pair", got)
+	if got > maxPairBytes {
+		t.Errorf("%.1f bytes per write+take pair, want ≤ %d", got, maxPairBytes)
+	}
+}
+
+// TestTxnTaskAllocations pins what a worker's transaction step allocates
+// through Proxy → TCP → Service → Local: begin, take a task under the
+// transaction, write its result under it, commit. The result is a task
+// again, so each step takes the one the last wrote.
+func TestTxnTaskAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	p := admittedProxy(t, NewLocal(vclock.NewReal()))
+	payload := make([]byte, 64)
+	if _, err := p.Write(pairTask{Job: "k", ID: 7, Payload: payload}, nil, tuplespace.Forever); err != nil {
+		t.Fatal(err)
+	}
+	step := func() {
+		tx, err := p.BeginTxn(time.Minute)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := p.Take(pairTask{Job: "k"}, tx, time.Second)
+		if err != nil || e.(pairTask).ID != 7 {
+			t.Fatalf("take under the transaction = %v, %v", e, err)
+		}
+		if _, err := p.Write(pairTask{Job: "k", ID: 7, Payload: payload}, tx, tuplespace.Forever); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := testing.AllocsPerRun(200, step)
+	t.Logf("%.1f allocations per transaction step", got)
+	if got > maxTxnTaskAllocs {
+		t.Errorf("%.1f allocations per transaction step, want ≤ %d", got, maxTxnTaskAllocs)
 	}
 }
 

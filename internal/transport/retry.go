@@ -46,17 +46,20 @@ func (b Backoff) withDefaults() Backoff {
 // nil on the first success, or the last error.
 func (b Backoff) Do(op func() error) error {
 	b = b.withDefaults()
-	seed := b.Seed
-	if seed == 0 {
-		seed = int64(b.Attempts)<<32 ^ int64(b.Initial) ^ int64(b.Max)
-	}
-	jitter := rand.New(rand.NewSource(seed))
+	var jitter *rand.Rand // made at the first sleep: a first try that succeeds needs none
 	delay := b.Initial
 	var err error
 	for i := 0; i < b.Attempts; i++ {
 		if i > 0 {
 			sleep := delay
 			if sleep > 0 {
+				if jitter == nil {
+					seed := b.Seed
+					if seed == 0 {
+						seed = int64(b.Attempts)<<32 ^ int64(b.Initial) ^ int64(b.Max)
+					}
+					jitter = rand.New(rand.NewSource(seed))
+				}
 				// Full jitter: uniform over [0, delay]. The exponential
 				// schedule still governs the envelope.
 				sleep = time.Duration(jitter.Int63n(int64(sleep) + 1))

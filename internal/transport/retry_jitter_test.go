@@ -76,3 +76,20 @@ func TestBackoffZeroSeedDeterministic(t *testing.T) {
 		t.Fatal("zero-seed jitter is not deterministic across identical policies")
 	}
 }
+
+// TestBackoffFirstTryAllocatesNothing: the jitter source is made at the
+// first sleep, so the zero Backoff whose op succeeds at once allocates
+// nothing — every dial that connects first time.
+func TestBackoffFirstTryAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	ok := func() error { return nil }
+	if n := testing.AllocsPerRun(100, func() {
+		if err := (Backoff{}).Do(ok); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("Backoff{}.Do with an op that succeeds at once allocates %v times, want 0", n)
+	}
+}

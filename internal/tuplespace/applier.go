@@ -218,12 +218,12 @@ func (rec *memoRec) answerRecord(r *record, ses []*storedEntry, stream *enc.Deco
 		rec.answer(r.entries)
 	case len(ses) == len(r.msgs) && len(ses) == len(r.seqs):
 		if rec.op != MemoTakeAll && len(ses) == 1 {
-			rec.taken = enc.Interface(ses[0].val) // never written again, like the primary's
+			rec.taken = ses[0].entry() // never written again, like the primary's
 			return nil
 		}
 		all := make([]Entry, len(ses))
 		for i, se := range ses {
-			all[i] = enc.Interface(se.val)
+			all[i] = se.entry()
 		}
 		rec.all = all
 	default:

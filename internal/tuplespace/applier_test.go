@@ -243,7 +243,7 @@ func TestStandbyKeepsPrimaryIDs(t *testing.T) {
 	}
 	for i, id := range ids {
 		l := standby.LeaseFor(id)
-		if l.Seq() != id || l.entry.removed || *l.entry.val.Interface().(task).ID != i+1 {
+		if l.Seq() != id || l.entry.removed || *l.entry.entry().(task).ID != i+1 {
 			t.Fatalf("the standby does not hold the primary's entry %d under id %d", i+1, id)
 		}
 	}

@@ -1,7 +1,5 @@
 package tuplespace
 
-import "gospaces/internal/enc"
-
 // ReadAll returns copies of up to max public entries matching tmpl
 // (max <= 0 means no limit), without blocking. Under a transaction the
 // returned entries are read-locked. It is the JavaSpaces05 "contents"
@@ -67,7 +65,7 @@ func (s *Space) bulk(kind opKind, tmpl Entry, t *Txn, max int, tok OpToken) ([]E
 	if !tok.Zero() {
 		rec.all = make([]Entry, len(picked))
 		for i, se := range picked {
-			rec.all[i] = enc.Interface(se.val) // the memo keeps the taken values themselves
+			rec.all[i] = se.entry() // the memo keeps the taken values themselves
 		}
 	}
 	if err := s.consumeLocked(picked, tok, rec); err != nil {
@@ -81,7 +79,7 @@ func (s *Space) bulk(kind opKind, tmpl Entry, t *Txn, max int, tok OpToken) ([]E
 func copyStored(ses []*storedEntry) []Entry {
 	out := make([]Entry, len(ses))
 	for i, se := range ses {
-		out[i] = copyOut(se.val)
+		out[i] = copyOut(se.value())
 	}
 	return out
 }

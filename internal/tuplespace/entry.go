@@ -24,6 +24,7 @@ import (
 	"math"
 	"reflect"
 	"sync"
+	"unsafe"
 
 	"gospaces/internal/enc"
 )
@@ -44,7 +45,12 @@ type typeInfo struct {
 	// lookup that fixes it reads one bucket. Other fields are indexed when
 	// lookups ask for them (listLocked).
 	keyField int
+	word     unsafe.Pointer // the type word of an interface holding the type
 }
+
+// eface is an interface{}'s layout. A reflect.Type's data word is the type
+// word of an interface holding that type.
+type eface struct{ typ, data unsafe.Pointer }
 
 // fieldInfo is one exported field: where it sits in the struct and how a
 // template's value for it is compared with a candidate's.
@@ -106,7 +112,7 @@ func infoFor(e Entry) (*typeInfo, reflect.Value, error) {
 	if ti, ok := typeCache.Load(t); ok {
 		return ti.(*typeInfo), v, nil
 	}
-	ti := &typeInfo{typ: t, name: t.String(), keyField: -1}
+	ti := &typeInfo{typ: t, name: t.String(), keyField: -1, word: (*eface)(unsafe.Pointer(&t)).data}
 	for i := 0; i < t.NumField(); i++ {
 		f := t.Field(i)
 		if !f.IsExported() {

@@ -105,7 +105,7 @@ func scanned(t *testing.T, s *Space, kind opKind, tmpl fieldDoc, tx *Txn) []int 
 	var ids []int
 	items, now := st.all.items, s.clock.Now()
 	for i := s.nextLocked(kind, items, 0, m, tx, now); i >= 0; i = s.nextLocked(kind, items, i+1, m, tx, now) {
-		ids = append(ids, items[i].val.Interface().(fieldDoc).ID)
+		ids = append(ids, items[i].entry().(fieldDoc).ID)
 	}
 	return ids
 }

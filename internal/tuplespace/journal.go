@@ -6,7 +6,6 @@ import (
 	"sort"
 	"sync"
 
-	"gospaces/internal/enc"
 	"gospaces/internal/metrics"
 )
 
@@ -147,7 +146,7 @@ func (s *Space) journalWriteLocked(se *storedEntry, tok OpToken) error {
 	}
 	return s.journal.record(&record{
 		kind: recWrite, seqs: []uint64{se.id}, expiry: expiryTime(se.expiry), tok: tok,
-		entries: []Entry{enc.Interface(se.val)},
+		entries: []Entry{se.entry()},
 	})
 }
 
@@ -220,7 +219,7 @@ func (s *Space) EncodeStateWhere(pred func(Entry) bool) ([][]byte, error) {
 			if se.removed || se.writtenUnder != 0 || se.expired(now) {
 				continue
 			}
-			if pred != nil && !pred(se.val.Interface()) {
+			if pred != nil && !pred(se.entry()) {
 				continue
 			}
 			live = append(live, se)
@@ -243,7 +242,7 @@ func encodeWrites(ses []*storedEntry, expiries []int64, what string) ([][]byte, 
 		var err error
 		records[i], err = encodeRecord(&record{
 			kind: recWrite, seqs: []uint64{se.id}, expiry: expiryTime(expiries[i]),
-			entries: []Entry{enc.Interface(se.val)},
+			entries: []Entry{se.entry()},
 		})
 		if err != nil {
 			return records[:i], fmt.Errorf("tuplespace: %s entry %d: %w", what, se.id, err)

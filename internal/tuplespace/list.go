@@ -85,7 +85,7 @@ func indexable(k cmpKind) bool {
 }
 
 func (ix *fieldIndex) keyOf(se *storedEntry) fieldKey {
-	f := se.val.Field(ix.field)
+	f := se.value().Field(ix.field)
 	switch ix.kind {
 	case cmpString:
 		return fieldKey{str: f.String()}
@@ -335,7 +335,7 @@ func (s *Space) nextLocked(kind opKind, items []*storedEntry, from int, m matche
 		if kind == opTake && !s.takeableLocked(se, t) {
 			continue
 		}
-		if m.match(se.val) {
+		if m.match(se.value()) {
 			return i
 		}
 	}
@@ -374,11 +374,11 @@ func (s *Space) visibleLocked(se *storedEntry, t *Txn) bool {
 	return true
 }
 
+// takeableLocked reports whether a take under t (nil for none) may have
+// se: no transaction but t holds a read lock on it.
 func (s *Space) takeableLocked(se *storedEntry, t *Txn) bool {
-	for id := range se.readLocks {
-		if t == nil || id != t.id {
-			return false
-		}
+	if se.readers != 1 || t == nil {
+		return se.readers == 0
 	}
-	return true
+	return s.readLocks[readLock{se, t.id}]
 }

@@ -422,12 +422,13 @@ func TestLookupAllocations(t *testing.T) {
 	checkLists(t, s)
 }
 
-// maxStoredEntryBytes bounds a resident's own record, storedEntry: 88
-// bytes, the 96-byte size class (112 while the expiry was a time.Time and
-// each entry held its lease handle; the inline bucket slot came in with
-// both gone). One more word keeps it in the class; past it each resident
-// costs 16 bytes more.
-const maxStoredEntryBytes = 96
+// maxStoredEntryBytes bounds a resident's own record, storedEntry: 64
+// bytes, the 64-byte size class (88 while it held its value as a
+// reflect.Value and its read locks in a map of its own; 112 while the
+// expiry was a time.Time and each entry held its lease handle; the inline
+// bucket slot came in with both gone). It is full: one more word and each
+// resident costs 16 bytes more.
+const maxStoredEntryBytes = 64
 
 // TestStoredEntrySize pins storedEntry to its size class.
 func TestStoredEntrySize(t *testing.T) {

@@ -290,7 +290,7 @@ func entryKey(se *storedEntry) string {
 	if se.ti == nil || se.ti.keyField < 0 {
 		return ""
 	}
-	return se.val.Field(se.ti.keyField).String()
+	return se.value().Field(se.ti.keyField).String()
 }
 
 // installMemo installs a rebuilt memo — the replication/recovery path

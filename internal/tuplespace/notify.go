@@ -82,13 +82,13 @@ func (s *Space) matchNotifsLocked(se *storedEntry) {
 			continue
 		}
 		out = append(out, r)
-		if r.m.match(se.val) {
+		if r.m.match(se.value()) {
 			r.seq++
 			s.stats.Notified++
 			s.fire = append(s.fire, notification{fn: r.fn, ev: Event{
 				Registration: r.id,
 				Sequence:     r.seq,
-				Entry:        copyOut(se.val),
+				Entry:        copyOut(se.value()),
 			}})
 		}
 	}

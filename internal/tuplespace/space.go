@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"sync"
 	"time"
+	"unsafe"
 
 	"gospaces/internal/enc"
 	"gospaces/internal/metrics"
@@ -37,6 +38,10 @@ type Space struct {
 	journal *Journal
 	stats   Stats
 
+	// readLocks holds a row while a transaction holds a read lock on an
+	// entry; the entry counts its rows in readers.
+	readLocks map[readLock]bool
+
 	mirrored uint64 // see Mirrored
 
 	memos        *memoTable // token → memoized outcome (see memo.go), lazily allocated
@@ -64,18 +69,20 @@ type Stats struct {
 	TxnsLive    int    // transactions begun and not yet committed, aborted or lapsed
 }
 
-// storedEntry is one resident, 88 bytes on 64-bit platforms: the 96-byte
+// storedEntry is one resident, 64 bytes on 64-bit platforms: the 64-byte
 // size class (DESIGN §16).
 type storedEntry struct {
 	id     uint64
 	ti     *typeInfo
-	val    reflect.Value // struct value, owned by the space
-	expiry int64         // Unix nanoseconds; 0 = forever
+	data   unsafe.Pointer // the value the space owns, as an interface's data word (see entry)
+	expiry int64          // Unix nanoseconds; 0 = forever
 
-	writtenUnder uint64         // txn holding an uncommitted write, 0 if public
-	takenUnder   uint64         // txn holding a take lock, 0 if free
-	readLocks    map[uint64]int // txn id -> read lock count
-	removed      bool
+	writtenUnder uint64 // txn holding an uncommitted write, 0 if public
+	takenUnder   uint64 // txn holding a take lock, 0 if free
+	// readers counts the transactions holding a read lock on the entry;
+	// which ones, Space.readLocks says.
+	readers int32
+	removed bool
 	// staged marks a migrated copy whose source can still serve the
 	// original: stored and journaled here, seen by no lookup until the
 	// source lets the original go (see Applier).
@@ -84,6 +91,12 @@ type storedEntry struct {
 	// when its index has no spare one (see fieldIndex.add), so a keyed
 	// write allocates no bucket array of its own.
 	slot *storedEntry
+}
+
+// readLock is one transaction's read lock on one entry.
+type readLock struct {
+	se  *storedEntry
+	txn uint64
 }
 
 type opKind int
@@ -108,14 +121,15 @@ type waiter struct {
 // New returns an empty Space on the given clock.
 func New(clock vclock.Clock) *Space {
 	return &Space{
-		clock:   clock,
-		types:   make(map[string]*typeStore),
-		bySeq:   make(map[uint64]*storedEntry),
-		waiters: make(map[string][]*waiter),
-		notifs:  make(map[string][]*registration),
-		txns:    make(map[uint64]*txnState),
-		nextID:  1,
-		nextReg: 1,
+		clock:     clock,
+		types:     make(map[string]*typeStore),
+		bySeq:     make(map[uint64]*storedEntry),
+		waiters:   make(map[string][]*waiter),
+		notifs:    make(map[string][]*registration),
+		txns:      make(map[uint64]*txnState),
+		nextID:    1,
+		nextReg:   1,
+		readLocks: make(map[readLock]bool),
 	}
 }
 
@@ -198,13 +212,14 @@ func (s *Space) write(e Entry, t *Txn, ttl time.Duration, tok OpToken, mode writ
 	if mode == writeClient {
 		v = deepCopy(v)
 	}
+	held := enc.Interface(v) // v itself, copied only if a word or less: the entry keeps its data word
 	if id == 0 {
 		id = s.nextID
 	} else {
 		s.mirrored = max(s.mirrored, id)
 	}
 	s.nextID = max(s.nextID, id+1) // id+1 wraps to 0 for the largest id
-	se := &storedEntry{id: id, ti: ti, val: v, staged: mode == writeStaged}
+	se := &storedEntry{id: id, ti: ti, data: (*eface)(unsafe.Pointer(&held)).data, staged: mode == writeStaged}
 	if ttl > 0 {
 		se.expiry = expiryAfter(s.clock.Now(), ttl)
 	}
@@ -286,7 +301,7 @@ func (s *Space) lookup(kind opKind, tmpl Entry, t *Txn, timeout time.Duration, b
 		return nil, err
 	}
 	if ses, ok := s.txnHitLocked(ts, tok, MemoTake); ok {
-		out := copyOut(ses[0].val)
+		out := copyOut(ses[0].value())
 		s.unlock()
 		return out, nil
 	}
@@ -324,9 +339,19 @@ func (s *Space) lookup(kind opKind, tmpl Entry, t *Txn, timeout time.Duration, b
 // the stored value itself.
 func (se *storedEntry) out(shared bool) Entry {
 	if shared {
-		return enc.Interface(se.val)
+		return se.entry()
 	}
-	return copyOut(se.val)
+	return copyOut(se.value())
+}
+
+// entry returns the stored value itself as an Entry, to read and never to
+// write: an interface made of the type's word and the entry's data word.
+func (se *storedEntry) entry() Entry { return *(*Entry)(unsafe.Pointer(&eface{se.ti.word, se.data})) }
+
+// value is entry as a reflect.Value, spelled out so that it inlines into a
+// scan's loop.
+func (se *storedEntry) value() reflect.Value {
+	return reflect.ValueOf(*(*Entry)(unsafe.Pointer(&eface{se.ti.word, se.data})))
 }
 
 // park waits, with s.mu held on entry and released on return, until a
@@ -385,11 +410,9 @@ func (s *Space) applyLocked(kind opKind, se *storedEntry, t *Txn, tok OpToken) e
 	switch kind {
 	case opRead:
 		s.stats.Reads++
-		if t != nil {
-			if se.readLocks == nil {
-				se.readLocks = make(map[uint64]int)
-			}
-			se.readLocks[t.id]++
+		if t != nil && !s.readLocks[readLock{se, t.id}] { // a second read holds the one lock
+			s.readLocks[readLock{se, t.id}] = true
+			se.readers++
 			s.txns[t.id].reads = append(s.txns[t.id].reads, se)
 		}
 	case opTake:
@@ -403,7 +426,7 @@ func (s *Space) applyLocked(kind opKind, se *storedEntry, t *Txn, tok OpToken) e
 			if !tok.Zero() {
 				// The memo keeps the taken value itself: the space is
 				// done with it, and a memo's entries are only ever copied.
-				rec.taken = enc.Interface(se.val)
+				rec.taken = se.entry()
 			}
 			if err := s.consumeLocked([]*storedEntry{se}, tok, rec); err != nil {
 				return err
@@ -426,7 +449,7 @@ func (s *Space) publishLocked(se *storedEntry) {
 		var taken bool
 		for _, w := range ws {
 			if w.kind != kind || taken || se.removed || se.takenUnder != 0 ||
-				!s.visibleLocked(se, w.txn) || !w.m.match(se.val) {
+				!s.visibleLocked(se, w.txn) || !w.m.match(se.value()) {
 				out = append(out, w)
 				continue
 			}
@@ -531,10 +554,10 @@ func (s *Space) EvictWhere(pred func(Entry) bool) ([][]byte, int, error) {
 			if se.removed || se.expired(now) {
 				continue
 			}
-			if !pred(se.val.Interface()) {
+			if !pred(se.entry()) {
 				continue
 			}
-			if se.writtenUnder != 0 || se.takenUnder != 0 || len(se.readLocks) > 0 {
+			if se.writtenUnder != 0 || se.takenUnder != 0 || se.readers > 0 {
 				locked++
 				continue
 			}

@@ -2,6 +2,7 @@ package tuplespace
 
 import (
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -545,5 +546,43 @@ func TestNotifyCancel(t *testing.T) {
 	defer mu.Unlock()
 	if n != 0 {
 		t.Fatalf("cancelled registration fired %d times", n)
+	}
+}
+
+// Entry types an interface may hold in place (a pointer-shaped struct) or
+// whose value is a word or less.
+type (
+	ptrDoc   struct{ P *int }
+	smallDoc struct{ N int32 }
+	emptyDoc struct{}
+)
+
+// TestWordSizedEntries: the store keeps a value as the data word of an
+// interface holding it, which for a pointer-shaped struct is the value
+// itself and for any other the value's address. Entries of either kind,
+// written by a client or decoded, by value or by pointer, read back, are
+// shared and taken as they were written.
+func TestWordSizedEntries(t *testing.T) {
+	s := newRealSpace()
+	writes := []func(Entry) (EntryLease, error){
+		func(e Entry) (EntryLease, error) { return s.Write(e, nil, Forever) },
+		func(e Entry) (EntryLease, error) { return s.WriteDecoded(e, nil, Forever, OpToken{}) },
+	}
+	for _, write := range writes {
+		for _, e := range []Entry{ptrDoc{P: ip(7)}, &ptrDoc{P: ip(7)}, smallDoc{N: 7}, &smallDoc{N: 7}, emptyDoc{}, &emptyDoc{}} {
+			if _, err := write(e); err != nil {
+				t.Fatal(err)
+			}
+			tmpl := reflect.Indirect(reflect.ValueOf(e)).Interface() // a pointer field matches by what it points at
+			for _, lookup := range []func() (Entry, error){
+				func() (Entry, error) { return s.ReadIfExists(tmpl, nil) },
+				func() (Entry, error) { return s.LookupShared(false, false, tmpl, nil, 0, OpToken{}) },
+				func() (Entry, error) { return s.TakeIfExists(tmpl, nil) },
+			} {
+				if got, err := lookup(); err != nil || !reflect.DeepEqual(got, tmpl) {
+					t.Fatalf("%T written as %T: got %#v, %v; want %#v", tmpl, e, got, err, tmpl)
+				}
+			}
+		}
 	}
 }

@@ -66,7 +66,7 @@ func TestStandbyMemoAnswersWithHeldEntries(t *testing.T) {
 			apply(log.recs[:3]) // the writes: note where each payload lives
 			payloads := map[int]*byte{}
 			for _, se := range held {
-				d := se.val.Interface().(paddedDoc)
+				d := se.entry().(paddedDoc)
 				payloads[d.N] = unsafe.SliceData(d.Pad)
 			}
 			apply(log.recs[3:]) // the take's and the take-all's removes

@@ -164,11 +164,8 @@ func (s *Space) abortLocked(id uint64, ts *txnState) {
 }
 
 func (s *Space) unlockReadLocked(se *storedEntry, id uint64) {
-	if n := se.readLocks[id]; n > 1 {
-		se.readLocks[id] = n - 1
-	} else {
-		delete(se.readLocks, id)
-	}
+	delete(s.readLocks, readLock{se, id})
+	se.readers--
 }
 
 // lock takes the mutex and aborts every transaction past its deadline,

@@ -2,6 +2,7 @@ package tuplespace
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -353,5 +354,126 @@ func TestTxnNotifyOnAbortAndLapse(t *testing.T) {
 	check("lapsed take", []string{"a", "b"})
 	if st := s.Stats(); st.TxnExpired != 1 || st.Notified != 2 {
 		t.Fatalf("expired %d notified %d, want 1 2", st.TxnExpired, st.Notified)
+	}
+}
+
+// maxTxnReadAllocs is what a read under a transaction allocates beyond the
+// transaction's own begin and commit: the copy the caller gets (entry and
+// payload) and the transaction's read list. It reads 4; 6 while each entry
+// read under a transaction made a lock map of its own, kept for life.
+const maxTxnReadAllocs = 4
+
+// TestTxnReadLocksLeaveNothingBehind: read locks live in the space's
+// table, one row per transaction and entry while the lock is held, and
+// the entry counts its rows. Two readers keep the entry from every take;
+// once one commits, the other may take it. Commit, abort, a lapse and a
+// take by the locking transaction itself each leave no row and no count.
+func TestTxnReadLocksLeaveNothingBehind(t *testing.T) {
+	clk, s := virtualSpace()
+	write := func(job string) *storedEntry {
+		t.Helper()
+		l, err := s.Write(task{Job: job, ID: ip(1)}, nil, Forever)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l.entry
+	}
+	read := func(job string, tx *Txn) {
+		t.Helper()
+		if _, err := s.ReadIfExists(task{Job: job}, tx); err != nil {
+			t.Fatalf("read %s: %v", job, err)
+		}
+	}
+	take := func(job string, tx *Txn, want error) {
+		t.Helper()
+		if _, err := s.TakeIfExists(task{Job: job}, tx); !errors.Is(err, want) {
+			t.Fatalf("take %s: %v, want %v", job, err, want)
+		}
+	}
+	released := func(what string, se *storedEntry) {
+		t.Helper()
+		s.lock()
+		rows, readers := len(s.readLocks), se.readers
+		s.unlock()
+		if rows != 0 || readers != 0 {
+			t.Fatalf("%s: %d read-lock rows, entry counts %d readers; want none", what, rows, readers)
+		}
+	}
+
+	// Two readers: neither may take, nor may anyone else. A second read
+	// under one holds the one lock.
+	up := write("upgrade")
+	t1, t2 := s.Begin(0), s.Begin(0)
+	read("upgrade", t1)
+	read("upgrade", t1)
+	read("upgrade", t2)
+	if up.readers != 2 || len(s.readLocks) != 2 {
+		t.Fatalf("two readers: %d rows, entry counts %d; want 2 and 2", len(s.readLocks), up.readers)
+	}
+	take("upgrade", t1, ErrNoMatch)
+	take("upgrade", t2, ErrNoMatch)
+	take("upgrade", nil, ErrNoMatch)
+	if err := t1.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	take("upgrade", t2, nil) // the upgrade: t2 is the one reader left
+	if err := t2.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	released("commit after taking its own read", up)
+	if !up.removed {
+		t.Fatal("the upgraded take's commit left the entry in the space")
+	}
+
+	// An abort, after a take of the transaction's own read too.
+	ab := write("abort")
+	t3 := s.Begin(0)
+	read("abort", t3)
+	take("abort", t3, nil)
+	if err := t3.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	released("abort", ab)
+	take("abort", nil, nil)
+
+	// A lapse, ended by the next operation's lock.
+	lp := write("lapse")
+	read("lapse", s.Begin(ttl))
+	take("lapse", nil, ErrNoMatch)
+	clk.Run(func() { clk.Sleep(ttl + time.Nanosecond) })
+	take("lapse", nil, nil)
+	released("lapse", lp)
+
+	if raceEnabled {
+		return // the race detector allocates
+	}
+	const n = 200
+	keys := make([]task, n+1)
+	for i := range keys {
+		keys[i] = task{Job: fmt.Sprintf("r%d", i)}
+		mustWrite(t, s, task{Job: keys[i].Job, ID: ip(i)})
+	}
+	i := 0
+	begun := func(read bool) func() {
+		return func() {
+			tx := s.Begin(0)
+			if read {
+				if _, err := s.ReadIfExists(keys[i], tx); err != nil {
+					t.Fatal(err)
+				}
+				i++ // a fresh entry each time: none was read under a transaction before
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	got := testing.AllocsPerRun(n, begun(true)) - testing.AllocsPerRun(n, begun(false))
+	t.Logf("a read under a transaction allocates %v times", got)
+	if got > maxTxnReadAllocs {
+		t.Fatalf("a read under a transaction allocates %v times, want ≤ %d", got, maxTxnReadAllocs)
+	}
+	if len(s.readLocks) != 0 {
+		t.Fatalf("%d read-lock rows left after every transaction committed", len(s.readLocks))
 	}
 }
